@@ -1,6 +1,8 @@
 GO ?= go
 
-.PHONY: build test check bench bench-json chaos crash soak fuzz mobility gray replica upgrade
+SUITES = crash soak mobility gray replica upgrade
+
+.PHONY: build test check bench bench-json chaos fuzz suites-nonempty $(SUITES)
 
 build:
 	$(GO) build ./...
@@ -9,10 +11,10 @@ test:
 	$(GO) test ./...
 
 # check is the pre-merge gate: vet + tests + race detector (includes
-# the chaos suite in internal/core, which takes seconds of wall time),
-# plus the benchdiff perf gate over the last two BENCH_*.json baselines
-# and the tiamat-load open-loop smoke — both now blocking, both inside
-# check.sh.
+# the chaos suite in internal/core, which takes seconds of wall time)
+# over the repository and the bench/ module, plus the benchdiff perf
+# gate over the last two BENCH_*.json baselines and the tiamat-load
+# open-loop smoke — all blocking, all inside check.sh.
 check:
 	./scripts/check.sh
 
@@ -30,15 +32,59 @@ bench-json:
 chaos:
 	$(GO) run ./cmd/tiamat-bench -quick -chaos E2 E9 E10
 
-# soak runs the overload-governance suite under the race detector: the
-# governor unit tests (admission, quotas, shed order, escalation ladder,
-# deadline propagation) plus the C2 flood soak, then the C2 experiment
-# itself. The harness package's TestMain also asserts no goroutine leaks
-# survive the flood.
-soak:
-	$(GO) test -race -run 'Govern|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|C2' \
-		./internal/core/ ./lease/ ./wire/ ./monitor/ ./internal/harness/
-	$(GO) run ./cmd/tiamat-bench -quick C2
+# The fault-class suites. `go test -race ./...` in check.sh already runs
+# every test below; these targets are the one home of the -run patterns
+# that pick a class out, for iterating on it: `make <suite>` runs its
+# unit tests under the race detector and then its soak experiment.
+# check.sh only asks (suites-nonempty) that no pattern has gone stale.
+#
+# crash: WAL kill-point sweeps, torn writes, bit flips, failed syncs,
+# and the shutdown/restart/rejoin lifecycle (the storage twin of chaos).
+crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|Shutdown|Goodbye|RestartRejoin|C1
+crash_pkgs = ./space/persist/ ./internal/core/ ./internal/harness/
+crash_exp  = C1
+# soak: overload governance — admission, quotas, shed order, the
+# shrink-before-revoke ladder, deadline propagation, and the C2 flood
+# (the harness TestMain also asserts no goroutine leaks survive it).
+soak_run  = Govern|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|C2
+soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./internal/harness/
+soak_exp  = C2
+# mobility: visibility-event re-arming, orphan reconciliation, memnet
+# mobility scripting, the lease skew band, and the C3 churn soak with
+# its conservation invariants.
+mobility_run  = Rearm|Orphan|Vis|Event|OneWay|Sched|Stale|HeldBack|Churn|Partition|Skew|Mobility|C3
+mobility_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./lease/ ./monitor/ ./internal/harness/
+mobility_exp  = C3
+# gray: latency EWMA/outlier demotion, hedged lookups (first winner,
+# budget, busy suppression), limp-mode memnet scripting, the WAL-stall
+# and queue-delay self-reports, and the C4 limping-node soak.
+gray_run  = Hedge|Limp|Demot|Slow|Stall|Degraded|Latency|Outlier|QueueDelay|Gray|C4
+gray_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./space/persist/ ./internal/harness/
+gray_exp  = C4
+# replica: ring placement/rebalance, write-through replication,
+# failover takes with their supersede proof, sibling invalidation and
+# fencing, anti-entropy repair and adoption, and the C5 kill soak.
+replica_run  = TestRing|WriteThrough|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|C5
+replica_pkgs = ./routing/ ./internal/core/ ./wire/ ./internal/harness/
+replica_exp  = C5
+# upgrade: golden wire fixtures (byte-stability, round-trip, truncation,
+# the versioned-field table), capability learning and gating, the
+# write-through refusal regression, and the C6 mixed-version soak.
+upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|C6
+upgrade_pkgs = ./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./internal/harness/
+upgrade_exp  = C6
+
+$(SUITES):
+	$(GO) test -race -run '$($@_run)' $($@_pkgs)
+	$(GO) run ./cmd/tiamat-bench -quick $($@_exp)
+
+# suites-nonempty fails if a suite's pattern no longer names any test —
+# a rename must not quietly empty the `make <suite>` a developer trusts.
+suites-nonempty:
+	@for s in $(foreach s,$(SUITES),"$(s) $($(s)_run) $($(s)_pkgs)"); do \
+		set -- $$s; name=$$1; run=$$2; shift 2; \
+		$(GO) test -list "$$run" "$$@" | grep -q '^Test' || { echo "suite $$name lists no tests"; exit 1; }; \
+	done
 
 # fuzz smoke-tests the two wire-format decoders for a few seconds each:
 # enough to catch a decoder regression in CI without turning the gate
@@ -48,51 +94,3 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime $(FUZZTIME) ./tuple/
-
-# mobility runs the partition/mobility suite under the race detector:
-# visibility-event re-arming, orphan reconciliation, memnet mobility
-# scripting, the lease skew band, and the C3 churn soak with its
-# conservation invariants.
-mobility:
-	$(GO) test -race -run 'Rearm|Orphan|Vis|Event|OneWay|Sched|Stale|HeldBack|Churn|Partition|Skew|Mobility|C3' \
-		./internal/core/ ./internal/discovery/ ./transport/memnet/ ./lease/ ./monitor/ ./internal/harness/
-	$(GO) run ./cmd/tiamat-bench -quick C3
-
-# gray runs the gray-failure suite under the race detector: latency
-# EWMA/outlier demotion in discovery, hedged-lookup unit tests (first
-# winner, budget, busy suppression), limp-mode memnet scripting, the
-# WAL-stall and queue-delay self-report probes, and the C4 soak with its
-# tail-latency / effectively-once / hedge-budget invariants.
-gray:
-	$(GO) test -race -run 'Hedge|Limp|Demot|Slow|Stall|Degraded|Latency|Outlier|QueueDelay|Gray|C4' \
-		./internal/core/ ./internal/discovery/ ./transport/memnet/ ./space/persist/ ./monitor/ ./internal/harness/
-	$(GO) run ./cmd/tiamat-bench -quick C4
-
-# replica runs the availability-under-node-loss suite under the race
-# detector: consistent-hash ring placement/rebalance, write-through
-# replication, failover takes with their supersede proof, sibling
-# invalidation and fencing, anti-entropy repair and dead-origin
-# adoption, and the C5 kill soak with its zero-loss / exactly-once /
-# repair-convergence / goroutine-leak invariants.
-replica:
-	$(GO) test -race -run 'TestRing|WriteThrough|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|C5' \
-		./routing/ ./internal/core/ ./wire/ ./internal/harness/
-	$(GO) run ./cmd/tiamat-bench -quick C5
-
-# upgrade runs the rolling-upgrade suite under the race detector:
-# golden wire fixtures (byte-stability, round-trip, truncation sweeps),
-# capability learning/gating unit tests, the write-through refusal
-# regression, and the C6 mixed-version soak with its conservation /
-# at-most-once / zero-gated-violations / activation-bound invariants.
-upgrade:
-	$(GO) test -race -run 'Golden|Caps|Gated|Baseline|WriteThroughRefusal|SilentBackup|C6' \
-		./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./internal/harness/
-	$(GO) run ./cmd/tiamat-bench -quick C6
-
-# crash runs the storage fault-injection suite under the race detector:
-# WAL kill-point sweeps, torn writes, bit flips, failed syncs, and the
-# shutdown/restart/rejoin lifecycle (the storage twin of `make chaos`).
-crash:
-	$(GO) test -race -run 'Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|Shutdown|Goodbye|RestartRejoin|C1' \
-		./space/persist/ ./internal/core/ ./internal/harness/
-	$(GO) run ./cmd/tiamat-bench -quick C1

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,10 +13,10 @@ import (
 
 // TestGatedSendStripsAdvisoryFields pins the per-destination gate
 // (DESIGN.md §14): toward a known-baseline peer an advisory field
-// (busy) is stripped — the frame arrives as its baseline form and the
-// in-memory message is restored for reuse — while a semantic field (a
-// replica identity) makes the send refuse outright. After the peer
-// upgrades, the same frames pass untouched.
+// (busy) is dropped — the frame arrives as its baseline form while the
+// caller's message is never written — and a semantic field (a replica
+// identity) makes the send refuse outright. After the peer upgrades,
+// the same frames pass untouched.
 func TestGatedSendStripsAdvisoryFields(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a"}, nil)
 	a := r.inst["a"]
@@ -27,11 +29,12 @@ func TestGatedSendStripsAdvisoryFields(t *testing.T) {
 
 	a.list.ObserveAnnounce("b", 0, false) // caps-less announce: known baseline
 	m := &wire.Message{Type: wire.TResult, ID: 41, From: "a", Busy: true}
+	before := *m
 	if err := a.send("b", m); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Busy {
-		t.Fatal("stripped field must be restored after the send")
+	if !reflect.DeepEqual(*m, before) {
+		t.Fatalf("send wrote to the caller's message: %+v, was %+v", *m, before)
 	}
 	eventually(t, "stripped result delivered", func() bool { return bin.find(41) != nil })
 	if bin.find(41).Busy {
@@ -43,8 +46,12 @@ func TestGatedSendStripsAdvisoryFields(t *testing.T) {
 
 	out := &wire.Message{Type: wire.TOut, ID: 42, From: "a", TTL: time.Hour,
 		Tuple: req(1), ReplOrigin: "a", ReplSeq: 3}
+	outBefore := *out
 	if err := a.send("b", out); !errors.Is(err, errCapsGated) {
 		t.Fatalf("identity-bearing out toward baseline peer: err=%v, want errCapsGated", err)
+	}
+	if !reflect.DeepEqual(*out, outBefore) {
+		t.Fatalf("refused send wrote to the caller's message: %+v, was %+v", *out, outBefore)
 	}
 	if bin.find(42) != nil {
 		t.Fatal("refused frame must not be delivered")
@@ -102,5 +109,61 @@ func TestAnnounceCapsPolicy(t *testing.T) {
 	eventually(t, "gated announce delivered", func() bool { return bin.find(52) != nil })
 	if got := bin.find(52); got.Caps != 0 || got.Degraded {
 		t.Fatalf("announce toward baseline peer not stripped: caps=%#x degraded=%v", got.Caps, got.Degraded)
+	}
+}
+
+// TestSendSharedMessageAcrossVersions sends one *wire.Message from two
+// goroutines at once, toward a capability-aware peer and a known-baseline
+// one — what the served-reply cache does when governor workers replay a
+// busy result to requesters on different builds. Each peer must only ever
+// see its own form of the frame, and the shared message must come out
+// bit-identical; under -race a send path that writes to it fails here.
+func TestSendSharedMessageAcrossVersions(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a"}, nil)
+	a := r.inst["a"]
+	attach := func(addr wire.Addr, caps uint64) *inbox {
+		ep, err := r.net.Attach(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.list.ObserveAnnounce(addr, caps, false)
+		return &inbox{ep: ep}
+	}
+	aware, baseline := attach("new", wire.CapsCurrent), attach("old", 0)
+	r.net.ConnectAll()
+
+	const rounds = 1000
+	shared := &wire.Message{Type: wire.TResult, ID: 61, From: "a", Busy: true}
+	before := *shared
+	var wg sync.WaitGroup
+	for _, to := range []wire.Addr{"new", "old"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				if err := a.send(to, shared); err != nil {
+					t.Errorf("send to %s: %v", to, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(*shared, before) {
+		t.Fatalf("shared message changed: %+v, was %+v", *shared, before)
+	}
+	for _, c := range []struct {
+		in   *inbox
+		busy bool
+	}{{aware, true}, {baseline, false}} {
+		got := c.in.drain()
+		if len(got) != rounds {
+			t.Fatalf("%s received %d frames, want %d", c.in.ep.Addr(), len(got), rounds)
+		}
+		for _, m := range got {
+			if m.Busy != c.busy {
+				t.Fatalf("%s saw busy=%v, want only busy=%v", c.in.ep.Addr(), m.Busy, c.busy)
+			}
+		}
 	}
 }

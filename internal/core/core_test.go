@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"tiamat/clock"
 	"tiamat/lease"
 	"tiamat/trace"
+	"tiamat/transport"
 	"tiamat/transport/memnet"
 	"tiamat/tuple"
 	"tiamat/wire"
@@ -137,6 +139,53 @@ func TestRemoteInpTakesFromVisibleInstance(t *testing.T) {
 	// The take removed the tuple at a: nobody can get it again.
 	if _, ok, _ := a.Inp(context.Background(), reqTmpl(), nil); ok {
 		t.Fatal("tuple still present at a after remote take")
+	}
+}
+
+// lingerAccept is an endpoint whose TAccept sends return late: by then
+// the owner's ack is already back, as it can be on any transport that
+// delivers synchronously.
+type lingerAccept struct{ transport.Endpoint }
+
+func (e lingerAccept) Send(to wire.Addr, m *wire.Message) error {
+	err := e.Endpoint.Send(to, m)
+	if m.Type == wire.TAccept {
+		// Yielding, not sleeping: a timer sleep rounds up to a millisecond.
+		for t0 := time.Now(); time.Since(t0) < 100*time.Microsecond; {
+			runtime.Gosched()
+		}
+	}
+	return err
+}
+
+// TestTakesNeverRetransmitAccept: the accept's retransmission record
+// must be registered before the TAccept is sent. Registered after, an
+// ack that is back before send returns finds nothing to settle, and the
+// accept is retransmitted one ContactTimeout later — 2–5 per thousand
+// takes over plain memnet, every one of them over lingerAccept.
+func TestTakesNeverRetransmitAccept(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a", "b"}, func(c *Config) {
+		c.Endpoint = lingerAccept{c.Endpoint}
+	})
+	r.net.ConnectAll()
+	a, b := r.inst["a"], r.inst["b"]
+	for k := int64(0); k < 1000; k++ {
+		if err := a.Out(req(k), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := b.Inp(context.Background(), reqTmpl(), nil); err != nil || !ok {
+			t.Fatalf("take %d: ok=%v err=%v", k, ok, err)
+		}
+	}
+	eventually(t, "every accept settled by its ack", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.pendAccepts) == 0
+	})
+	// The clock is virtual: a retransmission fires only on this advance.
+	r.clk.Advance(2 * time.Second)
+	if n := r.met.Get(trace.CtrRetries); n != 0 {
+		t.Fatalf("%d retransmissions over a lossless network, want 0", n)
 	}
 }
 

@@ -120,17 +120,28 @@ func (i *Instance) Gray() GrayReport {
 	}
 }
 
-// hedgeDelay is the adaptive pacing for hedged contacts: the configured
-// percentile of recent first-attempt RTTs, floored at HedgeMinDelay and
-// capped at ContactTimeout. With no samples yet the full contact timeout
-// is used — hedge conservatively until the network has been measured.
+const (
+	// hedgePercentile is the quantile of recent first-attempt RTTs used as
+	// the adaptive hedge delay: a hedge fires only when the first contact
+	// is slower than almost all recent traffic.
+	hedgePercentile = 0.95
+	// hedgeMinDelay floors the adaptive hedge delay so a run of fast local
+	// samples cannot make every op hedge immediately.
+	hedgeMinDelay = 2 * time.Millisecond
+)
+
+// hedgeDelay is the adaptive pacing for hedged contacts: the
+// hedgePercentile of recent first-attempt RTTs, floored at hedgeMinDelay
+// and capped at ContactTimeout. With no samples yet the full contact
+// timeout is used — hedge conservatively until the network has been
+// measured.
 func (i *Instance) hedgeDelay() time.Duration {
-	d, ok := i.rtt.quantile(i.cfg.HedgePercentile)
+	d, ok := i.rtt.quantile(hedgePercentile)
 	if !ok || d > i.cfg.ContactTimeout {
 		return i.cfg.ContactTimeout
 	}
-	if d < i.cfg.HedgeMinDelay {
-		return i.cfg.HedgeMinDelay
+	if d < hedgeMinDelay {
+		return hedgeMinDelay
 	}
 	return d
 }

@@ -102,11 +102,6 @@ type Config struct {
 	Metrics *trace.Metrics
 	// Leases configures the lease manager (default: DefaultCapacity).
 	Leases lease.Capacity
-	// DefaultTerms are proposed when an operation passes a nil
-	// Requester (default: 5s, 16 remotes, 64 KiB).
-	DefaultTerms lease.Terms
-	// ResponderListMax bounds the responder cache (default 64).
-	ResponderListMax int
 	// ContactFanout is how many cached responders a nonblocking
 	// operation contacts at a time before moving down the list. The
 	// default 1 is the paper's sequential top-down walk; larger values
@@ -161,18 +156,6 @@ type Config struct {
 	// cached responder at once, so hedging bounds added latency without
 	// ever costing completeness.
 	HedgeMax int
-	// HedgePercentile selects the quantile of recent first-attempt RTTs
-	// used as the adaptive hedge delay (default 0.95): a hedge fires only
-	// when the first contact is slower than almost all recent traffic.
-	HedgePercentile float64
-	// HedgeMinDelay floors the adaptive hedge delay (default 2ms) so a
-	// run of fast local samples cannot make every op hedge immediately.
-	HedgeMinDelay time.Duration
-	// DemoteFactor is the relative-outlier threshold for latency-based
-	// responder demotion: a peer whose smoothed RTT reaches DemoteFactor
-	// times the healthy median is re-ranked behind healthy peers while it
-	// keeps serving (default 4; negative disables latency demotion).
-	DemoteFactor float64
 	// DisableRearm turns off visibility-event re-arming of in-flight
 	// blocking operations (DESIGN.md §10): with it set, a blocking rd/in
 	// only reaches peers known at start (plus rediscovery multicasts, if
@@ -245,12 +228,6 @@ func (c *Config) applyDefaults() {
 	if c.Leases == (lease.Capacity{}) {
 		c.Leases = lease.DefaultCapacity()
 	}
-	if c.DefaultTerms == (lease.Terms{}) {
-		c.DefaultTerms = lease.Terms{Duration: 5 * time.Second, MaxRemotes: 16, MaxBytes: 64 << 10}
-	}
-	if c.ResponderListMax == 0 {
-		c.ResponderListMax = 64
-	}
 	if c.ContactFanout <= 0 {
 		c.ContactFanout = 1
 	}
@@ -274,15 +251,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.HedgeMax <= 0 {
 		c.HedgeMax = 2
-	}
-	if c.HedgePercentile <= 0 || c.HedgePercentile >= 1 {
-		c.HedgePercentile = 0.95
-	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = 2 * time.Millisecond
-	}
-	if c.DemoteFactor == 0 {
-		c.DemoteFactor = discovery.DefaultDemoteFactor
 	}
 	if c.OrphanSweepInterval <= 0 {
 		c.OrphanSweepInterval = time.Second
@@ -367,8 +335,8 @@ type Instance struct {
 	// for the drain report.
 	lastPanic atomic.Value // string
 
-	// rtt digests recent first-attempt round-trip samples; its configured
-	// upper percentile paces hedged blocking lookups (hedge.go).
+	// rtt digests recent first-attempt round-trip samples; its upper
+	// percentile paces hedged blocking lookups (hedge.go).
 	rtt rttDigest
 	// gray accumulates hedge activity for Gray(). Per-instance atomics
 	// rather than trace counters alone, because harness clusters share a
@@ -416,6 +384,12 @@ type acceptKey struct {
 	holdID uint64
 }
 
+// responderListMax bounds the responder cache.
+const responderListMax = 64
+
+// defaultTerms are proposed when an operation passes a nil Requester.
+var defaultTerms = lease.Terms{Duration: 5 * time.Second, MaxRemotes: 16, MaxBytes: 64 << 10}
+
 // New creates and starts an instance.
 func New(cfg Config) (*Instance, error) {
 	if cfg.Endpoint == nil {
@@ -429,9 +403,8 @@ func New(cfg Config) (*Instance, error) {
 		met:  cfg.Metrics,
 		caps: wire.CapsCurrent &^ cfg.CapsMask,
 		mgr:  lease.NewManager(cfg.Leases, cfg.Clock),
-		list: discovery.NewResponderList(cfg.ResponderListMax, cfg.Metrics,
-			discovery.WithClock(cfg.Clock),
-			discovery.WithLatencyPolicy(cfg.DemoteFactor, 0, 0, 0, 0)),
+		list: discovery.NewResponderList(responderListMax, cfg.Metrics,
+			discovery.WithClock(cfg.Clock)),
 		ops:         make(map[uint64]*opState),
 		holds:       make(map[uint64]*pendingHold),
 		pendAccepts: make(map[uint64]*pendingAccept),
@@ -448,7 +421,7 @@ func New(cfg Config) (*Instance, error) {
 		stopped:     make(chan struct{}),
 	}
 	i.seedRetryJitter()
-	i.defReq = lease.Flexible(cfg.DefaultTerms)
+	i.defReq = lease.Flexible(defaultTerms)
 	if cfg.Space != nil {
 		i.local = cfg.Space
 	} else {
@@ -491,20 +464,17 @@ func New(cfg Config) (*Instance, error) {
 		go i.repairLoop()
 	}
 	// Transports that coalesce pure acks accept a per-destination gate:
-	// acks are only folded into a multi-ID frame toward peers that
-	// advertised they can decode one (DESIGN.md §14). Ungated (or toward
-	// anyone else) each ack goes out as its own frame, byte-identical to
-	// the pre-batching protocol.
+	// acks are only folded into a multi-ID frame toward peers that can
+	// decode one (DESIGN.md §14). Ungated (or toward anyone else) each ack
+	// goes out as its own frame, byte-identical to the pre-batching
+	// protocol.
 	if g, ok := cfg.Endpoint.(interface{ SetAckGate(func(wire.Addr) bool) }); ok {
 		g.SetAckGate(func(to wire.Addr) bool {
-			if i.caps&wire.CapCoalescedAcks == 0 {
-				return false
-			}
-			if i.list.Caps(to)&wire.CapCoalescedAcks == 0 {
+			fits := wire.Fits(&coalescedAck, i.linkCaps(to, &coalescedAck))
+			if !fits {
 				i.met.Inc(trace.CtrCapsGatedSends)
-				return false
 			}
-			return true
+			return fits
 		})
 	}
 	for w := 0; w < i.gov.cfg.Workers; w++ {
@@ -525,7 +495,7 @@ func New(cfg Config) (*Instance, error) {
 	// our gated unicast reply instead.
 	hello := &wire.Message{Type: wire.TAnnounce, From: i.Addr(), Persistent: cfg.Persistent}
 	i.stampAnnounce(hello)
-	_, _ = i.ep.Multicast(hello)
+	_, _ = i.multicast(hello)
 	return i, nil
 }
 
@@ -567,9 +537,8 @@ func (i *Instance) CapsSummary() CapsReport {
 
 // stampAnnounce fills the capability-bearing optional fields of an
 // outbound announce from local state: the advertised capability set and
-// the degraded self-report, both subject to the configured mask. The
-// per-destination gate (send) may still strip them toward a peer known
-// to run a pre-capability build.
+// the degraded self-report, both subject to the configured mask. send
+// still drops them toward a peer known to run a pre-capability build.
 func (i *Instance) stampAnnounce(m *wire.Message) {
 	m.Caps = i.caps
 	m.Degraded = i.Degraded() && i.caps&wire.CapDegraded != 0
@@ -688,27 +657,18 @@ drain:
 }
 
 // sendGoodbye announces this node's departure. TGoodbye is a versioned
-// frame — pre-goodbye decoders reject the unknown type — so it is
-// multicast only when every cached responder advertises the capability;
-// otherwise it goes unicast to the capable members, and known-baseline
-// peers fall back to the pre-goodbye behaviour of discovering the
-// departure one failed contact at a time. A node masked below
-// CapGoodbye sends nothing, like the build it simulates.
+// frame — pre-goodbye decoders reject the unknown type — so the multicast
+// is refused unless every cached responder advertises the capability;
+// it then goes unicast to the capable members, and the others fall back
+// to the pre-goodbye behaviour of discovering the departure one failed
+// contact at a time. A node masked below CapGoodbye sends nothing, like
+// the build it simulates.
 func (i *Instance) sendGoodbye() {
-	if i.caps&wire.CapGoodbye == 0 {
-		return
-	}
 	i.met.Inc(trace.CtrGoodbyes)
 	bye := &wire.Message{Type: wire.TGoodbye, ID: i.nextOp(), From: i.Addr()}
-	if i.list.AllHave(wire.CapGoodbye) {
-		_, _ = i.ep.Multicast(bye)
-		return
-	}
-	for _, a := range i.list.Members() {
-		if i.list.Caps(a)&wire.CapGoodbye != 0 {
-			_ = i.sendRaw(a, bye)
-		} else {
-			i.met.Inc(trace.CtrCapsGatedSends)
+	if _, err := i.multicast(bye); errors.Is(err, errCapsGated) {
+		for _, a := range i.list.Members() {
+			_ = i.send(a, bye)
 		}
 	}
 }
@@ -788,31 +748,31 @@ func (i *Instance) LastPanic() string {
 	return s
 }
 
-// errCapsGated reports a frame withheld because its destination has not
+// errCapsGated reports a frame withheld because its audience has not
 // advertised a capability the frame's encoding requires and the field
-// cannot be stripped without changing the frame's meaning.
+// cannot be dropped without changing the frame's meaning.
 var errCapsGated = errors.New("tiamat: destination lacks required capability")
 
-// send transmits a message, evicting unreachable responders from the list
-// (paper §3.1.3: "removing any which do not respond"). Before the frame
-// leaves, every versioned optional field is gated on the destination's
-// advertised capabilities (DESIGN.md §14): advisory fields (budget, busy,
-// failover, degraded, caps) are stripped so the frame decodes as its
-// baseline form, while semantic ones (a replica identity on TOut/TCancel)
-// make the frame undeliverable instead — stripping those would change
-// what the frame *means*, and the replica ring keeps such frames away
-// from incapable peers in the first place.
+// coalescedAck has the shape of the frame a transport's ack coalescing
+// produces; the ack gate asks whether a peer could decode it.
+var coalescedAck = wire.Message{Type: wire.TAck, OK: true, AckIDs: []uint64{0}}
+
+// send transmits a message to one peer, evicting unreachable responders
+// from the list (paper §3.1.3: "removing any which do not respond"). The
+// frame is encoded for its audience (DESIGN.md §14): when it carries
+// versioned fields the peer has not advertised, the transport is handed
+// wire.Restrict's copy instead — advisory fields dropped — or nothing at
+// all when a semantic field is in the way (errCapsGated; the replica ring
+// keeps such frames away from incapable peers in the first place). m is
+// never written, so callers may share it across retries, destinations
+// and goroutines.
 func (i *Instance) send(to wire.Addr, m *wire.Message) error {
 	if wire.FeaturesOf(m) != 0 {
-		if err, gated := i.sendGated(to, m); gated {
+		var err error
+		if m, err = i.restrict(m, i.linkCaps(to, m)); err != nil {
 			return err
 		}
 	}
-	return i.sendRaw(to, m)
-}
-
-// sendRaw transmits without capability gating.
-func (i *Instance) sendRaw(to wire.Addr, m *wire.Message) error {
 	err := i.ep.Send(to, m)
 	if errors.Is(err, transport.ErrUnreachable) {
 		i.list.Evict(to)
@@ -820,102 +780,48 @@ func (i *Instance) sendRaw(to wire.Addr, m *wire.Message) error {
 	return err
 }
 
-// linkCaps returns the feature set usable toward to: the intersection of
-// this instance's capabilities and what the peer has advertised. Unknown
-// and known-baseline peers yield zero — the conservative default.
-func (i *Instance) linkCaps(to wire.Addr) uint64 {
-	return i.caps & i.list.Caps(to)
+// multicast transmits a message to every listener in range, encoded for
+// the capabilities every cached responder shares — listeners the list
+// does not know are assumed no older than the ones it does.
+func (i *Instance) multicast(m *wire.Message) (int, error) {
+	if wire.FeaturesOf(m) != 0 {
+		var err error
+		if m, err = i.restrict(m, i.caps&i.list.CommonCaps()); err != nil {
+			return 0, err
+		}
+	}
+	return i.ep.Multicast(m)
 }
 
-// sendGated applies per-destination capability gating to a frame that
-// carries versioned features. It reports whether it handled the send;
-// false means nothing needed gating and the caller should transmit the
-// frame untouched. Stripped fields are restored after the transmit —
-// callers reuse one message across retries and multi-destination walks,
-// and the transports encode synchronously.
-func (i *Instance) sendGated(to wire.Addr, m *wire.Message) (error, bool) {
-	if m.Type == wire.TAnnounce {
-		// Announce policy: toward a peer known to run a pre-capability
-		// build, the announce must stay byte-identical to the baseline
-		// frame. Toward everyone else — including peers whose build is
-		// still unknown — the caps field rides as an optimistic probe: a
-		// new peer learns us immediately, an old one rejects the frame
-		// (bounded: its own caps-less announce marks it baseline here,
-		// and probing stops) and still learns us through its discover
-		// probes, which we answer gated.
-		if _, st := i.list.CapsKnowledge(to); st != discovery.CapsBaseline {
-			return nil, false
-		}
-		if !m.Degraded && m.Caps == 0 {
-			return nil, false
-		}
-		savedDeg, savedCaps := m.Degraded, m.Caps
-		m.Degraded, m.Caps = false, 0
-		err := i.sendRaw(to, m)
-		m.Degraded, m.Caps = savedDeg, savedCaps
-		i.met.Inc(trace.CtrCapsGatedSends)
-		return err, true
+// linkCaps returns the capability set m may exercise toward to: the
+// intersection of this instance's capabilities and what the peer has
+// advertised — nothing, for unknown and known-baseline peers. Announces
+// are the one exception: toward anyone not known to run a pre-capability
+// build they carry everything this build emits, as an optimistic probe.
+// A new peer learns us immediately; an old one rejects the frame
+// (bounded: its own caps-less announce marks it baseline here, and
+// probing stops) and still learns us through its discover probes, which
+// we answer in baseline form.
+func (i *Instance) linkCaps(to wire.Addr, m *wire.Message) uint64 {
+	peer, st := i.list.CapsKnowledge(to)
+	if m.Type == wire.TAnnounce && st != discovery.CapsBaseline {
+		return i.caps
 	}
-	allowed := i.linkCaps(to)
-	if wire.FeaturesOf(m)&^allowed == 0 {
-		return nil, false
+	return i.caps & peer
+}
+
+// restrict returns the form of m an audience advertising allowed can
+// decode: m itself when it already fits, else a restricted copy.
+func (i *Instance) restrict(m *wire.Message, allowed uint64) (*wire.Message, error) {
+	if wire.Fits(m, allowed) {
+		return m, nil
 	}
 	i.met.Inc(trace.CtrCapsGatedSends)
-	switch m.Type {
-	case wire.TOut, wire.TCancel:
-		// A replica identity is semantic: stripping it would turn a
-		// replicate into an authoritative out, or an invalidation into
-		// an op withdrawal. Refuse the send instead — the ring excludes
-		// incapable peers from placement, so reaching here means the
-		// peer's capability state changed mid-flight.
-		return errCapsGated, true
-	case wire.TGoodbye:
-		return errCapsGated, true
-	case wire.TOp:
-		savedBudget, savedFO := m.Budget, m.Failover
-		if allowed&wire.CapBudget == 0 {
-			m.Budget = 0
-		}
-		if allowed&(wire.CapBudget|wire.CapReplicaIdentity) != wire.CapBudget|wire.CapReplicaIdentity {
-			// The failover marker needs the replica protocol and forces
-			// the budget trailer; without both, the op rides as an
-			// ordinary take and the peer's authoritative space answers.
-			m.Failover = false
-		}
-		err := i.sendRaw(to, m)
-		m.Budget, m.Failover = savedBudget, savedFO
-		return err, true
-	case wire.TResult:
-		savedBusy, savedRO, savedRS := m.Busy, m.ReplOrigin, m.ReplSeq
-		if allowed&wire.CapBusy == 0 {
-			m.Busy = false
-		}
-		if allowed&(wire.CapBusy|wire.CapReplicaIdentity) != wire.CapBusy|wire.CapReplicaIdentity {
-			// The identity on a found reply is advisory — it lets the
-			// requester invalidate surviving copies itself. Without it
-			// the origin-side removal hook still invalidates on accept;
-			// only the origin-dies-after-replying window reopens, which
-			// is the pre-replication behaviour this peer runs anyway.
-			m.ReplOrigin, m.ReplSeq = "", 0
-		}
-		err := i.sendRaw(to, m)
-		m.Busy, m.ReplOrigin, m.ReplSeq = savedBusy, savedRO, savedRS
-		return err, true
-	case wire.TAck:
-		savedBusy, savedIDs := m.Busy, m.AckIDs
-		if allowed&wire.CapBusy == 0 {
-			m.Busy = false
-		}
-		if allowed&(wire.CapBusy|wire.CapCoalescedAcks) != wire.CapBusy|wire.CapCoalescedAcks {
-			m.AckIDs = nil
-		}
-		err := i.sendRaw(to, m)
-		m.Busy, m.AckIDs = savedBusy, savedIDs
-		return err, true
+	r, ok := wire.Restrict(m, allowed)
+	if !ok {
+		return nil, errCapsGated
 	}
-	// No other type carries gateable features; FeaturesOf and this
-	// switch are maintained together.
-	return i.sendRaw(to, m), true
+	return &r, nil
 }
 
 // capsProbeInterval bounds how often a still-unknown peer is re-probed;

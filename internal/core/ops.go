@@ -575,20 +575,17 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 		if lse.ConsumeRemote() != nil {
 			return
 		}
-		// Multicasts reach every listener, including pre-replication
-		// decoders that would reject a Failover-extended frame outright —
-		// so the flag rides unicast contacts only. Budget is likewise
-		// suppressed unless every known responder advertises it; unlike
-		// Failover it is purely advisory, so it may still ride when the
-		// whole audience is capable.
-		prevFO, prevBudget := msg.Failover, msg.Budget
-		msg.Failover = false
-		if prevBudget > 0 && !i.list.AllHave(wire.CapBudget) {
-			msg.Budget = 0
-			i.met.Inc(trace.CtrCapsGatedSends)
+		// The failover marker rides unicast contacts only (DESIGN.md §13):
+		// a multicast is how the walk finds responders it does not know,
+		// and a failover take is addressed to ranked holders it does. The
+		// multicast form is a copy; msg stays as the unicast contacts use it.
+		mc := msg
+		if msg.Failover {
+			plain := *msg
+			plain.Failover = false
+			mc = &plain
 		}
-		n, err := i.ep.Multicast(msg)
-		msg.Failover, msg.Budget = prevFO, prevBudget
+		n, err := i.multicast(mc)
 		if err == nil {
 			if n < 0 {
 				unknownAudience = true
@@ -863,10 +860,10 @@ func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease) 
 
 	ackID := i.nextOp()
 	msg := &wire.Message{Type: wire.TAccept, ID: ackID, From: i.Addr(), HoldID: holdID}
-	if i.send(owner, msg) != nil {
-		return // owner unreachable: its grace timer takes over
-	}
 	pa := &pendingAccept{owner: owner, msg: msg, deadline: deadline, attempt: 1}
+	// Register before sending: over a synchronous transport the ack can
+	// arrive before send returns, and an ack that finds nothing registered
+	// settles nothing — the accept would be retransmitted for no reason.
 	i.mu.Lock()
 	if i.closed {
 		i.mu.Unlock()
@@ -874,6 +871,10 @@ func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease) 
 	}
 	i.pendAccepts[ackID] = pa
 	i.mu.Unlock()
+	if i.send(owner, msg) != nil {
+		i.finishAccept(ackID) // owner unreachable: its grace timer takes over
+		return
+	}
 	i.armAcceptRetry(ackID, pa, 1)
 }
 
@@ -950,7 +951,7 @@ func (i *Instance) cancelRemotes(opID uint64, contacted map[wire.Addr]*contactSt
 		_ = i.send(a, cancel)
 	}
 	if multicasted {
-		_, _ = i.ep.Multicast(cancel)
+		_, _ = i.multicast(cancel)
 	}
 }
 
@@ -1059,7 +1060,7 @@ func (i *Instance) Spaces(ctx context.Context) ([]SpaceInfo, error) {
 	}()
 
 	out := []SpaceInfo{{Addr: i.Addr(), Persistent: i.cfg.Persistent}}
-	n, err := i.ep.Multicast(&wire.Message{Type: wire.TDiscover, ID: id, From: i.Addr()})
+	n, err := i.multicast(&wire.Message{Type: wire.TDiscover, ID: id, From: i.Addr()})
 	if err != nil || n == 0 {
 		return out, err
 	}
@@ -1177,11 +1178,15 @@ func (i *Instance) directOp(ctx context.Context, addr wire.Addr, code wire.OpCod
 		}
 	}()
 
-	msg := &wire.Message{Type: wire.TOp, ID: opID, From: i.Addr(), Op: code,
-		Template: p, TTL: lse.Deadline().Sub(i.clk.Now())}
-	stampBudget(ctx, msg)
+	// Every transmission is a fresh frame stamped with the time left.
+	contact := func() error {
+		msg := &wire.Message{Type: wire.TOp, ID: opID, From: i.Addr(), Op: code,
+			Template: p, TTL: lse.Deadline().Sub(i.clk.Now())}
+		stampBudget(ctx, msg)
+		return i.send(addr, msg)
+	}
 	sentAt := i.clk.Now()
-	if err := i.send(addr, msg); err != nil {
+	if err := contact(); err != nil {
 		return Result{}, false, err
 	}
 	attempts := 1
@@ -1206,9 +1211,7 @@ func (i *Instance) directOp(ctx context.Context, addr wire.Addr, code wire.OpCod
 			retry = nil // a nil channel blocks: retries stop when exhausted
 			if attempts < i.cfg.RetryAttempts && lse.ConsumeRemote() == nil {
 				attempts++
-				msg.TTL = lse.Deadline().Sub(i.clk.Now())
-				stampBudget(ctx, msg)
-				_ = i.send(addr, msg)
+				_ = contact()
 				i.met.Inc(trace.CtrRetries)
 				retry = i.clk.After(i.retryWait(attempts))
 			}
@@ -1349,8 +1352,9 @@ func (i *Instance) rpc(addr wire.Addr, m *wire.Message, lse *lease.Lease) (*wire
 			retry = nil
 			if attempts < i.cfg.RetryAttempts && lse.ConsumeRemote() == nil {
 				attempts++
-				m.TTL = lse.Deadline().Sub(i.clk.Now())
-				_ = i.send(addr, m)
+				again := *m
+				again.TTL = lse.Deadline().Sub(i.clk.Now())
+				_ = i.send(addr, &again)
 				i.met.Inc(trace.CtrRetries)
 				retry = i.clk.After(i.retryWait(attempts))
 			}

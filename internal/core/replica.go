@@ -593,15 +593,11 @@ func (i *Instance) replInvalidateSiblings(m *wire.Message) {
 	// have spread them further. Views diverge around exactly the failures
 	// that trigger failover, so finish with a multicast: every visible
 	// holder drops and fences the identity, and nodes that never held it
-	// fence pre-emptively against late repair sends. The multicast is
-	// withheld on a mixed cluster — a pre-replication decoder rejects a
+	// fence pre-emptively against late repair sends. On a mixed cluster
+	// multicast refuses the frame — a pre-replication decoder rejects a
 	// replicated cancel as garbage — and the ring-derived unicasts above
 	// (which reach only capable peers) carry the whole load there.
-	if i.list.AllHave(wire.CapReplicaIdentity) {
-		_, _ = i.ep.Multicast(inval)
-	} else {
-		i.met.Inc(trace.CtrCapsGatedSends)
-	}
+	_, _ = i.multicast(inval)
 }
 
 // --- holder side: copies, reads, failover takes, fences -----------------
@@ -917,8 +913,8 @@ func (i *Instance) replPeerDead(a wire.Addr) bool {
 		return true
 	}
 	// The probe is an announce like any other: it must carry our caps
-	// (send gates them per destination) or a capable peer would read the
-	// bare frame as evidence we downgraded to a baseline build.
+	// (send drops them toward baseline peers) or a capable peer would read
+	// the bare frame as evidence we downgraded to a baseline build.
 	probe := &wire.Message{Type: wire.TAnnounce, From: i.Addr(), Persistent: i.cfg.Persistent}
 	i.stampAnnounce(probe)
 	err := i.send(a, probe)

@@ -665,7 +665,7 @@ func (i *Instance) handleRelay(m *wire.Message) {
 // relayOut best-effort delivers an out to res.From via a backbone relay.
 func (i *Instance) relayOut(res Result) error {
 	inner := &wire.Message{Type: wire.TOut, ID: i.nextOp(), From: i.Addr(),
-		TTL: i.cfg.DefaultTerms.Duration, Tuple: res.Tuple}
+		TTL: defaultTerms.Duration, Tuple: res.Tuple}
 	payload := wire.Encode(inner)
 	i.mu.Lock()
 	relays := append([]wire.Addr(nil), i.relays...)

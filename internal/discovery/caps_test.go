@@ -68,27 +68,28 @@ func TestCapsKnowledgeLifecycle(t *testing.T) {
 	}
 }
 
-// TestAllHaveConservative pins the multicast gate's quantifier: an
-// empty list is vacuously capable, and one unknown or partially-capable
-// peer fails the check for exactly the bits it lacks.
-func TestAllHaveConservative(t *testing.T) {
+// TestCommonCapsConservative pins the multicast audience: an empty list
+// is vacuously capable, one unknown-build peer empties the set, and a
+// partially-capable peer removes exactly the bits it lacks.
+func TestCommonCapsConservative(t *testing.T) {
 	l := NewResponderList(0, nil)
-	if !l.AllHave(wire.CapBudget) {
-		t.Fatal("empty list must be vacuously capable")
+	if got := l.CommonCaps(); got&wire.CapsCurrent != wire.CapsCurrent {
+		t.Fatalf("empty list: common caps %#x, want every bit", got)
 	}
 	l.ObserveAnnounce("a", wire.CapsCurrent, false)
-	if !l.AllHave(wire.CapBudget | wire.CapBusy) {
-		t.Fatal("fully-capable list must pass")
+	if got := l.CommonCaps(); got != wire.CapsCurrent {
+		t.Fatalf("fully-capable list: common caps %#x, want %#x", got, uint64(wire.CapsCurrent))
 	}
 	l.Observe("b") // known peer, unknown build
-	if l.AllHave(wire.CapBudget) {
-		t.Fatal("an unknown-build peer must fail AllHave")
+	if got := l.CommonCaps(); got != 0 {
+		t.Fatalf("an unknown-build peer must empty the common set, got %#x", got)
 	}
 	l.ObserveAnnounce("b", wire.CapsCurrent&^wire.CapBudget, false)
-	if l.AllHave(wire.CapBudget) {
-		t.Fatal("a peer lacking the bit must fail AllHave")
+	if got := l.CommonCaps(); got != wire.CapsCurrent&^wire.CapBudget {
+		t.Fatalf("a peer lacking one bit must remove exactly that bit, got %#x", got)
 	}
-	if !l.AllHave(wire.CapBusy) {
-		t.Fatal("bits every peer has must still pass")
+	l.ObserveAnnounce("b", 0, false) // rolled back to a baseline build
+	if got := l.CommonCaps(); got != 0 {
+		t.Fatalf("a known-baseline peer must empty the common set, got %#x", got)
 	}
 }

@@ -677,19 +677,21 @@ func (l *ResponderList) ObserveAnnounce(addr wire.Addr, caps uint64, degraded bo
 	}
 }
 
-// AllHave reports whether every cached responder is capability-aware and
-// advertises all the given bits — the gate for multicasting frames that
-// carry a versioned feature. An empty list reports true (a multicast
-// into the void reaches nobody to confuse).
-func (l *ResponderList) AllHave(bits uint64) bool {
+// CommonCaps returns the capability set every cached responder
+// advertises: the audience of a multicast. One peer that is unknown or
+// known baseline empties it. An empty list yields every bit (a
+// multicast into the void reaches nobody to confuse).
+func (l *ResponderList) CommonCaps() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	common := ^uint64(0)
 	for _, e := range l.addrs {
-		if e.capsState != CapsAware || e.caps&bits != bits {
-			return false
+		if e.capsState != CapsAware {
+			return 0
 		}
+		common &= e.caps
 	}
-	return true
+	return common
 }
 
 // Caps returns addr's advertised capability set, or zero when the peer

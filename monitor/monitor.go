@@ -37,51 +37,6 @@ type Monitor struct {
 	opWindow  int
 	outcomes  []bool // success ring
 	latencies []time.Duration
-	refusals  []bool // busy-refusal ring (admission outcomes)
-
-	mob  MobilityCounters
-	gray GrayCounters
-	caps CapsCounters
-}
-
-// MobilityCounters accumulates the mobility-path activity the monitor has
-// been told about (DESIGN.md §10): blocking operations re-armed toward
-// newly visible peers, orphaned serve-side state swept after a requester
-// vanished, and raw visibility churn events from the responder list.
-// Unlike the windowed rates above these are monotonic totals — the
-// interesting signal is "how often does the world change", which a
-// sliding window would erase between samples.
-type MobilityCounters struct {
-	Rearms      uint64 // in-flight blocking ops re-armed on join events
-	OrphanWaits uint64 // served waits swept for vanished requesters
-	OrphanHolds uint64 // held tuples reinstated for vanished requesters
-	VisJoins    uint64 // peers that became visible
-	VisLeaves   uint64 // peers that dropped out of visibility
-}
-
-// GrayCounters accumulates gray-failure-path activity (DESIGN.md §11):
-// hedged contacts racing a slow first responder, latency-outlier
-// demotions, and peers that announced themselves degraded. Like the
-// mobility counters these are monotonic totals — a gray failure is
-// interesting precisely because it persists, so the lifetime count is
-// the signal.
-type GrayCounters struct {
-	Hedges       uint64 // hedged contacts fired by the requester path
-	HedgeWins    uint64 // operations settled by a hedged contact
-	SlowStrikes  uint64 // measurable replies that needed retransmissions
-	Demotions    uint64 // peers demoted by the latency outlier detector
-	DegradedSeen uint64 // announce frames carrying a degraded self-report
-}
-
-// CapsCounters accumulates capability-negotiation activity (DESIGN.md
-// §14). Learned and GatedSends are monotonic totals; BaselinePeers is a
-// gauge — the current count of cached responders known to run a
-// pre-capability build, the number an operator watches go to zero as a
-// rolling upgrade completes.
-type CapsCounters struct {
-	Learned       uint64 // announces that taught us a peer's capability set
-	GatedSends    uint64 // frames stripped or withheld toward baseline peers
-	BaselinePeers int    // cached responders on known pre-capability builds
 }
 
 // New returns a Monitor with the given sliding-window lengths (samples
@@ -230,116 +185,6 @@ type AddrScore struct {
 	Score float64
 }
 
-// ObserveRearm records that an in-flight blocking operation was re-armed
-// toward a peer that became visible mid-wait.
-func (m *Monitor) ObserveRearm() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.mob.Rearms++
-}
-
-// ObserveOrphanSweep records one orphan-sweep reap: waits is how many
-// served waits were stopped and holds how many held tuples were
-// reinstated because their requester stayed unreachable past the
-// suspicion window.
-func (m *Monitor) ObserveOrphanSweep(waits, holds uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.mob.OrphanWaits += waits
-	m.mob.OrphanHolds += holds
-}
-
-// ObserveVisibilityEvent records one raw visibility transition: join is
-// true when a peer became visible, false when it dropped out.
-func (m *Monitor) ObserveVisibilityEvent(join bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if join {
-		m.mob.VisJoins++
-	} else {
-		m.mob.VisLeaves++
-	}
-}
-
-// Mobility returns the accumulated mobility counters.
-func (m *Monitor) Mobility() MobilityCounters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.mob
-}
-
-// ObserveHedge records one hedged contact; win says whether that hedge
-// (not the original contact) ended up settling the operation.
-func (m *Monitor) ObserveHedge(win bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gray.Hedges++
-	if win {
-		m.gray.HedgeWins++
-	}
-}
-
-// ObserveSlowStrike records a measurable reply that arrived only after
-// retransmissions — the Karn's-rule latency strike feeding demotion.
-func (m *Monitor) ObserveSlowStrike() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gray.SlowStrikes++
-}
-
-// ObserveDemotion records a peer demoted by the latency outlier
-// detector: still served, no longer first contact.
-func (m *Monitor) ObserveDemotion() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gray.Demotions++
-}
-
-// ObserveDegradedAnnounce records an announce frame in which a peer
-// self-reported degradation (fsync stalls or serve-queue delay).
-func (m *Monitor) ObserveDegradedAnnounce() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gray.DegradedSeen++
-}
-
-// Gray returns the accumulated gray-failure counters.
-func (m *Monitor) Gray() GrayCounters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gray
-}
-
-// ObserveCapsLearned records an announce that taught us a peer's
-// capability set (including re-learning on upgrade or rollback).
-func (m *Monitor) ObserveCapsLearned() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.caps.Learned++
-}
-
-// ObserveGatedSend records a frame stripped of versioned fields or
-// withheld entirely because its destination runs a baseline build.
-func (m *Monitor) ObserveGatedSend() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.caps.GatedSends++
-}
-
-// SetBaselinePeers updates the known-baseline-peer gauge.
-func (m *Monitor) SetBaselinePeers(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.caps.BaselinePeers = n
-}
-
-// Caps returns the accumulated capability-negotiation counters.
-func (m *Monitor) Caps() CapsCounters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.caps
-}
-
 // ObserveOp records one operation outcome (challenge §5.4: modelling
 // application behaviour by watching what operations do).
 func (m *Monitor) ObserveOp(success bool, latency time.Duration) {
@@ -368,39 +213,6 @@ func (m *Monitor) SuccessRate() float64 {
 		}
 	}
 	return float64(ok) / float64(len(m.outcomes))
-}
-
-// ObserveAdmission records whether a remote responder refused one
-// request with an explicit busy reply (the overload governor's shed
-// signal, DESIGN.md §9). Tracked separately from ObserveOp: a busy
-// refusal is the environment saying "elsewhere, please", not a failure
-// of the operation itself, and the windowed rate is the requester's view
-// of how overloaded its current responders are.
-func (m *Monitor) ObserveAdmission(refused bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.refusals = append(m.refusals, refused)
-	if len(m.refusals) > m.opWindow {
-		m.refusals = m.refusals[len(m.refusals)-m.opWindow:]
-	}
-}
-
-// BusyRate returns the windowed fraction of requests refused busy (0.0
-// with no observations): a rising rate says the visible set is
-// saturated and the requester should back off or rediscover.
-func (m *Monitor) BusyRate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.refusals) == 0 {
-		return 0.0
-	}
-	n := 0
-	for _, r := range m.refusals {
-		if r {
-			n++
-		}
-	}
-	return float64(n) / float64(len(m.refusals))
 }
 
 // MeanLatency returns the windowed mean operation latency.

@@ -160,25 +160,6 @@ func TestOpOutcomes(t *testing.T) {
 	}
 }
 
-func TestBusyRateWindow(t *testing.T) {
-	m := New(4, 4)
-	if got := m.BusyRate(); got != 0.0 {
-		t.Fatalf("empty BusyRate = %g, want 0", got)
-	}
-	m.ObserveAdmission(true)
-	m.ObserveAdmission(false)
-	if got := m.BusyRate(); got != 0.5 {
-		t.Fatalf("BusyRate = %g, want 0.5", got)
-	}
-	// Window slides: four admissions push out the refusal.
-	for i := 0; i < 4; i++ {
-		m.ObserveAdmission(false)
-	}
-	if got := m.BusyRate(); got != 0.0 {
-		t.Fatalf("BusyRate after slide = %g, want 0", got)
-	}
-}
-
 func TestAdaptiveIntervalBacksOffWhenStable(t *testing.T) {
 	a := NewAdaptiveInterval(100*time.Millisecond, time.Second)
 	if a.Current() != 100*time.Millisecond {
@@ -245,64 +226,5 @@ func TestPropStabilityBounded(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMobilityCountersAccumulate(t *testing.T) {
-	m := New(0, 0)
-	if m.Mobility() != (MobilityCounters{}) {
-		t.Fatalf("fresh monitor has counters: %+v", m.Mobility())
-	}
-	m.ObserveRearm()
-	m.ObserveRearm()
-	m.ObserveOrphanSweep(3, 1)
-	m.ObserveOrphanSweep(0, 2)
-	m.ObserveVisibilityEvent(true)
-	m.ObserveVisibilityEvent(true)
-	m.ObserveVisibilityEvent(false)
-	got := m.Mobility()
-	want := MobilityCounters{Rearms: 2, OrphanWaits: 3, OrphanHolds: 3, VisJoins: 2, VisLeaves: 1}
-	if got != want {
-		t.Fatalf("mobility = %+v, want %+v", got, want)
-	}
-}
-
-func TestGrayCountersAccumulate(t *testing.T) {
-	m := New(0, 0)
-	if m.Gray() != (GrayCounters{}) {
-		t.Fatalf("fresh monitor has counters: %+v", m.Gray())
-	}
-	m.ObserveHedge(false)
-	m.ObserveHedge(true)
-	m.ObserveHedge(true)
-	m.ObserveSlowStrike()
-	m.ObserveSlowStrike()
-	m.ObserveDemotion()
-	m.ObserveDegradedAnnounce()
-	m.ObserveDegradedAnnounce()
-	m.ObserveDegradedAnnounce()
-	got := m.Gray()
-	want := GrayCounters{Hedges: 3, HedgeWins: 2, SlowStrikes: 2, Demotions: 1, DegradedSeen: 3}
-	if got != want {
-		t.Fatalf("gray = %+v, want %+v", got, want)
-	}
-}
-
-func TestCapsCountersAccumulate(t *testing.T) {
-	m := New(0, 0)
-	if m.Caps() != (CapsCounters{}) {
-		t.Fatalf("fresh monitor has counters: %+v", m.Caps())
-	}
-	m.ObserveCapsLearned()
-	m.ObserveCapsLearned()
-	m.ObserveGatedSend()
-	m.ObserveGatedSend()
-	m.ObserveGatedSend()
-	m.SetBaselinePeers(4)
-	m.SetBaselinePeers(2) // gauge: latest wins
-	got := m.Caps()
-	want := CapsCounters{Learned: 2, GatedSends: 3, BaselinePeers: 2}
-	if got != want {
-		t.Fatalf("caps = %+v, want %+v", got, want)
 	}
 }

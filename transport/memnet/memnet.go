@@ -214,7 +214,7 @@ func (n *Network) Metrics() *trace.Metrics { return n.met }
 
 // SetDecodeCaps makes addr behave like a build whose decoder only
 // understands the given capability set: any delivered frame whose
-// encoding requires features outside caps (wire.FeaturesOf) is rejected
+// encoding requires features outside caps (wire.Fits) is rejected
 // at the receiving edge and dropped, exactly where a real old binary
 // would fail closed with ErrFrame. Rejected announces count as
 // trace.CtrCapsSimAnnounceRejects — the bounded, expected cost of
@@ -246,7 +246,7 @@ func (n *Network) simReject(dst wire.Addr, msg *wire.Message) bool {
 	n.mu.Lock()
 	caps, ok := n.decodeCaps[dst]
 	n.mu.Unlock()
-	if !ok || wire.FeaturesOf(msg)&^caps == 0 {
+	if !ok || wire.Fits(msg, caps) {
 		return false
 	}
 	if msg.Type == wire.TAnnounce {

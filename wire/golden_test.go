@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -200,5 +201,80 @@ func TestGoldenCapsZeroFailsClosed(t *testing.T) {
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	if _, err := Decode(b); err == nil {
 		t.Fatal("announce with explicit zero caps decoded; must fail closed")
+	}
+}
+
+// TestGoldenRestrictMatchesEncoder checks the versioned table against
+// the encoder over the whole corpus. For every fixture and every subset
+// of CapsCurrent, Restrict either refuses or yields a message whose
+// features fit the subset and whose frame decodes cleanly; the original
+// must come out untouched. Restricted to nothing, exactly the fixtures
+// with a semantic field or a versioned type are refused, and every other
+// one encodes to the baseline image: the committed bytes of the fixture
+// it then equals, and always the committed frame with its optional
+// trailer cut off.
+func TestGoldenRestrictMatchesEncoder(t *testing.T) {
+	golden := readGolden(t)
+	cases := goldenCases()
+	refused := map[string]bool{"cancel+repl": true, "out+repl": true, "goodbye": true}
+	matched := 0
+	for _, c := range cases {
+		before := *c.msg
+		for allowed := uint64(0); allowed <= CapsCurrent; allowed++ {
+			r, ok := Restrict(c.msg, allowed)
+			if !reflect.DeepEqual(*c.msg, before) {
+				t.Fatalf("%s allowed=%#x: Restrict wrote to its argument", c.name, allowed)
+			}
+			if Fits(c.msg, allowed) && (!ok || !reflect.DeepEqual(r, before)) {
+				t.Errorf("%s allowed=%#x: a frame that fits must pass unchanged", c.name, allowed)
+			}
+			if !ok {
+				continue
+			}
+			if !Fits(&r, allowed) {
+				t.Errorf("%s allowed=%#x: restricted frame still needs %#x", c.name, allowed, FeaturesOf(&r)&^allowed)
+			}
+			data := Encode(&r)
+			back, err := Decode(data)
+			if err != nil {
+				t.Errorf("%s allowed=%#x: restricted frame does not decode: %v", c.name, allowed, err)
+				continue
+			}
+			if got := Encode(back); hex.EncodeToString(got) != hex.EncodeToString(data) {
+				t.Errorf("%s allowed=%#x: restricted frame not byte-stable", c.name, allowed)
+			}
+		}
+
+		base, ok := Restrict(c.msg, 0)
+		if ok == refused[c.name] {
+			t.Errorf("%s restricted to baseline: sendable=%v, want %v", c.name, ok, !ok)
+		}
+		if !ok {
+			continue
+		}
+		got := Encode(&base)
+		want, err := hex.DecodeString(golden[c.name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Optional fields trail, so the baseline image is a prefix of the
+		// full frame (checksums aside).
+		if body := got[:len(got)-4]; !strings.HasPrefix(string(want[:len(want)-4]), string(body)) {
+			t.Errorf("%s: baseline form %x is not a prefix of the fixture %x", c.name, got, want)
+		}
+		for _, b := range cases {
+			if b.name == c.name || !reflect.DeepEqual(*b.msg, base) {
+				continue
+			}
+			matched++
+			if hex.EncodeToString(got) != golden[b.name] {
+				t.Errorf("%s restricted to baseline: got %x, want fixture %s = %s", c.name, got, b.name, golden[b.name])
+			}
+		}
+	}
+	// result+busy, result-found+{busy,repl,busy+repl}, ack+{ackids,busy+ackids}
+	// each reduce to a committed baseline fixture.
+	if matched < 6 {
+		t.Errorf("only %d restricted fixtures were compared with a baseline fixture, want at least 6", matched)
 	}
 }

@@ -126,8 +126,8 @@ const (
 // advertise the bit runs a decoder that rejects frames carrying the
 // feature as trailing garbage (ErrFrame). Senders therefore gate every
 // versioned field per destination on the peer's advertised set — see
-// FeaturesOf for the field→bit mapping. The zero set is the baseline-v2
-// protocol: no optional trailing fields at all.
+// the versioned table for the field→bit mapping. The zero set is the
+// baseline-v2 protocol: no optional trailing fields at all.
 const (
 	// CapBudget: optional TOp budget trailer (requester lease budget).
 	CapBudget uint64 = 1 << iota
@@ -188,56 +188,6 @@ func CapsString(caps uint64) string {
 		fmt.Fprintf(&b, "unknown(%#x)", caps)
 	}
 	return b.String()
-}
-
-// FeaturesOf reports the capability bits a message's encoding would
-// require of its receiver: the set of post-baseline features whose
-// optional fields the frame carries. A baseline-v2 decoder accepts the
-// frame iff FeaturesOf(m) == 0; more generally, a peer advertising caps
-// decodes the frame iff FeaturesOf(m) &^ caps == 0. Senders use this to
-// verify (and transports to enforce) that nothing undecodable is ever
-// put on the wire toward a known-baseline peer.
-func FeaturesOf(m *Message) uint64 {
-	var f uint64
-	switch m.Type {
-	case TOp:
-		if m.Budget > 0 {
-			f |= CapBudget
-		}
-		if m.Failover {
-			// The failover marker forces the budget trailer too.
-			f |= CapBudget | CapReplicaIdentity
-		}
-	case TResult:
-		if m.Busy {
-			f |= CapBusy
-		}
-		if m.ReplSeq != 0 {
-			// The identity forces the busy byte to be encoded.
-			f |= CapBusy | CapReplicaIdentity
-		}
-	case TAck:
-		if m.Busy {
-			f |= CapBusy
-		}
-		if len(m.AckIDs) > 0 {
-			f |= CapBusy | CapCoalescedAcks
-		}
-	case TAnnounce:
-		if m.Degraded {
-			f |= CapDegraded
-		}
-		if m.Caps != 0 {
-			f |= CapDegraded | CapCapsExchange
-		}
-	case TCancel, TOut:
-		if m.ReplSeq != 0 {
-			f |= CapReplicaIdentity
-		}
-	case TGoodbye:
-		f |= CapGoodbye
-	}
-	return f
 }
 
 // Removes reports whether the operation removes its match.
@@ -413,6 +363,133 @@ func (b *Buf) Release() {
 		return
 	}
 	bufPool.Put(b)
+}
+
+// optField declares one versioned optional trailing field of a message
+// type: the capability a receiver needs to decode it, whether a sender
+// may drop it, and how to test and clear it on a Message.
+type optField struct {
+	cap uint64
+	// semantic fields change what the frame means, so a frame carrying
+	// one must be refused toward an audience that cannot decode it;
+	// advisory fields (the default) may be dropped — the frame is still
+	// correct without them.
+	semantic bool
+	set      func(*Message) bool
+	clear    func(*Message)
+}
+
+var (
+	busyField = optField{cap: CapBusy,
+		set:   func(m *Message) bool { return m.Busy },
+		clear: func(m *Message) { m.Busy = false }}
+	// replField is the replica identity (ReplOrigin, ReplSeq). On a found
+	// TResult it is advisory — it lets the requester invalidate surviving
+	// copies itself, and without it the origin-side removal hook still
+	// does. On TOut/TCancel it is what makes the frame a replicate or an
+	// invalidation rather than a remote out or an op withdrawal: semantic.
+	replField = optField{cap: CapReplicaIdentity,
+		set:   func(m *Message) bool { return m.ReplSeq != 0 },
+		clear: func(m *Message) { m.ReplOrigin, m.ReplSeq = "", 0 }}
+	replSemantic = optField{cap: replField.cap, semantic: true,
+		set: replField.set, clear: replField.clear}
+)
+
+// versioned is the one declaration of the post-baseline wire format: for
+// each message type, the capability the frame type itself requires and
+// its optional trailing fields in encode order. AppendEncode and decode
+// below lay the fields out in exactly this order, and a field that is
+// present forces every earlier one onto the wire as filler (the decoder
+// tells trailing fields apart by position), so it needs their
+// capabilities too. FeaturesOf and Restrict are derived from this table;
+// golden_test.go checks the table against the encoder over every fixture.
+var versioned = [TGoodbye + 1]struct {
+	needs  uint64
+	fields []optField
+}{
+	TAnnounce: {fields: []optField{
+		{cap: CapDegraded,
+			set:   func(m *Message) bool { return m.Degraded },
+			clear: func(m *Message) { m.Degraded = false }},
+		{cap: CapCapsExchange,
+			set:   func(m *Message) bool { return m.Caps != 0 },
+			clear: func(m *Message) { m.Caps = 0 }},
+	}},
+	TOp: {fields: []optField{
+		{cap: CapBudget,
+			set:   func(m *Message) bool { return m.Budget > 0 },
+			clear: func(m *Message) { m.Budget = 0 }},
+		// Without the marker the op rides as an ordinary take and the
+		// peer's authoritative space answers.
+		{cap: CapReplicaIdentity,
+			set:   func(m *Message) bool { return m.Failover },
+			clear: func(m *Message) { m.Failover = false }},
+	}},
+	TResult: {fields: []optField{busyField, replField}},
+	TAck: {fields: []optField{busyField,
+		{cap: CapCoalescedAcks,
+			set:   func(m *Message) bool { return len(m.AckIDs) > 0 },
+			clear: func(m *Message) { m.AckIDs = nil }},
+	}},
+	TCancel:  {fields: []optField{replSemantic}},
+	TOut:     {fields: []optField{replSemantic}},
+	TGoodbye: {needs: CapGoodbye},
+}
+
+// FeaturesOf reports the capability bits a message's encoding would
+// require of its receiver: the set of post-baseline features whose
+// optional fields the frame carries. A baseline-v2 decoder accepts the
+// frame iff FeaturesOf(m) == 0; more generally, a peer advertising caps
+// decodes the frame iff Fits(m, caps).
+func FeaturesOf(m *Message) uint64 {
+	if m.Type > TGoodbye {
+		return 0
+	}
+	v := &versioned[m.Type]
+	f, prefix := v.needs, uint64(0)
+	for k := range v.fields {
+		prefix |= v.fields[k].cap
+		if v.fields[k].set(m) {
+			f |= prefix
+		}
+	}
+	return f
+}
+
+// Fits reports whether a receiver advertising allowed decodes m's frame.
+// Senders use it to verify (and the simulated network to enforce) that
+// nothing undecodable is put on the wire toward a known-baseline peer.
+func Fits(m *Message, allowed uint64) bool { return FeaturesOf(m)&^allowed == 0 }
+
+// Restrict returns m encoded for an audience advertising allowed: a
+// by-value copy with every advisory field the audience cannot decode
+// cleared, so Fits(&copy, allowed) holds. It reports false — nothing may
+// be sent — when that would take dropping a semantic field, or when the
+// audience cannot decode the frame type at all. m itself is never
+// written: callers share one message across retries, destinations and
+// goroutines.
+func Restrict(m *Message, allowed uint64) (Message, bool) {
+	out := *m
+	if m.Type > TGoodbye {
+		return out, true
+	}
+	v := &versioned[m.Type]
+	if v.needs&^allowed != 0 {
+		return Message{}, false
+	}
+	var prefix uint64
+	for k := range v.fields {
+		f := &v.fields[k]
+		prefix |= f.cap
+		if prefix&^allowed == 0 || !f.set(&out) {
+			continue
+		}
+		if f.semantic {
+			return Message{}, false
+		}
+		f.clear(&out)
+	}
+	return out, true
 }
 
 // Encode serialises the message to a fresh buffer. Hot paths should

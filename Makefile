@@ -1,6 +1,6 @@
 GO ?= go
 
-SUITES = crash soak mobility gray replica upgrade
+SUITES = crash soak mobility gray replica upgrade farm
 
 .PHONY: build test check bench bench-json chaos fuzz suites-nonempty $(SUITES)
 
@@ -64,7 +64,7 @@ gray_exp  = C4
 # replica: ring placement/rebalance, write-through replication,
 # failover takes with their supersede proof, sibling invalidation and
 # fencing, anti-entropy repair and adoption, and the C5 kill soak.
-replica_run  = TestRing|WriteThrough|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|C5
+replica_run  = TestRing|WriteThrough|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|C5
 replica_pkgs = ./routing/ ./internal/core/ ./wire/ ./internal/harness/
 replica_exp  = C5
 # upgrade: golden wire fixtures (byte-stability, round-trip, truncation,
@@ -73,17 +73,28 @@ replica_exp  = C5
 upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|C6
 upgrade_pkgs = ./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./internal/harness/
 upgrade_exp  = C6
+# farm: the master/worker serve path — hold-delivering waiters in all
+# three spaces (one wake-up per out, a parked in outranks them, cancel
+# versus delivery, WAL accounting against compaction), N remote takers
+# on one template, the settlement cancels that skip only the winner,
+# and the E5 render farm.
+farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt
+farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/
+farm_exp  = E5
 
 $(SUITES):
 	$(GO) test -race -run '$($@_run)' $($@_pkgs)
 	$(GO) run ./cmd/tiamat-bench -quick $($@_exp)
 
-# suites-nonempty fails if a suite's pattern no longer names any test —
-# a rename must not quietly empty the `make <suite>` a developer trusts.
+# suites-nonempty fails if a suite's pattern no longer names any test in
+# one of its packages — a rename must not quietly empty the `make
+# <suite>` a developer trusts, nor the share of it one package held.
 suites-nonempty:
 	@for s in $(foreach s,$(SUITES),"$(s) $($(s)_run) $($(s)_pkgs)"); do \
 		set -- $$s; name=$$1; run=$$2; shift 2; \
-		$(GO) test -list "$$run" "$$@" | grep -q '^Test' || { echo "suite $$name lists no tests"; exit 1; }; \
+		for pkg in "$$@"; do \
+			$(GO) test -list "$$run" "$$pkg" | grep -q '^Test' || { echo "suite $$name lists no tests in $$pkg"; exit 1; }; \
+		done; \
 	done
 
 # fuzz smoke-tests the two wire-format decoders for a few seconds each:

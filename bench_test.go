@@ -7,6 +7,7 @@ package tiamat_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"tiamat/internal/harness"
 	"tiamat/internal/store"
 	"tiamat/lease"
+	"tiamat/space"
 	"tiamat/transport/memnet"
 	"tiamat/tuple"
 	"tiamat/wire"
@@ -109,6 +111,35 @@ func BenchmarkStoreOutInp(b *testing.B) {
 		if _, ok := s.Inp(p); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// BenchmarkStoreWakeOneOfEight: eight hold-waiters parked on one
+// template, one out per iteration. The out hands its tuple to the oldest
+// and leaves seven parked; the woken taker accepts and parks again at the
+// back. The cost must not depend on how many others are parked.
+func BenchmarkStoreWakeOneOfEight(b *testing.B) {
+	s := store.New()
+	defer s.Close()
+	t := tuple.T(tuple.String("k"), tuple.Int(1))
+	p := tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
+	var ws [8]space.HoldWaiter
+	for k := range ws {
+		ws[k] = s.WaitHold(p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Out(t, time.Time{}); err != nil {
+			b.Fatal(err)
+		}
+		oldest := &ws[i%len(ws)]
+		h, ok := <-(*oldest).Chan()
+		if !ok {
+			b.Fatal("oldest taker not woken")
+		}
+		h.Accept()
+		*oldest = s.WaitHold(p)
 	}
 }
 
@@ -208,6 +239,65 @@ func BenchmarkRemoteInpTwoNodes(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkRemoteInBlockingTwoNodes is the master/worker shape: eight
+// blocking takers on b parked on one template at a, one out per
+// iteration, timed until some taker has it. What it prices is the serve
+// side's wake-up: with hold-delivering waiters the out wakes one taker,
+// where a copy-mode wait woke all eight to race for one hold.
+func BenchmarkRemoteInBlockingTwoNodes(b *testing.B) {
+	net := memnet.New()
+	defer net.Close()
+	epA, _ := net.Attach("a")
+	epB, _ := net.Attach("b")
+	net.ConnectAll()
+	a, err := tiamat.New(tiamat.Config{Endpoint: epA})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer a.Close()
+	bb, err := tiamat.New(tiamat.Config{Endpoint: epB})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer bb.Close()
+	t := tuple.T(tuple.String("k"), tuple.Int(1))
+	p := tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
+	req := lease.Flexible(lease.Terms{Duration: time.Minute, MaxRemotes: 4})
+
+	const takers = 8
+	ctx, cancel := context.WithCancel(context.Background())
+	taken := make(chan struct{}, takers)
+	var wg sync.WaitGroup
+	for k := 0; k < takers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				if _, err := bb.In(ctx, p, req); err == nil {
+					taken <- struct{}{}
+				}
+			}
+		}()
+	}
+	// One warm-up round teaches b where a is, so every timed take is a
+	// unicast wait parked at a and not a discovery multicast.
+	if err := a.Out(t, nil); err != nil {
+		b.Fatal(err)
+	}
+	<-taken
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := a.Out(t, nil); err != nil {
+			b.Fatal(err)
+		}
+		<-taken
+	}
+	b.StopTimer()
+	cancel()
+	wg.Wait()
 }
 
 // BenchmarkRemoteInpTwoNodesReplicated is the R=2 twin of

@@ -573,7 +573,8 @@ func TestDirectRdAtAndInpAt(t *testing.T) {
 }
 
 func TestBlockingInAt(t *testing.T) {
-	r := newRig(t, []wire.Addr{"a", "b"}, nil)
+	var cancels cancelLog
+	r := newRig(t, []wire.Addr{"a", "b"}, cancels.tap)
 	r.net.ConnectAll()
 	a, b := r.inst["a"], r.inst["b"]
 	done := make(chan error, 1)
@@ -597,6 +598,27 @@ func TestBlockingInAt(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("InAt never completed")
 	}
+	// a's wait ended with its own found reply: nothing left to cancel.
+	if got := cancels.sent("b"); len(got) != 0 {
+		t.Fatalf("settled InAt still sent cancels to %v", got)
+	}
+
+	// An InAt that gives up without an answer leaves a wait behind at a
+	// and must still withdraw it.
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		_, err := b.InAt(ctx, "a", reqTmpl(), lease.Flexible(lease.Terms{Duration: time.Minute, MaxRemotes: 2}))
+		done <- err
+	}()
+	eventually(t, "second waiter at a", func() bool { return waitCount(a) == 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned InAt = %v", err)
+	}
+	if got := cancels.sent("b"); !sameAddrs(got, "a") {
+		t.Fatalf("abandoned InAt sent cancels to %v, want [a]", got)
+	}
+	eventually(t, "abandoned wait withdrawn", func() bool { return waitCount(a) == 0 })
 }
 
 func TestOutBackRoutesToOrigin(t *testing.T) {

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"tiamat/clock"
 	"tiamat/lease"
 	"tiamat/trace"
+	"tiamat/transport"
 	"tiamat/transport/memnet"
 	"tiamat/wire"
 )
@@ -22,6 +25,55 @@ func waitCount(i *Instance) int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return len(i.waits)
+}
+
+// cancelLog records the destination of every unicast operation cancel
+// (replica invalidations ride TCancel too and are left out), by sender.
+type cancelLog struct {
+	mu sync.Mutex
+	to map[wire.Addr][]wire.Addr
+}
+
+// tap wraps an instance's endpoint so its cancels land in the log.
+func (l *cancelLog) tap(c *Config) { c.Endpoint = cancelTap{c.Endpoint, l} }
+
+// sent returns, sorted, where from has sent cancels so far.
+func (l *cancelLog) sent(from wire.Addr) []wire.Addr {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := append([]wire.Addr(nil), l.to[from]...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+type cancelTap struct {
+	transport.Endpoint
+	log *cancelLog
+}
+
+func (e cancelTap) Send(to wire.Addr, m *wire.Message) error {
+	if m.Type == wire.TCancel && m.ReplSeq == 0 {
+		e.log.mu.Lock()
+		if e.log.to == nil {
+			e.log.to = make(map[wire.Addr][]wire.Addr)
+		}
+		e.log.to[m.From] = append(e.log.to[m.From], to)
+		e.log.mu.Unlock()
+	}
+	return e.Endpoint.Send(to, m)
+}
+
+// sameAddrs reports whether got is exactly want (both sorted).
+func sameAddrs(got []wire.Addr, want ...wire.Addr) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // grayRig builds instances on the wall clock with hedge-friendly timers
@@ -51,9 +103,11 @@ func opLease(d time.Duration) lease.Requester {
 // responder that registers a silent wait; the hedge fires at the
 // next-ranked responder, which holds the tuple and wins; and the loser's
 // remote wait must be withdrawn by the settlement cancel — no wait may
-// leak at either responder.
+// leak at either responder. The cancel goes to the loser only: the
+// winner's wait ended with its own found reply.
 func TestHedgedLookupFirstWinnerReleasesLoser(t *testing.T) {
-	r := grayRig(t, []wire.Addr{"req", "slow", "holder"}, nil)
+	var cancels cancelLog
+	r := grayRig(t, []wire.Addr{"req", "slow", "holder"}, cancels.tap)
 	req0, slow, holder := r.inst["req"], r.inst["slow"], r.inst["holder"]
 
 	if err := holder.Out(req(1), hourLease()); err != nil {
@@ -74,6 +128,10 @@ func TestHedgedLookupFirstWinnerReleasesLoser(t *testing.T) {
 		t.Fatalf("wrong tuple: %v", res.Tuple)
 	}
 
+	// Settlement cancels are sent before In returns.
+	if got := cancels.sent("req"); !sameAddrs(got, "slow") {
+		t.Fatalf("cancels went to %v, want the hedge's loser [slow] and not the winner", got)
+	}
 	g := req0.Gray()
 	if g.Hedges == 0 {
 		t.Fatal("no hedge fired for a silent first contact")
@@ -98,7 +156,11 @@ func TestHedgedLookupFirstWinnerReleasesLoser(t *testing.T) {
 // everyone left at once so the walk still completes.
 func TestHedgeBudgetThenWideFallback(t *testing.T) {
 	addrs := []wire.Addr{"req", "e1", "e2", "e3", "holder"}
-	r := grayRig(t, addrs, func(c *Config) { c.HedgeMax = 2 })
+	var cancels cancelLog
+	r := grayRig(t, addrs, func(c *Config) {
+		c.HedgeMax = 2
+		cancels.tap(c)
+	})
 	req0 := r.inst["req"]
 
 	if err := r.inst["holder"].Out(req(7), hourLease()); err != nil {
@@ -114,6 +176,11 @@ func TestHedgeBudgetThenWideFallback(t *testing.T) {
 	}
 	if res.From != "holder" {
 		t.Fatalf("tuple came from %s, want holder", res.From)
+	}
+	// Both staged hedges and the wide fallback's contact lost: each still
+	// holds a wait and each is told the op is over. The winner is not.
+	if got := cancels.sent("req"); !sameAddrs(got, "e1", "e2", "e3") {
+		t.Fatalf("cancels went to %v, want every loser [e1 e2 e3] and not the winner", got)
 	}
 	g := req0.Gray()
 	if g.Hedges != 2 {

@@ -389,6 +389,8 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 
 	contacted := st.contacted
 	multicasted := false
+	// winner is the responder whose found reply settled the op.
+	var winner wire.Addr
 	// Retry and hedge pacing run on two reusable timers instead of a
 	// fresh time.After per arm: a long op re-arms its retry timer once
 	// per reply, and the runtime otherwise keeps every discarded timer
@@ -409,7 +411,7 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 		// immediately and hold nothing beyond their pending holds,
 		// which accept/release settles.
 		if code.Blocking() {
-			i.cancelRemotes(opID, contacted, multicasted)
+			i.cancelRemotes(opID, contacted, multicasted, winner)
 		}
 		// Drain late results: any found hold must be released so the
 		// tuple is reinstated at its owner. No sender can reach the
@@ -702,6 +704,7 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 					i.replInvalidateSiblings(m)
 				}
 				i.met.Inc(trace.CtrOpsRemoteHit)
+				winner = m.From
 				return Result{Tuple: m.Tuple, From: m.From}, true, nil
 			}
 			advanceWalk()
@@ -941,14 +944,19 @@ func (i *Instance) finishAccept(id uint64) bool {
 
 // cancelRemotes tells contacted instances (and, if the operation was
 // multicast, all listeners) that the operation is over so they can free
-// any held waiters.
-func (i *Instance) cancelRemotes(opID uint64, contacted map[wire.Addr]*contactState, multicasted bool) {
+// any held waiters. The winner — the responder whose found reply settled
+// the op, if any — is left out: its wait ended with that reply, so a
+// cancel would find nothing to stop. Every contact that lost (hedged,
+// re-armed or walked) still holds a waiter and still gets one.
+func (i *Instance) cancelRemotes(opID uint64, contacted map[wire.Addr]*contactState, multicasted bool, winner wire.Addr) {
 	if i.isClosed() {
 		return
 	}
 	cancel := &wire.Message{Type: wire.TCancel, ID: opID, From: i.Addr()}
 	for a := range contacted {
-		_ = i.send(a, cancel)
+		if a != winner {
+			_ = i.send(a, cancel)
+		}
 	}
 	if multicasted {
 		_, _ = i.multicast(cancel)
@@ -1160,11 +1168,14 @@ func (i *Instance) directOp(ctx context.Context, addr wire.Addr, code wire.OpCod
 	i.mu.Lock()
 	i.ops[opID] = st
 	i.mu.Unlock()
+	// settled is set when addr's own found reply ended the op: its wait
+	// ended with that reply and there is nothing left there to cancel.
+	settled := false
 	defer func() {
 		i.mu.Lock()
 		delete(i.ops, opID)
 		i.mu.Unlock()
-		if code.Blocking() && !i.isClosed() {
+		if code.Blocking() && !settled && !i.isClosed() {
 			_ = i.send(addr, &wire.Message{Type: wire.TCancel, ID: opID, From: i.Addr()})
 		}
 		for {
@@ -1202,6 +1213,7 @@ func (i *Instance) directOp(ctx context.Context, addr wire.Addr, code wire.OpCod
 					i.acceptHold(m.From, m.HoldID, lse)
 					i.replInvalidateSiblings(m)
 				}
+				settled = m.From == addr
 				return Result{Tuple: m.Tuple, From: m.From}, true, nil
 			}
 			if !code.Blocking() {

@@ -85,6 +85,68 @@ func TestRearmServesLateJoiner(t *testing.T) {
 	}
 }
 
+// TestRearmedLoserStillCancelled: a re-armed contact that does not win
+// holds a wait like any walked or hedged one, and the settlement cancel
+// must reach it by unicast — only the winner, whose wait ended with its
+// own found reply, is left out.
+func TestRearmedLoserStillCancelled(t *testing.T) {
+	var cancels cancelLog
+	r := newRig(t, []wire.Addr{"a"}, cancels.tap)
+	a := r.inst["a"]
+
+	done := make(chan Result, 1)
+	errc := make(chan error, 1)
+	go func() {
+		res, err := a.In(context.Background(), reqTmpl(), longLease())
+		if err != nil {
+			errc <- err
+			return
+		}
+		done <- res
+	}()
+	eventually(t, "op started", func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.ops) > 0
+	})
+
+	join := func(addr wire.Addr) *Instance {
+		ep, err := r.net.Attach(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.net.SetVisible("a", addr, true)
+		inst, err := New(Config{Endpoint: ep, Clock: r.clk, Metrics: r.met})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { inst.Close() })
+		return inst
+	}
+	// d walks in empty-handed: the op re-arms toward it and parks a wait.
+	d := join("d")
+	eventually(t, "re-armed wait parked at d", func() bool { return waitCount(d) == 1 })
+	// c walks in with the tuple and wins.
+	c := join("c")
+	if err := c.Out(req(7), nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case res := <-done:
+		if res.From != "c" {
+			t.Fatalf("served by %s, want c", res.From)
+		}
+	case err := <-errc:
+		t.Fatalf("In failed: %v", err)
+	case <-time.After(2 * time.Second):
+		t.Fatal("re-arm never reached the holder")
+	}
+	if got := cancels.sent("a"); !sameAddrs(got, "d") {
+		t.Fatalf("cancels went to %v, want the re-armed loser [d] and not the winner", got)
+	}
+	eventually(t, "loser's wait withdrawn", func() bool { return waitCount(d) == 0 && waitCount(c) == 0 })
+}
+
 // TestRearmDisabledMissesLateJoiner is the ablation: with DisableRearm the
 // same scenario blocks until the lease expires, exactly like pre-mobility
 // snapshot mode.

@@ -343,10 +343,18 @@ func TestAdoptionRepairsDeadOriginCopies(t *testing.T) {
 	}
 	// The holder's sweep probes the dead origin, adopts the copy, and
 	// re-replicates it to the surviving chain — restoring R=2 without
-	// the origin.
-	r.clk.Advance(10 * time.Millisecond)
-	h.repairSweep()
+	// the origin. That takes two sweeps: a sweep places by the ring it
+	// snapshots on entry, and it is that sweep's own probe of the origin
+	// that evicts it (Close sends no goodbye). The ring still ranks the
+	// dead origin among the copy's first R places, so the first chain is
+	// {origin, holder} and nothing goes to the survivor; the next sweep,
+	// an interval later, sees the re-keyed ring. One manual sweep passed
+	// only when the repair loop's own sweep, woken by the same clock
+	// advance, had probed first. So drive clock and sweep until the copy
+	// lands.
 	eventually(t, "adopted copy placed on the survivor", func() bool {
+		r.clk.Advance(10 * time.Millisecond)
+		h.repairSweep()
 		return survivor.ReplicaCopies(reqTmpl()) == 1
 	})
 	if h.Replication().Repairs == 0 {

@@ -7,6 +7,7 @@ import (
 	"tiamat/lease"
 	"tiamat/space"
 	"tiamat/trace"
+	"tiamat/tuple"
 	"tiamat/wire"
 )
 
@@ -365,6 +366,28 @@ func (i *Instance) serveBlocking(m *wire.Message, lse *lease.Lease, ttl time.Dur
 		rw.stop()
 	}
 
+	// One waiter, registered once. A destructive op parks a hold-waiter:
+	// the space hands each matching Out to exactly one parked taker,
+	// oldest first, as a hold with the entry's id and expiry intact — no
+	// second scan, no race to lose, no re-registration (DESIGN.md §6). A
+	// read parks a copy-waiter: every reader is owed a copy. Only one of
+	// the two channels is non-nil; abandon undoes whichever was parked.
+	var (
+		holds   <-chan space.Hold
+		copies  <-chan tuple.Tuple
+		abandon func()
+	)
+	if m.Op.Removes() {
+		hw := i.local.WaitHold(tmpl)
+		// A hold committed before the cancel landed is still ours to
+		// settle: Abandon releases it, so the tuple is neither lost nor
+		// answered to a requester that has stopped listening.
+		holds, abandon = hw.Chan(), func() { space.Abandon(hw) }
+	} else {
+		w := i.local.Wait(tmpl, false)
+		copies, abandon = w.Chan(), w.Cancel
+	}
+
 	i.wg.Add(1)
 	go func() {
 		defer i.wg.Done()
@@ -378,58 +401,42 @@ func (i *Instance) serveBlocking(m *wire.Message, lse *lease.Lease, ttl time.Dur
 			i.gov.dropWait(m.From)
 			lse.Cancel()
 		}()
-		for {
-			// Watch in copy mode; on a hit, race for a hold so the
-			// tuple's expiry metadata is preserved on reinstatement.
-			w := i.local.Wait(tmpl, false)
-			select {
-			case t, ok := <-w.Chan():
-				if !ok {
-					return // store closed
-				}
-				if m.Op.Removes() {
-					h, ok := i.local.Hold(tmpl)
-					if !ok {
-						continue // lost the race; wait again
-					}
-					holdID := i.registerHold(h, ttl, key)
-					ro, rs := i.replIdentityFor(h)
-					reply := &wire.Message{
-						Type: wire.TResult, ID: m.ID, From: i.Addr(),
-						Found: true, HoldID: holdID, Tuple: h.Tuple(),
-						ReplOrigin: ro, ReplSeq: rs,
-					}
-					i.recordServed(key, reply)
-					_ = i.send(m.From, reply)
-					return
-				}
-				// rd: the delivered copy is the answer (rd semantics
-				// permit any tuple that was in the space during the op).
-				reply := &wire.Message{
-					Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: true, Tuple: t,
-				}
-				i.recordServed(key, reply)
-				_ = i.send(m.From, reply)
-				return
-
-			case <-lse.Done():
-				// Deliberately not cached: if the requester's operation
-				// outlives our granted lease, a later retransmission or
-				// rediscovery multicast should register a fresh waiter
-				// rather than replay this not-found.
-				w.Cancel()
-				_ = i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false})
-				return
-
-			case <-rw.stopc:
-				w.Cancel()
-				return
-
-			case <-i.stopped:
-				w.Cancel()
-				return
+		reply := &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr()}
+		select {
+		case h, ok := <-holds:
+			if !ok {
+				return // store closed
 			}
+			reply.Found, reply.Tuple = true, h.Tuple()
+			reply.HoldID = i.registerHold(h, ttl, key)
+			reply.ReplOrigin, reply.ReplSeq = i.replIdentityFor(h)
+			i.recordServed(key, reply)
+
+		case t, ok := <-copies:
+			if !ok {
+				return // store closed
+			}
+			// rd: the delivered copy is the answer (rd semantics permit
+			// any tuple that was in the space during the op).
+			reply.Found, reply.Tuple = true, t
+			i.recordServed(key, reply)
+
+		case <-lse.Done():
+			// The not-found is deliberately not cached: if the requester's
+			// operation outlives our granted lease, a later retransmission
+			// or rediscovery multicast should register a fresh waiter
+			// rather than replay it.
+			abandon()
+
+		case <-rw.stopc:
+			abandon()
+			return
+
+		case <-i.stopped:
+			abandon()
+			return
 		}
+		_ = i.send(m.From, reply)
 	}()
 }
 

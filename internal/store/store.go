@@ -26,6 +26,11 @@
 // that misses the registration stores its tuple before the scan can
 // reach that shard's lock, and an Out that sees it delivers directly —
 // settlement is a per-waiter CAS, so the two paths cannot double-serve.
+//
+// Hold-waiters (WaitHold: a take served for a peer) park on the same
+// lists. An Out that no in-waiter consumed hands its tuple to the oldest
+// matching one as a hold and leaves the rest parked: one wake-up per
+// tuple, however many takers wait.
 package store
 
 import (
@@ -195,19 +200,47 @@ type entry struct {
 	index  int       // position in expiry heap, -1 if absent
 }
 
-// waiter is a one-shot blocking interest. claimed settles the race
-// between delivery (an Out or the waiter's own registration scan) and
-// Cancel: exactly one claimant touches ch afterwards.
+// waiter is a one-shot blocking interest in one of three modes: a copy
+// (rd), a removal (in), or a tentative removal handed over as a hold
+// (WaitHold; hch is set and ch is nil). claimed settles the race between
+// delivery (an Out or the waiter's own registration scan) and Cancel:
+// exactly one claimant touches the channel afterwards.
 type waiter struct {
 	seq     uint64
 	p       tuple.Template
 	remove  bool
 	ch      chan tuple.Tuple
+	hch     chan space.Hold
 	claimed atomic.Bool
 }
 
 // claim reports whether the caller won settlement of this waiter.
 func (w *waiter) claim() bool { return w.claimed.CompareAndSwap(false, true) }
+
+// takes reports whether delivery takes the tuple out of the space.
+func (w *waiter) takes() bool { return w.remove || w.hch != nil }
+
+// hand settles a claimed waiter with e: a hold-waiter gets the entry as
+// a hold (the caller has unlinked it, or never linked it), the others
+// its tuple.
+func (w *waiter) hand(s *Store, e *entry) {
+	if w.hch != nil {
+		w.hch <- &hold{s: s, e: e}
+		close(w.hch)
+		return
+	}
+	w.ch <- e.t
+	close(w.ch)
+}
+
+// abandon settles a claimed waiter with nothing.
+func (w *waiter) abandon() {
+	if w.hch != nil {
+		close(w.hch)
+		return
+	}
+	close(w.ch)
+}
 
 // Option configures a Store.
 type Option func(*Store)
@@ -309,13 +342,23 @@ func (s *Store) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
 		sh.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if sh.deliverLocked(key, t) {
+	consumed, takers := sh.deliverLocked(key, t)
+	if consumed {
 		sh.mu.Unlock()
 		// Consumed by an in-waiter: never stored.
 		s.met.Inc(trace.CtrTuplesTaken)
 		return 0, nil
 	}
-	id := sh.insertLocked(t, expiry)
+	// Stored — or, with a hold-waiter parked, stored and tentatively
+	// removed in one step: the caller tracks the id either way, and the
+	// hold's Accept or Release settles it as it would after a Hold.
+	id, handed := uint64(0), false
+	if takers {
+		id, handed = sh.handOverLocked(key, t, expiry)
+	}
+	if !handed {
+		id = sh.linkLocked(sh.newEntryLocked(t, expiry))
+	}
 	sh.mu.Unlock()
 	s.met.Inc(trace.CtrTuplesStored)
 	return id, nil
@@ -323,9 +366,12 @@ func (s *Store) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
 
 // deliverLocked hands t to pending waiters in FIFO (seq) order across the
 // shard's (arity, tag) bucket and the global formal-lead list: every
-// matching reader gets a copy until a taker consumes it. It reports
-// whether a taker consumed the tuple. Caller holds sh.mu.
-func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed bool) {
+// matching reader gets a copy until an in-waiter consumes it. It reports
+// whether one did, and whether it passed over any hold-waiter: those
+// rank behind every in-waiter — a local in is final, a hold tentative —
+// so they are only served, by handOverLocked, once this walk has found
+// no consumer. Caller holds sh.mu.
+func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed, takers bool) {
 	s := sh.st
 	ws := sh.waiters[key]
 	var gs []*waiter
@@ -340,7 +386,7 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed bool) {
 		if globalLocked {
 			s.gmu.Unlock()
 		}
-		return false
+		return false, false
 	}
 
 	// Merge-iterate the two seq-ordered lists, compacting settled waiters
@@ -389,8 +435,11 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed bool) {
 			}
 			continue
 		}
-		if !w.p.Matches(t) || !w.claim() {
-			// Keep unmatched (and lost-race) waiters registered.
+		if w.hch != nil {
+			takers = true
+		}
+		if w.hch != nil || !w.p.Matches(t) || !w.claim() {
+			// Keep hold-waiters, unmatched and lost-race waiters registered.
 			if fromGlobal {
 				gs[gk] = gs[gi]
 				gi++
@@ -411,10 +460,50 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed bool) {
 			wi++
 		}
 		if w.remove {
-			return true
+			return true, takers
 		}
 	}
-	return false
+	return false, takers
+}
+
+// handOverLocked gives t to the oldest parked hold-waiter that matches,
+// as a hold on a fresh entry that is never linked into an index: one
+// wake-up per tuple, every younger taker stays parked. It reports the
+// entry's id, or false if no taker was left to claim. Caller holds sh.mu.
+func (sh *shard) handOverLocked(key tagKey, t tuple.Tuple, expiry time.Time) (uint64, bool) {
+	s := sh.st
+	ws := sh.waiters[key]
+	var gs []*waiter
+	if s.nGlobal.Load() > 0 {
+		s.gmu.Lock()
+		defer s.gmu.Unlock()
+		gs = s.gwaiters
+	}
+	for wi, gi := 0, 0; wi < len(ws) || gi < len(gs); {
+		fromGlobal := wi >= len(ws) || (gi < len(gs) && gs[gi].seq < ws[wi].seq)
+		var w *waiter
+		if fromGlobal {
+			w = gs[gi]
+			gi++
+		} else {
+			w = ws[wi]
+			wi++
+		}
+		if w.hch == nil || !w.p.Matches(t) || !w.claim() {
+			continue
+		}
+		if fromGlobal {
+			s.gwaiters = append(gs[:gi-1], gs[gi:]...)
+			gs[len(gs)-1] = nil
+			s.nGlobal.Add(-1)
+		} else {
+			sh.setWaitersLocked(key, append(ws[:wi-1], ws[wi:]...))
+		}
+		e := sh.newEntryLocked(t, expiry)
+		w.hand(s, e)
+		return e.id, true
+	}
+	return 0, false
 }
 
 // setWaitersLocked stores a waiter bucket, removing empty buckets.
@@ -426,11 +515,18 @@ func (sh *shard) setWaitersLocked(key tagKey, ws []*waiter) {
 	sh.waiters[key] = ws
 }
 
-// insertLocked stores t and returns its id. Caller holds sh.mu.
-func (sh *shard) insertLocked(t tuple.Tuple, expiry time.Time) uint64 {
+// newEntryLocked gives t the shard's next id without linking it into
+// any index — the state of an entry under a hold. Caller holds sh.mu.
+func (sh *shard) newEntryLocked(t tuple.Tuple, expiry time.Time) *entry {
 	sh.nextSeq++
 	id := sh.nextSeq<<sh.st.shardBits | sh.idx
-	e := &entry{id: id, t: t, size: t.Size(), expiry: expiry, index: -1}
+	return &entry{id: id, t: t, size: t.Size(), expiry: expiry, index: -1}
+}
+
+// linkLocked makes e visible to matching and the janitor and returns
+// its id. Caller holds sh.mu.
+func (sh *shard) linkLocked(e *entry) uint64 {
+	id, t, expiry := e.id, e.t, e.expiry
 	sh.byID[id] = e
 	bucket := sh.byArity[t.Arity()]
 	if bucket == nil {
@@ -602,9 +698,25 @@ func (s *Store) Inp(p tuple.Template) (tuple.Tuple, bool) {
 // (see package doc).
 func (s *Store) Wait(p tuple.Template, remove bool) space.Waiter {
 	w := &waiter{p: p, remove: remove, ch: make(chan tuple.Tuple, 1)}
-	key, class := classify(p)
+	return &waiterHandle{s.register(w)}
+}
+
+// WaitHold implements space.Space: Wait's check-then-register, with the
+// match handed over as a hold. Hold-waiters share the seq-ordered lists
+// with every other waiter but rank behind them: an Out gives every
+// matching reader its copy, then the tuple to a parked in if there is
+// one, else to exactly one hold-waiter, the oldest.
+func (s *Store) WaitHold(p tuple.Template) space.HoldWaiter {
+	w := &waiter{p: p, hch: make(chan space.Hold, 1)}
+	return &holdWaiterHandle{s.register(w)}
+}
+
+// register settles w from the space if a match is present and otherwise
+// parks it where the next matching Out finds it.
+func (s *Store) register(w *waiter) registration {
+	key, class := classify(w.p)
 	if class == classGlobal {
-		return s.waitGlobal(w)
+		return s.registerGlobal(w)
 	}
 	var sh *shard
 	if class == classPinned {
@@ -616,50 +728,59 @@ func (s *Store) Wait(p tuple.Template, remove bool) space.Waiter {
 	if sh.closed {
 		sh.mu.Unlock()
 		w.claimed.Store(true)
-		close(w.ch)
-		return &waiterHandle{s: s, w: w}
+		w.abandon()
+		return registration{s: s, w: w}
 	}
-	if e := sh.pickLocked(p); e != nil {
-		var removedID uint64
-		if remove {
-			sh.removeLocked(e)
-			removedID = e.id
-		}
+	if e := sh.pickLocked(w.p); e != nil {
 		w.claimed.Store(true)
-		w.ch <- e.t
-		close(w.ch)
+		sh.settleLocked(w, e)
 		sh.mu.Unlock()
-		if removedID != 0 {
-			s.met.Inc(trace.CtrTuplesTaken)
-			s.notifyRemoved(removedID)
-		}
-		return &waiterHandle{s: s, w: w}
+		s.noteTaken(w, e)
+		return registration{s: s, w: w}
 	}
 	w.seq = s.waiterSeq.Add(1)
 	sh.waiters[key] = append(sh.waiters[key], w)
 	sh.mu.Unlock()
-	return &waiterHandle{s: s, w: w, sh: sh, key: key}
+	return registration{s: s, w: w, sh: sh, key: key}
 }
 
-// waitGlobal registers a formal-lead waiter on the global list, then
+// settleLocked hands the resident entry e to the claimed waiter w,
+// unlinking it first unless w only reads. Caller holds sh.mu.
+func (sh *shard) settleLocked(w *waiter, e *entry) {
+	if w.takes() {
+		sh.removeLocked(e)
+	}
+	w.hand(sh.st, e)
+}
+
+// noteTaken accounts for a removal settleLocked finalised; a hold's
+// removal is accounted when it is accepted. Call without shard locks.
+func (s *Store) noteTaken(w *waiter, e *entry) {
+	if w.remove {
+		s.met.Inc(trace.CtrTuplesTaken)
+		s.notifyRemoved(e.id)
+	}
+}
+
+// registerGlobal registers a formal-lead waiter on the global list, then
 // scans the shards for an already-present match. Registration-first makes
 // the check-then-register step race-free without a store-wide lock: any
 // Out that stores after our registration sees us on the list; any Out
 // that stored before is found by the scan.
-func (s *Store) waitGlobal(w *waiter) space.Waiter {
+func (s *Store) registerGlobal(w *waiter) registration {
 	s.gmu.Lock()
 	if s.closed.Load() {
 		s.gmu.Unlock()
 		w.claimed.Store(true)
-		close(w.ch)
-		return &waiterHandle{s: s, w: w}
+		w.abandon()
+		return registration{s: s, w: w}
 	}
 	w.seq = s.waiterSeq.Add(1)
 	s.gwaiters = append(s.gwaiters, w)
 	s.nGlobal.Add(1)
 	s.gmu.Unlock()
 
-	h := &waiterHandle{s: s, w: w, global: true}
+	r := registration{s: s, w: w, global: true}
 	n, start := len(s.shards), s.scanStart()
 	for k := 0; k < n; k++ {
 		sh := s.shards[(start+k)%n]
@@ -673,24 +794,15 @@ func (s *Store) waitGlobal(w *waiter) space.Waiter {
 			// A concurrent Out already delivered to us; its tuple is the
 			// answer and e stays in the space.
 			sh.mu.Unlock()
-			return h
+			return r
 		}
-		var removedID uint64
-		if w.remove {
-			sh.removeLocked(e)
-			removedID = e.id
-		}
-		w.ch <- e.t
-		close(w.ch)
+		sh.settleLocked(w, e)
 		sh.mu.Unlock()
 		s.dropGlobal(w)
-		if removedID != 0 {
-			s.met.Inc(trace.CtrTuplesTaken)
-			s.notifyRemoved(removedID)
-		}
-		return h
+		s.noteTaken(w, e)
+		return r
 	}
-	return h
+	return r
 }
 
 // dropGlobal removes w from the global list if still present (Out's
@@ -707,7 +819,9 @@ func (s *Store) dropGlobal(w *waiter) {
 	}
 }
 
-type waiterHandle struct {
+// registration is where a waiter is parked, which is what Cancel has to
+// undo. The two handle types differ only in the channel they expose.
+type registration struct {
 	s      *Store
 	w      *waiter
 	sh     *shard // set for shard-registered waiters
@@ -715,14 +829,22 @@ type waiterHandle struct {
 	global bool // set for globally registered waiters
 }
 
+type waiterHandle struct{ registration }
+
 func (h *waiterHandle) Chan() <-chan tuple.Tuple { return h.w.ch }
 
-func (h *waiterHandle) Cancel() {
+type holdWaiterHandle struct{ registration }
+
+func (h *holdWaiterHandle) Chan() <-chan space.Hold { return h.w.hch }
+
+// Cancel withdraws the interest. A delivery that claimed the waiter
+// first stands: its tuple (or hold) is on the channel.
+func (h *registration) Cancel() {
 	switch {
 	case h.sh != nil:
 		h.sh.mu.Lock()
 		if h.w.claim() {
-			close(h.w.ch)
+			h.w.abandon()
 			ws := h.sh.waiters[h.key]
 			for i, w := range ws {
 				if w == h.w {
@@ -734,7 +856,7 @@ func (h *waiterHandle) Cancel() {
 		h.sh.mu.Unlock()
 	case h.global:
 		if h.w.claim() {
-			close(h.w.ch)
+			h.w.abandon()
 		}
 		h.s.dropGlobal(h.w)
 	default:
@@ -802,10 +924,12 @@ func (h *hold) Release() {
 	h.settled = true
 	// Reinstate with the original expiry; if it expired while held it
 	// will be reclaimed by the janitor path on the next operation.
-	if _, err := h.s.Out(h.e.t, h.e.expiry); err == nil {
+	if id, err := h.s.Out(h.e.t, h.e.expiry); err == nil {
 		h.s.met.Inc(trace.CtrTuplesReinstated)
-		// Out counted a store; a reinstatement is not a new tuple.
-		h.s.met.Add(trace.CtrTuplesStored, -1)
+		if id != 0 {
+			// Out counted a store; a reinstatement is not a new tuple.
+			h.s.met.Add(trace.CtrTuplesStored, -1)
+		}
 	}
 }
 
@@ -896,7 +1020,7 @@ func (s *Store) Close() error {
 	s.gmu.Unlock()
 	for _, w := range ws {
 		if w.claim() {
-			close(w.ch)
+			w.abandon()
 		}
 	}
 	return nil

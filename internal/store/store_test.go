@@ -9,6 +9,7 @@ import (
 
 	"tiamat/clock"
 	"tiamat/space"
+	"tiamat/space/spacetest"
 	"tiamat/tuple"
 )
 
@@ -528,5 +529,115 @@ func TestTagIndexExpiryCleansBuckets(t *testing.T) {
 		t.Fatal("fresh tagged tuple invisible")
 	} else if v, _ := got.IntAt(1); v != 2 {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestExactKeyAfterTag: a template that pins the field after the tag
+// must find exactly its tuple among same-tag neighbours — the case an
+// index on (tag, first actual) serves, and the one a broken index that
+// never returned a tag+key match would fail while every formal-key test
+// above still passed.
+func TestExactKeyAfterTag(t *testing.T) {
+	s, _ := newTest()
+	defer s.Close()
+	for id := int64(0); id < 64; id++ {
+		s.Out(req(id), never())
+	}
+	s.Out(tuple.T(tuple.String("other"), tuple.Int(40)), never())
+	exact := func(id int64) tuple.Template { return tuple.Tmpl(tuple.String("req"), tuple.Int(id)) }
+
+	if got, ok := s.Rdp(exact(40)); !ok || !got.Equal(req(40)) {
+		t.Fatalf("Rdp exact key = %v %v", got, ok)
+	}
+	if _, ok := s.Rdp(exact(64)); ok {
+		t.Fatal("Rdp matched a key that was never stored")
+	}
+	if got, ok := s.Inp(exact(40)); !ok || !got.Equal(req(40)) {
+		t.Fatalf("Inp exact key = %v %v", got, ok)
+	}
+	if _, ok := s.Rdp(exact(40)); ok {
+		t.Fatal("taken key still matches")
+	}
+	if s.Count() != 64 {
+		t.Fatalf("count = %d, want the other 63 and the other tag", s.Count())
+	}
+	// Stored again, the key is found again (index entries are not stale).
+	s.Out(req(40), never())
+	if h, ok := s.Hold(exact(40)); !ok || !h.Tuple().Equal(req(40)) {
+		t.Fatal("Hold exact key after re-out failed")
+	} else {
+		h.Release()
+	}
+	if got, ok := s.Inp(exact(40)); !ok || !got.Equal(req(40)) {
+		t.Fatalf("Inp exact key after release = %v %v", got, ok)
+	}
+}
+
+// TestHoldWaiterContract runs the shared WaitHold table (spacetest), the
+// one space/naive and space/persist run too.
+func TestHoldWaiterContract(t *testing.T) {
+	spacetest.HoldWaiters(t, func(*testing.T) space.Space { return New(WithSeed(42)) })
+}
+
+// TestHoldWaitersWakeInSeqOrder pins the store's own FIFO across its two
+// waiter lists: pinned and formal-lead hold-waiters registered
+// alternately are woken strictly oldest first, exactly one per Out.
+func TestHoldWaitersWakeInSeqOrder(t *testing.T) {
+	s, _ := newTest()
+	defer s.Close()
+	ws := make([]space.HoldWaiter, 8)
+	for k := range ws {
+		if k%2 == 0 {
+			ws[k] = s.WaitHold(reqTmpl())
+		} else {
+			ws[k] = s.WaitHold(tuple.Tmpl(tuple.Any(), tuple.FormalInt()))
+		}
+	}
+	for k := range ws {
+		id, err := s.Out(req(int64(k)), never())
+		if err != nil || id == 0 {
+			t.Fatalf("Out %d = %d %v", k, id, err)
+		}
+		select {
+		case h, ok := <-ws[k].Chan():
+			if !ok || h.ID() != id || !h.Tuple().Equal(req(int64(k))) {
+				t.Fatalf("waiter %d got %v (ok=%v)", k, h, ok)
+			}
+			h.Accept()
+		default:
+			t.Fatalf("out %d did not wake waiter %d, the oldest left", k, k)
+		}
+		for j := k + 1; j < len(ws); j++ {
+			select {
+			case _, ok := <-ws[j].Chan():
+				t.Fatalf("out %d settled waiter %d (ok=%v)", k, j, ok)
+			default:
+			}
+		}
+		if s.Count() != 0 {
+			t.Fatalf("out %d left %d tuples resident", k, s.Count())
+		}
+	}
+}
+
+// TestHoldWaiterKeepsExpiry: a hold handed over by an Out carries the
+// expiry that Out was given, so a release reinstates a tuple that still
+// lapses on time.
+func TestHoldWaiterKeepsExpiry(t *testing.T) {
+	s, clk := newTest()
+	defer s.Close()
+	w := s.WaitHold(reqTmpl())
+	s.Out(req(1), epoch.Add(time.Second))
+	h, ok := <-w.Chan()
+	if !ok {
+		t.Fatal("no hold delivered")
+	}
+	h.Release()
+	if s.Count() != 1 {
+		t.Fatalf("count after release = %d", s.Count())
+	}
+	clk.Advance(2 * time.Second)
+	if s.Count() != 0 || s.Reclaimed() != 1 {
+		t.Fatalf("count = %d, reclaimed = %d: released tuple outlived its lease", s.Count(), s.Reclaimed())
 	}
 }

@@ -2,20 +2,23 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tiamat/space"
 	"tiamat/tuple"
 )
 
-// TestStressConservation drives concurrent Out/Inp/Wait/Hold across many
-// goroutines and tag classes and asserts conservation: every tuple put
-// into the space is consumed exactly once — never lost, never delivered
-// to two takers — and the space drains to empty. Run under -race this
-// exercises the sharded store's cross-shard delivery, the global
-// (formal-lead) waiter path, and hold accept/release against each other.
+// TestStressConservation drives concurrent Out/Inp/Wait/Hold/WaitHold
+// across many goroutines and tag classes and asserts conservation: every
+// tuple put into the space is consumed exactly once — never lost, never
+// delivered to two takers — and the space drains to empty. Run under
+// -race this exercises the sharded store's cross-shard delivery, the
+// global (formal-lead) waiter path, hold accept/release, and hold-waiters
+// whose Cancel races the Out that commits a hold to them.
 func TestStressConservation(t *testing.T) {
 	const (
 		producers   = 8
@@ -148,6 +151,52 @@ func TestStressConservation(t *testing.T) {
 					continue
 				}
 				if (n+h)%3 == 0 {
+					hd.Release()
+				} else {
+					record(hd.Tuple())
+					hd.Accept()
+				}
+			}
+		}(h)
+	}
+
+	// Hold-waiters: parked tentative takers, pinned and formal-lead. Half
+	// the time the taker gives up at once, so its Cancel races whatever
+	// Out is in flight; a hold committed before the cancel landed is still
+	// on the channel and is settled like any other — by the same coin
+	// between accept (consume) and release (reinstate, which may wake the
+	// next parked taker).
+	for h := 0; h < 4; h++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(h)))
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				p := tuple.Tmpl(tuple.String(tagOf(n)), tuple.FormalInt())
+				if h == 3 {
+					p = tuple.Tmpl(tuple.Any(), tuple.FormalInt())
+				}
+				w := s.WaitHold(p)
+				if rng.Intn(2) == 0 {
+					w.Cancel()
+				}
+				var hd space.Hold
+				var ok bool
+				select {
+				case hd, ok = <-w.Chan():
+				case <-done:
+					w.Cancel()
+					hd, ok = <-w.Chan()
+				}
+				if !ok {
+					continue
+				}
+				if rng.Intn(3) == 0 {
 					hd.Release()
 				} else {
 					record(hd.Tuple())

@@ -2,16 +2,15 @@
 # benchdiff.sh — compare the two most recent BENCH_<n>.json baselines in
 # two passes: the whole suite at a 20% ns/op threshold (advisory — the
 # reproduction experiments run one iteration each and are too noisy to
-# block on), then the serve-path hot set (StoreOutInp,
-# RemoteInpTwoNodes, WireRoundtrip) at a tighter 15%, which is the
-# blocking gate. With fewer than two baselines there is nothing to
-# compare and the script succeeds quietly. scripts/check.sh runs this as
+# block on), then the serve-path hot set (the `hot` pattern below) at a
+# tighter 15%, which is the blocking gate. With fewer than two
+# baselines there is nothing to compare and the script succeeds quietly. scripts/check.sh runs this as
 # part of the pre-merge gate; run it directly before committing a fresh
 # baseline.
 set -eu
 cd "$(dirname "$0")/.."
 
-hot='^Benchmark(StoreOutInp|RemoteInpTwoNodes|WireRoundtrip)(/|$)'
+hot='^Benchmark(StoreOutInp|StoreWakeOneOfEight|RemoteInpTwoNodes|RemoteInBlockingTwoNodes|WireRoundtrip)(/|$)'
 
 prev=""
 cur=""

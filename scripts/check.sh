@@ -24,8 +24,8 @@ echo "==> bench module: go vet, go test -race"
 go vet -C bench ./...
 go test -C bench -race ./...
 
-# The fault-class suites (crash, soak, mobility, gray, replica, upgrade,
-# with the C1-C6 soaks) all ran inside `go test -race ./...` above. Their
+# The suites (crash, soak, mobility, gray, replica, upgrade with the
+# C1-C6 soaks, and farm) all ran inside `go test -race ./...` above. Their
 # -run patterns live in the Makefile, for `make <suite>`; the gate only
 # checks that none of them has gone stale and names no test any more.
 echo "==> suite patterns name tests"
@@ -38,9 +38,9 @@ go test -run '^$' -fuzz FuzzDecode -fuzztime "${FUZZTIME:-10s}" ./wire/
 go test -run '^$' -fuzz FuzzDecodeTuple -fuzztime "${FUZZTIME:-10s}" ./tuple/
 
 # The perf gate: the last two committed BENCH_*.json baselines must not
-# show a >15% ns/op regression on the serve-path hot set (StoreOutInp,
-# RemoteInpTwoNodes, WireRoundtrip); the rest of the suite is reported
-# at 20% but only advises. Soft in the sense that it compares committed
+# show a >15% ns/op regression on the serve-path hot set (the `hot`
+# pattern in benchdiff.sh); the rest of the suite is reported at 20%
+# but only advises. Soft in the sense that it compares committed
 # baselines, not a fresh run: refresh with scripts/bench-json.sh when
 # the wire or store paths change.
 echo "==> perf gate (benchdiff)"

@@ -44,11 +44,24 @@ type entry struct {
 	held   bool
 }
 
+// waiter is parked interest in a copy (rd), a removal (in) or, when hch
+// is set, a hold.
 type waiter struct {
 	p      tuple.Template
 	remove bool
 	ch     chan tuple.Tuple
+	hch    chan space.Hold
 	done   bool
+}
+
+// finish closes a settled waiter's channel.
+func (w *waiter) finish() {
+	w.done = true
+	if w.hch != nil {
+		close(w.hch)
+		return
+	}
+	close(w.ch)
 }
 
 // New returns an empty naive space using clk (nil = wall clock).
@@ -73,28 +86,40 @@ func (s *Space) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	// Serve waiters FIFO: readers get copies, the first taker consumes.
+	// Serve waiters FIFO: readers get copies, the first in-waiter
+	// consumes. Hold-waiters rank behind every in-waiter (a local in is
+	// final, a hold tentative): with no consumer the oldest one is handed
+	// the tuple, stored and held, and the id returned — as if Hold had run
+	// right behind this Out.
 	kept := s.waiters[:0]
 	consumed := false
 	for _, w := range s.waiters {
-		if consumed || w.done || !w.p.Matches(t) {
+		if consumed || w.done || w.hch != nil || !w.p.Matches(t) {
 			kept = append(kept, w)
 			continue
 		}
-		w.done = true
 		w.ch <- t
-		close(w.ch)
-		if w.remove {
-			consumed = true
-		}
+		w.finish()
+		consumed = w.remove
 	}
 	s.waiters = kept
 	if consumed {
 		return 0, nil
 	}
 	s.nextID++
-	s.entries = append(s.entries, entry{id: s.nextID, t: t, expiry: expiry})
-	return s.nextID, nil
+	id := s.nextID
+	e := entry{id: id, t: t, expiry: expiry}
+	for i, w := range s.waiters {
+		if w.hch != nil && !w.done && w.p.Matches(t) {
+			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+			e.held = true
+			w.hch <- &hold{s: s, id: id, t: t}
+			w.finish()
+			break
+		}
+	}
+	s.entries = append(s.entries, e)
+	return id, nil
 }
 
 // findLocked returns the index of the first live match, or -1. "First"
@@ -133,34 +158,58 @@ func (s *Space) Inp(p tuple.Template) (tuple.Tuple, bool) {
 
 // Wait implements space.Space.
 func (s *Space) Wait(p tuple.Template, remove bool) space.Waiter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	w := &waiter{p: p, remove: remove, ch: make(chan tuple.Tuple, 1)}
-	if s.closed {
-		w.done = true
-		close(w.ch)
-		return &handle{s: s, w: w}
-	}
-	if i := s.findLocked(p); i >= 0 {
-		t := s.entries[i].t
-		if remove {
-			s.entries = append(s.entries[:i], s.entries[i+1:]...)
-		}
-		w.done = true
-		w.ch <- t
-		close(w.ch)
-		return &handle{s: s, w: w}
-	}
-	s.waiters = append(s.waiters, w)
-	return &handle{s: s, w: w}
+	return &waitHandle{s.register(w)}
 }
 
+// WaitHold implements space.Space.
+func (s *Space) WaitHold(p tuple.Template) space.HoldWaiter {
+	w := &waiter{p: p, hch: make(chan space.Hold, 1)}
+	return &holdHandle{s.register(w)}
+}
+
+// register settles w from the first live match or parks it.
+func (s *Space) register(w *waiter) handle {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := handle{s: s, w: w}
+	if s.closed {
+		w.finish()
+		return h
+	}
+	i := s.findLocked(w.p)
+	if i < 0 {
+		s.waiters = append(s.waiters, w)
+		return h
+	}
+	e := &s.entries[i]
+	switch {
+	case w.hch != nil:
+		e.held = true
+		w.hch <- &hold{s: s, id: e.id, t: e.t}
+	case w.remove:
+		w.ch <- e.t
+		s.entries = append(s.entries[:i], s.entries[i+1:]...)
+	default:
+		w.ch <- e.t
+	}
+	w.finish()
+	return h
+}
+
+// handle cancels a parked waiter; the two wrappers expose its channel.
 type handle struct {
 	s *Space
 	w *waiter
 }
 
-func (h *handle) Chan() <-chan tuple.Tuple { return h.w.ch }
+type waitHandle struct{ handle }
+
+func (h *waitHandle) Chan() <-chan tuple.Tuple { return h.w.ch }
+
+type holdHandle struct{ handle }
+
+func (h *holdHandle) Chan() <-chan space.Hold { return h.w.hch }
 
 func (h *handle) Cancel() {
 	h.s.mu.Lock()
@@ -168,8 +217,7 @@ func (h *handle) Cancel() {
 	if h.w.done {
 		return
 	}
-	h.w.done = true
-	close(h.w.ch)
+	h.w.finish()
 	for i, w := range h.s.waiters {
 		if w == h.w {
 			h.s.waiters = append(h.s.waiters[:i], h.s.waiters[i+1:]...)
@@ -312,8 +360,7 @@ func (s *Space) Close() error {
 	s.closed = true
 	for _, w := range s.waiters {
 		if !w.done {
-			w.done = true
-			close(w.ch)
+			w.finish()
 		}
 	}
 	s.waiters = nil

@@ -14,6 +14,7 @@ import (
 	"tiamat/internal/core"
 	"tiamat/internal/store"
 	"tiamat/space"
+	"tiamat/space/spacetest"
 	"tiamat/transport/memnet"
 	"tiamat/tuple"
 )
@@ -82,6 +83,12 @@ func TestNaiveWaitAndHold(t *testing.T) {
 	if s.Count() != 0 {
 		t.Fatal("accepted hold not removed")
 	}
+}
+
+// TestNaiveHoldWaiterContract runs the shared WaitHold table: the oracle
+// answers it the way the store and the durable wrapper do.
+func TestNaiveHoldWaiterContract(t *testing.T) {
+	spacetest.HoldWaiters(t, func(*testing.T) space.Space { return New(nil) })
 }
 
 func TestNaiveExpiry(t *testing.T) {

@@ -14,11 +14,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"tiamat/clock"
 	"tiamat/internal/store"
+	"tiamat/space"
 	"tiamat/trace"
 	"tiamat/tuple"
 )
@@ -497,6 +499,112 @@ func TestHoldDefersCompaction(t *testing.T) {
 	defer s2.Close()
 	if _, ok := s2.Rdp(tuple.Tmpl(tuple.String("it"), tuple.Int(999))); !ok {
 		t.Fatal("held-then-released tuple lost across rotation + restart")
+	}
+}
+
+// TestWaitedHoldDefersCompaction: a parked taker holds nothing, so it
+// must not put compaction off — a farm node always has takers parked —
+// but from the moment an Out hands it a hold, the hold does, received or
+// not: it is as absent from the snapshot as any other.
+func TestWaitedHoldDefersCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.log")
+	met := &trace.Metrics{}
+	sp, err := OpenWith(path, store.New(), nil, Options{CompactAt: 256, Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn := func() {
+		for round := int64(0); round < 100; round++ {
+			sp.Out(item(round), time.Time{})
+			sp.Inp(tuple.Tmpl(tuple.String("it"), tuple.Int(round)))
+		}
+	}
+	w := sp.WaitHold(tuple.Tmpl(tuple.String("it"), tuple.Int(999)))
+	before := met.Get(trace.CtrWALCompactions)
+	churn()
+	if got := met.Get(trace.CtrWALCompactions); got == before {
+		t.Fatal("a parked taker put compaction off")
+	}
+	if id, err := sp.Out(item(999), time.Time{}); err != nil || id == 0 {
+		t.Fatalf("Out to the parked taker = %d %v", id, err)
+	}
+	before = met.Get(trace.CtrWALCompactions)
+	churn() // the hold may still be on its way to w.Chan()
+	if got := met.Get(trace.CtrWALCompactions); got != before {
+		t.Fatalf("compacted %d times while a waited hold was outstanding", got-before)
+	}
+	h, ok := <-w.Chan()
+	if !ok {
+		t.Fatal("no hold delivered")
+	}
+	h.Release()
+	if got := met.Get(trace.CtrWALCompactions); got == before {
+		t.Fatal("deferred compaction did not run after the hold settled")
+	}
+	sp.Close()
+
+	s2 := open(t, path, nil)
+	defer s2.Close()
+	if _, ok := s2.Rdp(tuple.Tmpl(tuple.String("it"), tuple.Int(999))); !ok {
+		t.Fatal("waited-then-released tuple lost across rotation + restart")
+	}
+}
+
+// TestWaitedHoldsRaceCompaction: takers parked, fed, cancelled and
+// settled while every operation wants to rotate the log. Whatever the
+// interleaving of a delivery, its pump and a compaction, the restarted
+// space holds exactly the tuples that were released or never taken.
+func TestWaitedHoldsRaceCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.log")
+	sp, err := OpenWith(path, store.New(), nil, Options{Sync: SyncNever, CompactAt: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(v int64) tuple.Template { return tuple.Tmpl(tuple.String("it"), tuple.Int(v)) }
+	want := make(map[int64]bool)
+	var wg sync.WaitGroup
+	for v := int64(0); v < 300; v++ {
+		w := sp.WaitHold(key(v))
+		wg.Add(1)
+		go func(v int64) {
+			defer wg.Done()
+			if _, err := sp.Out(item(v), time.Time{}); err != nil {
+				t.Errorf("Out(%d): %v", v, err)
+			}
+		}(v)
+		// Churn on another key keeps asking for a rotation meanwhile.
+		sp.Out(item(-1), time.Time{})
+		sp.Inp(key(-1))
+		if v%5 == 4 {
+			// Give up while the out is in flight: cancelled first or
+			// committed first, the tuple ends up resident.
+			space.Abandon(w)
+			want[v] = true
+			continue
+		}
+		h, ok := <-w.Chan()
+		if !ok {
+			t.Fatalf("taker %d: no hold delivered", v)
+		}
+		if v%2 == 0 {
+			h.Accept()
+		} else {
+			h.Release()
+			want[v] = true
+		}
+	}
+	wg.Wait()
+	sp.Close()
+
+	s2 := open(t, path, nil)
+	defer s2.Close()
+	for v := int64(0); v < 300; v++ {
+		if _, ok := s2.Rdp(key(v)); ok != want[v] {
+			t.Fatalf("tuple %d present=%v after restart, want %v", v, ok, want[v])
+		}
+	}
+	if s2.Count() != len(want) {
+		t.Fatalf("count after restart = %d, want %d", s2.Count(), len(want))
 	}
 }
 

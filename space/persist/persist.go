@@ -176,6 +176,9 @@ type Space struct {
 	size        int64 // bytes in the active log, including the header
 	lastCompact int64 // log size right after the previous compaction
 	holdsOut    int   // outstanding tentative holds (block compaction)
+	// holdWaiters are the WaitHold registrations whose pump has not yet
+	// counted its outcome: a hold on its way to one is not in holdsOut yet.
+	holdWaiters map[*loggedHoldWaiter]struct{}
 	wantCompact bool
 	dirty       bool // appended but not yet synced (SyncInterval)
 	closed      bool
@@ -214,6 +217,8 @@ func OpenWith(path string, inner space.Space, clk clock.Clock, opts Options) (*S
 		met:   opts.Metrics,
 		path:  path,
 		dir:   filepath.Dir(path),
+
+		holdWaiters: make(map[*loggedHoldWaiter]struct{}),
 	}
 	// A crash between a compaction's tmp write and its rename leaves a
 	// stale tmp behind; the half-written snapshot must never be mistaken
@@ -420,7 +425,7 @@ func (s *Space) maybeCompact() {
 	defer s.opMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.wantCompact || s.failed != nil || s.closed || s.holdsOut > 0 {
+	if !s.wantCompact || s.failed != nil || s.closed || s.holdsOut > 0 || s.holdInFlightLocked() {
 		return
 	}
 	s.wantCompact = false
@@ -429,6 +434,28 @@ func (s *Space) maybeCompact() {
 		// continue and the next threshold crossing retries.
 		s.met.Inc(trace.CtrWALCompactErrors)
 	}
+}
+
+// holdInFlightLocked reports whether a hold-waiter has been settled by
+// the inner space — handed a hold, or cancelled — without its pump having
+// counted that yet. Such a hold is missing from holdsOut and from the
+// snapshot both, so the compaction is put off; the pump retries it. The
+// caller holds opMu for writing, which keeps every delivery out (they all
+// happen inside an inner Out or WaitHold under opMu for reading, or under
+// a hold still counted in holdsOut), and s.mu. A hold found waiting is
+// taken off the channel for the pump to pick up: looking is receiving.
+func (s *Space) holdInFlightLocked() bool {
+	for w := range s.holdWaiters {
+		select {
+		case h, ok := <-w.inner.Chan():
+			if ok {
+				w.early = h
+			}
+			return true
+		default:
+		}
+	}
+	return false
 }
 
 // failLocked wedges the space with a sticky error. Caller holds s.mu.
@@ -672,6 +699,57 @@ func (w *loggedWaiter) pump() {
 func (w *loggedWaiter) Chan() <-chan tuple.Tuple { return w.ch }
 
 func (w *loggedWaiter) Cancel() { w.inner.Cancel() }
+
+// WaitHold implements space.Space: the inner space's hold is delivered
+// as a loggedHold, so its removal becomes durable on Accept and the
+// tuple is back after a restart that came first.
+func (s *Space) WaitHold(p tuple.Template) space.HoldWaiter {
+	w := &loggedHoldWaiter{s: s, ch: make(chan space.Hold, 1)}
+	s.opMu.RLock()
+	w.inner = s.inner.WaitHold(p)
+	s.mu.Lock()
+	s.holdWaiters[w] = struct{}{}
+	s.mu.Unlock()
+	s.opMu.RUnlock()
+	go w.pump()
+	return w
+}
+
+type loggedHoldWaiter struct {
+	s     *Space
+	inner space.HoldWaiter
+	ch    chan space.Hold
+	early space.Hold // taken off inner's channel by holdInFlightLocked
+}
+
+// pump ends when the inner waiter is settled: by a delivery, by Cancel,
+// or by the inner space closing.
+func (w *loggedHoldWaiter) pump() {
+	h, ok := <-w.inner.Chan()
+	s := w.s
+	s.mu.Lock()
+	if !ok && w.early != nil {
+		h, ok = w.early, true
+	}
+	delete(s.holdWaiters, w)
+	if ok {
+		s.holdsOut++
+	}
+	s.mu.Unlock()
+	if ok {
+		w.ch <- &loggedHold{s: s, inner: h}
+	}
+	close(w.ch)
+	if !ok {
+		s.maybeCompact() // one this waiter's cancel may have put off
+	}
+}
+
+func (w *loggedHoldWaiter) Chan() <-chan space.Hold { return w.ch }
+
+// Cancel leaves a hold the inner space already committed on its way to
+// Chan, as the contract asks.
+func (w *loggedHoldWaiter) Cancel() { w.inner.Cancel() }
 
 // Hold implements space.Space; the removal becomes durable on Accept.
 // Outstanding holds defer online compaction (their tuples are invisible

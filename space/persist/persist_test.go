@@ -10,6 +10,8 @@ import (
 	"tiamat/clock"
 	"tiamat/internal/core"
 	"tiamat/internal/store"
+	"tiamat/space"
+	"tiamat/space/spacetest"
 	"tiamat/transport/memnet"
 	"tiamat/tuple"
 )
@@ -124,6 +126,57 @@ func TestHoldAcceptDurableReleaseNot(t *testing.T) {
 	}
 	if _, ok := s2.Rdp(tuple.Tmpl(tuple.String("it"), tuple.Int(2))); !ok {
 		t.Fatal("released hold lost")
+	}
+}
+
+// TestHoldWaiterContract runs the shared WaitHold table over the WAL.
+func TestHoldWaiterContract(t *testing.T) {
+	spacetest.HoldWaiters(t, func(t *testing.T) space.Space {
+		return open(t, filepath.Join(t.TempDir(), "space.log"), nil)
+	})
+}
+
+// TestWaitedHoldDurableOnAcceptOnly: a hold handed to a parked taker is
+// durable the way any hold is. A restart before it is settled brings the
+// tuple back (the out was logged, the tentative removal never is); an
+// accept removes it for good; a release leaves it.
+func TestWaitedHoldDurableOnAcceptOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "space.log")
+	s := open(t, path, nil)
+	key := func(v int64) tuple.Template { return tuple.Tmpl(tuple.String("it"), tuple.Int(v)) }
+	held := make(map[int64]space.Hold)
+	for v := int64(1); v <= 3; v++ {
+		w := s.WaitHold(key(v))
+		if id, err := s.Out(item(v), time.Time{}); err != nil || id == 0 {
+			t.Fatalf("Out(%d) = %d %v", v, id, err)
+		}
+		h, ok := <-w.Chan()
+		if !ok || !h.Tuple().Equal(item(v)) {
+			t.Fatalf("taker %d got %v %v", v, h, ok)
+		}
+		held[v] = h
+	}
+	if s.Count() != 0 {
+		t.Fatalf("count with three holds out = %d", s.Count())
+	}
+	held[1].Accept()
+	held[2].Release()
+	// held[3] is never settled: the process dies with it outstanding.
+	s.Close()
+
+	s2 := open(t, path, nil)
+	defer s2.Close()
+	if _, ok := s2.Rdp(key(1)); ok {
+		t.Fatal("accepted hold resurrected")
+	}
+	if _, ok := s2.Rdp(key(2)); !ok {
+		t.Fatal("released hold lost")
+	}
+	if _, ok := s2.Rdp(key(3)); !ok {
+		t.Fatal("tuple under an unsettled hold lost by the restart")
+	}
+	if s2.Count() != 2 {
+		t.Fatalf("count after restart = %d, want 2", s2.Count())
 	}
 }
 

@@ -16,7 +16,16 @@
 //
 // Hold supports Tiamat's distributed take protocol (§3.1.3): a remote in
 // tentatively removes a match; the winning responder's hold is accepted and
-// all others are released, reinstating their tuples.
+// all others are released, reinstating their tuples. Served for a peer,
+// the two destructive operations therefore map differently:
+//
+//	inp served for a peer → Hold
+//	in  served for a peer → Hold, then WaitHold(p) until a match, lease
+//	                        expiry or the peer's cancel
+//
+// WaitHold is the blocking form of Hold: one Out wakes exactly one parked
+// taker and hands it the tuple already held, so N peers blocked in in on
+// one template cost one wake-up per tuple, not N (DESIGN.md §6).
 package space
 
 import (
@@ -52,6 +61,19 @@ type Space interface {
 	// removal; Release reinstates the tuple (used when another responder
 	// won the distributed take).
 	Hold(p tuple.Template) (Hold, bool)
+
+	// WaitHold is Wait for a tentative removal: if a match is present it
+	// is held at once, otherwise the next matching Out is handed to the
+	// oldest registered taker as a Hold with the entry's id and expiry
+	// intact. That Out still returns the tuple's non-zero id — the tuple
+	// was stored and is tentatively removed, exactly as if Hold had run
+	// right behind the Out — where an Out consumed by a Wait(p, true)
+	// returns 0 because nothing was ever stored. Hold-waiters rank
+	// behind every other waiter: each parked reader still gets its copy,
+	// and a parked Wait(p, true) — a local in, whose removal is final —
+	// takes the tuple ahead of any hold-waiter, whose removal is only
+	// tentative. The check-then-register step is atomic, as for Wait.
+	WaitHold(p tuple.Template) HoldWaiter
 
 	// Remove deletes the tuple with the given storage id, reporting
 	// whether it was present. Used for lease revocation.
@@ -98,6 +120,21 @@ type Waiter interface {
 	Cancel()
 }
 
+// HoldWaiter is a registered blocking interest in holding a match.
+type HoldWaiter interface {
+	// Chan delivers exactly one Hold, then is closed. The channel is
+	// closed without a value if the waiter is cancelled or the space
+	// closes.
+	Chan() <-chan Hold
+	// Cancel withdraws the interest. A hold already committed to this
+	// waiter survives Cancel: it remains on Chan and its tuple stays out
+	// of the space until the caller settles it. A caller that gives up
+	// must therefore Cancel, then receive from Chan, and Release the hold
+	// if one arrives; after Cancel that receive never blocks for longer
+	// than a delivery already under way. Cancel is idempotent.
+	Cancel()
+}
+
 // Hold is a tentatively removed tuple awaiting accept/release.
 type Hold interface {
 	// Tuple returns the held tuple.
@@ -112,4 +149,13 @@ type Hold interface {
 	// Release reinstates the tuple into the space. Idempotent; Release
 	// after Accept is a no-op.
 	Release()
+}
+
+// Abandon gives up on w without losing a tuple: it cancels the interest
+// and releases a hold that was committed before the cancel landed.
+func Abandon(w HoldWaiter) {
+	w.Cancel()
+	if h, ok := <-w.Chan(); ok {
+		h.Release()
+	}
 }

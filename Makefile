@@ -2,7 +2,7 @@ GO ?= go
 
 SUITES = crash soak mobility gray replica upgrade farm
 
-.PHONY: build test check bench bench-json chaos fuzz suites-nonempty $(SUITES)
+.PHONY: build test check bench bench-json chaos fuzz loc suites-nonempty $(SUITES)
 
 build:
 	$(GO) build ./...
@@ -69,9 +69,11 @@ replica_pkgs = ./routing/ ./internal/core/ ./wire/ ./internal/harness/
 replica_exp  = C5
 # upgrade: golden wire fixtures (byte-stability, round-trip, truncation,
 # the versioned-field table), capability learning and gating, the
-# write-through refusal regression, and the C6 mixed-version soak.
-upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|C6
-upgrade_pkgs = ./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./internal/harness/
+# write-through refusal regression, the decode-only coalesced ack (an
+# older peer's frame settles here; both transports emit one ack per
+# frame), and the C6 mixed-version soak.
+upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|CoalescedAck|FramePipe|C6
+upgrade_pkgs = ./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./transport/netudp/ ./internal/harness/
 upgrade_exp  = C6
 # farm: the master/worker serve path — hold-delivering waiters in all
 # three spaces (one wake-up per out, a parked in outranks them, cancel
@@ -96,6 +98,12 @@ suites-nonempty:
 			$(GO) test -list "$$run" "$$pkg" | grep -q '^Test' || { echo "suite $$name lists no tests in $$pkg"; exit 1; }; \
 		done; \
 	done
+
+# loc is the one definition of the line counts ROADMAP aim 2 tracks
+# ("net-negative"): tracked Go outside bench/, non-test and test.
+loc:
+	@printf 'non-test Go lines outside bench/: '; git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
+	@printf 'test Go lines outside bench/:     '; git ls-files '*_test.go' | grep -v '^bench/' | xargs cat | wc -l
 
 # fuzz smoke-tests the two wire-format decoders for a few seconds each:
 # enough to catch a decoder regression in CI without turning the gate

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"tiamat/lease"
 	"tiamat/trace"
+	"tiamat/transport/memnet"
 	"tiamat/wire"
 )
 
@@ -165,5 +167,80 @@ func TestSendSharedMessageAcrossVersions(t *testing.T) {
 				t.Fatalf("%s saw busy=%v, want only busy=%v", c.in.ep.Addr(), m.Busy, c.busy)
 			}
 		}
+	}
+}
+
+// TestInboundCoalescedAck pins the one ack path with no producer left in
+// this repository: a peer on an older build may still fold several acks
+// into one frame (wire.Message AckIDs, DESIGN.md §12), and every ID such
+// a frame covers must settle exactly as if it had arrived alone. a and b
+// are pending accepts, c a pending rpc, d nothing this node knows. The
+// frame is injected once, then once more over a link that duplicates it.
+func TestInboundCoalescedAck(t *testing.T) {
+	for name, dup := range map[string]bool{"once": false, "duplicated": true} {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, []wire.Addr{"n"}, nil)
+			n := r.inst["n"]
+			old, err := r.net.Attach("old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.net.ConnectAll()
+			in := &inbox{ep: old}
+
+			lse, err := n.mgr.Grant(lease.OpIn, opLease(time.Minute))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.acceptHold("old", 1, lse)
+			n.acceptHold("old", 2, lse)
+			rpcDone := make(chan error, 1)
+			go func() {
+				rpcDone <- n.OutAt("old", req(1), lease.Flexible(lease.Terms{Duration: time.Hour, MaxBytes: 1 << 10, MaxRemotes: 4}))
+			}()
+			eventually(t, "two accepts and the out reach the old peer", func() bool {
+				return len(in.ofType(wire.TAccept)) == 2 && len(in.ofType(wire.TOut)) == 1
+			})
+			accepts := in.ofType(wire.TAccept)
+
+			if dup {
+				r.net.SetFaults(memnet.Faults{Dup: 1})
+			}
+			const unknown = 1 << 40
+			if err := old.Send("n", &wire.Message{Type: wire.TAck, ID: accepts[0].ID, From: "old", OK: true,
+				AckIDs: []uint64{accepts[1].ID, in.ofType(wire.TOut)[0].ID, unknown}}); err != nil {
+				t.Fatal(err)
+			}
+
+			select {
+			case err := <-rpcDone:
+				if err != nil {
+					t.Fatalf("rpc covered by a coalesced ack: %v", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("rpc never returned")
+			}
+			eventually(t, "both accepts settled", func() bool {
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				return len(n.pendAccepts) == 0
+			})
+			// Settled accepts have no retry timer left to fire.
+			r.clk.Advance(10 * time.Second)
+			if got := len(in.ofType(wire.TAccept)); got != 2 {
+				t.Fatalf("%d accept frames, want 2 (no retransmission)", got)
+			}
+			if got := r.met.Get(trace.CtrRetries); got != 0 {
+				t.Fatalf("retries = %d, want 0", got)
+			}
+			want := int64(3)
+			if dup {
+				want = 6 // the duplicate frame re-settles idempotently
+			}
+			if got := r.met.Get(trace.CtrAcksCoalesced); got != want {
+				t.Fatalf("%s = %d, want %d", trace.CtrAcksCoalesced, got, want)
+			}
+			lse.Cancel()
+		})
 	}
 }

@@ -55,7 +55,7 @@ func newRig(t *testing.T, addrs []wire.Addr, mutate func(*Config)) *rig {
 // seedCaps marks peer as a fully capable build at every instance,
 // standing in for the announce exchange the rig's raw test endpoints
 // never perform — without it the instances gate every versioned field
-// (busy markers, coalesced acks, replica identities) toward the peer,
+// (busy markers, replica identities) toward the peer,
 // which is exactly the conservative default the capability tests cover
 // separately.
 func (r *rig) seedCaps(peer wire.Addr) {
@@ -787,6 +787,14 @@ func TestClosedInstanceRefusesOps(t *testing.T) {
 	}
 	if err := a.Eval("x", tuple.T(), nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Eval after close: %v", err)
+	}
+	if _, _, err := a.RdpAt(context.Background(), "b", reqTmpl(), nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("RdpAt after close: %v", err)
+	}
+	// The registration every outbound op shares refuses on its own: an op
+	// that passed its entry check just before Close must not register.
+	if _, err := a.openOp(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("openOp after close: %v", err)
 	}
 }
 

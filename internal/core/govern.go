@@ -140,9 +140,12 @@ func (p *peerState) idle() bool { return p.waits == 0 && p.inflight == 0 && p.by
 // inflightEntry dedups serve work from enqueue to handler completion:
 // with a parallel worker pool, two copies of one frame could otherwise
 // execute concurrently — the served cache only helps once a reply is
-// recorded. cancelled carries a TCancel that overtook its queued op.
+// recorded. cancelled carries a TCancel that overtook its queued op;
+// duplicated carries a second copy of the frame that arrived meanwhile
+// and is owed the reply once it has been recorded.
 type inflightEntry struct {
-	cancelled bool
+	cancelled  bool
+	duplicated bool
 }
 
 // queuedMsg timestamps a frame at admission so the worker that dequeues
@@ -329,7 +332,7 @@ func msgCost(m *wire.Message) int64 {
 
 // submit admits, sheds, or dedups one remote work frame. It runs on the
 // receive loop and never blocks: the outcome is an enqueue, an explicit
-// busy reply, or a silent dedup drop.
+// busy reply, or a dedup drop that finish answers from the served cache.
 func (g *governor) submit(m *wire.Message) {
 	key := waitKey{from: m.From, id: m.ID}
 	cost := msgCost(m)
@@ -349,7 +352,8 @@ func (g *governor) submit(m *wire.Message) {
 	}
 
 	g.mu.Lock()
-	if _, dup := g.inflight[key]; dup {
+	if e, dup := g.inflight[key]; dup {
+		e.duplicated = true
 		g.mu.Unlock()
 		g.i.met.Inc(trace.CtrDedupDrops)
 		return
@@ -385,11 +389,17 @@ func (g *governor) submit(m *wire.Message) {
 }
 
 // finish retires a message's inflight accounting once its handler
-// returns (or it was never enqueued).
+// returns (or it was never enqueued). A duplicate dropped while the
+// handler ran is answered now, from the served cache, exactly as it would
+// have been had it arrived a moment later: the requester may have sent it
+// to a responder it is still counting on (the not-found re-probe
+// multicast), and silence would cost it the whole lease. Nothing cached —
+// a standing blocking wait — means the duplicate needs no answer.
 func (g *governor) finish(m *wire.Message) {
 	key := waitKey{from: m.From, id: m.ID}
 	cost := msgCost(m)
 	g.mu.Lock()
+	e := g.inflight[key]
 	delete(g.inflight, key)
 	if ps := g.peers[m.From]; ps != nil {
 		ps.inflight--
@@ -399,6 +409,9 @@ func (g *governor) finish(m *wire.Message) {
 		}
 	}
 	g.mu.Unlock()
+	if e != nil && e.duplicated {
+		g.i.resendServed(key)
+	}
 }
 
 // markCancelled records a TCancel that may have overtaken its op in the

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
+	"tiamat/internal/store"
 	"tiamat/lease"
+	"tiamat/space"
 	"tiamat/trace"
 	"tiamat/transport"
 	"tiamat/tuple"
@@ -76,6 +79,16 @@ func (b *inbox) busy() int {
 		}
 	}
 	return n
+}
+
+// ofType returns the frames of one message type received so far.
+func (b *inbox) ofType(typ wire.Type) (out []*wire.Message) {
+	for _, m := range b.drain() {
+		if m.Type == typ {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 func (b *inbox) find(id uint64) *wire.Message {
@@ -512,5 +525,80 @@ func TestInflightDedupAcrossWorkers(t *testing.T) {
 	a.mu.Unlock()
 	if holds != 1 {
 		t.Fatalf("pending holds = %d, want 1", holds)
+	}
+}
+
+// gatedSpace holds every Hold call at a gate, keeping the serve worker
+// that made it in flight for as long as the test likes.
+type gatedSpace struct {
+	space.Space
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gatedSpace) Hold(p tuple.Template) (space.Hold, bool) {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Space.Hold(p)
+}
+
+// TestDuplicateOfInflightOpIsAnswered pins the lossless in-flight dedup:
+// a second copy of a frame whose first copy is still executing is not
+// re-executed, and not met with silence either — the requester may be
+// counting on this responder (a not-found re-probe multicast racing the
+// worker that already replied), and would wait out its whole lease. The
+// duplicate is owed the recorded reply once the worker retires the op.
+func TestDuplicateOfInflightOpIsAnswered(t *testing.T) {
+	gate := gatedSpace{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	r := newRig(t, []wire.Addr{"a"}, func(c *Config) {
+		gate.Space = store.New(store.WithClock(c.Clock), store.WithMetrics(c.Metrics))
+		c.Space = gate
+	})
+	a := r.inst["a"]
+	z, err := r.net.Attach("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.net.ConnectAll()
+	zin := &inbox{ep: z}
+	for k := int64(1); k <= 2; k++ {
+		if err := a.Out(req(k), hourLease()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	probe := opFrame("z", 7, wire.OpInp, time.Minute)
+	if err := z.Send("a", probe); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the take never reached the space")
+	}
+	if err := z.Send("a", probe); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "duplicate seen while the op is in flight", func() bool {
+		return r.met.Get(trace.CtrDedupDrops) == 1
+	})
+	close(gate.release)
+	quiesceServe(t, a)
+
+	eventually(t, "both copies answered", func() bool { return len(zin.ofType(wire.TResult)) >= 2 })
+	time.Sleep(20 * time.Millisecond) // a third reply would be one too many
+	got := zin.ofType(wire.TResult)
+	if len(got) != 2 {
+		t.Fatalf("%d results reached the requester, want the reply and its one replay", len(got))
+	}
+	if !got[0].Found || got[0].ID != 7 || !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("replay differs from the reply: %+v vs %+v", got[0], got[1])
+	}
+	// One take, answered twice: the second tuple was never touched.
+	if n := a.LocalSpace().Count(); n != 2 { // the survivor plus the space-info tuple
+		t.Fatalf("space holds %d tuples, want 2", n)
+	}
+	if got := r.met.Get(trace.CtrOpsExpired); got != 0 {
+		t.Fatalf("%s = %d, want 0", trace.CtrOpsExpired, got)
 	}
 }

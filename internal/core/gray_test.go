@@ -152,15 +152,12 @@ func TestHedgedLookupFirstWinnerReleasesLoser(t *testing.T) {
 }
 
 // TestHedgeBudgetThenWideFallback walks a list of three empty responders
-// with HedgeMax=2: two staged hedges, then the next firing contacts
+// with hedgeMax=2: two staged hedges, then the next firing contacts
 // everyone left at once so the walk still completes.
 func TestHedgeBudgetThenWideFallback(t *testing.T) {
 	addrs := []wire.Addr{"req", "e1", "e2", "e3", "holder"}
 	var cancels cancelLog
-	r := grayRig(t, addrs, func(c *Config) {
-		c.HedgeMax = 2
-		cancels.tap(c)
-	})
+	r := grayRig(t, addrs, cancels.tap)
 	req0 := r.inst["req"]
 
 	if err := r.inst["holder"].Out(req(7), hourLease()); err != nil {
@@ -183,8 +180,8 @@ func TestHedgeBudgetThenWideFallback(t *testing.T) {
 		t.Fatalf("cancels went to %v, want every loser [e1 e2 e3] and not the winner", got)
 	}
 	g := req0.Gray()
-	if g.Hedges != 2 {
-		t.Fatalf("hedges = %d, want exactly HedgeMax=2 before wide fallback", g.Hedges)
+	if g.Hedges != hedgeMax {
+		t.Fatalf("hedges = %d, want exactly hedgeMax=2 before wide fallback", g.Hedges)
 	}
 	for _, a := range addrs[1:] {
 		a := a

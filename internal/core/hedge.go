@@ -128,6 +128,11 @@ const (
 	// hedgeMinDelay floors the adaptive hedge delay so a run of fast local
 	// samples cannot make every op hedge immediately.
 	hedgeMinDelay = 2 * time.Millisecond
+	// hedgeMax bounds hedged contacts per blocking operation. Once spent,
+	// the walk falls back to contacting every remaining cached responder
+	// at once, so hedging bounds added latency without ever costing
+	// completeness.
+	hedgeMax = 2
 )
 
 // hedgeDelay is the adaptive pacing for hedged contacts: the

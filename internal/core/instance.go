@@ -20,6 +20,7 @@ import (
 
 	"tiamat/clock"
 	"tiamat/internal/discovery"
+	"tiamat/internal/splitmix"
 	"tiamat/internal/store"
 	"tiamat/lease"
 	"tiamat/space"
@@ -151,11 +152,6 @@ type Config struct {
 	// Kept for the C4 gray-failure ablation and mixed-version runs; with
 	// it set a single slow first contact stalls the whole walk.
 	DisableHedge bool
-	// HedgeMax bounds hedged contacts per blocking operation (default 2).
-	// Once spent, the walk falls back to contacting every remaining
-	// cached responder at once, so hedging bounds added latency without
-	// ever costing completeness.
-	HedgeMax int
 	// DisableRearm turns off visibility-event re-arming of in-flight
 	// blocking operations (DESIGN.md §10): with it set, a blocking rd/in
 	// only reaches peers known at start (plus rediscovery multicasts, if
@@ -248,9 +244,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.RetryAttempts <= 0 {
 		c.RetryAttempts = 3
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 2
 	}
 	if c.OrphanSweepInterval <= 0 {
 		c.OrphanSweepInterval = time.Second
@@ -347,8 +340,8 @@ type Instance struct {
 	// the single pointer that gates every replication code path.
 	repl *replicator
 
-	// rnd is the per-instance retry-jitter source (mobility.go).
-	rnd prng
+	// rnd is the per-instance retry-jitter source (seeded in mobility.go).
+	rnd splitmix.Source
 	// mob accumulates mobility-path activity for Mobility().
 	mob mobilityCounters
 	// suspect tracks, per served peer, when its reachability probes
@@ -462,20 +455,6 @@ func New(cfg Config) (*Instance, error) {
 		i.repl = newReplicator(i)
 		i.wg.Add(1)
 		go i.repairLoop()
-	}
-	// Transports that coalesce pure acks accept a per-destination gate:
-	// acks are only folded into a multi-ID frame toward peers that can
-	// decode one (DESIGN.md §14). Ungated (or toward anyone else) each ack
-	// goes out as its own frame, byte-identical to the pre-batching
-	// protocol.
-	if g, ok := cfg.Endpoint.(interface{ SetAckGate(func(wire.Addr) bool) }); ok {
-		g.SetAckGate(func(to wire.Addr) bool {
-			fits := wire.Fits(&coalescedAck, i.linkCaps(to, &coalescedAck))
-			if !fits {
-				i.met.Inc(trace.CtrCapsGatedSends)
-			}
-			return fits
-		})
 	}
 	for w := 0; w < i.gov.cfg.Workers; w++ {
 		i.wg.Add(1)
@@ -753,10 +732,6 @@ func (i *Instance) LastPanic() string {
 // cannot be dropped without changing the frame's meaning.
 var errCapsGated = errors.New("tiamat: destination lacks required capability")
 
-// coalescedAck has the shape of the frame a transport's ack coalescing
-// produces; the ack gate asks whether a peer could decode it.
-var coalescedAck = wire.Message{Type: wire.TAck, OK: true, AckIDs: []uint64{0}}
-
 // send transmits a message to one peer, evicting unreachable responders
 // from the list (paper §3.1.3: "removing any which do not respond"). The
 // frame is encoded for its audience (DESIGN.md §14): when it carries
@@ -836,8 +811,7 @@ const capsProbeInterval = time.Second
 // (handleAnnounce marks it baseline). Without the probe, capability
 // knowledge flows one way — discoverers learn responders from announce
 // replies, but a responder serving a never-announcing requester would
-// gate advisory features (busy replies, coalesced acks, …) toward it
-// forever.
+// gate advisory features (busy replies, budgets, …) toward it forever.
 func (i *Instance) maybeProbeCaps(from wire.Addr) {
 	if from == i.Addr() || i.stopping() {
 		return

@@ -16,28 +16,6 @@ import (
 // when a peer becomes visible — lives in propagate (ops.go), wired to the
 // responder list's visibility event stream.
 
-// prng is a small lock-free pseudo-random source (splitmix64). The global
-// math/rand source serialises every caller on one mutex; retry jitter is
-// on the propagation hot path and only needs decorrelation, not quality,
-// so each instance carries its own seeded state instead.
-type prng struct {
-	state atomic.Uint64
-}
-
-func (p *prng) seed(v uint64) { p.state.Store(v) }
-
-// Int63n returns a value in [0, n). Each call advances the state by the
-// splitmix64 increment; concurrent callers interleave harmlessly.
-func (p *prng) Int63n(n int64) int64 {
-	x := p.state.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x>>1) % n
-}
-
 // mobilityCounters accumulates the instance's mobility-path activity.
 type mobilityCounters struct {
 	rearms      atomic.Uint64
@@ -207,5 +185,5 @@ func (i *Instance) seedRetryJitter() {
 		}
 		seed = h
 	}
-	i.rnd.seed(seed)
+	i.rnd.Seed(seed)
 }

@@ -47,10 +47,40 @@ var opStatePool = sync.Pool{New: func() any {
 	}
 }}
 
-func getOpState(id uint64) *opState {
+// openOp registers a fresh outbound operation under a new op ID: replies
+// carrying st.id are delivered into st.results until closeOp retires it.
+func (i *Instance) openOp() (*opState, error) {
 	st := opStatePool.Get().(*opState)
-	st.id = id
-	return st
+	i.mu.Lock()
+	if i.closed {
+		i.mu.Unlock()
+		putOpState(st)
+		return nil, ErrClosed
+	}
+	i.nextOpID++
+	st.id = i.nextOpID
+	i.ops[st.id] = st
+	i.mu.Unlock()
+	return st, nil
+}
+
+// closeOp retires an operation and drains its late results: any found
+// hold must be released so the tuple is reinstated at its owner. No
+// sender can reach the channel after the deletion, so the drained state
+// can go back to the pool.
+func (i *Instance) closeOp(st *opState) {
+	i.mu.Lock()
+	delete(i.ops, st.id)
+	i.mu.Unlock()
+	for {
+		select {
+		case m := <-st.results:
+			i.releaseLate(m)
+		default:
+			putOpState(st)
+			return
+		}
+	}
 }
 
 // putOpState returns a drained state to the pool. The caller must have
@@ -376,16 +406,11 @@ func (i *Instance) logicalOp(ctx context.Context, code wire.OpCode, p tuple.Temp
 // cached responders top-down, multicast when the list is exhausted, accept
 // the first match, release the rest (paper §3.1.3).
 func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Template, lse *lease.Lease, localWait <-chan tuple.Tuple) (Result, bool, error) {
-	opID := i.nextOp()
-	st := getOpState(opID)
-	i.mu.Lock()
-	if i.closed {
-		i.mu.Unlock()
-		putOpState(st)
-		return Result{}, false, ErrClosed
+	st, err := i.openOp()
+	if err != nil {
+		return Result{}, false, err
 	}
-	i.ops[opID] = st
-	i.mu.Unlock()
+	opID := st.id
 
 	contacted := st.contacted
 	multicasted := false
@@ -403,9 +428,6 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 		if hedgeTimer != nil {
 			hedgeTimer.Stop()
 		}
-		i.mu.Lock()
-		delete(i.ops, opID)
-		i.mu.Unlock()
 		// Only blocking ops leave waiters behind on responders; tell
 		// them the operation is over. Nonblocking responders answered
 		// immediately and hold nothing beyond their pending holds,
@@ -413,19 +435,7 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 		if code.Blocking() {
 			i.cancelRemotes(opID, contacted, multicasted, winner)
 		}
-		// Drain late results: any found hold must be released so the
-		// tuple is reinstated at its owner. No sender can reach the
-		// channel after the deletion above, so the drained state can go
-		// back to the pool.
-		for {
-			select {
-			case m := <-st.results:
-				i.releaseLate(m)
-			default:
-				putOpState(st)
-				return
-			}
-		}
+		i.closeOp(st)
 	}()
 
 	ttl := lse.Deadline().Sub(i.clk.Now())
@@ -521,7 +531,7 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 
 	// Hedged lookups (DESIGN.md §11): while a blocking op's first contact
 	// has not answered within the adaptive hedge delay, fire the same op
-	// ID at the next-ranked responder, up to HedgeMax. The serve side's
+	// ID at the next-ranked responder, up to hedgeMax. The serve side's
 	// dedup (waits table + served cache) and accept/release settlement
 	// make a hedged destructive take effectively-once, so racing
 	// responders is safe. A busy refusal suppresses further hedging: an
@@ -763,7 +773,7 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 			// is spent, the next firing contacts everyone left — the
 			// staged walk bounds added tail latency, never completeness.
 			hedgeC = nil
-			if hedgesUsed >= i.cfg.HedgeMax {
+			if hedgesUsed >= hedgeMax {
 				contactNext(len(queue), false)
 			} else {
 				hedgesUsed++
@@ -1007,11 +1017,15 @@ func (i *Instance) handleResult(m *wire.Message) {
 		}
 	}
 	if m.Type == wire.TAck {
-		// A pure ack may settle a pending accept directly, and a
-		// coalesced ack settles a whole batch of them (wire.Message
-		// AckIDs): each covered ID is handled as if it had arrived as
-		// its own ack frame — settling its pending accept if one is
-		// registered, otherwise waking the operation waiting on it.
+		// A pure ack may settle a pending accept directly. This build
+		// sends one ack per frame, but a peer on an older build may
+		// coalesce (wire.Message AckIDs): each covered ID is handled as
+		// if it had arrived as its own ack frame — settling its pending
+		// accept if one is registered, otherwise waking the operation
+		// waiting on it.
+		if len(m.AckIDs) > 0 {
+			i.met.Add(trace.CtrAcksCoalesced, int64(len(m.AckIDs)))
+		}
 		for _, id := range m.AckIDs {
 			if id != m.ID && !i.finishAccept(id) && !i.replFinishAck(id, m) {
 				i.deliverResult(id, m)
@@ -1163,30 +1177,19 @@ func (i *Instance) directOp(ctx context.Context, addr wire.Addr, code wire.OpCod
 		return Result{}, false, err
 	}
 
-	opID := i.nextOp()
-	st := getOpState(opID)
-	i.mu.Lock()
-	i.ops[opID] = st
-	i.mu.Unlock()
+	st, err := i.openOp()
+	if err != nil {
+		return Result{}, false, err
+	}
+	opID := st.id
 	// settled is set when addr's own found reply ended the op: its wait
 	// ended with that reply and there is nothing left there to cancel.
 	settled := false
 	defer func() {
-		i.mu.Lock()
-		delete(i.ops, opID)
-		i.mu.Unlock()
 		if code.Blocking() && !settled && !i.isClosed() {
 			_ = i.send(addr, &wire.Message{Type: wire.TCancel, ID: opID, From: i.Addr()})
 		}
-		for {
-			select {
-			case m := <-st.results:
-				i.releaseLate(m)
-			default:
-				putOpState(st)
-				return
-			}
-		}
+		i.closeOp(st)
 	}()
 
 	// Every transmission is a fresh frame stamped with the time left.
@@ -1322,31 +1325,12 @@ func (i *Instance) OutBack(res Result, r lease.Requester) error {
 
 // rpc sends a request that expects a TAck correlated by ID.
 func (i *Instance) rpc(addr wire.Addr, m *wire.Message, lse *lease.Lease) (*wire.Message, error) {
-	opID := i.nextOp()
-	m.ID = opID
-	st := getOpState(opID)
-	i.mu.Lock()
-	if i.closed {
-		i.mu.Unlock()
-		putOpState(st)
-		return nil, ErrClosed
+	st, err := i.openOp()
+	if err != nil {
+		return nil, err
 	}
-	i.ops[opID] = st
-	i.mu.Unlock()
-	defer func() {
-		i.mu.Lock()
-		delete(i.ops, opID)
-		i.mu.Unlock()
-		for {
-			select {
-			case lm := <-st.results:
-				i.releaseLate(lm)
-			default:
-				putOpState(st)
-				return
-			}
-		}
-	}()
+	defer i.closeOp(st)
+	m.ID = st.id
 	sentAt := i.clk.Now()
 	if err := i.send(addr, m); err != nil {
 		return nil, err

@@ -345,7 +345,7 @@ func TestOrphanSweepSparesReachablePeer(t *testing.T) {
 func TestRetryJitterReproducible(t *testing.T) {
 	sample := func(seed uint64) []time.Duration {
 		i := &Instance{cfg: Config{ContactTimeout: 250 * time.Millisecond, RetryBackoff: 50 * time.Millisecond}}
-		i.rnd.seed(seed)
+		i.rnd.Seed(seed)
 		out := make([]time.Duration, 8)
 		for k := range out {
 			out[k] = i.retryWait(k % 3)

@@ -542,6 +542,7 @@ func (i *Instance) handleRemoteOut(m *wire.Message) {
 	}
 	key := waitKey{from: m.From, id: m.ID}
 	if i.resendServed(key) {
+		i.met.Inc(trace.CtrDedupDrops)
 		return
 	}
 	ack := &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr()}
@@ -597,7 +598,6 @@ func (i *Instance) resendServed(key waitKey) bool {
 	if cached == nil {
 		return false
 	}
-	i.met.Inc(trace.CtrDedupDrops)
 	_ = i.send(key.from, cached)
 	return true
 }
@@ -608,6 +608,7 @@ func (i *Instance) resendServed(key waitKey) bool {
 func (i *Instance) handleRemoteEval(m *wire.Message) {
 	key := waitKey{from: m.From, id: m.ID}
 	if i.resendServed(key) {
+		i.met.Inc(trace.CtrDedupDrops)
 		return
 	}
 	ack := &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr()}

@@ -16,7 +16,7 @@ package harness
 //     anything else rejected is a per-destination gating bug);
 //   - capability activation within one announce round of the upgrade:
 //     every capable peer learns the upgraded node's full set, which is
-//     the live condition for ack coalescing and ring membership;
+//     the live condition for advisory fields and ring membership;
 //   - replication actually engages on the upgraded node (its fresh
 //     tokens survive its death via failover takes);
 //   - no goroutine leaks.
@@ -263,7 +263,7 @@ func C6Upgrade(scale Scale) (*Table, error) {
 
 	// Activation: the boot hello carries the new capability set, so
 	// every capable peer must learn it within one announce round. This
-	// is the live gate condition for ack coalescing and the replica
+	// is the live gate condition for advisory fields and the replica
 	// ring, so learning IS activation.
 	var activation time.Duration
 	for {

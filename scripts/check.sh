@@ -52,4 +52,7 @@ echo "==> perf gate (benchdiff)"
 echo "==> load smoke (tiamat-load)"
 go run ./cmd/tiamat-load -rate 50000 -duration 2s -warmup 500ms
 
+echo "==> line counts (make loc)"
+make -s loc
+
 echo "OK"

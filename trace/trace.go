@@ -195,7 +195,8 @@ const (
 
 	// Batched wire-path counters (DESIGN.md §12): writes that carried a
 	// multi-frame batch, frames that travelled inside such batches, and
-	// pure acks that rode a coalesced ack frame instead of their own.
+	// op IDs received inside another ack's frame (TAck.AckIDs) — only a
+	// peer on an older build sends those; this build acks one per frame.
 	CtrBatchFlushes  = "net.batch_flushes"
 	CtrBatchedFrames = "net.batched_frames"
 	CtrAcksCoalesced = "net.acks_coalesced"
@@ -224,8 +225,8 @@ const (
 	CtrReplWriteUnacked = "repl.write_unacked"
 
 	// Capability-negotiation counters (DESIGN.md §14): sends where a
-	// versioned field was stripped (or a coalesced/multicast path
-	// suppressed) because the destination had not advertised the
+	// versioned field was stripped (or a multicast path suppressed)
+	// because the destination had not advertised the
 	// feature; capability sets learned or re-learned from announces;
 	// and a gauge of known-baseline peers on the responder list.
 	// The last two are the mixed-version soak's activation signals.

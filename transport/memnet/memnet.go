@@ -36,10 +36,6 @@ import (
 // mirroring a saturated radio.
 const inboxSize = 4096
 
-// ackBatchMax caps how many pure acks to one peer coalesce into a single
-// TAck frame before the queue is flushed regardless of the timer.
-const ackBatchMax = 16
-
 // Faults describes the failure behaviour injected on a link: independent
 // per-message probabilities plus delivery timing. The zero value is a
 // perfect link (synchronous, lossless delivery).
@@ -140,20 +136,6 @@ type node struct {
 	inbox  chan *wire.Message
 	held   []heldFrame // reorder holdback, flushed behind later traffic
 	closed bool
-
-	// pendAcks queues pure successful acks per destination so a burst of
-	// settlements to one peer travels as a single coalesced TAck frame
-	// (same semantics as the real transport's session batching, §12).
-	// ackArmed marks destinations with a flush already scheduled.
-	pendAcks map[wire.Addr][]uint64
-	ackArmed map[wire.Addr]bool
-
-	// ackGate, when set, is consulted before a pure ack is queued for
-	// coalescing; a false verdict sends the ack as its own frame,
-	// byte-identical to the pre-batching encoding. The core installs a
-	// gate that checks the destination advertised CapCoalescedAcks
-	// (DESIGN.md §14). Guarded by net.mu.
-	ackGate func(wire.Addr) bool
 }
 
 // heldFrame is a frame parked by reorder injection. The source address
@@ -270,11 +252,9 @@ func (n *Network) Attach(addr wire.Addr) (transport.Endpoint, error) {
 		return nil, fmt.Errorf("memnet: address %q already attached", addr)
 	}
 	nd := &node{
-		net:      n,
-		addr:     addr,
-		inbox:    make(chan *wire.Message, inboxSize),
-		pendAcks: make(map[wire.Addr][]uint64),
-		ackArmed: make(map[wire.Addr]bool),
+		net:   n,
+		addr:  addr,
+		inbox: make(chan *wire.Message, inboxSize),
 	}
 	n.nodes[addr] = nd
 	return nd, nil
@@ -633,41 +613,9 @@ func (nd *node) Close() error {
 	return nil
 }
 
-// pureAck reports whether a message can ride a coalesced ack frame: a
-// plain successful TAck carrying nothing but its ID (mirrors the real
-// transport's predicate — anything with an error, busy marker, or its
-// own ID list keeps its own frame).
-func pureAck(m *wire.Message) bool {
-	return m.Type == wire.TAck && m.OK && m.Err == "" && !m.Busy && len(m.AckIDs) == 0
-}
-
-// SetAckGate installs a per-destination coalescing predicate; nil (the
-// default) coalesces pure acks toward every peer, as before capability
-// negotiation existed. A gated ack still flows — it just keeps its own
-// frame, so a destination that never advertised CapCoalescedAcks sees
-// only the baseline single-ack encoding.
-func (nd *node) SetAckGate(gate func(wire.Addr) bool) {
-	nd.net.mu.Lock()
-	nd.ackGate = gate
-	nd.net.mu.Unlock()
-}
-
-func (nd *node) ackAllowed(to wire.Addr) bool {
-	nd.net.mu.Lock()
-	g := nd.ackGate
-	nd.net.mu.Unlock()
-	return g == nil || g(to)
-}
-
-// Send implements transport.Endpoint. Pure successful acks are queued
-// and coalesced per destination (see queueAck); everything else flushes
-// any queued acks to that peer first — the ack was logically sent
-// earlier — and then transmits immediately.
+// Send implements transport.Endpoint: every message, whatever its type,
+// is encoded as one frame and transmitted immediately.
 func (nd *node) Send(to wire.Addr, m *wire.Message) error {
-	if pureAck(m) && nd.ackAllowed(to) {
-		return nd.queueAck(to, m.ID)
-	}
-	nd.flushAcks(to)
 	n := nd.net
 	n.mu.Lock()
 	if nd.closed {
@@ -694,78 +642,6 @@ func (nd *node) Send(to wire.Addr, m *wire.Message) error {
 	n.transmit(nd.addr, dst, data, f)
 	buf.Release()
 	return nil
-}
-
-// queueAck enqueues a pure ack for coalescing. Reachability is checked
-// synchronously, exactly as an immediate send would, so the caller still
-// learns about a down peer; the frame itself leaves on the next flush —
-// scheduled for "right now" (AfterFunc(0)), which a virtual clock runs
-// inline (deterministic, batch of one) and a real clock runs as soon as
-// the runtime schedules it, letting concurrent settlements pile into one
-// frame. A full queue flushes without waiting.
-func (nd *node) queueAck(to wire.Addr, id uint64) error {
-	n := nd.net
-	n.mu.Lock()
-	if nd.closed {
-		n.mu.Unlock()
-		return transport.ErrClosed
-	}
-	if _, ok := n.nodes[to]; !ok || !n.vis[dedge{nd.addr, to}] {
-		n.mu.Unlock()
-		n.met.Inc(trace.CtrMsgsDropped)
-		return fmt.Errorf("%s -> %s: %w", nd.addr, to, transport.ErrUnreachable)
-	}
-	nd.pendAcks[to] = append(nd.pendAcks[to], id)
-	full := len(nd.pendAcks[to]) >= ackBatchMax
-	arm := !full && !nd.ackArmed[to]
-	if arm {
-		nd.ackArmed[to] = true
-	}
-	n.mu.Unlock()
-	if full {
-		nd.flushAcks(to)
-	} else if arm {
-		n.clk.AfterFunc(0, func() { nd.flushAcks(to) })
-	}
-	return nil
-}
-
-// flushAcks sends every queued ack for one destination as a single
-// coalesced TAck frame. The frame crosses the link's fault plan as one
-// unit: a drop loses the whole batch (each covered accept retries and
-// re-acks), a duplicate re-settles idempotently.
-func (nd *node) flushAcks(to wire.Addr) {
-	n := nd.net
-	n.mu.Lock()
-	ids := nd.pendAcks[to]
-	delete(nd.pendAcks, to)
-	delete(nd.ackArmed, to)
-	if len(ids) == 0 {
-		n.mu.Unlock()
-		return
-	}
-	dst, ok := n.nodes[to]
-	if nd.closed || !ok || !n.vis[dedge{nd.addr, to}] {
-		n.mu.Unlock()
-		n.met.Add(trace.CtrMsgsDropped, int64(len(ids)))
-		return
-	}
-	am := wire.Message{Type: wire.TAck, ID: ids[0], From: nd.addr, OK: true}
-	if len(ids) > 1 {
-		am.AckIDs = ids[1:]
-		n.met.Add(trace.CtrAcksCoalesced, int64(len(ids)-1))
-		n.met.Inc(trace.CtrBatchFlushes)
-	}
-	buf := wire.GetBuf()
-	buf.B = wire.AppendEncode(buf.B, &am)
-	data := buf.B
-	n.met.Add(trace.CtrMsgsSent, int64(len(ids)))
-	n.met.Inc(trace.CtrUnicasts)
-	n.met.Add(trace.CtrBytesSent, int64(len(data)))
-	f := n.applyLimpLocked(nd.addr, to, n.faultsForLocked(nd.addr, to))
-	n.mu.Unlock()
-	n.transmit(nd.addr, dst, data, f)
-	buf.Release()
 }
 
 // Multicast implements transport.Endpoint.

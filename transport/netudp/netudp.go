@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"tiamat/internal/splitmix"
 	"tiamat/trace"
 	"tiamat/transport"
 	"tiamat/wire"
@@ -79,35 +80,13 @@ type Transport struct {
 	group *net.UDPAddr
 	met   *trace.Metrics
 	inbox chan *wire.Message
-	rng   prng // backoff jitter source
+	rng   splitmix.Source // backoff jitter source
 
 	mu       sync.Mutex
 	closed   bool
 	sessions map[wire.Addr]*session
 	accepted map[net.Conn]struct{}
-	// ackGate, when set, is consulted before a pure ack joins a
-	// coalesced TAck frame; a false verdict gives the ack its own frame,
-	// byte-identical to the pre-batching encoding. The core installs a
-	// gate that checks the destination advertised CapCoalescedAcks
-	// (DESIGN.md §14).
-	ackGate func(wire.Addr) bool
-	wg      sync.WaitGroup
-}
-
-// SetAckGate installs the per-destination ack-coalescing predicate; nil
-// (the default) coalesces toward every peer.
-func (t *Transport) SetAckGate(gate func(wire.Addr) bool) {
-	t.mu.Lock()
-	t.ackGate = gate
-	t.mu.Unlock()
-}
-
-// ackAllowed reports whether pure acks toward to may coalesce.
-func (t *Transport) ackAllowed(to wire.Addr) bool {
-	t.mu.Lock()
-	g := t.ackGate
-	t.mu.Unlock()
-	return g == nil || g(to)
+	wg       sync.WaitGroup
 }
 
 var _ transport.Endpoint = (*Transport)(nil)
@@ -150,7 +129,7 @@ func New(cfg Config) (*Transport, error) {
 	for _, c := range t.addr {
 		seed = seed*131 + uint64(c)
 	}
-	t.rng.seed(seed)
+	t.rng.Seed(seed)
 	if cfg.Group != "" {
 		group, err := net.ResolveUDPAddr("udp", cfg.Group)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tiamat/trace"
@@ -14,10 +13,9 @@ import (
 
 // This file is the batched unicast send path (DESIGN.md §12): one
 // persistent session per peer, group-commit coalescing of concurrent
-// frames into a single write, pipelining (the next batch accumulates
-// while the current one is on the wire), and coalesced acks — a batch of
-// pure successful acks to one peer collapses into a single TAck frame
-// whose AckIDs field lists the extra operation IDs.
+// frames into a single write, and pipelining (the next batch accumulates
+// while the current one is on the wire). Every message is one frame,
+// whatever its type.
 //
 // Send stays synchronous: a caller returns when its frame has been
 // written (or delivery failed), exactly as the one-connection-per-frame
@@ -28,29 +26,6 @@ import (
 // every frame that arrives meanwhile shares the next write. The byte
 // watermark (Config.FlushBytes) only caps how much of the backlog one
 // write may carry.
-
-// prng is a small lock-free pseudo-random source (splitmix64), seeded
-// per transport. The global math/rand source serialises every caller on
-// one mutex; redial backoff jitter only needs decorrelation, not
-// quality, so each transport carries its own state (the same scheme the
-// core uses for retry jitter).
-type prng struct {
-	state atomic.Uint64
-}
-
-func (p *prng) seed(v uint64) { p.state.Store(v) }
-
-// Int63n returns a value in [0, n). Each call advances the state by the
-// splitmix64 increment; concurrent callers interleave harmlessly.
-func (p *prng) Int63n(n int64) int64 {
-	x := p.state.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x>>1) % n
-}
 
 // session is the persistent batched send path to one peer. The first
 // sender to find the session idle becomes its flusher and drains the
@@ -69,21 +44,10 @@ type session struct {
 
 	// pending holds length-prefixed encoded frames awaiting flush;
 	// bounds[i] is the end offset of frame i, waiters[i] its blocked
-	// sender. Pure acks queue separately as bare IDs so the flusher can
-	// fold them into one coalesced frame.
+	// sender.
 	pending *wire.Buf
 	bounds  []int
 	waiters []chan error
-	ackIDs  []uint64
-	ackWtrs []chan error
-}
-
-// pureAck reports whether a message can ride a coalesced ack frame: a
-// plain successful TAck with nothing but its ID. Anything carrying an
-// error, a busy marker, or its own ID list keeps its own frame so every
-// ID covered by a merged frame shares one unambiguous outcome.
-func pureAck(m *wire.Message) bool {
-	return m.Type == wire.TAck && m.OK && m.Err == "" && !m.Busy && len(m.AckIDs) == 0
 }
 
 // send enqueues the frame and blocks until it is written or delivery
@@ -96,13 +60,8 @@ func (s *session) send(m *wire.Message) error {
 		return transport.ErrClosed
 	}
 	ch := make(chan error, 1)
-	if pureAck(m) && s.t.ackAllowed(s.to) {
-		s.ackIDs = append(s.ackIDs, m.ID)
-		s.ackWtrs = append(s.ackWtrs, ch)
-	} else {
-		s.appendFrameLocked(m)
-		s.waiters = append(s.waiters, ch)
-	}
+	s.appendFrameLocked(m)
+	s.waiters = append(s.waiters, ch)
 	if s.flushing {
 		s.mu.Unlock()
 		return <-ch
@@ -141,7 +100,7 @@ func (s *session) appendFrameLocked(m *wire.Message) {
 func (s *session) flushLoop() {
 	for {
 		s.mu.Lock()
-		if len(s.waiters) == 0 && len(s.ackWtrs) == 0 {
+		if len(s.waiters) == 0 {
 			s.flushing = false
 			s.mu.Unlock()
 			return
@@ -152,28 +111,22 @@ func (s *session) flushLoop() {
 			s.mu.Unlock()
 			return
 		}
-		buf, nframes, nacks, wtrs := s.takeBatchLocked()
+		buf, wtrs := s.takeBatchLocked()
 		s.mu.Unlock()
 
 		err := s.writeBatch(buf.B)
-		wireFrames := nframes
-		if nacks > 0 {
-			wireFrames++
-		}
+		frames := int64(len(wtrs))
 		if err == nil {
-			s.t.met.Add(trace.CtrMsgsSent, int64(nframes+nacks))
-			s.t.met.Add(trace.CtrUnicasts, int64(wireFrames))
+			s.t.met.Add(trace.CtrMsgsSent, frames)
+			s.t.met.Add(trace.CtrUnicasts, frames)
 			s.t.met.Add(trace.CtrBytesSent, int64(len(buf.B)))
-			if wireFrames > 1 {
+			if frames > 1 {
 				s.t.met.Inc(trace.CtrBatchFlushes)
-				s.t.met.Add(trace.CtrBatchedFrames, int64(wireFrames))
-			}
-			if nacks > 1 {
-				s.t.met.Add(trace.CtrAcksCoalesced, int64(nacks-1))
+				s.t.met.Add(trace.CtrBatchedFrames, frames)
 			}
 		} else {
 			s.t.met.Inc(trace.CtrSendErrors)
-			s.t.met.Add(trace.CtrMsgsDropped, int64(nframes+nacks))
+			s.t.met.Add(trace.CtrMsgsDropped, frames)
 		}
 		buf.Release()
 		for _, ch := range wtrs {
@@ -183,11 +136,9 @@ func (s *session) flushLoop() {
 }
 
 // takeBatchLocked removes one write's worth of queued work: leading
-// frames up to the FlushBytes watermark (always at least one), plus all
-// queued pure acks folded into a single coalesced TAck frame. Returns
-// the wire buffer, the non-ack frame count, the pure-ack count, and the
-// waiters answered by this write.
-func (s *session) takeBatchLocked() (*wire.Buf, int, int, []chan error) {
+// frames up to the FlushBytes watermark (always at least one). Returns
+// the wire buffer and the waiters answered by this write, one per frame.
+func (s *session) takeBatchLocked() (*wire.Buf, []chan error) {
 	cut := len(s.bounds)
 	for i, end := range s.bounds {
 		if i > 0 && end > s.t.cfg.FlushBytes {
@@ -196,12 +147,9 @@ func (s *session) takeBatchLocked() (*wire.Buf, int, int, []chan error) {
 		}
 	}
 	var out *wire.Buf
-	wtrs := make([]chan error, 0, cut+len(s.ackWtrs))
+	wtrs := make([]chan error, 0, cut)
 	if cut == len(s.bounds) {
 		out = s.pending
-		if out == nil {
-			out = wire.GetBuf()
-		}
 		s.pending = nil
 		s.bounds = s.bounds[:0]
 		wtrs = append(wtrs, s.waiters...)
@@ -222,31 +170,7 @@ func (s *session) takeBatchLocked() (*wire.Buf, int, int, []chan error) {
 		k := copy(s.waiters, s.waiters[cut:])
 		s.waiters = s.waiters[:k]
 	}
-	nacks := len(s.ackIDs)
-	if nacks > 0 {
-		am := wire.Message{Type: wire.TAck, ID: s.ackIDs[0], From: s.t.addr, OK: true}
-		if nacks > 1 {
-			am.AckIDs = s.ackIDs[1:]
-		}
-		appendPrefixedFrame(out, &am)
-		s.ackIDs = s.ackIDs[:0]
-		wtrs = append(wtrs, s.ackWtrs...)
-		s.ackWtrs = s.ackWtrs[:0]
-	}
-	return out, cut, nacks, wtrs
-}
-
-// appendPrefixedFrame encodes m as one length-prefixed frame at the end
-// of pb (same reserve-and-slide scheme as appendFrameLocked).
-func appendPrefixedFrame(pb *wire.Buf, m *wire.Message) {
-	mark := len(pb.B)
-	var pad [binary.MaxVarintLen64]byte
-	b := append(pb.B, pad[:]...)
-	b = wire.AppendEncode(b, m)
-	flen := len(b) - mark - binary.MaxVarintLen64
-	pn := binary.PutUvarint(b[mark:], uint64(flen))
-	copy(b[mark+pn:], b[mark+binary.MaxVarintLen64:])
-	pb.B = b[:mark+pn+flen]
+	return out, wtrs
 }
 
 // failLocked answers every queued waiter with err and drops the backlog.
@@ -254,12 +178,7 @@ func (s *session) failLocked(err error) {
 	for _, ch := range s.waiters {
 		ch <- err
 	}
-	for _, ch := range s.ackWtrs {
-		ch <- err
-	}
 	s.waiters = s.waiters[:0]
-	s.ackWtrs = s.ackWtrs[:0]
-	s.ackIDs = s.ackIDs[:0]
 	s.bounds = s.bounds[:0]
 	if s.pending != nil {
 		s.pending.Release()

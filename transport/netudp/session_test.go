@@ -15,8 +15,8 @@ import (
 
 // Tests for the batched send path (session.go): concurrent flush/enqueue
 // racing under -race, deterministic batch splitting at the FlushBytes
-// watermark, ack coalescing, and interop of multi-frame writes with an
-// old-style frame-at-a-time reader.
+// watermark, and interop of multi-frame writes with an old-style
+// frame-at-a-time reader.
 
 // TestConcurrentSendsAllArrive hammers one session from many goroutines
 // with a tiny flush watermark so every flush cycle splits the backlog.
@@ -84,9 +84,9 @@ func TestTakeBatchSplitsAtFrameBoundary(t *testing.T) {
 	}
 	var got []uint64
 	for len(s.waiters) > 0 {
-		buf, nframes, nacks, wtrs := s.takeBatchLocked()
-		if nframes != 1 || nacks != 0 || len(wtrs) != 1 {
-			t.Fatalf("take: frames=%d acks=%d waiters=%d, want 1/0/1", nframes, nacks, len(wtrs))
+		buf, wtrs := s.takeBatchLocked()
+		if len(wtrs) != 1 {
+			t.Fatalf("take: %d waiters, want 1", len(wtrs))
 		}
 		flen, pn := binary.Uvarint(buf.B)
 		if pn <= 0 || int(flen) != len(buf.B)-pn {
@@ -107,71 +107,6 @@ func TestTakeBatchSplitsAtFrameBoundary(t *testing.T) {
 	}
 	if len(got) != n {
 		t.Fatalf("took %d frames, want %d", len(got), n)
-	}
-}
-
-// TestFlusherCoalescesAcks builds a known backlog while posing as the
-// active flusher, then runs the flush loop: the queued pure acks must
-// leave as one TAck frame listing the extra IDs, sharing a single write
-// with the ordinary frame, and every waiter must be answered nil.
-func TestFlusherCoalescesAcks(t *testing.T) {
-	a, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	s := a.session(b.Addr())
-	var wtrs []chan error
-	s.mu.Lock()
-	s.flushing = true // pose as the flusher so nothing drains early
-	s.appendFrameLocked(&wire.Message{Type: wire.TDiscover, ID: 99, From: a.Addr()})
-	ch := make(chan error, 1)
-	s.waiters = append(s.waiters, ch)
-	wtrs = append(wtrs, ch)
-	for id := uint64(1); id <= 3; id++ {
-		ch := make(chan error, 1)
-		s.ackIDs = append(s.ackIDs, id)
-		s.ackWtrs = append(s.ackWtrs, ch)
-		wtrs = append(wtrs, ch)
-	}
-	s.mu.Unlock()
-	s.flushLoop()
-
-	for i, ch := range wtrs {
-		select {
-		case err := <-ch:
-			if err != nil {
-				t.Fatalf("waiter %d: %v", i, err)
-			}
-		default:
-			t.Fatalf("waiter %d not answered", i)
-		}
-	}
-	if m := recvOne(t, b); m.Type != wire.TDiscover || m.ID != 99 {
-		t.Fatalf("first frame: %+v", m)
-	}
-	ack := recvOne(t, b)
-	if ack.Type != wire.TAck || !ack.OK || ack.ID != 1 ||
-		len(ack.AckIDs) != 2 || ack.AckIDs[0] != 2 || ack.AckIDs[1] != 3 {
-		t.Fatalf("coalesced ack: %+v", ack)
-	}
-	if got := a.met.Get(trace.CtrAcksCoalesced); got != 2 {
-		t.Fatalf("acks_coalesced = %d, want 2", got)
-	}
-	if got := a.met.Get(trace.CtrBatchFlushes); got != 1 {
-		t.Fatalf("batch_flushes = %d, want 1", got)
-	}
-	if got := a.met.Get(trace.CtrMsgsSent); got != 4 {
-		t.Fatalf("msgs_sent = %d, want 4 (3 acks + 1 frame)", got)
-	}
-	if got := a.met.Get(trace.CtrUnicasts); got != 2 {
-		t.Fatalf("unicasts = %d, want 2 wire frames", got)
 	}
 }
 
@@ -200,10 +135,6 @@ func TestOldReaderParsesBatchedWrite(t *testing.T) {
 		s.appendFrameLocked(&wire.Message{Type: wire.TDiscover, ID: id, From: a.Addr()})
 		s.waiters = append(s.waiters, make(chan error, 1))
 	}
-	for id := uint64(10); id <= 12; id++ {
-		s.ackIDs = append(s.ackIDs, id)
-		s.ackWtrs = append(s.ackWtrs, make(chan error, 1))
-	}
 	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() { s.flushLoop(); close(done) }()
@@ -216,7 +147,7 @@ func TestOldReaderParsesBatchedWrite(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 	r := bufio.NewReader(conn)
 	var msgs []*wire.Message
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		flen, err := binary.ReadUvarint(r)
 		if err != nil {
 			t.Fatalf("frame %d prefix: %v", i, err)
@@ -232,12 +163,9 @@ func TestOldReaderParsesBatchedWrite(t *testing.T) {
 		msgs = append(msgs, m)
 	}
 	<-done
-	for i := 0; i < 3; i++ {
-		if msgs[i].Type != wire.TDiscover || msgs[i].ID != uint64(i+1) {
-			t.Fatalf("frame %d: %+v", i, msgs[i])
+	for i, m := range msgs {
+		if m.Type != wire.TDiscover || m.ID != uint64(i+1) {
+			t.Fatalf("frame %d: %+v", i, m)
 		}
-	}
-	if a := msgs[3]; a.Type != wire.TAck || a.ID != 10 || len(a.AckIDs) != 2 {
-		t.Fatalf("ack frame: %+v", a)
 	}
 }

@@ -2,7 +2,7 @@ GO ?= go
 
 SUITES = crash soak mobility gray replica upgrade farm
 
-.PHONY: build test check bench bench-json chaos fuzz loc suites-nonempty $(SUITES)
+.PHONY: build test check bench bench-json perf chaos fuzz loc suites-nonempty $(SUITES)
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,15 @@ bench:
 # overwrites a specific baseline).
 bench-json:
 	./scripts/bench-json.sh
+
+# perf is how a perf claim is measured: `make perf W=walk4_tcp` runs the
+# repository benchmark (bench/run.sh) on the merge-base and on the working
+# tree in alternating pairs and compares each pair (scripts/perfpairs.sh).
+# It is a fresh run on both sides, unlike the committed-baseline benchdiff.
+PAIRS   ?= 3
+SECONDS ?= 12
+perf:
+	./scripts/perfpairs.sh $(W) $(PAIRS) $(SECONDS) $(BASE)
 
 # chaos runs the fault-injection benchmarks: E2/E9/E10 over a lossy,
 # duplicating, reordering network, reporting retry/dedup counters.
@@ -71,8 +80,9 @@ replica_exp  = C5
 # the versioned-field table), capability learning and gating, the
 # write-through refusal regression, the decode-only coalesced ack (an
 # older peer's frame settles here; both transports emit one ack per
-# frame), and the C6 mixed-version soak.
-upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|CoalescedAck|FramePipe|C6
+# frame), the frame pipe's two ends over real sockets (buffered reads,
+# allocation-free sends, session reaping), and the C6 mixed-version soak.
+upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|CoalescedAck|FramePipe|ReadFrames|SendAllocates|SessionsReaped|C6
 upgrade_pkgs = ./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./transport/netudp/ ./internal/harness/
 upgrade_exp  = C6
 # farm: the master/worker serve path — hold-delivering waiters in all

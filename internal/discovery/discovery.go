@@ -40,6 +40,7 @@
 package discovery
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -203,6 +204,9 @@ type ResponderList struct {
 	demoteCooldown time.Duration
 	demoteMax      time.Duration
 	degradedTTL    time.Duration
+	// ewmaScratch is the outlier check's sort buffer: the check runs on
+	// every latency sample, under mu, and must not allocate there.
+	ewmaScratch []time.Duration
 
 	// Visibility event stream state: per-address join epochs (kept after
 	// removal so a rejoin gets the next epoch), subscriber channels, and
@@ -505,16 +509,17 @@ func (l *ResponderList) outlierCheckLocked(e *entry) {
 	// Lower median across sampled entries (including e): with two
 	// sampled entries the baseline is the faster one, so a single slow
 	// peer in a small cluster is still an outlier against it.
-	ewmas := make([]time.Duration, 0, len(l.addrs))
+	ewmas := l.ewmaScratch[:0]
 	for _, x := range l.addrs {
 		if x.samples >= l.minSamples {
 			ewmas = append(ewmas, x.ewma)
 		}
 	}
+	l.ewmaScratch = ewmas
 	if len(ewmas) < 2 {
 		return // no peer baseline to be relative to
 	}
-	sort.Slice(ewmas, func(i, j int) bool { return ewmas[i] < ewmas[j] })
+	slices.Sort(ewmas)
 	median := ewmas[(len(ewmas)-1)/2]
 	if median < demoteMedianFloor {
 		median = demoteMedianFloor

@@ -490,6 +490,22 @@ func TestLatencyOutlierDemotesToBack(t *testing.T) {
 	}
 }
 
+// TestLatencySampleDoesNotAllocate pins the outlier check, which runs
+// under the list lock on every reply: the median comes from a scratch
+// slice kept on the list, not from a fresh one sorted through reflection.
+func TestLatencySampleDoesNotAllocate(t *testing.T) {
+	l := NewResponderList(0, nil, WithClock(clock.NewVirtual(time.Unix(0, 0))))
+	for _, a := range []wire.Addr{"a", "b", "c"} {
+		l.Observe(a)
+		feedLatency(l, a, 2*time.Millisecond, 4)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		l.ObserveLatency("b", 2*time.Millisecond)
+	}); allocs != 0 {
+		t.Fatalf("ObserveLatency: %v allocs, want 0", allocs)
+	}
+}
+
 func TestLatencyDemotionNeedsPeerBaseline(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	l := NewResponderList(0, nil, WithClock(clk))

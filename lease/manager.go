@@ -1,7 +1,6 @@
 package lease
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -106,19 +105,61 @@ type expEntry struct {
 	l  *Lease
 }
 
+// expHeap is a binary min-heap on at. It is sifted by hand on the typed
+// slice: container/heap moves elements through `any`, which boxed every
+// 32-byte entry once on push and once on pop — two allocations per grant.
 type expHeap []expEntry
 
-func (h expHeap) Len() int            { return len(h) }
-func (h expHeap) Less(i, j int) bool  { return h[i].at.Before(h[j].at) }
-func (h expHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *expHeap) Push(x any)         { *h = append(*h, x.(expEntry)) }
-func (h *expHeap) Pop() any {
+func (h *expHeap) push(e expEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest entry. The heap must not be empty.
+func (h *expHeap) pop() expEntry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = expEntry{}
-	*h = old[:n-1]
+	n := len(old) - 1
+	e := old[0]
+	old[0] = old[n]
+	old[n] = expEntry{}
+	*h = old[:n]
+	h.down(0)
 	return e
+}
+
+// init establishes the heap order over arbitrary contents.
+func (h expHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h expHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].at.Before(h[parent].at) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (h expHeap) down(i int) {
+	for {
+		least := 2*i + 1
+		if least >= len(h) {
+			return
+		}
+		if r := least + 1; r < len(h) && h[r].at.Before(h[least].at) {
+			least = r
+		}
+		if !h[least].at.Before(h[i].at) {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // NewManager returns a Manager with the given capacity, using clk for all
@@ -288,7 +329,7 @@ func (m *Manager) grantLocked(op OpKind, offer Terms) *Lease {
 // and re-arms the shared timer if this became the earliest deadline.
 // Caller holds m.mu.
 func (m *Manager) scheduleExpiryLocked(l *Lease, at, now time.Time) {
-	heap.Push(&m.expiries, expEntry{at: at, l: l})
+	m.expiries.push(expEntry{at: at, l: l})
 	m.armExpiryLocked(now)
 }
 
@@ -302,7 +343,7 @@ func (m *Manager) armExpiryLocked(now time.Time) {
 		if _, ok := m.active[m.expiries[0].l.id]; ok {
 			break
 		}
-		heap.Pop(&m.expiries)
+		m.expiries.pop()
 	}
 	if len(m.expiries) == 0 {
 		if m.expStop != nil {
@@ -335,7 +376,7 @@ func (m *Manager) fireExpiries() {
 	now := m.clk.Now()
 	var due []*Lease
 	for len(m.expiries) > 0 && !m.expiries[0].at.After(now) {
-		e := heap.Pop(&m.expiries).(expEntry)
+		e := m.expiries.pop()
 		if _, ok := m.active[e.l.id]; ok {
 			due = append(due, e.l)
 		}
@@ -371,7 +412,7 @@ func (m *Manager) release(l *Lease, s State) {
 			m.expiries[i] = expEntry{}
 		}
 		m.expiries = live
-		heap.Init(&m.expiries)
+		m.expiries.init()
 	}
 	m.armExpiryLocked(m.clk.Now())
 	switch s {

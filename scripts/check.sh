@@ -6,6 +6,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "==> gofmt -l (tracked Go files)"
+unformatted="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "not gofmt-clean:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 

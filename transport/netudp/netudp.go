@@ -15,6 +15,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tiamat/internal/splitmix"
@@ -38,6 +39,9 @@ const (
 	// close is a clean EOF here; a receiver-side close risks racing a
 	// write into a half-closed socket).
 	readIdle = 30 * time.Second
+	// readBufSize is the per-connection receive buffer: one socket read
+	// drains up to this much of what the sender's batched writes queued.
+	readBufSize = 16 << 10
 )
 
 // Config configures a Transport.
@@ -81,9 +85,14 @@ type Transport struct {
 	met   *trace.Metrics
 	inbox chan *wire.Message
 	rng   splitmix.Source // backoff jitter source
+	start time.Time       // sessions stamp lastUse as an offset from it
 
-	mu       sync.Mutex
-	closed   bool
+	// closed is set once, before Close tears anything down. Readers test
+	// it without a lock: inbox is closed only after wg has seen every
+	// goroutine that can call enqueue exit.
+	closed atomic.Bool
+
+	mu       sync.RWMutex // sessions (read-mostly: one lookup per Send), accepted
 	sessions map[wire.Addr]*session
 	accepted map[net.Conn]struct{}
 	wg       sync.WaitGroup
@@ -122,6 +131,7 @@ func New(cfg Config) (*Transport, error) {
 		ln:       ln,
 		met:      cfg.Metrics,
 		inbox:    make(chan *wire.Message, 4096),
+		start:    time.Now(),
 		sessions: make(map[wire.Addr]*session),
 		accepted: make(map[net.Conn]struct{}),
 	}
@@ -159,12 +169,10 @@ func (t *Transport) Recv() <-chan *wire.Message { return t.inbox }
 
 // Close implements transport.Endpoint.
 func (t *Transport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	t.closed = true
+	t.mu.Lock()
 	sessions := make([]*session, 0, len(t.sessions))
 	for _, s := range t.sessions {
 		sessions = append(sessions, s)
@@ -190,11 +198,7 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-func (t *Transport) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
+func (t *Transport) isClosed() bool { return t.closed.Load() }
 
 // Send implements transport.Endpoint via the peer's persistent session
 // (see session.go): the frame joins the session's current batch and Send
@@ -207,7 +211,10 @@ func (t *Transport) Send(to wire.Addr, m *wire.Message) error {
 	if t.isClosed() {
 		return transport.ErrClosed
 	}
-	err := t.session(to).send(m)
+	err := errReaped
+	for err == errReaped {
+		err = t.session(to).send(m)
+	}
 	if err == nil {
 		return nil
 	}
@@ -218,12 +225,24 @@ func (t *Transport) Send(to wire.Addr, m *wire.Message) error {
 }
 
 // session returns the persistent send session for a peer, creating it on
-// first use.
+// first use. Creation is the one moment the set of peers is known to have
+// changed, so it is also when sessions the changing world has left behind
+// are reaped — no timer (DESIGN.md §12).
 func (t *Transport) session(to wire.Addr) *session {
+	t.mu.RLock()
+	s := t.sessions[to]
+	t.mu.RUnlock()
+	if s != nil {
+		return s
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.sessions[to]
-	if s == nil {
+	if s = t.sessions[to]; s == nil {
+		for addr, old := range t.sessions {
+			if old.reap() {
+				delete(t.sessions, addr)
+			}
+		}
 		s = &session{t: t, to: to}
 		t.sessions[to] = s
 	}
@@ -280,7 +299,7 @@ func (t *Transport) acceptLoop() {
 			return // listener closed
 		}
 		t.mu.Lock()
-		if t.closed {
+		if t.isClosed() {
 			t.mu.Unlock()
 			conn.Close()
 			return
@@ -311,37 +330,78 @@ func (t *Transport) recoverPanic() {
 	}
 }
 
-// readFrames decodes length-prefixed frames from one connection.
+// readFrames decodes length-prefixed frames from one connection. The
+// socket is read through one fixed buffer, so what the sender's group
+// commit put on the wire with one write is drained with one read, and the
+// idle deadline is armed once per socket read rather than once per frame.
 func (t *Transport) readFrames(conn net.Conn) {
-	r := &byteReaderConn{conn: conn}
-	for {
+	buf := make([]byte, readBufSize)
+	r, w := 0, 0 // buf[r:w] has been read from the socket and not yet parsed
+	// read reads the socket once into p. An error that arrives with bytes
+	// is left for the next read to report again.
+	read := func(p []byte) (int, error) {
 		_ = conn.SetReadDeadline(time.Now().Add(readIdle))
-		r.count = 0
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			// Clean ends: EOF between frames (the peer closed its
-			// session normally), an idle timeout before any prefix byte
-			// arrived (the sender has gone quiet past our patience), or
-			// our own shutdown hanging up the connection. Anything else —
-			// reset, EOF or timeout mid-prefix — silently loses a frame
-			// and must be visible.
-			if err != io.EOF && !(r.count == 0 && isTimeout(err)) && !t.isClosed() {
-				t.met.Inc(trace.CtrReadErrors)
+		n, err := conn.Read(p)
+		if n > 0 {
+			err = nil
+		}
+		return n, err
+	}
+	var memo wire.FromMemo
+	for {
+		n, pn := binary.Uvarint(buf[r:w])
+		if pn == 0 {
+			// Not all of the prefix is here: keep what is and read on.
+			w = copy(buf, buf[r:w])
+			r = 0
+			k, err := read(buf[w:])
+			if err != nil {
+				// Clean ends: EOF between frames (the peer closed its
+				// session normally), an idle timeout before any prefix byte
+				// arrived (the sender has gone quiet past our patience), or
+				// our own shutdown hanging up the connection. Anything else —
+				// reset, EOF or timeout mid-prefix — silently loses a frame
+				// and must be visible.
+				if !(w == 0 && (err == io.EOF || isTimeout(err))) && !t.isClosed() {
+					t.met.Inc(trace.CtrReadErrors)
+				}
+				return
 			}
-			return
+			w += k
+			continue
 		}
-		if n == 0 || n > maxFrame {
+		if pn < 0 || n == 0 || n > maxFrame {
 			t.met.Inc(trace.CtrReadErrors)
 			return
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			t.met.Inc(trace.CtrReadErrors)
-			return
+		// The frame gets a buffer of its own, never a window of buf: the
+		// decoded tuple aliases it, instead of copying every bytes field,
+		// for as long as the message lives, and buf is overwritten by the
+		// next read.
+		frame := make([]byte, n)
+		have := copy(frame, buf[r+pn:w])
+		r += pn + have
+		for have < len(frame) {
+			// buf is drained and the body is not all here. A remainder that
+			// would fill buf is read straight into the frame; a shorter one
+			// through buf, so the same read brings in the frames behind it.
+			rest := frame[have:]
+			var k int
+			var err error
+			if len(rest) >= len(buf) {
+				k, err = read(rest)
+			} else {
+				w, err = read(buf)
+				k = copy(rest, buf[:w])
+				r = k
+			}
+			if err != nil {
+				t.met.Inc(trace.CtrReadErrors)
+				return
+			}
+			have += k
 		}
-		// The frame buffer is dedicated to this message, so the decoded
-		// tuple may alias it instead of copying every bytes field.
-		m, err := wire.DecodeNoCopy(buf)
+		m, err := memo.DecodeNoCopy(frame)
 		if err != nil {
 			// Corrupt frame (checksum or structure): drop it, keep the
 			// connection — later frames are independent.
@@ -390,10 +450,11 @@ func (t *Transport) udpRecvOne(buf []byte) (stop bool) {
 	return false
 }
 
+// enqueue hands a received message to the inbox without blocking. It runs
+// only on reader goroutines, all of which Close waits for before it closes
+// the inbox, so no lock orders it against Close.
 func (t *Transport) enqueue(m *wire.Message) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
+	if t.isClosed() {
 		return
 	}
 	select {
@@ -402,24 +463,6 @@ func (t *Transport) enqueue(m *wire.Message) {
 		t.met.Inc(trace.CtrInboxOverflow)
 		t.met.Inc(trace.CtrMsgsDropped)
 	}
-}
-
-// byteReaderConn adapts a net.Conn to io.ByteReader for uvarint
-// decoding, counting bytes consumed so the read loop can tell an idle
-// connection (timeout before any prefix byte) from a frame lost
-// mid-prefix.
-type byteReaderConn struct {
-	conn  net.Conn
-	one   [1]byte
-	count int
-}
-
-func (b *byteReaderConn) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.conn, b.one[:]); err != nil {
-		return 0, err
-	}
-	b.count++
-	return b.one[0], nil
 }
 
 // isTimeout reports whether err is a connection deadline expiry.

@@ -2,8 +2,10 @@ package netudp
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tiamat/trace"
@@ -32,23 +34,37 @@ import (
 // queue inline; senders that arrive while a flush is in flight enqueue
 // and block until the flusher writes their batch. Invariant: waiters are
 // only ever queued while a flusher is active, so every waiter is
-// guaranteed an answer.
+// guaranteed an answer — exactly one, from the flush that wrote its frame
+// or from failLocked, which is what lets a sender hand its drained waiter
+// back for the next frame instead of allocating one per Send.
 type session struct {
 	t  *Transport
 	to wire.Addr
 
+	// lastUse is when the last successful write began, as an offset from
+	// t.start (stale-conn detection).
+	lastUse atomic.Int64
+
 	mu       sync.Mutex
 	flushing bool
-	conn     net.Conn  // persistent connection, nil when down
-	lastUse  time.Time // last successful write (stale-conn detection)
+	reaped   bool     // dropped from t.sessions: senders look the peer up again
+	conn     net.Conn // persistent connection, nil when down
 
 	// pending holds length-prefixed encoded frames awaiting flush;
 	// bounds[i] is the end offset of frame i, waiters[i] its blocked
-	// sender.
-	pending *wire.Buf
-	bounds  []int
-	waiters []chan error
+	// sender. The queue is double-buffered: out and batch are the bytes
+	// and waiters of the write in flight, the flusher's alone until its
+	// next take swaps them back in as the (emptied) queue. free holds
+	// answered waiters awaiting reuse.
+	pending, out   []byte
+	bounds         []int
+	waiters, batch []chan error
+	free           []chan error
 }
+
+// errReaped tells Transport.Send that it looked the session up just before
+// a sweep dropped it.
+var errReaped = errors.New("netudp: session reaped")
 
 // send enqueues the frame and blocks until it is written or delivery
 // fails. If no flush is in flight the calling goroutine becomes the
@@ -59,17 +75,29 @@ func (s *session) send(m *wire.Message) error {
 		s.mu.Unlock()
 		return transport.ErrClosed
 	}
-	ch := make(chan error, 1)
+	if s.reaped {
+		s.mu.Unlock()
+		return errReaped
+	}
+	var ch chan error
+	if n := len(s.free); n > 0 {
+		ch, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		ch = make(chan error, 1)
+	}
 	s.appendFrameLocked(m)
 	s.waiters = append(s.waiters, ch)
-	if s.flushing {
-		s.mu.Unlock()
-		return <-ch
-	}
+	flusher := !s.flushing
 	s.flushing = true
 	s.mu.Unlock()
-	s.flushLoop()
-	return <-ch
+	if flusher {
+		s.flushLoop()
+	}
+	err := <-ch
+	s.mu.Lock()
+	s.free = append(s.free, ch)
+	s.mu.Unlock()
+	return err
 }
 
 // appendFrameLocked encodes m as a length-prefixed frame at the end of
@@ -77,19 +105,16 @@ func (s *session) send(m *wire.Message) error {
 // encoded, so the widest possible uvarint is reserved up front and the
 // frame slid back over the surplus.
 func (s *session) appendFrameLocked(m *wire.Message) {
-	if s.pending == nil {
-		s.pending = wire.GetBuf()
-	}
-	mark := len(s.pending.B)
-	b := s.pending.B
+	mark := len(s.pending)
+	b := s.pending
 	var pad [binary.MaxVarintLen64]byte
 	b = append(b, pad[:]...)
 	b = wire.AppendEncode(b, m)
 	flen := len(b) - mark - binary.MaxVarintLen64
 	pn := binary.PutUvarint(b[mark:], uint64(flen))
 	copy(b[mark+pn:], b[mark+binary.MaxVarintLen64:])
-	s.pending.B = b[:mark+pn+flen]
-	s.bounds = append(s.bounds, len(s.pending.B))
+	s.pending = b[:mark+pn+flen]
+	s.bounds = append(s.bounds, len(s.pending))
 }
 
 // flushLoop drains the session: take a batch, write it, answer its
@@ -114,12 +139,12 @@ func (s *session) flushLoop() {
 		buf, wtrs := s.takeBatchLocked()
 		s.mu.Unlock()
 
-		err := s.writeBatch(buf.B)
+		err := s.writeBatch(buf)
 		frames := int64(len(wtrs))
 		if err == nil {
 			s.t.met.Add(trace.CtrMsgsSent, frames)
 			s.t.met.Add(trace.CtrUnicasts, frames)
-			s.t.met.Add(trace.CtrBytesSent, int64(len(buf.B)))
+			s.t.met.Add(trace.CtrBytesSent, int64(len(buf)))
 			if frames > 1 {
 				s.t.met.Inc(trace.CtrBatchFlushes)
 				s.t.met.Add(trace.CtrBatchedFrames, frames)
@@ -128,7 +153,6 @@ func (s *session) flushLoop() {
 			s.t.met.Inc(trace.CtrSendErrors)
 			s.t.met.Add(trace.CtrMsgsDropped, frames)
 		}
-		buf.Release()
 		for _, ch := range wtrs {
 			ch <- err
 		}
@@ -137,8 +161,9 @@ func (s *session) flushLoop() {
 
 // takeBatchLocked removes one write's worth of queued work: leading
 // frames up to the FlushBytes watermark (always at least one). Returns
-// the wire buffer and the waiters answered by this write, one per frame.
-func (s *session) takeBatchLocked() (*wire.Buf, []chan error) {
+// the bytes to write and the waiters answered by this write, one per
+// frame; both are the flusher's (s.out, s.batch) until its next take.
+func (s *session) takeBatchLocked() ([]byte, []chan error) {
 	cut := len(s.bounds)
 	for i, end := range s.bounds {
 		if i > 0 && end > s.t.cfg.FlushBytes {
@@ -146,31 +171,31 @@ func (s *session) takeBatchLocked() (*wire.Buf, []chan error) {
 			break
 		}
 	}
-	var out *wire.Buf
-	wtrs := make([]chan error, 0, cut)
+	if cap(s.out) > 2*s.t.cfg.FlushBytes {
+		// Grown well past one write's worth (append may double) by a
+		// backlog or one huge frame: do not pin that for the session's life.
+		s.out = nil
+	}
 	if cut == len(s.bounds) {
-		out = s.pending
-		s.pending = nil
+		s.out, s.pending = s.pending, s.out[:0]
+		s.batch, s.waiters = s.waiters, s.batch[:0]
 		s.bounds = s.bounds[:0]
-		wtrs = append(wtrs, s.waiters...)
-		s.waiters = s.waiters[:0]
 	} else {
 		// Split at a frame boundary: flush the prefix, slide the rest of
 		// the backlog (and its bookkeeping) to the front.
-		out = wire.GetBuf()
 		cutOff := s.bounds[cut-1]
-		out.B = append(out.B, s.pending.B[:cutOff]...)
-		n := copy(s.pending.B, s.pending.B[cutOff:])
-		s.pending.B = s.pending.B[:n]
+		s.out = append(s.out[:0], s.pending[:cutOff]...)
+		n := copy(s.pending, s.pending[cutOff:])
+		s.pending = s.pending[:n]
 		for i := cut; i < len(s.bounds); i++ {
 			s.bounds[i-cut] = s.bounds[i] - cutOff
 		}
 		s.bounds = s.bounds[:len(s.bounds)-cut]
-		wtrs = append(wtrs, s.waiters[:cut]...)
+		s.batch = append(s.batch[:0], s.waiters[:cut]...)
 		k := copy(s.waiters, s.waiters[cut:])
 		s.waiters = s.waiters[:k]
 	}
-	return out, wtrs
+	return s.out, s.batch
 }
 
 // failLocked answers every queued waiter with err and drops the backlog.
@@ -180,10 +205,7 @@ func (s *session) failLocked(err error) {
 	}
 	s.waiters = s.waiters[:0]
 	s.bounds = s.bounds[:0]
-	if s.pending != nil {
-		s.pending.Release()
-		s.pending = nil
-	}
+	s.pending = s.pending[:0]
 }
 
 // writeBatch delivers one batch over the persistent connection, redialing
@@ -198,12 +220,11 @@ func (s *session) writeBatch(buf []byte) error {
 	for attempt := 1; ; attempt++ {
 		conn, fresh, err := s.ensureConn()
 		if err == nil {
-			_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+			now := time.Now()
+			_ = conn.SetWriteDeadline(now.Add(writeTimeout))
 			_, err = conn.Write(buf)
 			if err == nil {
-				s.mu.Lock()
-				s.lastUse = time.Now()
-				s.mu.Unlock()
+				s.lastUse.Store(int64(now.Sub(s.t.start)))
 				return nil
 			}
 			s.dropConn(conn)
@@ -231,7 +252,7 @@ func (s *session) writeBatch(buf []byte) error {
 func (s *session) ensureConn() (net.Conn, bool, error) {
 	s.mu.Lock()
 	conn := s.conn
-	stale := conn != nil && s.t.cfg.IdleTimeout > 0 && time.Since(s.lastUse) > s.t.cfg.IdleTimeout
+	stale := conn != nil && s.idle()
 	if stale {
 		s.conn = nil
 	}
@@ -254,9 +275,33 @@ func (s *session) ensureConn() (net.Conn, bool, error) {
 		return nil, true, transport.ErrClosed
 	}
 	s.conn = c
-	s.lastUse = time.Now()
+	s.lastUse.Store(int64(time.Since(s.t.start)))
 	s.mu.Unlock()
 	return c, true, nil
+}
+
+// idle reports whether the connection has gone unwritten past IdleTimeout.
+func (s *session) idle() bool {
+	return time.Since(s.t.start)-time.Duration(s.lastUse.Load()) > s.t.cfg.IdleTimeout
+}
+
+// reap marks the session dropped if nothing would be lost with it: no
+// flush in flight, nothing queued, and a connection that is down or idle
+// past IdleTimeout (closed here; the peer's reader sees a clean EOF). The
+// caller, holding t.mu, then deletes it. A sender that looked it up before
+// the sweep finds it reaped and looks the peer up again.
+func (s *session) reap() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.flushing || len(s.waiters) > 0 || (s.conn != nil && !s.idle()) {
+		return false
+	}
+	if s.conn != nil {
+		s.conn.Close()
+		s.conn = nil
+	}
+	s.reaped = true
+	return true
 }
 
 // dropConn closes a failed connection and clears it from the session if

@@ -3,13 +3,17 @@ package netudp
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tiamat/trace"
+	"tiamat/transport"
+	"tiamat/tuple"
 	"tiamat/wire"
 )
 
@@ -88,16 +92,15 @@ func TestTakeBatchSplitsAtFrameBoundary(t *testing.T) {
 		if len(wtrs) != 1 {
 			t.Fatalf("take: %d waiters, want 1", len(wtrs))
 		}
-		flen, pn := binary.Uvarint(buf.B)
-		if pn <= 0 || int(flen) != len(buf.B)-pn {
-			t.Fatalf("batch is not exactly one framed message: prefix %d, len %d", flen, len(buf.B))
+		flen, pn := binary.Uvarint(buf)
+		if pn <= 0 || int(flen) != len(buf)-pn {
+			t.Fatalf("batch is not exactly one framed message: prefix %d, len %d", flen, len(buf))
 		}
-		m, err := wire.Decode(buf.B[pn:])
+		m, err := wire.Decode(buf[pn:])
 		if err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, m.ID)
-		buf.Release()
 	}
 	s.mu.Unlock()
 	for i, id := range got {
@@ -166,6 +169,276 @@ func TestOldReaderParsesBatchedWrite(t *testing.T) {
 	for i, m := range msgs {
 		if m.Type != wire.TDiscover || m.ID != uint64(i+1) {
 			t.Fatalf("frame %d: %+v", i, m)
+		}
+	}
+}
+
+// drainListener accepts connections on a bare listener and reads them into
+// one fixed buffer, never decoding: a peer that costs the process no
+// allocation per frame, so mallocs counted around Send are the sender's.
+func drainListener(t *testing.T) wire.Addr {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				_, _ = io.CopyBuffer(io.Discard, conn, make([]byte, 4096))
+			}()
+		}
+	}()
+	return wire.Addr(ln.Addr().String())
+}
+
+// TestSendAllocatesNothing pins the steady-state send path at zero heap
+// objects per frame: waiter, frame bytes and batch bookkeeping are all the
+// session's own and reused.
+func TestSendAllocatesNothing(t *testing.T) {
+	a, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	to := drainListener(t)
+	m := &wire.Message{Type: wire.TResult, ID: 7, From: a.Addr(), Found: true, HoldID: 9,
+		Tuple: tuple.T(tuple.String("job"), tuple.Int(42), tuple.Bytes(make([]byte, 64)))}
+	send := func() {
+		if err := a.Send(to, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		send() // dial, size the session's buffers, create the counters
+	}
+	if allocs := testing.AllocsPerRun(500, send); allocs != 0 {
+		t.Fatalf("Send on a warm session: %v allocs per frame, want 0", allocs)
+	}
+}
+
+// deadAddrs returns n loopback addresses nothing listens on: each was a
+// listener a moment ago, so a dial is refused at once.
+func deadAddrs(t *testing.T, n int) []wire.Addr {
+	t.Helper()
+	out := make([]wire.Addr, n)
+	lns := make([]net.Listener, n)
+	for i := range out {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], out[i] = ln, wire.Addr(ln.Addr().String())
+	}
+	for _, ln := range lns {
+		ln.Close()
+	}
+	return out
+}
+
+func (t *Transport) sessionCount() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.sessions)
+}
+
+// TestSessionsReapedWhenPeersChange: in a changing world the set of
+// addresses ever sent to grows without bound, and the sessions (and, for a
+// peer that has gone quiet, the sockets) kept for them must not. Creating
+// a session is when the others are swept.
+func TestSessionsReapedWhenPeersChange(t *testing.T) {
+	a, err := New(Config{SendAttempts: 1, IdleTimeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	c, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	msg := &wire.Message{Type: wire.TDiscover, ID: 1, From: a.Addr()}
+	for _, dead := range deadAddrs(t, 64) {
+		if err := a.Send(dead, msg); !errors.Is(err, transport.ErrUnreachable) {
+			t.Fatalf("send to a dead address: %v", err)
+		}
+	}
+	if err := a.Send(b.Addr(), msg); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, b)
+	if n := a.sessionCount(); n > 2 {
+		t.Fatalf("%d sessions after 64 dead addresses and one live peer: the dead ones were not swept", n)
+	}
+	time.Sleep(3 * a.cfg.IdleTimeout) // b's session goes idle
+	if err := a.Send(c.Addr(), msg); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.sessionCount(); n != 1 {
+		t.Fatalf("%d sessions, want 1: only the peer just sent to is live", n)
+	}
+	// The idle connection was closed, not dropped: b's reader sees EOF.
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		b.mu.RLock()
+		open := len(b.accepted)
+		b.mu.RUnlock()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("b still holds %d connection(s) from a reaped session", open)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := b.met.Get(trace.CtrReadErrors); n != 0 {
+		t.Fatalf("reaping an idle session cost the peer %d read errors, want a clean EOF", n)
+	}
+}
+
+// TestSendRacingTheSweepSucceeds: with every connection idle the moment it
+// is written, each session created for a dead address reaps the live
+// peer's session, often between a sender's lookup and its enqueue. Every
+// send to the live peer must still be delivered, once.
+func TestSendRacingTheSweepSucceeds(t *testing.T) {
+	a, err := New(Config{SendAttempts: 1, IdleTimeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	const senders, per = 2, 150
+	dead := deadAddrs(t, 8)
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = a.Send(dead[i%len(dead)], &wire.Message{Type: wire.TDiscover, From: a.Addr()})
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				id := uint64(g*per + i + 1)
+				if err := a.Send(b.Addr(), &wire.Message{Type: wire.TDiscover, ID: id, From: a.Addr()}); err != nil {
+					t.Errorf("send %d to the live peer: %v", id, err)
+					return
+				}
+			}
+		}()
+	}
+	seen := make(map[uint64]bool)
+	for len(seen) < senders*per && !t.Failed() {
+		m := recvOne(t, b)
+		if seen[m.ID] {
+			t.Fatalf("frame %d delivered twice", m.ID)
+		}
+		seen[m.ID] = true
+	}
+	wg.Wait()
+	close(stop)
+	churn.Wait()
+}
+
+// TestCloseRacesSendersAndReaders closes a transport under load from both
+// sides, 100 times over. Senders blocked in or entering Send on the
+// closing transport all come back with ErrClosed (the peer stays up, so
+// nothing else can fail them), and readers still enqueueing when Close
+// closes the inbox must not panic on it — a panic there is recovered and
+// counted, so the counter is what to check.
+func TestCloseRacesSendersAndReaders(t *testing.T) {
+	var batch []byte
+	for id := uint64(1); id <= 16; id++ {
+		batch = append(batch, frame(&wire.Message{Type: wire.TDiscover, ID: id, From: "raw"})...)
+	}
+	for iter := 0; iter < 100; iter++ {
+		a, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bmet := &trace.Metrics{}
+		b, err := New(Config{Metrics: bmet})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var received atomic.Int64
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for range b.Recv() {
+				received.Add(1)
+			}
+		}()
+		var senders sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			senders.Add(1)
+			go func() {
+				defer senders.Done()
+				for {
+					err := a.Send(b.Addr(), &wire.Message{Type: wire.TDiscover, ID: 1, From: a.Addr()})
+					if err == nil {
+						continue
+					}
+					if !errors.Is(err, transport.ErrClosed) {
+						t.Errorf("iteration %d: Send on a closing transport: %v, want ErrClosed", iter, err)
+					}
+					return
+				}
+			}()
+		}
+		raw, err := net.Dial("tcp", string(b.Addr()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writer := make(chan struct{})
+		go func() {
+			defer close(writer)
+			for {
+				if _, err := raw.Write(batch); err != nil {
+					return
+				}
+			}
+		}()
+
+		for received.Load() < 64 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		a.Close()
+		senders.Wait()
+		b.Close() // the raw writer is still feeding b's reader
+		<-drained
+		raw.Close()
+		<-writer
+		if n := bmet.Get(trace.CtrPanics); n != 0 {
+			t.Fatalf("iteration %d: %d panics recovered on the closing receiver", iter, n)
 		}
 	}
 }

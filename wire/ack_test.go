@@ -54,8 +54,8 @@ func TestSingleAckEncodingUnchanged(t *testing.T) {
 	want = binary.AppendUvarint(want, 7)
 	want = binary.AppendUvarint(want, 1)
 	want = append(want, 'a')
-	want = append(want, 1)                       // ok
-	want = binary.AppendUvarint(want, 0)         // err ""
+	want = append(want, 1)               // ok
+	want = binary.AppendUvarint(want, 0) // err ""
 	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
 	if !bytes.Equal(plain, want) {
 		t.Fatalf("plain ack encoding changed:\n got %x\nwant %x", plain, want)

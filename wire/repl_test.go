@@ -26,7 +26,7 @@ func replFrames() []*Message {
 		{Type: TOp, ID: 14, From: "taker", Op: OpInp, TTL: time.Second,
 			Template: tuple.Tmpl(tuple.String("tok"), tuple.FormalInt()), Failover: true},
 		{Type: TOp, ID: 15, From: "taker", Op: OpIn, TTL: time.Second,
-			Budget: 250 * time.Millisecond,
+			Budget:   250 * time.Millisecond,
 			Template: tuple.Tmpl(tuple.String("tok"), tuple.FormalInt()), Failover: true},
 	}
 }

@@ -615,7 +615,7 @@ func AppendEncode(dst []byte, m *Message) []byte {
 // Decode parses a frame, verifying its checksum. The entire buffer must
 // be consumed. The result shares no memory with data.
 func Decode(data []byte) (*Message, error) {
-	return decode(data, false)
+	return decode(data, false, nil)
 }
 
 // DecodeNoCopy parses a frame whose variable-length contents (relay
@@ -625,10 +625,27 @@ func Decode(data []byte) (*Message, error) {
 // Template.Copy, or cloning Payload). Receive loops that process one
 // frame per buffer use it to avoid per-field allocations.
 func DecodeNoCopy(data []byte) (*Message, error) {
-	return decode(data, true)
+	return decode(data, true, nil)
 }
 
-func decode(data []byte, alias bool) (*Message, error) {
+// FromMemo is the decode memo of one frame stream (a TCP connection): it
+// remembers the sender address of the last frame decoded through it.
+// Nearly every frame of a connection carries the same From, so comparing
+// the bytes with the remembered address and reusing its string saves the
+// one allocation a decoder would otherwise repeat per frame. The zero
+// value is ready; a memo must not be shared between goroutines.
+type FromMemo struct {
+	last Addr
+}
+
+// DecodeNoCopy is DecodeNoCopy for the stream's next frame: the same
+// message or error, with From sharing the previous frame's string when
+// the two addresses are equal.
+func (fm *FromMemo) DecodeNoCopy(data []byte) (*Message, error) {
+	return decode(data, true, fm)
+}
+
+func decode(data []byte, alias bool, memo *FromMemo) (*Message, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("short frame (%d bytes): %w", len(data), ErrFrame)
 	}
@@ -654,11 +671,9 @@ func decode(data []byte, alias bool) (*Message, error) {
 	if m.ID, src, err = readUvarint(src); err != nil {
 		return nil, fmt.Errorf("id: %w", err)
 	}
-	var from string
-	if from, src, err = readStr(src); err != nil {
+	if m.From, src, err = readFrom(src, memo); err != nil {
 		return nil, fmt.Errorf("from: %w", err)
 	}
-	m.From = Addr(from)
 
 	switch m.Type {
 	case TDiscover:
@@ -902,15 +917,34 @@ func readUvarint(src []byte) (uint64, []byte, error) {
 	return v, src[n:], nil
 }
 
-func readStr(src []byte) (string, []byte, error) {
+// readRaw reads a length-prefixed string's bytes, aliasing src.
+func readRaw(src []byte) ([]byte, []byte, error) {
 	n, src, err := readUvarint(src)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if n > maxStr || uint64(len(src)) < n {
-		return "", nil, ErrFrame
+		return nil, nil, ErrFrame
 	}
-	return string(src[:n]), src[n:], nil
+	return src[:n], src[n:], nil
+}
+
+func readStr(src []byte) (string, []byte, error) {
+	raw, src, err := readRaw(src)
+	return string(raw), src, err
+}
+
+// readFrom reads the sender address, through the stream's memo if there
+// is one.
+func readFrom(src []byte, memo *FromMemo) (Addr, []byte, error) {
+	raw, src, err := readRaw(src)
+	if err != nil || memo == nil {
+		return Addr(raw), src, err
+	}
+	if string(raw) != string(memo.last) {
+		memo.last = Addr(raw)
+	}
+	return memo.last, src, nil
 }
 
 // readRepl reads a replica identity (origin address + sequence). The

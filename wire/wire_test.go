@@ -1,14 +1,17 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"tiamat/tuple"
 )
@@ -287,6 +290,36 @@ func TestCapsTruncationFailsClosed(t *testing.T) {
 	}
 }
 
+// TestFromMemoFollowsTheStream: the memo is a cache of the previous
+// frame's address, not an assumption about the connection. A stream that
+// alternates two senders (a relay's, say) decodes each frame's own From,
+// and a run of one sender shares a single string.
+func TestFromMemoFollowsTheStream(t *testing.T) {
+	var memo FromMemo
+	var prev *Message
+	for i, from := range []Addr{"10.0.0.1:7703", "10.0.0.2:7703", "10.0.0.1:7703", "10.0.0.1:7703", "", "", "10.0.0.2:7703"} {
+		want := &Message{Type: TAccept, ID: uint64(i), From: from, HoldID: 5}
+		got, err := memo.DecodeNoCopy(Encode(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: decoded %+v, want %+v", i, got, want)
+		}
+		if prev != nil && from != "" && prev.From == from &&
+			unsafe.StringData(string(prev.From)) != unsafe.StringData(string(got.From)) {
+			t.Fatalf("frame %d repeats the previous From without reusing its string", i)
+		}
+		prev = got
+	}
+	frame := Encode(&Message{Type: TAccept, ID: 1, From: "10.0.0.1:7703", HoldID: 5})
+	plain := testing.AllocsPerRun(100, func() { _, _ = DecodeNoCopy(frame) })
+	memoed := testing.AllocsPerRun(100, func() { _, _ = memo.DecodeNoCopy(frame) })
+	if memoed != plain-1 {
+		t.Fatalf("memoed decode: %v allocs, plain %v: the memo should save exactly the From string", memoed, plain)
+	}
+}
+
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(&Message{Type: TDiscover, ID: 1, From: "seed"}))
 	f.Add(Encode(&Message{Type: TOp, ID: 2, From: "s", Op: OpIn, TTL: time.Second,
@@ -324,6 +357,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add(reframe(append(truncated(Encode(&Message{Type: TAnnounce, ID: 14, From: "s", Caps: 1}), 1), 0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
+		// A stream memo changes where From's string comes from, never
+		// what is decoded: first through an empty memo, then one that
+		// remembers this very address.
+		var memo FromMemo
+		for pass := 0; pass < 2; pass++ {
+			mm, merr := memo.DecodeNoCopy(data)
+			if fmt.Sprint(merr) != fmt.Sprint(err) {
+				t.Fatalf("memo pass %d: error %v, Decode's %v", pass, merr, err)
+			}
+			if err == nil && (mm.From != m.From || !bytes.Equal(Encode(mm), Encode(m))) {
+				t.Fatalf("memo pass %d: decoded %+v, Decode %+v", pass, mm, m)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -2,7 +2,7 @@ GO ?= go
 
 SUITES = crash soak mobility gray replica upgrade farm
 
-.PHONY: build test check bench bench-json perf chaos fuzz loc suites-nonempty $(SUITES)
+.PHONY: build test check bench bench-json perf allocs chaos fuzz loc suites-nonempty $(SUITES)
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,22 @@ PAIRS   ?= 3
 SECONDS ?= 12
 perf:
 	./scripts/perfpairs.sh $(W) $(PAIRS) $(SECONDS) $(BASE)
+
+# allocs prints where a root Go benchmark's objects come from, per
+# allocation site: `make allocs [BENCH=RemoteInpTwoNodes] [N=20000]` runs
+# it for N iterations with every allocation sampled and lists pprof's
+# alloc_objects by site — divide a row's count by N for its objects per
+# op; the last line does that for the total. Writes only under
+# .bench_build/.
+BENCH ?= RemoteInpTwoNodes
+N     ?= 20000
+allocs:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^Benchmark$(BENCH)$$' -benchtime $(N)x -memprofilerate 1 \
+		-memprofile .bench_build/allocs.prof -o .bench_build/allocs.test .
+	@$(GO) tool pprof -sample_index=alloc_objects -top .bench_build/allocs.test .bench_build/allocs.prof 2>/dev/null | \
+		awk -v n=$(N) '{ print } /^Showing nodes accounting for/ { total = $$(NF-1) } \
+			END { printf "objects/op = %s / %d = %.2f\n", total, n, total / n }'
 
 # chaos runs the fault-injection benchmarks: E2/E9/E10 over a lossy,
 # duplicating, reordering network, reporting retry/dedup counters.
@@ -89,9 +105,11 @@ upgrade_exp  = C6
 # three spaces (one wake-up per out, a parked in outranks them, cancel
 # versus delivery, WAL accounting against compaction), N remote takers
 # on one template, the settlement cancels that skip only the winner,
-# and the E5 render farm.
-farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt
-farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/
+# the deadline queue under all of it (order, cancel, the arm rule, no
+# runtime timer and a fixed allocation budget per remote take), and the
+# E5 render farm.
+farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget
+farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/ ./clock/
 farm_exp  = E5
 
 $(SUITES):

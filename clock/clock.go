@@ -19,30 +19,8 @@ type Clock interface {
 	// AfterFunc schedules f to run after d and returns a stop function.
 	// The stop function reports whether it prevented f from running.
 	AfterFunc(d time.Duration, f func()) (stop func() bool)
-	// NewTimer returns a resettable one-shot timer armed for d. Unlike
-	// After, the timer (and its channel) can be re-armed with Reset, so a
-	// retry loop allocates one timer for its whole lifetime instead of one
-	// per arm.
-	NewTimer(d time.Duration) Timer
 	// Sleep blocks the calling goroutine for d.
 	Sleep(d time.Duration)
-}
-
-// Timer is a resettable one-shot timer. It is intended for a single
-// consumer goroutine: Reset handles the stop-and-drain dance internally,
-// so callers may re-arm it at any point whether or not the previous
-// arming fired.
-type Timer interface {
-	// C returns the delivery channel. It is the same channel across
-	// Resets.
-	C() <-chan time.Time
-	// Reset re-arms the timer for d, discarding any undelivered fire
-	// from a previous arming.
-	Reset(d time.Duration)
-	// Stop disarms the timer, reporting whether it prevented a pending
-	// fire. A stale fire may still sit in C after Stop returns false;
-	// Reset discards it.
-	Stop() bool
 }
 
 // Real is the wall-clock implementation.
@@ -62,29 +40,8 @@ func (Real) AfterFunc(d time.Duration, f func()) func() bool {
 	return t.Stop
 }
 
-// NewTimer implements Clock.
-func (Real) NewTimer(d time.Duration) Timer { return &realTimer{t: time.NewTimer(d)} }
-
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
-type realTimer struct{ t *time.Timer }
-
-func (rt *realTimer) C() <-chan time.Time { return rt.t.C }
-
-func (rt *realTimer) Stop() bool { return rt.t.Stop() }
-
-func (rt *realTimer) Reset(d time.Duration) {
-	if !rt.t.Stop() {
-		// Already fired: discard the stale delivery if the consumer has
-		// not taken it, so C carries only the new arming.
-		select {
-		case <-rt.t.C:
-		default:
-		}
-	}
-	rt.t.Reset(d)
-}
 
 // Virtual is a deterministic clock. Time advances only when Advance or
 // AdvanceTo is called; all timers due at or before the new time fire, in
@@ -184,60 +141,6 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) func() bool {
 		}
 		return true
 	}
-}
-
-// NewTimer implements Clock.
-func (v *Virtual) NewTimer(d time.Duration) Timer {
-	vt := &virtualTimer{v: v, ch: make(chan time.Time, 1)}
-	vt.Reset(d)
-	return vt
-}
-
-type virtualTimer struct {
-	v  *Virtual
-	ch chan time.Time
-	t  *vtimer // currently armed heap entry, nil when disarmed
-}
-
-func (vt *virtualTimer) C() <-chan time.Time { return vt.ch }
-
-func (vt *virtualTimer) Stop() bool {
-	vt.v.mu.Lock()
-	defer vt.v.mu.Unlock()
-	return vt.stopLocked()
-}
-
-func (vt *virtualTimer) stopLocked() bool {
-	t := vt.t
-	vt.t = nil
-	if t == nil || t.stopped {
-		return false
-	}
-	t.stopped = true
-	if t.index >= 0 && t.index < len(vt.v.timers) && vt.v.timers[t.index] == t {
-		heap.Remove(&vt.v.timers, t.index)
-	}
-	return true
-}
-
-func (vt *virtualTimer) Reset(d time.Duration) {
-	vt.v.mu.Lock()
-	vt.stopLocked()
-	// Discard a stale fire from a previous arming so the channel carries
-	// only this one.
-	select {
-	case <-vt.ch:
-	default:
-	}
-	if d <= 0 {
-		vt.ch <- vt.v.now
-		vt.v.mu.Unlock()
-		return
-	}
-	nt := &vtimer{at: vt.v.now.Add(d), ch: vt.ch}
-	vt.v.push(nt)
-	vt.t = nt
-	vt.v.mu.Unlock()
 }
 
 // Sleep blocks until the virtual clock is advanced past d by another

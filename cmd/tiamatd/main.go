@@ -64,6 +64,7 @@ import (
 	"tiamat/internal/store"
 	"tiamat/lease"
 	"tiamat/space/persist"
+	"tiamat/trace"
 	"tiamat/transport/netudp"
 	"tiamat/tuple"
 	"tiamat/wire"
@@ -205,6 +206,9 @@ func main() {
 			gr := inst.Gray()
 			fmt.Printf("gray: hedges=%d wins=%d suppressed=%d rtt-samples=%d degraded=%t\n",
 				gr.Hedges, gr.HedgeWins, gr.HedgeSuppressed, gr.RTTSamples, inst.Degraded())
+			met := inst.Metrics()
+			fmt.Printf("deadlines fired: contact-timeouts=%d accept-retransmits=%d hold-grace-expired=%d\n",
+				met.Get(trace.CtrContactTimeouts), met.Get(trace.CtrAcceptRetransmits), met.Get(trace.CtrHoldGraceExpired))
 			c := inst.CapsSummary()
 			fmt.Printf("caps: local=%s learned=%d gated-sends=%d baseline-peers=%d\n",
 				wire.CapsString(c.Local), c.Learned, c.GatedSends, c.BaselinePeers)

@@ -135,7 +135,19 @@ type peerState struct {
 	bytes    int64 // payload bytes of queued+executing work
 }
 
-func (p *peerState) idle() bool { return p.waits == 0 && p.inflight == 0 && p.bytes == 0 }
+func (p peerState) idle() bool { return p.waits == 0 && p.inflight == 0 && p.bytes == 0 }
+
+// setPeerLocked writes a peer's accounting back, dropping the record the
+// moment the peer is idle. Both maps below hold values, not pointers:
+// every closed-loop op takes its peer from idle to busy and back, and a
+// pointer map allocated a record each time. Caller holds g.mu.
+func (g *governor) setPeerLocked(peer wire.Addr, ps peerState) {
+	if ps.idle() {
+		delete(g.peers, peer)
+		return
+	}
+	g.peers[peer] = ps
+}
 
 // inflightEntry dedups serve work from enqueue to handler completion:
 // with a parallel worker pool, two copies of one frame could otherwise
@@ -163,9 +175,9 @@ type governor struct {
 	queue chan queuedMsg
 
 	mu            sync.Mutex
-	peers         map[wire.Addr]*peerState
+	peers         map[wire.Addr]peerState
 	totalWaits    int
-	inflight      map[waitKey]*inflightEntry
+	inflight      map[waitKey]inflightEntry
 	lastRevoke    time.Time
 	lastShrink    time.Time
 	queueDelay    time.Duration // EWMA of serve-queue wait
@@ -179,8 +191,8 @@ func newGovernor(i *Instance, cfg GovernorConfig) *governor {
 		cfg:      cfg,
 		i:        i,
 		queue:    make(chan queuedMsg, cfg.QueueDepth),
-		peers:    make(map[wire.Addr]*peerState),
-		inflight: make(map[waitKey]*inflightEntry),
+		peers:    make(map[wire.Addr]peerState),
+		inflight: make(map[waitKey]inflightEntry),
 		// The revoke cooldown starts at boot: a node that comes up
 		// already saturated must still climb the ladder (shed, shrink)
 		// before its first revocation.
@@ -354,15 +366,12 @@ func (g *governor) submit(m *wire.Message) {
 	g.mu.Lock()
 	if e, dup := g.inflight[key]; dup {
 		e.duplicated = true
+		g.inflight[key] = e
 		g.mu.Unlock()
 		g.i.met.Inc(trace.CtrDedupDrops)
 		return
 	}
 	ps := g.peers[m.From]
-	if ps == nil {
-		ps = &peerState{}
-		g.peers[m.From] = ps
-	}
 	if ps.inflight >= g.cfg.MaxPeerInflight || ps.bytes+cost > g.cfg.MaxPeerBytes {
 		g.rep.QuotaSheds++
 		g.mu.Unlock()
@@ -370,9 +379,10 @@ func (g *governor) submit(m *wire.Message) {
 		g.refuse(m)
 		return
 	}
-	g.inflight[key] = &inflightEntry{}
+	g.inflight[key] = inflightEntry{}
 	ps.inflight++
 	ps.bytes += cost
+	g.peers[m.From] = ps
 	g.mu.Unlock()
 
 	select {
@@ -401,15 +411,13 @@ func (g *governor) finish(m *wire.Message) {
 	g.mu.Lock()
 	e := g.inflight[key]
 	delete(g.inflight, key)
-	if ps := g.peers[m.From]; ps != nil {
+	if ps, ok := g.peers[m.From]; ok {
 		ps.inflight--
 		ps.bytes -= cost
-		if ps.idle() {
-			delete(g.peers, m.From)
-		}
+		g.setPeerLocked(m.From, ps)
 	}
 	g.mu.Unlock()
-	if e != nil && e.duplicated {
+	if e.duplicated {
 		g.i.resendServed(key)
 	}
 }
@@ -423,6 +431,7 @@ func (g *governor) markCancelled(key waitKey) bool {
 	e, ok := g.inflight[key]
 	if ok {
 		e.cancelled = true
+		g.inflight[key] = e
 	}
 	return ok
 }
@@ -446,16 +455,13 @@ func (g *governor) tryAddWait(peer wire.Addr) bool {
 		return false
 	}
 	ps := g.peers[peer]
-	if ps == nil {
-		ps = &peerState{}
-		g.peers[peer] = ps
-	}
 	if ps.waits >= g.cfg.MaxPeerWaits {
 		g.rep.QuotaSheds++
 		g.i.met.Inc(trace.CtrGovQuotaSheds)
 		return false
 	}
 	ps.waits++
+	g.peers[peer] = ps
 	g.totalWaits++
 	return true
 }
@@ -464,11 +470,9 @@ func (g *governor) dropWait(peer wire.Addr) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.totalWaits--
-	if ps := g.peers[peer]; ps != nil {
+	if ps, ok := g.peers[peer]; ok {
 		ps.waits--
-		if ps.idle() {
-			delete(g.peers, peer)
-		}
+		g.setPeerLocked(peer, ps)
 	}
 }
 

@@ -283,6 +283,12 @@ type Instance struct {
 	// gate is caps ∩ the peer's advertised set (linkCaps).
 	caps uint64
 
+	// deadlines times every per-operation deadline of this instance off
+	// one clock timer (clock.Queue): hold grace, accept retransmission,
+	// each walk's contact-timeout and hedge tick, and the replica
+	// write-through wait. Its lock nests inside mu.
+	deadlines *clock.Queue
+
 	mu       sync.Mutex
 	closed   bool
 	nextOpID uint64
@@ -398,6 +404,7 @@ func New(cfg Config) (*Instance, error) {
 		mgr:  lease.NewManager(cfg.Leases, cfg.Clock),
 		list: discovery.NewResponderList(responderListMax, cfg.Metrics,
 			discovery.WithClock(cfg.Clock)),
+		deadlines:   clock.NewQueue(cfg.Clock),
 		ops:         make(map[uint64]*opState),
 		holds:       make(map[uint64]*pendingHold),
 		pendAccepts: make(map[uint64]*pendingAccept),
@@ -606,7 +613,7 @@ func (i *Instance) Shutdown(ctx context.Context) error {
 	}
 
 	// Drain: holds settle when their requester accepts/releases (or
-	// their grace timer fires); outbound ops settle as replies arrive.
+	// their grace deadline passes); outbound ops settle as replies arrive.
 	// The poll runs on the wall clock — drain pacing is not simulated
 	// time — and is bounded by ctx.
 	var err error
@@ -664,35 +671,18 @@ func (i *Instance) Close() error {
 		i.mgr.Close()       // cancel leases: unblocks evals and served waiters
 		_ = i.local.Close() // unblocks store waiters
 		i.wg.Wait()
+		i.deadlines.Close() // pending graces and retransmissions go with it
 		i.mu.Lock()
-		holds := make([]*pendingHold, 0, len(i.holds))
-		for _, h := range i.holds {
-			holds = append(holds, h)
-		}
 		i.holds = make(map[uint64]*pendingHold)
 		waits := make([]*remoteWait, 0, len(i.waits))
 		for _, w := range i.waits {
 			waits = append(waits, w)
 		}
 		i.waits = make(map[waitKey]*remoteWait)
-		accepts := make([]*pendingAccept, 0, len(i.pendAccepts))
-		for _, pa := range i.pendAccepts {
-			accepts = append(accepts, pa)
-		}
 		i.pendAccepts = make(map[uint64]*pendingAccept)
 		i.mu.Unlock()
-		for _, h := range holds {
-			if h.stop != nil {
-				h.stop()
-			}
-		}
 		for _, w := range waits {
 			w.stop()
-		}
-		for _, pa := range accepts {
-			if pa.stop != nil {
-				pa.stop()
-			}
 		}
 	})
 	return nil

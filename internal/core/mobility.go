@@ -79,7 +79,7 @@ func (i *Instance) orphanLoop() {
 // simulated network drops frames whose edge vanished in flight, so once
 // both sides have seen the partition no late accept can arrive. On
 // transports whose sends cannot fail fast (plain UDP), probes never
-// report unreachable and the sweeper stays inert — the hold grace timer
+// report unreachable and the sweeper stays inert — the hold grace deadline
 // and lease TTL remain the backstop, same as before this sweeper existed.
 func (i *Instance) sweepOrphans() {
 	if i.stopping() {

@@ -28,6 +28,11 @@ import (
 type opState struct {
 	id      uint64
 	results chan *wire.Message
+	// The state is the walk's one entry on the instance's deadline queue
+	// (propagate): scheduled for the earlier of the next contact timeout
+	// and the next hedge, its expiry leaves a tick here.
+	clock.Deadline
+	tick chan struct{}
 	// contacted tracks the retransmission budget per contacted responder;
 	// csFree recycles the entries.
 	contacted map[wire.Addr]*contactState
@@ -42,10 +47,21 @@ type opState struct {
 var opStatePool = sync.Pool{New: func() any {
 	return &opState{
 		results:   make(chan *wire.Message, 256),
+		tick:      make(chan struct{}, 1),
 		contacted: make(map[wire.Addr]*contactState),
 		replied:   make(map[wire.Addr]bool),
 	}
 }}
+
+// Expire implements clock.Entry. The tick says only "look again": the walk
+// re-derives what is due from each contact's own deadline, so one that
+// lands after the op closed, or in the state's next op, does no harm.
+func (st *opState) Expire() {
+	select {
+	case st.tick <- struct{}{}:
+	default:
+	}
+}
 
 // openOp registers a fresh outbound operation under a new op ID: replies
 // carrying st.id are delivered into st.results until closeOp retires it.
@@ -416,18 +432,8 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 	multicasted := false
 	// winner is the responder whose found reply settled the op.
 	var winner wire.Addr
-	// Retry and hedge pacing run on two reusable timers instead of a
-	// fresh time.After per arm: a long op re-arms its retry timer once
-	// per reply, and the runtime otherwise keeps every discarded timer
-	// alive until it fires.
-	var retryTimer, hedgeTimer clock.Timer
 	defer func() {
-		if retryTimer != nil {
-			retryTimer.Stop()
-		}
-		if hedgeTimer != nil {
-			hedgeTimer.Stop()
-		}
+		i.deadlines.Cancel(st)
 		// Only blocking ops leave waiters behind on responders; tell
 		// them the operation is over. Nonblocking responders answered
 		// immediately and hold nothing beyond their pending holds,
@@ -454,36 +460,32 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 	remaining := 0
 	replied := st.replied
 
-	// retryC fires when the earliest outstanding contact has waited
-	// long enough for a retransmission (or a give-up).
-	var retryC <-chan time.Time
-	armRetry := func() {
-		retryC = nil
-		var earliest time.Time
+	// Retry and hedge pacing share st's deadline-queue entry. armTick
+	// schedules it for whichever comes first: the moment the earliest
+	// outstanding contact has waited long enough for a retransmission (or a
+	// give-up), no sooner than a millisecond from now, or hedgeAt, the next
+	// hedge firing (zero when none is pending).
+	var hedgeAt time.Time
+	armTick := func() {
+		var next time.Time
 		for _, cs := range contacted {
-			if cs.done {
-				continue
-			}
-			if earliest.IsZero() || cs.deadline.Before(earliest) {
-				earliest = cs.deadline
+			if !cs.done && (next.IsZero() || cs.deadline.Before(next)) {
+				next = cs.deadline
 			}
 		}
-		if earliest.IsZero() {
-			if retryTimer != nil {
-				retryTimer.Stop()
+		if !next.IsZero() {
+			if floor := i.clk.Now().Add(time.Millisecond); next.Before(floor) {
+				next = floor
 			}
+		}
+		if !hedgeAt.IsZero() && (next.IsZero() || hedgeAt.Before(next)) {
+			next = hedgeAt
+		}
+		if next.IsZero() {
+			i.deadlines.Cancel(st)
 			return
 		}
-		d := earliest.Sub(i.clk.Now())
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		if retryTimer == nil {
-			retryTimer = i.clk.NewTimer(d)
-		} else {
-			retryTimer.Reset(d)
-		}
-		retryC = retryTimer.C()
+		i.deadlines.Schedule(st, next)
 	}
 
 	// All ops contact the responder list incrementally, top-down,
@@ -538,21 +540,11 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 	// overloaded neighbourhood wants fewer contacts, not more.
 	hedging := code.Blocking() && !i.cfg.DisableHedge
 	hedgesUsed := 0
-	var hedgeC <-chan time.Time
 	armHedge := func() {
-		hedgeC = nil
-		if !hedging || len(queue) == 0 {
-			if hedgeTimer != nil {
-				hedgeTimer.Stop()
-			}
-			return
+		hedgeAt = time.Time{}
+		if hedging && len(queue) > 0 {
+			hedgeAt = i.clk.Now().Add(i.hedgeDelay())
 		}
-		if hedgeTimer == nil {
-			hedgeTimer = i.clk.NewTimer(i.hedgeDelay())
-		} else {
-			hedgeTimer.Reset(i.hedgeDelay())
-		}
-		hedgeC = hedgeTimer.C()
 	}
 
 	// advanceWalk keeps a blocking walk moving whenever every contact so
@@ -569,12 +561,12 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 			}
 		}
 		contactNext(i.cfg.ContactFanout, false)
-		armRetry()
+		armTick()
 	}
 
 	contactNext(i.cfg.ContactFanout, false)
-	armRetry()
 	armHedge()
+	armTick()
 
 	// unknownAudience is set when the transport cannot count multicast
 	// recipients (real UDP); nonblocking ops then wait out the lease
@@ -626,7 +618,7 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 		}
 		if len(queue) > 0 {
 			contactNext(i.cfg.ContactFanout, false)
-			armRetry()
+			armTick()
 			if remaining > 0 {
 				return false
 			}
@@ -678,7 +670,6 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 				// not-found (a serve-lease expiry notice) carry no timing
 				// signal; everything else does.
 				i.noteReply(m.From, cs.attempts, cs.sentAt, !m.Busy && (m.Found || !code.Blocking()))
-				armRetry()
 			}
 			if m.Busy && hedging {
 				// The neighbourhood is shedding load; hedging would add
@@ -686,10 +677,7 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 				// cadence for this op — the retry-exhaustion walk below
 				// still guarantees the rest of the list is reached.
 				hedging = false
-				hedgeC = nil
-				if hedgeTimer != nil {
-					hedgeTimer.Stop()
-				}
+				armHedge()
 				i.met.Inc(trace.CtrHedgeSuppressed)
 				i.gray.hedgeSuppressed.Add(1)
 			}
@@ -717,27 +705,55 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 				winner = m.From
 				return Result{Tuple: m.Tuple, From: m.From}, true, nil
 			}
+			armTick() // one contact fewer to wait on, perhaps no hedge
 			advanceWalk()
 			if tryConcludeNB() {
 				return Result{}, false, nil
 			}
 
-		case <-retryC:
+		case <-st.tick:
+			now := i.clk.Now()
+			if !hedgeAt.IsZero() && !now.Before(hedgeAt) {
+				// No answer within the adaptive hedge delay: race the next
+				// ranked responder with the same op ID. Once the hedge budget
+				// is spent, the next firing contacts everyone left — the
+				// staged walk bounds added tail latency, never completeness.
+				if hedgesUsed >= hedgeMax {
+					contactNext(len(queue), false)
+				} else {
+					hedgesUsed++
+					i.met.Inc(trace.CtrHedges)
+					i.gray.hedges.Add(1)
+					contactNext(1, true)
+				}
+				armHedge()
+			}
+			timedOut := false
+			for _, cs := range contacted {
+				if !cs.done && !now.Before(cs.deadline) {
+					timedOut = true
+					break
+				}
+			}
+			if !timedOut {
+				armTick()
+				break
+			}
 			// The local replica store may have become servable since the
 			// pre-walk attempt: a higher-ranked holder died mid-walk, or the
 			// failover grace armed then has now elapsed. Re-try it on each
-			// retry tick — the walk never contacts this node itself.
+			// contact timeout — the walk never contacts this node itself.
 			if i.repl != nil {
 				if res, ok := i.replServeLocal(code, p); ok {
 					i.met.Inc(trace.CtrOpsLocalHit)
 					return res, true, nil
 				}
 			}
-			now := i.clk.Now()
 			for a, cs := range contacted {
 				if cs.done || now.Before(cs.deadline) {
 					continue
 				}
+				i.met.Inc(trace.CtrContactTimeouts)
 				if cs.attempts >= i.cfg.RetryAttempts {
 					// Out of retries. Silence from a nonblocking probe is
 					// a soft failure; a blocking responder is expected to
@@ -762,27 +778,10 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 				cs.deadline = now.Add(i.retryWait(cs.attempts))
 			}
 			advanceWalk()
-			armRetry()
+			armTick()
 			if tryConcludeNB() {
 				return Result{}, false, nil
 			}
-
-		case <-hedgeC:
-			// No answer within the adaptive hedge delay: race the next
-			// ranked responder with the same op ID. Once the hedge budget
-			// is spent, the next firing contacts everyone left — the
-			// staged walk bounds added tail latency, never completeness.
-			hedgeC = nil
-			if hedgesUsed >= hedgeMax {
-				contactNext(len(queue), false)
-			} else {
-				hedgesUsed++
-				i.met.Inc(trace.CtrHedges)
-				i.gray.hedges.Add(1)
-				contactNext(1, true)
-			}
-			armRetry()
-			armHedge()
 
 		case <-lse.Done():
 			// Lease expired: stop trying and return nothing (§2.5).
@@ -828,7 +827,7 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 			remaining++
 			i.met.Inc(trace.CtrRearms)
 			i.mob.rearms.Add(1)
-			armRetry()
+			armTick()
 
 		case <-rediscover:
 			// The model's continuous mode: instances that became
@@ -842,38 +841,42 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 }
 
 // pendingAccept is an accept retransmission in flight: the TAccept is
-// resent on a timer until the owner acks, the grace deadline passes, or
-// the instance closes. Guarded by Instance.mu.
+// resent each time its deadline-queue entry expires, until the owner acks
+// (finishAccept cancels the entry), the grace window passes, or the
+// instance closes. attempt is guarded by Instance.mu.
 type pendingAccept struct {
-	owner    wire.Addr
-	msg      *wire.Message
-	deadline time.Time
-	attempt  int
-	stop     func() bool
+	clock.Deadline
+	i       *Instance
+	owner   wire.Addr
+	msg     *wire.Message // msg.ID is the ack ID the accept is registered under
+	giveUp  time.Time     // past the owner's grace window the accept is moot
+	attempt int
 }
 
 // acceptHold claims a tentative hold at its owner (first responder wins,
 // paper §3.1.3). The TAccept is retransmitted until the owner
 // acknowledges it: a lost accept would otherwise let the owner's grace
-// timer reinstate a tuple the requester is already using — a duplication.
+// deadline reinstate a tuple the requester is already using — a
+// duplication.
 //
-// The retransmission is timer-driven, not goroutine-driven: a take-heavy
-// workload settles one accept per take, and a goroutine per settlement
-// cannot keep up with a tight issue loop — the unsettled leases back up
-// the manager toward its MaxActive watermark and the governor starts
-// shedding healthy traffic (the BENCH_3 regression). The happy path here
-// is one send plus one armed timer that the ack stops.
+// The retransmission is deadline-driven, not goroutine-driven: a
+// take-heavy workload settles one accept per take, and a goroutine per
+// settlement cannot keep up with a tight issue loop — the unsettled leases
+// back up the manager toward its MaxActive watermark and the governor
+// starts shedding healthy traffic (the BENCH_3 regression). The happy path
+// here is one send plus one queue entry that the ack unlinks; no timer is
+// armed for it.
 func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease) {
 	i.rememberAccepted(acceptKey{owner: owner, holdID: holdID})
 	budget := lse.Deadline().Sub(i.clk.Now()) + i.cfg.HoldGrace
 	if budget < i.cfg.HoldGrace {
 		budget = i.cfg.HoldGrace
 	}
-	deadline := i.clk.Now().Add(budget)
+	giveUp := i.clk.Now().Add(budget)
 
 	ackID := i.nextOp()
 	msg := &wire.Message{Type: wire.TAccept, ID: ackID, From: i.Addr(), HoldID: holdID}
-	pa := &pendingAccept{owner: owner, msg: msg, deadline: deadline, attempt: 1}
+	pa := &pendingAccept{i: i, owner: owner, msg: msg, giveUp: giveUp, attempt: 1}
 	// Register before sending: over a synchronous transport the ack can
 	// arrive before send returns, and an ack that finds nothing registered
 	// settles nothing — the accept would be retransmitted for no reason.
@@ -885,36 +888,34 @@ func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease) 
 	i.pendAccepts[ackID] = pa
 	i.mu.Unlock()
 	if i.send(owner, msg) != nil {
-		i.finishAccept(ackID) // owner unreachable: its grace timer takes over
+		i.finishAccept(ackID) // owner unreachable: its grace deadline takes over
 		return
 	}
-	i.armAcceptRetry(ackID, pa, 1)
+	i.scheduleAcceptRetry(pa, 1)
 }
 
-// armAcceptRetry schedules the next TAccept retransmission for pa,
-// unless the ack (or teardown) already settled it.
-func (i *Instance) armAcceptRetry(ackID uint64, pa *pendingAccept, attempt int) {
-	stop := i.clk.AfterFunc(i.retryWait(attempt), func() { i.retryAccept(ackID) })
+// scheduleAcceptRetry schedules pa's next TAccept retransmission, unless
+// the ack (or teardown) already settled it.
+func (i *Instance) scheduleAcceptRetry(pa *pendingAccept, attempt int) {
+	at := i.clk.Now().Add(i.retryWait(attempt))
 	i.mu.Lock()
-	if cur, ok := i.pendAccepts[ackID]; ok && cur == pa {
-		pa.stop = stop
-		i.mu.Unlock()
-		return
+	if i.pendAccepts[pa.msg.ID] == pa {
+		i.deadlines.Schedule(pa, at)
 	}
 	i.mu.Unlock()
-	stop() // settled while we were arming; don't leave a timer behind
 }
 
-// retryAccept is the accept-retransmission timer callback.
-func (i *Instance) retryAccept(ackID uint64) {
+// Expire implements clock.Entry: no ack within retryWait(attempt), so the
+// accept is retransmitted.
+func (pa *pendingAccept) Expire() {
+	i, ackID := pa.i, pa.msg.ID
 	defer i.recoverPanic("accept-hold")
 	i.mu.Lock()
-	pa, ok := i.pendAccepts[ackID]
-	if !ok {
+	if i.pendAccepts[ackID] != pa {
 		i.mu.Unlock()
 		return
 	}
-	if i.closed || !i.clk.Now().Before(pa.deadline) {
+	if i.closed || !i.clk.Now().Before(pa.giveUp) {
 		// Past the owner's grace window (or closing): the accept is moot.
 		delete(i.pendAccepts, ackID)
 		i.mu.Unlock()
@@ -922,16 +923,16 @@ func (i *Instance) retryAccept(ackID uint64) {
 	}
 	pa.attempt++
 	attempt := pa.attempt
-	owner, msg := pa.owner, pa.msg
 	i.mu.Unlock()
-	if i.send(owner, msg) != nil {
+	if i.send(pa.owner, pa.msg) != nil {
 		i.mu.Lock()
 		delete(i.pendAccepts, ackID)
 		i.mu.Unlock()
-		return // owner unreachable: its grace timer takes over
+		return // owner unreachable: its grace deadline takes over
 	}
 	i.met.Inc(trace.CtrRetries)
-	i.armAcceptRetry(ackID, pa, attempt)
+	i.met.Inc(trace.CtrAcceptRetransmits)
+	i.scheduleAcceptRetry(pa, attempt)
 }
 
 // finishAccept settles the pending accept named by an inbound ack ID.
@@ -946,9 +947,7 @@ func (i *Instance) finishAccept(id uint64) bool {
 	if !ok {
 		return false
 	}
-	if pa.stop != nil {
-		pa.stop()
-	}
+	i.deadlines.Cancel(pa)
 	return true
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tiamat/clock"
 	"tiamat/internal/discovery"
 	"tiamat/lease"
 	"tiamat/routing"
@@ -76,10 +77,14 @@ type replOut struct {
 	tag    string
 	arity  int
 	// targets is the initial write-through set; done closes when every
-	// target acked or definitively refused, releasing a synchronous Out.
+	// target acked or definitively refused, or when the wait's bound — the
+	// record's entry on the instance's deadline queue — expires first,
+	// releasing a synchronous Out.
 	targets []wire.Addr
 	done    chan struct{}
 	settled bool
+	clock.Deadline
+	r *replicator
 	// acked tracks which holders confirmed a copy; refused tracks
 	// holders that answered with a definitive refusal (the copy does NOT
 	// exist there — a failed target, observable, that the sweeper keeps
@@ -366,7 +371,7 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 	r.mu.Lock()
 	ro := &replOut{
 		seq: sid, sid: sid, t: t.Copy(), expiry: expiry,
-		tag: tag, arity: arity,
+		tag: tag, arity: arity, r: r,
 		done:  make(chan struct{}),
 		acked: make(map[wire.Addr]bool), refused: make(map[wire.Addr]bool),
 		lastSend: make(map[wire.Addr]time.Time),
@@ -425,31 +430,41 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 	done := ro.done
 	r.mu.Unlock()
 
-	wait := i.clk.NewTimer(i.cfg.ContactTimeout)
-	defer wait.Stop()
+	i.deadlines.Schedule(ro, i.clk.Now().Add(i.cfg.ContactTimeout))
+	defer i.deadlines.Cancel(ro)
 	select {
 	case <-done:
+		// Settled, or timed out (Expire): either way the out stands, and
+		// the sweeper converges what the wait did not see acked — the
+		// origin is still alive to run it.
 		return nil
-	case <-wait.C():
-		// Only the wait is best-effort, not the write: a target silent
-		// through the whole window — a crashed peer, a lost frame, or a
-		// pre-replication decoder that rejected the frame without ever
-		// acking — is a *failed* write-through, counted here so the
-		// silence is observable instead of reading as success. The out
-		// stands and the sweeper keeps re-placing the copy; the ring's
-		// capability filter keeps undecodable targets out of placement
-		// in the first place (DESIGN.md §14).
-		r.mu.Lock()
-		for _, a := range ro.targets {
-			if !ro.acked[a] && !ro.refused[a] {
-				i.met.Inc(trace.CtrReplWriteUnacked)
-			}
-		}
-		r.mu.Unlock()
-		return nil // sweeper converges; the origin is still alive to run it
 	case <-i.stopped:
 		return ErrClosed
 	}
+}
+
+// Expire implements clock.Entry: the write-through wait ran out. Only the
+// wait is best-effort, not the write: a target silent through the whole
+// window — a crashed peer, a lost frame, or a pre-replication decoder that
+// rejected the frame without ever acking — is a *failed* write-through,
+// counted here so the silence is observable instead of reading as
+// success. The out stands and the sweeper keeps re-placing the copy; the
+// ring's capability filter keeps undecodable targets out of placement in
+// the first place (DESIGN.md §14).
+func (ro *replOut) Expire() {
+	r := ro.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ro.settled {
+		return
+	}
+	for _, a := range ro.targets {
+		if !ro.acked[a] && !ro.refused[a] {
+			r.i.met.Inc(trace.CtrReplWriteUnacked)
+		}
+	}
+	ro.settled = true
+	close(ro.done)
 }
 
 // settleLocked closes ro.done once every initial target acked or

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"tiamat/clock"
 	"tiamat/lease"
 	"tiamat/space"
 	"tiamat/trace"
@@ -22,12 +23,22 @@ import (
 // before any local work happens.
 
 // pendingHold is a tentatively removed tuple awaiting TAccept/TRelease.
-// A grace timer reinstates it if the requester disappears.
+// It is its own entry on the instance's deadline queue: the grace
+// deadline reinstates it if the requester disappears.
 type pendingHold struct {
+	clock.Deadline
+	i    *Instance
 	id   uint64
 	key  waitKey // the request this hold answers, for cache invalidation
 	hold space.Hold
-	stop func() bool
+}
+
+// Expire implements clock.Entry: the grace deadline passed with neither
+// an accept nor a release, so the tuple goes back into the space.
+func (ph *pendingHold) Expire() {
+	if ph.i.settleHold(ph.id, false) {
+		ph.i.met.Inc(trace.CtrHoldGraceExpired)
+	}
 }
 
 // servedCacheMax bounds the dedup caches (served replies, accepted
@@ -440,38 +451,30 @@ func (i *Instance) serveBlocking(m *wire.Message, lse *lease.Lease, ttl time.Dur
 	}()
 }
 
-// registerHold records a tentative removal and arms its grace timer. key
-// names the request the hold answers, so reinstatement can invalidate the
-// cached reply.
+// registerHold records a tentative removal and schedules its grace
+// deadline. key names the request the hold answers, so reinstatement can
+// invalidate the cached reply.
 func (i *Instance) registerHold(h space.Hold, ttl time.Duration, key waitKey) uint64 {
-	i.mu.Lock()
-	i.nextHold++
-	id := i.nextHold
-	ph := &pendingHold{id: id, key: key, hold: h}
-	i.holds[id] = ph
-	i.mu.Unlock()
-
 	grace := ttl + i.cfg.HoldGrace
 	if grace <= 0 {
 		grace = i.cfg.HoldGrace
 	}
-	stop := i.clk.AfterFunc(grace, func() { i.settleHold(id, false) })
-
+	ph := &pendingHold{i: i, key: key, hold: h}
+	at := i.clk.Now().Add(grace)
+	// Scheduled under i.mu: whoever finds the hold in the table and
+	// settles it also finds its deadline there to cancel.
 	i.mu.Lock()
-	if cur, ok := i.holds[id]; ok && cur == ph {
-		ph.stop = stop
-		i.mu.Unlock()
-		return id
-	}
+	i.nextHold++
+	ph.id = i.nextHold
+	i.holds[ph.id] = ph
+	i.deadlines.Schedule(ph, at)
 	i.mu.Unlock()
-	// Already settled (synchronous timer or racing accept): ensure the
-	// timer does not linger.
-	stop()
-	return id
+	return ph.id
 }
 
-// settleHold finalises (accept) or reinstates (release) a pending hold.
-func (i *Instance) settleHold(id uint64, accept bool) {
+// settleHold finalises (accept) or reinstates (release) a pending hold,
+// reporting whether the hold was still pending.
+func (i *Instance) settleHold(id uint64, accept bool) bool {
 	i.mu.Lock()
 	ph, ok := i.holds[id]
 	if ok {
@@ -487,16 +490,15 @@ func (i *Instance) settleHold(id uint64, accept bool) {
 	}
 	i.mu.Unlock()
 	if !ok {
-		return
+		return false
 	}
-	if ph.stop != nil {
-		ph.stop()
-	}
+	i.deadlines.Cancel(ph)
 	if accept {
 		ph.hold.Accept()
 	} else {
 		ph.hold.Release()
 	}
+	return true
 }
 
 // handleAccept finalises a tentative hold and acknowledges, letting the
@@ -696,7 +698,7 @@ func (i *Instance) relayOut(res Result) error {
 // from the responder list at once (no failure accounting — it told us it
 // is leaving), blocking waits served on its behalf are stopped, and
 // holds it owns are reinstated immediately instead of riding out their
-// grace timers — the accept is never coming.
+// grace deadlines — the accept is never coming.
 func (i *Instance) handleGoodbye(m *wire.Message) {
 	i.list.Depart(m.From)
 	i.mu.Lock()

@@ -2,7 +2,9 @@
 // lease-aware, sharded, concurrency-safe implementation of the
 // space.Space contract with blocking waiters, tentative holds for the
 // distributed take protocol, and a janitor that reclaims tuples whose out
-// leases have expired.
+// leases have expired: each shard keeps its tuples' expiries in a heap and
+// is itself one entry, at the earliest of them, on the store's one
+// deadline queue.
 //
 // # Sharding
 //
@@ -58,6 +60,8 @@ type Store struct {
 	clk  clock.Clock
 	met  *trace.Metrics
 	seed int64
+	// janitor times every shard's reclaim off one clock timer.
+	janitor *clock.Queue
 	// onRemove, if set, observes every finalised removal (take, accepted
 	// hold, explicit Remove, janitor reclaim) with the entry's storage
 	// id. It is always invoked without any shard lock held.
@@ -100,7 +104,12 @@ type shard struct {
 	// by the full tag; the scan shard keys by arity alone (tag "").
 	waiters map[tagKey][]*waiter
 	expiry  expiryHeap
-	stopJan func() bool // pending janitor timer
+	// The shard is the janitor's queue entry. reclaimAt is the instant it
+	// is scheduled for, never later than the heap's head; zero when it is
+	// not scheduled. Removing the head leaves it be: the early firing
+	// finds nothing expired and re-schedules for the head of the day.
+	clock.Deadline
+	reclaimAt time.Time
 }
 
 // tagKey identifies a (arity, leading string tag) index bucket.
@@ -313,6 +322,7 @@ func New(opts ...Option) *Store {
 	s.nTagShards = 1 << uint(bits.Len(uint(s.nTagShards-1)))
 	// shardBits must index tag shards plus the scan shard.
 	s.shardBits = uint(bits.Len(uint(s.nTagShards)))
+	s.janitor = clock.NewQueue(s.clk)
 	s.shards = make([]*shard, s.nTagShards+1)
 	for i := range s.shards {
 		s.shards[i] = &shard{
@@ -1003,16 +1013,13 @@ func (s *Store) Close() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.closed = true
-		if sh.stopJan != nil {
-			sh.stopJan()
-			sh.stopJan = nil
-		}
 		for _, list := range sh.waiters {
 			ws = append(ws, list...)
 		}
 		sh.waiters = make(map[tagKey][]*waiter)
 		sh.mu.Unlock()
 	}
+	s.janitor.Close()
 	s.gmu.Lock()
 	ws = append(ws, s.gwaiters...)
 	s.gwaiters = nil
@@ -1044,25 +1051,23 @@ func (h *expiryHeap) Pop() any {
 	return e
 }
 
-// scheduleJanitorLocked arms a timer for the shard's earliest expiry.
+// scheduleJanitorLocked moves the shard's queue entry up to its earliest
+// expiry when that is sooner than the instant it is scheduled for.
 // Caller holds sh.mu.
 func (sh *shard) scheduleJanitorLocked() {
-	if sh.stopJan != nil {
-		sh.stopJan()
-		sh.stopJan = nil
-	}
 	if sh.closed || len(sh.expiry) == 0 {
 		return
 	}
-	d := sh.expiry[0].expiry.Sub(sh.st.clk.Now())
-	if d < 0 {
-		d = 0
+	head := sh.expiry[0].expiry
+	if sh.reclaimAt.IsZero() || head.Before(sh.reclaimAt) {
+		sh.reclaimAt = head
+		sh.st.janitor.Schedule(sh, head)
 	}
-	sh.stopJan = sh.st.clk.AfterFunc(d, sh.reclaim)
 }
 
-// reclaim removes the shard's expired tuples and re-arms its janitor.
-func (sh *shard) reclaim() {
+// Expire implements clock.Entry: the shard's earliest expiry may have
+// passed. It reclaims the expired tuples and re-schedules the janitor.
+func (sh *shard) Expire() {
 	s := sh.st
 	var reclaimed []uint64
 	sh.mu.Lock()
@@ -1081,7 +1086,7 @@ func (sh *shard) reclaim() {
 		s.met.Inc(trace.CtrTuplesReclaimed)
 		reclaimed = append(reclaimed, e.id)
 	}
-	sh.stopJan = nil
+	sh.reclaimAt = time.Time{}
 	sh.scheduleJanitorLocked()
 }
 

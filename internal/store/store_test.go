@@ -273,6 +273,42 @@ func TestExpiredTupleInvisibleBeforeJanitor(t *testing.T) {
 	}
 }
 
+// TestExpiredReinstatementDoesNotDeadlock: a tuple stored with an expiry
+// that has already passed — a hold released after it outlived its tuple's
+// lease, or an Out that is late from the start — must not expire inline
+// on a virtual clock. With a per-shard janitor timer the past-due delay
+// was clamped to zero, which clock.Virtual runs on the spot: reclaim then
+// took the shard lock its own caller held. (space/persist runs the same
+// case through the WAL wrapper.)
+func TestExpiredReinstatementDoesNotDeadlock(t *testing.T) {
+	s, clk := newTest()
+	s.Out(req(1), epoch.Add(time.Second))
+	h, ok := s.Hold(reqTmpl())
+	if !ok {
+		t.Fatal("Hold found nothing")
+	}
+	clk.Advance(2 * time.Second)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.Release()
+		s.Out(req(2), clk.Now().Add(-time.Second))
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("storing an already expired tuple never returned") // and Close would hang too
+	}
+	if got, ok := s.Rdp(reqTmpl()); ok {
+		t.Fatalf("expired tuple %v matched", got)
+	}
+	clk.Advance(time.Nanosecond)
+	if s.Count() != 0 || s.Reclaimed() != 2 {
+		t.Fatalf("after the next clock step: count %d, reclaimed %d, want 0 and 2", s.Count(), s.Reclaimed())
+	}
+	s.Close()
+}
+
 func TestRemoveByID(t *testing.T) {
 	s, _ := newTest()
 	defer s.Close()

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"tiamat/clock"
 )
 
 // OpKind identifies which of the six Linda operations a lease covers.
@@ -134,9 +136,10 @@ type Lease struct {
 	terms    Terms
 	deadline time.Time
 	// skew is the grantor's clock-skew guard band (Capacity.SkewBand):
-	// expiry timers fire this long after the nominal deadline.
+	// expiry is enforced this long after the nominal deadline.
 	skew time.Duration
 	id   uint64
+	exp  leaseExpiry
 
 	mu          sync.Mutex
 	state       State
@@ -147,6 +150,16 @@ type Lease struct {
 	// them, and the channel was a per-grant allocation.
 	done chan struct{}
 }
+
+// leaseExpiry is the lease's entry on its manager's deadline queue. It is
+// a field rather than an embedding so that expiring a lease stays the
+// manager's business and not a method of Lease.
+type leaseExpiry struct {
+	clock.Deadline
+	l *Lease
+}
+
+func (e *leaseExpiry) Expire() { e.l.finish(StateExpired) }
 
 // closedChan is returned by Done() for leases that finished before anyone
 // asked for their channel.
@@ -282,7 +295,7 @@ func (l *Lease) ShrinkBytes() int64 {
 }
 
 // ShrinkDuration clamps the lease's remaining time budget to at most d
-// from now, re-arming the expiry timer. A lease that already expires
+// from now, moving its expiry with it. A lease that already expires
 // sooner (or is no longer active) is untouched. It reports whether the
 // deadline moved.
 func (l *Lease) ShrinkDuration(d time.Duration) bool {
@@ -297,13 +310,10 @@ func (l *Lease) ShrinkDuration(d time.Duration) bool {
 	}
 	l.deadline = nd
 	l.mu.Unlock()
-	// The original (later) heap entry becomes stale: the earlier one fires
-	// first, finishes the lease, and the old entry is skipped when it
-	// surfaces.
 	m := l.mgr
 	m.mu.Lock()
-	if !m.closed {
-		m.scheduleExpiryLocked(l, nd.Add(l.skew), m.clk.Now())
+	if _, ok := m.active[l.id]; ok {
+		m.expiries.Schedule(&l.exp, nd.Add(l.skew))
 	}
 	m.mu.Unlock()
 	return true

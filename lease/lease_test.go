@@ -129,6 +129,11 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
+// A cancel unlinks the lease from the manager's deadline queue and leaves
+// the queue's one clock timer alone (clock.Queue: it fires, finds nothing
+// due and is not re-armed). So the timer contract is no longer "a cancel
+// disarms" but: at most one pending timer per manager, none once the clock
+// has passed the armed instant, none after Close.
 func TestCancelIdempotentAndStopsTimer(t *testing.T) {
 	m, clk := newTestManager(DefaultCapacity())
 	l, err := m.Grant(OpRd, Flexible(Terms{Duration: 5 * time.Second}))
@@ -140,6 +145,12 @@ func TestCancelIdempotentAndStopsTimer(t *testing.T) {
 	if l.State() != StateCancelled {
 		t.Fatalf("state = %v", l.State())
 	}
+	if n := m.expiries.Len(); n != 0 {
+		t.Fatalf("cancelled lease left %d queue entries", n)
+	}
+	if clk.Pending() > 1 {
+		t.Fatalf("%d timers pending, want at most one per manager", clk.Pending())
+	}
 	clk.Advance(10 * time.Second)
 	if l.State() != StateCancelled {
 		t.Fatal("expiry overrode cancellation")
@@ -148,7 +159,33 @@ func TestCancelIdempotentAndStopsTimer(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	if clk.Pending() != 0 {
-		t.Fatalf("timer leaked: %d pending", clk.Pending())
+		t.Fatalf("timer leaked past its armed instant: %d pending", clk.Pending())
+	}
+	if _, err := m.Grant(OpRd, Flexible(Terms{Duration: 5 * time.Second})); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	if clk.Pending() != 0 {
+		t.Fatalf("timer leaked past Close: %d pending", clk.Pending())
+	}
+}
+
+// TestGrantCancelAllocatesOnlyTheLease pins the serve path's lease cost at
+// one object per grant: the lease carries its own queue entry, so linking
+// and unlinking it allocate nothing and no timer is armed or stopped.
+func TestGrantCancelAllocatesOnlyTheLease(t *testing.T) {
+	m := NewManager(DefaultCapacity(), nil)
+	defer m.Close()
+	cycle := func() {
+		l, err := m.GrantTerms(OpIn, Terms{Duration: 30 * time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Cancel()
+	}
+	cycle() // arm the queue's timer once
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 1 {
+		t.Fatalf("GrantTerms+Cancel: %v allocs, want 1 (the lease)", allocs)
 	}
 }
 

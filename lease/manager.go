@@ -88,78 +88,11 @@ type Manager struct {
 	stats     Stats
 	factories map[ResourceKind]*factory
 
-	// Expiry is driven by one shared timer over a deadline heap instead of
-	// one runtime timer per lease: grants are the hot path (three per
-	// remote op) and the per-grant AfterFunc was a measurable slice of its
-	// allocations. Entries for cancelled leases are skipped lazily when
-	// they surface at the head.
-	expiries expHeap
-	expStop  func() bool // stops the armed shared timer, nil when unarmed
-	expAt    time.Time   // fire time of the armed shared timer
-}
-
-// expEntry schedules one expiry check: at is the enforcement instant
-// (nominal deadline plus skew band).
-type expEntry struct {
-	at time.Time
-	l  *Lease
-}
-
-// expHeap is a binary min-heap on at. It is sifted by hand on the typed
-// slice: container/heap moves elements through `any`, which boxed every
-// 32-byte entry once on push and once on pop — two allocations per grant.
-type expHeap []expEntry
-
-func (h *expHeap) push(e expEntry) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-// pop removes and returns the earliest entry. The heap must not be empty.
-func (h *expHeap) pop() expEntry {
-	old := *h
-	n := len(old) - 1
-	e := old[0]
-	old[0] = old[n]
-	old[n] = expEntry{}
-	*h = old[:n]
-	h.down(0)
-	return e
-}
-
-// init establishes the heap order over arbitrary contents.
-func (h expHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h expHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].at.Before(h[parent].at) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h expHeap) down(i int) {
-	for {
-		least := 2*i + 1
-		if least >= len(h) {
-			return
-		}
-		if r := least + 1; r < len(h) && h[r].at.Before(h[least].at) {
-			least = r
-		}
-		if !h[least].at.Before(h[i].at) {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
+	// Every lease's enforcement instant (deadline + skew band) is an entry
+	// on one deadline queue: a grant links the lease itself in and a cancel
+	// unlinks it, so neither allocates, arms or stops a runtime timer —
+	// grants are the hot path, three per remote op. Scheduled under mu.
+	expiries *clock.Queue
 }
 
 // NewManager returns a Manager with the given capacity, using clk for all
@@ -173,6 +106,7 @@ func NewManager(cap Capacity, clk clock.Clock) *Manager {
 		cap:       cap,
 		active:    make(map[uint64]*Lease),
 		factories: make(map[ResourceKind]*factory),
+		expiries:  clock.NewQueue(clk),
 	}
 }
 
@@ -303,7 +237,7 @@ func (m *Manager) GrantTerms(op OpKind, want Terms) (*Lease, error) {
 }
 
 // grantLocked mints the lease for an already-accepted offer and schedules
-// its expiry on the shared timer. Caller holds m.mu.
+// its expiry. Caller holds m.mu.
 func (m *Manager) grantLocked(op OpKind, offer Terms) *Lease {
 	m.nextID++
 	now := m.clk.Now()
@@ -317,75 +251,13 @@ func (m *Manager) grantLocked(op OpKind, offer Terms) *Lease {
 		state:       StateActive,
 		remotesLeft: offer.MaxRemotes,
 	}
+	l.exp.l = l
 	m.active[l.id] = l
 	m.bytesHeld += offer.MaxBytes
 	m.stats.Granted++
 	// Enforcement runs SkewBand behind the promise (clock-skew guard).
-	m.scheduleExpiryLocked(l, l.deadline.Add(l.skew), now)
+	m.expiries.Schedule(&l.exp, l.deadline.Add(l.skew))
 	return l
-}
-
-// scheduleExpiryLocked queues an expiry check for l at the given instant
-// and re-arms the shared timer if this became the earliest deadline.
-// Caller holds m.mu.
-func (m *Manager) scheduleExpiryLocked(l *Lease, at, now time.Time) {
-	m.expiries.push(expEntry{at: at, l: l})
-	m.armExpiryLocked(now)
-}
-
-// armExpiryLocked points the shared timer at the heap head. Caller holds
-// m.mu. The delay is clamped to a strictly positive value so a virtual
-// clock never runs the callback synchronously under the lock.
-func (m *Manager) armExpiryLocked(now time.Time) {
-	// Drop stale heads (already-released leases) so the timer always
-	// points at a live deadline — and disarms entirely when none remain.
-	for len(m.expiries) > 0 {
-		if _, ok := m.active[m.expiries[0].l.id]; ok {
-			break
-		}
-		m.expiries.pop()
-	}
-	if len(m.expiries) == 0 {
-		if m.expStop != nil {
-			m.expStop()
-			m.expStop = nil
-		}
-		return
-	}
-	head := m.expiries[0].at
-	if m.expStop != nil {
-		if !head.Before(m.expAt) {
-			return // armed timer already fires early enough
-		}
-		m.expStop()
-	}
-	d := head.Sub(now)
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	m.expAt = head
-	m.expStop = m.clk.AfterFunc(d, m.fireExpiries)
-}
-
-// fireExpiries is the shared-timer callback: it expires every lease whose
-// enforcement instant has passed and re-arms for the next head. Stale
-// entries (leases already released) are discarded as they surface.
-func (m *Manager) fireExpiries() {
-	m.mu.Lock()
-	m.expStop = nil
-	now := m.clk.Now()
-	var due []*Lease
-	for len(m.expiries) > 0 && !m.expiries[0].at.After(now) {
-		e := m.expiries.pop()
-		if _, ok := m.active[e.l.id]; ok {
-			due = append(due, e.l)
-		}
-	}
-	m.armExpiryLocked(now)
-	m.mu.Unlock()
-	for _, l := range due {
-		l.finish(StateExpired)
-	}
 }
 
 // release is called exactly once per lease when it leaves StateActive.
@@ -397,24 +269,7 @@ func (m *Manager) release(l *Lease, s State) {
 	}
 	delete(m.active, l.id)
 	m.bytesHeld -= l.terms.MaxBytes
-	// Cancelled leases leave stale entries in the expiry heap (they are
-	// skipped when they surface). Compact when stale entries dominate so
-	// a cancel-heavy workload does not accumulate heap memory for the
-	// full nominal lease duration.
-	if len(m.expiries) > 64 && len(m.expiries) > 4*len(m.active) {
-		live := m.expiries[:0]
-		for _, e := range m.expiries {
-			if _, ok := m.active[e.l.id]; ok {
-				live = append(live, e)
-			}
-		}
-		for i := len(live); i < len(m.expiries); i++ {
-			m.expiries[i] = expEntry{}
-		}
-		m.expiries = live
-		m.expiries.init()
-	}
-	m.armExpiryLocked(m.clk.Now())
+	m.expiries.Cancel(&l.exp)
 	switch s {
 	case StateExpired:
 		m.stats.Expired++
@@ -534,11 +389,7 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	if m.expStop != nil {
-		m.expStop()
-		m.expStop = nil
-	}
-	m.expiries = nil
+	m.expiries.Close()
 	ls := make([]*Lease, 0, len(m.active))
 	for _, l := range m.active {
 		ls = append(ls, l)

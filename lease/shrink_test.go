@@ -54,6 +54,10 @@ func TestManagerShrinkReclaimsOldestFirst(t *testing.T) {
 	}
 }
 
+// The timer assertions follow clock.Queue's contract, not an eager disarm:
+// at most one pending timer per manager (a shrink moves the lease's one
+// entry and re-arms the timer because the head got earlier), none once the
+// clock has passed the armed instant.
 func TestShrinkDurationReArmsExpiry(t *testing.T) {
 	m, clk := newTestManager(DefaultCapacity())
 	l, err := m.Grant(OpRd, Flexible(Terms{Duration: 10 * time.Second}))
@@ -69,6 +73,9 @@ func TestShrinkDurationReArmsExpiry(t *testing.T) {
 	if !l.Deadline().Equal(epoch.Add(2 * time.Second)) {
 		t.Fatalf("deadline = %v", l.Deadline())
 	}
+	if m.expiries.Len() != 1 || clk.Pending() != 1 {
+		t.Fatalf("%d queue entries, %d timers pending after a shrink, want 1 and 1", m.expiries.Len(), clk.Pending())
+	}
 	clk.Advance(1 * time.Second)
 	if l.State() != StateActive {
 		t.Fatal("expired before the shrunk deadline")
@@ -81,7 +88,7 @@ func TestShrinkDurationReArmsExpiry(t *testing.T) {
 		t.Fatal("shrinking a dead lease must be a no-op")
 	}
 	if clk.Pending() != 0 {
-		t.Fatalf("timer leaked: %d pending", clk.Pending())
+		t.Fatalf("timer leaked past its armed instant: %d pending", clk.Pending())
 	}
 }
 

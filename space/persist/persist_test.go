@@ -84,6 +84,37 @@ func TestExpiredTuplesNotReplayed(t *testing.T) {
 	}
 }
 
+// TestExpiredReinstatementDoesNotDeadlock is the store's test of the same
+// name run through the WAL wrapper: a release or an Out that stores an
+// already expired tuple on a virtual clock returns, and the next clock
+// step reclaims it.
+func TestExpiredReinstatementDoesNotDeadlock(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	s := open(t, filepath.Join(t.TempDir(), "space.log"), clk)
+	s.Out(item(1), epoch.Add(time.Second))
+	h, ok := s.Hold(itemTmpl())
+	if !ok {
+		t.Fatal("Hold found nothing")
+	}
+	clk.Advance(2 * time.Second)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.Release()
+		s.Out(item(2), clk.Now().Add(-time.Second))
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("storing an already expired tuple never returned") // and Close would hang too
+	}
+	clk.Advance(time.Nanosecond)
+	if n := s.Count(); n != 0 {
+		t.Fatalf("%d expired tuples survive the next clock step", n)
+	}
+	s.Close()
+}
+
 func TestWaiterTakeIsDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "space.log")
 	s := open(t, path, nil)

@@ -180,6 +180,13 @@ const (
 	CtrOrphanWaits   = "serve.orphan_waits"
 	CtrOrphanHolds   = "serve.orphan_holds"
 	CtrOrphanProbes  = "serve.orphan_probes"
+	// Which deadline fired: a contact's reply wait ran out, a TAccept was
+	// retransmitted for want of its ack, a hold's grace passed with neither
+	// accept nor release. net.retries and store.tuples_reinstated lump
+	// these with other causes; a stall that waits one out names it here.
+	CtrContactTimeouts   = "ops.contact_timeouts"
+	CtrAcceptRetransmits = "ops.accept_retransmits"
+	CtrHoldGraceExpired  = "serve.hold_grace_expired"
 	// CtrStaleDrops counts frames the simulated network dropped because
 	// their visibility edge vanished while they were in flight (radio
 	// propagation: no edge at delivery time, no delivery).

@@ -101,15 +101,18 @@ replica_exp  = C5
 upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|CoalescedAck|FramePipe|ReadFrames|SendAllocates|SessionsReaped|C6
 upgrade_pkgs = ./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./transport/netudp/ ./internal/harness/
 upgrade_exp  = C6
-# farm: the master/worker serve path — hold-delivering waiters in all
-# three spaces (one wake-up per out, a parked in outranks them, cancel
-# versus delivery, WAL accounting against compaction), N remote takers
-# on one template, the settlement cancels that skip only the winner,
+# farm: the master/worker serve path — parked registrations in all three
+# spaces (one sink call per out, made by the out; a parked in outranks
+# them; cancel versus delivery; WAL accounting against compaction), N
+# remote takers on one template with no goroutine parked for any, every
+# edge that ends a served wait in every order, the lease end hook and the
+# reusable visibility subscription under it, the out-lease an early accept
+# must still release, the settlement cancels that skip only the winner,
 # the deadline queue under all of it (order, cancel, the arm rule, no
-# runtime timer and a fixed allocation budget per remote take), and the
+# runtime timer and fixed allocation budgets per remote take), and the
 # E5 render farm.
-farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget
-farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/ ./clock/
+farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget
+farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/ ./clock/ ./lease/ ./internal/discovery/
 farm_exp  = E5
 
 $(SUITES):

@@ -17,6 +17,7 @@ import (
 	"tiamat/internal/store"
 	"tiamat/lease"
 	"tiamat/space"
+	"tiamat/space/spacetest"
 	"tiamat/transport/memnet"
 	"tiamat/tuple"
 	"tiamat/wire"
@@ -114,18 +115,24 @@ func BenchmarkStoreOutInp(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreWakeOneOfEight: eight hold-waiters parked on one
-// template, one out per iteration. The out hands its tuple to the oldest
-// and leaves seven parked; the woken taker accepts and parks again at the
-// back. The cost must not depend on how many others are parked.
+// BenchmarkStoreWakeOneOfEight: eight takers parked on one template, one
+// out per iteration. The out hands its tuple to the oldest, from inside,
+// and leaves seven parked; the taker accepts and parks again at the back.
+// The cost must not depend on how many others are parked.
 func BenchmarkStoreWakeOneOfEight(b *testing.B) {
 	s := store.New()
 	defer s.Close()
 	t := tuple.T(tuple.String("k"), tuple.Int(1))
 	p := tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
-	var ws [8]space.HoldWaiter
-	for k := range ws {
-		ws[k] = s.WaitHold(p)
+	calls := 0
+	var again space.Sink
+	again = spacetest.SinkFunc(func(_ tuple.Tuple, h space.Hold) {
+		calls++
+		h.Accept()
+		s.Park(p, true, again)
+	})
+	for k := 0; k < 8; k++ {
+		s.Park(p, true, again)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -133,13 +140,9 @@ func BenchmarkStoreWakeOneOfEight(b *testing.B) {
 		if _, err := s.Out(t, time.Time{}); err != nil {
 			b.Fatal(err)
 		}
-		oldest := &ws[i%len(ws)]
-		h, ok := <-(*oldest).Chan()
-		if !ok {
-			b.Fatal("oldest taker not woken")
-		}
-		h.Accept()
-		*oldest = s.WaitHold(p)
+	}
+	if calls != b.N {
+		b.Fatalf("%d outs called %d takers", b.N, calls)
 	}
 }
 
@@ -244,8 +247,8 @@ func BenchmarkRemoteInpTwoNodes(b *testing.B) {
 // BenchmarkRemoteInBlockingTwoNodes is the master/worker shape: eight
 // blocking takers on b parked on one template at a, one out per
 // iteration, timed until some taker has it. What it prices is the serve
-// side's wake-up: with hold-delivering waiters the out wakes one taker,
-// where a copy-mode wait woke all eight to race for one hold.
+// side of a blocking take: the out calls one parked taker's sink, which
+// sends the reply, and no goroutine at a is woken at all.
 func BenchmarkRemoteInBlockingTwoNodes(b *testing.B) {
 	net := memnet.New()
 	defer net.Close()

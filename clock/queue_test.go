@@ -259,7 +259,9 @@ func TestQueueScheduleCancelAllocatesNothing(t *testing.T) {
 // TestQueueBlockedExpireDelaysNothingLater: the queue re-arms before it
 // runs a batch, so an Expire stuck on a channel (a hold reinstatement
 // behind a stalled WAL, an accept retransmission into a slow socket) does
-// not stop an entry due a millisecond later from firing.
+// not stop an entry due later from firing. The two are 50 ms apart, not 1:
+// a timer that fires a millisecond late on a loaded machine finds both
+// due and puts them in one batch, which is not the case under test.
 func TestQueueBlockedExpireDelaysNothingLater(t *testing.T) {
 	q := NewQueue(Real{})
 	defer q.Close()
@@ -271,11 +273,11 @@ func TestQueueBlockedExpireDelaysNothingLater(t *testing.T) {
 	later.then = func() { close(fired) }
 	now := time.Now()
 	q.Schedule(stuck, now.Add(time.Millisecond))
-	q.Schedule(later, now.Add(2*time.Millisecond))
+	q.Schedule(later, now.Add(51*time.Millisecond))
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
-		t.Fatal("an entry due 1ms after a blocked Expire never fired")
+		t.Fatal("an entry due 50ms after a blocked Expire never fired")
 	}
 	if stuck.fired.Load() != 1 {
 		t.Fatalf("the blocked entry fired %d times", stuck.fired.Load())

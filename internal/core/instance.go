@@ -319,8 +319,17 @@ type Instance struct {
 	// tuple (OnRevoke).
 	outBySid   map[uint64]*lease.Lease // store tuple id -> out lease
 	sidByLease map[uint64]uint64       // lease ID -> store tuple id
-	evals      map[string]EvalFunc
-	relays     []wire.Addr
+	// An out learns its tuple's id only when the space's Out returns, and
+	// that Out may already have handed the tuple to a parked remote taker
+	// and sent the reply: the removal can be final before there is a record
+	// to release. outsPending counts the outs in that window (raised
+	// before the space is called, lowered under mu with the record made);
+	// removedEarly keeps the ids removals asked about and found nothing
+	// for while it is non-zero, so the out finds its own there (outLeased).
+	outsPending  atomic.Int32
+	removedEarly map[uint64]struct{}
+	evals        map[string]EvalFunc
+	relays       []wire.Addr
 	// defReq is the requester used when an operation passes nil: built
 	// once so the nil-requester hot path does not re-box a closure pair
 	// per grant.
@@ -404,21 +413,22 @@ func New(cfg Config) (*Instance, error) {
 		mgr:  lease.NewManager(cfg.Leases, cfg.Clock),
 		list: discovery.NewResponderList(responderListMax, cfg.Metrics,
 			discovery.WithClock(cfg.Clock)),
-		deadlines:   clock.NewQueue(cfg.Clock),
-		ops:         make(map[uint64]*opState),
-		holds:       make(map[uint64]*pendingHold),
-		pendAccepts: make(map[uint64]*pendingAccept),
-		waits:       make(map[waitKey]*remoteWait),
-		announces:   make(map[uint64]chan SpaceInfo),
-		served:      make(map[waitKey]servedReply),
-		accepted:    make(map[acceptKey]bool),
-		outBySid:    make(map[uint64]*lease.Lease),
-		sidByLease:  make(map[uint64]uint64),
-		evals:       make(map[string]EvalFunc),
-		relays:      append([]wire.Addr(nil), cfg.Relays...),
-		suspect:     make(map[wire.Addr]time.Time),
-		capsProbes:  make(map[wire.Addr]time.Time),
-		stopped:     make(chan struct{}),
+		deadlines:    clock.NewQueue(cfg.Clock),
+		ops:          make(map[uint64]*opState),
+		holds:        make(map[uint64]*pendingHold),
+		pendAccepts:  make(map[uint64]*pendingAccept),
+		waits:        make(map[waitKey]*remoteWait),
+		announces:    make(map[uint64]chan SpaceInfo),
+		served:       make(map[waitKey]servedReply),
+		accepted:     make(map[acceptKey]bool),
+		outBySid:     make(map[uint64]*lease.Lease),
+		sidByLease:   make(map[uint64]uint64),
+		removedEarly: make(map[uint64]struct{}),
+		evals:        make(map[string]EvalFunc),
+		relays:       append([]wire.Addr(nil), cfg.Relays...),
+		suspect:      make(map[wire.Addr]time.Time),
+		capsProbes:   make(map[wire.Addr]time.Time),
+		stopped:      make(chan struct{}),
 	}
 	i.seedRetryJitter()
 	i.defReq = lease.Flexible(defaultTerms)
@@ -602,14 +612,13 @@ func (i *Instance) Shutdown(ctx context.Context) error {
 	// operations fail over to other responders instead of timing out
 	// against a dead address.
 	i.mu.Lock()
-	waits := make(map[waitKey]*remoteWait, len(i.waits))
-	for k, w := range i.waits {
-		waits[k] = w
+	waits := make([]*remoteWait, 0, len(i.waits))
+	for _, w := range i.waits {
+		waits = append(waits, w)
 	}
 	i.mu.Unlock()
-	for k, w := range waits {
-		_ = i.send(k.from, &wire.Message{Type: wire.TResult, ID: k.id, From: i.Addr(), Found: false})
-		w.stop()
+	for _, w := range waits {
+		w.end(true)
 	}
 
 	// Drain: holds settle when their requester accepts/releases (or
@@ -659,8 +668,9 @@ func (i *Instance) sendGoodbye() {
 	}
 }
 
-// Close stops the instance: the event loop exits, the local space closes,
-// all leases are cancelled, and in-flight served waiters are released.
+// Close stops the instance: the event loop exits, all leases are
+// cancelled — each served wait is unparked by its own lease's end — and
+// the local space closes.
 func (i *Instance) Close() error {
 	i.stopOnce.Do(func() {
 		i.mu.Lock()
@@ -668,22 +678,14 @@ func (i *Instance) Close() error {
 		i.mu.Unlock()
 		_ = i.ep.Close() // closes Recv, unblocking the loop
 		close(i.stopped)
-		i.mgr.Close()       // cancel leases: unblocks evals and served waiters
+		i.mgr.Close()       // cancel leases: halts evals, ends served waits
 		_ = i.local.Close() // unblocks store waiters
 		i.wg.Wait()
 		i.deadlines.Close() // pending graces and retransmissions go with it
 		i.mu.Lock()
 		i.holds = make(map[uint64]*pendingHold)
-		waits := make([]*remoteWait, 0, len(i.waits))
-		for _, w := range i.waits {
-			waits = append(waits, w)
-		}
-		i.waits = make(map[waitKey]*remoteWait)
 		i.pendAccepts = make(map[uint64]*pendingAccept)
 		i.mu.Unlock()
-		for _, w := range waits {
-			w.stop()
-		}
 	})
 	return nil
 }
@@ -842,6 +844,8 @@ func (i *Instance) releaseOutLease(sid uint64) {
 	if ok {
 		delete(i.outBySid, sid)
 		delete(i.sidByLease, lse.ID())
+	} else if i.outsPending.Load() > 0 {
+		i.removedEarly[sid] = struct{}{}
 	}
 	i.mu.Unlock()
 	if ok {
@@ -854,14 +858,28 @@ func (i *Instance) releaseOutLease(sid uint64) {
 	}
 }
 
-// trackOutLease records the lease covering a stored tuple.
-func (i *Instance) trackOutLease(sid uint64, lse *lease.Lease) {
+// outLeased puts t into the local space until lse's deadline and records
+// the lease against the stored tuple's id, which it returns. It returns 0
+// when nothing stays stored under the lease, for the caller to cancel it:
+// the tuple was consumed by a waiting local taker, or handed to a parked
+// remote one whose accept was settled before the space's Out returned.
+func (i *Instance) outLeased(t tuple.Tuple, lse *lease.Lease) (uint64, error) {
+	i.outsPending.Add(1)
+	sid, err := i.local.Out(t, lse.Deadline())
 	i.mu.Lock()
-	if !i.closed {
-		i.outBySid[sid] = lse
-		i.sidByLease[lse.ID()] = sid
+	if err == nil && sid != 0 {
+		if _, gone := i.removedEarly[sid]; gone {
+			sid = 0
+		} else if !i.closed {
+			i.outBySid[sid] = lse
+			i.sidByLease[lse.ID()] = sid
+		}
+	}
+	if i.outsPending.Add(-1) == 0 && len(i.removedEarly) > 0 {
+		clear(i.removedEarly)
 	}
 	i.mu.Unlock()
+	return sid, err
 }
 
 // isClosed reports whether Close has begun.

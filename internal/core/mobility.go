@@ -161,7 +161,7 @@ func (i *Instance) reapOrphan(peer wire.Addr) {
 	for _, w := range waits {
 		i.met.Inc(trace.CtrOrphanWaits)
 		i.mob.orphanWaits.Add(1)
-		w.stop()
+		w.end(false)
 	}
 	for _, id := range holds {
 		i.met.Inc(trace.CtrOrphanHolds)

@@ -42,6 +42,9 @@ type opState struct {
 	replied map[wire.Addr]bool
 	// queueBuf backs the responder-list snapshot.
 	queueBuf []wire.Addr
+	// joins hears the responder list's visibility events while a blocking
+	// walk is open; made by the first one this state carries.
+	joins *discovery.Subscription
 }
 
 var opStatePool = sync.Pool{New: func() any {
@@ -187,14 +190,13 @@ func (i *Instance) Out(t tuple.Tuple, r lease.Requester) error {
 		lse.Cancel()
 		return fmt.Errorf("out %v: %w", t, err)
 	}
-	sid, err := i.local.Out(t, lse.Deadline())
+	sid, err := i.outLeased(t, lse)
 	if err != nil {
 		lse.Cancel()
 		return err
 	}
 	if sid != 0 {
 		lse.ShrinkBytes() // only the stored size stays reserved
-		i.trackOutLease(sid, lse)
 		if i.repl != nil {
 			// Write the tuple through to its ring backups before returning
 			// (replica.go): a successful Out then means the tuple survives
@@ -204,7 +206,7 @@ func (i *Instance) Out(t tuple.Tuple, r lease.Requester) error {
 			}
 		}
 	} else {
-		// Consumed immediately by a waiting taker; no storage held.
+		// Consumed by a waiting taker already; no storage held.
 		lse.Cancel()
 	}
 	return nil
@@ -273,13 +275,12 @@ func (i *Instance) runEval(f EvalFunc, args tuple.Tuple, lse *lease.Lease) {
 		lse.Cancel()
 		return
 	}
-	sid, err := i.local.Out(result, lse.Deadline())
+	sid, err := i.outLeased(result, lse)
 	if err != nil || sid == 0 {
 		lse.Cancel()
 		return
 	}
 	lse.ShrinkBytes()
-	i.trackOutLease(sid, lse)
 	if i.repl != nil {
 		_ = i.replWriteThrough(sid, result, lse) // eval is async; best-effort
 	}
@@ -648,9 +649,12 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 	// the case below.
 	var joins <-chan discovery.Event
 	if code.Blocking() && !i.cfg.DisableRearm {
-		ch, unsub := i.list.Subscribe()
-		defer unsub()
-		joins = ch
+		if st.joins == nil {
+			st.joins = discovery.NewSubscription()
+		}
+		i.list.Attach(st.joins)
+		defer i.list.Detach(st.joins)
+		joins = st.joins.Events()
 	}
 
 	for {
@@ -960,6 +964,9 @@ func (i *Instance) finishAccept(id uint64) bool {
 func (i *Instance) cancelRemotes(opID uint64, contacted map[wire.Addr]*contactState, multicasted bool, winner wire.Addr) {
 	if i.isClosed() {
 		return
+	}
+	if !multicasted && (len(contacted) == 0 || len(contacted) == 1 && contacted[winner] != nil) {
+		return // the winner was the only contact: nobody is left holding a waiter
 	}
 	cancel := &wire.Message{Type: wire.TCancel, ID: opID, From: i.Addr()}
 	for a := range contacted {

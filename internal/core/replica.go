@@ -853,14 +853,10 @@ func (i *Instance) replFailoverHold(p tuple.Template) (*replHold, replKey, bool)
 // yield an identity no holder has — the requester's invalidation round
 // then fences a key nobody uses, which is harmless.
 func (i *Instance) replIdentityFor(h space.Hold) (wire.Addr, uint64) {
-	if i.repl == nil {
-		return "", 0
+	if i.repl == nil || h == nil || h.ID() == 0 {
+		return "", 0 // no replication, a served read, or no space entry behind the hold
 	}
-	sid := h.ID()
-	if sid == 0 {
-		return "", 0
-	}
-	return i.Addr(), sid
+	return i.Addr(), h.ID()
 }
 
 // replServeLocal serves an operation from this node's own replica store
@@ -946,13 +942,14 @@ func (i *Instance) replPeerDead(a wire.Addr) bool {
 // were consumed while it was gone.
 func (i *Instance) repairLoop() {
 	defer i.wg.Done()
-	events, unsub := i.list.Subscribe()
-	defer unsub()
+	events := discovery.NewSubscription()
+	i.list.Attach(events)
+	defer i.list.Detach(events)
 	for {
 		select {
 		case <-i.clk.After(i.cfg.RepairInterval):
 			i.repairSweep()
-		case ev := <-events:
+		case ev := <-events.Events():
 			if ev.Kind == discovery.EventJoin {
 				i.replOnJoin(ev.Addr)
 			}

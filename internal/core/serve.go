@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"tiamat/clock"
@@ -124,14 +123,97 @@ func (i *Instance) rememberAccepted(k acceptKey) {
 	}
 }
 
-// remoteWait is a blocking operation we are serving for a peer.
+// remoteWait is a blocking operation we are serving for a peer: a
+// registration parked in the local space with no goroutine behind it, its
+// own sink and its serve lease's end hook. It ends by delivery — the Out
+// that matches it calls Deliver, which sends the reply — or on an end
+// edge: the requester's cancel or goodbye, the orphan sweep, shutdown,
+// the lease running out. The space's claim decides between a delivery and
+// handle.Cancel, and whoever wins it retires the wait. An edge can still
+// land between that claim and the sink's first step: settled is what
+// Deliver checks, and an edge that set it first turns the delivery into a
+// release, since nobody is listening any more.
 type remoteWait struct {
-	key      waitKey
-	stopc    chan struct{}
-	stopOnce sync.Once
+	i   *Instance
+	key waitKey
+	ttl time.Duration // effective serve budget, for the hold's grace
+	lse *lease.Lease
+
+	// Guarded by i.mu. handle is nil until Park has returned; an end edge
+	// that arrives before that leaves the cancel to serveBlocking.
+	handle   space.Parked
+	settled  bool // an end edge or the sink has taken the wait
+	notFound bool // the lease ended it: the requester is owed a not-found
 }
 
-func (w *remoteWait) stop() { w.stopOnce.Do(func() { close(w.stopc) }) }
+// Deliver implements space.Sink. It runs on the goroutine of the Out that
+// matched the wait (the application's, a serve worker's, a release's),
+// with none of the space's locks held.
+func (rw *remoteWait) Deliver(t tuple.Tuple, h space.Hold) {
+	i := rw.i
+	// The Out belongs to someone else: a panic in here is this wait's.
+	defer i.recoverPanic("serve-wait")
+	defer rw.retire()
+	i.mu.Lock()
+	ended := rw.settled
+	rw.settled = true
+	i.mu.Unlock()
+	if ended {
+		// A hold committed before the end edge landed is still ours to
+		// settle: released, the tuple is neither lost nor answered to a
+		// requester that has stopped listening.
+		if h != nil {
+			h.Release()
+		}
+		return
+	}
+	// For rd the delivered copy is the answer: rd semantics permit any
+	// tuple that was in the space during the op.
+	ro, rs := i.replIdentityFor(h)
+	i.answerFound(rw.key, rw.ttl, t, h, ro, rs)
+}
+
+// LeaseEnded implements lease.EndHook.
+func (rw *remoteWait) LeaseEnded() { rw.end(true) }
+
+// end is every end edge. notFound says the requester is still listening
+// and is owed a not-found (lease end); the others answer nobody.
+func (rw *remoteWait) end(notFound bool) {
+	i := rw.i
+	i.mu.Lock()
+	if rw.settled {
+		i.mu.Unlock()
+		return
+	}
+	rw.settled, rw.notFound = true, notFound
+	h := rw.handle
+	i.mu.Unlock()
+	if h != nil && h.Cancel() {
+		rw.retire()
+	}
+}
+
+// retire gives back what the wait held — its slot in the wait table, the
+// governor's count and the serve lease — and sends the not-found a lease
+// end owes. It runs once: from the sink, or from the end edge (or
+// serveBlocking, on its behalf) whose Cancel prevented the delivery.
+func (rw *remoteWait) retire() {
+	i := rw.i
+	i.mu.Lock()
+	if i.waits[rw.key] == rw {
+		delete(i.waits, rw.key)
+	}
+	notFound := rw.notFound && !i.closed
+	i.mu.Unlock()
+	i.gov.dropWait(rw.key.from)
+	rw.lse.Cancel()
+	if notFound {
+		// Deliberately not cached: if the requester's operation outlives
+		// our granted lease, a later retransmission or rediscovery
+		// multicast should register a fresh wait rather than replay it.
+		_ = i.send(rw.key.from, &wire.Message{Type: wire.TResult, ID: rw.key.id, From: i.Addr()})
+	}
+}
 
 // handleDiscover answers a visibility probe with this space's contact
 // information (paper §3.1.3). The probe itself is evidence: a peer that
@@ -169,6 +251,22 @@ func (i *Instance) handleAnnounce(m *wire.Message) {
 	case ch <- SpaceInfo{Addr: m.From, Persistent: m.Persistent, Degraded: m.Degraded}:
 	default:
 	}
+}
+
+// answerFound sends the request named by key its found reply: t, and for
+// a take the hold on it, registered here under the serve budget ttl, with
+// the replica identity the requester is to invalidate on accept. The
+// reply is cached first, so a duplicate of the request replays it.
+func (i *Instance) answerFound(key waitKey, ttl time.Duration, t tuple.Tuple, h space.Hold, ro wire.Addr, rs uint64) {
+	reply := &wire.Message{
+		Type: wire.TResult, ID: key.id, From: i.Addr(),
+		Found: true, Tuple: t, ReplOrigin: ro, ReplSeq: rs,
+	}
+	if h != nil {
+		reply.HoldID = i.registerHold(h, ttl, key)
+	}
+	i.recordServed(key, reply)
+	_ = i.send(key.from, reply)
 }
 
 // serveTerms derives the responder-side lease proposal for a remote op:
@@ -249,17 +347,10 @@ func (i *Instance) handleOp(m *wire.Message) {
 	// Immediate attempt.
 	if m.Op.Removes() {
 		if h, ok := i.local.Hold(m.Template); ok {
-			holdID := i.registerHold(h, ttl, key)
 			ro, rs := i.replIdentityFor(h)
-			reply := &wire.Message{
-				Type: wire.TResult, ID: m.ID, From: i.Addr(),
-				Found: true, HoldID: holdID, Tuple: h.Tuple(),
-				ReplOrigin: ro, ReplSeq: rs,
-			}
-			i.recordServed(key, reply)
-			_ = i.send(m.From, reply)
+			i.answerFound(key, ttl, h.Tuple(), h, ro, rs)
 			if waiting {
-				rw.stop()
+				rw.end(false)
 			}
 			lse.Cancel()
 			return
@@ -271,16 +362,9 @@ func (i *Instance) handleOp(m *wire.Message) {
 			// copy's identity so the requester invalidates the remaining
 			// holders on accept.
 			if h, k, ok := i.replFailoverHold(m.Template); ok {
-				holdID := i.registerHold(h, ttl, key)
-				reply := &wire.Message{
-					Type: wire.TResult, ID: m.ID, From: i.Addr(),
-					Found: true, HoldID: holdID, Tuple: h.Tuple(),
-					ReplOrigin: k.origin, ReplSeq: k.seq,
-				}
-				i.recordServed(key, reply)
-				_ = i.send(m.From, reply)
+				i.answerFound(key, ttl, h.Tuple(), h, k.origin, k.seq)
 				if waiting {
-					rw.stop()
+					rw.end(false)
 				}
 				lse.Cancel()
 				return
@@ -288,11 +372,7 @@ func (i *Instance) handleOp(m *wire.Message) {
 		}
 	} else {
 		if t, ok := i.local.Rdp(m.Template); ok {
-			reply := &wire.Message{
-				Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: true, Tuple: t,
-			}
-			i.recordServed(key, reply)
-			_ = i.send(m.From, reply)
+			i.answerFound(key, ttl, t, nil, "", 0)
 			lse.Cancel()
 			return
 		}
@@ -300,11 +380,7 @@ func (i *Instance) handleOp(m *wire.Message) {
 		// bounded by the copy's lease, exactly the bound the paper already
 		// accepts for visibility.
 		if t, ok := i.replRdp(m.Template); ok {
-			reply := &wire.Message{
-				Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: true, Tuple: t,
-			}
-			i.recordServed(key, reply)
-			_ = i.send(m.From, reply)
+			i.answerFound(key, ttl, t, nil, "", 0)
 			lse.Cancel()
 			return
 		}
@@ -331,7 +407,7 @@ func (i *Instance) handleOp(m *wire.Message) {
 	i.serveBlocking(m, lse, ttl)
 }
 
-// serveBlocking registers a waiter for a peer's blocking operation. ttl
+// serveBlocking parks a peer's blocking operation in the local space. ttl
 // is the effective serve budget computed by handleOp.
 func (i *Instance) serveBlocking(m *wire.Message, lse *lease.Lease, ttl time.Duration) {
 	key := waitKey{from: m.From, id: m.ID}
@@ -346,11 +422,7 @@ func (i *Instance) serveBlocking(m *wire.Message, lse *lease.Lease, ttl time.Dur
 		})
 		return
 	}
-	// The wait can outlive the frame that carried the op: the template is
-	// deep-copied so a no-copy-decoded frame buffer (which the template
-	// would otherwise alias) is not pinned for the whole wait.
-	tmpl := m.Template.Copy()
-	rw := &remoteWait{key: key, stopc: make(chan struct{})}
+	rw := &remoteWait{i: i, key: key, ttl: ttl, lse: lse}
 	i.mu.Lock()
 	if i.closed {
 		i.mu.Unlock()
@@ -370,85 +442,33 @@ func (i *Instance) serveBlocking(m *wire.Message, lse *lease.Lease, ttl time.Dur
 	}
 	i.waits[key] = rw
 	i.mu.Unlock()
+	lse.OnEnd(rw)
 
 	// A TCancel may have overtaken this op while it sat in the governor's
-	// queue; honour it now that the waiter is visible to handleCancel.
+	// queue; honour it now that the wait is visible to handleCancel.
 	if i.gov.isCancelled(key) {
-		rw.stop()
+		rw.end(false)
 	}
 
-	// One waiter, registered once. A destructive op parks a hold-waiter:
-	// the space hands each matching Out to exactly one parked taker,
-	// oldest first, as a hold with the entry's id and expiry intact — no
-	// second scan, no race to lose, no re-registration (DESIGN.md §6). A
-	// read parks a copy-waiter: every reader is owed a copy. Only one of
-	// the two channels is non-nil; abandon undoes whichever was parked.
-	var (
-		holds   <-chan space.Hold
-		copies  <-chan tuple.Tuple
-		abandon func()
-	)
-	if m.Op.Removes() {
-		hw := i.local.WaitHold(tmpl)
-		// A hold committed before the cancel landed is still ours to
-		// settle: Abandon releases it, so the tuple is neither lost nor
-		// answered to a requester that has stopped listening.
-		holds, abandon = hw.Chan(), func() { space.Abandon(hw) }
-	} else {
-		w := i.local.Wait(tmpl, false)
-		copies, abandon = w.Chan(), w.Cancel
+	// One registration, made once. A destructive op parks a taker: the
+	// space hands each matching Out to exactly one of them, oldest first,
+	// as a hold with the entry's id and expiry intact — no second scan, no
+	// race to lose, no re-registration (DESIGN.md §6). A read parks for a
+	// copy: every reader is owed one. Either may be called before Park
+	// returns, and the lease may end first. The wait can outlive the frame
+	// that carried the op: the template is deep-copied so a no-copy-decoded
+	// frame buffer (which the template would otherwise alias) is not pinned
+	// for the whole wait.
+	h := i.local.Park(m.Template.Copy(), m.Op.Removes(), rw)
+	i.mu.Lock()
+	rw.handle = h
+	ended := rw.settled
+	i.mu.Unlock()
+	// Settled already: delivered, or ended before there was a handle to
+	// cancel — and then the cancel is ours to make.
+	if ended && h.Cancel() {
+		rw.retire()
 	}
-
-	i.wg.Add(1)
-	go func() {
-		defer i.wg.Done()
-		defer i.recoverPanic("serve-wait")
-		defer func() {
-			i.mu.Lock()
-			if i.waits[key] == rw {
-				delete(i.waits, key)
-			}
-			i.mu.Unlock()
-			i.gov.dropWait(m.From)
-			lse.Cancel()
-		}()
-		reply := &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr()}
-		select {
-		case h, ok := <-holds:
-			if !ok {
-				return // store closed
-			}
-			reply.Found, reply.Tuple = true, h.Tuple()
-			reply.HoldID = i.registerHold(h, ttl, key)
-			reply.ReplOrigin, reply.ReplSeq = i.replIdentityFor(h)
-			i.recordServed(key, reply)
-
-		case t, ok := <-copies:
-			if !ok {
-				return // store closed
-			}
-			// rd: the delivered copy is the answer (rd semantics permit
-			// any tuple that was in the space during the op).
-			reply.Found, reply.Tuple = true, t
-			i.recordServed(key, reply)
-
-		case <-lse.Done():
-			// The not-found is deliberately not cached: if the requester's
-			// operation outlives our granted lease, a later retransmission
-			// or rediscovery multicast should register a fresh waiter
-			// rather than replay it.
-			abandon()
-
-		case <-rw.stopc:
-			abandon()
-			return
-
-		case <-i.stopped:
-			abandon()
-			return
-		}
-		_ = i.send(m.From, reply)
-	}()
 }
 
 // registerHold records a tentative removal and schedules its grace
@@ -527,7 +547,7 @@ func (i *Instance) handleCancel(m *wire.Message) {
 	rw, ok := i.waits[key]
 	i.mu.Unlock()
 	if ok {
-		rw.stop()
+		rw.end(false)
 	}
 }
 
@@ -574,7 +594,7 @@ func (i *Instance) handleRemoteOut(m *wire.Message) {
 	}
 	// Retention boundary: the tuple outlives the frame that carried it,
 	// so detach it from a possibly-aliased decode buffer.
-	sid, err := i.local.Out(m.Tuple.Copy(), lse.Deadline())
+	sid, err := i.outLeased(m.Tuple.Copy(), lse)
 	if err != nil {
 		lse.Cancel()
 		ack.Err = err.Error()
@@ -583,7 +603,6 @@ func (i *Instance) handleRemoteOut(m *wire.Message) {
 	}
 	if sid != 0 {
 		lse.ShrinkBytes()
-		i.trackOutLease(sid, lse)
 	} else {
 		lse.Cancel() // consumed by a waiting taker
 	}
@@ -716,7 +735,7 @@ func (i *Instance) handleGoodbye(m *wire.Message) {
 	}
 	i.mu.Unlock()
 	for _, w := range waits {
-		w.stop()
+		w.end(false)
 	}
 	for _, id := range holds {
 		i.settleHold(id, false)

@@ -211,11 +211,10 @@ type ResponderList struct {
 	// Visibility event stream state: per-address join epochs (kept after
 	// removal so a rejoin gets the next epoch), subscriber channels, and
 	// lifetime join/leave tallies for monitoring.
-	epochs  map[wire.Addr]uint64
-	subs    map[uint64]chan Event
-	nextSub uint64
-	joins   uint64
-	leaves  uint64
+	epochs map[wire.Addr]uint64
+	subs   map[*Subscription]struct{}
+	joins  uint64
+	leaves uint64
 
 	// capsRev counts capability-state transitions. It feeds Revision()
 	// so consumers that derive state from capabilities — the replica
@@ -285,7 +284,7 @@ func NewResponderList(max int, met *trace.Metrics, opts ...Option) *ResponderLis
 		demoteMax:      DefaultDemoteMax,
 		degradedTTL:    DefaultDegradedTTL,
 		epochs:         make(map[wire.Addr]uint64),
-		subs:           make(map[uint64]chan Event),
+		subs:           make(map[*Subscription]struct{}),
 	}
 	for _, o := range opts {
 		o(l)
@@ -293,24 +292,43 @@ func NewResponderList(max int, met *trace.Metrics, opts ...Option) *ResponderLis
 	return l
 }
 
-// Subscribe registers for visibility events. Delivery is best-effort
-// and non-blocking: a subscriber that falls behind by more than the
-// buffer loses events (counted under disc.vis_event_drops). The
-// returned cancel function unregisters the subscription; the channel is
-// never closed, so a cancelled subscriber simply stops receiving.
-func (l *ResponderList) Subscribe() (<-chan Event, func()) {
-	ch := make(chan Event, subBuf)
+// Subscription is a reusable receiver of a list's visibility events: its
+// owner (a pooled operation state, a sweep loop) makes it once and
+// attaches it for as long as it wants to hear, so a blocking operation
+// pays for no channel of its own.
+type Subscription struct {
+	ch chan Event
+}
+
+// NewSubscription returns a detached subscription.
+func NewSubscription() *Subscription {
+	return &Subscription{ch: make(chan Event, subBuf)}
+}
+
+// Events is where an attached subscription's events arrive. Delivery is
+// best-effort and non-blocking: a subscriber that falls behind by more
+// than the buffer loses events (counted under disc.vis_event_drops). The
+// channel is never closed; a detached subscription simply stops
+// receiving.
+func (s *Subscription) Events() <-chan Event { return s.ch }
+
+// Attach starts delivering the list's events to s, first discarding any
+// left unread from an earlier attachment: they are some other wait's
+// news.
+func (l *ResponderList) Attach(s *Subscription) {
 	l.mu.Lock()
-	l.nextSub++
-	id := l.nextSub
-	l.subs[id] = ch
-	l.mu.Unlock()
-	cancel := func() {
-		l.mu.Lock()
-		delete(l.subs, id)
-		l.mu.Unlock()
+	defer l.mu.Unlock()
+	for len(s.ch) > 0 {
+		<-s.ch
 	}
-	return ch, cancel
+	l.subs[s] = struct{}{}
+}
+
+// Detach stops delivery to s; no event is sent to it after Detach returns.
+func (l *ResponderList) Detach(s *Subscription) {
+	l.mu.Lock()
+	delete(l.subs, s)
+	l.mu.Unlock()
 }
 
 // Epoch returns addr's current visibility epoch: 0 if it has never
@@ -333,7 +351,7 @@ func (l *ResponderList) EventCounts() (joins, leaves uint64) {
 // join, leave, and capability-state transition. Consumers that derive
 // state from the membership set — the replica placement ring (DESIGN.md
 // §13) rebuilds from Members() filtered by Caps — use it as a cheap
-// change detector, and the Subscribe event stream as the push-side
+// change detector, and the Subscription event stream as the push-side
 // signal that replica ranks shifted.
 func (l *ResponderList) Revision() uint64 {
 	l.mu.Lock()
@@ -376,9 +394,9 @@ func (l *ResponderList) leaveLocked(addr wire.Addr) {
 
 // emitLocked fans an event out to every subscriber without blocking.
 func (l *ResponderList) emitLocked(ev Event) {
-	for _, ch := range l.subs {
+	for s := range l.subs {
 		select {
-		case ch <- ev:
+		case s.ch <- ev:
 		default:
 			l.met.Inc(trace.CtrVisEventDrops)
 		}

@@ -318,6 +318,13 @@ func TestPromoteRestoresHealthAndRespectsBound(t *testing.T) {
 	}
 }
 
+// subscribe attaches a fresh subscription to l.
+func subscribe(l *ResponderList) (<-chan Event, func()) {
+	s := NewSubscription()
+	l.Attach(s)
+	return s.Events(), func() { l.Detach(s) }
+}
+
 // drain pulls every immediately available event off ch.
 func drain(ch <-chan Event) []Event {
 	var out []Event
@@ -333,7 +340,7 @@ func drain(ch <-chan Event) []Event {
 
 func TestEventsJoinLeaveEpochs(t *testing.T) {
 	l := NewResponderList(0, nil)
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(l)
 	defer cancel()
 
 	l.Observe("a")
@@ -377,7 +384,7 @@ func TestEventsJoinLeaveEpochs(t *testing.T) {
 
 func TestEventsPromoteDepartClear(t *testing.T) {
 	l := NewResponderList(0, nil)
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(l)
 	defer cancel()
 
 	l.Promote("a") // absent: join + move to top
@@ -416,7 +423,7 @@ func TestEventsAttritionEvictionEmitsLeave(t *testing.T) {
 	l := NewResponderList(2, nil)
 	l.Observe("a")
 	l.Observe("b")
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(l)
 	defer cancel()
 	l.Observe("c") // bottom entry b is evicted to make room
 	evs := drain(ch)
@@ -434,7 +441,7 @@ func TestEventsAttritionEvictionEmitsLeave(t *testing.T) {
 func TestEventsSubscriberOverflowDropsCounted(t *testing.T) {
 	met := &trace.Metrics{}
 	l := NewResponderList(0, met)
-	_, cancel := l.Subscribe() // never drained
+	_, cancel := subscribe(l) // never drained
 	defer cancel()
 	for i := 0; i < subBuf+10; i++ {
 		l.Observe(wire.Addr(rune('a'+i%26)) + wire.Addr(fmt.Sprintf("%d", i)))
@@ -670,7 +677,7 @@ func TestPromoteWithheldForDemotedAndSuspected(t *testing.T) {
 
 func TestEventsCancelStopsDelivery(t *testing.T) {
 	l := NewResponderList(0, nil)
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(l)
 	l.Observe("a")
 	if evs := drain(ch); len(evs) != 1 {
 		t.Fatalf("events before cancel = %v", evs)
@@ -679,6 +686,31 @@ func TestEventsCancelStopsDelivery(t *testing.T) {
 	l.Observe("b")
 	if evs := drain(ch); len(evs) != 0 {
 		t.Fatalf("events after cancel = %v", evs)
+	}
+}
+
+// TestEventsReattachedSubscriptionStartsClean: a subscription is reused
+// from one blocking operation to the next. What the last one left unread
+// is not the next one's news, nothing arrives while it is detached, and
+// attaching and detaching a warm one allocates nothing.
+func TestEventsReattachedSubscriptionStartsClean(t *testing.T) {
+	l := NewResponderList(0, nil)
+	s := NewSubscription()
+	l.Attach(s)
+	l.Observe("a") // left unread
+	l.Detach(s)
+	l.Observe("b") // not for s at all
+	l.Attach(s)
+	if evs := drain(s.Events()); len(evs) != 0 {
+		t.Fatalf("reattached subscription starts with %v", evs)
+	}
+	l.Observe("c")
+	if evs := drain(s.Events()); len(evs) != 1 || evs[0].Addr != "c" {
+		t.Fatalf("events after reattach = %v, want the one join of c", evs)
+	}
+	l.Detach(s)
+	if allocs := testing.AllocsPerRun(1000, func() { l.Attach(s); l.Detach(s) }); allocs != 0 {
+		t.Fatalf("Attach+Detach: %v allocs, want 0", allocs)
 	}
 }
 

@@ -29,10 +29,12 @@
 // reach that shard's lock, and an Out that sees it delivers directly —
 // settlement is a per-waiter CAS, so the two paths cannot double-serve.
 //
-// Hold-waiters (WaitHold: a take served for a peer) park on the same
-// lists. An Out that no in-waiter consumed hands its tuple to the oldest
-// matching one as a hold and leaves the rest parked: one wake-up per
-// tuple, however many takers wait.
+// Call-mode registrations (Park: a blocking op served for a peer) park on
+// the same lists and are settled by a call to their sink, made by the Out
+// itself once it has dropped its locks. An Out that no in-waiter consumed
+// hands its tuple to the oldest matching parked taker as a hold and
+// leaves the rest parked: one call per tuple, however many takers wait,
+// and no goroutine parked for any of them.
 package store
 
 import (
@@ -209,47 +211,77 @@ type entry struct {
 	index  int       // position in expiry heap, -1 if absent
 }
 
-// waiter is a one-shot blocking interest in one of three modes: a copy
-// (rd), a removal (in), or a tentative removal handed over as a hold
-// (WaitHold; hch is set and ch is nil). claimed settles the race between
+// waiter is a one-shot interest in a match, delivered on a channel (Wait:
+// ch is set) or by a call (Park: sink is set), as a copy or, with remove
+// set, as a removal — final on a channel (in), tentative by call, where
+// the sink is handed the entry as a hold. state settles the race between
 // delivery (an Out or the waiter's own registration scan) and Cancel:
-// exactly one claimant touches the channel afterwards.
+// exactly one of them moves it off parked. The waiter is its own handle:
+// it records where it is parked, which is what Cancel has to undo.
 type waiter struct {
-	seq     uint64
-	p       tuple.Template
-	remove  bool
-	ch      chan tuple.Tuple
-	hch     chan space.Hold
-	claimed atomic.Bool
+	seq    uint64
+	p      tuple.Template
+	remove bool
+	ch     chan tuple.Tuple
+	sink   space.Sink
+	state  atomic.Uint32
+
+	s      *Store
+	sh     *shard // set while parked in a shard bucket
+	key    tagKey
+	global bool // set while parked on the global list
 }
 
-// claim reports whether the caller won settlement of this waiter.
-func (w *waiter) claim() bool { return w.claimed.CompareAndSwap(false, true) }
+var (
+	_ space.Waiter = (*waiter)(nil)
+	_ space.Parked = (*waiter)(nil)
+)
 
-// takes reports whether delivery takes the tuple out of the space.
-func (w *waiter) takes() bool { return w.remove || w.hch != nil }
+// Waiter states.
+const (
+	parked uint32 = iota
+	delivered
+	cancelled
+)
 
-// hand settles a claimed waiter with e: a hold-waiter gets the entry as
-// a hold (the caller has unlinked it, or never linked it), the others
-// its tuple.
-func (w *waiter) hand(s *Store, e *entry) {
-	if w.hch != nil {
-		w.hch <- &hold{s: s, e: e}
-		close(w.hch)
-		return
+// claim reports whether the caller won this waiter for a delivery.
+func (w *waiter) claim() bool { return w.state.CompareAndSwap(parked, delivered) }
+
+// withdraw reports whether the caller won this waiter for no delivery at
+// all (Cancel, Close); a channel waiter's channel closes empty.
+func (w *waiter) withdraw() bool {
+	if !w.state.CompareAndSwap(parked, cancelled) {
+		return false
 	}
-	w.ch <- e.t
+	if w.ch != nil {
+		close(w.ch)
+	}
+	return true
+}
+
+// holds reports whether w is a parked taker: delivery hands it a hold.
+func (w *waiter) holds() bool { return w.remove && w.sink != nil }
+
+// hand settles a claimed channel waiter with t. The channel is buffered,
+// so this never blocks and may run under a shard lock.
+func (w *waiter) hand(t tuple.Tuple) {
+	w.ch <- t
 	close(w.ch)
 }
 
-// abandon settles a claimed waiter with nothing.
-func (w *waiter) abandon() {
-	if w.hch != nil {
-		close(w.hch)
+// call settles a claimed call-mode waiter with e, which the caller has
+// unlinked (or never linked) if w takes it. It runs the sink and so must
+// be called with no lock held.
+func (w *waiter) call(e *entry) {
+	if w.remove {
+		w.sink.Deliver(e.t, &hold{s: w.s, e: e})
 		return
 	}
-	close(w.ch)
+	w.sink.Deliver(e.t, nil)
 }
+
+// Chan implements space.Waiter.
+func (w *waiter) Chan() <-chan tuple.Tuple { return w.ch }
 
 // Option configures a Store.
 type Option func(*Store)
@@ -340,6 +372,14 @@ func New(opts ...Option) *Store {
 
 // Out implements space.Space.
 func (s *Store) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
+	return s.out(t, expiry, nil)
+}
+
+// out is Out, for a new tuple or, with back set, for a released hold's:
+// that one comes back as the entry it was, under the id its out-lease
+// and its replica copies know it by, and if a parked in consumes it on
+// the way the removal of that id is final and the hook is told.
+func (s *Store) out(t tuple.Tuple, expiry time.Time, back *entry) (uint64, error) {
 	key, _, tagged := waiterKeyOfTuple(t)
 	var sh *shard
 	if tagged {
@@ -352,37 +392,58 @@ func (s *Store) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
 		sh.mu.Unlock()
 		return 0, ErrClosed
 	}
-	consumed, takers := sh.deliverLocked(key, t)
-	if consumed {
-		sh.mu.Unlock()
-		// Consumed by an in-waiter: never stored.
-		s.met.Inc(trace.CtrTuplesTaken)
-		return 0, nil
-	}
-	// Stored — or, with a hold-waiter parked, stored and tentatively
-	// removed in one step: the caller tracks the id either way, and the
-	// hold's Accept or Release settles it as it would after a Hold.
-	id, handed := uint64(0), false
-	if takers {
-		id, handed = sh.handOverLocked(key, t, expiry)
-	}
-	if !handed {
-		id = sh.linkLocked(sh.newEntryLocked(t, expiry))
+	// Sinks run once the locks are dropped; the readers among them are
+	// collected here, on the stack unless more than two are parked.
+	var buf [2]*waiter
+	consumed, takers, readers := sh.deliverLocked(key, t, buf[:0])
+	// Not consumed by an in-waiter, the tuple is stored — or, with a taker
+	// parked, stored and tentatively removed in one step: the caller tracks
+	// the id either way, and the hold's Accept or Release settles it as it
+	// would after a Hold.
+	var (
+		taker *waiter
+		e     *entry
+	)
+	if !consumed {
+		if takers {
+			taker = sh.handOverLocked(key, t)
+		}
+		if e = back; e == nil {
+			e = sh.newEntryLocked(t, expiry)
+		}
+		if taker == nil {
+			sh.linkLocked(e)
+		}
 	}
 	sh.mu.Unlock()
+	for _, w := range readers {
+		w.sink.Deliver(t, nil)
+	}
+	if consumed {
+		s.met.Inc(trace.CtrTuplesTaken) // a new tuple was never stored
+		if back != nil {
+			s.notifyRemoved(back.id)
+		}
+		return 0, nil
+	}
+	if taker != nil {
+		taker.call(e)
+	}
 	s.met.Inc(trace.CtrTuplesStored)
-	return id, nil
+	return e.id, nil
 }
 
 // deliverLocked hands t to pending waiters in FIFO (seq) order across the
 // shard's (arity, tag) bucket and the global formal-lead list: every
-// matching reader gets a copy until an in-waiter consumes it. It reports
-// whether one did, and whether it passed over any hold-waiter: those
-// rank behind every in-waiter — a local in is final, a hold tentative —
-// so they are only served, by handOverLocked, once this walk has found
-// no consumer. Caller holds sh.mu.
-func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed, takers bool) {
-	s := sh.st
+// matching reader gets a copy until an in-waiter consumes it. Readers
+// parked by call are claimed and returned in calls (appended to buf) for
+// the caller to run unlocked. It reports whether an in-waiter consumed t, and whether it
+// passed over any parked taker: those rank behind every in-waiter — a
+// local in is final, a hold tentative — so they are only served, by
+// handOverLocked, once this walk has found no consumer. Caller holds
+// sh.mu.
+func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple, buf []*waiter) (consumed, takers bool, calls []*waiter) {
+	s, calls := sh.st, buf
 	ws := sh.waiters[key]
 	var gs []*waiter
 	globalLocked := false
@@ -396,7 +457,7 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed, takers bool
 		if globalLocked {
 			s.gmu.Unlock()
 		}
-		return false, false
+		return false, false, calls
 	}
 
 	// Merge-iterate the two seq-ordered lists, compacting settled waiters
@@ -435,7 +496,7 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed, takers bool
 		default:
 			w = ws[wi]
 		}
-		if w.claimed.Load() {
+		if w.state.Load() != parked {
 			// Cancelled or served elsewhere: compact it away.
 			if fromGlobal {
 				gi++
@@ -445,11 +506,11 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed, takers bool
 			}
 			continue
 		}
-		if w.hch != nil {
+		if w.holds() {
 			takers = true
 		}
-		if w.hch != nil || !w.p.Matches(t) || !w.claim() {
-			// Keep hold-waiters, unmatched and lost-race waiters registered.
+		if w.holds() || !w.p.Matches(t) || !w.claim() {
+			// Keep takers, unmatched and lost-race waiters registered.
 			if fromGlobal {
 				gs[gk] = gs[gi]
 				gi++
@@ -461,8 +522,11 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed, takers bool
 			}
 			continue
 		}
-		w.ch <- t
-		close(w.ch)
+		if w.sink != nil {
+			calls = append(calls, w)
+		} else {
+			w.hand(t)
+		}
 		if fromGlobal {
 			gi++
 			dropGlobal++
@@ -470,17 +534,17 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple) (consumed, takers bool
 			wi++
 		}
 		if w.remove {
-			return true, takers
+			return true, takers, calls
 		}
 	}
-	return false, takers
+	return false, takers, calls
 }
 
-// handOverLocked gives t to the oldest parked hold-waiter that matches,
-// as a hold on a fresh entry that is never linked into an index: one
-// wake-up per tuple, every younger taker stays parked. It reports the
-// entry's id, or false if no taker was left to claim. Caller holds sh.mu.
-func (sh *shard) handOverLocked(key tagKey, t tuple.Tuple, expiry time.Time) (uint64, bool) {
+// handOverLocked claims and unlinks the oldest parked taker that matches
+// t, or returns nil if none was left to claim: one call per tuple, every
+// younger taker stays parked. The caller hands it t as a hold on an entry
+// that is never linked into an index. Caller holds sh.mu.
+func (sh *shard) handOverLocked(key tagKey, t tuple.Tuple) *waiter {
 	s := sh.st
 	ws := sh.waiters[key]
 	var gs []*waiter
@@ -499,7 +563,7 @@ func (sh *shard) handOverLocked(key tagKey, t tuple.Tuple, expiry time.Time) (ui
 			w = ws[wi]
 			wi++
 		}
-		if w.hch == nil || !w.p.Matches(t) || !w.claim() {
+		if !w.holds() || !w.p.Matches(t) || !w.claim() {
 			continue
 		}
 		if fromGlobal {
@@ -509,11 +573,9 @@ func (sh *shard) handOverLocked(key tagKey, t tuple.Tuple, expiry time.Time) (ui
 		} else {
 			sh.setWaitersLocked(key, append(ws[:wi-1], ws[wi:]...))
 		}
-		e := sh.newEntryLocked(t, expiry)
-		w.hand(s, e)
-		return e.id, true
+		return w
 	}
-	return 0, false
+	return nil
 }
 
 // setWaitersLocked stores a waiter bucket, removing empty buckets.
@@ -533,9 +595,9 @@ func (sh *shard) newEntryLocked(t tuple.Tuple, expiry time.Time) *entry {
 	return &entry{id: id, t: t, size: t.Size(), expiry: expiry, index: -1}
 }
 
-// linkLocked makes e visible to matching and the janitor and returns
-// its id. Caller holds sh.mu.
-func (sh *shard) linkLocked(e *entry) uint64 {
+// linkLocked makes e visible to matching and the janitor. Caller holds
+// sh.mu.
+func (sh *shard) linkLocked(e *entry) {
 	id, t, expiry := e.id, e.t, e.expiry
 	sh.byID[id] = e
 	bucket := sh.byArity[t.Arity()]
@@ -557,7 +619,6 @@ func (sh *shard) linkLocked(e *entry) uint64 {
 		heap.Push(&sh.expiry, e)
 		sh.scheduleJanitorLocked()
 	}
-	return id
 }
 
 // pickLocked chooses a matching live entry nondeterministically, or nil.
@@ -707,26 +768,26 @@ func (s *Store) Inp(p tuple.Template) (tuple.Tuple, bool) {
 // templates register globally first and then scan, which is equivalent
 // (see package doc).
 func (s *Store) Wait(p tuple.Template, remove bool) space.Waiter {
-	w := &waiter{p: p, remove: remove, ch: make(chan tuple.Tuple, 1)}
-	return &waiterHandle{s.register(w)}
+	return s.register(&waiter{s: s, p: p, remove: remove, ch: make(chan tuple.Tuple, 1)})
 }
 
-// WaitHold implements space.Space: Wait's check-then-register, with the
-// match handed over as a hold. Hold-waiters share the seq-ordered lists
-// with every other waiter but rank behind them: an Out gives every
-// matching reader its copy, then the tuple to a parked in if there is
-// one, else to exactly one hold-waiter, the oldest.
-func (s *Store) WaitHold(p tuple.Template) space.HoldWaiter {
-	w := &waiter{p: p, hch: make(chan space.Hold, 1)}
-	return &holdWaiterHandle{s.register(w)}
+// Park implements space.Space: Wait's check-then-register, with the match
+// delivered by a call to sink. Call-mode registrations share the
+// seq-ordered lists with every other waiter; the takers among them rank
+// behind the rest: an Out gives every matching reader its copy, then the
+// tuple to a parked in if there is one, else to exactly one parked taker,
+// the oldest, as a hold.
+func (s *Store) Park(p tuple.Template, take bool, sink space.Sink) space.Parked {
+	return s.register(&waiter{s: s, p: p, remove: take, sink: sink})
 }
 
 // register settles w from the space if a match is present and otherwise
 // parks it where the next matching Out finds it.
-func (s *Store) register(w *waiter) registration {
+func (s *Store) register(w *waiter) *waiter {
 	key, class := classify(w.p)
 	if class == classGlobal {
-		return s.registerGlobal(w)
+		s.registerGlobal(w)
+		return w
 	}
 	var sh *shard
 	if class == classPinned {
@@ -737,36 +798,42 @@ func (s *Store) register(w *waiter) registration {
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
-		w.claimed.Store(true)
-		w.abandon()
-		return registration{s: s, w: w}
+		w.withdraw()
+		return w
 	}
 	if e := sh.pickLocked(w.p); e != nil {
-		w.claimed.Store(true)
+		w.state.Store(delivered)
 		sh.settleLocked(w, e)
 		sh.mu.Unlock()
-		s.noteTaken(w, e)
-		return registration{s: s, w: w}
+		s.settled(w, e)
+		return w
 	}
 	w.seq = s.waiterSeq.Add(1)
+	w.sh, w.key = sh, key
 	sh.waiters[key] = append(sh.waiters[key], w)
 	sh.mu.Unlock()
-	return registration{s: s, w: w, sh: sh, key: key}
+	return w
 }
 
-// settleLocked hands the resident entry e to the claimed waiter w,
-// unlinking it first unless w only reads. Caller holds sh.mu.
+// settleLocked takes the resident entry e for the claimed waiter w,
+// unlinking it unless w only reads; a channel waiter has it at once.
+// Caller holds sh.mu and follows up with settled once it has let go.
 func (sh *shard) settleLocked(w *waiter, e *entry) {
-	if w.takes() {
+	if w.remove {
 		sh.removeLocked(e)
 	}
-	w.hand(sh.st, e)
+	if w.ch != nil {
+		w.hand(e.t)
+	}
 }
 
-// noteTaken accounts for a removal settleLocked finalised; a hold's
-// removal is accounted when it is accepted. Call without shard locks.
-func (s *Store) noteTaken(w *waiter, e *entry) {
-	if w.remove {
+// settled finishes what settleLocked began, with no lock held: a
+// call-mode waiter's sink runs, and a removal that is already final is
+// accounted — a hold's is when it is accepted.
+func (s *Store) settled(w *waiter, e *entry) {
+	if w.sink != nil {
+		w.call(e)
+	} else if w.remove {
 		s.met.Inc(trace.CtrTuplesTaken)
 		s.notifyRemoved(e.id)
 	}
@@ -777,20 +844,19 @@ func (s *Store) noteTaken(w *waiter, e *entry) {
 // the check-then-register step race-free without a store-wide lock: any
 // Out that stores after our registration sees us on the list; any Out
 // that stored before is found by the scan.
-func (s *Store) registerGlobal(w *waiter) registration {
+func (s *Store) registerGlobal(w *waiter) {
 	s.gmu.Lock()
 	if s.closed.Load() {
 		s.gmu.Unlock()
-		w.claimed.Store(true)
-		w.abandon()
-		return registration{s: s, w: w}
+		w.withdraw()
+		return
 	}
 	w.seq = s.waiterSeq.Add(1)
+	w.global = true
 	s.gwaiters = append(s.gwaiters, w)
 	s.nGlobal.Add(1)
 	s.gmu.Unlock()
 
-	r := registration{s: s, w: w, global: true}
 	n, start := len(s.shards), s.scanStart()
 	for k := 0; k < n; k++ {
 		sh := s.shards[(start+k)%n]
@@ -801,18 +867,17 @@ func (s *Store) registerGlobal(w *waiter) registration {
 			continue
 		}
 		if !w.claim() {
-			// A concurrent Out already delivered to us; its tuple is the
-			// answer and e stays in the space.
+			// A concurrent Out already delivered to us (or a Cancel got
+			// in); e stays in the space.
 			sh.mu.Unlock()
-			return r
+			return
 		}
 		sh.settleLocked(w, e)
 		sh.mu.Unlock()
 		s.dropGlobal(w)
-		s.noteTaken(w, e)
-		return r
+		s.settled(w, e)
+		return
 	}
-	return r
 }
 
 // dropGlobal removes w from the global list if still present (Out's
@@ -829,51 +894,30 @@ func (s *Store) dropGlobal(w *waiter) {
 	}
 }
 
-// registration is where a waiter is parked, which is what Cancel has to
-// undo. The two handle types differ only in the channel they expose.
-type registration struct {
-	s      *Store
-	w      *waiter
-	sh     *shard // set for shard-registered waiters
-	key    tagKey
-	global bool // set for globally registered waiters
-}
-
-type waiterHandle struct{ registration }
-
-func (h *waiterHandle) Chan() <-chan tuple.Tuple { return h.w.ch }
-
-type holdWaiterHandle struct{ registration }
-
-func (h *holdWaiterHandle) Chan() <-chan space.Hold { return h.w.hch }
-
-// Cancel withdraws the interest. A delivery that claimed the waiter
-// first stands: its tuple (or hold) is on the channel.
-func (h *registration) Cancel() {
+// Cancel implements space.Waiter and space.Parked: it withdraws the
+// interest and reports whether no delivery was or will be made. A
+// delivery that claimed the waiter first stands: its tuple is on the
+// channel, or its sink is called. A waiter that was never parked
+// (immediate hit, closed store) has nothing to unlink.
+func (w *waiter) Cancel() bool {
 	switch {
-	case h.sh != nil:
-		h.sh.mu.Lock()
-		if h.w.claim() {
-			h.w.abandon()
-			ws := h.sh.waiters[h.key]
-			for i, w := range ws {
-				if w == h.w {
-					h.sh.setWaitersLocked(h.key, append(ws[:i], ws[i+1:]...))
+	case w.sh != nil:
+		w.sh.mu.Lock()
+		if w.withdraw() {
+			ws := w.sh.waiters[w.key]
+			for i, o := range ws {
+				if o == w {
+					w.sh.setWaitersLocked(w.key, append(ws[:i], ws[i+1:]...))
 					break
 				}
 			}
 		}
-		h.sh.mu.Unlock()
-	case h.global:
-		if h.w.claim() {
-			h.w.abandon()
-		}
-		h.s.dropGlobal(h.w)
-	default:
-		// Never registered (immediate hit or closed store): nothing to
-		// unlink; claim just blocks a late delivery path (there is none).
-		h.w.claimed.Store(true)
+		w.sh.mu.Unlock()
+	case w.global:
+		w.withdraw()
+		w.s.dropGlobal(w)
 	}
+	return w.state.Load() == cancelled
 }
 
 // holdShard tentatively takes one match from sh, if any.
@@ -903,11 +947,13 @@ func (s *Store) Hold(p tuple.Template) (space.Hold, bool) {
 	return nil, false
 }
 
+// hold is a tentatively removed entry. Whichever of Accept and Release
+// comes first settles it; the settling call runs with no lock of the
+// hold's held, since a release re-enters Out, which may run a sink.
 type hold struct {
 	s       *Store
 	e       *entry
-	settled bool
-	mu      sync.Mutex
+	settled atomic.Bool
 }
 
 func (h *hold) Tuple() tuple.Tuple { return h.e.t }
@@ -915,26 +961,20 @@ func (h *hold) Tuple() tuple.Tuple { return h.e.t }
 func (h *hold) ID() uint64 { return h.e.id }
 
 func (h *hold) Accept() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.settled {
+	if !h.settled.CompareAndSwap(false, true) {
 		return
 	}
-	h.settled = true
 	h.s.met.Inc(trace.CtrTuplesTaken)
 	h.s.notifyRemoved(h.e.id)
 }
 
 func (h *hold) Release() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.settled {
+	if !h.settled.CompareAndSwap(false, true) {
 		return
 	}
-	h.settled = true
 	// Reinstate with the original expiry; if it expired while held it
 	// will be reclaimed by the janitor path on the next operation.
-	if id, err := h.s.Out(h.e.t, h.e.expiry); err == nil {
+	if id, err := h.s.out(h.e.t, h.e.expiry, h.e); err == nil {
 		h.s.met.Inc(trace.CtrTuplesReinstated)
 		if id != 0 {
 			// Out counted a store; a reinstatement is not a new tuple.
@@ -1026,9 +1066,7 @@ func (s *Store) Close() error {
 	s.nGlobal.Store(0)
 	s.gmu.Unlock()
 	for _, w := range ws {
-		if w.claim() {
-			w.abandon()
-		}
+		w.withdraw() // no sink is called: the caller is tearing down
 	}
 	return nil
 }

@@ -609,24 +609,24 @@ func TestExactKeyAfterTag(t *testing.T) {
 	}
 }
 
-// TestHoldWaiterContract runs the shared WaitHold table (spacetest), the
-// one space/naive and space/persist run too.
+// TestHoldWaiterContract runs the shared Park table (spacetest), the one
+// space/naive and space/persist run too.
 func TestHoldWaiterContract(t *testing.T) {
-	spacetest.HoldWaiters(t, func(*testing.T) space.Space { return New(WithSeed(42)) })
+	spacetest.Parking(t, func(*testing.T) space.Space { return New(WithSeed(42)) })
 }
 
 // TestHoldWaitersWakeInSeqOrder pins the store's own FIFO across its two
-// waiter lists: pinned and formal-lead hold-waiters registered
-// alternately are woken strictly oldest first, exactly one per Out.
+// waiter lists: pinned and formal-lead takers parked alternately are
+// called strictly oldest first, exactly one per Out, inside it.
 func TestHoldWaitersWakeInSeqOrder(t *testing.T) {
 	s, _ := newTest()
 	defer s.Close()
-	ws := make([]space.HoldWaiter, 8)
+	ws := make([]*spacetest.Catch, 8)
 	for k := range ws {
 		if k%2 == 0 {
-			ws[k] = s.WaitHold(reqTmpl())
+			ws[k] = spacetest.Park(s, reqTmpl(), true)
 		} else {
-			ws[k] = s.WaitHold(tuple.Tmpl(tuple.Any(), tuple.FormalInt()))
+			ws[k] = spacetest.Park(s, tuple.Tmpl(tuple.Any(), tuple.FormalInt()), true)
 		}
 	}
 	for k := range ws {
@@ -635,18 +635,18 @@ func TestHoldWaitersWakeInSeqOrder(t *testing.T) {
 			t.Fatalf("Out %d = %d %v", k, id, err)
 		}
 		select {
-		case h, ok := <-ws[k].Chan():
-			if !ok || h.ID() != id || !h.Tuple().Equal(req(int64(k))) {
-				t.Fatalf("waiter %d got %v (ok=%v)", k, h, ok)
+		case d := <-ws[k].C:
+			if d.H == nil || d.H.ID() != id || !d.T.Equal(req(int64(k))) {
+				t.Fatalf("waiter %d got %v under %v", k, d.T, d.H)
 			}
-			h.Accept()
+			d.H.Accept()
 		default:
-			t.Fatalf("out %d did not wake waiter %d, the oldest left", k, k)
+			t.Fatalf("out %d did not call waiter %d, the oldest left", k, k)
 		}
-		for j := k + 1; j < len(ws); j++ {
+		for j := range ws {
 			select {
-			case _, ok := <-ws[j].Chan():
-				t.Fatalf("out %d settled waiter %d (ok=%v)", k, j, ok)
+			case d := <-ws[j].C:
+				t.Fatalf("out %d called waiter %d with %v", k, j, d.T)
 			default:
 			}
 		}
@@ -662,13 +662,14 @@ func TestHoldWaitersWakeInSeqOrder(t *testing.T) {
 func TestHoldWaiterKeepsExpiry(t *testing.T) {
 	s, clk := newTest()
 	defer s.Close()
-	w := s.WaitHold(reqTmpl())
+	w := spacetest.Park(s, reqTmpl(), true)
 	s.Out(req(1), epoch.Add(time.Second))
-	h, ok := <-w.Chan()
-	if !ok {
+	select {
+	case d := <-w.C:
+		d.H.Release()
+	default:
 		t.Fatal("no hold delivered")
 	}
-	h.Release()
 	if s.Count() != 1 {
 		t.Fatalf("count after release = %d", s.Count())
 	}

@@ -8,17 +8,17 @@ import (
 	"testing"
 	"time"
 
-	"tiamat/space"
+	"tiamat/space/spacetest"
 	"tiamat/tuple"
 )
 
-// TestStressConservation drives concurrent Out/Inp/Wait/Hold/WaitHold
+// TestStressConservation drives concurrent Out/Inp/Wait/Hold/Park
 // across many goroutines and tag classes and asserts conservation: every
 // tuple put into the space is consumed exactly once — never lost, never
 // delivered to two takers — and the space drains to empty. Run under
 // -race this exercises the sharded store's cross-shard delivery, the
-// global (formal-lead) waiter path, hold accept/release, and hold-waiters
-// whose Cancel races the Out that commits a hold to them.
+// global (formal-lead) waiter path, hold accept/release, and parked
+// takers whose Cancel races the Out that commits a hold to them.
 func TestStressConservation(t *testing.T) {
 	const (
 		producers   = 8
@@ -160,12 +160,13 @@ func TestStressConservation(t *testing.T) {
 		}(h)
 	}
 
-	// Hold-waiters: parked tentative takers, pinned and formal-lead. Half
-	// the time the taker gives up at once, so its Cancel races whatever
-	// Out is in flight; a hold committed before the cancel landed is still
-	// on the channel and is settled like any other — by the same coin
-	// between accept (consume) and release (reinstate, which may wake the
-	// next parked taker).
+	// Parked takers, pinned and formal-lead, settled by a call from
+	// whichever producer's Out matches them. Half the time the taker gives
+	// up at once, so its Cancel races whatever Out is in flight: true means
+	// no call was or will be made, false that the hold is (or is about to
+	// be) in the sink, to be settled like any other — by the same coin
+	// between accept (consume) and release (reinstate, which may call the
+	// next parked taker from inside this one's goroutine).
 	for h := 0; h < 4; h++ {
 		wg.Add(1)
 		go func(h int) {
@@ -181,26 +182,29 @@ func TestStressConservation(t *testing.T) {
 				if h == 3 {
 					p = tuple.Tmpl(tuple.Any(), tuple.FormalInt())
 				}
-				w := s.WaitHold(p)
-				if rng.Intn(2) == 0 {
-					w.Cancel()
-				}
-				var hd space.Hold
-				var ok bool
-				select {
-				case hd, ok = <-w.Chan():
-				case <-done:
-					w.Cancel()
-					hd, ok = <-w.Chan()
-				}
-				if !ok {
+				w := spacetest.Park(s, p, true)
+				if rng.Intn(2) == 0 && w.Cancel() {
 					continue
 				}
+				var d spacetest.Delivery
+				select {
+				case d = <-w.C:
+				case <-done:
+					if w.Cancel() {
+						return
+					}
+					d = <-w.C
+				}
 				if rng.Intn(3) == 0 {
-					hd.Release()
+					d.H.Release()
 				} else {
-					record(hd.Tuple())
-					hd.Accept()
+					record(d.T)
+					d.H.Accept()
+				}
+				select {
+				case d = <-w.C:
+					t.Errorf("taker called twice, second time with %v", d.T)
+				default:
 				}
 			}
 		}(h)

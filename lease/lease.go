@@ -149,6 +149,13 @@ type Lease struct {
 	// serve path are granted and cancelled without anyone selecting on
 	// them, and the channel was a per-grant allocation.
 	done chan struct{}
+	// onEnd is the armed end hook, taken by whoever ends the lease.
+	onEnd EndHook
+}
+
+// EndHook is told that a lease has left StateActive.
+type EndHook interface {
+	LeaseEnded()
 }
 
 // leaseExpiry is the lease's entry on its manager's deadline queue. It is
@@ -201,6 +208,23 @@ func (l *Lease) Done() <-chan struct{} {
 		l.done = make(chan struct{})
 	}
 	return l.done
+}
+
+// OnEnd arms the lease's one end hook: h.LeaseEnded is called exactly
+// once when the lease leaves StateActive, on the goroutine that expired,
+// cancelled or revoked it and with no lock of the lease or its manager
+// held — or right here, if the lease has already ended. It is Done for a
+// holder with no goroutine to select on it: arming allocates nothing. A
+// second call replaces a hook that has not run.
+func (l *Lease) OnEnd(h EndHook) {
+	l.mu.Lock()
+	if l.state == StateActive {
+		l.onEnd = h
+		l.mu.Unlock()
+		return
+	}
+	l.mu.Unlock()
+	h.LeaseEnded()
 }
 
 // State returns the current lifecycle state.
@@ -368,8 +392,13 @@ func (l *Lease) finish(s State) {
 	if l.done != nil {
 		close(l.done)
 	}
+	hook := l.onEnd
+	l.onEnd = nil
 	l.mu.Unlock()
 	l.mgr.release(l, s)
+	if hook != nil {
+		hook.LeaseEnded()
+	}
 }
 
 // Requester negotiates with the Manager on behalf of an application (paper

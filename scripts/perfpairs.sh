@@ -11,8 +11,9 @@
 # directory, nothing registered in .git); the change is the working tree
 # as it stands, committed or not. Pair i runs both sides with --seed i
 # through each side's own bench/run.sh, prints each side's median and
-# quartiles per end-to-end metric over the pairs, and feeds every pair to
-# the benchmark's own -compare. Counts (msgs_per_op, wire_bytes_per_op,
+# quartiles per end-to-end metric over the pairs and in how many of them
+# the change read better, and feeds every pair to the benchmark's own
+# -compare. Counts (msgs_per_op, wire_bytes_per_op,
 # allocs_per_op) repeat to 3-4 digits and can be claimed from any pair;
 # times only from all of them. Everything written lands under
 # .bench_build/, which is ignored.
@@ -48,14 +49,21 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
+# value <metric> <file>...: the metric's value on each file's JSON line.
+value() {
+	local metric="$1"
+	shift
+	cat "$@" | sed -n "s/.*\"$metric\":{\"value\":\([^,}]*\).*/\1/p"
+}
+metrics="$(grep -o '"[a-z0-9_]*":{"value"' "$out/pair1.parent.line" | cut -d'"' -f2)"
+
 # Quartiles as Python's statistics.quantiles(n=4) gives them, which is how
 # the benchmark itself reports a spread.
 echo
 printf '%-20s %-7s %14s %14s %14s\n' metric side q1 median q3
-for metric in $(grep -o '"[a-z0-9_]*":{"value"' "$out/pair1.parent.line" | cut -d'"' -f2); do
+for metric in $metrics; do
 	for name in parent change; do
-		cat "$out"/pair*."$name".line |
-			sed -n "s/.*\"$metric\":{\"value\":\([^,}]*\).*/\1/p" | sort -g |
+		value "$metric" "$out"/pair*."$name".line | sort -g |
 			awk -v m="$metric" -v s="$name" '
 				{ x[NR] = $1 }
 				function q(p,   pos, j) {
@@ -66,6 +74,21 @@ for metric in $(grep -o '"[a-z0-9_]*":{"value"' "$out/pair1.parent.line" | cut -
 				}
 				END { if (NR) printf "%-20s %-7s %14.4f %14.4f %14.4f\n", m, s, q(0.25), q(0.5), q(0.75) }'
 	done
+done
+
+# The nine-tenths rule: a gain is claimed only when the change reads
+# better in at least nine tenths of the pairs, ties counting for neither.
+# Which way is better is BENCHMARK.json's to say.
+echo
+for metric in $metrics; do
+	better="$(awk -v m="\"$metric\"," '$1 == "\"name\":" && $2 == m { hit = 1 }
+		hit && $1 == "\"better\":" { gsub(/[",]/, "", $2); print $2; exit }' BENCHMARK.json)"
+	for i in $(seq 1 "$pairs"); do
+		echo "$(value "$metric" "$out/pair$i.parent.line") $(value "$metric" "$out/pair$i.change.line")"
+	done | awk -v m="$metric" -v better="$better" '
+		$2 == $1 { ties++; next }
+		(better == "higher") == ($2 > $1) { wins++ }
+		END { printf "%-20s change better in %d of %d pairs (%s is better, %d tied)\n", m, wins, NR, better, ties }'
 done
 
 status=0

@@ -14,6 +14,7 @@ package naive
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tiamat/clock"
@@ -44,25 +45,39 @@ type entry struct {
 	held   bool
 }
 
-// waiter is parked interest in a copy (rd), a removal (in) or, when hch
-// is set, a hold.
+// waiter is parked interest in a copy or, with remove set, a removal,
+// delivered on ch (Wait) or by a call to sink (Park), where a removal is
+// handed over as a hold. It is its own handle. done and cancelled are
+// guarded by the space's mutex.
 type waiter struct {
-	p      tuple.Template
-	remove bool
-	ch     chan tuple.Tuple
-	hch    chan space.Hold
-	done   bool
+	s         *Space
+	p         tuple.Template
+	remove    bool
+	ch        chan tuple.Tuple
+	sink      space.Sink
+	done      bool
+	cancelled bool
 }
 
-// finish closes a settled waiter's channel.
+// finish settles a waiter; a channel waiter's channel closes.
 func (w *waiter) finish() {
 	w.done = true
-	if w.hch != nil {
-		close(w.hch)
-		return
+	if w.ch != nil {
+		close(w.ch)
 	}
-	close(w.ch)
 }
+
+// holds reports whether w is a parked taker: delivery hands it a hold.
+func (w *waiter) holds() bool { return w.remove && w.sink != nil }
+
+// delivery is a sink call owed once the space's mutex is dropped.
+type delivery struct {
+	sink space.Sink
+	t    tuple.Tuple
+	h    space.Hold
+}
+
+func (d delivery) run() { d.sink.Deliver(d.t, d.h) }
 
 // New returns an empty naive space using clk (nil = wall clock).
 func New(clk clock.Clock) *Space {
@@ -81,44 +96,62 @@ func (s *Space) liveLocked(e entry) bool {
 
 // Out implements space.Space.
 func (s *Space) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
+	return s.put(t, expiry, 0)
+}
+
+// put is Out, under a new id or — for a released hold's tuple, which
+// comes back as the entry it was — under the id it had.
+func (s *Space) put(t tuple.Tuple, expiry time.Time, id uint64) (uint64, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return 0, ErrClosed
 	}
 	// Serve waiters FIFO: readers get copies, the first in-waiter
-	// consumes. Hold-waiters rank behind every in-waiter (a local in is
+	// consumes. Parked takers rank behind every in-waiter (a local in is
 	// final, a hold tentative): with no consumer the oldest one is handed
 	// the tuple, stored and held, and the id returned — as if Hold had run
-	// right behind this Out.
+	// right behind this Out. Sinks are called once the mutex is dropped.
+	var calls []delivery
 	kept := s.waiters[:0]
 	consumed := false
 	for _, w := range s.waiters {
-		if consumed || w.done || w.hch != nil || !w.p.Matches(t) {
+		if consumed || w.done || w.holds() || !w.p.Matches(t) {
 			kept = append(kept, w)
 			continue
 		}
-		w.ch <- t
+		if w.sink != nil {
+			calls = append(calls, delivery{sink: w.sink, t: t})
+		} else {
+			w.ch <- t
+		}
 		w.finish()
 		consumed = w.remove
 	}
 	s.waiters = kept
 	if consumed {
-		return 0, nil
-	}
-	s.nextID++
-	id := s.nextID
-	e := entry{id: id, t: t, expiry: expiry}
-	for i, w := range s.waiters {
-		if w.hch != nil && !w.done && w.p.Matches(t) {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			e.held = true
-			w.hch <- &hold{s: s, id: id, t: t}
-			w.finish()
-			break
+		id = 0
+	} else {
+		if id == 0 {
+			s.nextID++
+			id = s.nextID
 		}
+		e := entry{id: id, t: t, expiry: expiry}
+		for i, w := range s.waiters {
+			if w.holds() && !w.done && w.p.Matches(t) {
+				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+				e.held = true
+				calls = append(calls, delivery{w.sink, t, &hold{s: s, id: id, t: t}})
+				w.finish()
+				break
+			}
+		}
+		s.entries = append(s.entries, e)
 	}
-	s.entries = append(s.entries, e)
+	s.mu.Unlock()
+	for _, d := range calls {
+		d.run()
+	}
 	return id, nil
 }
 
@@ -158,72 +191,71 @@ func (s *Space) Inp(p tuple.Template) (tuple.Tuple, bool) {
 
 // Wait implements space.Space.
 func (s *Space) Wait(p tuple.Template, remove bool) space.Waiter {
-	w := &waiter{p: p, remove: remove, ch: make(chan tuple.Tuple, 1)}
-	return &waitHandle{s.register(w)}
+	w := &waiter{s: s, p: p, remove: remove, ch: make(chan tuple.Tuple, 1)}
+	s.register(w)
+	return w
 }
 
-// WaitHold implements space.Space.
-func (s *Space) WaitHold(p tuple.Template) space.HoldWaiter {
-	w := &waiter{p: p, hch: make(chan space.Hold, 1)}
-	return &holdHandle{s.register(w)}
+// Park implements space.Space.
+func (s *Space) Park(p tuple.Template, take bool, sink space.Sink) space.Parked {
+	w := &waiter{s: s, p: p, remove: take, sink: sink}
+	if d, ok := s.register(w); ok {
+		d.run()
+	}
+	return w
 }
 
-// register settles w from the first live match or parks it.
-func (s *Space) register(w *waiter) handle {
+// register settles w from the first live match or parks it. A call-mode
+// waiter's delivery is returned for the caller to run unlocked.
+func (s *Space) register(w *waiter) (delivery, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := handle{s: s, w: w}
 	if s.closed {
+		w.cancelled = true
 		w.finish()
-		return h
+		return delivery{}, false
 	}
 	i := s.findLocked(w.p)
 	if i < 0 {
 		s.waiters = append(s.waiters, w)
-		return h
+		return delivery{}, false
 	}
 	e := &s.entries[i]
+	d := delivery{sink: w.sink, t: e.t}
 	switch {
-	case w.hch != nil:
+	case w.holds():
 		e.held = true
-		w.hch <- &hold{s: s, id: e.id, t: e.t}
+		d.h = &hold{s: s, id: e.id, t: e.t}
 	case w.remove:
-		w.ch <- e.t
 		s.entries = append(s.entries[:i], s.entries[i+1:]...)
-	default:
-		w.ch <- e.t
+	}
+	if w.ch != nil {
+		w.ch <- d.t
 	}
 	w.finish()
-	return h
+	return d, w.sink != nil
 }
 
-// handle cancels a parked waiter; the two wrappers expose its channel.
-type handle struct {
-	s *Space
-	w *waiter
-}
+// Chan implements space.Waiter.
+func (w *waiter) Chan() <-chan tuple.Tuple { return w.ch }
 
-type waitHandle struct{ handle }
-
-func (h *waitHandle) Chan() <-chan tuple.Tuple { return h.w.ch }
-
-type holdHandle struct{ handle }
-
-func (h *holdHandle) Chan() <-chan space.Hold { return h.w.hch }
-
-func (h *handle) Cancel() {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	if h.w.done {
-		return
+// Cancel implements space.Waiter and space.Parked.
+func (w *waiter) Cancel() bool {
+	s := w.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if w.done {
+		return w.cancelled
 	}
-	h.w.finish()
-	for i, w := range h.s.waiters {
-		if w == h.w {
-			h.s.waiters = append(h.s.waiters[:i], h.s.waiters[i+1:]...)
+	w.cancelled = true
+	w.finish()
+	for i, o := range s.waiters {
+		if o == w {
+			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
 			break
 		}
 	}
+	return true
 }
 
 // Hold implements space.Space.
@@ -242,8 +274,7 @@ type hold struct {
 	s       *Space
 	id      uint64
 	t       tuple.Tuple
-	mu      sync.Mutex
-	settled bool
+	settled atomic.Bool
 }
 
 func (h *hold) Tuple() tuple.Tuple { return h.t }
@@ -255,12 +286,9 @@ func (h *hold) Accept() { h.settle(true) }
 func (h *hold) Release() { h.settle(false) }
 
 func (h *hold) settle(accept bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.settled {
+	if !h.settled.CompareAndSwap(false, true) {
 		return
 	}
-	h.settled = true
 	h.s.mu.Lock()
 	idx := -1
 	var e entry
@@ -281,8 +309,7 @@ func (h *hold) settle(accept bool) {
 		return
 	}
 	// Reinstatement re-enters through Out so waiters are served.
-	e.held = false
-	_, _ = h.s.Out(e.t, e.expiry)
+	_, _ = h.s.put(e.t, e.expiry, e.id)
 }
 
 // Remove implements space.Space.
@@ -360,6 +387,7 @@ func (s *Space) Close() error {
 	s.closed = true
 	for _, w := range s.waiters {
 		if !w.done {
+			w.cancelled = true // no sink is called
 			w.finish()
 		}
 	}

@@ -85,10 +85,10 @@ func TestNaiveWaitAndHold(t *testing.T) {
 	}
 }
 
-// TestNaiveHoldWaiterContract runs the shared WaitHold table: the oracle
+// TestNaiveHoldWaiterContract runs the shared Park table: the oracle
 // answers it the way the store and the durable wrapper do.
 func TestNaiveHoldWaiterContract(t *testing.T) {
-	spacetest.HoldWaiters(t, func(*testing.T) space.Space { return New(nil) })
+	spacetest.Parking(t, func(*testing.T) space.Space { return New(nil) })
 }
 
 func TestNaiveExpiry(t *testing.T) {

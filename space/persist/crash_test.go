@@ -21,6 +21,7 @@ import (
 	"tiamat/clock"
 	"tiamat/internal/store"
 	"tiamat/space"
+	"tiamat/space/spacetest"
 	"tiamat/trace"
 	"tiamat/tuple"
 )
@@ -504,8 +505,8 @@ func TestHoldDefersCompaction(t *testing.T) {
 
 // TestWaitedHoldDefersCompaction: a parked taker holds nothing, so it
 // must not put compaction off — a farm node always has takers parked —
-// but from the moment an Out hands it a hold, the hold does, received or
-// not: it is as absent from the snapshot as any other.
+// but from the moment an Out hands it a hold, the hold does: it is as
+// absent from the snapshot as any other.
 func TestWaitedHoldDefersCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.log")
 	met := &trace.Metrics{}
@@ -519,7 +520,7 @@ func TestWaitedHoldDefersCompaction(t *testing.T) {
 			sp.Inp(tuple.Tmpl(tuple.String("it"), tuple.Int(round)))
 		}
 	}
-	w := sp.WaitHold(tuple.Tmpl(tuple.String("it"), tuple.Int(999)))
+	w := spacetest.Park(sp, tuple.Tmpl(tuple.String("it"), tuple.Int(999)), true)
 	before := met.Get(trace.CtrWALCompactions)
 	churn()
 	if got := met.Get(trace.CtrWALCompactions); got == before {
@@ -529,13 +530,16 @@ func TestWaitedHoldDefersCompaction(t *testing.T) {
 		t.Fatalf("Out to the parked taker = %d %v", id, err)
 	}
 	before = met.Get(trace.CtrWALCompactions)
-	churn() // the hold may still be on its way to w.Chan()
+	churn()
 	if got := met.Get(trace.CtrWALCompactions); got != before {
 		t.Fatalf("compacted %d times while a waited hold was outstanding", got-before)
 	}
-	h, ok := <-w.Chan()
-	if !ok {
-		t.Fatal("no hold delivered")
+	var h space.Hold
+	select {
+	case d := <-w.C:
+		h = d.H
+	default:
+		t.Fatal("no hold delivered inside the out")
 	}
 	h.Release()
 	if got := met.Get(trace.CtrWALCompactions); got == before {
@@ -552,7 +556,7 @@ func TestWaitedHoldDefersCompaction(t *testing.T) {
 
 // TestWaitedHoldsRaceCompaction: takers parked, fed, cancelled and
 // settled while every operation wants to rotate the log. Whatever the
-// interleaving of a delivery, its pump and a compaction, the restarted
+// interleaving of a delivery, a cancel and a compaction, the restarted
 // space holds exactly the tuples that were released or never taken.
 func TestWaitedHoldsRaceCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.log")
@@ -564,7 +568,7 @@ func TestWaitedHoldsRaceCompaction(t *testing.T) {
 	want := make(map[int64]bool)
 	var wg sync.WaitGroup
 	for v := int64(0); v < 300; v++ {
-		w := sp.WaitHold(key(v))
+		w := spacetest.Park(sp, key(v), true)
 		wg.Add(1)
 		go func(v int64) {
 			defer wg.Done()
@@ -575,21 +579,18 @@ func TestWaitedHoldsRaceCompaction(t *testing.T) {
 		// Churn on another key keeps asking for a rotation meanwhile.
 		sp.Out(item(-1), time.Time{})
 		sp.Inp(key(-1))
-		if v%5 == 4 {
-			// Give up while the out is in flight: cancelled first or
-			// committed first, the tuple ends up resident.
-			space.Abandon(w)
+		if v%5 == 4 && w.Cancel() {
+			// Gave up while the out was in flight and got in first: the
+			// tuple ends up resident.
 			want[v] = true
 			continue
 		}
-		h, ok := <-w.Chan()
-		if !ok {
-			t.Fatalf("taker %d: no hold delivered", v)
-		}
+		d := <-w.C
 		if v%2 == 0 {
-			h.Accept()
+			d.H.Accept()
 		} else {
-			h.Release()
+			// A cancel that came second leaves the hold to be released.
+			d.H.Release()
 			want[v] = true
 		}
 	}

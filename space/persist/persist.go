@@ -43,6 +43,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tiamat/clock"
@@ -176,9 +177,6 @@ type Space struct {
 	size        int64 // bytes in the active log, including the header
 	lastCompact int64 // log size right after the previous compaction
 	holdsOut    int   // outstanding tentative holds (block compaction)
-	// holdWaiters are the WaitHold registrations whose pump has not yet
-	// counted its outcome: a hold on its way to one is not in holdsOut yet.
-	holdWaiters map[*loggedHoldWaiter]struct{}
 	wantCompact bool
 	dirty       bool // appended but not yet synced (SyncInterval)
 	closed      bool
@@ -188,6 +186,12 @@ type Space struct {
 	// stalledUntil is the instant the slow-fsync Degraded flag lapses
 	// (zero when the disk has been keeping up).
 	stalledUntil time.Time
+
+	// sinkMu is held across every call into inner that can match a parked
+	// registration (see matching): the call collects in matched exactly
+	// the deliveries it caused.
+	sinkMu  sync.Mutex
+	matched []delivery
 }
 
 var _ space.Space = (*Space)(nil)
@@ -217,8 +221,6 @@ func OpenWith(path string, inner space.Space, clk clock.Clock, opts Options) (*S
 		met:   opts.Metrics,
 		path:  path,
 		dir:   filepath.Dir(path),
-
-		holdWaiters: make(map[*loggedHoldWaiter]struct{}),
 	}
 	// A crash between a compaction's tmp write and its rename leaves a
 	// stale tmp behind; the half-written snapshot must never be mistaken
@@ -425,7 +427,7 @@ func (s *Space) maybeCompact() {
 	defer s.opMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.wantCompact || s.failed != nil || s.closed || s.holdsOut > 0 || s.holdInFlightLocked() {
+	if !s.wantCompact || s.failed != nil || s.closed || s.holdsOut > 0 {
 		return
 	}
 	s.wantCompact = false
@@ -434,28 +436,6 @@ func (s *Space) maybeCompact() {
 		// continue and the next threshold crossing retries.
 		s.met.Inc(trace.CtrWALCompactErrors)
 	}
-}
-
-// holdInFlightLocked reports whether a hold-waiter has been settled by
-// the inner space — handed a hold, or cancelled — without its pump having
-// counted that yet. Such a hold is missing from holdsOut and from the
-// snapshot both, so the compaction is put off; the pump retries it. The
-// caller holds opMu for writing, which keeps every delivery out (they all
-// happen inside an inner Out or WaitHold under opMu for reading, or under
-// a hold still counted in holdsOut), and s.mu. A hold found waiting is
-// taken off the channel for the pump to pick up: looking is receiving.
-func (s *Space) holdInFlightLocked() bool {
-	for w := range s.holdWaiters {
-		select {
-		case h, ok := <-w.inner.Chan():
-			if ok {
-				w.early = h
-			}
-			return true
-		default:
-		}
-	}
-	return false
 }
 
 // failLocked wedges the space with a sticky error. Caller holds s.mu.
@@ -608,18 +588,19 @@ func (s *Space) flushTick() {
 
 // Out implements space.Space: log first, then apply. The tuple is only
 // acked once its record is durable under the sync policy.
-func (s *Space) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
+func (s *Space) Out(t tuple.Tuple, expiry time.Time) (id uint64, err error) {
 	s.opMu.RLock()
 	if _, err := s.log(outRecord(t, expiry)); err != nil {
 		s.opMu.RUnlock()
 		return 0, err
 	}
-	id, err := s.inner.Out(t, expiry)
+	calls := s.matching(func() { id, err = s.inner.Out(t, expiry) })
 	if err == nil && id == 0 {
 		// Consumed by a waiter immediately: it never became durable state.
 		_, _ = s.log(removeRecord(t))
 	}
 	s.opMu.RUnlock()
+	run(calls)
 	s.maybeCompact()
 	return id, err
 }
@@ -643,8 +624,9 @@ func (s *Space) Inp(p tuple.Template) (tuple.Tuple, bool) {
 		if wrote {
 			s.compensate(t) // the removal record may have landed; undo it
 		}
-		h.Release()
+		calls := s.matching(h.Release)
 		s.opMu.RUnlock()
+		run(calls)
 		return tuple.Tuple{}, false
 	}
 	h.Accept()
@@ -685,8 +667,9 @@ func (w *loggedWaiter) pump() {
 			if wrote {
 				w.s.compensate(t)
 			}
-			_, _ = w.s.inner.Out(t, time.Time{})
+			calls := w.s.matching(func() { _, _ = w.s.inner.Out(t, time.Time{}) })
 			w.s.opMu.RUnlock()
+			run(calls)
 			close(w.ch)
 			return
 		}
@@ -698,58 +681,69 @@ func (w *loggedWaiter) pump() {
 
 func (w *loggedWaiter) Chan() <-chan tuple.Tuple { return w.ch }
 
-func (w *loggedWaiter) Cancel() { w.inner.Cancel() }
+func (w *loggedWaiter) Cancel() bool { return w.inner.Cancel() }
 
-// WaitHold implements space.Space: the inner space's hold is delivered
-// as a loggedHold, so its removal becomes durable on Accept and the
-// tuple is back after a restart that came first.
-func (s *Space) WaitHold(p tuple.Template) space.HoldWaiter {
-	w := &loggedHoldWaiter{s: s, ch: make(chan space.Hold, 1)}
+// Park implements space.Space. The inner space calls the registered sink
+// inside whichever inner call made the match — a read-locked Out or Park,
+// or the Release of a hold still counted in holdsOut — so a hold is
+// wrapped as a loggedHold and counted right there, with no window in
+// which a compaction could find it neither in the snapshot nor in
+// holdsOut. The caller's sink runs later on the same goroutine, once
+// that call has dropped opMu: a sink may release its hold, and a release
+// that compacts takes opMu for writing.
+func (s *Space) Park(p tuple.Template, take bool, sink space.Sink) space.Parked {
+	ls := &loggedSink{s: s, sink: sink}
+	var h space.Parked
 	s.opMu.RLock()
-	w.inner = s.inner.WaitHold(p)
-	s.mu.Lock()
-	s.holdWaiters[w] = struct{}{}
-	s.mu.Unlock()
+	calls := s.matching(func() { h = s.inner.Park(p, take, ls) })
 	s.opMu.RUnlock()
-	go w.pump()
-	return w
+	run(calls)
+	return h
 }
 
-type loggedHoldWaiter struct {
-	s     *Space
-	inner space.HoldWaiter
-	ch    chan space.Hold
-	early space.Hold // taken off inner's channel by holdInFlightLocked
+// loggedSink stands in the inner space for a Park caller's sink.
+type loggedSink struct {
+	s    *Space
+	sink space.Sink
 }
 
-// pump ends when the inner waiter is settled: by a delivery, by Cancel,
-// or by the inner space closing.
-func (w *loggedHoldWaiter) pump() {
-	h, ok := <-w.inner.Chan()
-	s := w.s
-	s.mu.Lock()
-	if !ok && w.early != nil {
-		h, ok = w.early, true
-	}
-	delete(s.holdWaiters, w)
-	if ok {
+// Deliver implements space.Sink. The caller up-stack holds sinkMu.
+func (ls *loggedSink) Deliver(t tuple.Tuple, h space.Hold) {
+	s := ls.s
+	if h != nil {
+		s.mu.Lock()
 		s.holdsOut++
+		s.mu.Unlock()
+		h = &loggedHold{s: s, inner: h}
 	}
-	s.mu.Unlock()
-	if ok {
-		w.ch <- &loggedHold{s: s, inner: h}
-	}
-	close(w.ch)
-	if !ok {
-		s.maybeCompact() // one this waiter's cancel may have put off
-	}
+	s.matched = append(s.matched, delivery{ls.sink, t, h})
 }
 
-func (w *loggedHoldWaiter) Chan() <-chan space.Hold { return w.ch }
+// delivery is a Park caller's sink call, owed for a match the inner space
+// has made.
+type delivery struct {
+	sink space.Sink
+	t    tuple.Tuple
+	h    space.Hold
+}
 
-// Cancel leaves a hold the inner space already committed on its way to
-// Chan, as the contract asks.
-func (w *loggedHoldWaiter) Cancel() { w.inner.Cancel() }
+// matching runs f, a call into inner that may match parked registrations,
+// and returns the deliveries it caused, for the caller to run once it
+// holds no lock.
+func (s *Space) matching(f func()) []delivery {
+	s.sinkMu.Lock()
+	defer s.sinkMu.Unlock()
+	f()
+	calls := s.matched
+	s.matched = nil
+	return calls
+}
+
+func run(calls []delivery) {
+	for _, d := range calls {
+		d.sink.Deliver(d.t, d.h)
+	}
+}
 
 // Hold implements space.Space; the removal becomes durable on Accept.
 // Outstanding holds defer online compaction (their tuples are invisible
@@ -773,10 +767,12 @@ func (s *Space) Hold(p tuple.Template) (space.Hold, bool) {
 	return &loggedHold{s: s, inner: h}, true
 }
 
+// loggedHold is settled by whichever of Accept and Release comes first,
+// with no lock of its own held meanwhile: a release may run a sink.
 type loggedHold struct {
-	s     *Space
-	inner space.Hold
-	once  sync.Once
+	s       *Space
+	inner   space.Hold
+	settled atomic.Bool
 }
 
 func (h *loggedHold) Tuple() tuple.Tuple { return h.inner.Tuple() }
@@ -784,24 +780,29 @@ func (h *loggedHold) Tuple() tuple.Tuple { return h.inner.Tuple() }
 func (h *loggedHold) ID() uint64 { return h.inner.ID() }
 
 func (h *loggedHold) Accept() {
-	h.once.Do(func() {
-		h.s.opMu.RLock()
-		// Accept even if logging fails: the requester already has the
-		// tuple, so reinstating it would duplicate. The failure wedges
-		// the space; a restart may resurrect this one tuple — the
-		// documented cost of accepting on a dying log.
-		_, _ = h.s.log(removeRecord(h.inner.Tuple()))
-		h.inner.Accept()
-		h.s.opMu.RUnlock()
-		h.s.holdSettled()
-	})
+	if !h.settled.CompareAndSwap(false, true) {
+		return
+	}
+	h.s.opMu.RLock()
+	// Accept even if logging fails: the requester already has the
+	// tuple, so reinstating it would duplicate. The failure wedges
+	// the space; a restart may resurrect this one tuple — the
+	// documented cost of accepting on a dying log.
+	_, _ = h.s.log(removeRecord(h.inner.Tuple()))
+	h.inner.Accept()
+	h.s.opMu.RUnlock()
+	h.s.holdSettled()
 }
 
 func (h *loggedHold) Release() {
-	h.once.Do(func() {
-		h.inner.Release()
-		h.s.holdSettled()
-	})
+	if !h.settled.CompareAndSwap(false, true) {
+		return
+	}
+	// The reinstated tuple may go straight to the next parked taker, whose
+	// hold is counted before this one is uncounted.
+	calls := h.s.matching(h.inner.Release)
+	h.s.holdSettled()
+	run(calls)
 }
 
 func (s *Space) holdSettled() {

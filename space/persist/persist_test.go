@@ -12,6 +12,7 @@ import (
 	"tiamat/internal/store"
 	"tiamat/space"
 	"tiamat/space/spacetest"
+	"tiamat/trace"
 	"tiamat/transport/memnet"
 	"tiamat/tuple"
 )
@@ -160,10 +161,25 @@ func TestHoldAcceptDurableReleaseNot(t *testing.T) {
 	}
 }
 
-// TestHoldWaiterContract runs the shared WaitHold table over the WAL.
+// TestHoldWaiterContract runs the shared Park table over the WAL, with a
+// compaction threshold every few records cross: a sink that releases its
+// hold rotates the log from inside the Out that called it.
 func TestHoldWaiterContract(t *testing.T) {
-	spacetest.HoldWaiters(t, func(t *testing.T) space.Space {
-		return open(t, filepath.Join(t.TempDir(), "space.log"), nil)
+	spacetest.Parking(t, func(t *testing.T) space.Space {
+		met := &trace.Metrics{}
+		sp, err := OpenWith(filepath.Join(t.TempDir(), "space.log"), store.New(), nil,
+			Options{CompactAt: 64, Metrics: met})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if t.Name() == "TestHoldWaiterContract/the_sink_runs_inside_the_out_and_may_call_back" {
+			t.Cleanup(func() {
+				if met.Get(trace.CtrWALCompactions) < 2 { // Open is the first
+					t.Error("no release inside a sink compacted the log")
+				}
+			})
+		}
+		return sp
 	})
 }
 
@@ -177,15 +193,19 @@ func TestWaitedHoldDurableOnAcceptOnly(t *testing.T) {
 	key := func(v int64) tuple.Template { return tuple.Tmpl(tuple.String("it"), tuple.Int(v)) }
 	held := make(map[int64]space.Hold)
 	for v := int64(1); v <= 3; v++ {
-		w := s.WaitHold(key(v))
+		w := spacetest.Park(s, key(v), true)
 		if id, err := s.Out(item(v), time.Time{}); err != nil || id == 0 {
 			t.Fatalf("Out(%d) = %d %v", v, id, err)
 		}
-		h, ok := <-w.Chan()
-		if !ok || !h.Tuple().Equal(item(v)) {
-			t.Fatalf("taker %d got %v %v", v, h, ok)
+		select {
+		case d := <-w.C:
+			if !d.T.Equal(item(v)) {
+				t.Fatalf("taker %d got %v", v, d.T)
+			}
+			held[v] = d.H
+		default:
+			t.Fatalf("taker %d not called inside the out", v)
 		}
-		held[v] = h
 	}
 	if s.Count() != 0 {
 		t.Fatalf("count with three holds out = %d", s.Count())

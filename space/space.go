@@ -20,12 +20,14 @@
 // the two destructive operations therefore map differently:
 //
 //	inp served for a peer → Hold
-//	in  served for a peer → Hold, then WaitHold(p) until a match, lease
-//	                        expiry or the peer's cancel
+//	in  served for a peer → Hold, then Park(p, true, sink) until a match,
+//	                        lease expiry or the peer's cancel
+//	rd  served for a peer → Rdp, then Park(p, false, sink) likewise
 //
-// WaitHold is the blocking form of Hold: one Out wakes exactly one parked
-// taker and hands it the tuple already held, so N peers blocked in in on
-// one template cost one wake-up per tuple, not N (DESIGN.md §6).
+// Park is the blocking form of Hold that blocks nobody: the Out that
+// produces the match calls the sink, on its own goroutine, with the tuple
+// already held. N peers blocked in in on one template cost one call per
+// tuple and no parked goroutine (DESIGN.md §6).
 package space
 
 import (
@@ -62,18 +64,27 @@ type Space interface {
 	// won the distributed take).
 	Hold(p tuple.Template) (Hold, bool)
 
-	// WaitHold is Wait for a tentative removal: if a match is present it
-	// is held at once, otherwise the next matching Out is handed to the
-	// oldest registered taker as a Hold with the entry's id and expiry
-	// intact. That Out still returns the tuple's non-zero id — the tuple
-	// was stored and is tentatively removed, exactly as if Hold had run
-	// right behind the Out — where an Out consumed by a Wait(p, true)
-	// returns 0 because nothing was ever stored. Hold-waiters rank
-	// behind every other waiter: each parked reader still gets its copy,
-	// and a parked Wait(p, true) — a local in, whose removal is final —
-	// takes the tuple ahead of any hold-waiter, whose removal is only
-	// tentative. The check-then-register step is atomic, as for Wait.
-	WaitHold(p tuple.Template) HoldWaiter
+	// Park is Wait with the match delivered by a call instead of a
+	// channel: the space calls sink.Deliver exactly once — unless the
+	// registration is cancelled first or the space closes — holding none
+	// of its locks, on the goroutine of the Out that produced the match
+	// and before that Out returns, or inside Park itself when a match is
+	// already present. The sink may therefore call back into the space.
+	//
+	// With take false the sink gets a copy (rd served for a peer). With
+	// take true it gets a tentative removal (in served for a peer): a
+	// resident match is held at once, otherwise the next matching Out is
+	// handed to the oldest parked taker as a Hold with the entry's id and
+	// expiry intact. That Out still returns the tuple's non-zero id — the
+	// tuple was stored and is tentatively removed, exactly as if Hold had
+	// run right behind the Out — where an Out consumed by a Wait(p, true)
+	// returns 0 because nothing was ever stored. Parked takers rank
+	// behind every other registration: each parked reader, channel or
+	// call, still gets its copy, and a parked Wait(p, true) — a local in,
+	// whose removal is final — takes the tuple ahead of any of them, whose
+	// removal is only tentative. The check-then-register step is atomic,
+	// as for Wait.
+	Park(p tuple.Template, take bool, sink Sink) Parked
 
 	// Remove deletes the tuple with the given storage id, reporting
 	// whether it was present. Used for lease revocation.
@@ -115,24 +126,30 @@ type Waiter interface {
 	// channel is closed without a value if the waiter is cancelled or
 	// the space closes.
 	Chan() <-chan tuple.Tuple
-	// Cancel withdraws the interest. If a tuple was already committed to
-	// this waiter it remains delivered on Chan. Cancel is idempotent.
-	Cancel()
+	// Cancel withdraws the interest and reports whether that prevented
+	// the delivery, as Parked.Cancel does: false means a tuple was already
+	// committed to this waiter and remains delivered on Chan.
+	Cancel() bool
 }
 
-// HoldWaiter is a registered blocking interest in holding a match.
-type HoldWaiter interface {
-	// Chan delivers exactly one Hold, then is closed. The channel is
-	// closed without a value if the waiter is cancelled or the space
-	// closes.
-	Chan() <-chan Hold
-	// Cancel withdraws the interest. A hold already committed to this
-	// waiter survives Cancel: it remains on Chan and its tuple stays out
-	// of the space until the caller settles it. A caller that gives up
-	// must therefore Cancel, then receive from Chan, and Release the hold
-	// if one arrives; after Cancel that receive never blocks for longer
-	// than a delivery already under way. Cancel is idempotent.
-	Cancel()
+// Sink receives the one delivery of a Park registration.
+type Sink interface {
+	// Deliver hands over the match t. For a take registration h is the
+	// tentative removal of t, which the sink must settle with Accept or
+	// Release; for a copy registration h is nil.
+	Deliver(t tuple.Tuple, h Hold)
+}
+
+// Parked is a Park registration.
+type Parked interface {
+	// Cancel withdraws the registration and reports whether that prevented
+	// the delivery. True: the sink has not been and will never be called.
+	// False: a match was committed to the registration first and the sink
+	// is called exactly once — it may already have returned, be running,
+	// or be about to run — so a hold committed before the cancel landed is
+	// the sink's to settle. After the first call Cancel keeps returning
+	// what that call returned.
+	Cancel() bool
 }
 
 // Hold is a tentatively removed tuple awaiting accept/release.
@@ -146,16 +163,8 @@ type Hold interface {
 	// Accept finalises the removal. Idempotent; Accept after Release is
 	// a no-op.
 	Accept()
-	// Release reinstates the tuple into the space. Idempotent; Release
-	// after Accept is a no-op.
+	// Release reinstates the tuple into the space, as the entry it was:
+	// whoever holds or takes it next finds it under the same ID.
+	// Idempotent; Release after Accept is a no-op.
 	Release()
-}
-
-// Abandon gives up on w without losing a tuple: it cancels the interest
-// and releases a hold that was committed before the cancel landed.
-func Abandon(w HoldWaiter) {
-	w.Cancel()
-	if h, ok := <-w.Chan(); ok {
-		h.Release()
-	}
 }

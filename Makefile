@@ -2,7 +2,7 @@ GO ?= go
 
 SUITES = crash soak mobility gray replica upgrade farm
 
-.PHONY: build test check bench bench-json perf allocs chaos fuzz loc suites-nonempty $(SUITES)
+.PHONY: build test check bench perf allocs chaos fuzz loc suites-nonempty $(SUITES)
 
 build:
 	$(GO) build ./...
@@ -12,25 +12,20 @@ test:
 
 # check is the pre-merge gate: vet + tests + race detector (includes
 # the chaos suite in internal/core, which takes seconds of wall time)
-# over the repository and the bench/ module, plus the benchdiff perf
-# gate over the last two BENCH_*.json baselines and the tiamat-load
-# open-loop smoke — all blocking, all inside check.sh.
+# over the repository and the bench/ module — all blocking, all inside
+# check.sh.
 check:
 	./scripts/check.sh
 
 bench:
 	$(GO) run ./cmd/tiamat-bench -quick
 
-# bench-json records a machine-readable benchmark baseline at the next
-# free BENCH_<n>.json (see scripts/bench-json.sh; BENCH_INDEX=n
-# overwrites a specific baseline).
-bench-json:
-	./scripts/bench-json.sh
-
 # perf is how a perf claim is measured: `make perf W=walk4_tcp` runs the
 # repository benchmark (bench/run.sh) on the merge-base and on the working
-# tree in alternating pairs and compares each pair (scripts/perfpairs.sh).
-# It is a fresh run on both sides, unlike the committed-baseline benchdiff.
+# tree in alternating pairs and compares each pair (scripts/perfpairs.sh):
+# a fresh run on both sides, minutes apart. Nothing else gates or reports
+# performance; `make allocs` below and the root bench_test.go /
+# bench_perf_test.go benchmarks are diagnostics.
 PAIRS   ?= 3
 SECONDS ?= 12
 perf:
@@ -64,15 +59,18 @@ chaos:
 # check.sh only asks (suites-nonempty) that no pattern has gone stale.
 #
 # crash: WAL kill-point sweeps, torn writes, bit flips, failed syncs,
-# and the shutdown/restart/rejoin lifecycle (the storage twin of chaos).
-crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|Shutdown|Goodbye|RestartRejoin|C1
+# the one removal record of a tuple consumed at Out, and the
+# shutdown/restart/rejoin lifecycle (the storage twin of chaos).
+crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|ConsumedOut|Shutdown|Goodbye|RestartRejoin|C1
 crash_pkgs = ./space/persist/ ./internal/core/ ./internal/harness/
 crash_exp  = C1
 # soak: overload governance — admission, quotas, shed order, the
-# shrink-before-revoke ladder, deadline propagation, and the C2 flood
-# (the harness TestMain also asserts no goroutine leaks survive it).
-soak_run  = Govern|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|C2
-soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./internal/harness/
+# shrink-before-revoke ladder, deadline propagation, the reports the
+# shed assertions read (views over a per-node registry that forwards to
+# a shared parent), and the C2 flood (the harness TestMain also asserts
+# no goroutine leaks survive it).
+soak_run  = Govern|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|C2
+soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./trace/ ./internal/harness/
 soak_exp  = C2
 # mobility: visibility-event re-arming, orphan reconciliation, memnet
 # mobility scripting, the lease skew band, and the C3 churn soak with

@@ -1,8 +1,9 @@
 // Hot-path throughput benchmarks: the sharded store under parallel load
 // versus a single lock, and the pooled wire codec versus the allocating
-// one. These back the BENCH_*.json perf trajectory (make bench-json);
-// the parallel store benchmarks only separate meaningfully at ≥4 cores,
-// single-core runs show the structural overhead instead.
+// one. Ungated diagnostics (`make allocs` runs one by name; perf claims
+// are measured by `make perf`). The parallel store benchmarks only
+// separate meaningfully at ≥4 cores, single-core runs show the structural
+// overhead instead.
 package tiamat_test
 
 import (

@@ -12,8 +12,8 @@
 // particular) exercise the retry and dedup machinery; affected tables
 // report the retransmission and duplicate-suppression counts.
 // -cpuprofile and -memprofile write pprof profiles covering the selected
-// experiments, for digging into hot paths the BENCH_*.json numbers
-// surface.
+// experiments, for digging into hot paths a `make perf` layer table
+// surfaces.
 package main
 
 import (

@@ -8,11 +8,11 @@ import (
 )
 
 // TestServedCacheTTLExpiry verifies the dedup cache forgets replies once
-// cfg.DedupTTL has passed: a lookup after the TTL misses, and the sweep
+// dedupTTL has passed: a lookup after the TTL misses, and the sweep
 // on insert drops expired entries so a long-lived responder's memory is
 // bounded by rate × TTL, not by lifetime.
 func TestServedCacheTTLExpiry(t *testing.T) {
-	r := newRig(t, []wire.Addr{"a"}, func(c *Config) { c.DedupTTL = time.Second })
+	r := newRig(t, []wire.Addr{"a"}, nil)
 	a := r.inst["a"]
 
 	key := waitKey{from: "peer", id: 1}
@@ -26,7 +26,7 @@ func TestServedCacheTTLExpiry(t *testing.T) {
 		t.Fatal("fresh entry missed")
 	}
 
-	r.clk.Advance(2 * time.Second)
+	r.clk.Advance(dedupTTL + time.Second)
 	now = r.clk.Now()
 	a.mu.Lock()
 	hit = a.servedLookupLocked(key, now)
@@ -41,7 +41,7 @@ func TestServedCacheTTLExpiry(t *testing.T) {
 		a.recordServed(waitKey{from: "peer", id: id},
 			&wire.Message{Type: wire.TAck, ID: id, From: a.Addr(), OK: true})
 	}
-	r.clk.Advance(2 * time.Second)
+	r.clk.Advance(dedupTTL + time.Second)
 	a.recordServed(waitKey{from: "peer", id: 11},
 		&wire.Message{Type: wire.TAck, ID: 11, From: a.Addr(), OK: true})
 	a.mu.Lock()

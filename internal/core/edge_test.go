@@ -45,8 +45,9 @@ func TestOutServesWaitingTakerWithoutStoring(t *testing.T) {
 }
 
 func TestEvalWorkerPoolExhaustion(t *testing.T) {
-	r := newRig(t, []wire.Addr{"a"}, func(c *Config) { c.EvalWorkers = 1 })
+	r := newRig(t, []wire.Addr{"a"}, nil)
 	a := r.inst["a"]
+	a.LeaseManager().RegisterResource(lease.ResThreads, 1)
 	block := make(chan struct{})
 	started := make(chan struct{})
 	a.RegisterEval("slow", func(ctx context.Context, _ tuple.Tuple) (tuple.Tuple, error) {

@@ -31,42 +31,43 @@ type GovernorConfig struct {
 	// MaxTotalWaits bounds the remote wait table across all peers
 	// (default 4096) — the table was unbounded before the governor.
 	MaxTotalWaits int
-	// MaxPeerInflight bounds concurrently queued+executing ops per peer
-	// (default 256).
-	MaxPeerInflight int
-	// MaxPeerBytes bounds the payload bytes of queued+executing work per
-	// peer (default 4 MiB).
-	MaxPeerBytes int64
 	// QueueDepth bounds the inbound serve queue (default 1024).
 	QueueDepth int
-	// Workers is the serve worker pool size (default 4).
-	Workers int
 	// ShedWatermark is the pressure (0..1] at which the governor starts
 	// clamping newly negotiated grants and shedding probe ops. Blocking
 	// waits shed one third of the way from the watermark to saturation,
 	// outs two thirds (default 0.75).
 	ShedWatermark float64
-	// RevokeWatermark is the pressure at which revocation is armed,
-	// after shrinking has nothing left to reclaim (default 0.97).
-	RevokeWatermark float64
 	// RevokeCooldown rate-limits revocation waves (default 1s).
 	RevokeCooldown time.Duration
-	// ShrinkInterval rate-limits shrink sweeps over the active lease set
-	// (default 100ms).
-	ShrinkInterval time.Duration
-	// DegradeQueueDelay is the smoothed serve-queue wait at which the
-	// node reports itself degraded on announce frames (DESIGN.md §11):
-	// admitted work lingering this long behind the worker pool means the
-	// node is serving, but slowly — a gray failure peers should route
-	// around rather than discover one timeout at a time. 0 selects the
-	// default 250ms; negative disables the probe.
-	DegradeQueueDelay time.Duration
 }
 
-// degradeDecay is how long the degraded self-report outlives the last
-// over-threshold queue-delay reading; mirrors the WAL stall watchdog's
-// decay so a recovered node stops advertising trouble promptly.
-const degradeDecay = 2 * time.Second
+// The governor's fixed settings: one value each is in use, so none is a
+// GovernorConfig field.
+const (
+	// maxPeerInflight bounds concurrently queued+executing ops per peer.
+	maxPeerInflight = 256
+	// maxPeerBytes bounds the payload bytes of queued+executing work per
+	// peer.
+	maxPeerBytes = 4 << 20
+	// serveWorkers is the serve worker pool size.
+	serveWorkers = 4
+	// revokeWatermark is the pressure at which revocation is armed, after
+	// shrinking has nothing left to reclaim.
+	revokeWatermark = 0.97
+	// shrinkInterval rate-limits shrink sweeps over the active lease set.
+	shrinkInterval = 100 * time.Millisecond
+	// degradeQueueDelay is the smoothed serve-queue wait at which the node
+	// reports itself degraded on announce frames (DESIGN.md §11): admitted
+	// work lingering this long behind the worker pool means the node is
+	// serving, but slowly — a gray failure peers should route around
+	// rather than discover one timeout at a time.
+	degradeQueueDelay = 250 * time.Millisecond
+	// degradeDecay is how long the degraded self-report outlives the last
+	// over-threshold queue-delay reading; mirrors the WAL stall watchdog's
+	// decay so a recovered node stops advertising trouble promptly.
+	degradeDecay = 2 * time.Second
+)
 
 func (c *GovernorConfig) applyDefaults() {
 	if c.MaxPeerWaits <= 0 {
@@ -75,37 +76,20 @@ func (c *GovernorConfig) applyDefaults() {
 	if c.MaxTotalWaits <= 0 {
 		c.MaxTotalWaits = 4096
 	}
-	if c.MaxPeerInflight <= 0 {
-		c.MaxPeerInflight = 256
-	}
-	if c.MaxPeerBytes <= 0 {
-		c.MaxPeerBytes = 4 << 20
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
 	}
 	if c.ShedWatermark <= 0 || c.ShedWatermark > 1 {
 		c.ShedWatermark = 0.75
 	}
-	if c.RevokeWatermark <= 0 || c.RevokeWatermark > 1 {
-		c.RevokeWatermark = 0.97
-	}
 	if c.RevokeCooldown <= 0 {
 		c.RevokeCooldown = time.Second
-	}
-	if c.ShrinkInterval <= 0 {
-		c.ShrinkInterval = 100 * time.Millisecond
-	}
-	if c.DegradeQueueDelay == 0 {
-		c.DegradeQueueDelay = 250 * time.Millisecond
 	}
 }
 
 // GovernorReport is a snapshot of governor activity, logged by tiamatd
-// on drain and inspected by experiments.
+// on drain and inspected by experiments: a view over the node's registry
+// (Instance.Metrics) plus the live queue-delay reading.
 type GovernorReport struct {
 	ShedProbes   uint64 // probe (rdp/inp) ops refused busy
 	ShedWaits    uint64 // blocking (rd/in) ops refused busy
@@ -182,7 +166,6 @@ type governor struct {
 	lastShrink    time.Time
 	queueDelay    time.Duration // EWMA of serve-queue wait
 	degradedUntil time.Time     // self-report active until this instant
-	rep           GovernorReport
 }
 
 func newGovernor(i *Instance, cfg GovernorConfig) *governor {
@@ -200,29 +183,38 @@ func newGovernor(i *Instance, cfg GovernorConfig) *governor {
 	}
 }
 
-// Report snapshots the governor's activity counters.
+// Report reads the governor's activity off the node's counters.
 func (g *governor) Report() GovernorReport {
+	i := g.i
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	rep := g.rep
-	rep.QueueDelay = g.queueDelay
-	return rep
+	queueDelay := g.queueDelay
+	g.mu.Unlock()
+	return GovernorReport{
+		ShedProbes:   i.counted(trace.CtrGovShedProbes),
+		ShedWaits:    i.counted(trace.CtrGovShedWaits),
+		ShedOuts:     i.counted(trace.CtrGovShedOuts),
+		QuotaSheds:   i.counted(trace.CtrGovQuotaSheds),
+		QueueSheds:   i.counted(trace.CtrGovQueueSheds),
+		Shrinks:      i.counted(trace.CtrGovShrinks),
+		ShrunkBytes:  i.met.Get(trace.CtrGovShrunkBytes),
+		Revokes:      i.counted(trace.CtrGovRevokes),
+		GrantClamps:  i.counted(trace.CtrGovClamps),
+		DeadlineCuts: i.counted(trace.CtrGovDeadlineCuts),
+		QueueDelay:   queueDelay,
+	}
 }
 
 // noteQueueDelay feeds one dequeue's wait into the smoothed queue-delay
 // probe (gain 1/8, RFC 6298-shaped like the discovery EWMA). When the
-// smoothed wait reaches DegradeQueueDelay the node starts self-reporting
+// smoothed wait reaches degradeQueueDelay the node starts self-reporting
 // degraded on announce frames, and keeps doing so until the signal has
 // stayed below threshold for degradeDecay — admitted-but-slow service is
 // exactly the gray failure peers cannot see from refusals alone.
 func (g *governor) noteQueueDelay(d time.Duration) {
-	if g.cfg.DegradeQueueDelay < 0 {
-		return
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.queueDelay += (d - g.queueDelay) / 8
-	if g.queueDelay >= g.cfg.DegradeQueueDelay {
+	if g.queueDelay >= degradeQueueDelay {
 		g.degradedUntil = g.i.clk.Now().Add(degradeDecay)
 		g.i.met.Inc(trace.CtrGovQueueStalls)
 	}
@@ -304,21 +296,6 @@ func shedCounter(m *wire.Message) string {
 	}
 }
 
-func (g *governor) countShed(m *wire.Message) {
-	ctr := shedCounter(m)
-	g.i.met.Inc(ctr)
-	g.mu.Lock()
-	switch ctr {
-	case trace.CtrGovShedProbes:
-		g.rep.ShedProbes++
-	case trace.CtrGovShedWaits:
-		g.rep.ShedWaits++
-	default:
-		g.rep.ShedOuts++
-	}
-	g.mu.Unlock()
-}
-
 // refuse sends the explicit busy reply for a shed message: a Busy
 // not-found for ops, a Busy refusal ack for out/eval. Silence is never
 // an answer — the requester must know to fail over rather than burn its
@@ -357,7 +334,7 @@ func (g *governor) submit(m *wire.Message) {
 		g.maybeShrink()
 	}
 	if p >= g.shedThreshold(m) {
-		g.countShed(m)
+		g.i.met.Inc(shedCounter(m))
 		g.refuse(m)
 		g.maybeRevoke(p)
 		return
@@ -372,8 +349,7 @@ func (g *governor) submit(m *wire.Message) {
 		return
 	}
 	ps := g.peers[m.From]
-	if ps.inflight >= g.cfg.MaxPeerInflight || ps.bytes+cost > g.cfg.MaxPeerBytes {
-		g.rep.QuotaSheds++
+	if ps.inflight >= maxPeerInflight || ps.bytes+cost > maxPeerBytes {
 		g.mu.Unlock()
 		g.i.met.Inc(trace.CtrGovQuotaSheds)
 		g.refuse(m)
@@ -390,9 +366,6 @@ func (g *governor) submit(m *wire.Message) {
 	default:
 		// The queue filled between the pressure reading and here.
 		g.finish(m)
-		g.mu.Lock()
-		g.rep.QueueSheds++
-		g.mu.Unlock()
 		g.i.met.Inc(trace.CtrGovQueueSheds)
 		g.refuse(m)
 	}
@@ -450,13 +423,11 @@ func (g *governor) tryAddWait(peer wire.Addr) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.totalWaits >= g.cfg.MaxTotalWaits {
-		g.rep.QuotaSheds++
 		g.i.met.Inc(trace.CtrGovQuotaSheds)
 		return false
 	}
 	ps := g.peers[peer]
 	if ps.waits >= g.cfg.MaxPeerWaits {
-		g.rep.QuotaSheds++
 		g.i.met.Inc(trace.CtrGovQuotaSheds)
 		return false
 	}
@@ -497,9 +468,6 @@ func (g *governor) clampTerms(t lease.Terms) lease.Terms {
 	}
 	t.MaxBytes = int64(float64(t.MaxBytes) * f)
 	g.i.met.Inc(trace.CtrGovClamps)
-	g.mu.Lock()
-	g.rep.GrantClamps++
-	g.mu.Unlock()
 	return t
 }
 
@@ -518,8 +486,6 @@ func (g *governor) sweepShrink() int64 {
 		g.i.met.Inc(trace.CtrGovShrinks)
 		g.i.met.Add(trace.CtrGovShrunkBytes, n)
 		g.mu.Lock()
-		g.rep.Shrinks++
-		g.rep.ShrunkBytes += n
 		g.lastRevoke = g.i.clk.Now()
 		g.mu.Unlock()
 	}
@@ -532,7 +498,7 @@ func (g *governor) sweepShrink() int64 {
 func (g *governor) maybeShrink() {
 	now := g.i.clk.Now()
 	g.mu.Lock()
-	if now.Sub(g.lastShrink) < g.cfg.ShrinkInterval {
+	if now.Sub(g.lastShrink) < shrinkInterval {
 		g.mu.Unlock()
 		return
 	}
@@ -547,7 +513,7 @@ func (g *governor) maybeShrink() {
 // revocation must stay a last resort "to avoid undermining the leasing
 // system altogether" (§2.5).
 func (g *governor) maybeRevoke(p float64) {
-	if p < g.cfg.RevokeWatermark {
+	if p < revokeWatermark {
 		return
 	}
 	if g.sweepShrink() > 0 {
@@ -563,9 +529,6 @@ func (g *governor) maybeRevoke(p float64) {
 	g.mu.Unlock()
 	if n := g.i.mgr.Revoke(1); n > 0 {
 		g.i.met.Add(trace.CtrGovRevokes, int64(n))
-		g.mu.Lock()
-		g.rep.Revokes += uint64(n)
-		g.mu.Unlock()
 	}
 }
 
@@ -590,12 +553,7 @@ func (g *governor) serveOne(m *wire.Message) {
 	if g.i.draining.Load() {
 		// The drain gate was passed before this message was queued; give
 		// the definitive refusal dispatch would have given.
-		switch m.Type {
-		case wire.TOp:
-			_ = g.i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: g.i.Addr(), Found: false})
-		default:
-			_ = g.i.send(m.From, &wire.Message{Type: wire.TAck, ID: m.ID, From: g.i.Addr(), OK: false, Err: "draining"})
-		}
+		g.i.refuseDraining(m)
 		return
 	}
 	if m.Type == wire.TOp && g.isCancelled(waitKey{from: m.From, id: m.ID}) {

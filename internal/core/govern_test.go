@@ -352,7 +352,7 @@ func TestRevokeOnlyAfterShrinkExhausted(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a"}, func(c *Config) {
 		c.Governor = GovernorConfig{
 			MaxTotalWaits: 4, MaxPeerWaits: 4,
-			ShedWatermark: 0.9, RevokeWatermark: 0.95,
+			ShedWatermark: 0.9,
 		}
 	})
 	a := r.inst["a"]

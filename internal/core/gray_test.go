@@ -269,7 +269,7 @@ func TestHedgeDisabledWalksList(t *testing.T) {
 
 // TestQueueDelayProbeFlipsDegraded drives the governor's queue-delay
 // EWMA past the threshold on a virtual clock and checks the degraded
-// self-report flips on, decays off, and can be disabled.
+// self-report flips on and decays off.
 func TestQueueDelayProbeFlipsDegraded(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	met := &trace.Metrics{}
@@ -288,7 +288,7 @@ func TestQueueDelayProbeFlipsDegraded(t *testing.T) {
 	if inst.Degraded() {
 		t.Fatal("fresh node degraded")
 	}
-	// Default threshold 250ms, EWMA gain 1/8: eight 800ms readings push
+	// Threshold 250ms, EWMA gain 1/8: eight 800ms readings push
 	// the smoothed delay well past the line.
 	for k := 0; k < 8; k++ {
 		inst.gov.noteQueueDelay(800 * time.Millisecond)
@@ -307,26 +307,6 @@ func TestQueueDelayProbeFlipsDegraded(t *testing.T) {
 	clk.Advance(degradeDecay + time.Second)
 	if inst.Degraded() {
 		t.Fatal("degraded self-report did not decay")
-	}
-
-	// Negative threshold disables the probe entirely.
-	ep2, err := net.Attach("n2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst2, err := New(Config{
-		Endpoint: ep2, Metrics: met, Clock: clk,
-		Governor: GovernorConfig{DegradeQueueDelay: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst2.Close()
-	for k := 0; k < 16; k++ {
-		inst2.gov.noteQueueDelay(time.Second)
-	}
-	if inst2.Degraded() {
-		t.Fatal("disabled probe still flipped Degraded")
 	}
 }
 

@@ -3,10 +3,10 @@ package core
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tiamat/space"
+	"tiamat/trace"
 	"tiamat/wire"
 )
 
@@ -90,13 +90,6 @@ func (d *rttDigest) quantile(q float64) (time.Duration, bool) {
 	return buf[idx], true
 }
 
-// grayCounters is per-instance hedge accounting (atomics, not trace
-// counters: harness clusters share one metrics registry, and C4 asserts
-// per-node budgets).
-type grayCounters struct {
-	hedges, hedgeWins, hedgeSuppressed atomic.Uint64
-}
-
 // GrayReport snapshots the instance's gray-failure tolerance activity,
 // logged by tiamatd on drain and asserted by the C4 soak.
 type GrayReport struct {
@@ -111,9 +104,9 @@ type GrayReport struct {
 // Gray snapshots hedge activity and the node's self-reported health.
 func (i *Instance) Gray() GrayReport {
 	return GrayReport{
-		Hedges:          i.gray.hedges.Load(),
-		HedgeWins:       i.gray.hedgeWins.Load(),
-		HedgeSuppressed: i.gray.hedgeSuppressed.Load(),
+		Hedges:          i.counted(trace.CtrHedges),
+		HedgeWins:       i.counted(trace.CtrHedgeWins),
+		HedgeSuppressed: i.counted(trace.CtrHedgeSuppressed),
 		HedgeDelay:      i.hedgeDelay(),
 		RTTSamples:      i.rtt.size(),
 		Degraded:        i.Degraded(),

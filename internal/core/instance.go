@@ -99,7 +99,10 @@ type Config struct {
 	Endpoint transport.Endpoint
 	// Clock is the time source (default: wall clock).
 	Clock clock.Clock
-	// Metrics receives instance counters (default: private registry).
+	// Metrics, when given, receives every counter of this instance under
+	// the same name, on top of the registry the instance always counts
+	// into (Instance.Metrics): hand one registry to a whole cluster and it
+	// reads the cluster's sums while each node still reads its own.
 	Metrics *trace.Metrics
 	// Leases configures the lease manager (default: DefaultCapacity).
 	Leases lease.Capacity
@@ -122,13 +125,6 @@ type Config struct {
 	// HoldGrace is how long a responder keeps a tentative removal alive
 	// past the op TTL before reinstating it (default 2s).
 	HoldGrace time.Duration
-	// DedupTTL is how long cached replies to remote requests are kept for
-	// duplicate suppression. It only has to outlast a requester's
-	// retransmission window (seconds), so expiring entries bounds the
-	// cache on long-lived responders even below the size cap. 0 selects
-	// the default 30s; negative disables expiry (size bound still
-	// applies).
-	DedupTTL time.Duration
 	// ContactTimeout is how long the communications manager waits for a
 	// contacted responder's reply before retransmitting (default 250ms).
 	ContactTimeout time.Duration
@@ -195,17 +191,10 @@ type Config struct {
 	// Persistent marks this space as persistent in announcements and in
 	// its space-info tuple.
 	Persistent bool
-	// EvalWorkers bounds concurrent eval computations (default 4); the
-	// workers are allocated through the lease manager's thread factory
-	// (paper §3.1.1).
-	EvalWorkers int
 	// Governor tunes serve-path admission control and load shedding
 	// (DESIGN.md §9). The zero value selects workstation-class defaults;
 	// the governor is always on.
 	Governor GovernorConfig
-	// Relays are backbone addresses used by RouteRelay (set by the
-	// routing extension).
-	Relays []wire.Addr
 	// Space overrides the local tuple space. The paper (§3.1.2) requires
 	// the space to be replaceable by "any system which implements the
 	// six standard Linda operations"; pass any space.Space here. The
@@ -218,9 +207,6 @@ func (c *Config) applyDefaults() {
 	if c.Clock == nil {
 		c.Clock = clock.Real{}
 	}
-	if c.Metrics == nil {
-		c.Metrics = &trace.Metrics{}
-	}
 	if c.Leases == (lease.Capacity{}) {
 		c.Leases = lease.DefaultCapacity()
 	}
@@ -232,9 +218,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.HoldGrace <= 0 {
 		c.HoldGrace = 2 * time.Second
-	}
-	if c.DedupTTL == 0 {
-		c.DedupTTL = 30 * time.Second
 	}
 	if c.ContactTimeout <= 0 {
 		c.ContactTimeout = 250 * time.Millisecond
@@ -256,9 +239,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.RepairInterval <= 0 {
 		c.RepairInterval = time.Second
-	}
-	if c.EvalWorkers <= 0 {
-		c.EvalWorkers = 4
 	}
 }
 
@@ -304,7 +284,7 @@ type Instance struct {
 	// (requester, op ID). Retransmitted or duplicated frames are answered
 	// from the cache instead of re-executed: at-least-once delivery plus
 	// idempotent handlers yields effectively-once semantics (§3.1.3).
-	// Entries expire after cfg.DedupTTL and the cache is size-bounded;
+	// Entries expire after dedupTTL and the cache is size-bounded;
 	// see recordServed.
 	served      map[waitKey]servedReply
 	servedOrder []servedRef // FIFO eviction order for served
@@ -346,10 +326,6 @@ type Instance struct {
 	// rtt digests recent first-attempt round-trip samples; its upper
 	// percentile paces hedged blocking lookups (hedge.go).
 	rtt rttDigest
-	// gray accumulates hedge activity for Gray(). Per-instance atomics
-	// rather than trace counters alone, because harness clusters share a
-	// single metrics registry across every node.
-	gray grayCounters
 
 	// repl is the replication manager (replica.go), nil when Replicas=1:
 	// the single pointer that gates every replication code path.
@@ -357,8 +333,6 @@ type Instance struct {
 
 	// rnd is the per-instance retry-jitter source (seeded in mobility.go).
 	rnd splitmix.Source
-	// mob accumulates mobility-path activity for Mobility().
-	mob mobilityCounters
 	// suspect tracks, per served peer, when its reachability probes
 	// started failing; the orphan sweeper reaps a peer unreachable for a
 	// full OrphanGrace window. Guarded by mu.
@@ -395,6 +369,10 @@ type acceptKey struct {
 // responderListMax bounds the responder cache.
 const responderListMax = 64
 
+// evalWorkers bounds concurrent eval computations; a node that wants
+// another bound re-registers lease.ResThreads on its LeaseManager.
+const evalWorkers = 4
+
 // defaultTerms are proposed when an operation passes a nil Requester.
 var defaultTerms = lease.Terms{Duration: 5 * time.Second, MaxRemotes: 16, MaxBytes: 64 << 10}
 
@@ -404,14 +382,18 @@ func New(cfg Config) (*Instance, error) {
 		return nil, errors.New("tiamat: Config.Endpoint is required")
 	}
 	cfg.applyDefaults()
+	// The node's own registry: everything the instance, its responder list
+	// and the store it builds count lands here, and from here in
+	// cfg.Metrics when one was given.
+	met := trace.NewNode(cfg.Metrics)
 	i := &Instance{
 		cfg:  cfg,
 		ep:   cfg.Endpoint,
 		clk:  cfg.Clock,
-		met:  cfg.Metrics,
+		met:  met,
 		caps: wire.CapsCurrent &^ cfg.CapsMask,
 		mgr:  lease.NewManager(cfg.Leases, cfg.Clock),
-		list: discovery.NewResponderList(responderListMax, cfg.Metrics,
+		list: discovery.NewResponderList(responderListMax, met,
 			discovery.WithClock(cfg.Clock)),
 		deadlines:    clock.NewQueue(cfg.Clock),
 		ops:          make(map[uint64]*opState),
@@ -425,7 +407,6 @@ func New(cfg Config) (*Instance, error) {
 		sidByLease:   make(map[uint64]uint64),
 		removedEarly: make(map[uint64]struct{}),
 		evals:        make(map[string]EvalFunc),
-		relays:       append([]wire.Addr(nil), cfg.Relays...),
 		suspect:      make(map[wire.Addr]time.Time),
 		capsProbes:   make(map[wire.Addr]time.Time),
 		stopped:      make(chan struct{}),
@@ -440,11 +421,13 @@ func New(cfg Config) (*Instance, error) {
 		// tuples stop counting against MaxActive and the byte pool.
 		i.local = store.New(
 			store.WithClock(cfg.Clock),
-			store.WithMetrics(cfg.Metrics),
+			store.WithMetrics(met),
 			store.WithRemovalHook(i.releaseOutLease),
 		)
 	}
-	i.mgr.RegisterResource(lease.ResThreads, int64(cfg.EvalWorkers))
+	// Eval computations run on threads allocated through the lease
+	// manager's thread factory (paper §3.1.1).
+	i.mgr.RegisterResource(lease.ResThreads, evalWorkers)
 	// Revoked out-leases drop their tuples (last-resort reclamation).
 	i.mgr.OnRevoke(func(l *lease.Lease) {
 		i.mu.Lock()
@@ -473,7 +456,7 @@ func New(cfg Config) (*Instance, error) {
 		i.wg.Add(1)
 		go i.repairLoop()
 	}
-	for w := 0; w < i.gov.cfg.Workers; w++ {
+	for w := 0; w < serveWorkers; w++ {
 		i.wg.Add(1)
 		go i.gov.worker()
 	}
@@ -550,8 +533,14 @@ func (i *Instance) LeaseManager() *lease.Manager { return i.mgr }
 // LocalSpace exposes the local tuple space.
 func (i *Instance) LocalSpace() space.Space { return i.local }
 
-// Metrics returns the instance's metrics registry.
+// Metrics returns the node's own registry: what this instance counted,
+// and nothing another instance did, whether or not Config.Metrics is
+// shared. Governor, Mobility, Gray, Replication and CapsSummary read their
+// counter fields from it.
 func (i *Instance) Metrics() *trace.Metrics { return i.met }
+
+// counted reads one of the node's event counters for a report field.
+func (i *Instance) counted(name string) uint64 { return uint64(i.met.Get(name)) }
 
 // ResponderList exposes the cached responder order (top first), mainly
 // for monitoring and experiments.

@@ -1,28 +1,18 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"tiamat/trace"
 	"tiamat/wire"
 )
 
 // This file implements the instance's reaction to a changing world
-// (DESIGN.md §10): the per-instance jitter source, the mobility counters
-// behind Instance.Mobility(), and the orphan sweeper that reconciles
+// (DESIGN.md §10): the per-instance jitter source, the Mobility() view of
+// the node's counters, and the orphan sweeper that reconciles
 // serve-side state stranded by a partition.
 //
 // The outbound half of mobility — re-arming in-flight blocking operations
 // when a peer becomes visible — lives in propagate (ops.go), wired to the
 // responder list's visibility event stream.
-
-// mobilityCounters accumulates the instance's mobility-path activity.
-type mobilityCounters struct {
-	rearms      atomic.Uint64
-	orphanWaits atomic.Uint64
-	orphanHolds atomic.Uint64
-	probes      atomic.Uint64
-}
 
 // MobilityReport snapshots the mobility machinery's activity: blocking
 // operations re-armed toward newly visible peers, orphaned serve-side
@@ -41,14 +31,13 @@ type MobilityReport struct {
 // Mobility snapshots the instance's mobility activity, for the drain
 // report and experiments.
 func (i *Instance) Mobility() MobilityReport {
-	joins, leaves := i.list.EventCounts()
 	return MobilityReport{
-		Rearms:       i.mob.rearms.Load(),
-		OrphanWaits:  i.mob.orphanWaits.Load(),
-		OrphanHolds:  i.mob.orphanHolds.Load(),
-		OrphanProbes: i.mob.probes.Load(),
-		VisJoins:     joins,
-		VisLeaves:    leaves,
+		Rearms:       i.counted(trace.CtrRearms),
+		OrphanWaits:  i.counted(trace.CtrOrphanWaits),
+		OrphanHolds:  i.counted(trace.CtrOrphanHolds),
+		OrphanProbes: i.counted(trace.CtrOrphanProbes),
+		VisJoins:     i.counted(trace.CtrVisJoins),
+		VisLeaves:    i.counted(trace.CtrVisLeaves),
 	}
 }
 
@@ -108,7 +97,6 @@ func (i *Instance) sweepOrphans() {
 			continue
 		}
 		i.met.Inc(trace.CtrOrphanProbes)
-		i.mob.probes.Add(1)
 		// The probe is a plain unsolicited announce: peers of any version
 		// already treat it as useful knowledge (handleAnnounce), so mixed
 		// clusters need no new frame type. It carries our caps like every
@@ -144,30 +132,9 @@ func (i *Instance) sweepOrphans() {
 // unreachable past the suspicion window: the goodbye it never got to
 // send.
 func (i *Instance) reapOrphan(peer wire.Addr) {
-	i.mu.Lock()
-	waits := make([]*remoteWait, 0)
-	for key, w := range i.waits {
-		if key.from == peer {
-			waits = append(waits, w)
-		}
-	}
-	holds := make([]uint64, 0)
-	for id, ph := range i.holds {
-		if ph.key.from == peer {
-			holds = append(holds, id)
-		}
-	}
-	i.mu.Unlock()
-	for _, w := range waits {
-		i.met.Inc(trace.CtrOrphanWaits)
-		i.mob.orphanWaits.Add(1)
-		w.end(false)
-	}
-	for _, id := range holds {
-		i.met.Inc(trace.CtrOrphanHolds)
-		i.mob.orphanHolds.Add(1)
-		i.settleHold(id, false)
-	}
+	waits, holds := i.releasePeer(peer)
+	i.met.Add(trace.CtrOrphanWaits, int64(waits))
+	i.met.Add(trace.CtrOrphanHolds, int64(holds))
 }
 
 // seedRetryJitter initialises the retry-jitter source from the configured

@@ -683,7 +683,6 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 				hedging = false
 				armHedge()
 				i.met.Inc(trace.CtrHedgeSuppressed)
-				i.gray.hedgeSuppressed.Add(1)
 			}
 			if m.Type == wire.TResult {
 				if replied[m.From] {
@@ -694,7 +693,6 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 			if m.Type == wire.TResult && m.Found {
 				if cs := contacted[m.From]; cs != nil && cs.hedged {
 					i.met.Inc(trace.CtrHedgeWins)
-					i.gray.hedgeWins.Add(1)
 				}
 				if code.Removes() && m.HoldID != 0 {
 					// First responder wins: accept this hold; the
@@ -727,7 +725,6 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 				} else {
 					hedgesUsed++
 					i.met.Inc(trace.CtrHedges)
-					i.gray.hedges.Add(1)
 					contactNext(1, true)
 				}
 				armHedge()
@@ -830,7 +827,6 @@ func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Temp
 			}
 			remaining++
 			i.met.Inc(trace.CtrRearms)
-			i.mob.rearms.Add(1)
 			armTick()
 
 		case <-rediscover:
@@ -867,7 +863,7 @@ type pendingAccept struct {
 // take-heavy workload settles one accept per take, and a goroutine per
 // settlement cannot keep up with a tight issue loop — the unsettled leases
 // back up the manager toward its MaxActive watermark and the governor
-// starts shedding healthy traffic (the BENCH_3 regression). The happy path
+// starts shedding healthy traffic (the PR 7 regression). The happy path
 // here is one send plus one queue entry that the ack unlinks; no timer is
 // armed for it.
 func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease) {

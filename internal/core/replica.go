@@ -138,13 +138,6 @@ type replicator struct {
 	pend    map[uint64]pendRepl   // replicate ack ID → flight info
 	ring    *routing.Ring
 	ringRev uint64
-
-	writes        atomic.Uint64
-	failoverTakes atomic.Uint64
-	repairs       atomic.Uint64
-	fencedHolds   atomic.Uint64
-	staleReads    atomic.Uint64
-	writeRefusals atomic.Uint64
 }
 
 func newReplicator(i *Instance) *replicator {
@@ -184,12 +177,12 @@ func (i *Instance) Replication() ReplicationReport {
 		return ReplicationReport{}
 	}
 	rep := ReplicationReport{
-		Writes:        r.writes.Load(),
-		FailoverTakes: r.failoverTakes.Load(),
-		Repairs:       r.repairs.Load(),
-		FencedHolds:   r.fencedHolds.Load(),
-		StaleReads:    r.staleReads.Load(),
-		WriteRefusals: r.writeRefusals.Load(),
+		Writes:        i.counted(trace.CtrReplWrites),
+		FailoverTakes: i.counted(trace.CtrReplFailoverTakes),
+		Repairs:       i.counted(trace.CtrReplRepairs),
+		FencedHolds:   i.counted(trace.CtrReplFencedHolds),
+		StaleReads:    i.counted(trace.CtrReplStaleReads),
+		WriteRefusals: i.counted(trace.CtrReplWriteRefused),
 	}
 	ring := r.ringNow()
 	r.mu.Lock()
@@ -422,7 +415,6 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 		}
 		sent = append(sent, a)
 		i.met.Inc(trace.CtrReplWrites)
-		r.writes.Add(1)
 	}
 	r.mu.Lock()
 	ro.targets = sent
@@ -507,7 +499,6 @@ func (i *Instance) replFinishAck(id uint64, m *wire.Message) bool {
 			} else {
 				ro.refused[p.to] = true
 				i.met.Inc(trace.CtrReplWriteRefused)
-				r.writeRefusals.Add(1)
 			}
 			r.settleLocked(ro)
 		}
@@ -645,7 +636,6 @@ func (i *Instance) handleReplicate(m *wire.Message) {
 	if exp, fenced := r.fences[key]; fenced && now.Before(exp) {
 		r.mu.Unlock()
 		i.met.Inc(trace.CtrReplFencedHolds)
-		r.fencedHolds.Add(1)
 		ack.Err = "fenced"
 		_ = i.send(m.From, ack)
 		return
@@ -698,10 +688,7 @@ func (i *Instance) replInvalidate(m *wire.Message) {
 		return
 	}
 	now := i.clk.Now()
-	fence := now.Add(i.cfg.DedupTTL)
-	if i.cfg.DedupTTL <= 0 {
-		fence = now.Add(30 * time.Second)
-	}
+	fence := now.Add(dedupTTL)
 	r.mu.Lock()
 	if c := r.copies[key]; c != nil {
 		delete(r.copies, key)
@@ -726,7 +713,6 @@ func (i *Instance) replRdp(p tuple.Template) (tuple.Tuple, bool) {
 	for _, c := range r.copies {
 		if !c.held && now.Before(c.expiry) && p.Matches(c.t) {
 			i.met.Inc(trace.CtrReplStaleReads)
-			r.staleReads.Add(1)
 			return c.t, true
 		}
 	}
@@ -764,7 +750,6 @@ func (h *replHold) Accept() {
 	}
 	r.mu.Unlock()
 	h.i.met.Inc(trace.CtrReplFailoverTakes)
-	r.failoverTakes.Add(1)
 }
 
 func (h *replHold) Release() {
@@ -998,10 +983,6 @@ func (i *Instance) repairSweep() {
 	r := i.repl
 	now := i.clk.Now()
 	ring := r.ringNow()
-	pendTTL := i.cfg.DedupTTL
-	if pendTTL <= 0 {
-		pendTTL = 30 * time.Second
-	}
 
 	type job struct {
 		to  wire.Addr
@@ -1026,7 +1007,7 @@ func (i *Instance) repairSweep() {
 		}
 	}
 	for id, p := range r.pend {
-		if now.Sub(p.at) > pendTTL {
+		if now.Sub(p.at) > dedupTTL {
 			delete(r.pend, id)
 		}
 	}
@@ -1062,7 +1043,6 @@ func (i *Instance) repairSweep() {
 	for _, j := range jobs {
 		if i.send(j.to, j.msg) == nil {
 			i.met.Inc(trace.CtrReplRepairs)
-			r.repairs.Add(1)
 		}
 	}
 
@@ -1103,7 +1083,6 @@ func (i *Instance) repairSweep() {
 				ReplOrigin: ad.c.key.origin, ReplSeq: ad.c.key.seq,
 			}) == nil {
 				i.met.Inc(trace.CtrReplRepairs)
-				r.repairs.Add(1)
 			}
 		}
 	}

@@ -46,8 +46,16 @@ func (ph *pendingHold) Expire() {
 // instance keeps every live entry.
 const servedCacheMax = 4096
 
+// dedupTTL is how long a cached reply to a remote request is kept for
+// duplicate suppression. It only has to outlast a requester's
+// retransmission window (seconds), so expiring entries bounds the cache
+// on a long-lived responder even below the size cap. The replicator
+// borrows it for how long a consumed identity stays fenced and an
+// unacked replicate flight is remembered (replica.go).
+const dedupTTL = 30 * time.Second
+
 // servedReply is a cached reply plus the metadata bounding its life: the
-// record time for cfg.DedupTTL expiry, and a sequence stamp so eviction
+// record time for dedupTTL expiry, and a sequence stamp so eviction
 // refs can tell whether the entry under their key is still the one they
 // enqueued (settleHold deletes entries out of band and the key may be
 // re-recorded afterwards; without the stamp the stale ref would evict
@@ -67,7 +75,7 @@ type servedRef struct {
 // recordServed caches the reply sent for a remote request so a
 // retransmitted or duplicated frame is answered identically instead of
 // re-executed (at-least-once delivery + idempotent handlers, §3.1.3).
-// The cache is bounded two ways: entries older than cfg.DedupTTL are
+// The cache is bounded two ways: entries older than dedupTTL are
 // swept on every insert, and the size cap evicts the oldest beyond
 // servedCacheMax — so a long-lived responder's memory is bounded by
 // min(cap, request rate × TTL).
@@ -82,8 +90,7 @@ func (i *Instance) recordServed(key waitKey, m *wire.Message) {
 		ref := i.servedOrder[0]
 		r, live := i.served[ref.key]
 		if live && r.seq == ref.seq {
-			expired := i.cfg.DedupTTL > 0 && now.Sub(r.at) > i.cfg.DedupTTL
-			if len(i.servedOrder) <= servedCacheMax && !expired {
+			if len(i.servedOrder) <= servedCacheMax && now.Sub(r.at) <= dedupTTL {
 				break // oldest entry is live and fresh; the rest are fresher
 			}
 			delete(i.served, ref.key)
@@ -99,7 +106,7 @@ func (i *Instance) servedLookupLocked(key waitKey, now time.Time) *wire.Message 
 	if !ok {
 		return nil
 	}
-	if i.cfg.DedupTTL > 0 && now.Sub(r.at) > i.cfg.DedupTTL {
+	if now.Sub(r.at) > dedupTTL {
 		delete(i.served, key)
 		return nil
 	}
@@ -288,9 +295,6 @@ func serveTerms(ttl time.Duration) lease.Terms {
 func (i *Instance) effTTL(m *wire.Message) time.Duration {
 	if m.Budget > 0 && m.Budget < m.TTL {
 		i.met.Inc(trace.CtrGovDeadlineCuts)
-		i.gov.mu.Lock()
-		i.gov.rep.DeadlineCuts++
-		i.gov.mu.Unlock()
 		return m.Budget
 	}
 	return m.TTL
@@ -720,25 +724,46 @@ func (i *Instance) relayOut(res Result) error {
 // grace deadlines — the accept is never coming.
 func (i *Instance) handleGoodbye(m *wire.Message) {
 	i.list.Depart(m.From)
+	i.releasePeer(m.From)
+}
+
+// releasePeer ends every blocking wait served for peer and reinstates
+// every hold it owns: what a goodbye asks for, and what the orphan sweep
+// does for a peer that never got to send one. It reports how many of each
+// it released.
+func (i *Instance) releasePeer(peer wire.Addr) (waits, holds int) {
 	i.mu.Lock()
-	waits := make([]*remoteWait, 0)
+	var ws []*remoteWait
 	for key, w := range i.waits {
-		if key.from == m.From {
-			waits = append(waits, w)
+		if key.from == peer {
+			ws = append(ws, w)
 		}
 	}
-	holds := make([]uint64, 0)
+	var hs []uint64
 	for id, ph := range i.holds {
-		if ph.key.from == m.From {
-			holds = append(holds, id)
+		if ph.key.from == peer {
+			hs = append(hs, id)
 		}
 	}
 	i.mu.Unlock()
-	for _, w := range waits {
+	for _, w := range ws {
 		w.end(false)
 	}
-	for _, id := range holds {
+	for _, id := range hs {
 		i.settleHold(id, false)
+	}
+	return len(ws), len(hs)
+}
+
+// refuseDraining gives a serve frame the definitive answer a draining
+// node owes it — a not-found for an op, a refusal ack for an out or eval —
+// so the peer fails over instead of retrying into a closing node.
+func (i *Instance) refuseDraining(m *wire.Message) {
+	switch m.Type {
+	case wire.TOp:
+		_ = i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false})
+	case wire.TOut, wire.TEval:
+		_ = i.send(m.From, &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr(), OK: false, Err: "draining"})
 	}
 }
 
@@ -746,16 +771,11 @@ func (i *Instance) handleGoodbye(m *wire.Message) {
 // relay delivery to self.
 func (i *Instance) dispatch(m *wire.Message) {
 	if i.draining.Load() {
-		// Refuse new work with a definitive answer so peers fail over
-		// instead of retrying into a closing node; in-flight settlement
-		// traffic (results, accepts, releases, cancels) still flows so
-		// the drain can finish.
+		// New work is refused; in-flight settlement traffic (results,
+		// accepts, releases, cancels) still flows so the drain can finish.
 		switch m.Type {
-		case wire.TOp:
-			_ = i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false})
-			return
-		case wire.TOut, wire.TEval:
-			_ = i.send(m.From, &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr(), OK: false, Err: "draining"})
+		case wire.TOp, wire.TOut, wire.TEval:
+			i.refuseDraining(m)
 			return
 		case wire.TDiscover:
 			return // do not advertise a space that is leaving

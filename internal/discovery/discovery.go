@@ -210,7 +210,8 @@ type ResponderList struct {
 
 	// Visibility event stream state: per-address join epochs (kept after
 	// removal so a rejoin gets the next epoch), subscriber channels, and
-	// lifetime join/leave tallies for monitoring.
+	// the lifetime join/leave tallies Revision() is built on (monitoring
+	// reads disc.vis_joins/disc.vis_leaves from the registry).
 	epochs map[wire.Addr]uint64
 	subs   map[*Subscription]struct{}
 	joins  uint64
@@ -337,14 +338,6 @@ func (l *ResponderList) Epoch(addr wire.Addr) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.epochs[addr]
-}
-
-// EventCounts returns the lifetime join and leave totals, for the
-// mobility report.
-func (l *ResponderList) EventCounts() (joins, leaves uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.joins, l.leaves
 }
 
 // Revision returns a monotonic membership revision: it advances on every
@@ -625,8 +618,8 @@ func (l *ResponderList) observeDegradedLocked(e *entry, degraded bool) {
 	e.degradedUntil = now.Add(l.degradedTTL)
 }
 
-// ObserveCaps records what an announce frame from addr revealed about
-// its capabilities (DESIGN.md §14). caps != 0 marks the peer
+// observeCapsLocked records what an announce frame revealed about its
+// sender's capabilities (DESIGN.md §14). caps != 0 marks the peer
 // capability-aware with exactly those bits; caps == 0 means the
 // announce carried no caps field — the peer runs a pre-capability
 // build (or deliberately masks everything), so it is marked known
@@ -634,17 +627,6 @@ func (l *ResponderList) observeDegradedLocked(e *entry, degraded bool) {
 // caps-bearing announce flips it from baseline to aware mid-flight,
 // and a rollback's caps-less announce flips it back. Transitions bump
 // the membership revision so ring-derived state rebuilds promptly.
-func (l *ResponderList) ObserveCaps(addr wire.Addr, caps uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e := l.index[addr]
-	if e == nil {
-		return
-	}
-	l.observeCapsLocked(e, caps)
-}
-
-// observeCapsLocked applies an announce's capability evidence to e.
 // Caller holds l.mu.
 func (l *ResponderList) observeCapsLocked(e *entry, caps uint64) {
 	state := CapsBaseline

@@ -339,7 +339,8 @@ func drain(ch <-chan Event) []Event {
 }
 
 func TestEventsJoinLeaveEpochs(t *testing.T) {
-	l := NewResponderList(0, nil)
+	met := &trace.Metrics{}
+	l := NewResponderList(0, met)
 	ch, cancel := subscribe(l)
 	defer cancel()
 
@@ -377,7 +378,7 @@ func TestEventsJoinLeaveEpochs(t *testing.T) {
 	if l.Epoch("a") != 2 || l.Epoch("b") != 1 || l.Epoch("zz") != 0 {
 		t.Fatalf("epochs a=%d b=%d zz=%d", l.Epoch("a"), l.Epoch("b"), l.Epoch("zz"))
 	}
-	if j, lv := l.EventCounts(); j != 3 || lv != 1 {
+	if j, lv := met.Get(trace.CtrVisJoins), met.Get(trace.CtrVisLeaves); j != 3 || lv != 1 {
 		t.Fatalf("counts joins=%d leaves=%d", j, lv)
 	}
 }

@@ -74,11 +74,12 @@ func TestRelayDeliveryEndToEnd(t *testing.T) {
 	epB, _ := clkNet.Attach("B")
 	epC, _ := clkNet.Attach("C")
 
-	a, err := core.New(core.Config{Endpoint: epA, RoutePolicy: core.RouteRelay, Relays: []wire.Addr{"B"}})
+	a, err := core.New(core.Config{Endpoint: epA, RoutePolicy: core.RouteRelay})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	a.SetRelays([]wire.Addr{"B"})
 	b, err := core.New(core.Config{Endpoint: epB})
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +117,12 @@ func TestRelayFallsBackLocallyWhenNoRelayWorks(t *testing.T) {
 	net := memnet.New()
 	defer net.Close()
 	epA, _ := net.Attach("A")
-	a, err := core.New(core.Config{Endpoint: epA, RoutePolicy: core.RouteRelay, Relays: []wire.Addr{"B"}})
+	a, err := core.New(core.Config{Endpoint: epA, RoutePolicy: core.RouteRelay})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	a.SetRelays([]wire.Addr{"B"})
 	payload := tuple.T(tuple.String("resp"), tuple.Int(1))
 	if err := a.OutBack(core.Result{Tuple: payload, From: "C"}, nil); err != nil {
 		t.Fatal(err)

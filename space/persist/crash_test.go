@@ -666,3 +666,72 @@ func TestSyncNeverPolicy(t *testing.T) {
 		t.Fatalf("count = %d after clean restart, want 10", s2.Count())
 	}
 }
+
+// consumedOut parks an in, feeds it one out of t and receives it: the
+// tuple was consumed at Out and never became resident.
+func consumedOut(t *testing.T, sp *Space, tup tuple.Tuple, between func()) {
+	t.Helper()
+	w := sp.Wait(tuple.TemplateOf(tup), true)
+	if id, err := sp.Out(tup, time.Time{}); err != nil || id != 0 {
+		t.Fatalf("out to a parked in: id=%d err=%v, want consumed", id, err)
+	}
+	if between != nil {
+		between()
+	}
+	if got, ok := <-w.Chan(); !ok || !got.Equal(tup) {
+		t.Fatal("parked in not served")
+	}
+}
+
+// TestConsumedOutLogsOneRemoval: out plus the consuming waiter's removal
+// are the two records that describe a tuple consumed at Out. A third —
+// Out's own removal beside the pump's — is how TestConsumedOutKeepsItsTwin
+// loses a tuple.
+func TestConsumedOutLogsOneRemoval(t *testing.T) {
+	met := &trace.Metrics{}
+	sp, err := OpenWith(filepath.Join(t.TempDir(), "s.log"), store.New(), nil, Options{Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	before := met.Get(trace.CtrWALAppends)
+	consumedOut(t, sp, item(1), nil)
+	if n := met.Get(trace.CtrWALAppends) - before; n != 2 {
+		t.Fatalf("wal.appends = %d for one consumed out, want 2 (out, removal)", n)
+	}
+}
+
+// TestConsumedOutKeepsItsTwin: replay removes by content, so the removal
+// record of a tuple consumed at Out must be the only one — a second,
+// landing after the next out of an equal tuple (a semaphore's token), took
+// the resident twin with it across a restart.
+func TestConsumedOutKeepsItsTwin(t *testing.T) {
+	for name, pol := range map[string]SyncPolicy{"SyncNever": SyncNever, "SyncAlways": SyncAlways} {
+		t.Run(name, func(t *testing.T) {
+			// The late record is the pump's, on its own goroutine: a few
+			// rounds so that no schedule hides it.
+			for round := 0; round < 8; round++ {
+				path := filepath.Join(t.TempDir(), fmt.Sprintf("s%d.log", round))
+				sp, err := OpenWith(path, store.New(), nil, Options{Sync: pol})
+				if err != nil {
+					t.Fatal(err)
+				}
+				token := tuple.T(tuple.String("token"))
+				consumedOut(t, sp, token, func() {
+					if id, err := sp.Out(token, time.Time{}); err != nil || id == 0 {
+						t.Fatalf("second out: id=%d err=%v, want resident", id, err)
+					}
+				})
+				if sp.Count() != 1 {
+					t.Fatalf("live count = %d, want the resident twin", sp.Count())
+				}
+				sp.Close()
+				s2 := open(t, path, nil)
+				if n := s2.Count(); n != 1 {
+					t.Fatalf("round %d: count after restart = %d, want 1: the twin went with the consumed tuple", round, n)
+				}
+				s2.Close()
+			}
+		})
+	}
+}

@@ -587,7 +587,13 @@ func (s *Space) flushTick() {
 }
 
 // Out implements space.Space: log first, then apply. The tuple is only
-// acked once its record is durable under the sync policy.
+// acked once its record is durable under the sync policy. An id of 0 —
+// a parked in consumed the tuple on the way — is not logged here: one
+// removal record per consumed tuple, and the consuming waiter's pump
+// writes it, before it delivers, whatever fed the waiter. Replay removes
+// by content, so a second record would take an equal tuple stored since
+// with it. A crash between the two records leaves the tuple in the space
+// and the waiter undelivered.
 func (s *Space) Out(t tuple.Tuple, expiry time.Time) (id uint64, err error) {
 	s.opMu.RLock()
 	if _, err := s.log(outRecord(t, expiry)); err != nil {
@@ -595,10 +601,6 @@ func (s *Space) Out(t tuple.Tuple, expiry time.Time) (id uint64, err error) {
 		return 0, err
 	}
 	calls := s.matching(func() { id, err = s.inner.Out(t, expiry) })
-	if err == nil && id == 0 {
-		// Consumed by a waiter immediately: it never became durable state.
-		_, _ = s.log(removeRecord(t))
-	}
 	s.opMu.RUnlock()
 	run(calls)
 	s.maybeCompact()

@@ -16,19 +16,40 @@ import (
 // is ready to use. All methods are safe for concurrent use.
 type Metrics struct {
 	mu       sync.Mutex
-	counters map[string]*atomic.Int64
+	parent   *Metrics // receives every Add/Inc/Set under the same name; nil on a root
+	counters map[string]*counter
 }
 
+// counter is one named value. up is the parent registry's counter of the
+// same name, resolved once when the counter is made, so a write costs the
+// writer's own lookup plus one atomic operation per ancestor.
+type counter struct {
+	v  atomic.Int64
+	up *counter
+}
+
+// NewNode returns a registry that keeps its own values and forwards every
+// Add, Inc and Set to parent (nil: to nobody), so each node of a cluster
+// reads what it counted itself and a parent they share reads their sum.
+// Get, Snapshot, Diff, Reset and String concern the registry they are
+// called on and no other.
+func NewNode(parent *Metrics) *Metrics { return &Metrics{parent: parent} }
+
 // counter returns (creating if needed) the counter with the given name.
-func (m *Metrics) counter(name string) *atomic.Int64 {
+// Making one takes the parent's lock inside this registry's: registries
+// form a tree, locked child before parent.
+func (m *Metrics) counter(name string) *counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.counters == nil {
-		m.counters = make(map[string]*atomic.Int64)
+		m.counters = make(map[string]*counter)
 	}
 	c, ok := m.counters[name]
 	if !ok {
-		c = new(atomic.Int64)
+		c = new(counter)
+		if m.parent != nil {
+			c.up = m.parent.counter(name)
+		}
 		m.counters[name] = c
 	}
 	return c
@@ -36,7 +57,9 @@ func (m *Metrics) counter(name string) *atomic.Int64 {
 
 // Add increments the named counter by delta.
 func (m *Metrics) Add(name string, delta int64) {
-	m.counter(name).Add(delta)
+	for c := m.counter(name); c != nil; c = c.up {
+		c.v.Add(delta)
+	}
 }
 
 // Inc increments the named counter by one.
@@ -44,7 +67,9 @@ func (m *Metrics) Inc(name string) { m.Add(name, 1) }
 
 // Set stores an absolute value (gauge semantics).
 func (m *Metrics) Set(name string, v int64) {
-	m.counter(name).Store(v)
+	for c := m.counter(name); c != nil; c = c.up {
+		c.v.Store(v)
+	}
 }
 
 // Get returns the current value of the named counter (0 if absent).
@@ -55,7 +80,7 @@ func (m *Metrics) Get(name string) int64 {
 	if !ok {
 		return 0
 	}
-	return c.Load()
+	return c.v.Load()
 }
 
 // Snapshot returns a copy of all counters.
@@ -64,7 +89,7 @@ func (m *Metrics) Snapshot() map[string]int64 {
 	defer m.mu.Unlock()
 	out := make(map[string]int64, len(m.counters))
 	for k, c := range m.counters {
-		out[k] = c.Load()
+		out[k] = c.v.Load()
 	}
 	return out
 }
@@ -74,7 +99,7 @@ func (m *Metrics) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, c := range m.counters {
-		c.Store(0)
+		c.v.Store(0)
 	}
 }
 

@@ -466,13 +466,6 @@ func (n *Network) SetEdgeLimp(a, b wire.Addr, l Limp) {
 	n.edgeLimps[mkEdge(a, b)] = limpState{l: l, start: n.clk.Now()}
 }
 
-// ClearEdgeLimp heals the a<->b limp immediately.
-func (n *Network) ClearEdgeLimp(a, b wire.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.edgeLimps, mkEdge(a, b))
-}
-
 // limpForLocked returns the extra one-way latency the active limps add
 // to the from->to transmission right now: the worst of the sender's
 // limp, the receiver's limp, and the edge's limp. Callers must hold

@@ -59,9 +59,10 @@ chaos:
 # check.sh only asks (suites-nonempty) that no pattern has gone stale.
 #
 # crash: WAL kill-point sweeps, torn writes, bit flips, failed syncs,
-# the one removal record of a tuple consumed at Out, and the
-# shutdown/restart/rejoin lifecycle (the storage twin of chaos).
-crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|ConsumedOut|Shutdown|Goodbye|RestartRejoin|C1
+# the one removal record of a tuple consumed at Out, the
+# shutdown/restart/rejoin lifecycle (the storage twin of chaos), and the
+# take-contract checker every soak from C1 on runs (ledger.go).
+crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|ConsumedOut|Shutdown|Goodbye|RestartRejoin|Ledger|C1
 crash_pkgs = ./space/persist/ ./internal/core/ ./internal/harness/
 crash_exp  = C1
 # soak: overload governance — admission, quotas, shed order, the
@@ -75,19 +76,19 @@ soak_exp  = C2
 # mobility: visibility-event re-arming, orphan reconciliation, memnet
 # mobility scripting, the lease skew band, and the C3 churn soak with
 # its conservation invariants.
-mobility_run  = Rearm|Orphan|Vis|Event|OneWay|Sched|Stale|HeldBack|Churn|Partition|Skew|Mobility|C3
+mobility_run  = Rearm|Orphan|Vis|Event|OneWay|Sched|Stale|HeldBack|Churn|Partition|Skew|Mobility|Ledger|C3
 mobility_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./lease/ ./monitor/ ./internal/harness/
 mobility_exp  = C3
 # gray: latency EWMA/outlier demotion, hedged lookups (first winner,
 # budget, busy suppression), limp-mode memnet scripting, the WAL-stall
 # and queue-delay self-reports, and the C4 limping-node soak.
-gray_run  = Hedge|Limp|Demot|Slow|Stall|Degraded|Latency|Outlier|QueueDelay|Gray|C4
+gray_run  = Hedge|Limp|Demot|Slow|Stall|Degraded|Latency|Outlier|QueueDelay|Gray|Ledger|C4
 gray_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./space/persist/ ./internal/harness/
 gray_exp  = C4
 # replica: ring placement/rebalance, write-through replication,
 # failover takes with their supersede proof, sibling invalidation and
 # fencing, anti-entropy repair and adoption, and the C5 kill soak.
-replica_run  = TestRing|WriteThrough|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|C5
+replica_run  = TestRing|WriteThrough|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|Ledger|C5
 replica_pkgs = ./routing/ ./internal/core/ ./wire/ ./internal/harness/
 replica_exp  = C5
 # upgrade: golden wire fixtures (byte-stability, round-trip, truncation,
@@ -96,7 +97,7 @@ replica_exp  = C5
 # older peer's frame settles here; both transports emit one ack per
 # frame), the frame pipe's two ends over real sockets (buffered reads,
 # allocation-free sends, session reaping), and the C6 mixed-version soak.
-upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|CoalescedAck|FramePipe|ReadFrames|SendAllocates|SessionsReaped|C6
+upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|CoalescedAck|FramePipe|ReadFrames|SendAllocates|SessionsReaped|Ledger|C6
 upgrade_pkgs = ./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./transport/netudp/ ./internal/harness/
 upgrade_exp  = C6
 # farm: the master/worker serve path — parked registrations in all three
@@ -107,9 +108,9 @@ upgrade_exp  = C6
 # reusable visibility subscription under it, the out-lease an early accept
 # must still release, the settlement cancels that skip only the winner,
 # the deadline queue under all of it (order, cancel, the arm rule, no
-# runtime timer and fixed allocation budgets per remote take), and the
-# E5 render farm.
-farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget
+# runtime timer and fixed allocation budgets per remote take, op states
+# pooled per instance), and the E5 render farm.
+farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates
 farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/ ./clock/ ./lease/ ./internal/discovery/
 farm_exp  = E5
 

@@ -150,6 +150,29 @@ func TestRemoteTakeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestOpStatesStayWithTheirInstance: an op state embeds its entry on its
+// instance's deadline queue, and a firing that queue collected can still
+// touch the state after its op closed. No other instance may draw it.
+func TestOpStatesStayWithTheirInstance(t *testing.T) {
+	a, b := wallPair(t, nil)
+	used := make(map[*opState]bool)
+	for k := 0; k < 100; k++ {
+		st, err := a.openOp()
+		if err != nil {
+			t.Fatal(err)
+		}
+		used[st] = true
+		a.closeOp(st)
+		if st, err = b.openOp(); err != nil {
+			t.Fatal(err)
+		}
+		b.closeOp(st)
+		if used[st] {
+			t.Fatalf("round %d: b drew an op state a had used", k)
+		}
+	}
+}
+
 // TestHoldGraceExpiresAtItsInstant: ttl + HoldGrace, not a millisecond
 // sooner, and counted as a grace expiry.
 func TestHoldGraceExpiresAtItsInstant(t *testing.T) {

@@ -268,6 +268,10 @@ type Instance struct {
 	// each walk's contact-timeout and hedge tick, and the replica
 	// write-through wait. Its lock nests inside mu.
 	deadlines *clock.Queue
+	// opStates pools this instance's op states. A state cancelled just as
+	// the queue collected it for firing is still touched by that firing,
+	// under this queue's lock only: no other instance may schedule it.
+	opStates sync.Pool
 
 	mu       sync.Mutex
 	closed   bool
@@ -411,6 +415,7 @@ func New(cfg Config) (*Instance, error) {
 		capsProbes:   make(map[wire.Addr]time.Time),
 		stopped:      make(chan struct{}),
 	}
+	i.opStates.New = newOpState
 	i.seedRetryJitter()
 	i.defReq = lease.Flexible(defaultTerms)
 	if cfg.Space != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"tiamat/clock"
@@ -47,14 +46,14 @@ type opState struct {
 	joins *discovery.Subscription
 }
 
-var opStatePool = sync.Pool{New: func() any {
+func newOpState() any {
 	return &opState{
 		results:   make(chan *wire.Message, 256),
 		tick:      make(chan struct{}, 1),
 		contacted: make(map[wire.Addr]*contactState),
 		replied:   make(map[wire.Addr]bool),
 	}
-}}
+}
 
 // Expire implements clock.Entry. The tick says only "look again": the walk
 // re-derives what is due from each contact's own deadline, so one that
@@ -69,11 +68,11 @@ func (st *opState) Expire() {
 // openOp registers a fresh outbound operation under a new op ID: replies
 // carrying st.id are delivered into st.results until closeOp retires it.
 func (i *Instance) openOp() (*opState, error) {
-	st := opStatePool.Get().(*opState)
+	st := i.opStates.Get().(*opState)
 	i.mu.Lock()
 	if i.closed {
 		i.mu.Unlock()
-		putOpState(st)
+		i.putOpState(st)
 		return nil, ErrClosed
 	}
 	i.nextOpID++
@@ -96,7 +95,7 @@ func (i *Instance) closeOp(st *opState) {
 		case m := <-st.results:
 			i.releaseLate(m)
 		default:
-			putOpState(st)
+			i.putOpState(st)
 			return
 		}
 	}
@@ -104,7 +103,7 @@ func (i *Instance) closeOp(st *opState) {
 
 // putOpState returns a drained state to the pool. The caller must have
 // removed the op from i.ops (under i.mu) and drained st.results.
-func putOpState(st *opState) {
+func (i *Instance) putOpState(st *opState) {
 	for a, cs := range st.contacted {
 		*cs = contactState{}
 		st.csFree = append(st.csFree, cs)
@@ -113,7 +112,7 @@ func putOpState(st *opState) {
 	for a := range st.replied {
 		delete(st.replied, a)
 	}
-	opStatePool.Put(st)
+	i.opStates.Put(st)
 }
 
 // newContact hands out a zeroed contactState, recycling released ones.

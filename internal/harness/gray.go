@@ -15,7 +15,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"tiamat/internal/core"
@@ -25,28 +24,7 @@ import (
 	"tiamat/tuple"
 )
 
-func c4Token(v int64) tuple.Tuple { return tuple.T(tuple.String("c4"), tuple.Int(v)) }
-
-// c4Tmpl matches exactly one token, so each blocking take has exactly
-// one satisfying tuple in the whole cluster: any duplicate take would
-// surface as a leftover (reinstated-after-accept) in the final sweep.
-func c4Tmpl(v int64) tuple.Template { return tuple.Tmpl(tuple.String("c4"), tuple.Int(v)) }
-
-func c4AnyTmpl() tuple.Template { return tuple.Tmpl(tuple.String("c4"), tuple.Any()) }
 func c4NoMatch() tuple.Template { return tuple.Tmpl(tuple.String("c4-none"), tuple.Any()) }
-
-func p50(lat []time.Duration) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lat...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	return s[len(s)/2]
-}
 
 // C4Gray runs the gray-failure soak and asserts its acceptance
 // invariants.
@@ -62,7 +40,8 @@ func C4Gray(scale Scale) (*Table, error) {
 	// "down", which timeout-based suspicion alone cannot see.
 	limp := memnet.Limp{Extra: 60 * time.Millisecond, Ramp: 300 * time.Millisecond}
 
-	goroutinesBefore := runtime.NumGoroutine()
+	leaked := goroutineBaseline()
+	l := newLedger("c4")
 
 	build := func(disableHedge bool) (*cluster, error) {
 		return newCluster(clusterOpts{
@@ -99,7 +78,9 @@ func C4Gray(scale Scale) (*Table, error) {
 	// healthy holder, then a different healthy requester takes it with a
 	// blocking in — the latency is the walk-to-holder time. Tokens live
 	// only at healthy nodes: hedging can route around a slow contact,
-	// not a slow sole data holder.
+	// not a slow sole data holder. Each take's template matches its one
+	// token: a duplicate could only show as that token resident after its
+	// take, and a take of any other token would be that token's second.
 	var tokenSeq int64
 	outTerms := lease.Flexible(lease.Terms{Duration: time.Hour, MaxBytes: 1 << 16})
 	inTerms := lease.Flexible(lease.Terms{Duration: 10 * time.Second, MaxRemotes: 64})
@@ -116,33 +97,16 @@ func C4Gray(scale Scale) (*Table, error) {
 			v := tokenSeq
 			holder := c.inst[healthy[k%len(healthy)]]
 			requester := c.inst[healthy[(k+1)%len(healthy)]]
-			if err := holder.Out(c4Token(v), outTerms); err != nil {
+			if err := l.out(holder, v, outTerms); err != nil {
 				return nil, fmt.Errorf("C4: seeding token %d: %w", v, err)
 			}
 			start := time.Now()
-			res, err := requester.In(context.Background(), c4Tmpl(v), inTerms)
-			if err != nil {
+			if _, err := l.in(context.Background(), requester, l.one(v), inTerms); err != nil {
 				return nil, fmt.Errorf("C4: blocking in for token %d: %w", v, err)
-			}
-			if got, _ := res.Tuple.IntAt(1); got != v {
-				return nil, fmt.Errorf("C4: in returned token %d, want %d", got, v)
 			}
 			lats = append(lats, time.Since(start))
 		}
 		return lats, nil
-	}
-
-	sweepLeftovers := func(c *cluster) int {
-		left := 0
-		for _, inst := range c.inst {
-			for {
-				if _, ok := inst.LocalSpace().Inp(c4AnyTmpl()); !ok {
-					break
-				}
-				left++
-			}
-		}
-		return left
 	}
 
 	// --- phases A (healthy baseline) and B (one limping node) ----------
@@ -161,6 +125,7 @@ func C4Gray(scale Scale) (*Table, error) {
 	}
 
 	c1.net.SetNodeLimp(addr(limperIdx), limp)
+	l.fault("limp %s (+%v one-way)", addr(limperIdx), limp.Extra)
 	// Background probe traffic gives the health layer measurable replies
 	// from the limper (nonblocking not-found answers are prompt answers;
 	// blocking responders are silent-by-protocol, so the workload alone
@@ -207,7 +172,7 @@ func C4Gray(scale Scale) (*Table, error) {
 	slowStrikes := c1.met.Get(trace.CtrSlowStrikes)
 	demotions := c1.met.Get(trace.CtrDemotions)
 	limped := c1.met.Get(trace.CtrChaosLimped)
-	leftovers := sweepLeftovers(c1)
+	l.sweep(c1.inst)
 	c1.close()
 
 	// --- phase C: ablation — same limped scenario, hedging off ---------
@@ -220,17 +185,18 @@ func C4Gray(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	c2.net.SetNodeLimp(addr(limperIdx), limp)
+	l.fault("limp %s (+%v one-way), hedging off", addr(limperIdx), limp.Extra)
 	time.Sleep(limp.Ramp)
 	latsC, err := measure(c2, roundsC)
 	if err != nil {
 		return nil, err
 	}
-	leftovers += sweepLeftovers(c2)
+	l.sweep(c2.inst)
 	c2.close()
 
-	p50A, p99A := p50(latsA), p99(latsA)
-	p50B, p99B := p50(latsB), p99(latsB)
-	p99C := p99(latsC)
+	p50A, p99A := percentile(latsA, 50), percentile(latsA, 99)
+	p50B, p99B := percentile(latsB, 50), percentile(latsB, 99)
+	p99C := percentile(latsC, 99)
 
 	// The p99 bound: 3x the healthy tail, floored so microsecond-scale
 	// healthy baselines don't make the bound meaninglessly tight.
@@ -259,14 +225,13 @@ func C4Gray(scale Scale) (*Table, error) {
 	t.AddRow("hedge budget (ops x HedgeMax)", fmtI(int64((roundsA+roundsB)*2)))
 	t.AddRow("slow strikes / demotions", fmt.Sprintf("%d/%d", slowStrikes, demotions))
 	t.AddRow("limped frames", fmtI(limped))
-	t.AddRow("leftover tokens", fmtI(int64(leftovers)))
 
 	// Acceptance invariants.
 	if limped == 0 {
 		return t, fmt.Errorf("C4: limp mode never slowed a frame; the injection is broken")
 	}
-	if leftovers != 0 {
-		return t, fmt.Errorf("C4: %d tokens reinstated after a settled take — duplicate takes in waiting", leftovers)
+	if err := l.check(); err != nil {
+		return t, fmt.Errorf("C4: %w", err)
 	}
 	if p99B > bound {
 		return t, fmt.Errorf("C4: limped p99 %v exceeds bound %v (healthy p99 %v); hedging failed to contain the tail", p99B, bound, p99A)
@@ -288,20 +253,11 @@ func C4Gray(scale Scale) (*Table, error) {
 	}
 
 	// Goroutine accounting across both clusters.
-	leaked := -1
-	for wait := time.Now().Add(2 * time.Second); time.Now().Before(wait); {
-		runtime.GC()
-		if g := runtime.NumGoroutine(); g <= goroutinesBefore+2 {
-			leaked = 0
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if leaked != 0 {
-		return t, fmt.Errorf("C4: goroutine leak — %d before, %d after close", goroutinesBefore, runtime.NumGoroutine())
+	if err := leaked(); err != nil {
+		return t, fmt.Errorf("C4: %w", err)
 	}
 
-	t.AddNote("invariants held: limped p99 within %v of healthy, median untouched, zero duplicate takes, hedges under budget, no goroutine leaks", bound)
+	t.AddNote("invariants held: limped p99 within %v of healthy, median untouched, hedges under budget, no goroutine leaks; contract held: every token taken once and none resident after its take", bound)
 	t.AddNote("ablation: without hedging the same limped walk pays a retry-exhaustion ladder per silent responder (p99 %v vs bound %v)", p99C, bound)
 	chaosSummary(t, c1.met.Get(trace.CtrRetries), c1.met.Get(trace.CtrDedupDrops))
 	return t, nil

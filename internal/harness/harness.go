@@ -8,6 +8,8 @@ package harness
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -174,6 +176,53 @@ func (c *cluster) close() {
 		i.Close()
 	}
 	c.net.Close()
+}
+
+// soakTimers is the config mutation the churn and kill soaks (C3, C5, C6)
+// share: continuous discovery handles partition-wide resyncs, and short
+// grace, suspicion and repair windows reconcile holds and waits stranded
+// by a fault well inside a run measured in seconds.
+func soakTimers(idx int, cfg *core.Config) {
+	cfg.ContinuousDiscovery = true
+	cfg.RediscoverInterval = 100 * time.Millisecond
+	cfg.RepairInterval = 100 * time.Millisecond
+	cfg.ContactTimeout = 30 * time.Millisecond
+	cfg.RetryBackoff = 10 * time.Millisecond
+	cfg.HoldGrace = 300 * time.Millisecond
+	cfg.OrphanSweepInterval = 50 * time.Millisecond
+	cfg.OrphanGrace = 250 * time.Millisecond
+	cfg.RetrySeed = uint64(idx) + 1 // reproducible retry timing
+}
+
+// goroutineBaseline reads the goroutine count before a soak builds its
+// clusters. The returned check, called once they are closed, waits up to
+// 2s for the count to come back to within two of it.
+func goroutineBaseline() (leaked func() error) {
+	before := runtime.NumGoroutine()
+	return func() error {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			runtime.GC()
+			n := runtime.NumGoroutine()
+			if n <= before+2 {
+				return nil
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("goroutine leak — %d before, %d after close", before, n)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// percentile returns the p-th percentile of lat (0 when empty).
+func percentile(lat []time.Duration, p int) time.Duration {
+	if len(lat) == 0 {
+		return 0
+	}
+	s := append([]time.Duration(nil), lat...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[len(s)*p/100]
 }
 
 // fmtF formats a float compactly.

@@ -3,32 +3,24 @@ package harness
 // C3 is the partition/mobility soak: a cluster under random link churn
 // and repeated partition/heal cycles while every node races to collect a
 // fixed set of unique tokens with blocking takes. It checks the mobility
-// model of DESIGN.md §10 end to end: tuple conservation (every token
-// collected exactly once — holds reinstated across partition flaps never
-// duplicate a take), no blocked operation left unserved once holder and
+// model of DESIGN.md §10 end to end: the take contract (ledger.go — holds
+// reinstated across partition flaps never duplicate a take, and no token
+// is lost), no blocked operation left unserved once holder and
 // requester share a partition for a bounded window (join-event re-arming
 // plus rediscovery must reach the holder), orphaned serve-side state is
 // reconciled, and the run leaks no goroutines.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"tiamat/internal/core"
 	"tiamat/lease"
 	"tiamat/trace"
 	"tiamat/transport/memnet"
-	"tiamat/tuple"
 	"tiamat/wire"
 )
-
-func c3Token(v int64) tuple.Tuple { return tuple.T(tuple.String("c3"), tuple.Int(v)) }
-func c3Tmpl() tuple.Template      { return tuple.Tmpl(tuple.String("c3"), tuple.FormalInt()) }
 
 // C3Mobility runs the churn soak and asserts its acceptance invariants,
 // returning an error (not just a table) when one is broken.
@@ -39,7 +31,8 @@ func C3Mobility(scale Scale) (*Table, error) {
 	}
 	const healBound = 5 * time.Second
 
-	goroutinesBefore := runtime.NumGoroutine()
+	leaked := goroutineBaseline()
+	l := newLedger("c3")
 
 	c, err := newCluster(clusterOpts{
 		n: nodes,
@@ -47,20 +40,7 @@ func C3Mobility(scale Scale) (*Table, error) {
 		// visibility flip to catch them — the stale-drop path a real
 		// radio fade exercises.
 		netOpts: []memnet.Option{memnet.WithLatency(2 * time.Millisecond)},
-		mutate: func(idx int, cfg *core.Config) {
-			// Continuous discovery handles partition-wide resyncs; the
-			// join-event re-arm covers the gaps between rediscovery
-			// rounds. Short grace/suspicion windows keep holds and waits
-			// stranded by a flap reconciled well inside the run.
-			cfg.ContinuousDiscovery = true
-			cfg.RediscoverInterval = 100 * time.Millisecond
-			cfg.ContactTimeout = 30 * time.Millisecond
-			cfg.RetryBackoff = 10 * time.Millisecond
-			cfg.HoldGrace = 300 * time.Millisecond
-			cfg.OrphanSweepInterval = 50 * time.Millisecond
-			cfg.OrphanGrace = 250 * time.Millisecond
-			cfg.RetrySeed = uint64(idx) + 1 // reproducible retry timing
-		},
+		mutate:  soakTimers,
 	})
 	if err != nil {
 		return nil, err
@@ -79,47 +59,17 @@ func C3Mobility(scale Scale) (*Table, error) {
 		if seeded >= int64(tokens) {
 			return nil
 		}
-		if err := c.inst[int(seeded)%nodes].Out(c3Token(seeded), outTerms); err != nil {
+		if err := l.out(c.inst[int(seeded)%nodes], seeded, outTerms); err != nil {
 			return fmt.Errorf("C3: seeding token %d: %w", seeded, err)
 		}
 		seeded++
 		return nil
 	}
 
-	// Every node collects with blocking takes under short leases; a take
-	// that expires inside a partition simply retries.
-	var mu sync.Mutex
-	collected := make(map[int64]int, tokens)
-	var dupTakes int64
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
 	for _, inst := range c.inst {
-		wg.Add(1)
-		go func(inst *core.Instance) {
-			defer wg.Done()
-			terms := lease.Flexible(lease.Terms{Duration: 250 * time.Millisecond, MaxRemotes: 64})
-			for ctx.Err() == nil {
-				res, err := inst.In(ctx, c3Tmpl(), terms)
-				if err != nil {
-					if errors.Is(err, core.ErrNoMatch) {
-						continue
-					}
-					return // ctx cancelled or instance closed
-				}
-				v, err := res.Tuple.IntAt(1)
-				if err != nil {
-					continue
-				}
-				mu.Lock()
-				collected[v]++
-				if collected[v] > 1 {
-					dupTakes++
-				}
-				mu.Unlock()
-			}
-		}(inst)
+		l.collect(inst)
 	}
+	defer l.stopCollectors()
 
 	// The chaos schedule: random symmetric link flips every tick, with
 	// occasional wholesale partitions into two halves and heals. The rng
@@ -132,8 +82,6 @@ func C3Mobility(scale Scale) (*Table, error) {
 	for tick := 0; tick < ticks; tick++ {
 		for s := 0; s < perTick; s++ {
 			if err := seedNext(); err != nil {
-				cancel()
-				wg.Wait()
 				return nil, err
 			}
 		}
@@ -143,6 +91,7 @@ func C3Mobility(scale Scale) (*Table, error) {
 		if rng.Intn(12) == 0 {
 			if split {
 				c.net.ConnectAll()
+				l.fault("heal")
 			} else {
 				perm := rng.Perm(nodes)
 				var g1, g2 []wire.Addr
@@ -154,6 +103,7 @@ func C3Mobility(scale Scale) (*Table, error) {
 					}
 				}
 				c.net.Partition(g1, g2)
+				l.fault("partition %v | %v", g1, g2)
 				partitions++
 			}
 			split = !split
@@ -162,51 +112,18 @@ func C3Mobility(scale Scale) (*Table, error) {
 	}
 	for seeded < int64(tokens) {
 		if err := seedNext(); err != nil {
-			cancel()
-			wg.Wait()
 			return nil, err
 		}
 	}
 
-	// Heal. Every holder and requester now share one partition: the
-	// invariant is that nothing stays blocked beyond a bounded window.
+	// Heal. Every holder and requester now share one partition: nothing
+	// may stay blocked beyond a bounded window.
 	c.net.ConnectAll()
-	healStart := time.Now()
-	for {
-		mu.Lock()
-		got := len(collected)
-		mu.Unlock()
-		if got == tokens {
-			break
-		}
-		if time.Since(healStart) > healBound {
-			cancel()
-			wg.Wait()
-			return nil, fmt.Errorf("C3 invariant: %d/%d tokens still uncollected %v after heal — blocked ops left unserved",
-				tokens-got, tokens, healBound)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	drain := time.Since(healStart)
-	cancel()
-	wg.Wait()
-
-	// Let every in-flight hold settle (grace timers, orphan sweeps), then
-	// sweep the spaces: with all tokens collected, any token found in a
-	// space was both taken and reinstated — a duplicated take in waiting.
-	time.Sleep(500 * time.Millisecond)
-	leftovers := 0
-	for _, inst := range c.inst {
-		for {
-			if _, ok := inst.LocalSpace().Inp(c3Tmpl()); !ok {
-				break
-			}
-			leftovers++
-		}
-	}
-	if dupTakes > 0 || leftovers > 0 {
-		return nil, fmt.Errorf("C3 invariant: conservation violated — %d duplicate takes, %d reinstated-after-take leftovers",
-			dupTakes, leftovers)
+	l.fault("final heal")
+	drain := l.drain(healBound)
+	l.sweep(c.inst)
+	if err := l.check(); err != nil {
+		return nil, fmt.Errorf("C3: %w", err)
 	}
 
 	var mob core.MobilityReport
@@ -220,34 +137,22 @@ func C3Mobility(scale Scale) (*Table, error) {
 		mob.VisLeaves += m.VisLeaves
 	}
 
-	// Goroutine accounting: close the cluster and require the count to
-	// return to (about) where it started. The deferred close becomes a
-	// no-op on an already-closed cluster.
+	// The deferred close becomes a no-op on an already-closed cluster.
 	c.close()
-	leaked := -1
-	for wait := time.Now().Add(2 * time.Second); time.Now().Before(wait); {
-		runtime.GC()
-		if g := runtime.NumGoroutine(); g <= goroutinesBefore+2 {
-			leaked = 0
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if leaked != 0 {
-		return nil, fmt.Errorf("C3 invariant: goroutine leak — %d before, %d after close",
-			goroutinesBefore, runtime.NumGoroutine())
+	if err := leaked(); err != nil {
+		return nil, fmt.Errorf("C3: %w", err)
 	}
 
 	t := &Table{
 		ID:    "C3",
 		Title: "partition/mobility soak: random churn + partition/heal cycles, conservation + bounded re-serve",
-		Columns: []string{"nodes", "tokens", "partitions", "dup takes", "drain after heal",
+		Columns: []string{"nodes", "tokens", "partitions", "drain after heal",
 			"rearms", "orphan waits", "orphan holds", "vis joins", "vis leaves", "stale drops"},
 	}
-	t.AddRow(fmtI(int64(nodes)), fmtI(int64(tokens)), fmtI(int64(partitions)), fmtI(dupTakes), fmtD(drain),
+	t.AddRow(fmtI(int64(nodes)), fmtI(int64(tokens)), fmtI(int64(partitions)), fmtD(drain),
 		fmtI(int64(mob.Rearms)), fmtI(int64(mob.OrphanWaits)), fmtI(int64(mob.OrphanHolds)),
 		fmtI(int64(mob.VisJoins)), fmtI(int64(mob.VisLeaves)), fmtI(c.met.Get(trace.CtrStaleDrops)))
-	t.AddNote("invariants held: every token collected exactly once across %d partition cycles; all blocked takes served within %v of the final heal; no goroutine leaks",
+	t.AddNote("contract held across %d partition cycles: every token taken once, none resident after its take, all taken within %v of the final heal; no goroutine leaks",
 		partitions, drain.Round(time.Millisecond))
 	t.AddNote("%d retransmissions, %d duplicate frames suppressed, %d reachability probes",
 		c.met.Get(trace.CtrRetries), c.met.Get(trace.CtrDedupDrops), int64(mob.OrphanProbes))

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,15 +49,6 @@ func c2Probes(i *core.Instance, target *core.Instance, n int, gap time.Duration)
 		}
 	}
 	return lat
-}
-
-func p99(lat []time.Duration) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)*99/100]
 }
 
 func heapNow() uint64 {
@@ -188,7 +178,7 @@ func C2Overload(scale Scale) (*Table, error) {
 
 	rep := governed.Governor()
 	busyRecv := c.met.Get(trace.CtrBusyReceived)
-	basep99, loadp99 := p99(base), p99(loaded)
+	basep99, loadp99 := percentile(base, 99), percentile(loaded, 99)
 
 	t := &Table{
 		ID:      "C2",

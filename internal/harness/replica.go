@@ -4,17 +4,16 @@ package harness
 // sets (R=2) where every tuple-seeding node is killed — one of them in
 // the middle of seeding — while the surviving nodes race to collect the
 // tokens with blocking takes. It checks the replication model of
-// DESIGN.md §13 end to end: zero tuples lost (every successfully seeded
-// token is collected despite its origin dying), effectively-once takes
-// (no token collected twice — failover takes and adoption repair never
-// duplicate), replica stores drain after consumption (invalidation and
+// DESIGN.md §13 end to end: the take contract (ledger.go — every
+// acknowledged token is taken despite its origin dying, and failover takes
+// and adoption repair never duplicate one), replica stores drain after
+// consumption (invalidation and
 // fencing converge), and the run leaks no goroutines.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -23,12 +22,6 @@ import (
 	"tiamat/trace"
 	"tiamat/tuple"
 )
-
-func c5Token(v int64) tuple.Tuple { return tuple.T(tuple.String("c5"), tuple.Int(v)) }
-func c5Tmpl() tuple.Template      { return tuple.Tmpl(tuple.String("c5"), tuple.FormalInt()) }
-func c5One(v int64) tuple.Template {
-	return tuple.Tmpl(tuple.String("c5"), tuple.Int(v))
-}
 
 // C5Replica runs the node-kill soak and asserts its acceptance
 // invariants, returning an error (not just a table) when one is broken.
@@ -42,21 +35,14 @@ func C5Replica(scale Scale) (*Table, error) {
 		drainBound     = 8 * time.Second // all survivable tokens collected within this
 	)
 
-	goroutinesBefore := runtime.NumGoroutine()
+	leaked := goroutineBaseline()
+	l := newLedger("c5")
 
 	c, err := newCluster(clusterOpts{
 		n: nodes,
 		mutate: func(idx int, cfg *core.Config) {
+			soakTimers(idx, cfg)
 			cfg.Replicas = 2
-			cfg.RepairInterval = 100 * time.Millisecond
-			cfg.ContinuousDiscovery = true
-			cfg.RediscoverInterval = 100 * time.Millisecond
-			cfg.ContactTimeout = 30 * time.Millisecond
-			cfg.RetryBackoff = 10 * time.Millisecond
-			cfg.HoldGrace = 300 * time.Millisecond
-			cfg.OrphanSweepInterval = 50 * time.Millisecond
-			cfg.OrphanGrace = 250 * time.Millisecond
-			cfg.RetrySeed = uint64(idx) + 1 // reproducible retry timing
 		},
 	})
 	if err != nil {
@@ -70,44 +56,10 @@ func C5Replica(scale Scale) (*Table, error) {
 	// that outlive its origin (victims never learn of each other: only
 	// the collectors' blocking takes drive discovery here).
 	collectors := c.inst[victims:]
-
-	var (
-		mu        sync.Mutex
-		seeded    = make(map[int64]bool, tokens)
-		collected = make(map[int64]int, tokens)
-		sources   = make(map[int64][]string, tokens)
-		dupTakes  int64
-	)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
 	for _, inst := range collectors {
-		wg.Add(1)
-		go func(inst *core.Instance) {
-			defer wg.Done()
-			terms := lease.Flexible(lease.Terms{Duration: 250 * time.Millisecond, MaxRemotes: 64})
-			for ctx.Err() == nil {
-				res, err := inst.In(ctx, c5Tmpl(), terms)
-				if err != nil {
-					if errors.Is(err, core.ErrNoMatch) {
-						continue
-					}
-					return // ctx cancelled or instance closed
-				}
-				v, err := res.Tuple.IntAt(1)
-				if err != nil {
-					continue
-				}
-				mu.Lock()
-				collected[v]++
-				sources[v] = append(sources[v], fmt.Sprintf("%s<-%s@%s", inst.Addr(), res.From, time.Now().Format("15:04:05.000")))
-				if collected[v] > 1 {
-					dupTakes++
-				}
-				mu.Unlock()
-			}
-		}(inst)
+		l.collect(inst)
 	}
+	defer l.stopCollectors()
 
 	// Discovery bootstrap: each victim probes every collector directly —
 	// the not-found replies seed its responder list with exactly the
@@ -120,11 +72,9 @@ func C5Replica(scale Scale) (*Table, error) {
 		deadline := time.Now().Add(replicateBound)
 		for len(inst.ResponderList()) < len(collectors) {
 			for ci := victims; ci < nodes; ci++ {
-				_, _, _ = inst.RdpAt(ctx, addr(ci), probe, probeTerms)
+				_, _, _ = inst.RdpAt(context.Background(), addr(ci), probe, probeTerms)
 			}
 			if time.Now().After(deadline) {
-				cancel()
-				wg.Wait()
 				return nil, fmt.Errorf("C5: victim never discovered the collectors (%d/%d)",
 					len(inst.ResponderList()), len(collectors))
 			}
@@ -132,21 +82,10 @@ func C5Replica(scale Scale) (*Table, error) {
 		}
 	}
 
-	// survivorCopies counts unexpired replica copies of one token across
-	// the collector set.
-	survivorCopies := func(v int64) int {
-		n := 0
-		for _, inst := range collectors {
-			n += inst.ReplicaCopies(c5One(v))
-		}
-		return n
-	}
-
 	// Hour-long out leases: nothing may vanish by expiry, so any loss the
-	// invariants catch is real. Tokens are counted as seeded only when
-	// Out succeeds — an out raced by its node's kill may legitimately
-	// return ErrClosed, and such a token is exempt from the loss check
-	// (it may still surface; uniqueness still applies).
+	// contract catches is real. An out raced by its node's kill may
+	// legitimately return ErrClosed; the ledger exempts it from the loss
+	// clause only.
 	outTerms := lease.Flexible(lease.Terms{Duration: time.Hour, MaxBytes: 1 << 16, MaxRemotes: 64})
 	perVictim := tokens / victims
 	next := int64(0)
@@ -162,136 +101,64 @@ func C5Replica(scale Scale) (*Table, error) {
 				// and teardown race, which is the window the write-through
 				// ack wait exists for.
 				killed.Add(1)
+				l.fault("kill %s, mid-seeding", victim.Addr())
 				go func() {
 					defer killed.Done()
 					victim.Close()
 				}()
 			}
-			err := victim.Out(c5Token(id), outTerms)
-			if err == nil {
-				mu.Lock()
-				seeded[id] = true
-				mu.Unlock()
-			} else if !errors.Is(err, core.ErrClosed) {
-				cancel()
-				wg.Wait()
+			if err := l.out(victim, id, outTerms); err != nil && !errors.Is(err, core.ErrClosed) {
 				return nil, fmt.Errorf("C5: seeding token %d: %w", id, err)
 			}
 		}
 		killed.Wait()
 
-		// Convergence wait before the kill: every seeded token must be
-		// replicated onto a collector (or already collected) — the
-		// spaced-kill discipline that makes sequential node loss
-		// survivable at R=2.
+		// Convergence wait before the kill: the spaced-kill discipline
+		// that makes sequential node loss survivable at R=2.
 		if !midKill {
-			deadline := time.Now().Add(replicateBound)
-			for id := next - int64(perVictim); id < next; id++ {
-				for {
-					mu.Lock()
-					ok := !seeded[id] || collected[id] > 0
-					mu.Unlock()
-					if ok || survivorCopies(id) >= 1 {
-						break
-					}
-					if time.Now().After(deadline) {
-						cancel()
-						wg.Wait()
-						return nil, fmt.Errorf("C5 invariant: token %d never replicated off its origin within %v",
-							id, replicateBound)
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
+			if err := l.awaitReplicated(victim, next-int64(perVictim), next, collectors, replicateBound); err != nil {
+				return nil, fmt.Errorf("C5: %w", err)
 			}
+			l.fault("kill %s", victim.Addr())
 			victim.Close()
 		}
 	}
 
-	// Drain: every seeded token must surface exactly once even though
-	// every origin is dead — failover takes, local last-survivor serves,
-	// and adoption repair between collectors do the work now.
-	drainStart := time.Now()
-	for {
-		mu.Lock()
-		missing := 0
-		for id := range seeded {
-			if collected[id] == 0 {
-				missing++
-			}
-		}
-		nSeeded, nCollected := len(seeded), len(collected)
-		mu.Unlock()
-		if missing == 0 {
-			_ = nSeeded
-			_ = nCollected
-			break
-		}
-		if time.Since(drainStart) > drainBound {
-			cancel()
-			wg.Wait()
-			return nil, fmt.Errorf("C5 invariant: %d seeded tokens lost %v after the kills (%d seeded, %d collected)",
-				missing, drainBound, nSeeded, nCollected)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	drain := time.Since(drainStart)
-	cancel()
-	wg.Wait()
+	// Drain: every acknowledged token must be taken even though every
+	// origin is dead — failover takes, local last-survivor serves, and
+	// adoption repair between collectors do the work now.
+	drain := l.drain(drainBound)
 
-	// Let in-flight holds and invalidation rounds settle, then require
-	// the replica stores to drain for every COLLECTED token: a consumed
-	// tuple's copies must be invalidated or fenced away, not linger
-	// until lease expiry. (A token whose out raced the mid-seeding kill
-	// into ErrClosed may sit uncollected in the replica stores — that is
+	// Require the replica stores to drain for every taken token: a
+	// consumed tuple's copies must be invalidated or fenced away, not
+	// linger until lease expiry. (A token whose out raced the mid-seeding
+	// kill into ErrClosed may sit untaken in the replica stores — that is
 	// availability working, not a leak.)
-	copiesLeft := -1
-	var lingering []string
-	for wait := time.Now().Add(2 * time.Second); time.Now().Before(wait); {
-		n := 0
+	var lingering []int64
+	for wait := time.Now().Add(2 * time.Second); ; {
 		lingering = lingering[:0]
-		mu.Lock()
-		for id := range collected {
+		for id, f := range l.fates() {
 			for _, inst := range collectors {
-				if c := inst.ReplicaCopies(c5One(id)); c > 0 {
-					n += c
-					lingering = append(lingering, fmt.Sprintf("token %d on %s (collected via %v)", id, inst.Addr(), sources[id]))
+				if f.takes > 0 && inst.ReplicaCopies(l.one(id)) > 0 {
+					lingering = append(lingering, id)
+					break
 				}
 			}
 		}
-		mu.Unlock()
-		if n == 0 {
-			copiesLeft = 0
+		if len(lingering) == 0 || time.Now().After(wait) {
 			break
 		}
-		copiesLeft = n
 		time.Sleep(10 * time.Millisecond)
 	}
-	if copiesLeft != 0 {
-		return nil, fmt.Errorf("C5 invariant: %d replica copies of consumed tuples never drained: %v", copiesLeft, lingering)
-	}
 
-	// Sweep the surviving spaces: any token still in a space was taken
-	// and reinstated — a duplicate in waiting.
-	leftovers := 0
-	for _, inst := range collectors {
-		for {
-			if _, ok := inst.LocalSpace().Inp(c5Tmpl()); !ok {
-				break
-			}
-			leftovers++
-		}
+	l.sweep(collectors)
+	if err := l.check(); err != nil {
+		return nil, fmt.Errorf("C5: %w", err)
 	}
-	if dupTakes > 0 || leftovers > 0 {
-		mu.Lock()
-		var dups []string
-		for v, n := range collected {
-			if n > 1 {
-				dups = append(dups, fmt.Sprintf("token %d: %v", v, sources[v]))
-			}
-		}
-		mu.Unlock()
-		return nil, fmt.Errorf("C5 invariant: conservation violated — %d duplicate takes, %d reinstated-after-take leftovers (%v)",
-			dupTakes, leftovers, dups)
+	if len(lingering) > 0 {
+		sortIDs(lingering)
+		return nil, fmt.Errorf("C5 invariant: replica copies of %d consumed tokens never drained\n%s",
+			len(lingering), l.timelines(lingering))
 	}
 
 	var rep core.ReplicationReport
@@ -304,40 +171,24 @@ func C5Replica(scale Scale) (*Table, error) {
 		rep.StaleReads += r.StaleReads
 	}
 
-	// Goroutine accounting: close the cluster and require the count to
-	// return to (about) where it started.
 	c.close()
-	leaked := -1
-	for wait := time.Now().Add(2 * time.Second); time.Now().Before(wait); {
-		runtime.GC()
-		if g := runtime.NumGoroutine(); g <= goroutinesBefore+2 {
-			leaked = 0
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if leaked != 0 {
-		return nil, fmt.Errorf("C5 invariant: goroutine leak — %d before, %d after close",
-			goroutinesBefore, runtime.NumGoroutine())
+	if err := leaked(); err != nil {
+		return nil, fmt.Errorf("C5: %w", err)
 	}
 
-	mu.Lock()
-	nSeeded := len(seeded)
-	nCollected := len(collected)
-	mu.Unlock()
-
+	seeded, collected := l.tally()
 	t := &Table{
 		ID:    "C5",
 		Title: "replica availability soak: every origin killed (one mid-seeding), failover takes + repair",
-		Columns: []string{"nodes", "killed", "seeded", "collected", "dup takes", "drain after kills",
+		Columns: []string{"nodes", "killed", "seeded", "collected", "drain after kills",
 			"repl writes", "failover takes", "repairs", "fenced holds", "stale reads"},
 	}
-	t.AddRow(fmtI(int64(nodes)), fmtI(int64(victims)), fmtI(int64(nSeeded)), fmtI(int64(nCollected)),
-		fmtI(dupTakes), fmtD(drain),
+	t.AddRow(fmtI(int64(nodes)), fmtI(int64(victims)), fmtI(int64(seeded)), fmtI(int64(collected)),
+		fmtD(drain),
 		fmtI(int64(rep.Writes)), fmtI(int64(rep.FailoverTakes)), fmtI(int64(rep.Repairs)),
 		fmtI(int64(rep.FencedHolds)), fmtI(int64(rep.StaleReads)))
-	t.AddNote("invariants held: all %d seeded tokens collected exactly once across %d origin kills; replica stores drained; no goroutine leaks",
-		nSeeded, victims)
+	t.AddNote("contract held across %d origin kills: all %d acknowledged tokens taken once, none resident after its take; replica stores drained; no goroutine leaks",
+		victims, seeded)
 	t.AddNote("%d retransmissions, %d duplicate frames suppressed, %d replicate frames",
 		c.met.Get(trace.CtrRetries), c.met.Get(trace.CtrDedupDrops), c.met.Get(trace.CtrReplicaMsgs))
 	chaosSummary(t, c.met.Get(trace.CtrRetries), c.met.Get(trace.CtrDedupDrops))

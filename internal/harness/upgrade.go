@@ -9,8 +9,8 @@ package harness
 // baseline node in place (kill + restart unmasked) and finally kills the
 // upgraded node after it has replicated fresh tokens. It asserts:
 //
-//   - token conservation and at-most-once takes across the whole run,
-//     kills included;
+//   - the take contract (ledger.go) across the whole run, kills
+//     included;
 //   - zero simulated decode rejections on gated paths (announce
 //     rejections are the bounded, expected cost of capability probing;
 //     anything else rejected is a per-destination gating bug);
@@ -25,38 +25,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"tiamat/internal/core"
 	"tiamat/lease"
 	"tiamat/trace"
-	"tiamat/tuple"
 	"tiamat/wire"
 )
-
-func c6Token(v int64) tuple.Tuple { return tuple.T(tuple.String("c6"), tuple.Int(v)) }
-func c6Tmpl() tuple.Template      { return tuple.Tmpl(tuple.String("c6"), tuple.FormalInt()) }
-func c6One(v int64) tuple.Template {
-	return tuple.Tmpl(tuple.String("c6"), tuple.Int(v))
-}
-
-// c6Timers is the shared config mutation for every C6 instance — the
-// tight timers C5 uses, so discovery, repair, and orphan sweeps all turn
-// over fast enough for a soak measured in seconds.
-func c6Timers(idx int, cfg *core.Config) {
-	cfg.Replicas = 2
-	cfg.RepairInterval = 100 * time.Millisecond
-	cfg.ContinuousDiscovery = true
-	cfg.RediscoverInterval = 100 * time.Millisecond
-	cfg.ContactTimeout = 30 * time.Millisecond
-	cfg.RetryBackoff = 10 * time.Millisecond
-	cfg.HoldGrace = 300 * time.Millisecond
-	cfg.OrphanSweepInterval = 50 * time.Millisecond
-	cfg.OrphanGrace = 250 * time.Millisecond
-	cfg.RetrySeed = uint64(idx) + 1
-}
 
 // C6Upgrade runs the mixed-version soak and asserts its acceptance
 // invariants, returning an error (not just a table) when one is broken.
@@ -77,13 +52,15 @@ func C6Upgrade(scale Scale) (*Table, error) {
 		activationBound = 2 * announceRound
 	)
 
-	goroutinesBefore := runtime.NumGoroutine()
+	leaked := goroutineBaseline()
+	l := newLedger("c6")
 
 	isOld := func(idx int) bool { return idx < oldCount }
 	c, err := newCluster(clusterOpts{
 		n: nodes,
 		mutate: func(idx int, cfg *core.Config) {
-			c6Timers(idx, cfg)
+			soakTimers(idx, cfg)
+			cfg.Replicas = 2
 			if isOld(idx) {
 				// A masked node neither advertises nor uses any versioned
 				// feature — Replicas stays configured but the mask keeps
@@ -104,19 +81,10 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	}
 	c.net.ConnectAll()
 
-	// live tracks the current instance per slot (the upgrade replaces
-	// one); capable lists the slots currently running unmasked builds.
+	// live tracks the running instance per slot (the upgrade replaces
+	// one, then kills it).
 	live := make([]*core.Instance, nodes)
 	copy(live, c.inst)
-	capable := func() []*core.Instance {
-		var out []*core.Instance
-		for idx, inst := range live {
-			if inst != nil && (!isOld(idx) || inst.Caps() != 0) {
-				out = append(out, inst)
-			}
-		}
-		return out
-	}
 
 	// Settle: discovery rounds until every live pair knows the other's
 	// build. The first optimistic capability-bearing announces toward
@@ -155,55 +123,12 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	}
 
 	// Collectors on every node, old and new: cross-version takes are the
-	// soak's bread and butter. Each has its own cancel so the upgrade
-	// can drain one node without stopping the others.
-	var (
-		mu        sync.Mutex
-		seeded    = make(map[int64]bool)
-		collected = make(map[int64]int)
-		dupTakes  int64
-	)
-	var wg sync.WaitGroup
-	cancels := make([]context.CancelFunc, nodes)
-	collect := func(slot int, inst *core.Instance) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancels[slot] = cancel
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			terms := lease.Flexible(lease.Terms{Duration: 250 * time.Millisecond, MaxRemotes: 64})
-			for ctx.Err() == nil {
-				res, err := inst.In(ctx, c6Tmpl(), terms)
-				if err != nil {
-					if errors.Is(err, core.ErrNoMatch) {
-						continue
-					}
-					return
-				}
-				v, err := res.Tuple.IntAt(1)
-				if err != nil {
-					continue
-				}
-				mu.Lock()
-				collected[v]++
-				if collected[v] > 1 {
-					dupTakes++
-				}
-				mu.Unlock()
-			}
-		}()
+	// soak's bread and butter. The upgrade stops the canary's alone.
+	stopCanary := l.collect(live[0])
+	for _, inst := range live[1:] {
+		l.collect(inst)
 	}
-	stopAll := func() {
-		for _, cancel := range cancels {
-			if cancel != nil {
-				cancel()
-			}
-		}
-		wg.Wait()
-	}
-	for idx, inst := range live {
-		collect(idx, inst)
-	}
+	defer l.stopCollectors()
 
 	// Phase A: the capable half seeds tokens under hour-long leases —
 	// nothing may vanish by expiry, so any loss is real. Out blocks for
@@ -211,28 +136,22 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	// that advertised the replica capability, so a masked node never
 	// sees a replicate frame. Old nodes seed nothing: without
 	// replication their uncollected tokens could not survive the
-	// upgrade kill, and this soak kills by design.
+	// upgrade kill, and this soak kills by design. An out that raced a
+	// kill into ErrClosed is exempt from the loss clause only.
 	outTerms := lease.Flexible(lease.Terms{Duration: time.Hour, MaxBytes: 1 << 16, MaxRemotes: 64})
 	next := int64(0)
 	seedFrom := func(inst *core.Instance, n int) error {
 		for s := 0; s < n; s++ {
 			id := next
 			next++
-			if err := inst.Out(c6Token(id), outTerms); err != nil {
-				if errors.Is(err, core.ErrClosed) {
-					continue // raced a kill; exempt from conservation
-				}
+			if err := l.out(inst, id, outTerms); err != nil && !errors.Is(err, core.ErrClosed) {
 				return fmt.Errorf("C6: seeding token %d: %w", id, err)
 			}
-			mu.Lock()
-			seeded[id] = true
-			mu.Unlock()
 		}
 		return nil
 	}
 	for idx := oldCount; idx < nodes; idx++ {
 		if err := seedFrom(live[idx], perNode); err != nil {
-			stopAll()
 			return nil, err
 		}
 	}
@@ -241,24 +160,26 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	// bring the same address back as a full build with a real decoder —
 	// a rolling upgrade of one canary.
 	const upIdx = 0
-	cancels[upIdx]()
+	stopCanary()
 	time.Sleep(200 * time.Millisecond) // let its in-flight takes settle
+	l.fault("kill %s for upgrade", addr(upIdx))
 	live[upIdx].Close()
 	c.net.ClearDecodeCaps(addr(upIdx))
 	ep, err := c.net.Attach(addr(upIdx))
 	if err != nil {
-		stopAll()
 		return nil, err
 	}
 	c.net.ConnectAll() // the fresh endpoint needs its visibility edges
 	ucfg := core.Config{Endpoint: ep, Clock: c.clk, Metrics: c.met}
-	c6Timers(upIdx, &ucfg)
+	soakTimers(upIdx, &ucfg)
+	ucfg.Replicas = 2
 	upgradeAt := time.Now()
+	l.fault("restart %s unmasked", addr(upIdx))
 	upgraded, err := core.New(ucfg)
 	if err != nil {
-		stopAll()
 		return nil, err
 	}
+	c.inst[upIdx] = upgraded // closed with the cluster on every path, and reported
 	live[upIdx] = upgraded
 
 	// Activation: the boot hello carries the new capability set, so
@@ -280,7 +201,6 @@ func C6Upgrade(scale Scale) (*Table, error) {
 			break
 		}
 		if activation > activationBound {
-			stopAll()
 			return nil, fmt.Errorf("C6 invariant: upgraded node's capabilities not learned cluster-wide within %v (one announce round is %v)",
 				activationBound, announceRound)
 		}
@@ -291,7 +211,7 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	sctx, scancel := context.WithTimeout(context.Background(), time.Second)
 	_, _ = upgraded.Spaces(sctx)
 	scancel()
-	collect(upIdx, upgraded)
+	stopCanary = l.collect(upgraded)
 
 	// Phase B: the upgraded node seeds fresh tokens. With its mask gone
 	// the replicator runs, so each token must land a copy on another
@@ -299,125 +219,64 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	// the only way its uncollected tokens survive.
 	firstB := next
 	if err := seedFrom(upgraded, perNode); err != nil {
-		stopAll()
 		return nil, err
 	}
-	survivorCopies := func(v int64) int {
-		n := 0
-		for idx, inst := range live {
-			if idx != upIdx && inst != nil {
-				n += inst.ReplicaCopies(c6One(v))
-			}
-		}
-		return n
-	}
-	repl := upgraded.Replication()
-	if repl.Writes == 0 {
-		stopAll()
+	if upgraded.Replication().Writes == 0 {
 		return nil, fmt.Errorf("C6 invariant: upgraded node performed no write-through replication; the upgrade never activated the ring")
 	}
-	deadline := time.Now().Add(replicateBound)
-	for id := firstB; id < next; id++ {
-		for {
-			mu.Lock()
-			done := !seeded[id] || collected[id] > 0
-			mu.Unlock()
-			if done || survivorCopies(id) >= 1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				stopAll()
-				return nil, fmt.Errorf("C6 invariant: post-upgrade token %d never replicated off the upgraded node within %v", id, replicateBound)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+	if err := l.awaitReplicated(upgraded, firstB, next, live, replicateBound); err != nil {
+		return nil, fmt.Errorf("C6: %w", err)
 	}
-	cancels[upIdx]()
+	stopCanary()
+	l.fault("kill %s, upgraded", addr(upIdx))
 	upgraded.Close()
 	live[upIdx] = nil
 
-	// Drain: every seeded token — phase A and the dead upgraded node's
-	// phase B — must surface exactly once.
-	drainStart := time.Now()
-	for {
-		mu.Lock()
-		missing := 0
-		for id := range seeded {
-			if collected[id] == 0 {
-				missing++
-			}
-		}
-		nSeeded, nCollected := len(seeded), len(collected)
-		mu.Unlock()
-		if missing == 0 {
-			break
-		}
-		if time.Since(drainStart) > drainBound {
-			stopAll()
-			return nil, fmt.Errorf("C6 invariant: %d seeded tokens lost %v after the upgrade kill (%d seeded, %d collected)",
-				missing, drainBound, nSeeded, nCollected)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Drain: every acknowledged token — phase A and the dead upgraded
+	// node's phase B — must be taken, once, and none left resident.
+	drain := l.drain(drainBound)
+	l.sweep(live)
+	if err := l.check(); err != nil {
+		return nil, fmt.Errorf("C6: %w", err)
 	}
-	drain := time.Since(drainStart)
-	stopAll()
 
 	// Wire-safety invariants: the simulated old decoders must never have
 	// rejected anything but the bounded optimistic announces, and no
 	// frame may have failed a real decode either.
-	violations := c.met.Get(trace.CtrCapsSimViolations)
 	annRejects := c.met.Get(trace.CtrCapsSimAnnounceRejects)
-	if violations != 0 {
+	if violations := c.met.Get(trace.CtrCapsSimViolations); violations != 0 {
 		return nil, fmt.Errorf("C6 invariant: %d versioned frames reached a baseline decoder on a gated path", violations)
 	}
 	if corrupt := c.met.Get(trace.CtrCorruptFrames); corrupt != 0 {
 		return nil, fmt.Errorf("C6 invariant: %d frames failed decode on the simulated wire", corrupt)
 	}
-	mu.Lock()
-	nSeeded, nCollected := len(seeded), len(collected)
-	dups := dupTakes
-	mu.Unlock()
-	if dups > 0 {
-		return nil, fmt.Errorf("C6 invariant: %d duplicate takes across the mixed-version soak", dups)
-	}
 
 	var rep core.ReplicationReport
-	for _, inst := range capable() {
+	for _, inst := range c.inst { // masked builds report zero
 		r := inst.Replication()
 		rep.Writes += r.Writes
 		rep.FailoverTakes += r.FailoverTakes
 		rep.Repairs += r.Repairs
 	}
-	rep.Writes += repl.Writes // the upgraded node's, snapshotted pre-kill
 
 	c.close()
-	leaked := -1
-	for wait := time.Now().Add(2 * time.Second); time.Now().Before(wait); {
-		runtime.GC()
-		if g := runtime.NumGoroutine(); g <= goroutinesBefore+2 {
-			leaked = 0
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if leaked != 0 {
-		return nil, fmt.Errorf("C6 invariant: goroutine leak — %d before, %d after close",
-			goroutinesBefore, runtime.NumGoroutine())
+	if err := leaked(); err != nil {
+		return nil, fmt.Errorf("C6: %w", err)
 	}
 
 	t := &Table{
 		ID:    "C6",
 		Title: "mixed-version soak: half baseline decoders, one rolling upgrade, upgrade-then-kill",
-		Columns: []string{"nodes", "baseline", "seeded", "collected", "dup takes", "settle", "activation", "drain",
-			"caps learned", "gated sends", "announce rejects", "sim violations", "repl writes", "failover takes"},
+		Columns: []string{"nodes", "baseline", "seeded", "collected", "settle", "activation", "drain",
+			"caps learned", "gated sends", "announce rejects", "repl writes", "failover takes"},
 	}
-	t.AddRow(fmtI(int64(nodes)), fmtI(int64(oldCount)), fmtI(int64(nSeeded)), fmtI(int64(nCollected)),
-		fmtI(dups), fmtD(settle), fmtD(activation), fmtD(drain),
+	seeded, collected := l.tally()
+	t.AddRow(fmtI(int64(nodes)), fmtI(int64(oldCount)), fmtI(int64(seeded)), fmtI(int64(collected)),
+		fmtD(settle), fmtD(activation), fmtD(drain),
 		fmtI(c.met.Get(trace.CtrCapsLearned)), fmtI(c.met.Get(trace.CtrCapsGatedSends)),
-		fmtI(annRejects), fmtI(violations),
-		fmtI(int64(rep.Writes)), fmtI(int64(rep.FailoverTakes)))
-	t.AddNote("invariants held: %d tokens exactly-once across a 50%% baseline cluster, one in-place upgrade, and an upgrade-then-kill; zero versioned frames on gated paths (%d bounded announce-probe rejects)",
-		nSeeded, annRejects)
+		fmtI(annRejects), fmtI(int64(rep.Writes)), fmtI(int64(rep.FailoverTakes)))
+	t.AddNote("contract held: %d acknowledged tokens taken once, none resident after its take, across a 50%% baseline cluster, one in-place upgrade, and an upgrade-then-kill; zero versioned frames on gated paths (%d bounded announce-probe rejects)",
+		seeded, annRejects)
 	t.AddNote("capability activation %v after restart (bound: one %v announce round, doubled for scheduler noise)", activation, announceRound)
 	chaosSummary(t, c.met.Get(trace.CtrRetries), c.met.Get(trace.CtrDedupDrops))
 	return t, nil

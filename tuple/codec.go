@@ -104,7 +104,9 @@ func decodeFields(src []byte, allowFormals bool, depth int, alias bool) (fields 
 		return nil, nil, fmt.Errorf("arity %d: %w", n, ErrTooLarge)
 	}
 	src = src[used:]
-	fields = make([]Field, 0, n)
+	// Every field takes at least its kind byte: reserve no more than the
+	// input can hold, whatever the arity claims.
+	fields = make([]Field, 0, min(n, uint64(len(src))))
 	for i := uint64(0); i < n; i++ {
 		if len(src) == 0 {
 			return nil, nil, fmt.Errorf("truncated at field %d: %w", i, ErrCodec)

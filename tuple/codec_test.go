@@ -1,10 +1,12 @@
 package tuple
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -225,6 +227,22 @@ func TestDecodeDeepNestingBounded(t *testing.T) {
 	var back Tuple
 	if err := back.UnmarshalBinary(data); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("deep nesting: err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestDecodeArityBoundedByInput: a million-field arity in front of two
+// bytes fails without reserving room for the fields it claims.
+func TestDecodeArityBoundedByInput(t *testing.T) {
+	data := append(binary.AppendUvarint(nil, 1<<20), byte(KindBool), 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var back Tuple
+	if err := back.UnmarshalBinary(data); err == nil {
+		t.Fatal("decode succeeded, want error")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 	}
 }
 

@@ -85,10 +85,11 @@ mobility_exp  = C3
 gray_run  = Hedge|Limp|Demot|Slow|Stall|Degraded|Latency|Outlier|QueueDelay|Gray|Ledger|C4
 gray_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./space/persist/ ./internal/harness/
 gray_exp  = C4
-# replica: ring placement/rebalance, write-through replication,
-# failover takes with their supersede proof, sibling invalidation and
-# fencing, anti-entropy repair and adoption, and the C5 kill soak.
-replica_run  = TestRing|WriteThrough|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|Ledger|C5
+# replica: ring placement/rebalance, write-through replication (and the
+# out that races its own node's Close), failover takes with their
+# supersede proof, sibling invalidation and fencing, anti-entropy repair
+# and adoption, and the C5 kill soak.
+replica_run  = TestRing|WriteThrough|OutRacingClose|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|Ledger|C5
 replica_pkgs = ./routing/ ./internal/core/ ./wire/ ./internal/harness/
 replica_exp  = C5
 # upgrade: golden wire fixtures (byte-stability, round-trip, truncation,
@@ -108,9 +109,10 @@ upgrade_exp  = C6
 # reusable visibility subscription under it, the out-lease an early accept
 # must still release, the settlement cancels that skip only the winner,
 # the deadline queue under all of it (order, cancel, the arm rule, no
-# runtime timer and fixed allocation budgets per remote take, op states
-# pooled per instance), and the E5 render farm.
-farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates
+# runtime timer for any outbound op and fixed allocation budgets per
+# remote take, op states pooled per instance, no sent frame written), and
+# the E5 render farm.
+farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames
 farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/ ./clock/ ./lease/ ./internal/discovery/
 farm_exp  = E5
 

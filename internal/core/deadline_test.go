@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,8 +38,8 @@ func (c *countingClock) AfterFunc(d time.Duration, f func()) func() bool {
 }
 
 // wallPair is two introduced instances, a and b, on the wall clock over a
-// plain memnet.
-func wallPair(t testing.TB, clk clock.Clock) (a, b *Instance) {
+// plain memnet, each configured by mutate when given.
+func wallPair(t testing.TB, clk clock.Clock, mutate ...func(*Config)) (a, b *Instance) {
 	t.Helper()
 	net := memnet.New()
 	inst := make([]*Instance, 2)
@@ -47,7 +48,11 @@ func wallPair(t testing.TB, clk clock.Clock) (a, b *Instance) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if inst[k], err = New(Config{Endpoint: ep, Clock: clk}); err != nil {
+		cfg := Config{Endpoint: ep, Clock: clk}
+		for _, m := range mutate {
+			m(&cfg)
+		}
+		if inst[k], err = New(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,13 +67,14 @@ func wallPair(t testing.TB, clk clock.Clock) (a, b *Instance) {
 	return inst[0], inst[1]
 }
 
-// TestRemoteTakeArmsNoRuntimeTimer: a thousand remote probes and a
-// thousand served blocking takes ask the clock for a handful of timers —
-// the queues' own, re-armed once per armed instant, and the once-a-second
-// sweep loops — where each op used to create five.
+// TestRemoteTakeArmsNoRuntimeTimer: a thousand remote probes, a thousand
+// direct probes and remote outs, and a thousand served blocking takes whose
+// walks would rediscover (ContinuousDiscovery) ask the clock for a handful
+// of timers — the queues' own, re-armed once per armed instant, and the
+// once-a-second sweep loops — where each op used to create one to five.
 func TestRemoteTakeArmsNoRuntimeTimer(t *testing.T) {
 	clk := &countingClock{}
-	a, b := wallPair(t, clk)
+	a, b := wallPair(t, clk, func(c *Config) { c.ContinuousDiscovery = true })
 	ctx := context.Background()
 	const n = 1000
 	before := clk.timers.Load()
@@ -78,6 +84,14 @@ func TestRemoteTakeArmsNoRuntimeTimer(t *testing.T) {
 		}
 		if _, ok, err := b.Inp(ctx, reqTmpl(), nil); err != nil || !ok {
 			t.Fatalf("probe %d: ok=%v err=%v", k, ok, err)
+		}
+	}
+	for k := int64(0); k < n; k++ {
+		if err := b.OutAt("a", req(k), nil); err != nil {
+			t.Fatalf("remote out %d: %v", k, err)
+		}
+		if _, ok, err := b.InpAt(ctx, "a", reqTmpl(), nil); err != nil || !ok {
+			t.Fatalf("direct probe %d: ok=%v err=%v", k, ok, err)
 		}
 	}
 	taken := make(chan error, 1)
@@ -97,8 +111,155 @@ func TestRemoteTakeArmsNoRuntimeTimer(t *testing.T) {
 		}
 	}
 	if got := clk.timers.Load() - before; got >= 50 {
-		t.Fatalf("%d ops asked the clock for %d timers, want fewer than 50", 2*n, got)
+		t.Fatalf("%d ops asked the clock for %d timers, want fewer than 50", 4*n, got)
 	}
+}
+
+// frameLog keeps every frame an endpoint is handed beside a copy of it
+// taken at the send.
+type frameLog struct {
+	mu     sync.Mutex
+	sent   []*wire.Message
+	copies []wire.Message
+}
+
+func (l *frameLog) tap(c *Config) { c.Endpoint = frameTap{c.Endpoint, l} }
+
+func (l *frameLog) keep(m *wire.Message) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sent = append(l.sent, m)
+	l.copies = append(l.copies, *m)
+}
+
+// written counts the frames that no longer read as they did when sent.
+func (l *frameLog) written() (n, of int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for k, m := range l.sent {
+		if !reflect.DeepEqual(*m, l.copies[k]) {
+			n++
+		}
+	}
+	return n, len(l.sent)
+}
+
+type frameTap struct {
+	transport.Endpoint
+	log *frameLog
+}
+
+func (e frameTap) Send(to wire.Addr, m *wire.Message) error {
+	e.log.keep(m)
+	return e.Endpoint.Send(to, m)
+}
+
+func (e frameTap) Multicast(m *wire.Message) (int, error) {
+	e.log.keep(m)
+	return e.Endpoint.Multicast(m)
+}
+
+// TestSentFramesNeverWritten: no frame is written once it is handed to the
+// transport — each retransmission, re-arm and rediscovery sends a fresh
+// one stamped with the time left. Driven here: a logical probe, a direct
+// probe and a remote out into a silent peer (RetryAttempts transmissions
+// each), a blocking take's rediscoveries, and its re-arm toward a peer
+// that walks in with the tuple. The two direct ops also pin the walk's
+// rule for a nonblocking op: it is over once nobody is left to answer,
+// not when its lease ends.
+func TestSentFramesNeverWritten(t *testing.T) {
+	var frames frameLog
+	r := newRig(t, []wire.Addr{"a", "b"}, func(c *Config) {
+		frames.tap(c)
+		c.ContinuousDiscovery = true
+		c.RediscoverInterval = 100 * time.Millisecond
+	})
+	r.net.ConnectAll()
+	a, b := r.inst["a"], r.inst["b"]
+	b.list.Observe("a")
+	ctx := context.Background()
+	unwritten := func(after string) {
+		t.Helper()
+		if n, of := frames.written(); n != 0 {
+			t.Fatalf("after %s: %d of %d sent frames were written after their send", after, n, of)
+		}
+	}
+
+	r.net.SetLoss(1.0)
+	probes := []struct {
+		name   string
+		direct bool // over once its one contact is given up, long before its lease
+		fails  bool // an OutAt nobody acked is an error; a probe nobody answered is not
+		run    func() error
+	}{
+		{"Inp", false, false, func() error { _, _, err := b.Inp(ctx, reqTmpl(), opLease(2*time.Second)); return err }},
+		{"InpAt", true, false, func() error { _, _, err := b.InpAt(ctx, "a", reqTmpl(), opLease(time.Hour)); return err }},
+		{"OutAt", true, true, func() error { return b.OutAt("a", req(9), opLease(time.Hour)) }},
+	}
+	for _, p := range probes {
+		retries, start := r.met.Get(trace.CtrRetries), r.clk.Now()
+		done := make(chan error, 1)
+		go func() { done <- p.run() }()
+		var err error
+		advanceUntil(t, r, 50*time.Millisecond, p.name+" into total loss returned", func() bool {
+			select {
+			case err = <-done:
+				return true
+			default:
+				return false
+			}
+		})
+		if (err != nil) != p.fails {
+			t.Fatalf("%s into total loss: err = %v", p.name, err)
+		}
+		if n := r.met.Get(trace.CtrRetries) - retries; n != int64(b.cfg.RetryAttempts-1) {
+			t.Fatalf("%s: %d retransmissions, want %d", p.name, n, b.cfg.RetryAttempts-1)
+		}
+		if p.direct && r.clk.Now().Sub(start) > time.Minute {
+			t.Fatalf("%s to a silent peer waited %v, its lease out", p.name, r.clk.Now().Sub(start))
+		}
+		unwritten(p.name + "'s retransmissions")
+	}
+	r.net.SetLoss(0)
+
+	rounds := r.met.Get(trace.CtrDiscoverRounds)
+	got := make(chan Result, 1)
+	go func() {
+		res, _ := b.In(ctx, reqTmpl(), longLease())
+		got <- res
+	}()
+	eventually(t, "the take parked at a", func() bool { return waitCount(a) == 1 })
+	advanceUntil(t, r, 50*time.Millisecond, "two rediscoveries", func() bool {
+		return r.met.Get(trace.CtrDiscoverRounds) >= rounds+2
+	})
+	unwritten("the rediscoveries")
+	ep, err := r.net.Attach("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.net.SetVisible("b", "c", true)
+	cfg := Config{Endpoint: ep, Clock: r.clk, Metrics: r.met}
+	frames.tap(&cfg)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Out(req(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case res := <-got:
+		if res.From != "c" {
+			t.Fatalf("take served by %q, want the re-armed c", res.From)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the re-arm never reached c")
+	}
+	if r.met.Get(trace.CtrRearms) == 0 {
+		t.Fatal("no re-arm counted")
+	}
+	unwritten("the re-arm")
 }
 
 // remoteTakeAllocBudget is two objects above what an Out at one node plus

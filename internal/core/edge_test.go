@@ -128,6 +128,39 @@ func TestDirectOpToInvisibleNodeFailsFast(t *testing.T) {
 	}
 }
 
+// TestSelfAddressedTakeHonoursContext: a blocking direct op on this
+// instance's own space is the local phase plus a walk with no audience,
+// and like every walk it ends when its context is cancelled, not when its
+// lease does.
+func TestSelfAddressedTakeHonoursContext(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a"}, nil)
+	a := r.inst["a"]
+	for _, op := range []struct {
+		name string
+		run  func(context.Context) (Result, error)
+	}{
+		{"RdAt", func(ctx context.Context) (Result, error) { return a.RdAt(ctx, "a", reqTmpl(), opLease(time.Minute)) }},
+		{"InAt", func(ctx context.Context) (Result, error) { return a.InAt(ctx, "a", reqTmpl(), opLease(time.Minute)) }},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := op.run(ctx)
+			done <- err
+		}()
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s on its own space after cancel = %v, want context.Canceled", op.name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s on its own space ignored its cancelled context", op.name)
+		}
+	}
+}
+
 func TestSpacesPartialOnContextCancel(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a", "b", "c"}, nil)
 	// Only b is visible; c is attached but unreachable, so the count

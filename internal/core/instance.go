@@ -265,8 +265,8 @@ type Instance struct {
 
 	// deadlines times every per-operation deadline of this instance off
 	// one clock timer (clock.Queue): hold grace, accept retransmission,
-	// each walk's contact-timeout and hedge tick, and the replica
-	// write-through wait. Its lock nests inside mu.
+	// each walk's contact-timeout, hedge and rediscovery tick, and the
+	// replica write-through wait. Its lock nests inside mu.
 	deadlines *clock.Queue
 	// opStates pools this instance's op states. A state cancelled just as
 	// the queue collected it for firing is still touched by that firing,
@@ -415,7 +415,7 @@ func New(cfg Config) (*Instance, error) {
 		capsProbes:   make(map[wire.Addr]time.Time),
 		stopped:      make(chan struct{}),
 	}
-	i.opStates.New = newOpState
+	i.opStates.New = func() any { return newOpState(i) }
 	i.seedRetryJitter()
 	i.defReq = lease.Flexible(defaultTerms)
 	if cfg.Space != nil {

@@ -15,21 +15,23 @@ import (
 	"tiamat/wire"
 )
 
-// opState tracks one outbound operation (propagated or direct). States
-// are pooled: the results channel, contact map, replied set, and queue
-// buffer survive across operations, so starting an op costs a pool hit
-// instead of several allocations (the channel buffer dominates).
+// opState is one outbound operation: the ID its replies are routed by,
+// the channel they land in, and its walk. States are pooled per instance:
+// the results channel, contact map, replied set, and queue buffer survive
+// across operations, so starting an op costs a pool hit instead of several
+// allocations (the channel buffer dominates).
 //
 // Reuse is safe because handleResult delivers into st.results under
 // i.mu, and an op removes itself from i.ops under the same lock before
 // draining and returning its state to the pool: once the drain runs, no
 // sender can reach the channel again.
 type opState struct {
+	i       *Instance
 	id      uint64
 	results chan *wire.Message
-	// The state is the walk's one entry on the instance's deadline queue
-	// (propagate): scheduled for the earlier of the next contact timeout
-	// and the next hedge, its expiry leaves a tick here.
+	// The state is the walk's one entry on the instance's deadline queue:
+	// scheduled for the earliest of the next contact timeout, hedge and
+	// rediscovery, its expiry leaves a tick here.
 	clock.Deadline
 	tick chan struct{}
 	// contacted tracks the retransmission budget per contacted responder;
@@ -39,15 +41,55 @@ type opState struct {
 	// replied tracks responders that already answered, for dedup counting
 	// and re-arm suppression.
 	replied map[wire.Addr]bool
-	// queueBuf backs the responder-list snapshot.
+	// queueBuf backs the walk's queue.
 	queueBuf []wire.Addr
-	// joins hears the responder list's visibility events while a blocking
+	// sub hears the responder list's visibility events while a blocking
 	// walk is open; made by the first one this state carries.
-	joins *discovery.Subscription
+	sub *discovery.Subscription
+	walk
 }
 
-func newOpState() any {
+// walk is the part of an op's state that lasts one op, zeroed when the
+// state is pooled. Every outbound operation — logical or direct rd/in/
+// rdp/inp, rpc — is one loop over four events, each an opState method: a
+// reply, the deadline tick, a visibility join, a local hit. Its audience
+// comes from the entry point: the responder list (to "", paper §3.1.3),
+// with hedging, re-arming, multicast and the failover flag; or one fixed
+// address (§2.4) with one contact and its retransmissions — none at all
+// for this instance's own. Retry, hedge and rediscovery pacing all ride
+// the state's one deadline entry.
+type walk struct {
+	ctx context.Context
+	lse *lease.Lease
+	// msg is the frame contacts are sent. A sent frame is never written:
+	// each retransmission, re-arm or rediscovery sends a fresh copy
+	// stamped with the time left, which later contacts then share.
+	msg       *wire.Message
+	to        wire.Addr
+	localWait <-chan tuple.Tuple     // a local match ends the walk
+	joins     <-chan discovery.Event // nil unless re-arming
+
+	queue       []wire.Addr // not contacted yet, best first
+	remaining   int         // replies still expected
+	multicasted bool
+	// unknownAudience is set when the transport cannot count multicast
+	// recipients (real UDP); nonblocking ops then wait out the lease
+	// rather than concluding nobody is there.
+	unknownAudience       bool
+	hedging               bool
+	hedgesUsed            int
+	hedgeAt, rediscoverAt time.Time // zero when none is pending
+	winner                wire.Addr // whose found reply settled the op
+
+	over bool
+	res  Result
+	ok   bool
+	err  error
+}
+
+func newOpState(i *Instance) *opState {
 	return &opState{
+		i:         i,
 		results:   make(chan *wire.Message, 256),
 		tick:      make(chan struct{}, 1),
 		contacted: make(map[wire.Addr]*contactState),
@@ -56,8 +98,8 @@ func newOpState() any {
 }
 
 // Expire implements clock.Entry. The tick says only "look again": the walk
-// re-derives what is due from each contact's own deadline, so one that
-// lands after the op closed, or in the state's next op, does no harm.
+// re-derives what is due from each pending instant of its own, so one that
+// lands late, after the op closed, or in the state's next op does no harm.
 func (st *opState) Expire() {
 	select {
 	case st.tick <- struct{}{}:
@@ -82,11 +124,22 @@ func (i *Instance) openOp() (*opState, error) {
 	return st, nil
 }
 
-// closeOp retires an operation and drains its late results: any found
-// hold must be released so the tuple is reinstated at its owner. No
-// sender can reach the channel after the deletion, so the drained state
-// can go back to the pool.
+// closeOp retires an operation: its deadline entry and subscription go, a
+// blocking walk's contacts hear it is over, and late results are drained —
+// any found hold must be released so the tuple is reinstated at its
+// owner. No sender can reach the channel after the deletion, so the
+// drained state can go back to the pool.
 func (i *Instance) closeOp(st *opState) {
+	i.deadlines.Cancel(st)
+	if st.joins != nil {
+		i.list.Detach(st.sub)
+	}
+	// Only blocking ops leave waiters behind on responders. Nonblocking
+	// responders answered immediately and hold nothing beyond their
+	// pending holds, which accept/release settles.
+	if st.msg != nil && st.msg.Op.Blocking() {
+		i.cancelRemotes(st.id, st.contacted, st.multicasted, st.winner)
+	}
 	i.mu.Lock()
 	delete(i.ops, st.id)
 	i.mu.Unlock()
@@ -112,6 +165,7 @@ func (i *Instance) putOpState(st *opState) {
 	for a := range st.replied {
 		delete(st.replied, a)
 	}
+	st.walk = walk{}
 	i.opStates.Put(st)
 }
 
@@ -199,7 +253,8 @@ func (i *Instance) Out(t tuple.Tuple, r lease.Requester) error {
 		if i.repl != nil {
 			// Write the tuple through to its ring backups before returning
 			// (replica.go): a successful Out then means the tuple survives
-			// this node. ErrClosed mid-wait means it may not have.
+			// this node. ErrClosed means it may not have: Close began
+			// first, and no backup acked a copy.
 			if err := i.replWriteThrough(sid, t, lse); err != nil {
 				return err
 			}
@@ -288,39 +343,34 @@ func (i *Instance) runEval(f EvalFunc, args tuple.Tuple, lse *lease.Lease) {
 // Rd reads (a copy of) a tuple matching p from the logical space,
 // blocking until a match or lease expiry.
 func (i *Instance) Rd(ctx context.Context, p tuple.Template, r lease.Requester) (Result, error) {
-	res, ok, err := i.logicalOp(ctx, wire.OpRd, p, r)
-	if err != nil {
-		return Result{}, err
-	}
-	if !ok {
-		return Result{}, ErrNoMatch
-	}
-	return res, nil
+	return matched(i.logicalOp(ctx, "", wire.OpRd, p, r))
 }
 
 // In takes a tuple matching p from the logical space, blocking until a
 // match or lease expiry.
 func (i *Instance) In(ctx context.Context, p tuple.Template, r lease.Requester) (Result, error) {
-	res, ok, err := i.logicalOp(ctx, wire.OpIn, p, r)
-	if err != nil {
-		return Result{}, err
+	return matched(i.logicalOp(ctx, "", wire.OpIn, p, r))
+}
+
+// matched is a blocking op's outcome: a lease that ended with no match
+// is ErrNoMatch.
+func matched(res Result, ok bool, err error) (Result, error) {
+	if err == nil && !ok {
+		err = ErrNoMatch
 	}
-	if !ok {
-		return Result{}, ErrNoMatch
-	}
-	return res, nil
+	return res, err
 }
 
 // Rdp reads a matching tuple from the logical space without blocking for
 // new tuples: the local space and currently visible instances are probed
 // once under the lease budget.
 func (i *Instance) Rdp(ctx context.Context, p tuple.Template, r lease.Requester) (Result, bool, error) {
-	return i.logicalOp(ctx, wire.OpRdp, p, r)
+	return i.logicalOp(ctx, "", wire.OpRdp, p, r)
 }
 
 // Inp takes a matching tuple from the logical space without blocking.
 func (i *Instance) Inp(ctx context.Context, p tuple.Template, r lease.Requester) (Result, bool, error) {
-	return i.logicalOp(ctx, wire.OpInp, p, r)
+	return i.logicalOp(ctx, "", wire.OpInp, p, r)
 }
 
 func opKind(code wire.OpCode) lease.OpKind {
@@ -349,10 +399,12 @@ func opCounter(code wire.OpCode) string {
 	}
 }
 
-// logicalOp runs a read/take against the opportunistic logical space:
-// local space first, then propagation to visible instances under the
-// lease budget (paper §2.2, §3.1.3).
-func (i *Instance) logicalOp(ctx context.Context, code wire.OpCode, p tuple.Template, r lease.Requester) (Result, bool, error) {
+// logicalOp runs a read/take. Its audience is to: "" is the opportunistic
+// logical space — the local space first, then the visible instances under
+// the lease budget (paper §2.2, §3.1.3); this instance's own address is
+// the local space alone; any other address is that one remote space (a
+// direct operation, §2.4).
+func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode, p tuple.Template, r lease.Requester) (Result, bool, error) {
 	if i.stopping() {
 		return Result{}, false, ErrClosed
 	}
@@ -364,49 +416,45 @@ func (i *Instance) logicalOp(ctx context.Context, code wire.OpCode, p tuple.Temp
 	defer lse.Cancel()
 
 	// Local phase. For blocking ops the waiter stays registered so a
-	// local out during propagation still satisfies the operation.
+	// local out during the walk still satisfies the operation.
 	var localWait <-chan tuple.Tuple
-	if code.Blocking() {
-		w := i.local.Wait(p, code.Removes())
-		defer w.Cancel()
-		select {
-		case t, ok := <-w.Chan():
-			if ok {
-				i.met.Inc(trace.CtrOpsLocalHit)
-				i.met.Inc(trace.CtrOpsSatisfied)
-				return Result{Tuple: t, From: i.Addr()}, true, nil
+	res, ok := Result{From: i.Addr()}, false
+	if to == "" || to == i.Addr() {
+		if code.Blocking() {
+			w := i.local.Wait(p, code.Removes())
+			defer w.Cancel()
+			select {
+			case res.Tuple, ok = <-w.Chan():
+			default:
 			}
-		default:
-		}
-		localWait = w.Chan()
-	} else {
-		var t tuple.Tuple
-		var ok bool
-		if code.Removes() {
-			t, ok = i.local.Inp(p)
+			localWait = w.Chan()
+		} else if code.Removes() {
+			res.Tuple, ok = i.local.Inp(p)
 		} else {
-			t, ok = i.local.Rdp(p)
-		}
-		if ok {
-			i.met.Inc(trace.CtrOpsLocalHit)
-			i.met.Inc(trace.CtrOpsSatisfied)
-			return Result{Tuple: t, From: i.Addr()}, true, nil
+			res.Tuple, ok = i.local.Rdp(p)
 		}
 	}
-
 	// The walk below never contacts this node itself, so a requester that
 	// is the last surviving holder of a replica copy must serve it
 	// locally. Reads take any live copy; destructive takes pass the same
 	// supersede proof as a remote failover (replica.go).
-	if i.repl != nil {
-		if res, ok := i.replServeLocal(code, p); ok {
-			i.met.Inc(trace.CtrOpsLocalHit)
-			i.met.Inc(trace.CtrOpsSatisfied)
-			return res, true, nil
-		}
+	if !ok && to == "" && i.repl != nil {
+		res, ok = i.replServeLocal(code, p)
+	}
+	if ok {
+		i.met.Inc(trace.CtrOpsLocalHit)
+		i.met.Inc(trace.CtrOpsSatisfied)
+		return res, true, nil
 	}
 
-	res, ok, err := i.propagate(ctx, code, p, lse, localWait)
+	// Destructive takes walking a replicated cluster's responder list
+	// carry the Failover flag on every unicast contact: a responder holding
+	// only a replica copy may then serve it — provided it can prove every
+	// higher-ranked holder dead (replica.go), so an alive primary always
+	// keeps its takes. The flag stays off multicasts (see multicast).
+	m := &wire.Message{Type: wire.TOp, From: i.Addr(), Op: code, Template: p,
+		Failover: to == "" && code.Removes() && i.repl != nil}
+	res, ok, err = i.walk(ctx, lse, m, to, localWait)
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -418,424 +466,428 @@ func (i *Instance) logicalOp(ctx context.Context, code wire.OpCode, p tuple.Temp
 	return res, ok, nil
 }
 
-// propagate implements the communications manager's outbound side: contact
-// cached responders top-down, multicast when the list is exhausted, accept
-// the first match, release the rest (paper §3.1.3).
-func (i *Instance) propagate(ctx context.Context, code wire.OpCode, p tuple.Template, lse *lease.Lease, localWait <-chan tuple.Tuple) (Result, bool, error) {
+// walk runs one outbound operation to its end (type walk): m is its first
+// frame, stamped here with op ID, TTL and budget; localWait, when set,
+// ends it on a local match. An rpc's ack reads as a found result.
+func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, to wire.Addr, localWait <-chan tuple.Tuple) (Result, bool, error) {
 	st, err := i.openOp()
 	if err != nil {
 		return Result{}, false, err
 	}
-	opID := st.id
-
-	contacted := st.contacted
-	multicasted := false
-	// winner is the responder whose found reply settled the op.
-	var winner wire.Addr
-	defer func() {
-		i.deadlines.Cancel(st)
-		// Only blocking ops leave waiters behind on responders; tell
-		// them the operation is over. Nonblocking responders answered
-		// immediately and hold nothing beyond their pending holds,
-		// which accept/release settles.
-		if code.Blocking() {
-			i.cancelRemotes(opID, contacted, multicasted, winner)
-		}
-		i.closeOp(st)
-	}()
-
-	ttl := lse.Deadline().Sub(i.clk.Now())
-	msg := &wire.Message{Type: wire.TOp, ID: opID, From: i.Addr(), Op: code, Template: p, TTL: ttl}
-	stampBudget(ctx, msg)
-	// Destructive takes on a replicated cluster carry the Failover flag on
-	// every unicast contact: a responder holding only a replica copy may
-	// then serve it — provided it can prove every higher-ranked holder
-	// dead (replica.go), so an alive primary always keeps its takes. The
-	// flag stays off multicasts (see doMulticast).
-	mayFailover := code.Removes() && i.repl != nil
-	msg.Failover = mayFailover
-
-	// remaining counts replies still expected; nonblocking ops complete
-	// when it reaches zero.
-	remaining := 0
-	replied := st.replied
-
-	// Retry and hedge pacing share st's deadline-queue entry. armTick
-	// schedules it for whichever comes first: the moment the earliest
-	// outstanding contact has waited long enough for a retransmission (or a
-	// give-up), no sooner than a millisecond from now, or hedgeAt, the next
-	// hedge firing (zero when none is pending).
-	var hedgeAt time.Time
-	armTick := func() {
-		var next time.Time
-		for _, cs := range contacted {
-			if !cs.done && (next.IsZero() || cs.deadline.Before(next)) {
-				next = cs.deadline
-			}
-		}
-		if !next.IsZero() {
-			if floor := i.clk.Now().Add(time.Millisecond); next.Before(floor) {
-				next = floor
-			}
-		}
-		if !hedgeAt.IsZero() && (next.IsZero() || hedgeAt.Before(next)) {
-			next = hedgeAt
-		}
-		if next.IsZero() {
-			i.deadlines.Cancel(st)
-			return
-		}
-		i.deadlines.Schedule(st, next)
+	defer i.closeOp(st)
+	m.ID = st.id
+	m.TTL = lse.Deadline().Sub(i.clk.Now())
+	stampBudget(ctx, m)
+	st.walk = walk{ctx: ctx, lse: lse, msg: m, to: to, localWait: localWait}
+	if err := st.start(); err != nil {
+		return Result{}, false, err
 	}
-
-	// All ops contact the responder list incrementally, top-down,
-	// ContactFanout at a time (paper §3.1.3: "operation propagation always
-	// starts from the top"). Nonblocking ops advance on not-found replies.
-	// Blocking ops advance on a hedge cadence (below) — one next-ranked
-	// responder per adaptive hedge delay — instead of contacting the whole
-	// list at once, so a healthy top contact costs one message and a slow
-	// one costs bounded extra latency, never an unbounded stall.
-	var queue []wire.Addr
-	if !i.cfg.DisableResponderCache {
-		st.queueBuf = i.list.SnapshotAppend(st.queueBuf[:0])
-		if mayFailover {
-			// Make sure the walk reaches the ring-placed replica holders
-			// for this template's key: a freshly dead primary's backups may
-			// be suspected (and so absent from the snapshot) while still
-			// alive and holding the copy.
-			if tag, arity, ok := replTemplateKey(p); ok {
-				st.queueBuf = i.repl.appendHolders(st.queueBuf, tag, arity)
-			}
-		}
-		queue = st.queueBuf
-	}
-	contactNext := func(limit int, hedged bool) {
-		for limit > 0 && len(queue) > 0 {
-			a := queue[0]
-			queue = queue[1:]
-			if contacted[a] != nil {
-				continue
-			}
-			if lse.ConsumeRemote() != nil {
-				queue = nil
-				return
-			}
-			if err := i.send(a, msg); err == nil {
-				now := i.clk.Now()
-				cs := st.newContact()
-				*cs = contactState{attempts: 1, sentAt: now, hedged: hedged, deadline: now.Add(i.retryWait(1))}
-				contacted[a] = cs
-				remaining++
-				limit--
-			}
-		}
-	}
-
-	// Hedged lookups (DESIGN.md §11): while a blocking op's first contact
-	// has not answered within the adaptive hedge delay, fire the same op
-	// ID at the next-ranked responder, up to hedgeMax. The serve side's
-	// dedup (waits table + served cache) and accept/release settlement
-	// make a hedged destructive take effectively-once, so racing
-	// responders is safe. A busy refusal suppresses further hedging: an
-	// overloaded neighbourhood wants fewer contacts, not more.
-	hedging := code.Blocking() && !i.cfg.DisableHedge
-	hedgesUsed := 0
-	armHedge := func() {
-		hedgeAt = time.Time{}
-		if hedging && len(queue) > 0 {
-			hedgeAt = i.clk.Now().Add(i.hedgeDelay())
-		}
-	}
-
-	// advanceWalk keeps a blocking walk moving whenever every contact so
-	// far has answered (busy, not-found) or exhausted its retries and list
-	// entries remain: the completeness guarantee when hedging is off,
-	// suppressed, or spent.
-	advanceWalk := func() {
-		if !code.Blocking() || len(queue) == 0 {
-			return
-		}
-		for _, cs := range contacted {
-			if !cs.done {
-				return
-			}
-		}
-		contactNext(i.cfg.ContactFanout, false)
-		armTick()
-	}
-
-	contactNext(i.cfg.ContactFanout, false)
-	armHedge()
-	armTick()
-
-	// unknownAudience is set when the transport cannot count multicast
-	// recipients (real UDP); nonblocking ops then wait out the lease
-	// rather than concluding nobody is there.
-	unknownAudience := false
-	doMulticast := func() {
-		if multicasted && !i.cfg.ContinuousDiscovery {
-			return
-		}
-		if lse.ConsumeRemote() != nil {
-			return
-		}
-		// The failover marker rides unicast contacts only (DESIGN.md §13):
-		// a multicast is how the walk finds responders it does not know,
-		// and a failover take is addressed to ranked holders it does. The
-		// multicast form is a copy; msg stays as the unicast contacts use it.
-		mc := msg
-		if msg.Failover {
-			plain := *msg
-			plain.Failover = false
-			mc = &plain
-		}
-		n, err := i.multicast(mc)
-		if err == nil {
-			if n < 0 {
-				unknownAudience = true
-			} else {
-				remaining += n
-			}
-			multicasted = true
-			i.met.Inc(trace.CtrDiscoverRounds)
-		}
-	}
-	if remaining == 0 || i.cfg.DisableResponderCache {
-		doMulticast()
-	}
-	if remaining == 0 && !unknownAudience && !code.Blocking() {
-		return Result{}, false, nil // nobody visible: nothing to wait for
-	}
-
-	// tryConcludeNB decides whether a nonblocking op is over: advance down
-	// the responder list before resorting to a multicast (paper §3.1.3:
-	// "if the end of the list is reached, and the request is not
-	// satisfied, then another multicast may be used"), then conclude
-	// not-found once nobody is left to answer.
-	tryConcludeNB := func() bool {
-		if code.Blocking() || remaining > 0 {
-			return false
-		}
-		if len(queue) > 0 {
-			contactNext(i.cfg.ContactFanout, false)
-			armTick()
-			if remaining > 0 {
-				return false
-			}
-		}
-		if unknownAudience {
-			return false
-		}
-		if !multicasted {
-			doMulticast()
-			if remaining > 0 || unknownAudience {
-				return false
-			}
-		}
-		return true
-	}
-
-	var rediscover <-chan time.Time
-	if code.Blocking() && i.cfg.ContinuousDiscovery {
-		rediscover = i.clk.After(i.cfg.RediscoverInterval)
-	}
-
-	// Blocking ops subscribe to the responder list's visibility events so
-	// a peer that walks into range mid-wait is contacted immediately (the
-	// paper's §2 premise: the logical space is the union of *currently*
-	// visible nodes, not the set visible at op start). A nil channel
-	// blocks forever, so nonblocking ops and DisableRearm runs never take
-	// the case below.
-	var joins <-chan discovery.Event
-	if code.Blocking() && !i.cfg.DisableRearm {
-		if st.joins == nil {
-			st.joins = discovery.NewSubscription()
-		}
-		i.list.Attach(st.joins)
-		defer i.list.Detach(st.joins)
-		joins = st.joins.Events()
-	}
-
-	for {
+	for !st.over {
 		select {
-		case t, ok := <-localWait:
-			if ok {
-				i.met.Inc(trace.CtrOpsLocalHit)
-				return Result{Tuple: t, From: i.Addr()}, true, nil
-			}
-			localWait = nil // store closed under us
-
-		case m := <-st.results:
-			remaining--
-			if cs := contacted[m.From]; cs != nil && !cs.done {
-				cs.done = true
-				// Feed the health layer: busy refusals and a blocking op's
-				// not-found (a serve-lease expiry notice) carry no timing
-				// signal; everything else does.
-				i.noteReply(m.From, cs.attempts, cs.sentAt, !m.Busy && (m.Found || !code.Blocking()))
-			}
-			if m.Busy && hedging {
-				// The neighbourhood is shedding load; hedging would add
-				// contacts exactly when peers want fewer. Stop the hedge
-				// cadence for this op — the retry-exhaustion walk below
-				// still guarantees the rest of the list is reached.
-				hedging = false
-				armHedge()
-				i.met.Inc(trace.CtrHedgeSuppressed)
-			}
-			if m.Type == wire.TResult {
-				if replied[m.From] {
-					i.met.Inc(trace.CtrDedupDrops)
-				}
-				replied[m.From] = true
-			}
-			if m.Type == wire.TResult && m.Found {
-				if cs := contacted[m.From]; cs != nil && cs.hedged {
-					i.met.Inc(trace.CtrHedgeWins)
-				}
-				if code.Removes() && m.HoldID != 0 {
-					// First responder wins: accept this hold; the
-					// deferred drain releases any later ones.
-					i.acceptHold(m.From, m.HoldID, lse)
-					// A reply carrying a replica identity means other
-					// holders keep copies of this tuple: tell them it is
-					// consumed (replica.go).
-					i.replInvalidateSiblings(m)
-				}
-				i.met.Inc(trace.CtrOpsRemoteHit)
-				winner = m.From
-				return Result{Tuple: m.Tuple, From: m.From}, true, nil
-			}
-			armTick() // one contact fewer to wait on, perhaps no hedge
-			advanceWalk()
-			if tryConcludeNB() {
-				return Result{}, false, nil
-			}
-
+		case t, ok := <-st.localWait:
+			st.onLocal(t, ok)
+		case r := <-st.results:
+			st.onReply(r)
 		case <-st.tick:
-			now := i.clk.Now()
-			if !hedgeAt.IsZero() && !now.Before(hedgeAt) {
-				// No answer within the adaptive hedge delay: race the next
-				// ranked responder with the same op ID. Once the hedge budget
-				// is spent, the next firing contacts everyone left — the
-				// staged walk bounds added tail latency, never completeness.
-				if hedgesUsed >= hedgeMax {
-					contactNext(len(queue), false)
-				} else {
-					hedgesUsed++
-					i.met.Inc(trace.CtrHedges)
-					contactNext(1, true)
-				}
-				armHedge()
-			}
-			timedOut := false
-			for _, cs := range contacted {
-				if !cs.done && !now.Before(cs.deadline) {
-					timedOut = true
-					break
-				}
-			}
-			if !timedOut {
-				armTick()
-				break
-			}
-			// The local replica store may have become servable since the
-			// pre-walk attempt: a higher-ranked holder died mid-walk, or the
-			// failover grace armed then has now elapsed. Re-try it on each
-			// contact timeout — the walk never contacts this node itself.
-			if i.repl != nil {
-				if res, ok := i.replServeLocal(code, p); ok {
-					i.met.Inc(trace.CtrOpsLocalHit)
-					return res, true, nil
-				}
-			}
-			for a, cs := range contacted {
-				if cs.done || now.Before(cs.deadline) {
-					continue
-				}
-				i.met.Inc(trace.CtrContactTimeouts)
-				if cs.attempts >= i.cfg.RetryAttempts {
-					// Out of retries. Silence from a nonblocking probe is
-					// a soft failure; a blocking responder is expected to
-					// stay silent until it has a match, so no blame there.
-					cs.done = true
-					remaining--
-					if !code.Blocking() {
-						i.list.Fail(a)
-					}
-					continue
-				}
-				if lse.ConsumeRemote() != nil {
-					cs.done = true // lease budget exhausted: stop trying
-					remaining--
-					continue
-				}
-				cs.attempts++
-				msg.TTL = lse.Deadline().Sub(now)
-				stampBudget(ctx, msg)
-				_ = i.send(a, msg)
-				i.met.Inc(trace.CtrRetries)
-				cs.deadline = now.Add(i.retryWait(cs.attempts))
-			}
-			advanceWalk()
-			armTick()
-			if tryConcludeNB() {
-				return Result{}, false, nil
-			}
-
+			st.onTick()
+		case ev := <-st.joins:
+			st.onJoin(ev)
 		case <-lse.Done():
 			// Lease expired: stop trying and return nothing (§2.5).
 			i.met.Inc(trace.CtrOpsExpired)
-			return Result{}, false, nil
-
+			st.over = true
 		case <-ctx.Done():
-			return Result{}, false, ctx.Err()
-
-		case ev := <-joins:
-			// Re-arm: contact the newcomer with the same op ID — the serve
-			// side's dedup (waits table + served cache) makes a duplicate
-			// contact harmless, so this is safe even when the "newcomer"
-			// already heard a multicast of this op. Skips: ourselves,
-			// peers that already answered this op, and peers with a
-			// contact still in flight. A peer we gave up on re-qualifies —
-			// its reappearance is exactly the news we were missing.
-			if ev.Kind != discovery.EventJoin || ev.Addr == i.Addr() || replied[ev.Addr] {
-				break
-			}
-			if cs := contacted[ev.Addr]; cs != nil && !cs.done {
-				break
-			}
-			if lse.ConsumeRemote() != nil {
-				break // remote budget exhausted: the lease bounds re-arms too
-			}
-			msg.TTL = lse.Deadline().Sub(i.clk.Now())
-			stampBudget(ctx, msg)
-			if i.send(ev.Addr, msg) != nil {
-				break
-			}
-			now := i.clk.Now()
-			if cs := contacted[ev.Addr]; cs != nil {
-				cs.done = false
-				cs.attempts = 1
-				cs.sentAt = now
-				cs.deadline = now.Add(i.retryWait(1))
-			} else {
-				cs := st.newContact()
-				*cs = contactState{attempts: 1, sentAt: now, deadline: now.Add(i.retryWait(1))}
-				contacted[ev.Addr] = cs
-			}
-			remaining++
-			i.met.Inc(trace.CtrRearms)
-			armTick()
-
-		case <-rediscover:
-			// The model's continuous mode: instances that became
-			// visible during the operation are included (§2.2).
-			msg.TTL = lse.Deadline().Sub(i.clk.Now())
-			stampBudget(ctx, msg)
-			doMulticast()
-			rediscover = i.clk.After(i.cfg.RediscoverInterval)
+			st.err, st.over = ctx.Err(), true
 		}
+	}
+	return st.res, st.ok, st.err
+}
+
+// start makes the walk's first contacts.
+func (st *opState) start() error {
+	i, code := st.i, st.msg.Op
+	if st.to != "" {
+		// A fixed address is the walk's one contact; a frame that cannot
+		// leave ends the op with the error. This instance's own address
+		// needs none: the local phase was the search.
+		if st.to != i.Addr() {
+			st.queueBuf = append(st.queueBuf[:0], st.to)
+			st.queue = st.queueBuf
+			if err := st.contactNext(1, false); err != nil {
+				return err
+			}
+		}
+	} else {
+		// The responder list is contacted top-down, ContactFanout at a time
+		// (paper §3.1.3: "operation propagation always starts from the
+		// top"). Nonblocking ops advance on not-found replies, blocking ops
+		// on a hedge cadence — so a healthy top contact costs one message
+		// and a slow one bounded extra latency, never an unbounded stall.
+		if !i.cfg.DisableResponderCache {
+			st.queueBuf = i.list.SnapshotAppend(st.queueBuf[:0])
+			if st.msg.Failover {
+				// Make sure the walk reaches the ring-placed replica holders
+				// for this template's key: a freshly dead primary's backups
+				// may be suspected (and so absent from the snapshot) while
+				// still alive and holding the copy.
+				if tag, arity, ok := replTemplateKey(st.msg.Template); ok {
+					st.queueBuf = i.repl.appendHolders(st.queueBuf, tag, arity)
+				}
+			}
+			st.queue = st.queueBuf
+		}
+		st.hedging = code.Blocking() && !i.cfg.DisableHedge
+		st.contactNext(i.cfg.ContactFanout, false)
+		st.armHedge()
+		if st.remaining == 0 || i.cfg.DisableResponderCache {
+			st.multicast()
+		}
+		if code.Blocking() && i.cfg.ContinuousDiscovery {
+			st.rediscoverAt = i.clk.Now().Add(i.cfg.RediscoverInterval)
+		}
+		// Blocking ops subscribe to the responder list's visibility events
+		// so a peer that walks into range mid-wait is contacted immediately
+		// (the paper's §2 premise: the logical space is the union of
+		// *currently* visible nodes, not the set visible at op start).
+		if code.Blocking() && !i.cfg.DisableRearm {
+			if st.sub == nil {
+				st.sub = discovery.NewSubscription()
+			}
+			i.list.Attach(st.sub)
+			st.joins = st.sub.Events()
+		}
+	}
+	st.arm()
+	// A nonblocking op with nobody to wait for is over.
+	st.over = st.remaining == 0 && !st.unknownAudience && !code.Blocking()
+	return nil
+}
+
+// onLocal ends the walk on a match in the local space.
+func (st *opState) onLocal(t tuple.Tuple, ok bool) {
+	if !ok {
+		st.localWait = nil // store closed under us
+		return
+	}
+	st.i.met.Inc(trace.CtrOpsLocalHit)
+	st.res, st.ok, st.over = Result{Tuple: t, From: st.i.Addr()}, true, true
+}
+
+// onReply handles one reply. A found result or an rpc's ack ends the op;
+// any other answer closes its contact and lets the walk move on.
+func (st *opState) onReply(m *wire.Message) {
+	i, code := st.i, st.msg.Op
+	st.remaining--
+	cs := st.contacted[m.From]
+	if cs != nil && !cs.done {
+		cs.done = true
+		// Feed the health layer: busy refusals and a blocking op's
+		// not-found (a serve-lease expiry notice) carry no timing signal;
+		// everything else does.
+		i.noteReply(m.From, cs.attempts, cs.sentAt, !m.Busy && (m.Found || !code.Blocking()))
+	}
+	if m.Busy && st.hedging {
+		// The neighbourhood is shedding load; hedging would add contacts
+		// exactly when peers want fewer. Stop the hedge cadence for this op
+		// — the retry-exhaustion walk still guarantees the rest of the
+		// list is reached.
+		st.hedging = false
+		st.armHedge()
+		i.met.Inc(trace.CtrHedgeSuppressed)
+	}
+	if m.Type == wire.TResult {
+		if st.replied[m.From] {
+			i.met.Inc(trace.CtrDedupDrops)
+		}
+		st.replied[m.From] = true
+	}
+	switch {
+	case m.Found:
+		if cs != nil && cs.hedged {
+			i.met.Inc(trace.CtrHedgeWins)
+		}
+		if code.Removes() && m.HoldID != 0 {
+			// First responder wins: accept this hold; closeOp's drain
+			// releases any later ones.
+			i.acceptHold(m.From, m.HoldID, st.lse)
+			// A reply carrying a replica identity means other holders keep
+			// copies of this tuple: tell them it is consumed (replica.go).
+			i.replInvalidateSiblings(m)
+		}
+		i.met.Inc(trace.CtrOpsRemoteHit)
+		st.winner = m.From
+		st.res, st.ok, st.over = Result{Tuple: m.Tuple, From: m.From}, true, true
+	case m.Type == wire.TAck && st.msg.Type != wire.TOp:
+		st.ok, st.over = true, true
+		if !m.OK {
+			st.err = fmt.Errorf("%s: %s: %w", m.From, m.Err, ErrRemoteRefused)
+		}
+	default:
+		st.arm() // one contact fewer to wait on, perhaps no hedge
+		st.advance()
+		st.over = st.concluded()
+	}
+}
+
+// onTick handles the state's deadline: whatever of the hedge, the
+// rediscovery and the contacts' reply waits is due (see Expire).
+func (st *opState) onTick() {
+	i, code := st.i, st.msg.Op
+	now := i.clk.Now()
+	if !st.hedgeAt.IsZero() && !now.Before(st.hedgeAt) {
+		// No answer within the adaptive hedge delay (DESIGN.md §11): race
+		// the next ranked responder with the same op ID. The serve side's
+		// dedup and accept/release settlement make a hedged take
+		// effectively-once. Once the hedge budget is spent, the next firing
+		// contacts everyone left — the staged walk bounds added tail
+		// latency, never completeness.
+		if st.hedgesUsed >= hedgeMax {
+			st.contactNext(len(st.queue), false)
+		} else {
+			st.hedgesUsed++
+			i.met.Inc(trace.CtrHedges)
+			st.contactNext(1, true)
+		}
+		st.armHedge()
+	}
+	if !st.rediscoverAt.IsZero() && !now.Before(st.rediscoverAt) {
+		// The model's continuous mode: instances that became visible
+		// during the operation are included (§2.2).
+		st.restamp()
+		st.multicast()
+		st.rediscoverAt = now.Add(i.cfg.RediscoverInterval)
+	}
+	// The local replica store may have become servable since the pre-walk
+	// attempt: a higher-ranked holder died mid-walk, or the failover grace
+	// armed then has now elapsed. Re-try it on each contact timeout — the
+	// walk never contacts this node itself.
+	serveLocal := st.to == "" && i.repl != nil
+	for a, cs := range st.contacted {
+		if cs.done || now.Before(cs.deadline) {
+			continue
+		}
+		if serveLocal {
+			if res, ok := i.replServeLocal(code, st.msg.Template); ok {
+				i.met.Inc(trace.CtrOpsLocalHit)
+				st.res, st.ok, st.over = res, true, true
+				return
+			}
+			serveLocal = false
+		}
+		i.met.Inc(trace.CtrContactTimeouts)
+		if cs.attempts >= i.cfg.RetryAttempts {
+			// Out of retries. Silence from a nonblocking probe is a soft
+			// failure; a blocking responder is expected to stay silent
+			// until it has a match, so no blame there.
+			cs.done = true
+			st.remaining--
+			if !code.Blocking() {
+				i.list.Fail(a)
+			}
+			continue
+		}
+		if st.lse.ConsumeRemote() != nil {
+			cs.done = true // lease budget exhausted: stop trying
+			st.remaining--
+			continue
+		}
+		cs.attempts++
+		st.restamp()
+		_ = i.send(a, st.msg)
+		i.met.Inc(trace.CtrRetries)
+		cs.deadline = now.Add(i.retryWait(cs.attempts))
+	}
+	st.advance()
+	st.arm()
+	st.over = st.concluded()
+}
+
+// onJoin re-arms a blocking walk toward a peer that became visible
+// (DESIGN.md §10), with the same op ID — the serve side's dedup (waits
+// table + served cache) makes a duplicate contact harmless, so this is
+// safe even when the newcomer already heard a multicast of this op.
+// Skips: ourselves, peers that already answered this op, and peers with a
+// contact still in flight. A peer we gave up on re-qualifies — its
+// reappearance is exactly the news we were missing.
+func (st *opState) onJoin(ev discovery.Event) {
+	i := st.i
+	if ev.Kind != discovery.EventJoin || ev.Addr == i.Addr() || st.replied[ev.Addr] {
+		return
+	}
+	if cs := st.contacted[ev.Addr]; cs != nil && !cs.done {
+		return
+	}
+	if st.lse.ConsumeRemote() != nil {
+		return // remote budget exhausted: the lease bounds re-arms too
+	}
+	st.restamp()
+	if i.send(ev.Addr, st.msg) != nil {
+		return
+	}
+	st.record(ev.Addr, false)
+	i.met.Inc(trace.CtrRearms)
+	st.arm()
+}
+
+// contactNext sends the walk's frame to the next limit responders in the
+// queue not contacted yet, each under one unit of the lease's remote
+// budget, and returns the last error met; an exhausted budget empties the
+// queue.
+func (st *opState) contactNext(limit int, hedged bool) (err error) {
+	for limit > 0 && len(st.queue) > 0 {
+		a := st.queue[0]
+		st.queue = st.queue[1:]
+		if st.contacted[a] != nil {
+			continue
+		}
+		if err = st.lse.ConsumeRemote(); err != nil {
+			st.queue = nil
+			return err
+		}
+		if err = st.i.send(a, st.msg); err == nil {
+			st.record(a, hedged)
+			limit--
+		}
+	}
+	return err
+}
+
+// record opens (or reopens) a contact with a, just sent the frame: one
+// more reply expected, with a retry budget and reply deadline of its own.
+func (st *opState) record(a wire.Addr, hedged bool) {
+	now := st.i.clk.Now()
+	cs := st.contacted[a]
+	if cs == nil {
+		cs = st.newContact()
+		st.contacted[a] = cs
+	}
+	*cs = contactState{attempts: 1, sentAt: now, hedged: hedged, deadline: now.Add(st.i.retryWait(1))}
+	st.remaining++
+}
+
+// restamp replaces the walk's frame with a fresh copy stamped with the
+// time left; the frame already handed to the transport is never written.
+func (st *opState) restamp() {
+	m := *st.msg
+	m.TTL = st.lse.Deadline().Sub(st.i.clk.Now())
+	stampBudget(st.ctx, &m)
+	st.msg = &m
+}
+
+// armHedge sets the next hedge firing, if hedging and anyone is left.
+func (st *opState) armHedge() {
+	st.hedgeAt = time.Time{}
+	if st.hedging && len(st.queue) > 0 {
+		st.hedgeAt = st.i.clk.Now().Add(st.i.hedgeDelay())
+	}
+}
+
+// arm schedules the state's one deadline entry for whichever comes first:
+// the moment the earliest outstanding contact has waited long enough for a
+// retransmission (or a give-up), no sooner than a millisecond from now;
+// the next hedge; the next rediscovery. With none pending it is cancelled.
+func (st *opState) arm() {
+	var next time.Time
+	for _, cs := range st.contacted {
+		if !cs.done && (next.IsZero() || cs.deadline.Before(next)) {
+			next = cs.deadline
+		}
+	}
+	if !next.IsZero() {
+		if floor := st.i.clk.Now().Add(time.Millisecond); next.Before(floor) {
+			next = floor
+		}
+	}
+	if next = earlier(earlier(next, st.hedgeAt), st.rediscoverAt); next.IsZero() {
+		st.i.deadlines.Cancel(st)
+		return
+	}
+	st.i.deadlines.Schedule(st, next)
+}
+
+// earlier returns the earlier of two instants, a zero one meaning none.
+func earlier(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
+	}
+	return a
+}
+
+// advance keeps a blocking walk moving whenever every contact so far has
+// answered (busy, not-found) or exhausted its retries and list entries
+// remain: the completeness guarantee when hedging is off, suppressed, or
+// spent.
+func (st *opState) advance() {
+	if !st.msg.Op.Blocking() || len(st.queue) == 0 {
+		return
+	}
+	for _, cs := range st.contacted {
+		if !cs.done {
+			return
+		}
+	}
+	st.contactNext(st.i.cfg.ContactFanout, false)
+	st.arm()
+}
+
+// concluded decides whether a nonblocking walk is over: advance down the
+// queue before resorting to a multicast (paper §3.1.3: "if the end of the
+// list is reached, and the request is not satisfied, then another
+// multicast may be used"), then conclude once nobody is left to answer.
+// A fixed audience has no multicast: its walk is over when its contact is.
+func (st *opState) concluded() bool {
+	if st.msg.Op.Blocking() || st.remaining > 0 {
+		return false
+	}
+	if len(st.queue) > 0 {
+		st.contactNext(st.i.cfg.ContactFanout, false)
+		st.arm()
+		if st.remaining > 0 {
+			return false
+		}
+	}
+	if st.unknownAudience {
+		return false
+	}
+	if st.to == "" && !st.multicasted {
+		st.multicast()
+		if st.remaining > 0 || st.unknownAudience {
+			return false
+		}
+	}
+	return true
+}
+
+// multicast sends the walk's frame to every listener in range, once — or
+// each time it is asked, under ContinuousDiscovery — under one unit of the
+// remote budget. Every recipient counted is a reply expected.
+func (st *opState) multicast() {
+	i := st.i
+	if st.multicasted && !i.cfg.ContinuousDiscovery {
+		return
+	}
+	if st.lse.ConsumeRemote() != nil {
+		return
+	}
+	// The failover marker rides unicast contacts only (DESIGN.md §13): a
+	// multicast is how the walk finds responders it does not know, and a
+	// failover take is addressed to ranked holders it does. The multicast
+	// form is a copy; msg stays as the unicast contacts use it.
+	mc := st.msg
+	if mc.Failover {
+		plain := *mc
+		plain.Failover = false
+		mc = &plain
+	}
+	n, err := i.multicast(mc)
+	if err == nil {
+		if n < 0 {
+			st.unknownAudience = true
+		} else {
+			st.remaining += n
+		}
+		st.multicasted = true
+		i.met.Inc(trace.CtrDiscoverRounds)
 	}
 }
 
@@ -1108,27 +1160,7 @@ func (i *Instance) OutAt(addr wire.Addr, t tuple.Tuple, r lease.Requester) error
 	if addr == i.Addr() {
 		return i.Out(t, r)
 	}
-	if i.stopping() {
-		return ErrClosed
-	}
-	i.met.Inc(trace.CtrOpsOut)
-	lse, err := i.mgr.Grant(lease.OpOut, i.requester(r))
-	if err != nil {
-		return err
-	}
-	defer lse.Cancel()
-	if err := lse.ConsumeRemote(); err != nil {
-		return err
-	}
-	m := &wire.Message{Type: wire.TOut, From: i.Addr(), TTL: lse.Deadline().Sub(i.clk.Now()), Tuple: t}
-	ack, err := i.rpc(addr, m, lse)
-	if err != nil {
-		return err
-	}
-	if !ack.OK {
-		return fmt.Errorf("%s: %s: %w", addr, ack.Err, ErrRemoteRefused)
-	}
-	return nil
+	return i.rpc(addr, lease.OpOut, trace.CtrOpsOut, &wire.Message{Type: wire.TOut, From: i.Addr(), Tuple: t}, r)
 }
 
 // EvalAt performs an eval on the specific remote space addr. The function
@@ -1137,170 +1169,56 @@ func (i *Instance) EvalAt(addr wire.Addr, fn string, args tuple.Tuple, r lease.R
 	if addr == i.Addr() {
 		return i.Eval(fn, args, r)
 	}
+	return i.rpc(addr, lease.OpEval, trace.CtrOpsEval, &wire.Message{Type: wire.TEval, From: i.Addr(), Func: fn, Tuple: args}, r)
+}
+
+// rpc walks m, a TOut or TEval, to addr under a lease of the given kind
+// and reports its TAck: nil, or the remote's refusal as ErrRemoteRefused.
+// A frame that cannot leave returns the send error, and an addr silent
+// through every retransmission, or until the lease ends, an error saying
+// so.
+func (i *Instance) rpc(addr wire.Addr, kind lease.OpKind, counter string, m *wire.Message, r lease.Requester) error {
 	if i.stopping() {
 		return ErrClosed
 	}
-	i.met.Inc(trace.CtrOpsEval)
-	lse, err := i.mgr.Grant(lease.OpEval, i.requester(r))
+	i.met.Inc(counter)
+	lse, err := i.mgr.Grant(kind, i.requester(r))
 	if err != nil {
 		return err
 	}
 	defer lse.Cancel()
-	if err := lse.ConsumeRemote(); err != nil {
+	_, acked, err := i.walk(context.TODO(), lse, m, addr, nil)
+	switch {
+	case err != nil || acked:
 		return err
+	case i.isClosed():
+		return ErrClosed
+	case lse.Err() != nil:
+		return fmt.Errorf("%s: no ack within lease: %w", addr, lse.Err())
 	}
-	m := &wire.Message{Type: wire.TEval, From: i.Addr(), Func: fn, TTL: lse.Deadline().Sub(i.clk.Now()), Tuple: args}
-	ack, err := i.rpc(addr, m, lse)
-	if err != nil {
-		return err
-	}
-	if !ack.OK {
-		return fmt.Errorf("%s: %s: %w", addr, ack.Err, ErrRemoteRefused)
-	}
-	return nil
-}
-
-// directOp runs a read/take against one specific remote space.
-func (i *Instance) directOp(ctx context.Context, addr wire.Addr, code wire.OpCode, p tuple.Template, r lease.Requester) (Result, bool, error) {
-	if i.stopping() {
-		return Result{}, false, ErrClosed
-	}
-	i.met.Inc(opCounter(code))
-	lse, err := i.mgr.Grant(opKind(code), i.requester(r))
-	if err != nil {
-		return Result{}, false, err
-	}
-	defer lse.Cancel()
-	if addr == i.Addr() {
-		return i.directLocal(code, p, lse)
-	}
-	if err := lse.ConsumeRemote(); err != nil {
-		return Result{}, false, err
-	}
-
-	st, err := i.openOp()
-	if err != nil {
-		return Result{}, false, err
-	}
-	opID := st.id
-	// settled is set when addr's own found reply ended the op: its wait
-	// ended with that reply and there is nothing left there to cancel.
-	settled := false
-	defer func() {
-		if code.Blocking() && !settled && !i.isClosed() {
-			_ = i.send(addr, &wire.Message{Type: wire.TCancel, ID: opID, From: i.Addr()})
-		}
-		i.closeOp(st)
-	}()
-
-	// Every transmission is a fresh frame stamped with the time left.
-	contact := func() error {
-		msg := &wire.Message{Type: wire.TOp, ID: opID, From: i.Addr(), Op: code,
-			Template: p, TTL: lse.Deadline().Sub(i.clk.Now())}
-		stampBudget(ctx, msg)
-		return i.send(addr, msg)
-	}
-	sentAt := i.clk.Now()
-	if err := contact(); err != nil {
-		return Result{}, false, err
-	}
-	attempts := 1
-	retry := i.clk.After(i.retryWait(attempts))
-	for {
-		select {
-		case m := <-st.results:
-			if m.From == addr {
-				i.noteReply(addr, attempts, sentAt, !m.Busy && (m.Found || !code.Blocking()))
-			}
-			if m.Type == wire.TResult && m.Found {
-				if code.Removes() && m.HoldID != 0 {
-					i.acceptHold(m.From, m.HoldID, lse)
-					i.replInvalidateSiblings(m)
-				}
-				settled = m.From == addr
-				return Result{Tuple: m.Tuple, From: m.From}, true, nil
-			}
-			if !code.Blocking() {
-				return Result{}, false, nil
-			}
-		case <-retry:
-			retry = nil // a nil channel blocks: retries stop when exhausted
-			if attempts < i.cfg.RetryAttempts && lse.ConsumeRemote() == nil {
-				attempts++
-				_ = contact()
-				i.met.Inc(trace.CtrRetries)
-				retry = i.clk.After(i.retryWait(attempts))
-			}
-		case <-lse.Done():
-			return Result{}, false, nil
-		case <-ctx.Done():
-			return Result{}, false, ctx.Err()
-		}
-	}
-}
-
-// directLocal serves the addr==self case of direct operations.
-func (i *Instance) directLocal(code wire.OpCode, p tuple.Template, lse *lease.Lease) (Result, bool, error) {
-	if code.Blocking() {
-		w := i.local.Wait(p, code.Removes())
-		defer w.Cancel()
-		select {
-		case t, ok := <-w.Chan():
-			if ok {
-				return Result{Tuple: t, From: i.Addr()}, true, nil
-			}
-			return Result{}, false, ErrClosed
-		case <-lse.Done():
-			return Result{}, false, nil
-		}
-	}
-	var t tuple.Tuple
-	var ok bool
-	if code.Removes() {
-		t, ok = i.local.Inp(p)
-	} else {
-		t, ok = i.local.Rdp(p)
-	}
-	if !ok {
-		return Result{}, false, nil
-	}
-	return Result{Tuple: t, From: i.Addr()}, true, nil
+	return fmt.Errorf("%s: no ack to %d transmissions", addr, i.cfg.RetryAttempts)
 }
 
 // RdAt reads from the specific space addr, blocking until match or lease
 // expiry.
 func (i *Instance) RdAt(ctx context.Context, addr wire.Addr, p tuple.Template, r lease.Requester) (Result, error) {
-	res, ok, err := i.directOp(ctx, addr, wire.OpRd, p, r)
-	if err != nil {
-		return Result{}, err
-	}
-	if !ok {
-		return Result{}, ErrNoMatch
-	}
-	return res, nil
+	return matched(i.logicalOp(ctx, addr, wire.OpRd, p, r))
 }
 
 // InAt takes from the specific space addr, blocking until match or lease
 // expiry.
 func (i *Instance) InAt(ctx context.Context, addr wire.Addr, p tuple.Template, r lease.Requester) (Result, error) {
-	res, ok, err := i.directOp(ctx, addr, wire.OpIn, p, r)
-	if err != nil {
-		return Result{}, err
-	}
-	if !ok {
-		return Result{}, ErrNoMatch
-	}
-	return res, nil
+	return matched(i.logicalOp(ctx, addr, wire.OpIn, p, r))
 }
 
 // RdpAt probes the specific space addr without blocking.
 func (i *Instance) RdpAt(ctx context.Context, addr wire.Addr, p tuple.Template, r lease.Requester) (Result, bool, error) {
-	return i.directOp(ctx, addr, wire.OpRdp, p, r)
+	return i.logicalOp(ctx, addr, wire.OpRdp, p, r)
 }
 
 // InpAt takes from the specific space addr without blocking.
 func (i *Instance) InpAt(ctx context.Context, addr wire.Addr, p tuple.Template, r lease.Requester) (Result, bool, error) {
-	return i.directOp(ctx, addr, wire.OpInp, p, r)
+	return i.logicalOp(ctx, addr, wire.OpInp, p, r)
 }
 
 // OutBack attempts to place a tuple back at the instance a previous
@@ -1321,44 +1239,5 @@ func (i *Instance) OutBack(res Result, r lease.Requester) error {
 		return i.Out(res.Tuple, r)
 	default: // RouteLocal
 		return i.Out(res.Tuple, r)
-	}
-}
-
-// rpc sends a request that expects a TAck correlated by ID.
-func (i *Instance) rpc(addr wire.Addr, m *wire.Message, lse *lease.Lease) (*wire.Message, error) {
-	st, err := i.openOp()
-	if err != nil {
-		return nil, err
-	}
-	defer i.closeOp(st)
-	m.ID = st.id
-	sentAt := i.clk.Now()
-	if err := i.send(addr, m); err != nil {
-		return nil, err
-	}
-	attempts := 1
-	retry := i.clk.After(i.retryWait(attempts))
-	for {
-		select {
-		case ack := <-st.results:
-			if ack.From == addr {
-				i.noteReply(addr, attempts, sentAt, !ack.Busy)
-			}
-			return ack, nil
-		case <-retry:
-			retry = nil
-			if attempts < i.cfg.RetryAttempts && lse.ConsumeRemote() == nil {
-				attempts++
-				again := *m
-				again.TTL = lse.Deadline().Sub(i.clk.Now())
-				_ = i.send(addr, &again)
-				i.met.Inc(trace.CtrRetries)
-				retry = i.clk.After(i.retryWait(attempts))
-			}
-		case <-lse.Done():
-			return nil, fmt.Errorf("%s: no ack within lease: %w", addr, lse.Err())
-		case <-i.stopped:
-			return nil, ErrClosed
-		}
 	}
 }

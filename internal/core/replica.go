@@ -346,13 +346,15 @@ func (r *replicator) appendHolders(queue []wire.Addr, tag string, arity int) []w
 // and waits (bounded by ContactTimeout) for their acks — so when Out
 // returns, a kill of this node no longer strands the tuple. The wait is
 // best-effort: on timeout the out stands and the sweeper finishes the
-// job; only a teardown mid-wait turns into ErrClosed, telling the caller
-// the write may not have survived anywhere.
+// job. A Close that began before it returns is another matter: the node's
+// own copy goes with it, and from the moment Close starts the lease record
+// is not made (outLeased) and no replicate can leave, so unless a backup
+// acked a copy the write may have survived nowhere — ErrClosed.
 //
 // The replicates ride the out's own lease: each one consumes a unit of
 // its remote budget — the "replication lease" bounding communication
 // effort exactly as §2.5 bounds everything else.
-func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease) error {
+func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease) (err error) {
 	r := i.repl
 	ring := r.ringNow()
 	tag, arity := replTupleKey(t)
@@ -371,6 +373,14 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 	}
 	r.outs[ro.seq] = ro
 	r.mu.Unlock()
+	defer func() {
+		r.mu.Lock()
+		acked := len(ro.acked) > 0
+		r.mu.Unlock()
+		if err == nil && !acked && i.isClosed() {
+			err = ErrClosed
+		}
+	}()
 
 	// The tuple may already have been taken between the store write and
 	// here (a waiting local taker): replicating it now would strand
@@ -424,15 +434,14 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 
 	i.deadlines.Schedule(ro, i.clk.Now().Add(i.cfg.ContactTimeout))
 	defer i.deadlines.Cancel(ro)
+	// Settled, or timed out (Expire): either way the out stands, and the
+	// sweeper converges what the wait did not see acked — unless the node
+	// is closing, which the deferred check answers.
 	select {
 	case <-done:
-		// Settled, or timed out (Expire): either way the out stands, and
-		// the sweeper converges what the wait did not see acked — the
-		// origin is still alive to run it.
-		return nil
 	case <-i.stopped:
-		return ErrClosed
 	}
+	return nil
 }
 
 // Expire implements clock.Entry: the write-through wait ran out. Only the

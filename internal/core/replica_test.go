@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"tiamat/internal/store"
 	"tiamat/lease"
 	"tiamat/trace"
+	"tiamat/transport"
 	"tiamat/tuple"
 	"tiamat/wire"
 )
@@ -91,6 +94,61 @@ func TestWriteThroughReplicates(t *testing.T) {
 	res, ok, err := r.inst["b"].Inp(context.Background(), reqTmpl(), outLease())
 	if err != nil || !ok || res.From != "a" {
 		t.Fatalf("Inp = %+v %v %v, want authoritative serve from a", res, ok, err)
+	}
+}
+
+// replicateGate holds every replicate frame an endpoint is asked to send
+// at gate.
+type replicateGate struct {
+	transport.Endpoint
+	gate func()
+}
+
+func (e replicateGate) Send(to wire.Addr, m *wire.Message) error {
+	if m.Type == wire.TOut && m.ReplSeq != 0 {
+		pass(e.gate)
+	}
+	return e.Endpoint.Send(to, m)
+}
+
+// TestReplicatedOutRacingCloseNotAcknowledged: an Out at a replicated node
+// whose Close began before the write-through returned is acknowledged only
+// if a backup acked a copy — the node's own copy goes with it. Close lands
+// at two instants: after the space stored the tuple but before its
+// out-lease record, which is then never made (and used to read as "taken
+// by a local taker"), and before the replicate leaves, which then fails
+// (and used to settle the wait over no target, a coin toss between that
+// and the teardown). Each edge runs sixteen times.
+func TestReplicatedOutRacingCloseNotAcknowledged(t *testing.T) {
+	for _, edge := range []string{"before the lease record", "before the replicate"} {
+		t.Run(edge, func(t *testing.T) {
+			for round := 0; round < 16; round++ {
+				gate, reached, open := stop()
+				sp := &stoppableSpace{}
+				var a *Instance
+				r := replRig(t, func(c *Config) {
+					switch {
+					case c.Endpoint.Addr() != "a":
+					case edge == "before the lease record":
+						sp.Space = store.New(store.WithClock(c.Clock), store.WithMetrics(c.Metrics),
+							store.WithRemovalHook(func(id uint64) { a.releaseOutLease(id) }))
+						c.Space = sp
+					default:
+						c.Endpoint = replicateGate{c.Endpoint, gate}
+					}
+				}, "a", "b", "c")
+				a = r.inst["a"]
+				sp.afterOut = gate // set after New, whose space-info Out must pass
+				done := make(chan error, 1)
+				go func() { done <- a.Out(req(int64(round)), outLease()) }()
+				<-reached
+				a.Close()
+				close(open)
+				if err := <-done; !errors.Is(err, ErrClosed) {
+					t.Fatalf("round %d: Out raced by Close = %v, want ErrClosed", round, err)
+				}
+			}
+		})
 	}
 }
 

@@ -65,12 +65,13 @@ chaos:
 crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|ConsumedOut|Shutdown|Goodbye|RestartRejoin|Ledger|C1
 crash_pkgs = ./space/persist/ ./internal/core/ ./internal/harness/
 crash_exp  = C1
-# soak: overload governance — admission, quotas, shed order, the
-# shrink-before-revoke ladder, deadline propagation, the reports the
+# soak: overload governance — admission (an idle node's op served on
+# the receiving goroutine, everything else queued), quotas, shed order,
+# the shrink-before-revoke ladder, deadline propagation, the reports the
 # shed assertions read (views over a per-node registry that forwards to
 # a shared parent), and the C2 flood (the harness TestMain also asserts
 # no goroutine leaks survive it).
-soak_run  = Govern|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|C2
+soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|C2
 soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./trace/ ./internal/harness/
 soak_exp  = C2
 # mobility: visibility-event re-arming, orphan reconciliation, memnet
@@ -86,7 +87,7 @@ gray_run  = Hedge|Limp|Demot|Slow|Stall|Degraded|Latency|Outlier|QueueDelay|Gray
 gray_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./space/persist/ ./internal/harness/
 gray_exp  = C4
 # replica: ring placement/rebalance, write-through replication (and the
-# out that races its own node's Close), failover takes with their
+# out that races its own node's Close, replicated or not), failover takes with their
 # supersede proof, sibling invalidation and fencing, anti-entropy repair
 # and adoption, and the C5 kill soak.
 replica_run  = TestRing|WriteThrough|OutRacingClose|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|Ledger|C5

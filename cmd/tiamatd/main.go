@@ -194,11 +194,12 @@ func main() {
 		select {
 		case <-sig:
 			fmt.Println("draining (goodbye announced; ^C again to force)")
-			// One-line governance summary: how much load was refused,
-			// re-negotiated, or (last resort) revoked this run.
+			// One-line governance summary: how much load was queued for
+			// the worker pool rather than served on arrival, and how much
+			// was refused, re-negotiated, or (last resort) revoked this run.
 			g := inst.Governor()
-			fmt.Printf("governor: sheds=%d (probes=%d waits=%d outs=%d quota=%d queue=%d) shrinks=%d (%dB) clamps=%d deadline-cuts=%d revokes=%d\n",
-				g.Sheds(), g.ShedProbes, g.ShedWaits, g.ShedOuts, g.QuotaSheds, g.QueueSheds,
+			fmt.Printf("governor: queued=%d sheds=%d (probes=%d waits=%d outs=%d quota=%d queue=%d) shrinks=%d (%dB) clamps=%d deadline-cuts=%d revokes=%d\n",
+				g.Queued, g.Sheds(), g.ShedProbes, g.ShedWaits, g.ShedOuts, g.QuotaSheds, g.QueueSheds,
 				g.Shrinks, g.ShrunkBytes, g.GrantClamps, g.DeadlineCuts, g.Revokes)
 			m := inst.Mobility()
 			fmt.Printf("mobility: rearms=%d orphans{waits=%d holds=%d probes=%d} visibility{joins=%d leaves=%d}\n",

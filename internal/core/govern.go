@@ -6,20 +6,23 @@ import (
 	"time"
 
 	"tiamat/lease"
+	"tiamat/space"
 	"tiamat/trace"
 	"tiamat/wire"
 )
 
 // This file implements the serve-path resource governor: the admission
 // layer that puts the lease manager in charge of remote-originated work
-// (DESIGN.md §9). Inbound rd/rdp/in/inp/out/eval frames pass through a
-// bounded work queue with priority-aware load shedding — probes are shed
-// before blocking waits, waits before outs — per-peer fairness quotas,
-// and watermark-driven escalation that mirrors the paper's ladder
-// (§2.5): shrink outstanding grants first, then stop admitting, and only
-// as a last resort revoke. Every shed is an explicit busy reply on the
-// wire, never silence, so requesters fail over instead of retrying into
-// an overloaded node.
+// (DESIGN.md §9). Inbound rd/rdp/in/inp/out/eval frames pass
+// priority-aware load shedding — probes are shed before blocking waits,
+// waits before outs — per-peer fairness quotas, and watermark-driven
+// escalation that mirrors the paper's ladder (§2.5): shrink outstanding
+// grants first, then stop admitting, and only as a last resort revoke.
+// Every shed is an explicit busy reply on the wire, never silence, so
+// requesters fail over instead of retrying into an overloaded node. An
+// admitted op on an idle node is served on the goroutine that received
+// it; everything else goes through a bounded work queue to the worker
+// pool.
 
 // GovernorConfig tunes the serve-path governor. Zero values select the
 // documented defaults; the zero struct is a working workstation-class
@@ -101,9 +104,14 @@ type GovernorReport struct {
 	Revokes      uint64 // leases revoked (last resort)
 	GrantClamps  uint64 // serve grants narrowed under pressure
 	DeadlineCuts uint64 // serve budgets cut to the requester's budget
+	// Queued counts serve frames that took the queue path, QueueSheds
+	// among them; every other admitted frame was served on the goroutine
+	// that received it.
+	Queued uint64
 
 	// QueueDelay is the smoothed time admitted work waits in the serve
 	// queue before a worker picks it up — the gray-failure probe's input.
+	// An op served on arrival reads as a zero wait.
 	QueueDelay time.Duration
 }
 
@@ -155,6 +163,10 @@ type queuedMsg struct {
 type governor struct {
 	cfg GovernorConfig
 	i   *Instance
+	// inline is set when the local space declares it never blocks
+	// (space.NonBlocking): only then may an op be served on the goroutine
+	// that received it.
+	inline bool
 
 	queue chan queuedMsg
 
@@ -170,9 +182,11 @@ type governor struct {
 
 func newGovernor(i *Instance, cfg GovernorConfig) *governor {
 	cfg.applyDefaults()
+	nb, ok := i.local.(space.NonBlocking)
 	return &governor{
 		cfg:      cfg,
 		i:        i,
+		inline:   ok && nb.NeverBlocks(),
 		queue:    make(chan queuedMsg, cfg.QueueDepth),
 		peers:    make(map[wire.Addr]peerState),
 		inflight: make(map[waitKey]inflightEntry),
@@ -200,6 +214,7 @@ func (g *governor) Report() GovernorReport {
 		Revokes:      i.counted(trace.CtrGovRevokes),
 		GrantClamps:  i.counted(trace.CtrGovClamps),
 		DeadlineCuts: i.counted(trace.CtrGovDeadlineCuts),
+		Queued:       i.counted(trace.CtrGovQueued),
 		QueueDelay:   queueDelay,
 	}
 }
@@ -320,8 +335,13 @@ func msgCost(m *wire.Message) int64 {
 }
 
 // submit admits, sheds, or dedups one remote work frame. It runs on the
-// receive loop and never blocks: the outcome is an enqueue, an explicit
-// busy reply, or a dedup drop that finish answers from the served cache.
+// receive loop: the outcome is an explicit busy reply, a dedup drop that
+// finish answers from the served cache, an enqueue for the worker pool,
+// or — for an op on an idle node (servesInline) — the serve itself, run
+// right here. It waits on nothing the loop itself must deliver: an inline
+// serve reaches the lease manager, a space that declared it never blocks,
+// the replica store's lock and sends, and none of them waits for a reply
+// (DESIGN.md §9 lists what a send may wait on).
 func (g *governor) submit(m *wire.Message) {
 	key := waitKey{from: m.From, id: m.ID}
 	cost := msgCost(m)
@@ -361,6 +381,12 @@ func (g *governor) submit(m *wire.Message) {
 	g.peers[m.From] = ps
 	g.mu.Unlock()
 
+	if g.servesInline(m) {
+		g.noteQueueDelay(0) // served on arrival: no wait at all
+		g.serveOne(m)
+		return
+	}
+	g.i.met.Inc(trace.CtrGovQueued)
 	select {
 	case g.queue <- queuedMsg{m: m, at: g.i.clk.Now()}:
 	default:
@@ -369,6 +395,16 @@ func (g *governor) submit(m *wire.Message) {
 		g.i.met.Inc(trace.CtrGovQueueSheds)
 		g.refuse(m)
 	}
+}
+
+// servesInline reports whether m is served on the goroutine that
+// received it rather than queued for the worker pool: an op (rd, rdp, in,
+// inp — never an out or eval, whose replicated form waits for backup acks
+// only the receive loop delivers), a space that never blocks, and nothing
+// waiting behind m in the serve queue or the endpoint's inbox, so serving
+// it first delays no one. Under load the worker pool is the path.
+func (g *governor) servesInline(m *wire.Message) bool {
+	return g.inline && m.Type == wire.TOp && len(g.queue) == 0 && len(g.i.ep.Recv()) == 0
 }
 
 // finish retires a message's inflight accounting once its handler
@@ -532,7 +568,7 @@ func (g *governor) maybeRevoke(p float64) {
 	}
 }
 
-// worker serves admitted work. Each message is handled under panic
+// worker serves queued work. Each message is handled under panic
 // isolation: a poisoned frame degrades one op, not the node.
 func (g *governor) worker() {
 	defer g.i.wg.Done()
@@ -551,8 +587,8 @@ func (g *governor) serveOne(m *wire.Message) {
 	defer g.finish(m)
 	defer g.i.recoverPanic("serve")
 	if g.i.draining.Load() {
-		// The drain gate was passed before this message was queued; give
-		// the definitive refusal dispatch would have given.
+		// The drain gate was passed before this message was admitted;
+		// give the definitive refusal dispatch would have given.
 		g.i.refuseDraining(m)
 		return
 	}

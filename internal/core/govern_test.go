@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"tiamat/internal/store"
 	"tiamat/lease"
 	"tiamat/space"
+	"tiamat/space/naive"
+	"tiamat/space/persist"
 	"tiamat/trace"
 	"tiamat/transport"
 	"tiamat/tuple"
@@ -526,6 +529,132 @@ func TestInflightDedupAcrossWorkers(t *testing.T) {
 	if holds != 1 {
 		t.Fatalf("pending holds = %d, want 1", holds)
 	}
+}
+
+// TestIdleNodeServesInline pins which path serves a remote op: on an idle
+// node whose space declares it never blocks, the goroutine that received
+// the frame serves it and nothing is queued; a space without the
+// declaration, every out, and any frame that finds the receive channel or
+// the serve queue non-empty go to the worker pool. Queued is the count
+// that tells the two paths apart.
+func TestIdleNodeServesInline(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		name   string
+		space  func(t *testing.T, c *Config) space.Space
+		queued uint64
+	}{
+		{"store", func(*testing.T, *Config) space.Space { return nil }, 0},
+		{"naive", func(_ *testing.T, c *Config) space.Space { return naive.New(c.Clock) }, 0},
+		{"persist", func(t *testing.T, c *Config) space.Space {
+			sp, err := persist.Open(filepath.Join(t.TempDir(), "a.log"), store.New(store.WithClock(c.Clock)), c.Clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sp
+		}, 2 * n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, []wire.Addr{"a", "b"}, func(c *Config) {
+				if c.Endpoint.Addr() == "a" {
+					c.Space = tc.space(t, c)
+				}
+			})
+			r.net.ConnectAll()
+			// Capabilities known both ways: no probe lands behind an op.
+			r.inst["a"].list.ObserveAnnounce("b", wire.CapsCurrent, false)
+			r.inst["b"].list.ObserveAnnounce("a", wire.CapsCurrent, false)
+			a, b := r.inst["a"], r.inst["b"]
+			for k := int64(0); k < 2*n; k++ {
+				if err := a.Out(req(k), hourLease()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := 0; k < n; k++ {
+				if res, ok, err := b.Inp(context.Background(), reqTmpl(), nil); err != nil || !ok || res.From != "a" {
+					t.Fatalf("Inp %d = %+v %v %v", k, res, ok, err)
+				}
+				if res, err := b.In(context.Background(), reqTmpl(), nil); err != nil || res.From != "a" {
+					t.Fatalf("In %d = %+v %v", k, res, err)
+				}
+			}
+			if got := a.Governor().Queued; got != tc.queued {
+				t.Fatalf("Queued = %d after %d remote takes, want %d", got, 2*n, tc.queued)
+			}
+			for k := int64(0); k < n; k++ {
+				if err := b.OutAt("a", req(100+k), outLease()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := a.Governor().Queued; got != tc.queued+n {
+				t.Fatalf("Queued = %d after %d remote outs, want %d: every out is queued", got, n, tc.queued+n)
+			}
+		})
+	}
+
+	t.Run("busy", func(t *testing.T) {
+		// entered has room for all seven Holds; only the first is awaited.
+		sp := &heldHolds{entered: make(chan struct{}, 7), tokens: make(chan struct{}), done: make(chan struct{})}
+		r := newRig(t, []wire.Addr{"a"}, func(c *Config) {
+			sp.Store = store.New(store.WithClock(c.Clock))
+			c.Space = sp
+		})
+		t.Cleanup(func() { close(sp.done) })
+		a := r.inst["a"]
+		z, err := r.net.Attach("z")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.net.ConnectAll()
+		r.seedCaps("z")
+		zin := &inbox{ep: z}
+		send := func(id uint64) {
+			t.Helper()
+			if err := z.Send("a", opFrame("z", id, wire.OpInp, time.Minute)); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Op 1 finds a idle and holds the receive loop in its Hold while
+		// ops 2–7 arrive behind it.
+		send(1)
+		<-sp.entered
+		for id := uint64(2); id <= 7; id++ {
+			send(id)
+		}
+		eventually(t, "six frames wait in the receive channel", func() bool { return len(a.ep.Recv()) == 6 })
+		if got := a.Governor().Queued; got != 0 {
+			t.Fatalf("Queued = %d while op 1 runs inline, want 0", got)
+		}
+		// Ops 2–6 each arrive with a frame behind them. Op 7 arrives with
+		// none, but the four workers hold at most four of ops 2–6 in their
+		// Holds, so the serve queue is not empty either. All six queue.
+		sp.tokens <- struct{}{}
+		eventually(t, "ops 2-7 queued", func() bool { return a.Governor().Queued == 6 })
+		for k := 0; k < 6; k++ {
+			sp.tokens <- struct{}{}
+		}
+		eventually(t, "every op answered", func() bool { return len(zin.ofType(wire.TResult)) == 7 })
+	})
+}
+
+// heldHolds is a store that keeps its declaration that it never blocks
+// but parks each Hold until the test hands it a token: a serve as long
+// as the test likes, on whichever goroutine runs it.
+type heldHolds struct {
+	*store.Store
+	entered chan struct{}
+	tokens  chan struct{}
+	done    chan struct{}
+}
+
+func (s *heldHolds) Hold(p tuple.Template) (space.Hold, bool) {
+	s.entered <- struct{}{}
+	select {
+	case <-s.tokens:
+	case <-s.done:
+	}
+	return s.Store.Hold(p)
 }
 
 // gatedSpace holds every Hold call at a gate, keeping the serve worker

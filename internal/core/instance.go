@@ -353,6 +353,10 @@ type Instance struct {
 	// settles. It is atomic (not under mu) so the dispatch fast path can
 	// test it lock-free.
 	draining atomic.Bool
+	// drained is made by Shutdown and closed by whichever retirement
+	// leaves holds, ops and pendAccepts all empty (retiredLocked).
+	// Guarded by mu.
+	drained chan struct{}
 
 	wg       sync.WaitGroup
 	stopOnce sync.Once
@@ -617,23 +621,17 @@ func (i *Instance) Shutdown(ctx context.Context) error {
 
 	// Drain: holds settle when their requester accepts/releases (or
 	// their grace deadline passes); outbound ops settle as replies arrive.
-	// The poll runs on the wall clock — drain pacing is not simulated
-	// time — and is bounded by ctx.
+	// The last of them to retire closes drained; ctx bounds the wait.
+	i.mu.Lock()
+	drained := make(chan struct{})
+	i.drained = drained
+	i.retiredLocked()
+	i.mu.Unlock()
 	var err error
-drain:
-	for {
-		i.mu.Lock()
-		busy := len(i.holds) + len(i.ops) + len(i.pendAccepts)
-		i.mu.Unlock()
-		if busy == 0 {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-			break drain
-		case <-time.After(5 * time.Millisecond):
-		}
+	select {
+	case <-drained:
+	case <-ctx.Done():
+		err = ctx.Err()
 	}
 
 	if sy, ok := i.local.(space.Syncer); ok {
@@ -643,6 +641,16 @@ drain:
 	}
 	_ = i.Close()
 	return err
+}
+
+// retiredLocked runs under mu after a hold, op or pending accept left its
+// table: when that was the last one and Shutdown is draining, it wakes
+// Shutdown.
+func (i *Instance) retiredLocked() {
+	if i.drained != nil && len(i.holds)+len(i.ops)+len(i.pendAccepts) == 0 {
+		close(i.drained)
+		i.drained = nil
+	}
 }
 
 // sendGoodbye announces this node's departure. TGoodbye is a versioned
@@ -685,11 +693,14 @@ func (i *Instance) Close() error {
 }
 
 // loop is the communications manager's event loop: it dispatches every
-// inbound message. Handlers must not block; serve work (TOp/TOut/TEval)
-// is admitted through the governor's bounded queue and executed by its
-// worker pool, settlement traffic is handled inline. Each message is
-// dispatched under panic isolation: a poisoned frame degrades one op,
-// not the node.
+// inbound message. Settlement traffic is handled here; serve work
+// (TOp/TOut/TEval) is admitted by the governor, which serves an op on
+// this goroutine when the node is idle and queues everything else for
+// its worker pool. No handler waits for another frame, since only this
+// loop could deliver it; what it may wait on is a transport Send and,
+// for a persist space under SyncAlways, an accept's fsync (DESIGN.md
+// §9). Each message is dispatched under panic isolation: a poisoned
+// frame degrades one op, not the node.
 func (i *Instance) loop() {
 	defer i.wg.Done()
 	for m := range i.ep.Recv() {
@@ -881,6 +892,16 @@ func (i *Instance) isClosed() bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.closed
+}
+
+// closedOr returns ErrClosed for an operation that failed once Close had
+// begun — the lease manager's or the space's own closed error, or a lease
+// Close cancelled under it — and err otherwise.
+func (i *Instance) closedOr(err error) error {
+	if i.isClosed() {
+		return ErrClosed
+	}
+	return err
 }
 
 // stopping reports whether the instance is draining or closed: the gate

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tiamat/internal/store"
+	"tiamat/lease"
 	"tiamat/space/persist"
 	"tiamat/trace"
 	"tiamat/transport/memnet"
@@ -97,6 +98,87 @@ func TestShutdownSettlesServedWaits(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrNoMatch) {
 		t.Fatalf("b's blocked op = %v, want ErrNoMatch", err)
 	}
+}
+
+// TestShutdownDrainEndsWithLastHold: a drain waits out a peer's pending
+// hold and ends the moment the peer accepts it — the settlement wakes
+// Shutdown; the hold's grace, on a clock nobody advances, never would.
+func TestShutdownDrainEndsWithLastHold(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a"}, nil)
+	ghost, err := r.net.Attach("ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.net.ConnectAll()
+	r.seedCaps("ghost")
+	a := r.inst["a"]
+	if err := a.Out(req(9), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ghost.Send("a", opFrame("ghost", 1, wire.OpInp, time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	res := <-ghost.Recv()
+	if res.Type != wire.TResult || !res.Found || res.HoldID == 0 {
+		t.Fatalf("hold reply = %+v", res)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		done <- a.Shutdown(ctx)
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("Shutdown returned %v with a hold pending", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := ghost.Send("a", &wire.Message{Type: wire.TAccept, ID: 2, From: "ghost", HoldID: res.HoldID}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Shutdown still draining after the last hold settled")
+	}
+}
+
+// TestOutRacingCloseReturnsErrClosed: an Out whose own node closes under
+// it returns ErrClosed, whichever part of the node noticed first — the
+// lease manager, refusing the grant the Out was negotiating, or the
+// space, refusing the write.
+func TestOutRacingCloseReturnsErrClosed(t *testing.T) {
+	t.Run("lease manager", func(t *testing.T) {
+		r := newRig(t, []wire.Addr{"a"}, nil)
+		a := r.inst["a"]
+		closing := closeOnConsider{Requester: lease.Flexible(defaultTerms), close: func() { a.Close() }}
+		if err := a.Out(req(1), closing); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Out raced by Close = %v, want ErrClosed", err)
+		}
+	})
+	t.Run("space", func(t *testing.T) {
+		g := newGatedRig(t, nil)
+		g.sp.beforeOut = func() { g.a.Close() }
+		if err := g.a.Out(req(1), nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Out raced by Close = %v, want ErrClosed", err)
+		}
+	})
+}
+
+// closeOnConsider runs close while the lease manager waits for the
+// requester's answer, between its two checks of whether it is closed.
+type closeOnConsider struct {
+	lease.Requester
+	close func()
+}
+
+func (c closeOnConsider) Consider(offer lease.Terms) bool {
+	c.close()
+	return c.Requester.Consider(offer)
 }
 
 func TestGoodbyeReinstatesHeldTuples(t *testing.T) {

@@ -142,6 +142,7 @@ func (i *Instance) closeOp(st *opState) {
 	}
 	i.mu.Lock()
 	delete(i.ops, st.id)
+	i.retiredLocked()
 	i.mu.Unlock()
 	for {
 		select {
@@ -229,7 +230,9 @@ func (i *Instance) retryWait(k int) time.Duration {
 
 // Out places a tuple in the local space under a negotiated lease (paper
 // §2.2: out operates only on the local space by default). The tuple
-// becomes reclaimable when the lease expires.
+// becomes reclaimable when the lease expires. An Out that races its own
+// node's Close returns ErrClosed, whichever part of the node noticed the
+// Close first.
 func (i *Instance) Out(t tuple.Tuple, r lease.Requester) error {
 	if i.stopping() {
 		return ErrClosed
@@ -237,16 +240,16 @@ func (i *Instance) Out(t tuple.Tuple, r lease.Requester) error {
 	i.met.Inc(trace.CtrOpsOut)
 	lse, err := i.mgr.Grant(lease.OpOut, i.requester(r))
 	if err != nil {
-		return err
+		return i.closedOr(err)
 	}
 	if err := lse.ConsumeBytes(t.Size()); err != nil {
 		lse.Cancel()
-		return fmt.Errorf("out %v: %w", t, err)
+		return i.closedOr(fmt.Errorf("out %v: %w", t, err))
 	}
 	sid, err := i.outLeased(t, lse)
 	if err != nil {
 		lse.Cancel()
-		return err
+		return i.closedOr(err)
 	}
 	if sid != 0 {
 		lse.ShrinkBytes() // only the stored size stays reserved
@@ -969,6 +972,7 @@ func (pa *pendingAccept) Expire() {
 	if i.closed || !i.clk.Now().Before(pa.giveUp) {
 		// Past the owner's grace window (or closing): the accept is moot.
 		delete(i.pendAccepts, ackID)
+		i.retiredLocked()
 		i.mu.Unlock()
 		return
 	}
@@ -978,6 +982,7 @@ func (pa *pendingAccept) Expire() {
 	if i.send(pa.owner, pa.msg) != nil {
 		i.mu.Lock()
 		delete(i.pendAccepts, ackID)
+		i.retiredLocked()
 		i.mu.Unlock()
 		return // owner unreachable: its grace deadline takes over
 	}
@@ -993,6 +998,7 @@ func (i *Instance) finishAccept(id uint64) bool {
 	pa, ok := i.pendAccepts[id]
 	if ok {
 		delete(i.pendAccepts, id)
+		i.retiredLocked()
 	}
 	i.mu.Unlock()
 	if !ok {

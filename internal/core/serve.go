@@ -503,6 +503,7 @@ func (i *Instance) settleHold(id uint64, accept bool) bool {
 	ph, ok := i.holds[id]
 	if ok {
 		delete(i.holds, id)
+		i.retiredLocked()
 		if !accept {
 			// The tuple goes back into the space, so the cached found
 			// reply naming this hold must never be replayed: a
@@ -768,7 +769,8 @@ func (i *Instance) refuseDraining(m *wire.Message) {
 }
 
 // dispatch routes one message exactly as the event loop does; used by
-// relay delivery to self.
+// relay delivery to self. It runs on the receive loop, so nothing it
+// calls may wait for a frame the loop has yet to deliver.
 func (i *Instance) dispatch(m *wire.Message) {
 	if i.draining.Load() {
 		// New work is refused; in-flight settlement traffic (results,
@@ -792,10 +794,11 @@ func (i *Instance) dispatch(m *wire.Message) {
 	case wire.TAnnounce:
 		i.handleAnnounce(m)
 	case wire.TOp, wire.TOut, wire.TEval:
-		// Serve work goes through the governor: bounded queue, per-peer
-		// quotas, watermark shedding, worker-pool execution. Settlement
-		// traffic below stays on the fast inline path so a loaded queue
-		// never delays completions.
+		// Serve work goes through the governor: per-peer quotas,
+		// watermark shedding, then an op served right here on an idle
+		// node, or the bounded queue and the worker pool. Settlement
+		// traffic below is always handled here, so a loaded queue never
+		// delays completions.
 		i.gov.submit(m)
 	case wire.TResult:
 		i.handleResult(m)

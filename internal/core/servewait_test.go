@@ -121,7 +121,7 @@ func TestRemoteTakersWokenOnePerOut(t *testing.T) {
 // has not recorded its lease yet). A nil gate is open.
 type stoppableSpace struct {
 	space.Space
-	beforePark, afterPark, beforeSink, afterOut func()
+	beforePark, afterPark, beforeSink, beforeOut, afterOut func()
 }
 
 func pass(gate func()) {
@@ -138,6 +138,7 @@ func (s *stoppableSpace) Park(p tuple.Template, take bool, sink space.Sink) spac
 }
 
 func (s *stoppableSpace) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
+	pass(s.beforeOut)
 	id, err := s.Space.Out(t, expiry)
 	pass(s.afterOut)
 	return id, err

@@ -27,6 +27,7 @@ var reportCounters = map[string]string{
 	"GovernorReport.Revokes":      trace.CtrGovRevokes,
 	"GovernorReport.GrantClamps":  trace.CtrGovClamps,
 	"GovernorReport.DeadlineCuts": trace.CtrGovDeadlineCuts,
+	"GovernorReport.Queued":       trace.CtrGovQueued,
 
 	"MobilityReport.Rearms":       trace.CtrRearms,
 	"MobilityReport.OrphanWaits":  trace.CtrOrphanWaits,

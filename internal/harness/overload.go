@@ -186,6 +186,7 @@ func C2Overload(scale Scale) (*Table, error) {
 		Columns: []string{"metric", "value"},
 	}
 	t.AddRow("greedy ops issued", fmtI(atomic.LoadInt64(&greedyOps)))
+	t.AddRow("serve frames queued", fmtI(int64(rep.Queued)))
 	t.AddRow("sheds probes/waits/outs", fmt.Sprintf("%d/%d/%d", rep.ShedProbes, rep.ShedWaits, rep.ShedOuts))
 	t.AddRow("sheds quota/queue", fmt.Sprintf("%d/%d", rep.QuotaSheds, rep.QueueSheds))
 	t.AddRow("busy replies received", fmtI(busyRecv))

@@ -88,6 +88,7 @@ type Store struct {
 }
 
 var _ space.Space = (*Store)(nil)
+var _ space.NonBlocking = (*Store)(nil)
 
 // shard is one independently locked partition of the space.
 type shard struct {
@@ -1043,6 +1044,10 @@ func (s *Store) Snapshot() []tuple.Tuple {
 	}
 	return out
 }
+
+// NeverBlocks implements space.NonBlocking: every call holds a shard
+// lock only for its own in-memory work.
+func (s *Store) NeverBlocks() bool { return true }
 
 // Close implements space.Space.
 func (s *Store) Close() error {

@@ -37,6 +37,7 @@ type Space struct {
 }
 
 var _ space.Space = (*Space)(nil)
+var _ space.NonBlocking = (*Space)(nil)
 
 type entry struct {
 	id     uint64
@@ -376,6 +377,10 @@ func (s *Space) Snapshot() []tuple.Tuple {
 	}
 	return out
 }
+
+// NeverBlocks implements space.NonBlocking: every call holds the one
+// mutex only for its own scan.
+func (s *Space) NeverBlocks() bool { return true }
 
 // Close implements space.Space.
 func (s *Space) Close() error {

@@ -120,6 +120,17 @@ type Degrader interface {
 	Degraded() bool
 }
 
+// NonBlocking is optionally implemented by spaces that declare no call
+// ever waits: no disk, no lock held across I/O or another caller's
+// work, nothing another goroutine must do first. NeverBlocks reports
+// whether that holds. The instance serves a peer's rd/rdp/in/inp on the
+// goroutine that received the frame only when its space declares this;
+// any other space is served from the governor's worker pool, so a slow
+// store never stalls the node's receive loop (DESIGN.md §9).
+type NonBlocking interface {
+	NeverBlocks() bool
+}
+
 // Waiter is a registered blocking interest in a template match.
 type Waiter interface {
 	// Chan delivers exactly one matching tuple, then is closed. The

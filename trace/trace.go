@@ -305,6 +305,10 @@ const (
 	CtrGovClamps       = "gov.grant_clamps"
 	CtrGovDeadlineCuts = "gov.deadline_cuts"
 	CtrBusyReceived    = "gov.busy_received"
+	// CtrGovQueued counts serve frames that took the queue path to the
+	// worker pool, queue sheds included; every other admitted frame was
+	// served on the goroutine that received it.
+	CtrGovQueued = "gov.queued"
 	// CtrPanics counts recovered panics on serve/transport goroutines; a
 	// poisoned frame degrades one op, never the node.
 	CtrPanics = "core.panics"

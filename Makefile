@@ -74,10 +74,11 @@ crash_exp  = C1
 soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|C2
 soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./trace/ ./internal/harness/
 soak_exp  = C2
-# mobility: visibility-event re-arming, orphan reconciliation, memnet
-# mobility scripting, the lease skew band, and the C3 churn soak with
-# its conservation invariants.
-mobility_run  = Rearm|Orphan|Vis|Event|OneWay|Sched|Stale|HeldBack|Churn|Partition|Skew|Mobility|Ledger|C3
+# mobility: visibility-event re-arming, orphan reconciliation (the sweep
+# an entry on the node's deadline queue), fence reconciliation on a
+# rejoin, memnet mobility scripting, the lease skew band, and the C3 churn
+# soak with its conservation invariants.
+mobility_run  = Rearm|Orphan|Vis|Event|OneWay|Sched|Stale|HeldBack|Churn|Partition|Skew|Mobility|IdleNodeHoldsOneTimer|JoinCancelsFenced|Ledger|C3
 mobility_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./lease/ ./monitor/ ./internal/harness/
 mobility_exp  = C3
 # gray: latency EWMA/outlier demotion, hedged lookups (first winner,
@@ -88,18 +89,22 @@ gray_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./space/p
 gray_exp  = C4
 # replica: ring placement/rebalance, write-through replication (and the
 # out that races its own node's Close, replicated or not), failover takes with their
-# supersede proof, sibling invalidation and fencing, anti-entropy repair
-# and adoption, and the C5 kill soak.
-replica_run  = TestRing|WriteThrough|OutRacingClose|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|Ledger|C5
+# supersede proof, sibling invalidation and fencing (sent to a rejoining
+# origin on its join), copies withheld from a baseline taker's hold and
+# placed again when it is released, anti-entropy repair and adoption, and
+# the C5 kill soak.
+replica_run  = TestRing|WriteThrough|OutRacingClose|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|JoinCancelsFenced|BaselineTakerOriginDies|WithheldHold|Ledger|C5
 replica_pkgs = ./routing/ ./internal/core/ ./wire/ ./internal/harness/
 replica_exp  = C5
 # upgrade: golden wire fixtures (byte-stability, round-trip, truncation,
 # the versioned-field table), capability learning and gating, the
-# write-through refusal regression, the decode-only coalesced ack (an
+# write-through refusal regression, a baseline taker's hold on a
+# replicated tuple (no copy servable until it settles, the C6 duplicate),
+# the decode-only coalesced ack (an
 # older peer's frame settles here; both transports emit one ack per
 # frame), the frame pipe's two ends over real sockets (buffered reads,
 # allocation-free sends, session reaping), and the C6 mixed-version soak.
-upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|CoalescedAck|FramePipe|ReadFrames|SendAllocates|SessionsReaped|Ledger|C6
+upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|BaselineTakerOriginDies|WithheldHold|CoalescedAck|FramePipe|ReadFrames|SendAllocates|SessionsReaped|Ledger|C6
 upgrade_pkgs = ./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./transport/netudp/ ./internal/harness/
 upgrade_exp  = C6
 # farm: the master/worker serve path — parked registrations in all three
@@ -111,9 +116,9 @@ upgrade_exp  = C6
 # must still release, the settlement cancels that skip only the winner,
 # the deadline queue under all of it (order, cancel, the arm rule, no
 # runtime timer for any outbound op and fixed allocation budgets per
-# remote take, op states pooled per instance, no sent frame written), and
-# the E5 render farm.
-farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames
+# remote take, op states pooled per instance, no sent frame written), an
+# idle node's goroutine census and its one timer, and the E5 render farm.
+farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames|IdleNodeGoroutines|IdleNodeHoldsOneTimer
 farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/ ./clock/ ./lease/ ./internal/discovery/
 farm_exp  = E5
 

@@ -1,6 +1,9 @@
 // Package clock abstracts time so that every lease, timeout, and janitor in
 // the system can run against either the wall clock or a deterministic
-// virtual clock driven by tests and benchmarks.
+// virtual clock driven by tests and benchmarks. A timer is a callback
+// (AfterFunc): there is no channel timer, so whoever owns a deadline owns
+// the goroutine-free code that runs at it, and a virtual clock runs every
+// one of them inside Advance.
 package clock
 
 import (
@@ -13,9 +16,6 @@ import (
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// After returns a channel that delivers the then-current time once d
-	// has elapsed.
-	After(d time.Duration) <-chan time.Time
 	// AfterFunc schedules f to run after d and returns a stop function.
 	// The stop function reports whether it prevented f from running.
 	AfterFunc(d time.Duration, f func()) (stop func() bool)
@@ -31,9 +31,6 @@ var _ Clock = Real{}
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
 
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 // AfterFunc implements Clock.
 func (Real) AfterFunc(d time.Duration, f func()) func() bool {
 	t := time.AfterFunc(d, f)
@@ -45,9 +42,7 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 // Virtual is a deterministic clock. Time advances only when Advance or
 // AdvanceTo is called; all timers due at or before the new time fire, in
-// deadline order, on the calling goroutine's watch (callbacks run
-// synchronously inside Advance, channel timers are delivered without
-// blocking).
+// deadline order, synchronously inside Advance on the calling goroutine.
 type Virtual struct {
 	mu     sync.Mutex
 	now    time.Time
@@ -65,9 +60,8 @@ func NewVirtual(start time.Time) *Virtual {
 type vtimer struct {
 	at      time.Time
 	seq     uint64 // FIFO tiebreak among equal deadlines
-	ch      chan time.Time
 	f       func()
-	stopped bool
+	stopped bool // stopped or fired; in the heap while false
 	index   int
 }
 
@@ -105,19 +99,6 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// After implements Clock.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- v.now
-		return ch
-	}
-	v.push(&vtimer{at: v.now.Add(d), ch: ch})
-	return ch
-}
-
 // AfterFunc implements Clock.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) func() bool {
 	v.mu.Lock()
@@ -126,8 +107,9 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) func() bool {
 		f()
 		return func() bool { return false }
 	}
-	t := &vtimer{at: v.now.Add(d), f: f}
-	v.push(t)
+	t := &vtimer{at: v.now.Add(d), seq: v.seq, f: f}
+	v.seq++
+	heap.Push(&v.timers, t)
 	v.mu.Unlock()
 	return func() bool {
 		v.mu.Lock()
@@ -136,22 +118,18 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) func() bool {
 			return false
 		}
 		t.stopped = true
-		if t.index >= 0 && t.index < len(v.timers) && v.timers[t.index] == t {
-			heap.Remove(&v.timers, t.index)
-		}
+		heap.Remove(&v.timers, t.index) // unfired, so still in the heap
 		return true
 	}
 }
 
 // Sleep blocks until the virtual clock is advanced past d by another
 // goroutine. Tests that drive the clock from the same goroutine should use
-// After/Advance instead.
-func (v *Virtual) Sleep(d time.Duration) { <-v.After(d) }
-
-func (v *Virtual) push(t *vtimer) {
-	t.seq = v.seq
-	v.seq++
-	heap.Push(&v.timers, t)
+// AfterFunc/Advance instead.
+func (v *Virtual) Sleep(d time.Duration) {
+	done := make(chan struct{})
+	v.AfterFunc(d, func() { close(done) })
+	<-done
 }
 
 // Advance moves the clock forward by d, firing all timers that become due.
@@ -176,36 +154,21 @@ func (v *Virtual) AdvanceTo(target time.Time) {
 			return
 		}
 		t := heap.Pop(&v.timers).(*vtimer)
-		if t.stopped {
-			v.mu.Unlock()
-			continue
-		}
-		t.stopped = true
+		t.stopped = true // fired: its stop no longer prevents anything
 		if t.at.After(v.now) {
 			v.now = t.at
 		}
-		now := v.now
 		v.mu.Unlock()
-		if t.ch != nil {
-			t.ch <- now
-		}
-		if t.f != nil {
-			t.f()
-		}
+		t.f()
 	}
 }
 
-// Pending reports the number of timers that have not yet fired.
+// Pending reports the number of timers that have neither fired nor been
+// stopped.
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n := 0
-	for _, t := range v.timers {
-		if !t.stopped {
-			n++
-		}
-	}
-	return n
+	return len(v.timers)
 }
 
 // NextDeadline returns the earliest pending timer deadline and whether one

@@ -24,37 +24,26 @@ func TestVirtualNowAndAdvance(t *testing.T) {
 	}
 }
 
-func TestVirtualAfter(t *testing.T) {
+func TestVirtualAfterFuncFiresAtDeadline(t *testing.T) {
 	v := NewVirtual(epoch)
-	ch := v.After(10 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("timer fired before Advance")
-	default:
-	}
+	var at time.Time
+	v.AfterFunc(10*time.Second, func() { at = v.Now() })
 	v.Advance(9 * time.Second)
-	select {
-	case <-ch:
+	if !at.IsZero() {
 		t.Fatal("timer fired early")
-	default:
 	}
 	v.Advance(time.Second)
-	select {
-	case at := <-ch:
-		if !at.Equal(epoch.Add(10 * time.Second)) {
-			t.Fatalf("fired at %v", at)
-		}
-	default:
-		t.Fatal("timer did not fire at deadline")
+	if !at.Equal(epoch.Add(10 * time.Second)) {
+		t.Fatalf("fired at %v, want its deadline", at)
 	}
 }
 
-func TestVirtualAfterZeroFiresImmediately(t *testing.T) {
+func TestVirtualAfterFuncZeroRunsInline(t *testing.T) {
 	v := NewVirtual(epoch)
-	select {
-	case <-v.After(0):
-	default:
-		t.Fatal("After(0) did not deliver immediately")
+	ran := false
+	v.AfterFunc(0, func() { ran = true })
+	if !ran {
+		t.Fatal("AfterFunc(0) did not run immediately")
 	}
 }
 
@@ -110,8 +99,8 @@ func TestVirtualPendingAndNextDeadline(t *testing.T) {
 	if _, ok := v.NextDeadline(); ok {
 		t.Fatal("NextDeadline with no timers reported ok")
 	}
-	v.After(5 * time.Second)
-	v.After(2 * time.Second)
+	v.AfterFunc(5*time.Second, func() {})
+	v.AfterFunc(2*time.Second, func() {})
 	if v.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", v.Pending())
 	}
@@ -154,10 +143,5 @@ func TestRealClockBasics(t *testing.T) {
 		t.Fatal("real AfterFunc did not fire")
 	}
 	stop()
-	select {
-	case <-c.After(time.Millisecond):
-	case <-time.After(time.Second):
-		t.Fatal("real After did not fire")
-	}
 	c.Sleep(time.Millisecond)
 }

@@ -745,6 +745,27 @@ func TestEvalAtRemote(t *testing.T) {
 	}
 }
 
+// TestUnknownEvalAsksForNoLease: an eval naming no registered function is
+// refused before any lease is asked for, locally and for a peer alike, so
+// the refusal says the function is unknown whatever the lease manager
+// would have answered.
+func TestUnknownEvalAsksForNoLease(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a", "b"}, nil)
+	r.net.ConnectAll()
+	a, b := r.inst["a"], r.inst["b"]
+	granted := a.LeaseManager().Stats().Granted
+	if err := a.Eval("nope", tuple.T(), nil); !errors.Is(err, ErrUnknownEval) {
+		t.Fatalf("local err = %v, want ErrUnknownEval", err)
+	}
+	want := "a: " + ErrUnknownEval.Error() + ": " + ErrRemoteRefused.Error()
+	if err := b.EvalAt("a", "nope", tuple.T(), nil); err == nil || err.Error() != want {
+		t.Fatalf("remote err = %v, want %q", err, want)
+	}
+	if n := a.LeaseManager().Stats().Granted - granted; n != 0 {
+		t.Fatalf("a granted %d leases for evals of an unknown function", n)
+	}
+}
+
 func TestResponderListLearnsAndEvicts(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a", "b", "c"}, nil)
 	r.net.ConnectAll()

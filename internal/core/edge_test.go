@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"tiamat/lease"
+	"tiamat/transport"
 	"tiamat/tuple"
 	"tiamat/wire"
 )
@@ -230,5 +232,94 @@ func TestRemoteRdWithMultipleCandidatesReadsOne(t *testing.T) {
 	// rd copies: both tuples still exist.
 	if r.inst["a"].LocalSpace().Count()+r.inst["b"].LocalSpace().Count() != 4 {
 		t.Fatal("rd consumed a tuple")
+	}
+}
+
+// holdFirstOpTo holds the first op frame an endpoint sends to one address
+// at gate.
+type holdFirstOpTo struct {
+	transport.Endpoint
+	to   wire.Addr
+	once *sync.Once
+	gate func()
+}
+
+func (e holdFirstOpTo) Send(to wire.Addr, m *wire.Message) error {
+	if to == e.to && m.Type == wire.TOp {
+		e.once.Do(e.gate)
+	}
+	return e.Endpoint.Send(to, m)
+}
+
+// TestLocalMatchNeverDroppedByBlockingTake: a blocking take's local waiter
+// that the local space commits a tuple to has taken that tuple, whatever
+// else ends the take at the same instant — a remote found reply, or the
+// caller's context. Each round stops b's take in its send to its second
+// contact, c, while a's found reply lands and b's own Out fills its local
+// waiter, so the take sees both at once; either way one tuple is taken
+// and the other stays in a space.
+func TestLocalMatchNeverDroppedByBlockingTake(t *testing.T) {
+	for _, ending := range []string{"remote found reply", "context"} {
+		t.Run(ending, func(t *testing.T) {
+			for round := 0; round < 16; round++ {
+				gate, reached, open := stop()
+				r := newRig(t, []wire.Addr{"a", "b", "c"}, func(c *Config) {
+					if c.Endpoint.Addr() == "b" {
+						c.Endpoint = holdFirstOpTo{c.Endpoint, "c", new(sync.Once), gate}
+						c.ContactFanout = 2
+					}
+				})
+				r.net.ConnectAll()
+				a, b := r.inst["a"], r.inst["b"]
+				b.list.Observe("a")
+				b.list.Observe("c")
+				if ending == "remote found reply" {
+					if err := a.Out(req(1), hourLease()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				type outcome struct {
+					res Result
+					err error
+				}
+				done := make(chan outcome, 1)
+				go func() {
+					res, err := b.In(ctx, reqTmpl(), longLease())
+					done <- outcome{res, err}
+				}()
+				<-reached
+				if ending == "remote found reply" {
+					eventually(t, "a's found reply waiting for b's take", func() bool {
+						b.mu.Lock()
+						defer b.mu.Unlock()
+						for _, st := range b.ops {
+							if len(st.results) > 0 {
+								return true
+							}
+						}
+						return false
+					})
+				} else {
+					cancel()
+				}
+				if err := b.Out(req(2), hourLease()); err != nil {
+					t.Fatal(err)
+				}
+				close(open)
+				o := <-done
+				cancel()
+				want := 0 // tuples left, besides the three info tuples
+				if ending == "remote found reply" {
+					want = 1
+				}
+				if o.err != nil {
+					t.Fatalf("round %d: the take returned %v with a tuple committed to it", round, o.err)
+				}
+				eventually(t, "every tuple not taken back in a space", func() bool {
+					return a.LocalSpace().Count()+b.LocalSpace().Count()+r.inst["c"].LocalSpace().Count() == 3+want
+				})
+			}
+		})
 	}
 }

@@ -263,10 +263,10 @@ type Instance struct {
 	// gate is caps ∩ the peer's advertised set (linkCaps).
 	caps uint64
 
-	// deadlines times every per-operation deadline of this instance off
-	// one clock timer (clock.Queue): hold grace, accept retransmission,
-	// each walk's contact-timeout, hedge and rediscovery tick, and the
-	// replica write-through wait. Its lock nests inside mu.
+	// deadlines times every deadline of this instance off one clock timer
+	// (clock.Queue): hold grace, accept retransmission, each walk's
+	// contact-timeout, hedge and rediscovery tick, the replica write-through
+	// wait, and the orphan and repair sweeps. Its lock nests inside mu.
 	deadlines *clock.Queue
 	// opStates pools this instance's op states. A state cancelled just as
 	// the queue collected it for firing is still touched by that firing,
@@ -338,9 +338,10 @@ type Instance struct {
 	// rnd is the per-instance retry-jitter source (seeded in mobility.go).
 	rnd splitmix.Source
 	// suspect tracks, per served peer, when its reachability probes
-	// started failing; the orphan sweeper reaps a peer unreachable for a
+	// started failing; the orphan sweep reaps a peer unreachable for a
 	// full OrphanGrace window. Guarded by mu.
 	suspect map[wire.Addr]time.Time
+	orphans sweep // the orphan sweep's entry on deadlines (mobility.go)
 
 	// capsProbes rate-limits capability probes: when a frame arrives
 	// from a peer whose capability set is still unknown, we unicast one
@@ -456,15 +457,14 @@ func New(cfg Config) (*Instance, error) {
 		return nil, fmt.Errorf("tiamat: seeding space-info tuple: %w", err)
 	}
 	i.gov = newGovernor(i, cfg.Governor)
-	i.wg.Add(1)
-	go i.loop()
-	i.wg.Add(1)
-	go i.orphanLoop()
+	i.orphans = sweep{i: i, every: cfg.OrphanSweepInterval, pass: i.sweepOrphans}
+	i.orphans.next()
 	if cfg.Replicas >= 2 && i.caps&wire.CapReplicaIdentity != 0 {
 		i.repl = newReplicator(i)
-		i.wg.Add(1)
-		go i.repairLoop()
+		i.repl.repair.next()
 	}
+	i.wg.Add(1)
+	go i.loop()
 	for w := 0; w < serveWorkers; w++ {
 		i.wg.Add(1)
 		go i.gov.worker()
@@ -472,16 +472,17 @@ func New(cfg Config) (*Instance, error) {
 	// Hello: an unsolicited announce folds this instance into the
 	// responder lists of every peer that hears it (handleAnnounce keeps
 	// unsolicited announces as "useful knowledge"), so a restarted node
-	// is contactable again without waiting to be rediscovered. ID 0 is
-	// never used by a discovery round, so no open round mistakes it for
-	// a reply. Best-effort: a node that boots in isolation is found by
-	// ordinary discovery later. The hello always carries this build's
-	// capability set (when any): peers must learn it before any gated
-	// feature can activate toward us, and a pre-capability listener
-	// rejecting the extended frame costs exactly one bounded decode
-	// failure per boot — it learns us through its own discover probe and
-	// our gated unicast reply instead.
-	hello := &wire.Message{Type: wire.TAnnounce, From: i.Addr(), Persistent: cfg.Persistent}
+	// is contactable again without waiting to be rediscovered. Its ID,
+	// helloID, is never used by a discovery round, so no open round
+	// mistakes it for a reply, and it tells every peer that hears it to
+	// forget this address's earlier life (forgetLife). Best-effort: a
+	// node that boots in isolation is found by ordinary discovery later.
+	// The hello always carries this build's capability set (when any):
+	// peers must learn it before any gated feature can activate toward
+	// us, and a pre-capability listener rejecting the extended frame costs
+	// exactly one bounded decode failure per boot — it learns us through
+	// its own discover probe and our gated unicast reply instead.
+	hello := &wire.Message{Type: wire.TAnnounce, ID: helloID, From: i.Addr(), Persistent: cfg.Persistent}
 	i.stampAnnounce(hello)
 	_, _ = i.multicast(hello)
 	return i, nil

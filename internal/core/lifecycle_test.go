@@ -19,6 +19,7 @@ import (
 	"tiamat/space/persist"
 	"tiamat/trace"
 	"tiamat/transport/memnet"
+	"tiamat/tuple"
 	"tiamat/wire"
 )
 
@@ -291,5 +292,53 @@ func TestRestartRejoinServesWithinDiscoveryInterval(t *testing.T) {
 	}
 	if v, _ := res.Tuple.IntAt(1); v != 7 {
 		t.Fatalf("replayed tuple = %v", res.Tuple)
+	}
+}
+
+// TestRestartRejoinNotHandedATakenTuple: a requester restarted at the same
+// address numbers its ops from the start again. The responder that served
+// its previous life must serve the new ops afresh, not from what it cached
+// for the old ones under the same IDs: an OutAt's cached ack would
+// acknowledge a tuple never stored, and a take's cached reply would hand
+// over a tuple already taken — a second take of it.
+func TestRestartRejoinNotHandedATakenTuple(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a", "b"}, nil)
+	r.net.ConnectAll()
+	a := r.inst["a"]
+	note := tuple.T(tuple.String("note"), tuple.Int(1))
+	noteTmpl := tuple.Tmpl(tuple.String("note"), tuple.Int(1))
+	if err := a.Out(req(1), hourLease()); err != nil {
+		t.Fatal(err)
+	}
+	// Both lives run the same ops in the same order, so their IDs match.
+	life := func(b *Instance) (bool, Result, bool) {
+		b.list.Observe("a")
+		if err := b.OutAt("a", note, opLease(time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		_, stored := a.LocalSpace().Inp(noteTmpl)
+		res, took, _ := b.Inp(context.Background(), reqTmpl(), opLease(time.Minute))
+		return stored, res, took
+	}
+	if stored, _, took := life(r.inst["b"]); !stored || !took {
+		t.Fatalf("setup: first life stored %v, took %v", stored, took)
+	}
+	r.inst["b"].Close()
+	ep, err := r.net.Attach("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.net.ConnectAll()
+	b, err := New(Config{Endpoint: ep, Clock: r.clk, Metrics: r.met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.inst["b"] = b
+	stored, res, took := life(b)
+	if !stored {
+		t.Error("the restarted requester's OutAt was acknowledged but not stored")
+	}
+	if took {
+		t.Errorf("the restarted requester took %v again, from %s", res.Tuple, res.From)
 	}
 }

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"sync"
+	"time"
+
+	"tiamat/clock"
 	"tiamat/trace"
 	"tiamat/wire"
 )
 
 // This file implements the instance's reaction to a changing world
 // (DESIGN.md §10): the per-instance jitter source, the Mobility() view of
-// the node's counters, and the orphan sweeper that reconciles
-// serve-side state stranded by a partition.
+// the node's counters, and the orphan sweep that reconciles serve-side
+// state stranded by a partition.
 //
 // The outbound half of mobility — re-arming in-flight blocking operations
 // when a peer becomes visible — lives in propagate (ops.go), wired to the
@@ -41,35 +45,49 @@ func (i *Instance) Mobility() MobilityReport {
 	}
 }
 
-// orphanLoop periodically reconciles serve-side state against peer
-// reachability: a partition must not strand held tuples and served
-// waiters until their lease TTL when the requester is demonstrably gone.
-func (i *Instance) orphanLoop() {
-	defer i.wg.Done()
-	for {
-		select {
-		case <-i.clk.After(i.cfg.OrphanSweepInterval):
-			i.sweepOrphans()
-		case <-i.stopped:
-			return
-		}
-	}
+// sweep is a periodic pass — the orphan sweep here, the repair sweep in
+// replica.go — run as an entry on the instance's deadline queue, not on a
+// goroutine of its own. Passes of one sweep never overlap. Close ends the
+// sweep with the queue, but a pass already running finishes after Close
+// returns (DESIGN.md §7).
+type sweep struct {
+	clock.Deadline
+	i     *Instance
+	every time.Duration
+	pass  func()
+	mu    sync.Mutex // held through a pass
 }
 
-// sweepOrphans probes every peer we are currently serving (a registered
-// blocking wait or a pending hold) with a lightweight unsolicited
-// announce. A peer whose probe fails with an unreachable error becomes
-// suspect; one that stays unreachable for a full OrphanGrace window is
-// reaped: its waits are stopped and its holds reinstated, exactly as if
-// it had said goodbye.
+// next schedules the sweep one interval from now.
+func (s *sweep) next() { s.i.deadlines.Schedule(s, s.i.clk.Now().Add(s.every)) }
+
+// Expire implements clock.Entry: one pass, then the next is scheduled an
+// interval after it ends, a panicking pass included. A firing that finds a
+// pass running (a repair kick on a real clock) waits for it.
+func (s *sweep) Expire() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.next()
+	defer s.i.recoverPanic("sweep")
+	s.pass()
+}
+
+// sweepOrphans is the orphan sweep's pass, every OrphanSweepInterval: a
+// partition must not strand held tuples and served waiters until their
+// lease TTL when the requester is demonstrably gone. It probes every peer
+// we are currently serving (a registered blocking wait or a pending hold)
+// with a lightweight unsolicited announce. A peer whose probe fails with
+// an unreachable error becomes suspect; one that stays unreachable for a
+// full OrphanGrace window is reaped: its waits are stopped and its holds
+// reinstated, exactly as if it had said goodbye.
 //
 // Reaping a hold early is safe under symmetric visibility: the requester
 // abandons its accept retry loop on the first unreachable send, and the
 // simulated network drops frames whose edge vanished in flight, so once
 // both sides have seen the partition no late accept can arrive. On
 // transports whose sends cannot fail fast (plain UDP), probes never
-// report unreachable and the sweeper stays inert — the hold grace deadline
-// and lease TTL remain the backstop, same as before this sweeper existed.
+// report unreachable and the sweep stays inert — the hold grace deadline
+// and lease TTL remain the backstop, same as before this sweep existed.
 func (i *Instance) sweepOrphans() {
 	if i.stopping() {
 		return

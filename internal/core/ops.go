@@ -9,6 +9,7 @@ import (
 	"tiamat/clock"
 	"tiamat/internal/discovery"
 	"tiamat/lease"
+	"tiamat/space"
 	"tiamat/trace"
 	"tiamat/transport"
 	"tiamat/tuple"
@@ -66,7 +67,8 @@ type walk struct {
 	// stamped with the time left, which later contacts then share.
 	msg       *wire.Message
 	to        wire.Addr
-	localWait <-chan tuple.Tuple     // a local match ends the walk
+	local     space.Waiter           // a local match ends the walk
+	localWait <-chan tuple.Tuple     // local's channel until it closes
 	joins     <-chan discovery.Event // nil unless re-arming
 
 	queue       []wire.Addr // not contacted yet, best first
@@ -279,9 +281,7 @@ func (i *Instance) Eval(fn string, args tuple.Tuple, r lease.Requester) error {
 		return ErrClosed
 	}
 	i.met.Inc(trace.CtrOpsEval)
-	i.mu.Lock()
-	f, ok := i.evals[fn]
-	i.mu.Unlock()
+	f, ok := i.evalFunc(fn)
 	if !ok {
 		return fmt.Errorf("%q: %w", fn, ErrUnknownEval)
 	}
@@ -289,10 +289,30 @@ func (i *Instance) Eval(fn string, args tuple.Tuple, r lease.Requester) error {
 	if err != nil {
 		return err
 	}
+	if err := i.startEval(f, args, lse); err != nil {
+		return fmt.Errorf("eval %q: %w", fn, err)
+	}
+	return nil
+}
+
+// evalFunc returns the function registered under name. Eval and a peer's
+// EvalAt look it up before they ask for a lease.
+func (i *Instance) evalFunc(name string) (EvalFunc, bool) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	f, ok := i.evals[name]
+	return f, ok
+}
+
+// startEval runs f under lse, for Eval and a peer's EvalAt alike, on a
+// thread allocated through the lease manager's thread factory (paper
+// §3.1.1). With no thread left the lease is cancelled and that is the
+// error.
+func (i *Instance) startEval(f EvalFunc, args tuple.Tuple, lse *lease.Lease) error {
 	release, err := i.mgr.Acquire(lease.ResThreads, 1)
 	if err != nil {
 		lse.Cancel()
-		return fmt.Errorf("eval %q: %w", fn, err)
+		return err
 	}
 	i.wg.Add(1)
 	go func() {
@@ -302,6 +322,11 @@ func (i *Instance) Eval(fn string, args tuple.Tuple, r lease.Requester) error {
 	}()
 	return nil
 }
+
+// endEval halts an eval's computation when its lease ends (§2.5).
+type endEval context.CancelFunc
+
+func (c endEval) LeaseEnded() { c() }
 
 // runEval executes the computation under the lease.
 func (i *Instance) runEval(f EvalFunc, args tuple.Tuple, lse *lease.Lease) {
@@ -316,13 +341,7 @@ func (i *Instance) runEval(f EvalFunc, args tuple.Tuple, lse *lease.Lease) {
 	}()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() {
-		select {
-		case <-lse.Done():
-			cancel() // lease expired: halt the computation (§2.5)
-		case <-ctx.Done():
-		}
-	}()
+	lse.OnEnd(endEval(cancel))
 	result, err := f(ctx, args)
 	if err != nil || lse.Err() != nil {
 		lse.Cancel()
@@ -420,17 +439,16 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 
 	// Local phase. For blocking ops the waiter stays registered so a
 	// local out during the walk still satisfies the operation.
-	var localWait <-chan tuple.Tuple
+	var local space.Waiter
 	res, ok := Result{From: i.Addr()}, false
 	if to == "" || to == i.Addr() {
 		if code.Blocking() {
-			w := i.local.Wait(p, code.Removes())
-			defer w.Cancel()
+			local = i.local.Wait(p, code.Removes())
+			defer local.Cancel()
 			select {
-			case res.Tuple, ok = <-w.Chan():
+			case res.Tuple, ok = <-local.Chan():
 			default:
 			}
-			localWait = w.Chan()
 		} else if code.Removes() {
 			res.Tuple, ok = i.local.Inp(p)
 		} else {
@@ -457,7 +475,7 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	// keeps its takes. The flag stays off multicasts (see multicast).
 	m := &wire.Message{Type: wire.TOp, From: i.Addr(), Op: code, Template: p,
 		Failover: to == "" && code.Removes() && i.repl != nil}
-	res, ok, err = i.walk(ctx, lse, m, to, localWait)
+	res, ok, err = i.walk(ctx, lse, m, to, local)
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -470,9 +488,9 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 }
 
 // walk runs one outbound operation to its end (type walk): m is its first
-// frame, stamped here with op ID, TTL and budget; localWait, when set,
-// ends it on a local match. An rpc's ack reads as a found result.
-func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, to wire.Addr, localWait <-chan tuple.Tuple) (Result, bool, error) {
+// frame, stamped here with op ID, TTL and budget; local, when set, ends it
+// on a local match. An rpc's ack reads as a found result.
+func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, to wire.Addr, local space.Waiter) (Result, bool, error) {
 	st, err := i.openOp()
 	if err != nil {
 		return Result{}, false, err
@@ -481,7 +499,10 @@ func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, 
 	m.ID = st.id
 	m.TTL = lse.Deadline().Sub(i.clk.Now())
 	stampBudget(ctx, m)
-	st.walk = walk{ctx: ctx, lse: lse, msg: m, to: to, localWait: localWait}
+	st.walk = walk{ctx: ctx, lse: lse, msg: m, to: to, local: local}
+	if local != nil {
+		st.localWait = local.Chan()
+	}
 	if err := st.start(); err != nil {
 		return Result{}, false, err
 	}
@@ -501,6 +522,15 @@ func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, 
 			st.over = true
 		case <-ctx.Done():
 			st.err, st.over = ctx.Err(), true
+		}
+	}
+	// The lease or the context may have ended it just as the local space
+	// committed a match it has not read: the space has let that tuple go,
+	// so it is the op's result.
+	if st.local != nil && !st.local.Cancel() {
+		if t, ok := <-st.local.Chan(); ok {
+			st.onLocal(t, ok)
+			st.err = nil
 		}
 	}
 	return st.res, st.ok, st.err
@@ -610,6 +640,12 @@ func (st *opState) onReply(m *wire.Message) {
 			i.met.Inc(trace.CtrHedgeWins)
 		}
 		if code.Removes() && m.HoldID != 0 {
+			if st.local != nil && !st.local.Cancel() {
+				// The local space committed a match to this take first: it
+				// wins, read next, and the remote hold goes back.
+				i.releaseLate(m)
+				return
+			}
 			// First responder wins: accept this hold; closeOp's drain
 			// releases any later ones.
 			i.acceptHold(m.From, m.HoldID, st.lse)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tiamat/clock"
-	"tiamat/internal/discovery"
 	"tiamat/lease"
 	"tiamat/routing"
 	"tiamat/space"
@@ -46,11 +45,14 @@ import (
 //     until the lease would have expired anyway, and if the dead origin
 //     ever rejoins it is sent an invalidation so it withdraws the
 //     consumed tuple instead of resurrecting it.
-//   - anti-entropy: a background sweeper re-sends unacked write-throughs
+//   - anti-entropy: a periodic sweep re-sends unacked write-throughs
 //     toward wherever the current ring says the holders are, and backups
 //     that hold copies for a dead origin adopt them — re-replicating to
 //     the surviving ring holders so availability survives sequential
 //     losses.
+//   - a take by a requester that cannot carry the replica identity (a
+//     pre-replication build) cannot invalidate the copies itself, so the
+//     origin withholds them while the hold is out (replWithhold).
 //
 // R=1 (the default) constructs none of this and keeps every frame
 // byte-identical to the pre-replication protocol.
@@ -70,8 +72,7 @@ type replKey struct {
 // replOut is a tuple this instance originated and is responsible for
 // keeping replicated while its lease lives.
 type replOut struct {
-	seq    uint64
-	sid    uint64 // local store id (authoritative copy)
+	seq    uint64 // == its local store id (authoritative copy)
 	t      tuple.Tuple
 	expiry time.Time
 	tag    string
@@ -131,23 +132,29 @@ type replicator struct {
 	// nonzero, and derivable from a space.Hold with no side lookup — so a
 	// take served in the window before replWriteThrough registers its
 	// record still stamps the correct identity onto the reply.
-	mu      sync.Mutex
-	outs    map[uint64]*replOut // own replicated outs, by seq (== space id)
-	copies  map[replKey]*replCopy
-	fences  map[replKey]time.Time // refused identities → fence expiry
-	pend    map[uint64]pendRepl   // replicate ack ID → flight info
-	ring    *routing.Ring
-	ringRev uint64
+	mu     sync.Mutex
+	outs   map[uint64]*replOut // own replicated outs, by seq (== space id)
+	copies map[replKey]*replCopy
+	fences map[replKey]time.Time // refused identities → fence expiry
+	pend   map[uint64]pendRepl   // replicate ack ID → flight info
+	// withheld lists own outs out on a hold to a requester that cannot
+	// carry their identity (replWithhold): none is replicated meanwhile.
+	withheld map[uint64]bool
+	ring     *routing.Ring
+	ringRev  uint64
+	repair   sweep // the anti-entropy sweep (repairSweep)
 }
 
 func newReplicator(i *Instance) *replicator {
 	return &replicator{
-		i:      i,
-		n:      i.cfg.Replicas,
-		outs:   make(map[uint64]*replOut),
-		copies: make(map[replKey]*replCopy),
-		fences: make(map[replKey]time.Time),
-		pend:   make(map[uint64]pendRepl),
+		i:        i,
+		n:        i.cfg.Replicas,
+		outs:     make(map[uint64]*replOut),
+		copies:   make(map[replKey]*replCopy),
+		fences:   make(map[replKey]time.Time),
+		pend:     make(map[uint64]pendRepl),
+		withheld: make(map[uint64]bool),
+		repair:   sweep{i: i, every: i.cfg.RepairInterval, pass: i.repairSweep},
 	}
 }
 
@@ -356,23 +363,7 @@ func (r *replicator) appendHolders(queue []wire.Addr, tag string, arity int) []w
 // effort exactly as §2.5 bounds everything else.
 func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease) (err error) {
 	r := i.repl
-	ring := r.ringNow()
-	tag, arity := replTupleKey(t)
-	targets := r.backupsForLocked(ring, tag, arity)
-	expiry := lse.Deadline()
-
-	// Register before the visibility check: an out written while isolated
-	// still gets a record, so the sweeper replicates it once peers appear.
-	r.mu.Lock()
-	ro := &replOut{
-		seq: sid, sid: sid, t: t.Copy(), expiry: expiry,
-		tag: tag, arity: arity, r: r,
-		done:  make(chan struct{}),
-		acked: make(map[wire.Addr]bool), refused: make(map[wire.Addr]bool),
-		lastSend: make(map[wire.Addr]time.Time),
-	}
-	r.outs[ro.seq] = ro
-	r.mu.Unlock()
+	ro, live := i.replTrack(sid, t, lse.Deadline())
 	defer func() {
 		r.mu.Lock()
 		acked := len(ro.acked) > 0
@@ -381,23 +372,10 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 			err = ErrClosed
 		}
 	}()
-
-	// The tuple may already have been taken between the store write and
-	// here (a waiting local taker): replicating it now would strand
-	// copies of a consumed tuple. The removal hook deletes the out-lease
-	// record first and the replication record after, so re-checking the
-	// lease record closes the window: a removal before this check finds
-	// no replication record (we roll back below); one after it finds the
-	// record and sends the invalidations.
-	i.mu.Lock()
-	_, live := i.outBySid[sid]
-	i.mu.Unlock()
 	if !live {
-		r.mu.Lock()
-		delete(r.outs, ro.seq)
-		r.mu.Unlock()
 		return nil
 	}
+	targets := r.backupsForLocked(r.ringNow(), ro.tag, ro.arity)
 	if len(targets) == 0 {
 		return nil // nobody visible to hold a copy; the sweeper catches up
 	}
@@ -410,12 +388,16 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 		}
 		ackID := i.nextOp()
 		r.mu.Lock()
+		if r.withheld[sid] {
+			r.mu.Unlock()
+			break // handed to a requester that cannot carry the identity
+		}
 		r.pend[ackID] = pendRepl{seq: ro.seq, to: a, at: now}
 		ro.lastSend[a] = now
 		r.mu.Unlock()
 		if i.send(a, &wire.Message{
 			Type: wire.TOut, ID: ackID, From: i.Addr(),
-			TTL: expiry.Sub(now), Tuple: ro.t,
+			TTL: ro.expiry.Sub(now), Tuple: ro.t,
 			ReplOrigin: i.Addr(), ReplSeq: ro.seq,
 		}) != nil {
 			r.mu.Lock()
@@ -442,6 +424,41 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 	case <-i.stopped:
 	}
 	return nil
+}
+
+// replTrack registers own out sid, stored until expiry, for replication and
+// reports whether its tuple is still there to replicate. An out written
+// while isolated still gets a record, so the sweep replicates it once peers
+// appear; one on a withheld hold gets none. The tuple may already have been
+// taken since the store write (a waiting local taker), and copies of it
+// would be stranded: the removal hook deletes the out-lease record first
+// and the replication record after, so re-checking the lease record here
+// closes the window — an earlier removal finds no replication record (it
+// is rolled back here), a later one finds it and sends the invalidations.
+func (i *Instance) replTrack(sid uint64, t tuple.Tuple, expiry time.Time) (*replOut, bool) {
+	r := i.repl
+	tag, arity := replTupleKey(t)
+	ro := &replOut{
+		seq: sid, t: t.Copy(), expiry: expiry, tag: tag, arity: arity, r: r,
+		done:  make(chan struct{}),
+		acked: make(map[wire.Addr]bool), refused: make(map[wire.Addr]bool),
+		lastSend: make(map[wire.Addr]time.Time),
+	}
+	r.mu.Lock()
+	held := r.withheld[sid]
+	if !held {
+		r.outs[sid] = ro
+	}
+	r.mu.Unlock()
+	i.mu.Lock()
+	_, live := i.outBySid[sid]
+	i.mu.Unlock()
+	if !held && !live {
+		r.mu.Lock()
+		delete(r.outs, sid)
+		r.mu.Unlock()
+	}
+	return ro, live && !held
 }
 
 // Expire implements clock.Entry: the write-through wait ran out. Only the
@@ -530,10 +547,7 @@ func (i *Instance) replOnLocalRemoval(sid uint64) {
 	delete(r.outs, sid)
 	holders := make(map[wire.Addr]bool)
 	if ro != nil {
-		for a := range ro.acked {
-			holders[a] = true
-		}
-		for a := range ro.lastSend {
+		for a := range ro.lastSend { // every acked holder was sent one
 			holders[a] = true
 		}
 	}
@@ -555,6 +569,73 @@ func (i *Instance) replOnLocalRemoval(sid uint64) {
 			ReplOrigin: i.Addr(), ReplSeq: sid,
 		})
 	}
+}
+
+// replWithhold is the origin's half of a take by a requester that cannot
+// carry the replica identity (answerFound strips it toward a pre-replication
+// build): that requester cannot invalidate the copies on accept, and this
+// node may die before the accept lands. So any copy placed is invalidated
+// now, fencing the identity at every holder, and none is placed until the
+// hold settles. It returns the hold to register in h's place.
+func (i *Instance) replWithhold(h space.Hold) space.Hold {
+	r := i.repl
+	r.mu.Lock()
+	r.withheld[h.ID()] = true
+	r.mu.Unlock()
+	i.replOnLocalRemoval(h.ID())
+	return withheldHold{h, i}
+}
+
+// withheldHold is a hold whose copies replWithhold kept back. Released, its
+// tuple is stored afresh — a fenced identity can never be placed again —
+// and the repair sweep is run at once to place copies under the new one.
+type withheldHold struct {
+	space.Hold
+	i *Instance
+}
+
+func (h withheldHold) Accept() {
+	h.Hold.Accept()
+	h.i.repl.unwithhold(h.ID())
+}
+
+func (h withheldHold) Release() {
+	h.i.repl.unwithhold(h.ID())
+	h.i.reout(h.Hold)
+	h.i.deadlines.Schedule(&h.i.repl.repair, h.i.clk.Now())
+}
+
+func (r *replicator) unwithhold(sid uint64) {
+	r.mu.Lock()
+	delete(r.withheld, sid)
+	r.mu.Unlock()
+}
+
+// reout settles a released hold as an accept plus a fresh out of its tuple
+// under what is left of the same out-lease, tracked for replication under
+// its new id. With no lease record there is nothing to move: the Out that
+// stored the tuple has yet to make it — no copy was placed then, and the
+// Out replicates as usual — or the lease has ended and takes the tuple.
+func (i *Instance) reout(h space.Hold) {
+	i.mu.Lock()
+	lse := i.outBySid[h.ID()]
+	if lse != nil {
+		delete(i.outBySid, h.ID())
+		delete(i.sidByLease, lse.ID())
+	}
+	i.mu.Unlock()
+	if lse == nil {
+		h.Release()
+		return
+	}
+	t := h.Tuple()
+	h.Accept() // the removal hook finds no lease record to end
+	sid, err := i.outLeased(t, lse)
+	if err != nil || sid == 0 {
+		lse.Cancel()
+		return
+	}
+	i.replTrack(sid, t, lse.Deadline())
 }
 
 // --- taker side: sibling invalidation on accept -------------------------
@@ -692,7 +773,7 @@ func (i *Instance) replInvalidate(m *wire.Message) {
 		}
 		r.mu.Unlock()
 		if ro != nil {
-			i.local.Remove(ro.sid)
+			i.local.Remove(ro.seq)
 		}
 		return
 	}
@@ -928,37 +1009,17 @@ func (i *Instance) replPeerDead(a wire.Addr) bool {
 
 // --- anti-entropy -------------------------------------------------------
 
-// repairLoop is the anti-entropy sweeper: every RepairInterval it prunes
-// expired soft state and walks tuples toward wherever the current ring
-// places them. It also rides the PR 5 visibility-event stream: a leave
-// shifts replica ranks (the next sweep re-places), and a join triggers
-// fence reconciliation — a rejoining origin is told which of its tuples
-// were consumed while it was gone.
-func (i *Instance) repairLoop() {
-	defer i.wg.Done()
-	events := discovery.NewSubscription()
-	i.list.Attach(events)
-	defer i.list.Detach(events)
-	for {
-		select {
-		case <-i.clk.After(i.cfg.RepairInterval):
-			i.repairSweep()
-		case ev := <-events.Events():
-			if ev.Kind == discovery.EventJoin {
-				i.replOnJoin(ev.Addr)
-			}
-		case <-i.stopped:
-			return
-		}
-	}
-}
-
-// replOnJoin reconciles a newly visible peer against the fence table: if
-// we fenced identities originated by it (we served failover takes while
-// it was gone), it must withdraw those tuples instead of serving them —
-// the visibility event stream closing the split-brain window.
-func (i *Instance) replOnJoin(addr wire.Addr) {
+// replOnJoin reconciles a peer against the fence table on its first
+// announce since it joined the responder list (first), the earliest a
+// replicated cancel can be addressed to it: if we fenced identities
+// originated by it (we served failover takes while it was gone), it must
+// withdraw those tuples instead of serving them — closing the split-brain
+// window on the join itself.
+func (i *Instance) replOnJoin(addr wire.Addr, first bool) {
 	r := i.repl
+	if !first || r == nil {
+		return
+	}
 	now := i.clk.Now()
 	r.mu.Lock()
 	keys := make([]replKey, 0)
@@ -976,7 +1037,9 @@ func (i *Instance) replOnJoin(addr wire.Addr) {
 	}
 }
 
-// repairSweep performs one anti-entropy pass:
+// repairSweep is the anti-entropy sweep's pass, every RepairInterval (and
+// at once when a withheld hold is released). A leave shifts replica ranks,
+// which the next pass re-places. One pass:
 //
 //  1. prune expired copies, fences, outs, and abandoned ack flights;
 //  2. re-send unacked write-throughs for own outs toward the current

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -97,15 +98,16 @@ func TestWriteThroughReplicates(t *testing.T) {
 	}
 }
 
-// replicateGate holds every replicate frame an endpoint is asked to send
-// at gate.
-type replicateGate struct {
+// typeGate holds every frame of one type an endpoint is asked to send at
+// gate.
+type typeGate struct {
 	transport.Endpoint
+	typ  wire.Type
 	gate func()
 }
 
-func (e replicateGate) Send(to wire.Addr, m *wire.Message) error {
-	if m.Type == wire.TOut && m.ReplSeq != 0 {
+func (e typeGate) Send(to wire.Addr, m *wire.Message) error {
+	if m.Type == e.typ {
 		pass(e.gate)
 	}
 	return e.Endpoint.Send(to, m)
@@ -134,7 +136,7 @@ func TestReplicatedOutRacingCloseNotAcknowledged(t *testing.T) {
 							store.WithRemovalHook(func(id uint64) { a.releaseOutLease(id) }))
 						c.Space = sp
 					default:
-						c.Endpoint = replicateGate{c.Endpoint, gate}
+						c.Endpoint = typeGate{c.Endpoint, wire.TOut, gate} // a's only TOuts are replicates
 					}
 				}, "a", "b", "c")
 				a = r.inst["a"]
@@ -537,5 +539,236 @@ func TestWriteThroughSilentBackupCountsUnacked(t *testing.T) {
 			r.clk.Advance(10 * time.Millisecond)
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestJoinCancelsFencedIdentities: a backup that served failover takes of
+// an unreachable origin's two tuples sends the origin, on the join that
+// brings it back, a cancel for each identity it fenced, and the origin
+// withdraws both instead of serving them a second time. The repair sweep,
+// an hour apart, has no part in it.
+func TestJoinCancelsFencedIdentities(t *testing.T) {
+	r := replRig(t, func(c *Config) { c.RepairInterval = time.Hour }, "a", "b")
+	a, b := r.inst["a"], r.inst["b"]
+	ctx := context.Background()
+	for k := int64(1); k <= 2; k++ {
+		if err := a.Out(req(k), outLease()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := b.ReplicaCopies(reqTmpl()); n != 2 {
+		t.Fatalf("b holds %d copies, want 2", n)
+	}
+	r.net.SetVisible("a", "b", false)
+	// The first attempt finds a unreachable (and drops it from b's list)
+	// and arms the failover grace; the takes win once it has passed.
+	if _, ok, _ := b.Inp(ctx, reqTmpl(), outLease()); ok {
+		t.Fatal("take won before the failover grace elapsed")
+	}
+	r.clk.Advance(300 * time.Millisecond)
+	for k := 0; k < 2; k++ {
+		if _, ok, err := b.Inp(ctx, reqTmpl(), outLease()); err != nil || !ok {
+			t.Fatalf("failover take %d: ok=%v err=%v", k, ok, err)
+		}
+	}
+	if b.list.Contains("a") || b.Replication().Fences != 2 {
+		t.Fatalf("setup: a listed at b %v, %d fences, want gone and 2", b.list.Contains("a"), b.Replication().Fences)
+	}
+	if n := a.LocalSpace().Count(); n != 3 {
+		t.Fatalf("setup: a holds %d tuples, want both tokens and its info tuple", n)
+	}
+
+	// b's discovery round finds a back: a's announce is the join.
+	r.net.SetVisible("a", "b", true)
+	sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	_, _ = b.Spaces(sctx)
+	eventually(t, "a withdrew both tokens taken while it was gone", func() bool {
+		return a.LocalSpace().Count() == 1
+	})
+}
+
+// baselineRig is three replicating nodes, a, b and c, that know one another
+// as capable, and x, a pre-capability build with a decoder to match, known
+// to all of them as such. mutate, when given, configures x.
+func baselineRig(t *testing.T, mutate func(*Config)) *rig {
+	t.Helper()
+	capable := []wire.Addr{"a", "b", "c"}
+	r := newRig(t, append(capable, "x"), func(c *Config) {
+		c.Replicas = 2
+		if c.Endpoint.Addr() == "x" {
+			c.CapsMask = wire.CapsCurrent
+			if mutate != nil {
+				mutate(c)
+			}
+		}
+	})
+	r.net.SetDecodeCaps("x", 0)
+	r.net.ConnectAll()
+	for _, p := range capable {
+		for _, q := range capable {
+			if p != q {
+				r.inst[p].list.ObserveAnnounce(q, wire.CapsCurrent, false)
+			}
+		}
+		r.inst[p].list.ObserveAnnounce("x", 0, false)
+		r.inst["x"].list.ObserveAnnounce(p, 0, false)
+	}
+	return r
+}
+
+// noSecondTake asserts that no survivor of r can take a token matching p,
+// from its space or a replica copy, locally or by failover — before and
+// after the failover grace.
+func noSecondTake(t *testing.T, r *rig, p tuple.Template, survivors ...wire.Addr) {
+	t.Helper()
+	for round := 0; round < 2; round++ {
+		for _, s := range survivors {
+			if res, ok, _ := r.inst[s].Inp(context.Background(), p, outLease()); ok {
+				t.Fatalf("%s took %v a second time, from %s", s, res.Tuple, res.From)
+			}
+		}
+		r.clk.Advance(300 * time.Millisecond)
+	}
+}
+
+// TestBaselineTakerOriginDiesBeforeAccept is the C6 duplicate. A baseline
+// requester's blocking take, parked at a replicating origin, is handed a
+// fresh out as a hold, and the origin dies after its found reply and
+// before the accept lands. The requester keeps the token. The reply could
+// not carry the replica identity to it, so it could not invalidate the
+// copies: no second take of the token may succeed anywhere.
+func TestBaselineTakerOriginDiesBeforeAccept(t *testing.T) {
+	gate, reached, open := stop()
+	r := baselineRig(t, func(c *Config) { c.Endpoint = typeGate{c.Endpoint, wire.TAccept, gate} })
+	a, x := r.inst["a"], r.inst["x"]
+	got := make(chan Result, 1)
+	go func() {
+		res, _ := x.InAt(context.Background(), "a", reqTmpl(), longLease())
+		got <- res
+	}()
+	eventually(t, "x's take parked at a", func() bool { return waitCount(a) == 1 })
+	if err := a.Out(req(1), outLease()); err != nil {
+		t.Fatal(err)
+	}
+	<-reached // x has the found reply; its accept is on the way
+	a.Close()
+	close(open)
+	if res := <-got; !res.Tuple.Equal(req(1)) {
+		t.Fatalf("x's take returned %+v, want the token", res)
+	}
+	noSecondTake(t, r, reqTmpl(), "b", "c", "x")
+}
+
+// TestWithheldHoldReleasedIsReplicatedAgain: a hold withheld from its
+// copies — a baseline requester's take — that is released goes back
+// replicated, so the origin's death afterwards still loses nothing. With
+// copies placed before the take, their identity is burned (the backup
+// fenced it) and the tuple is stored afresh under a new one; with none
+// placed yet, it comes back as the entry it was.
+func TestWithheldHoldReleasedIsReplicatedAgain(t *testing.T) {
+	for _, placed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("copies placed %v", placed), func(t *testing.T) {
+			r := replRig(t, nil, "a", "b")
+			a, b := r.inst["a"], r.inst["b"]
+			x, err := r.net.Attach("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.net.SetVisible("a", "x", true) // and only a: x answers nobody
+			op := wire.OpIn                  // parked before the out, so none is placed
+			if placed {
+				op = wire.OpInp
+				if err := a.Out(req(1), outLease()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := x.Send("a", &wire.Message{
+				Type: wire.TOp, ID: 1, From: "x", Op: op, Template: reqTmpl(), TTL: time.Hour,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !placed {
+				eventually(t, "x's take parked at a", func() bool { return waitCount(a) == 1 })
+				if err := a.Out(req(1), outLease()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var hold *wire.Message
+			for hold == nil {
+				select {
+				case m := <-x.Recv():
+					if m.Type == wire.TResult && m.Found {
+						hold = m
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("x was never handed the token")
+				}
+			}
+			if hold.ReplSeq != 0 {
+				t.Fatal("the found reply carried the identity to a baseline requester")
+			}
+			eventually(t, "no copy servable while the hold is out", func() bool {
+				return b.ReplicaCopies(reqTmpl()) == 0
+			})
+			if err := x.Send("a", &wire.Message{Type: wire.TRelease, ID: 1, From: "x", HoldID: hold.HoldID}); err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, "the released token replicated again", func() bool {
+				r.clk.Advance(time.Millisecond)
+				return b.ReplicaCopies(reqTmpl()) == 1
+			})
+			a.Close()
+			if _, ok, _ := b.Inp(context.Background(), reqTmpl(), outLease()); ok {
+				t.Fatal("take won before the failover grace elapsed")
+			}
+			r.clk.Advance(300 * time.Millisecond)
+			if res, ok, err := b.Inp(context.Background(), reqTmpl(), outLease()); err != nil || !ok || !res.Tuple.Equal(req(1)) {
+				t.Fatalf("the token did not survive its origin: %+v %v %v", res, ok, err)
+			}
+		})
+	}
+}
+
+// TestFailoverRefusedToRequesterNotKnownCapable: a copy holder serves a
+// failover take only to a requester it knows carries the replica
+// identity. The found reply's identity is what lets the requester
+// invalidate the other copies, and toward a peer not known to carry it the
+// identity is stripped.
+func TestFailoverRefusedToRequesterNotKnownCapable(t *testing.T) {
+	r := replRig(t, nil, "a", "b")
+	a, b := r.inst["a"], r.inst["b"]
+	if err := a.Out(req(1), outLease()); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	// b's own first attempt finds a dead and arms the failover grace.
+	if _, ok, _ := b.Inp(context.Background(), reqTmpl(), outLease()); ok {
+		t.Fatal("take won before the failover grace elapsed")
+	}
+	r.clk.Advance(300 * time.Millisecond)
+	x, err := r.net.Attach("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.net.SetVisible("b", "x", true)
+	if err := x.Send("b", &wire.Message{
+		Type: wire.TOp, ID: 1, From: "x", Op: wire.OpInp, Template: reqTmpl(), TTL: time.Minute, Failover: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for answered := false; !answered; {
+		select {
+		case m := <-x.Recv():
+			if answered = m.Type == wire.TResult; m.Found {
+				t.Fatal("a copy was surrendered to a requester not known to carry its identity")
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("b never answered")
+		}
+	}
+	r.net.SetVisible("b", "x", false)
+	if _, ok, _ := b.Inp(context.Background(), reqTmpl(), outLease()); !ok {
+		t.Fatal("the copy was not servable by failover at all")
 	}
 }

@@ -242,15 +242,19 @@ func (i *Instance) handleDiscover(m *wire.Message) {
 // the responder list: a peer that flags itself degraded is deprioritized
 // before this node ever times out on it, and a caps-less announce marks
 // the peer known-baseline — every versioned feature stays off toward it
-// until a later announce says otherwise (DESIGN.md §14).
+// until a later announce says otherwise (DESIGN.md §14). A hello also
+// ends what this node keeps for the sender's earlier life (forgetLife).
 func (i *Instance) handleAnnounce(m *wire.Message) {
+	if m.ID == helloID {
+		i.forgetLife(m.From)
+	}
 	i.mu.Lock()
 	ch, ok := i.announces[m.ID]
 	i.mu.Unlock()
 	// Solicited or not, the announcer is alive; one critical section
 	// records presence + caps + health so the join event a first
 	// announce emits is never processed ahead of the capability state.
-	i.list.ObserveAnnounce(m.From, m.Caps, m.Degraded)
+	i.replOnJoin(m.From, i.list.ObserveAnnounce(m.From, m.Caps, m.Degraded))
 	if !ok {
 		return
 	}
@@ -262,14 +266,20 @@ func (i *Instance) handleAnnounce(m *wire.Message) {
 
 // answerFound sends the request named by key its found reply: t, and for
 // a take the hold on it, registered here under the serve budget ttl, with
-// the replica identity the requester is to invalidate on accept. The
-// reply is cached first, so a duplicate of the request replays it.
+// the replica identity the requester is to invalidate on accept. A
+// requester that cannot carry the identity is sent the reply without it,
+// so an own replicated tuple's copies are withheld while the hold is out
+// (replWithhold). The reply is cached first, so a duplicate of the request
+// replays it.
 func (i *Instance) answerFound(key waitKey, ttl time.Duration, t tuple.Tuple, h space.Hold, ro wire.Addr, rs uint64) {
 	reply := &wire.Message{
 		Type: wire.TResult, ID: key.id, From: i.Addr(),
 		Found: true, Tuple: t, ReplOrigin: ro, ReplSeq: rs,
 	}
 	if h != nil {
+		if rs != 0 && ro == i.Addr() && i.list.Caps(key.from)&wire.CapReplicaIdentity == 0 {
+			h = i.replWithhold(h)
+		}
 		reply.HoldID = i.registerHold(h, ttl, key)
 	}
 	i.recordServed(key, reply)
@@ -359,12 +369,13 @@ func (i *Instance) handleOp(m *wire.Message) {
 			lse.Cancel()
 			return
 		}
-		if m.Failover {
+		if m.Failover && i.list.Caps(m.From)&wire.CapReplicaIdentity != 0 {
 			// Failover take (replica.go): surrender a replica copy through
 			// the ordinary hold protocol, but only if every holder ranked
 			// above this node is provably dead. The reply carries the
 			// copy's identity so the requester invalidates the remaining
-			// holders on accept.
+			// holders on accept — which is why a requester not yet known
+			// to carry it is not served from a copy.
 			if h, k, ok := i.replFailoverHold(m.Template); ok {
 				i.answerFound(key, ttl, h.Tuple(), h, k.origin, k.seq)
 				if waiting {
@@ -557,8 +568,7 @@ func (i *Instance) handleCancel(m *wire.Message) {
 }
 
 // handleRemoteOut admits a direct remote out (paper §2.4): the tuple is
-// stored under a lease this instance negotiates for itself. Duplicated
-// frames replay the cached ack — re-executing would store a second copy.
+// stored under a lease this instance negotiates for itself.
 func (i *Instance) handleRemoteOut(m *wire.Message) {
 	if m.ReplSeq != 0 {
 		// Replicate/repair write-through (replica.go): soft state in the
@@ -567,16 +577,31 @@ func (i *Instance) handleRemoteOut(m *wire.Message) {
 		i.handleReplicate(m)
 		return
 	}
+	i.serveOnce(m, i.remoteOut)
+}
+
+// handleRemoteEval admits a direct remote eval: the function must be
+// registered here and a thread and lease must be available.
+func (i *Instance) handleRemoteEval(m *wire.Message) { i.serveOnce(m, i.remoteEval) }
+
+// serveOnce answers a direct remote out or eval with an ack: admit's
+// refusal, or OK. The ack is cached, and a duplicated frame replays it —
+// re-executing would store a second copy or run the eval twice.
+func (i *Instance) serveOnce(m *wire.Message, admit func(*wire.Message) error) {
 	key := waitKey{from: m.From, id: m.ID}
 	if i.resendServed(key) {
 		i.met.Inc(trace.CtrDedupDrops)
 		return
 	}
-	ack := &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr()}
-	reply := func() {
-		i.recordServed(key, ack)
-		_ = i.send(m.From, ack)
+	ack := &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr(), OK: true}
+	if err := admit(m); err != nil {
+		ack.OK, ack.Err = false, err.Error()
 	}
+	i.recordServed(key, ack)
+	_ = i.send(m.From, ack)
+}
+
+func (i *Instance) remoteOut(m *wire.Message) error {
 	terms := serveTerms(m.TTL)
 	terms.MaxBytes = m.Tuple.Size()
 	// Under pressure only the duration is negotiable downward: clamping
@@ -587,32 +612,40 @@ func (i *Instance) handleRemoteOut(m *wire.Message) {
 	}
 	lse, err := i.mgr.GrantTerms(lease.OpOut, terms)
 	if err != nil {
-		ack.Err = err.Error()
-		reply()
-		return
+		return err
 	}
 	if err := lse.ConsumeBytes(m.Tuple.Size()); err != nil {
 		lse.Cancel()
-		ack.Err = err.Error()
-		reply()
-		return
+		return err
 	}
 	// Retention boundary: the tuple outlives the frame that carried it,
 	// so detach it from a possibly-aliased decode buffer.
 	sid, err := i.outLeased(m.Tuple.Copy(), lse)
 	if err != nil {
 		lse.Cancel()
-		ack.Err = err.Error()
-		reply()
-		return
+		return err
 	}
 	if sid != 0 {
 		lse.ShrinkBytes()
 	} else {
 		lse.Cancel() // consumed by a waiting taker
 	}
-	ack.OK = true
-	reply()
+	return nil
+}
+
+func (i *Instance) remoteEval(m *wire.Message) error {
+	f, ok := i.evalFunc(m.Func)
+	if !ok {
+		return ErrUnknownEval
+	}
+	terms := serveTerms(m.TTL)
+	terms.MaxBytes = i.mgr.Capacity().MaxBytes
+	lse, err := i.mgr.GrantTerms(lease.OpEval, i.gov.clampTerms(terms))
+	if err != nil {
+		return err
+	}
+	// Retention boundary: the eval runs long after the frame is gone.
+	return i.startEval(f, m.Tuple.Copy(), lse)
 }
 
 // resendServed replays the cached reply for a duplicated request, if any.
@@ -626,56 +659,6 @@ func (i *Instance) resendServed(key waitKey) bool {
 	}
 	_ = i.send(key.from, cached)
 	return true
-}
-
-// handleRemoteEval admits a direct remote eval: the function must be
-// registered here and a thread and lease must be available. Duplicated
-// frames replay the cached ack — re-executing would run the eval twice.
-func (i *Instance) handleRemoteEval(m *wire.Message) {
-	key := waitKey{from: m.From, id: m.ID}
-	if i.resendServed(key) {
-		i.met.Inc(trace.CtrDedupDrops)
-		return
-	}
-	ack := &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr()}
-	reply := func() {
-		i.recordServed(key, ack)
-		_ = i.send(m.From, ack)
-	}
-	i.mu.Lock()
-	f, ok := i.evals[m.Func]
-	i.mu.Unlock()
-	if !ok {
-		ack.Err = ErrUnknownEval.Error()
-		reply()
-		return
-	}
-	terms := serveTerms(m.TTL)
-	terms.MaxBytes = i.mgr.Capacity().MaxBytes
-	terms = i.gov.clampTerms(terms)
-	lse, err := i.mgr.GrantTerms(lease.OpEval, terms)
-	if err != nil {
-		ack.Err = err.Error()
-		reply()
-		return
-	}
-	release, err := i.mgr.Acquire(lease.ResThreads, 1)
-	if err != nil {
-		lse.Cancel()
-		ack.Err = err.Error()
-		reply()
-		return
-	}
-	ack.OK = true
-	reply()
-	// Retention boundary: the eval runs long after the frame is gone.
-	args := m.Tuple.Copy()
-	i.wg.Add(1)
-	go func() {
-		defer i.wg.Done()
-		defer release()
-		i.runEval(f, args, lse)
-	}()
 }
 
 // handleRelay forwards an encapsulated frame to its target (backbone
@@ -733,13 +716,8 @@ func (i *Instance) handleGoodbye(m *wire.Message) {
 // does for a peer that never got to send one. It reports how many of each
 // it released.
 func (i *Instance) releasePeer(peer wire.Addr) (waits, holds int) {
+	waits = i.endWaits(peer)
 	i.mu.Lock()
-	var ws []*remoteWait
-	for key, w := range i.waits {
-		if key.from == peer {
-			ws = append(ws, w)
-		}
-	}
 	var hs []uint64
 	for id, ph := range i.holds {
 		if ph.key.from == peer {
@@ -747,13 +725,53 @@ func (i *Instance) releasePeer(peer wire.Addr) (waits, holds int) {
 		}
 	}
 	i.mu.Unlock()
-	for _, w := range ws {
-		w.end(false)
-	}
 	for _, id := range hs {
 		i.settleHold(id, false)
 	}
-	return len(ws), len(hs)
+	return waits, len(hs)
+}
+
+// endWaits ends every blocking wait served for peer, answering nobody, and
+// reports how many it ended.
+func (i *Instance) endWaits(peer wire.Addr) int {
+	i.mu.Lock()
+	var ws []*remoteWait
+	for key, w := range i.waits {
+		if key.from == peer {
+			ws = append(ws, w)
+		}
+	}
+	i.mu.Unlock()
+	for _, w := range ws {
+		w.end(false)
+	}
+	return len(ws)
+}
+
+// helloID is the ID of the announce New sends, and of no other frame: a
+// hello says its sender has just started. Every life numbers its ops from 1
+// again, so what a responder keeps under a (sender, op ID) key for an
+// earlier life at that address would be taken for the new life's op of the
+// same number: a take's cached reply would hand over a tuple already taken,
+// an out's cached ack would acknowledge a tuple never stored, and a parked
+// wait would swallow the new op as its duplicate. Op IDs stay plain
+// counters: a base drawn per life would lengthen every ID on the wire.
+const helloID = ^uint64(0)
+
+// forgetLife drops, on peer's hello, what this node keeps for peer's
+// earlier life: the cached replies to its ops and the waits parked for
+// them. Its holds are left to their grace deadlines — a hello overtaken in
+// transit by the new life's first ops lands after holds that life may have
+// accepted, and reinstating one would hand its tuple out twice.
+func (i *Instance) forgetLife(peer wire.Addr) {
+	i.mu.Lock()
+	for key := range i.served {
+		if key.from == peer {
+			delete(i.served, key)
+		}
+	}
+	i.mu.Unlock()
+	i.endWaits(peer)
 }
 
 // refuseDraining gives a serve frame the definitive answer a draining

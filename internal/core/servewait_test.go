@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -548,12 +547,12 @@ func TestOutLeaseFollowsReleasedTuple(t *testing.T) {
 }
 
 // TestParkedRemoteWaitsHoldNoGoroutine: 256 blocking ops from a bare
-// endpoint park at one instance, half of them reads, and the process
-// runs no more goroutines than before — each used to park one.
+// endpoint park at one instance, half of them reads, and the instance runs
+// no more goroutines than before — each used to park one.
 func TestParkedRemoteWaitsHoldNoGoroutine(t *testing.T) {
 	const n = 256
 	g := newGatedRig(t, func(c *Config) { c.Governor.MaxPeerWaits = n })
-	before := runtime.NumGoroutine()
+	before := coreGoroutines()
 	for id := uint64(1); id <= n; id++ {
 		op := wire.OpIn
 		if id%2 == 0 {
@@ -562,8 +561,8 @@ func TestParkedRemoteWaitsHoldNoGoroutine(t *testing.T) {
 		g.ask(id, op, time.Hour)
 	}
 	eventually(t, "256 waits parked", func() bool { return waitCount(g.a) == n })
-	if grown := runtime.NumGoroutine() - before; grown > 2 {
-		t.Fatalf("%d parked waits grew the process by %d goroutines, want at most 2", n, grown)
+	if d := grown(before, coreGoroutines()); len(d) != 0 {
+		t.Fatalf("%d parked waits changed the node's goroutines by %v, want none", n, d)
 	}
 	// One out serves every reader and one taker, all from the caller.
 	if err := g.a.Out(req(1), hourLease()); err != nil {

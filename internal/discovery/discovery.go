@@ -165,9 +165,9 @@ func (k EventKind) String() string {
 
 // Event is one visibility transition observed by the responder list. The
 // paper's model (§2.2) makes the logical space track *current*
-// visibility; the event stream is how in-flight machinery (wait
-// re-arming, orphan sweeps) reacts to the world changing mid-operation
-// instead of working from a start-of-op snapshot.
+// visibility; the event stream is how an operation in flight (wait
+// re-arming) reacts to the world changing mid-operation instead of working
+// from a start-of-op snapshot.
 type Event struct {
 	Kind EventKind
 	Addr wire.Addr
@@ -294,7 +294,7 @@ func NewResponderList(max int, met *trace.Metrics, opts ...Option) *ResponderLis
 }
 
 // Subscription is a reusable receiver of a list's visibility events: its
-// owner (a pooled operation state, a sweep loop) makes it once and
+// owner (a pooled operation state) makes it once and
 // attaches it for as long as it wants to hear, so a blocking operation
 // pays for no channel of its own.
 type Subscription struct {
@@ -358,12 +358,7 @@ func (l *ResponderList) Revision() uint64 {
 // order, not placement). Sorting makes the snapshot canonical, so two
 // nodes holding the same set derive identical replica rankings from it.
 func (l *ResponderList) Members() []wire.Addr {
-	l.mu.Lock()
-	out := make([]wire.Addr, len(l.addrs))
-	for i, e := range l.addrs {
-		out[i] = e.addr
-	}
-	l.mu.Unlock()
+	out := l.All()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -433,6 +428,10 @@ func (l *ResponderList) SnapshotAppend(dst []wire.Addr) []wire.Addr {
 func (l *ResponderList) All() []wire.Addr {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.allLocked()
+}
+
+func (l *ResponderList) allLocked() []wire.Addr {
 	out := make([]wire.Addr, len(l.addrs))
 	for i, e := range l.addrs {
 		out[i] = e.addr
@@ -647,31 +646,23 @@ func (l *ResponderList) observeCapsLocked(e *entry, caps uint64) {
 // set, and degradation self-report — in one critical section. Folding
 // the three observations keeps an important ordering property: the join
 // event a first announce emits is never deliverable before the entry's
-// capability state is set, so event-driven machinery (fence
-// reconciliation in the replicator) reads the announced capabilities,
-// not a transient unknown.
-func (l *ResponderList) ObserveAnnounce(addr wire.Addr, caps uint64, degraded bool) {
+// capability state is set, so a re-armed wait reads the announced
+// capabilities, not a transient unknown. It reports whether this is addr's
+// first announce since it joined the list — the join itself, or the
+// announce that followed a join by any other frame — which is when a
+// versioned frame toward a rejoined peer can first go out (fence
+// reconciliation in the replicator).
+func (l *ResponderList) ObserveAnnounce(addr wire.Addr, caps uint64, degraded bool) (first bool) {
 	if addr == "" {
-		return
+		return false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e := l.index[addr]
 	isNew := e == nil
+	first = isNew || e.capsState == CapsUnknown
 	if isNew {
-		if l.max > 0 && len(l.addrs) >= l.max {
-			victim := l.addrs[len(l.addrs)-1]
-			l.addrs = l.addrs[:len(l.addrs)-1]
-			delete(l.index, victim.addr)
-			l.met.Inc(trace.CtrListEvictions)
-			if victim.capsState == CapsBaseline {
-				l.met.Set(trace.CtrCapsBaselinePeers, l.baselineCountLocked())
-			}
-			l.leaveLocked(victim.addr)
-		}
-		e = &entry{addr: addr, cooldown: l.cooldown, demoteCooldown: l.demoteCooldown}
-		l.addrs = append(l.addrs, e)
-		l.index[addr] = e
+		e = l.appendLocked(addr)
 	} else {
 		l.restoreLocked(e)
 	}
@@ -680,6 +671,7 @@ func (l *ResponderList) ObserveAnnounce(addr wire.Addr, caps uint64, degraded bo
 	if isNew {
 		l.joinLocked(addr)
 	}
+	return first
 }
 
 // CommonCaps returns the capability set every cached responder
@@ -786,18 +778,24 @@ func (l *ResponderList) Observe(addr wire.Addr) {
 		l.restoreLocked(e)
 		return
 	}
+	l.appendLocked(addr)
+	l.joinLocked(addr)
+}
+
+// appendLocked adds addr at the bottom of the list, first evicting the
+// bottom entry — the least-proven responder — when the list is full. The
+// caller emits the join once the entry is set up. Caller holds l.mu.
+func (l *ResponderList) appendLocked(addr wire.Addr) *entry {
 	if l.max > 0 && len(l.addrs) >= l.max {
-		// Evict the bottom entry: it is the least-proven responder.
-		victim := l.addrs[len(l.addrs)-1]
-		l.addrs = l.addrs[:len(l.addrs)-1]
-		delete(l.index, victim.addr)
+		victim := l.addrs[len(l.addrs)-1].addr
+		l.removeLocked(victim)
 		l.met.Inc(trace.CtrListEvictions)
-		l.leaveLocked(victim.addr)
+		l.leaveLocked(victim)
 	}
 	e := &entry{addr: addr, cooldown: l.cooldown, demoteCooldown: l.demoteCooldown}
 	l.addrs = append(l.addrs, e)
 	l.index[addr] = e
-	l.joinLocked(addr)
+	return e
 }
 
 // Success records a response from addr, fully restoring its health.
@@ -829,16 +827,7 @@ func (l *ResponderList) Promote(addr wire.Addr) {
 	defer l.mu.Unlock()
 	e := l.index[addr]
 	if e == nil {
-		if l.max > 0 && len(l.addrs) >= l.max {
-			victim := l.addrs[len(l.addrs)-1]
-			l.addrs = l.addrs[:len(l.addrs)-1]
-			delete(l.index, victim.addr)
-			l.met.Inc(trace.CtrListEvictions)
-			l.leaveLocked(victim.addr)
-		}
-		e = &entry{addr: addr, cooldown: l.cooldown, demoteCooldown: l.demoteCooldown}
-		l.index[addr] = e
-		l.addrs = append(l.addrs, e)
+		e = l.appendLocked(addr)
 		l.joinLocked(addr)
 	}
 	now := l.clk.Now()
@@ -935,10 +924,7 @@ func (l *ResponderList) removeLocked(addr wire.Addr) bool {
 func (l *ResponderList) Clear() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	gone := make([]wire.Addr, len(l.addrs))
-	for i, e := range l.addrs {
-		gone[i] = e.addr
-	}
+	gone := l.allLocked()
 	l.addrs = l.addrs[:0]
 	l.index = make(map[wire.Addr]*entry)
 	l.met.Set(trace.CtrCapsBaselinePeers, 0)

@@ -138,7 +138,8 @@ func C2Overload(scale Scale) (*Table, error) {
 
 	// Flood: each greedy peer parks blocking takes (short requester
 	// budgets, so the wait table churns instead of wedging) and streams
-	// stored outs with fat-but-idle byte terms (shrinkable slack).
+	// stored outs with fat-but-idle byte terms (shrinkable slack) and a
+	// remote budget, without which an OutAt is refused before it leaves.
 	heapBefore := heapNow()
 	floodCtx, stopFlood := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -160,7 +161,7 @@ func C2Overload(scale Scale) (*Table, error) {
 		go func(g *core.Instance) {
 			defer wg.Done()
 			for v := int64(0); floodCtx.Err() == nil; v++ {
-				r := lease.Flexible(lease.Terms{Duration: 200 * time.Millisecond, MaxBytes: 8 << 10})
+				r := lease.Flexible(lease.Terms{Duration: 200 * time.Millisecond, MaxBytes: 8 << 10, MaxRemotes: 3})
 				_ = g.OutAt(governed.Addr(), c2Fill(v), r)
 				atomic.AddInt64(&greedyOps, 1)
 				time.Sleep(2 * time.Millisecond)

@@ -137,21 +137,26 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	// sees a replicate frame. Old nodes seed nothing: without
 	// replication their uncollected tokens could not survive the
 	// upgrade kill, and this soak kills by design. An out that raced a
-	// kill into ErrClosed is exempt from the loss clause only.
+	// kill into ErrClosed is exempt from the loss clause only. seedFrom
+	// counts the outs found stored at inst when Out returned.
 	outTerms := lease.Flexible(lease.Terms{Duration: time.Hour, MaxBytes: 1 << 16, MaxRemotes: 64})
 	next := int64(0)
-	seedFrom := func(inst *core.Instance, n int) error {
+	seedFrom := func(inst *core.Instance, n int) (stored int, err error) {
 		for s := 0; s < n; s++ {
 			id := next
 			next++
-			if err := l.out(inst, id, outTerms); err != nil && !errors.Is(err, core.ErrClosed) {
-				return fmt.Errorf("C6: seeding token %d: %w", id, err)
+			err := l.out(inst, id, outTerms)
+			if err != nil && !errors.Is(err, core.ErrClosed) {
+				return stored, fmt.Errorf("C6: seeding token %d: %w", id, err)
+			}
+			if _, ok := inst.LocalSpace().Rdp(l.one(id)); err == nil && ok {
+				stored++
 			}
 		}
-		return nil
+		return stored, nil
 	}
 	for idx := oldCount; idx < nodes; idx++ {
-		if err := seedFrom(live[idx], perNode); err != nil {
+		if _, err := seedFrom(live[idx], perNode); err != nil {
 			return nil, err
 		}
 	}
@@ -216,13 +221,16 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	// Phase B: the upgraded node seeds fresh tokens. With its mask gone
 	// the replicator runs, so each token must land a copy on another
 	// capable node — then the upgraded node dies, and those copies are
-	// the only way its uncollected tokens survive.
+	// the only way its uncollected tokens survive. Only an out that stayed
+	// stored is written through: one its own collector took at the Out left
+	// nothing, and a baseline taker's hold withholds copies (DESIGN.md §13).
 	firstB := next
-	if err := seedFrom(upgraded, perNode); err != nil {
+	stored, err := seedFrom(upgraded, perNode)
+	if err != nil {
 		return nil, err
 	}
-	if upgraded.Replication().Writes == 0 {
-		return nil, fmt.Errorf("C6 invariant: upgraded node performed no write-through replication; the upgrade never activated the ring")
+	if stored > 0 && upgraded.Replication().Writes == 0 {
+		return nil, fmt.Errorf("C6 invariant: upgraded node wrote none of the %d fresh tokens that stayed stored through to a backup; the upgrade never activated the ring", stored)
 	}
 	if err := l.awaitReplicated(upgraded, firstB, next, live, replicateBound); err != nil {
 		return nil, fmt.Errorf("C6: %w", err)

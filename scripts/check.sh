@@ -17,6 +17,17 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+# Every timer in internal/core is an entry on a deadline queue (DESIGN.md
+# §7). clock.Clock offers no channel timer, so the compiler polices the
+# clock; this polices the time package's own timers and sleeps.
+echo "==> internal/core asks the time package for no timer"
+timers="$(git ls-files 'internal/core/*.go' | grep -v '_test.go$' | xargs grep -nE 'time\.(After|Sleep|NewTimer|Tick)' || true)"
+if [ -n "$timers" ]; then
+	echo "timers outside the deadline queue:"
+	echo "$timers"
+	exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 

@@ -384,9 +384,10 @@ var (
 		set:   func(m *Message) bool { return m.Busy },
 		clear: func(m *Message) { m.Busy = false }}
 	// replField is the replica identity (ReplOrigin, ReplSeq). On a found
-	// TResult it is advisory — it lets the requester invalidate surviving
-	// copies itself, and without it the origin-side removal hook still
-	// does. On TOut/TCancel it is what makes the frame a replicate or an
+	// TResult it lets the requester invalidate surviving copies itself; it
+	// is advisory because an origin replying to a requester that cannot
+	// carry it invalidates them first (core's replWithhold). On
+	// TOut/TCancel it is what makes the frame a replicate or an
 	// invalidation rather than a remote out or an op withdrawal: semantic.
 	replField = optField{cap: CapReplicaIdentity,
 		set:   func(m *Message) bool { return m.ReplSeq != 0 },

@@ -9,8 +9,8 @@
 //	        [-peers host:port,host:port] [-persistent] [-data tiamatd.wal]
 //	        [-fsync always|interval|never] [-stall-threshold 250ms]
 //	        [-stats 10s] [-pda]
-//	        [-max-peer-waits n] [-shed-watermark 0.75] [-rearm=true]
-//	        [-replicas 1] [-repair-interval 0] [-caps-mask 0x0]
+//	        [-max-peer-waits n] [-shed-watermark 0.75]
+//	        [-replicas 1] [-caps-mask 0x0]
 //
 // -caps-mask withholds capability bits (a hex or decimal bitmask of
 // wire.Cap* values) from both the node's announcements and its own
@@ -30,11 +30,11 @@
 // degraded). -stall-threshold tunes the WAL fsync watchdog behind that
 // self-report (DESIGN.md §11).
 //
-// -rearm (on by default) re-contacts newly visible peers for blocking
-// operations still in flight (DESIGN.md §10); -rearm=false restricts an
-// operation to the peers visible when it started, as in pre-mobility
-// builds. The drain summary includes a mobility line (re-arms, orphaned
-// waits/holds reconciled, visibility churn) alongside the governor's.
+// The drain summary includes a mobility line (re-arms, orphaned
+// waits/holds reconciled, visibility churn) alongside the governor's, and
+// a line counting which of the node's recovery timers fired: contact
+// timeouts, accept retransmissions, hold graces, suspicions and the
+// transport's I/O timeouts (DESIGN.md §7, "Node timers").
 //
 // With -persistent the local space is backed by a write-ahead log at
 // -data: tuples survive restarts (the log is replayed on boot and a
@@ -82,9 +82,7 @@ func main() {
 	stallThreshold := flag.Duration("stall-threshold", 0, "fsync duration past which the node self-reports degraded (0 = library default, negative disables; with -persistent)")
 	maxPeerWaits := flag.Int("max-peer-waits", 0, "bound on blocking remote waits served per peer (0 = library default)")
 	shedWatermark := flag.Float64("shed-watermark", 0, "pressure (0..1] at which admission starts shedding (0 = library default)")
-	rearm := flag.Bool("rearm", true, "re-arm in-flight blocking ops when new peers become visible")
 	replicas := flag.Int("replicas", 1, "replica-set size R for leased replication (1 = off)")
-	repairInterval := flag.Duration("repair-interval", 0, "anti-entropy repair sweep interval (0 = library default; with -replicas > 1)")
 	capsMask := flag.String("caps-mask", "", "capability bits to withhold (hex or decimal bitmask of wire.Cap* values), simulating an older build for canary/rollback testing")
 	flag.Parse()
 
@@ -103,10 +101,14 @@ func main() {
 	if *peers != "" {
 		staticPeers = strings.Split(*peers, ",")
 	}
+	// One registry for the node and its transport, so the drain summary
+	// reads the transport's I/O timeouts beside the node's own timers.
+	met := &trace.Metrics{}
 	tr, err := netudp.New(netudp.Config{
 		Listen:      *listen,
 		Group:       *group,
 		StaticPeers: staticPeers,
+		Metrics:     met,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -114,11 +116,10 @@ func main() {
 
 	cfg := tiamat.Config{
 		Endpoint:            tr,
+		Metrics:             met,
 		Persistent:          *persistent,
 		ContinuousDiscovery: true,
-		DisableRearm:        !*rearm,
 		Replicas:            *replicas,
-		RepairInterval:      *repairInterval,
 		CapsMask:            mask,
 		Governor: tiamat.GovernorConfig{
 			MaxPeerWaits:  *maxPeerWaits,
@@ -207,9 +208,9 @@ func main() {
 			gr := inst.Gray()
 			fmt.Printf("gray: hedges=%d wins=%d suppressed=%d rtt-samples=%d degraded=%t\n",
 				gr.Hedges, gr.HedgeWins, gr.HedgeSuppressed, gr.RTTSamples, inst.Degraded())
-			met := inst.Metrics()
-			fmt.Printf("deadlines fired: contact-timeouts=%d accept-retransmits=%d hold-grace-expired=%d\n",
-				met.Get(trace.CtrContactTimeouts), met.Get(trace.CtrAcceptRetransmits), met.Get(trace.CtrHoldGraceExpired))
+			fmt.Printf("deadlines fired: contact-timeouts=%d accept-retransmits=%d hold-grace-expired=%d suspicions=%d io-timeouts=%d\n",
+				met.Get(trace.CtrContactTimeouts), met.Get(trace.CtrAcceptRetransmits), met.Get(trace.CtrHoldGraceExpired),
+				met.Get(trace.CtrSuspicions), met.Get(trace.CtrIOTimeouts))
 			c := inst.CapsSummary()
 			fmt.Printf("caps: local=%s learned=%d gated-sends=%d baseline-peers=%d\n",
 				wire.CapsString(c.Local), c.Learned, c.GatedSends, c.BaselinePeers)

@@ -97,7 +97,7 @@ func main() {
 		}
 	}
 
-	mon := monitor.New(8, 32)
+	mon := monitor.New(8)
 	interval := monitor.NewAdaptiveInterval(50*time.Millisecond, 400*time.Millisecond)
 
 	summarize := func(round int) {

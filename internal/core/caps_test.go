@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"tiamat/internal/store"
 	"tiamat/lease"
+	"tiamat/space"
 	"tiamat/trace"
+	"tiamat/transport"
 	"tiamat/transport/memnet"
 	"tiamat/wire"
 )
@@ -248,4 +251,58 @@ func TestInboundCoalescedAck(t *testing.T) {
 			lse.Cancel()
 		})
 	}
+}
+
+// TestHelloCarriesCapsWhateverArrivedFirst: a booting node's hello carries
+// its capability set even when a peer's frame already waits in its inbox.
+// Handled before the hello, a discover from a peer of unknown build put an
+// unknown entry on the responder list, which empties the common caps a
+// multicast is restricted to, and the hello went out caps-less: every
+// capable peer kept a rolling upgrade's canary as baseline (C6's
+// "capabilities not learned cluster-wide").
+func TestHelloCarriesCapsWhateverArrivedFirst(t *testing.T) {
+	r := newRig(t, nil, nil)
+	attach := func(addr wire.Addr) transport.Endpoint {
+		ep, err := r.net.Attach(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	aware, prober, ep := attach("aware"), attach("prober"), attach("c")
+	r.net.ConnectAll()
+	if err := prober.Send("c", &wire.Message{Type: wire.TDiscover, ID: 7, From: "prober"}); err != nil {
+		t.Fatal(err)
+	}
+	sp := &drainFirst{Space: store.New(store.WithClock(r.clk)), inbox: ep.Recv()}
+	c, err := New(Config{Endpoint: ep, Clock: r.clk, Metrics: r.met, Space: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	in := &inbox{ep: aware}
+	eventually(t, "hello delivered", func() bool { return in.find(helloID) != nil })
+	if got := in.find(helloID).Caps; got != wire.CapsCurrent {
+		t.Fatalf("hello carried caps %#x, want %#x", got, uint64(wire.CapsCurrent))
+	}
+}
+
+// drainFirst is a space whose first Degraded call, the boot hello's
+// announce stamp, waits for the node's inbox to drain (up to 100ms) and
+// what was drained to be handled: a receive loop running by then gets to
+// its frames before the hello is built.
+type drainFirst struct {
+	space.Space
+	inbox <-chan *wire.Message
+	once  sync.Once
+}
+
+func (s *drainFirst) Degraded() bool {
+	s.once.Do(func() {
+		for k := 0; len(s.inbox) > 0 && k < 100; k++ {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(10 * time.Millisecond)
+	})
+	return false
 }

@@ -42,9 +42,7 @@ func newChaosRig(t *testing.T, addrs []wire.Addr, f memnet.Faults, mutate func(*
 			Metrics:  met,
 			// Tight timers so a test's worth of chaos fits in seconds.
 			ContactTimeout: 25 * time.Millisecond,
-			RetryBackoff:   10 * time.Millisecond,
 			RetryAttempts:  4,
-			HoldGrace:      time.Second,
 		}
 		if mutate != nil {
 			mutate(&cfg)

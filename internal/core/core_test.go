@@ -71,6 +71,16 @@ func (r *rig) close() {
 	r.net.Close()
 }
 
+// setEvery gives a sweep a new period and runs it next one period from
+// now: how a test hurries a sweep, or keeps one out of its way, since New
+// derives every period from ContactTimeout.
+func (s *sweep) setEvery(every time.Duration) {
+	s.mu.Lock()
+	s.every = every
+	s.mu.Unlock()
+	s.next()
+}
+
 func req(id int64) tuple.Tuple { return tuple.T(tuple.String("req"), tuple.Int(id)) }
 func reqTmpl() tuple.Template  { return tuple.Tmpl(tuple.String("req"), tuple.FormalInt()) }
 

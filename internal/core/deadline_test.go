@@ -330,10 +330,10 @@ func TestOpStatesStayWithTheirInstance(t *testing.T) {
 	}
 }
 
-// TestHoldGraceExpiresAtItsInstant: ttl + HoldGrace, not a millisecond
+// TestHoldGraceExpiresAtItsInstant: ttl + hold grace, not a millisecond
 // sooner, and counted as a grace expiry.
 func TestHoldGraceExpiresAtItsInstant(t *testing.T) {
-	r := newRig(t, []wire.Addr{"a"}, func(c *Config) { c.HoldGrace = 2 * time.Second })
+	r := newRig(t, []wire.Addr{"a"}, nil)
 	a := r.inst["a"]
 	if err := a.Out(req(1), hourLease()); err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestHoldGraceExpiresAtItsInstant(t *testing.T) {
 	}
 	sweeps := a.deadlines.Len() // the orphan sweep's entry
 	a.registerHold(h, time.Second, waitKey{from: "gone", id: 1})
-	r.clk.Advance(3*time.Second - time.Millisecond)
+	r.clk.Advance(time.Second + a.tm.holdGrace - time.Millisecond)
 	if a.LocalSpace().Count() != 1 || r.met.Get(trace.CtrHoldGraceExpired) != 0 {
 		t.Fatal("hold reinstated before ttl + grace")
 	}
@@ -397,11 +397,11 @@ func (e sendTap) Send(to wire.Addr, m *wire.Message) error {
 	return e.Endpoint.Send(to, m)
 }
 
-// inRetryWait reports whether gap is a possible retryWait(k):
-// ContactTimeout + RetryBackoff·2^(k-1) plus up to RetryBackoff of jitter.
-func inRetryWait(c Config, k int, gap time.Duration) bool {
-	lo := c.ContactTimeout + c.RetryBackoff<<(k-1)
-	return gap >= lo && gap < lo+c.RetryBackoff
+// inRetryWait reports whether gap is a possible retryWait(k) at i:
+// ContactTimeout + backoff·2^(k-1) plus up to one backoff of jitter.
+func inRetryWait(i *Instance, k int, gap time.Duration) bool {
+	lo := i.cfg.ContactTimeout + i.tm.backoff<<(k-1)
+	return gap >= lo && gap < lo+i.tm.backoff
 }
 
 // TestAcceptRetransmittedUntilAcked: two accepts are lost; each
@@ -427,7 +427,7 @@ func TestAcceptRetransmittedUntilAcked(t *testing.T) {
 		t.Fatalf("%d accept transmissions in 800ms with two lost, want 3", len(sent))
 	}
 	for k := 1; k <= 2; k++ {
-		if gap := sent[k].Sub(sent[k-1]); !inRetryWait(b.cfg, k, gap) {
+		if gap := sent[k].Sub(sent[k-1]); !inRetryWait(b, k, gap) {
 			t.Fatalf("retransmission %d came %v after the transmission before it, not a retryWait(%d)", k, gap, k)
 		}
 	}
@@ -465,10 +465,13 @@ func nextTimer(t *testing.T, clk *clock.Virtual) time.Time {
 // contact up retryWait(3) after the last, and counts three timeouts.
 func TestContactRetriedThenGivenUp(t *testing.T) {
 	ops := &sendLog{typ: wire.TOp}
-	r := newRig(t, []wire.Addr{"a", "b"}, func(c *Config) {
-		ops.tap(c)
-		c.OrphanSweepInterval = time.Hour // keep the sweep's timer out of nextTimer's way
-	})
+	r := newRig(t, []wire.Addr{"a", "b"}, ops.tap)
+	// Keep the sweeps out of nextTimer's way: an hour on, and the queue
+	// timers armed for their first runs fired empty.
+	for _, inst := range r.inst {
+		inst.orphans.setEvery(time.Hour)
+	}
+	r.clk.Advance(time.Second)
 	r.net.ConnectAll()
 	b := r.inst["b"]
 	b.list.Observe("a")
@@ -486,7 +489,7 @@ func TestContactRetriedThenGivenUp(t *testing.T) {
 			at = nextTimer(t, r.clk)
 			return at.After(r.clk.Now())
 		})
-		if gap := at.Sub(ops.sent()[k-1]); !inRetryWait(b.cfg, k, gap) {
+		if gap := at.Sub(ops.sent()[k-1]); !inRetryWait(b, k, gap) {
 			t.Fatalf("contact timeout %d armed %v after its transmission, not a retryWait(%d)", k, gap, k)
 		}
 		r.clk.AdvanceTo(at)

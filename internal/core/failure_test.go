@@ -17,9 +17,7 @@ import (
 // reinstated by the hold-grace timer.
 
 func TestLostResultReinstatedByHoldGrace(t *testing.T) {
-	r := newRig(t, []wire.Addr{"a", "b"}, func(c *Config) {
-		c.HoldGrace = 2 * time.Second
-	})
+	r := newRig(t, []wire.Addr{"a", "b"}, nil)
 	r.net.ConnectAll()
 	a, b := r.inst["a"], r.inst["b"]
 	if err := a.Out(req(1), lease.Flexible(lease.Terms{Duration: time.Hour, MaxBytes: 100})); err != nil {
@@ -54,7 +52,7 @@ func TestLostResultReinstatedByHoldGrace(t *testing.T) {
 	if a.LocalSpace().Count() != 1 {
 		t.Fatal("held tuple still visible")
 	}
-	r.clk.Advance(time.Second + 2*time.Second + time.Millisecond) // ttl + grace
+	r.clk.Advance(time.Second + a.tm.holdGrace + time.Millisecond) // ttl + grace
 	if a.LocalSpace().Count() != 2 {
 		t.Fatal("hold grace did not reinstate the tuple")
 	}
@@ -297,7 +295,7 @@ func TestReinstatedHoldInvalidatesCachedReply(t *testing.T) {
 	if n := a.LocalSpace().Count(); n != 1 {
 		t.Fatalf("take did not hold: count = %d", n)
 	}
-	r.clk.Advance(time.Second + a.cfg.HoldGrace + time.Millisecond) // reinstate
+	r.clk.Advance(time.Second + a.tm.holdGrace + time.Millisecond) // reinstate
 	if n := a.LocalSpace().Count(); n != 2 {
 		t.Fatalf("grace did not reinstate: count = %d", n)
 	}

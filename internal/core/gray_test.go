@@ -82,7 +82,6 @@ func sameAddrs(got []wire.Addr, want ...wire.Addr) bool {
 func grayRig(t *testing.T, addrs []wire.Addr, mutate func(*Config)) *chaosRig {
 	t.Helper()
 	return newChaosRig(t, addrs, memnet.Faults{}, func(c *Config) {
-		c.RetryBackoff = 20 * time.Millisecond
 		c.RetryAttempts = 3
 		if mutate != nil {
 			mutate(c)

@@ -122,16 +122,12 @@ type Config struct {
 	ContinuousDiscovery bool
 	// RediscoverInterval is the re-multicast period (default 500ms).
 	RediscoverInterval time.Duration
-	// HoldGrace is how long a responder keeps a tentative removal alive
-	// past the op TTL before reinstating it (default 2s).
-	HoldGrace time.Duration
 	// ContactTimeout is how long the communications manager waits for a
 	// contacted responder's reply before retransmitting (default 250ms).
+	// It is also the scale of the node's recovery timers: New derives the
+	// retry backoff, the hold grace, both sweep periods and the orphan
+	// grace from it (DESIGN.md §7, "Node timers").
 	ContactTimeout time.Duration
-	// RetryBackoff is the base backoff added to successive retransmit
-	// waits: attempt k waits ContactTimeout + RetryBackoff·2^(k-1) plus
-	// up to RetryBackoff of jitter (default 50ms).
-	RetryBackoff time.Duration
 	// RetryAttempts bounds transmissions per contact per operation
 	// (default 3: one send plus two retries). Every retransmission also
 	// consumes one unit of the operation lease's remote budget, so the
@@ -148,20 +144,6 @@ type Config struct {
 	// Kept for the C4 gray-failure ablation and mixed-version runs; with
 	// it set a single slow first contact stalls the whole walk.
 	DisableHedge bool
-	// DisableRearm turns off visibility-event re-arming of in-flight
-	// blocking operations (DESIGN.md §10): with it set, a blocking rd/in
-	// only reaches peers known at start (plus rediscovery multicasts, if
-	// enabled) — the pre-mobility behaviour, kept for ablations and
-	// mixed-version comparisons.
-	DisableRearm bool
-	// OrphanSweepInterval is how often the orphan sweeper probes peers
-	// this instance is serving waits or holds for (default 1s).
-	OrphanSweepInterval time.Duration
-	// OrphanGrace is how long a served peer must stay continuously
-	// unreachable before its waits are stopped and its holds reinstated
-	// (default 3s). The window bounds how long a partition can strand
-	// serve-side state below the lease TTL backstop.
-	OrphanGrace time.Duration
 	// Replicas is the replica-set size R for leased replication
 	// (DESIGN.md §13): every out is written through to the R-1
 	// ring-placed backups, reads may be served from any live replica,
@@ -170,11 +152,6 @@ type Config struct {
 	// entirely and keeps every frame byte-identical to the
 	// pre-replication protocol.
 	Replicas int
-	// RepairInterval paces the anti-entropy sweeper (default 1s): how
-	// often under-replicated tuples are re-placed and copies orphaned by
-	// a dead origin are adopted by their surviving holders. Only
-	// meaningful when Replicas ≥ 2.
-	RepairInterval time.Duration
 	// CapsMask clears capability bits (wire.Cap*) from both this
 	// instance's advertised set and its locally produced wire features:
 	// a masked bit is never announced, and the optional fields it covers
@@ -216,30 +193,52 @@ func (c *Config) applyDefaults() {
 	if c.RediscoverInterval <= 0 {
 		c.RediscoverInterval = 500 * time.Millisecond
 	}
-	if c.HoldGrace <= 0 {
-		c.HoldGrace = 2 * time.Second
-	}
 	if c.ContactTimeout <= 0 {
 		c.ContactTimeout = 250 * time.Millisecond
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
 	}
 	if c.RetryAttempts <= 0 {
 		c.RetryAttempts = 3
 	}
-	if c.OrphanSweepInterval <= 0 {
-		c.OrphanSweepInterval = time.Second
-	}
-	if c.OrphanGrace <= 0 {
-		c.OrphanGrace = 3 * time.Second
-	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1
 	}
-	if c.RepairInterval <= 0 {
-		c.RepairInterval = time.Second
+}
+
+// timers are the node's recovery timers, derived once in New from
+// ContactTimeout (DESIGN.md §7, "Node timers"). At the default 250ms they
+// read 50ms, 2s, 1s, 3s and 1s.
+type timers struct {
+	backoff     time.Duration // retryWait's base backoff and jitter bound
+	holdGrace   time.Duration // how long a hold outlives its op TTL
+	orphanSweep time.Duration // the orphan sweep's period
+	orphanGrace time.Duration // how long a served peer may stay unreachable
+	repair      time.Duration // the repair sweep's period and resend pacing
+}
+
+// deriveTimers scales the recovery timers from the contact timeout. The
+// hold grace is never shorter than the accept's retransmission schedule
+// over attempts transmissions: the owner must not reinstate a tuple while
+// its accept can still be on the way.
+func deriveTimers(contact time.Duration, attempts int) timers {
+	backoff := max(contact/5, 1)
+	return timers{
+		backoff:     backoff,
+		holdGrace:   max(8*contact, acceptSchedule(contact, backoff, attempts)),
+		orphanSweep: 4 * contact,
+		orphanGrace: 12 * contact,
+		repair:      4 * contact,
 	}
+}
+
+// acceptSchedule is the longest the first attempts transmissions of an
+// accept can take: Σ max retryWait(k) for k = 1..attempts, each the contact
+// timeout plus backoff·2^(k-1) plus a full backoff of jitter.
+func acceptSchedule(contact, backoff time.Duration, attempts int) time.Duration {
+	var s time.Duration
+	for k := 1; k <= attempts; k++ {
+		s += contact + backoff<<(k-1) + backoff
+	}
+	return s
 }
 
 // SpaceInfoName is the first field of every space-info tuple (paper
@@ -251,6 +250,7 @@ const SpaceInfoName = "tiamat:space"
 // communications manager (paper Figure 2).
 type Instance struct {
 	cfg   Config
+	tm    timers // derived from cfg.ContactTimeout in New
 	ep    transport.Endpoint
 	clk   clock.Clock
 	met   *trace.Metrics
@@ -339,7 +339,7 @@ type Instance struct {
 	rnd splitmix.Source
 	// suspect tracks, per served peer, when its reachability probes
 	// started failing; the orphan sweep reaps a peer unreachable for a
-	// full OrphanGrace window. Guarded by mu.
+	// full orphan grace. Guarded by mu.
 	suspect map[wire.Addr]time.Time
 	orphans sweep // the orphan sweep's entry on deadlines (mobility.go)
 
@@ -397,6 +397,7 @@ func New(cfg Config) (*Instance, error) {
 	met := trace.NewNode(cfg.Metrics)
 	i := &Instance{
 		cfg:  cfg,
+		tm:   deriveTimers(cfg.ContactTimeout, cfg.RetryAttempts),
 		ep:   cfg.Endpoint,
 		clk:  cfg.Clock,
 		met:  met,
@@ -457,17 +458,11 @@ func New(cfg Config) (*Instance, error) {
 		return nil, fmt.Errorf("tiamat: seeding space-info tuple: %w", err)
 	}
 	i.gov = newGovernor(i, cfg.Governor)
-	i.orphans = sweep{i: i, every: cfg.OrphanSweepInterval, pass: i.sweepOrphans}
+	i.orphans = sweep{i: i, every: i.tm.orphanSweep, pass: i.sweepOrphans}
 	i.orphans.next()
 	if cfg.Replicas >= 2 && i.caps&wire.CapReplicaIdentity != 0 {
 		i.repl = newReplicator(i)
 		i.repl.repair.next()
-	}
-	i.wg.Add(1)
-	go i.loop()
-	for w := 0; w < serveWorkers; w++ {
-		i.wg.Add(1)
-		go i.gov.worker()
 	}
 	// Hello: an unsolicited announce folds this instance into the
 	// responder lists of every peer that hears it (handleAnnounce keeps
@@ -481,10 +476,19 @@ func New(cfg Config) (*Instance, error) {
 	// peers must learn it before any gated feature can activate toward
 	// us, and a pre-capability listener rejecting the extended frame costs
 	// exactly one bounded decode failure per boot — it learns us through
-	// its own discover probe and our gated unicast reply instead.
+	// its own discover probe and our gated unicast reply instead. So it
+	// goes out before the receive loop starts: a frame handled first puts
+	// its sender on the responder list, and one sender of unknown build
+	// empties the capability set a multicast may carry.
 	hello := &wire.Message{Type: wire.TAnnounce, ID: helloID, From: i.Addr(), Persistent: cfg.Persistent}
 	i.stampAnnounce(hello)
 	_, _ = i.multicast(hello)
+	i.wg.Add(1)
+	go i.loop()
+	for w := 0; w < serveWorkers; w++ {
+		i.wg.Add(1)
+		go i.gov.worker()
+	}
 	return i, nil
 }
 

@@ -72,13 +72,13 @@ func (s *sweep) Expire() {
 	s.pass()
 }
 
-// sweepOrphans is the orphan sweep's pass, every OrphanSweepInterval: a
+// sweepOrphans is the orphan sweep's pass, every i.orphans.every: a
 // partition must not strand held tuples and served waiters until their
 // lease TTL when the requester is demonstrably gone. It probes every peer
 // we are currently serving (a registered blocking wait or a pending hold)
 // with a lightweight unsolicited announce. A peer whose probe fails with
 // an unreachable error becomes suspect; one that stays unreachable for a
-// full OrphanGrace window is reaped: its waits are stopped and its holds
+// full orphan grace is reaped: its waits are stopped and its holds
 // reinstated, exactly as if it had said goodbye.
 //
 // Reaping a hold early is safe under symmetric visibility: the requester
@@ -135,7 +135,7 @@ func (i *Instance) sweepOrphans() {
 			i.mu.Unlock()
 			continue
 		}
-		expired := now.Sub(first) >= i.cfg.OrphanGrace
+		expired := now.Sub(first) >= i.tm.orphanGrace
 		if expired {
 			delete(i.suspect, a)
 		}

@@ -218,16 +218,16 @@ func stampBudget(ctx context.Context, m *wire.Message) {
 
 // retryWait returns how long to wait for a reply after transmission k
 // before retransmitting: the contact timeout plus exponential backoff plus
-// up to RetryBackoff of jitter so concurrent operations do not retry in
+// up to one backoff of jitter so concurrent operations do not retry in
 // lockstep. The jitter comes from the instance's own seeded source
 // (Config.RetrySeed): chaos runs replay identically and the global
 // math/rand lock stays off the hot path.
 func (i *Instance) retryWait(k int) time.Duration {
 	wait := i.cfg.ContactTimeout
 	if k > 0 {
-		wait += i.cfg.RetryBackoff << (k - 1)
+		wait += i.tm.backoff << (k - 1)
 	}
-	return wait + time.Duration(i.rnd.Int63n(int64(i.cfg.RetryBackoff)))
+	return wait + time.Duration(i.rnd.Int63n(int64(i.tm.backoff)))
 }
 
 // Out places a tuple in the local space under a negotiated lease (paper
@@ -582,7 +582,7 @@ func (st *opState) start() error {
 		// so a peer that walks into range mid-wait is contacted immediately
 		// (the paper's §2 premise: the logical space is the union of
 		// *currently* visible nodes, not the set visible at op start).
-		if code.Blocking() && !i.cfg.DisableRearm {
+		if code.Blocking() {
 			if st.sub == nil {
 				st.sub = discovery.NewSubscription()
 			}
@@ -958,9 +958,9 @@ type pendingAccept struct {
 // armed for it.
 func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease) {
 	i.rememberAccepted(acceptKey{owner: owner, holdID: holdID})
-	budget := lse.Deadline().Sub(i.clk.Now()) + i.cfg.HoldGrace
-	if budget < i.cfg.HoldGrace {
-		budget = i.cfg.HoldGrace
+	budget := lse.Deadline().Sub(i.clk.Now()) + i.tm.holdGrace
+	if budget < i.tm.holdGrace {
+		budget = i.tm.holdGrace
 	}
 	giveUp := i.clk.Now().Add(budget)
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -147,58 +146,6 @@ func TestRearmedLoserStillCancelled(t *testing.T) {
 	eventually(t, "loser's wait withdrawn", func() bool { return waitCount(d) == 0 && waitCount(c) == 0 })
 }
 
-// TestRearmDisabledMissesLateJoiner is the ablation: with DisableRearm the
-// same scenario blocks until the lease expires, exactly like pre-mobility
-// snapshot mode.
-func TestRearmDisabledMissesLateJoiner(t *testing.T) {
-	r := newRig(t, []wire.Addr{"a"}, func(c *Config) { c.DisableRearm = true })
-	a := r.inst["a"]
-
-	errc := make(chan error, 1)
-	go func() {
-		_, err := a.In(context.Background(), reqTmpl(),
-			lease.Flexible(lease.Terms{Duration: 5 * time.Second, MaxRemotes: 100}))
-		errc <- err
-	}()
-	eventually(t, "op started", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return len(a.ops) > 0
-	})
-
-	ep, err := r.net.Attach("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.net.SetVisible("a", "c", true)
-	c, err := New(Config{Endpoint: ep, Clock: r.clk, Metrics: r.met})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Out(req(7), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case err := <-errc:
-		t.Fatalf("op completed despite DisableRearm: %v", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	r.clk.Advance(6 * time.Second)
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrNoMatch) {
-			t.Fatalf("err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("op never expired")
-	}
-	if r.met.Get(trace.CtrRearms) != 0 {
-		t.Fatal("re-arm fired despite DisableRearm")
-	}
-}
-
 // advanceUntil steps the virtual clock in small increments (so re-armed
 // timers keep firing) until cond holds or 2s of real time pass.
 func advanceUntil(t *testing.T, r *rig, step time.Duration, what string, cond func() bool) {
@@ -216,8 +163,7 @@ func advanceUntil(t *testing.T, r *rig, step time.Duration, what string, cond fu
 
 func TestOrphanSweepStopsWaitsForVanishedPeer(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a", "b"}, func(c *Config) {
-		c.OrphanSweepInterval = 100 * time.Millisecond
-		c.OrphanGrace = 300 * time.Millisecond
+		c.ContactTimeout = 25 * time.Millisecond // sweep every 100ms, reap after 300ms
 	})
 	r.net.ConnectAll()
 	a, b := r.inst["a"], r.inst["b"]
@@ -254,8 +200,7 @@ func TestOrphanSweepStopsWaitsForVanishedPeer(t *testing.T) {
 
 func TestOrphanSweepReinstatesHoldsForVanishedPeer(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a"}, func(c *Config) {
-		c.OrphanSweepInterval = 100 * time.Millisecond
-		c.OrphanGrace = 300 * time.Millisecond
+		c.ContactTimeout = 25 * time.Millisecond // sweep every 100ms, reap after 300ms
 	})
 	a := r.inst["a"]
 	if err := a.Out(req(1), nil); err != nil {
@@ -295,14 +240,12 @@ func TestOrphanSweepReinstatesHoldsForVanishedPeer(t *testing.T) {
 }
 
 // TestOrphanSweepSparesReachablePeer: suspicion must clear when a probe
-// succeeds again — a blip shorter than OrphanGrace reaps nothing.
+// succeeds again — a blip shorter than the orphan grace reaps nothing.
 func TestOrphanSweepSparesReachablePeer(t *testing.T) {
-	r := newRig(t, []wire.Addr{"a", "b"}, func(c *Config) {
-		c.OrphanSweepInterval = 100 * time.Millisecond
-		c.OrphanGrace = time.Hour // a blip can never ripen
-	})
+	r := newRig(t, []wire.Addr{"a", "b"}, nil)
 	r.net.ConnectAll()
 	a, b := r.inst["a"], r.inst["b"]
+	a.orphans.setEvery(100 * time.Millisecond) // thirty sweeps to the 3s grace: a blip never ripens
 
 	errc := make(chan error, 1)
 	go func() {
@@ -344,7 +287,7 @@ func TestOrphanSweepSparesReachablePeer(t *testing.T) {
 // a pure function of the seed (satellite S1).
 func TestRetryJitterReproducible(t *testing.T) {
 	sample := func(seed uint64) []time.Duration {
-		i := &Instance{cfg: Config{ContactTimeout: 250 * time.Millisecond, RetryBackoff: 50 * time.Millisecond}}
+		i := &Instance{cfg: Config{ContactTimeout: 250 * time.Millisecond}, tm: deriveTimers(250*time.Millisecond, 3)}
 		i.rnd.Seed(seed)
 		out := make([]time.Duration, 8)
 		for k := range out {

@@ -154,7 +154,7 @@ func newReplicator(i *Instance) *replicator {
 		fences:   make(map[replKey]time.Time),
 		pend:     make(map[uint64]pendRepl),
 		withheld: make(map[uint64]bool),
-		repair:   sweep{i: i, every: i.cfg.RepairInterval, pass: i.repairSweep},
+		repair:   sweep{i: i, every: i.tm.repair, pass: i.repairSweep},
 	}
 }
 
@@ -1037,7 +1037,7 @@ func (i *Instance) replOnJoin(addr wire.Addr, first bool) {
 	}
 }
 
-// repairSweep is the anti-entropy sweep's pass, every RepairInterval (and
+// repairSweep is the anti-entropy sweep's pass, every r.repair.every (and
 // at once when a withheld hold is released). A leave shifts replica ranks,
 // which the next pass re-places. One pass:
 //
@@ -1092,7 +1092,7 @@ func (i *Instance) repairSweep() {
 			if ro.acked[a] {
 				continue
 			}
-			if last, ok := ro.lastSend[a]; ok && now.Sub(last) < i.cfg.RepairInterval {
+			if last, ok := ro.lastSend[a]; ok && now.Sub(last) < r.repair.every {
 				continue
 			}
 			ro.lastSend[a] = now
@@ -1142,7 +1142,7 @@ func (i *Instance) repairSweep() {
 			}
 			r.mu.Lock()
 			last, ok := ad.c.lastRepair[a]
-			if ok && now.Sub(last) < i.cfg.RepairInterval {
+			if ok && now.Sub(last) < r.repair.every {
 				r.mu.Unlock()
 				continue
 			}

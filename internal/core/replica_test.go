@@ -354,7 +354,10 @@ func TestLocalReplicaServesLastSurvivor(t *testing.T) {
 }
 
 func TestRepairReplacesLostBackup(t *testing.T) {
-	r := replRig(t, func(c *Config) { c.RepairInterval = time.Millisecond }, "a", "b", "c")
+	r := replRig(t, nil, "a", "b", "c")
+	for _, inst := range r.inst {
+		inst.repl.repair.setEvery(time.Millisecond)
+	}
 	a := r.inst["a"]
 	if err := a.Out(req(8), outLease()); err != nil {
 		t.Fatal(err)
@@ -388,7 +391,10 @@ func TestRepairReplacesLostBackup(t *testing.T) {
 }
 
 func TestAdoptionRepairsDeadOriginCopies(t *testing.T) {
-	r := replRig(t, func(c *Config) { c.RepairInterval = time.Millisecond }, "a", "b", "c")
+	r := replRig(t, nil, "a", "b", "c")
+	for _, inst := range r.inst {
+		inst.repl.repair.setEvery(time.Millisecond)
+	}
 	a := r.inst["a"]
 	if err := a.Out(req(2), outLease()); err != nil {
 		t.Fatal(err)
@@ -548,8 +554,11 @@ func TestWriteThroughSilentBackupCountsUnacked(t *testing.T) {
 // withdraws both instead of serving them a second time. The repair sweep,
 // an hour apart, has no part in it.
 func TestJoinCancelsFencedIdentities(t *testing.T) {
-	r := replRig(t, func(c *Config) { c.RepairInterval = time.Hour }, "a", "b")
+	r := replRig(t, nil, "a", "b")
 	a, b := r.inst["a"], r.inst["b"]
+	for _, inst := range r.inst {
+		inst.repl.repair.setEvery(time.Hour) // reconciliation must not wait for a sweep
+	}
 	ctx := context.Background()
 	for k := int64(1); k <= 2; k++ {
 		if err := a.Out(req(k), outLease()); err != nil {

@@ -490,9 +490,9 @@ func (i *Instance) serveBlocking(m *wire.Message, lse *lease.Lease, ttl time.Dur
 // deadline. key names the request the hold answers, so reinstatement can
 // invalidate the cached reply.
 func (i *Instance) registerHold(h space.Hold, ttl time.Duration, key waitKey) uint64 {
-	grace := ttl + i.cfg.HoldGrace
+	grace := ttl + i.tm.holdGrace
 	if grace <= 0 {
-		grace = i.cfg.HoldGrace
+		grace = i.tm.holdGrace
 	}
 	ph := &pendingHold{i: i, key: key, hold: h}
 	at := i.clk.Now().Add(grace)

@@ -620,7 +620,7 @@ func TestServedWaitEndsOnceOnEveryEdge(t *testing.T) {
 		{"orphan sweep", func(g *gatedRig) {
 			g.net.SetVisible("a", "x", false)
 			g.a.sweepOrphans() // suspect
-			g.clk.Advance(g.a.cfg.OrphanGrace)
+			g.clk.Advance(g.a.tm.orphanGrace)
 			g.a.sweepOrphans() // reap
 		}, 0, false},
 		{"shutdown", func(g *gatedRig) {
@@ -692,7 +692,7 @@ func TestPanickingSinkIsTheWaitsProblem(t *testing.T) {
 	}
 	// The hold the reply would have named rides out its grace and the
 	// tuple comes back: nothing is lost to the panic.
-	g.clk.Advance(time.Minute + g.a.cfg.HoldGrace)
+	g.clk.Advance(time.Minute + g.a.tm.holdGrace)
 	eventually(t, "tuple back after the hold's grace", g.resident)
 }
 

@@ -109,8 +109,8 @@ func TestReportViewsReadTheNodeRegistry(t *testing.T) {
 		}
 		inst, err := New(Config{
 			Endpoint: ep, Metrics: shared, Replicas: 2,
-			ContactTimeout: 25 * time.Millisecond, RetryBackoff: 10 * time.Millisecond,
-			Governor: GovernorConfig{MaxPeerWaits: 2, MaxTotalWaits: 4, ShedWatermark: 0.5},
+			ContactTimeout: 25 * time.Millisecond,
+			Governor:       GovernorConfig{MaxPeerWaits: 2, MaxTotalWaits: 4, ShedWatermark: 0.5},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -49,9 +49,6 @@ func C4Gray(scale Scale) (*Table, error) {
 			netOpts: []memnet.Option{memnet.WithLatency(2 * time.Millisecond)},
 			mutate: func(idx int, cfg *core.Config) {
 				cfg.ContactTimeout = 40 * time.Millisecond
-				cfg.RetryBackoff = 10 * time.Millisecond
-				cfg.RetryAttempts = 3
-				cfg.HoldGrace = time.Second
 				cfg.RetrySeed = uint64(idx) + 1
 				cfg.DisableHedge = disableHedge
 			},

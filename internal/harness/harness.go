@@ -153,10 +153,9 @@ func newCluster(o clusterOpts) (*cluster, error) {
 		}
 		cfg := core.Config{Endpoint: ep, Clock: clk, Metrics: met}
 		if chaosFaults != nil {
-			// Tight retry timers keep chaos runs within experiment
+			// Tight recovery timers keep chaos runs within experiment
 			// wall-time budgets; defaults target real networks.
 			cfg.ContactTimeout = 30 * time.Millisecond
-			cfg.RetryBackoff = 10 * time.Millisecond
 		}
 		if o.mutate != nil {
 			o.mutate(i, &cfg)
@@ -178,19 +177,20 @@ func (c *cluster) close() {
 	c.net.Close()
 }
 
+// soakContactTimeout is the ContactTimeout of the churn and kill soaks.
+// Every recovery timer of their nodes derives from it (DESIGN.md §7,
+// "Node timers"): hold grace 8×, orphan grace 12×, both sweeps 4×.
+const soakContactTimeout = 30 * time.Millisecond
+
 // soakTimers is the config mutation the churn and kill soaks (C3, C5, C6)
-// share: continuous discovery handles partition-wide resyncs, and short
-// grace, suspicion and repair windows reconcile holds and waits stranded
-// by a fault well inside a run measured in seconds.
+// share: continuous discovery handles partition-wide resyncs, and a short
+// contact timeout shrinks the grace, suspicion and repair windows that
+// reconcile holds and waits stranded by a fault to well inside a run
+// measured in seconds.
 func soakTimers(idx int, cfg *core.Config) {
 	cfg.ContinuousDiscovery = true
 	cfg.RediscoverInterval = 100 * time.Millisecond
-	cfg.RepairInterval = 100 * time.Millisecond
-	cfg.ContactTimeout = 30 * time.Millisecond
-	cfg.RetryBackoff = 10 * time.Millisecond
-	cfg.HoldGrace = 300 * time.Millisecond
-	cfg.OrphanSweepInterval = 50 * time.Millisecond
-	cfg.OrphanGrace = 250 * time.Millisecond
+	cfg.ContactTimeout = soakContactTimeout
 	cfg.RetrySeed = uint64(idx) + 1 // reproducible retry timing
 }
 

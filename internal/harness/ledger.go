@@ -151,9 +151,10 @@ func (l *ledger) stopCollectors() {
 	l.collectors.Wait()
 }
 
-// holdSettle outlasts soakTimers' HoldGrace: a hold whose accept was lost
-// is back in its space before the sweep looks.
-const holdSettle = 500 * time.Millisecond
+// holdSettle outlasts the hold grace a soak node derives from
+// soakContactTimeout (8×): a hold whose accept was lost is back in its
+// space before the sweep looks.
+const holdSettle = 8*soakContactTimeout + 200*time.Millisecond
 
 // drain waits up to bound for every acknowledged out to be taken, stops the
 // collectors and lets holds settle. Tokens still untaken at the bound are

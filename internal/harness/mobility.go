@@ -86,9 +86,10 @@ func C3Mobility(scale Scale) (*Table, error) {
 			}
 		}
 		c.net.Churn(2)
-		// Partition residency averages ~300ms — longer than OrphanGrace,
-		// so sweeps have time to ripen inside a split.
-		if rng.Intn(12) == 0 {
+		// Partition residency averages ~400ms — longer than the orphan
+		// grace (12 × soakContactTimeout), so sweeps have time to ripen
+		// inside a split.
+		if rng.Intn(16) == 0 {
 			if split {
 				c.net.ConnectAll()
 				l.fault("heal")

@@ -201,7 +201,7 @@ func X2AdaptiveDiscovery(scale Scale) (*Table, error) {
 	phases := []phase{{"stable", false}, {"churning", true}, {"stable again", false}}
 
 	run := func(adaptive bool) (probes int64, perPhase []string) {
-		mon := monitor.New(8, 8)
+		mon := monitor.New(8)
 		ctl := monitor.NewAdaptiveInterval(minIv, maxIv)
 		interval := minIv
 		var elapsed time.Duration

@@ -25,6 +25,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"tiamat/internal/core"
@@ -43,13 +45,9 @@ func C6Upgrade(scale Scale) (*Table, error) {
 		perNode = 8
 	}
 	const (
-		settleBound    = 5 * time.Second        // pairwise capability knowledge converged
-		replicateBound = 3 * time.Second        // fresh tokens copied off their origin
-		drainBound     = 8 * time.Second        // all tokens collected after the final kill
-		announceRound  = 100 * time.Millisecond // RediscoverInterval above
-		// Activation must land within one announce round of the upgraded
-		// node coming back; double it for scheduler noise under -race.
-		activationBound = 2 * announceRound
+		settleBound    = 5 * time.Second // pairwise capability knowledge converged
+		replicateBound = 3 * time.Second // fresh tokens copied off their origin
+		drainBound     = 8 * time.Second // all tokens collected after the final kill
 	)
 
 	leaked := goroutineBaseline()
@@ -178,6 +176,10 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	ucfg := core.Config{Endpoint: ep, Clock: c.clk, Metrics: c.met}
 	soakTimers(upIdx, &ucfg)
 	ucfg.Replicas = 2
+	// Activation must land within one announce round of the upgraded node
+	// coming back; double it for scheduler noise under -race.
+	announceRound := ucfg.RediscoverInterval
+	activationBound := 2 * announceRound
 	upgradeAt := time.Now()
 	l.fault("restart %s unmasked", addr(upIdx))
 	upgraded, err := core.New(ucfg)
@@ -193,21 +195,19 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	// ring, so learning IS activation.
 	var activation time.Duration
 	for {
-		ok := true
+		var unlearned []string
 		for idx := oldCount; idx < nodes; idx++ {
-			caps, known := live[idx].PeerCaps(addr(upIdx))
-			if !known || caps != wire.CapsCurrent {
-				ok = false
-				break
+			if state, ok := canaryKnowledge(live[idx], addr(upIdx)); !ok {
+				unlearned = append(unlearned, fmt.Sprintf("%s (%s)", addr(idx), state))
 			}
 		}
 		activation = time.Since(upgradeAt)
-		if ok {
+		if len(unlearned) == 0 {
 			break
 		}
 		if activation > activationBound {
-			return nil, fmt.Errorf("C6 invariant: upgraded node's capabilities not learned cluster-wide within %v (one announce round is %v)",
-				activationBound, announceRound)
+			return nil, fmt.Errorf("C6 invariant: upgraded node's capabilities not learned cluster-wide within %v (one announce round is %v): not learned at %s",
+				activationBound, announceRound, strings.Join(unlearned, ", "))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -288,4 +288,26 @@ func C6Upgrade(scale Scale) (*Table, error) {
 	t.AddNote("capability activation %v after restart (bound: one %v announce round, doubled for scheduler noise)", activation, announceRound)
 	chaosSummary(t, c.met.Get(trace.CtrRetries), c.met.Get(trace.CtrDedupDrops))
 	return t, nil
+}
+
+// canaryKnowledge reports whether peer has learned the canary's full
+// capability set and, for the activation error, what it knows instead:
+// its capability state for the canary (discovery.CapsState) and whether
+// the canary is on its responder list.
+func canaryKnowledge(peer *core.Instance, canary wire.Addr) (state string, learned bool) {
+	caps, known := peer.PeerCaps(canary)
+	switch {
+	case !known:
+		state = "CapsUnknown"
+	case caps == 0:
+		state = "CapsBaseline"
+	default:
+		state = "CapsAware " + wire.CapsString(caps)
+	}
+	if slices.Contains(peer.ResponderList(), canary) {
+		state += ", listed"
+	} else {
+		state += ", not on its responder list"
+	}
+	return state, known && caps == wire.CapsCurrent
 }

@@ -17,7 +17,7 @@ func addrs(names ...string) []wire.Addr {
 }
 
 func TestStabilityStableSet(t *testing.T) {
-	m := New(8, 8)
+	m := New(8)
 	for i := 0; i < 8; i++ {
 		m.ObserveVisible(time.Time{}, addrs("a", "b", "c"))
 	}
@@ -30,7 +30,7 @@ func TestStabilityStableSet(t *testing.T) {
 }
 
 func TestStabilityTotalChurn(t *testing.T) {
-	m := New(8, 8)
+	m := New(8)
 	m.ObserveVisible(time.Time{}, addrs("a", "b"))
 	m.ObserveVisible(time.Time{}, addrs("c", "d"))
 	if got := m.Stability(); got != 0 {
@@ -38,45 +38,8 @@ func TestStabilityTotalChurn(t *testing.T) {
 	}
 }
 
-func TestGoodbyeNotCountedAsChurn(t *testing.T) {
-	// b leaves gracefully: the shrink from {a,b,c} to {a,c} is planned
-	// and must not depress stability.
-	m := New(8, 8)
-	m.ObserveVisible(time.Time{}, addrs("a", "b", "c"))
-	m.ObserveGoodbye("b")
-	m.ObserveVisible(time.Time{}, addrs("a", "c"))
-	if got := m.Stability(); got != 1.0 {
-		t.Fatalf("Stability = %g after announced departure, want 1.0", got)
-	}
-
-	// The same shrink without a goodbye is churn.
-	m2 := New(8, 8)
-	m2.ObserveVisible(time.Time{}, addrs("a", "b", "c"))
-	m2.ObserveVisible(time.Time{}, addrs("a", "c"))
-	if got := m2.Stability(); got >= 1.0 {
-		t.Fatalf("Stability = %g after silent departure, want < 1.0", got)
-	}
-}
-
-func TestGoodbyeRejoinRestoresChurnAccounting(t *testing.T) {
-	m := New(8, 8)
-	m.ObserveVisible(time.Time{}, addrs("a", "b"))
-	m.ObserveGoodbye("b")
-	m.ObserveVisible(time.Time{}, addrs("a"))
-	// b rejoins: it is live again…
-	m.ObserveVisible(time.Time{}, addrs("a", "b"))
-	if got := m.Stability(); got != 1.0 {
-		t.Fatalf("Stability = %g across goodbye+rejoin, want 1.0", got)
-	}
-	// …so a later silent disappearance counts as churn.
-	m.ObserveVisible(time.Time{}, addrs("a"))
-	if got := m.Stability(); got >= 1.0 {
-		t.Fatalf("Stability = %g after silent re-departure, want < 1.0", got)
-	}
-}
-
 func TestStabilityPartialOverlap(t *testing.T) {
-	m := New(8, 8)
+	m := New(8)
 	m.ObserveVisible(time.Time{}, addrs("a", "b"))
 	m.ObserveVisible(time.Time{}, addrs("b", "c"))
 	// Jaccard({a,b},{b,c}) = 1/3.
@@ -86,7 +49,7 @@ func TestStabilityPartialOverlap(t *testing.T) {
 }
 
 func TestStabilityDefaultsWithFewSamples(t *testing.T) {
-	m := New(8, 8)
+	m := New(8)
 	if m.Stability() != 1.0 {
 		t.Fatal("no samples should read stable")
 	}
@@ -97,7 +60,7 @@ func TestStabilityDefaultsWithFewSamples(t *testing.T) {
 }
 
 func TestStabilityEmptySets(t *testing.T) {
-	m := New(8, 8)
+	m := New(8)
 	m.ObserveVisible(time.Time{}, nil)
 	m.ObserveVisible(time.Time{}, nil)
 	if m.Stability() != 1.0 {
@@ -106,7 +69,7 @@ func TestStabilityEmptySets(t *testing.T) {
 }
 
 func TestWindowSlides(t *testing.T) {
-	m := New(2, 8)
+	m := New(2)
 	m.ObserveVisible(time.Time{}, addrs("a"))
 	m.ObserveVisible(time.Time{}, addrs("z")) // churn vs previous
 	m.ObserveVisible(time.Time{}, addrs("z"))
@@ -118,7 +81,7 @@ func TestWindowSlides(t *testing.T) {
 }
 
 func TestPersistenceRanking(t *testing.T) {
-	m := New(4, 8)
+	m := New(4)
 	m.ObserveVisible(time.Time{}, addrs("stable", "flaky"))
 	m.ObserveVisible(time.Time{}, addrs("stable"))
 	m.ObserveVisible(time.Time{}, addrs("stable"))
@@ -133,30 +96,8 @@ func TestPersistenceRanking(t *testing.T) {
 	if ps[1].Addr != "flaky" || ps[1].Score != 0.5 {
 		t.Fatalf("second = %+v", ps[1])
 	}
-	if New(4, 4).Persistence() != nil {
+	if New(4).Persistence() != nil {
 		t.Fatal("empty monitor should return nil persistence")
-	}
-}
-
-func TestOpOutcomes(t *testing.T) {
-	m := New(4, 4)
-	if m.SuccessRate() != 1.0 || m.MeanLatency() != 0 {
-		t.Fatal("empty outcome defaults wrong")
-	}
-	m.ObserveOp(true, 10*time.Millisecond)
-	m.ObserveOp(false, 30*time.Millisecond)
-	if got := m.SuccessRate(); got != 0.5 {
-		t.Fatalf("SuccessRate = %g", got)
-	}
-	if got := m.MeanLatency(); got != 20*time.Millisecond {
-		t.Fatalf("MeanLatency = %v", got)
-	}
-	// Window slides: four successes push out the failure.
-	for i := 0; i < 4; i++ {
-		m.ObserveOp(true, time.Millisecond)
-	}
-	if got := m.SuccessRate(); got != 1.0 {
-		t.Fatalf("SuccessRate after slide = %g", got)
 	}
 }
 
@@ -202,7 +143,7 @@ func TestAdaptiveIntervalDefaults(t *testing.T) {
 
 func TestPropStabilityBounded(t *testing.T) {
 	prop := func(samples [][]uint8) bool {
-		m := New(8, 8)
+		m := New(8)
 		for _, s := range samples {
 			var visible []wire.Addr
 			for _, v := range s {

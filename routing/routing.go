@@ -55,7 +55,7 @@ func NewSelector(cfg Config) *Selector {
 		cfg.MaxBackbone = 4
 	}
 	return &Selector{
-		mon:            monitor.New(cfg.VisWindow, 1),
+		mon:            monitor.New(cfg.VisWindow),
 		degree:         make(map[wire.Addr]int),
 		minPersistence: cfg.MinPersistence,
 		minDegree:      cfg.MinDegree,

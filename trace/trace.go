@@ -224,6 +224,9 @@ const (
 	CtrSendErrors    = "net.send_errors"
 	CtrReadErrors    = "net.read_errors"
 	CtrInboxOverflow = "net.inbox_overflow"
+	// CtrIOTimeouts counts unicast writes and dials that ran out their
+	// deadline, whether or not a redial then delivered the batch.
+	CtrIOTimeouts = "net.io_timeouts"
 
 	// Batched wire-path counters (DESIGN.md §12): writes that carried a
 	// multi-frame batch, frames that travelled inside such batches, and

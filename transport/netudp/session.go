@@ -213,7 +213,8 @@ func (s *session) failLocked(err error) {
 // SendAttempts times. A write failure on a reused connection usually
 // means the peer idled it out since the last batch, so the first such
 // failure earns one immediate uncounted redial before the attempt/backoff
-// cycle charges for it.
+// cycle charges for it. A write or dial that ran out its deadline is
+// counted (net.io_timeouts) even when a redial then delivers the batch.
 func (s *session) writeBatch(buf []byte) error {
 	var lastErr error
 	staleRetry := true
@@ -228,11 +229,14 @@ func (s *session) writeBatch(buf []byte) error {
 				return nil
 			}
 			s.dropConn(conn)
-			if !fresh && staleRetry {
-				staleRetry = false
-				attempt--
-				continue
-			}
+		}
+		if isTimeout(err) {
+			s.t.met.Inc(trace.CtrIOTimeouts)
+		}
+		if !fresh && staleRetry {
+			staleRetry = false
+			attempt--
+			continue
 		}
 		lastErr = err
 		if attempt >= s.t.cfg.SendAttempts || s.t.isClosed() {

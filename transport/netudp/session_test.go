@@ -442,3 +442,65 @@ func TestCloseRacesSendersAndReaders(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteTimeoutCounted: a peer that stops reading fills the socket
+// buffers until a write runs out its deadline. The session redials once
+// for free and the fresh connection takes the batch, so the Send succeeds
+// and nothing counts it as a send error — net.io_timeouts is the one
+// counter that shows the write waited out writeTimeout.
+func TestWriteTimeoutCounted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out a write timeout")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var mu sync.Mutex
+	var held []net.Conn // accepted and never read
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+
+	a, err := New(Config{SendAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	big := tuple.T(tuple.Bytes(make([]byte, 60<<10)))
+	to := wire.Addr(ln.Addr().String())
+	for id := uint64(1); ; id++ {
+		if id > 4096 { // 240 MiB: far past any loopback socket buffer
+			t.Fatal("socket buffers never filled")
+		}
+		start := time.Now()
+		if err := a.Send(to, &wire.Message{Type: wire.TOut, ID: id, From: a.Addr(), Tuple: big}); err != nil {
+			t.Fatalf("send %d: %v", id, err)
+		}
+		if time.Since(start) >= writeTimeout {
+			break
+		}
+	}
+	if n := a.met.Get(trace.CtrIOTimeouts); n != 1 {
+		t.Fatalf("net.io_timeouts = %d, want 1", n)
+	}
+	if n := a.met.Get(trace.CtrSendErrors); n != 0 {
+		t.Fatalf("net.send_errors = %d, want 0: the redial delivered", n)
+	}
+}

@@ -66,12 +66,13 @@ crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|ConsumedOut|Shutd
 crash_pkgs = ./space/persist/ ./internal/core/ ./internal/harness/
 crash_exp  = C1
 # soak: overload governance — admission (an idle node's op served on
-# the receiving goroutine, everything else queued), quotas, shed order,
+# the receiving goroutine, everything else queued), a duplicate decided
+# once by its request's record in every state, quotas, shed order,
 # the shrink-before-revoke ladder, deadline propagation, the reports the
 # shed assertions read (views over a per-node registry that forwards to
 # a shared parent), and the C2 flood (the harness TestMain also asserts
 # no goroutine leaks survive it).
-soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|C2
+soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|CancelOvertakes|InflightDedup|DuplicateOf|DuplicateBlockingOp|ServedCache|CancelBeforeOp|C2
 soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./trace/ ./internal/harness/
 soak_exp  = C2
 # mobility: visibility-event re-arming, orphan reconciliation (the sweep

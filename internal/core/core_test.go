@@ -314,9 +314,7 @@ func TestBlockingInServedByLaterRemoteOut(t *testing.T) {
 	}()
 	// Wait until b's blocking op is registered at a.
 	eventually(t, "remote waiter registered", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return len(a.waits) > 0
+		return waitsLen(a) > 0
 	})
 	if err := a.Out(req(9), nil); err != nil {
 		t.Fatal(err)
@@ -593,9 +591,7 @@ func TestBlockingInAt(t *testing.T) {
 		done <- err
 	}()
 	eventually(t, "waiter at a", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return len(a.waits) > 0
+		return waitsLen(a) > 0
 	})
 	if err := a.Out(req(3), nil); err != nil {
 		t.Fatal(err)

@@ -197,18 +197,14 @@ func TestDuplicateBlockingOpReplacesWaiter(t *testing.T) {
 		}
 	}
 	eventually(t, "one waiter registered", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return len(a.waits) == 1
+		return waitsLen(a) == 1
 	})
 	// Cancel clears it.
 	if err := r.inst["b"].ep.Send("a", &wire.Message{Type: wire.TCancel, ID: 7, From: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	eventually(t, "waiter cleared", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return len(a.waits) == 0
+		return waitsLen(a) == 0
 	})
 }
 

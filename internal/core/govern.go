@@ -141,17 +141,6 @@ func (g *governor) setPeerLocked(peer wire.Addr, ps peerState) {
 	g.peers[peer] = ps
 }
 
-// inflightEntry dedups serve work from enqueue to handler completion:
-// with a parallel worker pool, two copies of one frame could otherwise
-// execute concurrently — the served cache only helps once a reply is
-// recorded. cancelled carries a TCancel that overtook its queued op;
-// duplicated carries a second copy of the frame that arrived meanwhile
-// and is owed the reply once it has been recorded.
-type inflightEntry struct {
-	cancelled  bool
-	duplicated bool
-}
-
 // queuedMsg timestamps a frame at admission so the worker that dequeues
 // it can measure how long it lingered — the queue-delay probe's raw
 // signal.
@@ -173,7 +162,6 @@ type governor struct {
 	mu            sync.Mutex
 	peers         map[wire.Addr]peerState
 	totalWaits    int
-	inflight      map[waitKey]inflightEntry
 	lastRevoke    time.Time
 	lastShrink    time.Time
 	queueDelay    time.Duration // EWMA of serve-queue wait
@@ -184,12 +172,11 @@ func newGovernor(i *Instance, cfg GovernorConfig) *governor {
 	cfg.applyDefaults()
 	nb, ok := i.local.(space.NonBlocking)
 	return &governor{
-		cfg:      cfg,
-		i:        i,
-		inline:   ok && nb.NeverBlocks(),
-		queue:    make(chan queuedMsg, cfg.QueueDepth),
-		peers:    make(map[wire.Addr]peerState),
-		inflight: make(map[waitKey]inflightEntry),
+		cfg:    cfg,
+		i:      i,
+		inline: ok && nb.NeverBlocks(),
+		queue:  make(chan queuedMsg, cfg.QueueDepth),
+		peers:  make(map[wire.Addr]peerState),
 		// The revoke cooldown starts at boot: a node that comes up
 		// already saturated must still climb the ladder (shed, shrink)
 		// before its first revocation.
@@ -335,15 +322,15 @@ func msgCost(m *wire.Message) int64 {
 }
 
 // submit admits, sheds, or dedups one remote work frame. It runs on the
-// receive loop: the outcome is an explicit busy reply, a dedup drop that
-// finish answers from the served cache, an enqueue for the worker pool,
-// or — for an op on an idle node (servesInline) — the serve itself, run
-// right here. It waits on nothing the loop itself must deliver: an inline
-// serve reaches the lease manager, a space that declared it never blocks,
-// the replica store's lock and sends, and none of them waits for a reply
-// (DESIGN.md §9 lists what a send may wait on).
+// receive loop: the outcome is an explicit busy reply, a duplicate
+// decided by its request's record (admit: a replay, or silence that
+// finish may answer), an enqueue for the worker pool, or — for an op on
+// an idle node (servesInline) — the serve itself, run right here. It
+// waits on nothing the loop itself must deliver: an inline serve reaches
+// the lease manager, a space that declared it never blocks, the replica
+// store's lock and sends, and none of them waits for a reply (DESIGN.md
+// §9 lists what a send may wait on).
 func (g *governor) submit(m *wire.Message) {
-	key := waitKey{from: m.From, id: m.ID}
 	cost := msgCost(m)
 
 	// Escalation rungs 1 and 2 run off the same pressure reading: above
@@ -360,22 +347,22 @@ func (g *governor) submit(m *wire.Message) {
 		return
 	}
 
-	g.mu.Lock()
-	if e, dup := g.inflight[key]; dup {
-		e.duplicated = true
-		g.inflight[key] = e
-		g.mu.Unlock()
+	if replay, execute := g.i.admit(m); !execute {
 		g.i.met.Inc(trace.CtrDedupDrops)
+		if replay != nil {
+			_ = g.i.send(m.From, replay)
+		}
 		return
 	}
+	g.mu.Lock()
 	ps := g.peers[m.From]
 	if ps.inflight >= maxPeerInflight || ps.bytes+cost > maxPeerBytes {
 		g.mu.Unlock()
+		g.i.finishRun(waitKey{from: m.From, id: m.ID}) // never ran
 		g.i.met.Inc(trace.CtrGovQuotaSheds)
 		g.refuse(m)
 		return
 	}
-	g.inflight[key] = inflightEntry{}
 	ps.inflight++
 	ps.bytes += cost
 	g.peers[m.From] = ps
@@ -407,49 +394,23 @@ func (g *governor) servesInline(m *wire.Message) bool {
 	return g.inline && m.Type == wire.TOp && len(g.queue) == 0 && len(g.i.ep.Recv()) == 0
 }
 
-// finish retires a message's inflight accounting once its handler
-// returns (or it was never enqueued). A duplicate dropped while the
-// handler ran is answered now, from the served cache, exactly as it would
-// have been had it arrived a moment later: the requester may have sent it
-// to a responder it is still counting on (the not-found re-probe
-// multicast), and silence would cost it the whole lease. Nothing cached —
-// a standing blocking wait — means the duplicate needs no answer.
+// finish retires a message's quota accounting once its handler returns
+// (or it was never enqueued) and files its request (finishRun). A copy
+// dropped while the handler ran is sent the recorded reply now, as it
+// would have been a moment later: the requester may still count on this
+// node (DESIGN.md §6). A standing blocking wait owes it nothing.
 func (g *governor) finish(m *wire.Message) {
-	key := waitKey{from: m.From, id: m.ID}
 	cost := msgCost(m)
 	g.mu.Lock()
-	e := g.inflight[key]
-	delete(g.inflight, key)
 	if ps, ok := g.peers[m.From]; ok {
 		ps.inflight--
 		ps.bytes -= cost
 		g.setPeerLocked(m.From, ps)
 	}
 	g.mu.Unlock()
-	if e.duplicated {
-		g.i.resendServed(key)
+	if replay := g.i.finishRun(waitKey{from: m.From, id: m.ID}); replay != nil {
+		_ = g.i.send(m.From, replay)
 	}
-}
-
-// markCancelled records a TCancel that may have overtaken its op in the
-// queue, so the worker drops the op instead of registering a wait the
-// cancel can no longer reach. Reports whether the key was inflight.
-func (g *governor) markCancelled(key waitKey) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	e, ok := g.inflight[key]
-	if ok {
-		e.cancelled = true
-		g.inflight[key] = e
-	}
-	return ok
-}
-
-func (g *governor) isCancelled(key waitKey) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	e, ok := g.inflight[key]
-	return ok && e.cancelled
 }
 
 // tryAddWait claims a slot in the remote wait table for the peer,
@@ -591,9 +552,6 @@ func (g *governor) serveOne(m *wire.Message) {
 		// give the definitive refusal dispatch would have given.
 		g.i.refuseDraining(m)
 		return
-	}
-	if m.Type == wire.TOp && g.isCancelled(waitKey{from: m.From, id: m.ID}) {
-		return // the requester already withdrew this op
 	}
 	switch m.Type {
 	case wire.TOp:

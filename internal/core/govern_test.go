@@ -18,17 +18,28 @@ import (
 	"tiamat/wire"
 )
 
-// quiesceServe waits until the governor has no queued or executing serve
-// work. Workers run on real goroutines regardless of the virtual clock,
-// so this polls real time.
+// countRequests counts i's request records that pred selects.
+func countRequests(i *Instance, pred func(request) bool) int {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	n := 0
+	for _, e := range i.requests {
+		if pred(e) {
+			n++
+		}
+	}
+	return n
+}
+
+// quiesceServe waits until no request is admitted (queued or executing)
+// and the serve queue is empty. Workers run on real goroutines regardless
+// of the virtual clock, so this polls real time.
 func quiesceServe(t *testing.T, is ...*Instance) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for _, i := range is {
 		for {
-			i.gov.mu.Lock()
-			busy := len(i.gov.inflight)
-			i.gov.mu.Unlock()
+			busy := countRequests(i, func(e request) bool { return e.state == reqAdmitted })
 			if busy == 0 && len(i.gov.queue) == 0 {
 				break
 			}
@@ -40,10 +51,10 @@ func quiesceServe(t *testing.T, is ...*Instance) {
 	}
 }
 
+// waitsLen counts the blocking waits i serves: parked, or registered by an
+// op still running.
 func waitsLen(i *Instance) int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return len(i.waits)
+	return countRequests(i, func(e request) bool { return e.wait != nil })
 }
 
 // drainInbox empties a raw endpoint's receive channel.

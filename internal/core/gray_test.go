@@ -22,9 +22,7 @@ import (
 // responder-list order directly, not from fault timing.
 
 func waitCount(i *Instance) int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return len(i.waits)
+	return waitsLen(i)
 }
 
 // cancelLog records the destination of every unicast operation cancel

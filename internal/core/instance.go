@@ -282,17 +282,14 @@ type Instance struct {
 	// pendAccepts are accept retransmissions awaiting the owner's ack,
 	// keyed by ack ID (ops.go: acceptHold).
 	pendAccepts map[uint64]*pendingAccept
-	waits       map[waitKey]*remoteWait   // blocking waiters we serve for peers
 	announces   map[uint64]chan SpaceInfo // open Spaces() discovery rounds
-	// served caches replies to already-handled remote requests, keyed by
-	// (requester, op ID). Retransmitted or duplicated frames are answered
-	// from the cache instead of re-executed: at-least-once delivery plus
-	// idempotent handlers yields effectively-once semantics (§3.1.3).
-	// Entries expire after dedupTTL and the cache is size-bounded;
-	// see recordServed.
-	served      map[waitKey]servedReply
-	servedOrder []servedRef // FIFO eviction order for served
-	servedSeq   uint64      // stamps entries so refs track re-recordings
+	// requests is the one record of every remote request this node serves,
+	// keyed by (requester, op ID): admitted, parked, answered or cancelled
+	// (serve.go). Answered and cancelled records expire after dedupTTL and
+	// are size-bounded; see recordLocked.
+	requests map[waitKey]request
+	reqOrder []reqRef // FIFO eviction order of answered and cancelled records
+	reqSeq   uint64   // stamps records so eviction slots track re-recordings
 	// accepted records holds this instance has accepted, so a late
 	// duplicate result never triggers a release that could overtake the
 	// accept and reinstate a taken tuple.
@@ -409,9 +406,8 @@ func New(cfg Config) (*Instance, error) {
 		ops:          make(map[uint64]*opState),
 		holds:        make(map[uint64]*pendingHold),
 		pendAccepts:  make(map[uint64]*pendingAccept),
-		waits:        make(map[waitKey]*remoteWait),
 		announces:    make(map[uint64]chan SpaceInfo),
-		served:       make(map[waitKey]servedReply),
+		requests:     make(map[waitKey]request),
 		accepted:     make(map[acceptKey]bool),
 		outBySid:     make(map[uint64]*lease.Lease),
 		sidByLease:   make(map[uint64]uint64),
@@ -614,15 +610,7 @@ func (i *Instance) Shutdown(ctx context.Context) error {
 	// Settle peers' blocking waits with a definitive answer: their
 	// operations fail over to other responders instead of timing out
 	// against a dead address.
-	i.mu.Lock()
-	waits := make([]*remoteWait, 0, len(i.waits))
-	for _, w := range i.waits {
-		waits = append(waits, w)
-	}
-	i.mu.Unlock()
-	for _, w := range waits {
-		w.end(true)
-	}
+	i.endWaits("", true)
 
 	// Drain: holds settle when their requester accepts/releases (or
 	// their grace deadline passes); outbound ops settle as replies arrive.

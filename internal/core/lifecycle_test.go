@@ -82,9 +82,7 @@ func TestShutdownSettlesServedWaits(t *testing.T) {
 		done <- err
 	}()
 	eventually(t, "a registers a served wait", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return len(a.waits) > 0
+		return waitsLen(a) > 0
 	})
 
 	// Shutdown must not wait for b's lease to run out: the served wait is

@@ -95,8 +95,10 @@ func (i *Instance) sweepOrphans() {
 	now := i.clk.Now()
 	i.mu.Lock()
 	peers := make(map[wire.Addr]bool)
-	for k := range i.waits {
-		peers[k.from] = true
+	for k, e := range i.requests {
+		if e.wait != nil {
+			peers[k.from] = true
+		}
 	}
 	for _, ph := range i.holds {
 		peers[ph.key.from] = true

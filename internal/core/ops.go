@@ -742,8 +742,8 @@ func (st *opState) onTick() {
 }
 
 // onJoin re-arms a blocking walk toward a peer that became visible
-// (DESIGN.md §10), with the same op ID — the serve side's dedup (waits
-// table + served cache) makes a duplicate contact harmless, so this is
+// (DESIGN.md §10), with the same op ID — the serve side's record of each
+// request makes a duplicate contact harmless, so this is
 // safe even when the newcomer already heard a multicast of this op.
 // Skips: ourselves, peers that already answered this op, and peers with a
 // contact still in flight. A peer we gave up on re-qualifies — its

@@ -174,9 +174,7 @@ func TestOrphanSweepStopsWaitsForVanishedPeer(t *testing.T) {
 		errc <- err
 	}()
 	eventually(t, "a serves b's wait", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return len(a.waits) == 1
+		return waitsLen(a) == 1
 	})
 
 	// b drops off the network without a goodbye. The sweeper's probes
@@ -184,9 +182,7 @@ func TestOrphanSweepStopsWaitsForVanishedPeer(t *testing.T) {
 	// before its hour-long lease.
 	r.net.Isolate("b")
 	advanceUntil(t, r, 100*time.Millisecond, "orphaned wait swept", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return len(a.waits) == 0
+		return waitsLen(a) == 0
 	})
 	if got := a.Mobility().OrphanWaits; got != 1 {
 		t.Fatalf("orphan waits = %d, want 1", got)
@@ -253,9 +249,7 @@ func TestOrphanSweepSparesReachablePeer(t *testing.T) {
 		errc <- err
 	}()
 	eventually(t, "a serves b's wait", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return len(a.waits) == 1
+		return waitsLen(a) == 1
 	})
 
 	r.net.SetVisible("a", "b", false)
@@ -270,9 +264,7 @@ func TestOrphanSweepSparesReachablePeer(t *testing.T) {
 		defer a.mu.Unlock()
 		return len(a.suspect) == 0
 	})
-	a.mu.Lock()
-	kept := len(a.waits) == 1
-	a.mu.Unlock()
+	kept := waitsLen(a) == 1
 	if !kept {
 		t.Fatal("wait for a reachable peer was reaped")
 	}

@@ -28,7 +28,7 @@ type pendingHold struct {
 	clock.Deadline
 	i    *Instance
 	id   uint64
-	key  waitKey // the request this hold answers, for cache invalidation
+	key  waitKey // the request this hold answers, whose recorded reply it voids
 	hold space.Hold
 }
 
@@ -40,77 +40,151 @@ func (ph *pendingHold) Expire() {
 	}
 }
 
-// servedCacheMax bounds the dedup caches (served replies, accepted
-// holds); the oldest entries are evicted first. The bound only has to
-// outlast retransmission windows, which are seconds, so even a busy
-// instance keeps every live entry.
+// servedCacheMax bounds the dedup records (answered and cancelled
+// requests, accepted holds); the oldest are evicted first. The bound only
+// has to outlast retransmission windows, which are seconds, so even a
+// busy instance keeps every live record.
 const servedCacheMax = 4096
 
-// dedupTTL is how long a cached reply to a remote request is kept for
+// dedupTTL is how long an answered or cancelled request is remembered for
 // duplicate suppression. It only has to outlast a requester's
-// retransmission window (seconds), so expiring entries bounds the cache
+// retransmission window (seconds), so expiring records bounds the table
 // on a long-lived responder even below the size cap. The replicator
 // borrows it for how long a consumed identity stays fenced and an
 // unacked replicate flight is remembered (replica.go).
 const dedupTTL = 30 * time.Second
 
-// servedReply is a cached reply plus the metadata bounding its life: the
-// record time for dedupTTL expiry, and a sequence stamp so eviction
-// refs can tell whether the entry under their key is still the one they
-// enqueued (settleHold deletes entries out of band and the key may be
-// re-recorded afterwards; without the stamp the stale ref would evict
-// the fresh entry early).
-type servedReply struct {
-	msg *wire.Message
+// reqState is where a remote request stands at this responder.
+type reqState uint8
+
+const (
+	reqAdmitted  reqState = iota // queued or running; finish files it
+	reqParked                    // a blocking op waiting in the local space
+	reqAnswered                  // replied; a duplicate gets the reply again
+	reqCancelled                 // withdrawn by the requester; a duplicate gets silence
+)
+
+// request is this responder's one record of a remote request, kept by
+// value in Instance.requests under (requester, op ID) (DESIGN.md §6,
+// "Idempotent responders"). While admitted, reply and wait hold what the
+// run has produced so far — or, for a failover run, what it may
+// supersede — and finishRun files the request by them.
+type request struct {
+	state reqState
+	dup   bool          // admitted: a copy arrived meanwhile, owed the reply
+	reply *wire.Message // answered, or admitted
+	// wait is the blocking wait parked for the request, held from the park
+	// until the wait retires, whatever the state meanwhile.
+	wait *remoteWait
+	// Only answered and cancelled records, the evictable ones, have a
+	// non-zero seq: at is the record time for dedupTTL, and seq tells an
+	// eviction slot whether the record under its key is the one it was made
+	// for, not one deleted out of band and made again.
 	at  time.Time
 	seq uint64
 }
 
-// servedRef is one FIFO eviction-order slot.
-type servedRef struct {
+// reqRef is one FIFO eviction-order slot.
+type reqRef struct {
 	key waitKey
 	seq uint64
 }
 
-// recordServed caches the reply sent for a remote request so a
-// retransmitted or duplicated frame is answered identically instead of
-// re-executed (at-least-once delivery + idempotent handlers, §3.1.3).
-// The cache is bounded two ways: entries older than dedupTTL are
-// swept on every insert, and the size cap evicts the oldest beyond
-// servedCacheMax — so a long-lived responder's memory is bounded by
-// min(cap, request rate × TTL).
-func (i *Instance) recordServed(key waitKey, m *wire.Message) {
-	now := i.clk.Now()
+// admit decides once what a remote work frame gets from its request's
+// record: a replay of the recorded reply, silence (nil, false; a copy of
+// an admitted request is owed the reply at finish), or a run, for which
+// the request is recorded admitted. A failover take that meets a recorded
+// not-found or a parked wait runs too: the replica store may serve what
+// the space, which that wait watches, could not (handleOp).
+func (i *Instance) admit(m *wire.Message) (replay *wire.Message, execute bool) {
+	key := waitKey{from: m.From, id: m.ID}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.servedSeq++
-	i.served[key] = servedReply{msg: m, at: now, seq: i.servedSeq}
-	i.servedOrder = append(i.servedOrder, servedRef{key: key, seq: i.servedSeq})
-	for len(i.servedOrder) > 0 {
-		ref := i.servedOrder[0]
-		r, live := i.served[ref.key]
-		if live && r.seq == ref.seq {
-			if len(i.servedOrder) <= servedCacheMax && now.Sub(r.at) <= dedupTTL {
-				break // oldest entry is live and fresh; the rest are fresher
-			}
-			delete(i.served, ref.key)
-		}
-		i.servedOrder = i.servedOrder[1:]
+	e, ok := i.requests[key]
+	if ok && e.seq != 0 && i.clk.Now().Sub(e.at) > dedupTTL {
+		delete(i.requests, key)
+		ok = false
 	}
+	if !ok {
+		i.requests[key] = request{}
+		return nil, true
+	}
+	failover := m.Type == wire.TOp && m.Failover && m.Op.Removes() && i.repl != nil
+	switch {
+	case e.state == reqAdmitted:
+		e.dup = true
+		i.requests[key] = e
+		return nil, false
+	case e.state == reqAnswered && (e.reply.Found || !failover):
+		return e.reply, false
+	case e.state == reqCancelled || !failover:
+		return nil, false
+	}
+	i.requests[key] = request{wait: e.wait, reply: e.reply}
+	return nil, true
 }
 
-// servedLookupLocked returns the cached reply for key, treating expired
-// entries as misses. now is sampled outside i.mu by the caller.
-func (i *Instance) servedLookupLocked(key waitKey, now time.Time) *wire.Message {
-	r, ok := i.served[key]
-	if !ok {
+// finishRun files an admitted request once its run is over, by what the
+// run left: a reply makes it answered, a parked wait parked, nothing
+// drops the record. It returns the reply when a copy that arrived during
+// the run is owed it. A request cancelled meanwhile stays cancelled.
+func (i *Instance) finishRun(key waitKey) *wire.Message {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	e, ok := i.requests[key]
+	switch {
+	case !ok || e.state != reqAdmitted:
 		return nil
+	case e.reply != nil:
+		i.recordLocked(key, request{state: reqAnswered, reply: e.reply, wait: e.wait})
+		if e.dup {
+			return e.reply
+		}
+	case e.wait != nil:
+		i.requests[key] = request{state: reqParked, wait: e.wait}
+	default:
+		delete(i.requests, key)
 	}
-	if now.Sub(r.at) > dedupTTL {
-		delete(i.served, key)
-		return nil
+	return nil
+}
+
+// recordServed records the reply sent for a remote request, so a
+// retransmitted or duplicated frame is answered identically instead of
+// re-executed. A running request keeps it for finishRun to file.
+func (i *Instance) recordServed(key waitKey, m *wire.Message) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	e, ok := i.requests[key]
+	if ok && e.state == reqAdmitted {
+		e.reply = m
+		i.requests[key] = e
+		return
 	}
-	return r.msg
+	i.recordLocked(key, request{state: reqAnswered, reply: m, wait: e.wait})
+}
+
+// recordLocked files an answered or cancelled record and bounds the
+// table two ways: records older than dedupTTL are swept on every insert,
+// and the size cap evicts the oldest beyond servedCacheMax — so a
+// long-lived responder's memory is bounded by min(cap, request rate ×
+// TTL). Admitted and parked records are never evicted: a parked wait can
+// outlive dedupTTL.
+func (i *Instance) recordLocked(key waitKey, e request) {
+	now := i.clk.Now()
+	i.reqSeq++
+	e.at, e.seq = now, i.reqSeq
+	i.requests[key] = e
+	i.reqOrder = append(i.reqOrder, reqRef{key: key, seq: e.seq})
+	for len(i.reqOrder) > 0 {
+		ref := i.reqOrder[0]
+		if r, live := i.requests[ref.key]; live && r.seq == ref.seq {
+			if len(i.reqOrder) <= servedCacheMax && now.Sub(r.at) <= dedupTTL {
+				break // oldest record is live and fresh; the rest are fresher
+			}
+			delete(i.requests, ref.key)
+		}
+		i.reqOrder = i.reqOrder[1:]
+	}
 }
 
 // rememberAccepted records that this instance accepted a hold, so late
@@ -200,15 +274,21 @@ func (rw *remoteWait) end(notFound bool) {
 	}
 }
 
-// retire gives back what the wait held — its slot in the wait table, the
+// retire gives back what the wait held — its request's record, the
 // governor's count and the serve lease — and sends the not-found a lease
 // end owes. It runs once: from the sink, or from the end edge (or
-// serveBlocking, on its behalf) whose Cancel prevented the delivery.
+// serveBlocking, on its behalf) whose Cancel prevented the delivery. A
+// parked record goes with the wait; any other keeps its state.
 func (rw *remoteWait) retire() {
 	i := rw.i
 	i.mu.Lock()
-	if i.waits[rw.key] == rw {
-		delete(i.waits, rw.key)
+	if e := i.requests[rw.key]; e.wait == rw {
+		if e.state == reqParked {
+			delete(i.requests, rw.key)
+		} else {
+			e.wait = nil
+			i.requests[rw.key] = e
+		}
 	}
 	notFound := rw.notFound && !i.closed
 	i.mu.Unlock()
@@ -269,8 +349,8 @@ func (i *Instance) handleAnnounce(m *wire.Message) {
 // the replica identity the requester is to invalidate on accept. A
 // requester that cannot carry the identity is sent the reply without it,
 // so an own replicated tuple's copies are withheld while the hold is out
-// (replWithhold). The reply is cached first, so a duplicate of the request
-// replays it.
+// (replWithhold). The reply is recorded first, so a duplicate of the
+// request replays it.
 func (i *Instance) answerFound(key waitKey, ttl time.Duration, t tuple.Tuple, h space.Hold, ro wire.Addr, rs uint64) {
 	reply := &wire.Message{
 		Type: wire.TResult, ID: key.id, From: i.Addr(),
@@ -311,37 +391,24 @@ func (i *Instance) effTTL(m *wire.Message) time.Duration {
 }
 
 // handleOp serves a propagated rd/rdp/in/inp against the local space.
+// Duplicates were decided at admission (admit); what runs here is a new
+// request, or a failover take beside a standing wait for the same
+// request. If the replica store serves the latter, the wait is stopped so
+// the take is served exactly once.
 func (i *Instance) handleOp(m *wire.Message) {
-	// At-least-once delivery: answer retransmitted or duplicated requests
-	// from the served cache (or stay silent while a blocking waiter for
-	// the same request is still registered) instead of re-executing —
-	// re-execution of a take would remove a second tuple.
 	key := waitKey{from: m.From, id: m.ID}
-	now := i.clk.Now()
-	i.mu.Lock()
-	cached := i.servedLookupLocked(key, now)
-	rw, waiting := i.waits[key]
-	i.mu.Unlock()
-	if cached != nil {
-		// A cached found reply replays as-is — re-executing would take a
-		// second tuple. A cached not-found may be superseded when a
-		// failover take arrives: the replica store can serve what the
-		// space could not, so fall through and let the failover path (or a
-		// fresh execution) answer.
-		if cached.Found || !(m.Failover && m.Op.Removes() && i.repl != nil) {
-			i.met.Inc(trace.CtrDedupDrops)
-			_ = i.send(m.From, cached)
-			return
+	var rw *remoteWait
+	if m.Op.Blocking() || m.Failover {
+		// Only a blocking op is cancelled (cancelRemotes), and only a
+		// failover run meets a standing wait.
+		i.mu.Lock()
+		e := i.requests[key]
+		i.mu.Unlock()
+		if e.state == reqCancelled {
+			return // a TCancel overtook the op in the serve queue
 		}
+		rw = e.wait
 	}
-	if waiting && !(m.Failover && m.Op.Removes() && i.repl != nil) {
-		i.met.Inc(trace.CtrDedupDrops)
-		return
-	}
-	// A failover retransmission of a take we already hold a waiter for
-	// falls through instead: the replica store may satisfy it even though
-	// the local space (which the waiter watches) cannot. If it does, the
-	// standing waiter is stopped below so the take is served exactly once.
 
 	// The serve budget is min(TTL, propagated requester budget); under
 	// pressure the governor narrows the proposal further before the
@@ -363,7 +430,7 @@ func (i *Instance) handleOp(m *wire.Message) {
 		if h, ok := i.local.Hold(m.Template); ok {
 			ro, rs := i.replIdentityFor(h)
 			i.answerFound(key, ttl, h.Tuple(), h, ro, rs)
-			if waiting {
+			if rw != nil {
 				rw.end(false)
 			}
 			lse.Cancel()
@@ -378,7 +445,7 @@ func (i *Instance) handleOp(m *wire.Message) {
 			// to carry it is not served from a copy.
 			if h, k, ok := i.replFailoverHold(m.Template); ok {
 				i.answerFound(key, ttl, h.Tuple(), h, k.origin, k.seq)
-				if waiting {
+				if rw != nil {
 					rw.end(false)
 				}
 				lse.Cancel()
@@ -401,7 +468,7 @@ func (i *Instance) handleOp(m *wire.Message) {
 		}
 	}
 
-	if waiting {
+	if rw != nil {
 		// Nothing servable beyond what the standing waiter already
 		// watches; it stays registered and this duplicate ends here.
 		i.met.Inc(trace.CtrDedupDrops)
@@ -439,31 +506,18 @@ func (i *Instance) serveBlocking(m *wire.Message, lse *lease.Lease, ttl time.Dur
 	}
 	rw := &remoteWait{i: i, key: key, ttl: ttl, lse: lse}
 	i.mu.Lock()
-	if i.closed {
+	e, ok := i.requests[key]
+	if i.closed || !ok || e.state != reqAdmitted {
+		// Closed, or a TCancel landed while the op ran: no wait to park.
 		i.mu.Unlock()
 		i.gov.dropWait(m.From)
 		lse.Cancel()
 		return
 	}
-	if _, ok := i.waits[key]; ok {
-		// Duplicate of an operation we are already serving (a chaos
-		// duplicate, a retransmission, or a rediscovery re-multicast):
-		// the existing waiter stands; a second would double-serve.
-		i.mu.Unlock()
-		i.gov.dropWait(m.From)
-		i.met.Inc(trace.CtrDedupDrops)
-		lse.Cancel()
-		return
-	}
-	i.waits[key] = rw
+	e.wait = rw
+	i.requests[key] = e
 	i.mu.Unlock()
 	lse.OnEnd(rw)
-
-	// A TCancel may have overtaken this op while it sat in the governor's
-	// queue; honour it now that the wait is visible to handleCancel.
-	if i.gov.isCancelled(key) {
-		rw.end(false)
-	}
 
 	// One registration, made once. A destructive op parks a taker: the
 	// space hands each matching Out to exactly one of them, oldest first,
@@ -516,11 +570,16 @@ func (i *Instance) settleHold(id uint64, accept bool) bool {
 		delete(i.holds, id)
 		i.retiredLocked()
 		if !accept {
-			// The tuple goes back into the space, so the cached found
-			// reply naming this hold must never be replayed: a
-			// retransmitted request re-executes and takes it afresh.
-			if r, ok := i.served[ph.key]; ok && r.msg.HoldID == id {
-				delete(i.served, ph.key)
+			// The tuple goes back into the space, so the found reply
+			// naming this hold must never be replayed: a retransmitted
+			// request re-executes and takes it afresh.
+			if e := i.requests[ph.key]; e.reply != nil && e.reply.HoldID == id {
+				if e.state == reqAnswered {
+					delete(i.requests, ph.key)
+				} else {
+					e.reply = nil // still running: finishRun files nothing
+					i.requests[ph.key] = e
+				}
 			}
 		}
 	}
@@ -545,11 +604,10 @@ func (i *Instance) handleAccept(m *wire.Message) {
 	_ = i.send(m.From, &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr(), OK: true})
 }
 
-// handleCancel stops a blocking waiter we are serving. The cancel is
-// also recorded against any copy of the op still sitting in the
-// governor's queue: with a parallel serve pool a cancel can overtake
-// its op, and the worker must drop it rather than register a waiter
-// this cancel can no longer reach.
+// handleCancel withdraws a request, whatever its record held (a parked
+// wait is ended), and keeps the record, evictable like an answered one:
+// a cancel can beat its op, and a copy that comes after it must be
+// dropped, not park a wait nobody will cancel (DESIGN.md §6).
 func (i *Instance) handleCancel(m *wire.Message) {
 	if m.ReplSeq != 0 {
 		// Replica invalidation rides TCancel (replica.go): the identified
@@ -558,11 +616,11 @@ func (i *Instance) handleCancel(m *wire.Message) {
 		return
 	}
 	key := waitKey{from: m.From, id: m.ID}
-	i.gov.markCancelled(key)
 	i.mu.Lock()
-	rw, ok := i.waits[key]
+	rw := i.requests[key].wait // kept until it retires
+	i.recordLocked(key, request{state: reqCancelled, wait: rw})
 	i.mu.Unlock()
-	if ok {
+	if rw != nil {
 		rw.end(false)
 	}
 }
@@ -584,20 +642,15 @@ func (i *Instance) handleRemoteOut(m *wire.Message) {
 // registered here and a thread and lease must be available.
 func (i *Instance) handleRemoteEval(m *wire.Message) { i.serveOnce(m, i.remoteEval) }
 
-// serveOnce answers a direct remote out or eval with an ack: admit's
-// refusal, or OK. The ack is cached, and a duplicated frame replays it —
-// re-executing would store a second copy or run the eval twice.
-func (i *Instance) serveOnce(m *wire.Message, admit func(*wire.Message) error) {
-	key := waitKey{from: m.From, id: m.ID}
-	if i.resendServed(key) {
-		i.met.Inc(trace.CtrDedupDrops)
-		return
-	}
+// serveOnce answers a direct remote out or eval with an ack: run's
+// refusal, or OK. The ack is recorded, and a duplicated frame replays it
+// (admit) — re-executing would store a second copy or run the eval twice.
+func (i *Instance) serveOnce(m *wire.Message, run func(*wire.Message) error) {
 	ack := &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr(), OK: true}
-	if err := admit(m); err != nil {
+	if err := run(m); err != nil {
 		ack.OK, ack.Err = false, err.Error()
 	}
-	i.recordServed(key, ack)
+	i.recordServed(waitKey{from: m.From, id: m.ID}, ack)
 	_ = i.send(m.From, ack)
 }
 
@@ -646,19 +699,6 @@ func (i *Instance) remoteEval(m *wire.Message) error {
 	}
 	// Retention boundary: the eval runs long after the frame is gone.
 	return i.startEval(f, m.Tuple.Copy(), lse)
-}
-
-// resendServed replays the cached reply for a duplicated request, if any.
-func (i *Instance) resendServed(key waitKey) bool {
-	now := i.clk.Now()
-	i.mu.Lock()
-	cached := i.servedLookupLocked(key, now)
-	i.mu.Unlock()
-	if cached == nil {
-		return false
-	}
-	_ = i.send(key.from, cached)
-	return true
 }
 
 // handleRelay forwards an encapsulated frame to its target (backbone
@@ -716,7 +756,7 @@ func (i *Instance) handleGoodbye(m *wire.Message) {
 // does for a peer that never got to send one. It reports how many of each
 // it released.
 func (i *Instance) releasePeer(peer wire.Addr) (waits, holds int) {
-	waits = i.endWaits(peer)
+	waits = i.endWaits(peer, false)
 	i.mu.Lock()
 	var hs []uint64
 	for id, ph := range i.holds {
@@ -731,19 +771,20 @@ func (i *Instance) releasePeer(peer wire.Addr) (waits, holds int) {
 	return waits, len(hs)
 }
 
-// endWaits ends every blocking wait served for peer, answering nobody, and
-// reports how many it ended.
-func (i *Instance) endWaits(peer wire.Addr) int {
+// endWaits ends every blocking wait served for peer — for every peer when
+// peer is empty — and reports how many it ended. notFound sends each
+// requester a not-found; otherwise nobody is answered.
+func (i *Instance) endWaits(peer wire.Addr, notFound bool) int {
 	i.mu.Lock()
 	var ws []*remoteWait
-	for key, w := range i.waits {
-		if key.from == peer {
-			ws = append(ws, w)
+	for key, e := range i.requests {
+		if e.wait != nil && (peer == "" || key.from == peer) {
+			ws = append(ws, e.wait)
 		}
 	}
 	i.mu.Unlock()
 	for _, w := range ws {
-		w.end(false)
+		w.end(notFound)
 	}
 	return len(ws)
 }
@@ -759,19 +800,19 @@ func (i *Instance) endWaits(peer wire.Addr) int {
 const helloID = ^uint64(0)
 
 // forgetLife drops, on peer's hello, what this node keeps for peer's
-// earlier life: the cached replies to its ops and the waits parked for
-// them. Its holds are left to their grace deadlines — a hello overtaken in
-// transit by the new life's first ops lands after holds that life may have
-// accepted, and reinstating one would hand its tuple out twice.
+// earlier life: its answered and cancelled requests and the waits parked
+// for it. Its holds are left to their grace deadlines — a hello overtaken
+// in transit by the new life's first ops lands after holds that life may
+// have accepted, and reinstating one would hand its tuple out twice.
 func (i *Instance) forgetLife(peer wire.Addr) {
 	i.mu.Lock()
-	for key := range i.served {
-		if key.from == peer {
-			delete(i.served, key)
+	for key, e := range i.requests {
+		if key.from == peer && e.seq != 0 {
+			delete(i.requests, key)
 		}
 	}
 	i.mu.Unlock()
-	i.endWaits(peer)
+	i.endWaits(peer, false)
 }
 
 // refuseDraining gives a serve frame the definitive answer a draining

@@ -28,6 +28,17 @@ if [ -n "$timers" ]; then
 	exit 1
 fi
 
+# A responder keeps one record per served request (DESIGN.md §6,
+# "Idempotent responders"): a second table keyed by (requester, op ID)
+# would fork how a duplicate is decided again.
+echo "==> internal/core declares one table per request key"
+tables="$(git ls-files 'internal/core/*.go' | grep -v '_test.go$' | xargs grep -n 'map\[waitKey\]' | grep -v 'make(map\[waitKey\]' || true)"
+if [ "$(printf '%s' "$tables" | grep -c .)" -ne 1 ]; then
+	echo "want exactly one map[waitKey] declaration, found:"
+	echo "$tables"
+	exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 

@@ -18,7 +18,9 @@ import (
 	"tiamat/lease"
 	"tiamat/space"
 	"tiamat/space/spacetest"
+	"tiamat/transport"
 	"tiamat/transport/memnet"
+	"tiamat/transport/netudp"
 	"tiamat/tuple"
 	"tiamat/wire"
 )
@@ -205,41 +207,99 @@ func BenchmarkLocalOutInpThroughInstance(b *testing.B) {
 }
 
 func BenchmarkRemoteInpTwoNodes(b *testing.B) {
-	net := memnet.New()
-	defer net.Close()
-	epA, _ := net.Attach("a")
-	epB, _ := net.Attach("b")
-	net.ConnectAll()
-	a, err := tiamat.New(tiamat.Config{Endpoint: epA})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer a.Close()
-	bb, err := tiamat.New(tiamat.Config{Endpoint: epB})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer bb.Close()
-	t := tuple.T(tuple.String("k"), tuple.Int(1))
-	p := tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
-	ctx := context.Background()
-	req := lease.Flexible(lease.Terms{Duration: 10 * time.Second, MaxRemotes: 4})
+	a, bb := memnetPair(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.Out(t, nil); err != nil {
-			b.Fatal(err)
+		remoteTake(b, a, bb)
+	}
+}
+
+// BenchmarkRemoteInpTwoNodesTCP is BenchmarkRemoteInpTwoNodes over
+// loopback TCP (netudp, static peers, no multicast), so `make allocs
+// BENCH=RemoteInpTwoNodesTCP` attributes the socket receive path site by
+// site.
+func BenchmarkRemoteInpTwoNodesTCP(b *testing.B) {
+	a, bb := tcpPair(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		remoteTake(b, a, bb)
+	}
+}
+
+// remoteTakeAllocs is what one remote take measures over memnet: an Out
+// at one node and an Inp from the other, round-tripping op, result,
+// accept and ack. Each received frame is one object (wire.Decode).
+const remoteTakeAllocs = 15
+
+// TestRemoteTakeAllocs pins BenchmarkRemoteInpTwoNodes's objects per take,
+// so an object handed back anywhere on the path fails here first.
+func TestRemoteTakeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops some of what is put back; internal/core's TestRemoteTakeAllocBudget keeps a ceiling there")
+	}
+	a, bb := memnetPair(t)
+	for k := 0; k < 200; k++ {
+		remoteTake(t, a, bb) // pools, heaps and maps reach their steady size
+	}
+	if got := testing.AllocsPerRun(2000, func() { remoteTake(t, a, bb) }); got != remoteTakeAllocs {
+		t.Fatalf("Out + remote Inp: %.2f allocs, want %d", got, remoteTakeAllocs)
+	}
+}
+
+// memnetPair is two instances on one simulated network.
+func memnetPair(tb testing.TB) (a, b *tiamat.Instance) {
+	net := memnet.New()
+	tb.Cleanup(func() { net.Close() })
+	epA, _ := net.Attach("a")
+	epB, _ := net.Attach("b")
+	net.ConnectAll()
+	return newInstance(tb, epA), newInstance(tb, epB)
+}
+
+// tcpPair is two instances over loopback TCP; b knows a as a static peer.
+func tcpPair(tb testing.TB) (a, b *tiamat.Instance) {
+	epA, err := netudp.New(netudp.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a = newInstance(tb, epA)
+	epB, err := netudp.New(netudp.Config{StaticPeers: []string{string(epA.Addr())}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a, newInstance(tb, epB)
+}
+
+func newInstance(tb testing.TB, ep transport.Endpoint) *tiamat.Instance {
+	inst, err := tiamat.New(tiamat.Config{Endpoint: ep})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { inst.Close() })
+	return inst
+}
+
+var (
+	remoteTuple = tuple.T(tuple.String("k"), tuple.Int(1))
+	remoteTmpl  = tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
+	remoteReq   = lease.Flexible(lease.Terms{Duration: 10 * time.Second, MaxRemotes: 4})
+)
+
+// remoteTake outs at a and takes it from b: the full protocol of op, hold,
+// result and accept.
+func remoteTake(tb testing.TB, a, b *tiamat.Instance) {
+	if err := a.Out(remoteTuple, nil); err != nil {
+		tb.Fatal(err)
+	}
+	for {
+		_, ok, err := b.Inp(context.Background(), remoteTmpl, remoteReq)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		// The remote take round-trips the full protocol: op, hold,
-		// result, accept.
-		for {
-			_, ok, err := bb.Inp(ctx, p, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ok {
-				break
-			}
+		if ok {
+			return
 		}
 	}
 }
@@ -250,21 +310,7 @@ func BenchmarkRemoteInpTwoNodes(b *testing.B) {
 // side of a blocking take: the out calls one parked taker's sink, which
 // sends the reply, and no goroutine at a is woken at all.
 func BenchmarkRemoteInBlockingTwoNodes(b *testing.B) {
-	net := memnet.New()
-	defer net.Close()
-	epA, _ := net.Attach("a")
-	epB, _ := net.Attach("b")
-	net.ConnectAll()
-	a, err := tiamat.New(tiamat.Config{Endpoint: epA})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer a.Close()
-	bb, err := tiamat.New(tiamat.Config{Endpoint: epB})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer bb.Close()
+	a, bb := memnetPair(b)
 	t := tuple.T(tuple.String("k"), tuple.Int(1))
 	p := tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
 	req := lease.Flexible(lease.Terms{Duration: time.Minute, MaxRemotes: 4})

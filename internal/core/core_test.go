@@ -81,6 +81,14 @@ func (s *sweep) setEvery(every time.Duration) {
 	s.next()
 }
 
+// idle reports whether the governor has nothing admitted, queued or
+// parked for any peer.
+func (g *governor) idle() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.peers) == 0
+}
+
 func req(id int64) tuple.Tuple { return tuple.T(tuple.String("req"), tuple.Int(id)) }
 func reqTmpl() tuple.Template  { return tuple.Tmpl(tuple.String("req"), tuple.FormalInt()) }
 

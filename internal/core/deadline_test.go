@@ -259,14 +259,15 @@ func TestSentFramesNeverWritten(t *testing.T) {
 }
 
 // remoteTakeAllocBudget is two objects above what an Out at one node plus
-// a remote Inp from the other measured when the deadline queue landed
-// (24 by AllocsPerRun; 42 before it). A failure here is the next per-op
-// allocation showing up in `go test`, not three PRs later in the benchmark.
-// The race detector's sync.Pool drops a quarter of what is put back, so
-// pooled op states and buffers are re-made now and then: 28 measured.
+// a remote Inp from the other measures since a received frame became one
+// object (15 by AllocsPerRun; 24 before it, 42 before the deadline queue).
+// A failure here is the next per-op allocation showing up in `go test`,
+// not three PRs later in the benchmark. The race detector's sync.Pool
+// drops a quarter of what is put back, so pooled op states and buffers
+// are re-made now and then: 19–20 measured.
 const (
-	remoteTakeAllocBudget      = 26
-	remoteTakeAllocBudgetLeaky = 30
+	remoteTakeAllocBudget      = 17
+	remoteTakeAllocBudgetLeaky = 22
 )
 
 // poolsHold reports whether sync.Pool keeps what it is given, which it

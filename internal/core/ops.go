@@ -938,8 +938,8 @@ type pendingAccept struct {
 	clock.Deadline
 	i       *Instance
 	owner   wire.Addr
-	msg     *wire.Message // msg.ID is the ack ID the accept is registered under
-	giveUp  time.Time     // past the owner's grace window the accept is moot
+	msg     wire.Message // msg.ID is the ack ID the accept is registered under
+	giveUp  time.Time    // past the owner's grace window the accept is moot
 	attempt int
 }
 
@@ -965,8 +965,8 @@ func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease) 
 	giveUp := i.clk.Now().Add(budget)
 
 	ackID := i.nextOp()
-	msg := &wire.Message{Type: wire.TAccept, ID: ackID, From: i.Addr(), HoldID: holdID}
-	pa := &pendingAccept{i: i, owner: owner, msg: msg, giveUp: giveUp, attempt: 1}
+	pa := &pendingAccept{i: i, owner: owner, giveUp: giveUp, attempt: 1,
+		msg: wire.Message{Type: wire.TAccept, ID: ackID, From: i.Addr(), HoldID: holdID}}
 	// Register before sending: over a synchronous transport the ack can
 	// arrive before send returns, and an ack that finds nothing registered
 	// settles nothing — the accept would be retransmitted for no reason.
@@ -977,7 +977,7 @@ func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease) 
 	}
 	i.pendAccepts[ackID] = pa
 	i.mu.Unlock()
-	if i.send(owner, msg) != nil {
+	if i.send(owner, &pa.msg) != nil {
 		i.finishAccept(ackID) // owner unreachable: its grace deadline takes over
 		return
 	}
@@ -1015,7 +1015,7 @@ func (pa *pendingAccept) Expire() {
 	pa.attempt++
 	attempt := pa.attempt
 	i.mu.Unlock()
-	if i.send(pa.owner, pa.msg) != nil {
+	if i.send(pa.owner, &pa.msg) != nil {
 		i.mu.Lock()
 		delete(i.pendAccepts, ackID)
 		i.retiredLocked()

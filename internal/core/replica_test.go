@@ -426,6 +426,15 @@ func TestAdoptionRepairsDeadOriginCopies(t *testing.T) {
 	if h.Replication().Repairs == 0 {
 		t.Fatal("adoption repair not counted")
 	}
+	// Quiesce before the take. Millisecond sweeps fill a node's per-peer
+	// in-flight quota with replicate frames, and the failover take would
+	// be answered busy behind them.
+	for _, inst := range r.inst {
+		inst.repl.repair.setEvery(time.Hour)
+	}
+	eventually(t, "no replicate admitted at either survivor", func() bool {
+		return h.gov.idle() && survivor.gov.idle()
+	})
 	// Both survivors hold the same identity now; a take still happens
 	// exactly once. The first attempt arms the failover grace.
 	if _, ok, _ := survivor.Inp(context.Background(), reqTmpl(), outLease()); ok {

@@ -759,13 +759,10 @@ func (n *Network) jitter(d time.Duration) time.Duration {
 // transit fails its checksum and is counted and dropped, exactly as the
 // real transport does.
 func (n *Network) deliver(from wire.Addr, dst *node, data []byte, lat time.Duration) {
-	// One owned copy per delivered frame, then a no-copy decode aliasing
-	// it: the caller's buffer is pooled and reused the moment transmit
-	// returns, while the decoded message lives arbitrarily long in the
-	// receiver. A single buffer allocation replaces one per
-	// variable-length field, matching the real transport's receive path.
-	own := append([]byte(nil), data...)
-	msg, err := wire.DecodeNoCopy(own)
+	// Decode copies the frame into the message's own object: the caller's
+	// buffer is pooled and reused the moment transmit returns, while the
+	// decoded message lives arbitrarily long in the receiver.
+	msg, err := wire.Decode(data)
 	if err != nil {
 		n.met.Inc(trace.CtrCorruptFrames)
 		n.met.Inc(trace.CtrMsgsDropped)

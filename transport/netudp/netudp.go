@@ -334,6 +334,9 @@ func (t *Transport) recoverPanic() {
 // socket is read through one fixed buffer, so what the sender's group
 // commit put on the wire with one write is drained with one read, and the
 // idle deadline is armed once per socket read rather than once per frame.
+// A frame that sits whole in the buffer is decoded from that window:
+// wire.Decode copies it into the message's own object, so the next read
+// may overwrite it. Only a frame larger than the buffer is assembled.
 func (t *Transport) readFrames(conn net.Conn) {
 	buf := make([]byte, readBufSize)
 	r, w := 0, 0 // buf[r:w] has been read from the socket and not yet parsed
@@ -350,17 +353,53 @@ func (t *Transport) readFrames(conn net.Conn) {
 	var memo wire.FromMemo
 	for {
 		n, pn := binary.Uvarint(buf[r:w])
-		if pn == 0 {
-			// Not all of the prefix is here: keep what is and read on.
+		if pn < 0 || pn > 0 && (n == 0 || n > maxFrame) {
+			t.met.Inc(trace.CtrReadErrors)
+			return
+		}
+		var m *wire.Message
+		var err error
+		switch size := pn + int(n); {
+		case pn > 0 && r+size <= w:
+			m, err = memo.Decode(buf[r+pn : r+size])
+			r += size
+		case pn > 0 && size > len(buf):
+			// The frame gets a buffer of its own, which the message then
+			// aliases. A remainder that would fill buf is read straight
+			// into the frame; a shorter one through buf, so the same read
+			// brings in the frames behind it.
+			frame := make([]byte, n)
+			have := copy(frame, buf[r+pn:w])
+			r = w
+			for have < len(frame) {
+				rest := frame[have:]
+				var k int
+				if len(rest) >= len(buf) {
+					k, err = read(rest)
+				} else {
+					w, err = read(buf)
+					k = copy(rest, buf[:w])
+					r = k
+				}
+				if err != nil {
+					t.met.Inc(trace.CtrReadErrors)
+					return
+				}
+				have += k
+			}
+			m, err = memo.DecodeNoCopy(frame)
+		default:
+			// Not all of the prefix or body is here: keep what is and read
+			// on.
 			w = copy(buf, buf[r:w])
 			r = 0
 			k, err := read(buf[w:])
 			if err != nil {
-				// Clean ends: EOF between frames (the peer closed its
-				// session normally), an idle timeout before any prefix byte
+				// Clean ends: EOF between frames (the peer closed its session
+				// normally), an idle timeout before any byte of a frame
 				// arrived (the sender has gone quiet past our patience), or
 				// our own shutdown hanging up the connection. Anything else —
-				// reset, EOF or timeout mid-prefix — silently loses a frame
+				// reset, or EOF or timeout mid-frame — silently loses a frame
 				// and must be visible.
 				if !(w == 0 && (err == io.EOF || isTimeout(err))) && !t.isClosed() {
 					t.met.Inc(trace.CtrReadErrors)
@@ -370,38 +409,6 @@ func (t *Transport) readFrames(conn net.Conn) {
 			w += k
 			continue
 		}
-		if pn < 0 || n == 0 || n > maxFrame {
-			t.met.Inc(trace.CtrReadErrors)
-			return
-		}
-		// The frame gets a buffer of its own, never a window of buf: the
-		// decoded tuple aliases it, instead of copying every bytes field,
-		// for as long as the message lives, and buf is overwritten by the
-		// next read.
-		frame := make([]byte, n)
-		have := copy(frame, buf[r+pn:w])
-		r += pn + have
-		for have < len(frame) {
-			// buf is drained and the body is not all here. A remainder that
-			// would fill buf is read straight into the frame; a shorter one
-			// through buf, so the same read brings in the frames behind it.
-			rest := frame[have:]
-			var k int
-			var err error
-			if len(rest) >= len(buf) {
-				k, err = read(rest)
-			} else {
-				w, err = read(buf)
-				k = copy(rest, buf[:w])
-				r = k
-			}
-			if err != nil {
-				t.met.Inc(trace.CtrReadErrors)
-				return
-			}
-			have += k
-		}
-		m, err := memo.DecodeNoCopy(frame)
 		if err != nil {
 			// Corrupt frame (checksum or structure): drop it, keep the
 			// connection — later frames are independent.

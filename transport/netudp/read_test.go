@@ -237,11 +237,12 @@ func TestReadFramesLargerThanTheBuffer(t *testing.T) {
 }
 
 // TestReadFramesGiveEachMessageItsOwnBytes is the dedicated-buffer rule:
-// a decoded message aliases its frame for life (tuple bytes fields, relay
-// payloads), so the frame must never be a window of the connection's read
-// buffer. Each frame arrives in a read of its own and lands on the same
-// buffer offsets as the one before: earlier messages must survive later
-// reads, and scribbling on one must not reach another.
+// a decoded message aliases its frame for life (tuple fields, relay
+// payloads), so what it aliases must be its own copy, never the
+// connection's read buffer it was decoded from. Each frame arrives in a
+// read of its own and lands on the same buffer offsets as the one before:
+// earlier messages must survive later reads, and scribbling on one must
+// not reach another.
 func TestReadFramesGiveEachMessageItsOwnBytes(t *testing.T) {
 	relay := func(id uint64, fill byte) *wire.Message {
 		return &wire.Message{Type: wire.TRelay, ID: id, From: "x", Target: "y", Payload: bytes.Repeat([]byte{fill}, 64)}

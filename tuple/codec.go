@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Binary format (version 1):
@@ -87,12 +88,19 @@ func appendFields(dst []byte, fields []Field) []byte {
 	return dst
 }
 
-// decodeFields decodes a field list. With alias set, bytes fields alias
-// src instead of being copied; callers must not retain the result past
-// the buffer's lifetime without calling Copy. (Strings always copy: Go
-// string conversion is itself a copy, and keeping strings immutable is
-// worth one small allocation.)
-func decodeFields(src []byte, allowFormals bool, depth int, alias bool) (fields []Field, rest []byte, err error) {
+// share says how much of a decoded value aliases the buffer it came from.
+type share uint8
+
+const (
+	shareNone  share = iota // nothing: bytes fields are copied
+	shareBytes              // bytes fields alias src; strings are copied
+	shareAll                // strings alias src too: src never changes again
+)
+
+// decodeFields decodes a field list, aliasing src as sh allows. The top
+// level goes into into's storage when it is non-nil and the arity fits
+// its capacity; nested tuples always get slices of their own.
+func decodeFields(src []byte, allowFormals bool, depth int, sh share, into []Field) (fields []Field, rest []byte, err error) {
 	if depth > 32 {
 		return nil, nil, fmt.Errorf("nesting too deep: %w", ErrTooLarge)
 	}
@@ -104,9 +112,13 @@ func decodeFields(src []byte, allowFormals bool, depth int, alias bool) (fields 
 		return nil, nil, fmt.Errorf("arity %d: %w", n, ErrTooLarge)
 	}
 	src = src[used:]
-	// Every field takes at least its kind byte: reserve no more than the
-	// input can hold, whatever the arity claims.
-	fields = make([]Field, 0, min(n, uint64(len(src))))
+	if into != nil && n <= uint64(cap(into)) {
+		fields = into[:0]
+	} else {
+		// Every field takes at least its kind byte: reserve no more than
+		// the input can hold, whatever the arity claims.
+		fields = make([]Field, 0, min(n, uint64(len(src))))
+	}
 	for i := uint64(0); i < n; i++ {
 		if len(src) == 0 {
 			return nil, nil, fmt.Errorf("truncated at field %d: %w", i, ErrCodec)
@@ -145,7 +157,11 @@ func decodeFields(src []byte, allowFormals bool, depth int, alias bool) (fields 
 			if err != nil {
 				return nil, nil, fmt.Errorf("field %d string: %w", i, err)
 			}
-			f.s = string(s)
+			if sh == shareAll {
+				f.s = unsafe.String(unsafe.SliceData(s), len(s))
+			} else {
+				f.s = string(s)
+			}
 		case KindBool:
 			if len(src) < 1 {
 				return nil, nil, fmt.Errorf("field %d bool: %w", i, ErrCodec)
@@ -160,13 +176,13 @@ func decodeFields(src []byte, allowFormals bool, depth int, alias bool) (fields 
 			if err != nil {
 				return nil, nil, fmt.Errorf("field %d bytes: %w", i, err)
 			}
-			if alias {
-				f.b = b
-			} else {
+			if sh == shareNone {
 				f.b = append([]byte(nil), b...)
+			} else {
+				f.b = b
 			}
 		case KindTuple:
-			f.t, src, err = decodeFields(src, allowFormals, depth+1, alias)
+			f.t, src, err = decodeFields(src, allowFormals, depth+1, sh, nil)
 			if err != nil {
 				return nil, nil, fmt.Errorf("field %d nested: %w", i, err)
 			}
@@ -188,13 +204,13 @@ func decodeBlob(src []byte) (blob, rest []byte, err error) {
 	if uint64(len(src)) < n {
 		return nil, nil, ErrCodec
 	}
-	return src[:n], src[n:], nil
+	return src[:n:n], src[n:], nil
 }
 
 // DecodeTuple decodes a tuple from src, returning the remaining bytes.
 // The result shares no memory with src.
 func DecodeTuple(src []byte) (Tuple, []byte, error) {
-	fields, rest, err := decodeFields(src, false, 0, false)
+	fields, rest, err := decodeFields(src, false, 0, shareNone, nil)
 	if err != nil {
 		return Tuple{}, nil, err
 	}
@@ -204,7 +220,7 @@ func DecodeTuple(src []byte) (Tuple, []byte, error) {
 // DecodeTemplate decodes a template from src, returning the remaining bytes.
 // The result shares no memory with src.
 func DecodeTemplate(src []byte) (Template, []byte, error) {
-	fields, rest, err := decodeFields(src, true, 0, false)
+	fields, rest, err := decodeFields(src, true, 0, shareNone, nil)
 	if err != nil {
 		return Template{}, nil, err
 	}
@@ -217,7 +233,7 @@ func DecodeTemplate(src []byte) (Template, []byte, error) {
 // Tuple.Copy. Safe whenever src outlives the tuple (e.g. a per-frame
 // read buffer).
 func DecodeTupleNoCopy(src []byte) (Tuple, []byte, error) {
-	fields, rest, err := decodeFields(src, false, 0, true)
+	fields, rest, err := decodeFields(src, false, 0, shareBytes, nil)
 	if err != nil {
 		return Tuple{}, nil, err
 	}
@@ -227,7 +243,29 @@ func DecodeTupleNoCopy(src []byte) (Tuple, []byte, error) {
 // DecodeTemplateNoCopy decodes a template whose bytes fields alias src;
 // see DecodeTupleNoCopy for the lifetime contract.
 func DecodeTemplateNoCopy(src []byte) (Template, []byte, error) {
-	fields, rest, err := decodeFields(src, true, 0, true)
+	fields, rest, err := decodeFields(src, true, 0, shareBytes, nil)
+	if err != nil {
+		return Template{}, nil, err
+	}
+	return Template{fields: fields}, rest, nil
+}
+
+// DecodeTupleInto decodes a tuple whose string and bytes fields both
+// alias src, with its top-level fields in fields' storage when the arity
+// fits cap(fields) (otherwise they are allocated). src must never change
+// again while the tuple lives: it suits a buffer its owner writes once,
+// such as a received frame a decoded message keeps. Tuple.Copy detaches.
+func DecodeTupleInto(src []byte, fields []Field) (Tuple, []byte, error) {
+	fields, rest, err := decodeFields(src, false, 0, shareAll, fields)
+	if err != nil {
+		return Tuple{}, nil, err
+	}
+	return Tuple{fields: fields}, rest, nil
+}
+
+// DecodeTemplateInto is DecodeTupleInto for a template.
+func DecodeTemplateInto(src []byte, fields []Field) (Template, []byte, error) {
+	fields, rest, err := decodeFields(src, true, 0, shareAll, fields)
 	if err != nil {
 		return Template{}, nil, err
 	}

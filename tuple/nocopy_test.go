@@ -56,3 +56,34 @@ func TestCopyIndependence(t *testing.T) {
 		t.Fatalf("copy shares nested bytes storage: %v", b)
 	}
 }
+
+// TestDecodeIntoAliasesStringsAndUsesStorage: DecodeTupleInto puts the
+// top level in the caller's storage when it fits and aliases strings as
+// well as bytes; Copy detaches both, nested ones included.
+func TestDecodeIntoAliasesStringsAndUsesStorage(t *testing.T) {
+	orig := T(String("tag"), Bytes([]byte{1, 2, 3, 4}), Nested(T(String("in"))))
+	data := orig.AppendBinary(nil)
+	var storage [3]Field
+	got, rest, err := DecodeTupleInto(data, storage[:0])
+	if err != nil || len(rest) != 0 || !got.Equal(orig) {
+		t.Fatalf("DecodeTupleInto: %v, %v (rest %d)", got, err, len(rest))
+	}
+	if &got.fields[0] != &storage[0] {
+		t.Fatal("three fields did not go into storage for three")
+	}
+	detached := got.Copy()
+	for i := range data {
+		data[i] ^= 0xFF
+	}
+	if got.fields[0].s == "tag" || got.fields[2].t[0].s == "in" {
+		t.Fatal("strings were copied, not aliased")
+	}
+	if !detached.Equal(orig) {
+		t.Fatal("Copy still aliases the decode buffer")
+	}
+
+	small, _, err := DecodeTupleInto(orig.AppendBinary(nil), storage[:0:2])
+	if err != nil || !small.Equal(orig) || &small.fields[0] == &storage[0] {
+		t.Fatalf("three fields for storage of two: %v, %v, in storage %v", small, err, &small.fields[0] == &storage[0])
+	}
+}

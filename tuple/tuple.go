@@ -346,9 +346,10 @@ func (t Tuple) at(i int, k Kind) (Field, error) {
 	return f, nil
 }
 
-// copyFieldsDeep returns a deep copy of fields: byte slices are
-// duplicated and nested tuples copied recursively, so the result shares
-// no memory with the original (or with any decode buffer it aliases).
+// copyFieldsDeep returns a deep copy of fields: strings and byte slices
+// are duplicated and nested tuples copied recursively, so the result
+// shares no memory with the original (or with any decode buffer it
+// aliases, which a string of a DecodeTupleInto tuple would keep alive).
 func copyFieldsDeep(fields []Field) []Field {
 	if fields == nil {
 		return nil
@@ -356,6 +357,8 @@ func copyFieldsDeep(fields []Field) []Field {
 	out := make([]Field, len(fields))
 	for i, f := range fields {
 		switch f.kind {
+		case KindString:
+			f.s = strings.Clone(f.s)
 		case KindBytes:
 			if f.b != nil {
 				b := make([]byte, len(f.b))
@@ -371,10 +374,10 @@ func copyFieldsDeep(fields []Field) []Field {
 }
 
 // Copy returns a deep copy of the tuple that shares no memory with the
-// original. It is the escape hatch for values produced by the no-copy
-// decoders (DecodeTupleNoCopy), whose bytes fields alias the decode
-// buffer: call Copy before retaining such a tuple past the buffer's
-// lifetime.
+// original. It is the escape hatch for values produced by the aliasing
+// decoders (DecodeTupleNoCopy, DecodeTupleInto), whose fields alias the
+// decode buffer: call Copy before retaining such a tuple past the
+// buffer's lifetime, or to let the buffer go.
 func (t Tuple) Copy() Tuple {
 	return Tuple{fields: copyFieldsDeep(t.fields)}
 }

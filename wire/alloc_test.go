@@ -1,6 +1,10 @@
 package wire
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"tiamat/tuple"
@@ -29,30 +33,70 @@ func TestAppendEncodeNoAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeNoCopyFewerAllocs pins the no-copy decode path strictly below
-// the copying path for frames with bytes payloads, and bounds it
-// absolutely so a regression that reintroduces per-field copies fails.
-func TestDecodeNoCopyFewerAllocs(t *testing.T) {
-	data := Encode(allocMsg())
-	copying := testing.AllocsPerRun(100, func() {
-		if _, err := Decode(data); err != nil {
-			t.Fatal(err)
+// TestDecodeIsOneObject pins the receive path at one object per small
+// frame of a take (op, result, accept, ack): Decode through a memo that
+// has seen the sender makes nothing but the frame's own object, plus one
+// string or slice per header or trailer field that needs its own (Err,
+// ReplOrigin, AckIDs). Without a memo From costs one more.
+func TestDecodeIsOneObject(t *testing.T) {
+	for _, c := range goldenCases() {
+		switch c.msg.Type {
+		case TOp, TResult, TAccept, TAck:
+		default:
+			continue
 		}
-	})
-	aliasing := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeNoCopy(data); err != nil {
-			t.Fatal(err)
+		data := Encode(c.msg)
+		want := 1.0
+		for _, own := range []bool{c.msg.Err != "", c.msg.ReplOrigin != "", len(c.msg.AckIDs) > 0} {
+			if own {
+				want++
+			}
 		}
-	})
-	if aliasing >= copying {
-		t.Fatalf("DecodeNoCopy %v allocs/op, Decode %v: no-copy path must allocate less", aliasing, copying)
+		var memo FromMemo
+		if _, err := memo.Decode(data); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { _, _ = memo.Decode(data) }); got != want {
+			t.Errorf("%s: memoed Decode %v allocs, want %v", c.name, got, want)
+		}
+		if got := testing.AllocsPerRun(100, func() { _, _ = Decode(data) }); got != want+1 {
+			t.Errorf("%s: Decode %v allocs, want %v (one more for From)", c.name, got, want+1)
+		}
 	}
-	// Message + fields slice + from/tag strings leave a small fixed
-	// overhead; 6 is loose enough to survive compiler changes while
-	// catching a reintroduced per-bytes-field copy.
-	if aliasing > 6 {
-		t.Fatalf("DecodeNoCopy %v allocs/op, want <= 6", aliasing)
+}
+
+// TestDecodeAckIDsBoundedByFrame: a CRC-valid ack of a few bytes that
+// claims 2^20 coalesced IDs is malformed, and is found so without
+// reserving room for them.
+func TestDecodeAckIDsBoundedByFrame(t *testing.T) {
+	data := ackIDsClaim(1 << 20)
+	if _, err := Decode(data); !errors.Is(err, ErrFrame) {
+		t.Fatalf("%d-byte ack claiming 2^20 IDs: got %v, want ErrFrame", len(data), err)
 	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < runs; k++ {
+		_, _ = Decode(data)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+		t.Fatalf("rejecting it allocated %d B per decode, want under 1 KiB", per)
+	}
+}
+
+// ackIDsClaim is a checksummed ack-ok frame whose coalesced ID list
+// claims n IDs and carries one.
+func ackIDsClaim(n uint64) []byte {
+	b := []byte{magicA, magicB, version, byte(TAck)}
+	b = binary.AppendUvarint(b, 7)
+	b = appendStr(b, "n01")
+	b = appendBool(b, true)  // ok
+	b = appendStr(b, "")     // err
+	b = appendBool(b, false) // busy, filler ahead of the IDs
+	b = binary.AppendUvarint(b, n)
+	b = binary.AppendUvarint(b, 8)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 // TestPooledRoundtripAllocs bounds the whole pooled encode+decode cycle,

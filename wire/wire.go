@@ -27,6 +27,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"tiamat/tuple"
 )
@@ -213,22 +214,48 @@ func (o OpCode) String() string {
 }
 
 // Message is a decoded protocol frame. Fields beyond Type/ID/From are
-// populated according to the type, as documented on each constant.
+// populated according to the type, as documented on each constant. The
+// one-byte fields lead, where they pack into two words instead of taking
+// a padded word each: Decode makes one object per frame around a Message.
 type Message struct {
 	Type Type
+	// Op is the propagated operation (TOp).
+	Op OpCode
+	// Hops is the remaining flood radius (used by flooding protocols;
+	// Tiamat proper does not re-flood).
+	Hops uint8
+	// Found reports whether TResult carries a match.
+	Found bool
+	// Busy marks a not-found TResult or a refusing TAck as an explicit
+	// admission refusal (the responder's governor shed the operation)
+	// rather than a genuine miss or failure: the requester should fail
+	// over, not retry here. Only encoded when true; absent means a normal
+	// reply for pre-Busy peers.
+	Busy bool
+	// OK reports a TAck outcome, with Err.
+	OK bool
+	// Persistent is the space-info flag carried by TAnnounce.
+	Persistent bool
+	// Degraded is the self-reported gray-failure flag carried by
+	// TAnnounce: the announcer is serving but slow (WAL fsync stalls,
+	// governor queue delay), so requesters should deprioritize it. Only
+	// encoded when true; absent means healthy for pre-Degraded peers.
+	Degraded bool
+	// Failover marks a destructive TOp that may be served from the
+	// responder's replica store when the copy's origin is provably dead
+	// (the failover take, DESIGN.md §13). Optional trailing field with
+	// the same mixed-version contract as Budget.
+	Failover bool
+
 	// ID correlates requests with responses; unique per sender.
 	ID uint64
 	// From is the sender's contact address.
 	From Addr
 
-	// Op fields (TOp).
-	Op       OpCode
+	// Op fields (TOp), with Op, Hops and Failover above.
 	Template tuple.Template
 	// TTL bounds responder-side effort (blocking hold time, out expiry).
 	TTL time.Duration
-	// Hops is the remaining flood radius (used by flooding protocols;
-	// Tiamat proper does not re-flood).
-	Hops uint8
 	// Budget is the requester's remaining operation budget (TOp), when it
 	// is tighter than TTL: a responder must not hold a waiter or a
 	// tentative removal past the point the requester's lease or context
@@ -239,19 +266,10 @@ type Message struct {
 
 	// Tuple payload (TResult, TOut, TEval args).
 	Tuple tuple.Tuple
-	// Found reports whether TResult carries a match.
-	Found bool
 	// HoldID identifies a tentative removal on the responder.
 	HoldID uint64
-	// Busy marks a not-found TResult or a refusing TAck as an explicit
-	// admission refusal (the responder's governor shed the operation)
-	// rather than a genuine miss or failure: the requester should fail
-	// over, not retry here. Only encoded when true; absent means a normal
-	// reply for pre-Busy peers.
-	Busy bool
 
-	// OK and Err report TAck outcomes.
-	OK  bool
+	// Err reports a TAck refusal.
 	Err string
 	// AckIDs extends a TAck to cover additional operation IDs beyond
 	// m.ID: a transport flushing a batch of pure successful acks to one
@@ -263,13 +281,6 @@ type Message struct {
 	// misreading them (the sender's per-ID retry then re-acks singly).
 	AckIDs []uint64
 
-	// Persistent is the space-info flag carried by TAnnounce.
-	Persistent bool
-	// Degraded is the self-reported gray-failure flag carried by
-	// TAnnounce: the announcer is serving but slow (WAL fsync stalls,
-	// governor queue delay), so requesters should deprioritize it. Only
-	// encoded when true; absent means healthy for pre-Degraded peers.
-	Degraded bool
 	// Caps is the announcer's capability set (TAnnounce): the Cap* bits
 	// naming which post-baseline wire features its decoder accepts.
 	// Optional trailing field; zero is never encoded, so a caps-less
@@ -303,11 +314,6 @@ type Message struct {
 	// single-holder behaviour, never misread a replica frame.
 	ReplOrigin Addr
 	ReplSeq    uint64
-	// Failover marks a destructive TOp that may be served from the
-	// responder's replica store when the copy's origin is provably dead
-	// (the failover take, DESIGN.md §13). Optional trailing field with
-	// the same mixed-version contract as Budget.
-	Failover bool
 
 	// Target is the final destination of a TRelay frame.
 	Target Addr
@@ -614,19 +620,25 @@ func AppendEncode(dst []byte, m *Message) []byte {
 }
 
 // Decode parses a frame, verifying its checksum. The entire buffer must
-// be consumed. The result shares no memory with data.
+// be consumed. The result shares no memory with data: it is one object
+// that holds the message, the top-level fields of its tuple or template
+// and its own copy of the frame, which everything variable-length in the
+// message aliases except the strings of its header and trailers (From,
+// Err, Func, ReplOrigin, Target), which are copied. A frame longer than
+// the object's inline bytes costs one buffer more. A tuple taken from the
+// message keeps that object alive; Tuple.Copy detaches it.
 func Decode(data []byte) (*Message, error) {
-	return decode(data, false, nil)
+	return decodeOwn(data, nil)
 }
 
 // DecodeNoCopy parses a frame whose variable-length contents (relay
 // Payload, tuple/template bytes fields) alias data instead of being
 // copied. The caller must keep data alive and unmodified for the
 // message's lifetime, or detach the parts it retains (Tuple.Copy,
-// Template.Copy, or cloning Payload). Receive loops that process one
-// frame per buffer use it to avoid per-field allocations.
+// Template.Copy, or cloning Payload). It serves a caller whose buffer is
+// already the message's alone, such as a relay payload.
 func DecodeNoCopy(data []byte) (*Message, error) {
-	return decode(data, true, nil)
+	return decode(new(Message), data, nil, nil)
 }
 
 // FromMemo is the decode memo of one frame stream (a TCP connection): it
@@ -639,14 +651,66 @@ type FromMemo struct {
 	last Addr
 }
 
-// DecodeNoCopy is DecodeNoCopy for the stream's next frame: the same
-// message or error, with From sharing the previous frame's string when
-// the two addresses are equal.
-func (fm *FromMemo) DecodeNoCopy(data []byte) (*Message, error) {
-	return decode(data, true, fm)
+// Decode is Decode for the stream's next frame: the same message or
+// error, with From sharing the previous frame's string when the two
+// addresses are equal.
+func (fm *FromMemo) Decode(data []byte) (*Message, error) {
+	return decodeOwn(data, fm)
 }
 
-func decode(data []byte, alias bool, memo *FromMemo) (*Message, error) {
+// DecodeNoCopy is DecodeNoCopy for the stream's next frame, with From
+// memoized as in Decode.
+func (fm *FromMemo) DecodeNoCopy(data []byte) (*Message, error) {
+	return decode(new(Message), data, nil, fm)
+}
+
+// tupleFrame and bareFrame are the object Decode makes per frame: the
+// message, storage for the top-level fields of a tuple or template (the
+// first shape only), and inline bytes for the frame itself. Each fills a
+// malloc size class exactly, so the inline bytes are what rounding up
+// would otherwise waste: 128 of them hold a take's op or result over TCP,
+// and 48 an accept or ack. The runtime prefixes an object with pointers
+// over 512 B with an 8-byte header, so the first shape is 8 B short of
+// its 640 B class.
+type tupleFrame struct {
+	m      Message
+	fields [3]tuple.Field
+	data   [640 - 8 - unsafe.Sizeof(Message{}) - 3*unsafe.Sizeof(tuple.Field{})]byte
+}
+
+type bareFrame struct {
+	m    Message
+	data [288 - unsafe.Sizeof(Message{})]byte
+}
+
+func decodeOwn(data []byte, memo *FromMemo) (*Message, error) {
+	var (
+		m      *Message
+		own    []byte
+		fields []tuple.Field
+	)
+	if len(data) > 3 && carriesTuple(Type(data[3])) {
+		f := new(tupleFrame)
+		m, own, fields = &f.m, f.data[:0], f.fields[:0]
+	} else {
+		f := new(bareFrame)
+		m, own = &f.m, f.data[:0]
+	}
+	own = append(own, data...) // past the inline bytes: the one buffer more
+	return decode(m, own, fields, memo)
+}
+
+// carriesTuple reports whether frames of type t carry a tuple or template.
+func carriesTuple(t Type) bool {
+	return t == TOp || t == TResult || t == TOut || t == TEval
+}
+
+// decode fills m from data, which variable-length contents alias, and
+// returns it. fields is the message's own field storage when data is the
+// message's own copy (Decode), and then tuple and template strings alias
+// data too; nil means data is borrowed (DecodeNoCopy) and the tuple
+// decoders' no-copy contract holds.
+func decode(m *Message, data []byte, fields []tuple.Field, memo *FromMemo) (*Message, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("short frame (%d bytes): %w", len(data), ErrFrame)
 	}
@@ -663,7 +727,7 @@ func decode(data []byte, alias bool, memo *FromMemo) (*Message, error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
 		return nil, ErrChecksum
 	}
-	m := &Message{Type: Type(data[3])}
+	m.Type = Type(data[3])
 	if m.Type == TInvalid || m.Type > TGoodbye {
 		return nil, fmt.Errorf("type %d: %w", data[3], ErrFrame)
 	}
@@ -725,7 +789,7 @@ func decode(data []byte, alias bool, memo *FromMemo) (*Message, error) {
 			return nil, err
 		}
 		m.TTL = time.Duration(ttl) * time.Millisecond
-		if m.Template, src, err = decodeTemplate(src, alias); err != nil {
+		if m.Template, src, err = decodeTemplate(src, fields); err != nil {
 			return nil, fmt.Errorf("template: %w", err)
 		}
 		// Optional budget field: absent (pre-Budget peer, or budget==TTL)
@@ -760,7 +824,7 @@ func decode(data []byte, alias bool, memo *FromMemo) (*Message, error) {
 			return nil, err
 		}
 		if m.Found {
-			if m.Tuple, src, err = decodeTuple(src, alias); err != nil {
+			if m.Tuple, src, err = decodeTuple(src, fields); err != nil {
 				return nil, fmt.Errorf("tuple: %w", err)
 			}
 		}
@@ -800,7 +864,7 @@ func decode(data []byte, alias bool, memo *FromMemo) (*Message, error) {
 			return nil, err
 		}
 		m.TTL = time.Duration(ttl) * time.Millisecond
-		if m.Tuple, src, err = decodeTuple(src, alias); err != nil {
+		if m.Tuple, src, err = decodeTuple(src, fields); err != nil {
 			return nil, fmt.Errorf("tuple: %w", err)
 		}
 		// Optional replica identity: present means a replicate/repair
@@ -819,7 +883,7 @@ func decode(data []byte, alias bool, memo *FromMemo) (*Message, error) {
 			return nil, err
 		}
 		m.TTL = time.Duration(ttl) * time.Millisecond
-		if m.Tuple, src, err = decodeTuple(src, alias); err != nil {
+		if m.Tuple, src, err = decodeTuple(src, fields); err != nil {
 			return nil, fmt.Errorf("args: %w", err)
 		}
 	case TAck:
@@ -846,7 +910,9 @@ func decode(data []byte, alias bool, memo *FromMemo) (*Message, error) {
 			if n, src, err = readUvarint(src); err != nil {
 				return nil, err
 			}
-			if n == 0 || n > maxStr {
+			// Every ID takes at least one byte: a count the frame cannot
+			// hold is malformed, whatever memory it would reserve.
+			if n == 0 || n > uint64(len(src)) {
 				return nil, fmt.Errorf("ack ids %d: %w", n, ErrFrame)
 			}
 			m.AckIDs = make([]uint64, n)
@@ -869,11 +935,7 @@ func decode(data []byte, alias bool, memo *FromMemo) (*Message, error) {
 		if n > maxStr || uint64(len(src)) < n {
 			return nil, fmt.Errorf("payload %d: %w", n, ErrFrame)
 		}
-		if alias {
-			m.Payload = src[:n:n]
-		} else {
-			m.Payload = append([]byte(nil), src[:n]...)
-		}
+		m.Payload = src[:n:n]
 		src = src[n:]
 	case TGoodbye:
 		// header only
@@ -884,18 +946,18 @@ func decode(data []byte, alias bool, memo *FromMemo) (*Message, error) {
 	return m, nil
 }
 
-func decodeTuple(src []byte, alias bool) (tuple.Tuple, []byte, error) {
-	if alias {
+func decodeTuple(src []byte, fields []tuple.Field) (tuple.Tuple, []byte, error) {
+	if fields == nil {
 		return tuple.DecodeTupleNoCopy(src)
 	}
-	return tuple.DecodeTuple(src)
+	return tuple.DecodeTupleInto(src, fields)
 }
 
-func decodeTemplate(src []byte, alias bool) (tuple.Template, []byte, error) {
-	if alias {
+func decodeTemplate(src []byte, fields []tuple.Field) (tuple.Template, []byte, error) {
+	if fields == nil {
 		return tuple.DecodeTemplateNoCopy(src)
 	}
-	return tuple.DecodeTemplate(src)
+	return tuple.DecodeTemplateInto(src, fields)
 }
 
 func appendStr(b []byte, s string) []byte {

@@ -65,8 +65,9 @@ chaos:
 crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|ConsumedOut|Shutdown|Goodbye|RestartRejoin|Ledger|C1
 crash_pkgs = ./space/persist/ ./internal/core/ ./internal/harness/
 crash_exp  = C1
-# soak: overload governance — admission (an idle node's op served on
-# the receiving goroutine, everything else queued), a duplicate decided
+# soak: overload governance — admission (the space decides: a store or
+# naive node serves every admitted frame on its receive loop, a persist
+# node queues every one for its pool), a duplicate decided
 # once by its request's record in every state, quotas, shed order,
 # the shrink-before-revoke ladder, deadline propagation, the reports the
 # shed assertions read (views over a per-node registry that forwards to

@@ -7,6 +7,7 @@ package tiamat_test
 import (
 	"context"
 	"fmt"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -206,13 +207,42 @@ func BenchmarkLocalOutInpThroughInstance(b *testing.B) {
 	}
 }
 
-func BenchmarkRemoteInpTwoNodes(b *testing.B) {
-	a, bb := memnetPair(b)
+// schedSamples is the runtime's count so far of the samples behind
+// /sched/latencies:seconds: one for every 8th time each goroutine is made
+// runnable and then runs, which is the hand-off from whoever woke it.
+func schedSamples() uint64 {
+	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// handoffsPerOp estimates the goroutine hand-offs each of n runs of op
+// costs: eight per sample the runtime took while they ran. Every goroutine
+// in the process counts, the runtime's own (the garbage collector's)
+// included, so it is an estimate with a floor, not an exact count.
+func handoffsPerOp(n int, op func()) float64 {
+	before := schedSamples()
+	for k := 0; k < n; k++ {
+		op()
+	}
+	return float64(schedSamples()-before) * 8 / float64(n)
+}
+
+// reportHandoffs runs a benchmark's b.N ops and reports their hand-offs
+// per op (handoffsPerOp) beside its time and objects.
+func reportHandoffs(b *testing.B, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		remoteTake(b, a, bb)
-	}
+	b.ReportMetric(handoffsPerOp(b.N, op), "handoffs/op")
+}
+
+func BenchmarkRemoteInpTwoNodes(b *testing.B) {
+	a, bb := memnetPair(b)
+	reportHandoffs(b, func() { remoteTake(b, a, bb) })
 }
 
 // BenchmarkRemoteInpTwoNodesTCP is BenchmarkRemoteInpTwoNodes over
@@ -221,11 +251,15 @@ func BenchmarkRemoteInpTwoNodes(b *testing.B) {
 // site.
 func BenchmarkRemoteInpTwoNodesTCP(b *testing.B) {
 	a, bb := tcpPair(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		remoteTake(b, a, bb)
-	}
+	reportHandoffs(b, func() { remoteTake(b, a, bb) })
+}
+
+// BenchmarkRemoteOutAtTwoNodes is a remote out: b puts a tuple into a's
+// space (TOut, TAck) and a takes it back locally, so the space stays
+// empty and each op prices the serve of one out.
+func BenchmarkRemoteOutAtTwoNodes(b *testing.B) {
+	a, bb := memnetPair(b)
+	reportHandoffs(b, func() { remoteOutAt(b, a, bb) })
 }
 
 // remoteTakeAllocs is what one remote take measures over memnet: an Out
@@ -245,6 +279,27 @@ func TestRemoteTakeAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(2000, func() { remoteTake(t, a, bb) }); got != remoteTakeAllocs {
 		t.Fatalf("Out + remote Inp: %.2f allocs, want %d", got, remoteTakeAllocs)
+	}
+}
+
+// remoteOutAtHandoffs is the ceiling on the hand-offs one remote out and
+// its local take cost over memnet: b's caller to a's receive loop, which
+// serves the out where it lands (a store-backed node has no serve pool),
+// to b's receive loop and back to the caller, about three.
+const remoteOutAtHandoffs = 3.5
+
+// TestRemoteOutAtHandoffs pins BenchmarkRemoteOutAtTwoNodes's hand-offs
+// per op, so a goroutine put back on the serve path fails here first.
+func TestRemoteOutAtHandoffs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the ceiling is measured on a plain build; the race detector's scheduling is not what it counts")
+	}
+	a, bb := memnetPair(t)
+	for k := 0; k < 500; k++ {
+		remoteOutAt(t, a, bb)
+	}
+	if got := handoffsPerOp(20000, func() { remoteOutAt(t, a, bb) }); got > remoteOutAtHandoffs {
+		t.Fatalf("OutAt + local Inp: %.2f hand-offs, want at most %.1f", got, remoteOutAtHandoffs)
 	}
 }
 
@@ -304,6 +359,16 @@ func remoteTake(tb testing.TB, a, b *tiamat.Instance) {
 	}
 }
 
+// remoteOutAt outs at a from b and takes the tuple back at a, locally.
+func remoteOutAt(tb testing.TB, a, b *tiamat.Instance) {
+	if err := b.OutAt(a.Addr(), remoteTuple, nil); err != nil {
+		tb.Fatal(err)
+	}
+	if _, ok, err := a.Inp(context.Background(), remoteTmpl, nil); err != nil || !ok {
+		tb.Fatalf("local Inp after OutAt: %v %v", ok, err)
+	}
+}
+
 // BenchmarkRemoteInBlockingTwoNodes is the master/worker shape: eight
 // blocking takers on b parked on one template at a, one out per
 // iteration, timed until some taker has it. What it prices is the serve
@@ -336,14 +401,12 @@ func BenchmarkRemoteInBlockingTwoNodes(b *testing.B) {
 		b.Fatal(err)
 	}
 	<-taken
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	reportHandoffs(b, func() {
 		if err := a.Out(t, nil); err != nil {
 			b.Fatal(err)
 		}
 		<-taken
-	}
+	})
 	b.StopTimer()
 	cancel()
 	wg.Wait()

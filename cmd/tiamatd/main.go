@@ -196,7 +196,7 @@ func main() {
 		case <-sig:
 			fmt.Println("draining (goodbye announced; ^C again to force)")
 			// One-line governance summary: how much load was queued for
-			// the worker pool rather than served on arrival, and how much
+			// the worker pool (a persist space's; 0 on any other), and how much
 			// was refused, re-negotiated, or (last resort) revoked this run.
 			g := inst.Governor()
 			fmt.Printf("governor: queued=%d sheds=%d (probes=%d waits=%d outs=%d quota=%d queue=%d) shrinks=%d (%dB) clamps=%d deadline-cuts=%d revokes=%d\n",

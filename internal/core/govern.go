@@ -19,10 +19,10 @@ import (
 // escalation that mirrors the paper's ladder (§2.5): shrink outstanding
 // grants first, then stop admitting, and only as a last resort revoke.
 // Every shed is an explicit busy reply on the wire, never silence, so
-// requesters fail over instead of retrying into an overloaded node. An
-// admitted op on an idle node is served on the goroutine that received
-// it; everything else goes through a bounded work queue to the worker
-// pool.
+// requesters fail over instead of retrying into an overloaded node. The
+// local space decides where an admitted frame is served: on the receive
+// loop when it declares it never blocks (space.NonBlocking), otherwise
+// through a bounded work queue to the worker pool.
 
 // GovernorConfig tunes the serve-path governor. Zero values select the
 // documented defaults; the zero struct is a working workstation-class
@@ -34,8 +34,6 @@ type GovernorConfig struct {
 	// MaxTotalWaits bounds the remote wait table across all peers
 	// (default 4096) — the table was unbounded before the governor.
 	MaxTotalWaits int
-	// QueueDepth bounds the inbound serve queue (default 1024).
-	QueueDepth int
 	// ShedWatermark is the pressure (0..1] at which the governor starts
 	// clamping newly negotiated grants and shedding probe ops. Blocking
 	// waits shed one third of the way from the watermark to saturation,
@@ -53,8 +51,10 @@ const (
 	// maxPeerBytes bounds the payload bytes of queued+executing work per
 	// peer.
 	maxPeerBytes = 4 << 20
-	// serveWorkers is the serve worker pool size.
-	serveWorkers = 4
+	// serveWorkers is the serve worker pool size, and serveQueueDepth
+	// bounds the queue it drains. Only a space that may block has either.
+	serveWorkers    = 4
+	serveQueueDepth = 1024
 	// revokeWatermark is the pressure at which revocation is armed, after
 	// shrinking has nothing left to reclaim.
 	revokeWatermark = 0.97
@@ -79,9 +79,6 @@ func (c *GovernorConfig) applyDefaults() {
 	if c.MaxTotalWaits <= 0 {
 		c.MaxTotalWaits = 4096
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
 	if c.ShedWatermark <= 0 || c.ShedWatermark > 1 {
 		c.ShedWatermark = 0.75
 	}
@@ -104,14 +101,15 @@ type GovernorReport struct {
 	Revokes      uint64 // leases revoked (last resort)
 	GrantClamps  uint64 // serve grants narrowed under pressure
 	DeadlineCuts uint64 // serve budgets cut to the requester's budget
-	// Queued counts serve frames that took the queue path, QueueSheds
-	// among them; every other admitted frame was served on the goroutine
-	// that received it.
+	// Queued counts serve frames queued for the worker pool, QueueSheds
+	// among them. Only a space that may block has a pool: on a
+	// space.NonBlocking space every admitted frame is served on the
+	// receive loop and Queued stays 0.
 	Queued uint64
 
 	// QueueDelay is the smoothed time admitted work waits in the serve
 	// queue before a worker picks it up — the gray-failure probe's input.
-	// An op served on arrival reads as a zero wait.
+	// A node without a pool has no queue, and it reads zero.
 	QueueDelay time.Duration
 }
 
@@ -152,11 +150,9 @@ type queuedMsg struct {
 type governor struct {
 	cfg GovernorConfig
 	i   *Instance
-	// inline is set when the local space declares it never blocks
-	// (space.NonBlocking): only then may an op be served on the goroutine
-	// that received it.
-	inline bool
-
+	// queue feeds the worker pool. It is nil when the local space declares
+	// it never blocks (space.NonBlocking): every admitted frame is then
+	// served on the receive loop, and New starts no worker.
 	queue chan queuedMsg
 
 	mu            sync.Mutex
@@ -170,18 +166,19 @@ type governor struct {
 
 func newGovernor(i *Instance, cfg GovernorConfig) *governor {
 	cfg.applyDefaults()
-	nb, ok := i.local.(space.NonBlocking)
-	return &governor{
-		cfg:    cfg,
-		i:      i,
-		inline: ok && nb.NeverBlocks(),
-		queue:  make(chan queuedMsg, cfg.QueueDepth),
-		peers:  make(map[wire.Addr]peerState),
+	g := &governor{
+		cfg:   cfg,
+		i:     i,
+		peers: make(map[wire.Addr]peerState),
 		// The revoke cooldown starts at boot: a node that comes up
 		// already saturated must still climb the ladder (shed, shrink)
 		// before its first revocation.
 		lastRevoke: i.clk.Now(),
 	}
+	if nb, ok := i.local.(space.NonBlocking); !ok || !nb.NeverBlocks() {
+		g.queue = make(chan queuedMsg, serveQueueDepth)
+	}
+	return g
 }
 
 // Report reads the governor's activity off the node's counters.
@@ -239,7 +236,7 @@ func (g *governor) pressure() float64 {
 	capy := g.i.mgr.Capacity()
 	p := frac(st.Active, capy.MaxActive)
 	p = maxf(p, frac64(st.BytesHeld, capy.MaxTotalBytes))
-	p = maxf(p, frac(len(g.queue), g.cfg.QueueDepth))
+	p = maxf(p, frac(len(g.queue), serveQueueDepth))
 	g.mu.Lock()
 	tw := g.totalWaits
 	g.mu.Unlock()
@@ -324,12 +321,12 @@ func msgCost(m *wire.Message) int64 {
 // submit admits, sheds, or dedups one remote work frame. It runs on the
 // receive loop: the outcome is an explicit busy reply, a duplicate
 // decided by its request's record (admit: a replay, or silence that
-// finish may answer), an enqueue for the worker pool, or — for an op on
-// an idle node (servesInline) — the serve itself, run right here. It
-// waits on nothing the loop itself must deliver: an inline serve reaches
-// the lease manager, a space that declared it never blocks, the replica
-// store's lock and sends, and none of them waits for a reply (DESIGN.md
-// §9 lists what a send may wait on).
+// finish may answer), the serve itself, run right here when the space
+// declared it never blocks, or an enqueue for the worker pool. A serve
+// run here waits on nothing the loop itself must deliver: it reaches the
+// lease manager, the space, the replica store's lock, startEval's spawn
+// and sends, and none of them waits for a reply (DESIGN.md §9 lists what
+// a send may wait on).
 func (g *governor) submit(m *wire.Message) {
 	cost := msgCost(m)
 
@@ -368,8 +365,7 @@ func (g *governor) submit(m *wire.Message) {
 	g.peers[m.From] = ps
 	g.mu.Unlock()
 
-	if g.servesInline(m) {
-		g.noteQueueDelay(0) // served on arrival: no wait at all
+	if g.queue == nil {
 		g.serveOne(m)
 		return
 	}
@@ -382,16 +378,6 @@ func (g *governor) submit(m *wire.Message) {
 		g.i.met.Inc(trace.CtrGovQueueSheds)
 		g.refuse(m)
 	}
-}
-
-// servesInline reports whether m is served on the goroutine that
-// received it rather than queued for the worker pool: an op (rd, rdp, in,
-// inp — never an out or eval, whose replicated form waits for backup acks
-// only the receive loop delivers), a space that never blocks, and nothing
-// waiting behind m in the serve queue or the endpoint's inbox, so serving
-// it first delays no one. Under load the worker pool is the path.
-func (g *governor) servesInline(m *wire.Message) bool {
-	return g.inline && m.Type == wire.TOp && len(g.queue) == 0 && len(g.i.ep.Recv()) == 0
 }
 
 // finish retires a message's quota accounting once its handler returns

@@ -2,26 +2,30 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"tiamat/internal/store"
+	"tiamat/space/persist"
 	"tiamat/wire"
 )
 
-// An idle node is its receive loop, its serve pool and one deadline queue:
+// An idle node is its receive loop, a serve pool if its space may block,
+// and one deadline queue:
 // every background job (the orphan and repair sweeps) is an entry on that
 // queue, and every watch over a lease (a served wait's, an eval's) is the
 // lease's end hook. These tests hold a node to that, by goroutine and by
 // timer.
 
 // coreGoroutines is a census of the goroutines whose stacks sit in this
-// package's code, test code apart, by entry function: what the instances
-// alive in the process keep running. A goroutine not yet run shows only
-// the wrapper its go statement compiled to, so the census waits for every
-// one of ours to have started.
-func coreGoroutines() map[string]int {
+// package's code, test code apart: each one's entry function by goroutine
+// ID, what the instances alive in the process keep running. A goroutine
+// not yet run shows only the wrapper its go statement compiled to, so the
+// census waits for every one of ours to have started.
+func coreGoroutines() map[string]string {
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
 		census, started := takeCensus()
 		if started || time.Now().After(deadline) {
@@ -30,7 +34,7 @@ func coreGoroutines() map[string]int {
 	}
 }
 
-func takeCensus() (census map[string]int, started bool) {
+func takeCensus() (census map[string]string, started bool) {
 	buf := make([]byte, 1<<16)
 	for {
 		n := runtime.Stack(buf, true)
@@ -40,13 +44,14 @@ func takeCensus() (census map[string]int, started bool) {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-	census, started = make(map[string]int), true
+	census, started = make(map[string]string), true
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		if strings.Contains(g, "_test.go:") {
 			continue // a test, or a goroutine a test started
 		}
-		entry, ours := "", false
-		for _, line := range strings.Split(g, "\n")[1:] {
+		lines := strings.Split(g, "\n")
+		id, entry, ours := strings.Fields(lines[0])[1], "", false // "goroutine 7 [running]:"
+		for _, line := range lines[1:] {
 			if strings.HasPrefix(line, "created by ") {
 				break
 			}
@@ -57,44 +62,59 @@ func takeCensus() (census map[string]int, started bool) {
 			ours = ours || strings.HasPrefix(line, "tiamat/internal/core.")
 		}
 		if ours {
-			census[entry]++
+			census[id] = entry
 			started = started && !strings.Contains(entry, ".gowrap")
 		}
 	}
 	return census, started
 }
 
-// grown is what a census after holds beyond the one before, by entry.
-func grown(before, after map[string]int) map[string]int {
+// grown counts, by entry, the goroutines a census after holds that the one
+// before did not. One that ended in between is not counted: it may be an
+// earlier test's, winding down.
+func grown(before, after map[string]string) map[string]int {
 	d := make(map[string]int)
-	for e, n := range after {
-		if n != before[e] {
-			d[e] = n - before[e]
-		}
-	}
-	for e, n := range before {
-		if _, ok := after[e]; !ok {
-			d[e] = -n
+	for id, e := range after {
+		if _, ok := before[id]; !ok {
+			d[e]++
 		}
 	}
 	return d
 }
 
 // TestIdleNodeGoroutines: a replicating node that nobody talks to runs its
-// receive loop and the serve pool, nothing else.
+// receive loop, nothing else, when its space never blocks; a persist node
+// runs the serve pool beside it.
 func TestIdleNodeGoroutines(t *testing.T) {
-	before := coreGoroutines()
-	r := newRig(t, []wire.Addr{"a"}, func(c *Config) { c.Replicas = 2 })
-	want := map[string]int{
-		"tiamat/internal/core.(*Instance).loop":   1,
-		"tiamat/internal/core.(*governor).worker": serveWorkers,
-	}
-	if d := grown(before, coreGoroutines()); fmt.Sprint(d) != fmt.Sprint(want) {
-		t.Fatalf("an idle node runs %v, want %v", d, want)
-	}
-	r.clk.Advance(10 * time.Second) // ten sweeps of each kind start nothing
-	if d := grown(before, coreGoroutines()); fmt.Sprint(d) != fmt.Sprint(want) {
-		t.Fatalf("after ten sweep intervals an idle node runs %v, want %v", d, want)
+	const loop, worker = "tiamat/internal/core.(*Instance).loop", "tiamat/internal/core.(*governor).worker"
+	for _, tc := range []struct {
+		name    string
+		persist bool
+		want    map[string]int
+	}{
+		{"store", false, map[string]int{loop: 1}},
+		{"persist", true, map[string]int{loop: 1, worker: serveWorkers}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := coreGoroutines()
+			r := newRig(t, []wire.Addr{"a"}, func(c *Config) {
+				c.Replicas = 2
+				if tc.persist {
+					sp, err := persist.Open(filepath.Join(t.TempDir(), "a.log"), store.New(store.WithClock(c.Clock)), c.Clock)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c.Space = sp
+				}
+			})
+			if d := grown(before, coreGoroutines()); fmt.Sprint(d) != fmt.Sprint(tc.want) {
+				t.Fatalf("an idle node runs %v, want %v", d, tc.want)
+			}
+			r.clk.Advance(10 * time.Second) // ten sweeps of each kind start nothing
+			if d := grown(before, coreGoroutines()); fmt.Sprint(d) != fmt.Sprint(tc.want) {
+				t.Fatalf("after ten sweep intervals an idle node runs %v, want %v", d, tc.want)
+			}
+		})
 	}
 }
 

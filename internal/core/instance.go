@@ -145,12 +145,12 @@ type Config struct {
 	// it set a single slow first contact stalls the whole walk.
 	DisableHedge bool
 	// Replicas is the replica-set size R for leased replication
-	// (DESIGN.md §13): every out is written through to the R-1
-	// ring-placed backups, reads may be served from any live replica,
-	// and destructive takes fail over down the holder chain when the
-	// primary is provably dead. The default 1 disables replication
-	// entirely and keeps every frame byte-identical to the
-	// pre-replication protocol.
+	// (DESIGN.md §13): every local Out and eval result is written
+	// through to the R-1 ring-placed backups (a remote out is not),
+	// reads may be served from any live replica, and destructive takes
+	// fail over down the holder chain when the primary is provably dead.
+	// The default 1 disables replication entirely and keeps every frame
+	// byte-identical to the pre-replication protocol.
 	Replicas int
 	// CapsMask clears capability bits (wire.Cap*) from both this
 	// instance's advertised set and its locally produced wire features:
@@ -481,9 +481,11 @@ func New(cfg Config) (*Instance, error) {
 	_, _ = i.multicast(hello)
 	i.wg.Add(1)
 	go i.loop()
-	for w := 0; w < serveWorkers; w++ {
-		i.wg.Add(1)
-		go i.gov.worker()
+	if i.gov.queue != nil { // a space that may block is served off the loop
+		for w := 0; w < serveWorkers; w++ {
+			i.wg.Add(1)
+			go i.gov.worker()
+		}
 	}
 	return i, nil
 }
@@ -687,13 +689,13 @@ func (i *Instance) Close() error {
 
 // loop is the communications manager's event loop: it dispatches every
 // inbound message. Settlement traffic is handled here; serve work
-// (TOp/TOut/TEval) is admitted by the governor, which serves an op on
-// this goroutine when the node is idle and queues everything else for
-// its worker pool. No handler waits for another frame, since only this
-// loop could deliver it; what it may wait on is a transport Send and,
-// for a persist space under SyncAlways, an accept's fsync (DESIGN.md
-// §9). Each message is dispatched under panic isolation: a poisoned
-// frame degrades one op, not the node.
+// (TOp/TOut/TEval) is admitted by the governor, which serves it on this
+// goroutine when the space declares it never blocks and queues it for
+// the worker pool otherwise. No handler waits for another frame, since
+// only this loop could deliver it; what it may wait on is a transport
+// Send and, for a persist space under SyncAlways, an accept's fsync
+// (DESIGN.md §9). Each message is dispatched under panic isolation: a
+// poisoned frame degrades one op, not the node.
 func (i *Instance) loop() {
 	defer i.wg.Done()
 	for m := range i.ep.Recv() {

@@ -228,7 +228,7 @@ type remoteWait struct {
 }
 
 // Deliver implements space.Sink. It runs on the goroutine of the Out that
-// matched the wait (the application's, a serve worker's, a release's),
+// matched the wait (the application's, a served out's, a release's),
 // with none of the space's locks held.
 func (rw *remoteWait) Deliver(t tuple.Tuple, h space.Hold) {
 	i := rw.i
@@ -405,7 +405,7 @@ func (i *Instance) handleOp(m *wire.Message) {
 		e := i.requests[key]
 		i.mu.Unlock()
 		if e.state == reqCancelled {
-			return // a TCancel overtook the op in the serve queue
+			return // a TCancel overtook the op, in transit or in the serve queue
 		}
 		rw = e.wait
 	}
@@ -828,8 +828,9 @@ func (i *Instance) refuseDraining(m *wire.Message) {
 }
 
 // dispatch routes one message exactly as the event loop does; used by
-// relay delivery to self. It runs on the receive loop, so nothing it
-// calls may wait for a frame the loop has yet to deliver.
+// relay delivery to self. It runs on the receive loop, and on a space
+// that never blocks so does the serve of every admitted op, out and eval:
+// nothing it calls may wait for a frame the loop has yet to deliver.
 func (i *Instance) dispatch(m *wire.Message) {
 	if i.draining.Load() {
 		// New work is refused; in-flight settlement traffic (results,
@@ -854,10 +855,10 @@ func (i *Instance) dispatch(m *wire.Message) {
 		i.handleAnnounce(m)
 	case wire.TOp, wire.TOut, wire.TEval:
 		// Serve work goes through the governor: per-peer quotas,
-		// watermark shedding, then an op served right here on an idle
-		// node, or the bounded queue and the worker pool. Settlement
-		// traffic below is always handled here, so a loaded queue never
-		// delays completions.
+		// watermark shedding, then the serve itself, right here on a
+		// space that never blocks, or the bounded queue and the worker
+		// pool on one that may. Settlement traffic below is always
+		// handled here, so a loaded queue never delays completions.
 		i.gov.submit(m)
 	case wire.TResult:
 		i.handleResult(m)

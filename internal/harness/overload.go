@@ -75,7 +75,6 @@ func C2Overload(scale Scale) (*Table, error) {
 	gcfg := core.GovernorConfig{
 		MaxPeerWaits:   3,
 		MaxTotalWaits:  12,
-		QueueDepth:     256,
 		ShedWatermark:  0.7,
 		RevokeCooldown: time.Hour,
 	}

@@ -39,6 +39,17 @@ if [ "$(printf '%s' "$tables" | grep -c .)" -ne 1 ]; then
 	exit 1
 fi
 
+# The receive loop is the one reader of the endpoint's channel (DESIGN.md
+# §9): the space decides where a serve runs, and nothing in core peeks at
+# what waits behind a frame to decide it.
+echo "==> internal/core reads the endpoint channel in loop alone"
+recvs="$(git ls-files 'internal/core/*.go' | grep -v '_test.go$' | xargs grep -n 'Recv()' || true)"
+if [ "$(printf '%s' "$recvs" | grep -c .)" -ne 1 ]; then
+	echo "want Recv() on exactly one line (loop's), found:"
+	echo "$recvs"
+	exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 

@@ -123,10 +123,13 @@ type Degrader interface {
 // NonBlocking is optionally implemented by spaces that declare no call
 // ever waits: no disk, no lock held across I/O or another caller's
 // work, nothing another goroutine must do first. NeverBlocks reports
-// whether that holds. The instance serves a peer's rd/rdp/in/inp on the
-// goroutine that received the frame only when its space declares this;
-// any other space is served from the governor's worker pool, so a slow
-// store never stalls the node's receive loop (DESIGN.md §9).
+// whether that holds. The instance serves every peer frame it admits
+// (rd, rdp, in, inp, out, eval) on its receive loop when its space
+// declares this, and starts no serve worker; any other space is served
+// from the governor's worker pool, so a slow store never stalls the
+// loop (DESIGN.md §9). The declaration is a contract: a declaring space
+// whose call parks stops the node's receive loop, settlement traffic
+// included, until it returns.
 type NonBlocking interface {
 	NeverBlocks() bool
 }

@@ -308,9 +308,10 @@ const (
 	CtrGovClamps       = "gov.grant_clamps"
 	CtrGovDeadlineCuts = "gov.deadline_cuts"
 	CtrBusyReceived    = "gov.busy_received"
-	// CtrGovQueued counts serve frames that took the queue path to the
-	// worker pool, queue sheds included; every other admitted frame was
-	// served on the goroutine that received it.
+	// CtrGovQueued counts serve frames queued for the worker pool, queue
+	// sheds included. Only a space that may block has a pool: on one
+	// that never blocks every admitted frame is served on the receive
+	// loop and this stays 0.
 	CtrGovQueued = "gov.queued"
 	// CtrPanics counts recovered panics on serve/transport goroutines; a
 	// poisoned frame degrades one op, never the node.

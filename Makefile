@@ -91,13 +91,14 @@ mobility_exp  = C3
 gray_run  = Hedge|Limp|Demot|Slow|Stall|Degraded|Latency|Outlier|QueueDelay|WriteTimeout|Gray|Ledger|C4
 gray_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./transport/netudp/ ./space/persist/ ./internal/harness/
 gray_exp  = C4
-# replica: ring placement/rebalance, write-through replication (and the
-# out that races its own node's Close, replicated or not), failover takes with their
+# replica: ring placement/rebalance, write-through replication of every
+# placement, remote outs included (and the out that races its own node's
+# Close, replicated or not), failover takes with their
 # supersede proof, sibling invalidation and fencing (sent to a rejoining
 # origin on its join), copies withheld from a baseline taker's hold and
 # placed again when it is released, anti-entropy repair and adoption, and
 # the C5 kill soak.
-replica_run  = TestRing|WriteThrough|OutRacingClose|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|JoinCancelsFenced|BaselineTakerOriginDies|WithheldHold|Ledger|C5
+replica_run  = TestRing|WriteThrough|RemoteOutReplicates|OutRacingClose|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|JoinCancelsFenced|BaselineTakerOriginDies|WithheldHold|Ledger|C5
 replica_pkgs = ./routing/ ./internal/core/ ./wire/ ./internal/harness/
 replica_exp  = C5
 # upgrade: golden wire fixtures (byte-stability, round-trip, truncation,
@@ -117,12 +118,12 @@ upgrade_exp  = C6
 # remote takers on one template with no goroutine parked for any, every
 # edge that ends a served wait in every order, the lease end hook and the
 # reusable visibility subscription under it, the out-lease an early accept
-# must still release, the settlement cancels that skip only the winner,
+# must still release and every space's removal report ends, the settlement cancels that skip only the winner,
 # the deadline queue under all of it (order, cancel, the arm rule, no
 # runtime timer for any outbound op and fixed allocation budgets per
 # remote take, op states pooled per instance, no sent frame written), an
 # idle node's goroutine census and its one timer, and the E5 render farm.
-farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames|IdleNodeGoroutines|IdleNodeHoldsOneTimer
+farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|RemovalReport|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames|IdleNodeGoroutines|IdleNodeHoldsOneTimer
 farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/ ./clock/ ./lease/ ./internal/discovery/
 farm_exp  = E5
 

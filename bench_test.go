@@ -282,6 +282,16 @@ func TestRemoteTakeAllocs(t *testing.T) {
 	}
 }
 
+// remoteTakeHandoffs is the ceiling on the hand-offs one remote take costs
+// over memnet: 3.15–3.17 measured on a two-vCPU guest.
+const remoteTakeHandoffs = 3.5
+
+// TestRemoteTakeHandoffs pins BenchmarkRemoteInpTwoNodes's hand-offs per
+// take beside its objects (TestRemoteTakeAllocs).
+func TestRemoteTakeHandoffs(t *testing.T) {
+	pinHandoffs(t, "Out + remote Inp", remoteTakeHandoffs, remoteTake)
+}
+
 // remoteOutAtHandoffs is the ceiling on the hand-offs one remote out and
 // its local take cost over memnet: b's caller to a's receive loop, which
 // serves the out where it lands (a store-backed node has no serve pool),
@@ -291,15 +301,21 @@ const remoteOutAtHandoffs = 3.5
 // TestRemoteOutAtHandoffs pins BenchmarkRemoteOutAtTwoNodes's hand-offs
 // per op, so a goroutine put back on the serve path fails here first.
 func TestRemoteOutAtHandoffs(t *testing.T) {
+	pinHandoffs(t, "OutAt + local Inp", remoteOutAtHandoffs, remoteOutAt)
+}
+
+// pinHandoffs fails t when op between a memnet pair, warmed up, costs more
+// than ceiling hand-offs over 20 000 runs.
+func pinHandoffs(t *testing.T, what string, ceiling float64, op func(testing.TB, *tiamat.Instance, *tiamat.Instance)) {
 	if raceEnabled {
 		t.Skip("the ceiling is measured on a plain build; the race detector's scheduling is not what it counts")
 	}
-	a, bb := memnetPair(t)
+	a, b := memnetPair(t)
 	for k := 0; k < 500; k++ {
-		remoteOutAt(t, a, bb)
+		op(t, a, b)
 	}
-	if got := handoffsPerOp(20000, func() { remoteOutAt(t, a, bb) }); got > remoteOutAtHandoffs {
-		t.Fatalf("OutAt + local Inp: %.2f hand-offs, want at most %.1f", got, remoteOutAtHandoffs)
+	if got := handoffsPerOp(20000, func() { op(t, a, b) }); got > ceiling {
+		t.Fatalf("%s: %.2f hand-offs, want at most %.1f", what, got, ceiling)
 	}
 }
 

@@ -3,12 +3,17 @@ package core
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
 	"tiamat/clock"
+	"tiamat/internal/store"
 	"tiamat/lease"
+	"tiamat/space"
+	"tiamat/space/naive"
+	"tiamat/space/persist"
 	"tiamat/trace"
 	"tiamat/transport"
 	"tiamat/transport/memnet"
@@ -50,6 +55,24 @@ func newRig(t *testing.T, addrs []wire.Addr, mutate func(*Config)) *rig {
 	}
 	t.Cleanup(r.close)
 	return r
+}
+
+// openSpace returns the space of kind "store", "naive" or "persist" (a WAL
+// over a store, as tiamatd -persistent runs) for the node c configures;
+// the store is nil, the one New builds itself.
+func openSpace(t *testing.T, c *Config, kind string) space.Space {
+	switch kind {
+	case "naive":
+		return naive.New(c.Clock)
+	case "persist":
+		sp, err := persist.Open(filepath.Join(t.TempDir(), string(c.Endpoint.Addr())+".log"),
+			store.New(store.WithClock(c.Clock)), c.Clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	return nil
 }
 
 // seedCaps marks peer as a fully capable build at every instance,
@@ -452,17 +475,61 @@ func TestOutLeaseExpiryReclaimsTuple(t *testing.T) {
 	}
 }
 
+// TestOutLeaseEndsWithItsTuple: on every space, a tuple that leaves ends
+// its out lease (space.Space.OnRemove). Two thousand outs under a
+// one-minute lease, each taken back locally at once, leave no lease active
+// and no out-lease record; were the leases left to run, the default
+// capacity's 1 024 slots would refuse every out past them.
+func TestOutLeaseEndsWithItsTuple(t *testing.T) {
+	for _, kind := range []string{"store", "naive", "persist"} {
+		t.Run(kind, func(t *testing.T) {
+			r := newRig(t, []wire.Addr{"a"}, func(c *Config) { c.Space = openSpace(t, c, kind) })
+			a := r.inst["a"]
+			minute := lease.Flexible(lease.Terms{Duration: time.Minute, MaxBytes: 1 << 10})
+			for k := int64(0); k < 2000; k++ {
+				if err := a.Out(req(k), minute); err != nil {
+					t.Fatalf("Out %d: %v", k, err)
+				}
+				if _, ok, err := a.Inp(context.Background(), reqTmpl(), nil); err != nil || !ok {
+					t.Fatalf("Inp %d: %v %v", k, ok, err)
+				}
+			}
+			if n := a.LeaseManager().Stats().Active; n != 0 {
+				t.Fatalf("%d leases active with nothing stored", n)
+			}
+			a.mu.Lock()
+			recs := len(a.outBySid)
+			a.mu.Unlock()
+			if recs != 0 {
+				t.Fatalf("%d out-lease records left behind", recs)
+			}
+		})
+	}
+}
+
+// TestLeaseRevocationDropsTuple: a revoked out lease drops its tuple, on
+// every space, and the removal report ends its record.
 func TestLeaseRevocationDropsTuple(t *testing.T) {
-	r := newRig(t, []wire.Addr{"a"}, nil)
-	a := r.inst["a"]
-	if err := a.Out(req(1), nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := a.LeaseManager().Revoke(1); n != 1 {
-		t.Fatalf("revoked %d", n)
-	}
-	if _, ok, _ := a.Rdp(context.Background(), reqTmpl(), nil); ok {
-		t.Fatal("tuple survived revocation")
+	for _, kind := range []string{"store", "naive", "persist"} {
+		t.Run(kind, func(t *testing.T) {
+			r := newRig(t, []wire.Addr{"a"}, func(c *Config) { c.Space = openSpace(t, c, kind) })
+			a := r.inst["a"]
+			if err := a.Out(req(1), nil); err != nil {
+				t.Fatal(err)
+			}
+			if n := a.LeaseManager().Revoke(1); n != 1 {
+				t.Fatalf("revoked %d", n)
+			}
+			if _, ok, _ := a.Rdp(context.Background(), reqTmpl(), nil); ok {
+				t.Fatal("tuple survived revocation")
+			}
+			a.mu.Lock()
+			recs := len(a.outBySid)
+			a.mu.Unlock()
+			if recs != 0 {
+				t.Fatalf("%d out-lease records left behind", recs)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -10,8 +9,6 @@ import (
 	"tiamat/internal/store"
 	"tiamat/lease"
 	"tiamat/space"
-	"tiamat/space/naive"
-	"tiamat/space/persist"
 	"tiamat/trace"
 	"tiamat/transport"
 	"tiamat/tuple"
@@ -550,24 +547,13 @@ func TestInflightDedupAcrossWorkers(t *testing.T) {
 func TestIdleNodeServesInline(t *testing.T) {
 	const n = 8
 	for _, tc := range []struct {
-		name   string
-		space  func(t *testing.T, c *Config) space.Space
+		space  string
 		queued uint64 // per frame
-	}{
-		{"store", func(*testing.T, *Config) space.Space { return nil }, 0},
-		{"naive", func(_ *testing.T, c *Config) space.Space { return naive.New(c.Clock) }, 0},
-		{"persist", func(t *testing.T, c *Config) space.Space {
-			sp, err := persist.Open(filepath.Join(t.TempDir(), "a.log"), store.New(store.WithClock(c.Clock)), c.Clock)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sp
-		}, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	}{{"store", 0}, {"naive", 0}, {"persist", 1}} {
+		t.Run(tc.space, func(t *testing.T) {
 			r := newRig(t, []wire.Addr{"a", "b"}, func(c *Config) {
 				if c.Endpoint.Addr() == "a" {
-					c.Space = tc.space(t, c)
+					c.Space = openSpace(t, c, tc.space)
 				}
 			})
 			r.net.ConnectAll()

@@ -2,14 +2,11 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"tiamat/internal/store"
-	"tiamat/space/persist"
 	"tiamat/wire"
 )
 
@@ -100,11 +97,7 @@ func TestIdleNodeGoroutines(t *testing.T) {
 			r := newRig(t, []wire.Addr{"a"}, func(c *Config) {
 				c.Replicas = 2
 				if tc.persist {
-					sp, err := persist.Open(filepath.Join(t.TempDir(), "a.log"), store.New(store.WithClock(c.Clock)), c.Clock)
-					if err != nil {
-						t.Fatal(err)
-					}
-					c.Space = sp
+					c.Space = openSpace(t, c, "persist")
 				}
 			})
 			if d := grown(before, coreGoroutines()); fmt.Sprint(d) != fmt.Sprint(tc.want) {

@@ -145,12 +145,12 @@ type Config struct {
 	// it set a single slow first contact stalls the whole walk.
 	DisableHedge bool
 	// Replicas is the replica-set size R for leased replication
-	// (DESIGN.md §13): every local Out and eval result is written
-	// through to the R-1 ring-placed backups (a remote out is not),
-	// reads may be served from any live replica, and destructive takes
-	// fail over down the holder chain when the primary is provably dead.
-	// The default 1 disables replication entirely and keeps every frame
-	// byte-identical to the pre-replication protocol.
+	// (DESIGN.md §13): every Out, eval result and remote out is written
+	// through to the R-1 ring-placed backups (a remote one's is sent, not
+	// awaited), reads may be served from any live replica, and destructive
+	// takes fail over down the holder chain when the primary is provably
+	// dead. The default 1 disables replication entirely and keeps every
+	// frame byte-identical to the pre-replication protocol.
 	Replicas int
 	// CapsMask clears capability bits (wire.Cap*) from both this
 	// instance's advertised set and its locally produced wire features:
@@ -295,18 +295,18 @@ type Instance struct {
 	// accept and reinstate a taken tuple.
 	accepted      map[acceptKey]bool
 	acceptedOrder []acceptKey // FIFO eviction order for accepted
-	// Out-lease bookkeeping in both directions: a removed tuple releases
-	// its lease immediately (removal hook), and a revoked lease drops its
-	// tuple (OnRevoke).
-	outBySid   map[uint64]*lease.Lease // store tuple id -> out lease
-	sidByLease map[uint64]uint64       // lease ID -> store tuple id
+	// outBySid is the one record of each stored tuple's out lease, by the
+	// tuple's space id: a removed tuple ends its lease at once (the
+	// space's removal report, releaseOutLease), and a revoked lease drops
+	// its tuple (OnRevoke, which scans this map).
+	outBySid map[uint64]*lease.Lease
 	// An out learns its tuple's id only when the space's Out returns, and
 	// that Out may already have handed the tuple to a parked remote taker
 	// and sent the reply: the removal can be final before there is a record
 	// to release. outsPending counts the outs in that window (raised
 	// before the space is called, lowered under mu with the record made);
 	// removedEarly keeps the ids removals asked about and found nothing
-	// for while it is non-zero, so the out finds its own there (outLeased).
+	// for while it is non-zero, so the out finds its own there (place).
 	outsPending  atomic.Int32
 	removedEarly map[uint64]struct{}
 	evals        map[string]EvalFunc
@@ -410,7 +410,6 @@ func New(cfg Config) (*Instance, error) {
 		requests:     make(map[waitKey]request),
 		accepted:     make(map[acceptKey]bool),
 		outBySid:     make(map[uint64]*lease.Lease),
-		sidByLease:   make(map[uint64]uint64),
 		removedEarly: make(map[uint64]struct{}),
 		evals:        make(map[string]EvalFunc),
 		suspect:      make(map[wire.Addr]time.Time),
@@ -423,28 +422,30 @@ func New(cfg Config) (*Instance, error) {
 	if cfg.Space != nil {
 		i.local = cfg.Space
 	} else {
-		// The removal hook releases an out-lease the moment its tuple
-		// leaves the space (taken, reclaimed, or removed), so consumed
-		// tuples stop counting against MaxActive and the byte pool.
-		i.local = store.New(
-			store.WithClock(cfg.Clock),
-			store.WithMetrics(met),
-			store.WithRemovalHook(i.releaseOutLease),
-		)
+		i.local = store.New(store.WithClock(cfg.Clock), store.WithMetrics(met))
 	}
+	// Whatever the space, its removal report ends an out-lease the moment
+	// its tuple leaves (taken, reclaimed, or removed), so consumed tuples
+	// stop counting against MaxActive and the byte pool.
+	i.local.OnRemove(i.releaseOutLease)
 	// Eval computations run on threads allocated through the lease
 	// manager's thread factory (paper §3.1.1).
 	i.mgr.RegisterResource(lease.ResThreads, evalWorkers)
-	// Revoked out-leases drop their tuples (last-resort reclamation).
+	// A revoked out-lease drops its tuple (last-resort reclamation), and
+	// the removal report ends the record. The scan is bounded by MaxActive
+	// and revocation by RevokeCooldown.
 	i.mgr.OnRevoke(func(l *lease.Lease) {
+		var sid uint64
 		i.mu.Lock()
-		sid, ok := i.sidByLease[l.ID()]
-		delete(i.sidByLease, l.ID())
-		delete(i.outBySid, sid)
+		for s, ol := range i.outBySid {
+			if ol == l {
+				sid = s
+				break
+			}
+		}
 		i.mu.Unlock()
-		if ok {
+		if sid != 0 {
 			i.local.Remove(sid)
-			i.replOnLocalRemoval(sid)
 		}
 	})
 	// The space-info tuple (paper §2.4): a handle on this space plus
@@ -843,7 +844,6 @@ func (i *Instance) releaseOutLease(sid uint64) {
 	lse, ok := i.outBySid[sid]
 	if ok {
 		delete(i.outBySid, sid)
-		delete(i.sidByLease, lse.ID())
 	} else if i.outsPending.Load() > 0 {
 		i.removedEarly[sid] = struct{}{}
 	}
@@ -858,12 +858,15 @@ func (i *Instance) releaseOutLease(sid uint64) {
 	}
 }
 
-// outLeased puts t into the local space until lse's deadline and records
-// the lease against the stored tuple's id, which it returns. It returns 0
-// when nothing stays stored under the lease, for the caller to cancel it:
-// the tuple was consumed by a waiting local taker, or handed to a parked
-// remote one whose accept was settled before the space's Out returned.
-func (i *Instance) outLeased(t tuple.Tuple, lse *lease.Lease) (uint64, error) {
+// place stores t in the local space under its out lease lse, which has
+// consumed t's bytes: Out, an eval's result, a served remote out and a
+// re-out all come here. The lease is recorded against the tuple's id, so
+// the tuple's removal ends it (releaseOutLease), and is cancelled at once
+// if nothing stays stored — a waiting taker consumed the tuple — or on an
+// error. Then the lease keeps only the stored size, and the tuple is
+// written through to its ring backups (replWriteThrough), awaiting their
+// acks only on an op's own goroutine: a frame being served never waits.
+func (i *Instance) place(t tuple.Tuple, lse *lease.Lease, await bool) error {
 	i.outsPending.Add(1)
 	sid, err := i.local.Out(t, lse.Deadline())
 	i.mu.Lock()
@@ -872,14 +875,21 @@ func (i *Instance) outLeased(t tuple.Tuple, lse *lease.Lease) (uint64, error) {
 			sid = 0
 		} else if !i.closed {
 			i.outBySid[sid] = lse
-			i.sidByLease[lse.ID()] = sid
 		}
 	}
 	if i.outsPending.Add(-1) == 0 && len(i.removedEarly) > 0 {
 		clear(i.removedEarly)
 	}
 	i.mu.Unlock()
-	return sid, err
+	if err != nil || sid == 0 {
+		lse.Cancel()
+		return err
+	}
+	lse.ShrinkBytes()
+	if i.repl == nil {
+		return nil
+	}
+	return i.replWriteThrough(sid, t, lse, await)
 }
 
 // isClosed reports whether Close has begun.

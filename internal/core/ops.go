@@ -248,25 +248,11 @@ func (i *Instance) Out(t tuple.Tuple, r lease.Requester) error {
 		lse.Cancel()
 		return i.closedOr(fmt.Errorf("out %v: %w", t, err))
 	}
-	sid, err := i.outLeased(t, lse)
-	if err != nil {
-		lse.Cancel()
+	// With replication on, a successful Out means the tuple survives this
+	// node: place waits for the backups' acks. ErrClosed means it may not
+	// have: Close began first, and no backup acked a copy.
+	if err := i.place(t, lse, true); err != nil {
 		return i.closedOr(err)
-	}
-	if sid != 0 {
-		lse.ShrinkBytes() // only the stored size stays reserved
-		if i.repl != nil {
-			// Write the tuple through to its ring backups before returning
-			// (replica.go): a successful Out then means the tuple survives
-			// this node. ErrClosed means it may not have: Close began
-			// first, and no backup acked a copy.
-			if err := i.replWriteThrough(sid, t, lse); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Consumed by a waiting taker already; no storage held.
-		lse.Cancel()
 	}
 	return nil
 }
@@ -351,15 +337,7 @@ func (i *Instance) runEval(f EvalFunc, args tuple.Tuple, lse *lease.Lease) {
 		lse.Cancel()
 		return
 	}
-	sid, err := i.outLeased(result, lse)
-	if err != nil || sid == 0 {
-		lse.Cancel()
-		return
-	}
-	lse.ShrinkBytes()
-	if i.repl != nil {
-		_ = i.replWriteThrough(sid, result, lse) // eval is async; best-effort
-	}
+	_ = i.place(result, lse, true) // eval is async: nobody to tell
 }
 
 // Rd reads (a copy of) a tuple matching p from the logical space,

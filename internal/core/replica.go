@@ -349,21 +349,52 @@ func (r *replicator) appendHolders(queue []wire.Addr, tag string, arity int) []w
 
 // --- origin side: write-through and invalidation ------------------------
 
-// replWriteThrough replicates a freshly stored out to its ring backups
-// and waits (bounded by ContactTimeout) for their acks — so when Out
-// returns, a kill of this node no longer strands the tuple. The wait is
-// best-effort: on timeout the out stands and the sweeper finishes the
-// job. A Close that began before it returns is another matter: the node's
-// own copy goes with it, and from the moment Close starts the lease record
-// is not made (outLeased) and no replicate can leave, so unless a backup
-// acked a copy the write may have survived nowhere — ErrClosed.
+// replWriteThrough replicates a freshly placed tuple to its ring backups
+// and, with await, waits (bounded by ContactTimeout) for their acks — so
+// when Out returns, a kill of this node no longer strands the tuple. The
+// wait is best-effort: on timeout the out stands and the sweeper finishes
+// the job. A Close that began before it returns is another matter: the
+// node's own copy goes with it, and from the moment Close starts the lease
+// record is not made (place) and no replicate can leave, so unless a
+// backup acked a copy the write may have survived nowhere — ErrClosed.
+// Without await it only sends: a placement made while serving a frame
+// must not block on another node's reply (DESIGN.md §9).
 //
 // The replicates ride the out's own lease: each one consumes a unit of
 // its remote budget — the "replication lease" bounding communication
 // effort exactly as §2.5 bounds everything else.
-func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease) (err error) {
+//
+// The tuple is tracked first. An out written while isolated still gets a
+// record, so the sweep replicates it once peers appear; one on a withheld
+// hold gets none. The tuple may already have been taken since the store
+// write (a waiting local taker), and copies of it would be stranded: the
+// removal report deletes the out-lease record first and the replication
+// record after, so re-checking the lease record here closes the window —
+// an earlier removal finds no replication record (it is rolled back
+// here), a later one finds it and sends the invalidations.
+func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease, await bool) (err error) {
 	r := i.repl
-	ro, live := i.replTrack(sid, t, lse.Deadline())
+	tag, arity := replTupleKey(t)
+	ro := &replOut{
+		seq: sid, t: t.Copy(), expiry: lse.Deadline(), tag: tag, arity: arity, r: r,
+		done:  make(chan struct{}),
+		acked: make(map[wire.Addr]bool), refused: make(map[wire.Addr]bool),
+		lastSend: make(map[wire.Addr]time.Time),
+	}
+	r.mu.Lock()
+	held := r.withheld[sid]
+	if !held {
+		r.outs[sid] = ro
+	}
+	r.mu.Unlock()
+	i.mu.Lock()
+	_, live := i.outBySid[sid]
+	i.mu.Unlock()
+	if !held && !live {
+		r.mu.Lock()
+		delete(r.outs, sid)
+		r.mu.Unlock()
+	}
 	defer func() {
 		r.mu.Lock()
 		acked := len(ro.acked) > 0
@@ -372,7 +403,7 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 			err = ErrClosed
 		}
 	}()
-	if !live {
+	if !live || held {
 		return nil
 	}
 	targets := r.backupsForLocked(r.ringNow(), ro.tag, ro.arity)
@@ -415,6 +446,9 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 	r.mu.Unlock()
 
 	i.deadlines.Schedule(ro, i.clk.Now().Add(i.cfg.ContactTimeout))
+	if !await {
+		return nil // Expire still counts a target silent through the window
+	}
 	defer i.deadlines.Cancel(ro)
 	// Settled, or timed out (Expire): either way the out stands, and the
 	// sweeper converges what the wait did not see acked — unless the node
@@ -424,41 +458,6 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease)
 	case <-i.stopped:
 	}
 	return nil
-}
-
-// replTrack registers own out sid, stored until expiry, for replication and
-// reports whether its tuple is still there to replicate. An out written
-// while isolated still gets a record, so the sweep replicates it once peers
-// appear; one on a withheld hold gets none. The tuple may already have been
-// taken since the store write (a waiting local taker), and copies of it
-// would be stranded: the removal hook deletes the out-lease record first
-// and the replication record after, so re-checking the lease record here
-// closes the window — an earlier removal finds no replication record (it
-// is rolled back here), a later one finds it and sends the invalidations.
-func (i *Instance) replTrack(sid uint64, t tuple.Tuple, expiry time.Time) (*replOut, bool) {
-	r := i.repl
-	tag, arity := replTupleKey(t)
-	ro := &replOut{
-		seq: sid, t: t.Copy(), expiry: expiry, tag: tag, arity: arity, r: r,
-		done:  make(chan struct{}),
-		acked: make(map[wire.Addr]bool), refused: make(map[wire.Addr]bool),
-		lastSend: make(map[wire.Addr]time.Time),
-	}
-	r.mu.Lock()
-	held := r.withheld[sid]
-	if !held {
-		r.outs[sid] = ro
-	}
-	r.mu.Unlock()
-	i.mu.Lock()
-	_, live := i.outBySid[sid]
-	i.mu.Unlock()
-	if !held && !live {
-		r.mu.Lock()
-		delete(r.outs, sid)
-		r.mu.Unlock()
-	}
-	return ro, live && !held
 }
 
 // Expire implements clock.Entry: the write-through wait ran out. Only the
@@ -587,8 +586,8 @@ func (i *Instance) replWithhold(h space.Hold) space.Hold {
 }
 
 // withheldHold is a hold whose copies replWithhold kept back. Released, its
-// tuple is stored afresh — a fenced identity can never be placed again —
-// and the repair sweep is run at once to place copies under the new one.
+// tuple is placed afresh (reout) — a fenced identity can never be placed
+// again — and the placement writes copies through under the new one.
 type withheldHold struct {
 	space.Hold
 	i *Instance
@@ -602,7 +601,6 @@ func (h withheldHold) Accept() {
 func (h withheldHold) Release() {
 	h.i.repl.unwithhold(h.ID())
 	h.i.reout(h.Hold)
-	h.i.deadlines.Schedule(&h.i.repl.repair, h.i.clk.Now())
 }
 
 func (r *replicator) unwithhold(sid uint64) {
@@ -611,31 +609,23 @@ func (r *replicator) unwithhold(sid uint64) {
 	r.mu.Unlock()
 }
 
-// reout settles a released hold as an accept plus a fresh out of its tuple
-// under what is left of the same out-lease, tracked for replication under
-// its new id. With no lease record there is nothing to move: the Out that
-// stored the tuple has yet to make it — no copy was placed then, and the
-// Out replicates as usual — or the lease has ended and takes the tuple.
+// reout settles a released hold as an accept plus a fresh placement of its
+// tuple under what is left of the same out-lease, replicated under its new
+// id. With no lease record there is nothing to move: the Out that stored
+// the tuple has yet to make it — no copy was placed then, and the Out
+// replicates as usual — or the lease has ended and takes the tuple.
 func (i *Instance) reout(h space.Hold) {
 	i.mu.Lock()
 	lse := i.outBySid[h.ID()]
-	if lse != nil {
-		delete(i.outBySid, h.ID())
-		delete(i.sidByLease, lse.ID())
-	}
+	delete(i.outBySid, h.ID())
 	i.mu.Unlock()
 	if lse == nil {
 		h.Release()
 		return
 	}
 	t := h.Tuple()
-	h.Accept() // the removal hook finds no lease record to end
-	sid, err := i.outLeased(t, lse)
-	if err != nil || sid == 0 {
-		lse.Cancel()
-		return
-	}
-	i.replTrack(sid, t, lse.Deadline())
+	h.Accept() // the removal report finds no lease record to end
+	_ = i.place(t, lse, false)
 }
 
 // --- taker side: sibling invalidation on accept -------------------------

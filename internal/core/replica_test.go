@@ -98,6 +98,22 @@ func TestWriteThroughReplicates(t *testing.T) {
 	}
 }
 
+// TestRemoteOutReplicates: a served remote out is placed like a local one,
+// its write-through sent while the frame is served. The rig's clock stands
+// still, so no repair sweep places the copy.
+func TestRemoteOutReplicates(t *testing.T) {
+	r := replRig(t, nil, "a", "b", "c")
+	if err := r.inst["b"].OutAt("a", req(1), outLease()); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "one backup copy of the remote out", func() bool {
+		return copiesAcross(r, reqTmpl()) == 1 && r.inst["a"].ReplicaCopies(reqTmpl()) == 0
+	})
+	if rep := r.inst["a"].Replication(); rep.Outs != 1 {
+		t.Fatalf("origin report = %+v, want one replicated out", rep)
+	}
+}
+
 // typeGate holds every frame of one type an endpoint is asked to send at
 // gate.
 type typeGate struct {
@@ -132,8 +148,7 @@ func TestReplicatedOutRacingCloseNotAcknowledged(t *testing.T) {
 					switch {
 					case c.Endpoint.Addr() != "a":
 					case edge == "before the lease record":
-						sp.Space = store.New(store.WithClock(c.Clock), store.WithMetrics(c.Metrics),
-							store.WithRemovalHook(func(id uint64) { a.releaseOutLease(id) }))
+						sp.Space = store.New(store.WithClock(c.Clock), store.WithMetrics(c.Metrics))
 						c.Space = sp
 					default:
 						c.Endpoint = typeGate{c.Endpoint, wire.TOut, gate} // a's only TOuts are replicates
@@ -280,20 +295,32 @@ func TestFailoverRefusedWhileOriginAlive(t *testing.T) {
 	})
 }
 
+// TestTakeInvalidatesReplicas: a local take at the origin consumes the
+// authoritative tuple, and the space's removal report tells the backups —
+// whatever space the origin runs on.
 func TestTakeInvalidatesReplicas(t *testing.T) {
-	r := replRig(t, nil, "a", "b", "c")
-	a := r.inst["a"]
-	if err := a.Out(req(5), outLease()); err != nil {
-		t.Fatal(err)
+	for _, kind := range []string{"store", "persist"} {
+		t.Run(kind, func(t *testing.T) {
+			r := replRig(t, func(c *Config) {
+				if c.Endpoint.Addr() == "a" {
+					c.Space = openSpace(t, c, kind)
+				}
+			}, "a", "b", "c")
+			a := r.inst["a"]
+			if err := a.Out(req(5), outLease()); err != nil {
+				t.Fatal(err)
+			}
+			if n := copiesAcross(r, reqTmpl()); n != 1 {
+				t.Fatalf("copies after out = %d, want 1", n)
+			}
+			if _, ok, err := a.Inp(context.Background(), reqTmpl(), outLease()); err != nil || !ok {
+				t.Fatalf("local Inp failed: %v %v", ok, err)
+			}
+			eventually(t, "copies drained after origin-side take", func() bool {
+				return copiesAcross(r, reqTmpl()) == 0
+			})
+		})
 	}
-	// A local take at the origin consumes the authoritative tuple; the
-	// removal hook tells the backups.
-	if _, ok, err := a.Inp(context.Background(), reqTmpl(), outLease()); err != nil || !ok {
-		t.Fatalf("local Inp failed: %v %v", ok, err)
-	}
-	eventually(t, "copies drained after origin-side take", func() bool {
-		return copiesAcross(r, reqTmpl()) == 0
-	})
 }
 
 func TestInvalidateFencesLateReplicate(t *testing.T) {

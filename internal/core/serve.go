@@ -657,6 +657,7 @@ func (i *Instance) serveOnce(m *wire.Message, run func(*wire.Message) error) {
 func (i *Instance) remoteOut(m *wire.Message) error {
 	terms := serveTerms(m.TTL)
 	terms.MaxBytes = m.Tuple.Size()
+	terms.MaxRemotes = i.cfg.Replicas - 1 // what place's write-through spends
 	// Under pressure only the duration is negotiable downward: clamping
 	// the byte budget below the tuple's size would turn every admitted
 	// out into a refusal, which is shedding with extra steps.
@@ -672,18 +673,9 @@ func (i *Instance) remoteOut(m *wire.Message) error {
 		return err
 	}
 	// Retention boundary: the tuple outlives the frame that carried it,
-	// so detach it from a possibly-aliased decode buffer.
-	sid, err := i.outLeased(m.Tuple.Copy(), lse)
-	if err != nil {
-		lse.Cancel()
-		return err
-	}
-	if sid != 0 {
-		lse.ShrinkBytes()
-	} else {
-		lse.Cancel() // consumed by a waiting taker
-	}
-	return nil
+	// so detach it from a possibly-aliased decode buffer. Served, the
+	// placement sends its write-through and does not wait for it.
+	return i.place(m.Tuple.Copy(), lse, false)
 }
 
 func (i *Instance) remoteEval(m *wire.Message) error {
@@ -693,6 +685,7 @@ func (i *Instance) remoteEval(m *wire.Message) error {
 	}
 	terms := serveTerms(m.TTL)
 	terms.MaxBytes = i.mgr.Capacity().MaxBytes
+	terms.MaxRemotes = i.cfg.Replicas - 1 // what the result's placement spends
 	lse, err := i.mgr.GrantTerms(lease.OpEval, i.gov.clampTerms(terms))
 	if err != nil {
 		return err

@@ -160,9 +160,8 @@ func stop() (gate func(), reached, open chan struct{}) {
 	return func() { reached <- struct{}{}; <-open }, reached, open
 }
 
-// gatedRig is one instance, a, on a gated store wired the way New wires
-// its own (removal hook included), and x, a bare endpoint playing the
-// requester by hand.
+// gatedRig is one instance, a, on a gated store, and x, a bare endpoint
+// playing the requester by hand.
 type gatedRig struct {
 	*rig
 	a  *Instance
@@ -174,8 +173,7 @@ func newGatedRig(t *testing.T, mutate func(*Config)) *gatedRig {
 	t.Helper()
 	g := &gatedRig{sp: &stoppableSpace{}}
 	g.rig = newRig(t, []wire.Addr{"a"}, func(c *Config) {
-		g.sp.Space = store.New(store.WithClock(c.Clock), store.WithMetrics(c.Metrics),
-			store.WithRemovalHook(func(id uint64) { g.a.releaseOutLease(id) }))
+		g.sp.Space = store.New(store.WithClock(c.Clock), store.WithMetrics(c.Metrics))
 		c.Space = g.sp
 		if mutate != nil {
 			mutate(c)
@@ -460,7 +458,7 @@ func TestResidentMatchServedInsidePark(t *testing.T) {
 
 // TestOutLeaseReleasedWhenAcceptBeatsTheRecord: the Out that matches a
 // parked remote taker sends the reply before it returns, so the taker's
-// accept can be settled — removal hook and all — before the out has
+// accept can be settled — removal report and all — before the out has
 // learnt the tuple's id and recorded its lease against it. The lease
 // must end with the tuple all the same, not sit in the manager until its
 // deadline: under DefaultCapacity a farm's worth of those is governor
@@ -492,7 +490,7 @@ func TestOutLeaseReleasedWhenAcceptBeatsTheRecord(t *testing.T) {
 		t.Fatalf("%d leases active with nothing stored and nothing served", st.Active)
 	}
 	g.a.mu.Lock()
-	recs, early := len(g.a.outBySid)+len(g.a.sidByLease), len(g.a.removedEarly)
+	recs, early := len(g.a.outBySid), len(g.a.removedEarly)
 	g.a.mu.Unlock()
 	if recs != 0 || early != 0 {
 		t.Fatalf("%d out-lease records and %d early removals left behind", recs, early)

@@ -64,10 +64,9 @@ type Store struct {
 	seed int64
 	// janitor times every shard's reclaim off one clock timer.
 	janitor *clock.Queue
-	// onRemove, if set, observes every finalised removal (take, accepted
-	// hold, explicit Remove, janitor reclaim) with the entry's storage
-	// id. It is always invoked without any shard lock held.
-	onRemove func(id uint64)
+	// onRemove is the removal report (OnRemove), called with no shard
+	// lock held. Atomic: the janitor may reclaim while it is set.
+	onRemove atomic.Pointer[func(id uint64)]
 
 	// nTagShards is the number of tag shards (a power of two); the shard
 	// slice additionally holds the scan shard at index nTagShards.
@@ -306,20 +305,17 @@ func WithShards(n int) Option {
 	return func(s *Store) { s.nTagShards = n }
 }
 
-// WithRemovalHook observes finalised removals by storage id; the Tiamat
-// instance uses it to release out-leases as soon as their tuple is gone
-// instead of waiting for the time budget to run out.
-func WithRemovalHook(f func(id uint64)) Option {
-	return func(s *Store) { s.onRemove = f }
-}
+// OnRemove implements space.Space.
+func (s *Store) OnRemove(f func(id uint64)) { s.onRemove.Store(&f) }
 
-// notifyRemoved invokes the removal hook outside all shard locks.
+// notifyRemoved makes the removal report outside all shard locks.
 func (s *Store) notifyRemoved(ids ...uint64) {
-	if s.onRemove == nil {
+	f := s.onRemove.Load()
+	if f == nil {
 		return
 	}
 	for _, id := range ids {
-		s.onRemove(id)
+		(*f)(id)
 	}
 }
 
@@ -379,7 +375,7 @@ func (s *Store) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
 // out is Out, for a new tuple or, with back set, for a released hold's:
 // that one comes back as the entry it was, under the id its out-lease
 // and its replica copies know it by, and if a parked in consumes it on
-// the way the removal of that id is final and the hook is told.
+// the way the removal of that id is final and is reported.
 func (s *Store) out(t tuple.Tuple, expiry time.Time, back *entry) (uint64, error) {
 	key, _, tagged := waiterKeyOfTuple(t)
 	var sh *shard

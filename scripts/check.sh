@@ -50,6 +50,18 @@ if [ "$(printf '%s' "$recvs" | grep -c .)" -ne 1 ]; then
 	exit 1
 fi
 
+# A tuple enters the space under its out lease in one place, place
+# (DESIGN.md §13): Out, an eval's result, a served remote out and a
+# re-out all call it, so each is leased, ended and replicated alike. Its
+# ShrinkBytes is the mark of a placement.
+echo "==> internal/core places a leased tuple in one function"
+shrinks="$(git ls-files 'internal/core/*.go' | grep -v '_test.go$' | xargs grep -n 'ShrinkBytes()' || true)"
+if [ "$(printf '%s' "$shrinks" | grep -c .)" -ne 1 ]; then
+	echo "want ShrinkBytes() on exactly one line (place's), found:"
+	echo "$shrinks"
+	exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 

@@ -27,13 +27,15 @@ var ErrClosed = errors.New("naive: closed")
 
 // Space implements space.Space with linear scans.
 type Space struct {
-	clk clock.Clock
+	clk      clock.Clock
+	onRemove func(id uint64) // the removal report, called by unlock
 
 	mu      sync.Mutex
 	closed  bool
 	nextID  uint64
 	entries []entry
 	waiters []*waiter
+	gone    []uint64 // ids removed under mu, reported by unlock
 }
 
 var _ space.Space = (*Space)(nil)
@@ -85,7 +87,26 @@ func New(clk clock.Clock) *Space {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	return &Space{clk: clk}
+	return &Space{clk: clk, onRemove: func(uint64) {}}
+}
+
+// OnRemove implements space.Space.
+func (s *Space) OnRemove(f func(id uint64)) { s.onRemove = f }
+
+// unlock drops the mutex, then reports the removals made under it.
+func (s *Space) unlock() {
+	gone := s.gone
+	s.gone = nil
+	s.mu.Unlock()
+	for _, id := range gone {
+		s.onRemove(id)
+	}
+}
+
+// removeLocked drops entry i, a final removal.
+func (s *Space) removeLocked(i int) {
+	s.gone = append(s.gone, s.entries[i].id)
+	s.entries = append(s.entries[:i], s.entries[i+1:]...)
 }
 
 func (s *Space) liveLocked(e entry) bool {
@@ -131,6 +152,9 @@ func (s *Space) put(t tuple.Tuple, expiry time.Time, id uint64) (uint64, error) 
 	}
 	s.waiters = kept
 	if consumed {
+		if id != 0 {
+			s.gone = append(s.gone, id) // a released hold's tuple, now taken
+		}
 		id = 0
 	} else {
 		if id == 0 {
@@ -149,7 +173,8 @@ func (s *Space) put(t tuple.Tuple, expiry time.Time, id uint64) (uint64, error) 
 		}
 		s.entries = append(s.entries, e)
 	}
-	s.mu.Unlock()
+	s.purgeLocked()
+	s.unlock()
 	for _, d := range calls {
 		d.run()
 	}
@@ -180,13 +205,13 @@ func (s *Space) Rdp(p tuple.Template) (tuple.Tuple, bool) {
 // Inp implements space.Space.
 func (s *Space) Inp(p tuple.Template) (tuple.Tuple, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	i := s.findLocked(p)
 	if i < 0 {
 		return tuple.Tuple{}, false
 	}
 	t := s.entries[i].t
-	s.entries = append(s.entries[:i], s.entries[i+1:]...)
+	s.removeLocked(i)
 	return t, true
 }
 
@@ -210,7 +235,7 @@ func (s *Space) Park(p tuple.Template, take bool, sink space.Sink) space.Parked 
 // waiter's delivery is returned for the caller to run unlocked.
 func (s *Space) register(w *waiter) (delivery, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.closed {
 		w.cancelled = true
 		w.finish()
@@ -228,7 +253,7 @@ func (s *Space) register(w *waiter) (delivery, bool) {
 		e.held = true
 		d.h = &hold{s: s, id: e.id, t: e.t}
 	case w.remove:
-		s.entries = append(s.entries[:i], s.entries[i+1:]...)
+		s.removeLocked(i)
 	}
 	if w.ch != nil {
 		w.ch <- d.t
@@ -304,11 +329,13 @@ func (h *hold) settle(accept bool) {
 		h.s.mu.Unlock()
 		return
 	}
-	h.s.entries = append(h.s.entries[:idx], h.s.entries[idx+1:]...)
-	h.s.mu.Unlock()
 	if accept {
+		h.s.removeLocked(idx)
+		h.s.unlock()
 		return
 	}
+	h.s.entries = append(h.s.entries[:idx], h.s.entries[idx+1:]...)
+	h.s.mu.Unlock()
 	// Reinstatement re-enters through Out so waiters are served.
 	_, _ = h.s.put(e.t, e.expiry, e.id)
 }
@@ -316,50 +343,33 @@ func (h *hold) settle(accept bool) {
 // Remove implements space.Space.
 func (s *Space) Remove(id uint64) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	for i := range s.entries {
 		if s.entries[i].id == id && !s.entries[i].held {
-			s.entries = append(s.entries[:i], s.entries[i+1:]...)
+			s.removeLocked(i)
 			return true
 		}
 	}
 	return false
 }
 
-// Count implements space.Space. Expired tuples are purged lazily here.
-func (s *Space) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeLocked()
-	n := 0
-	for _, e := range s.entries {
-		if !e.held {
-			n++
-		}
-	}
-	return n
-}
+// Count implements space.Space.
+func (s *Space) Count() int { return len(s.Snapshot()) }
 
+// purgeLocked drops expired tuples, lazily: here and at every Out.
 func (s *Space) purgeLocked() {
-	kept := s.entries[:0]
-	for _, e := range s.entries {
-		if e.held || s.liveLocked(e) {
-			kept = append(kept, e)
+	for i := len(s.entries) - 1; i >= 0; i-- {
+		if !s.entries[i].held && !s.liveLocked(s.entries[i]) {
+			s.removeLocked(i)
 		}
 	}
-	s.entries = kept
 }
 
 // Bytes implements space.Space.
 func (s *Space) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeLocked()
 	var n int64
-	for _, e := range s.entries {
-		if !e.held {
-			n += e.t.Size()
-		}
+	for _, t := range s.Snapshot() {
+		n += t.Size()
 	}
 	return n
 }
@@ -367,7 +377,7 @@ func (s *Space) Bytes() int64 {
 // Snapshot implements space.Space.
 func (s *Space) Snapshot() []tuple.Tuple {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	s.purgeLocked()
 	out := make([]tuple.Tuple, 0, len(s.entries))
 	for _, e := range s.entries {

@@ -5,7 +5,10 @@ package naive
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"tiamat/internal/core"
 	"tiamat/internal/store"
 	"tiamat/space"
+	"tiamat/space/persist"
 	"tiamat/space/spacetest"
 	"tiamat/transport/memnet"
 	"tiamat/tuple"
@@ -91,17 +95,94 @@ func TestNaiveHoldWaiterContract(t *testing.T) {
 	spacetest.Parking(t, func(*testing.T) space.Space { return New(nil) })
 }
 
+// TestRemovalReport: every space — the oracle, the store and the durable
+// wrapper — reports each final removal once, by the id Out returned: a
+// take, an accepted hold, a taking waiter, Remove, and a parked in
+// consuming a released hold's tuple. Nothing else is reported: a read, a
+// release, and an Out consumed on the way in, which stored nothing.
+func TestRemovalReport(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) space.Space
+	}{
+		{"naive", func(*testing.T) space.Space { return New(nil) }},
+		{"store", func(*testing.T) space.Space { return store.New() }},
+		{"persist", func(t *testing.T) space.Space {
+			sp, err := persist.Open(filepath.Join(t.TempDir(), "r.log"), store.New(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sp
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.open(t)
+			defer s.Close()
+			var mu sync.Mutex
+			var reported, want []uint64
+			s.OnRemove(func(id uint64) {
+				mu.Lock()
+				reported = append(reported, id)
+				mu.Unlock()
+			})
+			expect := func(what string, ids ...uint64) {
+				t.Helper()
+				want = append(want, ids...)
+				mu.Lock()
+				defer mu.Unlock()
+				if fmt.Sprint(reported) != fmt.Sprint(want) {
+					t.Fatalf("after %s: reported %v, want %v", what, reported, want)
+				}
+			}
+			ids := make([]uint64, 5)
+			for k := range ids {
+				ids[k], _ = s.Out(item("a", int64(k)), time.Time{})
+			}
+			exact := func(k int) tuple.Template { return tuple.TemplateOf(item("a", int64(k))) }
+			s.Rdp(exact(0))
+			h, _ := s.Hold(exact(0))
+			h.Release()
+			expect("a read and a released hold")
+			s.Inp(exact(0))
+			expect("a take", ids[0])
+			h, _ = s.Hold(exact(1))
+			h.Accept()
+			expect("an accepted hold", ids[1])
+			<-s.Wait(exact(2), true).Chan()
+			expect("a taking waiter", ids[2])
+			s.Remove(ids[3])
+			expect("Remove", ids[3])
+			h, _ = s.Hold(exact(4))
+			in := s.Wait(exact(4), true)
+			h.Release()
+			<-in.Chan()
+			expect("a released hold's tuple taken on its way back", ids[4])
+			in = s.Wait(tmpl("a"), true)
+			s.Out(item("a", 5), time.Time{})
+			<-in.Chan()
+			expect("an Out consumed on the way in")
+		})
+	}
+}
+
 func TestNaiveExpiry(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	s := New(clk)
 	defer s.Close()
-	s.Out(item("a", 1), epoch.Add(time.Second))
+	var reported []uint64
+	s.OnRemove(func(id uint64) { reported = append(reported, id) })
+	id, _ := s.Out(item("a", 1), epoch.Add(time.Second))
 	clk.Advance(2 * time.Second)
 	if _, ok := s.Rdp(tmpl("a")); ok {
 		t.Fatal("expired tuple visible")
 	}
 	if s.Count() != 0 {
 		t.Fatal("expired tuple counted")
+	}
+	// The purge that drops an expired tuple reports it, once.
+	s.Out(item("b", 1), time.Time{})
+	if len(reported) != 1 || reported[0] != id {
+		t.Fatalf("reported %v, want [%d]", reported, id)
 	}
 }
 

@@ -32,6 +32,11 @@
 // error. Crashing is the ARIES-safe response to a log that can no longer
 // be trusted; see space/persist/crash_test.go for the kill-point sweep
 // that checks the contract at every byte.
+//
+// The removal report (OnRemove) is the inner space's: a take's or an
+// accepted hold's removal is reported once its record is logged, inside
+// the read-held opMu, and a reclaim or Remove, which log nothing, as the
+// inner space makes them.
 package persist
 
 import (
@@ -823,6 +828,10 @@ func (s *Space) Remove(id uint64) bool {
 	// next size-triggered rotation) squares the log with the space.
 	return s.inner.Remove(id)
 }
+
+// OnRemove implements space.Space by handing f to the inner space (see
+// the package doc).
+func (s *Space) OnRemove(f func(id uint64)) { s.inner.OnRemove(f) }
 
 // Count implements space.Space.
 func (s *Space) Count() int { return s.inner.Count() }

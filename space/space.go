@@ -90,6 +90,15 @@ type Space interface {
 	// whether it was present. Used for lease revocation.
 	Remove(id uint64) bool
 
+	// OnRemove sets the removal report: f is called once with the
+	// storage id of every final removal — a take, an accepted hold,
+	// Remove, the expiry reclaim, consumption by a waiting taker. The
+	// instance ends a tuple's out lease here (paper §2.5). f may run
+	// inside the space's own critical section (persist holds its log
+	// lock for reading across an accept), so it must not call back into
+	// the space. Set it before the space is shared.
+	OnRemove(f func(id uint64))
+
 	// Count returns the number of live tuples.
 	Count() int
 

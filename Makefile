@@ -2,7 +2,7 @@ GO ?= go
 
 SUITES = crash soak mobility gray replica upgrade farm
 
-.PHONY: build test check bench perf allocs chaos fuzz loc suites-nonempty $(SUITES)
+.PHONY: build test check bench perf allocs handoffs chaos fuzz loc suites-nonempty $(SUITES)
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,15 @@ allocs:
 		awk -v n=$(N) '{ print } /^Showing nodes accounting for/ { total = $$(NF-1) } \
 			END { printf "objects/op = %s / %d = %.2f\n", total, n, total / n }'
 
+# handoffs prints the goroutine hand-offs and objects per op of the four
+# root remote benchmarks (RemoteInpTwoNodes{,TCP},
+# RemoteInBlockingTwoNodes, RemoteOutAtTwoNodes) on the merge base and
+# on the working tree, ROUNDS alternating rounds of N ops each
+# (scripts/handoffs.sh). Writes only under .bench_build/.
+ROUNDS ?= 3
+handoffs:
+	./scripts/handoffs.sh $(ROUNDS) $(N) $(BASE)
+
 # chaos runs the fault-injection benchmarks: E2/E9/E10 over a lossy,
 # duplicating, reordering network, reporting retry/dedup counters.
 chaos:
@@ -79,9 +88,10 @@ soak_exp  = C2
 # mobility: visibility-event re-arming, orphan reconciliation (the sweep
 # an entry on the node's deadline queue), the recovery timers derived from
 # ContactTimeout, fence reconciliation on a rejoin, memnet mobility
-# scripting, the lease skew band, and the C3 churn soak with its
-# conservation invariants.
-mobility_run  = Rearm|Orphan|TimersDerive|Vis|Event|OneWay|Sched|Stale|HeldBack|Churn|Partition|Skew|Mobility|IdleNodeHoldsOneTimer|JoinCancelsFenced|Ledger|C3
+# scripting, the lease skew band, the responder list's ranking by recent
+# share of finds (skewed and relocated holders), and the C3 churn soak
+# with its conservation invariants.
+mobility_run  = Rearm|Orphan|TimersDerive|Vis|Event|OneWay|Sched|Stale|HeldBack|Churn|Partition|Skew|Mobility|IdleNodeHoldsOneTimer|JoinCancelsFenced|SkewedHolders|RelocatedHolder|Ledger|C3
 mobility_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./lease/ ./monitor/ ./internal/harness/
 mobility_exp  = C3
 # gray: latency EWMA/outlier demotion, hedged lookups (first winner,

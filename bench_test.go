@@ -208,8 +208,8 @@ func BenchmarkLocalOutInpThroughInstance(b *testing.B) {
 }
 
 // schedSamples is the runtime's count so far of the samples behind
-// /sched/latencies:seconds: one for every 8th time each goroutine is made
-// runnable and then runs, which is the hand-off from whoever woke it.
+// /sched/latencies:seconds: one for every 8th time each goroutine stops
+// running and later runs again (handoffsPerOp says which transitions).
 func schedSamples() uint64 {
 	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
 	metrics.Read(s)
@@ -221,9 +221,15 @@ func schedSamples() uint64 {
 }
 
 // handoffsPerOp estimates the goroutine hand-offs each of n runs of op
-// costs: eight per sample the runtime took while they ran. Every goroutine
-// in the process counts, the runtime's own (the garbage collector's)
-// included, so it is an estimate with a floor, not an exact count.
+// costs: eight per sample the runtime took while they ran. In Go 1.24,
+// casgstatus (runtime/proc.go) arms a sample on every 8th transition of a
+// goroutine out of running, syscall entry included, and records it on the
+// goroutine's next transition into running, syscall return included. So a
+// hand-off here is a wake-up or a syscall return: over loopback TCP the
+// reads and writes are most of the count (EXPERIMENTS.md L1 attributes
+// both transports from an execution trace). Every goroutine in the
+// process counts, the runtime's own (the garbage collector's) included,
+// so it is an estimate with a floor, not an exact count.
 func handoffsPerOp(n int, op func()) float64 {
 	before := schedSamples()
 	for k := 0; k < n; k++ {
@@ -264,8 +270,9 @@ func BenchmarkRemoteOutAtTwoNodes(b *testing.B) {
 
 // remoteTakeAllocs is what one remote take measures over memnet: an Out
 // at one node and an Inp from the other, round-tripping op, result,
-// accept and ack. Each received frame is one object (wire.Decode).
-const remoteTakeAllocs = 15
+// accept and ack. Each received frame is one object (wire.Decode), and
+// the walk hears its lease end through an end hook, not a channel.
+const remoteTakeAllocs = 14
 
 // TestRemoteTakeAllocs pins BenchmarkRemoteInpTwoNodes's objects per take,
 // so an object handed back anywhere on the path fails here first.

@@ -259,15 +259,16 @@ func TestSentFramesNeverWritten(t *testing.T) {
 }
 
 // remoteTakeAllocBudget is two objects above what an Out at one node plus
-// a remote Inp from the other measures since a received frame became one
-// object (15 by AllocsPerRun; 24 before it, 42 before the deadline queue).
+// a remote Inp from the other measures since the walk stopped asking its
+// lease for a Done channel (14 by AllocsPerRun; 15 before it, 24 before a
+// received frame became one object, 42 before the deadline queue).
 // A failure here is the next per-op allocation showing up in `go test`,
 // not three PRs later in the benchmark. The race detector's sync.Pool
 // drops a quarter of what is put back, so pooled op states and buffers
-// are re-made now and then: 19–20 measured.
+// are re-made now and then: 18 measured.
 const (
-	remoteTakeAllocBudget      = 17
-	remoteTakeAllocBudgetLeaky = 22
+	remoteTakeAllocBudget      = 16
+	remoteTakeAllocBudgetLeaky = 21
 )
 
 // poolsHold reports whether sync.Pool keeps what it is given, which it

@@ -53,12 +53,13 @@ type opState struct {
 // walk is the part of an op's state that lasts one op, zeroed when the
 // state is pooled. Every outbound operation — logical or direct rd/in/
 // rdp/inp, rpc — is one loop over four events, each an opState method: a
-// reply, the deadline tick, a visibility join, a local hit. Its audience
-// comes from the entry point: the responder list (to "", paper §3.1.3),
-// with hedging, re-arming, multicast and the failover flag; or one fixed
-// address (§2.4) with one contact and its retransmissions — none at all
-// for this instance's own. Retry, hedge and rediscovery pacing all ride
-// the state's one deadline entry.
+// reply, the deadline tick (which the op lease's end leaves too), a
+// visibility join, a local hit. Its audience comes from the entry point:
+// the responder list (to "", paper §3.1.3), with hedging, re-arming,
+// multicast and the failover flag; or one fixed address (§2.4) with one
+// contact and its retransmissions — none at all for this instance's own.
+// Retry, hedge and rediscovery pacing all ride the state's one deadline
+// entry.
 type walk struct {
 	ctx context.Context
 	lse *lease.Lease
@@ -108,6 +109,11 @@ func (st *opState) Expire() {
 	default:
 	}
 }
+
+// LeaseEnded implements lease.EndHook: the op's lease ending is one more
+// tick, on which onTick ends the walk. The lease outlives the walk and is
+// cancelled after it, so that tick lands in a pooled state or its next op.
+func (st *opState) LeaseEnded() { st.Expire() }
 
 // openOp registers a fresh outbound operation under a new op ID: replies
 // carrying st.id are delivered into st.results until closeOp retires it.
@@ -478,6 +484,7 @@ func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, 
 	m.TTL = lse.Deadline().Sub(i.clk.Now())
 	stampBudget(ctx, m)
 	st.walk = walk{ctx: ctx, lse: lse, msg: m, to: to, local: local}
+	lse.OnEnd(st)
 	if local != nil {
 		st.localWait = local.Chan()
 	}
@@ -494,10 +501,6 @@ func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, 
 			st.onTick()
 		case ev := <-st.joins:
 			st.onJoin(ev)
-		case <-lse.Done():
-			// Lease expired: stop trying and return nothing (§2.5).
-			i.met.Inc(trace.CtrOpsExpired)
-			st.over = true
 		case <-ctx.Done():
 			st.err, st.over = ctx.Err(), true
 		}
@@ -650,6 +653,12 @@ func (st *opState) onReply(m *wire.Message) {
 // rediscovery and the contacts' reply waits is due (see Expire).
 func (st *opState) onTick() {
 	i, code := st.i, st.msg.Op
+	if st.lse.Err() != nil {
+		// Lease ended: stop trying and return nothing (§2.5).
+		i.met.Inc(trace.CtrOpsExpired)
+		st.over = true
+		return
+	}
 	now := i.clk.Now()
 	if !st.hedgeAt.IsZero() && !now.Before(st.hedgeAt) {
 		// No answer within the adaptive hedge delay (DESIGN.md §11): race
@@ -1081,8 +1090,9 @@ func (i *Instance) handleResult(m *wire.Message) {
 		// Every responder is worth remembering, including late ones and
 		// losers of the first-responder race (paper §3.1.3: instances
 		// responding to the multicast are appended to the list). One that
-		// actually had the tuple goes straight to the top: the next
-		// operation should start where the last one was satisfied.
+		// actually had the tuple gains in its share of finds, by which the
+		// list is ranked: the next operation should start where operations
+		// have lately been satisfied.
 		if m.Found {
 			i.list.Promote(m.From)
 		} else {

@@ -695,14 +695,15 @@ func TestPanickingSinkIsTheWaitsProblem(t *testing.T) {
 }
 
 // servedTakeAllocBudget is two objects above what an Out at one node plus
-// one blocking In served for the other measured when the served wait
-// stopped parking a goroutine (28 by AllocsPerRun; 41 before it), in the
-// farm's shape: eight takers, each parking again when it has been served.
-// The race detector's leaky pools add a few, as for remoteTakeAllocBudget:
-// 35 measured.
+// one blocking In served for the other measures since the walk stopped
+// asking its lease for a Done channel (21 by AllocsPerRun; 22 before it,
+// 41 before the served wait stopped parking a goroutine), in the farm's
+// shape: eight takers, each parking again when it has been served. The
+// race detector's leaky pools add a few, as for remoteTakeAllocBudget:
+// 26 measured.
 const (
-	servedTakeAllocBudget      = 30
-	servedTakeAllocBudgetLeaky = 37
+	servedTakeAllocBudget      = 23
+	servedTakeAllocBudgetLeaky = 29
 )
 
 func TestServedBlockingTakeAllocBudget(t *testing.T) {

@@ -9,12 +9,21 @@
 //   - consequently, consistently visible instances migrate toward the
 //     top by attrition and are contacted first.
 //
-// One refinement sharpens the migration: a responder that satisfies an
-// operation (a found reply) is promoted straight to the top, while
-// not-found acknowledgements only append. Arrival order says nothing
-// about usefulness — an empty peer can answer faster than the holder —
-// so ranking by satisfaction is what keeps repeated lookups at a couple
-// of unicasts (E8).
+// One refinement sharpens the migration: the list is ranked by each
+// responder's recent share of satisfied operations. Every found reply
+// (Promote) decays every entry's share by 7/8 and adds 1/8 to the
+// finder's, and the finder moves ahead of every entry with a strictly
+// lower share; not-found acknowledgements only append. Arrival order says
+// nothing about usefulness — an empty peer can answer faster than the
+// holder — so ranking by satisfaction is what keeps repeated lookups at a
+// couple of unicasts (E8). Ranking by share rather than moving the last
+// finder to the top is the frequency-count rule of self-organizing lists
+// (Rivest, 1976): when several peers hold tuples in steady proportions,
+// an occasional find at a minor holder no longer puts it ahead of the
+// major one. Ties keep their order, so entries that never satisfied an
+// operation stay in the paper's append-at-bottom attrition order, a lone
+// holder reaches the top on its first find, and a holder whose tuples
+// moved elsewhere for good is overtaken on the new holder's sixth find.
 //
 // On top of the paper's hard evict-on-unreachable rule, each entry
 // carries a health score: consecutive soft failures (timeouts after
@@ -34,7 +43,7 @@
 // accumulates hedge slow-strikes or self-reports degradation on its
 // announce frames. Demotion is deliberately weaker than suspicion: a
 // demoted peer still serves (Snapshot keeps it, moved to the back) and
-// found-promotion stops short of putting it first. Demotion lifts when
+// a found reply does not raise its rank. Demotion lifts when
 // its latency returns under the recovery threshold or the cooldown
 // lapses, whichever comes first.
 package discovery
@@ -90,6 +99,12 @@ const (
 	// shape): srtt += (s-srtt)/8, dev += (|s-srtt|-dev)/4.
 	ewmaShift = 3
 	devShift  = 2
+
+	// shareDecay is the weight of one found reply in an entry's share:
+	// each Promote moves the finder's share 1/8 of the way to 1 and every
+	// other share 1/8 of the way to 0, so a share is an EWMA of "this
+	// entry satisfied the operation" over about the last eight finds.
+	shareDecay = 1.0 / 8
 )
 
 // CapsState classifies what the list knows about a peer's wire
@@ -136,6 +151,10 @@ type entry struct {
 	// Capability state (DESIGN.md §14), learned from announces.
 	caps      uint64
 	capsState CapsState
+
+	// share is the entry's recent share of found replies (Promote): the
+	// list is ordered by it, highest first, ties in arrival order.
+	share float64
 }
 
 // EventKind classifies a visibility event.
@@ -807,18 +826,19 @@ func (l *ResponderList) Success(addr wire.Addr) {
 	}
 }
 
-// Promote moves addr to the top of the contact order, adding it first if
-// absent. A responder that actually satisfied an operation (a found
-// reply, not a mere not-found acknowledgement) is the best first contact
-// for the next one: propagation starts from the top (paper §3.1.3), so
-// promotion is what lets repeated lookups reach the tuple holder in one
-// unicast instead of walking past peers that only proved they were
-// empty. Satisfying an operation is also the strongest evidence of life,
-// so promotion restores the entry's failure health — but a demoted or
-// suspected responder does not jump over healthy peers on one found
+// Promote records that addr satisfied an operation (a found reply, not a
+// mere not-found acknowledgement), adding it first if absent: every
+// entry's share decays by shareDecay, addr's grows by it, and addr moves
+// ahead of every entry with a strictly lower share. Propagation starts
+// from the top (paper §3.1.3), so ranking by recent share of finds is
+// what lets repeated lookups reach the likeliest holder in one unicast
+// instead of walking past peers that only proved they were empty.
+// Satisfying an operation is also the strongest evidence of life, so
+// Promote restores the entry's failure health — but a demoted or
+// suspected responder does not rise over healthy peers on one found
 // reply: slowness (and flappiness) is measured across many exchanges,
-// and one useful answer does not unmeasure it. The promotion is
-// withheld (counted) until the entry's health state clears.
+// and one useful answer does not unmeasure it. The rise, and the decay
+// with it, is withheld (counted) until the entry's health state clears.
 func (l *ResponderList) Promote(addr wire.Addr) {
 	if addr == "" {
 		return
@@ -837,11 +857,23 @@ func (l *ResponderList) Promote(addr wire.Addr) {
 		l.met.Inc(trace.CtrPromoteHolds)
 		return
 	}
-	for i, x := range l.addrs {
+	for _, x := range l.addrs {
+		x.share *= 1 - shareDecay
+	}
+	e.share += shareDecay
+	// The list is ordered by share, so the entries e now overtakes are the
+	// run just above it: e moves to the first position with a lower share.
+	at := -1
+	for k, x := range l.addrs {
 		if x == e {
-			copy(l.addrs[1:i+1], l.addrs[:i])
-			l.addrs[0] = e
-			break
+			if at >= 0 {
+				copy(l.addrs[at+1:k+1], l.addrs[at:k])
+				l.addrs[at] = e
+			}
+			return
+		}
+		if at < 0 && x.share < e.share {
+			at = k
 		}
 	}
 }

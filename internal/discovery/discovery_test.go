@@ -276,9 +276,10 @@ func TestPromoteMovesToTop(t *testing.T) {
 	if got := l.Snapshot(); got[0] != "c" || len(got) != 3 {
 		t.Fatalf("re-promote changed order: %v", got)
 	}
-	// Promoting an unknown responder inserts it at the top.
+	// An unknown finder enters above every entry with a lower share and
+	// below any with a higher one.
 	l.Promote("d")
-	if got := l.Snapshot(); got[0] != "d" || len(got) != 4 {
+	if got := l.Snapshot(); len(got) != 4 || got[0] != "c" || got[1] != "d" || got[2] != "a" || got[3] != "b" {
 		t.Fatalf("promote-insert = %v", got)
 	}
 	l.Promote("")

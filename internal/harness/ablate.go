@@ -19,9 +19,9 @@ import (
 // fanouts trade messages for latency when the tuple's holder sits deep
 // in the responder list. Both extremes are measured: holder at the top
 // of the list (the common steady state §3.1.3 optimises for, and the
-// state found-promotion restores after a single lookup) and holder at
-// the bottom. Because a found reply promotes the holder to the top, the
-// bottom case is a transient that lasts exactly one lookup — so each
+// state a lone holder's first found reply restores) and holder at the
+// bottom. Because a found reply ranks a lone holder first, the bottom
+// case is a transient that lasts exactly one lookup — so each
 // measured op first moves the tuple to whichever node currently sits at
 // the bottom of the reader's list, making every op pay one full walk.
 func AB1ContactFanout(scale Scale) (*Table, error) {
@@ -67,9 +67,8 @@ func AB1ContactFanout(scale Scale) (*Table, error) {
 			}
 
 			// Warm up: the first lookup multicasts and populates the
-			// reader's list; the found reply promotes the holder to the
-			// top, which is exactly the steady state the top case
-			// measures.
+			// reader's list; the found reply ranks the holder first,
+			// which is exactly the steady state the top case measures.
 			c.net.ConnectAll()
 			warmup := func() error {
 				_, _, err := reader.Rdp(context.Background(), tmpl, rdTerms)
@@ -131,6 +130,6 @@ func AB1ContactFanout(scale Scale) (*Table, error) {
 			c.close()
 		}
 	}
-	t.AddNote("holder at top: fanout 1 is optimal (2 msgs/op); wider fanouts waste messages on nodes that cannot answer. holder at bottom: every fanout pays the same full walk in messages, but fanout 1 serialises it while wider fanouts parallelise the latency. Found-promotion makes the bottom case a one-lookup transient, so the default of 1 matches both the paper's sequential walk and the steady state promotion restores.")
+	t.AddNote("holder at top: fanout 1 is optimal (2 msgs/op); wider fanouts waste messages on nodes that cannot answer. holder at bottom: every fanout pays the same full walk in messages, but fanout 1 serialises it while wider fanouts parallelise the latency. Ranking by share of finds makes the bottom case a one-lookup transient for a lone holder, so the default of 1 matches both the paper's sequential walk and the steady state the ranking restores.")
 	return t, nil
 }

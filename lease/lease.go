@@ -145,10 +145,6 @@ type Lease struct {
 	state       State
 	remotesLeft int
 	bytesUsed   int64
-	// done is created lazily on the first Done() call: most leases on the
-	// serve path are granted and cancelled without anyone selecting on
-	// them, and the channel was a per-grant allocation.
-	done chan struct{}
 	// onEnd is the armed end hook, taken by whoever ends the lease.
 	onEnd EndHook
 }
@@ -167,14 +163,6 @@ type leaseExpiry struct {
 }
 
 func (e *leaseExpiry) Expire() { e.l.finish(StateExpired) }
-
-// closedChan is returned by Done() for leases that finished before anyone
-// asked for their channel.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // ID returns the manager-unique lease identifier.
 func (l *Lease) ID() uint64 { return l.id }
@@ -197,25 +185,13 @@ func (l *Lease) Deadline() time.Time {
 	return l.deadline
 }
 
-// Done returns a channel closed when the lease leaves StateActive.
-func (l *Lease) Done() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.done == nil {
-		if l.state != StateActive {
-			return closedChan
-		}
-		l.done = make(chan struct{})
-	}
-	return l.done
-}
-
 // OnEnd arms the lease's one end hook: h.LeaseEnded is called exactly
 // once when the lease leaves StateActive, on the goroutine that expired,
 // cancelled or revoked it and with no lock of the lease or its manager
-// held — or right here, if the lease has already ended. It is Done for a
-// holder with no goroutine to select on it: arming allocates nothing. A
-// second call replaces a hook that has not run.
+// held — or right here, if the lease has already ended. It is how a
+// holder hears of the end, with no goroutine or channel of its own:
+// arming allocates nothing. A second call replaces a hook that has not
+// run.
 func (l *Lease) OnEnd(h EndHook) {
 	l.mu.Lock()
 	if l.state == StateActive {
@@ -389,9 +365,6 @@ func (l *Lease) finish(s State) {
 		return
 	}
 	l.state = s
-	if l.done != nil {
-		close(l.done)
-	}
 	hook := l.onEnd
 	l.onEnd = nil
 	l.mu.Unlock()

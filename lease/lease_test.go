@@ -105,8 +105,10 @@ func TestExpiry(t *testing.T) {
 	if l.Err() != nil {
 		t.Fatalf("fresh lease Err = %v", l.Err())
 	}
+	ended := &endProbe{t: t, l: l}
+	l.OnEnd(ended)
 	clk.Advance(4 * time.Second)
-	if l.State() != StateActive {
+	if l.State() != StateActive || ended.calls != 0 {
 		t.Fatal("expired early")
 	}
 	clk.Advance(time.Second)
@@ -116,10 +118,8 @@ func TestExpiry(t *testing.T) {
 	if !errors.Is(l.Err(), ErrExpired) {
 		t.Fatalf("Err = %v", l.Err())
 	}
-	select {
-	case <-l.Done():
-	default:
-		t.Fatal("Done not closed on expiry")
+	if ended.calls != 1 {
+		t.Fatalf("end hook ran %d times on expiry, want once", ended.calls)
 	}
 	if err := l.ConsumeBytes(1); !errors.Is(err, ErrExpired) {
 		t.Fatalf("ConsumeBytes after expiry: %v", err)

@@ -173,8 +173,9 @@ const (
 	// is alive but sustaining outlier latency; it is distinct from the
 	// suspicion breaker (demoted peers still serve, they just stop being
 	// first contact). Peer-degraded marks self-reported degradation learned
-	// from announce frames; promote-holds count found-promotions that were
-	// withheld because the replier was demoted or suspected.
+	// from announce frames; promote-holds count found replies whose rise in
+	// the responder list was withheld because the replier was demoted or
+	// suspected.
 	CtrDemotions      = "disc.demotions"
 	CtrDemoteRestores = "disc.demote_restores"
 	CtrSlowStrikes    = "disc.slow_strikes"

@@ -68,10 +68,11 @@ chaos:
 # check.sh only asks (suites-nonempty) that no pattern has gone stale.
 #
 # crash: WAL kill-point sweeps, torn writes, bit flips, failed syncs,
-# the one removal record of a tuple consumed at Out, the
+# the one removal record of a tuple taken at Out (its equal twin across
+# a compaction, and the take withdrawn when that record fails), the
 # shutdown/restart/rejoin lifecycle (the storage twin of chaos), and the
 # take-contract checker every soak from C1 on runs (ledger.go).
-crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|ConsumedOut|Shutdown|Goodbye|RestartRejoin|Ledger|C1
+crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|ConsumedOut|KeepsItsTwin|LogFailure|Shutdown|Goodbye|RestartRejoin|Ledger|C1
 crash_pkgs = ./space/persist/ ./internal/core/ ./internal/harness/
 crash_exp  = C1
 # soak: overload governance — admission (the space decides: a store or

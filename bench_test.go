@@ -132,10 +132,10 @@ func BenchmarkStoreWakeOneOfEight(b *testing.B) {
 	again = spacetest.SinkFunc(func(_ tuple.Tuple, h space.Hold) {
 		calls++
 		h.Accept()
-		s.Park(p, true, again)
+		s.Park(p, space.Claim, again)
 	})
 	for k := 0; k < 8; k++ {
-		s.Park(p, true, again)
+		s.Park(p, space.Claim, again)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

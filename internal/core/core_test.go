@@ -14,6 +14,7 @@ import (
 	"tiamat/space"
 	"tiamat/space/naive"
 	"tiamat/space/persist"
+	"tiamat/space/spacetest"
 	"tiamat/trace"
 	"tiamat/transport"
 	"tiamat/transport/memnet"
@@ -421,6 +422,61 @@ func TestBlockingRdLocalOutWins(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Rd never completed")
+	}
+}
+
+// withdrawTakes withdraws every parked Take, as a durable space does whose
+// log rejects the removal record: the hold is released and the sink told,
+// with no tuple and no hold.
+type withdrawTakes struct{ space.Space }
+
+func (w withdrawTakes) Park(p tuple.Template, kind space.Kind, sink space.Sink) space.Parked {
+	if kind != space.Take {
+		return w.Space.Park(p, kind, sink)
+	}
+	return w.Space.Park(p, kind, spacetest.SinkFunc(func(_ tuple.Tuple, h space.Hold) {
+		h.Release()
+		sink.Deliver(tuple.Tuple{}, nil)
+	}))
+}
+
+// TestLocalTakeWithdrawnKeepsWaiting: a blocking in whose local Take the
+// space withdraws does not return the tuple, which stays stored; the in
+// keeps waiting and ends with its lease.
+func TestLocalTakeWithdrawnKeepsWaiting(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a"}, func(c *Config) {
+		c.Space = withdrawTakes{store.New(store.WithClock(c.Clock))}
+	})
+	a := r.inst["a"]
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.In(context.Background(), reqTmpl(), lease.Flexible(lease.Terms{Duration: 3 * time.Second, MaxRemotes: 4}))
+		done <- err
+	}()
+	eventually(t, "op registered", func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.ops) > 0
+	})
+	if err := a.Out(req(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("in returned (%v) on a withdrawn take", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, ok := a.LocalSpace().Rdp(reqTmpl()); !ok {
+		t.Fatal("withdrawn tuple not back in the space")
+	}
+	r.clk.Advance(3 * time.Second)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrNoMatch) {
+			t.Fatalf("err = %v, want ErrNoMatch", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("In did not return at lease expiry")
 	}
 }
 

@@ -301,9 +301,9 @@ type Instance struct {
 	// its tuple (OnRevoke, which scans this map).
 	outBySid map[uint64]*lease.Lease
 	// An out learns its tuple's id only when the space's Out returns, and
-	// that Out may already have handed the tuple to a parked remote taker
-	// and sent the reply: the removal can be final before there is a record
-	// to release. outsPending counts the outs in that window (raised
+	// that Out may already have handed the tuple to a parked local in,
+	// which accepted it, or to a parked remote taker and sent the reply:
+	// the removal can be final before there is a record to release. outsPending counts the outs in that window (raised
 	// before the space is called, lowered under mu with the record made);
 	// removedEarly keeps the ids removals asked about and found nothing
 	// for while it is non-zero, so the out finds its own there (place).
@@ -862,15 +862,16 @@ func (i *Instance) releaseOutLease(sid uint64) {
 // consumed t's bytes: Out, an eval's result, a served remote out and a
 // re-out all come here. The lease is recorded against the tuple's id, so
 // the tuple's removal ends it (releaseOutLease), and is cancelled at once
-// if nothing stays stored — a waiting taker consumed the tuple — or on an
-// error. Then the lease keeps only the stored size, and the tuple is
+// if the tuple is gone already — a parked local in took it inside the
+// space's Out, whose removal report found no record (removedEarly) — or
+// on an error. Then the lease keeps only the stored size, and the tuple is
 // written through to its ring backups (replWriteThrough), awaiting their
 // acks only on an op's own goroutine: a frame being served never waits.
 func (i *Instance) place(t tuple.Tuple, lse *lease.Lease, await bool) error {
 	i.outsPending.Add(1)
 	sid, err := i.local.Out(t, lse.Deadline())
 	i.mu.Lock()
-	if err == nil && sid != 0 {
+	if err == nil {
 		if _, gone := i.removedEarly[sid]; gone {
 			sid = 0
 		} else if !i.closed {

@@ -18,9 +18,9 @@ import (
 
 // opState is one outbound operation: the ID its replies are routed by,
 // the channel they land in, and its walk. States are pooled per instance:
-// the results channel, contact map, replied set, and queue buffer survive
-// across operations, so starting an op costs a pool hit instead of several
-// allocations (the channel buffer dominates).
+// the results and found channels, contact map, replied set, and queue
+// buffer survive across operations, so starting an op costs a pool hit
+// instead of several allocations (the channel buffer dominates).
 //
 // Reuse is safe because handleResult delivers into st.results under
 // i.mu, and an op removes itself from i.ops under the same lock before
@@ -35,6 +35,10 @@ type opState struct {
 	// rediscovery, its expiry leaves a tick here.
 	clock.Deadline
 	tick chan struct{}
+	// found carries the one delivery of the op's local registration: the
+	// state is that registration's sink (Deliver), a Take when take is set.
+	found chan localMatch
+	take  bool
 	// contacted tracks the retransmission budget per contacted responder;
 	// csFree recycles the entries.
 	contacted map[wire.Addr]*contactState
@@ -66,11 +70,10 @@ type walk struct {
 	// msg is the frame contacts are sent. A sent frame is never written:
 	// each retransmission, re-arm or rediscovery sends a fresh copy
 	// stamped with the time left, which later contacts then share.
-	msg       *wire.Message
-	to        wire.Addr
-	local     space.Waiter           // a local match ends the walk
-	localWait <-chan tuple.Tuple     // local's channel until it closes
-	joins     <-chan discovery.Event // nil unless re-arming
+	msg   *wire.Message
+	to    wire.Addr
+	local space.Parked           // a local match ends the walk; nil once settled
+	joins <-chan discovery.Event // nil unless re-arming
 
 	queue       []wire.Addr // not contacted yet, best first
 	remaining   int         // replies still expected
@@ -95,6 +98,7 @@ func newOpState(i *Instance) *opState {
 		i:         i,
 		results:   make(chan *wire.Message, 256),
 		tick:      make(chan struct{}, 1),
+		found:     make(chan localMatch, 1),
 		contacted: make(map[wire.Addr]*contactState),
 		replied:   make(map[wire.Addr]bool),
 	}
@@ -115,6 +119,37 @@ func (st *opState) Expire() {
 // cancelled after it, so that tick lands in a pooled state or its next op.
 func (st *opState) LeaseEnded() { st.Expire() }
 
+// localMatch is the delivery of an op's local registration: the match,
+// or ok false for a Take the space withdrew (space.Sink).
+type localMatch struct {
+	t  tuple.Tuple
+	ok bool
+}
+
+// Deliver implements space.Sink for the op's local registration: a local
+// in's removal is final, so its hold is accepted at once, on the
+// goroutine of the Out that made the match. The space calls it at most
+// once per registration, and the op reads found before its state goes
+// back to the pool (dropLocal), so the send never blocks.
+func (st *opState) Deliver(t tuple.Tuple, h space.Hold) {
+	if h != nil {
+		h.Accept()
+	}
+	st.found <- localMatch{t, h != nil || !st.take}
+}
+
+// dropLocal withdraws the op's local registration, if it has one left,
+// and returns the delivery the space committed to it first: a match has
+// left the space, so it is the op's.
+func (st *opState) dropLocal() localMatch {
+	local := st.local
+	st.local = nil
+	if local == nil || local.Cancel() {
+		return localMatch{}
+	}
+	return <-st.found
+}
+
 // openOp registers a fresh outbound operation under a new op ID: replies
 // carrying st.id are delivered into st.results until closeOp retires it.
 func (i *Instance) openOp() (*opState, error) {
@@ -132,12 +167,13 @@ func (i *Instance) openOp() (*opState, error) {
 	return st, nil
 }
 
-// closeOp retires an operation: its deadline entry and subscription go, a
-// blocking walk's contacts hear it is over, and late results are drained —
-// any found hold must be released so the tuple is reinstated at its
-// owner. No sender can reach the channel after the deletion, so the
-// drained state can go back to the pool.
+// closeOp retires an operation: its local registration, deadline entry
+// and subscription go, a blocking walk's contacts hear it is over, and
+// late results are drained — any found hold must be released so the
+// tuple is reinstated at its owner. No sender can reach the channels
+// after the deletion, so the drained state can go back to the pool.
 func (i *Instance) closeOp(st *opState) {
+	st.dropLocal()
 	i.deadlines.Cancel(st)
 	if st.joins != nil {
 		i.list.Detach(st.sub)
@@ -421,16 +457,25 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	}
 	defer lse.Cancel()
 
-	// Local phase. For blocking ops the waiter stays registered so a
-	// local out during the walk still satisfies the operation.
-	var local space.Waiter
+	// Local phase. A blocking op registers with the local space, its state
+	// the sink, and the registration stays in place through the walk, so a
+	// local out meanwhile still satisfies the operation.
+	var st *opState
 	res, ok := Result{From: i.Addr()}, false
 	if to == "" || to == i.Addr() {
 		if code.Blocking() {
-			local = i.local.Wait(p, code.Removes())
-			defer local.Cancel()
+			if st, err = i.openOp(); err != nil {
+				return Result{}, false, err
+			}
+			defer i.closeOp(st)
+			kind := space.Read
+			if st.take = code.Removes(); st.take {
+				kind = space.Take
+			}
+			st.local = i.local.Park(p, kind, st)
 			select {
-			case res.Tuple, ok = <-local.Chan():
+			case m := <-st.found:
+				res.Tuple, ok, st.local = m.t, m.ok, nil
 			default:
 			}
 		} else if code.Removes() {
@@ -459,7 +504,7 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	// keeps its takes. The flag stays off multicasts (see multicast).
 	m := &wire.Message{Type: wire.TOp, From: i.Addr(), Op: code, Template: p,
 		Failover: to == "" && code.Removes() && i.repl != nil}
-	res, ok, err = i.walk(ctx, lse, m, to, local)
+	res, ok, err = i.walk(ctx, lse, m, to, st)
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -472,29 +517,29 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 }
 
 // walk runs one outbound operation to its end (type walk): m is its first
-// frame, stamped here with op ID, TTL and budget; local, when set, ends it
-// on a local match. An rpc's ack reads as a found result.
-func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, to wire.Addr, local space.Waiter) (Result, bool, error) {
-	st, err := i.openOp()
-	if err != nil {
-		return Result{}, false, err
+// frame, stamped here with op ID, TTL and budget. st is the op's state
+// when the caller opened it to register locally — a local match then ends
+// the walk — and nil otherwise. An rpc's ack reads as a found result.
+func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, to wire.Addr, st *opState) (Result, bool, error) {
+	if st == nil {
+		var err error
+		if st, err = i.openOp(); err != nil {
+			return Result{}, false, err
+		}
+		defer i.closeOp(st)
 	}
-	defer i.closeOp(st)
 	m.ID = st.id
 	m.TTL = lse.Deadline().Sub(i.clk.Now())
 	stampBudget(ctx, m)
-	st.walk = walk{ctx: ctx, lse: lse, msg: m, to: to, local: local}
+	st.walk = walk{ctx: ctx, lse: lse, msg: m, to: to, local: st.local}
 	lse.OnEnd(st)
-	if local != nil {
-		st.localWait = local.Chan()
-	}
 	if err := st.start(); err != nil {
 		return Result{}, false, err
 	}
 	for !st.over {
 		select {
-		case t, ok := <-st.localWait:
-			st.onLocal(t, ok)
+		case m := <-st.found:
+			st.onLocal(m)
 		case r := <-st.results:
 			st.onReply(r)
 		case <-st.tick:
@@ -508,11 +553,9 @@ func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, 
 	// The lease or the context may have ended it just as the local space
 	// committed a match it has not read: the space has let that tuple go,
 	// so it is the op's result.
-	if st.local != nil && !st.local.Cancel() {
-		if t, ok := <-st.local.Chan(); ok {
-			st.onLocal(t, ok)
-			st.err = nil
-		}
+	if m := st.dropLocal(); m.ok {
+		st.onLocal(m)
+		st.err = nil
 	}
 	return st.res, st.ok, st.err
 }
@@ -577,14 +620,15 @@ func (st *opState) start() error {
 	return nil
 }
 
-// onLocal ends the walk on a match in the local space.
-func (st *opState) onLocal(t tuple.Tuple, ok bool) {
-	if !ok {
-		st.localWait = nil // store closed under us
+// onLocal ends the walk on a match in the local space; a withdrawn Take
+// ends only the registration, and the walk goes on.
+func (st *opState) onLocal(m localMatch) {
+	st.local = nil
+	if !m.ok {
 		return
 	}
 	st.i.met.Inc(trace.CtrOpsLocalHit)
-	st.res, st.ok, st.over = Result{Tuple: t, From: st.i.Addr()}, true, true
+	st.res, st.ok, st.over = Result{Tuple: m.t, From: st.i.Addr()}, true, true
 }
 
 // onReply handles one reply. A found result or an rpc's ack ends the op;

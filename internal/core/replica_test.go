@@ -759,7 +759,15 @@ func TestWithheldHoldReleasedIsReplicatedAgain(t *testing.T) {
 			if err := x.Send("a", &wire.Message{Type: wire.TRelease, ID: 1, From: "x", HoldID: hold.HoldID}); err != nil {
 				t.Fatal(err)
 			}
+			// The release's own placement writes the copy through. The rig's
+			// clock has stood still since a started, so the repair sweep,
+			// which would place it too, first runs a period after epoch:
+			// the copy must be there before then.
+			sweep := epoch.Add(a.repl.repair.every)
 			eventually(t, "the released token replicated again", func() bool {
+				if !r.clk.Now().Before(sweep) {
+					t.Fatal("no copy before the repair sweep: the release did not write the token through")
+				}
 				r.clk.Advance(time.Millisecond)
 				return b.ReplicaCopies(reqTmpl()) == 1
 			})

@@ -519,16 +519,20 @@ func (i *Instance) serveBlocking(m *wire.Message, lse *lease.Lease, ttl time.Dur
 	i.mu.Unlock()
 	lse.OnEnd(rw)
 
-	// One registration, made once. A destructive op parks a taker: the
-	// space hands each matching Out to exactly one of them, oldest first,
-	// as a hold with the entry's id and expiry intact — no second scan, no
-	// race to lose, no re-registration (DESIGN.md §6). A read parks for a
-	// copy: every reader is owed one. Either may be called before Park
-	// returns, and the lease may end first. The wait can outlive the frame
-	// that carried the op: the template is deep-copied so a no-copy-decoded
-	// frame buffer (which the template would otherwise alias) is not pinned
-	// for the whole wait.
-	h := i.local.Park(m.Template.Copy(), m.Op.Removes(), rw)
+	// One registration, made once. A destructive op parks a Claim: the
+	// space hands each matching Out no local in took to exactly one of
+	// them, oldest first, as a hold with the entry's id and expiry
+	// intact — no second scan, no race to lose, no re-registration
+	// (DESIGN.md §6). A read parks for a copy: every reader is owed one.
+	// Either may be called before Park returns, and the lease may end
+	// first. The wait can outlive the frame that carried the op: the
+	// template is deep-copied so a no-copy-decoded frame buffer (which the
+	// template would otherwise alias) is not pinned for the whole wait.
+	kind := space.Read
+	if m.Op.Removes() {
+		kind = space.Claim
+	}
+	h := i.local.Park(m.Template.Copy(), kind, rw)
 	i.mu.Lock()
 	rw.handle = h
 	ended := rw.settled

@@ -129,9 +129,9 @@ func pass(gate func()) {
 	}
 }
 
-func (s *stoppableSpace) Park(p tuple.Template, take bool, sink space.Sink) space.Parked {
+func (s *stoppableSpace) Park(p tuple.Template, kind space.Kind, sink space.Sink) space.Parked {
 	pass(s.beforePark)
-	h := s.Space.Park(p, take, stoppableSink{s, sink})
+	h := s.Space.Park(p, kind, stoppableSink{s, sink})
 	pass(s.afterPark)
 	return h
 }

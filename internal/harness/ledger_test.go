@@ -130,8 +130,8 @@ func (s acceptReleases) Hold(p tuple.Template) (space.Hold, bool) {
 	return releasing{h}, true
 }
 
-func (s acceptReleases) Park(p tuple.Template, take bool, sink space.Sink) space.Parked {
-	return s.Space.Park(p, take, releasingSink{sink})
+func (s acceptReleases) Park(p tuple.Template, kind space.Kind, sink space.Sink) space.Parked {
+	return s.Space.Park(p, kind, releasingSink{sink})
 }
 
 // TestLedgerCatchesReleasedAccepts runs a real memnet cluster whose n00

@@ -1,6 +1,6 @@
 // Package store is the default local tuple space (paper §3.1.2): a
 // lease-aware, sharded, concurrency-safe implementation of the
-// space.Space contract with blocking waiters, tentative holds for the
+// space.Space contract with parked registrations, tentative holds for the
 // distributed take protocol, and a janitor that reclaims tuples whose out
 // leases have expired: each shard keeps its tuples' expiries in a heap and
 // is itself one entry, at the earliest of them, on the store's one
@@ -29,12 +29,11 @@
 // reach that shard's lock, and an Out that sees it delivers directly —
 // settlement is a per-waiter CAS, so the two paths cannot double-serve.
 //
-// Call-mode registrations (Park: a blocking op served for a peer) park on
-// the same lists and are settled by a call to their sink, made by the Out
-// itself once it has dropped its locks. An Out that no in-waiter consumed
-// hands its tuple to the oldest matching parked taker as a hold and
-// leaves the rest parked: one call per tuple, however many takers wait,
-// and no goroutine parked for any of them.
+// Every registration (Park) is settled by a call to its sink, made by the
+// Out itself once it has dropped its locks. An Out that no Take took
+// hands its tuple to the oldest matching Claim as a hold and leaves the
+// rest parked: one call per tuple, however many peers wait, and no
+// goroutine parked for any of them.
 package store
 
 import (
@@ -211,20 +210,18 @@ type entry struct {
 	index  int       // position in expiry heap, -1 if absent
 }
 
-// waiter is a one-shot interest in a match, delivered on a channel (Wait:
-// ch is set) or by a call (Park: sink is set), as a copy or, with remove
-// set, as a removal — final on a channel (in), tentative by call, where
-// the sink is handed the entry as a hold. state settles the race between
-// delivery (an Out or the waiter's own registration scan) and Cancel:
-// exactly one of them moves it off parked. The waiter is its own handle:
-// it records where it is parked, which is what Cancel has to undo.
+// waiter is a one-shot Park registration: its sink is called with a copy
+// of a match (Read) or with the entry as a hold (Take, Claim). state
+// settles the race between delivery (an Out or the waiter's own
+// registration scan) and Cancel: exactly one of them moves it off parked.
+// The waiter is its own handle: it records where it is parked, which is
+// what Cancel has to undo.
 type waiter struct {
-	seq    uint64
-	p      tuple.Template
-	remove bool
-	ch     chan tuple.Tuple
-	sink   space.Sink
-	state  atomic.Uint32
+	seq   uint64
+	p     tuple.Template
+	kind  space.Kind
+	sink  space.Sink
+	state atomic.Uint32
 
 	s      *Store
 	sh     *shard // set while parked in a shard bucket
@@ -232,10 +229,7 @@ type waiter struct {
 	global bool // set while parked on the global list
 }
 
-var (
-	_ space.Waiter = (*waiter)(nil)
-	_ space.Parked = (*waiter)(nil)
-)
+var _ space.Parked = (*waiter)(nil)
 
 // Waiter states.
 const (
@@ -248,40 +242,19 @@ const (
 func (w *waiter) claim() bool { return w.state.CompareAndSwap(parked, delivered) }
 
 // withdraw reports whether the caller won this waiter for no delivery at
-// all (Cancel, Close); a channel waiter's channel closes empty.
-func (w *waiter) withdraw() bool {
-	if !w.state.CompareAndSwap(parked, cancelled) {
-		return false
-	}
-	if w.ch != nil {
-		close(w.ch)
-	}
-	return true
-}
+// all (Cancel, Close).
+func (w *waiter) withdraw() bool { return w.state.CompareAndSwap(parked, cancelled) }
 
-// holds reports whether w is a parked taker: delivery hands it a hold.
-func (w *waiter) holds() bool { return w.remove && w.sink != nil }
-
-// hand settles a claimed channel waiter with t. The channel is buffered,
-// so this never blocks and may run under a shard lock.
-func (w *waiter) hand(t tuple.Tuple) {
-	w.ch <- t
-	close(w.ch)
-}
-
-// call settles a claimed call-mode waiter with e, which the caller has
-// unlinked (or never linked) if w takes it. It runs the sink and so must
-// be called with no lock held.
+// call settles a claimed waiter with e, which the caller has unlinked (or
+// never linked) unless w only reads. It runs the sink and so must be
+// called with no lock held.
 func (w *waiter) call(e *entry) {
-	if w.remove {
-		w.sink.Deliver(e.t, &hold{s: w.s, e: e})
+	if w.kind == space.Read {
+		w.sink.Deliver(e.t, nil)
 		return
 	}
-	w.sink.Deliver(e.t, nil)
+	w.sink.Deliver(e.t, &hold{s: w.s, e: e})
 }
-
-// Chan implements space.Waiter.
-func (w *waiter) Chan() <-chan tuple.Tuple { return w.ch }
 
 // Option configures a Store.
 type Option func(*Store)
@@ -374,8 +347,7 @@ func (s *Store) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
 
 // out is Out, for a new tuple or, with back set, for a released hold's:
 // that one comes back as the entry it was, under the id its out-lease
-// and its replica copies know it by, and if a parked in consumes it on
-// the way the removal of that id is final and is reported.
+// and its replica copies know it by.
 func (s *Store) out(t tuple.Tuple, expiry time.Time, back *entry) (uint64, error) {
 	key, _, tagged := waiterKeyOfTuple(t)
 	var sh *shard
@@ -392,36 +364,23 @@ func (s *Store) out(t tuple.Tuple, expiry time.Time, back *entry) (uint64, error
 	// Sinks run once the locks are dropped; the readers among them are
 	// collected here, on the stack unless more than two are parked.
 	var buf [2]*waiter
-	consumed, takers, readers := sh.deliverLocked(key, t, buf[:0])
-	// Not consumed by an in-waiter, the tuple is stored — or, with a taker
-	// parked, stored and tentatively removed in one step: the caller tracks
-	// the id either way, and the hold's Accept or Release settles it as it
-	// would after a Hold.
-	var (
-		taker *waiter
-		e     *entry
-	)
-	if !consumed {
-		if takers {
-			taker = sh.handOverLocked(key, t)
-		}
-		if e = back; e == nil {
-			e = sh.newEntryLocked(t, expiry)
-		}
-		if taker == nil {
-			sh.linkLocked(e)
-		}
+	taker, claims, readers := sh.deliverLocked(key, t, buf[:0])
+	if taker == nil && claims {
+		taker = sh.handOverLocked(key, t)
+	}
+	// The tuple is stored — or, with a taker, stored and tentatively
+	// removed in one step: the caller tracks the id either way, and the
+	// hold's Accept or Release settles it as it would after a Hold.
+	e := back
+	if e == nil {
+		e = sh.newEntryLocked(t, expiry)
+	}
+	if taker == nil {
+		sh.linkLocked(e)
 	}
 	sh.mu.Unlock()
 	for _, w := range readers {
 		w.sink.Deliver(t, nil)
-	}
-	if consumed {
-		s.met.Inc(trace.CtrTuplesTaken) // a new tuple was never stored
-		if back != nil {
-			s.notifyRemoved(back.id)
-		}
-		return 0, nil
 	}
 	if taker != nil {
 		taker.call(e)
@@ -430,17 +389,17 @@ func (s *Store) out(t tuple.Tuple, expiry time.Time, back *entry) (uint64, error
 	return e.id, nil
 }
 
-// deliverLocked hands t to pending waiters in FIFO (seq) order across the
-// shard's (arity, tag) bucket and the global formal-lead list: every
-// matching reader gets a copy until an in-waiter consumes it. Readers
-// parked by call are claimed and returned in calls (appended to buf) for
-// the caller to run unlocked. It reports whether an in-waiter consumed t, and whether it
-// passed over any parked taker: those rank behind every in-waiter — a
-// local in is final, a hold tentative — so they are only served, by
-// handOverLocked, once this walk has found no consumer. Caller holds
-// sh.mu.
-func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple, buf []*waiter) (consumed, takers bool, calls []*waiter) {
-	s, calls := sh.st, buf
+// deliverLocked serves t to pending registrations in FIFO (seq) order
+// across the shard's (arity, tag) bucket and the global formal-lead list:
+// every matching Read is claimed for a copy until a matching Take is
+// claimed for the tuple itself. The claimed Reads are appended to buf and
+// returned for the caller to call unlocked, and the Take as taker. Claims
+// are passed over: they rank behind every Take — a local in accepts at
+// once, a peer's hold is tentative for a round trip — so they are only
+// served, by handOverLocked, once this walk has found no Take; claims
+// reports whether it passed any. Caller holds sh.mu.
+func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple, buf []*waiter) (taker *waiter, claims bool, reads []*waiter) {
+	s, reads := sh.st, buf
 	ws := sh.waiters[key]
 	var gs []*waiter
 	globalLocked := false
@@ -454,7 +413,7 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple, buf []*waiter) (consum
 		if globalLocked {
 			s.gmu.Unlock()
 		}
-		return false, false, calls
+		return nil, false, reads
 	}
 
 	// Merge-iterate the two seq-ordered lists, compacting settled waiters
@@ -503,11 +462,11 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple, buf []*waiter) (consum
 			}
 			continue
 		}
-		if w.holds() {
-			takers = true
+		if w.kind == space.Claim {
+			claims = true
 		}
-		if w.holds() || !w.p.Matches(t) || !w.claim() {
-			// Keep takers, unmatched and lost-race waiters registered.
+		if w.kind == space.Claim || !w.p.Matches(t) || !w.claim() {
+			// Keep claims, unmatched and lost-race waiters registered.
 			if fromGlobal {
 				gs[gk] = gs[gi]
 				gi++
@@ -519,27 +478,23 @@ func (sh *shard) deliverLocked(key tagKey, t tuple.Tuple, buf []*waiter) (consum
 			}
 			continue
 		}
-		if w.sink != nil {
-			calls = append(calls, w)
-		} else {
-			w.hand(t)
-		}
 		if fromGlobal {
 			gi++
 			dropGlobal++
 		} else {
 			wi++
 		}
-		if w.remove {
-			return true, takers, calls
+		if w.kind == space.Take {
+			return w, claims, reads
 		}
+		reads = append(reads, w)
 	}
-	return false, takers, calls
+	return nil, claims, reads
 }
 
-// handOverLocked claims and unlinks the oldest parked taker that matches
+// handOverLocked claims and unlinks the oldest parked Claim that matches
 // t, or returns nil if none was left to claim: one call per tuple, every
-// younger taker stays parked. The caller hands it t as a hold on an entry
+// younger Claim stays parked. The caller hands it t as a hold on an entry
 // that is never linked into an index. Caller holds sh.mu.
 func (sh *shard) handOverLocked(key tagKey, t tuple.Tuple) *waiter {
 	s := sh.st
@@ -560,7 +515,7 @@ func (sh *shard) handOverLocked(key tagKey, t tuple.Tuple) *waiter {
 			w = ws[wi]
 			wi++
 		}
-		if !w.holds() || !w.p.Matches(t) || !w.claim() {
+		if w.kind != space.Claim || !w.p.Matches(t) || !w.claim() {
 			continue
 		}
 		if fromGlobal {
@@ -756,31 +711,16 @@ func (s *Store) Inp(p tuple.Template) (tuple.Tuple, bool) {
 	return tuple.Tuple{}, false
 }
 
-// Wait implements space.Space. If a matching tuple is already present it
-// is delivered immediately (removed first when remove is true); otherwise
-// the waiter is registered for the next matching Out. This atomicity is
+// Park implements space.Space. If a matching tuple is already present it
+// is delivered at once (held first unless kind is Read); otherwise the
+// registration is parked for the next matching Out. This atomicity is
 // what makes the blocking rd/in race-free: there is no window between
 // "check the space" and "register interest". For pinned and scan
 // templates both steps happen under one shard lock; formal-lead
 // templates register globally first and then scan, which is equivalent
 // (see package doc).
-func (s *Store) Wait(p tuple.Template, remove bool) space.Waiter {
-	return s.register(&waiter{s: s, p: p, remove: remove, ch: make(chan tuple.Tuple, 1)})
-}
-
-// Park implements space.Space: Wait's check-then-register, with the match
-// delivered by a call to sink. Call-mode registrations share the
-// seq-ordered lists with every other waiter; the takers among them rank
-// behind the rest: an Out gives every matching reader its copy, then the
-// tuple to a parked in if there is one, else to exactly one parked taker,
-// the oldest, as a hold.
-func (s *Store) Park(p tuple.Template, take bool, sink space.Sink) space.Parked {
-	return s.register(&waiter{s: s, p: p, remove: take, sink: sink})
-}
-
-// register settles w from the space if a match is present and otherwise
-// parks it where the next matching Out finds it.
-func (s *Store) register(w *waiter) *waiter {
+func (s *Store) Park(p tuple.Template, kind space.Kind, sink space.Sink) space.Parked {
+	w := &waiter{s: s, p: p, kind: kind, sink: sink}
 	key, class := classify(w.p)
 	if class == classGlobal {
 		s.registerGlobal(w)
@@ -802,7 +742,7 @@ func (s *Store) register(w *waiter) *waiter {
 		w.state.Store(delivered)
 		sh.settleLocked(w, e)
 		sh.mu.Unlock()
-		s.settled(w, e)
+		w.call(e)
 		return w
 	}
 	w.seq = s.waiterSeq.Add(1)
@@ -813,26 +753,11 @@ func (s *Store) register(w *waiter) *waiter {
 }
 
 // settleLocked takes the resident entry e for the claimed waiter w,
-// unlinking it unless w only reads; a channel waiter has it at once.
-// Caller holds sh.mu and follows up with settled once it has let go.
+// unlinking it unless w only reads. Caller holds sh.mu and calls w with e
+// once it has let go.
 func (sh *shard) settleLocked(w *waiter, e *entry) {
-	if w.remove {
+	if w.kind != space.Read {
 		sh.removeLocked(e)
-	}
-	if w.ch != nil {
-		w.hand(e.t)
-	}
-}
-
-// settled finishes what settleLocked began, with no lock held: a
-// call-mode waiter's sink runs, and a removal that is already final is
-// accounted — a hold's is when it is accepted.
-func (s *Store) settled(w *waiter, e *entry) {
-	if w.sink != nil {
-		w.call(e)
-	} else if w.remove {
-		s.met.Inc(trace.CtrTuplesTaken)
-		s.notifyRemoved(e.id)
 	}
 }
 
@@ -872,7 +797,7 @@ func (s *Store) registerGlobal(w *waiter) {
 		sh.settleLocked(w, e)
 		sh.mu.Unlock()
 		s.dropGlobal(w)
-		s.settled(w, e)
+		w.call(e)
 		return
 	}
 }
@@ -891,10 +816,9 @@ func (s *Store) dropGlobal(w *waiter) {
 	}
 }
 
-// Cancel implements space.Waiter and space.Parked: it withdraws the
-// interest and reports whether no delivery was or will be made. A
-// delivery that claimed the waiter first stands: its tuple is on the
-// channel, or its sink is called. A waiter that was never parked
+// Cancel implements space.Parked: it withdraws the interest and reports
+// whether no delivery was or will be made. A delivery that claimed the
+// waiter first stands: its sink is called. A waiter that was never parked
 // (immediate hit, closed store) has nothing to unlink.
 func (w *waiter) Cancel() bool {
 	switch {
@@ -971,12 +895,10 @@ func (h *hold) Release() {
 	}
 	// Reinstate with the original expiry; if it expired while held it
 	// will be reclaimed by the janitor path on the next operation.
-	if id, err := h.s.out(h.e.t, h.e.expiry, h.e); err == nil {
+	if _, err := h.s.out(h.e.t, h.e.expiry, h.e); err == nil {
 		h.s.met.Inc(trace.CtrTuplesReinstated)
-		if id != 0 {
-			// Out counted a store; a reinstatement is not a new tuple.
-			h.s.met.Add(trace.CtrTuplesStored, -1)
-		}
+		// Out counted a store; a reinstatement is not a new tuple.
+		h.s.met.Add(trace.CtrTuplesStored, -1)
 	}
 }
 
@@ -1071,6 +993,37 @@ func (s *Store) Close() error {
 	}
 	return nil
 }
+
+// Waiter is a Park registration delivered on a channel and settled the
+// way a node settles its own rd and in: a hold is accepted at once.
+type Waiter struct {
+	space.Parked
+	ch chan tuple.Tuple
+}
+
+// Wait parks a Waiter for a copy of a match (remove false) or for the
+// match itself. It serves callers that time a wake-up as one call and a
+// receive; the node registers through Park.
+func (s *Store) Wait(p tuple.Template, remove bool) *Waiter {
+	kind := space.Read
+	if remove {
+		kind = space.Take
+	}
+	w := &Waiter{ch: make(chan tuple.Tuple, 1)}
+	w.Parked = s.Park(p, kind, w)
+	return w
+}
+
+// Deliver implements space.Sink.
+func (w *Waiter) Deliver(t tuple.Tuple, h space.Hold) {
+	if h != nil {
+		h.Accept()
+	}
+	w.ch <- t
+}
+
+// Chan delivers the match.
+func (w *Waiter) Chan() <-chan tuple.Tuple { return w.ch }
 
 // --- expiry management -------------------------------------------------
 

@@ -85,38 +85,48 @@ func TestNondeterministicSelectionCoversAll(t *testing.T) {
 	}
 }
 
+// none fails if w has been delivered to (again).
+func none(t *testing.T, w *spacetest.Chan, what string) {
+	t.Helper()
+	select {
+	case got := <-w.C:
+		t.Fatalf("%s: delivered %v", what, got)
+	default:
+	}
+}
+
+// one takes w's delivery, made by the time the matching call returned.
+func one(t *testing.T, w *spacetest.Chan, want tuple.Tuple, what string) {
+	t.Helper()
+	select {
+	case got := <-w.C:
+		if !got.Equal(want) {
+			t.Fatalf("%s: delivered %v, want %v", what, got, want)
+		}
+	default:
+		t.Fatalf("%s: not delivered", what)
+	}
+}
+
 func TestWaitRdDeliversCopyAndKeepsTuple(t *testing.T) {
 	s, _ := newTest()
 	defer s.Close()
-	w := s.Wait(reqTmpl(), false)
-	select {
-	case <-w.Chan():
-		t.Fatal("waiter fired before Out")
-	default:
-	}
+	w := spacetest.Wait(s, reqTmpl(), space.Read)
+	none(t, w, "waiter before Out")
 	s.Out(req(7), never())
-	got, ok := <-w.Chan()
-	if !ok || !got.Equal(req(7)) {
-		t.Fatalf("waiter got %v %v", got, ok)
-	}
+	one(t, w, req(7), "waiter")
 	if s.Count() != 1 {
 		t.Fatal("rd-waiter consumed the tuple")
 	}
-	// Channel is closed after the single delivery.
-	if _, ok := <-w.Chan(); ok {
-		t.Fatal("waiter delivered twice")
-	}
+	none(t, w, "waiter after its single delivery")
 }
 
 func TestWaitInConsumes(t *testing.T) {
 	s, _ := newTest()
 	defer s.Close()
-	w := s.Wait(reqTmpl(), true)
+	w := spacetest.Wait(s, reqTmpl(), space.Take)
 	s.Out(req(9), never())
-	got, ok := <-w.Chan()
-	if !ok || !got.Equal(req(9)) {
-		t.Fatalf("waiter got %v %v", got, ok)
-	}
+	one(t, w, req(9), "waiter")
 	if s.Count() != 0 {
 		t.Fatal("in-waiter did not consume the tuple")
 	}
@@ -125,28 +135,15 @@ func TestWaitInConsumes(t *testing.T) {
 func TestWaiterFIFOReadersThenTaker(t *testing.T) {
 	s, _ := newTest()
 	defer s.Close()
-	r1 := s.Wait(reqTmpl(), false)
-	r2 := s.Wait(reqTmpl(), false)
-	in1 := s.Wait(reqTmpl(), true)
-	in2 := s.Wait(reqTmpl(), true)
+	r1 := spacetest.Wait(s, reqTmpl(), space.Read)
+	r2 := spacetest.Wait(s, reqTmpl(), space.Read)
+	in1 := spacetest.Wait(s, reqTmpl(), space.Take)
+	in2 := spacetest.Wait(s, reqTmpl(), space.Take)
 	s.Out(req(1), never())
-	if _, ok := <-r1.Chan(); !ok {
-		t.Fatal("reader 1 not served")
-	}
-	if _, ok := <-r2.Chan(); !ok {
-		t.Fatal("reader 2 not served")
-	}
-	if _, ok := <-in1.Chan(); !ok {
-		t.Fatal("first taker not served")
-	}
-	select {
-	case _, ok := <-in2.Chan():
-		if ok {
-			t.Fatal("second taker served for a single tuple")
-		}
-		t.Fatal("second taker channel closed unexpectedly")
-	default:
-	}
+	one(t, r1, req(1), "reader 1")
+	one(t, r2, req(1), "reader 2")
+	one(t, in1, req(1), "first taker")
+	none(t, in2, "second taker, for a single tuple")
 	if s.Count() != 0 {
 		t.Fatal("tuple stored despite taker")
 	}
@@ -156,13 +153,12 @@ func TestWaiterFIFOReadersThenTaker(t *testing.T) {
 func TestWaiterCancel(t *testing.T) {
 	s, _ := newTest()
 	defer s.Close()
-	w := s.Wait(reqTmpl(), true)
-	w.Cancel()
-	w.Cancel() // idempotent
-	if _, ok := <-w.Chan(); ok {
-		t.Fatal("cancelled waiter received tuple")
+	w := spacetest.Wait(s, reqTmpl(), space.Take)
+	if !w.Cancel() || !w.Cancel() { // idempotent
+		t.Fatal("Cancel() of a parked waiter = false")
 	}
 	s.Out(req(1), never())
+	none(t, w, "cancelled waiter")
 	if s.Count() != 1 {
 		t.Fatal("tuple should be stored after waiter cancelled")
 	}
@@ -171,14 +167,10 @@ func TestWaiterCancel(t *testing.T) {
 func TestWaiterMismatchedTemplateNotServed(t *testing.T) {
 	s, _ := newTest()
 	defer s.Close()
-	w := s.Wait(tuple.Tmpl(tuple.String("resp"), tuple.FormalInt()), true)
+	w := spacetest.Wait(s, tuple.Tmpl(tuple.String("resp"), tuple.FormalInt()), space.Take)
 	defer w.Cancel()
 	s.Out(req(1), never())
-	select {
-	case <-w.Chan():
-		t.Fatal("mismatched waiter served")
-	default:
-	}
+	none(t, w, "mismatched waiter")
 	if s.Count() != 1 {
 		t.Fatal("tuple missing")
 	}
@@ -226,12 +218,9 @@ func TestHoldReleaseServesWaiter(t *testing.T) {
 	defer s.Close()
 	s.Out(req(1), never())
 	h, _ := s.Hold(reqTmpl())
-	w := s.Wait(reqTmpl(), true)
+	w := spacetest.Wait(s, reqTmpl(), space.Take)
 	h.Release()
-	got, ok := <-w.Chan()
-	if !ok || !got.Equal(req(1)) {
-		t.Fatal("waiter not served by reinstated tuple")
-	}
+	one(t, w, req(1), "waiter, by the reinstated tuple")
 }
 
 func TestLeaseExpiryReclaims(t *testing.T) {
@@ -351,22 +340,23 @@ func TestBytesAndSnapshot(t *testing.T) {
 
 func TestCloseCancelsWaitersAndRefusesOut(t *testing.T) {
 	s, _ := newTest()
-	w := s.Wait(reqTmpl(), true)
+	w := spacetest.Wait(s, reqTmpl(), space.Take)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal("Close not idempotent")
 	}
-	if _, ok := <-w.Chan(); ok {
-		t.Fatal("waiter received after Close")
-	}
 	if _, err := s.Out(req(1), never()); err != ErrClosed {
 		t.Fatalf("Out after close: %v", err)
 	}
-	w2 := s.Wait(reqTmpl(), false)
-	if _, ok := <-w2.Chan(); ok {
-		t.Fatal("waiter on closed store received")
+	w2 := spacetest.Wait(s, reqTmpl(), space.Read)
+	// Close calls no sink: both registrations end undelivered.
+	for _, w := range []*spacetest.Chan{w, w2} {
+		none(t, w, "waiter on a closed store")
+		if !w.Cancel() {
+			t.Fatal("Cancel() = false on a closed store")
+		}
 	}
 }
 
@@ -376,15 +366,21 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	const n = 200
 	var wg sync.WaitGroup
 	consumed := make(chan int64, n)
+	stop := make(chan struct{})
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				w := s.Wait(reqTmpl(), true)
-				got, ok := <-w.Chan()
-				if !ok {
-					return
+				w := spacetest.Wait(s, reqTmpl(), space.Take)
+				var got tuple.Tuple
+				select {
+				case got = <-w.C:
+				case <-stop:
+					if w.Cancel() {
+						return
+					}
+					got = <-w.C
 				}
 				id, _ := got.IntAt(1)
 				consumed <- id
@@ -411,7 +407,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		for len(consumed) < n {
 			time.Sleep(time.Millisecond)
 		}
-		s.Close() // unblock remaining waiters
+		close(stop) // unblock remaining waiters
 		close(done)
 	}()
 	wg.Wait()
@@ -624,9 +620,9 @@ func TestHoldWaitersWakeInSeqOrder(t *testing.T) {
 	ws := make([]*spacetest.Catch, 8)
 	for k := range ws {
 		if k%2 == 0 {
-			ws[k] = spacetest.Park(s, reqTmpl(), true)
+			ws[k] = spacetest.Park(s, reqTmpl(), space.Claim)
 		} else {
-			ws[k] = spacetest.Park(s, tuple.Tmpl(tuple.Any(), tuple.FormalInt()), true)
+			ws[k] = spacetest.Park(s, tuple.Tmpl(tuple.Any(), tuple.FormalInt()), space.Claim)
 		}
 	}
 	for k := range ws {
@@ -662,7 +658,7 @@ func TestHoldWaitersWakeInSeqOrder(t *testing.T) {
 func TestHoldWaiterKeepsExpiry(t *testing.T) {
 	s, clk := newTest()
 	defer s.Close()
-	w := spacetest.Park(s, reqTmpl(), true)
+	w := spacetest.Park(s, reqTmpl(), space.Claim)
 	s.Out(req(1), epoch.Add(time.Second))
 	select {
 	case d := <-w.C:

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tiamat/space"
 	"tiamat/space/spacetest"
 	"tiamat/tuple"
 )
@@ -111,18 +112,15 @@ func TestStressConservation(t *testing.T) {
 					return
 				default:
 				}
-				w := s.Wait(p, true)
+				w := spacetest.Wait(s, p, space.Take)
 				select {
-				case tp, ok := <-w.Chan():
-					if ok {
-						record(tp)
-					}
+				case tp := <-w.C:
+					record(tp)
 				case <-done:
-					w.Cancel()
-					// A delivery may have raced the cancel; drain it so
+					// A delivery may have raced the cancel; take it so
 					// the tuple is not lost.
-					if tp, ok := <-w.Chan(); ok {
-						record(tp)
+					if !w.Cancel() {
+						record(<-w.C)
 					}
 					return
 				}
@@ -182,7 +180,7 @@ func TestStressConservation(t *testing.T) {
 				if h == 3 {
 					p = tuple.Tmpl(tuple.Any(), tuple.FormalInt())
 				}
-				w := spacetest.Park(s, p, true)
+				w := spacetest.Park(s, p, space.Claim)
 				if rng.Intn(2) == 0 && w.Cancel() {
 					continue
 				}

@@ -62,6 +62,18 @@ if [ "$(printf '%s' "$shrinks" | grep -c .)" -ne 1 ]; then
 	exit 1
 fi
 
+# A parked registration costs no goroutine (DESIGN.md §6, §8): the space
+# calls its sink on the goroutine of the Out that matched it. A go
+# statement in a space is a goroutine started for one call or one
+# registration, as persist's taking-waiter pump was.
+echo "==> space/ and internal/store start no goroutine"
+gos="$(git ls-files 'space/*.go' 'internal/store/*.go' | grep -v '_test.go$' | xargs grep -nE '(^|[^[:alnum:]_.])go +(func|[[:alnum:]_.]+\()' || true)"
+if [ -n "$gos" ]; then
+	echo "go statements in a space:"
+	echo "$gos"
+	exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 

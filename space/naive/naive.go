@@ -48,30 +48,17 @@ type entry struct {
 	held   bool
 }
 
-// waiter is parked interest in a copy or, with remove set, a removal,
-// delivered on ch (Wait) or by a call to sink (Park), where a removal is
-// handed over as a hold. It is its own handle. done and cancelled are
-// guarded by the space's mutex.
+// waiter is a parked registration, delivered by a call to sink: a copy
+// for a Read, a hold for a Take or a Claim. It is its own handle. done
+// and cancelled are guarded by the space's mutex.
 type waiter struct {
 	s         *Space
 	p         tuple.Template
-	remove    bool
-	ch        chan tuple.Tuple
+	kind      space.Kind
 	sink      space.Sink
 	done      bool
 	cancelled bool
 }
-
-// finish settles a waiter; a channel waiter's channel closes.
-func (w *waiter) finish() {
-	w.done = true
-	if w.ch != nil {
-		close(w.ch)
-	}
-}
-
-// holds reports whether w is a parked taker: delivery hands it a hold.
-func (w *waiter) holds() bool { return w.remove && w.sink != nil }
 
 // delivery is a sink call owed once the space's mutex is dropped.
 type delivery struct {
@@ -129,50 +116,45 @@ func (s *Space) put(t tuple.Tuple, expiry time.Time, id uint64) (uint64, error) 
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	// Serve waiters FIFO: readers get copies, the first in-waiter
-	// consumes. Parked takers rank behind every in-waiter (a local in is
-	// final, a hold tentative): with no consumer the oldest one is handed
-	// the tuple, stored and held, and the id returned — as if Hold had run
-	// right behind this Out. Sinks are called once the mutex is dropped.
+	if id == 0 {
+		s.nextID++
+		id = s.nextID
+	}
+	// Serve registrations FIFO: Reads get copies until a Take has the
+	// tuple. Claims rank behind every Take (a local in accepts at once, a
+	// peer's hold is tentative): with no Take the oldest Claim has it. A
+	// taken tuple is stored and held, and its id returned — as if Hold had
+	// run right behind this Out. Sinks are called once the mutex is
+	// dropped, readers first.
 	var calls []delivery
+	var taker *waiter
 	kept := s.waiters[:0]
-	consumed := false
 	for _, w := range s.waiters {
-		if consumed || w.done || w.holds() || !w.p.Matches(t) {
+		if taker != nil || w.done || w.kind == space.Claim || !w.p.Matches(t) {
 			kept = append(kept, w)
 			continue
 		}
-		if w.sink != nil {
-			calls = append(calls, delivery{sink: w.sink, t: t})
+		w.done = true
+		if w.kind == space.Take {
+			taker = w
 		} else {
-			w.ch <- t
+			calls = append(calls, delivery{sink: w.sink, t: t})
 		}
-		w.finish()
-		consumed = w.remove
 	}
 	s.waiters = kept
-	if consumed {
-		if id != 0 {
-			s.gone = append(s.gone, id) // a released hold's tuple, now taken
+	for i := 0; taker == nil && i < len(s.waiters); i++ {
+		if w := s.waiters[i]; w.kind == space.Claim && !w.done && w.p.Matches(t) {
+			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+			w.done = true
+			taker = w
 		}
-		id = 0
-	} else {
-		if id == 0 {
-			s.nextID++
-			id = s.nextID
-		}
-		e := entry{id: id, t: t, expiry: expiry}
-		for i, w := range s.waiters {
-			if w.holds() && !w.done && w.p.Matches(t) {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				e.held = true
-				calls = append(calls, delivery{w.sink, t, &hold{s: s, id: id, t: t}})
-				w.finish()
-				break
-			}
-		}
-		s.entries = append(s.entries, e)
 	}
+	e := entry{id: id, t: t, expiry: expiry}
+	if taker != nil {
+		e.held = true
+		calls = append(calls, delivery{taker.sink, t, &hold{s: s, id: id, t: t}})
+	}
+	s.entries = append(s.entries, e)
 	s.purgeLocked()
 	s.unlock()
 	for _, d := range calls {
@@ -215,57 +197,35 @@ func (s *Space) Inp(p tuple.Template) (tuple.Tuple, bool) {
 	return t, true
 }
 
-// Wait implements space.Space.
-func (s *Space) Wait(p tuple.Template, remove bool) space.Waiter {
-	w := &waiter{s: s, p: p, remove: remove, ch: make(chan tuple.Tuple, 1)}
-	s.register(w)
-	return w
-}
-
-// Park implements space.Space.
-func (s *Space) Park(p tuple.Template, take bool, sink space.Sink) space.Parked {
-	w := &waiter{s: s, p: p, remove: take, sink: sink}
-	if d, ok := s.register(w); ok {
-		d.run()
-	}
-	return w
-}
-
-// register settles w from the first live match or parks it. A call-mode
-// waiter's delivery is returned for the caller to run unlocked.
-func (s *Space) register(w *waiter) (delivery, bool) {
+// Park implements space.Space: it settles the registration from the first
+// live match, calling sink once the mutex is dropped, or parks it.
+func (s *Space) Park(p tuple.Template, kind space.Kind, sink space.Sink) space.Parked {
+	w := &waiter{s: s, p: p, kind: kind, sink: sink}
 	s.mu.Lock()
-	defer s.unlock()
 	if s.closed {
-		w.cancelled = true
-		w.finish()
-		return delivery{}, false
+		w.done, w.cancelled = true, true
+		s.mu.Unlock()
+		return w
 	}
-	i := s.findLocked(w.p)
+	i := s.findLocked(p)
 	if i < 0 {
 		s.waiters = append(s.waiters, w)
-		return delivery{}, false
+		s.mu.Unlock()
+		return w
 	}
 	e := &s.entries[i]
-	d := delivery{sink: w.sink, t: e.t}
-	switch {
-	case w.holds():
+	d := delivery{sink: sink, t: e.t}
+	if kind != space.Read {
 		e.held = true
 		d.h = &hold{s: s, id: e.id, t: e.t}
-	case w.remove:
-		s.removeLocked(i)
 	}
-	if w.ch != nil {
-		w.ch <- d.t
-	}
-	w.finish()
-	return d, w.sink != nil
+	w.done = true
+	s.mu.Unlock()
+	d.run()
+	return w
 }
 
-// Chan implements space.Waiter.
-func (w *waiter) Chan() <-chan tuple.Tuple { return w.ch }
-
-// Cancel implements space.Waiter and space.Parked.
+// Cancel implements space.Parked.
 func (w *waiter) Cancel() bool {
 	s := w.s
 	s.mu.Lock()
@@ -273,8 +233,7 @@ func (w *waiter) Cancel() bool {
 	if w.done {
 		return w.cancelled
 	}
-	w.cancelled = true
-	w.finish()
+	w.done, w.cancelled = true, true
 	for i, o := range s.waiters {
 		if o == w {
 			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
@@ -402,8 +361,7 @@ func (s *Space) Close() error {
 	s.closed = true
 	for _, w := range s.waiters {
 		if !w.done {
-			w.cancelled = true // no sink is called
-			w.finish()
+			w.done, w.cancelled = true, true // no sink is called
 		}
 	}
 	s.waiters = nil

@@ -60,9 +60,9 @@ func TestNaiveBasics(t *testing.T) {
 func TestNaiveWaitAndHold(t *testing.T) {
 	s := New(nil)
 	defer s.Close()
-	w := s.Wait(tmpl("a"), true)
+	w := spacetest.Wait(s, tmpl("a"), space.Take)
 	s.Out(item("a", 1), time.Time{})
-	if got, ok := <-w.Chan(); !ok || !got.Equal(item("a", 1)) {
+	if got := <-w.C; !got.Equal(item("a", 1)) {
 		t.Fatal("waiter not served")
 	}
 	if s.Count() != 0 {
@@ -97,9 +97,9 @@ func TestNaiveHoldWaiterContract(t *testing.T) {
 
 // TestRemovalReport: every space — the oracle, the store and the durable
 // wrapper — reports each final removal once, by the id Out returned: a
-// take, an accepted hold, a taking waiter, Remove, and a parked in
-// consuming a released hold's tuple. Nothing else is reported: a read, a
-// release, and an Out consumed on the way in, which stored nothing.
+// take, an accepted hold, a taking waiter, Remove, a parked in consuming
+// a released hold's tuple, and one taking an Out on its way in. Nothing
+// else is reported: a read and a release.
 func TestRemovalReport(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -148,19 +148,19 @@ func TestRemovalReport(t *testing.T) {
 			h, _ = s.Hold(exact(1))
 			h.Accept()
 			expect("an accepted hold", ids[1])
-			<-s.Wait(exact(2), true).Chan()
+			<-spacetest.Wait(s, exact(2), space.Take).C
 			expect("a taking waiter", ids[2])
 			s.Remove(ids[3])
 			expect("Remove", ids[3])
 			h, _ = s.Hold(exact(4))
-			in := s.Wait(exact(4), true)
+			in := spacetest.Wait(s, exact(4), space.Take)
 			h.Release()
-			<-in.Chan()
+			<-in.C
 			expect("a released hold's tuple taken on its way back", ids[4])
-			in = s.Wait(tmpl("a"), true)
-			s.Out(item("a", 5), time.Time{})
-			<-in.Chan()
-			expect("an Out consumed on the way in")
+			in = spacetest.Wait(s, tmpl("a"), space.Take)
+			id, _ := s.Out(item("a", 5), time.Time{})
+			<-in.C
+			expect("an Out taken on its way in", id)
 		})
 	}
 }
@@ -192,20 +192,19 @@ func TestNaiveRemoveAndClose(t *testing.T) {
 	if !s.Remove(id) || s.Remove(id) {
 		t.Fatal("Remove semantics wrong")
 	}
-	w := s.Wait(tmpl("a"), false)
+	w := spacetest.Wait(s, tmpl("a"), space.Read)
 	s.Close()
 	s.Close()
-	if _, ok := <-w.Chan(); ok {
-		t.Fatal("waiter survived close")
-	}
 	if _, err := s.Out(item("a", 2), time.Time{}); err == nil {
 		t.Fatal("out on closed space")
 	}
-	w2 := s.Wait(tmpl("a"), false)
-	if _, ok := <-w2.Chan(); ok {
-		t.Fatal("waiter on closed space served")
+	w2 := spacetest.Wait(s, tmpl("a"), space.Read)
+	// Close calls no sink: both registrations end undelivered.
+	for _, w := range []*spacetest.Chan{w, w2} {
+		if len(w.C) != 0 || !w.Cancel() {
+			t.Fatal("waiter served across close")
+		}
 	}
-	w2.Cancel()
 }
 
 // TestPropDifferentialAgainstStore runs identical random operation

@@ -357,6 +357,46 @@ func TestSyncFailureWedgesSpace(t *testing.T) {
 	}
 }
 
+// TestTakeLogFailureWithdraws: a parked Take whose removal record the log
+// rejects is withdrawn, as Inp then reports no match: its sink gets no
+// tuple and no hold, the tuple is back in the space, and a restart finds
+// it once. A budget of one out record tears the removal before its first
+// byte; one byte more lands part of it, which is compensated on disk.
+func TestTakeLogFailureWithdraws(t *testing.T) {
+	rec := int64(len(appendRecord(nil, outRecord(item(1), time.Time{}))))
+	for _, budget := range []int64{rec, rec + 1} {
+		path := filepath.Join(t.TempDir(), "s.log")
+		ffs := NewFaultFS(nil)
+		sp, err := OpenWith(path, store.New(), nil, Options{FS: ffs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := spacetest.Park(sp, itemTmpl(), space.Take)
+		ffs.Faults.CrashAfter(budget)
+		if _, err := sp.Out(item(1), time.Time{}); err != nil {
+			t.Fatalf("budget %d: out: %v", budget, err)
+		}
+		select {
+		case d := <-c.C:
+			if d.H != nil {
+				t.Fatalf("budget %d: take handed a tuple whose removal is not durable", budget)
+			}
+		default:
+			t.Fatalf("budget %d: withdrawn take never told", budget)
+		}
+		if _, ok := sp.Rdp(itemTmpl()); !ok {
+			t.Fatalf("budget %d: tuple not reinstated after failed removal logging", budget)
+		}
+		sp.Close()
+
+		s2 := open(t, path, nil)
+		if n := s2.Count(); n != 1 {
+			t.Fatalf("budget %d: %d tuples after restart, want 1", budget, n)
+		}
+		s2.Close()
+	}
+}
+
 // TestWedgedRetriesDoNotDuplicate: once the space is wedged, a retried
 // take is refused by the sticky gate before anything reaches the file,
 // so it must NOT append a compensating out record — the log has no
@@ -520,7 +560,7 @@ func TestWaitedHoldDefersCompaction(t *testing.T) {
 			sp.Inp(tuple.Tmpl(tuple.String("it"), tuple.Int(round)))
 		}
 	}
-	w := spacetest.Park(sp, tuple.Tmpl(tuple.String("it"), tuple.Int(999)), true)
+	w := spacetest.Park(sp, tuple.Tmpl(tuple.String("it"), tuple.Int(999)), space.Claim)
 	before := met.Get(trace.CtrWALCompactions)
 	churn()
 	if got := met.Get(trace.CtrWALCompactions); got == before {
@@ -568,7 +608,7 @@ func TestWaitedHoldsRaceCompaction(t *testing.T) {
 	want := make(map[int64]bool)
 	var wg sync.WaitGroup
 	for v := int64(0); v < 300; v++ {
-		w := spacetest.Park(sp, key(v), true)
+		w := spacetest.Park(sp, key(v), space.Claim)
 		wg.Add(1)
 		go func(v int64) {
 			defer wg.Done()
@@ -668,25 +708,26 @@ func TestSyncNeverPolicy(t *testing.T) {
 }
 
 // consumedOut parks an in, feeds it one out of t and receives it: the
-// tuple was consumed at Out and never became resident.
+// tuple was stored, handed to the in as a hold and accepted, all inside
+// the Out, and never became resident.
 func consumedOut(t *testing.T, sp *Space, tup tuple.Tuple, between func()) {
 	t.Helper()
-	w := sp.Wait(tuple.TemplateOf(tup), true)
-	if id, err := sp.Out(tup, time.Time{}); err != nil || id != 0 {
-		t.Fatalf("out to a parked in: id=%d err=%v, want consumed", id, err)
+	w := spacetest.Wait(sp, tuple.TemplateOf(tup), space.Take)
+	if id, err := sp.Out(tup, time.Time{}); err != nil || id == 0 {
+		t.Fatalf("out to a parked in: id=%d err=%v, want stored", id, err)
 	}
 	if between != nil {
 		between()
 	}
-	if got, ok := <-w.Chan(); !ok || !got.Equal(tup) {
+	if got := <-w.C; !got.Equal(tup) {
 		t.Fatal("parked in not served")
 	}
 }
 
-// TestConsumedOutLogsOneRemoval: out plus the consuming waiter's removal
-// are the two records that describe a tuple consumed at Out. A third —
-// Out's own removal beside the pump's — is how TestConsumedOutKeepsItsTwin
-// loses a tuple.
+// TestConsumedOutLogsOneRemoval: out plus the accepted hold's removal are
+// the two records that describe a tuple consumed at Out. A third — a
+// removal of Out's own beside the hold's — is how
+// TestConsumedOutKeepsItsTwin loses a tuple.
 func TestConsumedOutLogsOneRemoval(t *testing.T) {
 	met := &trace.Metrics{}
 	sp, err := OpenWith(filepath.Join(t.TempDir(), "s.log"), store.New(), nil, Options{Metrics: met})
@@ -708,8 +749,7 @@ func TestConsumedOutLogsOneRemoval(t *testing.T) {
 func TestConsumedOutKeepsItsTwin(t *testing.T) {
 	for name, pol := range map[string]SyncPolicy{"SyncNever": SyncNever, "SyncAlways": SyncAlways} {
 		t.Run(name, func(t *testing.T) {
-			// The late record is the pump's, on its own goroutine: a few
-			// rounds so that no schedule hides it.
+			// A few rounds, so that no schedule hides a late record.
 			for round := 0; round < 8; round++ {
 				path := filepath.Join(t.TempDir(), fmt.Sprintf("s%d.log", round))
 				sp, err := OpenWith(path, store.New(), nil, Options{Sync: pol})
@@ -731,6 +771,53 @@ func TestConsumedOutKeepsItsTwin(t *testing.T) {
 					t.Fatalf("round %d: count after restart = %d, want 1: the twin went with the consumed tuple", round, n)
 				}
 				s2.Close()
+			}
+		})
+	}
+}
+
+// TestLocalTakeKeepsItsTwinAcrossCompaction: a parked local in takes a
+// token at its Out, and the Out of an equal twin crosses the compaction
+// threshold. The in's removal record is its hold's Accept's, written
+// inside the first Out while the outstanding hold keeps compaction out,
+// so the snapshot never precedes a removal still to come. When a
+// goroutine of the waiter's own wrote that record, it could land after
+// the compaction, and replay took the twin with it.
+func TestLocalTakeKeepsItsTwinAcrossCompaction(t *testing.T) {
+	token := tuple.T(tuple.String("token"))
+	// The twin's out record crosses: the first out plus its removal
+	// record, one byte shorter, stay below.
+	at := int64(headerLen + 2*len(appendRecord(nil, outRecord(token, time.Time{}))))
+	for name, pol := range map[string]SyncPolicy{"SyncNever": SyncNever, "SyncAlways": SyncAlways} {
+		t.Run(name, func(t *testing.T) {
+			for round := 0; round < 200; round++ {
+				met := &trace.Metrics{}
+				path := filepath.Join(t.TempDir(), fmt.Sprintf("s%d.log", round))
+				sp, err := OpenWith(path, store.New(), nil, Options{Sync: pol, CompactAt: at, Metrics: met})
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := spacetest.Wait(sp, tuple.TemplateOf(token), space.Take)
+				if _, err := sp.Out(token, time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+				before := met.Get(trace.CtrWALCompactions)
+				if _, err := sp.Out(token, time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+				if met.Get(trace.CtrWALCompactions) == before {
+					t.Fatalf("round %d: the twin's out did not compact", round)
+				}
+				if got := <-w.C; !got.Equal(token) {
+					t.Fatalf("round %d: parked in got %v", round, got)
+				}
+				sp.Close()
+				s2 := open(t, path, nil)
+				n := s2.Count()
+				s2.Close()
+				if n != 1 {
+					t.Fatalf("round %d: count after restart = %d, want the twin", round, n)
+				}
 			}
 		})
 	}

@@ -592,13 +592,11 @@ func (s *Space) flushTick() {
 }
 
 // Out implements space.Space: log first, then apply. The tuple is only
-// acked once its record is durable under the sync policy. An id of 0 —
-// a parked in consumed the tuple on the way — is not logged here: one
-// removal record per consumed tuple, and the consuming waiter's pump
-// writes it, before it delivers, whatever fed the waiter. Replay removes
-// by content, so a second record would take an equal tuple stored since
-// with it. A crash between the two records leaves the tuple in the space
-// and the waiter undelivered.
+// acked once its record is durable under the sync policy. A tuple handed
+// to a parked Take or Claim on the way is logged as stored: its removal
+// record is written once, before a Take's sink runs (run) or by a Claim's
+// Accept — replay removes by content, so a second record would take an
+// equal tuple stored since with it.
 func (s *Space) Out(t tuple.Tuple, expiry time.Time) (id uint64, err error) {
 	s.opMu.RLock()
 	if _, err := s.log(outRecord(t, expiry)); err != nil {
@@ -642,67 +640,19 @@ func (s *Space) Inp(p tuple.Template) (tuple.Tuple, bool) {
 	return t, true
 }
 
-// Wait implements space.Space; removals by taking waiters are logged on
-// delivery.
-func (s *Space) Wait(p tuple.Template, remove bool) space.Waiter {
-	inner := s.inner.Wait(p, remove)
-	if !remove {
-		return inner
-	}
-	w := &loggedWaiter{s: s, inner: inner, ch: make(chan tuple.Tuple, 1)}
-	go w.pump()
-	return w
-}
-
-type loggedWaiter struct {
-	s     *Space
-	inner space.Waiter
-	ch    chan tuple.Tuple
-}
-
-func (w *loggedWaiter) pump() {
-	t, ok := <-w.inner.Chan()
-	if ok {
-		w.s.opMu.RLock()
-		wrote, err := w.s.log(removeRecord(t))
-		if err != nil {
-			// The removal is not durable and the space is now wedged.
-			// Reinstate the tuple (expiry is lost — the store already
-			// dropped it), compensate on disk if the removal record may
-			// have landed, and deliver nothing: a closed channel reads as
-			// a cancelled waiter, which matches the durable state.
-			if wrote {
-				w.s.compensate(t)
-			}
-			calls := w.s.matching(func() { _, _ = w.s.inner.Out(t, time.Time{}) })
-			w.s.opMu.RUnlock()
-			run(calls)
-			close(w.ch)
-			return
-		}
-		w.s.opMu.RUnlock()
-		w.ch <- t
-	}
-	close(w.ch)
-}
-
-func (w *loggedWaiter) Chan() <-chan tuple.Tuple { return w.ch }
-
-func (w *loggedWaiter) Cancel() bool { return w.inner.Cancel() }
-
 // Park implements space.Space. The inner space calls the registered sink
 // inside whichever inner call made the match — a read-locked Out or Park,
 // or the Release of a hold still counted in holdsOut — so a hold is
 // wrapped as a loggedHold and counted right there, with no window in
 // which a compaction could find it neither in the snapshot nor in
 // holdsOut. The caller's sink runs later on the same goroutine, once
-// that call has dropped opMu: a sink may release its hold, and a release
-// that compacts takes opMu for writing.
-func (s *Space) Park(p tuple.Template, take bool, sink space.Sink) space.Parked {
-	ls := &loggedSink{s: s, sink: sink}
+// that call has dropped opMu: a sink may settle its hold, and a
+// settlement that compacts takes opMu for writing.
+func (s *Space) Park(p tuple.Template, kind space.Kind, sink space.Sink) space.Parked {
+	ls := &loggedSink{s: s, sink: sink, take: kind == space.Take}
 	var h space.Parked
 	s.opMu.RLock()
-	calls := s.matching(func() { h = s.inner.Park(p, take, ls) })
+	calls := s.matching(func() { h = s.inner.Park(p, kind, ls) })
 	s.opMu.RUnlock()
 	run(calls)
 	return h
@@ -712,6 +662,7 @@ func (s *Space) Park(p tuple.Template, take bool, sink space.Sink) space.Parked 
 type loggedSink struct {
 	s    *Space
 	sink space.Sink
+	take bool
 }
 
 // Deliver implements space.Sink. The caller up-stack holds sinkMu.
@@ -723,15 +674,15 @@ func (ls *loggedSink) Deliver(t tuple.Tuple, h space.Hold) {
 		s.mu.Unlock()
 		h = &loggedHold{s: s, inner: h}
 	}
-	s.matched = append(s.matched, delivery{ls.sink, t, h})
+	s.matched = append(s.matched, delivery{ls, t, h})
 }
 
 // delivery is a Park caller's sink call, owed for a match the inner space
 // has made.
 type delivery struct {
-	sink space.Sink
-	t    tuple.Tuple
-	h    space.Hold
+	ls *loggedSink
+	t  tuple.Tuple
+	h  space.Hold
 }
 
 // matching runs f, a call into inner that may match parked registrations,
@@ -746,9 +697,18 @@ func (s *Space) matching(f func()) []delivery {
 	return calls
 }
 
+// run makes the sink calls of deliveries. A Take's hold is settled
+// before its sink runs, as Inp settles its own: a local in must never
+// hold a tuple whose removal a restart would undo. If the log rejects the
+// removal record the Take is withdrawn instead (space.Sink): its sink
+// gets no tuple and no hold, and the tuple is back in the space.
 func run(calls []delivery) {
 	for _, d := range calls {
-		d.sink.Deliver(d.t, d.h)
+		if d.ls.take && !d.h.(*loggedHold).acceptTake() {
+			d.ls.sink.Deliver(tuple.Tuple{}, nil)
+			continue
+		}
+		d.ls.sink.Deliver(d.t, d.h)
 	}
 }
 
@@ -791,14 +751,38 @@ func (h *loggedHold) Accept() {
 		return
 	}
 	h.s.opMu.RLock()
-	// Accept even if logging fails: the requester already has the
-	// tuple, so reinstating it would duplicate. The failure wedges
-	// the space; a restart may resurrect this one tuple — the
-	// documented cost of accepting on a dying log.
+	// Accept even if logging fails: the requester — a peer served by Hold
+	// or a Claim — already has the tuple, so reinstating it would
+	// duplicate. The failure wedges the space; a restart may resurrect
+	// this one tuple — the documented cost of accepting on a dying log.
+	// A Take's hold never gets here unsettled (acceptTake).
 	_, _ = h.s.log(removeRecord(h.inner.Tuple()))
 	h.inner.Accept()
 	h.s.opMu.RUnlock()
 	h.s.holdSettled()
+}
+
+// acceptTake settles a Take's hold, fail-stop as Inp: it accepts once the
+// removal record is logged, and otherwise compensates on disk if the
+// record may have landed, reinstates the tuple and reports false.
+func (h *loggedHold) acceptTake() bool {
+	h.settled.Store(true)
+	s, t := h.s, h.inner.Tuple()
+	s.opMu.RLock()
+	if wrote, err := s.log(removeRecord(t)); err != nil {
+		if wrote {
+			s.compensate(t)
+		}
+		calls := s.matching(h.inner.Release)
+		s.opMu.RUnlock()
+		s.holdSettled()
+		run(calls)
+		return false
+	}
+	h.inner.Accept()
+	s.opMu.RUnlock()
+	s.holdSettled()
+	return true
 }
 
 func (h *loggedHold) Release() {

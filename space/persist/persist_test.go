@@ -119,9 +119,9 @@ func TestExpiredReinstatementDoesNotDeadlock(t *testing.T) {
 func TestWaiterTakeIsDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "space.log")
 	s := open(t, path, nil)
-	w := s.Wait(itemTmpl(), true)
+	w := spacetest.Wait(s, itemTmpl(), space.Take)
 	s.Out(item(9), time.Time{})
-	if got, ok := <-w.Chan(); !ok || !got.Equal(item(9)) {
+	if got := <-w.C; !got.Equal(item(9)) {
 		t.Fatal("waiter not served")
 	}
 	s.Close()
@@ -193,7 +193,7 @@ func TestWaitedHoldDurableOnAcceptOnly(t *testing.T) {
 	key := func(v int64) tuple.Template { return tuple.Tmpl(tuple.String("it"), tuple.Int(v)) }
 	held := make(map[int64]space.Hold)
 	for v := int64(1); v <= 3; v++ {
-		w := spacetest.Park(s, key(v), true)
+		w := spacetest.Park(s, key(v), space.Claim)
 		if id, err := s.Out(item(v), time.Time{}); err != nil || id == 0 {
 			t.Fatalf("Out(%d) = %d %v", v, id, err)
 		}

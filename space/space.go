@@ -10,8 +10,8 @@
 //	out  → Out (with the expiry instant of the operation's lease)
 //	rdp  → Rdp
 //	inp  → Inp
-//	rd   → Rdp, then Wait(p, false) until a match or lease expiry
-//	in   → Inp, then Wait(p, true) until a match or lease expiry
+//	rd   → Park(p, Read, sink) until a match or lease expiry
+//	in   → Park(p, Take, sink) likewise; the sink accepts the hold at once
 //	eval → executed by the instance; the result tuple enters via Out
 //
 // Hold supports Tiamat's distributed take protocol (§3.1.3): a remote in
@@ -20,14 +20,15 @@
 // the two destructive operations therefore map differently:
 //
 //	inp served for a peer → Hold
-//	in  served for a peer → Hold, then Park(p, true, sink) until a match,
+//	in  served for a peer → Hold, then Park(p, Claim, sink) until a match,
 //	                        lease expiry or the peer's cancel
-//	rd  served for a peer → Rdp, then Park(p, false, sink) likewise
+//	rd  served for a peer → Rdp, then Park(p, Read, sink) likewise
 //
-// Park is the blocking form of Hold that blocks nobody: the Out that
-// produces the match calls the sink, on its own goroutine, with the tuple
-// already held. N peers blocked in in on one template cost one call per
-// tuple and no parked goroutine (DESIGN.md §6).
+// Park is the one blocking registration, and it blocks nobody: the Out
+// that produces the match calls the sink, on its own goroutine, with the
+// tuple already held when the registration takes. N peers blocked in in
+// on one template cost one call per tuple and no parked goroutine
+// (DESIGN.md §6).
 package space
 
 import (
@@ -40,7 +41,7 @@ import (
 // concurrent use.
 type Space interface {
 	// Out stores the tuple until expiry (the zero time means no expiry)
-	// and returns its storage id. Matching waiters are satisfied first.
+	// and returns its storage id. Matching registrations are served first.
 	Out(t tuple.Tuple, expiry time.Time) (uint64, error)
 
 	// Rdp returns a copy of a nondeterministically chosen matching tuple.
@@ -49,42 +50,31 @@ type Space interface {
 	// Inp removes and returns a nondeterministically chosen matching tuple.
 	Inp(p tuple.Template) (tuple.Tuple, bool)
 
-	// Wait blocks (via the returned Waiter) until a tuple matching p is
-	// available. If a match is already present it is delivered
-	// immediately; otherwise interest is registered for the next
-	// matching Out. If remove is true the tuple is removed upon delivery
-	// (in semantics); otherwise a copy is delivered (rd semantics). The
-	// check-then-register step is atomic, so rd/in built on Wait cannot
-	// miss a concurrent Out. The caller must either receive from
-	// Waiter.Chan or call Waiter.Cancel.
-	Wait(p tuple.Template, remove bool) Waiter
-
 	// Hold removes a matching tuple tentatively. Accept finalises the
 	// removal; Release reinstates the tuple (used when another responder
 	// won the distributed take).
 	Hold(p tuple.Template) (Hold, bool)
 
-	// Park is Wait with the match delivered by a call instead of a
-	// channel: the space calls sink.Deliver exactly once — unless the
-	// registration is cancelled first or the space closes — holding none
-	// of its locks, on the goroutine of the Out that produced the match
-	// and before that Out returns, or inside Park itself when a match is
-	// already present. The sink may therefore call back into the space.
+	// Park registers interest in a tuple matching p. The space calls
+	// sink.Deliver exactly once — unless the registration is cancelled
+	// first or the space closes — holding none of its locks, on the
+	// goroutine of the Out that produced the match and before that Out
+	// returns, or inside Park itself when a match is already present. The
+	// sink may therefore call back into the space. The check-then-register
+	// step is atomic, so rd/in built on Park cannot miss a concurrent Out.
 	//
-	// With take false the sink gets a copy (rd served for a peer). With
-	// take true it gets a tentative removal (in served for a peer): a
-	// resident match is held at once, otherwise the next matching Out is
-	// handed to the oldest parked taker as a Hold with the entry's id and
-	// expiry intact. That Out still returns the tuple's non-zero id — the
-	// tuple was stored and is tentatively removed, exactly as if Hold had
-	// run right behind the Out — where an Out consumed by a Wait(p, true)
-	// returns 0 because nothing was ever stored. Parked takers rank
-	// behind every other registration: each parked reader, channel or
-	// call, still gets its copy, and a parked Wait(p, true) — a local in,
-	// whose removal is final — takes the tuple ahead of any of them, whose
-	// removal is only tentative. The check-then-register step is atomic,
-	// as for Wait.
-	Park(p tuple.Template, take bool, sink Sink) Parked
+	// A Read gets a copy. A Take or a Claim gets a tentative removal: a
+	// resident match is held at once, otherwise a matching Out hands the
+	// tuple over as a Hold with the entry's id and expiry intact, and that
+	// Out still returns the tuple's id — the tuple was stored and is
+	// tentatively removed, exactly as if Hold had run right behind the
+	// Out. An Out gives every matching Read and Take its due in
+	// registration order until a Take has the tuple; only an Out that no
+	// Take took hands it to the oldest matching Claim. A Take — a local in,
+	// whose holder accepts at once — thus outranks every Claim, whose
+	// removal stays tentative for a round trip. An Out calls its readers'
+	// sinks before its taker's.
+	Park(p tuple.Template, kind Kind, sink Sink) Parked
 
 	// Remove deletes the tuple with the given storage id, reporting
 	// whether it was present. Used for lease revocation.
@@ -92,11 +82,11 @@ type Space interface {
 
 	// OnRemove sets the removal report: f is called once with the
 	// storage id of every final removal — a take, an accepted hold,
-	// Remove, the expiry reclaim, consumption by a waiting taker. The
-	// instance ends a tuple's out lease here (paper §2.5). f may run
-	// inside the space's own critical section (persist holds its log
-	// lock for reading across an accept), so it must not call back into
-	// the space. Set it before the space is shared.
+	// Remove, the expiry reclaim. The instance ends a tuple's out lease
+	// here (paper §2.5). f may run inside the space's own critical
+	// section (persist holds its log lock for reading across an accept),
+	// so it must not call back into the space. Set it before the space is
+	// shared.
 	OnRemove(f func(id uint64))
 
 	// Count returns the number of live tuples.
@@ -108,7 +98,8 @@ type Space interface {
 	// Snapshot returns copies of all live tuples (diagnostics, INFO).
 	Snapshot() []tuple.Tuple
 
-	// Close releases the space; pending waiters are cancelled.
+	// Close releases the space; parked registrations are cancelled and
+	// no sink is called.
 	Close() error
 }
 
@@ -143,23 +134,27 @@ type NonBlocking interface {
 	NeverBlocks() bool
 }
 
-// Waiter is a registered blocking interest in a template match.
-type Waiter interface {
-	// Chan delivers exactly one matching tuple, then is closed. The
-	// channel is closed without a value if the waiter is cancelled or
-	// the space closes.
-	Chan() <-chan tuple.Tuple
-	// Cancel withdraws the interest and reports whether that prevented
-	// the delivery, as Parked.Cancel does: false means a tuple was already
-	// committed to this waiter and remains delivered on Chan.
-	Cancel() bool
-}
+// Kind is what a Park registration is owed.
+type Kind uint8
+
+// Registration kinds.
+const (
+	// Read is owed a copy (rd, local or served for a peer).
+	Read Kind = iota
+	// Take is owed a removal its holder makes final at once (a local in).
+	Take
+	// Claim is owed a removal that stays tentative until the distributed
+	// take settles it (in served for a peer).
+	Claim
+)
 
 // Sink receives the one delivery of a Park registration.
 type Sink interface {
-	// Deliver hands over the match t. For a take registration h is the
+	// Deliver hands over the match t. For a Take or a Claim h is the
 	// tentative removal of t, which the sink must settle with Accept or
-	// Release; for a copy registration h is nil.
+	// Release; for a Read h is nil. A durable space that cannot log a
+	// Take's removal withdraws the Take instead, as Inp reports no match:
+	// h is nil, t is the zero tuple, and the match is back in the space.
 	Deliver(t tuple.Tuple, h Hold)
 }
 

@@ -36,9 +36,32 @@ type Catch struct {
 func (c *Catch) Deliver(t tuple.Tuple, h space.Hold) { c.C <- Delivery{t, h} }
 
 // Park parks a Catch on s.
-func Park(s space.Space, p tuple.Template, take bool) *Catch {
+func Park(s space.Space, p tuple.Template, kind space.Kind) *Catch {
 	c := &Catch{C: make(chan Delivery, 4)}
-	c.Parked = s.Park(p, take, c)
+	c.Parked = s.Park(p, kind, c)
+	return c
+}
+
+// Chan is a Park registration settled the way a node settles its own rd
+// and in: a hold is accepted at once, and the tuple lands on C, buffered
+// as Catch's is.
+type Chan struct {
+	space.Parked
+	C chan tuple.Tuple
+}
+
+// Deliver implements space.Sink.
+func (c *Chan) Deliver(t tuple.Tuple, h space.Hold) {
+	if h != nil {
+		h.Accept()
+	}
+	c.C <- t
+}
+
+// Wait parks a Chan on s: kind Read for an rd, Take for an in.
+func Wait(s space.Space, p tuple.Template, kind space.Kind) *Chan {
+	c := &Chan{C: make(chan tuple.Tuple, 4)}
+	c.Parked = s.Park(p, kind, c)
 	return c
 }
 
@@ -107,12 +130,13 @@ func Parking(t *testing.T, open func(t *testing.T) space.Space) {
 	}{
 		{"one out wakes the oldest of eight", oldestOfEight},
 		{"a parked in outranks parked takers", inOutranksTakers},
+		{"a take is served in age order among readers", takeAmongReaders},
 		{"a release goes to the next taker", releaseFeedsNext},
 		{"a resident match is held at once", immediateHit},
 		{"cancel before the out leaves the tuple", cancelThenOut},
 		{"a committed hold survives cancel", cancelAfterCommit},
 		{"formal-lead templates take the same path", formalLead},
-		{"out returns an id for a hold, none for an in", outIDs},
+		{"every out returns an id", outIDs},
 		{"close ends parked takers", closeEnds},
 		{"the sink runs inside the out and may call back", sinkReenters},
 		{"readers are served before the taker", readersFirst},
@@ -127,27 +151,22 @@ func Parking(t *testing.T, open func(t *testing.T) space.Space) {
 	}
 }
 
-// copyOf waits for a reader's copy of want.
-func copyOf(t *testing.T, w space.Waiter, want tuple.Tuple, what string) {
+// copyOf takes a reader's delivery: a copy of want, under no hold.
+func copyOf(t *testing.T, c *Catch, want tuple.Tuple, what string) {
 	t.Helper()
-	select {
-	case got, ok := <-w.Chan():
-		if !ok || !got.Equal(want) {
-			t.Fatalf("%s got %v %v, want %v", what, got, ok, want)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("%s never got its copy", what)
+	if d := got(t, c, what); d.H != nil || !d.T.Equal(want) {
+		t.Fatalf("%s got %v under hold %v, want a copy of %v", what, d.T, d.H, want)
 	}
 }
 
 func oldestOfEight(t *testing.T, s space.Space) {
 	// Every parked reader is owed a copy, wherever it stands in line.
-	early := s.Wait(jobTmpl(), false)
+	early := Park(s, jobTmpl(), space.Read)
 	ws := make([]*Catch, 8)
 	for k := range ws {
-		ws[k] = Park(s, jobTmpl(), true)
+		ws[k] = Park(s, jobTmpl(), space.Claim)
 	}
-	late := s.Wait(jobTmpl(), false)
+	late := Park(s, jobTmpl(), space.Read)
 	id := out(t, s, job(1))
 	if id == 0 {
 		t.Fatal("Out fed a parked taker and returned id 0")
@@ -187,15 +206,16 @@ func oldestOfEight(t *testing.T, s space.Space) {
 }
 
 func inOutranksTakers(t *testing.T, s space.Space) {
-	// The taker is older, but its removal would only be tentative: the
-	// parked in, whose removal is final, gets the tuple — and since
-	// nothing was stored, the out reports id 0.
-	taker := Park(s, jobTmpl(), true)
-	in := s.Wait(jobTmpl(), true)
-	if id := out(t, s, job(1)); id != 0 {
-		t.Fatalf("Out consumed by a parked in returned id %d, want 0", id)
+	// The claim is older, but its removal would stay tentative for a round
+	// trip: the parked in, whose holder accepts at once, gets the tuple.
+	taker := Park(s, jobTmpl(), space.Claim)
+	in := Park(s, jobTmpl(), space.Take)
+	id := out(t, s, job(1))
+	if h := held(t, in, job(1), "parked in"); h.ID() != id {
+		t.Fatalf("in's hold id %d, Out returned %d", h.ID(), id)
+	} else {
+		h.Accept()
 	}
-	copyOf(t, in, job(1), "parked in")
 	quiet(t, taker, "taker passed over for an in")
 	// With no in left, the next out is the taker's.
 	out(t, s, job(2))
@@ -203,8 +223,35 @@ func inOutranksTakers(t *testing.T, s space.Space) {
 	count(t, s, 0, "at the end")
 }
 
+// takeAmongReaders: a Take stands in line with the readers — those parked
+// before it get their copies, called first; the tuple is then the Take's,
+// and a reader parked after it waits for the next out.
+func takeAmongReaders(t *testing.T, s space.Space) {
+	var order []string
+	note := func(who string) space.Sink {
+		return SinkFunc(func(tp tuple.Tuple, h space.Hold) {
+			order = append(order, who) // same goroutine as the Out
+			if h != nil {
+				h.Accept()
+			}
+		})
+	}
+	s.Park(jobTmpl(), space.Read, note("older reader"))
+	s.Park(jobTmpl(), space.Take, note("in"))
+	younger := Park(s, jobTmpl(), space.Read)
+	out(t, s, job(1))
+	if len(order) != 2 || order[0] != "older reader" || order[1] != "in" {
+		t.Fatalf("called %v, want the older reader and then the in", order)
+	}
+	quiet(t, younger, "reader parked behind the in")
+	count(t, s, 0, "after the in accepted")
+	out(t, s, job(2))
+	copyOf(t, younger, job(2), "reader parked behind the in, next out")
+	count(t, s, 1, "at the end")
+}
+
 func releaseFeedsNext(t *testing.T, s space.Space) {
-	first, second := Park(s, jobTmpl(), true), Park(s, jobTmpl(), true)
+	first, second := Park(s, jobTmpl(), space.Claim), Park(s, jobTmpl(), space.Claim)
 	out(t, s, job(1))
 	h := held(t, first, job(1), "first taker")
 	quiet(t, second, "second taker")
@@ -231,7 +278,7 @@ func releaseFeedsNext(t *testing.T, s space.Space) {
 
 func immediateHit(t *testing.T, s space.Space) {
 	id := out(t, s, job(1))
-	w := Park(s, jobTmpl(), true)
+	w := Park(s, jobTmpl(), space.Claim)
 	h := held(t, w, job(1), "taker of a resident tuple, inside Park")
 	if h.ID() != id {
 		t.Fatalf("hold id %d, Out returned %d", h.ID(), id)
@@ -246,17 +293,14 @@ func immediateHit(t *testing.T, s space.Space) {
 		t.Fatal("released tuple not readable")
 	}
 	// A resident match for a reader is a copy: the tuple stays.
-	r := Park(s, jobTmpl(), false)
-	if d := got(t, r, "reader of a resident tuple, inside Park"); d.H != nil || !d.T.Equal(job(1)) {
-		t.Fatalf("reader got %v under hold %v", d.T, d.H)
-	}
+	copyOf(t, Park(s, jobTmpl(), space.Read), job(1), "reader of a resident tuple, inside Park")
 	count(t, s, 1, "after a copy")
-	held(t, Park(s, jobTmpl(), true), job(1), "second taker").Accept()
+	held(t, Park(s, jobTmpl(), space.Take), job(1), "in of a resident tuple, inside Park").Accept()
 	count(t, s, 0, "after accept")
 }
 
 func cancelThenOut(t *testing.T, s space.Space) {
-	w := Park(s, jobTmpl(), true)
+	w := Park(s, jobTmpl(), space.Claim)
 	// True means never: the sink is not called, now or later.
 	if !w.Cancel() || !w.Cancel() {
 		t.Fatal("Cancel() of a parked taker = false")
@@ -269,7 +313,7 @@ func cancelThenOut(t *testing.T, s space.Space) {
 }
 
 func cancelAfterCommit(t *testing.T, s space.Space) {
-	w := Park(s, jobTmpl(), true)
+	w := Park(s, jobTmpl(), space.Claim)
 	out(t, s, job(1))
 	// The out has committed the tuple to w; a cancel that lands now must
 	// not lose it, and must say so. This is the cancel edge of a served
@@ -285,7 +329,7 @@ func cancelAfterCommit(t *testing.T, s space.Space) {
 }
 
 func formalLead(t *testing.T, s space.Space) {
-	first, second := Park(s, anyTmpl(), true), Park(s, anyTmpl(), true)
+	first, second := Park(s, anyTmpl(), space.Claim), Park(s, anyTmpl(), space.Claim)
 	id := out(t, s, job(1))
 	if id == 0 {
 		t.Fatal("Out fed a formal-lead taker and returned id 0")
@@ -304,40 +348,45 @@ func formalLead(t *testing.T, s space.Space) {
 	// Untagged tuples live apart from tagged ones; the scan finds them.
 	pair := tuple.T(tuple.Int(3), tuple.Int(4))
 	out(t, s, pair)
-	h = held(t, Park(s, anyTmpl(), true), pair, "formal-lead taker of a resident tuple")
+	h = held(t, Park(s, anyTmpl(), space.Claim), pair, "formal-lead taker of a resident tuple")
 	count(t, s, 0, "resident tuple under hold")
 	h.Release()
 	count(t, s, 1, "after release")
 }
 
 func outIDs(t *testing.T, s space.Space) {
-	in := s.Wait(jobTmpl(), true)
-	if id := out(t, s, job(1)); id != 0 {
-		t.Fatalf("Out consumed by an in-waiter returned id %d, want 0", id)
+	// Whoever is handed the tuple, it was stored first: the id is the
+	// entry's, and while the hold stands Remove finds nothing, as after a
+	// Hold.
+	for _, kind := range []space.Kind{space.Take, space.Claim} {
+		w := Park(s, jobTmpl(), kind)
+		id := out(t, s, job(1))
+		if id == 0 {
+			t.Fatalf("kind %d: Out handed to a parked registration returned id 0", kind)
+		}
+		h := held(t, w, job(1), "parked registration")
+		if h.ID() != id {
+			t.Fatalf("kind %d: hold id %d, Out returned %d", kind, h.ID(), id)
+		}
+		if s.Remove(id) {
+			t.Fatalf("kind %d: Remove found an entry that is under a hold", kind)
+		}
+		h.Accept()
 	}
-	copyOf(t, in, job(1), "in-waiter")
-	w := Park(s, jobTmpl(), true)
-	id := out(t, s, job(2))
-	if id == 0 {
-		t.Fatal("Out handed to a parked taker returned id 0")
+	if id := out(t, s, job(2)); id == 0 {
+		t.Fatal("Out with nobody parked returned id 0")
 	}
-	h := held(t, w, job(2), "taker")
-	// The id is the entry's: while the hold stands Remove finds nothing,
-	// as after a Hold.
-	if s.Remove(id) {
-		t.Fatal("Remove found an entry that is under a hold")
-	}
-	h.Accept()
 }
 
 func closeEnds(t *testing.T, s space.Space) {
-	w, g, r := Park(s, jobTmpl(), true), Park(s, anyTmpl(), true), Park(s, jobTmpl(), false)
+	w, g, r := Park(s, jobTmpl(), space.Claim), Park(s, anyTmpl(), space.Claim), Park(s, jobTmpl(), space.Read)
+	in := Park(s, jobTmpl(), space.Take)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	late := Park(s, jobTmpl(), true)
+	late := Park(s, jobTmpl(), space.Take)
 	// Close calls no sink, so every Cancel can still promise "never".
-	for _, c := range []*Catch{w, g, r, late} {
+	for _, c := range []*Catch{w, g, r, in, late} {
 		quiet(t, c, "registration on a closed space")
 		if !c.Cancel() {
 			t.Fatal("Cancel() = false on a closed space, where no sink was called")
@@ -352,7 +401,7 @@ func closeEnds(t *testing.T, s space.Space) {
 // rotates the log.
 func sinkReenters(t *testing.T, s space.Space) {
 	ran := false
-	s.Park(jobTmpl(), true, SinkFunc(func(tp tuple.Tuple, h space.Hold) {
+	s.Park(jobTmpl(), space.Claim, SinkFunc(func(tp tuple.Tuple, h space.Hold) {
 		ran = true // unsynchronised on purpose: same goroutine, or -race says so
 		count(t, s, 0, "inside the sink, tuple under hold")
 		notes := tuple.Tmpl(tuple.String("note"), tuple.FormalInt())
@@ -380,12 +429,12 @@ func sinkReenters(t *testing.T, s space.Space) {
 	// Release that feeds the next taker.
 	ran = false
 	var first space.Hold
-	s.Park(jobTmpl(), true, SinkFunc(func(tp tuple.Tuple, h space.Hold) { ran, first = true, h }))
+	s.Park(jobTmpl(), space.Claim, SinkFunc(func(tp tuple.Tuple, h space.Hold) { ran, first = true, h }))
 	if !ran {
 		t.Fatal("Park returned before the sink had run on a resident match")
 	}
 	ran = false
-	s.Park(jobTmpl(), true, SinkFunc(func(tp tuple.Tuple, h space.Hold) {
+	s.Park(jobTmpl(), space.Take, SinkFunc(func(tp tuple.Tuple, h space.Hold) {
 		ran = true
 		h.Accept()
 		count(t, s, 1, "inside the sink a release called")
@@ -397,9 +446,9 @@ func sinkReenters(t *testing.T, s space.Space) {
 	count(t, s, 1, "at the end")
 }
 
-// readersFirst: one Out serves every parked reader, channel or call, and
-// one taker — the readers first, so a copy is never of a tuple whose
-// holder has already been told it is theirs.
+// readersFirst: one Out serves every parked reader and one claim — the
+// readers first, so a copy is never of a tuple whose holder has already
+// been told it is theirs.
 func readersFirst(t *testing.T, s space.Space) {
 	var mu sync.Mutex
 	var order []string
@@ -413,10 +462,10 @@ func readersFirst(t *testing.T, s space.Space) {
 			}
 		})
 	}
-	s.Park(jobTmpl(), true, note("taker"))
-	s.Park(jobTmpl(), false, note("reader"))
-	s.Park(anyTmpl(), false, note("formal-lead reader"))
-	younger := Park(s, jobTmpl(), true)
+	s.Park(jobTmpl(), space.Claim, note("taker"))
+	s.Park(jobTmpl(), space.Read, note("reader"))
+	s.Park(anyTmpl(), space.Read, note("formal-lead reader"))
+	younger := Park(s, jobTmpl(), space.Claim)
 	if id := out(t, s, job(1)); id == 0 {
 		t.Fatal("Out fed a parked taker and returned id 0")
 	}

@@ -105,22 +105,22 @@ gray_exp  = C4
 # replica: ring placement/rebalance, write-through replication of every
 # placement, remote outs included (and the out that races its own node's
 # Close, replicated or not), failover takes with their
-# supersede proof, sibling invalidation and fencing (sent to a rejoining
-# origin on its join), copies withheld from a baseline taker's hold and
-# placed again when it is released, anti-entropy repair and adoption, and
-# the C5 kill soak.
-replica_run  = TestRing|WriteThrough|RemoteOutReplicates|OutRacingClose|ReplicaServes|FailoverTake|FailoverRefused|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|JoinCancelsFenced|BaselineTakerOriginDies|WithheldHold|Ledger|C5
+# supersede proof (served to a requester that never announced), sibling
+# invalidation and fencing (sent to a rejoining origin on its join, and by
+# a taker whose origin died before its accept), anti-entropy repair and
+# adoption, and the C5 kill soak.
+replica_run  = TestRing|WriteThrough|RemoteOutReplicates|OutRacingClose|ReplicaServes|FailoverTake|FailoverRefused|FailoverServed|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|JoinCancelsFenced|TakerOriginDies|Ledger|C5
 replica_pkgs = ./routing/ ./internal/core/ ./wire/ ./internal/harness/
 replica_exp  = C5
 # upgrade: golden wire fixtures (byte-stability, round-trip, truncation,
-# the versioned-field table), capability learning and gating, the
-# write-through refusal regression, a baseline taker's hold on a
-# replicated tuple (no copy servable until it settles, the C6 duplicate),
-# the decode-only coalesced ack (an
-# older peer's frame settles here; both transports emit one ack per
-# frame), the frame pipe's two ends over real sockets (buffered reads,
-# allocation-free sends, session reaping), and the C6 mixed-version soak.
-upgrade_run  = Golden|Caps|Gated|Baseline|AcrossVersions|WriteThroughRefusal|SilentBackup|BaselineTakerOriginDies|WithheldHold|CoalescedAck|FramePipe|ReadFrames|SendAllocates|SessionsReaped|Ledger|C6
+# the rejected coalesced-ack frames), the wire floor (announces carry
+# caps, a below-floor announce lists nobody, every frame goes out whole
+# toward a peer that never announced), the write-through refusal
+# regression, a taker whose origin dies before its accept (the old C6
+# duplicate), the frame pipe's two ends over real sockets (buffered
+# reads, allocation-free sends, session reaping, one ack per frame), and
+# the C6 rolling-restart soak.
+upgrade_run  = Golden|Caps|Floor|Unannounced|SharedMessage|WriteThroughRefusal|SilentBackup|TakerOriginDies|FramePipe|ReadFrames|SendAllocates|SessionsReaped|Ledger|C6
 upgrade_pkgs = ./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./transport/netudp/ ./internal/harness/
 upgrade_exp  = C6
 # farm: the master/worker serve path — parked registrations in all three
@@ -167,7 +167,7 @@ loc:
 # fuzz smoke-tests the two wire-format decoders for a few seconds each:
 # enough to catch a decoder regression in CI without turning the gate
 # into a fuzzing campaign. The seed corpora cover the optional trailing
-# Busy/Budget fields, so the mixed-version truncated layout stays pinned.
+# Busy/Budget fields, so their truncated layouts stay pinned.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./wire/

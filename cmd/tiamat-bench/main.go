@@ -102,7 +102,7 @@ func run() int {
 		{"C3", "partition/mobility churn soak", harness.C3Mobility},
 		{"C4", "gray-failure soak: limp mode, hedged lookups", harness.C4Gray},
 		{"C5", "replica availability soak: node kills, failover takes, anti-entropy repair", harness.C5Replica},
-		{"C6", "mixed-version soak: capability gating, rolling upgrade, upgrade-then-kill", harness.C6Upgrade},
+		{"C6", "rolling-restart soak: every node killed and restarted in turn, R=2", harness.C6RollingRestart},
 		{"AB1", "ablation: contact fanout", harness.AB1ContactFanout},
 	}
 

@@ -10,16 +10,11 @@
 //	        [-fsync always|interval|never] [-stall-threshold 250ms]
 //	        [-stats 10s] [-pda]
 //	        [-max-peer-waits n] [-shed-watermark 0.75]
-//	        [-replicas 1] [-caps-mask 0x0]
+//	        [-replicas 1]
 //
-// -caps-mask withholds capability bits (a hex or decimal bitmask of
-// wire.Cap* values) from both the node's announcements and its own
-// behaviour, making it act as an older build during rolling-upgrade
-// canary or rollback testing (DESIGN.md §14). The drain path prints a
-// one-line capability summary: the local capability set, how many peer
-// capability sets were learned, how many frames were stripped or
-// withheld toward pre-capability peers, and how many cached responders
-// still run a baseline build.
+// The drain path prints a one-line capability summary: the local
+// capability set (the wire floor) and how many announces from peers
+// below it were not listed (DESIGN.md §14).
 //
 // -max-peer-waits and -shed-watermark tune the overload governor
 // (DESIGN.md §9): the per-peer bound on served blocking waits and the
@@ -55,7 +50,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -83,18 +77,10 @@ func main() {
 	maxPeerWaits := flag.Int("max-peer-waits", 0, "bound on blocking remote waits served per peer (0 = library default)")
 	shedWatermark := flag.Float64("shed-watermark", 0, "pressure (0..1] at which admission starts shedding (0 = library default)")
 	replicas := flag.Int("replicas", 1, "replica-set size R for leased replication (1 = off)")
-	capsMask := flag.String("caps-mask", "", "capability bits to withhold (hex or decimal bitmask of wire.Cap* values), simulating an older build for canary/rollback testing")
 	flag.Parse()
 
 	if *shedWatermark < 0 || *shedWatermark > 1 {
 		log.Fatalf("-shed-watermark %g out of range (0..1]", *shedWatermark)
-	}
-	var mask uint64
-	if *capsMask != "" {
-		var err error
-		if mask, err = strconv.ParseUint(*capsMask, 0, 64); err != nil {
-			log.Fatalf("-caps-mask %q: %v", *capsMask, err)
-		}
 	}
 
 	var staticPeers []string
@@ -120,7 +106,6 @@ func main() {
 		Persistent:          *persistent,
 		ContinuousDiscovery: true,
 		Replicas:            *replicas,
-		CapsMask:            mask,
 		Governor: tiamat.GovernorConfig{
 			MaxPeerWaits:  *maxPeerWaits,
 			ShedWatermark: *shedWatermark,
@@ -211,9 +196,7 @@ func main() {
 			fmt.Printf("deadlines fired: contact-timeouts=%d accept-retransmits=%d hold-grace-expired=%d suspicions=%d io-timeouts=%d\n",
 				met.Get(trace.CtrContactTimeouts), met.Get(trace.CtrAcceptRetransmits), met.Get(trace.CtrHoldGraceExpired),
 				met.Get(trace.CtrSuspicions), met.Get(trace.CtrIOTimeouts))
-			c := inst.CapsSummary()
-			fmt.Printf("caps: local=%s learned=%d gated-sends=%d baseline-peers=%d\n",
-				wire.CapsString(c.Local), c.Learned, c.GatedSends, c.BaselinePeers)
+			fmt.Printf("caps: local=%#x below-floor=%d\n", wire.CapsCurrent, met.Get(trace.CtrBelowFloor))
 			if *replicas > 1 {
 				rp := inst.Replication()
 				fmt.Printf("repl: writes=%d failover-takes=%d repairs=%d fenced-holds=%d stale-reads=%d outs=%d copies=%d under-replicated=%d\n",

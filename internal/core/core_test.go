@@ -76,12 +76,9 @@ func openSpace(t *testing.T, c *Config, kind string) space.Space {
 	return nil
 }
 
-// seedCaps marks peer as a fully capable build at every instance,
-// standing in for the announce exchange the rig's raw test endpoints
-// never perform — without it the instances gate every versioned field
-// (busy markers, replica identities) toward the peer,
-// which is exactly the conservative default the capability tests cover
-// separately.
+// seedCaps lists peer at every instance as an announcer at the wire
+// floor, standing in for the announce exchange the rig's raw test
+// endpoints never perform.
 func (r *rig) seedCaps(peer wire.Addr) {
 	for _, inst := range r.inst {
 		inst.list.ObserveAnnounce(peer, wire.CapsCurrent, false)

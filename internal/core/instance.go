@@ -141,28 +141,17 @@ type Config struct {
 	// DisableHedge turns off hedged blocking lookups (DESIGN.md §11): a
 	// blocking rd/in then contacts responders ContactFanout at a time and
 	// only advances down the list when a contact exhausts its retries.
-	// Kept for the C4 gray-failure ablation and mixed-version runs; with
-	// it set a single slow first contact stalls the whole walk.
+	// Kept for the C4 gray-failure ablation; with it set a single slow
+	// first contact stalls the whole walk.
 	DisableHedge bool
 	// Replicas is the replica-set size R for leased replication
 	// (DESIGN.md §13): every Out, eval result and remote out is written
 	// through to the R-1 ring-placed backups (a remote one's is sent, not
 	// awaited), reads may be served from any live replica, and destructive
 	// takes fail over down the holder chain when the primary is provably
-	// dead. The default 1 disables replication entirely and keeps every
-	// frame byte-identical to the pre-replication protocol.
+	// dead. The default 1 disables replication entirely, and no frame then
+	// carries a replica field.
 	Replicas int
-	// CapsMask clears capability bits (wire.Cap*) from both this
-	// instance's advertised set and its locally produced wire features:
-	// a masked bit is never announced, and the optional fields it covers
-	// are never emitted — the node is byte-compatible with the build
-	// that predates the feature. Masking wire.CapReplicaIdentity also
-	// disables the replication machinery regardless of Replicas, since a
-	// node that may not emit replica frames cannot hold up its end of
-	// the protocol. Used for canarying rolling upgrades (tiamatd
-	// -caps-mask) and by the C6 mixed-version soak to simulate old
-	// binaries. Zero masks nothing (DESIGN.md §14).
-	CapsMask uint64
 	// RoutePolicy selects OutBack behaviour (default RouteLocal).
 	RoutePolicy RoutePolicy
 	// Persistent marks this space as persistent in announcements and in
@@ -258,11 +247,6 @@ type Instance struct {
 	local space.Space
 	list  *discovery.ResponderList
 
-	// caps is this instance's capability set: wire.CapsCurrent minus
-	// Config.CapsMask. Immutable after New; the per-destination feature
-	// gate is caps ∩ the peer's advertised set (linkCaps).
-	caps uint64
-
 	// deadlines times every deadline of this instance off one clock timer
 	// (clock.Queue): hold grace, accept retransmission, each walk's
 	// contact-timeout, hedge and rediscovery tick, the replica write-through
@@ -340,12 +324,6 @@ type Instance struct {
 	suspect map[wire.Addr]time.Time
 	orphans sweep // the orphan sweep's entry on deadlines (mobility.go)
 
-	// capsProbes rate-limits capability probes: when a frame arrives
-	// from a peer whose capability set is still unknown, we unicast one
-	// TDiscover (its announce reply carries the peer's caps — or lacks
-	// them, marking it baseline) instead of guessing. Guarded by mu.
-	capsProbes map[wire.Addr]time.Time
-
 	// draining is set by Shutdown before any teardown happens: API entry
 	// points and new remote work are refused while in-flight state
 	// settles. It is atomic (not under mu) so the dispatch fast path can
@@ -393,13 +371,12 @@ func New(cfg Config) (*Instance, error) {
 	// cfg.Metrics when one was given.
 	met := trace.NewNode(cfg.Metrics)
 	i := &Instance{
-		cfg:  cfg,
-		tm:   deriveTimers(cfg.ContactTimeout, cfg.RetryAttempts),
-		ep:   cfg.Endpoint,
-		clk:  cfg.Clock,
-		met:  met,
-		caps: wire.CapsCurrent &^ cfg.CapsMask,
-		mgr:  lease.NewManager(cfg.Leases, cfg.Clock),
+		cfg: cfg,
+		tm:  deriveTimers(cfg.ContactTimeout, cfg.RetryAttempts),
+		ep:  cfg.Endpoint,
+		clk: cfg.Clock,
+		met: met,
+		mgr: lease.NewManager(cfg.Leases, cfg.Clock),
 		list: discovery.NewResponderList(responderListMax, met,
 			discovery.WithClock(cfg.Clock)),
 		deadlines:    clock.NewQueue(cfg.Clock),
@@ -413,7 +390,6 @@ func New(cfg Config) (*Instance, error) {
 		removedEarly: make(map[uint64]struct{}),
 		evals:        make(map[string]EvalFunc),
 		suspect:      make(map[wire.Addr]time.Time),
-		capsProbes:   make(map[wire.Addr]time.Time),
 		stopped:      make(chan struct{}),
 	}
 	i.opStates.New = func() any { return newOpState(i) }
@@ -457,7 +433,7 @@ func New(cfg Config) (*Instance, error) {
 	i.gov = newGovernor(i, cfg.Governor)
 	i.orphans = sweep{i: i, every: i.tm.orphanSweep, pass: i.sweepOrphans}
 	i.orphans.next()
-	if cfg.Replicas >= 2 && i.caps&wire.CapReplicaIdentity != 0 {
+	if cfg.Replicas >= 2 {
 		i.repl = newReplicator(i)
 		i.repl.repair.next()
 	}
@@ -469,17 +445,12 @@ func New(cfg Config) (*Instance, error) {
 	// mistakes it for a reply, and it tells every peer that hears it to
 	// forget this address's earlier life (forgetLife). Best-effort: a
 	// node that boots in isolation is found by ordinary discovery later.
-	// The hello always carries this build's capability set (when any):
-	// peers must learn it before any gated feature can activate toward
-	// us, and a pre-capability listener rejecting the extended frame costs
-	// exactly one bounded decode failure per boot — it learns us through
-	// its own discover probe and our gated unicast reply instead. So it
-	// goes out before the receive loop starts: a frame handled first puts
-	// its sender on the responder list, and one sender of unknown build
-	// empties the capability set a multicast may carry.
+	// Like every announce it carries this build's capability set, without
+	// which no peer lists it. It goes out before the receive loop starts,
+	// and so before this life's first op.
 	hello := &wire.Message{Type: wire.TAnnounce, ID: helloID, From: i.Addr(), Persistent: cfg.Persistent}
 	i.stampAnnounce(hello)
-	_, _ = i.multicast(hello)
+	_, _ = i.ep.Multicast(hello)
 	i.wg.Add(1)
 	go i.loop()
 	if i.gov.queue != nil { // a space that may block is served off the loop
@@ -491,49 +462,22 @@ func New(cfg Config) (*Instance, error) {
 	return i, nil
 }
 
-// Caps returns this instance's capability set (wire.CapsCurrent minus
-// the configured mask).
-func (i *Instance) Caps() uint64 { return i.caps }
-
-// BaselinePeers reports how many cached responders are known to run a
-// pre-capability build, for the drain summary and canary monitoring.
-func (i *Instance) BaselinePeers() int { return i.list.BaselinePeers() }
-
-// PeerCaps reports the capability set learned for peer and whether its
-// build is known at all — false means we are still probing and every
-// versioned feature is conservatively off toward it.
-func (i *Instance) PeerCaps(peer wire.Addr) (uint64, bool) {
-	caps, st := i.list.CapsKnowledge(peer)
-	return caps, st != discovery.CapsUnknown
-}
-
-// CapsReport snapshots the capability-negotiation machinery (DESIGN.md
-// §14) for the drain summary and canary monitoring during a rolling
-// upgrade.
-type CapsReport struct {
-	Local         uint64 // this node's advertised capability set
-	Learned       int64  // announces that taught us a peer's capability set
-	GatedSends    int64  // frames stripped or withheld toward baseline peers
-	BaselinePeers int    // cached responders known to run pre-capability builds
-}
-
-// CapsSummary reports how capability negotiation went this run.
-func (i *Instance) CapsSummary() CapsReport {
-	return CapsReport{
-		Local:         i.caps,
-		Learned:       i.met.Get(trace.CtrCapsLearned),
-		GatedSends:    i.met.Get(trace.CtrCapsGatedSends),
-		BaselinePeers: i.list.BaselinePeers(),
+// PeerCaps reports whether peer is on the responder list and, if so, the
+// capability set every listed peer has: wire.CapsCurrent, the wire floor
+// (DESIGN.md §14). It stays for the frozen benchmark module, which waits
+// on it for its peers to be listed.
+func (i *Instance) PeerCaps(peer wire.Addr) (caps uint64, listed bool) {
+	if !i.list.Contains(peer) {
+		return 0, false
 	}
+	return wire.CapsCurrent, true
 }
 
-// stampAnnounce fills the capability-bearing optional fields of an
-// outbound announce from local state: the advertised capability set and
-// the degraded self-report, both subject to the configured mask. send
-// still drops them toward a peer known to run a pre-capability build.
+// stampAnnounce fills the optional fields of an outbound announce from
+// local state: this build's capability set and the degraded self-report.
 func (i *Instance) stampAnnounce(m *wire.Message) {
-	m.Caps = i.caps
-	m.Degraded = i.Degraded() && i.caps&wire.CapDegraded != 0
+	m.Caps = wire.CapsCurrent
+	m.Degraded = i.Degraded()
 }
 
 // Addr returns the instance's contact address.
@@ -548,8 +492,8 @@ func (i *Instance) LocalSpace() space.Space { return i.local }
 
 // Metrics returns the node's own registry: what this instance counted,
 // and nothing another instance did, whether or not Config.Metrics is
-// shared. Governor, Mobility, Gray, Replication and CapsSummary read their
-// counter fields from it.
+// shared. Governor, Mobility, Gray and Replication read their counter
+// fields from it.
 func (i *Instance) Metrics() *trace.Metrics { return i.met }
 
 // counted reads one of the node's event counters for a report field.
@@ -649,21 +593,10 @@ func (i *Instance) retiredLocked() {
 	}
 }
 
-// sendGoodbye announces this node's departure. TGoodbye is a versioned
-// frame — pre-goodbye decoders reject the unknown type — so the multicast
-// is refused unless every cached responder advertises the capability;
-// it then goes unicast to the capable members, and the others fall back
-// to the pre-goodbye behaviour of discovering the departure one failed
-// contact at a time. A node masked below CapGoodbye sends nothing, like
-// the build it simulates.
+// sendGoodbye multicasts this node's departure.
 func (i *Instance) sendGoodbye() {
 	i.met.Inc(trace.CtrGoodbyes)
-	bye := &wire.Message{Type: wire.TGoodbye, ID: i.nextOp(), From: i.Addr()}
-	if _, err := i.multicast(bye); errors.Is(err, errCapsGated) {
-		for _, a := range i.list.Members() {
-			_ = i.send(a, bye)
-		}
-	}
+	_, _ = i.ep.Multicast(&wire.Message{Type: wire.TGoodbye, ID: i.nextOp(), From: i.Addr()})
 }
 
 // Close stops the instance: the event loop exits, all leases are
@@ -720,107 +653,17 @@ func (i *Instance) LastPanic() string {
 	return s
 }
 
-// errCapsGated reports a frame withheld because its audience has not
-// advertised a capability the frame's encoding requires and the field
-// cannot be dropped without changing the frame's meaning.
-var errCapsGated = errors.New("tiamat: destination lacks required capability")
-
 // send transmits a message to one peer, evicting unreachable responders
 // from the list (paper §3.1.3: "removing any which do not respond"). The
-// frame is encoded for its audience (DESIGN.md §14): when it carries
-// versioned fields the peer has not advertised, the transport is handed
-// wire.Restrict's copy instead — advisory fields dropped — or nothing at
-// all when a semantic field is in the way (errCapsGated; the replica ring
-// keeps such frames away from incapable peers in the first place). m is
-// never written, so callers may share it across retries, destinations
-// and goroutines.
+// frame goes out whole: every listed peer is at the wire floor (DESIGN.md
+// §14). m is never written, so callers may share it across retries,
+// destinations and goroutines.
 func (i *Instance) send(to wire.Addr, m *wire.Message) error {
-	if wire.FeaturesOf(m) != 0 {
-		var err error
-		if m, err = i.restrict(m, i.linkCaps(to, m)); err != nil {
-			return err
-		}
-	}
 	err := i.ep.Send(to, m)
 	if errors.Is(err, transport.ErrUnreachable) {
 		i.list.Evict(to)
 	}
 	return err
-}
-
-// multicast transmits a message to every listener in range, encoded for
-// the capabilities every cached responder shares — listeners the list
-// does not know are assumed no older than the ones it does.
-func (i *Instance) multicast(m *wire.Message) (int, error) {
-	if wire.FeaturesOf(m) != 0 {
-		var err error
-		if m, err = i.restrict(m, i.caps&i.list.CommonCaps()); err != nil {
-			return 0, err
-		}
-	}
-	return i.ep.Multicast(m)
-}
-
-// linkCaps returns the capability set m may exercise toward to: the
-// intersection of this instance's capabilities and what the peer has
-// advertised — nothing, for unknown and known-baseline peers. Announces
-// are the one exception: toward anyone not known to run a pre-capability
-// build they carry everything this build emits, as an optimistic probe.
-// A new peer learns us immediately; an old one rejects the frame
-// (bounded: its own caps-less announce marks it baseline here, and
-// probing stops) and still learns us through its discover probes, which
-// we answer in baseline form.
-func (i *Instance) linkCaps(to wire.Addr, m *wire.Message) uint64 {
-	peer, st := i.list.CapsKnowledge(to)
-	if m.Type == wire.TAnnounce && st != discovery.CapsBaseline {
-		return i.caps
-	}
-	return i.caps & peer
-}
-
-// restrict returns the form of m an audience advertising allowed can
-// decode: m itself when it already fits, else a restricted copy.
-func (i *Instance) restrict(m *wire.Message, allowed uint64) (*wire.Message, error) {
-	if wire.Fits(m, allowed) {
-		return m, nil
-	}
-	i.met.Inc(trace.CtrCapsGatedSends)
-	r, ok := wire.Restrict(m, allowed)
-	if !ok {
-		return nil, errCapsGated
-	}
-	return &r, nil
-}
-
-// capsProbeInterval bounds how often a still-unknown peer is re-probed;
-// one delivered probe settles the question, the interval only covers
-// frame loss.
-const capsProbeInterval = time.Second
-
-// maybeProbeCaps fires a unicast discovery probe toward a peer we are
-// hearing from but whose capability set is still unknown. The peer's
-// handleDiscover answers with an announce: a capability-bearing one
-// teaches us its full set, a bare one proves a pre-capability build
-// (handleAnnounce marks it baseline). Without the probe, capability
-// knowledge flows one way — discoverers learn responders from announce
-// replies, but a responder serving a never-announcing requester would
-// gate advisory features (busy replies, budgets, …) toward it forever.
-func (i *Instance) maybeProbeCaps(from wire.Addr) {
-	if from == i.Addr() || i.stopping() {
-		return
-	}
-	if _, st := i.list.CapsKnowledge(from); st != discovery.CapsUnknown {
-		return
-	}
-	now := i.clk.Now()
-	i.mu.Lock()
-	if last, ok := i.capsProbes[from]; ok && now.Sub(last) < capsProbeInterval {
-		i.mu.Unlock()
-		return
-	}
-	i.capsProbes[from] = now
-	i.mu.Unlock()
-	_ = i.send(from, &wire.Message{Type: wire.TDiscover, ID: i.nextOp(), From: i.Addr()})
 }
 
 func (i *Instance) nextOp() uint64 {

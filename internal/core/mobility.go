@@ -117,11 +117,9 @@ func (i *Instance) sweepOrphans() {
 			continue
 		}
 		i.met.Inc(trace.CtrOrphanProbes)
-		// The probe is a plain unsolicited announce: peers of any version
-		// already treat it as useful knowledge (handleAnnounce), so mixed
-		// clusters need no new frame type. It carries our caps like every
-		// announce (send gates them per destination) so a capable peer
-		// never mistakes the probe for a baseline-build downgrade.
+		// The probe is a plain unsolicited announce, which peers already
+		// treat as useful knowledge (handleAnnounce). It carries our caps
+		// like every announce, without which it would list nobody.
 		probe := &wire.Message{Type: wire.TAnnounce, From: i.Addr(), Persistent: i.cfg.Persistent}
 		i.stampAnnounce(probe)
 		err := i.send(a, probe)

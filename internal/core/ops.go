@@ -241,8 +241,7 @@ type contactState struct {
 // Context deadlines are wall-clock, so the remaining budget is measured
 // with time.Until regardless of the instance clock. Budget stays zero
 // ("same as TTL") when the context is unbounded or looser than the TTL,
-// keeping the frame byte-identical to the pre-Budget encoding — the
-// mixed-version fallback (see wire.Message.Budget).
+// and the field is then not encoded (see wire.Message.Budget).
 func stampBudget(ctx context.Context, m *wire.Message) {
 	m.Budget = 0
 	bd, ok := ctx.Deadline()
@@ -949,7 +948,7 @@ func (st *opState) multicast() {
 		plain.Failover = false
 		mc = &plain
 	}
-	n, err := i.multicast(mc)
+	n, err := i.ep.Multicast(mc)
 	if err == nil {
 		if n < 0 {
 			st.unknownAudience = true
@@ -1095,7 +1094,7 @@ func (i *Instance) cancelRemotes(opID uint64, contacted map[wire.Addr]*contactSt
 		}
 	}
 	if multicasted {
-		_, _ = i.multicast(cancel)
+		_, _ = i.ep.Multicast(cancel)
 	}
 }
 
@@ -1144,20 +1143,7 @@ func (i *Instance) handleResult(m *wire.Message) {
 		}
 	}
 	if m.Type == wire.TAck {
-		// A pure ack may settle a pending accept directly. This build
-		// sends one ack per frame, but a peer on an older build may
-		// coalesce (wire.Message AckIDs): each covered ID is handled as
-		// if it had arrived as its own ack frame — settling its pending
-		// accept if one is registered, otherwise waking the operation
-		// waiting on it.
-		if len(m.AckIDs) > 0 {
-			i.met.Add(trace.CtrAcksCoalesced, int64(len(m.AckIDs)))
-		}
-		for _, id := range m.AckIDs {
-			if id != m.ID && !i.finishAccept(id) && !i.replFinishAck(id, m) {
-				i.deliverResult(id, m)
-			}
-		}
+		// A pure ack may settle a pending accept directly.
 		if i.finishAccept(m.ID) {
 			return
 		}
@@ -1209,7 +1195,7 @@ func (i *Instance) Spaces(ctx context.Context) ([]SpaceInfo, error) {
 	}()
 
 	out := []SpaceInfo{{Addr: i.Addr(), Persistent: i.cfg.Persistent}}
-	n, err := i.multicast(&wire.Message{Type: wire.TDiscover, ID: id, From: i.Addr()})
+	n, err := i.ep.Multicast(&wire.Message{Type: wire.TDiscover, ID: id, From: i.Addr()})
 	if err != nil || n == 0 {
 		return out, err
 	}

@@ -50,12 +50,9 @@ import (
 //     that hold copies for a dead origin adopt them — re-replicating to
 //     the surviving ring holders so availability survives sequential
 //     losses.
-//   - a take by a requester that cannot carry the replica identity (a
-//     pre-replication build) cannot invalidate the copies itself, so the
-//     origin withholds them while the hold is out (replWithhold).
 //
-// R=1 (the default) constructs none of this and keeps every frame
-// byte-identical to the pre-replication protocol.
+// R=1 (the default) constructs none of this and sets no replica field on
+// any frame.
 
 // maxReplCopies bounds the replica store. Replication is soft state: an
 // overflowing store refuses further copies (the origin keeps them
@@ -132,29 +129,25 @@ type replicator struct {
 	// nonzero, and derivable from a space.Hold with no side lookup — so a
 	// take served in the window before replWriteThrough registers its
 	// record still stamps the correct identity onto the reply.
-	mu     sync.Mutex
-	outs   map[uint64]*replOut // own replicated outs, by seq (== space id)
-	copies map[replKey]*replCopy
-	fences map[replKey]time.Time // refused identities → fence expiry
-	pend   map[uint64]pendRepl   // replicate ack ID → flight info
-	// withheld lists own outs out on a hold to a requester that cannot
-	// carry their identity (replWithhold): none is replicated meanwhile.
-	withheld map[uint64]bool
-	ring     *routing.Ring
-	ringRev  uint64
-	repair   sweep // the anti-entropy sweep (repairSweep)
+	mu      sync.Mutex
+	outs    map[uint64]*replOut // own replicated outs, by seq (== space id)
+	copies  map[replKey]*replCopy
+	fences  map[replKey]time.Time // refused identities → fence expiry
+	pend    map[uint64]pendRepl   // replicate ack ID → flight info
+	ring    *routing.Ring
+	ringRev uint64
+	repair  sweep // the anti-entropy sweep (repairSweep)
 }
 
 func newReplicator(i *Instance) *replicator {
 	return &replicator{
-		i:        i,
-		n:        i.cfg.Replicas,
-		outs:     make(map[uint64]*replOut),
-		copies:   make(map[replKey]*replCopy),
-		fences:   make(map[replKey]time.Time),
-		pend:     make(map[uint64]pendRepl),
-		withheld: make(map[uint64]bool),
-		repair:   sweep{i: i, every: i.tm.repair, pass: i.repairSweep},
+		i:      i,
+		n:      i.cfg.Replicas,
+		outs:   make(map[uint64]*replOut),
+		copies: make(map[replKey]*replCopy),
+		fences: make(map[replKey]time.Time),
+		pend:   make(map[uint64]pendRepl),
+		repair: sweep{i: i, every: i.tm.repair, pass: i.repairSweep},
 	}
 }
 
@@ -249,14 +242,8 @@ func replTemplateKey(p tuple.Template) (string, int, bool) {
 
 // ringNow returns the placement ring for the current membership,
 // rebuilding it when the responder list's revision moved. Membership is
-// everyone the list knows that advertises the replica-identity
-// capability — including suspected and demoted peers, who still hold
-// their replicas — plus this instance. Peers that never announced the
-// capability (pre-replication builds, masked canaries, unknowns) are
-// excluded from placement outright: a write-through toward one would be
-// rejected as an undecodable frame, silently stranding the copy
-// (DESIGN.md §14). The list revision moves on capability transitions
-// too, so an upgraded peer enters placement within one announce round.
+// everyone the list knows — including suspected and demoted peers, who
+// still hold their replicas — plus this instance.
 func (r *replicator) ringNow() *routing.Ring {
 	rev := r.i.list.Revision()
 	r.mu.Lock()
@@ -266,14 +253,7 @@ func (r *replicator) ringNow() *routing.Ring {
 		return ring
 	}
 	r.mu.Unlock()
-	all := r.i.list.Members()
-	members := make([]wire.Addr, 0, len(all)+1)
-	for _, a := range all {
-		if r.i.list.Caps(a)&wire.CapReplicaIdentity != 0 {
-			members = append(members, a)
-		}
-	}
-	members = append(members, r.i.Addr())
+	members := append(r.i.list.Members(), r.i.Addr())
 	relays := make(map[wire.Addr]bool)
 	r.i.mu.Lock()
 	for _, a := range r.i.relays {
@@ -365,8 +345,8 @@ func (r *replicator) appendHolders(queue []wire.Addr, tag string, arity int) []w
 // effort exactly as §2.5 bounds everything else.
 //
 // The tuple is tracked first. An out written while isolated still gets a
-// record, so the sweep replicates it once peers appear; one on a withheld
-// hold gets none. The tuple may already have been taken since the store
+// record, so the sweep replicates it once peers appear. The tuple may
+// already have been taken since the store
 // write (a waiting local taker), and copies of it would be stranded: the
 // removal report deletes the out-lease record first and the replication
 // record after, so re-checking the lease record here closes the window —
@@ -382,15 +362,12 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease,
 		lastSend: make(map[wire.Addr]time.Time),
 	}
 	r.mu.Lock()
-	held := r.withheld[sid]
-	if !held {
-		r.outs[sid] = ro
-	}
+	r.outs[sid] = ro
 	r.mu.Unlock()
 	i.mu.Lock()
 	_, live := i.outBySid[sid]
 	i.mu.Unlock()
-	if !held && !live {
+	if !live {
 		r.mu.Lock()
 		delete(r.outs, sid)
 		r.mu.Unlock()
@@ -403,7 +380,7 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease,
 			err = ErrClosed
 		}
 	}()
-	if !live || held {
+	if !live {
 		return nil
 	}
 	targets := r.backupsForLocked(r.ringNow(), ro.tag, ro.arity)
@@ -419,10 +396,6 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease,
 		}
 		ackID := i.nextOp()
 		r.mu.Lock()
-		if r.withheld[sid] {
-			r.mu.Unlock()
-			break // handed to a requester that cannot carry the identity
-		}
 		r.pend[ackID] = pendRepl{seq: ro.seq, to: a, at: now}
 		ro.lastSend[a] = now
 		r.mu.Unlock()
@@ -462,12 +435,9 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease,
 
 // Expire implements clock.Entry: the write-through wait ran out. Only the
 // wait is best-effort, not the write: a target silent through the whole
-// window — a crashed peer, a lost frame, or a pre-replication decoder that
-// rejected the frame without ever acking — is a *failed* write-through,
+// window — a crashed peer or a lost frame — is a *failed* write-through,
 // counted here so the silence is observable instead of reading as
-// success. The out stands and the sweeper keeps re-placing the copy; the
-// ring's capability filter keeps undecodable targets out of placement in
-// the first place (DESIGN.md §14).
+// success. The out stands and the sweeper keeps re-placing the copy.
 func (ro *replOut) Expire() {
 	r := ro.r
 	r.mu.Lock()
@@ -570,64 +540,6 @@ func (i *Instance) replOnLocalRemoval(sid uint64) {
 	}
 }
 
-// replWithhold is the origin's half of a take by a requester that cannot
-// carry the replica identity (answerFound strips it toward a pre-replication
-// build): that requester cannot invalidate the copies on accept, and this
-// node may die before the accept lands. So any copy placed is invalidated
-// now, fencing the identity at every holder, and none is placed until the
-// hold settles. It returns the hold to register in h's place.
-func (i *Instance) replWithhold(h space.Hold) space.Hold {
-	r := i.repl
-	r.mu.Lock()
-	r.withheld[h.ID()] = true
-	r.mu.Unlock()
-	i.replOnLocalRemoval(h.ID())
-	return withheldHold{h, i}
-}
-
-// withheldHold is a hold whose copies replWithhold kept back. Released, its
-// tuple is placed afresh (reout) — a fenced identity can never be placed
-// again — and the placement writes copies through under the new one.
-type withheldHold struct {
-	space.Hold
-	i *Instance
-}
-
-func (h withheldHold) Accept() {
-	h.Hold.Accept()
-	h.i.repl.unwithhold(h.ID())
-}
-
-func (h withheldHold) Release() {
-	h.i.repl.unwithhold(h.ID())
-	h.i.reout(h.Hold)
-}
-
-func (r *replicator) unwithhold(sid uint64) {
-	r.mu.Lock()
-	delete(r.withheld, sid)
-	r.mu.Unlock()
-}
-
-// reout settles a released hold as an accept plus a fresh placement of its
-// tuple under what is left of the same out-lease, replicated under its new
-// id. With no lease record there is nothing to move: the Out that stored
-// the tuple has yet to make it — no copy was placed then, and the Out
-// replicates as usual — or the lease has ended and takes the tuple.
-func (i *Instance) reout(h space.Hold) {
-	i.mu.Lock()
-	lse := i.outBySid[h.ID()]
-	delete(i.outBySid, h.ID())
-	i.mu.Unlock()
-	if lse == nil {
-		h.Release()
-		return
-	}
-	t := h.Tuple()
-	h.Accept() // the removal report finds no lease record to end
-	_ = i.place(t, lse, false)
-}
-
 // --- taker side: sibling invalidation on accept -------------------------
 
 // replInvalidateSiblings runs after this instance accepted a take of a
@@ -679,11 +591,8 @@ func (i *Instance) replInvalidateSiblings(m *wire.Message) {
 	// have spread them further. Views diverge around exactly the failures
 	// that trigger failover, so finish with a multicast: every visible
 	// holder drops and fences the identity, and nodes that never held it
-	// fence pre-emptively against late repair sends. On a mixed cluster
-	// multicast refuses the frame — a pre-replication decoder rejects a
-	// replicated cancel as garbage — and the ring-derived unicasts above
-	// (which reach only capable peers) carry the whole load there.
-	_, _ = i.multicast(inval)
+	// fence pre-emptively against late repair sends.
+	_, _ = i.ep.Multicast(inval)
 }
 
 // --- holder side: copies, reads, failover takes, fences -----------------
@@ -988,9 +897,8 @@ func (i *Instance) replPeerDead(a wire.Addr) bool {
 	if i.list.Suspected(a) {
 		return true
 	}
-	// The probe is an announce like any other: it must carry our caps
-	// (send drops them toward baseline peers) or a capable peer would read
-	// the bare frame as evidence we downgraded to a baseline build.
+	// The probe is an announce like any other: without our caps the
+	// peer would read it as below the wire floor.
 	probe := &wire.Message{Type: wire.TAnnounce, From: i.Addr(), Persistent: i.cfg.Persistent}
 	i.stampAnnounce(probe)
 	err := i.send(a, probe)
@@ -1027,9 +935,8 @@ func (i *Instance) replOnJoin(addr wire.Addr, first bool) {
 	}
 }
 
-// repairSweep is the anti-entropy sweep's pass, every r.repair.every (and
-// at once when a withheld hold is released). A leave shifts replica ranks,
-// which the next pass re-places. One pass:
+// repairSweep is the anti-entropy sweep's pass, every r.repair.every. A
+// leave shifts replica ranks, which the next pass re-places. One pass:
 //
 //  1. prune expired copies, fences, outs, and abandoned ack flights;
 //  2. re-send unacked write-throughs for own outs toward the current

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -44,8 +43,7 @@ func replRig(t *testing.T, mutate func(*Config), addrs ...wire.Addr) *rig {
 	// Boot announces fire before the rig connects visibility, so seed the
 	// responder lists directly — deterministic membership means
 	// deterministic ring placement. Seeding goes through ObserveAnnounce
-	// with the full capability set: the ring only places copies on peers
-	// that advertised the replica protocol (DESIGN.md §14).
+	// at the wire floor, as a real announce would.
 	for _, a := range addrs {
 		for _, b := range addrs {
 			if a != b {
@@ -543,9 +541,8 @@ func TestWriteThroughRefusalCountsAsFailed(t *testing.T) {
 }
 
 // TestWriteThroughSilentBackupCountsUnacked pins the other failure
-// shape: a backup that never acks at all — a crashed peer, or a
-// pre-replication decoder that rejected the frame with ErrFrame and
-// said nothing. When the write-through window closes, the silent target
+// shape: a backup that never acks at all — a crashed peer, or a lost
+// frame. When the write-through window closes, the silent target
 // must be counted as a failed write, not read as success.
 func TestWriteThroughSilentBackupCountsUnacked(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a"}, func(c *Config) {
@@ -633,35 +630,6 @@ func TestJoinCancelsFencedIdentities(t *testing.T) {
 	})
 }
 
-// baselineRig is three replicating nodes, a, b and c, that know one another
-// as capable, and x, a pre-capability build with a decoder to match, known
-// to all of them as such. mutate, when given, configures x.
-func baselineRig(t *testing.T, mutate func(*Config)) *rig {
-	t.Helper()
-	capable := []wire.Addr{"a", "b", "c"}
-	r := newRig(t, append(capable, "x"), func(c *Config) {
-		c.Replicas = 2
-		if c.Endpoint.Addr() == "x" {
-			c.CapsMask = wire.CapsCurrent
-			if mutate != nil {
-				mutate(c)
-			}
-		}
-	})
-	r.net.SetDecodeCaps("x", 0)
-	r.net.ConnectAll()
-	for _, p := range capable {
-		for _, q := range capable {
-			if p != q {
-				r.inst[p].list.ObserveAnnounce(q, wire.CapsCurrent, false)
-			}
-		}
-		r.inst[p].list.ObserveAnnounce("x", 0, false)
-		r.inst["x"].list.ObserveAnnounce(p, 0, false)
-	}
-	return r
-}
-
 // noSecondTake asserts that no survivor of r can take a token matching p,
 // from its space or a replica copy, locally or by failover — before and
 // after the failover grace.
@@ -677,15 +645,19 @@ func noSecondTake(t *testing.T, r *rig, p tuple.Template, survivors ...wire.Addr
 	}
 }
 
-// TestBaselineTakerOriginDiesBeforeAccept is the C6 duplicate. A baseline
-// requester's blocking take, parked at a replicating origin, is handed a
-// fresh out as a hold, and the origin dies after its found reply and
-// before the accept lands. The requester keeps the token. The reply could
-// not carry the replica identity to it, so it could not invalidate the
-// copies: no second take of the token may succeed anywhere.
-func TestBaselineTakerOriginDiesBeforeAccept(t *testing.T) {
+// TestTakerOriginDiesBeforeAccept is the shape of the old C6 duplicate.
+// x's blocking take, parked at a replicating origin, is handed a fresh out
+// as a hold, and the origin dies after its found reply and before the
+// accept lands. x keeps the token, and the reply's replica identity lets
+// it invalidate the copies itself: no second take of the token may
+// succeed anywhere.
+func TestTakerOriginDiesBeforeAccept(t *testing.T) {
 	gate, reached, open := stop()
-	r := baselineRig(t, func(c *Config) { c.Endpoint = typeGate{c.Endpoint, wire.TAccept, gate} })
+	r := replRig(t, func(c *Config) {
+		if c.Endpoint.Addr() == "x" {
+			c.Endpoint = typeGate{c.Endpoint, wire.TAccept, gate}
+		}
+	}, "a", "b", "c", "x")
 	a, x := r.inst["a"], r.inst["x"]
 	got := make(chan Result, 1)
 	go func() {
@@ -705,90 +677,12 @@ func TestBaselineTakerOriginDiesBeforeAccept(t *testing.T) {
 	noSecondTake(t, r, reqTmpl(), "b", "c", "x")
 }
 
-// TestWithheldHoldReleasedIsReplicatedAgain: a hold withheld from its
-// copies — a baseline requester's take — that is released goes back
-// replicated, so the origin's death afterwards still loses nothing. With
-// copies placed before the take, their identity is burned (the backup
-// fenced it) and the tuple is stored afresh under a new one; with none
-// placed yet, it comes back as the entry it was.
-func TestWithheldHoldReleasedIsReplicatedAgain(t *testing.T) {
-	for _, placed := range []bool{true, false} {
-		t.Run(fmt.Sprintf("copies placed %v", placed), func(t *testing.T) {
-			r := replRig(t, nil, "a", "b")
-			a, b := r.inst["a"], r.inst["b"]
-			x, err := r.net.Attach("x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.net.SetVisible("a", "x", true) // and only a: x answers nobody
-			op := wire.OpIn                  // parked before the out, so none is placed
-			if placed {
-				op = wire.OpInp
-				if err := a.Out(req(1), outLease()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := x.Send("a", &wire.Message{
-				Type: wire.TOp, ID: 1, From: "x", Op: op, Template: reqTmpl(), TTL: time.Hour,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if !placed {
-				eventually(t, "x's take parked at a", func() bool { return waitCount(a) == 1 })
-				if err := a.Out(req(1), outLease()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var hold *wire.Message
-			for hold == nil {
-				select {
-				case m := <-x.Recv():
-					if m.Type == wire.TResult && m.Found {
-						hold = m
-					}
-				case <-time.After(2 * time.Second):
-					t.Fatal("x was never handed the token")
-				}
-			}
-			if hold.ReplSeq != 0 {
-				t.Fatal("the found reply carried the identity to a baseline requester")
-			}
-			eventually(t, "no copy servable while the hold is out", func() bool {
-				return b.ReplicaCopies(reqTmpl()) == 0
-			})
-			if err := x.Send("a", &wire.Message{Type: wire.TRelease, ID: 1, From: "x", HoldID: hold.HoldID}); err != nil {
-				t.Fatal(err)
-			}
-			// The release's own placement writes the copy through. The rig's
-			// clock has stood still since a started, so the repair sweep,
-			// which would place it too, first runs a period after epoch:
-			// the copy must be there before then.
-			sweep := epoch.Add(a.repl.repair.every)
-			eventually(t, "the released token replicated again", func() bool {
-				if !r.clk.Now().Before(sweep) {
-					t.Fatal("no copy before the repair sweep: the release did not write the token through")
-				}
-				r.clk.Advance(time.Millisecond)
-				return b.ReplicaCopies(reqTmpl()) == 1
-			})
-			a.Close()
-			if _, ok, _ := b.Inp(context.Background(), reqTmpl(), outLease()); ok {
-				t.Fatal("take won before the failover grace elapsed")
-			}
-			r.clk.Advance(300 * time.Millisecond)
-			if res, ok, err := b.Inp(context.Background(), reqTmpl(), outLease()); err != nil || !ok || !res.Tuple.Equal(req(1)) {
-				t.Fatalf("the token did not survive its origin: %+v %v %v", res, ok, err)
-			}
-		})
-	}
-}
-
-// TestFailoverRefusedToRequesterNotKnownCapable: a copy holder serves a
-// failover take only to a requester it knows carries the replica
-// identity. The found reply's identity is what lets the requester
-// invalidate the other copies, and toward a peer not known to carry it the
-// identity is stripped.
-func TestFailoverRefusedToRequesterNotKnownCapable(t *testing.T) {
+// TestFailoverServedToUnannouncedRequester: a copy holder serves a
+// failover take from a requester that has never announced to it. The
+// marker on the op is the requester's word that it decodes the replica
+// identity the found reply carries, which is what lets it invalidate the
+// other copies on accept.
+func TestFailoverServedToUnannouncedRequester(t *testing.T) {
 	r := replRig(t, nil, "a", "b")
 	a, b := r.inst["a"], r.inst["b"]
 	if err := a.Out(req(1), outLease()); err != nil {
@@ -805,23 +699,26 @@ func TestFailoverRefusedToRequesterNotKnownCapable(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.net.SetVisible("b", "x", true)
+	xin := &inbox{ep: x}
 	if err := x.Send("b", &wire.Message{
 		Type: wire.TOp, ID: 1, From: "x", Op: wire.OpInp, Template: reqTmpl(), TTL: time.Minute, Failover: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for answered := false; !answered; {
-		select {
-		case m := <-x.Recv():
-			if answered = m.Type == wire.TResult; m.Found {
-				t.Fatal("a copy was surrendered to a requester not known to carry its identity")
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("b never answered")
-		}
+	eventually(t, "b answered", func() bool { return xin.find(1) != nil })
+	res := xin.find(1)
+	if !res.Found || !res.Tuple.Equal(req(1)) || res.ReplOrigin != "a" || res.ReplSeq == 0 {
+		t.Fatalf("failover take from a requester that never announced: %+v, want the copy with its identity", res)
+	}
+	if err := x.Send("b", &wire.Message{Type: wire.TAccept, ID: 2, From: "x", HoldID: res.HoldID}); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "accept acknowledged", func() bool { return xin.find(2) != nil })
+	if ack := xin.find(2); !ack.OK {
+		t.Fatalf("accept refused: %+v", ack)
 	}
 	r.net.SetVisible("b", "x", false)
-	if _, ok, _ := b.Inp(context.Background(), reqTmpl(), outLease()); !ok {
-		t.Fatal("the copy was not servable by failover at all")
+	if res, ok, _ := b.Inp(context.Background(), reqTmpl(), outLease()); ok {
+		t.Fatalf("b took %v after x had taken it", res.Tuple)
 	}
 }

@@ -318,12 +318,12 @@ func (i *Instance) handleDiscover(m *wire.Message) {
 }
 
 // handleAnnounce routes an announce to the discovery round that asked.
-// Either way the frame's self-reported health and capability set land in
-// the responder list: a peer that flags itself degraded is deprioritized
-// before this node ever times out on it, and a caps-less announce marks
-// the peer known-baseline — every versioned feature stays off toward it
-// until a later announce says otherwise (DESIGN.md §14). A hello also
-// ends what this node keeps for the sender's earlier life (forgetLife).
+// Either way the announcer lands in the responder list with its
+// self-reported health — a peer that flags itself degraded is
+// deprioritized before this node ever times out on it — unless its caps
+// are below the wire floor, which lists nobody (DESIGN.md §14). A hello
+// also ends what this node keeps for the sender's earlier life
+// (forgetLife).
 func (i *Instance) handleAnnounce(m *wire.Message) {
 	if m.ID == helloID {
 		i.forgetLife(m.From)
@@ -332,8 +332,8 @@ func (i *Instance) handleAnnounce(m *wire.Message) {
 	ch, ok := i.announces[m.ID]
 	i.mu.Unlock()
 	// Solicited or not, the announcer is alive; one critical section
-	// records presence + caps + health so the join event a first
-	// announce emits is never processed ahead of the capability state.
+	// records presence and health so the join event a first announce
+	// emits is never processed ahead of the health state.
 	i.replOnJoin(m.From, i.list.ObserveAnnounce(m.From, m.Caps, m.Degraded))
 	if !ok {
 		return
@@ -346,20 +346,14 @@ func (i *Instance) handleAnnounce(m *wire.Message) {
 
 // answerFound sends the request named by key its found reply: t, and for
 // a take the hold on it, registered here under the serve budget ttl, with
-// the replica identity the requester is to invalidate on accept. A
-// requester that cannot carry the identity is sent the reply without it,
-// so an own replicated tuple's copies are withheld while the hold is out
-// (replWithhold). The reply is recorded first, so a duplicate of the
-// request replays it.
+// the replica identity the requester is to invalidate on accept. The
+// reply is recorded first, so a duplicate of the request replays it.
 func (i *Instance) answerFound(key waitKey, ttl time.Duration, t tuple.Tuple, h space.Hold, ro wire.Addr, rs uint64) {
 	reply := &wire.Message{
 		Type: wire.TResult, ID: key.id, From: i.Addr(),
 		Found: true, Tuple: t, ReplOrigin: ro, ReplSeq: rs,
 	}
 	if h != nil {
-		if rs != 0 && ro == i.Addr() && i.list.Caps(key.from)&wire.CapReplicaIdentity == 0 {
-			h = i.replWithhold(h)
-		}
 		reply.HoldID = i.registerHold(h, ttl, key)
 	}
 	i.recordServed(key, reply)
@@ -380,8 +374,8 @@ func serveTerms(ttl time.Duration) lease.Terms {
 // TTL, cut to its propagated remaining budget when that is tighter
 // (deadline propagation, DESIGN.md §9). A responder must never hold a
 // waiter or a tentative removal past the point the requester can still
-// use the answer. Budget==0 (pre-Budget peer, or budget==TTL) means the
-// TTL is the whole story.
+// use the answer. Budget==0 (budget==TTL) means the TTL is the whole
+// story.
 func (i *Instance) effTTL(m *wire.Message) time.Duration {
 	if m.Budget > 0 && m.Budget < m.TTL {
 		i.met.Inc(trace.CtrGovDeadlineCuts)
@@ -436,13 +430,13 @@ func (i *Instance) handleOp(m *wire.Message) {
 			lse.Cancel()
 			return
 		}
-		if m.Failover && i.list.Caps(m.From)&wire.CapReplicaIdentity != 0 {
+		if m.Failover {
 			// Failover take (replica.go): surrender a replica copy through
 			// the ordinary hold protocol, but only if every holder ranked
 			// above this node is provably dead. The reply carries the
 			// copy's identity so the requester invalidates the remaining
-			// holders on accept — which is why a requester not yet known
-			// to carry it is not served from a copy.
+			// holders on accept: a sender that encoded the marker decodes
+			// the identity.
 			if h, k, ok := i.replFailoverHold(m.Template); ok {
 				i.answerFound(key, ttl, h.Tuple(), h, k.origin, k.seq)
 				if rw != nil {
@@ -839,11 +833,6 @@ func (i *Instance) dispatch(m *wire.Message) {
 		case wire.TDiscover:
 			return // do not advertise a space that is leaving
 		}
-	}
-	// Any frame from a peer whose build we don't know yet triggers a
-	// capability probe (announces answer the question themselves).
-	if m.Type != wire.TAnnounce && m.From != "" {
-		i.maybeProbeCaps(m.From)
 	}
 	switch m.Type {
 	case wire.TDiscover:

@@ -46,9 +46,6 @@ var reportCounters = map[string]string{
 	"ReplicationReport.FencedHolds":   trace.CtrReplFencedHolds,
 	"ReplicationReport.StaleReads":    trace.CtrReplStaleReads,
 	"ReplicationReport.WriteRefusals": trace.CtrReplWriteRefused,
-
-	"CapsReport.Learned":    trace.CtrCapsLearned,
-	"CapsReport.GatedSends": trace.CtrCapsGatedSends,
 }
 
 var reportLive = map[string]bool{
@@ -60,15 +57,13 @@ var reportLive = map[string]bool{
 	"ReplicationReport.Copies":          true,
 	"ReplicationReport.Fences":          true,
 	"ReplicationReport.UnderReplicated": true,
-	"CapsReport.Local":                  true,
-	"CapsReport.BaselinePeers":          true,
 }
 
-// countedFields walks i's five reports and calls f with every counted
+// countedFields walks i's four reports and calls f with every counted
 // field's name, value and counter.
 func countedFields(t *testing.T, i *Instance, f func(field string, v int64, ctr string)) {
 	t.Helper()
-	for _, rep := range []any{i.Governor(), i.Mobility(), i.Gray(), i.Replication(), i.CapsSummary()} {
+	for _, rep := range []any{i.Governor(), i.Mobility(), i.Gray(), i.Replication()} {
 		rv := reflect.ValueOf(rep)
 		for k := 0; k < rv.NumField(); k++ {
 			field := rv.Type().Name() + "." + rv.Type().Field(k).Name
@@ -90,9 +85,8 @@ func countedFields(t *testing.T, i *Instance, f func(field string, v int64, ctr 
 }
 
 // TestReportViewsReadTheNodeRegistry: two instances handed one
-// Config.Metrics each count into a registry of their own. Sheds, a gated
-// send, a capability learn, a replica write, a hedge and a re-arm are
-// driven on a alone, by scripted raw peers b never hears of: b's registry
+// Config.Metrics each count into a registry of their own. Sheds, a join,
+// a replica write, a hedge and a re-arm are driven on a alone, by scripted raw peers b never hears of: b's registry
 // and reports stay at zero, every counted report field of a is its
 // counter in a.Metrics(), and the shared registry reads the two nodes'
 // sum.
@@ -137,9 +131,9 @@ func TestReportViewsReadTheNodeRegistry(t *testing.T) {
 	z, y, late := raw("z"), raw("y"), raw("late")
 	raw("w") // a silent responder for the hedge to go to
 
-	// A capability learn and a join: z announces itself as a current build.
+	// A join: z announces itself at the wire floor.
 	send(z, &wire.Message{Type: wire.TAnnounce, Caps: wire.CapsCurrent})
-	eventually(t, "a learned z", func() bool { return a.CapsSummary().Learned == 1 })
+	eventually(t, "a listed z", func() bool { return a.list.Contains("z") })
 
 	// A replica write: z is the ring's one backup for a's out, and never
 	// acks it.
@@ -148,10 +142,8 @@ func TestReportViewsReadTheNodeRegistry(t *testing.T) {
 	}
 
 	// Sheds. Two registered waits are half the wait table, which is the
-	// shed watermark: a probe is refused on pressure — busy, a field a's
-	// send must gate toward y, whose build it does not know — and a third
-	// wait from z is admitted under a clamped grant, then refused on z's
-	// quota.
+	// shed watermark: a probe is refused on pressure, and a third wait
+	// from z is admitted under a clamped grant, then refused on z's quota.
 	send(z, opFrame("z", 1, wire.OpIn, time.Hour))
 	send(z, opFrame("z", 2, wire.OpIn, time.Hour))
 	eventually(t, "two waits registered", func() bool { return waitsLen(a) == 2 })
@@ -204,7 +196,7 @@ func TestReportViewsReadTheNodeRegistry(t *testing.T) {
 	for _, field := range []string{
 		"GovernorReport.ShedProbes", "GovernorReport.QuotaSheds", "GovernorReport.GrantClamps",
 		"MobilityReport.Rearms", "MobilityReport.VisJoins", "GrayReport.Hedges",
-		"ReplicationReport.Writes", "CapsReport.Learned", "CapsReport.GatedSends",
+		"ReplicationReport.Writes",
 	} {
 		if !driven[field] {
 			t.Errorf("a: %s read 0 after its event was driven", field)
@@ -216,9 +208,6 @@ func TestReportViewsReadTheNodeRegistry(t *testing.T) {
 		}
 	})
 	for name, sum := range shared.Snapshot() {
-		if name == trace.CtrCapsBaselinePeers {
-			continue // a gauge: the last Set, not a sum
-		}
 		if own := am.Get(name) + bm.Get(name); sum != own {
 			t.Errorf("shared %s = %d, a + b = %d", name, sum, own)
 		}

@@ -107,30 +107,6 @@ const (
 	shareDecay = 1.0 / 8
 )
 
-// CapsState classifies what the list knows about a peer's wire
-// capabilities (DESIGN.md §14). The distinction between "unknown" and
-// "known baseline" matters on the announce path: toward an unknown peer
-// the instance keeps probing with caps-bearing announces (an old
-// decoder rejects them, boundedly, until its own caps-less announce
-// proves it baseline), while toward a known-baseline peer every frame —
-// announces included — must stay byte-identical to the pre-capability
-// protocol.
-type CapsState uint8
-
-// Capability-knowledge states.
-const (
-	// CapsUnknown: no announce from this peer has settled the question.
-	// Feature gates treat it as baseline (conservative); the announce
-	// path still probes it with caps.
-	CapsUnknown CapsState = iota
-	// CapsBaseline: the peer announced without a caps field — it runs a
-	// pre-capability build. All versioned features stay off toward it.
-	CapsBaseline
-	// CapsAware: the peer announced a capability set; the stored bits
-	// are authoritative until the next announce revises them.
-	CapsAware
-)
-
 // entry is one cached responder plus its health state.
 type entry struct {
 	addr         wire.Addr
@@ -148,9 +124,9 @@ type entry struct {
 	demoteCooldown time.Duration // next demotion length
 	degradedUntil  time.Time     // self-reported degradation TTL
 
-	// Capability state (DESIGN.md §14), learned from announces.
-	caps      uint64
-	capsState CapsState
+	// announced is set by the entry's first announce at or above the wire
+	// floor (ObserveAnnounce).
+	announced bool
 
 	// share is the entry's recent share of found replies (Promote): the
 	// list is ordered by it, highest first, ties in arrival order.
@@ -235,12 +211,6 @@ type ResponderList struct {
 	subs   map[*Subscription]struct{}
 	joins  uint64
 	leaves uint64
-
-	// capsRev counts capability-state transitions. It feeds Revision()
-	// so consumers that derive state from capabilities — the replica
-	// ring excludes peers that never advertised replica-identity —
-	// rebuild within one announce round of a peer upgrading.
-	capsRev uint64
 }
 
 // Option configures a ResponderList.
@@ -360,15 +330,14 @@ func (l *ResponderList) Epoch(addr wire.Addr) uint64 {
 }
 
 // Revision returns a monotonic membership revision: it advances on every
-// join, leave, and capability-state transition. Consumers that derive
-// state from the membership set — the replica placement ring (DESIGN.md
-// §13) rebuilds from Members() filtered by Caps — use it as a cheap
-// change detector, and the Subscription event stream as the push-side
-// signal that replica ranks shifted.
+// join and leave. Consumers that derive state from the membership set —
+// the replica placement ring (DESIGN.md §13) rebuilds from Members() —
+// use it as a cheap change detector, and the Subscription event stream as
+// the push-side signal that replica ranks shifted.
 func (l *ResponderList) Revision() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.joins + l.leaves + l.capsRev
+	return l.joins + l.leaves
 }
 
 // Members returns the current membership in sorted order: every known
@@ -636,125 +605,41 @@ func (l *ResponderList) observeDegradedLocked(e *entry, degraded bool) {
 	e.degradedUntil = now.Add(l.degradedTTL)
 }
 
-// observeCapsLocked records what an announce frame revealed about its
-// sender's capabilities (DESIGN.md §14). caps != 0 marks the peer
-// capability-aware with exactly those bits; caps == 0 means the
-// announce carried no caps field — the peer runs a pre-capability
-// build (or deliberately masks everything), so it is marked known
-// baseline. Every announce re-learns: an upgraded peer's first
-// caps-bearing announce flips it from baseline to aware mid-flight,
-// and a rollback's caps-less announce flips it back. Transitions bump
-// the membership revision so ring-derived state rebuilds promptly.
-// Caller holds l.mu.
-func (l *ResponderList) observeCapsLocked(e *entry, caps uint64) {
-	state := CapsBaseline
-	if caps != 0 {
-		state = CapsAware
-	}
-	if e.capsState == state && e.caps == caps {
-		return
-	}
-	e.capsState = state
-	e.caps = caps
-	l.capsRev++
-	l.met.Inc(trace.CtrCapsLearned)
-	l.met.Set(trace.CtrCapsBaselinePeers, l.baselineCountLocked())
-}
-
-// ObserveAnnounce records an announce from addr — presence, capability
-// set, and degradation self-report — in one critical section. Folding
-// the three observations keeps an important ordering property: the join
-// event a first announce emits is never deliverable before the entry's
-// capability state is set, so a re-armed wait reads the announced
-// capabilities, not a transient unknown. It reports whether this is addr's
+// ObserveAnnounce records an announce from addr — presence and
+// degradation self-report — in one critical section, so the join event a
+// first announce emits is never deliverable before the entry's health is
+// set. An announce whose caps lack a bit of the wire floor
+// (wire.CapsCurrent), a caps-less one included, comes from a build that
+// cannot decode every frame this one sends: it changes nothing and is
+// counted (discovery.below_floor). It reports whether this is addr's
 // first announce since it joined the list — the join itself, or the
 // announce that followed a join by any other frame — which is when a
-// versioned frame toward a rejoined peer can first go out (fence
+// replica cancel toward a rejoined peer can first go out (fence
 // reconciliation in the replicator).
 func (l *ResponderList) ObserveAnnounce(addr wire.Addr, caps uint64, degraded bool) (first bool) {
 	if addr == "" {
+		return false
+	}
+	if caps&wire.CapsCurrent != wire.CapsCurrent {
+		l.met.Inc(trace.CtrBelowFloor)
 		return false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e := l.index[addr]
 	isNew := e == nil
-	first = isNew || e.capsState == CapsUnknown
 	if isNew {
 		e = l.appendLocked(addr)
 	} else {
 		l.restoreLocked(e)
 	}
-	l.observeCapsLocked(e, caps)
+	first = !e.announced
+	e.announced = true
 	l.observeDegradedLocked(e, degraded)
 	if isNew {
 		l.joinLocked(addr)
 	}
 	return first
-}
-
-// CommonCaps returns the capability set every cached responder
-// advertises: the audience of a multicast. One peer that is unknown or
-// known baseline empties it. An empty list yields every bit (a
-// multicast into the void reaches nobody to confuse).
-func (l *ResponderList) CommonCaps() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	common := ^uint64(0)
-	for _, e := range l.addrs {
-		if e.capsState != CapsAware {
-			return 0
-		}
-		common &= e.caps
-	}
-	return common
-}
-
-// Caps returns addr's advertised capability set, or zero when the peer
-// is unknown, known baseline, or has never announced capabilities —
-// the conservative default every feature gate relies on.
-func (l *ResponderList) Caps(addr wire.Addr) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e := l.index[addr]; e != nil && e.capsState == CapsAware {
-		return e.caps
-	}
-	return 0
-}
-
-// CapsKnowledge returns what the list knows about addr's capabilities:
-// the advertised set (zero unless aware) and the knowledge state.
-// Unknown peers are reported CapsUnknown, as are addresses not on the
-// list at all.
-func (l *ResponderList) CapsKnowledge(addr wire.Addr) (uint64, CapsState) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e := l.index[addr]; e != nil {
-		if e.capsState == CapsAware {
-			return e.caps, CapsAware
-		}
-		return 0, e.capsState
-	}
-	return 0, CapsUnknown
-}
-
-// BaselinePeers returns how many cached responders are known to run a
-// pre-capability build (announced without a caps field).
-func (l *ResponderList) BaselinePeers() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return int(l.baselineCountLocked())
-}
-
-// baselineCountLocked counts known-baseline entries. Caller holds l.mu.
-func (l *ResponderList) baselineCountLocked() int64 {
-	var n int64
-	for _, e := range l.addrs {
-		if e.capsState == CapsBaseline {
-			n++
-		}
-	}
-	return n
 }
 
 // Len returns the number of cached responders.
@@ -934,8 +819,7 @@ func (l *ResponderList) Depart(addr wire.Addr) {
 // removeLocked deletes addr from the list, reporting whether it was
 // present. Caller holds l.mu.
 func (l *ResponderList) removeLocked(addr wire.Addr) bool {
-	e := l.index[addr]
-	if e == nil {
+	if l.index[addr] == nil {
 		return false
 	}
 	delete(l.index, addr)
@@ -944,9 +828,6 @@ func (l *ResponderList) removeLocked(addr wire.Addr) bool {
 			l.addrs = append(l.addrs[:i], l.addrs[i+1:]...)
 			break
 		}
-	}
-	if e.capsState == CapsBaseline {
-		l.met.Set(trace.CtrCapsBaselinePeers, l.baselineCountLocked())
 	}
 	return true
 }
@@ -959,7 +840,6 @@ func (l *ResponderList) Clear() {
 	gone := l.allLocked()
 	l.addrs = l.addrs[:0]
 	l.index = make(map[wire.Addr]*entry)
-	l.met.Set(trace.CtrCapsBaselinePeers, 0)
 	for _, a := range gone {
 		l.leaveLocked(a)
 	}

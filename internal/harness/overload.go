@@ -92,12 +92,8 @@ func C2Overload(scale Scale) (*Table, error) {
 	defer c.close()
 	c.net.ConnectAll()
 
-	// One discovery round per instance settles membership and capability
-	// knowledge up front, so the shed == busy-reply equality asserted
-	// below starts from a converged cluster instead of racing the
-	// first-contact capability probes (a frame shed before the probe's
-	// announce lands goes out without the busy marker, exactly as it
-	// would toward a pre-capability peer).
+	// One discovery round per instance settles membership up front, so
+	// the flood starts from a converged cluster.
 	sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
 	for _, inst := range c.inst {
 		_, _ = inst.Spaces(sctx)

@@ -2,14 +2,13 @@ package harness
 
 import "testing"
 
-// TestC6UpgradeSoak runs the C6 mixed-version soak at Quick scale; the
-// acceptance invariants (token conservation and at-most-once takes
-// across the upgrade-then-kill, zero versioned frames on gated paths,
-// capability activation within one announce round of the restart,
-// replication engaging on the upgraded node, no goroutine leaks) are
-// asserted inside C6Upgrade itself and surface here as an error.
-func TestC6UpgradeSoak(t *testing.T) {
-	tab, err := C6Upgrade(Quick)
+// TestC6RollingRestartSoak runs the C6 rolling-restart soak at Quick
+// scale; the acceptance invariants (the take contract across every node's
+// kill and restart, replication engaging before each kill, every
+// restarted node listed again, no goroutine leaks) are asserted inside
+// C6RollingRestart itself and surface here as an error.
+func TestC6RollingRestartSoak(t *testing.T) {
+	tab, err := C6RollingRestart(Quick)
 	if tab != nil {
 		render(t, tab)
 	}

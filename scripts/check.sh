@@ -100,7 +100,7 @@ echo "==> suite patterns name tests"
 make -s suites-nonempty
 
 # Decoder fuzz smoke: a few seconds per target, seeds cover the optional
-# Busy/Budget/Caps trailing fields (mixed-version frame layouts).
+# Busy/Budget/Caps trailing fields (their truncated layouts).
 echo "==> fuzz smoke (wire, tuple)"
 go test -run '^$' -fuzz FuzzDecode -fuzztime "${FUZZTIME:-10s}" ./wire/
 go test -run '^$' -fuzz FuzzDecodeTuple -fuzztime "${FUZZTIME:-10s}" ./tuple/

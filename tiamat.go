@@ -74,13 +74,6 @@ type GrayReport = core.GrayReport
 // Instance.Mobility.
 type MobilityReport = core.MobilityReport
 
-// CapsReport is a snapshot of the capability-negotiation machinery —
-// the local advertised capability set, how many peer capability sets
-// were learned, how many frames were stripped or withheld toward
-// pre-capability peers, and how many cached responders still run a
-// baseline build (DESIGN.md §14) — available via Instance.CapsSummary.
-type CapsReport = core.CapsReport
-
 // SpaceInfo describes a visible space (handle + persistence flag).
 type SpaceInfo = core.SpaceInfo
 

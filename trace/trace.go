@@ -230,11 +230,11 @@ const (
 	CtrIOTimeouts = "net.io_timeouts"
 
 	// Batched wire-path counters (DESIGN.md §12): writes that carried a
-	// multi-frame batch, frames that travelled inside such batches, and
-	// op IDs received inside another ack's frame (TAck.AckIDs) — only a
-	// peer on an older build sends those; this build acks one per frame.
+	// multi-frame batch, and frames that travelled inside such batches.
 	CtrBatchFlushes  = "net.batch_flushes"
 	CtrBatchedFrames = "net.batched_frames"
+	// CtrAcksCoalesced is never counted: no ack covers another's op ID.
+	// The name stays only because the frozen benchmark module reads it.
 	CtrAcksCoalesced = "net.acks_coalesced"
 
 	// CtrChaosLimped counts frames the simulated network delayed because a
@@ -255,27 +255,19 @@ const (
 	// Write-through acks that came back explicitly NOT-OK (the backup
 	// refused the copy) versus targets that never acked before the
 	// write-through window closed. A refusal settles the write
-	// immediately — an old binary that rejects the frame outright sends
-	// nothing and lands in the unacked count instead.
+	// immediately — a crashed backup sends nothing and lands in the
+	// unacked count instead.
 	CtrReplWriteRefused = "repl.write_refused"
 	CtrReplWriteUnacked = "repl.write_unacked"
 
-	// Capability-negotiation counters (DESIGN.md §14): sends where a
-	// versioned field was stripped (or a multicast path suppressed)
-	// because the destination had not advertised the
-	// feature; capability sets learned or re-learned from announces;
-	// and a gauge of known-baseline peers on the responder list.
-	// The last two are the mixed-version soak's activation signals.
-	CtrCapsGatedSends    = "caps.gated_sends"
-	CtrCapsLearned       = "caps.learned"
+	// CtrBelowFloor counts announces whose capability set lacks a bit of
+	// the wire floor (wire.CapsCurrent): their senders are not listed
+	// (DESIGN.md §14).
+	CtrBelowFloor = "discovery.below_floor"
+	// CtrCapsBaselinePeers is never set: no listed peer is below the wire
+	// floor. The name stays only because the frozen benchmark module
+	// reads it.
 	CtrCapsBaselinePeers = "caps.baseline_peers"
-	// Old-decoder simulation counters (memnet only): frames a simulated
-	// baseline decoder rejected. Announce rejections are the bounded,
-	// expected cost of capability probing; any other type rejected is a
-	// per-destination gating violation — the C6 soak asserts it stays
-	// zero.
-	CtrCapsSimAnnounceRejects = "caps.sim_announce_rejects"
-	CtrCapsSimViolations      = "caps.sim_violations"
 
 	// Write-ahead log counters (space/persist durability path).
 	CtrWALAppends       = "wal.appends"

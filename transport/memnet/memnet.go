@@ -106,11 +106,6 @@ type Network struct {
 	edgeFaults map[edge]Faults
 	nodeLimps  map[wire.Addr]limpState
 	edgeLimps  map[edge]limpState
-	// decodeCaps simulates pre-capability decoders: an address present
-	// here rejects any delivered frame whose encoding requires features
-	// outside its value, exactly where a real old binary's fail-closed
-	// Decode would error (see SetDecodeCaps).
-	decodeCaps map[wire.Addr]uint64
 	closed     bool
 }
 
@@ -193,52 +188,6 @@ func New(opts ...Option) *Network {
 
 // Metrics returns the network's metrics registry.
 func (n *Network) Metrics() *trace.Metrics { return n.met }
-
-// SetDecodeCaps makes addr behave like a build whose decoder only
-// understands the given capability set: any delivered frame whose
-// encoding requires features outside caps (wire.Fits) is rejected
-// at the receiving edge and dropped, exactly where a real old binary
-// would fail closed with ErrFrame. Rejected announces count as
-// trace.CtrCapsSimAnnounceRejects — the bounded, expected cost of
-// capability probing; any other rejected type counts as
-// trace.CtrCapsSimViolations, a per-destination gating bug the C6
-// mixed-version soak asserts never happens. Pass wire.CapsCurrent (or
-// call ClearDecodeCaps) to restore the real decoder, as an in-place
-// binary upgrade would.
-func (n *Network) SetDecodeCaps(addr wire.Addr, caps uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.decodeCaps == nil {
-		n.decodeCaps = make(map[wire.Addr]uint64)
-	}
-	n.decodeCaps[addr] = caps
-}
-
-// ClearDecodeCaps removes the simulated decoder limit for addr.
-func (n *Network) ClearDecodeCaps(addr wire.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.decodeCaps, addr)
-}
-
-// simReject applies the simulated old decoder for dst, if one is
-// configured: it reports true (and counts the rejection) when the frame
-// carries features the simulated build cannot parse.
-func (n *Network) simReject(dst wire.Addr, msg *wire.Message) bool {
-	n.mu.Lock()
-	caps, ok := n.decodeCaps[dst]
-	n.mu.Unlock()
-	if !ok || wire.Fits(msg, caps) {
-		return false
-	}
-	if msg.Type == wire.TAnnounce {
-		n.met.Inc(trace.CtrCapsSimAnnounceRejects)
-	} else {
-		n.met.Inc(trace.CtrCapsSimViolations)
-	}
-	n.met.Inc(trace.CtrMsgsDropped)
-	return true
-}
 
 // Attach creates an endpoint with the given address. Attaching an address
 // twice is an error (the first endpoint must Close first).
@@ -766,9 +715,6 @@ func (n *Network) deliver(from wire.Addr, dst *node, data []byte, lat time.Durat
 	if err != nil {
 		n.met.Inc(trace.CtrCorruptFrames)
 		n.met.Inc(trace.CtrMsgsDropped)
-		return
-	}
-	if n.simReject(dst.addr, msg) {
 		return
 	}
 	if lat <= 0 {

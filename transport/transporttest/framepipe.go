@@ -28,9 +28,8 @@ type Pair struct {
 }
 
 // Golden decodes the wire corpus (found relative to a transport package's
-// directory, where `go test` runs it) into the messages this build can
-// produce: every fixture but those carrying AckIDs, which are decode-only
-// (DESIGN.md §12).
+// directory, where `go test` runs it) into the messages this build
+// produces.
 func Golden(t *testing.T) []*wire.Message {
 	raw, err := os.ReadFile("../../wire/testdata/golden.txt")
 	if err != nil {
@@ -50,17 +49,15 @@ func Golden(t *testing.T) []*wire.Message {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(m.AckIDs) == 0 {
-			out = append(out, m)
-		}
+		out = append(out, m)
 	}
 	return out
 }
 
 // FramePipe checks that Send is a plain frame pipe: every message, of
 // every type, leaves as exactly one frame and arrives as sent. A burst of
-// concurrent pure acks to one peer is no exception — none arrives folded
-// into another's AckIDs — nor are eight senders streaming a thousand
+// concurrent pure acks to one peer is no exception — each arrives as its
+// own frame — nor are eight senders streaming a thousand
 // frames each, however the transport batches their writes; and an ack to
 // an unreachable peer fails inside Send, where the communications
 // manager's eviction needs it.
@@ -179,10 +176,10 @@ func FramePipe(t *testing.T, newPair func(t *testing.T) Pair) {
 	}
 
 	for ctr, want := range map[string]int64{
-		trace.CtrMsgsSent: sent, trace.CtrUnicasts: sent, trace.CtrAcksCoalesced: 0,
+		trace.CtrMsgsSent: sent, trace.CtrUnicasts: sent,
 	} {
 		if got := p.Met.Get(ctr); got != want {
-			t.Errorf("%s = %d, want %d: one frame per message, none coalesced", ctr, got, want)
+			t.Errorf("%s = %d, want %d: one frame per message", ctr, got, want)
 		}
 	}
 	// Every frame's bytes are counted once, with its length prefix on a

@@ -8,47 +8,17 @@ import (
 	"testing"
 )
 
-// These tests pin the coalesced-ack encoding (DESIGN.md §12): the AckIDs
-// field is an optional trailer on TAck, so batched senders interoperate
-// with pre-AckIDs decoders the same way every other optional field does —
-// old peers reject the unfamiliar frame as ErrFrame (degraded) rather
-// than misreading it (incorrect), and single acks are byte-identical to
-// what they always were.
+// These tests pin the ack encoding (DESIGN.md §12): acks travel one per
+// frame, and the coalesced-ack ID list an earlier wire generation could
+// append to a TAck is neither encoded nor decoded. A frame that carries
+// one is ErrFrame, like any trailing garbage.
 
-func TestAckIDsRoundtrip(t *testing.T) {
-	cases := []*Message{
-		{Type: TAck, ID: 7, From: "a", OK: true, AckIDs: []uint64{9, 12, 1 << 40}},
-		{Type: TAck, ID: 1, From: "a", OK: true, Busy: true, AckIDs: []uint64{2}},
-		{Type: TAck, ID: 3, From: "a", OK: true, Err: "held", AckIDs: []uint64{4, 5}},
-	}
-	for _, want := range cases {
-		got, err := Decode(Encode(want))
-		if err != nil {
-			t.Fatalf("decode %+v: %v", want, err)
-		}
-		if got.ID != want.ID || got.OK != want.OK || got.Busy != want.Busy ||
-			got.Err != want.Err || len(got.AckIDs) != len(want.AckIDs) {
-			t.Fatalf("roundtrip %+v -> %+v", want, got)
-		}
-		for i := range want.AckIDs {
-			if got.AckIDs[i] != want.AckIDs[i] {
-				t.Fatalf("ack id %d: got %d want %d", i, got.AckIDs[i], want.AckIDs[i])
-			}
-		}
-	}
-}
-
-// TestSingleAckEncodingUnchanged pins the mixed-version contract from
-// both directions: a plain ack (no AckIDs) must not grow any new bytes —
-// its encoding is exactly the old one — and a coalesced ack must be a
-// strict extension of the plain encoding, i.e. the extra information
-// rides as trailing bytes. A pre-AckIDs decoder consumes the old prefix
-// and then fails the whole-buffer check, so coalescing degrades to
-// ErrFrame on old peers instead of silently dropping the extra IDs.
+// TestSingleAckEncodingUnchanged pins the plain ack's bytes, and that
+// Message.AckIDs never reaches the wire.
 func TestSingleAckEncodingUnchanged(t *testing.T) {
 	plain := Encode(&Message{Type: TAck, ID: 7, From: "a", OK: true})
-	// Reconstruct the pre-AckIDs layout by hand: header, id, from, ok,
-	// empty err — and no optional busy byte, because Busy is false.
+	// The layout by hand: header, id, from, ok, empty err — and no
+	// optional busy byte, because Busy is false.
 	var want []byte
 	want = append(want, plain[0], plain[1], plain[2], byte(TAck))
 	want = binary.AppendUvarint(want, 7)
@@ -62,11 +32,8 @@ func TestSingleAckEncodingUnchanged(t *testing.T) {
 	}
 
 	with := Encode(&Message{Type: TAck, ID: 7, From: "a", OK: true, AckIDs: []uint64{8}})
-	if !bytes.HasPrefix(with[:len(with)-4], plain[:len(plain)-4]) {
-		t.Fatalf("coalesced ack is not an extension of the plain encoding:\n plain %x\n with  %x", plain, with)
-	}
-	if len(with) <= len(plain) {
-		t.Fatal("coalesced ack did not grow the frame")
+	if !bytes.Equal(with, plain) {
+		t.Fatalf("AckIDs reached the wire:\n plain %x\n with  %x", plain, with)
 	}
 }
 
@@ -79,7 +46,7 @@ func TestAckIDsZeroCountRejected(t *testing.T) {
 	frame := Encode(&Message{Type: TAck, ID: 7, From: "a", OK: true})
 	body := frame[:len(frame)-4]
 	// Busy byte (false) followed by a zero-length ID list: well-formed
-	// varints, but an empty list carries no information and is reserved.
+	// varints, but an explicit false busy marker is never encoded.
 	crafted := seal(append(append(append([]byte(nil), body...), 0), 0))
 	if _, err := Decode(crafted); !errors.Is(err, ErrFrame) {
 		t.Fatalf("zero-count ack ids: err = %v, want ErrFrame", err)
@@ -87,14 +54,15 @@ func TestAckIDsZeroCountRejected(t *testing.T) {
 }
 
 // TestAckTrailingBytesStillRejected keeps the fail-closed contract alive
-// for whatever optional field comes after AckIDs: bytes beyond the ID
-// list are an error today, so a future extension degrades on this
-// decoder exactly as AckIDs degrades on its predecessors.
+// after the last optional field: bytes beyond the busy marker — an ID
+// list, or whatever a later generation adds there — are an error.
 func TestAckTrailingBytesStillRejected(t *testing.T) {
-	frame := Encode(&Message{Type: TAck, ID: 7, From: "a", OK: true, AckIDs: []uint64{8, 9}})
+	frame := Encode(&Message{Type: TAck, ID: 7, From: "a", OK: true, Busy: true})
 	body := frame[:len(frame)-4]
-	crafted := seal(append(append([]byte(nil), body...), 0))
-	if _, err := Decode(crafted); !errors.Is(err, ErrFrame) {
-		t.Fatalf("trailing byte after ack ids: err = %v, want ErrFrame", err)
+	for _, tail := range [][]byte{{0}, {2, 8, 9}} {
+		crafted := seal(append(append([]byte(nil), body...), tail...))
+		if _, err := Decode(crafted); !errors.Is(err, ErrFrame) {
+			t.Fatalf("trailing %x after the busy marker: err = %v, want ErrFrame", tail, err)
+		}
 	}
 }

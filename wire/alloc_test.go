@@ -36,8 +36,8 @@ func TestAppendEncodeNoAllocs(t *testing.T) {
 // TestDecodeIsOneObject pins the receive path at one object per small
 // frame of a take (op, result, accept, ack): Decode through a memo that
 // has seen the sender makes nothing but the frame's own object, plus one
-// string or slice per header or trailer field that needs its own (Err,
-// ReplOrigin, AckIDs). Without a memo From costs one more.
+// string per header or trailer field that needs its own (Err,
+// ReplOrigin). Without a memo From costs one more.
 func TestDecodeIsOneObject(t *testing.T) {
 	for _, c := range goldenCases() {
 		switch c.msg.Type {
@@ -47,7 +47,7 @@ func TestDecodeIsOneObject(t *testing.T) {
 		}
 		data := Encode(c.msg)
 		want := 1.0
-		for _, own := range []bool{c.msg.Err != "", c.msg.ReplOrigin != "", len(c.msg.AckIDs) > 0} {
+		for _, own := range []bool{c.msg.Err != "", c.msg.ReplOrigin != ""} {
 			if own {
 				want++
 			}
@@ -66,8 +66,8 @@ func TestDecodeIsOneObject(t *testing.T) {
 }
 
 // TestDecodeAckIDsBoundedByFrame: a CRC-valid ack of a few bytes that
-// claims 2^20 coalesced IDs is malformed, and is found so without
-// reserving room for them.
+// carries an earlier generation's coalesced-ID list claiming 2^20 IDs is
+// malformed, and is found so without reserving room for them.
 func TestDecodeAckIDsBoundedByFrame(t *testing.T) {
 	data := ackIDsClaim(1 << 20)
 	if _, err := Decode(data); !errors.Is(err, ErrFrame) {

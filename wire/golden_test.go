@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -23,11 +23,7 @@ var updateGolden = flag.Bool("golden.update", false, "rewrite wire/testdata/gold
 // combination of its optional trailing fields. The committed fixture
 // pins the exact bytes each case encodes to: any drift — reordering a
 // field, changing a disambiguation rule, encoding a zero that used to
-// be omitted — breaks this test before it breaks a mixed-version
-// cluster. The cases whose encoding requires no capability
-// (FeaturesOf == 0) are precisely the frames sent toward baseline
-// peers, so their fixtures double as the proof that capability gating
-// leaves the pre-capability wire image untouched.
+// be omitted — breaks this test before it breaks a running cluster.
 func goldenCases() []struct {
 	name string
 	msg  *Message
@@ -71,19 +67,27 @@ func goldenCases() []struct {
 		{"ack-ok", &Message{Type: TAck, ID: 7, From: "n01", OK: true}},
 		{"ack-err", &Message{Type: TAck, ID: 7, From: "n01", Err: "lease: refused"}},
 		{"ack+busy", &Message{Type: TAck, ID: 7, From: "n01", Err: "busy: admission refused", Busy: true}},
-		{"ack+ackids", &Message{Type: TAck, ID: 7, From: "n01", OK: true, AckIDs: []uint64{8, 9, 1 << 33}}},
-		{"ack+busy+ackids", &Message{Type: TAck, ID: 7, From: "n01", OK: true, Busy: true, AckIDs: []uint64{8}}},
 
 		{"relay", &Message{Type: TRelay, ID: 7, From: "n01", Target: "far", Payload: []byte{1, 2, 3}}},
 		{"goodbye", &Message{Type: TGoodbye, ID: 7, From: "n01"}},
 	}
 }
 
-const goldenPath = "testdata/golden.txt"
+const (
+	goldenPath = "testdata/golden.txt"
+	// rejectedPath holds frames an earlier wire generation produced that
+	// this decoder must refuse with ErrFrame: the coalesced-ack ID list.
+	rejectedPath = "testdata/rejected.txt"
+)
 
 func readGolden(t *testing.T) map[string]string {
 	t.Helper()
-	f, err := os.Open(goldenPath)
+	return readCorpus(t, goldenPath)
+}
+
+func readCorpus(t *testing.T, path string) map[string]string {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("golden corpus missing (regenerate with -golden.update): %v", err)
 	}
@@ -111,8 +115,8 @@ func TestGoldenEncodeStable(t *testing.T) {
 		var sb strings.Builder
 		sb.WriteString("# Byte-exact wire fixtures: one frame per message type × optional-field\n")
 		sb.WriteString("# combination. Regenerate with: go test ./wire -run Golden -golden.update\n")
-		sb.WriteString("# A diff in this file is a wire-compatibility break — old decoders in a\n")
-		sb.WriteString("# mixed-version cluster see exactly these bytes.\n")
+		sb.WriteString("# A diff in this file is a wire-format change: every peer at the wire\n")
+		sb.WriteString("# floor sees exactly these bytes.\n")
 		for _, c := range cases {
 			fmt.Fprintf(&sb, "%s\t%s\n", c.name, hex.EncodeToString(Encode(c.msg)))
 		}
@@ -156,8 +160,27 @@ func TestGoldenRoundTrip(t *testing.T) {
 		if got := Encode(back); hex.EncodeToString(got) != hex.EncodeToString(data) {
 			t.Errorf("%s: round trip not byte-stable\n got %x\nwant %x", c.name, got, data)
 		}
-		if got, want := FeaturesOf(back), FeaturesOf(c.msg); got != want {
-			t.Errorf("%s: FeaturesOf drifted across round trip: %x != %x", c.name, got, want)
+	}
+}
+
+// TestGoldenRejectedFrames decodes every frame of the rejected list, each
+// an earlier wire generation's encoding, and requires ErrFrame: a TAck
+// with a coalesced-ack ID list is malformed, with or without a busy
+// marker ahead of it.
+func TestGoldenRejectedFrames(t *testing.T) {
+	rejected := readCorpus(t, rejectedPath)
+	for _, name := range []string{"ack+ackids", "ack+busy+ackids"} {
+		if _, ok := rejected[name]; !ok {
+			t.Errorf("%s: missing from %s", name, rejectedPath)
+		}
+	}
+	for name, hx := range rejected {
+		frame, err := hex.DecodeString(hx)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m, err := Decode(frame); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: decoded to %+v, err %v; want ErrFrame", name, m, err)
 		}
 	}
 }
@@ -201,80 +224,5 @@ func TestGoldenCapsZeroFailsClosed(t *testing.T) {
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	if _, err := Decode(b); err == nil {
 		t.Fatal("announce with explicit zero caps decoded; must fail closed")
-	}
-}
-
-// TestGoldenRestrictMatchesEncoder checks the versioned table against
-// the encoder over the whole corpus. For every fixture and every subset
-// of CapsCurrent, Restrict either refuses or yields a message whose
-// features fit the subset and whose frame decodes cleanly; the original
-// must come out untouched. Restricted to nothing, exactly the fixtures
-// with a semantic field or a versioned type are refused, and every other
-// one encodes to the baseline image: the committed bytes of the fixture
-// it then equals, and always the committed frame with its optional
-// trailer cut off.
-func TestGoldenRestrictMatchesEncoder(t *testing.T) {
-	golden := readGolden(t)
-	cases := goldenCases()
-	refused := map[string]bool{"cancel+repl": true, "out+repl": true, "goodbye": true}
-	matched := 0
-	for _, c := range cases {
-		before := *c.msg
-		for allowed := uint64(0); allowed <= CapsCurrent; allowed++ {
-			r, ok := Restrict(c.msg, allowed)
-			if !reflect.DeepEqual(*c.msg, before) {
-				t.Fatalf("%s allowed=%#x: Restrict wrote to its argument", c.name, allowed)
-			}
-			if Fits(c.msg, allowed) && (!ok || !reflect.DeepEqual(r, before)) {
-				t.Errorf("%s allowed=%#x: a frame that fits must pass unchanged", c.name, allowed)
-			}
-			if !ok {
-				continue
-			}
-			if !Fits(&r, allowed) {
-				t.Errorf("%s allowed=%#x: restricted frame still needs %#x", c.name, allowed, FeaturesOf(&r)&^allowed)
-			}
-			data := Encode(&r)
-			back, err := Decode(data)
-			if err != nil {
-				t.Errorf("%s allowed=%#x: restricted frame does not decode: %v", c.name, allowed, err)
-				continue
-			}
-			if got := Encode(back); hex.EncodeToString(got) != hex.EncodeToString(data) {
-				t.Errorf("%s allowed=%#x: restricted frame not byte-stable", c.name, allowed)
-			}
-		}
-
-		base, ok := Restrict(c.msg, 0)
-		if ok == refused[c.name] {
-			t.Errorf("%s restricted to baseline: sendable=%v, want %v", c.name, ok, !ok)
-		}
-		if !ok {
-			continue
-		}
-		got := Encode(&base)
-		want, err := hex.DecodeString(golden[c.name])
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Optional fields trail, so the baseline image is a prefix of the
-		// full frame (checksums aside).
-		if body := got[:len(got)-4]; !strings.HasPrefix(string(want[:len(want)-4]), string(body)) {
-			t.Errorf("%s: baseline form %x is not a prefix of the fixture %x", c.name, got, want)
-		}
-		for _, b := range cases {
-			if b.name == c.name || !reflect.DeepEqual(*b.msg, base) {
-				continue
-			}
-			matched++
-			if hex.EncodeToString(got) != golden[b.name] {
-				t.Errorf("%s restricted to baseline: got %x, want fixture %s = %s", c.name, got, b.name, golden[b.name])
-			}
-		}
-	}
-	// result+busy, result-found+{busy,repl,busy+repl}, ack+{ackids,busy+ackids}
-	// each reduce to a committed baseline fixture.
-	if matched < 6 {
-		t.Errorf("only %d restricted fixtures were compared with a baseline fixture, want at least 6", matched)
 	}
 }

@@ -15,8 +15,17 @@
 // was received exactly as sent. Version 2 added the checksum; version 1
 // frames are rejected with ErrVersion.
 //
-// The encoding is deliberately self-contained and versioned so the real
-// UDP/TCP transport and the simulated network share one codec.
+// Some types carry optional trailing fields (budget, busy, degraded,
+// failover, replica identity, caps). They are positional: a field that
+// is present forces every earlier one onto the wire as filler, a field
+// that is absent costs no byte, and bytes past the last known field are
+// ErrFrame. There is one wire generation. Every peer a node lists
+// announced the whole of CapsCurrent (the wire floor), so every frame
+// goes out whole; the Caps trailer on TAnnounce is where a later
+// feature adds its bit.
+//
+// The encoding is deliberately self-contained so the real UDP/TCP
+// transport and the simulated network share one codec.
 package wire
 
 import (
@@ -24,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"strings"
 	"sync"
 	"time"
 	"unsafe"
@@ -123,18 +131,20 @@ const (
 
 // Capability bits advertised by an instance on its announces (the
 // optional trailing Caps field of TAnnounce). Each bit names a wire
-// feature added after the version-2 baseline: a peer that does not
-// advertise the bit runs a decoder that rejects frames carrying the
-// feature as trailing garbage (ErrFrame). Senders therefore gate every
-// versioned field per destination on the peer's advertised set — see
-// the versioned table for the field→bit mapping. The zero set is the
-// baseline-v2 protocol: no optional trailing fields at all.
+// feature added after the version-2 frame layout. Every bit of
+// CapsCurrent is the wire floor: a peer whose announce lacks one is not
+// listed as a responder (internal/discovery), so every frame this build
+// sends toward a listed peer goes out whole, with every field it needs.
+// A future feature that must be switched on per peer takes a new bit and
+// its gate then.
 const (
 	// CapBudget: optional TOp budget trailer (requester lease budget).
 	CapBudget uint64 = 1 << iota
 	// CapBusy: optional busy marker on TResult/TAck (governor refusals).
 	CapBusy
-	// CapCoalescedAcks: optional AckIDs list on TAck (batched ack path).
+	// CapCoalescedAcks is reserved and never reused: it named the
+	// coalesced-ack ID list on TAck, which is no longer encoded or
+	// decoded (a TAck carrying one is ErrFrame).
 	CapCoalescedAcks
 	// CapDegraded: optional degraded marker on TAnnounce (gray health).
 	CapDegraded
@@ -143,53 +153,15 @@ const (
 	// CapReplicaIdentity: optional replica identity on TOut/TCancel/
 	// TResult and the failover marker on TOp (replication protocol).
 	CapReplicaIdentity
-	// CapCapsExchange: the optional Caps trailer on TAnnounce itself —
-	// the peer understands capability announcements.
+	// CapCapsExchange: the optional Caps trailer on TAnnounce itself.
 	CapCapsExchange
 )
 
-// CapsCurrent is the full capability set of this build: every feature
-// bit the local codec can encode and decode.
-const CapsCurrent = CapBudget | CapBusy | CapCoalescedAcks | CapDegraded |
-	CapGoodbye | CapReplicaIdentity | CapCapsExchange
-
-// CapsString renders a capability set for logs ("budget|busy|…", or
-// "baseline" for the empty set).
-func CapsString(caps uint64) string {
-	if caps == 0 {
-		return "baseline"
-	}
-	names := []struct {
-		bit  uint64
-		name string
-	}{
-		{CapBudget, "budget"},
-		{CapBusy, "busy"},
-		{CapCoalescedAcks, "coalesced-acks"},
-		{CapDegraded, "degraded"},
-		{CapGoodbye, "goodbye"},
-		{CapReplicaIdentity, "replica-identity"},
-		{CapCapsExchange, "caps-exchange"},
-	}
-	var b strings.Builder
-	for _, n := range names {
-		if caps&n.bit == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(n.name)
-		caps &^= n.bit
-	}
-	if caps != 0 {
-		if b.Len() > 0 {
-			b.WriteByte('|')
-		}
-		fmt.Fprintf(&b, "unknown(%#x)", caps)
-	}
-	return b.String()
-}
+// CapsCurrent is this build's capability set and the wire floor: every
+// feature bit the local codec encodes and decodes, and every bit a peer
+// must announce to be listed.
+const CapsCurrent = CapBudget | CapBusy | CapDegraded | CapGoodbye |
+	CapReplicaIdentity | CapCapsExchange
 
 // Removes reports whether the operation removes its match.
 func (o OpCode) Removes() bool { return o == OpIn || o == OpInp }
@@ -229,8 +201,8 @@ type Message struct {
 	// Busy marks a not-found TResult or a refusing TAck as an explicit
 	// admission refusal (the responder's governor shed the operation)
 	// rather than a genuine miss or failure: the requester should fail
-	// over, not retry here. Only encoded when true; absent means a normal
-	// reply for pre-Busy peers.
+	// over, not retry here. Only encoded when true, or as filler ahead of
+	// a TResult's replica identity.
 	Busy bool
 	// OK reports a TAck outcome, with Err.
 	OK bool
@@ -239,12 +211,12 @@ type Message struct {
 	// Degraded is the self-reported gray-failure flag carried by
 	// TAnnounce: the announcer is serving but slow (WAL fsync stalls,
 	// governor queue delay), so requesters should deprioritize it. Only
-	// encoded when true; absent means healthy for pre-Degraded peers.
+	// encoded when true, or as filler ahead of Caps.
 	Degraded bool
 	// Failover marks a destructive TOp that may be served from the
 	// responder's replica store when the copy's origin is provably dead
-	// (the failover take, DESIGN.md §13). Optional trailing field with
-	// the same mixed-version contract as Budget.
+	// (the failover take, DESIGN.md §13). Optional trailing field,
+	// encoded only when true.
 	Failover bool
 
 	// ID correlates requests with responses; unique per sender.
@@ -260,8 +232,7 @@ type Message struct {
 	// is tighter than TTL: a responder must not hold a waiter or a
 	// tentative removal past the point the requester's lease or context
 	// can still use the answer. Zero means "same as TTL" — the field is
-	// only encoded when it carries new information, so frames stay
-	// decodable by pre-Budget peers in the common case (see AppendEncode).
+	// only encoded when it carries new information (see AppendEncode).
 	Budget time.Duration
 
 	// Tuple payload (TResult, TOut, TEval args).
@@ -271,23 +242,16 @@ type Message struct {
 
 	// Err reports a TAck refusal.
 	Err string
-	// AckIDs extends a TAck to cover additional operation IDs beyond
-	// m.ID: a transport flushing a batch of pure successful acks to one
-	// peer merges them into a single frame. Only pure acks (OK, empty
-	// Err, not Busy) are ever merged, so every covered ID shares the
-	// frame's outcome. Only encoded when non-empty — a single ack stays
-	// byte-identical to the pre-batching revision, and pre-batching
-	// peers reject coalesced frames as trailing garbage rather than
-	// misreading them (the sender's per-ID retry then re-acks singly).
+	// AckIDs is never encoded or decoded: a TAck that carries an ID list
+	// on the wire is ErrFrame. It stays only because the frozen benchmark
+	// module still reads it.
 	AckIDs []uint64
 
 	// Caps is the announcer's capability set (TAnnounce): the Cap* bits
-	// naming which post-baseline wire features its decoder accepts.
-	// Optional trailing field; zero is never encoded, so a caps-less
-	// announce stays byte-identical to the pre-capability revision and
-	// an absent field means "capabilities unknown" — receivers must
-	// assume the conservative baseline until a caps-bearing announce
-	// arrives (internal/discovery tracks this per peer).
+	// naming which wire features its decoder accepts. Optional trailing
+	// field and the extension point of the wire format: zero is never
+	// encoded, and an announce without every bit of CapsCurrent does not
+	// list its sender (internal/discovery).
 	Caps uint64
 
 	// Func is the registered eval function name (TEval).
@@ -308,10 +272,7 @@ type Message struct {
 	//   - TResult: the found tuple is replicated under this identity, so
 	//     the taker can invalidate the surviving copies itself on accept.
 	//
-	// Absent fields mean the pre-replication protocol; R=1 nodes never
-	// set them, keeping their frames byte-identical. Old decoders reject
-	// extended frames as trailing garbage — they degrade to
-	// single-holder behaviour, never misread a replica frame.
+	// Absent fields mean an ordinary frame; R=1 nodes never set them.
 	ReplOrigin Addr
 	ReplSeq    uint64
 
@@ -371,134 +332,6 @@ func (b *Buf) Release() {
 	bufPool.Put(b)
 }
 
-// optField declares one versioned optional trailing field of a message
-// type: the capability a receiver needs to decode it, whether a sender
-// may drop it, and how to test and clear it on a Message.
-type optField struct {
-	cap uint64
-	// semantic fields change what the frame means, so a frame carrying
-	// one must be refused toward an audience that cannot decode it;
-	// advisory fields (the default) may be dropped — the frame is still
-	// correct without them.
-	semantic bool
-	set      func(*Message) bool
-	clear    func(*Message)
-}
-
-var (
-	busyField = optField{cap: CapBusy,
-		set:   func(m *Message) bool { return m.Busy },
-		clear: func(m *Message) { m.Busy = false }}
-	// replField is the replica identity (ReplOrigin, ReplSeq). On a found
-	// TResult it lets the requester invalidate surviving copies itself; it
-	// is advisory because an origin replying to a requester that cannot
-	// carry it invalidates them first (core's replWithhold). On
-	// TOut/TCancel it is what makes the frame a replicate or an
-	// invalidation rather than a remote out or an op withdrawal: semantic.
-	replField = optField{cap: CapReplicaIdentity,
-		set:   func(m *Message) bool { return m.ReplSeq != 0 },
-		clear: func(m *Message) { m.ReplOrigin, m.ReplSeq = "", 0 }}
-	replSemantic = optField{cap: replField.cap, semantic: true,
-		set: replField.set, clear: replField.clear}
-)
-
-// versioned is the one declaration of the post-baseline wire format: for
-// each message type, the capability the frame type itself requires and
-// its optional trailing fields in encode order. AppendEncode and decode
-// below lay the fields out in exactly this order, and a field that is
-// present forces every earlier one onto the wire as filler (the decoder
-// tells trailing fields apart by position), so it needs their
-// capabilities too. FeaturesOf and Restrict are derived from this table;
-// golden_test.go checks the table against the encoder over every fixture.
-var versioned = [TGoodbye + 1]struct {
-	needs  uint64
-	fields []optField
-}{
-	TAnnounce: {fields: []optField{
-		{cap: CapDegraded,
-			set:   func(m *Message) bool { return m.Degraded },
-			clear: func(m *Message) { m.Degraded = false }},
-		{cap: CapCapsExchange,
-			set:   func(m *Message) bool { return m.Caps != 0 },
-			clear: func(m *Message) { m.Caps = 0 }},
-	}},
-	TOp: {fields: []optField{
-		{cap: CapBudget,
-			set:   func(m *Message) bool { return m.Budget > 0 },
-			clear: func(m *Message) { m.Budget = 0 }},
-		// Without the marker the op rides as an ordinary take and the
-		// peer's authoritative space answers.
-		{cap: CapReplicaIdentity,
-			set:   func(m *Message) bool { return m.Failover },
-			clear: func(m *Message) { m.Failover = false }},
-	}},
-	TResult: {fields: []optField{busyField, replField}},
-	TAck: {fields: []optField{busyField,
-		{cap: CapCoalescedAcks,
-			set:   func(m *Message) bool { return len(m.AckIDs) > 0 },
-			clear: func(m *Message) { m.AckIDs = nil }},
-	}},
-	TCancel:  {fields: []optField{replSemantic}},
-	TOut:     {fields: []optField{replSemantic}},
-	TGoodbye: {needs: CapGoodbye},
-}
-
-// FeaturesOf reports the capability bits a message's encoding would
-// require of its receiver: the set of post-baseline features whose
-// optional fields the frame carries. A baseline-v2 decoder accepts the
-// frame iff FeaturesOf(m) == 0; more generally, a peer advertising caps
-// decodes the frame iff Fits(m, caps).
-func FeaturesOf(m *Message) uint64 {
-	if m.Type > TGoodbye {
-		return 0
-	}
-	v := &versioned[m.Type]
-	f, prefix := v.needs, uint64(0)
-	for k := range v.fields {
-		prefix |= v.fields[k].cap
-		if v.fields[k].set(m) {
-			f |= prefix
-		}
-	}
-	return f
-}
-
-// Fits reports whether a receiver advertising allowed decodes m's frame.
-// Senders use it to verify (and the simulated network to enforce) that
-// nothing undecodable is put on the wire toward a known-baseline peer.
-func Fits(m *Message, allowed uint64) bool { return FeaturesOf(m)&^allowed == 0 }
-
-// Restrict returns m encoded for an audience advertising allowed: a
-// by-value copy with every advisory field the audience cannot decode
-// cleared, so Fits(&copy, allowed) holds. It reports false — nothing may
-// be sent — when that would take dropping a semantic field, or when the
-// audience cannot decode the frame type at all. m itself is never
-// written: callers share one message across retries, destinations and
-// goroutines.
-func Restrict(m *Message, allowed uint64) (Message, bool) {
-	out := *m
-	if m.Type > TGoodbye {
-		return out, true
-	}
-	v := &versioned[m.Type]
-	if v.needs&^allowed != 0 {
-		return Message{}, false
-	}
-	var prefix uint64
-	for k := range v.fields {
-		f := &v.fields[k]
-		prefix |= f.cap
-		if prefix&^allowed == 0 || !f.set(&out) {
-			continue
-		}
-		if f.semantic {
-			return Message{}, false
-		}
-		f.clear(&out)
-	}
-	return out, true
-}
-
 // Encode serialises the message to a fresh buffer. Hot paths should
 // prefer AppendEncode with a pooled Buf; Encode remains for callers
 // whose frame escapes (e.g. a relay payload embedded in another frame).
@@ -520,20 +353,14 @@ func AppendEncode(dst []byte, m *Message) []byte {
 		// header only
 	case TAnnounce:
 		b = appendBool(b, m.Persistent)
-		// Optional trailing degraded marker, same mixed-version contract
-		// as TOp's budget field: a healthy announce is byte-identical to
-		// the pre-Degraded revision, and peers running the previous code
-		// reject degraded announces as trailing garbage — they merely
-		// fail to learn the hint, never act on a misread one. When the
-		// capability set follows, degraded is encoded even if false so
-		// the decoder can tell the two optional fields apart.
+		// Optional trailing fields are positional: a later one forces
+		// every earlier one onto the wire as filler, so degraded is
+		// encoded even if false when the capability set follows.
 		if m.Degraded || m.Caps != 0 {
 			b = appendBool(b, m.Degraded)
 		}
-		// Optional capability set: the announcer's Cap* bits. Absent
-		// means capabilities unknown (assume baseline); zero is never
-		// encoded, keeping caps-less announces byte-identical to the
-		// pre-capability revision.
+		// Optional capability set: the announcer's Cap* bits. Zero is
+		// never encoded.
 		if m.Caps != 0 {
 			b = binary.AppendUvarint(b, m.Caps)
 		}
@@ -541,13 +368,9 @@ func AppendEncode(dst []byte, m *Message) []byte {
 		b = append(b, byte(m.Op), m.Hops)
 		b = binary.AppendUvarint(b, uint64(m.TTL/time.Millisecond))
 		b = m.Template.AppendBinary(b)
-		// Optional trailing budget: only when it differs from TTL, so the
-		// common frame is byte-identical to the pre-Budget revision.
-		// Peers running the previous code reject budget-carrying frames
-		// as trailing garbage and the requester fails over — degraded,
-		// never incorrect (see serve-side fallback note in core).
-		// When the failover marker follows, the budget is encoded even if
-		// zero so the decoder can tell the two optional fields apart.
+		// Optional trailing budget: only when it differs from TTL. When
+		// the failover marker follows, the budget is encoded even if zero
+		// so the decoder can tell the two optional fields apart.
 		if m.Budget > 0 || m.Failover {
 			b = binary.AppendUvarint(b, uint64(m.Budget/time.Millisecond))
 		}
@@ -560,10 +383,9 @@ func AppendEncode(dst []byte, m *Message) []byte {
 		if m.Found {
 			b = m.Tuple.AppendBinary(b)
 		}
-		// Optional trailing busy marker (admission refusal), same
-		// mixed-version contract as TOp's budget field. When the replica
-		// identity follows, busy is encoded even if false so the decoder
-		// can tell the optional fields apart.
+		// Optional trailing busy marker (admission refusal). When the
+		// replica identity follows, busy is encoded even if false so the
+		// decoder can tell the optional fields apart.
 		if m.Busy || m.ReplSeq != 0 {
 			b = appendBool(b, m.Busy)
 		}
@@ -597,17 +419,9 @@ func AppendEncode(dst []byte, m *Message) []byte {
 	case TAck:
 		b = appendBool(b, m.OK)
 		b = appendStr(b, m.Err)
-		// Optional trailing busy marker, same contract as TResult's.
-		// When AckIDs follow, the busy byte is encoded even if false so
-		// the decoder can tell the two optional fields apart.
-		if m.Busy || len(m.AckIDs) > 0 {
-			b = appendBool(b, m.Busy)
-		}
-		if len(m.AckIDs) > 0 {
-			b = binary.AppendUvarint(b, uint64(len(m.AckIDs)))
-			for _, id := range m.AckIDs {
-				b = binary.AppendUvarint(b, id)
-			}
+		// Optional trailing busy marker, encoded only when true.
+		if m.Busy {
+			b = appendBool(b, true)
 		}
 	case TRelay:
 		b = appendStr(b, string(m.Target))
@@ -758,10 +572,9 @@ func decode(m *Message, data []byte, fields []tuple.Field, memo *FromMemo) (*Mes
 				return nil, fmt.Errorf("non-canonical degraded marker: %w", ErrFrame)
 			}
 		}
-		// Optional capability set: absent means capabilities unknown
-		// (assume baseline). A zero value is never encoded, so decode
-		// it as malformed rather than let a truncated trailer alias the
-		// "unknown" state.
+		// Optional capability set. A zero value is never encoded, so
+		// decode it as malformed rather than let a truncated trailer
+		// alias an absent one.
 		if len(src) > 0 {
 			if m.Caps, src, err = readUvarint(src); err != nil {
 				return nil, fmt.Errorf("caps: %w", err)
@@ -792,8 +605,8 @@ func decode(m *Message, data []byte, fields []tuple.Field, memo *FromMemo) (*Mes
 		if m.Template, src, err = decodeTemplate(src, fields); err != nil {
 			return nil, fmt.Errorf("template: %w", err)
 		}
-		// Optional budget field: absent (pre-Budget peer, or budget==TTL)
-		// means the TTL is the whole story.
+		// Optional budget field: absent (budget==TTL) means the TTL is
+		// the whole story.
 		if len(src) > 0 {
 			var budget uint64
 			if budget, src, err = readUvarint(src); err != nil {
@@ -893,33 +706,15 @@ func decode(m *Message, data []byte, fields []tuple.Field, memo *FromMemo) (*Mes
 		if m.Err, src, err = readStr(src); err != nil {
 			return nil, err
 		}
-		// Optional busy marker: absent means a normal ack. A false
-		// marker is only encoded as filler ahead of a coalesced ID list.
+		// Optional busy marker: absent means a normal ack, and an
+		// explicit false is never encoded. Nothing follows it: an older
+		// build's coalesced-ack ID list is trailing garbage.
 		if len(src) > 0 {
 			if m.Busy, src, err = readBool(src); err != nil {
 				return nil, err
 			}
-			if !m.Busy && len(src) == 0 {
+			if !m.Busy {
 				return nil, fmt.Errorf("non-canonical busy marker: %w", ErrFrame)
-			}
-		}
-		// Optional coalesced-ack ID list: absent means the ack covers
-		// only m.ID.
-		if len(src) > 0 {
-			var n uint64
-			if n, src, err = readUvarint(src); err != nil {
-				return nil, err
-			}
-			// Every ID takes at least one byte: a count the frame cannot
-			// hold is malformed, whatever memory it would reserve.
-			if n == 0 || n > uint64(len(src)) {
-				return nil, fmt.Errorf("ack ids %d: %w", n, ErrFrame)
-			}
-			m.AckIDs = make([]uint64, n)
-			for j := range m.AckIDs {
-				if m.AckIDs[j], src, err = readUvarint(src); err != nil {
-					return nil, err
-				}
 			}
 		}
 	case TRelay:

@@ -263,8 +263,8 @@ func TestPropRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCapsTruncationFailsClosed covers the capability-field damage an
-// old or cut-short sender could produce: a caps varint chopped mid-value
+// TestCapsTruncationFailsClosed covers the capability-field damage a
+// cut-short sender could produce: a caps varint chopped mid-value
 // must not decode at all, and chopping the whole field must not leave a
 // frame that aliases a different capability statement.
 func TestCapsTruncationFailsClosed(t *testing.T) {
@@ -273,14 +273,14 @@ func TestCapsTruncationFailsClosed(t *testing.T) {
 		t.Fatalf("mid-varint caps truncation: got %v, want ErrFrame", err)
 	}
 	// Chopping the entire caps field off a degraded announce leaves a
-	// valid (shorter) degraded announce with caps reverting to unknown.
+	// valid (shorter) degraded announce with no caps, which lists nobody.
 	deg := Encode(&Message{Type: TAnnounce, ID: 13, From: "s", Degraded: true, Caps: CapsCurrent})
 	m, err := Decode(reframe(truncated(deg, 1)))
 	if err != nil {
 		t.Fatalf("caps field chop: %v", err)
 	}
 	if !m.Degraded || m.Caps != 0 {
-		t.Fatalf("caps field chop: got degraded=%v caps=%#x, want degraded with unknown caps", m.Degraded, m.Caps)
+		t.Fatalf("caps field chop: got degraded=%v caps=%#x, want degraded with no caps", m.Degraded, m.Caps)
 	}
 	// On a healthy announce the same chop strands an explicit false
 	// degraded marker, which is non-canonical and must be rejected.

@@ -118,9 +118,10 @@ replica_exp  = C5
 # toward a peer that never announced), the write-through refusal
 # regression, a taker whose origin dies before its accept (the old C6
 # duplicate), the frame pipe's two ends over real sockets (buffered
-# reads, allocation-free sends, session reaping, one ack per frame), and
-# the C6 rolling-restart soak.
-upgrade_run  = Golden|Caps|Floor|Unannounced|SharedMessage|WriteThroughRefusal|SilentBackup|TakerOriginDies|FramePipe|ReadFrames|SendAllocates|SessionsReaped|Ledger|C6
+# reads, allocation-free sends, session reaping, one ack per frame, the
+# stream preamble on every connection and redial, one sender per
+# connection), and the C6 rolling-restart soak.
+upgrade_run  = Golden|Caps|Floor|Unannounced|SharedMessage|WriteThroughRefusal|SilentBackup|TakerOriginDies|FramePipe|ReadFrames|Preamble|SenderPerConnection|SendAllocates|SessionsReaped|Ledger|C6
 upgrade_pkgs = ./wire/ ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./transport/netudp/ ./internal/harness/
 upgrade_exp  = C6
 # farm: the master/worker serve path — parked registrations in all three
@@ -164,7 +165,8 @@ loc:
 		awk -v s=$$s '$$0 ~ "^type " s " struct" { f = 1; next } f && /^}/ { exit } f && /^\t[A-Z]/ { n++ } END { print n }' internal/core/*.go; \
 	done
 
-# fuzz smoke-tests the two wire-format decoders for a few seconds each:
+# fuzz smoke-tests the two wire-format decoders and netudp's stream
+# reader (preamble, then length-prefixed frames) for a few seconds each:
 # enough to catch a decoder regression in CI without turning the gate
 # into a fuzzing campaign. The seed corpora cover the optional trailing
 # Busy/Budget fields, so their truncated layouts stay pinned.
@@ -172,3 +174,4 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime $(FUZZTIME) ./tuple/
+	$(GO) test -run '^$$' -fuzz FuzzReadFrames -fuzztime $(FUZZTIME) ./transport/netudp/

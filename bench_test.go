@@ -19,6 +19,7 @@ import (
 	"tiamat/lease"
 	"tiamat/space"
 	"tiamat/space/spacetest"
+	"tiamat/trace"
 	"tiamat/transport"
 	"tiamat/transport/memnet"
 	"tiamat/transport/netudp"
@@ -247,7 +248,7 @@ func reportHandoffs(b *testing.B, op func()) {
 }
 
 func BenchmarkRemoteInpTwoNodes(b *testing.B) {
-	a, bb := memnetPair(b)
+	a, bb, _ := memnetPair(b)
 	reportHandoffs(b, func() { remoteTake(b, a, bb) })
 }
 
@@ -256,7 +257,7 @@ func BenchmarkRemoteInpTwoNodes(b *testing.B) {
 // BENCH=RemoteInpTwoNodesTCP` attributes the socket receive path site by
 // site.
 func BenchmarkRemoteInpTwoNodesTCP(b *testing.B) {
-	a, bb := tcpPair(b)
+	a, bb, _ := tcpPair(b)
 	reportHandoffs(b, func() { remoteTake(b, a, bb) })
 }
 
@@ -264,7 +265,7 @@ func BenchmarkRemoteInpTwoNodesTCP(b *testing.B) {
 // space (TOut, TAck) and a takes it back locally, so the space stays
 // empty and each op prices the serve of one out.
 func BenchmarkRemoteOutAtTwoNodes(b *testing.B) {
-	a, bb := memnetPair(b)
+	a, bb, _ := memnetPair(b)
 	reportHandoffs(b, func() { remoteOutAt(b, a, bb) })
 }
 
@@ -274,18 +275,68 @@ func BenchmarkRemoteOutAtTwoNodes(b *testing.B) {
 // the walk hears its lease end through an end hook, not a channel.
 const remoteTakeAllocs = 14
 
+// remoteTakeWireBytes is what one remote take puts on the wire over
+// memnet: op, result, accept and ack, each leaving its sender's address
+// to the channel. Over TCP each frame adds a one-byte length prefix.
+const (
+	remoteTakeWireBytes    = 66
+	remoteTakeWireBytesTCP = 70
+)
+
 // TestRemoteTakeAllocs pins BenchmarkRemoteInpTwoNodes's objects per take,
 // so an object handed back anywhere on the path fails here first.
 func TestRemoteTakeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops some of what is put back; internal/core's TestRemoteTakeAllocBudget keeps a ceiling there")
 	}
-	a, bb := memnetPair(t)
+	a, bb, _ := memnetPair(t)
 	for k := 0; k < 200; k++ {
 		remoteTake(t, a, bb) // pools, heaps and maps reach their steady size
 	}
 	if got := testing.AllocsPerRun(2000, func() { remoteTake(t, a, bb) }); got != remoteTakeAllocs {
 		t.Fatalf("Out + remote Inp: %.2f allocs, want %d", got, remoteTakeAllocs)
+	}
+}
+
+// TestRemoteTakeWireBytes pins the bytes one warm remote take puts on the
+// wire (net.bytes_sent), over memnet and over loopback TCP, the way
+// TestRemoteTakeAllocs pins its objects. Op IDs and hold IDs are varints,
+// so the takes measured are the 100 after the first 200, whose IDs all
+// take two bytes.
+func TestRemoteTakeWireBytes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pair func(testing.TB) (*tiamat.Instance, *tiamat.Instance, *trace.Metrics)
+		want int64
+	}{
+		{"memnet", memnetPair, remoteTakeWireBytes},
+		{"tcp", tcpPair, remoteTakeWireBytesTCP},
+	} {
+		a, b, met := c.pair(t)
+		// quiet reads the counter once the pair has stopped sending, no
+		// frame for three polls running: a take returns at its result, and
+		// its accept and the accept's ack go on behind it.
+		quiet := func() int64 {
+			for last, still := int64(-1), 0; still < 3; time.Sleep(10 * time.Millisecond) {
+				if n := met.Get(trace.CtrMsgsSent); n != last {
+					last, still = n, 0
+				} else {
+					still++
+				}
+			}
+			return met.Get(trace.CtrBytesSent)
+		}
+		for k := 0; k < 200; k++ {
+			remoteTake(t, a, b)
+		}
+		const takes = 100
+		before := quiet()
+		for k := 0; k < takes; k++ {
+			remoteTake(t, a, b)
+		}
+		if got := quiet() - before; got != takes*c.want {
+			t.Errorf("%s: %d bytes over %d takes, want %d per take", c.name, got, takes, c.want)
+		}
 	}
 }
 
@@ -317,7 +368,7 @@ func pinHandoffs(t *testing.T, what string, ceiling float64, op func(testing.TB,
 	if raceEnabled {
 		t.Skip("the ceiling is measured on a plain build; the race detector's scheduling is not what it counts")
 	}
-	a, b := memnetPair(t)
+	a, b, _ := memnetPair(t)
 	for k := 0; k < 500; k++ {
 		op(t, a, b)
 	}
@@ -326,28 +377,33 @@ func pinHandoffs(t *testing.T, what string, ceiling float64, op func(testing.TB,
 	}
 }
 
-// memnetPair is two instances on one simulated network.
-func memnetPair(tb testing.TB) (a, b *tiamat.Instance) {
+// memnetPair is two instances on one simulated network, and the
+// network's counters. Their addresses are several bytes long, as in every
+// real cluster: the runtime interns a one-byte string, so a one-byte
+// address would hide what decoding one costs.
+func memnetPair(tb testing.TB) (a, b *tiamat.Instance, met *trace.Metrics) {
 	net := memnet.New()
 	tb.Cleanup(func() { net.Close() })
-	epA, _ := net.Attach("a")
-	epB, _ := net.Attach("b")
+	epA, _ := net.Attach("n0")
+	epB, _ := net.Attach("n1")
 	net.ConnectAll()
-	return newInstance(tb, epA), newInstance(tb, epB)
+	return newInstance(tb, epA), newInstance(tb, epB), net.Metrics()
 }
 
-// tcpPair is two instances over loopback TCP; b knows a as a static peer.
-func tcpPair(tb testing.TB) (a, b *tiamat.Instance) {
-	epA, err := netudp.New(netudp.Config{})
+// tcpPair is two instances over loopback TCP, b knowing a as a static
+// peer, and the counters both transports share.
+func tcpPair(tb testing.TB) (a, b *tiamat.Instance, met *trace.Metrics) {
+	met = &trace.Metrics{}
+	epA, err := netudp.New(netudp.Config{Metrics: met})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	a = newInstance(tb, epA)
-	epB, err := netudp.New(netudp.Config{StaticPeers: []string{string(epA.Addr())}})
+	epB, err := netudp.New(netudp.Config{Metrics: met, StaticPeers: []string{string(epA.Addr())}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return a, newInstance(tb, epB)
+	return a, newInstance(tb, epB), met
 }
 
 func newInstance(tb testing.TB, ep transport.Endpoint) *tiamat.Instance {
@@ -398,7 +454,7 @@ func remoteOutAt(tb testing.TB, a, b *tiamat.Instance) {
 // side of a blocking take: the out calls one parked taker's sink, which
 // sends the reply, and no goroutine at a is woken at all.
 func BenchmarkRemoteInBlockingTwoNodes(b *testing.B) {
-	a, bb := memnetPair(b)
+	a, bb, _ := memnetPair(b)
 	t := tuple.T(tuple.String("k"), tuple.Int(1))
 	p := tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
 	req := lease.Flexible(lease.Terms{Duration: time.Minute, MaxRemotes: 4})

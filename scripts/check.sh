@@ -100,10 +100,12 @@ echo "==> suite patterns name tests"
 make -s suites-nonempty
 
 # Decoder fuzz smoke: a few seconds per target, seeds cover the optional
-# Busy/Budget/Caps trailing fields (their truncated layouts).
-echo "==> fuzz smoke (wire, tuple)"
+# Busy/Budget/Caps trailing fields (their truncated layouts); the netudp
+# target feeds a connection's reader arbitrary streams.
+echo "==> fuzz smoke (wire, tuple, netudp stream)"
 go test -run '^$' -fuzz FuzzDecode -fuzztime "${FUZZTIME:-10s}" ./wire/
 go test -run '^$' -fuzz FuzzDecodeTuple -fuzztime "${FUZZTIME:-10s}" ./tuple/
+go test -run '^$' -fuzz FuzzReadFrames -fuzztime "${FUZZTIME:-10s}" ./transport/netudp/
 
 echo "==> line counts (make loc)"
 make -s loc

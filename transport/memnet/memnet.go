@@ -556,7 +556,8 @@ func (nd *node) Close() error {
 }
 
 // Send implements transport.Endpoint: every message, whatever its type,
-// is encoded as one frame and transmitted immediately.
+// is encoded as one frame, leaving to the link a From that is nd's own,
+// and transmitted immediately.
 func (nd *node) Send(to wire.Addr, m *wire.Message) error {
 	n := nd.net
 	n.mu.Lock()
@@ -574,7 +575,7 @@ func (nd *node) Send(to wire.Addr, m *wire.Message) error {
 	// edge synchronously (deliver parses before deferring the enqueue) and
 	// holdBack copies what it parks, so the buffer is free again here.
 	buf := wire.GetBuf()
-	buf.B = wire.AppendEncode(buf.B, m)
+	buf.B = wire.AppendEncodeBy(buf.B, m, nd.addr)
 	data := buf.B
 	n.met.Inc(trace.CtrMsgsSent)
 	n.met.Inc(trace.CtrUnicasts)
@@ -586,7 +587,7 @@ func (nd *node) Send(to wire.Addr, m *wire.Message) error {
 	return nil
 }
 
-// Multicast implements transport.Endpoint.
+// Multicast implements transport.Endpoint, encoding m once, as Send does.
 func (nd *node) Multicast(m *wire.Message) (int, error) {
 	n := nd.net
 	n.mu.Lock()
@@ -595,7 +596,7 @@ func (nd *node) Multicast(m *wire.Message) (int, error) {
 		return 0, transport.ErrClosed
 	}
 	buf := wire.GetBuf()
-	buf.B = wire.AppendEncode(buf.B, m)
+	buf.B = wire.AppendEncodeBy(buf.B, m, nd.addr)
 	data := buf.B
 	neighbors := n.neighborsLocked(nd.addr)
 	n.met.Inc(trace.CtrMulticasts)
@@ -703,10 +704,10 @@ func (n *Network) jitter(d time.Duration) time.Duration {
 	return time.Duration(n.rng.Int63n(int64(d)))
 }
 
-// deliver decodes and enqueues the frame, after the configured latency.
-// Validation happens here, at the receiving edge: a frame corrupted in
-// transit fails its checksum and is counted and dropped, exactly as the
-// real transport does.
+// deliver decodes, stamps the link's sender on a frame without a From and
+// enqueues the frame, after the configured latency. Validation happens
+// here, at the receiving edge: a frame corrupted in transit fails its
+// checksum and is counted and dropped, exactly as the real transport does.
 func (n *Network) deliver(from wire.Addr, dst *node, data []byte, lat time.Duration) {
 	// Decode copies the frame into the message's own object: the caller's
 	// buffer is pooled and reused the moment transmit returns, while the
@@ -716,6 +717,9 @@ func (n *Network) deliver(from wire.Addr, dst *node, data []byte, lat time.Durat
 		n.met.Inc(trace.CtrCorruptFrames)
 		n.met.Inc(trace.CtrMsgsDropped)
 		return
+	}
+	if msg.From == "" {
+		msg.From = from
 	}
 	if lat <= 0 {
 		n.enqueue(from, dst, msg)

@@ -4,8 +4,9 @@
 // mode for networks where multicast is unavailable (the probe is then
 // unicast to a configured peer set, preserving the same semantics).
 //
-// Frames use the tiamat/wire codec; TCP frames are
-// uvarint-length-prefixed, UDP datagrams carry exactly one frame.
+// Frames use the tiamat/wire codec. A TCP stream is a preamble naming the
+// sender (appendPreamble) and uvarint-length-prefixed frames, whose empty
+// from the reader stamps with it; a UDP datagram is one frame, with from.
 package netudp
 
 import (
@@ -41,7 +42,9 @@ const (
 	readIdle = 30 * time.Second
 	// readBufSize is the per-connection receive buffer: one socket read
 	// drains up to this much of what the sender's batched writes queued.
-	readBufSize = 16 << 10
+	readBufSize   = 16 << 10
+	streamVersion = 1       // the stream layout a connection's preamble opens
+	maxAddr       = 1 << 10 // bounds the sender address a preamble carries
 )
 
 // Config configures a Transport.
@@ -81,6 +84,7 @@ type Transport struct {
 	addr  wire.Addr
 	ln    net.Listener
 	udp   *net.UDPConn // multicast listener (nil if disabled)
+	mcast *net.UDPConn // multicast send socket, one for every datagram
 	group *net.UDPAddr
 	met   *trace.Metrics
 	inbox chan *wire.Message
@@ -151,7 +155,13 @@ func New(cfg Config) (*Transport, error) {
 			ln.Close()
 			return nil, fmt.Errorf("netudp: join %s: %w", cfg.Group, err)
 		}
-		t.udp = udp
+		mcast, err := net.DialUDP("udp", nil, group)
+		if err != nil {
+			udp.Close()
+			ln.Close()
+			return nil, fmt.Errorf("netudp: dial %s: %w", cfg.Group, err)
+		}
+		t.udp, t.mcast = udp, mcast
 		t.group = group
 		t.wg.Add(1)
 		go t.udpLoop()
@@ -192,6 +202,7 @@ func (t *Transport) Close() error {
 	t.ln.Close()
 	if t.udp != nil {
 		t.udp.Close()
+		t.mcast.Close()
 	}
 	t.wg.Wait()
 	close(t.inbox)
@@ -276,12 +287,7 @@ func (t *Transport) Multicast(m *wire.Message) (int, error) {
 	if len(frame) > maxDatagram {
 		return -1, fmt.Errorf("netudp: frame too large for multicast (%d bytes)", len(frame))
 	}
-	conn, err := net.DialUDP("udp", nil, t.group)
-	if err != nil {
-		return -1, err
-	}
-	defer conn.Close()
-	if _, err := conn.Write(frame); err != nil {
+	if _, err := t.mcast.Write(frame); err != nil {
 		return -1, err
 	}
 	t.met.Add(trace.CtrBytesSent, int64(len(frame)))
@@ -330,7 +336,8 @@ func (t *Transport) recoverPanic() {
 	}
 }
 
-// readFrames decodes length-prefixed frames from one connection. The
+// readFrames decodes one connection's preamble and length-prefixed frames,
+// stamping the preamble's sender on each frame that leaves From empty. The
 // socket is read through one fixed buffer, so what the sender's group
 // commit put on the wire with one write is drained with one read, and the
 // idle deadline is armed once per socket read rather than once per frame.
@@ -350,8 +357,16 @@ func (t *Transport) readFrames(conn net.Conn) {
 		}
 		return n, err
 	}
-	var memo wire.FromMemo
+	var from wire.Addr // the sender, as the stream's preamble names it
 	for {
+		if from == "" {
+			addr, size := parsePreamble(buf[r:w])
+			if size < 0 {
+				t.met.Inc(trace.CtrReadErrors)
+				return
+			}
+			from, r = addr, r+size
+		}
 		n, pn := binary.Uvarint(buf[r:w])
 		if pn < 0 || pn > 0 && (n == 0 || n > maxFrame) {
 			t.met.Inc(trace.CtrReadErrors)
@@ -359,11 +374,12 @@ func (t *Transport) readFrames(conn net.Conn) {
 		}
 		var m *wire.Message
 		var err error
+		// Until the preamble is in, every path but the last reads on.
 		switch size := pn + int(n); {
-		case pn > 0 && r+size <= w:
-			m, err = memo.Decode(buf[r+pn : r+size])
+		case from != "" && pn > 0 && r+size <= w:
+			m, err = wire.Decode(buf[r+pn : r+size])
 			r += size
-		case pn > 0 && size > len(buf):
+		case from != "" && pn > 0 && size > len(buf):
 			// The frame gets a buffer of its own, which the message then
 			// aliases. A remainder that would fill buf is read straight
 			// into the frame; a shorter one through buf, so the same read
@@ -387,7 +403,7 @@ func (t *Transport) readFrames(conn net.Conn) {
 				}
 				have += k
 			}
-			m, err = memo.DecodeNoCopy(frame)
+			m, err = wire.DecodeNoCopy(frame)
 		default:
 			// Not all of the prefix or body is here: keep what is and read
 			// on.
@@ -416,8 +432,35 @@ func (t *Transport) readFrames(conn net.Conn) {
 			t.met.Inc(trace.CtrMsgsDropped)
 			continue
 		}
+		if m.From == "" {
+			m.From = from
+		}
 		t.enqueue(m)
 	}
+}
+
+// appendPreamble appends the stream preamble naming sender to b.
+func appendPreamble(b []byte, sender wire.Addr) []byte {
+	b = append(b, wire.MagicA, wire.MagicB, streamVersion)
+	b = binary.AppendUvarint(b, uint64(len(sender)))
+	return append(b, sender...)
+}
+
+// parsePreamble parses the stream preamble at the front of b: the sender
+// it names and its length, 0 while b holds only part of one, or -1 when
+// b opens with something else (another magic or stream version, an empty
+// address or one over maxAddr).
+func parsePreamble(b []byte) (wire.Addr, int) {
+	n, pn := binary.Uvarint(b[min(3, len(b)):])
+	end := 3 + pn + int(n)
+	switch {
+	case len(b) >= 3 && [3]byte(b) != [3]byte{wire.MagicA, wire.MagicB, streamVersion},
+		pn < 0, pn > 0 && (n == 0 || n > maxAddr):
+		return "", -1
+	case len(b) < 3 || pn == 0 || len(b) < end:
+		return "", 0
+	}
+	return wire.Addr(b[3+pn : end]), end
 }
 
 // udpLoop receives multicast probes.

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,6 +177,62 @@ func TestUDPMulticastLoopback(t *testing.T) {
 	}
 }
 
+// TestMulticastReusesOneSocket: every datagram leaves from the one send
+// socket New opened, so a hundred multicasts from four goroutines come
+// from one source port.
+func TestMulticastReusesOneSocket(t *testing.T) {
+	group := "239.77.7.3:17704"
+	gaddr, err := net.ResolveUDPAddr("udp", group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.ListenMulticastUDP("udp", nil, gaddr)
+	if err != nil {
+		t.Skipf("multicast unavailable: %v", err)
+	}
+	defer l.Close()
+	a, err := New(Config{Group: group})
+	if err != nil {
+		t.Skipf("multicast unavailable: %v", err)
+	}
+	defer a.Close()
+	const senders, sends = 4, 100
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := uint64(g + 1); id <= sends; id += senders {
+				if _, err := a.Multicast(&wire.Message{Type: wire.TDiscover, ID: id, From: a.Addr()}); err != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if failed.Load() {
+		t.Skip("multicast send failed")
+	}
+	port := a.mcast.LocalAddr().(*net.UDPAddr).Port
+	buf := make([]byte, maxDatagram)
+	received := 0
+	for received < sends {
+		_ = l.SetReadDeadline(time.Now().Add(time.Second))
+		_, src, err := l.ReadFromUDP(buf)
+		if err != nil {
+			break // loopback multicast may drop under load; what came is checked
+		}
+		if src.Port != port {
+			t.Fatalf("datagram %d came from port %d, not the send socket's %d", received+1, src.Port, port)
+		}
+		received++
+	}
+	if received == 0 {
+		t.Skip("multicast datagrams not delivered (no loopback route)")
+	}
+}
+
 // TestInstancesOverRealSockets runs two full Tiamat instances over real
 // TCP sockets in static-peer mode: the end-to-end proof that the protocol
 // works outside the simulator.
@@ -235,7 +293,7 @@ func TestMultipleFramesOnOneConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var buf []byte
+	buf := appendPreamble(nil, "streamer")
 	for i := uint64(1); i <= 3; i++ {
 		frame := wire.Encode(&wire.Message{Type: wire.TDiscover, ID: i, From: "streamer"})
 		buf = binary.AppendUvarint(buf, uint64(len(frame)))
@@ -265,7 +323,7 @@ func TestCorruptFrameSkippedConnectionSurvives(t *testing.T) {
 	defer conn.Close()
 	// A well-framed but undecodable payload, then a valid frame.
 	junk := []byte{9, 9, 9, 9}
-	var buf []byte
+	buf := appendPreamble(nil, "x")
 	buf = binary.AppendUvarint(buf, uint64(len(junk)))
 	buf = append(buf, junk...)
 	good := wire.Encode(&wire.Message{Type: wire.TDiscover, ID: 42, From: "x"})
@@ -290,7 +348,7 @@ func TestOversizedFrameClosesConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	buf := binary.AppendUvarint(nil, maxFrame+1)
+	buf := binary.AppendUvarint(appendPreamble(nil, "x"), maxFrame+1)
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +400,7 @@ func TestSocketErrorsAreCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(binary.AppendUvarint(nil, maxFrame+1)); err != nil {
+	if _, err := conn.Write(binary.AppendUvarint(appendPreamble(nil, "x"), maxFrame+1)); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
@@ -354,7 +412,7 @@ func TestSocketErrorsAreCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn2.Write(binary.AppendUvarint(nil, 100)); err != nil {
+	if _, err := conn2.Write(binary.AppendUvarint(appendPreamble(nil, "x"), 100)); err != nil {
 		t.Fatal(err)
 	}
 	conn2.Close()

@@ -63,15 +63,35 @@ func frame(m *wire.Message) []byte {
 	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 }
 
-// goldenStream is n frames cycling through the golden corpus, each with a
-// distinct ID, as the bytes a sender writes and the messages a receiver
+// peer is the sender the scripted streams' preamble names.
+const peer wire.Addr = "10.0.0.9:7703"
+
+// opened is a connection's stream from peer: the preamble, then frames.
+func opened(frames ...[]byte) []byte {
+	stream := appendPreamble(nil, peer)
+	for _, f := range frames {
+		stream = append(stream, f...)
+	}
+	return stream
+}
+
+// goldenStream is peer's preamble and n frames cycling through the golden
+// corpus, each with a distinct ID and every other one peer's own (From
+// left empty), as the bytes a sender writes and the messages a receiver
 // must decode from them.
-func goldenStream(t *testing.T, n int) (stream []byte, want []*wire.Message) {
+func goldenStream(t testing.TB, n int) (stream []byte, want []*wire.Message) {
 	corpus := transporttest.Golden(t)
+	stream = opened()
 	for i := 0; i < n; i++ {
 		m := *corpus[i%len(corpus)]
 		m.ID = uint64(i + 1)
+		if i%2 == 1 {
+			m.From = ""
+		}
 		stream = append(stream, frame(&m)...)
+		if m.From == "" {
+			m.From = peer
+		}
 		want = append(want, &m)
 	}
 	return stream, want
@@ -124,8 +144,9 @@ func TestReadFramesDrainsABatchInOneRead(t *testing.T) {
 }
 
 // TestReadFramesSplitAnywhere cuts the same stream at every byte offset —
-// inside a prefix, between prefix and body, inside a body — and then into
-// single bytes: the frames decoded never depend on how reads fell.
+// inside the preamble, inside a prefix, between prefix and body, inside a
+// body — and then into single bytes: the frames decoded, and the sender
+// stamped on them, never depend on how reads fell.
 func TestReadFramesSplitAnywhere(t *testing.T) {
 	stream, want := goldenStream(t, 40) // once through the corpus and on
 	check := func(name string, chunks ...[]byte) {
@@ -156,7 +177,7 @@ func TestReadFramesCorruptFrameDropsOnlyItself(t *testing.T) {
 		}
 		stream = append(stream, f...)
 	}
-	got, met, _ := readScript(t, io.EOF, stream)
+	got, met, _ := readScript(t, io.EOF, opened(stream))
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 {
 		t.Fatalf("neighbours of a corrupt frame: got %+v, want IDs 1 and 3", got)
 	}
@@ -193,7 +214,7 @@ func TestReadFramesEndOfStream(t *testing.T) {
 		{"oversized prefix", io.EOF, [][]byte{whole, binary.AppendUvarint(nil, maxFrame+1), whole}, 1, 1},
 		{"prefix overflowing 64 bits", io.EOF, [][]byte{{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}}, 0, 1},
 	} {
-		got, met, _ := readScript(t, tc.end, tc.chunks...)
+		got, met, _ := readScript(t, tc.end, append([][]byte{opened()}, tc.chunks...)...)
 		if len(got) != tc.delivered {
 			t.Errorf("%s: %d frames delivered, want %d", tc.name, len(got), tc.delivered)
 		}
@@ -226,7 +247,7 @@ func TestReadFramesLargerThanTheBuffer(t *testing.T) {
 		}
 		want = append(want, d)
 	}
-	got, met, conn := readScript(t, io.EOF, stream)
+	got, met, conn := readScript(t, io.EOF, opened(stream))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %d messages around a %d-byte frame, want the 3 sent", len(got), len(payload))
 	}
@@ -249,7 +270,7 @@ func TestReadFramesGiveEachMessageItsOwnBytes(t *testing.T) {
 	}
 	out := &wire.Message{Type: wire.TOut, ID: 2, From: "x", TTL: time.Second,
 		Tuple: tuple.T(tuple.String("k"), tuple.Bytes(bytes.Repeat([]byte{0xcc}, 64)))}
-	got, _, _ := readScript(t, io.EOF, frame(relay(1, 0xaa)), frame(out), frame(relay(3, 0xbb)))
+	got, _, _ := readScript(t, io.EOF, opened(frame(relay(1, 0xaa))), frame(out), frame(relay(3, 0xbb)))
 	if len(got) != 3 {
 		t.Fatalf("got %d messages, want 3", len(got))
 	}
@@ -265,9 +286,53 @@ func TestReadFramesGiveEachMessageItsOwnBytes(t *testing.T) {
 	}
 }
 
-// TestFromPerConnection: the From memo is per connection. Two senders
-// interleaving into one receiver, each frame attributed to its sender.
-func TestFromPerConnection(t *testing.T) {
+// TestReadFramesPreamble pins the preamble's failure classes: a stream
+// that does not open with a valid preamble delivers no frame, whatever
+// follows, and counts net.read_errors, except one that ends before its
+// first byte, which sent nothing.
+func TestReadFramesPreamble(t *testing.T) {
+	f := frame(&wire.Message{Type: wire.TDiscover, ID: 1})
+	pre := opened()
+	with := func(i int, b byte) []byte {
+		p := append([]byte(nil), pre...)
+		p[i] = b
+		return p
+	}
+	long := wire.Addr(bytes.Repeat([]byte{'h'}, maxAddr))
+	for _, tc := range []struct {
+		name       string
+		chunks     [][]byte
+		readErrors int64
+	}{
+		{"EOF before the preamble", nil, 0},
+		{"EOF mid-preamble", [][]byte{pre[:4]}, 1},
+		{"EOF mid-address", [][]byte{pre[:len(pre)-1]}, 1},
+		{"no preamble", [][]byte{f, f}, 1},
+		{"bad magic", [][]byte{with(1, 0x04), f}, 1},
+		{"another stream version", [][]byte{with(2, streamVersion+1), f}, 1},
+		{"empty address", [][]byte{{wire.MagicA, wire.MagicB, streamVersion, 0}}, 1},
+		{"oversized address", [][]byte{appendPreamble(nil, long+"h"), f}, 1},
+		{"address length overflowing 64 bits", [][]byte{append(pre[:3:3], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)}, 1},
+	} {
+		got, met, _ := readScript(t, io.EOF, tc.chunks...)
+		if len(got) != 0 {
+			t.Errorf("%s: %d frames delivered, want none", tc.name, len(got))
+		}
+		if n := met.Get(trace.CtrReadErrors); n != tc.readErrors {
+			t.Errorf("%s: net.read_errors = %d, want %d", tc.name, n, tc.readErrors)
+		}
+	}
+	got, met, _ := readScript(t, io.EOF, append(appendPreamble(nil, long), f...))
+	if len(got) != 1 || got[0].From != long {
+		t.Fatalf("a %d-byte address: delivered %d frames, want one from it", maxAddr, len(got))
+	}
+	wantCounters(t, met, 0, 0)
+}
+
+// TestSenderPerConnection: each connection's preamble names its own
+// sender. Two senders interleaving into one receiver, each frame (From
+// left empty on the wire) attributed to its sender.
+func TestSenderPerConnection(t *testing.T) {
 	b, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -302,4 +367,32 @@ func TestFromPerConnection(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// FuzzReadFrames feeds arbitrary bytes through a connection's reader over
+// net.Pipe: it never panics, and every frame it delivers names a sender.
+func FuzzReadFrames(f *testing.F) {
+	corpus, _ := goldenStream(f, 8)
+	f.Add(corpus)
+	f.Add(opened(frame(&wire.Message{Type: wire.TAccept, ID: 1, HoldID: 2})))
+	f.Add(frame(&wire.Message{Type: wire.TDiscover, ID: 1, From: "x"}))
+	f.Add(appendPreamble(nil, ""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := &Transport{met: &trace.Metrics{}, inbox: make(chan *wire.Message, 4096)}
+		rx, tx := net.Pipe()
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			_, _ = tx.Write(data)
+			tx.Close()
+		}()
+		tr.readFrames(rx)
+		rx.Close() // a reader that hung up early unblocks the writer
+		<-wrote
+		for len(tr.inbox) > 0 {
+			if m := <-tr.inbox; m.From == "" {
+				t.Fatalf("delivered a frame with no sender: %+v", m)
+			}
+		}
+	})
 }

@@ -17,7 +17,7 @@ import (
 // persistent session per peer, group-commit coalescing of concurrent
 // frames into a single write, and pipelining (the next batch accumulates
 // while the current one is on the wire). Every message is one frame,
-// whatever its type.
+// whatever its type, and every connection opens with the preamble.
 //
 // Send stays synchronous: a caller returns when its frame has been
 // written (or delivery failed), exactly as the one-connection-per-frame
@@ -109,7 +109,7 @@ func (s *session) appendFrameLocked(m *wire.Message) {
 	b := s.pending
 	var pad [binary.MaxVarintLen64]byte
 	b = append(b, pad[:]...)
-	b = wire.AppendEncode(b, m)
+	b = wire.AppendEncodeBy(b, m, s.t.addr)
 	flen := len(b) - mark - binary.MaxVarintLen64
 	pn := binary.PutUvarint(b[mark:], uint64(flen))
 	copy(b[mark+pn:], b[mark+binary.MaxVarintLen64:])
@@ -139,12 +139,12 @@ func (s *session) flushLoop() {
 		buf, wtrs := s.takeBatchLocked()
 		s.mu.Unlock()
 
-		err := s.writeBatch(buf)
+		n, err := s.writeBatch(buf)
 		frames := int64(len(wtrs))
 		if err == nil {
 			s.t.met.Add(trace.CtrMsgsSent, frames)
 			s.t.met.Add(trace.CtrUnicasts, frames)
-			s.t.met.Add(trace.CtrBytesSent, int64(len(buf)))
+			s.t.met.Add(trace.CtrBytesSent, n)
 			if frames > 1 {
 				s.t.met.Inc(trace.CtrBatchFlushes)
 				s.t.met.Add(trace.CtrBatchedFrames, frames)
@@ -210,12 +210,14 @@ func (s *session) failLocked(err error) {
 
 // writeBatch delivers one batch over the persistent connection, redialing
 // with exponential backoff (per-transport splitmix64 jitter) up to
-// SendAttempts times. A write failure on a reused connection usually
-// means the peer idled it out since the last batch, so the first such
-// failure earns one immediate uncounted redial before the attempt/backoff
-// cycle charges for it. A write or dial that ran out its deadline is
-// counted (net.io_timeouts) even when a redial then delivers the batch.
-func (s *session) writeBatch(buf []byte) error {
+// SendAttempts times, and returns the bytes the delivering write carried:
+// a connection dialed just now gets the preamble in the same writev. A
+// write failure on a reused connection usually means the peer idled it
+// out since the last batch, so the first such failure earns one immediate
+// uncounted redial before the attempt/backoff cycle charges for it. A
+// write or dial that ran out its deadline is counted (net.io_timeouts)
+// even when a redial then delivers the batch.
+func (s *session) writeBatch(buf []byte) (int64, error) {
 	var lastErr error
 	staleRetry := true
 	for attempt := 1; ; attempt++ {
@@ -223,10 +225,16 @@ func (s *session) writeBatch(buf []byte) error {
 		if err == nil {
 			now := time.Now()
 			_ = conn.SetWriteDeadline(now.Add(writeTimeout))
-			_, err = conn.Write(buf)
+			n := int64(len(buf))
+			if fresh {
+				bufs := net.Buffers{appendPreamble(nil, s.t.addr), buf}
+				n, err = bufs.WriteTo(conn)
+			} else {
+				_, err = conn.Write(buf)
+			}
 			if err == nil {
 				s.lastUse.Store(int64(now.Sub(s.t.start)))
-				return nil
+				return n, nil
 			}
 			s.dropConn(conn)
 		}
@@ -240,12 +248,12 @@ func (s *session) writeBatch(buf []byte) error {
 		}
 		lastErr = err
 		if attempt >= s.t.cfg.SendAttempts || s.t.isClosed() {
-			return lastErr
+			return 0, lastErr
 		}
 		wait := s.t.cfg.SendBackoff << (attempt - 1)
 		wait += time.Duration(s.t.rng.Int63n(int64(s.t.cfg.SendBackoff)))
-		time.Sleep(wait)
 		s.t.met.Inc(trace.CtrRetries)
+		time.Sleep(wait)
 	}
 }
 

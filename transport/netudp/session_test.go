@@ -114,10 +114,10 @@ func TestTakeBatchSplitsAtFrameBoundary(t *testing.T) {
 }
 
 // TestOldReaderParsesBatchedWrite is the interop direction the receiver
-// tests can't cover: a batched sender emits several length-prefixed
-// frames in one TCP write, and a pre-batching reader — a plain
-// prefix-then-body loop, which is exactly what every deployed version
-// runs — must recover each frame individually.
+// tests can't cover: a batched sender emits its preamble and several
+// length-prefixed frames in one TCP write, and a plain reader — the
+// preamble, then a prefix-then-body loop — must recover each frame
+// individually.
 func TestOldReaderParsesBatchedWrite(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -149,6 +149,13 @@ func TestOldReaderParsesBatchedWrite(t *testing.T) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 	r := bufio.NewReader(conn)
+	pre := make([]byte, len(appendPreamble(nil, a.Addr())))
+	if _, err := io.ReadFull(r, pre); err != nil {
+		t.Fatalf("preamble: %v", err)
+	}
+	if from, n := parsePreamble(pre); n != len(pre) || from != a.Addr() {
+		t.Fatalf("preamble %x names %q, want %q", pre, from, a.Addr())
+	}
 	var msgs []*wire.Message
 	for i := 0; i < 3; i++ {
 		flen, err := binary.ReadUvarint(r)
@@ -167,8 +174,8 @@ func TestOldReaderParsesBatchedWrite(t *testing.T) {
 	}
 	<-done
 	for i, m := range msgs {
-		if m.Type != wire.TDiscover || m.ID != uint64(i+1) {
-			t.Fatalf("frame %d: %+v", i, m)
+		if m.Type != wire.TDiscover || m.ID != uint64(i+1) || m.From != "" {
+			t.Fatalf("frame %d: %+v, want the sender's own with From left empty", i, m)
 		}
 	}
 }
@@ -421,6 +428,9 @@ func TestCloseRacesSendersAndReaders(t *testing.T) {
 		writer := make(chan struct{})
 		go func() {
 			defer close(writer)
+			if _, err := raw.Write(appendPreamble(nil, "raw")); err != nil {
+				return
+			}
 			for {
 				if _, err := raw.Write(batch); err != nil {
 					return
@@ -502,5 +512,96 @@ func TestWriteTimeoutCounted(t *testing.T) {
 	}
 	if n := a.met.Get(trace.CtrSendErrors); n != 0 {
 		t.Fatalf("net.send_errors = %d, want 0: the redial delivered", n)
+	}
+}
+
+// TestRedialSendsThePreambleAgain drops the session's connection between
+// two batches, twice: once so the stale-connection retry redials, and once
+// with the listener down too, so that redial is refused and the backoff
+// redial delivers. Every connection opens with the preamble, counted in
+// net.bytes_sent, and every frame after it is stamped with the sender.
+func TestRedialSendsThePreambleAgain(t *testing.T) {
+	rx := &Transport{met: &trace.Metrics{}, inbox: make(chan *wire.Message, 16)}
+	serve := func(ln net.Listener) {
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					rx.readFrames(conn)
+				}()
+			}
+		}()
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := wire.Addr(ln.Addr().String())
+	serve(ln)
+	a, err := New(Config{SendBackoff: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	var wantBytes int64
+	send := func(id uint64) {
+		m := &wire.Message{Type: wire.TDiscover, ID: id, From: a.Addr()}
+		if err := a.Send(to, m); err != nil {
+			t.Errorf("send %d: %v", id, err)
+		}
+		wantBytes += int64(len(appendPreamble(nil, a.Addr())) + len(frame(&wire.Message{Type: wire.TDiscover, ID: id})))
+	}
+	arrives := func(id uint64) {
+		t.Helper()
+		select {
+		case m := <-rx.inbox:
+			if m.ID != id || m.From != a.Addr() {
+				t.Fatalf("got frame %d from %q, want %d from %q", m.ID, m.From, id, a.Addr())
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("frame %d never arrived", id)
+		}
+	}
+	dropConn := func() {
+		s := a.session(to)
+		s.mu.Lock()
+		s.conn.Close() // the session still holds it: its next write fails
+		s.mu.Unlock()
+	}
+
+	send(1)
+	arrives(1)
+	dropConn()
+	send(2)
+	arrives(2)
+	if n := a.met.Get(trace.CtrRetries); n != 0 {
+		t.Fatalf("net.retries = %d after the stale-connection retry, want 0", n)
+	}
+
+	ln.Close()
+	dropConn()
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		send(3)
+	}()
+	waitCounter(t, a.met, trace.CtrRetries, 1) // the redial was refused
+	if ln, err = net.Listen("tcp", string(to)); err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	serve(ln)
+	<-sent
+	arrives(3)
+	if n := a.met.Get(trace.CtrBytesSent); n != wantBytes {
+		t.Fatalf("net.bytes_sent = %d, want %d: three frames, each on a new connection after its preamble", n, wantBytes)
+	}
+	if n := rx.met.Get(trace.CtrReadErrors); n != 0 {
+		t.Fatalf("net.read_errors = %d at the receiver, want 0", n)
 	}
 }

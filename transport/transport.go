@@ -37,7 +37,9 @@ type Endpoint interface {
 	// -1 when the transport cannot know (e.g. real UDP multicast).
 	Multicast(m *wire.Message) (int, error)
 	// Recv returns the inbound message stream. The channel is closed
-	// when the endpoint closes.
+	// when the endpoint closes. A received message's From is always a
+	// contact address: the sender's, stamped when the channel names it,
+	// or the one a frame sent on another node's behalf carries.
 	Recv() <-chan *wire.Message
 	// Close detaches from the network.
 	Close() error

@@ -5,6 +5,7 @@
 package transporttest
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -25,12 +26,15 @@ type Pair struct {
 	A, B transport.Endpoint
 	Met  *trace.Metrics // counts A's sends
 	Dead wire.Addr      // nothing listens here
+	// Preamble is what A writes once per connection ahead of its frames,
+	// each length-prefixed; zero for a transport of bare frames.
+	Preamble int64
 }
 
 // Golden decodes the wire corpus (found relative to a transport package's
 // directory, where `go test` runs it) into the messages this build
 // produces.
-func Golden(t *testing.T) []*wire.Message {
+func Golden(t testing.TB) []*wire.Message {
 	raw, err := os.ReadFile("../../wire/testdata/golden.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -55,15 +59,17 @@ func Golden(t *testing.T) []*wire.Message {
 }
 
 // FramePipe checks that Send is a plain frame pipe: every message, of
-// every type, leaves as exactly one frame and arrives as sent. A burst of
-// concurrent pure acks to one peer is no exception — each arrives as its
-// own frame — nor are eight senders streaming a thousand
-// frames each, however the transport batches their writes; and an ack to
-// an unreachable peer fails inside Send, where the communications
-// manager's eviction needs it.
+// every type, leaves as exactly one frame and arrives as sent (an empty
+// From as the sender's Addr()). A burst of concurrent pure acks to one
+// peer is no exception — each arrives as its own frame — nor are eight
+// senders streaming a thousand frames each, however the transport batches
+// their writes; and an ack to an unreachable peer fails inside Send, where
+// the communications manager's eviction needs it.
 func FramePipe(t *testing.T, newPair func(t *testing.T) Pair) {
 	p := newPair(t)
-	to := p.B.Addr()
+	to, self := p.B.Addr(), p.A.Addr()
+	// arrived is what B must receive for m: m, from A if From is empty.
+	arrived := func(m wire.Message) *wire.Message { m.From = cmp.Or(m.From, self); return &m }
 	recv := func() *wire.Message {
 		select {
 		case m := <-p.B.Recv():
@@ -79,11 +85,11 @@ func FramePipe(t *testing.T, newPair func(t *testing.T) Pair) {
 		t.Fatal("golden corpus is empty")
 	}
 	// sent and sentBytes tally what the counters must account for: frames
-	// and their encoded sizes; prefixBytes what a transport that frames a
-	// byte stream adds to each.
+	// and their sizes as A encodes them; prefixBytes what a transport that
+	// frames a byte stream adds to each.
 	var sent, sentBytes, prefixBytes int64
 	tally := func(m *wire.Message) {
-		n := len(wire.Encode(m))
+		n := len(wire.AppendEncodeBy(nil, m, self))
 		sent++
 		sentBytes += int64(n)
 		prefixBytes += int64(len(binary.AppendUvarint(nil, uint64(n))))
@@ -94,15 +100,15 @@ func FramePipe(t *testing.T, newPair func(t *testing.T) Pair) {
 		}
 		tally(m)
 	}
-	for _, want := range msgs {
-		if got := recv(); !reflect.DeepEqual(got, want) {
+	for _, m := range msgs {
+		if got, want := recv(), arrived(*m); !reflect.DeepEqual(got, want) {
 			t.Fatalf("frame changed in transit:\n got %+v\nwant %+v", got, want)
 		}
 	}
 
 	const acks = 64
 	ack := func(id uint64) *wire.Message {
-		return &wire.Message{Type: wire.TAck, ID: id, From: p.A.Addr(), OK: true}
+		return &wire.Message{Type: wire.TAck, ID: id, From: self, OK: true}
 	}
 	var wg sync.WaitGroup
 	for id := uint64(1); id <= acks; id++ {
@@ -136,12 +142,16 @@ func FramePipe(t *testing.T, newPair func(t *testing.T) Pair) {
 	}
 
 	// Eight senders, a thousand frames each, cycling through the corpus
-	// under distinct IDs. Inboxes drop what overflows them (4096 frames),
-	// so the senders run on credit the receiver returns.
+	// under distinct IDs, every other frame as A's own. Inboxes drop what
+	// overflows them (4096 frames), so the senders run on credit the
+	// receiver returns.
 	const senders, per = 8, 1000
 	stream := func(id uint64) *wire.Message {
 		m := *msgs[id%uint64(len(msgs))]
 		m.ID = id
+		if id%2 == 0 {
+			m.From = self
+		}
 		return &m
 	}
 	credit := make(chan struct{}, 1024)
@@ -162,11 +172,11 @@ func FramePipe(t *testing.T, newPair func(t *testing.T) Pair) {
 	for range senders * per {
 		got := recv()
 		<-credit
-		if seen[got.ID] || got.ID < 1 || got.ID > senders*per || !reflect.DeepEqual(got, stream(got.ID)) {
+		if seen[got.ID] || got.ID < 1 || got.ID > senders*per || !reflect.DeepEqual(got, arrived(*stream(got.ID))) {
 			t.Fatalf("stream frame %+v (id seen before: %v)", got, seen[got.ID])
 		}
 		seen[got.ID] = true
-		tally(got)
+		tally(stream(got.ID))
 	}
 	wg.Wait()
 	select {
@@ -183,9 +193,13 @@ func FramePipe(t *testing.T, newPair func(t *testing.T) Pair) {
 		}
 	}
 	// Every frame's bytes are counted once, with its length prefix on a
-	// transport that writes one and without on one that does not.
-	if got := p.Met.Get(trace.CtrBytesSent); got != sentBytes && got != sentBytes+prefixBytes {
-		t.Errorf("%s = %d, want %d or, length-prefixed, %d", trace.CtrBytesSent, got, sentBytes, sentBytes+prefixBytes)
+	// transport that writes one, and the one connection's preamble too.
+	wantBytes := sentBytes
+	if p.Preamble > 0 {
+		wantBytes += prefixBytes + p.Preamble
+	}
+	if got := p.Met.Get(trace.CtrBytesSent); got != wantBytes {
+		t.Errorf("%s = %d, want %d", trace.CtrBytesSent, got, wantBytes)
 	}
 	// A batch is a write that carried at least two frames, each of them
 	// one of the frames sent.

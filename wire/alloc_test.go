@@ -34,10 +34,10 @@ func TestAppendEncodeNoAllocs(t *testing.T) {
 }
 
 // TestDecodeIsOneObject pins the receive path at one object per small
-// frame of a take (op, result, accept, ack): Decode through a memo that
-// has seen the sender makes nothing but the frame's own object, plus one
-// string per header or trailer field that needs its own (Err,
-// ReplOrigin). Without a memo From costs one more.
+// frame of a take (op, result, accept, ack) whose From the channel names:
+// Decode makes nothing but the frame's own object, plus one string per
+// trailer field that needs its own (Err, ReplOrigin). A frame that
+// carries its From costs one more.
 func TestDecodeIsOneObject(t *testing.T) {
 	for _, c := range goldenCases() {
 		switch c.msg.Type {
@@ -45,20 +45,20 @@ func TestDecodeIsOneObject(t *testing.T) {
 		default:
 			continue
 		}
-		data := Encode(c.msg)
 		want := 1.0
 		for _, own := range []bool{c.msg.Err != "", c.msg.ReplOrigin != ""} {
 			if own {
 				want++
 			}
 		}
-		var memo FromMemo
-		if _, err := memo.Decode(data); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		byChannel := AppendEncodeBy(nil, c.msg, c.msg.From)
+		if got := testing.AllocsPerRun(100, func() { _, _ = Decode(byChannel) }); got != want {
+			t.Errorf("%s, From left to the channel: Decode %v allocs, want %v", c.name, got, want)
 		}
-		if got := testing.AllocsPerRun(100, func() { _, _ = memo.Decode(data) }); got != want {
-			t.Errorf("%s: memoed Decode %v allocs, want %v", c.name, got, want)
+		if c.msg.From == "" {
+			continue
 		}
+		data := Encode(c.msg)
 		if got := testing.AllocsPerRun(100, func() { _, _ = Decode(data) }); got != want+1 {
 			t.Errorf("%s: Decode %v allocs, want %v (one more for From)", c.name, got, want+1)
 		}
@@ -88,7 +88,7 @@ func TestDecodeAckIDsBoundedByFrame(t *testing.T) {
 // ackIDsClaim is a checksummed ack-ok frame whose coalesced ID list
 // claims n IDs and carries one.
 func ackIDsClaim(n uint64) []byte {
-	b := []byte{magicA, magicB, version, byte(TAck)}
+	b := []byte{MagicA, MagicB, version, byte(TAck)}
 	b = binary.AppendUvarint(b, 7)
 	b = appendStr(b, "n01")
 	b = appendBool(b, true)  // ok

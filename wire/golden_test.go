@@ -70,6 +70,13 @@ func goldenCases() []struct {
 
 		{"relay", &Message{Type: TRelay, ID: 7, From: "n01", Target: "far", Payload: []byte{1, 2, 3}}},
 		{"goodbye", &Message{Type: TGoodbye, ID: 7, From: "n01"}},
+
+		// The four frames of a remote take as their sender puts them on a
+		// channel that names it (AppendEncodeBy): from is empty.
+		{"op@channel", &Message{Type: TOp, ID: 7, Op: OpIn, Hops: 2, TTL: 1500 * time.Millisecond, Template: tmpl}},
+		{"result-found@channel", &Message{Type: TResult, ID: 7, Found: true, HoldID: 9, Tuple: tp}},
+		{"accept@channel", &Message{Type: TAccept, ID: 7, HoldID: 9}},
+		{"ack-ok@channel", &Message{Type: TAck, ID: 7, OK: true}},
 	}
 }
 
@@ -215,7 +222,7 @@ func TestGoldenTruncationFailsClosed(t *testing.T) {
 // (absent means unknown). The decoder must reject it rather than let
 // "explicitly no capabilities" and "capabilities unknown" alias.
 func TestGoldenCapsZeroFailsClosed(t *testing.T) {
-	b := []byte{magicA, magicB, version, byte(TAnnounce)}
+	b := []byte{MagicA, MagicB, version, byte(TAnnounce)}
 	b = binary.AppendUvarint(b, 7)
 	b = appendStr(b, "n01")
 	b = appendBool(b, false) // persistent

@@ -10,6 +10,10 @@
 //	body   := type-specific fields (see each message's doc)
 //	crc    := IEEE CRC-32 of everything before it, little-endian
 //
+// from is the sender's contact address, empty when the channel the frame
+// travels on names the sender (AppendEncodeBy); the receiving transport
+// then stamps it. A frame sent on another node's behalf keeps its from.
+//
 // The trailing checksum lets every receiver reject corrupted frames
 // instead of propagating garbage: a frame that decodes is a frame that
 // was received exactly as sent. Version 2 added the checksum; version 1
@@ -293,9 +297,10 @@ var (
 	ErrChecksum = errors.New("wire: checksum mismatch")
 )
 
+// MagicA and MagicB open every frame, and netudp's stream preamble.
 const (
-	magicA = 0x7A // 'z'-ish arbitrary magic
-	magicB = 0x03 // protocol family
+	MagicA = 0x7A // 'z'-ish arbitrary magic
+	MagicB = 0x03 // protocol family
 	maxStr = 1 << 20
 )
 
@@ -343,11 +348,23 @@ func Encode(m *Message) []byte {
 // extended slice. The checksum covers only the appended frame, so dst
 // may already hold transport framing (e.g. a length prefix).
 func AppendEncode(dst []byte, m *Message) []byte {
+	return AppendEncodeBy(dst, m, "")
+}
+
+// AppendEncodeBy is AppendEncode for a frame sender puts on a channel that
+// names it: when m.From is sender, from is left empty for the receiving
+// transport to stamp. m is only read, so one message may go to several
+// peers at once.
+func AppendEncodeBy(dst []byte, m *Message, sender Addr) []byte {
+	from := m.From
+	if from == sender {
+		from = ""
+	}
 	mark := len(dst)
 	b := dst
-	b = append(b, magicA, magicB, version, byte(m.Type))
+	b = append(b, MagicA, MagicB, version, byte(m.Type))
 	b = binary.AppendUvarint(b, m.ID)
-	b = appendStr(b, string(m.From))
+	b = appendStr(b, string(from))
 	switch m.Type {
 	case TDiscover:
 		// header only
@@ -442,7 +459,20 @@ func AppendEncode(dst []byte, m *Message) []byte {
 // the object's inline bytes costs one buffer more. A tuple taken from the
 // message keeps that object alive; Tuple.Copy detaches it.
 func Decode(data []byte) (*Message, error) {
-	return decodeOwn(data, nil)
+	var (
+		m      *Message
+		own    []byte
+		fields []tuple.Field
+	)
+	if len(data) > 3 && carriesTuple(Type(data[3])) {
+		f := new(tupleFrame)
+		m, own, fields = &f.m, f.data[:0], f.fields[:0]
+	} else {
+		f := new(bareFrame)
+		m, own = &f.m, f.data[:0]
+	}
+	own = append(own, data...) // past the inline bytes: the one buffer more
+	return decode(m, own, fields)
 }
 
 // DecodeNoCopy parses a frame whose variable-length contents (relay
@@ -452,30 +482,7 @@ func Decode(data []byte) (*Message, error) {
 // Template.Copy, or cloning Payload). It serves a caller whose buffer is
 // already the message's alone, such as a relay payload.
 func DecodeNoCopy(data []byte) (*Message, error) {
-	return decode(new(Message), data, nil, nil)
-}
-
-// FromMemo is the decode memo of one frame stream (a TCP connection): it
-// remembers the sender address of the last frame decoded through it.
-// Nearly every frame of a connection carries the same From, so comparing
-// the bytes with the remembered address and reusing its string saves the
-// one allocation a decoder would otherwise repeat per frame. The zero
-// value is ready; a memo must not be shared between goroutines.
-type FromMemo struct {
-	last Addr
-}
-
-// Decode is Decode for the stream's next frame: the same message or
-// error, with From sharing the previous frame's string when the two
-// addresses are equal.
-func (fm *FromMemo) Decode(data []byte) (*Message, error) {
-	return decodeOwn(data, fm)
-}
-
-// DecodeNoCopy is DecodeNoCopy for the stream's next frame, with From
-// memoized as in Decode.
-func (fm *FromMemo) DecodeNoCopy(data []byte) (*Message, error) {
-	return decode(new(Message), data, nil, fm)
+	return decode(new(Message), data, nil)
 }
 
 // tupleFrame and bareFrame are the object Decode makes per frame: the
@@ -497,23 +504,6 @@ type bareFrame struct {
 	data [288 - unsafe.Sizeof(Message{})]byte
 }
 
-func decodeOwn(data []byte, memo *FromMemo) (*Message, error) {
-	var (
-		m      *Message
-		own    []byte
-		fields []tuple.Field
-	)
-	if len(data) > 3 && carriesTuple(Type(data[3])) {
-		f := new(tupleFrame)
-		m, own, fields = &f.m, f.data[:0], f.fields[:0]
-	} else {
-		f := new(bareFrame)
-		m, own = &f.m, f.data[:0]
-	}
-	own = append(own, data...) // past the inline bytes: the one buffer more
-	return decode(m, own, fields, memo)
-}
-
 // carriesTuple reports whether frames of type t carry a tuple or template.
 func carriesTuple(t Type) bool {
 	return t == TOp || t == TResult || t == TOut || t == TEval
@@ -524,11 +514,11 @@ func carriesTuple(t Type) bool {
 // message's own copy (Decode), and then tuple and template strings alias
 // data too; nil means data is borrowed (DecodeNoCopy) and the tuple
 // decoders' no-copy contract holds.
-func decode(m *Message, data []byte, fields []tuple.Field, memo *FromMemo) (*Message, error) {
+func decode(m *Message, data []byte, fields []tuple.Field) (*Message, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("short frame (%d bytes): %w", len(data), ErrFrame)
 	}
-	if data[0] != magicA || data[1] != magicB {
+	if data[0] != MagicA || data[1] != MagicB {
 		return nil, fmt.Errorf("bad magic %x%x: %w", data[0], data[1], ErrFrame)
 	}
 	if data[2] != version {
@@ -550,9 +540,11 @@ func decode(m *Message, data []byte, fields []tuple.Field, memo *FromMemo) (*Mes
 	if m.ID, src, err = readUvarint(src); err != nil {
 		return nil, fmt.Errorf("id: %w", err)
 	}
-	if m.From, src, err = readFrom(src, memo); err != nil {
+	var from string
+	if from, src, err = readStr(src); err != nil {
 		return nil, fmt.Errorf("from: %w", err)
 	}
+	m.From = Addr(from)
 
 	switch m.Type {
 	case TDiscover:
@@ -790,19 +782,6 @@ func readRaw(src []byte) ([]byte, []byte, error) {
 func readStr(src []byte) (string, []byte, error) {
 	raw, src, err := readRaw(src)
 	return string(raw), src, err
-}
-
-// readFrom reads the sender address, through the stream's memo if there
-// is one.
-func readFrom(src []byte, memo *FromMemo) (Addr, []byte, error) {
-	raw, src, err := readRaw(src)
-	if err != nil || memo == nil {
-		return Addr(raw), src, err
-	}
-	if string(raw) != string(memo.last) {
-		memo.last = Addr(raw)
-	}
-	return memo.last, src, nil
 }
 
 // readRepl reads a replica identity (origin address + sequence). The

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-	"unsafe"
 
 	"tiamat/tuple"
 )
@@ -113,11 +112,11 @@ func TestDecodeErrors(t *testing.T) {
 	good := Encode(&Message{Type: TDiscover, ID: 1, From: "a"})
 	cases := map[string][]byte{
 		"empty":       {},
-		"short":       {magicA, magicB, version},
+		"short":       {MagicA, MagicB, version},
 		"bad magic":   {0, 0, version, byte(TDiscover), 0, 0},
-		"bad version": {magicA, magicB, 99, byte(TDiscover), 0, 0},
-		"bad type":    {magicA, magicB, version, 200, 0, 0},
-		"zero type":   {magicA, magicB, version, 0, 0, 0},
+		"bad version": {MagicA, MagicB, 99, byte(TDiscover), 0, 0},
+		"bad type":    {MagicA, MagicB, version, 200, 0, 0},
+		"zero type":   {MagicA, MagicB, version, 0, 0, 0},
 		"trailing":    append(append([]byte{}, good...), 1, 2, 3),
 		"truncated":   good[:len(good)-1],
 	}
@@ -126,7 +125,7 @@ func TestDecodeErrors(t *testing.T) {
 			t.Errorf("%s: decode succeeded", name)
 		}
 	}
-	if _, err := Decode([]byte{magicA, magicB, 99, byte(TDiscover), 0, 0}); !errors.Is(err, ErrVersion) {
+	if _, err := Decode([]byte{MagicA, MagicB, 99, byte(TDiscover), 0, 0}); !errors.Is(err, ErrVersion) {
 		t.Errorf("version error = %v", err)
 	}
 }
@@ -290,30 +289,6 @@ func TestCapsTruncationFailsClosed(t *testing.T) {
 	}
 }
 
-// TestFromMemoFollowsTheStream: the memo is a cache of the previous
-// frame's address, not an assumption about the connection. A stream that
-// alternates two senders (a relay's, say) decodes each frame's own From,
-// and a run of one sender shares a single string.
-func TestFromMemoFollowsTheStream(t *testing.T) {
-	var memo FromMemo
-	var prev *Message
-	for i, from := range []Addr{"10.0.0.1:7703", "10.0.0.2:7703", "10.0.0.1:7703", "10.0.0.1:7703", "", "", "10.0.0.2:7703"} {
-		want := &Message{Type: TAccept, ID: uint64(i), From: from, HoldID: 5}
-		got, err := memo.Decode(Encode(want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d: decoded %+v, want %+v", i, got, want)
-		}
-		if prev != nil && from != "" && prev.From == from &&
-			unsafe.StringData(string(prev.From)) != unsafe.StringData(string(got.From)) {
-			t.Fatalf("frame %d repeats the previous From without reusing its string", i)
-		}
-		prev = got
-	}
-}
-
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(&Message{Type: TDiscover, ID: 1, From: "seed"}))
 	f.Add(Encode(&Message{Type: TOp, ID: 2, From: "s", Op: OpIn, TTL: time.Second,
@@ -351,24 +326,38 @@ func FuzzDecode(f *testing.F) {
 	f.Add(reframe(append(truncated(Encode(&Message{Type: TAnnounce, ID: 14, From: "s", Caps: 1}), 1), 0)))
 	// An ack claiming far more coalesced IDs than it has bytes for.
 	f.Add(ackIDsClaim(1 << 20))
+	// A frame whose From is left to the channel.
+	f.Add(AppendEncodeBy(nil, &Message{Type: TAccept, ID: 15, From: "s", HoldID: 9}, "s"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
-		// A stream memo changes where From's string comes from, never
-		// what is decoded: first through an empty memo, then one that
-		// remembers this very address; and the no-copy decode, which
-		// differs only in where the contents live.
-		var memo FromMemo
-		for pass, dec := range []func([]byte) (*Message, error){memo.Decode, memo.Decode, memo.DecodeNoCopy} {
-			mm, merr := dec(data)
-			if fmt.Sprint(merr) != fmt.Sprint(err) {
-				t.Fatalf("memo pass %d: error %v, Decode's %v", pass, merr, err)
-			}
-			if err == nil && (mm.From != m.From || !bytes.Equal(Encode(mm), Encode(m))) {
-				t.Fatalf("memo pass %d: decoded %+v, Decode %+v", pass, mm, m)
-			}
+		// The no-copy decode differs only in where the contents live.
+		mm, merr := DecodeNoCopy(data)
+		if fmt.Sprint(merr) != fmt.Sprint(err) {
+			t.Fatalf("DecodeNoCopy: error %v, Decode's %v", merr, err)
 		}
 		if err != nil {
 			return
+		}
+		if !bytes.Equal(Encode(mm), Encode(m)) {
+			t.Fatalf("DecodeNoCopy: decoded %+v, Decode %+v", mm, m)
+		}
+		// A frame encoded by its own sender leaves From to the channel and
+		// is otherwise the same frame; by anyone else it is Encode's.
+		if m.From != "" {
+			if other := AppendEncodeBy(nil, m, m.From+"x"); !bytes.Equal(other, Encode(m)) {
+				t.Fatalf("AppendEncodeBy for another sender: %x, Encode %x", other, Encode(m))
+			}
+		}
+		own, err := Decode(AppendEncodeBy(nil, m, m.From))
+		if err != nil {
+			t.Fatalf("decode with From left to the channel: %v", err)
+		}
+		if own.From != "" {
+			t.Fatalf("frame from its own sender decoded From %q, want empty", own.From)
+		}
+		own.From = m.From
+		if !bytes.Equal(Encode(own), Encode(m)) {
+			t.Fatalf("frame from its own sender: decoded %+v, want %+v", own, m)
 		}
 		// Valid frames must re-encode and re-decode.
 		if _, err := Decode(Encode(m)); err != nil {

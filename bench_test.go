@@ -271,9 +271,19 @@ func BenchmarkRemoteOutAtTwoNodes(b *testing.B) {
 
 // remoteTakeAllocs is what one remote take measures over memnet: an Out
 // at one node and an Inp from the other, round-tripping op, result,
-// accept and ack. Each received frame is one object (wire.Decode), and
-// the walk hears its lease end through an end hook, not a channel.
-const remoteTakeAllocs = 14
+// accept and ack. The objects: 4 received frames (wire.Decode, one each);
+// 3 lease grants (the out, the take, the serve); the store entry, which
+// is its own hold; the responder's pending hold, which carries the TAck;
+// the found TResult, which the request's record keeps; and the take's
+// TOp, made as one object with its accept record (DESIGN.md §7).
+const remoteTakeAllocs = 11
+
+// remoteBlockingTakeAllocs is what one round of
+// BenchmarkRemoteInBlockingTwoNodes measures: an Out at a served to one
+// of eight blocking takers parked there from b, and that taker parking
+// again. It is remoteTakeAllocs plus the blocking walk's and the served
+// wait's own objects.
+const remoteBlockingTakeAllocs = 16
 
 // remoteTakeWireBytes is what one remote take puts on the wire over
 // memnet: op, result, accept and ack, each leaving its sender's address
@@ -295,6 +305,22 @@ func TestRemoteTakeAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(2000, func() { remoteTake(t, a, bb) }); got != remoteTakeAllocs {
 		t.Fatalf("Out + remote Inp: %.2f allocs, want %d", got, remoteTakeAllocs)
+	}
+}
+
+// TestRemoteBlockingTakeAllocs pins BenchmarkRemoteInBlockingTwoNodes's
+// objects per round, as TestRemoteTakeAllocs does the nonblocking take's.
+func TestRemoteBlockingTakeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops some of what is put back; internal/core's TestServedBlockingTakeAllocBudget keeps a ceiling there")
+	}
+	a, bb, _ := memnetPair(t)
+	round := blockingTakers(t, a, bb)
+	for k := 0; k < 200; k++ {
+		round() // pools, heaps and maps reach their steady size
+	}
+	if got := testing.AllocsPerRun(2000, round); got != remoteBlockingTakeAllocs {
+		t.Fatalf("Out + blocking remote In: %.2f allocs, want %d", got, remoteBlockingTakeAllocs)
 	}
 }
 
@@ -455,6 +481,13 @@ func remoteOutAt(tb testing.TB, a, b *tiamat.Instance) {
 // sends the reply, and no goroutine at a is woken at all.
 func BenchmarkRemoteInBlockingTwoNodes(b *testing.B) {
 	a, bb, _ := memnetPair(b)
+	reportHandoffs(b, blockingTakers(b, a, bb))
+}
+
+// blockingTakers parks eight blocking takers on b for one template at a
+// and returns one round of the master/worker shape: an out at a, until
+// some taker has it. The takers stop at the test's cleanup.
+func blockingTakers(tb testing.TB, a, b *tiamat.Instance) (round func()) {
 	t := tuple.T(tuple.String("k"), tuple.Int(1))
 	p := tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
 	req := lease.Flexible(lease.Terms{Duration: time.Minute, MaxRemotes: 4})
@@ -468,27 +501,26 @@ func BenchmarkRemoteInBlockingTwoNodes(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				if _, err := bb.In(ctx, p, req); err == nil {
+				if _, err := b.In(ctx, p, req); err == nil {
 					taken <- struct{}{}
 				}
 			}
 		}()
 	}
-	// One warm-up round teaches b where a is, so every timed take is a
-	// unicast wait parked at a and not a discovery multicast.
-	if err := a.Out(t, nil); err != nil {
-		b.Fatal(err)
-	}
-	<-taken
-	reportHandoffs(b, func() {
+	tb.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+	round = func() {
 		if err := a.Out(t, nil); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		<-taken
-	})
-	b.StopTimer()
-	cancel()
-	wg.Wait()
+	}
+	// One warm-up round teaches b where a is, so every timed take is a
+	// unicast wait parked at a and not a discovery multicast.
+	round()
+	return round
 }
 
 // BenchmarkRemoteInpTwoNodesReplicated is the R=2 twin of

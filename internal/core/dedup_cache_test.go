@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -251,4 +254,85 @@ func TestDuplicateOfRequestInEachState(t *testing.T) {
 			}
 		})
 	}
+}
+
+// acceptGate holds an endpoint's first TAccept at the send until let is
+// closed, and says on seen that it has one.
+type acceptGate struct {
+	transport.Endpoint
+	seen, let chan struct{}
+}
+
+func (g *acceptGate) Send(to wire.Addr, m *wire.Message) error {
+	if m.Type == wire.TAccept {
+		select {
+		case g.seen <- struct{}{}:
+		default:
+		}
+		<-g.let
+	}
+	return g.Endpoint.Send(to, m)
+}
+
+// TestAcceptedHoldNotRetained: a found take's request record keeps its
+// reply for dedupTTL, and only the reply. Once the accept has settled the
+// hold, the pending hold — with the TAck it sent and the entry it held —
+// is garbage while the record stands (DESIGN.md §7).
+func TestAcceptedHoldNotRetained(t *testing.T) {
+	gate := &acceptGate{seen: make(chan struct{}, 1), let: make(chan struct{})}
+	a, b := wallPair(t, nil, func(c *Config) {
+		if c.Endpoint.Addr() == "b" {
+			gate.Endpoint, c.Endpoint = c.Endpoint, gate
+		}
+	})
+	if err := a.Out(req(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	taken := make(chan error, 1)
+	go func() {
+		_, ok, err := b.Inp(context.Background(), reqTmpl(), nil)
+		if err == nil && !ok {
+			err = errors.New("no match")
+		}
+		taken <- err
+	}()
+	select {
+	case <-gate.seen:
+	case err := <-taken:
+		t.Fatalf("the take ended before its accept: %v", err)
+	}
+	collected := make(chan struct{})
+	a.mu.Lock()
+	if len(a.holds) != 1 {
+		a.mu.Unlock()
+		t.Fatalf("%d pending holds at a under the gated accept, want 1", len(a.holds))
+	}
+	for _, ph := range a.holds {
+		runtime.SetFinalizer(ph, func(*pendingHold) { close(collected) })
+	}
+	a.mu.Unlock()
+	close(gate.let)
+	if err := <-taken; err != nil {
+		t.Fatalf("remote take: %v", err)
+	}
+	eventually(t, "the accept settled the hold", func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.holds) == 0
+	})
+	if n := countRequests(a, func(e request) bool { return e.state == reqAnswered && e.reply.Found }); n != 1 {
+		t.Fatalf("%d answered found records at a, want the take's", n)
+	}
+	for k := 0; k < 50; k++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if n := countRequests(a, func(e request) bool { return e.state == reqAnswered }); n != 1 {
+				t.Fatalf("the take's record went with the hold: %d answered records", n)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the accepted pending hold is still reachable")
 }

@@ -72,6 +72,7 @@ type walk struct {
 	// stamped with the time left, which later contacts then share.
 	msg   *wire.Message
 	to    wire.Addr
+	spare *pendingAccept         // a take's accept record (takeFrames)
 	local space.Parked           // a local match ends the walk; nil once settled
 	joins <-chan discovery.Event // nil unless re-arming
 
@@ -501,9 +502,17 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	// only a replica copy may then serve it — provided it can prove every
 	// higher-ranked holder dead (replica.go), so an alive primary always
 	// keeps its takes. The flag stays off multicasts (see multicast).
-	m := &wire.Message{Type: wire.TOp, From: i.Addr(), Op: code, Template: p,
+	var m *wire.Message
+	var spare *pendingAccept
+	if code.Removes() {
+		tf := new(takeFrames)
+		m, spare = &tf.op, &tf.accept
+	} else {
+		m = new(wire.Message)
+	}
+	*m = wire.Message{Type: wire.TOp, From: i.Addr(), Op: code, Template: p,
 		Failover: to == "" && code.Removes() && i.repl != nil}
-	res, ok, err = i.walk(ctx, lse, m, to, st)
+	res, ok, err = i.walk(ctx, lse, m, spare, to, st)
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -515,11 +524,18 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	return res, ok, nil
 }
 
+// takeFrames is a remote take's first TOp and the accept record of the
+// hold it wins, made as one object (DESIGN.md §7).
+type takeFrames struct {
+	op     wire.Message
+	accept pendingAccept
+}
+
 // walk runs one outbound operation to its end (type walk): m is its first
-// frame, stamped here with op ID, TTL and budget. st is the op's state
-// when the caller opened it to register locally — a local match then ends
-// the walk — and nil otherwise. An rpc's ack reads as a found result.
-func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, to wire.Addr, st *opState) (Result, bool, error) {
+// frame, stamped here with op ID, TTL and budget; spare is a take's accept
+// record, or nil. st is the op's state when the caller opened it to
+// register locally — a local match then ends the walk — and nil otherwise. An rpc's ack reads as a found result.
+func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, spare *pendingAccept, to wire.Addr, st *opState) (Result, bool, error) {
 	if st == nil {
 		var err error
 		if st, err = i.openOp(); err != nil {
@@ -530,7 +546,7 @@ func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, 
 	m.ID = st.id
 	m.TTL = lse.Deadline().Sub(i.clk.Now())
 	stampBudget(ctx, m)
-	st.walk = walk{ctx: ctx, lse: lse, msg: m, to: to, local: st.local}
+	st.walk = walk{ctx: ctx, lse: lse, msg: m, spare: spare, to: to, local: st.local}
 	lse.OnEnd(st)
 	if err := st.start(); err != nil {
 		return Result{}, false, err
@@ -672,7 +688,7 @@ func (st *opState) onReply(m *wire.Message) {
 			}
 			// First responder wins: accept this hold; closeOp's drain
 			// releases any later ones.
-			i.acceptHold(m.From, m.HoldID, st.lse)
+			i.acceptHold(m.From, m.HoldID, st.lse, st.spare)
 			// A reply carrying a replica identity means other holders keep
 			// copies of this tuple: tell them it is consumed (replica.go).
 			i.replInvalidateSiblings(m)
@@ -985,8 +1001,8 @@ type pendingAccept struct {
 // back up the manager toward its MaxActive watermark and the governor
 // starts shedding healthy traffic (the PR 7 regression). The happy path
 // here is one send plus one queue entry that the ack unlinks; no timer is
-// armed for it.
-func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease) {
+// armed for it. pa is the record to fill: the take's own (takeFrames).
+func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease, pa *pendingAccept) {
 	i.rememberAccepted(acceptKey{owner: owner, holdID: holdID})
 	budget := lse.Deadline().Sub(i.clk.Now()) + i.tm.holdGrace
 	if budget < i.tm.holdGrace {
@@ -995,7 +1011,7 @@ func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease) 
 	giveUp := i.clk.Now().Add(budget)
 
 	ackID := i.nextOp()
-	pa := &pendingAccept{i: i, owner: owner, giveUp: giveUp, attempt: 1,
+	*pa = pendingAccept{i: i, owner: owner, giveUp: giveUp, attempt: 1,
 		msg: wire.Message{Type: wire.TAccept, ID: ackID, From: i.Addr(), HoldID: holdID}}
 	// Register before sending: over a synchronous transport the ack can
 	// arrive before send returns, and an ack that finds nothing registered
@@ -1247,7 +1263,7 @@ func (i *Instance) rpc(addr wire.Addr, kind lease.OpKind, counter string, m *wir
 		return err
 	}
 	defer lse.Cancel()
-	_, acked, err := i.walk(context.TODO(), lse, m, addr, nil)
+	_, acked, err := i.walk(context.TODO(), lse, m, nil, addr, nil)
 	switch {
 	case err != nil || acked:
 		return err

@@ -23,19 +23,21 @@ import (
 
 // pendingHold is a tentatively removed tuple awaiting TAccept/TRelease.
 // It is its own entry on the instance's deadline queue: the grace
-// deadline reinstates it if the requester disappears.
+// deadline reinstates it if the requester disappears. It carries the TAck
+// its accept is answered with; the request's record does not keep it (§7).
 type pendingHold struct {
 	clock.Deadline
 	i    *Instance
 	id   uint64
 	key  waitKey // the request this hold answers, whose recorded reply it voids
 	hold space.Hold
+	ack  wire.Message
 }
 
 // Expire implements clock.Entry: the grace deadline passed with neither
 // an accept nor a release, so the tuple goes back into the space.
 func (ph *pendingHold) Expire() {
-	if ph.i.settleHold(ph.id, false) {
+	if ph.i.settleHold(ph.id, false) != nil {
 		ph.i.met.Inc(trace.CtrHoldGraceExpired)
 	}
 }
@@ -560,8 +562,8 @@ func (i *Instance) registerHold(h space.Hold, ttl time.Duration, key waitKey) ui
 }
 
 // settleHold finalises (accept) or reinstates (release) a pending hold,
-// reporting whether the hold was still pending.
-func (i *Instance) settleHold(id uint64, accept bool) bool {
+// returning it if it was still pending and nil otherwise.
+func (i *Instance) settleHold(id uint64, accept bool) *pendingHold {
 	i.mu.Lock()
 	ph, ok := i.holds[id]
 	if ok {
@@ -583,7 +585,7 @@ func (i *Instance) settleHold(id uint64, accept bool) bool {
 	}
 	i.mu.Unlock()
 	if !ok {
-		return false
+		return nil
 	}
 	i.deadlines.Cancel(ph)
 	if accept {
@@ -591,15 +593,22 @@ func (i *Instance) settleHold(id uint64, accept bool) bool {
 	} else {
 		ph.hold.Release()
 	}
-	return true
+	return ph
 }
 
 // handleAccept finalises a tentative hold and acknowledges, letting the
-// requester stop retransmitting the accept. A duplicate accept finds the
-// hold already settled and is simply acknowledged again — idempotent.
+// requester stop retransmitting the accept, with the ack the hold carries.
+// A duplicate accept finds the hold already settled and is simply
+// acknowledged again, with a fresh ack — idempotent.
 func (i *Instance) handleAccept(m *wire.Message) {
-	i.settleHold(m.HoldID, true)
-	_ = i.send(m.From, &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr(), OK: true})
+	var ack *wire.Message
+	if ph := i.settleHold(m.HoldID, true); ph != nil {
+		ack = &ph.ack
+	} else {
+		ack = new(wire.Message)
+	}
+	*ack = wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr(), OK: true}
+	_ = i.send(m.From, ack)
 }
 
 // handleCancel withdraws a request, whatever its record held (a parked

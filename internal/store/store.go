@@ -202,12 +202,18 @@ func waiterKeyOfTuple(t tuple.Tuple) (tagKey, *shard, bool) {
 	return tagKey{arity: t.Arity()}, nil, false
 }
 
+// entry is a stored tuple and, once unlinked for a taker, its hold: the
+// first of Accept and Release settles it, with no lock held, since a
+// release re-enters Out, which may run a sink. Release reinstates a fresh
+// entry under the same id, so a stale handle stays settled.
 type entry struct {
-	id     uint64
-	t      tuple.Tuple
-	size   int64     // cached t.Size() for byte accounting
-	expiry time.Time // zero = never
-	index  int       // position in expiry heap, -1 if absent
+	s       *Store
+	id      uint64
+	t       tuple.Tuple
+	size    int64     // cached t.Size() for byte accounting
+	expiry  time.Time // zero = never
+	index   int32     // position in expiry heap, -1 if absent; int32 so the entry fits 80 B
+	settled atomic.Bool
 }
 
 // waiter is a one-shot Park registration: its sink is called with a copy
@@ -253,7 +259,7 @@ func (w *waiter) call(e *entry) {
 		w.sink.Deliver(e.t, nil)
 		return
 	}
-	w.sink.Deliver(e.t, &hold{s: w.s, e: e})
+	w.sink.Deliver(e.t, e)
 }
 
 // Option configures a Store.
@@ -342,13 +348,13 @@ func New(opts ...Option) *Store {
 
 // Out implements space.Space.
 func (s *Store) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
-	return s.out(t, expiry, nil)
+	return s.out(t, expiry, 0)
 }
 
-// out is Out, for a new tuple or, with back set, for a released hold's:
-// that one comes back as the entry it was, under the id its out-lease
-// and its replica copies know it by.
-func (s *Store) out(t tuple.Tuple, expiry time.Time, back *entry) (uint64, error) {
+// out is Out, for a new tuple or, with id set, for a released hold's:
+// that one comes back under the id its out-lease and its replica copies
+// know it by.
+func (s *Store) out(t tuple.Tuple, expiry time.Time, id uint64) (uint64, error) {
 	key, _, tagged := waiterKeyOfTuple(t)
 	var sh *shard
 	if tagged {
@@ -371,10 +377,7 @@ func (s *Store) out(t tuple.Tuple, expiry time.Time, back *entry) (uint64, error
 	// The tuple is stored — or, with a taker, stored and tentatively
 	// removed in one step: the caller tracks the id either way, and the
 	// hold's Accept or Release settles it as it would after a Hold.
-	e := back
-	if e == nil {
-		e = sh.newEntryLocked(t, expiry)
-	}
+	e := sh.newEntryLocked(t, expiry, id)
 	if taker == nil {
 		sh.linkLocked(e)
 	}
@@ -539,12 +542,14 @@ func (sh *shard) setWaitersLocked(key tagKey, ws []*waiter) {
 	sh.waiters[key] = ws
 }
 
-// newEntryLocked gives t the shard's next id without linking it into
-// any index — the state of an entry under a hold. Caller holds sh.mu.
-func (sh *shard) newEntryLocked(t tuple.Tuple, expiry time.Time) *entry {
-	sh.nextSeq++
-	id := sh.nextSeq<<sh.st.shardBits | sh.idx
-	return &entry{id: id, t: t, size: t.Size(), expiry: expiry, index: -1}
+// newEntryLocked makes an unlinked entry for t — a hold's state — under
+// id, or the shard's next id when that is 0. Caller holds sh.mu.
+func (sh *shard) newEntryLocked(t tuple.Tuple, expiry time.Time, id uint64) *entry {
+	if id == 0 {
+		sh.nextSeq++
+		id = sh.nextSeq<<sh.st.shardBits | sh.idx
+	}
+	return &entry{s: sh.st, id: id, t: t, size: t.Size(), expiry: expiry, index: -1}
 }
 
 // linkLocked makes e visible to matching and the janitor. Caller holds
@@ -631,7 +636,7 @@ func (sh *shard) removeLocked(e *entry) {
 	}
 	sh.bytes -= e.size
 	if e.index >= 0 {
-		heap.Remove(&sh.expiry, e.index)
+		heap.Remove(&sh.expiry, int(e.index))
 	}
 }
 
@@ -851,7 +856,7 @@ func (sh *shard) holdShard(p tuple.Template) (space.Hold, bool) {
 	}
 	sh.removeLocked(e)
 	sh.mu.Unlock()
-	return &hold{s: sh.st, e: e}, true
+	return e, true
 }
 
 // Hold implements space.Space.
@@ -868,37 +873,28 @@ func (s *Store) Hold(p tuple.Template) (space.Hold, bool) {
 	return nil, false
 }
 
-// hold is a tentatively removed entry. Whichever of Accept and Release
-// comes first settles it; the settling call runs with no lock of the
-// hold's held, since a release re-enters Out, which may run a sink.
-type hold struct {
-	s       *Store
-	e       *entry
-	settled atomic.Bool
-}
+func (e *entry) Tuple() tuple.Tuple { return e.t }
 
-func (h *hold) Tuple() tuple.Tuple { return h.e.t }
+func (e *entry) ID() uint64 { return e.id }
 
-func (h *hold) ID() uint64 { return h.e.id }
-
-func (h *hold) Accept() {
-	if !h.settled.CompareAndSwap(false, true) {
+func (e *entry) Accept() {
+	if !e.settled.CompareAndSwap(false, true) {
 		return
 	}
-	h.s.met.Inc(trace.CtrTuplesTaken)
-	h.s.notifyRemoved(h.e.id)
+	e.s.met.Inc(trace.CtrTuplesTaken)
+	e.s.notifyRemoved(e.id)
 }
 
-func (h *hold) Release() {
-	if !h.settled.CompareAndSwap(false, true) {
+func (e *entry) Release() {
+	if !e.settled.CompareAndSwap(false, true) {
 		return
 	}
 	// Reinstate with the original expiry; if it expired while held it
 	// will be reclaimed by the janitor path on the next operation.
-	if _, err := h.s.out(h.e.t, h.e.expiry, h.e); err == nil {
-		h.s.met.Inc(trace.CtrTuplesReinstated)
+	if _, err := e.s.out(e.t, e.expiry, e.id); err == nil {
+		e.s.met.Inc(trace.CtrTuplesReinstated)
 		// Out counted a store; a reinstatement is not a new tuple.
-		h.s.met.Add(trace.CtrTuplesStored, -1)
+		e.s.met.Add(trace.CtrTuplesStored, -1)
 	}
 }
 
@@ -1031,8 +1027,11 @@ type expiryHeap []*entry
 
 func (h expiryHeap) Len() int           { return len(h) }
 func (h expiryHeap) Less(i, j int) bool { return h[i].expiry.Before(h[j].expiry) }
-func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index, h[j].index = i, j }
-func (h *expiryHeap) Push(x any)        { e := x.(*entry); e.index = len(*h); *h = append(*h, e) }
+func (h expiryHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = int32(i), int32(j)
+}
+func (h *expiryHeap) Push(x any) { e := x.(*entry); e.index = int32(len(*h)); *h = append(*h, e) }
 func (h *expiryHeap) Pop() any {
 	old := *h
 	n := len(old)

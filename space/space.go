@@ -181,8 +181,8 @@ type Hold interface {
 	// Accept finalises the removal. Idempotent; Accept after Release is
 	// a no-op.
 	Accept()
-	// Release reinstates the tuple into the space, as the entry it was:
-	// whoever holds or takes it next finds it under the same ID.
-	// Idempotent; Release after Accept is a no-op.
+	// Release reinstates the tuple into the space under the same ID, for
+	// whoever holds or takes it next through a handle of its own: this one
+	// stays settled. Idempotent; Release after Accept is a no-op.
 	Release()
 }

@@ -132,6 +132,7 @@ func Parking(t *testing.T, open func(t *testing.T) space.Space) {
 		{"a parked in outranks parked takers", inOutranksTakers},
 		{"a take is served in age order among readers", takeAmongReaders},
 		{"a release goes to the next taker", releaseFeedsNext},
+		{"a released hold stays settled", staleHold},
 		{"a resident match is held at once", immediateHit},
 		{"cancel before the out leaves the tuple", cancelThenOut},
 		{"a committed hold survives cancel", cancelAfterCommit},
@@ -274,6 +275,20 @@ func releaseFeedsNext(t *testing.T, s space.Space) {
 	if !s.Remove(h.ID()) {
 		t.Fatal("Remove did not find the released tuple under its first id")
 	}
+}
+
+// staleHold: a released tuple is held again through a handle of its own;
+// the first handle's Release and Accept change nothing.
+func staleHold(t *testing.T, s space.Space) {
+	out(t, s, job(1))
+	first, _ := s.Hold(jobTmpl())
+	first.Release()
+	second := held(t, Park(s, jobTmpl(), space.Claim), job(1), "second holder")
+	first.Release()
+	first.Accept()
+	count(t, s, 0, "stale release and accept under the second hold")
+	second.Release()
+	count(t, s, 1, "second hold released")
 }
 
 func immediateHit(t *testing.T, s space.Space) {

@@ -81,9 +81,10 @@ crash_exp  = C1
 # once by its request's record in every state, quotas, shed order,
 # the shrink-before-revoke ladder, deadline propagation, the reports the
 # shed assertions read (views over a per-node registry that forwards to
-# a shared parent), and the C2 flood (the harness TestMain also asserts
-# no goroutine leaks survive it).
-soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|CancelOvertakes|InflightDedup|DuplicateOf|DuplicateBlockingOp|ServedCache|CancelBeforeOp|C2
+# a shared parent), an immediate serve admitted without a lease (and a
+# full manager's refusal of one), and the C2 flood (the harness TestMain
+# also asserts no goroutine leaks survive it).
+soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|CancelOvertakes|InflightDedup|DuplicateOf|DuplicateBlockingOp|ServedCache|CancelBeforeOp|Admit|ImmediateServe|FullResponder|C2
 soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./trace/ ./internal/harness/
 soak_exp  = C2
 # mobility: visibility-event re-arming, orphan reconciliation (the sweep
@@ -128,8 +129,9 @@ upgrade_exp  = C6
 # spaces (one sink call per out, made by the out; a parked in outranks
 # them; cancel versus delivery; WAL accounting against compaction), N
 # remote takers on one template with no goroutine parked for any, every
-# edge that ends a served wait in every order, the lease end hook and the
-# reusable visibility subscription under it, the out-lease an early accept
+# edge that ends a served wait in every order, the serve lease a parked
+# wait carries as a field (granted into place, no object of its own), the
+# lease end hook and the reusable visibility subscription under it, the out-lease an early accept
 # must still release and every space's removal report ends, the settlement cancels that skip only the winner,
 # the deadline queue under all of it (order, cancel, the arm rule, no
 # runtime timer for any outbound op and fixed allocation budgets per
@@ -138,7 +140,7 @@ upgrade_exp  = C6
 # the race detector, whose pools leak) and an accepted hold its request's
 # record does not keep, an idle node's goroutine census and its one
 # timer, and the E5 render farm.
-farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|RemovalReport|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames|IdleNodeGoroutines|IdleNodeHoldsOneTimer|RemoteBlockingTakeAllocs|AcceptedHoldNotRetained
+farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|RemovalReport|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames|IdleNodeGoroutines|IdleNodeHoldsOneTimer|RemoteBlockingTakeAllocs|AcceptedHoldNotRetained|ServeLeaseLives|GrantInto
 farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/ ./clock/ ./lease/ ./internal/discovery/ .
 farm_exp  = E5
 

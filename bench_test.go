@@ -272,18 +272,19 @@ func BenchmarkRemoteOutAtTwoNodes(b *testing.B) {
 // remoteTakeAllocs is what one remote take measures over memnet: an Out
 // at one node and an Inp from the other, round-tripping op, result,
 // accept and ack. The objects: 4 received frames (wire.Decode, one each);
-// 3 lease grants (the out, the take, the serve); the store entry, which
-// is its own hold; the responder's pending hold, which carries the TAck;
-// the found TResult, which the request's record keeps; and the take's
-// TOp, made as one object with its accept record (DESIGN.md §7).
-const remoteTakeAllocs = 11
+// 2 lease grants (the out and the take: the responder admits its serve
+// without a lease); the store entry, which is its own hold; the
+// responder's pending hold, which carries the TAck; the found TResult,
+// which the request's record keeps; and the take's TOp, made as one
+// object with its accept record (DESIGN.md §7).
+const remoteTakeAllocs = 10
 
 // remoteBlockingTakeAllocs is what one round of
 // BenchmarkRemoteInBlockingTwoNodes measures: an Out at a served to one
 // of eight blocking takers parked there from b, and that taker parking
 // again. It is remoteTakeAllocs plus the blocking walk's and the served
-// wait's own objects.
-const remoteBlockingTakeAllocs = 16
+// wait's own objects; the served wait carries its serve lease.
+const remoteBlockingTakeAllocs = 15
 
 // remoteTakeWireBytes is what one remote take puts on the wire over
 // memnet: op, result, accept and ack, each leaving its sender's address

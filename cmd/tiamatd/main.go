@@ -221,6 +221,7 @@ func main() {
 			}
 			return
 		case <-tick:
+			// granted leaves out a peer's op answered on the spot: admitted, not leased.
 			s := inst.LeaseManager().Stats()
 			fmt.Printf("tuples=%d bytes=%d leases{active=%d granted=%d refused=%d expired=%d revoked=%d} responders=%d\n",
 				inst.LocalSpace().Count(), inst.LocalSpace().Bytes(),

@@ -99,7 +99,7 @@ type GovernorReport struct {
 	Shrinks      uint64 // shrink sweeps that reclaimed budget
 	ShrunkBytes  int64  // bytes reclaimed by shrink sweeps
 	Revokes      uint64 // leases revoked (last resort)
-	GrantClamps  uint64 // serve grants narrowed under pressure
+	GrantClamps  uint64 // serve leases (parked waits, outs, evals) narrowed under pressure
 	DeadlineCuts uint64 // serve budgets cut to the requester's budget
 	// Queued counts serve frames queued for the worker pool, QueueSheds
 	// among them. Only a space that may block has a pool: on a

@@ -220,7 +220,7 @@ type remoteWait struct {
 	i   *Instance
 	key waitKey
 	ttl time.Duration // effective serve budget, for the hold's grace
-	lse *lease.Lease
+	lse lease.Lease   // granted into place: never copy or reuse a wait (DESIGN.md §7)
 
 	// Guarded by i.mu. handle is nil until Park has returned; an end edge
 	// that arrives before that leaves the cancel to serveBlocking.
@@ -406,17 +406,15 @@ func (i *Instance) handleOp(m *wire.Message) {
 		rw = e.wait
 	}
 
-	// The serve budget is min(TTL, propagated requester budget); under
-	// pressure the governor narrows the proposal further before the
-	// lease manager ever sees it (escalation rung 1).
+	// The serve budget is min(TTL, propagated requester budget).
 	ttl := i.effTTL(m)
 
 	// Admit the work through our own lease manager; refusal means we
-	// contribute nothing to this operation. GrantTerms is the
-	// accept-any-offer fast path: the requester already negotiated on
-	// its own node, so there is nothing to consider here.
-	lse, err := i.mgr.GrantTerms(opKind(m.Op), i.gov.clampTerms(serveTerms(ttl)))
-	if err != nil {
+	// contribute nothing to this operation. Admission mints no lease: an
+	// answer sent before this returns leaves nothing to bound (paper
+	// §3.1.1). Only a parked wait outlives the frame; serveBlocking leases
+	// it, clamped (the clamp narrows a duration, it never refuses).
+	if i.mgr.Admit(opKind(m.Op), serveTerms(ttl)) != nil {
 		_ = i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false})
 		return
 	}
@@ -429,7 +427,6 @@ func (i *Instance) handleOp(m *wire.Message) {
 			if rw != nil {
 				rw.end(false)
 			}
-			lse.Cancel()
 			return
 		}
 		if m.Failover {
@@ -444,14 +441,12 @@ func (i *Instance) handleOp(m *wire.Message) {
 				if rw != nil {
 					rw.end(false)
 				}
-				lse.Cancel()
 				return
 			}
 		}
 	} else {
 		if t, ok := i.local.Rdp(m.Template); ok {
 			i.answerFound(key, ttl, t, nil, "", 0)
-			lse.Cancel()
 			return
 		}
 		// Any live replica may answer a read (replica.go): staleness is
@@ -459,7 +454,6 @@ func (i *Instance) handleOp(m *wire.Message) {
 		// accepts for visibility.
 		if t, ok := i.replRdp(m.Template); ok {
 			i.answerFound(key, ttl, t, nil, "", 0)
-			lse.Cancel()
 			return
 		}
 	}
@@ -468,7 +462,6 @@ func (i *Instance) handleOp(m *wire.Message) {
 		// Nothing servable beyond what the standing waiter already
 		// watches; it stays registered and this duplicate ends here.
 		i.met.Inc(trace.CtrDedupDrops)
-		lse.Cancel()
 		return
 	}
 
@@ -476,44 +469,49 @@ func (i *Instance) handleOp(m *wire.Message) {
 		notFound := &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false}
 		i.recordServed(key, notFound)
 		_ = i.send(m.From, notFound)
-		lse.Cancel()
 		return
 	}
 
 	// Blocking op: hold a waiter on behalf of the peer until a match,
-	// the granted lease expires, or the peer cancels.
-	i.serveBlocking(m, lse, ttl)
+	// its lease expires, or the peer cancels.
+	i.serveBlocking(m, ttl)
 }
 
 // serveBlocking parks a peer's blocking operation in the local space. ttl
 // is the effective serve budget computed by handleOp.
-func (i *Instance) serveBlocking(m *wire.Message, lse *lease.Lease, ttl time.Duration) {
+func (i *Instance) serveBlocking(m *wire.Message, ttl time.Duration) {
 	key := waitKey{from: m.From, id: m.ID}
-	// Claim a slot in the bounded remote wait table first: both the
-	// per-peer fairness quota and the global cap apply. Refusal is an
-	// explicit busy reply — the requester fails over instead of assuming
-	// a waiter is registered here.
+	// The wait carries its lease. Under pressure the governor narrows the
+	// proposal before the lease manager sees it (escalation rung 1).
+	rw := &remoteWait{i: i, key: key, ttl: ttl}
+	if i.mgr.GrantInto(&rw.lse, opKind(m.Op), i.gov.clampTerms(serveTerms(ttl))) != nil {
+		_ = i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false})
+		return
+	}
+	// Claim a slot in the bounded remote wait table: both the per-peer
+	// fairness quota and the global cap apply. Refusal is an explicit
+	// busy reply — the requester fails over instead of assuming a waiter
+	// is registered here.
 	if !i.gov.tryAddWait(m.From) {
-		lse.Cancel()
+		rw.lse.Cancel()
 		_ = i.send(m.From, &wire.Message{
 			Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false, Busy: true,
 		})
 		return
 	}
-	rw := &remoteWait{i: i, key: key, ttl: ttl, lse: lse}
 	i.mu.Lock()
 	e, ok := i.requests[key]
 	if i.closed || !ok || e.state != reqAdmitted {
 		// Closed, or a TCancel landed while the op ran: no wait to park.
 		i.mu.Unlock()
 		i.gov.dropWait(m.From)
-		lse.Cancel()
+		rw.lse.Cancel()
 		return
 	}
 	e.wait = rw
 	i.requests[key] = e
 	i.mu.Unlock()
-	lse.OnEnd(rw)
+	rw.lse.OnEnd(rw)
 
 	// One registration, made once. A destructive op parks a Claim: the
 	// space hands each matching Out no local in took to exactly one of

@@ -695,17 +695,18 @@ func TestPanickingSinkIsTheWaitsProblem(t *testing.T) {
 }
 
 // servedTakeAllocBudget is two objects above what an Out at one node plus
-// one blocking In served for the other measures since the stored entry
-// became its own hold, the ack rode the pending hold and the take's op
-// frame shared one object with its accept record (16 by AllocsPerRun; 19
-// before that, 22 before the walk stopped asking its lease for a Done
-// channel, 41 before the served wait stopped parking a goroutine), in the
-// farm's shape: eight takers, each parking again when it has been served.
+// one blocking In served for the other measures since the served wait
+// carries its serve lease (15 by AllocsPerRun; 16 before that, 19 before
+// the stored entry became its own hold, the ack rode the pending hold and
+// the take's op frame shared one object with its accept record, 22 before
+// the walk stopped asking its lease for a Done channel, 41 before the
+// served wait stopped parking a goroutine), in the farm's shape: eight
+// takers, each parking again when it has been served.
 // The race detector's leaky pools add a few, as for remoteTakeAllocBudget:
-// 21–22 measured.
+// 20–21 measured.
 const (
-	servedTakeAllocBudget      = 18
-	servedTakeAllocBudgetLeaky = 24
+	servedTakeAllocBudget      = 17
+	servedTakeAllocBudgetLeaky = 23
 )
 
 func TestServedBlockingTakeAllocBudget(t *testing.T) {

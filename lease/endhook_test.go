@@ -99,3 +99,26 @@ func TestEndHookAllocatesNothing(t *testing.T) {
 		t.Fatalf("GrantTerms+OnEnd+Cancel: %v allocs, want 1 (the lease)", allocs)
 	}
 }
+
+// TestEndHookIntoAllocatesNothing is TestEndHookAllocatesNothing for a
+// lease granted into its holder, as a served wait carries its own: 0.
+func TestEndHookIntoAllocatesNothing(t *testing.T) {
+	m := NewManager(DefaultCapacity(), nil)
+	defer m.Close()
+	hook := &noopHook{}
+	ls := make([]Lease, 1002) // each granted into once
+	k := 0
+	cycle := func() {
+		l := &ls[k]
+		k++
+		if err := m.GrantInto(l, OpIn, Terms{Duration: 30 * time.Minute}); err != nil {
+			t.Fatal(err)
+		}
+		l.OnEnd(hook)
+		l.Cancel()
+	}
+	cycle() // arm the queue's timer once
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("GrantInto+OnEnd+Cancel: %v allocs, want 0", allocs)
+	}
+}

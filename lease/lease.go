@@ -4,7 +4,9 @@
 // manager, which represents the effort the instance is willing to dedicate
 // to the operation. Leases bound time and other resources (remote instances
 // contacted, bytes stored). They are best-effort, local to the granting
-// instance, non-transferable, and revocable only as a last resort.
+// instance, non-transferable, and revocable only as a last resort. A lease
+// bounds what outlives the call granting it: a probe answered on the spot
+// is admitted (Manager.Admit), and a holder may embed its lease (GrantInto).
 package lease
 
 import (

@@ -189,6 +189,98 @@ func TestGrantCancelAllocatesOnlyTheLease(t *testing.T) {
 	}
 }
 
+// TestGrantIntoCancelAllocatesNothing is the caller-owned twin of
+// TestGrantCancelAllocatesOnlyTheLease: a lease granted into a holder's
+// field costs no object at all.
+func TestGrantIntoCancelAllocatesNothing(t *testing.T) {
+	m := NewManager(DefaultCapacity(), nil)
+	defer m.Close()
+	ls := make([]Lease, 1002) // each granted into once, as GrantInto asks
+	k := 0
+	cycle := func() {
+		l := &ls[k]
+		k++
+		if err := m.GrantInto(l, OpIn, Terms{Duration: 30 * time.Minute}); err != nil {
+			t.Fatal(err)
+		}
+		l.Cancel()
+	}
+	cycle() // arm the queue's timer once
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("GrantInto+Cancel: %v allocs, want 0", allocs)
+	}
+	if s := m.Stats(); s.Granted != 1002 || s.Cancelled != 1002 || s.Active != 0 {
+		t.Fatalf("stats %+v, want 1002 granted and cancelled, none active", s)
+	}
+}
+
+// countingClock is a virtual clock that counts its readings.
+type countingClock struct {
+	*clock.Virtual
+	reads int
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads++
+	return c.Virtual.Now()
+}
+
+// TestAdmitMintsNothing: Admit gives GrantTerms's verdict — refused when
+// the manager is full or closed, a refusal counted as GrantTerms counts
+// it — without a lease or a clock reading, and admitting makes no object.
+func TestAdmitMintsNothing(t *testing.T) {
+	clk := &countingClock{Virtual: clock.NewVirtual(epoch)}
+	cap := DefaultCapacity()
+	cap.MaxActive = 1
+	m := NewManager(cap, clk)
+	want := Terms{Duration: time.Second}
+	reads := clk.reads
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := m.Admit(OpInp, want); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Admit: %v allocs, want 0", allocs)
+	}
+	if clk.reads != reads {
+		t.Fatalf("Admit read the clock %d times", clk.reads-reads)
+	}
+	if s := m.Stats(); s.Granted != 0 || s.Active != 0 || s.Refused != 0 {
+		t.Fatalf("after admitting: %+v, want nothing granted or refused", s)
+	}
+
+	held, err := m.GrantTerms(OpIn, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads = clk.reads
+	if err := m.Admit(OpInp, want); !errors.Is(err, ErrRefused) {
+		t.Fatalf("Admit at MaxActive: %v, want ErrRefused", err)
+	}
+	if _, err := m.GrantTerms(OpInp, want); !errors.Is(err, ErrRefused) {
+		t.Fatalf("GrantTerms at MaxActive: %v, want ErrRefused", err)
+	}
+	if s := m.Stats(); s.Refused != 2 || s.Granted != 1 {
+		t.Fatalf("at MaxActive: %+v, want 2 refused (Admit's and GrantTerms's), 1 granted", s)
+	}
+	if clk.reads != reads {
+		t.Fatalf("refusing Admit read the clock %d times", clk.reads-reads)
+	}
+
+	held.Cancel()
+	m.Close()
+	refused := m.Stats().Refused
+	if err := m.Admit(OpInp, want); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Admit after Close: %v, want ErrClosed", err)
+	}
+	if _, err := m.GrantTerms(OpInp, want); !errors.Is(err, ErrClosed) {
+		t.Fatalf("GrantTerms after Close: %v, want ErrClosed", err)
+	}
+	if n := m.Stats().Refused; n != refused {
+		t.Fatalf("closed: Refused moved %d → %d; a closed manager refuses uncounted, as GrantTerms does", refused, n)
+	}
+}
+
 func TestRemoteBudget(t *testing.T) {
 	cap := DefaultCapacity()
 	m, _ := newTestManager(cap)

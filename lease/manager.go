@@ -91,7 +91,7 @@ type Manager struct {
 	// Every lease's enforcement instant (deadline + skew band) is an entry
 	// on one deadline queue: a grant links the lease itself in and a cancel
 	// unlinks it, so neither allocates, arms or stops a runtime timer —
-	// grants are the hot path, three per remote op. Scheduled under mu.
+	// grants are the hot path, two per remote take. Scheduled under mu.
 	expiries *clock.Queue
 }
 
@@ -181,17 +181,11 @@ func (m *Manager) offerLocked(op OpKind, p Terms) Terms {
 func (m *Manager) Grant(op OpKind, r Requester) (*Lease, error) {
 	proposed := r.Propose()
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrClosed
-	}
-	offer := m.offerLocked(op, proposed)
-	if offer.Duration <= 0 {
-		m.stats.Refused++
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%s: manager has nothing to offer: %w", op, ErrRefused)
-	}
+	offer, err := m.admitLocked(op, proposed)
 	m.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	// Consider runs without the lock: requesters are application code.
 	if !r.Consider(offer) {
@@ -213,8 +207,7 @@ func (m *Manager) Grant(op OpKind, r Requester) (*Lease, error) {
 		m.stats.Refused++
 		return nil, fmt.Errorf("%s: offer withdrawn under contention: %w", op, ErrRefused)
 	}
-
-	return m.grantLocked(op, offer), nil
+	return m.grantLocked(nil, op, offer), nil
 }
 
 // GrantTerms is the negotiation fast path for grantors that accept
@@ -223,34 +216,65 @@ func (m *Manager) Grant(op OpKind, r Requester) (*Lease, error) {
 // equivalent to Grant(op, Flexible(want)) but runs in one lock round and
 // allocates nothing beyond the lease itself.
 func (m *Manager) GrantTerms(op OpKind, want Terms) (*Lease, error) {
+	return m.grantTerms(nil, op, want)
+}
+
+// GrantInto is GrantTerms into l, a zero Lease the caller owns (a field of
+// the holder it bounds), so the grant allocates nothing. The manager refers
+// to l until it ends: it must not be copied or granted into again.
+func (m *Manager) GrantInto(l *Lease, op OpKind, want Terms) error {
+	_, err := m.grantTerms(l, op, want)
+	return err
+}
+
+func (m *Manager) grantTerms(l *Lease, op OpKind, want Terms) (*Lease, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	offer, err := m.admitLocked(op, want)
+	if err != nil {
+		return nil, err
+	}
+	return m.grantLocked(l, op, offer), nil
+}
+
+// Admit is GrantTerms's verdict for work answered before it returns: no
+// lease is left to bound it, so admitting makes no object, reads no clock.
+func (m *Manager) Admit(op OpKind, want Terms) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, err := m.admitLocked(op, want)
+	return err
+}
+
+// admitLocked is the one offer check, shared by every grant and Admit:
+// the offer for want, ErrClosed, or a refusal it counts. Holds m.mu.
+func (m *Manager) admitLocked(op OpKind, want Terms) (Terms, error) {
 	if m.closed {
-		return nil, ErrClosed
+		return Terms{}, ErrClosed
 	}
 	offer := m.offerLocked(op, want)
 	if offer.Duration <= 0 {
 		m.stats.Refused++
-		return nil, fmt.Errorf("%s: manager has nothing to offer: %w", op, ErrRefused)
+		return Terms{}, fmt.Errorf("%s: manager has nothing to offer: %w", op, ErrRefused)
 	}
-	return m.grantLocked(op, offer), nil
+	return offer, nil
 }
 
-// grantLocked mints the lease for an already-accepted offer and schedules
-// its expiry. Caller holds m.mu.
-func (m *Manager) grantLocked(op OpKind, offer Terms) *Lease {
-	m.nextID++
-	now := m.clk.Now()
-	l := &Lease{
-		mgr:         m,
-		op:          op,
-		terms:       offer,
-		deadline:    now.Add(offer.Duration),
-		skew:        m.cap.SkewBand,
-		id:          m.nextID,
-		state:       StateActive,
-		remotesLeft: offer.MaxRemotes,
+// grantLocked, the one mint path, grants an accepted offer into l, or a
+// new lease when l is nil, and schedules its expiry. Caller holds m.mu.
+func (m *Manager) grantLocked(l *Lease, op OpKind, offer Terms) *Lease {
+	if l == nil {
+		l = new(Lease)
 	}
+	m.nextID++
+	l.mgr = m
+	l.op = op
+	l.terms = offer
+	l.deadline = m.clk.Now().Add(offer.Duration)
+	l.skew = m.cap.SkewBand
+	l.id = m.nextID
+	l.state = StateActive
+	l.remotesLeft = offer.MaxRemotes
 	l.exp.l = l
 	m.active[l.id] = l
 	m.bytesHeld += offer.MaxBytes

@@ -47,11 +47,12 @@ allocs:
 		awk -v n=$(N) '{ print } /^Showing nodes accounting for/ { total = $$(NF-1) } \
 			END { printf "objects/op = %s / %d = %.2f\n", total, n, total / n }'
 
-# handoffs prints the goroutine hand-offs and objects per op of the four
-# root remote benchmarks (RemoteInpTwoNodes{,TCP},
-# RemoteInBlockingTwoNodes, RemoteOutAtTwoNodes) on the merge base and
-# on the working tree, ROUNDS alternating rounds of N ops each
-# (scripts/handoffs.sh). Writes only under .bench_build/.
+# handoffs prints the goroutine hand-offs, objects and bytes per op of
+# the four root remote benchmarks (RemoteInpTwoNodes{,TCP},
+# RemoteInBlockingTwoNodes, RemoteOutAtTwoNodes) and the local
+# LocalOutInpThroughInstance on the merge base and on the working tree,
+# ROUNDS alternating rounds of N ops each (scripts/handoffs.sh). Writes
+# only under .bench_build/.
 ROUNDS ?= 3
 handoffs:
 	./scripts/handoffs.sh $(ROUNDS) $(N) $(BASE)
@@ -82,9 +83,11 @@ crash_exp  = C1
 # the shrink-before-revoke ladder, deadline propagation, the reports the
 # shed assertions read (views over a per-node registry that forwards to
 # a shared parent), an immediate serve admitted without a lease (and a
-# full manager's refusal of one), and the C2 flood (the harness TestMain
-# also asserts no goroutine leaks survive it).
-soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|CancelOvertakes|InflightDedup|DuplicateOf|DuplicateBlockingOp|ServedCache|CancelBeforeOp|Admit|ImmediateServe|FullResponder|C2
+# full manager's refusal of one), a requester's local hit negotiated but
+# never minted (and a walk's grant refused once its offer is withdrawn),
+# and the C2 flood (the harness TestMain also asserts no goroutine leaks
+# survive it).
+soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|CancelOvertakes|InflightDedup|DuplicateOf|DuplicateBlockingOp|ServedCache|CancelBeforeOp|Admit|ImmediateServe|FullResponder|Negotiate|GrantOffer|LocalHitMints|WalkGrantRefused|C2
 soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./trace/ ./internal/harness/
 soak_exp  = C2
 # mobility: visibility-event re-arming, orphan reconciliation (the sweep
@@ -136,11 +139,13 @@ upgrade_exp  = C6
 # the deadline queue under all of it (order, cancel, the arm rule, no
 # runtime timer for any outbound op and fixed allocation budgets per
 # remote take, op states pooled per instance, no sent frame written), the
-# objects a blocking remote take allocates (root package; skipped under
-# the race detector, whose pools leak) and an accepted hold its request's
-# record does not keep, an idle node's goroutine census and its one
+# objects a blocking remote take and a local take allocate (root
+# package; the remote one skipped under the race detector, whose pools
+# leak), none for a dense bucket's read, a parked wait's template kept as
+# its TCP frame decoded it, and an accepted hold its request's record
+# does not keep, an idle node's goroutine census and its one
 # timer, and the E5 render farm.
-farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|RemovalReport|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames|IdleNodeGoroutines|IdleNodeHoldsOneTimer|RemoteBlockingTakeAllocs|AcceptedHoldNotRetained|ServeLeaseLives|GrantInto
+farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|RemovalReport|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames|IdleNodeGoroutines|IdleNodeHoldsOneTimer|RemoteBlockingTakeAllocs|LocalTakeAllocs|DenseRdp|ParkedTemplate|AcceptedHoldNotRetained|ServeLeaseLives|GrantInto
 farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/ ./clock/ ./lease/ ./internal/discovery/ .
 farm_exp  = E5
 

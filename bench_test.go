@@ -182,28 +182,37 @@ func BenchmarkLeaseGrantCancel(b *testing.B) {
 }
 
 func BenchmarkLocalOutInpThroughInstance(b *testing.B) {
-	net := memnet.New()
-	defer net.Close()
-	ep, err := net.Attach("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := tiamat.New(tiamat.Config{Endpoint: ep})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer inst.Close()
-	t := tuple.T(tuple.String("k"), tuple.Int(1))
-	p := tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
-	ctx := context.Background()
+	op := localTake(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// localTake starts one instance and returns one Out + local Inp through
+// it. The instance closes at the test's cleanup.
+func localTake(tb testing.TB) (op func()) {
+	net := memnet.New()
+	tb.Cleanup(net.Close)
+	ep, err := net.Attach("bench")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inst, err := tiamat.New(tiamat.Config{Endpoint: ep})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { inst.Close() })
+	t := tuple.T(tuple.String("k"), tuple.Int(1))
+	p := tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
+	ctx := context.Background()
+	return func() {
 		if err := inst.Out(t, nil); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, ok, err := inst.Inp(ctx, p, nil); err != nil || !ok {
-			b.Fatalf("inp: %v %v", ok, err)
+			tb.Fatalf("inp: %v %v", ok, err)
 		}
 	}
 }
@@ -272,19 +281,26 @@ func BenchmarkRemoteOutAtTwoNodes(b *testing.B) {
 // remoteTakeAllocs is what one remote take measures over memnet: an Out
 // at one node and an Inp from the other, round-tripping op, result,
 // accept and ack. The objects: 4 received frames (wire.Decode, one each);
-// 2 lease grants (the out and the take: the responder admits its serve
-// without a lease); the store entry, which is its own hold; the
-// responder's pending hold, which carries the TAck; the found TResult,
-// which the request's record keeps; and the take's TOp, made as one
-// object with its accept record (DESIGN.md §7).
-const remoteTakeAllocs = 10
+// 1 lease grant, the out's (the take's lease lives in its walk's object,
+// and the responder admits its serve without one); the store entry, which
+// is its own hold; the responder's pending hold, which carries the TAck;
+// the found TResult, which the request's record keeps; and the take's
+// walk, one object with its lease, TOp and accept record (DESIGN.md §7).
+const remoteTakeAllocs = 9
 
 // remoteBlockingTakeAllocs is what one round of
 // BenchmarkRemoteInBlockingTwoNodes measures: an Out at a served to one
 // of eight blocking takers parked there from b, and that taker parking
-// again. It is remoteTakeAllocs plus the blocking walk's and the served
-// wait's own objects; the served wait carries its serve lease.
-const remoteBlockingTakeAllocs = 15
+// again. It is remoteTakeAllocs plus the taker's local registration and
+// the served wait, which carries its serve lease, and the wait's
+// registration in a's space, which parks the received frame's template
+// as it is.
+const remoteBlockingTakeAllocs = 12
+
+// localTakeAllocs is what an Out and a local Inp through one instance
+// measure: the out's lease and the store entry. An Inp the local space
+// answers mints no lease.
+const localTakeAllocs = 2
 
 // remoteTakeWireBytes is what one remote take puts on the wire over
 // memnet: op, result, accept and ack, each leaving its sender's address
@@ -306,6 +322,18 @@ func TestRemoteTakeAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(2000, func() { remoteTake(t, a, bb) }); got != remoteTakeAllocs {
 		t.Fatalf("Out + remote Inp: %.2f allocs, want %d", got, remoteTakeAllocs)
+	}
+}
+
+// TestLocalTakeAllocs pins BenchmarkLocalOutInpThroughInstance's objects
+// per op, as TestRemoteTakeAllocs does the remote take's.
+func TestLocalTakeAllocs(t *testing.T) {
+	op := localTake(t)
+	for k := 0; k < 200; k++ {
+		op()
+	}
+	if got := testing.AllocsPerRun(2000, op); got != localTakeAllocs {
+		t.Fatalf("Out + local Inp: %.2f allocs, want %d", got, localTakeAllocs)
 	}
 }
 

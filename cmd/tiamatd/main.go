@@ -221,7 +221,7 @@ func main() {
 			}
 			return
 		case <-tick:
-			// granted leaves out a peer's op answered on the spot: admitted, not leased.
+			// granted leaves out ops answered on the spot, a peer's or a local hit.
 			s := inst.LeaseManager().Stats()
 			fmt.Printf("tuples=%d bytes=%d leases{active=%d granted=%d refused=%d expired=%d revoked=%d} responders=%d\n",
 				inst.LocalSpace().Count(), inst.LocalSpace().Bytes(),

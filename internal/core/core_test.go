@@ -512,6 +512,136 @@ func TestLeaseRefusalFailsOperation(t *testing.T) {
 	}
 }
 
+// TestLocalHitMintsNoLease: an op the local space answers ends within its
+// call, so its negotiated lease is never minted; a miss mints exactly one,
+// into its walk's object, and that lease ends with the op.
+func TestLocalHitMintsNoLease(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a"}, nil)
+	a := r.inst["a"]
+	ctx := context.Background()
+	for k := int64(1); k <= 2; k++ {
+		if err := a.Out(req(k), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := tuple.Tmpl(tuple.String("other"), tuple.FormalInt())
+	ops := []struct {
+		name  string
+		p     tuple.Template
+		run   func(tuple.Template) (Result, bool, error)
+		mints uint64
+	}{
+		{"rdp hit", reqTmpl(), func(p tuple.Template) (Result, bool, error) { return a.Rdp(ctx, p, nil) }, 0},
+		{"inp hit", reqTmpl(), func(p tuple.Template) (Result, bool, error) { return a.Inp(ctx, p, nil) }, 0},
+		{"in hit", reqTmpl(), func(p tuple.Template) (Result, bool, error) {
+			res, err := a.In(ctx, p, nil)
+			return res, err == nil, err
+		}, 0},
+		{"rdp miss", other, func(p tuple.Template) (Result, bool, error) { return a.Rdp(ctx, p, nil) }, 1},
+		{"inp miss", other, func(p tuple.Template) (Result, bool, error) { return a.Inp(ctx, p, nil) }, 1},
+	}
+	for _, op := range ops {
+		before := a.LeaseManager().Stats()
+		_, ok, err := op.run(op.p)
+		if err != nil || ok != (op.mints == 0) {
+			t.Fatalf("%s: ok=%v err=%v", op.name, ok, err)
+		}
+		after := a.LeaseManager().Stats()
+		if after.Granted-before.Granted != op.mints || after.Active > before.Active {
+			t.Fatalf("%s: granted %d → %d, active %d → %d; want %d minted and none left active",
+				op.name, before.Granted, after.Granted, before.Active, after.Active, op.mints)
+		}
+	}
+}
+
+// withdrawOnConsider accepts an offer and then shrinks its manager's
+// capacity below it, as contention between offer and grant would.
+type withdrawOnConsider struct {
+	m   *lease.Manager
+	cap lease.Capacity
+}
+
+func (w withdrawOnConsider) Propose() lease.Terms {
+	return lease.Terms{Duration: time.Minute, MaxRemotes: 4}
+}
+
+func (w withdrawOnConsider) Consider(lease.Terms) bool {
+	w.m.SetCapacity(w.cap)
+	return true
+}
+
+// TestWalkGrantRefusedHoldsNothing: a miss whose offer was withdrawn
+// between negotiation and grant does no remote work and holds nothing,
+// while a local hit under the same withdrawn offer needed no grant at all.
+func TestWalkGrantRefusedHoldsNothing(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a"}, nil)
+	a := r.inst["a"]
+	ctx := context.Background()
+	full := a.LeaseManager().Capacity()
+	shrunk := full
+	shrunk.MaxDuration = time.Second
+	w := withdrawOnConsider{m: a.LeaseManager(), cap: shrunk}
+	before := a.LeaseManager().Stats()
+	if _, ok, err := a.Inp(ctx, reqTmpl(), w); ok || !errors.Is(err, lease.ErrRefused) {
+		t.Fatalf("miss under a withdrawn offer: ok=%v err=%v, want ErrRefused", ok, err)
+	}
+	after := a.LeaseManager().Stats()
+	if after.Refused != before.Refused+1 || after.Granted != before.Granted || after.Active != before.Active {
+		t.Fatalf("stats %+v → %+v, want one refusal and nothing held", before, after)
+	}
+	a.LeaseManager().SetCapacity(full)
+	if err := a.Out(req(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok, err := a.Inp(ctx, reqTmpl(), w); err != nil || !ok || !res.Tuple.Equal(req(1)) {
+		t.Fatalf("hit under a withdrawn offer: %v %v %v", res, ok, err)
+	}
+}
+
+// commitOnCancel commits t to every parked Read just as it is withdrawn:
+// Cancel delivers it and reports that the withdrawal came too late.
+type commitOnCancel struct {
+	space.Space
+	t tuple.Tuple
+}
+
+func (c commitOnCancel) Park(p tuple.Template, kind space.Kind, sink space.Sink) space.Parked {
+	if kind != space.Read {
+		return c.Space.Park(p, kind, sink)
+	}
+	return lateCommit{c.t, sink}
+}
+
+type lateCommit struct {
+	t    tuple.Tuple
+	sink space.Sink
+}
+
+func (l lateCommit) Cancel() bool {
+	l.sink.Deliver(l.t, nil)
+	return false
+}
+
+// TestWalkGrantRefusedKeepsLocalMatch: a blocking op whose walk's grant is
+// refused withdraws its local registration, and a match the space
+// committed to that registration first is the op's result.
+func TestWalkGrantRefusedKeepsLocalMatch(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a"}, func(c *Config) {
+		c.Space = commitOnCancel{store.New(store.WithClock(c.Clock)), req(9)}
+	})
+	a := r.inst["a"]
+	shrunk := a.LeaseManager().Capacity()
+	shrunk.MaxDuration = time.Second
+	before := a.LeaseManager().Stats()
+	res, err := a.Rd(context.Background(), reqTmpl(), withdrawOnConsider{m: a.LeaseManager(), cap: shrunk})
+	if err != nil || !res.Tuple.Equal(req(9)) || res.From != "a" {
+		t.Fatalf("Rd = %v, %v; want the committed %v from a", res, err, req(9))
+	}
+	if after := a.LeaseManager().Stats(); after.Granted != before.Granted || after.Active != before.Active {
+		t.Fatalf("stats %+v → %+v, want nothing granted or held", before, after)
+	}
+}
+
 func TestOutLeaseExpiryReclaimsTuple(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a"}, nil)
 	a := r.inst["a"]

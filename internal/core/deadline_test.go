@@ -259,19 +259,20 @@ func TestSentFramesNeverWritten(t *testing.T) {
 }
 
 // remoteTakeAllocBudget is two objects above what an Out at one node plus
-// a remote Inp from the other measures since the responder admits an
-// immediate serve without minting a lease (10 by AllocsPerRun; 11 before
-// that, 14 before the stored entry became its own hold, the ack rode the
+// a remote Inp from the other measures since the take's lease lives in
+// its walk's object (9 by AllocsPerRun; 10 before that, 11 before the
+// responder admitted an immediate serve without minting a lease, 14
+// before the stored entry became its own hold, the ack rode the
 // responder's pending hold and the take's op frame shared one object with
-// its accept record, 15 before the walk stopped asking its lease for a Done
-// channel, 24 before a received frame became one object, 42 before the
-// deadline queue). A failure here is the next per-op allocation showing
-// up in `go test`, not three PRs later in the benchmark. The race
+// its accept record, 15 before the walk stopped asking its lease for a
+// Done channel, 24 before a received frame became one object, 42 before
+// the deadline queue). A failure here is the next per-op allocation
+// showing up in `go test`, not three PRs later in the benchmark. The race
 // detector's sync.Pool drops a quarter of what is put back, so pooled op
-// states and buffers are re-made now and then: 15 measured.
+// states and buffers are re-made now and then: 14 measured.
 const (
-	remoteTakeAllocBudget      = 12
-	remoteTakeAllocBudgetLeaky = 17
+	remoteTakeAllocBudget      = 11
+	remoteTakeAllocBudgetLeaky = 16
 )
 
 // poolsHold reports whether sync.Pool keeps what it is given, which it

@@ -451,11 +451,12 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 		return Result{}, false, ErrClosed
 	}
 	i.met.Inc(opCounter(code))
-	lse, err := i.mgr.Grant(opKind(code), i.requester(r))
+	// The lease is negotiated before any work and minted only for a walk:
+	// like a responder's immediate serve, a local hit holds no lease.
+	offer, err := i.mgr.Negotiate(opKind(code), i.requester(r))
 	if err != nil {
 		return Result{}, false, err
 	}
-	defer lse.Cancel()
 
 	// Local phase. A blocking op registers with the local space, its state
 	// the sink, and the registration stays in place through the walk, so a
@@ -497,22 +498,34 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 		return res, true, nil
 	}
 
+	var f *opFrames
+	var spare *pendingAccept
+	if code.Removes() {
+		tf := new(takeFrames)
+		f, spare = &tf.opFrames, &tf.accept
+	} else {
+		f = new(opFrames)
+	}
+	if _, err := i.mgr.GrantOffer(&f.lse, opKind(code), offer); err != nil {
+		// Refused. A match committed to the local registration is the op's.
+		if st != nil {
+			if m := st.dropLocal(); m.ok {
+				i.met.Inc(trace.CtrOpsLocalHit)
+				i.met.Inc(trace.CtrOpsSatisfied)
+				return Result{Tuple: m.t, From: i.Addr()}, true, nil
+			}
+		}
+		return Result{}, false, err
+	}
+	defer f.lse.Cancel()
 	// Destructive takes walking a replicated cluster's responder list
 	// carry the Failover flag on every unicast contact: a responder holding
 	// only a replica copy may then serve it — provided it can prove every
 	// higher-ranked holder dead (replica.go), so an alive primary always
 	// keeps its takes. The flag stays off multicasts (see multicast).
-	var m *wire.Message
-	var spare *pendingAccept
-	if code.Removes() {
-		tf := new(takeFrames)
-		m, spare = &tf.op, &tf.accept
-	} else {
-		m = new(wire.Message)
-	}
-	*m = wire.Message{Type: wire.TOp, From: i.Addr(), Op: code, Template: p,
+	f.op = wire.Message{Type: wire.TOp, From: i.Addr(), Op: code, Template: p,
 		Failover: to == "" && code.Removes() && i.repl != nil}
-	res, ok, err = i.walk(ctx, lse, m, spare, to, st)
+	res, ok, err = i.walk(ctx, &f.lse, &f.op, spare, to, st)
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -524,10 +537,15 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	return res, ok, nil
 }
 
-// takeFrames is a remote take's first TOp and the accept record of the
-// hold it wins, made as one object (DESIGN.md §7).
+// opFrames is an outbound walk's one object (DESIGN.md §7): its lease,
+// never copied, and first frame; a take's holds its accept record too.
+type opFrames struct {
+	lse lease.Lease
+	op  wire.Message
+}
+
 type takeFrames struct {
-	op     wire.Message
+	opFrames
 	accept pendingAccept
 }
 
@@ -1236,7 +1254,7 @@ func (i *Instance) OutAt(addr wire.Addr, t tuple.Tuple, r lease.Requester) error
 	if addr == i.Addr() {
 		return i.Out(t, r)
 	}
-	return i.rpc(addr, lease.OpOut, trace.CtrOpsOut, &wire.Message{Type: wire.TOut, From: i.Addr(), Tuple: t}, r)
+	return i.rpc(addr, lease.OpOut, trace.CtrOpsOut, wire.Message{Type: wire.TOut, From: i.Addr(), Tuple: t}, r)
 }
 
 // EvalAt performs an eval on the specific remote space addr. The function
@@ -1245,32 +1263,36 @@ func (i *Instance) EvalAt(addr wire.Addr, fn string, args tuple.Tuple, r lease.R
 	if addr == i.Addr() {
 		return i.Eval(fn, args, r)
 	}
-	return i.rpc(addr, lease.OpEval, trace.CtrOpsEval, &wire.Message{Type: wire.TEval, From: i.Addr(), Func: fn, Tuple: args}, r)
+	return i.rpc(addr, lease.OpEval, trace.CtrOpsEval, wire.Message{Type: wire.TEval, From: i.Addr(), Func: fn, Tuple: args}, r)
 }
 
-// rpc walks m, a TOut or TEval, to addr under a lease of the given kind
-// and reports its TAck: nil, or the remote's refusal as ErrRemoteRefused.
-// A frame that cannot leave returns the send error, and an addr silent
-// through every retransmission, or until the lease ends, an error saying
-// so.
-func (i *Instance) rpc(addr wire.Addr, kind lease.OpKind, counter string, m *wire.Message, r lease.Requester) error {
+// rpc walks m, a TOut or TEval, to addr under a lease of the given kind,
+// the two made as one object (opFrames), and reports its TAck: nil, or
+// the remote's refusal as ErrRemoteRefused. A frame that cannot leave
+// returns the send error, and an addr silent through every
+// retransmission, or until the lease ends, an error saying so.
+func (i *Instance) rpc(addr wire.Addr, kind lease.OpKind, counter string, m wire.Message, r lease.Requester) error {
 	if i.stopping() {
 		return ErrClosed
 	}
 	i.met.Inc(counter)
-	lse, err := i.mgr.Grant(kind, i.requester(r))
+	offer, err := i.mgr.Negotiate(kind, i.requester(r))
 	if err != nil {
 		return err
 	}
-	defer lse.Cancel()
-	_, acked, err := i.walk(context.TODO(), lse, m, nil, addr, nil)
+	f := &opFrames{op: m}
+	if _, err := i.mgr.GrantOffer(&f.lse, kind, offer); err != nil {
+		return err
+	}
+	defer f.lse.Cancel()
+	_, acked, err := i.walk(context.TODO(), &f.lse, &f.op, nil, addr, nil)
 	switch {
 	case err != nil || acked:
 		return err
 	case i.isClosed():
 		return ErrClosed
-	case lse.Err() != nil:
-		return fmt.Errorf("%s: no ack within lease: %w", addr, lse.Err())
+	case f.lse.Err() != nil:
+		return fmt.Errorf("%s: no ack within lease: %w", addr, f.lse.Err())
 	}
 	return fmt.Errorf("%s: no ack to %d transmissions", addr, i.cfg.RetryAttempts)
 }

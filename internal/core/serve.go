@@ -519,14 +519,14 @@ func (i *Instance) serveBlocking(m *wire.Message, ttl time.Duration) {
 	// intact — no second scan, no race to lose, no re-registration
 	// (DESIGN.md §6). A read parks for a copy: every reader is owed one.
 	// Either may be called before Park returns, and the lease may end
-	// first. The wait can outlive the frame that carried the op: the
-	// template is deep-copied so a no-copy-decoded frame buffer (which the
-	// template would otherwise alias) is not pinned for the whole wait.
+	// first. The template is parked as received, uncopied: both transports
+	// decode each frame into an object of its own, which the template
+	// aliases, so the wait pins that one frame until its lease ends.
 	kind := space.Read
 	if m.Op.Removes() {
 		kind = space.Claim
 	}
-	h := i.local.Park(m.Template.Copy(), kind, rw)
+	h := i.local.Park(m.Template, kind, rw)
 	i.mu.Lock()
 	rw.handle = h
 	ended := rw.settled

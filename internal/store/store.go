@@ -596,9 +596,9 @@ func (sh *shard) pickLocked(p tuple.Template) *entry {
 	// match be selected nondeterministically, and Go's randomised map
 	// iteration varies which region of the bucket we sample, so capping
 	// the scan keeps dense buckets O(1) without biasing selection to a
-	// fixed tuple.
+	// fixed tuple. Sized for every candidate, the slice stays on the stack.
 	const maxCandidates = 32
-	matches := make([]*entry, 0, 8)
+	matches := make([]*entry, 0, maxCandidates)
 	for _, e := range bucket {
 		if !e.expiry.IsZero() && !e.expiry.After(now) {
 			continue // expired but not yet reclaimed

@@ -52,6 +52,26 @@ func TestOutRdpInp(t *testing.T) {
 	}
 }
 
+// TestDenseRdpAllocatesNothing: a formal template over a dense tag bucket
+// collects its candidates without a heap slice.
+func TestDenseRdpAllocatesNothing(t *testing.T) {
+	s, _ := newTest()
+	defer s.Close()
+	for k := int64(0); k < 1024; k++ {
+		if _, err := s.Out(req(k), never()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := reqTmpl()
+	if got := testing.AllocsPerRun(1000, func() {
+		if _, ok := s.Rdp(p); !ok {
+			t.Fatal("no match in a full bucket")
+		}
+	}); got != 0 {
+		t.Fatalf("Rdp over 1024 matches: %.2f allocs, want 0", got)
+	}
+}
+
 func TestArityIsolation(t *testing.T) {
 	s, _ := newTest()
 	defer s.Close()

@@ -6,7 +6,8 @@
 // contacted, bytes stored). They are best-effort, local to the granting
 // instance, non-transferable, and revocable only as a last resort. A lease
 // bounds what outlives the call granting it: a probe answered on the spot
-// is admitted (Manager.Admit), and a holder may embed its lease (GrantInto).
+// is admitted (Manager.Admit) or only negotiated (Manager.Negotiate), and
+// a holder may embed its lease (GrantInto, GrantOffer).
 package lease
 
 import (

@@ -281,6 +281,105 @@ func TestAdmitMintsNothing(t *testing.T) {
 	}
 }
 
+// TestNegotiateMintsNothing: Negotiate is Grant's negotiation alone. An
+// accepted offer holds nothing, counts nothing and makes no object; an
+// offer the requester refuses counts Refused and mints nothing either.
+func TestNegotiateMintsNothing(t *testing.T) {
+	m, _ := newTestManager(DefaultCapacity())
+	defer m.Close()
+	r := Flexible(Terms{Duration: time.Second, MaxRemotes: 2})
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := m.Negotiate(OpInp, r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Negotiate: %v allocs, want 0", allocs)
+	}
+	if s := m.Stats(); s.Granted != 0 || s.Active != 0 || s.Refused != 0 {
+		t.Fatalf("after negotiating: %+v, want nothing granted or refused", s)
+	}
+	if _, err := m.Negotiate(OpInp, Exactly(Terms{Duration: 2 * time.Hour})); !errors.Is(err, ErrRefused) {
+		t.Fatalf("requester refusing the offer: %v, want ErrRefused", err)
+	}
+	if s := m.Stats(); s.Refused != 1 || s.Granted != 0 || s.Active != 0 {
+		t.Fatalf("after a refused offer: %+v, want 1 refused, nothing granted", s)
+	}
+}
+
+// TestGrantOfferRevalidates: GrantOffer mints the negotiated offer into
+// the caller's lease, but only while the manager would still offer terms
+// covering it. Capacity that shrank or filled up after the offer refuses
+// the grant, counted, with nothing held.
+func TestGrantOfferRevalidates(t *testing.T) {
+	cap := Capacity{MaxActive: 2, MaxDuration: time.Minute, MaxRemotes: 4, MaxBytes: 100, MaxTotalBytes: 1000}
+	for _, c := range []struct {
+		name   string
+		change func(m *Manager)
+	}{
+		{"duration shrunk", func(m *Manager) {
+			c := cap
+			c.MaxDuration = time.Second
+			m.SetCapacity(c)
+		}},
+		{"remotes shrunk", func(m *Manager) {
+			c := cap
+			c.MaxRemotes = 1
+			m.SetCapacity(c)
+		}},
+		{"full", func(m *Manager) {
+			for k := 0; k < cap.MaxActive; k++ {
+				if _, err := m.GrantTerms(OpRd, Terms{Duration: time.Minute}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, _ := newTestManager(cap)
+			defer m.Close()
+			offer, err := m.Negotiate(OpInp, Flexible(Terms{Duration: 10 * time.Second, MaxRemotes: 4}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.change(m)
+			before := m.Stats()
+			var l Lease
+			if _, err := m.GrantOffer(&l, OpInp, offer); !errors.Is(err, ErrRefused) {
+				t.Fatalf("GrantOffer after the change: %v, want ErrRefused", err)
+			}
+			after := m.Stats()
+			if after.Refused != before.Refused+1 || after.Granted != before.Granted || after.Active != before.Active {
+				t.Fatalf("stats %+v → %+v, want one refusal and nothing granted", before, after)
+			}
+			if l.State() != 0 || l.ID() != 0 {
+				t.Fatalf("refused lease is %v, id %d: want it untouched", l.State(), l.ID())
+			}
+		})
+	}
+
+	m, _ := newTestManager(cap)
+	defer m.Close()
+	offer, err := m.Negotiate(OpInp, Flexible(Terms{Duration: 10 * time.Second, MaxRemotes: 9}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l Lease
+	if got, err := m.GrantOffer(&l, OpInp, offer); err != nil || got != &l {
+		t.Fatalf("GrantOffer = %p, %v; want the caller's lease", got, err)
+	}
+	if l.State() != StateActive || l.Terms() != offer || l.RemotesLeft() != 4 {
+		t.Fatalf("granted %v with %v, %d remotes: want active with the offer %v", l.State(), l.Terms(), l.RemotesLeft(), offer)
+	}
+	if s := m.Stats(); s.Granted != 1 || s.Active != 1 {
+		t.Fatalf("stats %+v, want the one lease", s)
+	}
+	l.Cancel()
+	m.Close()
+	if _, err := m.GrantOffer(new(Lease), OpInp, offer); !errors.Is(err, ErrClosed) {
+		t.Fatalf("GrantOffer after Close: %v, want ErrClosed", err)
+	}
+}
+
 func TestRemoteBudget(t *testing.T) {
 	cap := DefaultCapacity()
 	m, _ := newTestManager(cap)

@@ -175,39 +175,56 @@ func (m *Manager) offerLocked(op OpKind, p Terms) Terms {
 	return o
 }
 
-// Grant runs the negotiation protocol: the requester proposes, the manager
-// offers, the requester accepts or refuses. On refusal (either side) it
-// returns ErrRefused and no work may be performed (paper §3.1.1).
+// Grant runs the negotiation protocol (Negotiate, then GrantOffer): the
+// requester proposes, the manager offers, the requester accepts or refuses.
+// On refusal (either side) it returns ErrRefused and no work may be
+// performed (paper §3.1.1).
 func (m *Manager) Grant(op OpKind, r Requester) (*Lease, error) {
+	offer, err := m.Negotiate(op, r)
+	if err != nil {
+		return nil, err
+	}
+	return m.GrantOffer(nil, op, offer)
+}
+
+// Negotiate is Grant without the mint: r proposes, the manager offers, r
+// considers, and the accepted offer is returned, holding nothing. Work
+// answered before it needs a lease mints none; GrantOffer mints it.
+func (m *Manager) Negotiate(op OpKind, r Requester) (Terms, error) {
 	proposed := r.Propose()
 	m.mu.Lock()
 	offer, err := m.admitLocked(op, proposed)
 	m.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return Terms{}, err
 	}
-
 	// Consider runs without the lock: requesters are application code.
 	if !r.Consider(offer) {
 		m.mu.Lock()
 		m.stats.Refused++
 		m.mu.Unlock()
-		return nil, fmt.Errorf("%s: requester rejected offer %v: %w", op, offer, ErrRefused)
+		return Terms{}, fmt.Errorf("%s: requester rejected offer %v: %w", op, offer, ErrRefused)
 	}
+	return offer, nil
+}
 
+// GrantOffer mints offer, as Negotiate returned it, into l, a zero Lease
+// the caller owns (as GrantInto), or a new lease when l is nil. Unless the
+// manager would still offer terms covering it, the grant is refused
+// (ErrRefused, counted) and l holds nothing.
+func (m *Manager) GrantOffer(l *Lease, op OpKind, offer Terms) (*Lease, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, ErrClosed
 	}
-	// Re-validate under the lock; conditions may have changed since the
-	// offer was computed.
-	offer2 := m.offerLocked(op, proposed)
-	if offer2.Duration <= 0 || !offer2.Covers(offer) {
+	// Re-validate under the lock. An offer is its proposal clamped on every
+	// axis, so it is re-offered whole exactly when the proposal's would be.
+	if again := m.offerLocked(op, offer); again.Duration <= 0 || !again.Covers(offer) {
 		m.stats.Refused++
 		return nil, fmt.Errorf("%s: offer withdrawn under contention: %w", op, ErrRefused)
 	}
-	return m.grantLocked(nil, op, offer), nil
+	return m.grantLocked(l, op, offer), nil
 }
 
 // GrantTerms is the negotiation fast path for grantors that accept

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# handoffs.sh — goroutine hand-offs and objects per op of the four root
-# remote benchmarks, on the merge base and on the working tree, in
-# alternating rounds (the parent first in odd rounds), as perfpairs.sh
-# pairs the repository benchmark.
+# handoffs.sh — goroutine hand-offs, objects and bytes per op of the four
+# root remote benchmarks and of the local Out + Inp, on the merge base and
+# on the working tree, in alternating rounds (the parent first in odd
+# rounds), as perfpairs.sh pairs the repository benchmark.
 #
 #   scripts/handoffs.sh [rounds=3] [n=20000] [base=merge-base of HEAD and main]
 #   make handoffs ROUNDS=3 N=20000
@@ -10,9 +10,9 @@
 # handoffs/op is the estimate bench_test.go's handoffsPerOp makes from the
 # runtime's scheduling-latency samples: wake-ups plus syscall returns
 # (EXPERIMENTS.md L1 has the attribution). It moves by a few hundredths
-# from round to round; allocs/op repeats exactly. Each cell lists the
-# rounds in order. Everything written lands under .bench_build/, which
-# is ignored.
+# from round to round; allocs/op repeats exactly. The local benchmark has
+# no hand-offs to estimate ("-"). Each cell lists the rounds in order.
+# Everything written lands under .bench_build/, which is ignored.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -20,7 +20,7 @@ cd "$root"
 rounds="${1:-3}"
 n="${2:-20000}"
 base="${3:-$(git merge-base HEAD main)}"
-benches='^Benchmark(RemoteInpTwoNodes|RemoteInpTwoNodesTCP|RemoteInBlockingTwoNodes|RemoteOutAtTwoNodes)$'
+benches='^Benchmark(RemoteInpTwoNodes|RemoteInpTwoNodesTCP|RemoteInBlockingTwoNodes|RemoteOutAtTwoNodes|LocalOutInpThroughInstance)$'
 
 dir="$root/.bench_build/handoffs"
 rm -rf "$dir"
@@ -30,17 +30,19 @@ echo "parent: $(git rev-parse --short "$base") in ${dir#"$root"/}/parent; change
 (cd "$dir/parent" && go test -c -o "$dir/parent.test" .)
 go test -c -o "$dir/change.test" .
 
-# side <name> <dir> <round>: one run of the four benchmarks, one line
-# "<name> <round> <benchmark> <handoffs/op> <allocs/op>" each.
+# side <name> <dir> <round>: one run of the five benchmarks, one line
+# "<name> <round> <benchmark> <handoffs/op> <allocs/op> <B/op>" each.
 side() {
 	(cd "$2" && "$dir/$1.test" -test.run '^$' -test.bench "$benches" -test.benchtime "${n}x") |
 		awk -v side="$1" -v round="$3" '/^Benchmark/ {
 			name = $1; sub(/-[0-9]+$/, "", name); sub(/^Benchmark/, "", name)
+			h = "-"
 			for (k = 2; k <= NF; k++) {
 				if ($k == "handoffs/op") h = $(k - 1)
 				if ($k == "allocs/op") a = $(k - 1)
+				if ($k == "B/op") by = $(k - 1)
 			}
-			print side, round, name, h, a
+			print side, round, name, h, a, by
 		}' >>"$dir/runs"
 }
 for r in $(seq 1 "$rounds"); do
@@ -56,8 +58,9 @@ done
 echo
 sort -k3,3 -k1,1r -k2,2n "$dir/runs" | awk '
 	{ key = $3 " " $1; if (!(key in h)) { order[++n] = key }
-	  h[key] = h[key] (h[key] == "" ? "" : " ") $4; a[key] = a[key] (a[key] == "" ? "" : " ") $5 }
+	  h[key] = h[key] (h[key] == "" ? "" : " ") $4; a[key] = a[key] (a[key] == "" ? "" : " ") $5
+	  b[key] = b[key] (b[key] == "" ? "" : " ") $6 }
 	END {
-		printf "%-26s %-7s %-24s %s\n", "benchmark", "side", "handoffs/op", "allocs/op"
-		for (k = 1; k <= n; k++) { split(order[k], f, " "); printf "%-26s %-7s %-24s %s\n", f[1], f[2], h[order[k]], a[order[k]] }
+		printf "%-26s %-7s %-24s %-18s %s\n", "benchmark", "side", "handoffs/op", "allocs/op", "B/op"
+		for (k = 1; k <= n; k++) { split(order[k], f, " "); printf "%-26s %-7s %-24s %-18s %s\n", f[1], f[2], h[order[k]], a[order[k]], b[order[k]] }
 	}'

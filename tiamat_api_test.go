@@ -5,6 +5,7 @@ package tiamat_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -174,5 +175,71 @@ func TestWireAddrFlowsThroughAPI(t *testing.T) {
 	}
 	if rl := a.ResponderList(); rl == nil {
 		_ = rl // empty list is fine; must not panic
+	}
+}
+
+// TestParkedTemplateOutlivesReadBuffer: a served blocking In parks the
+// template of the frame that carried it, uncopied. Over TCP that frame was
+// read through its connection's one reused read buffer; the frames read
+// after it overwrite the buffer several times before the match arrives,
+// and the wait must still match and deliver the right tuple.
+func TestParkedTemplateOutlivesReadBuffer(t *testing.T) {
+	a, b, _ := tcpPair(t)
+	ctx := context.Background()
+	// b learns a with a read that leaves a's leases as they are.
+	if err := a.Out(remoteTuple, nil); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok, err := b.Rdp(ctx, remoteTmpl, remoteReq); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			break
+		}
+	}
+	// Keys are bytes fields, which a decoder that borrows its input
+	// (wire.DecodeNoCopy) would leave aliasing that input.
+	key := func(k int) tuple.Field { return tuple.Bytes([]byte(fmt.Sprintf("%0300d", k))) }
+	want := tuple.T(key(-1), tuple.Int(7))
+	active := a.LeaseManager().Stats().Active
+	got := make(chan error, 1)
+	go func() {
+		res, err := b.In(ctx, tuple.Tmpl(key(-1), tuple.FormalInt()),
+			lease.Flexible(lease.Terms{Duration: time.Minute, MaxRemotes: 4}))
+		if err == nil && (!res.Tuple.Equal(want) || res.From != a.Addr()) {
+			err = fmt.Errorf("In delivered %v from %s, want %v from %s", res.Tuple, res.From, want, a.Addr())
+		}
+		got <- err
+	}()
+	// The parked wait is the one lease a mints for it.
+	for deadline := time.Now().Add(5 * time.Second); a.LeaseManager().Stats().Active != active+1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the In never parked at a")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Each probe is a frame of over 300 bytes on the same connection,
+	// carrying another key at the same offsets: 64 KiB in all, four times
+	// the 16 KiB read buffer.
+	for k := 0; k < 200; k++ {
+		if _, ok, err := b.Rdp(ctx, tuple.Tmpl(key(k), tuple.FormalInt()), remoteReq); err != nil || ok {
+			t.Fatalf("probe %d: ok=%v err=%v", k, ok, err)
+		}
+	}
+	// A template aliasing the read buffer would now hold the last probe's
+	// key and take this decoy.
+	if err := a.Out(tuple.T(key(199), tuple.Int(7)), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Out(want, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked In was never served")
 	}
 }

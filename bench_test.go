@@ -281,12 +281,13 @@ func BenchmarkRemoteOutAtTwoNodes(b *testing.B) {
 // remoteTakeAllocs is what one remote take measures over memnet: an Out
 // at one node and an Inp from the other, round-tripping op, result,
 // accept and ack. The objects: 4 received frames (wire.Decode, one each);
-// 1 lease grant, the out's (the take's lease lives in its walk's object,
-// and the responder admits its serve without one); the store entry, which
-// is its own hold; the responder's pending hold, which carries the TAck;
-// the found TResult, which the request's record keeps; and the take's
-// walk, one object with its lease, TOp and accept record (DESIGN.md §7).
-const remoteTakeAllocs = 9
+// the store entry, which is its own hold and the out's lease (a
+// reservation, no lease object; the take's lease lives in its walk's
+// object, and the responder admits its serve without one); the
+// responder's pending hold, which carries the TAck; the found TResult,
+// which the request's record keeps; and the take's walk, one object with
+// its lease, TOp and accept record (DESIGN.md §7).
+const remoteTakeAllocs = 8
 
 // remoteBlockingTakeAllocs is what one round of
 // BenchmarkRemoteInBlockingTwoNodes measures: an Out at a served to one
@@ -295,12 +296,12 @@ const remoteTakeAllocs = 9
 // the served wait, which carries its serve lease, and the wait's
 // registration in a's space, which parks the received frame's template
 // as it is.
-const remoteBlockingTakeAllocs = 12
+const remoteBlockingTakeAllocs = 11
 
 // localTakeAllocs is what an Out and a local Inp through one instance
-// measure: the out's lease and the store entry. An Inp the local space
-// answers mints no lease.
-const localTakeAllocs = 2
+// measure: the store entry, which is the out's lease (a reservation, no
+// lease object). An Inp the local space answers mints no lease.
+const localTakeAllocs = 1
 
 // remoteTakeWireBytes is what one remote take puts on the wire over
 // memnet: op, result, accept and ack, each leaving its sender's address

@@ -661,8 +661,8 @@ func TestOutLeaseExpiryReclaimsTuple(t *testing.T) {
 // TestOutLeaseEndsWithItsTuple: on every space, a tuple that leaves ends
 // its out lease (space.Space.OnRemove). Two thousand outs under a
 // one-minute lease, each taken back locally at once, leave no lease active
-// and no out-lease record; were the leases left to run, the default
-// capacity's 1 024 slots would refuse every out past them.
+// and no byte held; were the leases left to run, the default capacity's
+// 1 024 slots would refuse every out past them.
 func TestOutLeaseEndsWithItsTuple(t *testing.T) {
 	for _, kind := range []string{"store", "naive", "persist"} {
 		t.Run(kind, func(t *testing.T) {
@@ -677,21 +677,15 @@ func TestOutLeaseEndsWithItsTuple(t *testing.T) {
 					t.Fatalf("Inp %d: %v %v", k, ok, err)
 				}
 			}
-			if n := a.LeaseManager().Stats().Active; n != 0 {
-				t.Fatalf("%d leases active with nothing stored", n)
-			}
-			a.mu.Lock()
-			recs := len(a.outBySid)
-			a.mu.Unlock()
-			if recs != 0 {
-				t.Fatalf("%d out-lease records left behind", recs)
+			if st := a.LeaseManager().Stats(); st.Active != 0 || st.BytesHeld != 0 {
+				t.Fatalf("%d leases active, %d bytes held with nothing stored", st.Active, st.BytesHeld)
 			}
 		})
 	}
 }
 
 // TestLeaseRevocationDropsTuple: a revoked out lease drops its tuple, on
-// every space, and the removal report ends its record.
+// every space, and the removal report ends its reservation.
 func TestLeaseRevocationDropsTuple(t *testing.T) {
 	for _, kind := range []string{"store", "naive", "persist"} {
 		t.Run(kind, func(t *testing.T) {
@@ -706,11 +700,8 @@ func TestLeaseRevocationDropsTuple(t *testing.T) {
 			if _, ok, _ := a.Rdp(context.Background(), reqTmpl(), nil); ok {
 				t.Fatal("tuple survived revocation")
 			}
-			a.mu.Lock()
-			recs := len(a.outBySid)
-			a.mu.Unlock()
-			if recs != 0 {
-				t.Fatalf("%d out-lease records left behind", recs)
+			if st := a.LeaseManager().Stats(); st.Active != 0 || st.Revoked != 1 {
+				t.Fatalf("after revoking the one out: %+v, want none active, one revoked", st)
 			}
 		})
 	}

@@ -279,22 +279,8 @@ type Instance struct {
 	// accept and reinstate a taken tuple.
 	accepted      map[acceptKey]bool
 	acceptedOrder []acceptKey // FIFO eviction order for accepted
-	// outBySid is the one record of each stored tuple's out lease, by the
-	// tuple's space id: a removed tuple ends its lease at once (the
-	// space's removal report, releaseOutLease), and a revoked lease drops
-	// its tuple (OnRevoke, which scans this map).
-	outBySid map[uint64]*lease.Lease
-	// An out learns its tuple's id only when the space's Out returns, and
-	// that Out may already have handed the tuple to a parked local in,
-	// which accepted it, or to a parked remote taker and sent the reply:
-	// the removal can be final before there is a record to release. outsPending counts the outs in that window (raised
-	// before the space is called, lowered under mu with the record made);
-	// removedEarly keeps the ids removals asked about and found nothing
-	// for while it is non-zero, so the out finds its own there (place).
-	outsPending  atomic.Int32
-	removedEarly map[uint64]struct{}
-	evals        map[string]EvalFunc
-	relays       []wire.Addr
+	evals         map[string]EvalFunc
+	relays        []wire.Addr
 	// defReq is the requester used when an operation passes nil: built
 	// once so the nil-requester hot path does not re-box a closure pair
 	// per grant.
@@ -379,18 +365,16 @@ func New(cfg Config) (*Instance, error) {
 		mgr: lease.NewManager(cfg.Leases, cfg.Clock),
 		list: discovery.NewResponderList(responderListMax, met,
 			discovery.WithClock(cfg.Clock)),
-		deadlines:    clock.NewQueue(cfg.Clock),
-		ops:          make(map[uint64]*opState),
-		holds:        make(map[uint64]*pendingHold),
-		pendAccepts:  make(map[uint64]*pendingAccept),
-		announces:    make(map[uint64]chan SpaceInfo),
-		requests:     make(map[waitKey]request),
-		accepted:     make(map[acceptKey]bool),
-		outBySid:     make(map[uint64]*lease.Lease),
-		removedEarly: make(map[uint64]struct{}),
-		evals:        make(map[string]EvalFunc),
-		suspect:      make(map[wire.Addr]time.Time),
-		stopped:      make(chan struct{}),
+		deadlines:   clock.NewQueue(cfg.Clock),
+		ops:         make(map[uint64]*opState),
+		holds:       make(map[uint64]*pendingHold),
+		pendAccepts: make(map[uint64]*pendingAccept),
+		announces:   make(map[uint64]chan SpaceInfo),
+		requests:    make(map[waitKey]request),
+		accepted:    make(map[acceptKey]bool),
+		evals:       make(map[string]EvalFunc),
+		suspect:     make(map[wire.Addr]time.Time),
+		stopped:     make(chan struct{}),
 	}
 	i.opStates.New = func() any { return newOpState(i) }
 	i.seedRetryJitter()
@@ -400,35 +384,19 @@ func New(cfg Config) (*Instance, error) {
 	} else {
 		i.local = store.New(store.WithClock(cfg.Clock), store.WithMetrics(met))
 	}
-	// Whatever the space, its removal report ends an out-lease the moment
-	// its tuple leaves (taken, reclaimed, or removed), so consumed tuples
-	// stop counting against MaxActive and the byte pool.
-	i.local.OnRemove(i.releaseOutLease)
+	// A stored out's entry is its lease's live state (paper §2.5): its
+	// removal report ends the reservation and revocation reaches it through
+	// the space. A replayed space's outs are reserved once, after the report
+	// is set, so a reclaim in between is counted on both sides or neither.
+	i.local.OnRemove(i.removed)
+	i.mgr.OnReclaim(i.reclaimOut)
+	n, bytes, _, _ := i.local.Leases()
+	i.mgr.Adopt(n, bytes)
 	// Eval computations run on threads allocated through the lease
 	// manager's thread factory (paper §3.1.1).
 	i.mgr.RegisterResource(lease.ResThreads, evalWorkers)
-	// A revoked out-lease drops its tuple (last-resort reclamation), and
-	// the removal report ends the record. The scan is bounded by MaxActive
-	// and revocation by RevokeCooldown.
-	i.mgr.OnRevoke(func(l *lease.Lease) {
-		var sid uint64
-		i.mu.Lock()
-		for s, ol := range i.outBySid {
-			if ol == l {
-				sid = s
-				break
-			}
-		}
-		i.mu.Unlock()
-		if sid != 0 {
-			i.local.Remove(sid)
-		}
-	})
-	// The space-info tuple (paper §2.4): a handle on this space plus
-	// whether it is persistent. Never expires.
-	info := tuple.T(tuple.String(SpaceInfoName), tuple.String(string(i.Addr())), tuple.Bool(cfg.Persistent))
-	if _, err := i.local.Out(info, time.Time{}); err != nil {
-		return nil, fmt.Errorf("tiamat: seeding space-info tuple: %w", err)
+	if err := i.seedSpaceInfo(); err != nil {
+		return nil, err
 	}
 	i.gov = newGovernor(i, cfg.Governor)
 	i.orphans = sweep{i: i, every: i.tm.orphanSweep, pass: i.sweepOrphans}
@@ -681,59 +649,69 @@ func (i *Instance) requester(r lease.Requester) lease.Requester {
 	return r
 }
 
-// releaseOutLease cancels the out-lease covering the removed tuple.
-func (i *Instance) releaseOutLease(sid uint64) {
-	i.mu.Lock()
-	lse, ok := i.outBySid[sid]
-	if ok {
-		delete(i.outBySid, sid)
-	} else if i.outsPending.Load() > 0 {
-		i.removedEarly[sid] = struct{}{}
+// seedSpaceInfo seeds the space-info tuple (paper §2.4): a handle on
+// this space and whether it is persistent, never expiring, one per space,
+// so a persistent space keeps the one it replayed.
+func (i *Instance) seedSpaceInfo() error {
+	info := tuple.T(tuple.String(SpaceInfoName), tuple.String(string(i.Addr())), tuple.Bool(i.cfg.Persistent))
+	if _, ok := i.local.Rdp(tuple.TemplateOf(info)); ok {
+		return nil
 	}
-	i.mu.Unlock()
-	if ok {
-		lse.Cancel()
-		// The authoritative copy is gone: tell every replica holder to
-		// drop theirs (replica.go). Ordered after the lease-record delete
-		// so replWriteThrough's liveness re-check cannot race a removal
-		// into replicating a consumed tuple.
-		i.replOnLocalRemoval(sid)
+	if _, err := i.local.Out(info, time.Time{}); err != nil {
+		return fmt.Errorf("tiamat: seeding space-info tuple: %w", err)
 	}
+	return nil
 }
 
-// place stores t in the local space under its out lease lse, which has
-// consumed t's bytes: Out, an eval's result, a served remote out and a
-// re-out all come here. The lease is recorded against the tuple's id, so
-// the tuple's removal ends it (releaseOutLease), and is cancelled at once
-// if the tuple is gone already — a parked local in took it inside the
-// space's Out, whose removal report found no record (removedEarly) — or
-// on an error. Then the lease keeps only the stored size, and the tuple is
-// written through to its ring backups (replWriteThrough), awaiting their
-// acks only on an op's own goroutine: a frame being served never waits.
-func (i *Instance) place(t tuple.Tuple, lse *lease.Lease, await bool) error {
-	i.outsPending.Add(1)
-	sid, err := i.local.Out(t, lse.Deadline())
-	i.mu.Lock()
-	if err == nil {
-		if _, gone := i.removedEarly[sid]; gone {
-			sid = 0
-		} else if !i.closed {
-			i.outBySid[sid] = lse
-		}
+// removed is the space's removal report: an entry with an expiry ends its
+// out's reservation, and the replicas of any entry are dropped.
+func (i *Instance) removed(e space.Entry) {
+	if !e.Expiry.IsZero() {
+		i.mgr.Unreserve(e.Size)
 	}
-	if i.outsPending.Add(-1) == 0 && len(i.removedEarly) > 0 {
-		clear(i.removedEarly)
-	}
-	i.mu.Unlock()
-	if err != nil || sid == 0 {
-		lse.Cancel()
+	i.replOnLocalRemoval(e.ID)
+}
+
+// reclaimOut is the lease.ReclaimFunc: it removes the soonest-expiring
+// out, whose removal report ends its reservation.
+func (i *Instance) reclaimOut(by time.Time) bool {
+	_, _, e, ok := i.local.Leases()
+	return ok && (by.IsZero() || !e.Expiry.After(by)) && i.local.Remove(e.ID)
+}
+
+// out reserves offer's out lease for t, its size past offer.MaxBytes
+// ErrBudget, and places t until the offer's deadline: Out and a served
+// remote out.
+func (i *Instance) out(t tuple.Tuple, offer lease.Terms, await bool) error {
+	size := t.Size()
+	if err := i.mgr.Reserve(offer, size); err != nil {
 		return err
 	}
-	lse.ShrinkBytes()
+	return i.place(t, size, i.clk.Now().Add(offer.Duration), offer.MaxRemotes, await)
+}
+
+// place stores t, reserved for size bytes, until expiry: Out, an eval's
+// result and a served remote out come here. From then on the entry is the
+// out lease, ended by its removal report (removed); a failed store ends it
+// at once. Then t is written through to its ring backups under remotes,
+// the out's remote budget, awaiting their acks only on an op's own
+// goroutine: a frame being served never waits.
+func (i *Instance) place(t tuple.Tuple, size int64, expiry time.Time, remotes int, await bool) error {
+	if i.repl != nil {
+		i.repl.placing.Add(1)
+	}
+	sid, err := i.local.Out(t, expiry)
+	if err != nil {
+		i.mgr.Unreserve(size)
+		if i.repl != nil {
+			i.repl.leavePlacing(nil, false)
+		}
+		return err
+	}
 	if i.repl == nil {
 		return nil
 	}
-	return i.replWriteThrough(sid, t, lse, await)
+	return i.replWriteThrough(sid, t, expiry, remotes, await)
 }
 
 // isClosed reports whether Close has begun.

@@ -282,18 +282,14 @@ func (i *Instance) Out(t tuple.Tuple, r lease.Requester) error {
 		return ErrClosed
 	}
 	i.met.Inc(trace.CtrOpsOut)
-	lse, err := i.mgr.Grant(lease.OpOut, i.requester(r))
+	offer, err := i.mgr.Negotiate(lease.OpOut, i.requester(r))
 	if err != nil {
 		return i.closedOr(err)
 	}
-	if err := lse.ConsumeBytes(t.Size()); err != nil {
-		lse.Cancel()
-		return i.closedOr(fmt.Errorf("out %v: %w", t, err))
-	}
 	// With replication on, a successful Out means the tuple survives this
-	// node: place waits for the backups' acks. ErrClosed means it may not
+	// node: out waits for the backups' acks. ErrClosed means it may not
 	// have: Close began first, and no backup acked a copy.
-	if err := i.place(t, lse, true); err != nil {
+	if err := i.out(t, offer, true); err != nil {
 		return i.closedOr(err)
 	}
 	return nil
@@ -375,11 +371,17 @@ func (i *Instance) runEval(f EvalFunc, args tuple.Tuple, lse *lease.Lease) {
 		lse.Cancel()
 		return
 	}
-	if err := lse.ConsumeBytes(result.Size()); err != nil {
+	// The eval's lease hands its slot, deadline and remote budget to its
+	// result's reservation.
+	size := result.Size()
+	if err := lse.ConsumeBytes(size); err != nil {
 		lse.Cancel()
 		return
 	}
-	_ = i.place(result, lse, true) // eval is async: nobody to tell
+	i.mgr.Adopt(1, size)
+	expiry, remotes := lse.Deadline(), lse.RemotesLeft()
+	lse.Cancel()
+	_ = i.place(result, size, expiry, remotes, true) // eval is async: nobody to tell
 }
 
 // Rd reads (a copy of) a tuple matching p from the logical space,
@@ -506,7 +508,7 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	} else {
 		f = new(opFrames)
 	}
-	if _, err := i.mgr.GrantOffer(&f.lse, opKind(code), offer); err != nil {
+	if err := i.mgr.GrantOffer(&f.lse, opKind(code), offer); err != nil {
 		// Refused. A match committed to the local registration is the op's.
 		if st != nil {
 			if m := st.dropLocal(); m.ok {
@@ -1281,7 +1283,7 @@ func (i *Instance) rpc(addr wire.Addr, kind lease.OpKind, counter string, m wire
 		return err
 	}
 	f := &opFrames{op: m}
-	if _, err := i.mgr.GrantOffer(&f.lse, kind, offer); err != nil {
+	if err := i.mgr.GrantOffer(&f.lse, kind, offer); err != nil {
 		return err
 	}
 	defer f.lse.Cancel()

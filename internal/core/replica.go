@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tiamat/clock"
-	"tiamat/lease"
 	"tiamat/routing"
 	"tiamat/space"
 	"tiamat/trace"
@@ -137,6 +136,12 @@ type replicator struct {
 	ring    *routing.Ring
 	ringRev uint64
 	repair  sweep // the anti-entropy sweep (repairSweep)
+	// placing counts the outs between the space's Out and their record
+	// here, which may hand the tuple to a parked taker that removes it for
+	// good first; a removal finding no record meanwhile leaves its id in
+	// early, for its out to find (leavePlacing) and replicate nothing.
+	placing atomic.Int32
+	early   map[uint64]struct{}
 }
 
 func newReplicator(i *Instance) *replicator {
@@ -147,6 +152,7 @@ func newReplicator(i *Instance) *replicator {
 		copies: make(map[replKey]*replCopy),
 		fences: make(map[replKey]time.Time),
 		pend:   make(map[uint64]pendRepl),
+		early:  make(map[uint64]struct{}),
 		repair: sweep{i: i, every: i.tm.repair, pass: i.repairSweep},
 	}
 }
@@ -329,49 +335,56 @@ func (r *replicator) appendHolders(queue []wire.Addr, tag string, arity int) []w
 
 // --- origin side: write-through and invalidation ------------------------
 
+// leavePlacing closes an out's window (place). Unless the Out failed (ro
+// nil), the node is closing or the tuple was removed inside the window,
+// it makes ro the out's record and reports true.
+func (r *replicator) leavePlacing(ro *replOut, closing bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.placing.Add(-1) == 0 {
+		defer clear(r.early)
+	}
+	if ro == nil || closing {
+		return false
+	}
+	if _, removed := r.early[ro.seq]; removed {
+		return false
+	}
+	r.outs[ro.seq] = ro
+	return true
+}
+
 // replWriteThrough replicates a freshly placed tuple to its ring backups
 // and, with await, waits (bounded by ContactTimeout) for their acks — so
 // when Out returns, a kill of this node no longer strands the tuple. The
 // wait is best-effort: on timeout the out stands and the sweeper finishes
 // the job. A Close that began before it returns is another matter: the
-// node's own copy goes with it, and from the moment Close starts the lease
-// record is not made (place) and no replicate can leave, so unless a
-// backup acked a copy the write may have survived nowhere — ErrClosed.
-// Without await it only sends: a placement made while serving a frame
-// must not block on another node's reply (DESIGN.md §9).
+// node's own copy goes with it, and from the moment Close starts no record
+// is made here and no replicate can leave, so unless a backup acked a copy
+// the write may have survived nowhere — ErrClosed. Without await it only
+// sends: a placement made while serving a frame must not block on another
+// node's reply (DESIGN.md §9).
 //
-// The replicates ride the out's own lease: each one consumes a unit of
-// its remote budget — the "replication lease" bounding communication
-// effort exactly as §2.5 bounds everything else.
+// The replicates ride the out's own lease, expiring at its deadline: each
+// spends a unit of its remote budget, remotes — the "replication lease"
+// bounding communication effort exactly as §2.5 bounds everything else.
 //
 // The tuple is tracked first. An out written while isolated still gets a
 // record, so the sweep replicates it once peers appear. The tuple may
-// already have been taken since the store
-// write (a waiting local taker), and copies of it would be stranded: the
-// removal report deletes the out-lease record first and the replication
-// record after, so re-checking the lease record here closes the window —
-// an earlier removal finds no replication record (it is rolled back
-// here), a later one finds it and sends the invalidations.
-func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease, await bool) (err error) {
+// already have been taken since the store write (a waiting local taker),
+// and copies of it would be stranded: the removal report found no record
+// and left the id in early, so no record is made (leavePlacing). A later
+// removal finds the record and sends the invalidations.
+func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, expiry time.Time, remotes int, await bool) (err error) {
 	r := i.repl
 	tag, arity := replTupleKey(t)
 	ro := &replOut{
-		seq: sid, t: t.Copy(), expiry: lse.Deadline(), tag: tag, arity: arity, r: r,
+		seq: sid, t: t.Copy(), expiry: expiry, tag: tag, arity: arity, r: r,
 		done:  make(chan struct{}),
 		acked: make(map[wire.Addr]bool), refused: make(map[wire.Addr]bool),
 		lastSend: make(map[wire.Addr]time.Time),
 	}
-	r.mu.Lock()
-	r.outs[sid] = ro
-	r.mu.Unlock()
-	i.mu.Lock()
-	_, live := i.outBySid[sid]
-	i.mu.Unlock()
-	if !live {
-		r.mu.Lock()
-		delete(r.outs, sid)
-		r.mu.Unlock()
-	}
+	live := r.leavePlacing(ro, i.isClosed())
 	defer func() {
 		r.mu.Lock()
 		acked := len(ro.acked) > 0
@@ -391,9 +404,10 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, lse *lease.Lease,
 	now := i.clk.Now()
 	sent := ro.targets[:0]
 	for _, a := range targets {
-		if lse.ConsumeRemote() != nil {
+		if remotes <= 0 {
 			break // replication effort is bounded by the out lease
 		}
+		remotes--
 		ackID := i.nextOp()
 		r.mu.Lock()
 		r.pend[ackID] = pendRepl{seq: ro.seq, to: a, at: now}
@@ -505,7 +519,7 @@ func (i *Instance) replFinishAck(id uint64, m *wire.Message) bool {
 // replOnLocalRemoval is the origin half of invalidation: the
 // authoritative tuple left the space (taken locally or remotely,
 // reclaimed, or revoked), so every holder of a copy is told to drop it.
-// Called from the out-lease release path.
+// Called from the space's removal report.
 func (i *Instance) replOnLocalRemoval(sid uint64) {
 	r := i.repl
 	if r == nil {
@@ -513,15 +527,20 @@ func (i *Instance) replOnLocalRemoval(sid uint64) {
 	}
 	r.mu.Lock()
 	ro := r.outs[sid]
+	if ro == nil {
+		if r.placing.Load() > 0 {
+			r.early[sid] = struct{}{}
+		}
+		r.mu.Unlock()
+		return
+	}
 	delete(r.outs, sid)
 	holders := make(map[wire.Addr]bool)
-	if ro != nil {
-		for a := range ro.lastSend { // every acked holder was sent one
-			holders[a] = true
-		}
+	for a := range ro.lastSend { // every acked holder was sent one
+		holders[a] = true
 	}
 	r.mu.Unlock()
-	if ro == nil || i.isClosed() {
+	if i.isClosed() {
 		return
 	}
 	// Belt and braces with the taker's own invalidation round: sends are

@@ -131,7 +131,7 @@ func (e typeGate) Send(to wire.Addr, m *wire.Message) error {
 // whose Close began before the write-through returned is acknowledged only
 // if a backup acked a copy — the node's own copy goes with it. Close lands
 // at two instants: after the space stored the tuple but before its
-// out-lease record, which is then never made (and used to read as "taken
+// replica record, which is then never made (and used to read as "taken
 // by a local taker"), and before the replicate leaves, which then fails
 // (and used to settle the wait over no target, a coin toss between that
 // and the teardown). Each edge runs sixteen times.

@@ -414,7 +414,8 @@ func (i *Instance) handleOp(m *wire.Message) {
 	// answer sent before this returns leaves nothing to bound (paper
 	// §3.1.1). Only a parked wait outlives the frame; serveBlocking leases
 	// it, clamped (the clamp narrows a duration, it never refuses).
-	if i.mgr.Admit(opKind(m.Op), serveTerms(ttl)) != nil {
+	offer, err := i.mgr.Admit(opKind(m.Op), serveTerms(ttl))
+	if err != nil {
 		_ = i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false})
 		return
 	}
@@ -474,17 +475,18 @@ func (i *Instance) handleOp(m *wire.Message) {
 
 	// Blocking op: hold a waiter on behalf of the peer until a match,
 	// its lease expires, or the peer cancels.
-	i.serveBlocking(m, ttl)
+	i.serveBlocking(m, ttl, offer)
 }
 
 // serveBlocking parks a peer's blocking operation in the local space. ttl
-// is the effective serve budget computed by handleOp.
-func (i *Instance) serveBlocking(m *wire.Message, ttl time.Duration) {
+// is the effective serve budget computed by handleOp, and offer what its
+// admission offered for it.
+func (i *Instance) serveBlocking(m *wire.Message, ttl time.Duration, offer lease.Terms) {
 	key := waitKey{from: m.From, id: m.ID}
 	// The wait carries its lease. Under pressure the governor narrows the
-	// proposal before the lease manager sees it (escalation rung 1).
+	// offer before the lease is minted (escalation rung 1).
 	rw := &remoteWait{i: i, key: key, ttl: ttl}
-	if i.mgr.GrantInto(&rw.lse, opKind(m.Op), i.gov.clampTerms(serveTerms(ttl))) != nil {
+	if i.mgr.GrantOffer(&rw.lse, opKind(m.Op), i.gov.clampTerms(offer)) != nil {
 		_ = i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false})
 		return
 	}
@@ -669,18 +671,14 @@ func (i *Instance) remoteOut(m *wire.Message) error {
 	if clamped := i.gov.clampTerms(terms); clamped.Duration < terms.Duration {
 		terms.Duration = clamped.Duration
 	}
-	lse, err := i.mgr.GrantTerms(lease.OpOut, terms)
+	offer, err := i.mgr.Admit(lease.OpOut, terms)
 	if err != nil {
-		return err
-	}
-	if err := lse.ConsumeBytes(m.Tuple.Size()); err != nil {
-		lse.Cancel()
 		return err
 	}
 	// Retention boundary: the tuple outlives the frame that carried it,
 	// so detach it from a possibly-aliased decode buffer. Served, the
 	// placement sends its write-through and does not wait for it.
-	return i.place(m.Tuple.Copy(), lse, false)
+	return i.out(m.Tuple.Copy(), offer, false)
 }
 
 func (i *Instance) remoteEval(m *wire.Message) error {
@@ -691,7 +689,7 @@ func (i *Instance) remoteEval(m *wire.Message) error {
 	terms := serveTerms(m.TTL)
 	terms.MaxBytes = i.mgr.Capacity().MaxBytes
 	terms.MaxRemotes = i.cfg.Replicas - 1 // what the result's placement spends
-	lse, err := i.mgr.GrantTerms(lease.OpEval, i.gov.clampTerms(terms))
+	lse, err := i.mgr.Grant(lease.OpEval, lease.Flexible(i.gov.clampTerms(terms)))
 	if err != nil {
 		return err
 	}

@@ -459,10 +459,9 @@ func TestResidentMatchServedInsidePark(t *testing.T) {
 // TestOutLeaseReleasedWhenAcceptBeatsTheRecord: the Out that matches a
 // parked remote taker sends the reply before it returns, so the taker's
 // accept can be settled — removal report and all — before the out has
-// learnt the tuple's id and recorded its lease against it. The lease
-// must end with the tuple all the same, not sit in the manager until its
-// deadline: under DefaultCapacity a farm's worth of those is governor
-// pressure out of thin air.
+// learnt the tuple's id. The out's reservation must end with the tuple all
+// the same, not sit in the manager: under DefaultCapacity a farm's worth
+// of those is governor pressure out of thin air.
 func TestOutLeaseReleasedWhenAcceptBeatsTheRecord(t *testing.T) {
 	g := newGatedRig(t, nil)
 	g.ask(1, wire.OpIn, time.Hour)
@@ -486,14 +485,8 @@ func TestOutLeaseReleasedWhenAcceptBeatsTheRecord(t *testing.T) {
 	if err := <-outDone; err != nil {
 		t.Fatal(err)
 	}
-	if st := g.a.LeaseManager().Stats(); st.Active != 0 {
-		t.Fatalf("%d leases active with nothing stored and nothing served", st.Active)
-	}
-	g.a.mu.Lock()
-	recs, early := len(g.a.outBySid), len(g.a.removedEarly)
-	g.a.mu.Unlock()
-	if recs != 0 || early != 0 {
-		t.Fatalf("%d out-lease records and %d early removals left behind", recs, early)
+	if st := g.a.LeaseManager().Stats(); st.Active != 0 || st.BytesHeld != 0 {
+		t.Fatalf("%d leases active, %d bytes held with nothing stored and nothing served", st.Active, st.BytesHeld)
 	}
 	// An out with no taker parked is recorded and released as ever.
 	g.sp.afterOut = nil

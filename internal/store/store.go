@@ -65,7 +65,7 @@ type Store struct {
 	janitor *clock.Queue
 	// onRemove is the removal report (OnRemove), called with no shard
 	// lock held. Atomic: the janitor may reclaim while it is set.
-	onRemove atomic.Pointer[func(id uint64)]
+	onRemove atomic.Pointer[func(e space.Entry)]
 
 	// nTagShards is the number of tag shards (a power of two); the shard
 	// slice additionally holds the scan shard at index nTagShards.
@@ -285,16 +285,14 @@ func WithShards(n int) Option {
 }
 
 // OnRemove implements space.Space.
-func (s *Store) OnRemove(f func(id uint64)) { s.onRemove.Store(&f) }
+func (s *Store) OnRemove(f func(e space.Entry)) { s.onRemove.Store(&f) }
 
 // notifyRemoved makes the removal report outside all shard locks.
-func (s *Store) notifyRemoved(ids ...uint64) {
-	f := s.onRemove.Load()
-	if f == nil {
-		return
-	}
-	for _, id := range ids {
-		(*f)(id)
+func (s *Store) notifyRemoved(es ...*entry) {
+	if f := s.onRemove.Load(); f != nil {
+		for _, e := range es {
+			(*f)(space.Entry{ID: e.id, Size: e.size, Expiry: e.expiry})
+		}
 	}
 }
 
@@ -698,7 +696,7 @@ func (sh *shard) inpShard(p tuple.Template) (tuple.Tuple, bool) {
 	sh.removeLocked(e)
 	sh.mu.Unlock()
 	sh.st.met.Inc(trace.CtrTuplesTaken)
-	sh.st.notifyRemoved(e.id)
+	sh.st.notifyRemoved(e)
 	return e.t, true
 }
 
@@ -882,7 +880,7 @@ func (e *entry) Accept() {
 		return
 	}
 	e.s.met.Inc(trace.CtrTuplesTaken)
-	e.s.notifyRemoved(e.id)
+	e.s.notifyRemoved(e)
 }
 
 func (e *entry) Release() {
@@ -914,8 +912,24 @@ func (s *Store) Remove(id uint64) bool {
 	}
 	sh.removeLocked(e)
 	sh.mu.Unlock()
-	s.notifyRemoved(id)
+	s.notifyRemoved(e)
 	return true
+}
+
+// Leases implements space.Space: the shards' expiry heaps hold every
+// linked entry with an expiry, the soonest at each head.
+func (s *Store) Leases() (n int, bytes int64, soonest space.Entry, ok bool) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for k, e := range sh.expiry {
+			if n++; k == 0 && (!ok || e.expiry.Before(soonest.Expiry)) {
+				soonest, ok = space.Entry{ID: e.id, Size: e.size, Expiry: e.expiry}, true
+			}
+			bytes += e.size
+		}
+		sh.mu.Unlock()
+	}
+	return n, bytes, soonest, ok
 }
 
 // Count implements space.Space.
@@ -1060,7 +1074,7 @@ func (sh *shard) scheduleJanitorLocked() {
 // passed. It reclaims the expired tuples and re-schedules the janitor.
 func (sh *shard) Expire() {
 	s := sh.st
-	var reclaimed []uint64
+	var reclaimed []*entry
 	sh.mu.Lock()
 	defer func() {
 		sh.mu.Unlock()
@@ -1075,7 +1089,7 @@ func (sh *shard) Expire() {
 		e.index = -1 // already popped; keep removeLocked's heap fix-up out
 		sh.removeLocked(e)
 		s.met.Inc(trace.CtrTuplesReclaimed)
-		reclaimed = append(reclaimed, e.id)
+		reclaimed = append(reclaimed, e)
 	}
 	sh.reclaimAt = time.Time{}
 	sh.scheduleJanitorLocked()

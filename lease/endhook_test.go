@@ -48,7 +48,7 @@ func TestEndHookFiresOnceOnEveryEnd(t *testing.T) {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
 			m, clk := newTestManager(DefaultCapacity())
-			l, err := m.GrantTerms(OpIn, Terms{Duration: time.Second})
+			l, err := grantTerms(m, OpIn, Terms{Duration: time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestEndHookAllocatesNothing(t *testing.T) {
 	defer m.Close()
 	hook := &noopHook{}
 	cycle := func() {
-		l, err := m.GrantTerms(OpIn, Terms{Duration: 30 * time.Minute})
+		l, err := grantTerms(m, OpIn, Terms{Duration: 30 * time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestEndHookAllocatesNothing(t *testing.T) {
 	}
 	cycle() // arm the queue's timer once
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 1 {
-		t.Fatalf("GrantTerms+OnEnd+Cancel: %v allocs, want 1 (the lease)", allocs)
+		t.Fatalf("Admit+GrantOffer+OnEnd+Cancel: %v allocs, want 1 (the lease)", allocs)
 	}
 }
 
@@ -111,7 +111,7 @@ func TestEndHookIntoAllocatesNothing(t *testing.T) {
 	cycle := func() {
 		l := &ls[k]
 		k++
-		if err := m.GrantInto(l, OpIn, Terms{Duration: 30 * time.Minute}); err != nil {
+		if err := grantInto(m, l, OpIn, Terms{Duration: 30 * time.Minute}); err != nil {
 			t.Fatal(err)
 		}
 		l.OnEnd(hook)
@@ -119,6 +119,6 @@ func TestEndHookIntoAllocatesNothing(t *testing.T) {
 	}
 	cycle() // arm the queue's timer once
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
-		t.Fatalf("GrantInto+OnEnd+Cancel: %v allocs, want 0", allocs)
+		t.Fatalf("Admit+GrantOffer into a held lease+OnEnd+Cancel: %v allocs, want 0", allocs)
 	}
 }

@@ -6,8 +6,10 @@
 // contacted, bytes stored). They are best-effort, local to the granting
 // instance, non-transferable, and revocable only as a last resort. A lease
 // bounds what outlives the call granting it: a probe answered on the spot
-// is admitted (Manager.Admit) or only negotiated (Manager.Negotiate), and
-// a holder may embed its lease (GrantInto, GrantOffer).
+// is admitted (Manager.Admit) or only negotiated (Manager.Negotiate), a
+// holder embeds its lease (Manager.GrantOffer), and a stored tuple's out
+// lease is a reservation whose live state is its space entry
+// (Manager.Reserve).
 package lease
 
 import (

@@ -177,7 +177,7 @@ func TestGrantCancelAllocatesOnlyTheLease(t *testing.T) {
 	m := NewManager(DefaultCapacity(), nil)
 	defer m.Close()
 	cycle := func() {
-		l, err := m.GrantTerms(OpIn, Terms{Duration: 30 * time.Minute})
+		l, err := grantTerms(m, OpIn, Terms{Duration: 30 * time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestGrantCancelAllocatesOnlyTheLease(t *testing.T) {
 	}
 	cycle() // arm the queue's timer once
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 1 {
-		t.Fatalf("GrantTerms+Cancel: %v allocs, want 1 (the lease)", allocs)
+		t.Fatalf("Admit+GrantOffer+Cancel: %v allocs, want 1 (the lease)", allocs)
 	}
 }
 
@@ -195,23 +195,43 @@ func TestGrantCancelAllocatesOnlyTheLease(t *testing.T) {
 func TestGrantIntoCancelAllocatesNothing(t *testing.T) {
 	m := NewManager(DefaultCapacity(), nil)
 	defer m.Close()
-	ls := make([]Lease, 1002) // each granted into once, as GrantInto asks
+	ls := make([]Lease, 1002) // each granted into once, as GrantOffer asks
 	k := 0
 	cycle := func() {
 		l := &ls[k]
 		k++
-		if err := m.GrantInto(l, OpIn, Terms{Duration: 30 * time.Minute}); err != nil {
+		if err := grantInto(m, l, OpIn, Terms{Duration: 30 * time.Minute}); err != nil {
 			t.Fatal(err)
 		}
 		l.Cancel()
 	}
 	cycle() // arm the queue's timer once
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
-		t.Fatalf("GrantInto+Cancel: %v allocs, want 0", allocs)
+		t.Fatalf("Admit+GrantOffer into a held lease+Cancel: %v allocs, want 0", allocs)
 	}
 	if s := m.Stats(); s.Granted != 1002 || s.Cancelled != 1002 || s.Active != 0 {
 		t.Fatalf("stats %+v, want 1002 granted and cancelled, none active", s)
 	}
+}
+
+// grantTerms admits want and mints the offer into a new lease: the serve
+// path's grant, for tests that want the lease on the heap.
+func grantTerms(m *Manager, op OpKind, want Terms) (*Lease, error) {
+	l := new(Lease)
+	if err := grantInto(m, l, op, want); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// grantInto admits want and mints the offer into l, as a served wait
+// grants into its own field.
+func grantInto(m *Manager, l *Lease, op OpKind, want Terms) error {
+	offer, err := m.Admit(op, want)
+	if err != nil {
+		return err
+	}
+	return m.GrantOffer(l, op, offer)
 }
 
 // countingClock is a virtual clock that counts its readings.
@@ -225,9 +245,9 @@ func (c *countingClock) Now() time.Time {
 	return c.Virtual.Now()
 }
 
-// TestAdmitMintsNothing: Admit gives GrantTerms's verdict — refused when
-// the manager is full or closed, a refusal counted as GrantTerms counts
-// it — without a lease or a clock reading, and admitting makes no object.
+// TestAdmitMintsNothing: Admit gives an admitted grant's verdict — refused
+// when the manager is full or closed, a refusal counted as a grant's is —
+// without a lease or a clock reading, and admitting makes no object.
 func TestAdmitMintsNothing(t *testing.T) {
 	clk := &countingClock{Virtual: clock.NewVirtual(epoch)}
 	cap := DefaultCapacity()
@@ -236,7 +256,7 @@ func TestAdmitMintsNothing(t *testing.T) {
 	want := Terms{Duration: time.Second}
 	reads := clk.reads
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if err := m.Admit(OpInp, want); err != nil {
+		if _, err := m.Admit(OpInp, want); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -249,19 +269,19 @@ func TestAdmitMintsNothing(t *testing.T) {
 		t.Fatalf("after admitting: %+v, want nothing granted or refused", s)
 	}
 
-	held, err := m.GrantTerms(OpIn, want)
+	held, err := grantTerms(m, OpIn, want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reads = clk.reads
-	if err := m.Admit(OpInp, want); !errors.Is(err, ErrRefused) {
+	if _, err := m.Admit(OpInp, want); !errors.Is(err, ErrRefused) {
 		t.Fatalf("Admit at MaxActive: %v, want ErrRefused", err)
 	}
-	if _, err := m.GrantTerms(OpInp, want); !errors.Is(err, ErrRefused) {
-		t.Fatalf("GrantTerms at MaxActive: %v, want ErrRefused", err)
+	if _, err := grantTerms(m, OpInp, want); !errors.Is(err, ErrRefused) {
+		t.Fatalf("admitted grant at MaxActive: %v, want ErrRefused", err)
 	}
 	if s := m.Stats(); s.Refused != 2 || s.Granted != 1 {
-		t.Fatalf("at MaxActive: %+v, want 2 refused (Admit's and GrantTerms's), 1 granted", s)
+		t.Fatalf("at MaxActive: %+v, want 2 refused (Admit's and the grant's), 1 granted", s)
 	}
 	if clk.reads != reads {
 		t.Fatalf("refusing Admit read the clock %d times", clk.reads-reads)
@@ -270,14 +290,14 @@ func TestAdmitMintsNothing(t *testing.T) {
 	held.Cancel()
 	m.Close()
 	refused := m.Stats().Refused
-	if err := m.Admit(OpInp, want); !errors.Is(err, ErrClosed) {
+	if _, err := m.Admit(OpInp, want); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Admit after Close: %v, want ErrClosed", err)
 	}
-	if _, err := m.GrantTerms(OpInp, want); !errors.Is(err, ErrClosed) {
-		t.Fatalf("GrantTerms after Close: %v, want ErrClosed", err)
+	if _, err := grantTerms(m, OpInp, want); !errors.Is(err, ErrClosed) {
+		t.Fatalf("admitted grant after Close: %v, want ErrClosed", err)
 	}
 	if n := m.Stats().Refused; n != refused {
-		t.Fatalf("closed: Refused moved %d → %d; a closed manager refuses uncounted, as GrantTerms does", refused, n)
+		t.Fatalf("closed: Refused moved %d → %d; a closed manager refuses uncounted, as a grant does", refused, n)
 	}
 }
 
@@ -328,7 +348,7 @@ func TestGrantOfferRevalidates(t *testing.T) {
 		}},
 		{"full", func(m *Manager) {
 			for k := 0; k < cap.MaxActive; k++ {
-				if _, err := m.GrantTerms(OpRd, Terms{Duration: time.Minute}); err != nil {
+				if _, err := grantTerms(m, OpRd, Terms{Duration: time.Minute}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -344,7 +364,7 @@ func TestGrantOfferRevalidates(t *testing.T) {
 			c.change(m)
 			before := m.Stats()
 			var l Lease
-			if _, err := m.GrantOffer(&l, OpInp, offer); !errors.Is(err, ErrRefused) {
+			if err := m.GrantOffer(&l, OpInp, offer); !errors.Is(err, ErrRefused) {
 				t.Fatalf("GrantOffer after the change: %v, want ErrRefused", err)
 			}
 			after := m.Stats()
@@ -364,8 +384,8 @@ func TestGrantOfferRevalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var l Lease
-	if got, err := m.GrantOffer(&l, OpInp, offer); err != nil || got != &l {
-		t.Fatalf("GrantOffer = %p, %v; want the caller's lease", got, err)
+	if err := m.GrantOffer(&l, OpInp, offer); err != nil {
+		t.Fatalf("GrantOffer: %v", err)
 	}
 	if l.State() != StateActive || l.Terms() != offer || l.RemotesLeft() != 4 {
 		t.Fatalf("granted %v with %v, %d remotes: want active with the offer %v", l.State(), l.Terms(), l.RemotesLeft(), offer)
@@ -375,7 +395,7 @@ func TestGrantOfferRevalidates(t *testing.T) {
 	}
 	l.Cancel()
 	m.Close()
-	if _, err := m.GrantOffer(new(Lease), OpInp, offer); !errors.Is(err, ErrClosed) {
+	if err := m.GrantOffer(new(Lease), OpInp, offer); !errors.Is(err, ErrClosed) {
 		t.Fatalf("GrantOffer after Close: %v, want ErrClosed", err)
 	}
 }
@@ -450,18 +470,45 @@ func TestTotalBytesPoolShrinksOffers(t *testing.T) {
 	}
 }
 
+// revokeObserver records, as each lease's end hook, the leases that ended
+// revoked: how a holder hears of a revocation.
+type revokeObserver struct {
+	mu      sync.Mutex
+	revoked []uint64
+}
+
+func (o *revokeObserver) watch(l *Lease) *Lease {
+	l.OnEnd(&revokeHook{o: o, l: l})
+	return l
+}
+
+type revokeHook struct {
+	o *revokeObserver
+	l *Lease
+}
+
+func (h *revokeHook) LeaseEnded() {
+	if h.l.State() == StateRevoked {
+		h.o.mu.Lock()
+		h.o.revoked = append(h.o.revoked, h.l.ID())
+		h.o.mu.Unlock()
+	}
+}
+
 func TestRevokeOldestFirstAndObserver(t *testing.T) {
 	m, _ := newTestManager(DefaultCapacity())
-	var revoked []uint64
-	m.OnRevoke(func(l *Lease) { revoked = append(revoked, l.ID()) })
-	a, _ := m.Grant(OpOut, Flexible(Terms{Duration: 1 * time.Second, MaxBytes: 1}))
-	b, _ := m.Grant(OpOut, Flexible(Terms{Duration: 2 * time.Second, MaxBytes: 1}))
-	c, _ := m.Grant(OpOut, Flexible(Terms{Duration: 3 * time.Second, MaxBytes: 1}))
+	obs := &revokeObserver{}
+	grant := func(d time.Duration) *Lease {
+		l, _ := m.Grant(OpOut, Flexible(Terms{Duration: d, MaxBytes: 1}))
+		return obs.watch(l)
+	}
+	a, b, c := grant(time.Second), grant(2*time.Second), grant(3*time.Second)
+	revoked := func() []uint64 { return obs.revoked }
 	if n := m.Revoke(2); n != 2 {
 		t.Fatalf("Revoke = %d", n)
 	}
-	if len(revoked) != 2 || revoked[0] != a.ID() || revoked[1] != b.ID() {
-		t.Fatalf("revoked %v, want [%d %d]", revoked, a.ID(), b.ID())
+	if r := revoked(); len(r) != 2 || r[0] != a.ID() || r[1] != b.ID() {
+		t.Fatalf("revoked %v, want [%d %d]", r, a.ID(), b.ID())
 	}
 	if !errors.Is(a.Err(), ErrRevoked) || !errors.Is(b.Err(), ErrRevoked) {
 		t.Fatal("revoked leases missing ErrRevoked")

@@ -1,8 +1,9 @@
 package lease
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,7 +58,9 @@ func ConstrainedCapacity() Capacity {
 	}
 }
 
-// Stats is a snapshot of manager activity counters.
+// Stats is a snapshot of manager activity counters. A reservation counts
+// as a lease does; its end counts in Cancelled (a revoked one in Revoked
+// as well).
 type Stats struct {
 	Active    int
 	Granted   uint64
@@ -68,9 +71,9 @@ type Stats struct {
 	BytesHeld int64
 }
 
-// RevokeFunc observes a last-resort revocation so the holder can unwind
-// (e.g. the store drops the tuple, a search aborts).
-type RevokeFunc func(*Lease)
+// ReclaimFunc revokes the reservation that ends soonest if it ends no
+// later than by (any, when by is zero), reporting whether it did.
+type ReclaimFunc func(by time.Time) bool
 
 // Manager negotiates, tracks, expires, and (as a last resort) revokes
 // leases, and owns the resource factories through which the instance's
@@ -84,7 +87,10 @@ type Manager struct {
 	nextID    uint64
 	active    map[uint64]*Lease
 	bytesHeld int64
-	onRevoke  RevokeFunc
+	// reserved counts the reservations (Reserve): active slots with no
+	// lease object and no deadline here; reclaim revokes them.
+	reserved  int
+	reclaim   ReclaimFunc
 	stats     Stats
 	factories map[ResourceKind]*factory
 
@@ -110,12 +116,12 @@ func NewManager(cap Capacity, clk clock.Clock) *Manager {
 	}
 }
 
-// OnRevoke registers the revocation observer. It must be set before leases
-// are granted.
-func (m *Manager) OnRevoke(f RevokeFunc) {
+// OnReclaim registers how Revoke reaches the reservations. Without it
+// Revoke reaches leases only, whose holders hear of it by their end hook.
+func (m *Manager) OnReclaim(f ReclaimFunc) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.onRevoke = f
+	m.reclaim = f
 }
 
 // Capacity returns the current capacity configuration.
@@ -142,7 +148,7 @@ func (m *Manager) Offer(op OpKind, proposed Terms) Terms {
 }
 
 func (m *Manager) offerLocked(op OpKind, p Terms) Terms {
-	if m.closed || len(m.active) >= m.cap.MaxActive {
+	if m.closed || len(m.active)+m.reserved >= m.cap.MaxActive {
 		return Terms{}
 	}
 	o := Terms{Duration: p.Duration, MaxRemotes: p.MaxRemotes, MaxBytes: p.MaxBytes}
@@ -175,21 +181,25 @@ func (m *Manager) offerLocked(op OpKind, p Terms) Terms {
 	return o
 }
 
-// Grant runs the negotiation protocol (Negotiate, then GrantOffer): the
-// requester proposes, the manager offers, the requester accepts or refuses.
-// On refusal (either side) it returns ErrRefused and no work may be
-// performed (paper §3.1.1).
+// Grant runs the negotiation protocol (Negotiate, then GrantOffer into a
+// new lease): the requester proposes, the manager offers, the requester
+// accepts or refuses. On refusal (either side) it returns ErrRefused and
+// no work may be performed (paper §3.1.1).
 func (m *Manager) Grant(op OpKind, r Requester) (*Lease, error) {
 	offer, err := m.Negotiate(op, r)
 	if err != nil {
 		return nil, err
 	}
-	return m.GrantOffer(nil, op, offer)
+	l := new(Lease)
+	if err := m.GrantOffer(l, op, offer); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
-// Negotiate is Grant without the mint: r proposes, the manager offers, r
-// considers, and the accepted offer is returned, holding nothing. Work
-// answered before it needs a lease mints none; GrantOffer mints it.
+// Negotiate decides for a requester: r proposes, the manager offers, r
+// considers, and the accepted offer is returned, holding nothing; work
+// that needs a lease mints it (GrantOffer, Reserve).
 func (m *Manager) Negotiate(op OpKind, r Requester) (Terms, error) {
 	proposed := r.Propose()
 	m.mu.Lock()
@@ -208,80 +218,26 @@ func (m *Manager) Negotiate(op OpKind, r Requester) (Terms, error) {
 	return offer, nil
 }
 
-// GrantOffer mints offer, as Negotiate returned it, into l, a zero Lease
-// the caller owns (as GrantInto), or a new lease when l is nil. Unless the
-// manager would still offer terms covering it, the grant is refused
-// (ErrRefused, counted) and l holds nothing.
-func (m *Manager) GrantOffer(l *Lease, op OpKind, offer Terms) (*Lease, error) {
+// Admit decides for a grantor that takes whatever is offered (the serve
+// path: its requester negotiated on its own node): the offer for want,
+// holding nothing and reading no clock. Closed is ErrClosed, uncounted;
+// nothing to offer is ErrRefused, counted.
+func (m *Manager) Admit(op OpKind, want Terms) (Terms, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
-	// Re-validate under the lock. An offer is its proposal clamped on every
-	// axis, so it is re-offered whole exactly when the proposal's would be.
-	if again := m.offerLocked(op, offer); again.Duration <= 0 || !again.Covers(offer) {
-		m.stats.Refused++
-		return nil, fmt.Errorf("%s: offer withdrawn under contention: %w", op, ErrRefused)
-	}
-	return m.grantLocked(l, op, offer), nil
+	return m.admitLocked(op, want)
 }
 
-// GrantTerms is the negotiation fast path for grantors that accept
-// whatever the manager offers (the serve path grants on behalf of remote
-// requesters whose negotiation already happened on their own node). It is
-// equivalent to Grant(op, Flexible(want)) but runs in one lock round and
-// allocates nothing beyond the lease itself.
-func (m *Manager) GrantTerms(op OpKind, want Terms) (*Lease, error) {
-	return m.grantTerms(nil, op, want)
-}
-
-// GrantInto is GrantTerms into l, a zero Lease the caller owns (a field of
-// the holder it bounds), so the grant allocates nothing. The manager refers
-// to l until it ends: it must not be copied or granted into again.
-func (m *Manager) GrantInto(l *Lease, op OpKind, want Terms) error {
-	_, err := m.grantTerms(l, op, want)
-	return err
-}
-
-func (m *Manager) grantTerms(l *Lease, op OpKind, want Terms) (*Lease, error) {
+// GrantOffer mints offer, as Negotiate or Admit decided it, into l, a zero
+// Lease the caller owns (a field of the holder it bounds), and schedules
+// its expiry. An offer no longer covered is ErrRefused, counted, with l
+// untouched. The manager refers to l until it ends: it must not be copied
+// or granted into again.
+func (m *Manager) GrantOffer(l *Lease, op OpKind, offer Terms) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	offer, err := m.admitLocked(op, want)
-	if err != nil {
-		return nil, err
-	}
-	return m.grantLocked(l, op, offer), nil
-}
-
-// Admit is GrantTerms's verdict for work answered before it returns: no
-// lease is left to bound it, so admitting makes no object, reads no clock.
-func (m *Manager) Admit(op OpKind, want Terms) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, err := m.admitLocked(op, want)
-	return err
-}
-
-// admitLocked is the one offer check, shared by every grant and Admit:
-// the offer for want, ErrClosed, or a refusal it counts. Holds m.mu.
-func (m *Manager) admitLocked(op OpKind, want Terms) (Terms, error) {
-	if m.closed {
-		return Terms{}, ErrClosed
-	}
-	offer := m.offerLocked(op, want)
-	if offer.Duration <= 0 {
-		m.stats.Refused++
-		return Terms{}, fmt.Errorf("%s: manager has nothing to offer: %w", op, ErrRefused)
-	}
-	return offer, nil
-}
-
-// grantLocked, the one mint path, grants an accepted offer into l, or a
-// new lease when l is nil, and schedules its expiry. Caller holds m.mu.
-func (m *Manager) grantLocked(l *Lease, op OpKind, offer Terms) *Lease {
-	if l == nil {
-		l = new(Lease)
+	if err := m.revalidateLocked(op, offer); err != nil {
+		return err
 	}
 	m.nextID++
 	l.mgr = m
@@ -298,7 +254,76 @@ func (m *Manager) grantLocked(l *Lease, op OpKind, offer Terms) *Lease {
 	m.stats.Granted++
 	// Enforcement runs SkewBand behind the promise (clock-skew guard).
 	m.expiries.Schedule(&l.exp, l.deadline.Add(l.skew))
-	return l
+	return nil
+}
+
+// Reserve mints an out's offer as a reservation of bytes, its tuple's
+// size: an active slot and bytes of the pool, with no lease object and no
+// deadline. The tuple's space entry is the lease's live state (paper §2.5)
+// and its removal ends the reservation (Unreserve). bytes past
+// offer.MaxBytes is ErrBudget; a refusal is as GrantOffer's.
+func (m *Manager) Reserve(offer Terms, bytes int64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.revalidateLocked(OpOut, offer); err != nil {
+		return err
+	}
+	if bytes > offer.MaxBytes {
+		return fmt.Errorf("out: bytes (%d > %d): %w", bytes, offer.MaxBytes, ErrBudget)
+	}
+	m.reserved++
+	m.bytesHeld += bytes
+	m.stats.Granted++
+	return nil
+}
+
+// Adopt counts n reservations of bytes past admission: tuples a space
+// opened over a replayed log already holds, or the result an admitted
+// eval's lease hands its slot to.
+func (m *Manager) Adopt(n int, bytes int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.reserved += n
+	m.bytesHeld += bytes
+	m.stats.Granted += uint64(n)
+}
+
+// Unreserve ends a reservation of bytes: its tuple left the space, taken,
+// reclaimed, removed or revoked.
+func (m *Manager) Unreserve(bytes int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.reserved--
+	m.bytesHeld -= bytes
+	m.stats.Cancelled++
+}
+
+// revalidateLocked re-offers for an accepted offer, which is its proposal
+// clamped on every axis, so it is re-offered whole exactly when the
+// proposal's would be. Holds m.mu.
+func (m *Manager) revalidateLocked(op OpKind, offer Terms) error {
+	if m.closed {
+		return ErrClosed
+	}
+	if again := m.offerLocked(op, offer); again.Duration <= 0 || !again.Covers(offer) {
+		m.stats.Refused++
+		return fmt.Errorf("%s: offer withdrawn under contention: %w", op, ErrRefused)
+	}
+	return nil
+}
+
+// admitLocked is the one offer check, shared by Negotiate and Admit:
+// the offer for want, ErrClosed, or a refusal it counts. Holds m.mu.
+func (m *Manager) admitLocked(op OpKind, want Terms) (Terms, error) {
+	if m.closed {
+		return Terms{}, ErrClosed
+	}
+	offer := m.offerLocked(op, want)
+	if offer.Duration <= 0 {
+		m.stats.Refused++
+		return Terms{}, fmt.Errorf("%s: manager has nothing to offer: %w", op, ErrRefused)
+	}
+	return offer, nil
 }
 
 // release is called exactly once per lease when it leaves StateActive.
@@ -333,14 +358,14 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
-	s.Active = len(m.active)
+	s.Active = len(m.active) + m.reserved
 	s.BytesHeld = m.bytesHeld
 	return s
 }
 
 // ActiveLeases returns the active leases ordered by deadline (soonest
-// first). Used by revocation and by monitoring. Deadlines are snapshotted
-// under each lease's lock — ShrinkDuration may move them concurrently.
+// first, ties by id). Used by revocation and by monitoring. Deadlines are
+// snapshotted under each lease's lock — ShrinkDuration may move them.
 func (m *Manager) ActiveLeases() []*Lease {
 	m.mu.Lock()
 	ls := make([]*Lease, 0, len(m.active))
@@ -348,30 +373,14 @@ func (m *Manager) ActiveLeases() []*Lease {
 		ls = append(ls, l)
 	}
 	m.mu.Unlock()
-	deadlines := make([]time.Time, len(ls))
-	for i, l := range ls {
-		deadlines[i] = l.Deadline()
+	at := make(map[*Lease]time.Time, len(ls))
+	for _, l := range ls {
+		at[l] = l.Deadline()
 	}
-	sort.Sort(&byDeadline{ls: ls, at: deadlines})
+	slices.SortFunc(ls, func(a, b *Lease) int {
+		return cmp.Or(at[a].Compare(at[b]), cmp.Compare(a.id, b.id))
+	})
 	return ls
-}
-
-// byDeadline sorts leases by a snapshotted deadline, ties by id.
-type byDeadline struct {
-	ls []*Lease
-	at []time.Time
-}
-
-func (s *byDeadline) Len() int { return len(s.ls) }
-func (s *byDeadline) Less(i, j int) bool {
-	if s.at[i].Equal(s.at[j]) {
-		return s.ls[i].id < s.ls[j].id
-	}
-	return s.at[i].Before(s.at[j])
-}
-func (s *byDeadline) Swap(i, j int) {
-	s.ls[i], s.ls[j] = s.ls[j], s.ls[i]
-	s.at[i], s.at[j] = s.at[j], s.at[i]
 }
 
 // Shrink reclaims up to n bytes of promised-but-unconsumed storage budget
@@ -395,28 +404,39 @@ func (m *Manager) Shrink(n int64) int64 {
 	return reclaimed
 }
 
-// Revoke forcibly terminates up to n active leases, oldest deadline first,
-// notifying the revocation observer. The paper stresses this is a last
-// resort "to avoid undermining the leasing system altogether" (§2.5); it is
-// exercised only under severe resource pressure.
+// Revoke forcibly ends up to n active leases and reservations, soonest
+// deadline first: a lease's end hook tells its holder, and a reservation's
+// holder reclaims it (OnReclaim). The paper stresses this is a last resort
+// "to avoid undermining the leasing system altogether" (§2.5).
 func (m *Manager) Revoke(n int) int {
 	if n <= 0 {
 		return 0
 	}
 	m.mu.Lock()
-	cb := m.onRevoke
+	reclaim := m.reclaim
 	m.mu.Unlock()
 	revoked := 0
-	for _, l := range m.ActiveLeases() {
-		if revoked >= n {
+	ls := m.ActiveLeases()
+	for revoked < n {
+		var by time.Time // no lease left: any reservation
+		if len(ls) > 0 {
+			by = ls[0].Deadline()
+		}
+		if reclaim != nil && reclaim(by) {
+			m.mu.Lock()
+			m.stats.Revoked++
+			m.mu.Unlock()
+			revoked++
+			continue
+		}
+		if len(ls) == 0 {
 			break
 		}
+		l := ls[0]
+		ls = ls[1:]
 		l.finish(StateRevoked)
 		if l.State() == StateRevoked {
 			revoked++
-			if cb != nil {
-				cb(l)
-			}
 		}
 	}
 	return revoked

@@ -192,16 +192,20 @@ func TestConcurrentShrinkVsConsume(t *testing.T) {
 }
 
 // Revocation under pressure: oldest-first, interleaved with concurrent
-// expiry, must never revoke more than asked and must fire OnRevoke
-// exactly once per lease.
+// expiry, must never revoke more than asked and must tell each revoked
+// lease's holder (its end hook) exactly once.
 func TestRevokeOrderingUnderConcurrentExpiry(t *testing.T) {
 	const total = 64
 	m, clk := newTestManager(Capacity{MaxActive: total, MaxDuration: time.Hour, MaxRemotes: 4, MaxBytes: 10, MaxTotalBytes: total * 10})
 	var fires sync.Map // lease ID -> *int64 observer fire count
-	m.OnRevoke(func(l *Lease) {
-		c, _ := fires.LoadOrStore(l.ID(), new(int64))
-		atomic.AddInt64(c.(*int64), 1)
-	})
+	observe := func(l *Lease) {
+		l.OnEnd(endFunc(func() {
+			if l.State() == StateRevoked {
+				c, _ := fires.LoadOrStore(l.ID(), new(int64))
+				atomic.AddInt64(c.(*int64), 1)
+			}
+		}))
+	}
 	ls := make([]*Lease, total)
 	for i := range ls {
 		// Half the leases expire the instant the clock advances; the rest
@@ -214,6 +218,7 @@ func TestRevokeOrderingUnderConcurrentExpiry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		observe(l)
 		ls[i] = l
 	}
 	const ask = 10
@@ -242,7 +247,7 @@ func TestRevokeOrderingUnderConcurrentExpiry(t *testing.T) {
 	fires.Range(func(_, v any) bool {
 		n := atomic.LoadInt64(v.(*int64))
 		if n != 1 {
-			t.Fatalf("OnRevoke fired %d times for one lease", n)
+			t.Fatalf("observer fired %d times for one lease", n)
 		}
 		observerFires += n
 		return true
@@ -275,9 +280,18 @@ func TestRevokeOrderingUnderConcurrentExpiry(t *testing.T) {
 func TestRevokeDoesNotCountConcurrentlyExpired(t *testing.T) {
 	m, clk := newTestManager(DefaultCapacity())
 	var observed int64
-	m.OnRevoke(func(*Lease) { atomic.AddInt64(&observed, 1) })
+	observe := func(l *Lease) *Lease {
+		l.OnEnd(endFunc(func() {
+			if l.State() == StateRevoked {
+				atomic.AddInt64(&observed, 1)
+			}
+		}))
+		return l
+	}
 	a, _ := m.Grant(OpOut, Flexible(Terms{Duration: time.Second, MaxBytes: 1}))
 	b, _ := m.Grant(OpOut, Flexible(Terms{Duration: time.Hour, MaxBytes: 1}))
+	observe(a)
+	observe(b)
 	clk.Advance(time.Second) // a expires before Revoke runs
 	if a.State() != StateExpired {
 		t.Fatal("setup: a should be expired")
@@ -292,3 +306,8 @@ func TestRevokeDoesNotCountConcurrentlyExpired(t *testing.T) {
 		t.Fatalf("observer fired %d times, want 1", observed)
 	}
 }
+
+// endFunc is an end hook made of a function.
+type endFunc func()
+
+func (f endFunc) LeaseEnded() { f() }

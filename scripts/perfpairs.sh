@@ -15,8 +15,13 @@
 # the change read better, and feeds every pair to the benchmark's own
 # -compare. Counts (msgs_per_op, wire_bytes_per_op,
 # allocs_per_op) repeat to 3-4 digits and can be claimed from any pair;
-# times only from all of them. Everything written lands under
-# .bench_build/, which is ignored.
+# times only from all of them. Each "better in k of n" line also gives the
+# exact two-sided sign-test p over the pairs that did not tie: the chance
+# of a split at least that lopsided if neither side were better. It is
+# reported beside the nine-tenths rule, not instead of it. Everything
+# written lands under .bench_build/perf/<workload>/, which is ignored; a
+# run replaces only its own workload's directory, so runs of several
+# workloads in turn keep every workload's pairs.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -26,9 +31,9 @@ pairs="${2:-3}"
 seconds="${3:-12}"
 base="${4:-$(git merge-base HEAD main)}"
 
-parent="$root/.bench_build/perf/parent"
-out="$root/.bench_build/perf/out"
-rm -rf "$root/.bench_build/perf"
+parent="$root/.bench_build/perf/$workload/parent"
+out="$root/.bench_build/perf/$workload/out"
+rm -rf "$parent" "$out"
 mkdir -p "$parent" "$out"
 git archive "$base" | tar -x -C "$parent"
 echo "parent: $(git rev-parse --short "$base") in ${parent#"$root"/}; change: working tree"
@@ -78,7 +83,9 @@ done
 
 # The nine-tenths rule: a gain is claimed only when the change reads
 # better in at least nine tenths of the pairs, ties counting for neither.
-# Which way is better is BENCHMARK.json's to say.
+# Which way is better is BENCHMARK.json's to say. The sign test's p is
+# 2·P(X ≤ min(wins, losses)) for X ~ Binomial(wins + losses, 1/2), capped
+# at 1: 9 of 10 untied pairs is p ≈ 0.021, 10 of 10 p ≈ 0.002.
 echo
 for metric in $metrics; do
 	better="$(awk -v m="\"$metric\"," '$1 == "\"name\":" && $2 == m { hit = 1 }
@@ -87,8 +94,15 @@ for metric in $metrics; do
 		echo "$(value "$metric" "$out/pair$i.parent.line") $(value "$metric" "$out/pair$i.change.line")"
 	done | awk -v m="$metric" -v better="$better" '
 		$2 == $1 { ties++; next }
-		(better == "higher") == ($2 > $1) { wins++ }
-		END { printf "%-20s change better in %d of %d pairs (%s is better, %d tied)\n", m, wins, NR, better, ties }'
+		(better == "higher") == ($2 > $1) { wins++; next }
+		{ losses++ }
+		END {
+			n = wins + losses; k = wins < losses ? wins : losses
+			term = 0.5 ^ n; tail = term # C(n, 0) / 2^n
+			for (i = 1; i <= k; i++) { term *= (n - i + 1) / i; tail += term }
+			p = 2 * tail; if (p > 1) p = 1
+			printf "%-20s change better in %d of %d pairs (%s is better, %d tied), sign test p = %.3g\n", m, wins, NR, better, ties, p
+		}'
 done
 
 status=0

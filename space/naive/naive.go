@@ -28,14 +28,14 @@ var ErrClosed = errors.New("naive: closed")
 // Space implements space.Space with linear scans.
 type Space struct {
 	clk      clock.Clock
-	onRemove func(id uint64) // the removal report, called by unlock
+	onRemove func(e space.Entry) // the removal report, called by unlock
 
 	mu      sync.Mutex
 	closed  bool
 	nextID  uint64
 	entries []entry
 	waiters []*waiter
-	gone    []uint64 // ids removed under mu, reported by unlock
+	gone    []space.Entry // removed under mu, reported by unlock
 }
 
 var _ space.Space = (*Space)(nil)
@@ -74,25 +74,26 @@ func New(clk clock.Clock) *Space {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	return &Space{clk: clk, onRemove: func(uint64) {}}
+	return &Space{clk: clk, onRemove: func(space.Entry) {}}
 }
 
 // OnRemove implements space.Space.
-func (s *Space) OnRemove(f func(id uint64)) { s.onRemove = f }
+func (s *Space) OnRemove(f func(e space.Entry)) { s.onRemove = f }
 
 // unlock drops the mutex, then reports the removals made under it.
 func (s *Space) unlock() {
 	gone := s.gone
 	s.gone = nil
 	s.mu.Unlock()
-	for _, id := range gone {
-		s.onRemove(id)
+	for _, e := range gone {
+		s.onRemove(e)
 	}
 }
 
 // removeLocked drops entry i, a final removal.
 func (s *Space) removeLocked(i int) {
-	s.gone = append(s.gone, s.entries[i].id)
+	e := s.entries[i]
+	s.gone = append(s.gone, space.Entry{ID: e.id, Size: e.t.Size(), Expiry: e.expiry})
 	s.entries = append(s.entries[:i], s.entries[i+1:]...)
 }
 
@@ -314,6 +315,22 @@ func (s *Space) Remove(id uint64) bool {
 
 // Count implements space.Space.
 func (s *Space) Count() int { return len(s.Snapshot()) }
+
+// Leases implements space.Space.
+func (s *Space) Leases() (n int, bytes int64, soonest space.Entry, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.entries {
+		if e.expiry.IsZero() || !s.liveLocked(e) {
+			continue
+		}
+		if n++; !ok || e.expiry.Before(soonest.Expiry) {
+			soonest, ok = space.Entry{ID: e.id, Size: e.t.Size(), Expiry: e.expiry}, true
+		}
+		bytes += e.t.Size()
+	}
+	return n, bytes, soonest, ok
+}
 
 // purgeLocked drops expired tuples, lazily: here and at every Out.
 func (s *Space) purgeLocked() {

@@ -120,10 +120,13 @@ func TestRemovalReport(t *testing.T) {
 			defer s.Close()
 			var mu sync.Mutex
 			var reported, want []uint64
-			s.OnRemove(func(id uint64) {
+			s.OnRemove(func(e space.Entry) {
 				mu.Lock()
-				reported = append(reported, id)
-				mu.Unlock()
+				defer mu.Unlock()
+				if e.Size != item("a", 0).Size() || !e.Expiry.IsZero() {
+					t.Errorf("removal of %d reported size %d, expiry %v", e.ID, e.Size, e.Expiry)
+				}
+				reported = append(reported, e.ID)
 			})
 			expect := func(what string, ids ...uint64) {
 				t.Helper()
@@ -165,12 +168,68 @@ func TestRemovalReport(t *testing.T) {
 	}
 }
 
+// TestSpaceLeases: every space counts and sums its entries with an
+// expiry (the out leases the instance reserves when it starts over a
+// replayed log) and names the one expiring soonest (the victim of a
+// revocation). A held entry and one that never expires are neither.
+func TestSpaceLeases(t *testing.T) {
+	at := time.Now().Add(time.Hour)
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) space.Space
+	}{
+		{"naive", func(*testing.T) space.Space { return New(nil) }},
+		{"store", func(*testing.T) space.Space { return store.New() }},
+		{"persist", func(t *testing.T) space.Space {
+			sp, err := persist.Open(filepath.Join(t.TempDir(), "s.log"), store.New(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sp
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.open(t)
+			defer s.Close()
+			if n, _, _, ok := s.Leases(); n != 0 || ok {
+				t.Fatal("an empty space reported leases")
+			}
+			ids := make([]uint64, 4)
+			for k, d := range []time.Duration{3, 1, 2} {
+				ids[k], _ = s.Out(item("a", int64(k)), at.Add(d*time.Second))
+			}
+			ids[3], _ = s.Out(item("b", 0), time.Time{})
+			size := item("a", 0).Size()
+			want := func(what string, id uint64, n int) {
+				t.Helper()
+				got, bytes, e, ok := s.Leases()
+				if !ok || e.ID != id || e.Size != size {
+					t.Fatalf("%s: soonest %+v %v, want id %d", what, e, ok, id)
+				}
+				if got != n || bytes != int64(n)*size {
+					t.Fatalf("%s: %d leases of %d B; want %d of %d B", what, got, bytes, n, int64(n)*size)
+				}
+			}
+			want("three leased", ids[1], 3)
+			h, ok := s.Hold(tuple.TemplateOf(item("a", 1)))
+			if !ok {
+				t.Fatal("hold failed")
+			}
+			want("the soonest held", ids[2], 2)
+			h.Release()
+			want("released", ids[1], 3)
+			s.Remove(ids[1])
+			want("the soonest removed", ids[2], 2)
+		})
+	}
+}
+
 func TestNaiveExpiry(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	s := New(clk)
 	defer s.Close()
 	var reported []uint64
-	s.OnRemove(func(id uint64) { reported = append(reported, id) })
+	s.OnRemove(func(e space.Entry) { reported = append(reported, e.ID) })
 	id, _ := s.Out(item("a", 1), epoch.Add(time.Second))
 	clk.Advance(2 * time.Second)
 	if _, ok := s.Rdp(tmpl("a")); ok {

@@ -815,7 +815,10 @@ func (s *Space) Remove(id uint64) bool {
 
 // OnRemove implements space.Space by handing f to the inner space (see
 // the package doc).
-func (s *Space) OnRemove(f func(id uint64)) { s.inner.OnRemove(f) }
+func (s *Space) OnRemove(f func(e space.Entry)) { s.inner.OnRemove(f) }
+
+// Leases implements space.Space.
+func (s *Space) Leases() (int, int64, space.Entry, bool) { return s.inner.Leases() }
 
 // Count implements space.Space.
 func (s *Space) Count() int { return s.inner.Count() }

@@ -80,14 +80,21 @@ type Space interface {
 	// whether it was present. Used for lease revocation.
 	Remove(id uint64) bool
 
-	// OnRemove sets the removal report: f is called once with the
-	// storage id of every final removal — a take, an accepted hold,
-	// Remove, the expiry reclaim. The instance ends a tuple's out lease
-	// here (paper §2.5). f may run inside the space's own critical
+	// OnRemove sets the removal report: f is called once with the entry
+	// of every final removal — a take, an accepted hold, Remove, the
+	// expiry reclaim. An entry with an expiry is an out's, and the
+	// instance ends its out lease here (paper §2.5: the lease and the
+	// residency end together). f may run inside the space's own critical
 	// section (persist holds its log lock for reading across an accept),
 	// so it must not call back into the space. Set it before the space is
 	// shared.
-	OnRemove(f func(id uint64))
+	OnRemove(f func(e Entry))
+
+	// Leases reports the out leases the space holds: how many live
+	// entries have an expiry, their total size, and the one expiring
+	// soonest (ok false when there is none). The instance reserves a
+	// replayed space's once at start, and revokes the soonest.
+	Leases() (n int, bytes int64, soonest Entry, ok bool)
 
 	// Count returns the number of live tuples.
 	Count() int
@@ -132,6 +139,13 @@ type Degrader interface {
 // included, until it returns.
 type NonBlocking interface {
 	NeverBlocks() bool
+}
+
+// Entry describes a stored tuple to the instance's out-lease accounting.
+type Entry struct {
+	ID     uint64    // the storage id
+	Size   int64     // the tuple's Size
+	Expiry time.Time // zero = never
 }
 
 // Kind is what a Park registration is owed.

@@ -79,7 +79,7 @@ chaos:
 # shutdown/restart/rejoin lifecycle (the storage twin of chaos), a
 # restarted space's one info tuple and its replayed outs' leases, and the
 # take-contract checker every soak from C1 on runs (ledger.go).
-crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|ConsumedOut|KeepsItsTwin|LogFailure|Shutdown|Goodbye|RestartRejoin|SpaceInfoSeeded|OutLeasesAre|Ledger|C1
+crash_run  = Crash|KillPoint|Truncate|BitFlip|SyncFailure|Torn|ConsumedOut|KeepsItsTwin|LogFailure|Shutdown|Goodbye|RestartRejoin|SpaceInfoSeeded|OutLeasesAre|RevokedOutStays|Ledger|C1
 crash_pkgs = ./space/persist/ ./internal/core/ ./internal/harness/
 crash_exp  = C1
 # soak: overload governance — admission (the space decides: a store or
@@ -153,7 +153,7 @@ upgrade_exp  = C6
 # its TCP frame decoded it, and an accepted hold its request's record
 # does not keep, an idle node's goroutine census and its one
 # timer, and the E5 render farm.
-farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|RemovalReport|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames|IdleNodeGoroutines|IdleNodeHoldsOneTimer|RemoteBlockingTakeAllocs|LocalTakeAllocs|DenseRdp|ParkedTemplate|AcceptedHoldNotRetained|ServeLeaseLives|GrantInto|Reserve|PlacedTupleArms|SpaceLeases
+farm_run  = HoldWaiter|WaitedHold|StressConservation|ExactKeyAfterTag|RemoteTakersWoken|CancelledServeWait|ServedWait|ResidentMatch|ParkedRemoteWaits|PanickingSink|OutLease|RemovalReport|EndHook|ReattachedSubscription|RearmedLoser|HedgedLookupFirstWinner|BlockingInAt|Queue|ArmsNoRuntimeTimer|AllocBudget|OpStates|SentFrames|IdleNodeGoroutines|IdleNodeHoldsOneTimer|BusyNodeHoldsOneTimer|RemoteBlockingTakeAllocs|LocalTakeAllocs|DenseRdp|ParkedTemplate|AcceptedHoldNotRetained|ServeLeaseLives|GrantInto|Reserve|PlacedTupleArms|SpaceLeases
 farm_pkgs = ./internal/store/ ./space/naive/ ./space/persist/ ./internal/core/ ./clock/ ./lease/ ./internal/discovery/ .
 farm_exp  = E5
 

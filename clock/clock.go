@@ -46,7 +46,8 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 type Virtual struct {
 	mu     sync.Mutex
 	now    time.Time
-	timers timerHeap
+	epoch  time.Time    // the start: a timer's instant is kept as an offset from it
+	timers deadlineHeap // FIFO among equal deadlines, as on a Queue
 	seq    uint64
 }
 
@@ -54,43 +55,16 @@ var _ Clock = (*Virtual)(nil)
 
 // NewVirtual returns a virtual clock positioned at start.
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{now: start}
+	return &Virtual{now: start, epoch: start}
 }
 
+// vtimer is an AfterFunc callback, an entry on the clock's own heap.
 type vtimer struct {
-	at      time.Time
-	seq     uint64 // FIFO tiebreak among equal deadlines
-	f       func()
-	stopped bool // stopped or fired; in the heap while false
-	index   int
+	Deadline
+	f func()
 }
 
-type timerHeap []*vtimer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at.Equal(h[j].at) {
-		return h[i].seq < h[j].seq
-	}
-	return h[i].at.Before(h[j].at)
-}
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *timerHeap) Push(x any) {
-	t := x.(*vtimer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
-}
+func (t *vtimer) Expire() { t.f() }
 
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
@@ -107,18 +81,18 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) func() bool {
 		f()
 		return func() bool { return false }
 	}
-	t := &vtimer{at: v.now.Add(d), seq: v.seq, f: f}
+	t := &vtimer{f: f}
 	v.seq++
-	heap.Push(&v.timers, t)
+	t.when, t.seq, t.owner = int64(v.now.Add(d).Sub(v.epoch)), v.seq, t
+	heap.Push(&v.timers, &t.Deadline)
 	v.mu.Unlock()
 	return func() bool {
 		v.mu.Lock()
 		defer v.mu.Unlock()
-		if t.stopped {
-			return false
+		if t.pos == 0 {
+			return false // stopped or fired
 		}
-		t.stopped = true
-		heap.Remove(&v.timers, t.index) // unfired, so still in the heap
+		heap.Remove(&v.timers, t.pos-1)
 		return true
 	}
 }
@@ -133,12 +107,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 }
 
 // Advance moves the clock forward by d, firing all timers that become due.
-func (v *Virtual) Advance(d time.Duration) {
-	v.mu.Lock()
-	target := v.now.Add(d)
-	v.mu.Unlock()
-	v.AdvanceTo(target)
-}
+func (v *Virtual) Advance(d time.Duration) { v.AdvanceTo(v.Now().Add(d)) }
 
 // AdvanceTo moves the clock to target (no-op if target is in the past),
 // firing due timers in deadline order. Callback timers run without the lock
@@ -146,20 +115,19 @@ func (v *Virtual) Advance(d time.Duration) {
 func (v *Virtual) AdvanceTo(target time.Time) {
 	for {
 		v.mu.Lock()
-		if len(v.timers) == 0 || v.timers[0].at.After(target) {
+		if len(v.timers) == 0 || v.timers[0].when > int64(target.Sub(v.epoch)) {
 			if target.After(v.now) {
 				v.now = target
 			}
 			v.mu.Unlock()
 			return
 		}
-		t := heap.Pop(&v.timers).(*vtimer)
-		t.stopped = true // fired: its stop no longer prevents anything
-		if t.at.After(v.now) {
-			v.now = t.at
+		d := heap.Pop(&v.timers).(*Deadline) // fired: its stop no longer prevents anything
+		if at := v.epoch.Add(time.Duration(d.when)); at.After(v.now) {
+			v.now = at
 		}
 		v.mu.Unlock()
-		t.f()
+		d.owner.Expire()
 	}
 }
 
@@ -179,5 +147,5 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 	if len(v.timers) == 0 {
 		return time.Time{}, false
 	}
-	return v.timers[0].at, true
+	return v.epoch.Add(time.Duration(v.timers[0].when)), true
 }

@@ -47,9 +47,10 @@ func (d *Deadline) deadline() *Deadline { return d }
 // order), on the goroutine the clock fired the timer on — inside Advance
 // on a Virtual clock, so tests stay deterministic. The timer is re-armed
 // before the batch runs: an Expire that blocks delays only the entries
-// due with it, never a later one.
+// due with it, never a later one. A Queue is also the Clock it is timed
+// by, so whoever is handed it as a clock can schedule on it (QueueOf).
 type Queue struct {
-	clk   Clock
+	Clock
 	epoch time.Time
 
 	mu      sync.Mutex
@@ -61,7 +62,16 @@ type Queue struct {
 }
 
 // NewQueue returns an empty queue timed by clk.
-func NewQueue(clk Clock) *Queue { return &Queue{clk: clk, epoch: clk.Now()} }
+func NewQueue(clk Clock) *Queue { return &Queue{Clock: clk, epoch: clk.Now()} }
+
+// QueueOf returns c when it is a Queue, so that every part handed one
+// node's queue shares its one timer, and otherwise a new queue timed by c.
+func QueueOf(c Clock) *Queue {
+	if q, ok := c.(*Queue); ok {
+		return q
+	}
+	return NewQueue(c)
+}
 
 // Schedule sets e to expire at the given instant, moving it if it is
 // already scheduled. An instant that has passed expires on the next timer
@@ -126,7 +136,7 @@ func (q *Queue) Close() {
 	}
 }
 
-func (q *Queue) now() int64 { return int64(q.clk.Now().Sub(q.epoch)) }
+func (q *Queue) now() int64 { return int64(q.Clock.Now().Sub(q.epoch)) }
 
 // armLocked points the timer at the head. The delay is clamped above zero
 // so a virtual clock, which runs a zero-delay callback inline, never
@@ -140,7 +150,7 @@ func (q *Queue) armLocked(now int64) {
 	if delay <= 0 {
 		delay = time.Nanosecond
 	}
-	q.stop = q.clk.AfterFunc(delay, q.fire)
+	q.stop = q.Clock.AfterFunc(delay, q.fire)
 }
 
 // fire is the timer callback: collect what is due, re-arm, then expire

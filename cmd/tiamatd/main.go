@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"tiamat"
+	"tiamat/clock"
 	"tiamat/internal/store"
 	"tiamat/lease"
 	"tiamat/space/persist"
@@ -128,7 +129,10 @@ func main() {
 		default:
 			log.Fatalf("unknown -fsync policy %q (want always, interval, or never)", *fsyncPolicy)
 		}
-		sp, err := persist.OpenWith(*data, store.New(), nil, persist.Options{Sync: policy, StallThreshold: *stallThreshold})
+		// The store, the log and the node share one deadline queue.
+		clk := clock.NewQueue(clock.Real{})
+		cfg.Clock = clk
+		sp, err := persist.OpenWith(*data, store.New(store.WithClock(clk)), clk, persist.Options{Sync: policy, StallThreshold: *stallThreshold})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"tiamat/tuple"
 	"tiamat/wire"
 )
 
@@ -128,5 +130,46 @@ func TestIdleNodeHoldsOneTimer(t *testing.T) {
 			t.Fatalf("after %d sweep intervals %d entries on the queue, want the two sweeps", k, n)
 		}
 		r.clk.Advance(time.Second)
+	}
+}
+
+// TestBusyNodeHoldsOneTimer: on a virtual clock a node with a walk in
+// flight (its lease live), a leased stored tuple and a pending hold grace
+// (on the tuple's twin) holds one pending timer, its queue's. The walk's contact timeout, the
+// lease's expiry, the janitor's reclaim, the grace and the orphan sweep
+// are five entries under it: the lease manager and the store the node
+// built schedule on the node's queue, not on queues of their own.
+func TestBusyNodeHoldsOneTimer(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a"}, nil)
+	a := r.inst["a"]
+	z, err := r.net.Attach("z") // a peer that never answers
+	if err != nil {
+		t.Fatal(err)
+	}
+	zin := &inbox{ep: z}
+	r.net.ConnectAll()
+	r.seedCaps("z")
+	job := func(k int64) tuple.Tuple { return tuple.T(tuple.String("job"), tuple.Int(k)) }
+	for k := int64(1); k <= 2; k++ {
+		if err := a.Out(job(k), hourLease()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, ok := a.LocalSpace().Hold(tuple.Tmpl(tuple.String("job"), tuple.FormalInt()))
+	if !ok {
+		t.Fatal("setup: hold failed")
+	}
+	a.registerHold(h, time.Minute, waitKey{from: "z", id: 1})
+	go func() { _, _, _ = a.Inp(context.Background(), reqTmpl(), opLease(time.Hour)) }()
+	eventually(t, "the walk reached z", func() bool { return len(zin.ofType(wire.TOp)) == 1 })
+	// The walk schedules its deadline just after its frame leaves.
+	for until := time.Now().Add(2 * time.Second); a.deadlines.Len() < 5 && time.Now().Before(until); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := r.clk.Pending(); n != 1 {
+		t.Fatalf("the busy node holds %d timers, want 1", n)
+	}
+	if n := a.deadlines.Len(); n != 5 {
+		t.Fatalf("%d entries on the node's queue, want 5: sweep, walk, lease, janitor, grace", n)
 	}
 }

@@ -97,7 +97,9 @@ type Result struct {
 type Config struct {
 	// Endpoint attaches the instance to its network.
 	Endpoint transport.Endpoint
-	// Clock is the time source (default: wall clock).
+	// Clock is the time source (default: wall clock). A clock.Queue
+	// handed here is scheduled on, and closed by Close: it is the one
+	// queue of the node, its lease manager and the store it builds.
 	Clock clock.Clock
 	// Metrics, when given, receives every counter of this instance under
 	// the same name, on top of the registry the instance always counts
@@ -247,10 +249,11 @@ type Instance struct {
 	local space.Space
 	list  *discovery.ResponderList
 
-	// deadlines times every deadline of this instance off one clock timer
+	// deadlines times every deadline of this node off one clock timer
 	// (clock.Queue): hold grace, accept retransmission, each walk's
 	// contact-timeout, hedge and rediscovery tick, the replica write-through
-	// wait, and the orphan and repair sweeps. Its lock nests inside mu.
+	// wait, the sweeps, mgr's lease expiries and the built store's reclaims
+	// (handed it as their clock). Its lock nests inside mu.
 	deadlines *clock.Queue
 	// opStates pools this instance's op states. A state cancelled just as
 	// the queue collected it for firing is still touched by that firing,
@@ -356,16 +359,17 @@ func New(cfg Config) (*Instance, error) {
 	// and the store it builds count lands here, and from here in
 	// cfg.Metrics when one was given.
 	met := trace.NewNode(cfg.Metrics)
+	q := clock.QueueOf(cfg.Clock)
 	i := &Instance{
 		cfg: cfg,
 		tm:  deriveTimers(cfg.ContactTimeout, cfg.RetryAttempts),
 		ep:  cfg.Endpoint,
 		clk: cfg.Clock,
 		met: met,
-		mgr: lease.NewManager(cfg.Leases, cfg.Clock),
+		mgr: lease.NewManager(cfg.Leases, q),
 		list: discovery.NewResponderList(responderListMax, met,
 			discovery.WithClock(cfg.Clock)),
-		deadlines:   clock.NewQueue(cfg.Clock),
+		deadlines:   q,
 		ops:         make(map[uint64]*opState),
 		holds:       make(map[uint64]*pendingHold),
 		pendAccepts: make(map[uint64]*pendingAccept),
@@ -382,7 +386,7 @@ func New(cfg Config) (*Instance, error) {
 	if cfg.Space != nil {
 		i.local = cfg.Space
 	} else {
-		i.local = store.New(store.WithClock(cfg.Clock), store.WithMetrics(met))
+		i.local = store.New(store.WithClock(q), store.WithMetrics(met))
 	}
 	// A stored out's entry is its lease's live state (paper §2.5): its
 	// removal report ends the reservation and revocation reaches it through
@@ -676,7 +680,11 @@ func (i *Instance) removed(e space.Entry) {
 // out, whose removal report ends its reservation.
 func (i *Instance) reclaimOut(by time.Time) bool {
 	_, _, e, ok := i.local.Leases()
-	return ok && (by.IsZero() || !e.Expiry.After(by)) && i.local.Remove(e.ID)
+	if !ok || (!by.IsZero() && e.Expiry.After(by)) {
+		return false
+	}
+	_, ok = i.local.Remove(e.ID)
+	return ok
 }
 
 // out reserves offer's out lease for t, its size past offer.MaxBytes

@@ -160,6 +160,24 @@ func TestOutLeasesAreTheSpaceResidents(t *testing.T) {
 	}
 }
 
+// TestRevokedOutStaysGoneAcrossRestart: a persistent node revokes an out
+// an hour before its lease ends and restarts within that hour. The log
+// holds the revocation, so replay brings back the space-info tuple alone.
+func TestRevokedOutStaysGoneAcrossRestart(t *testing.T) {
+	n := newNode(t, "persist")
+	if err := n.inst.Out(req(1), hourLease()); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.inst.LeaseManager().Revoke(1); got != 1 {
+		t.Fatalf("revoked %d", got)
+	}
+	a := n.boot()
+	if c := a.LocalSpace().Count(); c != 1 || len(infoTuples(a)) != 1 {
+		t.Fatalf("%d residents after the restart %v, want the space-info tuple alone", c, a.LocalSpace().Snapshot())
+	}
+	checkConserved(t, "restarted after the revocation", a, 0)
+}
+
 // TestSpaceInfoSeededOncePerSpace: a persistent space replays the
 // space-info tuple an earlier boot seeded, and New keeps it instead of
 // adding one per boot (paper §2.4: a space holds one info tuple).
@@ -191,8 +209,9 @@ func (c *armCounter) AfterFunc(d time.Duration, f func()) func() bool {
 }
 
 // TestPlacedTupleArmsOnlyTheJanitor: an Out's one deadline is its entry's
-// expiry, on the store's janitor: the first Out at a fresh node arms that
-// one timer and none on the lease manager's queue, and its reservation
+// expiry, a janitor entry on the node's one queue: the first Out at a
+// fresh node arms no timer, since the orphan sweep's pending one already
+// covers it, and schedules nothing for the lease manager. Its reservation
 // ends when the tuple goes, taken or reclaimed, with no lease expiring.
 func TestPlacedTupleArmsOnlyTheJanitor(t *testing.T) {
 	clk := &armCounter{Virtual: clock.NewVirtual(epoch)}
@@ -212,8 +231,8 @@ func TestPlacedTupleArmsOnlyTheJanitor(t *testing.T) {
 	if err := a.Out(req(1), minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := clk.arms.Load() - before; got != 1 {
-		t.Fatalf("the first Out armed %d timers, want 1: the janitor's", got)
+	if got := clk.arms.Load() - before; got != 0 {
+		t.Fatalf("the first Out armed %d timers, want 0: the node's queue is armed already", got)
 	}
 	if _, ok, _ := a.Inp(context.Background(), reqTmpl(), nil); !ok {
 		t.Fatal("Inp missed")

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"tiamat/clock"
 	"tiamat/internal/core"
 	"tiamat/internal/store"
 	"tiamat/space/persist"
@@ -101,11 +102,12 @@ func rejoinTrial(dir string, seq int64) (rejoin time.Duration, err error) {
 			return nil, err
 		}
 		net.ConnectAll()
-		sp, err := persist.Open(logPath, store.New(), nil)
+		clk := clock.NewQueue(clock.Real{}) // one queue, as tiamatd -persistent builds
+		sp, err := persist.Open(logPath, store.New(store.WithClock(clk)), clk)
 		if err != nil {
 			return nil, err
 		}
-		return core.New(core.Config{Endpoint: ep, Space: sp, Persistent: true})
+		return core.New(core.Config{Endpoint: ep, Clock: clk, Space: sp, Persistent: true})
 	}
 
 	epB, err := net.Attach("peer")

@@ -61,7 +61,8 @@ type Store struct {
 	clk  clock.Clock
 	met  *trace.Metrics
 	seed int64
-	// janitor times every shard's reclaim off one clock timer.
+	// janitor times every shard's reclaim off one clock timer; never
+	// closed here, as it may be the node's (WithClock).
 	janitor *clock.Queue
 	// onRemove is the removal report (OnRemove), called with no shard
 	// lock held. Atomic: the janitor may reclaim while it is set.
@@ -265,7 +266,8 @@ func (w *waiter) call(e *entry) {
 // Option configures a Store.
 type Option func(*Store)
 
-// WithClock sets the time source (default: wall clock).
+// WithClock sets the time source (default: wall clock). A clock.Queue
+// handed as c is scheduled on, rather than a queue of the store's own.
 func WithClock(c clock.Clock) Option { return func(s *Store) { s.clk = c } }
 
 // WithMetrics attaches a metrics registry.
@@ -328,7 +330,7 @@ func New(opts ...Option) *Store {
 	s.nTagShards = 1 << uint(bits.Len(uint(s.nTagShards-1)))
 	// shardBits must index tag shards plus the scan shard.
 	s.shardBits = uint(bits.Len(uint(s.nTagShards)))
-	s.janitor = clock.NewQueue(s.clk)
+	s.janitor = clock.QueueOf(s.clk)
 	s.shards = make([]*shard, s.nTagShards+1)
 	for i := range s.shards {
 		s.shards[i] = &shard{
@@ -898,22 +900,22 @@ func (e *entry) Release() {
 
 // Remove implements space.Space. The shard index is carried in the id's
 // low bits, so removal is a single-shard operation.
-func (s *Store) Remove(id uint64) bool {
+func (s *Store) Remove(id uint64) (tuple.Tuple, bool) {
 	idx := id & (1<<s.shardBits - 1)
 	if idx >= uint64(len(s.shards)) {
-		return false
+		return tuple.Tuple{}, false
 	}
 	sh := s.shards[idx]
 	sh.mu.Lock()
 	e, ok := sh.byID[id]
 	if !ok {
 		sh.mu.Unlock()
-		return false
+		return tuple.Tuple{}, false
 	}
 	sh.removeLocked(e)
 	sh.mu.Unlock()
 	s.notifyRemoved(e)
-	return true
+	return e.t, true
 }
 
 // Leases implements space.Space: the shards' expiry heaps hold every
@@ -986,13 +988,13 @@ func (s *Store) Close() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.closed = true
+		s.janitor.Cancel(sh)
 		for _, list := range sh.waiters {
 			ws = append(ws, list...)
 		}
 		sh.waiters = make(map[tagKey][]*waiter)
 		sh.mu.Unlock()
 	}
-	s.janitor.Close()
 	s.gmu.Lock()
 	ws = append(ws, s.gwaiters...)
 	s.gwaiters = nil

@@ -322,10 +322,10 @@ func TestRemoveByID(t *testing.T) {
 	s, _ := newTest()
 	defer s.Close()
 	id, _ := s.Out(req(1), never())
-	if !s.Remove(id) {
-		t.Fatal("Remove reported absent")
+	if got, ok := s.Remove(id); !ok || !got.Equal(req(1)) {
+		t.Fatalf("Remove = %v %v, want the tuple", got, ok)
 	}
-	if s.Remove(id) {
+	if _, ok := s.Remove(id); ok {
 		t.Fatal("second Remove reported present")
 	}
 	if s.Count() != 0 {
@@ -343,6 +343,47 @@ func TestRemoveExpiringTupleCleansHeap(t *testing.T) {
 		t.Fatalf("Reclaimed = %d for already-removed tuple", s.Reclaimed())
 	}
 }
+
+// TestJanitorSchedulesOnAHandedQueue: a store handed a clock.Queue as its
+// clock makes each shard's reclaim an entry on that queue and arms no
+// timer of its own. Close cancels its shards' entries and leaves the
+// queue open.
+func TestJanitorSchedulesOnAHandedQueue(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	q := clock.NewQueue(clk)
+	s := New(WithClock(q), WithShards(1))
+	if _, err := s.Out(req(1), clk.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Out(tuple.T(tuple.Int(2)), clk.Now().Add(2*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if q.Len() != 2 || clk.Pending() != 1 {
+		t.Fatalf("%d entries on the queue, %d timers: want the two shards and the queue's 1", q.Len(), clk.Pending())
+	}
+	clk.Advance(time.Second)
+	if s.Reclaimed() != 1 || q.Len() != 1 {
+		t.Fatalf("reclaimed %d, %d entries: want 1 and the scan shard's", s.Reclaimed(), q.Len())
+	}
+	s.Close()
+	if q.Len() != 0 {
+		t.Fatalf("Close left %d entries", q.Len())
+	}
+	fired := false
+	q.Schedule(&probe{f: func() { fired = true }}, clk.Now().Add(time.Second))
+	clk.Advance(time.Second)
+	if !fired {
+		t.Fatal("the store closed the queue it was handed")
+	}
+}
+
+// probe is a queue entry that runs f.
+type probe struct {
+	clock.Deadline
+	f func()
+}
+
+func (p *probe) Expire() { p.f() }
 
 func TestBytesAndSnapshot(t *testing.T) {
 	s, _ := newTest()

@@ -307,7 +307,7 @@ func (l *Lease) ShrinkDuration(d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
-	nd := l.mgr.clk.Now().Add(d)
+	nd := l.mgr.expiries.Now().Add(d)
 	l.mu.Lock()
 	if l.state != StateActive || !nd.Before(l.deadline) {
 		l.mu.Unlock()
@@ -317,7 +317,7 @@ func (l *Lease) ShrinkDuration(d time.Duration) bool {
 	l.mu.Unlock()
 	m := l.mgr
 	m.mu.Lock()
-	if _, ok := m.active[l.id]; ok {
+	if _, ok := m.active[l.id]; ok && !m.closed {
 		m.expiries.Schedule(&l.exp, nd.Add(l.skew))
 	}
 	m.mu.Unlock()

@@ -133,7 +133,9 @@ func TestExpiry(t *testing.T) {
 // the queue's one clock timer alone (clock.Queue: it fires, finds nothing
 // due and is not re-armed). So the timer contract is no longer "a cancel
 // disarms" but: at most one pending timer per manager, none once the clock
-// has passed the armed instant, none after Close.
+// has passed the armed instant. Close cancels the manager's entries and
+// leaves the queue, which may be its node's, open: its timer finds
+// nothing due and is not re-armed.
 func TestCancelIdempotentAndStopsTimer(t *testing.T) {
 	m, clk := newTestManager(DefaultCapacity())
 	l, err := m.Grant(OpRd, Flexible(Terms{Duration: 5 * time.Second}))
@@ -165,8 +167,45 @@ func TestCancelIdempotentAndStopsTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Close()
+	if n := m.expiries.Len(); n != 0 {
+		t.Fatalf("Close left %d queue entries", n)
+	}
+	clk.Advance(10 * time.Second)
 	if clk.Pending() != 0 {
-		t.Fatalf("timer leaked past Close: %d pending", clk.Pending())
+		t.Fatalf("timer leaked past Close and its armed instant: %d pending", clk.Pending())
+	}
+}
+
+// TestManagerSchedulesOnAHandedQueue: a manager handed a clock.Queue as
+// its clock links its leases into that queue, beside whatever else is on
+// it, and arms no timer of its own. Close cancels its own entries and
+// leaves the queue to its owner.
+func TestManagerSchedulesOnAHandedQueue(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	q := clock.NewQueue(clk)
+	m, other := NewManager(DefaultCapacity(), q), NewManager(DefaultCapacity(), q)
+	five := Flexible(Terms{Duration: 5 * time.Second})
+	l, err := m.Grant(OpRd, five)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := other.Grant(OpRd, Flexible(Terms{Duration: 10 * time.Second}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Len() != 2 || clk.Pending() != 1 {
+		t.Fatalf("%d entries on the queue, %d timers: want 2 and the queue's 1", q.Len(), clk.Pending())
+	}
+	m.Close()
+	if q.Len() != 1 || l.State() != StateCancelled {
+		t.Fatalf("after Close: %d entries, lease %v; want the other manager's 1, cancelled", q.Len(), l.State())
+	}
+	if _, err := m.Grant(OpRd, five); err == nil {
+		t.Fatal("a closed manager granted")
+	}
+	clk.Advance(10 * time.Second)
+	if o.State() != StateExpired || q.Len() != 0 || clk.Pending() != 0 {
+		t.Fatalf("the other lease %v, %d entries, %d timers: want it expired off the open queue", o.State(), q.Len(), clk.Pending())
 	}
 }
 

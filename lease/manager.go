@@ -79,8 +79,6 @@ type ReclaimFunc func(by time.Time) bool
 // leases, and owns the resource factories through which the instance's
 // managed resources are allocated (paper §3.1.1).
 type Manager struct {
-	clk clock.Clock
-
 	mu        sync.Mutex
 	cap       Capacity
 	closed    bool
@@ -95,24 +93,25 @@ type Manager struct {
 	factories map[ResourceKind]*factory
 
 	// Every lease's enforcement instant (deadline + skew band) is an entry
-	// on one deadline queue: a grant links the lease itself in and a cancel
-	// unlinks it, so neither allocates, arms or stops a runtime timer —
-	// grants are the hot path, two per remote take. Scheduled under mu.
+	// on a deadline queue, which is also the manager's clock: a grant links
+	// the lease itself in and a cancel unlinks it, so neither allocates,
+	// arms or stops a runtime timer — grants are the hot path, at most one
+	// per remote take. Scheduled under mu; never closed here.
 	expiries *clock.Queue
 }
 
 // NewManager returns a Manager with the given capacity, using clk for all
-// expiry timing.
+// expiry timing. A clock.Queue handed as clk is scheduled on; any other
+// clock gets a queue of the manager's own.
 func NewManager(cap Capacity, clk clock.Clock) *Manager {
 	if clk == nil {
 		clk = clock.Real{}
 	}
 	return &Manager{
-		clk:       clk,
 		cap:       cap,
 		active:    make(map[uint64]*Lease),
 		factories: make(map[ResourceKind]*factory),
-		expiries:  clock.NewQueue(clk),
+		expiries:  clock.QueueOf(clk),
 	}
 }
 
@@ -243,7 +242,7 @@ func (m *Manager) GrantOffer(l *Lease, op OpKind, offer Terms) error {
 	l.mgr = m
 	l.op = op
 	l.terms = offer
-	l.deadline = m.clk.Now().Add(offer.Duration)
+	l.deadline = m.expiries.Now().Add(offer.Duration)
 	l.skew = m.cap.SkewBand
 	l.id = m.nextID
 	l.state = StateActive
@@ -450,9 +449,9 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	m.expiries.Close()
 	ls := make([]*Lease, 0, len(m.active))
 	for _, l := range m.active {
+		m.expiries.Cancel(&l.exp)
 		ls = append(ls, l)
 	}
 	m.mu.Unlock()

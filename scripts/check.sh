@@ -53,12 +53,24 @@ fi
 # A tuple enters the space under its out lease in one place, place
 # (DESIGN.md §13): Out, an eval's result, a served remote out and a
 # re-out all call it, so each is leased, ended and replicated alike. Its
-# ShrinkBytes is the mark of a placement.
+# store call with the lease's expiry is the mark of a placement; the
+# space-info tuple's unleased Out is not one.
 echo "==> internal/core places a leased tuple in one function"
-shrinks="$(git ls-files 'internal/core/*.go' | grep -v '_test.go$' | xargs grep -n 'ShrinkBytes()' || true)"
-if [ "$(printf '%s' "$shrinks" | grep -c .)" -ne 1 ]; then
-	echo "want ShrinkBytes() on exactly one line (place's), found:"
-	echo "$shrinks"
+places="$(git ls-files 'internal/core/*.go' | grep -v '_test.go$' | xargs grep -nE 'local\.Out\([[:alnum:]_]+, expiry\)' || true)"
+if [ "$(printf '%s' "$places" | grep -c .)" -ne 1 ]; then
+	echo "want local.Out(t, expiry) on exactly one line (place's), found:"
+	echo "$places"
+	exit 1
+fi
+
+# A node has one timer (DESIGN.md §7): its lease manager and the store it
+# builds are handed the node's clock.Queue as their clock and schedule on
+# it through clock.QueueOf. A queue made anywhere in them is a second one.
+echo "==> internal/core, lease, internal/store and space/ make no deadline queue"
+queues="$(git ls-files 'internal/core/*.go' 'lease/*.go' 'internal/store/*.go' 'space/*.go' | grep -v '_test.go$' | xargs grep -n 'clock\.NewQueue(' || true)"
+if [ -n "$queues" ]; then
+	echo "clock.NewQueue outside clock.QueueOf:"
+	echo "$queues"
 	exit 1
 fi
 

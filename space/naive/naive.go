@@ -301,16 +301,16 @@ func (h *hold) settle(accept bool) {
 }
 
 // Remove implements space.Space.
-func (s *Space) Remove(id uint64) bool {
+func (s *Space) Remove(id uint64) (tuple.Tuple, bool) {
 	s.mu.Lock()
 	defer s.unlock()
 	for i := range s.entries {
-		if s.entries[i].id == id && !s.entries[i].held {
+		if e := s.entries[i]; e.id == id && !e.held {
 			s.removeLocked(i)
-			return true
+			return e.t, true
 		}
 	}
-	return false
+	return tuple.Tuple{}, false
 }
 
 // Count implements space.Space.

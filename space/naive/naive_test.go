@@ -248,7 +248,10 @@ func TestNaiveExpiry(t *testing.T) {
 func TestNaiveRemoveAndClose(t *testing.T) {
 	s := New(nil)
 	id, _ := s.Out(item("a", 1), time.Time{})
-	if !s.Remove(id) || s.Remove(id) {
+	if _, ok := s.Remove(id); !ok {
+		t.Fatal("Remove missed the tuple")
+	}
+	if _, ok := s.Remove(id); ok {
 		t.Fatal("Remove semantics wrong")
 	}
 	w := spacetest.Wait(s, tmpl("a"), space.Read)

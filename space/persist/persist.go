@@ -35,8 +35,8 @@
 //
 // The removal report (OnRemove) is the inner space's: a take's or an
 // accepted hold's removal is reported once its record is logged, inside
-// the read-held opMu, and a reclaim or Remove, which log nothing, as the
-// inner space makes them.
+// the read-held opMu, a Remove's just before its record, and a reclaim,
+// which logs nothing, as the inner space makes it.
 package persist
 
 import (
@@ -803,14 +803,21 @@ func (s *Space) holdSettled() {
 	s.maybeCompact()
 }
 
-// Remove implements space.Space.
-func (s *Space) Remove(id uint64) bool {
-	// The inner id is opaque; finding the tuple via snapshot-diff is too
-	// expensive, so Remove logs nothing by itself — callers that use
-	// Remove (lease revocation) pair it with expiry semantics that the
-	// replay already honours, and the compaction on the next Open (or the
-	// next size-triggered rotation) squares the log with the space.
-	return s.inner.Remove(id)
+// Remove implements space.Space. Replay removes by content, so the
+// record carries the tuple the inner removal found by id, logged inside
+// the read-held opMu with no compaction between. As with an accept on a
+// dying log, a failed append wedges the space and may resurrect it.
+func (s *Space) Remove(id uint64) (tuple.Tuple, bool) {
+	s.opMu.RLock()
+	t, ok := s.inner.Remove(id)
+	if ok {
+		_, _ = s.log(removeRecord(t))
+	}
+	s.opMu.RUnlock()
+	if ok {
+		s.maybeCompact()
+	}
+	return t, ok
 }
 
 // OnRemove implements space.Space by handing f to the inner space (see

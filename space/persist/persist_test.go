@@ -69,6 +69,31 @@ func TestTuplesSurviveRestart(t *testing.T) {
 	}
 }
 
+// TestRemoveIsDurable: a tuple removed by id, as revocation removes one,
+// stays removed across a restart, and its twin stays.
+func TestRemoveIsDurable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "space.log")
+	s := open(t, path, nil)
+	id, err := s.Out(item(1), time.Now().Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Out(item(1), time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Remove(id); !ok || !got.Equal(item(1)) {
+		t.Fatalf("Remove = %v %v", got, ok)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := open(t, path, nil)
+	defer s2.Close()
+	if s2.Count() != 1 {
+		t.Fatalf("count after restart = %d, want the twin alone", s2.Count())
+	}
+}
+
 func TestExpiredTuplesNotReplayed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "space.log")
 	clk := clock.NewVirtual(epoch)

@@ -76,9 +76,9 @@ type Space interface {
 	// sinks before its taker's.
 	Park(p tuple.Template, kind Kind, sink Sink) Parked
 
-	// Remove deletes the tuple with the given storage id, reporting
-	// whether it was present. Used for lease revocation.
-	Remove(id uint64) bool
+	// Remove deletes the tuple with the given storage id and returns it,
+	// reporting whether it was present. Used for lease revocation.
+	Remove(id uint64) (tuple.Tuple, bool)
 
 	// OnRemove sets the removal report: f is called once with the entry
 	// of every final removal — a take, an accepted hold, Remove, the

@@ -272,7 +272,7 @@ func releaseFeedsNext(t *testing.T, s space.Space) {
 		t.Fatalf("ids %d, %d, %d across two releases, want one id", h.ID(), h2.ID(), h3.ID())
 	}
 	h3.Release()
-	if !s.Remove(h.ID()) {
+	if _, ok := s.Remove(h.ID()); !ok {
 		t.Fatal("Remove did not find the released tuple under its first id")
 	}
 }
@@ -383,7 +383,7 @@ func outIDs(t *testing.T, s space.Space) {
 		if h.ID() != id {
 			t.Fatalf("kind %d: hold id %d, Out returned %d", kind, h.ID(), id)
 		}
-		if s.Remove(id) {
+		if _, ok := s.Remove(id); ok {
 			t.Fatalf("kind %d: Remove found an entry that is under a hold", kind)
 		}
 		h.Accept()

@@ -369,17 +369,8 @@ func TestRemoteTakeWireBytes(t *testing.T) {
 		{"tcp", tcpPair, remoteTakeWireBytesTCP},
 	} {
 		a, b, met := c.pair(t)
-		// quiet reads the counter once the pair has stopped sending, no
-		// frame for three polls running: a take returns at its result, and
-		// its accept and the accept's ack go on behind it.
 		quiet := func() int64 {
-			for last, still := int64(-1), 0; still < 3; time.Sleep(10 * time.Millisecond) {
-				if n := met.Get(trace.CtrMsgsSent); n != last {
-					last, still = n, 0
-				} else {
-					still++
-				}
-			}
+			waitQuiet(met)
 			return met.Get(trace.CtrBytesSent)
 		}
 		for k := 0; k < 200; k++ {

@@ -349,7 +349,7 @@ func TestHoldGraceExpiresAtItsInstant(t *testing.T) {
 		t.Fatal("setup: hold failed")
 	}
 	sweeps := a.deadlines.Len() // the orphan sweep's entry
-	a.registerHold(h, time.Second, waitKey{from: "gone", id: 1})
+	a.registerHold(h, time.Second, waitKey{from: "gone", id: 1}, a.clk.Now())
 	r.clk.Advance(time.Second + a.tm.holdGrace - time.Millisecond)
 	if a.LocalSpace().Count() != 1 || r.met.Get(trace.CtrHoldGraceExpired) != 0 {
 		t.Fatal("hold reinstated before ttl + grace")

@@ -19,7 +19,7 @@ import (
 func replayed(a *Instance, key waitKey) *wire.Message {
 	replay, execute := a.admit(&wire.Message{Type: wire.TOut, ID: key.id, From: key.from})
 	if execute {
-		a.finishRun(key)
+		a.finishRun(key, a.clk.Now())
 	}
 	return replay
 }
@@ -33,7 +33,7 @@ func TestServedCacheTTLExpiry(t *testing.T) {
 	a := r.inst["a"]
 
 	key := waitKey{from: "peer", id: 1}
-	a.recordServed(key, &wire.Message{Type: wire.TAck, ID: 1, From: a.Addr(), OK: true})
+	a.recordServed(key, &wire.Message{Type: wire.TAck, ID: 1, From: a.Addr(), OK: true}, a.clk.Now())
 
 	if hit := replayed(a, key); hit == nil {
 		t.Fatal("fresh entry missed")
@@ -48,11 +48,11 @@ func TestServedCacheTTLExpiry(t *testing.T) {
 	// order slot, not just the looked-up key.
 	for id := uint64(2); id <= 10; id++ {
 		a.recordServed(waitKey{from: "peer", id: id},
-			&wire.Message{Type: wire.TAck, ID: id, From: a.Addr(), OK: true})
+			&wire.Message{Type: wire.TAck, ID: id, From: a.Addr(), OK: true}, a.clk.Now())
 	}
 	r.clk.Advance(dedupTTL + time.Second)
 	a.recordServed(waitKey{from: "peer", id: 11},
-		&wire.Message{Type: wire.TAck, ID: 11, From: a.Addr(), OK: true})
+		&wire.Message{Type: wire.TAck, ID: 11, From: a.Addr(), OK: true}, a.clk.Now())
 	a.mu.Lock()
 	nEntries, nOrder := len(a.requests), len(a.reqOrder)
 	a.mu.Unlock()
@@ -70,7 +70,7 @@ func TestServedCacheReRecordKeepsFreshEntry(t *testing.T) {
 	a := r.inst["a"]
 
 	key := waitKey{from: "peer", id: 1}
-	a.recordServed(key, &wire.Message{Type: wire.TResult, ID: 1, From: a.Addr(), HoldID: 5})
+	a.recordServed(key, &wire.Message{Type: wire.TResult, ID: 1, From: a.Addr(), HoldID: 5}, a.clk.Now())
 
 	// Out-of-band delete, as settleHold does on reinstatement.
 	a.mu.Lock()
@@ -78,14 +78,14 @@ func TestServedCacheReRecordKeepsFreshEntry(t *testing.T) {
 	a.mu.Unlock()
 
 	fresh := &wire.Message{Type: wire.TResult, ID: 1, From: a.Addr(), HoldID: 6}
-	a.recordServed(key, fresh)
+	a.recordServed(key, fresh, a.clk.Now())
 
 	// Fill the cache to exactly the size cap so the sweep pops the order
 	// head (the stale slot for the first recording) without any live
 	// entry deserving size-cap eviction.
 	for id := uint64(2); id <= uint64(servedCacheMax); id++ {
 		a.recordServed(waitKey{from: "peer", id: id},
-			&wire.Message{Type: wire.TAck, ID: id, From: a.Addr(), OK: true})
+			&wire.Message{Type: wire.TAck, ID: id, From: a.Addr(), OK: true}, a.clk.Now())
 	}
 
 	if hit := replayed(a, key); hit == nil || hit.HoldID != 6 {

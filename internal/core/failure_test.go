@@ -47,7 +47,7 @@ func TestLostResultReinstatedByHoldGrace(t *testing.T) {
 	if !ok {
 		t.Fatal("setup: hold failed")
 	}
-	holdID := a.registerHold(hold, time.Second, waitKey{from: "b", id: 999})
+	holdID := a.registerHold(hold, time.Second, waitKey{from: "b", id: 999}, a.clk.Now())
 	_ = holdID
 	if a.LocalSpace().Count() != 1 {
 		t.Fatal("held tuple still visible")
@@ -200,7 +200,7 @@ func TestDuplicatedAcceptAndLateReleaseAreIdempotent(t *testing.T) {
 	if !ok {
 		t.Fatal("setup: hold failed")
 	}
-	holdID := a.registerHold(hold, time.Second, waitKey{from: "b", id: 9})
+	holdID := a.registerHold(hold, time.Second, waitKey{from: "b", id: 9}, a.clk.Now())
 
 	accept := &wire.Message{Type: wire.TAccept, ID: 50, From: "b", HoldID: holdID}
 	a.dispatch(accept)
@@ -227,7 +227,7 @@ func TestDuplicatedReleaseReinstatesOnce(t *testing.T) {
 	if !ok {
 		t.Fatal("setup: hold failed")
 	}
-	holdID := a.registerHold(hold, time.Second, waitKey{from: "b", id: 10})
+	holdID := a.registerHold(hold, time.Second, waitKey{from: "b", id: 10}, a.clk.Now())
 
 	release := &wire.Message{Type: wire.TRelease, ID: 10, From: "b", HoldID: holdID}
 	a.dispatch(release)

@@ -215,7 +215,7 @@ func (g *governor) noteQueueDelay(d time.Duration) {
 	g.queueDelay += (d - g.queueDelay) / 8
 	if g.queueDelay >= degradeQueueDelay {
 		g.degradedUntil = g.i.clk.Now().Add(degradeDecay)
-		g.i.met.Inc(trace.CtrGovQueueStalls)
+		g.i.ctr.govQueueStalls.Inc()
 	}
 }
 
@@ -283,15 +283,16 @@ func (g *governor) shedThreshold(m *wire.Message) float64 {
 	}
 }
 
-func shedCounter(m *wire.Message) string {
+// shedCounter is the handle that counts a shed of m's class.
+func (c *counters) shedCounter(m *wire.Message) *trace.Counter {
 	switch m.Type {
 	case wire.TOp:
 		if m.Op.Blocking() {
-			return trace.CtrGovShedWaits
+			return c.govShedWaits
 		}
-		return trace.CtrGovShedProbes
+		return c.govShedProbes
 	default:
-		return trace.CtrGovShedOuts
+		return c.govShedOuts
 	}
 }
 
@@ -338,14 +339,14 @@ func (g *governor) submit(m *wire.Message) {
 		g.maybeShrink()
 	}
 	if p >= g.shedThreshold(m) {
-		g.i.met.Inc(shedCounter(m))
+		g.i.ctr.shedCounter(m).Inc()
 		g.refuse(m)
 		g.maybeRevoke(p)
 		return
 	}
 
 	if replay, execute := g.i.admit(m); !execute {
-		g.i.met.Inc(trace.CtrDedupDrops)
+		g.i.ctr.dedupDrops.Inc()
 		if replay != nil {
 			_ = g.i.send(m.From, replay)
 		}
@@ -355,8 +356,8 @@ func (g *governor) submit(m *wire.Message) {
 	ps := g.peers[m.From]
 	if ps.inflight >= maxPeerInflight || ps.bytes+cost > maxPeerBytes {
 		g.mu.Unlock()
-		g.i.finishRun(waitKey{from: m.From, id: m.ID}) // never ran
-		g.i.met.Inc(trace.CtrGovQuotaSheds)
+		g.i.finishRun(waitKey{from: m.From, id: m.ID}, g.i.clk.Now()) // never ran
+		g.i.ctr.govQuotaSheds.Inc()
 		g.refuse(m)
 		return
 	}
@@ -366,16 +367,16 @@ func (g *governor) submit(m *wire.Message) {
 	g.mu.Unlock()
 
 	if g.queue == nil {
-		g.serveOne(m)
+		g.serveOne(m, g.i.clk.Now())
 		return
 	}
-	g.i.met.Inc(trace.CtrGovQueued)
+	g.i.ctr.govQueued.Inc()
 	select {
 	case g.queue <- queuedMsg{m: m, at: g.i.clk.Now()}:
 	default:
 		// The queue filled between the pressure reading and here.
-		g.finish(m)
-		g.i.met.Inc(trace.CtrGovQueueSheds)
+		g.finish(m, g.i.clk.Now())
+		g.i.ctr.govQueueSheds.Inc()
 		g.refuse(m)
 	}
 }
@@ -384,8 +385,9 @@ func (g *governor) submit(m *wire.Message) {
 // (or it was never enqueued) and files its request (finishRun). A copy
 // dropped while the handler ran is sent the recorded reply now, as it
 // would have been a moment later: the requester may still count on this
-// node (DESIGN.md §6). A standing blocking wait owes it nothing.
-func (g *governor) finish(m *wire.Message) {
+// node (DESIGN.md §6). A standing blocking wait owes it nothing. now is
+// the frame's reading.
+func (g *governor) finish(m *wire.Message, now time.Time) {
 	cost := msgCost(m)
 	g.mu.Lock()
 	if ps, ok := g.peers[m.From]; ok {
@@ -394,7 +396,7 @@ func (g *governor) finish(m *wire.Message) {
 		g.setPeerLocked(m.From, ps)
 	}
 	g.mu.Unlock()
-	if replay := g.i.finishRun(waitKey{from: m.From, id: m.ID}); replay != nil {
+	if replay := g.i.finishRun(waitKey{from: m.From, id: m.ID}, now); replay != nil {
 		_ = g.i.send(m.From, replay)
 	}
 }
@@ -406,12 +408,12 @@ func (g *governor) tryAddWait(peer wire.Addr) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.totalWaits >= g.cfg.MaxTotalWaits {
-		g.i.met.Inc(trace.CtrGovQuotaSheds)
+		g.i.ctr.govQuotaSheds.Inc()
 		return false
 	}
 	ps := g.peers[peer]
 	if ps.waits >= g.cfg.MaxPeerWaits {
-		g.i.met.Inc(trace.CtrGovQuotaSheds)
+		g.i.ctr.govQuotaSheds.Inc()
 		return false
 	}
 	ps.waits++
@@ -450,7 +452,7 @@ func (g *governor) clampTerms(t lease.Terms) lease.Terms {
 		t.Duration = time.Millisecond
 	}
 	t.MaxBytes = int64(float64(t.MaxBytes) * f)
-	g.i.met.Inc(trace.CtrGovClamps)
+	g.i.ctr.govClamps.Inc()
 	return t
 }
 
@@ -466,8 +468,8 @@ func (g *governor) sweepShrink() int64 {
 	}
 	n := g.i.mgr.Shrink(target)
 	if n > 0 {
-		g.i.met.Inc(trace.CtrGovShrinks)
-		g.i.met.Add(trace.CtrGovShrunkBytes, n)
+		g.i.ctr.govShrinks.Inc()
+		g.i.ctr.govShrunkBytes.Add(n)
 		g.mu.Lock()
 		g.lastRevoke = g.i.clk.Now()
 		g.mu.Unlock()
@@ -511,7 +513,7 @@ func (g *governor) maybeRevoke(p float64) {
 	g.lastRevoke = now
 	g.mu.Unlock()
 	if n := g.i.mgr.Revoke(1); n > 0 {
-		g.i.met.Add(trace.CtrGovRevokes, int64(n))
+		g.i.ctr.govRevokes.Add(int64(n))
 	}
 }
 
@@ -522,16 +524,19 @@ func (g *governor) worker() {
 	for {
 		select {
 		case q := <-g.queue:
-			g.noteQueueDelay(g.i.clk.Now().Sub(q.at))
-			g.serveOne(q.m)
+			now := g.i.clk.Now()
+			g.noteQueueDelay(now.Sub(q.at))
+			g.serveOne(q.m, now)
 		case <-g.i.stopped:
 			return
 		}
 	}
 }
 
-func (g *governor) serveOne(m *wire.Message) {
-	defer g.finish(m)
+// serveOne serves one admitted frame. now is its one reading, which every
+// deadline and record the serve sets takes (DESIGN.md §7).
+func (g *governor) serveOne(m *wire.Message, now time.Time) {
+	defer g.finish(m, now)
 	defer g.i.recoverPanic("serve")
 	if g.i.draining.Load() {
 		// The drain gate was passed before this message was admitted;
@@ -541,11 +546,11 @@ func (g *governor) serveOne(m *wire.Message) {
 	}
 	switch m.Type {
 	case wire.TOp:
-		g.i.handleOp(m)
+		g.i.handleOp(m, now)
 	case wire.TOut:
-		g.i.handleRemoteOut(m)
+		g.i.handleRemoteOut(m, now)
 	case wire.TEval:
-		g.i.handleRemoteEval(m)
+		g.i.handleRemoteEval(m, now)
 	}
 }
 
@@ -555,7 +560,7 @@ func (g *governor) serveOne(m *wire.Message) {
 // recent panic is kept for the drain report.
 func (i *Instance) recoverPanic(where string) {
 	if r := recover(); r != nil {
-		i.met.Inc(trace.CtrPanics)
+		i.ctr.panics.Inc()
 		i.lastPanic.Store(fmt.Sprintf("%s: %v", where, r))
 	}
 }

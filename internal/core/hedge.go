@@ -132,7 +132,11 @@ const (
 // hedgePercentile of recent first-attempt RTTs, floored at hedgeMinDelay
 // and capped at ContactTimeout. With no samples yet the full contact
 // timeout is used — hedge conservatively until the network has been
-// measured.
+// measured. A sample runs from the reading of the event that sent the
+// contact, taken before its send, to the reading of the reply's wake-up
+// (DESIGN.md §7, "One reading per event"): it includes that send, and
+// every send the same event made before it, which is also what the walk
+// waits through before it can hedge.
 func (i *Instance) hedgeDelay() time.Duration {
 	d, ok := i.rtt.quantile(hedgePercentile)
 	if !ok || d > i.cfg.ContactTimeout {
@@ -150,13 +154,13 @@ func (i *Instance) hedgeDelay() time.Duration {
 // serve-lease expiry notice, so neither qualifies. Karn's rule splits the
 // measurable case: a first-attempt reply yields an unambiguous RTT
 // sample; a found reply that needed retransmissions cannot be timed but
-// is direct evidence the responder serves slowly — a slow strike.
-func (i *Instance) noteReply(from wire.Addr, attempts int, sentAt time.Time, measurable bool) {
+// is direct evidence the responder serves slowly — a slow strike. rtt is
+// the contact's first-attempt round trip, from the walk's event readings.
+func (i *Instance) noteReply(from wire.Addr, attempts int, rtt time.Duration, measurable bool) {
 	if !measurable {
 		return
 	}
 	if attempts == 1 {
-		rtt := i.clk.Now().Sub(sentAt)
 		i.rtt.add(rtt)
 		i.list.ObserveLatency(from, rtt)
 		return

@@ -159,7 +159,7 @@ func TestBusyNodeHoldsOneTimer(t *testing.T) {
 	if !ok {
 		t.Fatal("setup: hold failed")
 	}
-	a.registerHold(h, time.Minute, waitKey{from: "z", id: 1})
+	a.registerHold(h, time.Minute, waitKey{from: "z", id: 1}, a.clk.Now())
 	go func() { _, _, _ = a.Inp(context.Background(), reqTmpl(), opLease(time.Hour)) }()
 	eventually(t, "the walk reached z", func() bool { return len(zin.ofType(wire.TOp)) == 1 })
 	// The walk schedules its deadline just after its frame leaves.

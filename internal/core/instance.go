@@ -245,6 +245,7 @@ type Instance struct {
 	ep    transport.Endpoint
 	clk   clock.Clock
 	met   *trace.Metrics
+	ctr   counters // handles on met
 	mgr   *lease.Manager
 	local space.Space
 	list  *discovery.ResponderList
@@ -260,8 +261,10 @@ type Instance struct {
 	// under this queue's lock only: no other instance may schedule it.
 	opStates sync.Pool
 
-	mu       sync.Mutex
-	closed   bool
+	mu sync.Mutex
+	// closed is set by Close under mu. isClosed reads it without the lock;
+	// code that must order it against the tables below reads it under mu.
+	closed   atomic.Bool
 	nextOpID uint64
 	ops      map[uint64]*opState     // outbound operations awaiting replies
 	holds    map[uint64]*pendingHold // tentative removals we are holding
@@ -366,6 +369,7 @@ func New(cfg Config) (*Instance, error) {
 		ep:  cfg.Endpoint,
 		clk: cfg.Clock,
 		met: met,
+		ctr: newCounters(met),
 		mgr: lease.NewManager(cfg.Leases, q),
 		list: discovery.NewResponderList(responderListMax, met,
 			discovery.WithClock(cfg.Clock)),
@@ -567,7 +571,7 @@ func (i *Instance) retiredLocked() {
 
 // sendGoodbye multicasts this node's departure.
 func (i *Instance) sendGoodbye() {
-	i.met.Inc(trace.CtrGoodbyes)
+	i.ctr.goodbyes.Inc()
 	_, _ = i.ep.Multicast(&wire.Message{Type: wire.TGoodbye, ID: i.nextOp(), From: i.Addr()})
 }
 
@@ -577,7 +581,7 @@ func (i *Instance) sendGoodbye() {
 func (i *Instance) Close() error {
 	i.stopOnce.Do(func() {
 		i.mu.Lock()
-		i.closed = true
+		i.closed.Store(true)
 		i.mu.Unlock()
 		_ = i.ep.Close() // closes Recv, unblocking the loop
 		close(i.stopped)
@@ -688,14 +692,14 @@ func (i *Instance) reclaimOut(by time.Time) bool {
 }
 
 // out reserves offer's out lease for t, its size past offer.MaxBytes
-// ErrBudget, and places t until the offer's deadline: Out and a served
-// remote out.
-func (i *Instance) out(t tuple.Tuple, offer lease.Terms, await bool) error {
+// ErrBudget, and places t until offer.Duration after now: Out and a
+// served remote out.
+func (i *Instance) out(t tuple.Tuple, offer lease.Terms, await bool, now time.Time) error {
 	size := t.Size()
 	if err := i.mgr.Reserve(offer, size); err != nil {
 		return err
 	}
-	return i.place(t, size, i.clk.Now().Add(offer.Duration), offer.MaxRemotes, await)
+	return i.place(t, size, now.Add(offer.Duration), offer.MaxRemotes, await)
 }
 
 // place stores t, reserved for size bytes, until expiry: Out, an eval's
@@ -723,11 +727,7 @@ func (i *Instance) place(t tuple.Tuple, size int64, expiry time.Time, remotes in
 }
 
 // isClosed reports whether Close has begun.
-func (i *Instance) isClosed() bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.closed
-}
+func (i *Instance) isClosed() bool { return i.closed.Load() }
 
 // closedOr returns ErrClosed for an operation that failed once Close had
 // begun — the lease manager's or the space's own closed error, or a lease

@@ -116,7 +116,7 @@ func (i *Instance) sweepOrphans() {
 		if a == i.Addr() {
 			continue
 		}
-		i.met.Inc(trace.CtrOrphanProbes)
+		i.ctr.orphanProbes.Inc()
 		// The probe is a plain unsolicited announce, which peers already
 		// treat as useful knowledge (handleAnnounce). It carries our caps
 		// like every announce, without which it would list nobody.
@@ -151,8 +151,8 @@ func (i *Instance) sweepOrphans() {
 // send.
 func (i *Instance) reapOrphan(peer wire.Addr) {
 	waits, holds := i.releasePeer(peer)
-	i.met.Add(trace.CtrOrphanWaits, int64(waits))
-	i.met.Add(trace.CtrOrphanHolds, int64(holds))
+	i.ctr.orphanWaits.Add(int64(waits))
+	i.ctr.orphanHolds.Add(int64(holds))
 }
 
 // seedRetryJitter initialises the retry-jitter source from the configured

@@ -87,6 +87,11 @@ type walk struct {
 	hedgesUsed            int
 	hedgeAt, rediscoverAt time.Time // zero when none is pending
 	winner                wire.Addr // whose found reply settled the op
+	// now is the clock reading of the event being handled: taken once
+	// when the walk starts and once per wake-up (reply, tick, join), it
+	// stamps every deadline, contact and sample that event sets
+	// (DESIGN.md §7, "One reading per event").
+	now time.Time
 
 	over bool
 	res  Result
@@ -156,7 +161,7 @@ func (st *opState) dropLocal() localMatch {
 func (i *Instance) openOp() (*opState, error) {
 	st := i.opStates.Get().(*opState)
 	i.mu.Lock()
-	if i.closed {
+	if i.closed.Load() {
 		i.mu.Unlock()
 		i.putOpState(st)
 		return nil, ErrClosed
@@ -281,7 +286,7 @@ func (i *Instance) Out(t tuple.Tuple, r lease.Requester) error {
 	if i.stopping() {
 		return ErrClosed
 	}
-	i.met.Inc(trace.CtrOpsOut)
+	i.ctr.opsOut.Inc()
 	offer, err := i.mgr.Negotiate(lease.OpOut, i.requester(r))
 	if err != nil {
 		return i.closedOr(err)
@@ -289,7 +294,7 @@ func (i *Instance) Out(t tuple.Tuple, r lease.Requester) error {
 	// With replication on, a successful Out means the tuple survives this
 	// node: out waits for the backups' acks. ErrClosed means it may not
 	// have: Close began first, and no backup acked a copy.
-	if err := i.out(t, offer, true); err != nil {
+	if err := i.out(t, offer, true, i.clk.Now()); err != nil {
 		return i.closedOr(err)
 	}
 	return nil
@@ -304,7 +309,7 @@ func (i *Instance) Eval(fn string, args tuple.Tuple, r lease.Requester) error {
 	if i.stopping() {
 		return ErrClosed
 	}
-	i.met.Inc(trace.CtrOpsEval)
+	i.ctr.opsEval.Inc()
 	f, ok := i.evalFunc(fn)
 	if !ok {
 		return fmt.Errorf("%q: %w", fn, ErrUnknownEval)
@@ -358,7 +363,7 @@ func (i *Instance) runEval(f EvalFunc, args tuple.Tuple, lse *lease.Lease) {
 	// and is counted, but never takes the instance down.
 	defer func() {
 		if r := recover(); r != nil {
-			i.met.Inc(trace.CtrPanics)
+			i.ctr.panics.Inc()
 			i.lastPanic.Store(fmt.Sprintf("eval: %v", r))
 			lse.Cancel()
 		}
@@ -430,16 +435,17 @@ func opKind(code wire.OpCode) lease.OpKind {
 	}
 }
 
-func opCounter(code wire.OpCode) string {
+// opCounter is the handle that counts operations of code.
+func (c *counters) opCounter(code wire.OpCode) *trace.Counter {
 	switch code {
 	case wire.OpRd:
-		return trace.CtrOpsRd
+		return c.opsRd
 	case wire.OpRdp:
-		return trace.CtrOpsRdp
+		return c.opsRdp
 	case wire.OpIn:
-		return trace.CtrOpsIn
+		return c.opsIn
 	default:
-		return trace.CtrOpsInp
+		return c.opsInp
 	}
 }
 
@@ -452,7 +458,7 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	if i.stopping() {
 		return Result{}, false, ErrClosed
 	}
-	i.met.Inc(opCounter(code))
+	i.ctr.opCounter(code).Inc()
 	// The lease is negotiated before any work and minted only for a walk:
 	// like a responder's immediate serve, a local hit holds no lease.
 	offer, err := i.mgr.Negotiate(opKind(code), i.requester(r))
@@ -495,8 +501,8 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 		res, ok = i.replServeLocal(code, p)
 	}
 	if ok {
-		i.met.Inc(trace.CtrOpsLocalHit)
-		i.met.Inc(trace.CtrOpsSatisfied)
+		i.ctr.opsLocalHit.Inc()
+		i.ctr.opsSatisfied.Inc()
 		return res, true, nil
 	}
 
@@ -508,12 +514,13 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	} else {
 		f = new(opFrames)
 	}
-	if err := i.mgr.GrantOffer(&f.lse, opKind(code), offer); err != nil {
+	now := i.clk.Now() // the walk's start event: its lease, first frame and contacts
+	if err := i.mgr.GrantOffer(&f.lse, opKind(code), offer, now); err != nil {
 		// Refused. A match committed to the local registration is the op's.
 		if st != nil {
 			if m := st.dropLocal(); m.ok {
-				i.met.Inc(trace.CtrOpsLocalHit)
-				i.met.Inc(trace.CtrOpsSatisfied)
+				i.ctr.opsLocalHit.Inc()
+				i.ctr.opsSatisfied.Inc()
 				return Result{Tuple: m.t, From: i.Addr()}, true, nil
 			}
 		}
@@ -527,14 +534,14 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	// keeps its takes. The flag stays off multicasts (see multicast).
 	f.op = wire.Message{Type: wire.TOp, From: i.Addr(), Op: code, Template: p,
 		Failover: to == "" && code.Removes() && i.repl != nil}
-	res, ok, err = i.walk(ctx, &f.lse, &f.op, spare, to, st)
+	res, ok, err = i.walk(ctx, now, &f.lse, &f.op, spare, to, st)
 	if err != nil {
 		return Result{}, false, err
 	}
 	if ok {
-		i.met.Inc(trace.CtrOpsSatisfied)
+		i.ctr.opsSatisfied.Inc()
 	} else {
-		i.met.Inc(trace.CtrOpsEmpty)
+		i.ctr.opsEmpty.Inc()
 	}
 	return res, ok, nil
 }
@@ -551,11 +558,13 @@ type takeFrames struct {
 	accept pendingAccept
 }
 
-// walk runs one outbound operation to its end (type walk): m is its first
+// walk runs one outbound operation to its end (type walk): now is the
+// reading its lease was granted at, which its start reuses; m is its first
 // frame, stamped here with op ID, TTL and budget; spare is a take's accept
 // record, or nil. st is the op's state when the caller opened it to
-// register locally — a local match then ends the walk — and nil otherwise. An rpc's ack reads as a found result.
-func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, spare *pendingAccept, to wire.Addr, st *opState) (Result, bool, error) {
+// register locally — a local match then ends the walk — and nil otherwise.
+// An rpc's ack reads as a found result.
+func (i *Instance) walk(ctx context.Context, now time.Time, lse *lease.Lease, m *wire.Message, spare *pendingAccept, to wire.Addr, st *opState) (Result, bool, error) {
 	if st == nil {
 		var err error
 		if st, err = i.openOp(); err != nil {
@@ -564,9 +573,15 @@ func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, 
 		defer i.closeOp(st)
 	}
 	m.ID = st.id
-	m.TTL = lse.Deadline().Sub(i.clk.Now())
+	m.TTL = lse.Deadline().Sub(now)
 	stampBudget(ctx, m)
-	st.walk = walk{ctx: ctx, lse: lse, msg: m, spare: spare, to: to, local: st.local}
+	st.walk = walk{ctx: ctx, lse: lse, msg: m, spare: spare, to: to, local: st.local, now: now}
+	// A tick the state's previous op left (its lease ends after its walk,
+	// LeaseEnded) says nothing to this one.
+	select {
+	case <-st.tick:
+	default:
+	}
 	lse.OnEnd(st)
 	if err := st.start(); err != nil {
 		return Result{}, false, err
@@ -576,10 +591,13 @@ func (i *Instance) walk(ctx context.Context, lse *lease.Lease, m *wire.Message, 
 		case m := <-st.found:
 			st.onLocal(m)
 		case r := <-st.results:
+			st.now = i.clk.Now()
 			st.onReply(r)
 		case <-st.tick:
+			st.now = i.clk.Now()
 			st.onTick()
 		case ev := <-st.joins:
+			st.now = i.clk.Now()
 			st.onJoin(ev)
 		case <-ctx.Done():
 			st.err, st.over = ctx.Err(), true
@@ -616,7 +634,7 @@ func (st *opState) start() error {
 		// on a hedge cadence — so a healthy top contact costs one message
 		// and a slow one bounded extra latency, never an unbounded stall.
 		if !i.cfg.DisableResponderCache {
-			st.queueBuf = i.list.SnapshotAppend(st.queueBuf[:0])
+			st.queueBuf = i.list.SnapshotAt(st.queueBuf[:0], st.now)
 			if st.msg.Failover {
 				// Make sure the walk reaches the ring-placed replica holders
 				// for this template's key: a freshly dead primary's backups
@@ -635,7 +653,7 @@ func (st *opState) start() error {
 			st.multicast()
 		}
 		if code.Blocking() && i.cfg.ContinuousDiscovery {
-			st.rediscoverAt = i.clk.Now().Add(i.cfg.RediscoverInterval)
+			st.rediscoverAt = st.now.Add(i.cfg.RediscoverInterval)
 		}
 		// Blocking ops subscribe to the responder list's visibility events
 		// so a peer that walks into range mid-wait is contacted immediately
@@ -662,7 +680,7 @@ func (st *opState) onLocal(m localMatch) {
 	if !m.ok {
 		return
 	}
-	st.i.met.Inc(trace.CtrOpsLocalHit)
+	st.i.ctr.opsLocalHit.Inc()
 	st.res, st.ok, st.over = Result{Tuple: m.t, From: st.i.Addr()}, true, true
 }
 
@@ -677,7 +695,7 @@ func (st *opState) onReply(m *wire.Message) {
 		// Feed the health layer: busy refusals and a blocking op's
 		// not-found (a serve-lease expiry notice) carry no timing signal;
 		// everything else does.
-		i.noteReply(m.From, cs.attempts, cs.sentAt, !m.Busy && (m.Found || !code.Blocking()))
+		i.noteReply(m.From, cs.attempts, st.now.Sub(cs.sentAt), !m.Busy && (m.Found || !code.Blocking()))
 	}
 	if m.Busy && st.hedging {
 		// The neighbourhood is shedding load; hedging would add contacts
@@ -686,18 +704,18 @@ func (st *opState) onReply(m *wire.Message) {
 		// list is reached.
 		st.hedging = false
 		st.armHedge()
-		i.met.Inc(trace.CtrHedgeSuppressed)
+		i.ctr.hedgeSuppressed.Inc()
 	}
 	if m.Type == wire.TResult {
 		if st.replied[m.From] {
-			i.met.Inc(trace.CtrDedupDrops)
+			i.ctr.dedupDrops.Inc()
 		}
 		st.replied[m.From] = true
 	}
 	switch {
 	case m.Found:
 		if cs != nil && cs.hedged {
-			i.met.Inc(trace.CtrHedgeWins)
+			i.ctr.hedgeWins.Inc()
 		}
 		if code.Removes() && m.HoldID != 0 {
 			if st.local != nil && !st.local.Cancel() {
@@ -708,12 +726,12 @@ func (st *opState) onReply(m *wire.Message) {
 			}
 			// First responder wins: accept this hold; closeOp's drain
 			// releases any later ones.
-			i.acceptHold(m.From, m.HoldID, st.lse, st.spare)
+			i.acceptHold(m.From, m.HoldID, st.lse, st.spare, st.now)
 			// A reply carrying a replica identity means other holders keep
 			// copies of this tuple: tell them it is consumed (replica.go).
 			i.replInvalidateSiblings(m)
 		}
-		i.met.Inc(trace.CtrOpsRemoteHit)
+		i.ctr.opsRemoteHit.Inc()
 		st.winner = m.From
 		st.res, st.ok, st.over = Result{Tuple: m.Tuple, From: m.From}, true, true
 	case m.Type == wire.TAck && st.msg.Type != wire.TOp:
@@ -734,11 +752,11 @@ func (st *opState) onTick() {
 	i, code := st.i, st.msg.Op
 	if st.lse.Err() != nil {
 		// Lease ended: stop trying and return nothing (§2.5).
-		i.met.Inc(trace.CtrOpsExpired)
+		i.ctr.opsExpired.Inc()
 		st.over = true
 		return
 	}
-	now := i.clk.Now()
+	now := st.now
 	if !st.hedgeAt.IsZero() && !now.Before(st.hedgeAt) {
 		// No answer within the adaptive hedge delay (DESIGN.md §11): race
 		// the next ranked responder with the same op ID. The serve side's
@@ -750,7 +768,7 @@ func (st *opState) onTick() {
 			st.contactNext(len(st.queue), false)
 		} else {
 			st.hedgesUsed++
-			i.met.Inc(trace.CtrHedges)
+			i.ctr.hedges.Inc()
 			st.contactNext(1, true)
 		}
 		st.armHedge()
@@ -773,13 +791,13 @@ func (st *opState) onTick() {
 		}
 		if serveLocal {
 			if res, ok := i.replServeLocal(code, st.msg.Template); ok {
-				i.met.Inc(trace.CtrOpsLocalHit)
+				i.ctr.opsLocalHit.Inc()
 				st.res, st.ok, st.over = res, true, true
 				return
 			}
 			serveLocal = false
 		}
-		i.met.Inc(trace.CtrContactTimeouts)
+		i.ctr.contactTimeouts.Inc()
 		if cs.attempts >= i.cfg.RetryAttempts {
 			// Out of retries. Silence from a nonblocking probe is a soft
 			// failure; a blocking responder is expected to stay silent
@@ -799,7 +817,7 @@ func (st *opState) onTick() {
 		cs.attempts++
 		st.restamp()
 		_ = i.send(a, st.msg)
-		i.met.Inc(trace.CtrRetries)
+		i.ctr.retries.Inc()
 		cs.deadline = now.Add(i.retryWait(cs.attempts))
 	}
 	st.advance()
@@ -830,7 +848,7 @@ func (st *opState) onJoin(ev discovery.Event) {
 		return
 	}
 	st.record(ev.Addr, false)
-	i.met.Inc(trace.CtrRearms)
+	i.ctr.rearms.Inc()
 	st.arm()
 }
 
@@ -858,9 +876,10 @@ func (st *opState) contactNext(limit int, hedged bool) (err error) {
 }
 
 // record opens (or reopens) a contact with a, just sent the frame: one
-// more reply expected, with a retry budget and reply deadline of its own.
+// more reply expected, with a retry budget and reply deadline of its own,
+// both from the event's reading, taken before the send.
 func (st *opState) record(a wire.Addr, hedged bool) {
-	now := st.i.clk.Now()
+	now := st.now
 	cs := st.contacted[a]
 	if cs == nil {
 		cs = st.newContact()
@@ -874,7 +893,7 @@ func (st *opState) record(a wire.Addr, hedged bool) {
 // time left; the frame already handed to the transport is never written.
 func (st *opState) restamp() {
 	m := *st.msg
-	m.TTL = st.lse.Deadline().Sub(st.i.clk.Now())
+	m.TTL = st.lse.Deadline().Sub(st.now)
 	stampBudget(st.ctx, &m)
 	st.msg = &m
 }
@@ -883,7 +902,7 @@ func (st *opState) restamp() {
 func (st *opState) armHedge() {
 	st.hedgeAt = time.Time{}
 	if st.hedging && len(st.queue) > 0 {
-		st.hedgeAt = st.i.clk.Now().Add(st.i.hedgeDelay())
+		st.hedgeAt = st.now.Add(st.i.hedgeDelay())
 	}
 }
 
@@ -899,7 +918,7 @@ func (st *opState) arm() {
 		}
 	}
 	if !next.IsZero() {
-		if floor := st.i.clk.Now().Add(time.Millisecond); next.Before(floor) {
+		if floor := st.now.Add(time.Millisecond); next.Before(floor) {
 			next = floor
 		}
 	}
@@ -992,7 +1011,7 @@ func (st *opState) multicast() {
 			st.remaining += n
 		}
 		st.multicasted = true
-		i.met.Inc(trace.CtrDiscoverRounds)
+		i.ctr.discoverRounds.Inc()
 	}
 }
 
@@ -1022,13 +1041,14 @@ type pendingAccept struct {
 // starts shedding healthy traffic (the PR 7 regression). The happy path
 // here is one send plus one queue entry that the ack unlinks; no timer is
 // armed for it. pa is the record to fill: the take's own (takeFrames).
-func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease, pa *pendingAccept) {
+// now is the reading of the reply event that won the hold.
+func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease, pa *pendingAccept, now time.Time) {
 	i.rememberAccepted(acceptKey{owner: owner, holdID: holdID})
-	budget := lse.Deadline().Sub(i.clk.Now()) + i.tm.holdGrace
+	budget := lse.Deadline().Sub(now) + i.tm.holdGrace
 	if budget < i.tm.holdGrace {
 		budget = i.tm.holdGrace
 	}
-	giveUp := i.clk.Now().Add(budget)
+	giveUp := now.Add(budget)
 
 	ackID := i.nextOp()
 	*pa = pendingAccept{i: i, owner: owner, giveUp: giveUp, attempt: 1,
@@ -1037,7 +1057,7 @@ func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease, 
 	// arrive before send returns, and an ack that finds nothing registered
 	// settles nothing — the accept would be retransmitted for no reason.
 	i.mu.Lock()
-	if i.closed {
+	if i.closed.Load() {
 		i.mu.Unlock()
 		return
 	}
@@ -1047,13 +1067,14 @@ func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease, 
 		i.finishAccept(ackID) // owner unreachable: its grace deadline takes over
 		return
 	}
-	i.scheduleAcceptRetry(pa, 1)
+	i.scheduleAcceptRetry(pa, 1, now)
 }
 
-// scheduleAcceptRetry schedules pa's next TAccept retransmission, unless
-// the ack (or teardown) already settled it.
-func (i *Instance) scheduleAcceptRetry(pa *pendingAccept, attempt int) {
-	at := i.clk.Now().Add(i.retryWait(attempt))
+// scheduleAcceptRetry schedules pa's next TAccept retransmission, timed
+// from now, the reading of the event that sent this one, unless the ack
+// (or teardown) already settled it.
+func (i *Instance) scheduleAcceptRetry(pa *pendingAccept, attempt int, now time.Time) {
+	at := now.Add(i.retryWait(attempt))
 	i.mu.Lock()
 	if i.pendAccepts[pa.msg.ID] == pa {
 		i.deadlines.Schedule(pa, at)
@@ -1071,7 +1092,8 @@ func (pa *pendingAccept) Expire() {
 		i.mu.Unlock()
 		return
 	}
-	if i.closed || !i.clk.Now().Before(pa.giveUp) {
+	now := i.clk.Now()
+	if i.closed.Load() || !now.Before(pa.giveUp) {
 		// Past the owner's grace window (or closing): the accept is moot.
 		delete(i.pendAccepts, ackID)
 		i.retiredLocked()
@@ -1088,9 +1110,9 @@ func (pa *pendingAccept) Expire() {
 		i.mu.Unlock()
 		return // owner unreachable: its grace deadline takes over
 	}
-	i.met.Inc(trace.CtrRetries)
-	i.met.Inc(trace.CtrAcceptRetransmits)
-	i.scheduleAcceptRetry(pa, attempt)
+	i.ctr.retries.Inc()
+	i.ctr.acceptRetransmits.Inc()
+	i.scheduleAcceptRetry(pa, attempt, now)
 }
 
 // finishAccept settles the pending accept named by an inbound ack ID.
@@ -1147,7 +1169,7 @@ func (i *Instance) releaseLate(m *wire.Message) {
 	accepted := i.accepted[acceptKey{owner: m.From, holdID: m.HoldID}]
 	i.mu.Unlock()
 	if accepted {
-		i.met.Inc(trace.CtrDedupDrops)
+		i.ctr.dedupDrops.Inc()
 		return
 	}
 	_ = i.send(m.From, &wire.Message{
@@ -1163,7 +1185,7 @@ func (i *Instance) handleResult(m *wire.Message) {
 		// Counted at dispatch level so late busy replies (after the op
 		// concluded) are visible too: on a reliable transport every shed
 		// the responders sent shows up here.
-		i.met.Inc(trace.CtrBusyReceived)
+		i.ctr.busyReceived.Inc()
 	}
 	if m.Type == wire.TResult {
 		// Every responder is worth remembering, including late ones and
@@ -1256,7 +1278,7 @@ func (i *Instance) OutAt(addr wire.Addr, t tuple.Tuple, r lease.Requester) error
 	if addr == i.Addr() {
 		return i.Out(t, r)
 	}
-	return i.rpc(addr, lease.OpOut, trace.CtrOpsOut, wire.Message{Type: wire.TOut, From: i.Addr(), Tuple: t}, r)
+	return i.rpc(addr, lease.OpOut, i.ctr.opsOut, wire.Message{Type: wire.TOut, From: i.Addr(), Tuple: t}, r)
 }
 
 // EvalAt performs an eval on the specific remote space addr. The function
@@ -1265,7 +1287,7 @@ func (i *Instance) EvalAt(addr wire.Addr, fn string, args tuple.Tuple, r lease.R
 	if addr == i.Addr() {
 		return i.Eval(fn, args, r)
 	}
-	return i.rpc(addr, lease.OpEval, trace.CtrOpsEval, wire.Message{Type: wire.TEval, From: i.Addr(), Func: fn, Tuple: args}, r)
+	return i.rpc(addr, lease.OpEval, i.ctr.opsEval, wire.Message{Type: wire.TEval, From: i.Addr(), Func: fn, Tuple: args}, r)
 }
 
 // rpc walks m, a TOut or TEval, to addr under a lease of the given kind,
@@ -1273,21 +1295,22 @@ func (i *Instance) EvalAt(addr wire.Addr, fn string, args tuple.Tuple, r lease.R
 // the remote's refusal as ErrRemoteRefused. A frame that cannot leave
 // returns the send error, and an addr silent through every
 // retransmission, or until the lease ends, an error saying so.
-func (i *Instance) rpc(addr wire.Addr, kind lease.OpKind, counter string, m wire.Message, r lease.Requester) error {
+func (i *Instance) rpc(addr wire.Addr, kind lease.OpKind, counter *trace.Counter, m wire.Message, r lease.Requester) error {
 	if i.stopping() {
 		return ErrClosed
 	}
-	i.met.Inc(counter)
+	counter.Inc()
 	offer, err := i.mgr.Negotiate(kind, i.requester(r))
 	if err != nil {
 		return err
 	}
 	f := &opFrames{op: m}
-	if err := i.mgr.GrantOffer(&f.lse, kind, offer); err != nil {
+	now := i.clk.Now()
+	if err := i.mgr.GrantOffer(&f.lse, kind, offer, now); err != nil {
 		return err
 	}
 	defer f.lse.Cancel()
-	_, acked, err := i.walk(context.TODO(), &f.lse, &f.op, nil, addr, nil)
+	_, acked, err := i.walk(context.TODO(), now, &f.lse, &f.op, nil, addr, nil)
 	switch {
 	case err != nil || acked:
 		return err

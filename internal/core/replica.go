@@ -424,7 +424,7 @@ func (i *Instance) replWriteThrough(sid uint64, t tuple.Tuple, expiry time.Time,
 			continue // unreachable: the sweeper re-places the copy later
 		}
 		sent = append(sent, a)
-		i.met.Inc(trace.CtrReplWrites)
+		i.ctr.replWrites.Inc()
 	}
 	r.mu.Lock()
 	ro.targets = sent
@@ -461,7 +461,7 @@ func (ro *replOut) Expire() {
 	}
 	for _, a := range ro.targets {
 		if !ro.acked[a] && !ro.refused[a] {
-			r.i.met.Inc(trace.CtrReplWriteUnacked)
+			r.i.ctr.replWriteUnacked.Inc()
 		}
 	}
 	ro.settled = true
@@ -507,7 +507,7 @@ func (i *Instance) replFinishAck(id uint64, m *wire.Message) bool {
 				delete(ro.refused, p.to)
 			} else {
 				ro.refused[p.to] = true
-				i.met.Inc(trace.CtrReplWriteRefused)
+				i.ctr.replWriteRefused.Inc()
 			}
 			r.settleLocked(ro)
 		}
@@ -643,7 +643,7 @@ func (i *Instance) handleReplicate(m *wire.Message) {
 	r.mu.Lock()
 	if exp, fenced := r.fences[key]; fenced && now.Before(exp) {
 		r.mu.Unlock()
-		i.met.Inc(trace.CtrReplFencedHolds)
+		i.ctr.replFencedHolds.Inc()
 		ack.Err = "fenced"
 		_ = i.send(m.From, ack)
 		return
@@ -667,7 +667,7 @@ func (i *Instance) handleReplicate(m *wire.Message) {
 		c.expiry = expiry
 	}
 	r.mu.Unlock()
-	i.met.Inc(trace.CtrReplicaMsgs)
+	i.ctr.replicaMsgs.Inc()
 	ack.OK = true
 	_ = i.send(m.From, ack)
 }
@@ -720,7 +720,7 @@ func (i *Instance) replRdp(p tuple.Template) (tuple.Tuple, bool) {
 	defer r.mu.Unlock()
 	for _, c := range r.copies {
 		if !c.held && now.Before(c.expiry) && p.Matches(c.t) {
-			i.met.Inc(trace.CtrReplStaleReads)
+			i.ctr.replStaleReads.Inc()
 			return c.t, true
 		}
 	}
@@ -757,7 +757,7 @@ func (h *replHold) Accept() {
 		r.fences[h.c.key] = h.c.expiry
 	}
 	r.mu.Unlock()
-	h.i.met.Inc(trace.CtrReplFailoverTakes)
+	h.i.ctr.replFailoverTakes.Inc()
 }
 
 func (h *replHold) Release() {
@@ -1030,7 +1030,7 @@ func (i *Instance) repairSweep() {
 
 	for _, j := range jobs {
 		if i.send(j.to, j.msg) == nil {
-			i.met.Inc(trace.CtrReplRepairs)
+			i.ctr.replRepairs.Inc()
 		}
 	}
 
@@ -1070,7 +1070,7 @@ func (i *Instance) repairSweep() {
 				TTL: expiry.Sub(now), Tuple: ad.c.t,
 				ReplOrigin: ad.c.key.origin, ReplSeq: ad.c.key.seq,
 			}) == nil {
-				i.met.Inc(trace.CtrReplRepairs)
+				i.ctr.replRepairs.Inc()
 			}
 		}
 	}

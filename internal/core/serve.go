@@ -6,7 +6,6 @@ import (
 	"tiamat/clock"
 	"tiamat/lease"
 	"tiamat/space"
-	"tiamat/trace"
 	"tiamat/tuple"
 	"tiamat/wire"
 )
@@ -38,7 +37,7 @@ type pendingHold struct {
 // an accept nor a release, so the tuple goes back into the space.
 func (ph *pendingHold) Expire() {
 	if ph.i.settleHold(ph.id, false) != nil {
-		ph.i.met.Inc(trace.CtrHoldGraceExpired)
+		ph.i.ctr.holdGraceExpired.Inc()
 	}
 }
 
@@ -129,8 +128,9 @@ func (i *Instance) admit(m *wire.Message) (replay *wire.Message, execute bool) {
 // finishRun files an admitted request once its run is over, by what the
 // run left: a reply makes it answered, a parked wait parked, nothing
 // drops the record. It returns the reply when a copy that arrived during
-// the run is owed it. A request cancelled meanwhile stays cancelled.
-func (i *Instance) finishRun(key waitKey) *wire.Message {
+// the run is owed it. A request cancelled meanwhile stays cancelled. now
+// is the reading of the frame the run served.
+func (i *Instance) finishRun(key waitKey, now time.Time) *wire.Message {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	e, ok := i.requests[key]
@@ -138,7 +138,7 @@ func (i *Instance) finishRun(key waitKey) *wire.Message {
 	case !ok || e.state != reqAdmitted:
 		return nil
 	case e.reply != nil:
-		i.recordLocked(key, request{state: reqAnswered, reply: e.reply, wait: e.wait})
+		i.recordLocked(key, request{state: reqAnswered, reply: e.reply, wait: e.wait}, now)
 		if e.dup {
 			return e.reply
 		}
@@ -153,7 +153,7 @@ func (i *Instance) finishRun(key waitKey) *wire.Message {
 // recordServed records the reply sent for a remote request, so a
 // retransmitted or duplicated frame is answered identically instead of
 // re-executed. A running request keeps it for finishRun to file.
-func (i *Instance) recordServed(key waitKey, m *wire.Message) {
+func (i *Instance) recordServed(key waitKey, m *wire.Message, now time.Time) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	e, ok := i.requests[key]
@@ -162,7 +162,7 @@ func (i *Instance) recordServed(key waitKey, m *wire.Message) {
 		i.requests[key] = e
 		return
 	}
-	i.recordLocked(key, request{state: reqAnswered, reply: m, wait: e.wait})
+	i.recordLocked(key, request{state: reqAnswered, reply: m, wait: e.wait}, now)
 }
 
 // recordLocked files an answered or cancelled record and bounds the
@@ -170,9 +170,9 @@ func (i *Instance) recordServed(key waitKey, m *wire.Message) {
 // and the size cap evicts the oldest beyond servedCacheMax — so a
 // long-lived responder's memory is bounded by min(cap, request rate ×
 // TTL). Admitted and parked records are never evicted: a parked wait can
-// outlive dedupTTL.
-func (i *Instance) recordLocked(key waitKey, e request) {
-	now := i.clk.Now()
+// outlive dedupTTL. now is the reading of the event that answered or
+// cancelled the request.
+func (i *Instance) recordLocked(key waitKey, e request, now time.Time) {
 	i.reqSeq++
 	e.at, e.seq = now, i.reqSeq
 	i.requests[key] = e
@@ -253,7 +253,7 @@ func (rw *remoteWait) Deliver(t tuple.Tuple, h space.Hold) {
 	// For rd the delivered copy is the answer: rd semantics permit any
 	// tuple that was in the space during the op.
 	ro, rs := i.replIdentityFor(h)
-	i.answerFound(rw.key, rw.ttl, t, h, ro, rs)
+	i.answerFound(rw.key, rw.ttl, t, h, ro, rs, i.clk.Now())
 }
 
 // LeaseEnded implements lease.EndHook.
@@ -292,7 +292,7 @@ func (rw *remoteWait) retire() {
 			i.requests[rw.key] = e
 		}
 	}
-	notFound := rw.notFound && !i.closed
+	notFound := rw.notFound && !i.closed.Load()
 	i.mu.Unlock()
 	i.gov.dropWait(rw.key.from)
 	rw.lse.Cancel()
@@ -349,16 +349,18 @@ func (i *Instance) handleAnnounce(m *wire.Message) {
 // answerFound sends the request named by key its found reply: t, and for
 // a take the hold on it, registered here under the serve budget ttl, with
 // the replica identity the requester is to invalidate on accept. The
-// reply is recorded first, so a duplicate of the request replays it.
-func (i *Instance) answerFound(key waitKey, ttl time.Duration, t tuple.Tuple, h space.Hold, ro wire.Addr, rs uint64) {
+// reply is recorded first, so a duplicate of the request replays it. now
+// is the reading of the event that found t: the served frame, or the Out
+// that matched a parked wait.
+func (i *Instance) answerFound(key waitKey, ttl time.Duration, t tuple.Tuple, h space.Hold, ro wire.Addr, rs uint64, now time.Time) {
 	reply := &wire.Message{
 		Type: wire.TResult, ID: key.id, From: i.Addr(),
 		Found: true, Tuple: t, ReplOrigin: ro, ReplSeq: rs,
 	}
 	if h != nil {
-		reply.HoldID = i.registerHold(h, ttl, key)
+		reply.HoldID = i.registerHold(h, ttl, key, now)
 	}
-	i.recordServed(key, reply)
+	i.recordServed(key, reply, now)
 	_ = i.send(key.from, reply)
 }
 
@@ -380,7 +382,7 @@ func serveTerms(ttl time.Duration) lease.Terms {
 // story.
 func (i *Instance) effTTL(m *wire.Message) time.Duration {
 	if m.Budget > 0 && m.Budget < m.TTL {
-		i.met.Inc(trace.CtrGovDeadlineCuts)
+		i.ctr.govDeadlineCuts.Inc()
 		return m.Budget
 	}
 	return m.TTL
@@ -390,8 +392,8 @@ func (i *Instance) effTTL(m *wire.Message) time.Duration {
 // Duplicates were decided at admission (admit); what runs here is a new
 // request, or a failover take beside a standing wait for the same
 // request. If the replica store serves the latter, the wait is stopped so
-// the take is served exactly once.
-func (i *Instance) handleOp(m *wire.Message) {
+// the take is served exactly once. now is the frame's one reading.
+func (i *Instance) handleOp(m *wire.Message, now time.Time) {
 	key := waitKey{from: m.From, id: m.ID}
 	var rw *remoteWait
 	if m.Op.Blocking() || m.Failover {
@@ -424,7 +426,7 @@ func (i *Instance) handleOp(m *wire.Message) {
 	if m.Op.Removes() {
 		if h, ok := i.local.Hold(m.Template); ok {
 			ro, rs := i.replIdentityFor(h)
-			i.answerFound(key, ttl, h.Tuple(), h, ro, rs)
+			i.answerFound(key, ttl, h.Tuple(), h, ro, rs, now)
 			if rw != nil {
 				rw.end(false)
 			}
@@ -438,7 +440,7 @@ func (i *Instance) handleOp(m *wire.Message) {
 			// holders on accept: a sender that encoded the marker decodes
 			// the identity.
 			if h, k, ok := i.replFailoverHold(m.Template); ok {
-				i.answerFound(key, ttl, h.Tuple(), h, k.origin, k.seq)
+				i.answerFound(key, ttl, h.Tuple(), h, k.origin, k.seq, now)
 				if rw != nil {
 					rw.end(false)
 				}
@@ -447,14 +449,14 @@ func (i *Instance) handleOp(m *wire.Message) {
 		}
 	} else {
 		if t, ok := i.local.Rdp(m.Template); ok {
-			i.answerFound(key, ttl, t, nil, "", 0)
+			i.answerFound(key, ttl, t, nil, "", 0, now)
 			return
 		}
 		// Any live replica may answer a read (replica.go): staleness is
 		// bounded by the copy's lease, exactly the bound the paper already
 		// accepts for visibility.
 		if t, ok := i.replRdp(m.Template); ok {
-			i.answerFound(key, ttl, t, nil, "", 0)
+			i.answerFound(key, ttl, t, nil, "", 0, now)
 			return
 		}
 	}
@@ -462,31 +464,31 @@ func (i *Instance) handleOp(m *wire.Message) {
 	if rw != nil {
 		// Nothing servable beyond what the standing waiter already
 		// watches; it stays registered and this duplicate ends here.
-		i.met.Inc(trace.CtrDedupDrops)
+		i.ctr.dedupDrops.Inc()
 		return
 	}
 
 	if !m.Op.Blocking() {
 		notFound := &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false}
-		i.recordServed(key, notFound)
+		i.recordServed(key, notFound, now)
 		_ = i.send(m.From, notFound)
 		return
 	}
 
 	// Blocking op: hold a waiter on behalf of the peer until a match,
 	// its lease expires, or the peer cancels.
-	i.serveBlocking(m, ttl, offer)
+	i.serveBlocking(m, ttl, offer, now)
 }
 
 // serveBlocking parks a peer's blocking operation in the local space. ttl
 // is the effective serve budget computed by handleOp, and offer what its
-// admission offered for it.
-func (i *Instance) serveBlocking(m *wire.Message, ttl time.Duration, offer lease.Terms) {
+// admission offered for it, and now the frame's reading.
+func (i *Instance) serveBlocking(m *wire.Message, ttl time.Duration, offer lease.Terms, now time.Time) {
 	key := waitKey{from: m.From, id: m.ID}
 	// The wait carries its lease. Under pressure the governor narrows the
 	// offer before the lease is minted (escalation rung 1).
 	rw := &remoteWait{i: i, key: key, ttl: ttl}
-	if i.mgr.GrantOffer(&rw.lse, opKind(m.Op), i.gov.clampTerms(offer)) != nil {
+	if i.mgr.GrantOffer(&rw.lse, opKind(m.Op), i.gov.clampTerms(offer), now) != nil {
 		_ = i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false})
 		return
 	}
@@ -503,7 +505,7 @@ func (i *Instance) serveBlocking(m *wire.Message, ttl time.Duration, offer lease
 	}
 	i.mu.Lock()
 	e, ok := i.requests[key]
-	if i.closed || !ok || e.state != reqAdmitted {
+	if i.closed.Load() || !ok || e.state != reqAdmitted {
 		// Closed, or a TCancel landed while the op ran: no wait to park.
 		i.mu.Unlock()
 		i.gov.dropWait(m.From)
@@ -541,15 +543,15 @@ func (i *Instance) serveBlocking(m *wire.Message, ttl time.Duration, offer lease
 }
 
 // registerHold records a tentative removal and schedules its grace
-// deadline. key names the request the hold answers, so reinstatement can
-// invalidate the cached reply.
-func (i *Instance) registerHold(h space.Hold, ttl time.Duration, key waitKey) uint64 {
+// deadline, grace after now. key names the request the hold answers, so
+// reinstatement can invalidate the cached reply.
+func (i *Instance) registerHold(h space.Hold, ttl time.Duration, key waitKey, now time.Time) uint64 {
 	grace := ttl + i.tm.holdGrace
 	if grace <= 0 {
 		grace = i.tm.holdGrace
 	}
 	ph := &pendingHold{i: i, key: key, hold: h}
-	at := i.clk.Now().Add(grace)
+	at := now.Add(grace)
 	// Scheduled under i.mu: whoever finds the hold in the table and
 	// settles it also finds its deadline there to cancel.
 	i.mu.Lock()
@@ -625,7 +627,7 @@ func (i *Instance) handleCancel(m *wire.Message) {
 	key := waitKey{from: m.From, id: m.ID}
 	i.mu.Lock()
 	rw := i.requests[key].wait // kept until it retires
-	i.recordLocked(key, request{state: reqCancelled, wait: rw})
+	i.recordLocked(key, request{state: reqCancelled, wait: rw}, i.clk.Now())
 	i.mu.Unlock()
 	if rw != nil {
 		rw.end(false)
@@ -634,7 +636,7 @@ func (i *Instance) handleCancel(m *wire.Message) {
 
 // handleRemoteOut admits a direct remote out (paper §2.4): the tuple is
 // stored under a lease this instance negotiates for itself.
-func (i *Instance) handleRemoteOut(m *wire.Message) {
+func (i *Instance) handleRemoteOut(m *wire.Message, now time.Time) {
 	if m.ReplSeq != 0 {
 		// Replicate/repair write-through (replica.go): soft state in the
 		// replica store, not a remote out into the space. Idempotent, so
@@ -642,26 +644,29 @@ func (i *Instance) handleRemoteOut(m *wire.Message) {
 		i.handleReplicate(m)
 		return
 	}
-	i.serveOnce(m, i.remoteOut)
+	i.serveOnce(m, now, i.remoteOut)
 }
 
 // handleRemoteEval admits a direct remote eval: the function must be
 // registered here and a thread and lease must be available.
-func (i *Instance) handleRemoteEval(m *wire.Message) { i.serveOnce(m, i.remoteEval) }
+func (i *Instance) handleRemoteEval(m *wire.Message, now time.Time) {
+	i.serveOnce(m, now, i.remoteEval)
+}
 
 // serveOnce answers a direct remote out or eval with an ack: run's
 // refusal, or OK. The ack is recorded, and a duplicated frame replays it
 // (admit) — re-executing would store a second copy or run the eval twice.
-func (i *Instance) serveOnce(m *wire.Message, run func(*wire.Message) error) {
+// now is the frame's reading, which run is handed too.
+func (i *Instance) serveOnce(m *wire.Message, now time.Time, run func(*wire.Message, time.Time) error) {
 	ack := &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr(), OK: true}
-	if err := run(m); err != nil {
+	if err := run(m, now); err != nil {
 		ack.OK, ack.Err = false, err.Error()
 	}
-	i.recordServed(waitKey{from: m.From, id: m.ID}, ack)
+	i.recordServed(waitKey{from: m.From, id: m.ID}, ack, now)
 	_ = i.send(m.From, ack)
 }
 
-func (i *Instance) remoteOut(m *wire.Message) error {
+func (i *Instance) remoteOut(m *wire.Message, now time.Time) error {
 	terms := serveTerms(m.TTL)
 	terms.MaxBytes = m.Tuple.Size()
 	terms.MaxRemotes = i.cfg.Replicas - 1 // what place's write-through spends
@@ -678,10 +683,10 @@ func (i *Instance) remoteOut(m *wire.Message) error {
 	// Retention boundary: the tuple outlives the frame that carried it,
 	// so detach it from a possibly-aliased decode buffer. Served, the
 	// placement sends its write-through and does not wait for it.
-	return i.out(m.Tuple.Copy(), offer, false)
+	return i.out(m.Tuple.Copy(), offer, false, now)
 }
 
-func (i *Instance) remoteEval(m *wire.Message) error {
+func (i *Instance) remoteEval(m *wire.Message, _ time.Time) error {
 	f, ok := i.evalFunc(m.Func)
 	if !ok {
 		return ErrUnknownEval

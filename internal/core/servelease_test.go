@@ -127,7 +127,7 @@ func TestFullResponderStillAnswersProbes(t *testing.T) {
 			t.Fatalf("%v at MaxActive: %+v, want a not-found", op, res)
 		}
 		id := uint64(k + 10)
-		g.a.handleOp(&wire.Message{Type: wire.TOp, ID: id, From: "x", Op: op, Template: reqTmpl(), TTL: time.Minute})
+		g.a.handleOp(&wire.Message{Type: wire.TOp, ID: id, From: "x", Op: op, Template: reqTmpl(), TTL: time.Minute}, g.a.clk.Now())
 		if res := g.results(1)[0]; res.Found || res.Busy || res.ID != id {
 			t.Fatalf("%v refused by the lease manager: %+v, want a plain not-found", op, res)
 		}

@@ -184,7 +184,7 @@ type ResponderList struct {
 	mu    sync.Mutex
 	addrs []*entry
 	index map[wire.Addr]*entry
-	met   *trace.Metrics
+	ctr   counters
 	clk   clock.Clock
 	max   int
 
@@ -253,6 +253,41 @@ func WithLatencyPolicy(factor float64, minSamples, strikeLimit int, cooldown, ma
 	}
 }
 
+// counters are the list's counter handles (trace.Metrics.Counter).
+type counters struct {
+	belowFloor     *trace.Counter
+	demoteRestores *trace.Counter
+	demotions      *trace.Counter
+	goodbyes       *trace.Counter
+	listEvictions  *trace.Counter
+	peerDegraded   *trace.Counter
+	promoteHolds   *trace.Counter
+	slowStrikes    *trace.Counter
+	suspectSkips   *trace.Counter
+	suspicions     *trace.Counter
+	visEventDrops  *trace.Counter
+	visJoins       *trace.Counter
+	visLeaves      *trace.Counter
+}
+
+func newCounters(m *trace.Metrics) counters {
+	return counters{
+		belowFloor:     m.Counter(trace.CtrBelowFloor),
+		demoteRestores: m.Counter(trace.CtrDemoteRestores),
+		demotions:      m.Counter(trace.CtrDemotions),
+		goodbyes:       m.Counter(trace.CtrGoodbyes),
+		listEvictions:  m.Counter(trace.CtrListEvictions),
+		peerDegraded:   m.Counter(trace.CtrPeerDegraded),
+		promoteHolds:   m.Counter(trace.CtrPromoteHolds),
+		slowStrikes:    m.Counter(trace.CtrSlowStrikes),
+		suspectSkips:   m.Counter(trace.CtrSuspectSkips),
+		suspicions:     m.Counter(trace.CtrSuspicions),
+		visEventDrops:  m.Counter(trace.CtrVisEventDrops),
+		visJoins:       m.Counter(trace.CtrVisJoins),
+		visLeaves:      m.Counter(trace.CtrVisLeaves),
+	}
+}
+
 // NewResponderList returns an empty list. max bounds the number of cached
 // responders (0 means unbounded); met may be nil.
 func NewResponderList(max int, met *trace.Metrics, opts ...Option) *ResponderList {
@@ -261,7 +296,7 @@ func NewResponderList(max int, met *trace.Metrics, opts ...Option) *ResponderLis
 	}
 	l := &ResponderList{
 		index:          make(map[wire.Addr]*entry),
-		met:            met,
+		ctr:            newCounters(met),
 		clk:            clock.Real{},
 		max:            max,
 		threshold:      DefaultSuspectThreshold,
@@ -356,7 +391,7 @@ func (l *ResponderList) Members() []wire.Addr {
 func (l *ResponderList) joinLocked(addr wire.Addr) {
 	l.epochs[addr]++
 	l.joins++
-	l.met.Inc(trace.CtrVisJoins)
+	l.ctr.visJoins.Inc()
 	l.emitLocked(Event{Kind: EventJoin, Addr: addr, Epoch: l.epochs[addr]})
 }
 
@@ -364,7 +399,7 @@ func (l *ResponderList) joinLocked(addr wire.Addr) {
 // holds l.mu and has just removed the entry.
 func (l *ResponderList) leaveLocked(addr wire.Addr) {
 	l.leaves++
-	l.met.Inc(trace.CtrVisLeaves)
+	l.ctr.visLeaves.Inc()
 	l.emitLocked(Event{Kind: EventLeave, Addr: addr, Epoch: l.epochs[addr]})
 }
 
@@ -374,7 +409,7 @@ func (l *ResponderList) emitLocked(ev Event) {
 		select {
 		case s.ch <- ev:
 		default:
-			l.met.Inc(trace.CtrVisEventDrops)
+			l.ctr.visEventDrops.Inc()
 		}
 	}
 }
@@ -388,18 +423,24 @@ func (l *ResponderList) Snapshot() []wire.Addr {
 }
 
 // SnapshotAppend appends the current contact order to dst and returns
-// the extended slice, with the same skip/demote policy as Snapshot. The
-// hot propagation path passes a reused per-operation buffer so each op
-// does not allocate a fresh snapshot.
+// the extended slice, with the same skip/demote policy as Snapshot.
 func (l *ResponderList) SnapshotAppend(dst []wire.Addr) []wire.Addr {
+	return l.SnapshotAt(dst, l.clk.Now())
+}
+
+// SnapshotAt is SnapshotAppend with suspicion and demotion judged at now,
+// a reading of the list's clock that the caller's event already took. The
+// hot propagation path passes its walk's start reading and a reused
+// per-operation buffer, so an op neither reads the clock nor allocates
+// for its snapshot.
+func (l *ResponderList) SnapshotAt(dst []wire.Addr, now time.Time) []wire.Addr {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.clk.Now()
 	out := dst
 	var demoted []wire.Addr
 	for _, e := range l.addrs {
 		if l.suspectedLocked(e, now) {
-			l.met.Inc(trace.CtrSuspectSkips)
+			l.ctr.suspectSkips.Inc()
 			continue
 		}
 		if l.demotedLocked(e, now) {
@@ -532,7 +573,7 @@ func (l *ResponderList) outlierCheckLocked(e *entry) {
 		e.demotedUntil = time.Time{}
 		e.demoteCooldown = l.demoteCooldown
 		e.slowStrikes = 0
-		l.met.Inc(trace.CtrDemoteRestores)
+		l.ctr.demoteRestores.Inc()
 	}
 }
 
@@ -555,7 +596,7 @@ func (l *ResponderList) demoteLocked(e *entry, now time.Time) {
 		e.demoteCooldown = l.demoteMax
 	}
 	e.slowStrikes = 0
-	l.met.Inc(trace.CtrDemotions)
+	l.ctr.demotions.Inc()
 }
 
 // Slow records a hedge slow-strike against addr: its reply to a blocking
@@ -570,7 +611,7 @@ func (l *ResponderList) Slow(addr wire.Addr) {
 	if e == nil {
 		return
 	}
-	l.met.Inc(trace.CtrSlowStrikes)
+	l.ctr.slowStrikes.Inc()
 	e.slowStrikes++
 	if l.strikeLimit > 0 && e.slowStrikes >= l.strikeLimit {
 		l.demoteLocked(e, l.clk.Now())
@@ -600,7 +641,7 @@ func (l *ResponderList) observeDegradedLocked(e *entry, degraded bool) {
 		return
 	}
 	if e.degradedUntil.IsZero() || !now.Before(e.degradedUntil) {
-		l.met.Inc(trace.CtrPeerDegraded)
+		l.ctr.peerDegraded.Inc()
 	}
 	e.degradedUntil = now.Add(l.degradedTTL)
 }
@@ -621,7 +662,7 @@ func (l *ResponderList) ObserveAnnounce(addr wire.Addr, caps uint64, degraded bo
 		return false
 	}
 	if caps&wire.CapsCurrent != wire.CapsCurrent {
-		l.met.Inc(trace.CtrBelowFloor)
+		l.ctr.belowFloor.Inc()
 		return false
 	}
 	l.mu.Lock()
@@ -693,7 +734,7 @@ func (l *ResponderList) appendLocked(addr wire.Addr) *entry {
 	if l.max > 0 && len(l.addrs) >= l.max {
 		victim := l.addrs[len(l.addrs)-1].addr
 		l.removeLocked(victim)
-		l.met.Inc(trace.CtrListEvictions)
+		l.ctr.listEvictions.Inc()
 		l.leaveLocked(victim)
 	}
 	e := &entry{addr: addr, cooldown: l.cooldown, demoteCooldown: l.demoteCooldown}
@@ -739,7 +780,7 @@ func (l *ResponderList) Promote(addr wire.Addr) {
 	hold := l.demotedLocked(e, now) || l.suspectedLocked(e, now)
 	l.restoreLocked(e)
 	if hold {
-		l.met.Inc(trace.CtrPromoteHolds)
+		l.ctr.promoteHolds.Inc()
 		return
 	}
 	for _, x := range l.addrs {
@@ -789,7 +830,7 @@ func (l *ResponderList) Fail(addr wire.Addr) {
 	if e.cooldown > l.maxCooldown {
 		e.cooldown = l.maxCooldown
 	}
-	l.met.Inc(trace.CtrSuspicions)
+	l.ctr.suspicions.Inc()
 }
 
 // Evict removes an instance that failed to respond (paper: "removing any
@@ -798,7 +839,7 @@ func (l *ResponderList) Evict(addr wire.Addr) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.removeLocked(addr) {
-		l.met.Inc(trace.CtrListEvictions)
+		l.ctr.listEvictions.Inc()
 		l.leaveLocked(addr)
 	}
 }
@@ -811,7 +852,7 @@ func (l *ResponderList) Depart(addr wire.Addr) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.removeLocked(addr) {
-		l.met.Inc(trace.CtrGoodbyes)
+		l.ctr.goodbyes.Inc()
 		l.leaveLocked(addr)
 	}
 }

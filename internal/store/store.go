@@ -59,7 +59,8 @@ var ErrClosed = errors.New("store: closed")
 // Store implements space.Space.
 type Store struct {
 	clk  clock.Clock
-	met  *trace.Metrics
+	met  *trace.Metrics // WithMetrics; New resolves ctr on it
+	ctr  counters
 	seed int64
 	// janitor times every shard's reclaim off one clock timer; never
 	// closed here, as it may be the node's (WithClock).
@@ -310,6 +311,11 @@ func defaultShards() int {
 	return n
 }
 
+// counters are the store's counter handles (trace.Metrics.Counter).
+type counters struct {
+	stored, taken, reinstated, reclaimed *trace.Counter
+}
+
 // New returns an empty Store.
 func New(opts ...Option) *Store {
 	s := &Store{
@@ -319,6 +325,12 @@ func New(opts ...Option) *Store {
 	}
 	for _, o := range opts {
 		o(s)
+	}
+	s.ctr = counters{
+		stored:     s.met.Counter(trace.CtrTuplesStored),
+		taken:      s.met.Counter(trace.CtrTuplesTaken),
+		reinstated: s.met.Counter(trace.CtrTuplesReinstated),
+		reclaimed:  s.met.Counter(trace.CtrTuplesReclaimed),
 	}
 	if s.nTagShards <= 0 {
 		s.nTagShards = defaultShards()
@@ -388,7 +400,7 @@ func (s *Store) out(t tuple.Tuple, expiry time.Time, id uint64) (uint64, error) 
 	if taker != nil {
 		taker.call(e)
 	}
-	s.met.Inc(trace.CtrTuplesStored)
+	s.ctr.stored.Inc()
 	return e.id, nil
 }
 
@@ -697,7 +709,7 @@ func (sh *shard) inpShard(p tuple.Template) (tuple.Tuple, bool) {
 	}
 	sh.removeLocked(e)
 	sh.mu.Unlock()
-	sh.st.met.Inc(trace.CtrTuplesTaken)
+	sh.st.ctr.taken.Inc()
 	sh.st.notifyRemoved(e)
 	return e.t, true
 }
@@ -881,7 +893,7 @@ func (e *entry) Accept() {
 	if !e.settled.CompareAndSwap(false, true) {
 		return
 	}
-	e.s.met.Inc(trace.CtrTuplesTaken)
+	e.s.ctr.taken.Inc()
 	e.s.notifyRemoved(e)
 }
 
@@ -892,9 +904,9 @@ func (e *entry) Release() {
 	// Reinstate with the original expiry; if it expired while held it
 	// will be reclaimed by the janitor path on the next operation.
 	if _, err := e.s.out(e.t, e.expiry, e.id); err == nil {
-		e.s.met.Inc(trace.CtrTuplesReinstated)
+		e.s.ctr.reinstated.Inc()
 		// Out counted a store; a reinstatement is not a new tuple.
-		e.s.met.Add(trace.CtrTuplesStored, -1)
+		e.s.ctr.stored.Add(-1)
 	}
 }
 
@@ -1090,7 +1102,7 @@ func (sh *shard) Expire() {
 		e := heap.Pop(&sh.expiry).(*entry)
 		e.index = -1 // already popped; keep removeLocked's heap fix-up out
 		sh.removeLocked(e)
-		s.met.Inc(trace.CtrTuplesReclaimed)
+		s.ctr.reclaimed.Inc()
 		reclaimed = append(reclaimed, e)
 	}
 	sh.reclaimAt = time.Time{}
@@ -1098,4 +1110,4 @@ func (sh *shard) Expire() {
 }
 
 // Reclaimed reports how many tuples the janitor has reclaimed (test aid).
-func (s *Store) Reclaimed() int64 { return s.met.Get(trace.CtrTuplesReclaimed) }
+func (s *Store) Reclaimed() int64 { return s.ctr.reclaimed.Load() }

@@ -270,7 +270,7 @@ func grantInto(m *Manager, l *Lease, op OpKind, want Terms) error {
 	if err != nil {
 		return err
 	}
-	return m.GrantOffer(l, op, offer)
+	return m.GrantOffer(l, op, offer, m.expiries.Now())
 }
 
 // countingClock is a virtual clock that counts its readings.
@@ -403,7 +403,7 @@ func TestGrantOfferRevalidates(t *testing.T) {
 			c.change(m)
 			before := m.Stats()
 			var l Lease
-			if err := m.GrantOffer(&l, OpInp, offer); !errors.Is(err, ErrRefused) {
+			if err := m.GrantOffer(&l, OpInp, offer, m.expiries.Now()); !errors.Is(err, ErrRefused) {
 				t.Fatalf("GrantOffer after the change: %v, want ErrRefused", err)
 			}
 			after := m.Stats()
@@ -423,7 +423,7 @@ func TestGrantOfferRevalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var l Lease
-	if err := m.GrantOffer(&l, OpInp, offer); err != nil {
+	if err := m.GrantOffer(&l, OpInp, offer, m.expiries.Now()); err != nil {
 		t.Fatalf("GrantOffer: %v", err)
 	}
 	if l.State() != StateActive || l.Terms() != offer || l.RemotesLeft() != 4 {
@@ -434,7 +434,7 @@ func TestGrantOfferRevalidates(t *testing.T) {
 	}
 	l.Cancel()
 	m.Close()
-	if err := m.GrantOffer(new(Lease), OpInp, offer); !errors.Is(err, ErrClosed) {
+	if err := m.GrantOffer(new(Lease), OpInp, offer, m.expiries.Now()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("GrantOffer after Close: %v, want ErrClosed", err)
 	}
 }

@@ -190,7 +190,7 @@ func (m *Manager) Grant(op OpKind, r Requester) (*Lease, error) {
 		return nil, err
 	}
 	l := new(Lease)
-	if err := m.GrantOffer(l, op, offer); err != nil {
+	if err := m.GrantOffer(l, op, offer, m.expiries.Now()); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -229,10 +229,11 @@ func (m *Manager) Admit(op OpKind, want Terms) (Terms, error) {
 
 // GrantOffer mints offer, as Negotiate or Admit decided it, into l, a zero
 // Lease the caller owns (a field of the holder it bounds), and schedules
-// its expiry. An offer no longer covered is ErrRefused, counted, with l
-// untouched. The manager refers to l until it ends: it must not be copied
-// or granted into again.
-func (m *Manager) GrantOffer(l *Lease, op OpKind, offer Terms) error {
+// its expiry: its deadline is offer.Duration after now, the caller's
+// reading of the manager's clock, which its event reuses. An offer no
+// longer covered is ErrRefused, counted, with l untouched. The manager
+// refers to l until it ends: it must not be copied or granted into again.
+func (m *Manager) GrantOffer(l *Lease, op OpKind, offer Terms, now time.Time) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.revalidateLocked(op, offer); err != nil {
@@ -242,7 +243,7 @@ func (m *Manager) GrantOffer(l *Lease, op OpKind, offer Terms) error {
 	l.mgr = m
 	l.op = op
 	l.terms = offer
-	l.deadline = m.expiries.Now().Add(offer.Duration)
+	l.deadline = now.Add(offer.Duration)
 	l.skew = m.cap.SkewBand
 	l.id = m.nextID
 	l.state = StateActive

@@ -86,6 +86,17 @@ if [ -n "$gos" ]; then
 	exit 1
 fi
 
+# Hot-path counters are handles resolved once (trace.Metrics.Counter,
+# DESIGN.md §7, "One reading per event"): a bump by name resolves it in a
+# map under the registry's lock on every call.
+echo "==> core, store, discovery, lease and the transports bump no counter by name"
+bumps="$(git ls-files 'internal/core/*.go' 'internal/store/*.go' 'internal/discovery/*.go' 'lease/*.go' 'transport/memnet/*.go' 'transport/netudp/*.go' | grep -v '_test.go$' | xargs grep -nE '\.(Inc|Add|Set)\(trace\.' || true)"
+if [ -n "$bumps" ]; then
+	echo "counters bumped by name:"
+	echo "$bumps"
+	exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 

@@ -2,6 +2,13 @@
 // Tiamat instance, the simulated network, and the baseline systems. The
 // experiment harness snapshots these counters to produce the series
 // reported in EXPERIMENTS.md.
+//
+// A counter is written one of two ways. The hot paths (core, the store,
+// the responder list and both transports) resolve a handle once, when
+// they are built (Metrics.Counter), and bump it with atomics alone: no
+// name lookup and no lock per event. Metrics.Add, Inc and Set resolve the
+// name under the registry's lock on every call, which is what occasional
+// writers and the benchmark module use.
 package trace
 
 import (
@@ -17,15 +24,45 @@ import (
 type Metrics struct {
 	mu       sync.Mutex
 	parent   *Metrics // receives every Add/Inc/Set under the same name; nil on a root
-	counters map[string]*counter
+	counters map[string]*Counter
+	// free is the rest of the block new counters are carved from: a node
+	// resolves its handles when it is built, and a block makes that a few
+	// allocations, not one per name.
+	free []Counter
 }
 
-// counter is one named value. up is the parent registry's counter of the
-// same name, resolved once when the counter is made, so a write costs the
-// writer's own lookup plus one atomic operation per ancestor.
-type counter struct {
+// counterBlock is how many counters a registry allocates at a time, about
+// what a node resolves when it is built.
+const counterBlock = 64
+
+// Counter is one named value of a registry, and the handle its writers
+// keep (Metrics.Counter). up is the parent registry's counter of the same
+// name, resolved when the counter is made, so a write through the handle
+// is one atomic operation per registry up the chain and nothing else.
+type Counter struct {
 	v  atomic.Int64
-	up *counter
+	up *Counter
+}
+
+// Add increments the counter, and its ancestors', by delta.
+func (c *Counter) Add(delta int64) {
+	for ; c != nil; c = c.up {
+		c.v.Add(delta)
+	}
+}
+
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.Add(1) }
+
+// Load returns the counter's value in its own registry.
+func (c *Counter) Load() int64 { return c.v.Load() }
+
+// Set stores an absolute value here and in every ancestor (gauge
+// semantics).
+func (c *Counter) Set(v int64) {
+	for ; c != nil; c = c.up {
+		c.v.Store(v)
+	}
 }
 
 // NewNode returns a registry that keeps its own values and forwards every
@@ -35,20 +72,24 @@ type counter struct {
 // called on and no other.
 func NewNode(parent *Metrics) *Metrics { return &Metrics{parent: parent} }
 
-// counter returns (creating if needed) the counter with the given name.
-// Making one takes the parent's lock inside this registry's: registries
-// form a tree, locked child before parent.
-func (m *Metrics) counter(name string) *counter {
+// Counter returns the handle of the named counter, making it (at 0, here
+// and in every ancestor) if needed; Snapshot lists it from then on. Making
+// one takes the parent's lock inside this registry's: registries form a
+// tree, locked child before parent.
+func (m *Metrics) Counter(name string) *Counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.counters == nil {
-		m.counters = make(map[string]*counter)
+		m.counters = make(map[string]*Counter, counterBlock)
 	}
 	c, ok := m.counters[name]
 	if !ok {
-		c = new(counter)
+		if len(m.free) == 0 {
+			m.free = make([]Counter, counterBlock)
+		}
+		c, m.free = &m.free[0], m.free[1:]
 		if m.parent != nil {
-			c.up = m.parent.counter(name)
+			c.up = m.parent.Counter(name)
 		}
 		m.counters[name] = c
 	}
@@ -56,21 +97,13 @@ func (m *Metrics) counter(name string) *counter {
 }
 
 // Add increments the named counter by delta.
-func (m *Metrics) Add(name string, delta int64) {
-	for c := m.counter(name); c != nil; c = c.up {
-		c.v.Add(delta)
-	}
-}
+func (m *Metrics) Add(name string, delta int64) { m.Counter(name).Add(delta) }
 
 // Inc increments the named counter by one.
-func (m *Metrics) Inc(name string) { m.Add(name, 1) }
+func (m *Metrics) Inc(name string) { m.Counter(name).Inc() }
 
 // Set stores an absolute value (gauge semantics).
-func (m *Metrics) Set(name string, v int64) {
-	for c := m.counter(name); c != nil; c = c.up {
-		c.v.Store(v)
-	}
-}
+func (m *Metrics) Set(name string, v int64) { m.Counter(name).Set(v) }
 
 // Get returns the current value of the named counter (0 if absent).
 func (m *Metrics) Get(name string) int64 {
@@ -80,7 +113,7 @@ func (m *Metrics) Get(name string) int64 {
 	if !ok {
 		return 0
 	}
-	return c.v.Load()
+	return c.Load()
 }
 
 // Snapshot returns a copy of all counters.
@@ -89,7 +122,7 @@ func (m *Metrics) Snapshot() map[string]int64 {
 	defer m.mu.Unlock()
 	out := make(map[string]int64, len(m.counters))
 	for k, c := range m.counters {
-		out[k] = c.v.Load()
+		out[k] = c.Load()
 	}
 	return out
 }

@@ -176,3 +176,35 @@ func TestNodeIncAllocatesNothing(t *testing.T) {
 		t.Fatalf("Inc on a warm node allocates %v objects", n)
 	}
 }
+
+// A handle is the counter its name names: it is listed at 0 from the
+// moment it is resolved, its writes read back by name, here and up the
+// chain, and it keeps working across resets.
+func TestCounterHandle(t *testing.T) {
+	var root Metrics
+	a := NewNode(&root)
+	c := a.Counter("x")
+	for _, m := range []*Metrics{a, &root} {
+		if v, ok := m.Snapshot()["x"]; !ok || v != 0 {
+			t.Fatalf("a resolved handle lists as %d, %v; want 0, true", v, ok)
+		}
+	}
+	c.Inc()
+	c.Add(4)
+	a.Inc("x")
+	if a.Get("x") != 6 || root.Get("x") != 6 || c.Load() != 6 {
+		t.Fatalf("a=%d root=%d handle=%d, want 6 each", a.Get("x"), root.Get("x"), c.Load())
+	}
+	if a.Counter("x") != c {
+		t.Fatal("a second resolution made a second counter")
+	}
+	c.Set(2)
+	if a.Get("x") != 2 || root.Get("x") != 2 {
+		t.Fatalf("after Set: a=%d root=%d, want 2/2", a.Get("x"), root.Get("x"))
+	}
+	a.Reset()
+	c.Inc()
+	if a.Get("x") != 1 || root.Get("x") != 3 {
+		t.Fatalf("after reset: a=%d root=%d, want 1/3", a.Get("x"), root.Get("x"))
+	}
+}

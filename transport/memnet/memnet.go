@@ -96,7 +96,8 @@ func (s limpState) extraAt(now time.Time) time.Duration {
 // Network is a simulated broadcast domain.
 type Network struct {
 	clk clock.Clock
-	met *trace.Metrics
+	met *trace.Metrics // shared by every endpoint's Send; New resolves ctr on it
+	ctr counters
 
 	mu         sync.Mutex
 	rng        *rand.Rand
@@ -168,6 +169,39 @@ func WithSeed(seed int64) Option {
 	return func(n *Network) { n.rng = rand.New(rand.NewSource(seed)) }
 }
 
+// counters are the network's counter handles (trace.Metrics.Counter).
+type counters struct {
+	bytesSent      *trace.Counter
+	chaosCorrupts  *trace.Counter
+	chaosDups      *trace.Counter
+	chaosLimped    *trace.Counter
+	chaosReorders  *trace.Counter
+	corruptFrames  *trace.Counter
+	msgsDropped    *trace.Counter
+	msgsSent       *trace.Counter
+	multicastRecvs *trace.Counter
+	multicasts     *trace.Counter
+	staleDrops     *trace.Counter
+	unicasts       *trace.Counter
+}
+
+func newCounters(m *trace.Metrics) counters {
+	return counters{
+		bytesSent:      m.Counter(trace.CtrBytesSent),
+		chaosCorrupts:  m.Counter(trace.CtrChaosCorrupts),
+		chaosDups:      m.Counter(trace.CtrChaosDups),
+		chaosLimped:    m.Counter(trace.CtrChaosLimped),
+		chaosReorders:  m.Counter(trace.CtrChaosReorders),
+		corruptFrames:  m.Counter(trace.CtrCorruptFrames),
+		msgsDropped:    m.Counter(trace.CtrMsgsDropped),
+		msgsSent:       m.Counter(trace.CtrMsgsSent),
+		multicastRecvs: m.Counter(trace.CtrMulticastRecvs),
+		multicasts:     m.Counter(trace.CtrMulticasts),
+		staleDrops:     m.Counter(trace.CtrStaleDrops),
+		unicasts:       m.Counter(trace.CtrUnicasts),
+	}
+}
+
 // New returns an empty network.
 func New(opts ...Option) *Network {
 	n := &Network{
@@ -183,6 +217,7 @@ func New(opts ...Option) *Network {
 	for _, o := range opts {
 		o(n)
 	}
+	n.ctr = newCounters(n.met)
 	return n
 }
 
@@ -446,7 +481,7 @@ func (n *Network) limpForLocked(from, to wire.Addr) time.Duration {
 func (n *Network) applyLimpLocked(from, to wire.Addr, f Faults) Faults {
 	if extra := n.limpForLocked(from, to); extra > 0 {
 		f.Latency += extra
-		n.met.Inc(trace.CtrChaosLimped)
+		n.ctr.chaosLimped.Inc()
 	}
 	return f
 }
@@ -568,7 +603,7 @@ func (nd *node) Send(to wire.Addr, m *wire.Message) error {
 	dst, ok := n.nodes[to]
 	if !ok || !n.vis[dedge{nd.addr, to}] {
 		n.mu.Unlock()
-		n.met.Inc(trace.CtrMsgsDropped)
+		n.ctr.msgsDropped.Inc()
 		return fmt.Errorf("%s -> %s: %w", nd.addr, to, transport.ErrUnreachable)
 	}
 	// Encode into a pooled buffer: transmit hands the frame to the decoding
@@ -577,9 +612,9 @@ func (nd *node) Send(to wire.Addr, m *wire.Message) error {
 	buf := wire.GetBuf()
 	buf.B = wire.AppendEncodeBy(buf.B, m, nd.addr)
 	data := buf.B
-	n.met.Inc(trace.CtrMsgsSent)
-	n.met.Inc(trace.CtrUnicasts)
-	n.met.Add(trace.CtrBytesSent, int64(len(data)))
+	n.ctr.msgsSent.Inc()
+	n.ctr.unicasts.Inc()
+	n.ctr.bytesSent.Add(int64(len(data)))
 	f := n.applyLimpLocked(nd.addr, to, n.faultsForLocked(nd.addr, to))
 	n.mu.Unlock()
 	n.transmit(nd.addr, dst, data, f)
@@ -599,8 +634,8 @@ func (nd *node) Multicast(m *wire.Message) (int, error) {
 	buf.B = wire.AppendEncodeBy(buf.B, m, nd.addr)
 	data := buf.B
 	neighbors := n.neighborsLocked(nd.addr)
-	n.met.Inc(trace.CtrMulticasts)
-	n.met.Add(trace.CtrBytesSent, int64(len(data)))
+	n.ctr.multicasts.Inc()
+	n.ctr.bytesSent.Add(int64(len(data)))
 	type target struct {
 		nd *node
 		f  Faults
@@ -612,7 +647,7 @@ func (nd *node) Multicast(m *wire.Message) (int, error) {
 	n.mu.Unlock()
 	for _, tg := range targets {
 		if n.transmit(nd.addr, tg.nd, data, tg.f) {
-			n.met.Inc(trace.CtrMulticastRecvs)
+			n.ctr.multicastRecvs.Inc()
 		}
 	}
 	buf.Release()
@@ -629,15 +664,15 @@ func (n *Network) transmit(from wire.Addr, dst *node, data []byte, f Faults) boo
 		data = append([]byte(nil), data...)
 		pos := n.intn(len(data) * 8)
 		data[pos/8] ^= 1 << (pos % 8)
-		n.met.Inc(trace.CtrChaosCorrupts)
+		n.ctr.chaosCorrupts.Inc()
 	}
 	if f.Loss > 0 && n.chance(f.Loss) {
-		n.met.Inc(trace.CtrMsgsDropped)
+		n.ctr.msgsDropped.Inc()
 		return false // loss is silent, like the real world
 	}
 	lat := f.Latency + n.jitter(f.Jitter)
 	if f.Dup > 0 && n.chance(f.Dup) {
-		n.met.Inc(trace.CtrChaosDups)
+		n.ctr.chaosDups.Inc()
 		n.deliver(from, dst, data, f.Latency+n.jitter(f.Jitter))
 	}
 	if f.Reorder > 0 && n.chance(f.Reorder) {
@@ -655,14 +690,14 @@ func (n *Network) holdBack(from wire.Addr, dst *node, data []byte, lat time.Dura
 	n.mu.Lock()
 	if dst.closed {
 		n.mu.Unlock()
-		n.met.Inc(trace.CtrMsgsDropped)
+		n.ctr.msgsDropped.Inc()
 		return
 	}
 	// Copy: the caller's frame lives in a pooled buffer that is reused as
 	// soon as transmit returns, but a held frame outlives the send.
 	dst.held = append(dst.held, heldFrame{from: from, data: append([]byte(nil), data...), lat: lat})
 	n.mu.Unlock()
-	n.met.Inc(trace.CtrChaosReorders)
+	n.ctr.chaosReorders.Inc()
 	flushAfter := f.Latency + f.Jitter + time.Millisecond
 	n.clk.AfterFunc(flushAfter, func() { n.flushHeld(dst) })
 }
@@ -714,8 +749,8 @@ func (n *Network) deliver(from wire.Addr, dst *node, data []byte, lat time.Durat
 	// decoded message lives arbitrarily long in the receiver.
 	msg, err := wire.Decode(data)
 	if err != nil {
-		n.met.Inc(trace.CtrCorruptFrames)
-		n.met.Inc(trace.CtrMsgsDropped)
+		n.ctr.corruptFrames.Inc()
+		n.ctr.msgsDropped.Inc()
 		return
 	}
 	if msg.From == "" {
@@ -735,7 +770,7 @@ func (n *Network) enqueue(from wire.Addr, dst *node, msg *wire.Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if dst.closed {
-		n.met.Inc(trace.CtrMsgsDropped)
+		n.ctr.msgsDropped.Inc()
 		return
 	}
 	// Radio propagation: delivery requires the directed edge to be up at
@@ -743,13 +778,13 @@ func (n *Network) enqueue(from wire.Addr, dst *node, msg *wire.Message) {
 	// reorder hold-back whose edge went invisible mid-flight is dropped —
 	// delivering it would smuggle data across a partition.
 	if !n.vis[dedge{from, dst.addr}] {
-		n.met.Inc(trace.CtrStaleDrops)
-		n.met.Inc(trace.CtrMsgsDropped)
+		n.ctr.staleDrops.Inc()
+		n.ctr.msgsDropped.Inc()
 		return
 	}
 	select {
 	case dst.inbox <- msg:
 	default:
-		n.met.Inc(trace.CtrMsgsDropped) // inbox overflow
+		n.ctr.msgsDropped.Inc() // inbox overflow
 	}
 }

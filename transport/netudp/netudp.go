@@ -35,10 +35,12 @@ const (
 	// maxDatagram is the largest multicast probe we send.
 	maxDatagram = 60 * 1024
 	// readIdle is how long the receive side waits between frames on a
-	// persistent connection before hanging up. It must exceed senders'
-	// IdleTimeout so the idle closer is normally the sender (a sender-side
-	// close is a clean EOF here; a receiver-side close risks racing a
-	// write into a half-closed socket).
+	// persistent connection before hanging up, give or take a quarter: the
+	// deadline is re-armed only once the last arm is older than
+	// readIdle/4, so the hang-up falls 22.5–30 s after the last frame. It
+	// must exceed senders' IdleTimeout even so, so that the idle closer is
+	// normally the sender (a sender-side close is a clean EOF here; a
+	// receiver-side close risks racing a write into a half-closed socket).
 	readIdle = 30 * time.Second
 	// readBufSize is the per-connection receive buffer: one socket read
 	// drains up to this much of what the sender's batched writes queued.
@@ -86,7 +88,7 @@ type Transport struct {
 	udp   *net.UDPConn // multicast listener (nil if disabled)
 	mcast *net.UDPConn // multicast send socket, one for every datagram
 	group *net.UDPAddr
-	met   *trace.Metrics
+	ctr   counters // handles on cfg.Metrics
 	inbox chan *wire.Message
 	rng   splitmix.Source // backoff jitter source
 	start time.Time       // sessions stamp lastUse as an offset from it
@@ -103,6 +105,43 @@ type Transport struct {
 }
 
 var _ transport.Endpoint = (*Transport)(nil)
+
+// counters are the transport's counter handles (trace.Metrics.Counter).
+type counters struct {
+	batchFlushes  *trace.Counter
+	batchedFrames *trace.Counter
+	bytesSent     *trace.Counter
+	corruptFrames *trace.Counter
+	iOTimeouts    *trace.Counter
+	inboxOverflow *trace.Counter
+	msgsDropped   *trace.Counter
+	msgsSent      *trace.Counter
+	multicasts    *trace.Counter
+	panics        *trace.Counter
+	readErrors    *trace.Counter
+	retries       *trace.Counter
+	sendErrors    *trace.Counter
+	unicasts      *trace.Counter
+}
+
+func newCounters(m *trace.Metrics) counters {
+	return counters{
+		batchFlushes:  m.Counter(trace.CtrBatchFlushes),
+		batchedFrames: m.Counter(trace.CtrBatchedFrames),
+		bytesSent:     m.Counter(trace.CtrBytesSent),
+		corruptFrames: m.Counter(trace.CtrCorruptFrames),
+		iOTimeouts:    m.Counter(trace.CtrIOTimeouts),
+		inboxOverflow: m.Counter(trace.CtrInboxOverflow),
+		msgsDropped:   m.Counter(trace.CtrMsgsDropped),
+		msgsSent:      m.Counter(trace.CtrMsgsSent),
+		multicasts:    m.Counter(trace.CtrMulticasts),
+		panics:        m.Counter(trace.CtrPanics),
+		readErrors:    m.Counter(trace.CtrReadErrors),
+		retries:       m.Counter(trace.CtrRetries),
+		sendErrors:    m.Counter(trace.CtrSendErrors),
+		unicasts:      m.Counter(trace.CtrUnicasts),
+	}
+}
 
 // New starts the transport: the TCP listener and, if configured, the
 // multicast receiver.
@@ -133,7 +172,7 @@ func New(cfg Config) (*Transport, error) {
 		cfg:      cfg,
 		addr:     wire.Addr(ln.Addr().String()),
 		ln:       ln,
-		met:      cfg.Metrics,
+		ctr:      newCounters(cfg.Metrics),
 		inbox:    make(chan *wire.Message, 4096),
 		start:    time.Now(),
 		sessions: make(map[wire.Addr]*session),
@@ -267,7 +306,7 @@ func (t *Transport) Multicast(m *wire.Message) (int, error) {
 	if t.isClosed() {
 		return 0, transport.ErrClosed
 	}
-	t.met.Inc(trace.CtrMulticasts)
+	t.ctr.multicasts.Inc()
 	reached := 0
 	for _, peer := range t.cfg.StaticPeers {
 		if wire.Addr(peer) == t.addr {
@@ -290,7 +329,7 @@ func (t *Transport) Multicast(m *wire.Message) (int, error) {
 	if _, err := t.mcast.Write(frame); err != nil {
 		return -1, err
 	}
-	t.met.Add(trace.CtrBytesSent, int64(len(frame)))
+	t.ctr.bytesSent.Add(int64(len(frame)))
 	return -1, nil // audience unknown on a real network
 }
 
@@ -332,7 +371,7 @@ func (t *Transport) acceptLoop() {
 // survives, and the event is visible on the panic counter.
 func (t *Transport) recoverPanic() {
 	if r := recover(); r != nil {
-		t.met.Inc(trace.CtrPanics)
+		t.ctr.panics.Inc()
 	}
 }
 
@@ -340,17 +379,23 @@ func (t *Transport) recoverPanic() {
 // stamping the preamble's sender on each frame that leaves From empty. The
 // socket is read through one fixed buffer, so what the sender's group
 // commit put on the wire with one write is drained with one read, and the
-// idle deadline is armed once per socket read rather than once per frame.
+// idle deadline is re-armed only when its last arm is readIdle/4 old: one
+// clock reading per socket read, and no deadline reset on a busy one.
 // A frame that sits whole in the buffer is decoded from that window:
 // wire.Decode copies it into the message's own object, so the next read
 // may overwrite it. Only a frame larger than the buffer is assembled.
 func (t *Transport) readFrames(conn net.Conn) {
 	buf := make([]byte, readBufSize)
 	r, w := 0, 0 // buf[r:w] has been read from the socket and not yet parsed
+	// armed is when the idle deadline was last armed.
+	var armed time.Time
 	// read reads the socket once into p. An error that arrives with bytes
 	// is left for the next read to report again.
 	read := func(p []byte) (int, error) {
-		_ = conn.SetReadDeadline(time.Now().Add(readIdle))
+		if now := time.Now(); now.Sub(armed) > readIdle/4 {
+			_ = conn.SetReadDeadline(now.Add(readIdle))
+			armed = now
+		}
 		n, err := conn.Read(p)
 		if n > 0 {
 			err = nil
@@ -362,14 +407,14 @@ func (t *Transport) readFrames(conn net.Conn) {
 		if from == "" {
 			addr, size := parsePreamble(buf[r:w])
 			if size < 0 {
-				t.met.Inc(trace.CtrReadErrors)
+				t.ctr.readErrors.Inc()
 				return
 			}
 			from, r = addr, r+size
 		}
 		n, pn := binary.Uvarint(buf[r:w])
 		if pn < 0 || pn > 0 && (n == 0 || n > maxFrame) {
-			t.met.Inc(trace.CtrReadErrors)
+			t.ctr.readErrors.Inc()
 			return
 		}
 		var m *wire.Message
@@ -398,7 +443,7 @@ func (t *Transport) readFrames(conn net.Conn) {
 					r = k
 				}
 				if err != nil {
-					t.met.Inc(trace.CtrReadErrors)
+					t.ctr.readErrors.Inc()
 					return
 				}
 				have += k
@@ -418,7 +463,7 @@ func (t *Transport) readFrames(conn net.Conn) {
 				// reset, or EOF or timeout mid-frame — silently loses a frame
 				// and must be visible.
 				if !(w == 0 && (err == io.EOF || isTimeout(err))) && !t.isClosed() {
-					t.met.Inc(trace.CtrReadErrors)
+					t.ctr.readErrors.Inc()
 				}
 				return
 			}
@@ -428,8 +473,8 @@ func (t *Transport) readFrames(conn net.Conn) {
 		if err != nil {
 			// Corrupt frame (checksum or structure): drop it, keep the
 			// connection — later frames are independent.
-			t.met.Inc(trace.CtrCorruptFrames)
-			t.met.Inc(trace.CtrMsgsDropped)
+			t.ctr.corruptFrames.Inc()
+			t.ctr.msgsDropped.Inc()
 			continue
 		}
 		if m.From == "" {
@@ -484,13 +529,13 @@ func (t *Transport) udpRecvOne(buf []byte) (stop bool) {
 		if t.isClosed() {
 			return true
 		}
-		t.met.Inc(trace.CtrReadErrors)
+		t.ctr.readErrors.Inc()
 		return false
 	}
 	m, err := wire.Decode(buf[:n])
 	if err != nil {
-		t.met.Inc(trace.CtrCorruptFrames)
-		t.met.Inc(trace.CtrMsgsDropped)
+		t.ctr.corruptFrames.Inc()
+		t.ctr.msgsDropped.Inc()
 		return false
 	}
 	if m.From == t.addr {
@@ -510,8 +555,8 @@ func (t *Transport) enqueue(m *wire.Message) {
 	select {
 	case t.inbox <- m:
 	default:
-		t.met.Inc(trace.CtrInboxOverflow)
-		t.met.Inc(trace.CtrMsgsDropped)
+		t.ctr.inboxOverflow.Inc()
+		t.ctr.msgsDropped.Inc()
 	}
 }
 

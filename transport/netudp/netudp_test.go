@@ -371,7 +371,7 @@ func TestSendRetriesBeforeGivingUp(t *testing.T) {
 	if !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("err = %v", err)
 	}
-	if got := a.met.Get(trace.CtrRetries); got != 1 {
+	if got := a.cfg.Metrics.Get(trace.CtrRetries); got != 1 {
 		t.Fatalf("retries = %d, want 1", got)
 	}
 }
@@ -391,7 +391,7 @@ func TestSocketErrorsAreCounted(t *testing.T) {
 	if err := a.Send("127.0.0.1:1", &wire.Message{Type: wire.TDiscover, ID: 1, From: a.Addr()}); err == nil {
 		t.Fatal("send to dead peer succeeded")
 	}
-	if got := a.met.Get(trace.CtrSendErrors); got != 1 {
+	if got := a.cfg.Metrics.Get(trace.CtrSendErrors); got != 1 {
 		t.Fatalf("send_errors = %d, want 1", got)
 	}
 
@@ -404,7 +404,7 @@ func TestSocketErrorsAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	waitCounter(t, a.met, trace.CtrReadErrors, 1)
+	waitCounter(t, a.cfg.Metrics, trace.CtrReadErrors, 1)
 
 	// Connection reset mid-frame: prefix promises 100 bytes, body never
 	// arrives.
@@ -416,7 +416,7 @@ func TestSocketErrorsAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn2.Close()
-	waitCounter(t, a.met, trace.CtrReadErrors, 2)
+	waitCounter(t, a.cfg.Metrics, trace.CtrReadErrors, 2)
 }
 
 func waitCounter(t *testing.T, met *trace.Metrics, ctr string, want int64) {

@@ -31,22 +31,24 @@ type scriptConn struct {
 	chunks   [][]byte
 	end      error
 
-	reads   int  // Read calls made
-	armed   bool // SetReadDeadline since the last Read
-	unarmed int  // Read calls made without arming the deadline first
+	reads    int       // Read calls made
+	deadline time.Time // the idle deadline last armed
+	short    int       // Read calls made under no deadline or one too near
 }
 
-func (c *scriptConn) SetReadDeadline(time.Time) error {
-	c.armed = true
+func (c *scriptConn) SetReadDeadline(t time.Time) error {
+	c.deadline = t
 	return nil
 }
 
+// Read counts a read made with less than three quarters of readIdle left
+// before the idle deadline: readFrames re-arms it only once its last arm
+// is readIdle/4 old.
 func (c *scriptConn) Read(p []byte) (int, error) {
 	c.reads++
-	if !c.armed {
-		c.unarmed++
+	if time.Until(c.deadline) < readIdle-readIdle/4 {
+		c.short++
 	}
-	c.armed = false
 	if len(c.chunks) == 0 {
 		return 0, c.end
 	}
@@ -103,15 +105,15 @@ func goldenStream(t testing.TB, n int) (stream []byte, want []*wire.Message) {
 func readScript(t *testing.T, end error, chunks ...[]byte) ([]*wire.Message, *trace.Metrics, *scriptConn) {
 	t.Helper()
 	met := &trace.Metrics{}
-	tr := &Transport{met: met, inbox: make(chan *wire.Message, 4096)}
+	tr := &Transport{ctr: newCounters(met), inbox: make(chan *wire.Message, 4096)}
 	conn := &scriptConn{chunks: chunks, end: end}
 	tr.readFrames(conn)
 	var got []*wire.Message
 	for len(tr.inbox) > 0 {
 		got = append(got, <-tr.inbox)
 	}
-	if conn.unarmed != 0 {
-		t.Errorf("%d of %d socket reads made without arming the idle deadline first", conn.unarmed, conn.reads)
+	if conn.short != 0 {
+		t.Errorf("%d of %d socket reads made under no idle deadline, or one under %v away", conn.short, conn.reads, readIdle-readIdle/4)
 	}
 	return got, met, conn
 }
@@ -378,7 +380,7 @@ func FuzzReadFrames(f *testing.F) {
 	f.Add(frame(&wire.Message{Type: wire.TDiscover, ID: 1, From: "x"}))
 	f.Add(appendPreamble(nil, ""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr := &Transport{met: &trace.Metrics{}, inbox: make(chan *wire.Message, 4096)}
+		tr := &Transport{ctr: newCounters(&trace.Metrics{}), inbox: make(chan *wire.Message, 4096)}
 		rx, tx := net.Pipe()
 		wrote := make(chan struct{})
 		go func() {

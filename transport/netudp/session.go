@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tiamat/trace"
 	"tiamat/transport"
 	"tiamat/wire"
 )
@@ -142,16 +141,16 @@ func (s *session) flushLoop() {
 		n, err := s.writeBatch(buf)
 		frames := int64(len(wtrs))
 		if err == nil {
-			s.t.met.Add(trace.CtrMsgsSent, frames)
-			s.t.met.Add(trace.CtrUnicasts, frames)
-			s.t.met.Add(trace.CtrBytesSent, n)
+			s.t.ctr.msgsSent.Add(frames)
+			s.t.ctr.unicasts.Add(frames)
+			s.t.ctr.bytesSent.Add(n)
 			if frames > 1 {
-				s.t.met.Inc(trace.CtrBatchFlushes)
-				s.t.met.Add(trace.CtrBatchedFrames, frames)
+				s.t.ctr.batchFlushes.Inc()
+				s.t.ctr.batchedFrames.Add(frames)
 			}
 		} else {
-			s.t.met.Inc(trace.CtrSendErrors)
-			s.t.met.Add(trace.CtrMsgsDropped, frames)
+			s.t.ctr.sendErrors.Inc()
+			s.t.ctr.msgsDropped.Add(frames)
 		}
 		for _, ch := range wtrs {
 			ch <- err
@@ -216,14 +215,19 @@ func (s *session) failLocked(err error) {
 // out since the last batch, so the first such failure earns one immediate
 // uncounted redial before the attempt/backoff cycle charges for it. A
 // write or dial that ran out its deadline is counted (net.io_timeouts)
-// even when a redial then delivers the batch.
+// even when a redial then delivers the batch. An attempt reads the clock
+// once, for the idle check, the write deadline and lastUse alike, and
+// again only after a dial.
 func (s *session) writeBatch(buf []byte) (int64, error) {
 	var lastErr error
 	staleRetry := true
 	for attempt := 1; ; attempt++ {
-		conn, fresh, err := s.ensureConn()
+		now := time.Now()
+		conn, fresh, err := s.ensureConn(now)
 		if err == nil {
-			now := time.Now()
+			if fresh {
+				now = time.Now() // the dial took its time
+			}
 			_ = conn.SetWriteDeadline(now.Add(writeTimeout))
 			n := int64(len(buf))
 			if fresh {
@@ -239,7 +243,7 @@ func (s *session) writeBatch(buf []byte) (int64, error) {
 			s.dropConn(conn)
 		}
 		if isTimeout(err) {
-			s.t.met.Inc(trace.CtrIOTimeouts)
+			s.t.ctr.iOTimeouts.Inc()
 		}
 		if !fresh && staleRetry {
 			staleRetry = false
@@ -252,7 +256,7 @@ func (s *session) writeBatch(buf []byte) (int64, error) {
 		}
 		wait := s.t.cfg.SendBackoff << (attempt - 1)
 		wait += time.Duration(s.t.rng.Int63n(int64(s.t.cfg.SendBackoff)))
-		s.t.met.Inc(trace.CtrRetries)
+		s.t.ctr.retries.Inc()
 		time.Sleep(wait)
 	}
 }
@@ -261,10 +265,11 @@ func (s *session) writeBatch(buf []byte) (int64, error) {
 // has sat idle past IdleTimeout (receivers hang up idle connections; a
 // proactive redial beats writing into a half-closed socket and losing
 // the batch). fresh reports whether the connection was dialed just now.
-func (s *session) ensureConn() (net.Conn, bool, error) {
+// now is the caller's clock reading, for the idle check.
+func (s *session) ensureConn(now time.Time) (net.Conn, bool, error) {
 	s.mu.Lock()
 	conn := s.conn
-	stale := conn != nil && s.idle()
+	stale := conn != nil && s.idle(now)
 	if stale {
 		s.conn = nil
 	}
@@ -292,9 +297,10 @@ func (s *session) ensureConn() (net.Conn, bool, error) {
 	return c, true, nil
 }
 
-// idle reports whether the connection has gone unwritten past IdleTimeout.
-func (s *session) idle() bool {
-	return time.Since(s.t.start)-time.Duration(s.lastUse.Load()) > s.t.cfg.IdleTimeout
+// idle reports whether the connection has gone unwritten past IdleTimeout
+// at now.
+func (s *session) idle(now time.Time) bool {
+	return now.Sub(s.t.start)-time.Duration(s.lastUse.Load()) > s.t.cfg.IdleTimeout
 }
 
 // reap marks the session dropped if nothing would be lost with it: no
@@ -305,7 +311,7 @@ func (s *session) idle() bool {
 func (s *session) reap() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.flushing || len(s.waiters) > 0 || (s.conn != nil && !s.idle()) {
+	if s.flushing || len(s.waiters) > 0 || (s.conn != nil && !s.idle(time.Now())) {
 		return false
 	}
 	if s.conn != nil {

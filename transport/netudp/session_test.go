@@ -63,7 +63,7 @@ func TestConcurrentSendsAllArrive(t *testing.T) {
 		}
 		seen[m.ID] = true
 	}
-	if got := a.met.Get(trace.CtrMsgsSent); got != senders*per {
+	if got := a.cfg.Metrics.Get(trace.CtrMsgsSent); got != senders*per {
 		t.Fatalf("msgs_sent = %d, want %d", got, senders*per)
 	}
 }
@@ -310,7 +310,7 @@ func TestSessionsReapedWhenPeersChange(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := b.met.Get(trace.CtrReadErrors); n != 0 {
+	if n := b.cfg.Metrics.Get(trace.CtrReadErrors); n != 0 {
 		t.Fatalf("reaping an idle session cost the peer %d read errors, want a clean EOF", n)
 	}
 }
@@ -507,10 +507,10 @@ func TestWriteTimeoutCounted(t *testing.T) {
 			break
 		}
 	}
-	if n := a.met.Get(trace.CtrIOTimeouts); n != 1 {
+	if n := a.cfg.Metrics.Get(trace.CtrIOTimeouts); n != 1 {
 		t.Fatalf("net.io_timeouts = %d, want 1", n)
 	}
-	if n := a.met.Get(trace.CtrSendErrors); n != 0 {
+	if n := a.cfg.Metrics.Get(trace.CtrSendErrors); n != 0 {
 		t.Fatalf("net.send_errors = %d, want 0: the redial delivered", n)
 	}
 }
@@ -521,7 +521,8 @@ func TestWriteTimeoutCounted(t *testing.T) {
 // redial delivers. Every connection opens with the preamble, counted in
 // net.bytes_sent, and every frame after it is stamped with the sender.
 func TestRedialSendsThePreambleAgain(t *testing.T) {
-	rx := &Transport{met: &trace.Metrics{}, inbox: make(chan *wire.Message, 16)}
+	rxMet := &trace.Metrics{}
+	rx := &Transport{ctr: newCounters(rxMet), inbox: make(chan *wire.Message, 16)}
 	serve := func(ln net.Listener) {
 		go func() {
 			for {
@@ -579,7 +580,7 @@ func TestRedialSendsThePreambleAgain(t *testing.T) {
 	dropConn()
 	send(2)
 	arrives(2)
-	if n := a.met.Get(trace.CtrRetries); n != 0 {
+	if n := a.cfg.Metrics.Get(trace.CtrRetries); n != 0 {
 		t.Fatalf("net.retries = %d after the stale-connection retry, want 0", n)
 	}
 
@@ -590,7 +591,7 @@ func TestRedialSendsThePreambleAgain(t *testing.T) {
 		defer close(sent)
 		send(3)
 	}()
-	waitCounter(t, a.met, trace.CtrRetries, 1) // the redial was refused
+	waitCounter(t, a.cfg.Metrics, trace.CtrRetries, 1) // the redial was refused
 	if ln, err = net.Listen("tcp", string(to)); err != nil {
 		t.Fatal(err)
 	}
@@ -598,10 +599,10 @@ func TestRedialSendsThePreambleAgain(t *testing.T) {
 	serve(ln)
 	<-sent
 	arrives(3)
-	if n := a.met.Get(trace.CtrBytesSent); n != wantBytes {
+	if n := a.cfg.Metrics.Get(trace.CtrBytesSent); n != wantBytes {
 		t.Fatalf("net.bytes_sent = %d, want %d: three frames, each on a new connection after its preamble", n, wantBytes)
 	}
-	if n := rx.met.Get(trace.CtrReadErrors); n != 0 {
+	if n := rxMet.Get(trace.CtrReadErrors); n != 0 {
 		t.Fatalf("net.read_errors = %d at the receiver, want 0", n)
 	}
 }

@@ -466,18 +466,22 @@ func nextTimer(t *testing.T, clk *clock.Virtual) time.Time {
 	return at
 }
 
+// quietSweeps keeps the rig's sweeps out of nextTimer's way: an hour on,
+// and the queue timers armed for their first runs fired empty.
+func quietSweeps(r *rig) {
+	for _, inst := range r.inst {
+		inst.orphans.setEvery(time.Hour)
+	}
+	r.clk.Advance(time.Second)
+}
+
 // TestContactRetriedThenGivenUp: a probe into total loss retransmits at
 // retryWait(1) and retryWait(2) after the transmission before, gives the
 // contact up retryWait(3) after the last, and counts three timeouts.
 func TestContactRetriedThenGivenUp(t *testing.T) {
 	ops := &sendLog{typ: wire.TOp}
 	r := newRig(t, []wire.Addr{"a", "b"}, ops.tap)
-	// Keep the sweeps out of nextTimer's way: an hour on, and the queue
-	// timers armed for their first runs fired empty.
-	for _, inst := range r.inst {
-		inst.orphans.setEvery(time.Hour)
-	}
-	r.clk.Advance(time.Second)
+	quietSweeps(r)
 	r.net.ConnectAll()
 	b := r.inst["b"]
 	b.list.Observe("a")
@@ -521,8 +525,11 @@ func TestContactRetriedThenGivenUp(t *testing.T) {
 // TestHedgeFiresAtTheHedgeDelay: with no RTT sample yet the hedge delay
 // is the contact timeout, sooner than the first retransmission; the walk's
 // one tick is armed for exactly that instant and the hedge goes out on it.
+// The sweeps are kept off the queue, or the wait for the tick could read
+// the orphan sweep's first run instead.
 func TestHedgeFiresAtTheHedgeDelay(t *testing.T) {
 	r := newRig(t, []wire.Addr{"req", "empty", "holder"}, nil)
+	quietSweeps(r)
 	r.net.ConnectAll()
 	req0, empty, holder := r.inst["req"], r.inst["empty"], r.inst["holder"]
 	if err := holder.Out(req(1), hourLease()); err != nil {

@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tiamat/lease"
 	"tiamat/trace"
 	"tiamat/transport"
+	"tiamat/tuple"
 	"tiamat/wire"
 )
 
@@ -227,6 +230,28 @@ func TestDuplicateOfRequestInEachState(t *testing.T) {
 				t.Fatalf("parked copy answered %+v, want req(9)", rs[1])
 			}
 		}},
+		{"answered, then accepted: silence, and nothing more taken", true, func(t *testing.T, d *dupRig) {
+			d.send(take())
+			first := d.results(1)
+			if len(first) != 1 || !first[0].Found || first[0].HoldID == 0 {
+				t.Fatalf("first copy answered %+v, want one found reply under a hold", first)
+			}
+			d.send(&wire.Message{Type: wire.TAccept, ID: 2, HoldID: first[0].HoldID})
+			if tomb := countRequests(d.a, func(e request) bool { return e.state == reqAnswered && e.reply == nil }); tomb != 1 {
+				t.Fatalf("%d answered records without a reply after the accept, want the take's tombstone", tomb)
+			}
+			drops, n := d.met.Get(trace.CtrDedupDrops), d.a.LocalSpace().Count()
+			d.send(take())
+			if rs := d.results(1); len(rs) != 1 {
+				t.Fatalf("z was sent %d results, want only the first copy's: %+v", len(rs), rs)
+			}
+			if got := d.met.Get(trace.CtrDedupDrops); got != drops+1 {
+				t.Fatalf("%s = %d, want %d: the copy after the accept", trace.CtrDedupDrops, got, drops+1)
+			}
+			if got := d.a.LocalSpace().Count(); got != n {
+				t.Fatalf("space count %d after the copy, was %d: the copy took a tuple", got, n)
+			}
+		}},
 		{"cancelled: silence", true, func(t *testing.T, d *dupRig) {
 			d.send(take())
 			d.send(&wire.Message{Type: wire.TCancel, ID: 1})
@@ -257,30 +282,39 @@ func TestDuplicateOfRequestInEachState(t *testing.T) {
 }
 
 // acceptGate holds an endpoint's first TAccept at the send until let is
-// closed, and says on seen that it has one.
+// closed, and says on seen that it has one. It counts the TReleases the
+// endpoint sends.
 type acceptGate struct {
 	transport.Endpoint
 	seen, let chan struct{}
+	releases  atomic.Int32
+}
+
+func newAcceptGate() *acceptGate {
+	return &acceptGate{seen: make(chan struct{}, 1), let: make(chan struct{})}
 }
 
 func (g *acceptGate) Send(to wire.Addr, m *wire.Message) error {
-	if m.Type == wire.TAccept {
+	switch m.Type {
+	case wire.TAccept:
 		select {
 		case g.seen <- struct{}{}:
 		default:
 		}
 		<-g.let
+	case wire.TRelease:
+		g.releases.Add(1)
 	}
 	return g.Endpoint.Send(to, m)
 }
 
-// TestAcceptedHoldNotRetained: a found take's request record keeps its
-// reply for dedupTTL, and only the reply. Once the accept has settled the
-// hold, the pending hold — with the TAck it sent and the entry it held —
-// is garbage while the record stands (DESIGN.md §7).
-func TestAcceptedHoldNotRetained(t *testing.T) {
-	gate := &acceptGate{seen: make(chan struct{}, 1), let: make(chan struct{})}
-	a, b := wallPair(t, nil, func(c *Config) {
+// gatedTakePair is a wallPair whose b takes req(1) from a, its TAccept
+// held at the send: it returns once a's pending hold is registered and b's
+// accept is in flight, with the take's outcome to come on taken.
+func gatedTakePair(t *testing.T) (a, b *Instance, gate *acceptGate, taken chan error) {
+	t.Helper()
+	gate = newAcceptGate()
+	a, b = wallPair(t, nil, func(c *Config) {
 		if c.Endpoint.Addr() == "b" {
 			gate.Endpoint, c.Endpoint = c.Endpoint, gate
 		}
@@ -288,7 +322,7 @@ func TestAcceptedHoldNotRetained(t *testing.T) {
 	if err := a.Out(req(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	taken := make(chan error, 1)
+	taken = make(chan error, 1)
 	go func() {
 		_, ok, err := b.Inp(context.Background(), reqTmpl(), nil)
 		if err == nil && !ok {
@@ -301,14 +335,37 @@ func TestAcceptedHoldNotRetained(t *testing.T) {
 	case err := <-taken:
 		t.Fatalf("the take ended before its accept: %v", err)
 	}
-	collected := make(chan struct{})
+	return a, b, gate, taken
+}
+
+// fieldsOf returns the start of t's field array: the object that a
+// reference to the tuple keeps alive.
+func fieldsOf(t tuple.Tuple) *tuple.Field {
+	return (*tuple.Field)(reflect.ValueOf(t).Field(0).UnsafePointer())
+}
+
+// TestAcceptedHoldNotRetained: a found take's request record keeps its
+// reply only while the hold is pending. Once the accept has settled the
+// hold, the record is an answered tombstone, and the pending hold (with
+// the TAck it sent and the entry it held), the found reply and the taken
+// tuple are all garbage while the record stands (DESIGN.md §7).
+func TestAcceptedHoldNotRetained(t *testing.T) {
+	a, _, gate, taken := gatedTakePair(t)
+	var collected atomic.Int32
 	a.mu.Lock()
 	if len(a.holds) != 1 {
 		a.mu.Unlock()
 		t.Fatalf("%d pending holds at a under the gated accept, want 1", len(a.holds))
 	}
 	for _, ph := range a.holds {
-		runtime.SetFinalizer(ph, func(*pendingHold) { close(collected) })
+		e := a.requests[ph.key]
+		if e.state != reqAnswered || e.reply == nil || e.reply.HoldID != ph.id {
+			a.mu.Unlock()
+			t.Fatalf("the take's record under the gated accept is %+v, want answered with the found reply", e)
+		}
+		runtime.SetFinalizer(ph, func(*pendingHold) { collected.Add(1) })
+		runtime.SetFinalizer(e.reply, func(*wire.Message) { collected.Add(1) })
+		runtime.SetFinalizer(fieldsOf(e.reply.Tuple), func(*tuple.Field) { collected.Add(1) })
 	}
 	a.mu.Unlock()
 	close(gate.let)
@@ -320,19 +377,65 @@ func TestAcceptedHoldNotRetained(t *testing.T) {
 		defer a.mu.Unlock()
 		return len(a.holds) == 0
 	})
-	if n := countRequests(a, func(e request) bool { return e.state == reqAnswered && e.reply.Found }); n != 1 {
-		t.Fatalf("%d answered found records at a, want the take's", n)
+	tombstone := func(e request) bool { return e.state == reqAnswered && e.reply == nil }
+	if n, kept := countRequests(a, tombstone), countRequests(a, func(e request) bool { return e.reply != nil }); n != 1 || kept != 0 {
+		t.Fatalf("%d answered tombstones and %d records keeping a reply at a, want the take's tombstone alone", n, kept)
 	}
-	for k := 0; k < 50; k++ {
+	for k := 0; k < 50 && collected.Load() < 3; k++ {
 		runtime.GC()
-		select {
-		case <-collected:
-			if n := countRequests(a, func(e request) bool { return e.state == reqAnswered }); n != 1 {
-				t.Fatalf("the take's record went with the hold: %d answered records", n)
-			}
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatal("the accepted pending hold is still reachable")
+	if n := collected.Load(); n != 3 {
+		t.Fatalf("%d of the pending hold, the found reply and the tuple collected, want all 3", n)
+	}
+	if n := countRequests(a, tombstone); n != 1 {
+		t.Fatalf("the take's tombstone went with its reply: %d left", n)
+	}
+}
+
+// TestLateDuplicateOfWonHold: a found result naming the hold a take won
+// comes back late, as a retransmission's replay does. While the accept is
+// pending at the requester the duplicate is dropped, since a release could
+// overtake the accept. After the owner's ack it is released, and the
+// owner, which acks only after it settled the hold, finds nothing to
+// reinstate.
+func TestLateDuplicateOfWonHold(t *testing.T) {
+	a, b, gate, taken := gatedTakePair(t)
+	a.mu.Lock()
+	var hold uint64
+	for id := range a.holds {
+		hold = id
+	}
+	a.mu.Unlock()
+	dup := func() *wire.Message {
+		return &wire.Message{Type: wire.TResult, ID: 1 << 40, From: "a", Found: true, Tuple: req(1), HoldID: hold}
+	}
+	drops := b.Metrics().Get(trace.CtrDedupDrops)
+	b.dispatch(dup())
+	if got := b.Metrics().Get(trace.CtrDedupDrops); got != drops+1 || gate.releases.Load() != 0 {
+		t.Fatalf("duplicate before the ack: %s %d → %d, %d releases sent; want it dropped and counted",
+			trace.CtrDedupDrops, drops, got, gate.releases.Load())
+	}
+	close(gate.let)
+	if err := <-taken; err != nil {
+		t.Fatalf("remote take: %v", err)
+	}
+	eventually(t, "the owner's ack settled the accept", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.pendAccepts) == 0
+	})
+	n := a.LocalSpace().Count()
+	b.dispatch(dup())
+	if got := gate.releases.Load(); got != 1 {
+		t.Fatalf("duplicate after the ack: %d releases sent, want 1", got)
+	}
+	// The rdp travels behind the release on the one link, so a has
+	// handled the release by the time it answers.
+	if _, ok, err := b.Rdp(context.Background(), reqTmpl(), nil); err != nil || ok {
+		t.Fatalf("rdp after the release: ok %v, err %v; the accepted tuple came back", ok, err)
+	}
+	if got := a.LocalSpace().Count(); got != n {
+		t.Fatalf("a's space count %d after the release, was %d", got, n)
+	}
 }

@@ -280,13 +280,8 @@ type Instance struct {
 	requests map[waitKey]request
 	reqOrder []reqRef // FIFO eviction order of answered and cancelled records
 	reqSeq   uint64   // stamps records so eviction slots track re-recordings
-	// accepted records holds this instance has accepted, so a late
-	// duplicate result never triggers a release that could overtake the
-	// accept and reinstate a taken tuple.
-	accepted      map[acceptKey]bool
-	acceptedOrder []acceptKey // FIFO eviction order for accepted
-	evals         map[string]EvalFunc
-	relays        []wire.Addr
+	evals    map[string]EvalFunc
+	relays   []wire.Addr
 	// defReq is the requester used when an operation passes nil: built
 	// once so the nil-requester hot path does not re-box a closure pair
 	// per grant.
@@ -336,12 +331,6 @@ type waitKey struct {
 	id   uint64
 }
 
-// acceptKey identifies a tentative hold at its owner.
-type acceptKey struct {
-	owner  wire.Addr
-	holdID uint64
-}
-
 // responderListMax bounds the responder cache.
 const responderListMax = 64
 
@@ -379,7 +368,6 @@ func New(cfg Config) (*Instance, error) {
 		pendAccepts: make(map[uint64]*pendingAccept),
 		announces:   make(map[uint64]chan SpaceInfo),
 		requests:    make(map[waitKey]request),
-		accepted:    make(map[acceptKey]bool),
 		evals:       make(map[string]EvalFunc),
 		suspect:     make(map[wire.Addr]time.Time),
 		stopped:     make(chan struct{}),

@@ -731,6 +731,9 @@ func (st *opState) onReply(m *wire.Message) {
 			// copies of this tuple: tell them it is consumed (replica.go).
 			i.replInvalidateSiblings(m)
 		}
+		// The finder gains in its share of finds (handleResult), judged at
+		// this wake-up's reading.
+		i.list.PromoteAt(m.From, st.now)
 		i.ctr.opsRemoteHit.Inc()
 		st.winner = m.From
 		st.res, st.ok, st.over = Result{Tuple: m.Tuple, From: m.From}, true, true
@@ -1043,7 +1046,6 @@ type pendingAccept struct {
 // armed for it. pa is the record to fill: the take's own (takeFrames).
 // now is the reading of the reply event that won the hold.
 func (i *Instance) acceptHold(owner wire.Addr, holdID uint64, lse *lease.Lease, pa *pendingAccept, now time.Time) {
-	i.rememberAccepted(acceptKey{owner: owner, holdID: holdID})
 	budget := lse.Deadline().Sub(now) + i.tm.holdGrace
 	if budget < i.tm.holdGrace {
 		budget = i.tm.holdGrace
@@ -1156,19 +1158,32 @@ func (i *Instance) cancelRemotes(opID uint64, contacted map[wire.Addr]*contactSt
 	}
 }
 
-// releaseLate releases a found-result that lost the race (or arrived
-// after completion), reinstating the tuple at its owner. Results naming a
-// hold this instance accepted are duplicates of the winning reply:
-// releasing them could overtake the accept and reinstate a taken tuple,
-// so they are dropped instead.
+// releaseLate handles a found result no walk reads: one that lost the
+// race or arrived after completion. Its finder is promoted all the same,
+// on a reading of its own, and its hold is released, reinstating the
+// tuple at its owner. A duplicate of a winning reply whose accept is
+// still pending is dropped instead: its release could overtake the
+// accept and reinstate a taken tuple. Once the owner has acked the accept
+// the release is harmless, since the owner acks only after it settled the
+// hold, so it finds nothing to release (DESIGN.md §6).
 func (i *Instance) releaseLate(m *wire.Message) {
-	if m.Type != wire.TResult || !m.Found || m.HoldID == 0 || i.isClosed() {
+	if m.Type != wire.TResult || !m.Found {
 		return
 	}
+	i.list.Promote(m.From)
+	if m.HoldID == 0 || i.isClosed() {
+		return
+	}
+	pending := false
 	i.mu.Lock()
-	accepted := i.accepted[acceptKey{owner: m.From, holdID: m.HoldID}]
+	for _, pa := range i.pendAccepts {
+		if pa.owner == m.From && pa.msg.HoldID == m.HoldID {
+			pending = true
+			break
+		}
+	}
 	i.mu.Unlock()
-	if accepted {
+	if pending {
 		i.ctr.dedupDrops.Inc()
 		return
 	}
@@ -1187,18 +1202,15 @@ func (i *Instance) handleResult(m *wire.Message) {
 		// the responders sent shows up here.
 		i.ctr.busyReceived.Inc()
 	}
-	if m.Type == wire.TResult {
+	if m.Type == wire.TResult && !m.Found {
 		// Every responder is worth remembering, including late ones and
 		// losers of the first-responder race (paper §3.1.3: instances
 		// responding to the multicast are appended to the list). One that
 		// actually had the tuple gains in its share of finds, by which the
-		// list is ranked: the next operation should start where operations
-		// have lately been satisfied.
-		if m.Found {
-			i.list.Promote(m.From)
-		} else {
-			i.list.Observe(m.From)
-		}
+		// list is ranked, so the next operation starts where operations
+		// have lately been satisfied: its walk promotes it (onReply), or
+		// releaseLate when no walk reads the reply.
+		i.list.Observe(m.From)
 	}
 	if m.Type == wire.TAck {
 		// A pure ack may settle a pending accept directly.

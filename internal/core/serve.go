@@ -42,9 +42,9 @@ func (ph *pendingHold) Expire() {
 }
 
 // servedCacheMax bounds the dedup records (answered and cancelled
-// requests, accepted holds); the oldest are evicted first. The bound only
-// has to outlast retransmission windows, which are seconds, so even a
-// busy instance keeps every live record.
+// requests); the oldest are evicted first. The bound only has to outlast
+// retransmission windows, which are seconds, so even a busy instance
+// keeps every live record.
 const servedCacheMax = 4096
 
 // dedupTTL is how long an answered or cancelled request is remembered for
@@ -61,7 +61,7 @@ type reqState uint8
 const (
 	reqAdmitted  reqState = iota // queued or running; finish files it
 	reqParked                    // a blocking op waiting in the local space
-	reqAnswered                  // replied; a duplicate gets the reply again
+	reqAnswered                  // replied; a duplicate gets the reply again, or silence once accepted
 	reqCancelled                 // withdrawn by the requester; a duplicate gets silence
 )
 
@@ -69,11 +69,14 @@ const (
 // value in Instance.requests under (requester, op ID) (DESIGN.md §6,
 // "Idempotent responders"). While admitted, reply and wait hold what the
 // run has produced so far — or, for a failover run, what it may
-// supersede — and finishRun files the request by them.
+// supersede — and finishRun files the request by them. A take's record
+// keeps its found reply only while the hold is pending: the accept drops
+// it, and an answered record without one is a tombstone (settleHold).
 type request struct {
-	state reqState
-	dup   bool          // admitted: a copy arrived meanwhile, owed the reply
-	reply *wire.Message // answered, or admitted
+	state    reqState
+	dup      bool          // admitted: a copy arrived meanwhile, owed the reply
+	accepted bool          // admitted: the run's hold was accepted; finish files a tombstone
+	reply    *wire.Message // answered, or admitted
 	// wait is the blocking wait parked for the request, held from the park
 	// until the wait retires, whatever the state meanwhile.
 	wait *remoteWait
@@ -93,7 +96,8 @@ type reqRef struct {
 
 // admit decides once what a remote work frame gets from its request's
 // record: a replay of the recorded reply, silence (nil, false; a copy of
-// an admitted request is owed the reply at finish), or a run, for which
+// an admitted request is owed the reply at finish, and one of an accepted
+// take has its answer already), or a run, for which
 // the request is recorded admitted. A failover take that meets a recorded
 // not-found or a parked wait runs too: the replica store may serve what
 // the space, which that wait watches, could not (handleOp).
@@ -116,7 +120,7 @@ func (i *Instance) admit(m *wire.Message) (replay *wire.Message, execute bool) {
 		e.dup = true
 		i.requests[key] = e
 		return nil, false
-	case e.state == reqAnswered && (e.reply.Found || !failover):
+	case e.state == reqAnswered && (e.reply == nil || e.reply.Found || !failover):
 		return e.reply, false
 	case e.state == reqCancelled || !failover:
 		return nil, false
@@ -126,10 +130,10 @@ func (i *Instance) admit(m *wire.Message) (replay *wire.Message, execute bool) {
 }
 
 // finishRun files an admitted request once its run is over, by what the
-// run left: a reply makes it answered, a parked wait parked, nothing
-// drops the record. It returns the reply when a copy that arrived during
-// the run is owed it. A request cancelled meanwhile stays cancelled. now
-// is the reading of the frame the run served.
+// run left: a reply or an accepted hold makes it answered, a parked wait
+// parked, nothing drops the record. It returns the reply when a copy that
+// arrived during the run is owed it. A request cancelled meanwhile stays
+// cancelled. now is the reading of the frame the run served.
 func (i *Instance) finishRun(key waitKey, now time.Time) *wire.Message {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -137,7 +141,7 @@ func (i *Instance) finishRun(key waitKey, now time.Time) *wire.Message {
 	switch {
 	case !ok || e.state != reqAdmitted:
 		return nil
-	case e.reply != nil:
+	case e.reply != nil || e.accepted:
 		i.recordLocked(key, request{state: reqAnswered, reply: e.reply, wait: e.wait}, now)
 		if e.dup {
 			return e.reply
@@ -186,23 +190,6 @@ func (i *Instance) recordLocked(key waitKey, e request, now time.Time) {
 			delete(i.requests, ref.key)
 		}
 		i.reqOrder = i.reqOrder[1:]
-	}
-}
-
-// rememberAccepted records that this instance accepted a hold, so late
-// duplicates of the winning result are never released (see releaseLate).
-func (i *Instance) rememberAccepted(k acceptKey) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.accepted[k] {
-		return
-	}
-	i.accepted[k] = true
-	i.acceptedOrder = append(i.acceptedOrder, k)
-	if len(i.acceptedOrder) > servedCacheMax {
-		old := i.acceptedOrder[0]
-		i.acceptedOrder = i.acceptedOrder[1:]
-		delete(i.accepted, old)
 	}
 }
 
@@ -571,17 +558,18 @@ func (i *Instance) settleHold(id uint64, accept bool) *pendingHold {
 	if ok {
 		delete(i.holds, id)
 		i.retiredLocked()
-		if !accept {
-			// The tuple goes back into the space, so the found reply
-			// naming this hold must never be replayed: a retransmitted
-			// request re-executes and takes it afresh.
-			if e := i.requests[ph.key]; e.reply != nil && e.reply.HoldID == id {
-				if e.state == reqAnswered {
-					delete(i.requests, ph.key)
-				} else {
-					e.reply = nil // still running: finishRun files nothing
-					i.requests[ph.key] = e
-				}
+		// The found reply naming this hold is never sent again. Accepted,
+		// the requester has it: the record stays as an answered tombstone,
+		// which silences a later copy, and neither the reply nor its tuple
+		// is kept. Released, the tuple is back in the space: a later copy
+		// re-executes and takes it afresh. A record still running is filed
+		// by finishRun, as a tombstone or not at all.
+		if e := i.requests[ph.key]; e.reply != nil && e.reply.HoldID == id {
+			e.reply, e.accepted = nil, accept
+			if e.state == reqAnswered && !accept {
+				delete(i.requests, ph.key)
+			} else {
+				i.requests[ph.key] = e
 			}
 		}
 	}

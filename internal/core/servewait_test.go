@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -425,7 +426,9 @@ func (e resultGate) Send(to wire.Addr, m *wire.Message) error {
 // TestResidentMatchServedInsidePark: a tuple that arrives between the
 // serve path's immediate probe and its Park is delivered by Park itself,
 // on the serve worker, before there is a handle — and is answered like
-// any other.
+// any other. A retransmission of the rd is answered from its record, not
+// re-served; one of the in, once its hold is accepted, gets silence and
+// takes nothing.
 func TestResidentMatchServedInsidePark(t *testing.T) {
 	for _, op := range []wire.OpCode{wire.OpIn, wire.OpRd} {
 		g := newGatedRig(t, nil)
@@ -448,12 +451,94 @@ func TestResidentMatchServedInsidePark(t *testing.T) {
 			t.Fatal("a served rd took the tuple")
 		}
 		g.settledClean(op.String() + " served inside Park")
-		// A retransmission is answered from the served cache, not re-served.
+		n, drops := g.a.LocalSpace().Count(), g.met.Get(trace.CtrDedupDrops)
 		g.ask(1, op, time.Hour)
-		if rs := g.results(1); !rs[0].Found {
-			t.Fatalf("%v: duplicate op answered %+v", op, rs[0])
+		eventually(t, "the retransmission admitted as a duplicate", func() bool {
+			return g.met.Get(trace.CtrDedupDrops) == drops+1
+		})
+		if !op.Removes() {
+			if rs := g.results(1); !rs[0].Found || !rs[0].Tuple.Equal(req(1)) {
+				t.Fatalf("%v: duplicate op answered %+v, want the recorded reply", op, rs[0])
+			}
+		} else {
+			g.results(0)
+		}
+		if got := g.a.LocalSpace().Count(); got != n {
+			t.Fatalf("%v: space count %d after the retransmission, was %d", op, got, n)
+		}
+		g.settledClean(op.String() + " retransmitted")
+	}
+}
+
+// sentResultGate is an endpoint that passes its first outbound TResult
+// through a gate once it has been sent.
+type sentResultGate struct {
+	transport.Endpoint
+	once sync.Once
+	gate func()
+}
+
+func (e *sentResultGate) Send(to wire.Addr, m *wire.Message) error {
+	err := e.Endpoint.Send(to, m)
+	if m.Type == wire.TResult {
+		e.once.Do(e.gate)
+	}
+	return err
+}
+
+// TestAcceptDuringQueuedRun: on a space that may block, a take runs on a
+// serve worker, and its requester can accept the hold after the reply has
+// gone out but before the run is filed. The accept drops the reply from
+// the running record; finishRun then files an answered tombstone. A copy
+// that arrived during the run, and so was owed the reply, gets nothing
+// (its requester has its answer), and neither does one after the run.
+func TestAcceptDuringQueuedRun(t *testing.T) {
+	gate, reached, open := stop()
+	g := newGatedRig(t, func(c *Config) { c.Endpoint = &sentResultGate{Endpoint: c.Endpoint, gate: gate} })
+	release := sync.OnceFunc(func() { close(open) })
+	defer release() // a failure below must not leave the worker stopped for Close
+	if err := g.a.Out(req(1), hourLease()); err != nil {
+		t.Fatal(err)
+	}
+	take := func() { g.ask(1, wire.OpInp, time.Hour) }
+	take()
+	<-reached // the reply is out; the worker has not filed the run
+	rs := g.results(1)
+	if !rs[0].Found || rs[0].HoldID == 0 {
+		t.Fatalf("reply %+v, want a found one under a hold", rs[0])
+	}
+	drops := g.met.Get(trace.CtrDedupDrops)
+	take() // owed the reply at finish, as things stand
+	g.tell(&wire.Message{Type: wire.TAccept, ID: 2, HoldID: rs[0].HoldID})
+	for m := range g.x.Recv() {
+		if m.Type == wire.TAck && m.ID == 2 {
+			break
 		}
 	}
+	if got := g.met.Get(trace.CtrDedupDrops); got != drops+1 {
+		t.Fatalf("%s = %d, want %d: the copy during the run", trace.CtrDedupDrops, got, drops+1)
+	}
+	running := func(e request) bool { return e.state == reqAdmitted && e.reply == nil && e.accepted && e.dup }
+	if n := countRequests(g.a, running); n != 1 {
+		t.Fatalf("%d running records accepted without a reply, want the take's", n)
+	}
+	n := g.a.LocalSpace().Count()
+	release()
+	quiesceServe(t, g.a)
+	tombstone := func(e request) bool { return e.state == reqAnswered && e.reply == nil && e.seq != 0 }
+	if n := countRequests(g.a, tombstone); n != 1 {
+		t.Fatalf("%d filed answered tombstones after the run, want the take's", n)
+	}
+	g.results(0)
+	take()
+	eventually(t, "the copy after the run admitted as a duplicate", func() bool {
+		return g.met.Get(trace.CtrDedupDrops) == drops+2
+	})
+	g.results(0)
+	if got := g.a.LocalSpace().Count(); got != n {
+		t.Fatalf("space count %d after the copies, was %d", got, n)
+	}
+	g.settledClean("accepted during its run")
 }
 
 // TestOutLeaseReleasedWhenAcceptBeatsTheRecord: the Out that matches a

@@ -766,6 +766,13 @@ func (l *ResponderList) Success(addr wire.Addr) {
 // and one useful answer does not unmeasure it. The rise, and the decay
 // with it, is withheld (counted) until the entry's health state clears.
 func (l *ResponderList) Promote(addr wire.Addr) {
+	l.PromoteAt(addr, l.clk.Now())
+}
+
+// PromoteAt is Promote with demotion and suspicion judged at now, a
+// reading of the list's clock that the caller's event already took: a
+// walk promotes the finder of its found reply at that reply's wake-up.
+func (l *ResponderList) PromoteAt(addr wire.Addr, now time.Time) {
 	if addr == "" {
 		return
 	}
@@ -776,7 +783,6 @@ func (l *ResponderList) Promote(addr wire.Addr) {
 		e = l.appendLocked(addr)
 		l.joinLocked(addr)
 	}
-	now := l.clk.Now()
 	hold := l.demotedLocked(e, now) || l.suspectedLocked(e, now)
 	l.restoreLocked(e)
 	if hold {

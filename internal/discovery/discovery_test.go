@@ -677,6 +677,28 @@ func TestPromoteWithheldForDemotedAndSuspected(t *testing.T) {
 	}
 }
 
+// TestPromoteAtJudgesAtItsReading: PromoteAt judges suspicion at the
+// reading it is handed, not at the list's clock. A peer suspected until
+// one second on rises at once when the reading says that second has gone.
+func TestPromoteAtJudgesAtItsReading(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	met := &trace.Metrics{}
+	l := NewResponderList(0, met, WithClock(clk), WithHealthPolicy(1, time.Second, 8*time.Second))
+	l.Observe("a")
+	l.Observe("b")
+	l.Fail("b")
+	if !l.Suspected("b") {
+		t.Fatal("setup: b not suspected")
+	}
+	l.PromoteAt("b", clk.Now().Add(2*time.Second))
+	if n := met.Get(trace.CtrPromoteHolds); n != 0 {
+		t.Fatalf("promote_holds = %d, want 0: the reading is past b's suspicion", n)
+	}
+	if snap := l.Snapshot(); snap[0] != "b" {
+		t.Fatalf("b did not rise: %v", snap)
+	}
+}
+
 func TestEventsCancelStopsDelivery(t *testing.T) {
 	l := NewResponderList(0, nil)
 	ch, cancel := subscribe(l)

@@ -13,7 +13,11 @@
 # through each side's own bench/run.sh, prints each side's median and
 # quartiles per end-to-end metric over the pairs and in how many of them
 # the change read better, and feeds every pair to the benchmark's own
-# -compare. Counts (msgs_per_op, wire_bytes_per_op,
+# -compare. The ungated metrics (cpu_us_per_op, op_p90_us, op_p99_us),
+# which the benchmark's result line leaves out, are read from each run's
+# --out file and get the same quartiles and sign test, marked "not
+# gated": nothing bounds them, but a claim about CPU time is tested like
+# one about wall time. Counts (msgs_per_op, wire_bytes_per_op,
 # allocs_per_op) repeat to 3-4 digits and can be claimed from any pair;
 # times only from all of them. Each "better in k of n" line also gives the
 # exact two-sided sign-test p over the pairs that did not tie: the chance
@@ -54,22 +58,31 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-# value <metric> <file>...: the metric's value on each file's JSON line.
+# value <metric> <pair> <side>: the metric's value in that run. An
+# end-to-end metric is on the benchmark's JSON line; an ungated one is under
+# workloads.<workload>.ungated in the --out file, one key a line.
+ungated="cpu_us_per_op op_p90_us op_p99_us"
+is_ungated() { [[ " $ungated " == *" $1 "* ]]; }
 value() {
-	local metric="$1"
-	shift
-	cat "$@" | sed -n "s/.*\"$metric\":{\"value\":\([^,}]*\).*/\1/p"
+	if is_ungated "$1"; then
+		awk -v m="\"$1\":" '/"ungated": \{/ { u = 1 } u && $1 == m { hit = 1 }
+			hit && $1 == "\"value\":" { sub(/,$/, "", $2); print $2; exit }' "$out/pair$2.$3.json"
+	else
+		sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p" "$out/pair$2.$3.line"
+	fi
 }
-metrics="$(grep -o '"[a-z0-9_]*":{"value"' "$out/pair1.parent.line" | cut -d'"' -f2)"
+gated="$(grep -o '"[a-z0-9_]*":{"value"' "$out/pair1.parent.line" | cut -d'"' -f2)"
 
 # Quartiles as Python's statistics.quantiles(n=4) gives them, which is how
 # the benchmark itself reports a spread.
 echo
 printf '%-20s %-7s %14s %14s %14s\n' metric side q1 median q3
-for metric in $metrics; do
+for metric in $gated $ungated; do
+	note=""
+	if is_ungated "$metric"; then note="  (not gated)"; fi
 	for name in parent change; do
-		value "$metric" "$out"/pair*."$name".line | sort -g |
-			awk -v m="$metric" -v s="$name" '
+		for i in $(seq 1 "$pairs"); do value "$metric" "$i" "$name"; done | sort -g |
+			awk -v m="$metric" -v s="$name" -v note="$note" '
 				{ x[NR] = $1 }
 				function q(p,   pos, j) {
 					pos = p * (NR + 1); j = int(pos)
@@ -77,22 +90,28 @@ for metric in $metrics; do
 					if (j >= NR) return x[NR]
 					return x[j] + (pos - j) * (x[j + 1] - x[j])
 				}
-				END { if (NR) printf "%-20s %-7s %14.4f %14.4f %14.4f\n", m, s, q(0.25), q(0.5), q(0.75) }'
+				END { if (NR) printf "%-20s %-7s %14.4f %14.4f %14.4f%s\n", m, s, q(0.25), q(0.5), q(0.75), note }'
 	done
 done
 
 # The nine-tenths rule: a gain is claimed only when the change reads
 # better in at least nine tenths of the pairs, ties counting for neither.
-# Which way is better is BENCHMARK.json's to say. The sign test's p is
+# Which way is better is BENCHMARK.json's to say; the ungated metrics are
+# times, lower is better. The sign test's p is
 # 2·P(X ≤ min(wins, losses)) for X ~ Binomial(wins + losses, 1/2), capped
 # at 1: 9 of 10 untied pairs is p ≈ 0.021, 10 of 10 p ≈ 0.002.
 echo
-for metric in $metrics; do
-	better="$(awk -v m="\"$metric\"," '$1 == "\"name\":" && $2 == m { hit = 1 }
-		hit && $1 == "\"better\":" { gsub(/[",]/, "", $2); print $2; exit }' BENCHMARK.json)"
+for metric in $gated $ungated; do
+	better=lower note=""
+	if is_ungated "$metric"; then
+		note=" (not gated)"
+	else
+		better="$(awk -v m="\"$metric\"," '$1 == "\"name\":" && $2 == m { hit = 1 }
+			hit && $1 == "\"better\":" { gsub(/[",]/, "", $2); print $2; exit }' BENCHMARK.json)"
+	fi
 	for i in $(seq 1 "$pairs"); do
-		echo "$(value "$metric" "$out/pair$i.parent.line") $(value "$metric" "$out/pair$i.change.line")"
-	done | awk -v m="$metric" -v better="$better" '
+		echo "$(value "$metric" "$i" parent) $(value "$metric" "$i" change)"
+	done | awk -v m="$metric" -v better="$better" -v note="$note" '
 		$2 == $1 { ties++; next }
 		(better == "higher") == ($2 > $1) { wins++; next }
 		{ losses++ }
@@ -101,7 +120,7 @@ for metric in $metrics; do
 			term = 0.5 ^ n; tail = term # C(n, 0) / 2^n
 			for (i = 1; i <= k; i++) { term *= (n - i + 1) / i; tail += term }
 			p = 2 * tail; if (p > 1) p = 1
-			printf "%-20s change better in %d of %d pairs (%s is better, %d tied), sign test p = %.3g\n", m, wins, NR, better, ties, p
+			printf "%-20s change better in %d of %d pairs (%s is better, %d tied), sign test p = %.3g%s\n", m, wins, NR, better, ties, p, note
 		}'
 done
 

@@ -27,9 +27,9 @@ func (c *countingClock) Now() time.Time {
 // remoteTakeClockReads is the ceiling on the clock readings one warm
 // remote take costs over memnet, both nodes together (DESIGN.md §7, "One
 // reading per event"): the Out's expiry, the responder's store
-// pick and its frame's one reading, the requester's promotion of the
-// finder, and the walk's two events, its start and the found reply.
-const remoteTakeClockReads = 6
+// pick and its frame's one reading, and the walk's two events, its start
+// and the found reply, whose reading also promotes the finder.
+const remoteTakeClockReads = 5
 
 // TestRemoteTakeClockReads pins how often a remote take reads the clock:
 // the memnet pair runs on a counting clock, handed as Config.Clock, which

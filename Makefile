@@ -2,7 +2,7 @@ GO ?= go
 
 SUITES = crash soak mobility gray replica upgrade farm
 
-.PHONY: build test check bench perf allocs handoffs chaos fuzz loc suites-nonempty $(SUITES)
+.PHONY: build test check bench perf allocs handoffs heap chaos fuzz loc suites-nonempty $(SUITES)
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,16 @@ allocs:
 ROUNDS ?= 3
 handoffs:
 	./scripts/handoffs.sh $(ROUNDS) $(N) $(BASE)
+
+# heap prints a workload's live heap by allocation site, its heap
+# statistics and its pools' refills per op, on the merge base and on the
+# working tree, REPEATS alternating 6 s repeats a side
+# (scripts/heapsites.sh, which patches each exported tree's
+# bench/child.go with scripts/heapsites.patch). Writes only under
+# .bench_build/.
+REPEATS ?= 4
+heap:
+	./scripts/heapsites.sh $(W) $(REPEATS) $(BASE)
 
 # chaos runs the fault-injection benchmarks: E2/E9/E10 over a lossy,
 # duplicating, reordering network, reporting retry/dedup counters.

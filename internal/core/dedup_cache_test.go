@@ -56,18 +56,19 @@ func TestServedCacheTTLExpiry(t *testing.T) {
 	r.clk.Advance(dedupTTL + time.Second)
 	a.recordServed(waitKey{from: "peer", id: 11},
 		&wire.Message{Type: wire.TAck, ID: 11, From: a.Addr(), OK: true}, a.clk.Now())
+	nEntries := countServed(a, func(finished) bool { return true })
 	a.mu.Lock()
-	nEntries, nOrder := len(a.requests), len(a.reqOrder)
+	nSlots := a.served.n
 	a.mu.Unlock()
-	if nEntries != 1 || nOrder != 1 {
-		t.Fatalf("after sweep: %d entries, %d order slots, want 1/1", nEntries, nOrder)
+	if nEntries != 1 || nSlots != 1 {
+		t.Fatalf("after sweep: %d entries, %d ring slots, want 1/1", nEntries, nSlots)
 	}
 }
 
-// TestServedCacheReRecordKeepsFreshEntry guards the seq-stamp fix: when a
-// key is deleted out of band (settleHold on release) and later
-// re-recorded, the stale eviction slot left by the first recording must
-// not evict the fresh entry when it reaches the head of the order.
+// TestServedCacheReRecordKeepsFreshEntry: when a key is deleted out of
+// band (settleHold on release) and later re-recorded, the slot the first
+// recording vacated must not evict the fresh entry when it reaches the
+// tail of the ring.
 func TestServedCacheReRecordKeepsFreshEntry(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a"}, nil)
 	a := r.inst["a"]
@@ -77,15 +78,15 @@ func TestServedCacheReRecordKeepsFreshEntry(t *testing.T) {
 
 	// Out-of-band delete, as settleHold does on reinstatement.
 	a.mu.Lock()
-	delete(a.requests, key)
+	a.served.drop(key)
 	a.mu.Unlock()
 
 	fresh := &wire.Message{Type: wire.TResult, ID: 1, From: a.Addr(), HoldID: 6}
 	a.recordServed(key, fresh, a.clk.Now())
 
-	// Fill the cache to exactly the size cap so the sweep pops the order
-	// head (the stale slot for the first recording) without any live
-	// entry deserving size-cap eviction.
+	// Fill the cache to exactly the size cap so the sweep pops the ring's
+	// tail (the slot the first recording vacated) without any live entry
+	// deserving size-cap eviction.
 	for id := uint64(2); id <= uint64(servedCacheMax); id++ {
 		a.recordServed(waitKey{from: "peer", id: id},
 			&wire.Message{Type: wire.TAck, ID: id, From: a.Addr(), OK: true}, a.clk.Now())
@@ -109,7 +110,13 @@ type dupRig struct {
 
 func newDupRig(t *testing.T) *dupRig {
 	t.Helper()
-	r := newRig(t, []wire.Addr{"a"}, nil)
+	return newDupRigWith(t, nil)
+}
+
+// newDupRigWith is newDupRig with a's config changed by mutate.
+func newDupRigWith(t *testing.T, mutate func(*Config)) *dupRig {
+	t.Helper()
+	r := newRig(t, []wire.Addr{"a"}, mutate)
 	z, err := r.net.Attach("z")
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +244,7 @@ func TestDuplicateOfRequestInEachState(t *testing.T) {
 				t.Fatalf("first copy answered %+v, want one found reply under a hold", first)
 			}
 			d.send(&wire.Message{Type: wire.TAccept, ID: 2, HoldID: first[0].HoldID})
-			if tomb := countRequests(d.a, func(e request) bool { return e.state == reqAnswered && e.reply == nil }); tomb != 1 {
+			if tomb := countServed(d.a, func(f finished) bool { return f.kind == ansAccepted }); tomb != 1 {
 				t.Fatalf("%d answered records without a reply after the accept, want the take's tombstone", tomb)
 			}
 			drops, n := d.met.Get(trace.CtrDedupDrops), d.a.LocalSpace().Count()
@@ -358,14 +365,14 @@ func TestAcceptedHoldNotRetained(t *testing.T) {
 		t.Fatalf("%d pending holds at a under the gated accept, want 1", len(a.holds))
 	}
 	for _, ph := range a.holds {
-		e := a.requests[ph.key]
-		if e.state != reqAnswered || e.reply == nil || e.reply.HoldID != ph.id {
+		f := a.served.get(ph.key)
+		if f == nil || f.kind != ansMsg || f.msg.HoldID != ph.id {
 			a.mu.Unlock()
-			t.Fatalf("the take's record under the gated accept is %+v, want answered with the found reply", e)
+			t.Fatalf("the take's record under the gated accept is %+v, want answered with the found reply", f)
 		}
 		runtime.SetFinalizer(ph, func(*pendingHold) { collected.Add(1) })
-		runtime.SetFinalizer(e.reply, func(*wire.Message) { collected.Add(1) })
-		runtime.SetFinalizer(fieldsOf(e.reply.Tuple), func(*tuple.Field) { collected.Add(1) })
+		runtime.SetFinalizer(f.msg, func(*wire.Message) { collected.Add(1) })
+		runtime.SetFinalizer(fieldsOf(f.msg.Tuple), func(*tuple.Field) { collected.Add(1) })
 	}
 	a.mu.Unlock()
 	close(gate.let)
@@ -377,8 +384,10 @@ func TestAcceptedHoldNotRetained(t *testing.T) {
 		defer a.mu.Unlock()
 		return len(a.holds) == 0
 	})
-	tombstone := func(e request) bool { return e.state == reqAnswered && e.reply == nil }
-	if n, kept := countRequests(a, tombstone), countRequests(a, func(e request) bool { return e.reply != nil }); n != 1 || kept != 0 {
+	tombstone := func(f finished) bool { return f.kind == ansAccepted }
+	kept := countServed(a, func(f finished) bool { return f.msg != nil || f.tuple.Arity() != 0 }) +
+		countRequests(a, func(e request) bool { return e.reply != nil })
+	if n := countServed(a, tombstone); n != 1 || kept != 0 {
 		t.Fatalf("%d answered tombstones and %d records keeping a reply at a, want the take's tombstone alone", n, kept)
 	}
 	for k := 0; k < 50 && collected.Load() < 3; k++ {
@@ -388,7 +397,7 @@ func TestAcceptedHoldNotRetained(t *testing.T) {
 	if n := collected.Load(); n != 3 {
 		t.Fatalf("%d of the pending hold, the found reply and the tuple collected, want all 3", n)
 	}
-	if n := countRequests(a, tombstone); n != 1 {
+	if n := countServed(a, tombstone); n != 1 {
 		t.Fatalf("the take's tombstone went with its reply: %d left", n)
 	}
 }

@@ -15,13 +15,26 @@ import (
 	"tiamat/wire"
 )
 
-// countRequests counts i's request records that pred selects.
+// countRequests counts i's live request records that pred selects.
 func countRequests(i *Instance, pred func(request) bool) int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	n := 0
 	for _, e := range i.requests {
 		if pred(e) {
+			n++
+		}
+	}
+	return n
+}
+
+// countServed counts i's finished request records that pred selects.
+func countServed(i *Instance, pred func(finished) bool) int {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	s, n := &i.served, 0
+	for k := 0; k < s.n; k++ {
+		if f := s.ring[(s.tail+k)%len(s.ring)]; f.kind != ansNone && pred(f) {
 			n++
 		}
 	}

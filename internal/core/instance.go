@@ -273,13 +273,14 @@ type Instance struct {
 	// keyed by ack ID (ops.go: acceptHold).
 	pendAccepts map[uint64]*pendingAccept
 	announces   map[uint64]chan SpaceInfo // open Spaces() discovery rounds
-	// requests is the one record of every remote request this node serves,
-	// keyed by (requester, op ID): admitted, parked, answered or cancelled
-	// (serve.go). Answered and cancelled records expire after dedupTTL and
-	// are size-bounded; see recordLocked.
+	// requests and served hold the one record of every remote request this
+	// node serves, keyed by (requester, op ID): requests the live ones,
+	// admitted or parked (serve.go), served the finished ones, answered or
+	// cancelled, at most servedCacheMax of them for at most dedupTTL
+	// (served.go). A finished request stays in requests too only while its
+	// wait has yet to retire.
 	requests map[waitKey]request
-	reqOrder []reqRef // FIFO eviction order of answered and cancelled records
-	reqSeq   uint64   // stamps records so eviction slots track re-recordings
+	served   servedStore
 	evals    map[string]EvalFunc
 	relays   []wire.Addr
 	// defReq is the requester used when an operation passes nil: built

@@ -41,99 +41,78 @@ func (ph *pendingHold) Expire() {
 	}
 }
 
-// servedCacheMax bounds the dedup records (answered and cancelled
-// requests); the oldest are evicted first. The bound only has to outlast
-// retransmission windows, which are seconds, so even a busy instance
-// keeps every live record.
-const servedCacheMax = 4096
-
-// dedupTTL is how long an answered or cancelled request is remembered for
-// duplicate suppression. It only has to outlast a requester's
-// retransmission window (seconds), so expiring records bounds the table
-// on a long-lived responder even below the size cap. The replicator
-// borrows it for how long a consumed identity stays fenced and an
-// unacked replicate flight is remembered (replica.go).
-const dedupTTL = 30 * time.Second
-
-// reqState is where a remote request stands at this responder.
+// reqState is where a live remote request stands at this responder.
 type reqState uint8
 
 const (
-	reqAdmitted  reqState = iota // queued or running; finish files it
-	reqParked                    // a blocking op waiting in the local space
-	reqAnswered                  // replied; a duplicate gets the reply again, or silence once accepted
-	reqCancelled                 // withdrawn by the requester; a duplicate gets silence
+	reqAdmitted reqState = iota // queued or running; finish files it
+	reqParked                   // a blocking op waiting in the local space
+	reqFinished                 // answered or cancelled (served has it); its wait has yet to retire
 )
 
-// request is this responder's one record of a remote request, kept by
-// value in Instance.requests under (requester, op ID) (DESIGN.md §6,
-// "Idempotent responders"). While admitted, reply and wait hold what the
-// run has produced so far — or, for a failover run, what it may
-// supersede — and finishRun files the request by them. A take's record
-// keeps its found reply only while the hold is pending: the accept drops
-// it, and an answered record without one is a tombstone (settleHold).
+// request is this responder's record of a remote request still live,
+// kept by value in Instance.requests under (requester, op ID) (DESIGN.md
+// §6, "Idempotent responders"). While admitted, reply and wait hold what
+// the run has produced so far — or, for a failover run, what it may
+// supersede — and finishRun files the request by them. An answered or
+// cancelled request is filed in Instance.served as a finished record
+// (served.go), and its live record stays only until its wait retires.
 type request struct {
 	state    reqState
 	dup      bool          // admitted: a copy arrived meanwhile, owed the reply
 	accepted bool          // admitted: the run's hold was accepted; finish files a tombstone
-	reply    *wire.Message // answered, or admitted
+	reply    *wire.Message // admitted: the reply sent so far
 	// wait is the blocking wait parked for the request, held from the park
 	// until the wait retires, whatever the state meanwhile.
 	wait *remoteWait
-	// Only answered and cancelled records, the evictable ones, have a
-	// non-zero seq: at is the record time for dedupTTL, and seq tells an
-	// eviction slot whether the record under its key is the one it was made
-	// for, not one deleted out of band and made again.
-	at  time.Time
-	seq uint64
-}
-
-// reqRef is one FIFO eviction-order slot.
-type reqRef struct {
-	key waitKey
-	seq uint64
 }
 
 // admit decides once what a remote work frame gets from its request's
 // record: a replay of the recorded reply, silence (nil, false; a copy of
 // an admitted request is owed the reply at finish, and one of an accepted
-// take has its answer already), or a run, for which
-// the request is recorded admitted. A failover take that meets a recorded
-// not-found or a parked wait runs too: the replica store may serve what
-// the space, which that wait watches, could not (handleOp).
+// take or a cancelled request has its answer already), or a run, for
+// which the request is recorded admitted. A failover take that meets a
+// recorded not-found or a parked wait runs too: the replica store may
+// serve what the space, which that wait watches, could not (handleOp).
 func (i *Instance) admit(m *wire.Message) (replay *wire.Message, execute bool) {
 	key := waitKey{from: m.From, id: m.ID}
+	failover := m.Type == wire.TOp && m.Failover && m.Op.Removes() && i.repl != nil
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	e, ok := i.requests[key]
-	if ok && e.seq != 0 && i.clk.Now().Sub(e.at) > dedupTTL {
-		delete(i.requests, key)
-		ok = false
-	}
-	if !ok {
-		i.requests[key] = request{}
-		return nil, true
-	}
-	failover := m.Type == wire.TOp && m.Failover && m.Op.Removes() && i.repl != nil
 	switch {
-	case e.state == reqAdmitted:
+	case ok && e.state == reqAdmitted:
 		e.dup = true
 		i.requests[key] = e
 		return nil, false
-	case e.state == reqAnswered && (e.reply == nil || e.reply.Found || !failover):
-		return e.reply, false
-	case e.state == reqCancelled || !failover:
+	case ok && e.state == reqParked && !failover:
 		return nil, false
+	case ok && e.state == reqParked:
+		i.requests[key] = request{wait: e.wait}
+		return nil, true
 	}
-	i.requests[key] = request{wait: e.wait, reply: e.reply}
+	f := i.served.get(key)
+	if f != nil && i.served.stale(f, i.clk.Now()) {
+		i.served.drop(key)
+		f = nil
+	}
+	switch {
+	case f == nil:
+		i.requests[key] = request{}
+		return nil, true
+	case f.kind != ansNotFound || !failover:
+		return f.reply(i.Addr()), false
+	}
+	i.requests[key] = request{wait: e.wait, reply: f.reply(i.Addr())}
+	i.served.drop(key)
 	return nil, true
 }
 
 // finishRun files an admitted request once its run is over, by what the
-// run left: a reply or an accepted hold makes it answered, a parked wait
+// run left: a reply or an accepted hold makes it finished, a parked wait
 // parked, nothing drops the record. It returns the reply when a copy that
-// arrived during the run is owed it. A request cancelled meanwhile stays
-// cancelled. now is the reading of the frame the run served.
+// arrived during the run is owed it. A request cancelled meanwhile is
+// finished already. now is the reading of the frame the run served.
 func (i *Instance) finishRun(key waitKey, now time.Time) *wire.Message {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -142,7 +121,7 @@ func (i *Instance) finishRun(key waitKey, now time.Time) *wire.Message {
 	case !ok || e.state != reqAdmitted:
 		return nil
 	case e.reply != nil || e.accepted:
-		i.recordLocked(key, request{state: reqAnswered, reply: e.reply, wait: e.wait}, now)
+		i.finishLocked(key, finishedAs(key, e.reply, i.Addr()), now)
 		if e.dup {
 			return e.reply
 		}
@@ -156,41 +135,29 @@ func (i *Instance) finishRun(key waitKey, now time.Time) *wire.Message {
 
 // recordServed records the reply sent for a remote request, so a
 // retransmitted or duplicated frame is answered identically instead of
-// re-executed. A running request keeps it for finishRun to file.
+// re-executed. A running request keeps it for finishRun to file; any
+// other is finished now.
 func (i *Instance) recordServed(key waitKey, m *wire.Message, now time.Time) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	e, ok := i.requests[key]
-	if ok && e.state == reqAdmitted {
+	if e, ok := i.requests[key]; ok && e.state == reqAdmitted {
 		e.reply = m
 		i.requests[key] = e
 		return
 	}
-	i.recordLocked(key, request{state: reqAnswered, reply: m, wait: e.wait}, now)
+	i.finishLocked(key, finishedAs(key, m, i.Addr()), now)
 }
 
-// recordLocked files an answered or cancelled record and bounds the
-// table two ways: records older than dedupTTL are swept on every insert,
-// and the size cap evicts the oldest beyond servedCacheMax — so a
-// long-lived responder's memory is bounded by min(cap, request rate ×
-// TTL). Admitted and parked records are never evicted: a parked wait can
-// outlive dedupTTL. now is the reading of the event that answered or
-// cancelled the request.
-func (i *Instance) recordLocked(key waitKey, e request, now time.Time) {
-	i.reqSeq++
-	e.at, e.seq = now, i.reqSeq
-	i.requests[key] = e
-	i.reqOrder = append(i.reqOrder, reqRef{key: key, seq: e.seq})
-	for len(i.reqOrder) > 0 {
-		ref := i.reqOrder[0]
-		if r, live := i.requests[ref.key]; live && r.seq == ref.seq {
-			if len(i.reqOrder) <= servedCacheMax && now.Sub(r.at) <= dedupTTL {
-				break // oldest record is live and fresh; the rest are fresher
-			}
-			delete(i.requests, ref.key)
-		}
-		i.reqOrder = i.reqOrder[1:]
+// finishLocked files key's request as finished, as f at now. Its live
+// record stays only for a wait that has yet to retire: whoever finished
+// it has ended that wait, or is about to.
+func (i *Instance) finishLocked(key waitKey, f finished, now time.Time) {
+	if e, ok := i.requests[key]; ok && e.wait != nil {
+		i.requests[key] = request{state: reqFinished, wait: e.wait}
+	} else {
+		delete(i.requests, key)
 	}
+	i.served.add(f, now)
 }
 
 // remoteWait is a blocking operation we are serving for a peer: a
@@ -267,12 +234,12 @@ func (rw *remoteWait) end(notFound bool) {
 // governor's count and the serve lease — and sends the not-found a lease
 // end owes. It runs once: from the sink, or from the end edge (or
 // serveBlocking, on its behalf) whose Cancel prevented the delivery. A
-// parked record goes with the wait; any other keeps its state.
+// parked or finished record goes with the wait; an admitted one stays.
 func (rw *remoteWait) retire() {
 	i := rw.i
 	i.mu.Lock()
-	if e := i.requests[rw.key]; e.wait == rw {
-		if e.state == reqParked {
+	if e, ok := i.requests[rw.key]; ok && e.wait == rw {
+		if e.state != reqAdmitted {
 			delete(i.requests, rw.key)
 		} else {
 			e.wait = nil
@@ -387,9 +354,10 @@ func (i *Instance) handleOp(m *wire.Message, now time.Time) {
 		// Only a blocking op is cancelled (cancelRemotes), and only a
 		// failover run meets a standing wait.
 		i.mu.Lock()
-		e := i.requests[key]
+		e, ok := i.requests[key]
+		cancelled := (!ok || e.state == reqFinished) && i.served.cancelled(key)
 		i.mu.Unlock()
-		if e.state == reqCancelled {
+		if cancelled {
 			return // a TCancel overtook the op, in transit or in the serve queue
 		}
 		rw = e.wait
@@ -564,12 +532,14 @@ func (i *Instance) settleHold(id uint64, accept bool) *pendingHold {
 		// is kept. Released, the tuple is back in the space: a later copy
 		// re-executes and takes it afresh. A record still running is filed
 		// by finishRun, as a tombstone or not at all.
-		if e := i.requests[ph.key]; e.reply != nil && e.reply.HoldID == id {
+		if e, ok := i.requests[ph.key]; ok && e.reply != nil && e.reply.HoldID == id {
 			e.reply, e.accepted = nil, accept
-			if e.state == reqAnswered && !accept {
-				delete(i.requests, ph.key)
+			i.requests[ph.key] = e
+		} else if f := i.served.get(ph.key); f != nil && f.kind == ansMsg && f.msg.HoldID == id {
+			if accept {
+				f.kind, f.msg = ansAccepted, nil
 			} else {
-				i.requests[ph.key] = e
+				i.served.drop(ph.key)
 			}
 		}
 	}
@@ -602,9 +572,9 @@ func (i *Instance) handleAccept(m *wire.Message) {
 }
 
 // handleCancel withdraws a request, whatever its record held (a parked
-// wait is ended), and keeps the record, evictable like an answered one:
-// a cancel can beat its op, and a copy that comes after it must be
-// dropped, not park a wait nobody will cancel (DESIGN.md §6).
+// wait is ended), and files it finished as cancelled, evictable like an
+// answered one: a cancel can beat its op, and a copy that comes after it
+// must be dropped, not park a wait nobody will cancel (DESIGN.md §6).
 func (i *Instance) handleCancel(m *wire.Message) {
 	if m.ReplSeq != 0 {
 		// Replica invalidation rides TCancel (replica.go): the identified
@@ -614,8 +584,8 @@ func (i *Instance) handleCancel(m *wire.Message) {
 	}
 	key := waitKey{from: m.From, id: m.ID}
 	i.mu.Lock()
-	rw := i.requests[key].wait // kept until it retires
-	i.recordLocked(key, request{state: reqCancelled, wait: rw}, i.clk.Now())
+	rw := i.requests[key].wait
+	i.finishLocked(key, finished{key: key, kind: ansCancelled}, i.clk.Now())
 	i.mu.Unlock()
 	if rw != nil {
 		rw.end(false)
@@ -795,11 +765,7 @@ const helloID = ^uint64(0)
 // have accepted, and reinstating one would hand its tuple out twice.
 func (i *Instance) forgetLife(peer wire.Addr) {
 	i.mu.Lock()
-	for key, e := range i.requests {
-		if key.from == peer && e.seq != 0 {
-			delete(i.requests, key)
-		}
-	}
+	i.served.dropPeer(peer)
 	i.mu.Unlock()
 	i.endWaits(peer, false)
 }

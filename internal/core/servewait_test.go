@@ -525,8 +525,8 @@ func TestAcceptDuringQueuedRun(t *testing.T) {
 	n := g.a.LocalSpace().Count()
 	release()
 	quiesceServe(t, g.a)
-	tombstone := func(e request) bool { return e.state == reqAnswered && e.reply == nil && e.seq != 0 }
-	if n := countRequests(g.a, tombstone); n != 1 {
+	tombstone := func(f finished) bool { return f.kind == ansAccepted }
+	if n := countServed(g.a, tombstone); n != 1 {
 		t.Fatalf("%d filed answered tombstones after the run, want the take's", n)
 	}
 	g.results(0)

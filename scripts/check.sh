@@ -29,8 +29,9 @@ if [ -n "$timers" ]; then
 fi
 
 # A responder keeps one record per served request (DESIGN.md §6,
-# "Idempotent responders"): a second table keyed by (requester, op ID)
-# would fork how a duplicate is decided again.
+# "Idempotent responders"): live ones in one map, finished ones in the
+# served store's ring (served.go). A second map keyed by (requester, op
+# ID) would fork how a duplicate is decided again.
 echo "==> internal/core declares one table per request key"
 tables="$(git ls-files 'internal/core/*.go' | grep -v '_test.go$' | xargs grep -n 'map\[waitKey\]' | grep -v 'make(map\[waitKey\]' || true)"
 if [ "$(printf '%s' "$tables" | grep -c .)" -ne 1 ]; then
@@ -96,6 +97,12 @@ if [ -n "$bumps" ]; then
 	echo "$bumps"
 	exit 1
 fi
+
+# make heap patches each exported tree's bench/child.go with
+# scripts/heapsites.patch; once bench/ changes under it, the tool must
+# fail here, not in the middle of a measurement.
+echo "==> scripts/heapsites.patch applies to bench/"
+git apply --check scripts/heapsites.patch
 
 echo "==> go build ./..."
 go build ./...

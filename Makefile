@@ -122,7 +122,9 @@ mobility_exp  = C3
 gray_run  = Hedge|Limp|Demot|Slow|Stall|Degraded|Latency|Outlier|QueueDelay|WriteTimeout|Gray|Ledger|C4
 gray_pkgs = ./internal/core/ ./internal/discovery/ ./transport/memnet/ ./transport/netudp/ ./space/persist/ ./internal/harness/
 gray_exp  = C4
-# replica: ring placement/rebalance, write-through replication of every
+# replica: ring placement/rebalance, the replica set behind a fake host
+# (the supersede proof's three outcomes, a fence refusing a late
+# replicate), write-through replication of every
 # placement, remote outs included (and the out that races its own node's
 # Close, replicated or not), failover takes with their
 # supersede proof (served to a requester that never announced), sibling
@@ -130,7 +132,7 @@ gray_exp  = C4
 # a taker whose origin died before its accept), anti-entropy repair and
 # adoption, and the C5 kill soak.
 replica_run  = TestRing|WriteThrough|RemoteOutReplicates|OutRacingClose|ReplicaServes|FailoverTake|FailoverRefused|FailoverServed|TakeInvalidates|InvalidateFences|LocalReplica|RepairReplaces|Adoption|ReplicationOff|ReplFrames|ZeroReplSeq|ReplTrailing|UnreplicatedFrames|JoinCancelsFenced|TakerOriginDies|Ledger|C5
-replica_pkgs = ./routing/ ./internal/core/ ./wire/ ./internal/harness/
+replica_pkgs = ./routing/ ./internal/replica/ ./internal/core/ ./wire/ ./internal/harness/
 replica_exp  = C5
 # upgrade: golden wire fixtures (byte-stability, round-trip, truncation,
 # the rejected coalesced-ack frames), the wire floor (announces carry
@@ -183,11 +185,16 @@ suites-nonempty:
 	done
 
 # loc is the one definition of the line counts ROADMAP aim 2 tracks
-# ("net-negative"): tracked Go outside bench/, non-test and test, and the
-# fields of the two config structs, counted from their declarations.
+# ("net-negative"): tracked Go outside bench/, non-test and test, the
+# non-test lines of internal/core and of the replication it calls
+# (internal/replica), and the fields of the two config structs, counted
+# from their declarations.
 loc:
 	@printf 'non-test Go lines outside bench/: '; git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 	@printf 'test Go lines outside bench/:     '; git ls-files '*_test.go' | grep -v '^bench/' | xargs cat | wc -l
+	@for d in internal/core internal/replica; do \
+		printf '%s non-test Go lines: ' $$d; git ls-files "$$d/*.go" | grep -v '_test.go$$' | xargs cat | wc -l; \
+	done
 	@for s in Config GovernorConfig; do \
 		printf 'core.%s fields: ' $$s; \
 		awk -v s=$$s '$$0 ~ "^type " s " struct" { f = 1; next } f && /^}/ { exit } f && /^\t[A-Z]/ { n++ } END { print n }' internal/core/*.go; \

@@ -92,16 +92,6 @@ func (r *rig) close() {
 	r.net.Close()
 }
 
-// setEvery gives a sweep a new period and runs it next one period from
-// now: how a test hurries a sweep, or keeps one out of its way, since New
-// derives every period from ContactTimeout.
-func (s *sweep) setEvery(every time.Duration) {
-	s.mu.Lock()
-	s.every = every
-	s.mu.Unlock()
-	s.next()
-}
-
 // idle reports whether the governor has nothing admitted, queued or
 // parked for any peer.
 func (g *governor) idle() bool {

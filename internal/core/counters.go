@@ -44,14 +44,6 @@ type counters struct {
 	orphanWaits       *trace.Counter
 	panics            *trace.Counter
 	rearms            *trace.Counter
-	replFailoverTakes *trace.Counter
-	replFencedHolds   *trace.Counter
-	replRepairs       *trace.Counter
-	replStaleReads    *trace.Counter
-	replWriteRefused  *trace.Counter
-	replWriteUnacked  *trace.Counter
-	replWrites        *trace.Counter
-	replicaMsgs       *trace.Counter
 	retries           *trace.Counter
 }
 
@@ -95,14 +87,6 @@ func newCounters(m *trace.Metrics) counters {
 		orphanWaits:       m.Counter(trace.CtrOrphanWaits),
 		panics:            m.Counter(trace.CtrPanics),
 		rearms:            m.Counter(trace.CtrRearms),
-		replFailoverTakes: m.Counter(trace.CtrReplFailoverTakes),
-		replFencedHolds:   m.Counter(trace.CtrReplFencedHolds),
-		replRepairs:       m.Counter(trace.CtrReplRepairs),
-		replStaleReads:    m.Counter(trace.CtrReplStaleReads),
-		replWriteRefused:  m.Counter(trace.CtrReplWriteRefused),
-		replWriteUnacked:  m.Counter(trace.CtrReplWriteUnacked),
-		replWrites:        m.Counter(trace.CtrReplWrites),
-		replicaMsgs:       m.Counter(trace.CtrReplicaMsgs),
 		retries:           m.Counter(trace.CtrRetries),
 	}
 }

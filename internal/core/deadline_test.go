@@ -470,7 +470,7 @@ func nextTimer(t *testing.T, clk *clock.Virtual) time.Time {
 // and the queue timers armed for their first runs fired empty.
 func quietSweeps(r *rig) {
 	for _, inst := range r.inst {
-		inst.orphans.setEvery(time.Hour)
+		inst.orphans.SetPeriod(time.Hour)
 	}
 	r.clk.Advance(time.Second)
 }

@@ -65,9 +65,7 @@ func TestAnnounceCapsPolicy(t *testing.T) {
 			a.list.ObserveAnnounce("b", wire.CapsCurrent, false)
 		}
 		id := uint64(51 + k)
-		m := &wire.Message{Type: wire.TAnnounce, ID: id, From: "a"}
-		a.stampAnnounce(m)
-		if err := a.send("b", m); err != nil {
+		if err := a.send("b", a.announce(id)); err != nil {
 			t.Fatal(err)
 		}
 		eventually(t, "announce delivered", func() bool { return bin.find(id) != nil })

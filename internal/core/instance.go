@@ -20,6 +20,7 @@ import (
 
 	"tiamat/clock"
 	"tiamat/internal/discovery"
+	"tiamat/internal/replica"
 	"tiamat/internal/splitmix"
 	"tiamat/internal/store"
 	"tiamat/lease"
@@ -197,13 +198,13 @@ func (c *Config) applyDefaults() {
 
 // timers are the node's recovery timers, derived once in New from
 // ContactTimeout (DESIGN.md §7, "Node timers"). At the default 250ms they
-// read 50ms, 2s, 1s, 3s and 1s.
+// read 50ms, 2s, 1s and 3s; the replica set derives its repair sweep's
+// period from ContactTimeout too.
 type timers struct {
 	backoff     time.Duration // retryWait's base backoff and jitter bound
 	holdGrace   time.Duration // how long a hold outlives its op TTL
 	orphanSweep time.Duration // the orphan sweep's period
 	orphanGrace time.Duration // how long a served peer may stay unreachable
-	repair      time.Duration // the repair sweep's period and resend pacing
 }
 
 // deriveTimers scales the recovery timers from the contact timeout. The
@@ -217,7 +218,6 @@ func deriveTimers(contact time.Duration, attempts int) timers {
 		holdGrace:   max(8*contact, acceptSchedule(contact, backoff, attempts)),
 		orphanSweep: 4 * contact,
 		orphanGrace: 12 * contact,
-		repair:      4 * contact,
 	}
 }
 
@@ -300,9 +300,9 @@ type Instance struct {
 	// percentile paces hedged blocking lookups (hedge.go).
 	rtt rttDigest
 
-	// repl is the replication manager (replica.go), nil when Replicas=1:
-	// the single pointer that gates every replication code path.
-	repl *replicator
+	// rs is the node's replica set (internal/replica), nil when
+	// Replicas=1: the single pointer that gates every replication path.
+	rs *replica.Set
 
 	// rnd is the per-instance retry-jitter source (seeded in mobility.go).
 	rnd splitmix.Source
@@ -310,7 +310,7 @@ type Instance struct {
 	// started failing; the orphan sweep reaps a peer unreachable for a
 	// full orphan grace. Guarded by mu.
 	suspect map[wire.Addr]time.Time
-	orphans sweep // the orphan sweep's entry on deadlines (mobility.go)
+	orphans *clock.Sweep // the orphan sweep, an entry on deadlines (mobility.go)
 
 	// draining is set by Shutdown before any teardown happens: API entry
 	// points and new remote work are refused while in-flight state
@@ -396,11 +396,18 @@ func New(cfg Config) (*Instance, error) {
 		return nil, err
 	}
 	i.gov = newGovernor(i, cfg.Governor)
-	i.orphans = sweep{i: i, every: i.tm.orphanSweep, pass: i.sweepOrphans}
-	i.orphans.next()
+	i.orphans = clock.NewSweep(q, i.sweepOrphans)
+	i.orphans.SetPeriod(i.tm.orphanSweep)
 	if cfg.Replicas >= 2 {
-		i.repl = newReplicator(i)
-		i.repl.repair.next()
+		i.rs = replica.New(replica.Host{
+			Addr: i.Addr(), Replicas: cfg.Replicas, ContactTimeout: cfg.ContactTimeout,
+			Queue: q, List: i.list, Local: i.local, Metrics: met,
+			Relays: i.relaysNow, NextID: i.nextOp, Send: i.send,
+			Multicast: func(m *wire.Message) { _, _ = i.ep.Multicast(m) },
+			Announce:  func() *wire.Message { return i.announce(0) },
+			Closed:    i.isClosed, Stopping: i.stopping, Stopped: i.stopped,
+			Recover: i.recoverPanic,
+		})
 	}
 	// Hello: an unsolicited announce folds this instance into the
 	// responder lists of every peer that hears it (handleAnnounce keeps
@@ -413,9 +420,7 @@ func New(cfg Config) (*Instance, error) {
 	// Like every announce it carries this build's capability set, without
 	// which no peer lists it. It goes out before the receive loop starts,
 	// and so before this life's first op.
-	hello := &wire.Message{Type: wire.TAnnounce, ID: helloID, From: i.Addr(), Persistent: cfg.Persistent}
-	i.stampAnnounce(hello)
-	_, _ = i.ep.Multicast(hello)
+	_, _ = i.ep.Multicast(i.announce(helloID))
 	i.wg.Add(1)
 	go i.loop()
 	if i.gov.queue != nil { // a space that may block is served off the loop
@@ -438,11 +443,13 @@ func (i *Instance) PeerCaps(peer wire.Addr) (caps uint64, listed bool) {
 	return wire.CapsCurrent, true
 }
 
-// stampAnnounce fills the optional fields of an outbound announce from
-// local state: this build's capability set and the degraded self-report.
-func (i *Instance) stampAnnounce(m *wire.Message) {
-	m.Caps = wire.CapsCurrent
-	m.Degraded = i.Degraded()
+// announce returns a fresh announce of this node under id: its address,
+// persistence, this build's capability set and the degraded self-report.
+func (i *Instance) announce(id uint64) *wire.Message {
+	return &wire.Message{
+		Type: wire.TAnnounce, ID: id, From: i.Addr(), Persistent: i.cfg.Persistent,
+		Caps: wire.CapsCurrent, Degraded: i.Degraded(),
+	}
 }
 
 // Addr returns the instance's contact address.
@@ -480,6 +487,14 @@ func (i *Instance) SetRelays(relays []wire.Addr) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.relays = append([]wire.Addr(nil), relays...)
+}
+
+// relaysNow returns the relay set. SetRelays replaces it whole, so it is
+// never written in place.
+func (i *Instance) relaysNow() []wire.Addr {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.relays
 }
 
 // Shutdown stops the instance gracefully, bounded by ctx:
@@ -611,6 +626,28 @@ func (i *Instance) dispatchSafe(m *wire.Message) {
 // revocations), for the drain report and experiments.
 func (i *Instance) Governor() GovernorReport { return i.gov.Report() }
 
+// ReplicationReport snapshots the replica set (internal/replica).
+type ReplicationReport = replica.ReplicationReport
+
+// Replication snapshots the replication machinery, for the drain report
+// and experiments. The zero report is returned when replication is off
+// (R=1).
+func (i *Instance) Replication() ReplicationReport {
+	if i.rs == nil {
+		return ReplicationReport{}
+	}
+	return i.rs.Report()
+}
+
+// ReplicaCopies counts unexpired replica copies matching p, for
+// experiments asserting replication converged.
+func (i *Instance) ReplicaCopies(p tuple.Template) int {
+	if i.rs == nil {
+		return 0
+	}
+	return i.rs.Copies(p, i.clk.Now())
+}
+
 // LastPanic returns a description of the most recent recovered panic, or
 // "" if none occurred.
 func (i *Instance) LastPanic() string {
@@ -666,7 +703,9 @@ func (i *Instance) removed(e space.Entry) {
 	if !e.Expiry.IsZero() {
 		i.mgr.Unreserve(e.Size)
 	}
-	i.replOnLocalRemoval(e.ID)
+	if i.rs != nil {
+		i.rs.Removed(e.ID)
+	}
 }
 
 // reclaimOut is the lease.ReclaimFunc: it removes the soonest-expiring
@@ -688,31 +727,30 @@ func (i *Instance) out(t tuple.Tuple, offer lease.Terms, await bool, now time.Ti
 	if err := i.mgr.Reserve(offer, size); err != nil {
 		return err
 	}
-	return i.place(t, size, now.Add(offer.Duration), offer.MaxRemotes, await)
+	return i.place(t, size, now.Add(offer.Duration), offer.MaxRemotes, await, now)
 }
 
 // place stores t, reserved for size bytes, until expiry: Out, an eval's
 // result and a served remote out come here. From then on the entry is the
 // out lease, ended by its removal report (removed); a failed store ends it
-// at once. Then t is written through to its ring backups under remotes,
-// the out's remote budget, awaiting their acks only on an op's own
-// goroutine: a frame being served never waits.
-func (i *Instance) place(t tuple.Tuple, size int64, expiry time.Time, remotes int, await bool) error {
-	if i.repl != nil {
-		i.repl.placing.Add(1)
+// at once. Then the replica set writes t through to its ring backups
+// under remotes, the out's remote budget, awaiting their acks only on an
+// op's own goroutine: a frame being served never waits. now is the
+// placement's reading. A placement that Close may have left nowhere is
+// ErrClosed.
+func (i *Instance) place(t tuple.Tuple, size int64, expiry time.Time, remotes int, await bool, now time.Time) error {
+	if i.rs != nil {
+		i.rs.Placing()
 	}
 	sid, err := i.local.Out(t, expiry)
 	if err != nil {
 		i.mgr.Unreserve(size)
-		if i.repl != nil {
-			i.repl.leavePlacing(nil, false)
-		}
-		return err
+		sid = 0 // the replica set's window closes on no record
 	}
-	if i.repl == nil {
-		return nil
+	if i.rs != nil && !i.rs.Placed(sid, t, expiry, remotes, await, now) {
+		return ErrClosed
 	}
-	return i.replWriteThrough(sid, t, expiry, remotes, await)
+	return err
 }
 
 // isClosed reports whether Close has begun.

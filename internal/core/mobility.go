@@ -1,10 +1,6 @@
 package core
 
 import (
-	"sync"
-	"time"
-
-	"tiamat/clock"
 	"tiamat/trace"
 	"tiamat/wire"
 )
@@ -45,34 +41,7 @@ func (i *Instance) Mobility() MobilityReport {
 	}
 }
 
-// sweep is a periodic pass — the orphan sweep here, the repair sweep in
-// replica.go — run as an entry on the instance's deadline queue, not on a
-// goroutine of its own. Passes of one sweep never overlap. Close ends the
-// sweep with the queue, but a pass already running finishes after Close
-// returns (DESIGN.md §7).
-type sweep struct {
-	clock.Deadline
-	i     *Instance
-	every time.Duration
-	pass  func()
-	mu    sync.Mutex // held through a pass
-}
-
-// next schedules the sweep one interval from now.
-func (s *sweep) next() { s.i.deadlines.Schedule(s, s.i.clk.Now().Add(s.every)) }
-
-// Expire implements clock.Entry: one pass, then the next is scheduled an
-// interval after it ends, a panicking pass included. A firing that finds a
-// pass running (a repair kick on a real clock) waits for it.
-func (s *sweep) Expire() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.next()
-	defer s.i.recoverPanic("sweep")
-	s.pass()
-}
-
-// sweepOrphans is the orphan sweep's pass, every i.orphans.every: a
+// sweepOrphans is the orphan sweep's pass, every orphan sweep period: a
 // partition must not strand held tuples and served waiters until their
 // lease TTL when the requester is demonstrably gone. It probes every peer
 // we are currently serving (a registered blocking wait or a pending hold)
@@ -89,6 +58,7 @@ func (s *sweep) Expire() {
 // report unreachable and the sweep stays inert — the hold grace deadline
 // and lease TTL remain the backstop, same as before this sweep existed.
 func (i *Instance) sweepOrphans() {
+	defer i.recoverPanic("sweep")
 	if i.stopping() {
 		return
 	}
@@ -120,9 +90,7 @@ func (i *Instance) sweepOrphans() {
 		// The probe is a plain unsolicited announce, which peers already
 		// treat as useful knowledge (handleAnnounce). It carries our caps
 		// like every announce, without which it would list nobody.
-		probe := &wire.Message{Type: wire.TAnnounce, From: i.Addr(), Persistent: i.cfg.Persistent}
-		i.stampAnnounce(probe)
-		err := i.send(a, probe)
+		err := i.send(a, i.announce(0))
 		i.mu.Lock()
 		if err == nil {
 			delete(i.suspect, a)

@@ -386,7 +386,7 @@ func (i *Instance) runEval(f EvalFunc, args tuple.Tuple, lse *lease.Lease) {
 	i.mgr.Adopt(1, size)
 	expiry, remotes := lse.Deadline(), lse.RemotesLeft()
 	lse.Cancel()
-	_ = i.place(result, size, expiry, remotes, true) // eval is async: nobody to tell
+	_ = i.place(result, size, expiry, remotes, true, i.clk.Now()) // eval is async: nobody to tell
 }
 
 // Rd reads (a copy of) a tuple matching p from the logical space,
@@ -496,9 +496,9 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	// The walk below never contacts this node itself, so a requester that
 	// is the last surviving holder of a replica copy must serve it
 	// locally. Reads take any live copy; destructive takes pass the same
-	// supersede proof as a remote failover (replica.go).
-	if !ok && to == "" && i.repl != nil {
-		res, ok = i.replServeLocal(code, p)
+	// supersede proof as a remote failover (internal/replica).
+	if !ok && to == "" && i.rs != nil {
+		res.Tuple, ok = i.rs.ServeLocal(code.Removes(), p, i.clk.Now())
 	}
 	if ok {
 		i.ctr.opsLocalHit.Inc()
@@ -530,10 +530,10 @@ func (i *Instance) logicalOp(ctx context.Context, to wire.Addr, code wire.OpCode
 	// Destructive takes walking a replicated cluster's responder list
 	// carry the Failover flag on every unicast contact: a responder holding
 	// only a replica copy may then serve it — provided it can prove every
-	// higher-ranked holder dead (replica.go), so an alive primary always
-	// keeps its takes. The flag stays off multicasts (see multicast).
+	// higher-ranked holder dead (internal/replica), so an alive primary
+	// always keeps its takes. The flag stays off multicasts (see multicast).
 	f.op = wire.Message{Type: wire.TOp, From: i.Addr(), Op: code, Template: p,
-		Failover: to == "" && code.Removes() && i.repl != nil}
+		Failover: to == "" && code.Removes() && i.rs != nil}
 	res, ok, err = i.walk(ctx, now, &f.lse, &f.op, spare, to, st)
 	if err != nil {
 		return Result{}, false, err
@@ -637,12 +637,8 @@ func (st *opState) start() error {
 			st.queueBuf = i.list.SnapshotAt(st.queueBuf[:0], st.now)
 			if st.msg.Failover {
 				// Make sure the walk reaches the ring-placed replica holders
-				// for this template's key: a freshly dead primary's backups
-				// may be suspected (and so absent from the snapshot) while
-				// still alive and holding the copy.
-				if tag, arity, ok := replTemplateKey(st.msg.Template); ok {
-					st.queueBuf = i.repl.appendHolders(st.queueBuf, tag, arity)
-				}
+				// for this template's key.
+				st.queueBuf = i.rs.AppendHolders(st.queueBuf, st.msg.Template)
 			}
 			st.queue = st.queueBuf
 		}
@@ -727,9 +723,11 @@ func (st *opState) onReply(m *wire.Message) {
 			// First responder wins: accept this hold; closeOp's drain
 			// releases any later ones.
 			i.acceptHold(m.From, m.HoldID, st.lse, st.spare, st.now)
-			// A reply carrying a replica identity means other holders keep
-			// copies of this tuple: tell them it is consumed (replica.go).
-			i.replInvalidateSiblings(m)
+			if i.rs != nil {
+				// A reply carrying a replica identity means other holders
+				// keep copies of this tuple: tell them it is consumed.
+				i.rs.Consumed(m, st.now)
+			}
 		}
 		// The finder gains in its share of finds (handleResult), judged at
 		// this wake-up's reading.
@@ -787,15 +785,15 @@ func (st *opState) onTick() {
 	// attempt: a higher-ranked holder died mid-walk, or the failover grace
 	// armed then has now elapsed. Re-try it on each contact timeout — the
 	// walk never contacts this node itself.
-	serveLocal := st.to == "" && i.repl != nil
+	serveLocal := st.to == "" && i.rs != nil
 	for a, cs := range st.contacted {
 		if cs.done || now.Before(cs.deadline) {
 			continue
 		}
 		if serveLocal {
-			if res, ok := i.replServeLocal(code, st.msg.Template); ok {
+			if t, ok := i.rs.ServeLocal(code.Removes(), st.msg.Template, now); ok {
 				i.ctr.opsLocalHit.Inc()
-				st.res, st.ok, st.over = res, true, true
+				st.res, st.ok, st.over = Result{Tuple: t, From: i.Addr()}, true, true
 				return
 			}
 			serveLocal = false
@@ -1212,16 +1210,11 @@ func (i *Instance) handleResult(m *wire.Message) {
 		// releaseLate when no walk reads the reply.
 		i.list.Observe(m.From)
 	}
-	if m.Type == wire.TAck {
-		// A pure ack may settle a pending accept directly.
-		if i.finishAccept(m.ID) {
-			return
-		}
-		// Replicate/repair write-throughs ack the same way accepts do; a
-		// settled flight never reaches an operation channel.
-		if i.replFinishAck(m.ID, m) {
-			return
-		}
+	// A pure ack may settle a pending accept directly, and a replicate's
+	// settles its flight the same way: neither reaches an operation
+	// channel.
+	if m.Type == wire.TAck && (i.finishAccept(m.ID) || i.copyFrame(m, time.Time{})) {
+		return
 	}
 	i.deliverResult(m.ID, m)
 }

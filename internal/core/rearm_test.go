@@ -241,7 +241,7 @@ func TestOrphanSweepSparesReachablePeer(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a", "b"}, nil)
 	r.net.ConnectAll()
 	a, b := r.inst["a"], r.inst["b"]
-	a.orphans.setEvery(100 * time.Millisecond) // thirty sweeps to the 3s grace: a blip never ripens
+	a.orphans.SetPeriod(100 * time.Millisecond) // thirty sweeps to the 3s grace: a blip never ripens
 
 	errc := make(chan error, 1)
 	go func() {

@@ -26,7 +26,7 @@ func outLease() lease.Requester {
 // loss, invalidation and fencing, and the anti-entropy repair sweep.
 // The rig's virtual clock never advances on its own, so every path
 // exercised here is event-driven (acks, synchronous unreachable errors)
-// or invoked directly (repairSweep).
+// or invoked directly (RepairSweep().Run).
 
 // replRig builds a fully-visible cluster with replication on and waits
 // for the boot hellos to settle membership, so ring placement is
@@ -328,18 +328,18 @@ func TestInvalidateFencesLateReplicate(t *testing.T) {
 		Type: wire.TOut, ID: 901, From: "c", TTL: time.Minute,
 		Tuple: req(9), ReplOrigin: "c", ReplSeq: 9,
 	}
-	b.handleReplicate(repl)
+	b.rs.Frame(repl, b.clk.Now())
 	if b.ReplicaCopies(reqTmpl()) != 1 {
 		t.Fatal("replicate not admitted")
 	}
-	b.replInvalidate(&wire.Message{
+	b.rs.Frame(&wire.Message{
 		Type: wire.TCancel, ID: 902, From: "c", ReplOrigin: "c", ReplSeq: 9,
-	})
+	}, b.clk.Now())
 	if b.ReplicaCopies(reqTmpl()) != 0 {
 		t.Fatal("invalidate did not drop the copy")
 	}
 	// A late re-delivery of the same identity must not resurrect it.
-	b.handleReplicate(repl)
+	b.rs.Frame(repl, b.clk.Now())
 	rep := b.Replication()
 	if b.ReplicaCopies(reqTmpl()) != 0 || rep.FencedHolds == 0 {
 		t.Fatalf("fence did not refuse late replicate: %+v", rep)
@@ -381,7 +381,7 @@ func TestLocalReplicaServesLastSurvivor(t *testing.T) {
 func TestRepairReplacesLostBackup(t *testing.T) {
 	r := replRig(t, nil, "a", "b", "c")
 	for _, inst := range r.inst {
-		inst.repl.repair.setEvery(time.Millisecond)
+		inst.rs.RepairSweep().SetPeriod(time.Millisecond)
 	}
 	a := r.inst["a"]
 	if err := a.Out(req(8), outLease()); err != nil {
@@ -397,7 +397,7 @@ func TestRepairReplacesLostBackup(t *testing.T) {
 	})
 	// Drive the sweep directly: the virtual clock never fires its timer.
 	r.clk.Advance(10 * time.Millisecond)
-	a.repairSweep()
+	a.rs.RepairSweep().Run()
 	var survivor *Instance
 	for addr, inst := range r.inst {
 		if addr != "a" && addr != holder {
@@ -418,7 +418,7 @@ func TestRepairReplacesLostBackup(t *testing.T) {
 func TestAdoptionRepairsDeadOriginCopies(t *testing.T) {
 	r := replRig(t, nil, "a", "b", "c")
 	for _, inst := range r.inst {
-		inst.repl.repair.setEvery(time.Millisecond)
+		inst.rs.RepairSweep().SetPeriod(time.Millisecond)
 	}
 	a := r.inst["a"]
 	if err := a.Out(req(2), outLease()); err != nil {
@@ -445,7 +445,7 @@ func TestAdoptionRepairsDeadOriginCopies(t *testing.T) {
 	// lands.
 	eventually(t, "adopted copy placed on the survivor", func() bool {
 		r.clk.Advance(10 * time.Millisecond)
-		h.repairSweep()
+		h.rs.RepairSweep().Run()
 		return survivor.ReplicaCopies(reqTmpl()) == 1
 	})
 	if h.Replication().Repairs == 0 {
@@ -455,7 +455,7 @@ func TestAdoptionRepairsDeadOriginCopies(t *testing.T) {
 	// in-flight quota with replicate frames, and the failover take would
 	// be answered busy behind them.
 	for _, inst := range r.inst {
-		inst.repl.repair.setEvery(time.Hour)
+		inst.rs.RepairSweep().SetPeriod(time.Hour)
 	}
 	eventually(t, "no replicate admitted at either survivor", func() bool {
 		return h.gov.idle() && survivor.gov.idle()
@@ -590,7 +590,7 @@ func TestJoinCancelsFencedIdentities(t *testing.T) {
 	r := replRig(t, nil, "a", "b")
 	a, b := r.inst["a"], r.inst["b"]
 	for _, inst := range r.inst {
-		inst.repl.repair.setEvery(time.Hour) // reconciliation must not wait for a sweep
+		inst.rs.RepairSweep().SetPeriod(time.Hour) // reconciliation must not wait for a sweep
 	}
 	ctx := context.Background()
 	for k := int64(1); k <= 2; k++ {

@@ -76,7 +76,7 @@ type request struct {
 // serve what the space, which that wait watches, could not (handleOp).
 func (i *Instance) admit(m *wire.Message) (replay *wire.Message, execute bool) {
 	key := waitKey{from: m.From, id: m.ID}
-	failover := m.Type == wire.TOp && m.Failover && m.Op.Removes() && i.repl != nil
+	failover := m.Type == wire.TOp && m.Failover && m.Op.Removes() && i.rs != nil
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	e, ok := i.requests[key]
@@ -206,8 +206,7 @@ func (rw *remoteWait) Deliver(t tuple.Tuple, h space.Hold) {
 	}
 	// For rd the delivered copy is the answer: rd semantics permit any
 	// tuple that was in the space during the op.
-	ro, rs := i.replIdentityFor(h)
-	i.answerFound(rw.key, rw.ttl, t, h, ro, rs, i.clk.Now())
+	i.answerFound(rw.key, rw.ttl, t, h, i.clk.Now())
 }
 
 // LeaseEnded implements lease.EndHook.
@@ -266,11 +265,7 @@ func (rw *remoteWait) retire() {
 // never learn it exists) and join-event re-arming never fires here.
 func (i *Instance) handleDiscover(m *wire.Message) {
 	i.list.Observe(m.From)
-	reply := &wire.Message{
-		Type: wire.TAnnounce, ID: m.ID, From: i.Addr(), Persistent: i.cfg.Persistent,
-	}
-	i.stampAnnounce(reply)
-	_ = i.send(m.From, reply)
+	_ = i.send(m.From, i.announce(m.ID))
 }
 
 // handleAnnounce routes an announce to the discovery round that asked.
@@ -290,7 +285,11 @@ func (i *Instance) handleAnnounce(m *wire.Message) {
 	// Solicited or not, the announcer is alive; one critical section
 	// records presence and health so the join event a first announce
 	// emits is never processed ahead of the health state.
-	i.replOnJoin(m.From, i.list.ObserveAnnounce(m.From, m.Caps, m.Degraded))
+	// A first announce since the peer joined is the earliest a replica
+	// invalidation can be addressed to it (Joined).
+	if first := i.list.ObserveAnnounce(m.From, m.Caps, m.Degraded); first && i.rs != nil {
+		i.rs.Joined(m.From)
+	}
 	if !ok {
 		return
 	}
@@ -306,12 +305,12 @@ func (i *Instance) handleAnnounce(m *wire.Message) {
 // reply is recorded first, so a duplicate of the request replays it. now
 // is the reading of the event that found t: the served frame, or the Out
 // that matched a parked wait.
-func (i *Instance) answerFound(key waitKey, ttl time.Duration, t tuple.Tuple, h space.Hold, ro wire.Addr, rs uint64, now time.Time) {
-	reply := &wire.Message{
-		Type: wire.TResult, ID: key.id, From: i.Addr(),
-		Found: true, Tuple: t, ReplOrigin: ro, ReplSeq: rs,
-	}
+func (i *Instance) answerFound(key waitKey, ttl time.Duration, t tuple.Tuple, h space.Hold, now time.Time) {
+	reply := &wire.Message{Type: wire.TResult, ID: key.id, From: i.Addr(), Found: true, Tuple: t}
 	if h != nil {
+		if i.rs != nil {
+			reply.ReplOrigin, reply.ReplSeq = i.rs.Identity(h)
+		}
 		reply.HoldID = i.registerHold(h, ttl, key, now)
 	}
 	i.recordServed(key, reply, now)
@@ -379,39 +378,33 @@ func (i *Instance) handleOp(m *wire.Message, now time.Time) {
 
 	// Immediate attempt.
 	if m.Op.Removes() {
-		if h, ok := i.local.Hold(m.Template); ok {
-			ro, rs := i.replIdentityFor(h)
-			i.answerFound(key, ttl, h.Tuple(), h, ro, rs, now)
+		h, ok := i.local.Hold(m.Template)
+		if !ok && m.Failover && i.rs != nil {
+			// Failover take (internal/replica): surrender a replica copy
+			// through the ordinary hold protocol, but only if every holder
+			// ranked above this node is provably dead. The reply carries
+			// the copy's identity so the requester invalidates the
+			// remaining holders on accept: a sender that encoded the
+			// marker decodes the identity.
+			h, ok = i.rs.FailoverHold(m.Template, now)
+		}
+		if ok {
+			i.answerFound(key, ttl, h.Tuple(), h, now)
 			if rw != nil {
 				rw.end(false)
 			}
 			return
 		}
-		if m.Failover {
-			// Failover take (replica.go): surrender a replica copy through
-			// the ordinary hold protocol, but only if every holder ranked
-			// above this node is provably dead. The reply carries the
-			// copy's identity so the requester invalidates the remaining
-			// holders on accept: a sender that encoded the marker decodes
-			// the identity.
-			if h, k, ok := i.replFailoverHold(m.Template); ok {
-				i.answerFound(key, ttl, h.Tuple(), h, k.origin, k.seq, now)
-				if rw != nil {
-					rw.end(false)
-				}
-				return
-			}
-		}
 	} else {
-		if t, ok := i.local.Rdp(m.Template); ok {
-			i.answerFound(key, ttl, t, nil, "", 0, now)
-			return
+		t, ok := i.local.Rdp(m.Template)
+		if !ok && i.rs != nil {
+			// Any live replica may answer a read: staleness is bounded by
+			// the copy's lease, exactly the bound the paper already
+			// accepts for visibility.
+			t, ok = i.rs.Read(m.Template, now)
 		}
-		// Any live replica may answer a read (replica.go): staleness is
-		// bounded by the copy's lease, exactly the bound the paper already
-		// accepts for visibility.
-		if t, ok := i.replRdp(m.Template); ok {
-			i.answerFound(key, ttl, t, nil, "", 0, now)
+		if ok {
+			i.answerFound(key, ttl, t, nil, now)
 			return
 		}
 	}
@@ -576,10 +569,7 @@ func (i *Instance) handleAccept(m *wire.Message) {
 // answered one: a cancel can beat its op, and a copy that comes after it
 // must be dropped, not park a wait nobody will cancel (DESIGN.md §6).
 func (i *Instance) handleCancel(m *wire.Message) {
-	if m.ReplSeq != 0 {
-		// Replica invalidation rides TCancel (replica.go): the identified
-		// copy is consumed; drop it and fence its identity.
-		i.replInvalidate(m)
+	if i.copyFrame(m, time.Time{}) {
 		return
 	}
 	key := waitKey{from: m.From, id: m.ID}
@@ -595,14 +585,28 @@ func (i *Instance) handleCancel(m *wire.Message) {
 // handleRemoteOut admits a direct remote out (paper §2.4): the tuple is
 // stored under a lease this instance negotiates for itself.
 func (i *Instance) handleRemoteOut(m *wire.Message, now time.Time) {
-	if m.ReplSeq != 0 {
-		// Replicate/repair write-through (replica.go): soft state in the
-		// replica store, not a remote out into the space. Idempotent, so
-		// no served-cache round-trip is needed.
-		i.handleReplicate(m)
-		return
+	if !i.copyFrame(m, now) {
+		i.serveOnce(m, now, i.remoteOut)
 	}
-	i.serveOnce(m, now, i.remoteOut)
+}
+
+// copyFrame hands an inbound replica frame to the replica set and reports
+// whether m was one: a replicate (a TOut carrying a replica identity:
+// soft state in the replica store, not a remote out into the space), an
+// invalidation (a TCancel carrying one) or a replicate's TAck. A node
+// with no replica set refuses a replicate and drops an invalidation. now
+// is the frame's reading, zero where the node has taken none.
+func (i *Instance) copyFrame(m *wire.Message, now time.Time) bool {
+	if i.rs != nil {
+		return i.rs.Frame(m, now)
+	}
+	if m.ReplSeq == 0 {
+		return false
+	}
+	if m.Type == wire.TOut {
+		_ = i.send(m.From, &wire.Message{Type: wire.TAck, ID: m.ID, From: i.Addr(), Err: "replication disabled"})
+	}
+	return true
 }
 
 // handleRemoteEval admits a direct remote eval: the function must be
@@ -683,11 +687,8 @@ func (i *Instance) relayOut(res Result) error {
 	inner := &wire.Message{Type: wire.TOut, ID: i.nextOp(), From: i.Addr(),
 		TTL: defaultTerms.Duration, Tuple: res.Tuple}
 	payload := wire.Encode(inner)
-	i.mu.Lock()
-	relays := append([]wire.Addr(nil), i.relays...)
-	i.mu.Unlock()
 	var lastErr error = ErrAbandoned
-	for _, relay := range relays {
+	for _, relay := range i.relaysNow() {
 		err := i.send(relay, &wire.Message{
 			Type: wire.TRelay, ID: i.nextOp(), From: i.Addr(),
 			Target: res.From, Payload: payload,

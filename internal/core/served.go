@@ -16,9 +16,7 @@ const servedCacheMax = 4096
 
 // dedupTTL is how long an answered or cancelled request is remembered for
 // duplicate suppression. It only has to outlast a requester's
-// retransmission window (seconds). The replicator borrows it for how long
-// a consumed identity stays fenced and an unacked replicate flight is
-// remembered (replica.go).
+// retransmission window (seconds).
 const dedupTTL = 30 * time.Second
 
 // servedMinSlots is the ring's size at its first use; it doubles as it

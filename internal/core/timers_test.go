@@ -22,9 +22,9 @@ func TestTimersDeriveFromContactTimeout(t *testing.T) {
 	}{
 		{"retry backoff", a.tm.backoff, 50 * time.Millisecond},
 		{"hold grace", a.tm.holdGrace, 2 * time.Second},
-		{"orphan sweep", a.orphans.every, time.Second},
+		{"orphan sweep", a.orphans.Period(), time.Second},
 		{"orphan grace", a.tm.orphanGrace, 3 * time.Second},
-		{"repair sweep", a.repl.repair.every, time.Second},
+		{"repair sweep", a.rs.RepairSweep().Period(), time.Second},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s at the default contact timeout = %v, want %v", tc.name, tc.got, tc.want)

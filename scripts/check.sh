@@ -64,6 +64,25 @@ if [ "$(printf '%s' "$places" | grep -c .)" -ne 1 ]; then
 	exit 1
 fi
 
+# Replication lives in internal/replica (DESIGN.md §13): core holds one
+# field of its type, nil at R=1, and calls it at named hooks. Ring
+# placement or replica state back in core would grow the seam again. An
+# identifier that starts with "repl" (reply, replied, replies, replay and
+# replace are words, not replication; replica.X is the package) is looked
+# for in code alone: comments and string literals are blanked first.
+echo "==> internal/core imports no routing and declares no repl* identifier"
+core="$(git ls-files 'internal/core/*.go' | grep -v '_test.go$')"
+seam="$(echo "$core" | xargs grep -n '"tiamat/routing"' || true)
+$(for f in $core; do
+	sed -E 's/"([^"\\]|\\.)*"/""/g; s:(^|[[:space:]])//.*$::' "$f" |
+		grep -nP '\brepl(?!y|ied|ies|ay|ace)\w*\b(?!\.)' | sed "s|^|$f:|"
+done)"
+if [ -n "$(printf '%s' "$seam" | grep .)" ]; then
+	echo "replication in internal/core:"
+	printf '%s\n' "$seam" | grep .
+	exit 1
+fi
+
 # A node has one timer (DESIGN.md §7): its lease manager and the store it
 # builds are handed the node's clock.Queue as their clock and schedule on
 # it through clock.QueueOf. A queue made anywhere in them is a second one.

@@ -9,6 +9,7 @@ import (
 	"tiamat"
 	"tiamat/clock"
 	"tiamat/trace"
+	"tiamat/transport"
 	"tiamat/transport/memnet"
 	"tiamat/wire"
 )
@@ -138,5 +139,70 @@ func waitQuiet(met *trace.Metrics) {
 		} else {
 			still++
 		}
+	}
+}
+
+// Per warm remote take at Replicas: 2 over memnet, both nodes together:
+// one write-through replicate from the origin; eight frames (the
+// replicate and its ack, the taker's proof-of-death probe of the live
+// origin, the op, result, accept and ack, and the origin's invalidation of
+// the backup; the taker's invalidation multicast is counted apart); the
+// objects BenchmarkRemoteInpTwoNodesReplicated reads; and the clock
+// readings.
+const (
+	replicatedTakeMsgs       = 8
+	replicatedTakeAllocs     = 50
+	replicatedTakeClockReads = 10
+)
+
+// TestReplicatedTakeCosts pins what replication adds to a warm remote
+// take, as the tests above pin the take at R=1. Both endpoints are
+// attached and connected before either node is built: a node built first
+// multicasts its hello to nobody, never enters its peer's ring, and
+// replicates nothing.
+func TestReplicatedTakeCosts(t *testing.T) {
+	clk := new(countingClock)
+	net := memnet.New()
+	t.Cleanup(func() { net.Close() })
+	// One-byte addresses, as the benchmark's: the runtime hands out a
+	// decoded one-byte string without allocating it.
+	epA, _ := net.Attach("a")
+	epB, _ := net.Attach("b")
+	net.ConnectAll()
+	newNode := func(ep transport.Endpoint) *tiamat.Instance {
+		inst, err := tiamat.New(tiamat.Config{Endpoint: ep, Clock: clk, Replicas: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { inst.Close() })
+		return inst
+	}
+	a, b := newNode(epA), newNode(epB)
+	for k := 0; k < 200; k++ {
+		remoteTake(t, a, b)
+	}
+	met := net.Metrics()
+	waitQuiet(met)
+	const takes = 1000
+	writes, msgs, reads := a.Metrics().Get(trace.CtrReplWrites), met.Get(trace.CtrMsgsSent), clk.reads.Load()
+	for k := 0; k < takes; k++ {
+		remoteTake(t, a, b)
+	}
+	waitQuiet(met)
+	if got := a.Metrics().Get(trace.CtrReplWrites) - writes; got != takes {
+		t.Errorf("origin sent %d replicates over %d takes, want one per take", got, takes)
+	}
+	if got := float64(met.Get(trace.CtrMsgsSent)-msgs) / takes; got != replicatedTakeMsgs {
+		t.Errorf("%.3f frames per replicated take, want %d", got, replicatedTakeMsgs)
+	}
+	// The sweeps read the clock a few hundredths of a time per take.
+	if got := float64(clk.reads.Load()-reads) / takes; math.Round(got) > replicatedTakeClockReads {
+		t.Errorf("%.3f clock readings per replicated take, want at most %d", got, replicatedTakeClockReads)
+	}
+	if raceEnabled {
+		return // the race detector's sync.Pool drops some of what is put back
+	}
+	if got := testing.AllocsPerRun(takes, func() { remoteTake(t, a, b) }); got > replicatedTakeAllocs {
+		t.Errorf("Out + remote Inp at R=2: %.2f allocs, want at most %d", got, replicatedTakeAllocs)
 	}
 }

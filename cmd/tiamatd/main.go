@@ -20,8 +20,8 @@
 // (DESIGN.md §9): the per-peer bound on served blocking waits and the
 // pressure at which admission starts shedding. The drain path prints a
 // one-line governance summary (sheds, shrinks, revocations) on exit,
-// followed by a gray-failure line (hedges fired/won/suppressed, RTT
-// digest size, and whether the node is currently self-reporting
+// followed by a gray-failure line (hedges fired/won/suppressed, the
+// current hedge delay, and whether the node is currently self-reporting
 // degraded). -stall-threshold tunes the WAL fsync watchdog behind that
 // self-report (DESIGN.md §11).
 //
@@ -195,8 +195,8 @@ func main() {
 			fmt.Printf("mobility: rearms=%d orphans{waits=%d holds=%d probes=%d} visibility{joins=%d leaves=%d}\n",
 				m.Rearms, m.OrphanWaits, m.OrphanHolds, m.OrphanProbes, m.VisJoins, m.VisLeaves)
 			gr := inst.Gray()
-			fmt.Printf("gray: hedges=%d wins=%d suppressed=%d rtt-samples=%d degraded=%t\n",
-				gr.Hedges, gr.HedgeWins, gr.HedgeSuppressed, gr.RTTSamples, inst.Degraded())
+			fmt.Printf("gray: hedges=%d wins=%d suppressed=%d hedge-delay=%v degraded=%t\n",
+				gr.Hedges, gr.HedgeWins, gr.HedgeSuppressed, gr.HedgeDelay, gr.Degraded)
 			fmt.Printf("deadlines fired: contact-timeouts=%d accept-retransmits=%d hold-grace-expired=%d suspicions=%d io-timeouts=%d\n",
 				met.Get(trace.CtrContactTimeouts), met.Get(trace.CtrAcceptRetransmits), met.Get(trace.CtrHoldGraceExpired),
 				met.Get(trace.CtrSuspicions), met.Get(trace.CtrIOTimeouts))

@@ -212,7 +212,7 @@ func TestChaosSuspicionRecovers(t *testing.T) {
 	// does not error) but every frame is lost. Probes must fail after
 	// retries and raise suspicion rather than hang.
 	r.net.SetFaults(memnet.Faults{Loss: 1.0})
-	for k := 0; k < discovery.DefaultSuspectThreshold+1; k++ {
+	for k := 0; k < discovery.SuspectThreshold+1; k++ {
 		if _, ok, _ := b.Rdp(context.Background(), reqTmpl(),
 			lease.Flexible(lease.Terms{Duration: time.Second, MaxRemotes: 16})); ok {
 			t.Fatal("probe succeeded under total loss")

@@ -296,10 +296,6 @@ type Instance struct {
 	// for the drain report.
 	lastPanic atomic.Value // string
 
-	// rtt digests recent first-attempt round-trip samples; its upper
-	// percentile paces hedged blocking lookups (hedge.go).
-	rtt rttDigest
-
 	// rs is the node's replica set (internal/replica), nil when
 	// Replicas=1: the single pointer that gates every replication path.
 	rs *replica.Set
@@ -362,7 +358,7 @@ func New(cfg Config) (*Instance, error) {
 		ctr: newCounters(met),
 		mgr: lease.NewManager(cfg.Leases, q),
 		list: discovery.NewResponderList(responderListMax, met,
-			discovery.WithClock(cfg.Clock)),
+			cfg.Clock),
 		deadlines:   q,
 		ops:         make(map[uint64]*opState),
 		holds:       make(map[uint64]*pendingHold),

@@ -72,9 +72,9 @@ type walk struct {
 	// stamped with the time left, which later contacts then share.
 	msg   *wire.Message
 	to    wire.Addr
-	spare *pendingAccept         // a take's accept record (takeFrames)
-	local space.Parked           // a local match ends the walk; nil once settled
-	joins <-chan discovery.Event // nil unless re-arming
+	spare *pendingAccept   // a take's accept record (takeFrames)
+	local space.Parked     // a local match ends the walk; nil once settled
+	joins <-chan wire.Addr // nil unless re-arming
 
 	queue       []wire.Addr // not contacted yet, best first
 	remaining   int         // replies still expected
@@ -596,9 +596,9 @@ func (i *Instance) walk(ctx context.Context, now time.Time, lse *lease.Lease, m 
 		case <-st.tick:
 			st.now = i.clk.Now()
 			st.onTick()
-		case ev := <-st.joins:
+		case a := <-st.joins:
 			st.now = i.clk.Now()
-			st.onJoin(ev)
+			st.onJoin(a)
 		case <-ctx.Done():
 			st.err, st.over = ctx.Err(), true
 		}
@@ -651,16 +651,16 @@ func (st *opState) start() error {
 		if code.Blocking() && i.cfg.ContinuousDiscovery {
 			st.rediscoverAt = st.now.Add(i.cfg.RediscoverInterval)
 		}
-		// Blocking ops subscribe to the responder list's visibility events
-		// so a peer that walks into range mid-wait is contacted immediately
-		// (the paper's §2 premise: the logical space is the union of
+		// Blocking ops subscribe to the responder list's joins so a peer
+		// that walks into range mid-wait is contacted immediately (the
+		// paper's §2 premise: the logical space is the union of
 		// *currently* visible nodes, not the set visible at op start).
 		if code.Blocking() {
 			if st.sub == nil {
 				st.sub = discovery.NewSubscription()
 			}
 			i.list.Attach(st.sub)
-			st.joins = st.sub.Events()
+			st.joins = st.sub.Joins()
 		}
 	}
 	st.arm()
@@ -833,22 +833,22 @@ func (st *opState) onTick() {
 // Skips: ourselves, peers that already answered this op, and peers with a
 // contact still in flight. A peer we gave up on re-qualifies — its
 // reappearance is exactly the news we were missing.
-func (st *opState) onJoin(ev discovery.Event) {
+func (st *opState) onJoin(a wire.Addr) {
 	i := st.i
-	if ev.Kind != discovery.EventJoin || ev.Addr == i.Addr() || st.replied[ev.Addr] {
+	if a == i.Addr() || st.replied[a] {
 		return
 	}
-	if cs := st.contacted[ev.Addr]; cs != nil && !cs.done {
+	if cs := st.contacted[a]; cs != nil && !cs.done {
 		return
 	}
 	if st.lse.ConsumeRemote() != nil {
 		return // remote budget exhausted: the lease bounds re-arms too
 	}
 	st.restamp()
-	if i.send(ev.Addr, st.msg) != nil {
+	if i.send(a, st.msg) != nil {
 		return
 	}
-	st.record(ev.Addr, false)
+	st.record(a, false)
 	i.ctr.rearms.Inc()
 	st.arm()
 }

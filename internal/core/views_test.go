@@ -51,7 +51,6 @@ var reportCounters = map[string]string{
 var reportLive = map[string]bool{
 	"GovernorReport.QueueDelay":         true,
 	"GrayReport.HedgeDelay":             true,
-	"GrayReport.RTTSamples":             true,
 	"GrayReport.Degraded":               true,
 	"ReplicationReport.Outs":            true,
 	"ReplicationReport.Copies":          true,

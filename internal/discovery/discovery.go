@@ -39,12 +39,14 @@
 // that answer — so suspicion never fires — but orders of magnitude
 // slower than their neighbors. Each entry keeps an EWMA of observed
 // reply latency plus mean deviation; an entry sustaining at least
-// DemoteFactor× the list's median EWMA is *demoted*, as is one that
+// demoteFactor× the list's median EWMA is *demoted*, as is one that
 // accumulates hedge slow-strikes or self-reports degradation on its
-// announce frames. Demotion is deliberately weaker than suspicion: a
-// demoted peer still serves (Snapshot keeps it, moved to the back) and
-// a found reply does not raise its rank. Demotion lifts when
-// its latency returns under the recovery threshold or the cooldown
+// announce frames. The same samples are the node's only latency
+// estimate: the median of the entries' retransmission timeouts paces
+// hedged lookups (HedgeDelay). Demotion is deliberately weaker than
+// suspicion: a demoted peer still serves (Snapshot keeps it, moved to
+// the back) and a found reply does not raise its rank. Demotion lifts
+// when its latency returns under the recovery threshold or the cooldown
 // lapses, whichever comes first.
 package discovery
 
@@ -52,6 +54,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tiamat/clock"
@@ -59,46 +62,44 @@ import (
 	"tiamat/wire"
 )
 
-// Health policy defaults.
+// Health policy.
 const (
-	// DefaultSuspectThreshold is how many consecutive soft failures put
-	// an entry under suspicion.
-	DefaultSuspectThreshold = 3
-	// DefaultSuspectCooldown is the first suspension length; it doubles
-	// on each re-suspension up to DefaultSuspectMax.
-	DefaultSuspectCooldown = 2 * time.Second
-	// DefaultSuspectMax caps the doubling cooldown.
-	DefaultSuspectMax = 30 * time.Second
+	// SuspectThreshold is how many consecutive soft failures put an entry
+	// under suspicion.
+	SuspectThreshold = 3
 
-	// DefaultDemoteFactor demotes an entry whose latency EWMA reaches
-	// this multiple of the list median; recovery needs it back under
-	// half the multiple (hysteresis, so the boundary doesn't flap).
-	DefaultDemoteFactor = 4.0
-	// DefaultDemoteMinSamples is how many latency samples an entry needs
-	// before it participates in outlier detection, on either side.
-	DefaultDemoteMinSamples = 3
-	// DefaultSlowStrikeLimit is how many hedge slow-strikes demote an
-	// entry even before its EWMA crosses the outlier line (hedge losers'
-	// late replies are never sampled, so strikes are the signal there).
-	DefaultSlowStrikeLimit = 3
-	// DefaultDemoteCooldown is the first demotion length; it doubles on
-	// re-demotion up to DefaultDemoteMax.
-	DefaultDemoteCooldown = 2 * time.Second
-	// DefaultDemoteMax caps the doubling demotion cooldown.
-	DefaultDemoteMax = 30 * time.Second
-	// DefaultDegradedTTL bounds how long a self-reported degraded flag
-	// sticks without a refreshing announce.
-	DefaultDegradedTTL = 10 * time.Second
+	// cooldownFirst is the first suspension or demotion length; each
+	// re-trip doubles it up to cooldownMax (a backoff).
+	cooldownFirst = 2 * time.Second
+	cooldownMax   = 30 * time.Second
+
+	// demoteFactor demotes an entry whose latency EWMA reaches this
+	// multiple of the list median; recovery needs it back under half the
+	// multiple (hysteresis, so the boundary doesn't flap).
+	demoteFactor = 4.0
+	// demoteMinSamples is how many latency samples an entry needs before
+	// it counts toward the median (outlier detection and the hedge delay),
+	// on either side.
+	demoteMinSamples = 3
+	// slowStrikeLimit is how many hedge slow-strikes demote an entry even
+	// before its EWMA crosses the outlier line (hedge losers' late replies
+	// are never sampled, so strikes are the signal there).
+	slowStrikeLimit = 3
+	// degradedTTL bounds how long a self-reported degraded flag sticks
+	// without a refreshing announce.
+	degradedTTL = 10 * time.Second
 
 	// demoteMedianFloor keeps the outlier line meaningful on very fast
-	// networks: the demotion threshold is DemoteFactor × max(median,
+	// networks: the demotion threshold is demoteFactor × max(median,
 	// this floor), so sub-millisecond jitter alone cannot demote.
 	demoteMedianFloor = 500 * time.Microsecond
 
 	// ewmaShift and devShift are the smoothing constants (RFC 6298
-	// shape): srtt += (s-srtt)/8, dev += (|s-srtt|-dev)/4.
+	// shape): srtt += (s-srtt)/8, dev += (|s-srtt|-dev)/4; an entry's
+	// retransmission timeout is srtt + rtoDevs·dev.
 	ewmaShift = 3
 	devShift  = 2
+	rtoDevs   = 4
 
 	// shareDecay is the weight of one found reply in an entry's share:
 	// each Promote moves the finder's share 1/8 of the way to 1 and every
@@ -107,22 +108,42 @@ const (
 	shareDecay = 1.0 / 8
 )
 
+// backoff is a half-open circuit breaker's timer: a trip holds it open
+// for the current cooldown, which then doubles up to cooldownMax, so a
+// peer that trips again as soon as it is let back in is held out twice as
+// long. Suspicion and demotion each keep one per entry; the zero value is
+// closed, with its first trip at cooldownFirst.
+type backoff struct {
+	until time.Time
+	next  time.Duration
+}
+
+func (b *backoff) open(now time.Time) bool { return now.Before(b.until) }
+
+func (b *backoff) trip(now time.Time) {
+	if b.next == 0 {
+		b.next = cooldownFirst
+	}
+	b.until = now.Add(b.next)
+	b.next = min(2*b.next, cooldownMax)
+}
+
+func (b *backoff) reset() { *b = backoff{} }
+
 // entry is one cached responder plus its health state.
 type entry struct {
-	addr         wire.Addr
-	fails        int           // consecutive soft failures
-	cooldown     time.Duration // next suspension length
-	suspectUntil time.Time     // zero when not suspected
+	addr    wire.Addr
+	fails   int     // consecutive soft failures
+	suspect backoff // open while suspected
 
-	// Gray-failure state: latency EWMA + mean deviation, demotion
-	// bookkeeping, hedge slow-strikes, and self-reported degradation.
-	ewma           time.Duration
-	ewmaDev        time.Duration
-	samples        int
-	slowStrikes    int
-	demotedUntil   time.Time     // zero when not demoted
-	demoteCooldown time.Duration // next demotion length
-	degradedUntil  time.Time     // self-reported degradation TTL
+	// Gray-failure state: latency EWMA + mean deviation, demotion,
+	// hedge slow-strikes, and self-reported degradation.
+	ewma          time.Duration
+	ewmaDev       time.Duration
+	samples       int
+	slowStrikes   int
+	demoted       backoff
+	degradedUntil time.Time // self-reported degradation TTL
 
 	// announced is set by the entry's first announce at or above the wire
 	// floor (ObserveAnnounce).
@@ -131,46 +152,6 @@ type entry struct {
 	// share is the entry's recent share of found replies (Promote): the
 	// list is ordered by it, highest first, ties in arrival order.
 	share float64
-}
-
-// EventKind classifies a visibility event.
-type EventKind uint8
-
-// Visibility event kinds.
-const (
-	// EventJoin reports an address entering the responder list: the
-	// instance became visible (or visible again).
-	EventJoin EventKind = iota + 1
-	// EventLeave reports an address leaving the responder list, whether
-	// by eviction, graceful departure, attrition, or Clear.
-	EventLeave
-)
-
-// String returns the event kind name.
-func (k EventKind) String() string {
-	switch k {
-	case EventJoin:
-		return "join"
-	case EventLeave:
-		return "leave"
-	default:
-		return "unknown"
-	}
-}
-
-// Event is one visibility transition observed by the responder list. The
-// paper's model (§2.2) makes the logical space track *current*
-// visibility; the event stream is how an operation in flight (wait
-// re-arming) reacts to the world changing mid-operation instead of working
-// from a start-of-op snapshot.
-type Event struct {
-	Kind EventKind
-	Addr wire.Addr
-	// Epoch is the peer's monotonic visibility epoch: it increments on
-	// every join, so a subscriber can tell a stale leave (epoch < the
-	// join it already acted on) from a fresh one, and can recognise a
-	// rejoin of the same address as a new life of the peer.
-	Epoch uint64
 }
 
 // subBuf is the per-subscriber event buffer. Events are best-effort: a
@@ -188,69 +169,19 @@ type ResponderList struct {
 	clk   clock.Clock
 	max   int
 
-	threshold   int
-	cooldown    time.Duration
-	maxCooldown time.Duration
-
-	// Latency/demotion policy (gray failures).
-	demoteFactor   float64
-	minSamples     int
-	strikeLimit    int
-	demoteCooldown time.Duration
-	demoteMax      time.Duration
-	degradedTTL    time.Duration
-	// ewmaScratch is the outlier check's sort buffer: the check runs on
-	// every latency sample, under mu, and must not allocate there.
+	// ewmaScratch and rtoScratch are the median's sort buffers: it is
+	// taken on every latency sample, under mu, and must not allocate
+	// there.
 	ewmaScratch []time.Duration
+	rtoScratch  []time.Duration
+	// hedge is the lower median RTO over sampled entries (HedgeDelay),
+	// 0 while none is sampled; written under mu, read without it.
+	hedge atomic.Int64
 
-	// Visibility event stream state: per-address join epochs (kept after
-	// removal so a rejoin gets the next epoch), subscriber channels, and
-	// the lifetime join/leave tallies Revision() is built on (monitoring
-	// reads disc.vis_joins/disc.vis_leaves from the registry).
-	epochs map[wire.Addr]uint64
-	subs   map[*Subscription]struct{}
-	joins  uint64
-	leaves uint64
-}
-
-// Option configures a ResponderList.
-type Option func(*ResponderList)
-
-// WithClock sets the time source used for suspicion decay (default:
-// wall clock).
-func WithClock(clk clock.Clock) Option {
-	return func(l *ResponderList) { l.clk = clk }
-}
-
-// WithHealthPolicy overrides the suspicion thresholds. threshold <= 0
-// disables suspicion entirely.
-func WithHealthPolicy(threshold int, cooldown, maxCooldown time.Duration) Option {
-	return func(l *ResponderList) {
-		l.threshold = threshold
-		l.cooldown = cooldown
-		l.maxCooldown = maxCooldown
-	}
-}
-
-// WithLatencyPolicy overrides the latency-outlier demotion policy.
-// factor <= 0 disables latency-based demotion (slow-strikes and
-// self-reported degradation still demote).
-func WithLatencyPolicy(factor float64, minSamples, strikeLimit int, cooldown, maxCooldown time.Duration) Option {
-	return func(l *ResponderList) {
-		l.demoteFactor = factor
-		if minSamples > 0 {
-			l.minSamples = minSamples
-		}
-		if strikeLimit > 0 {
-			l.strikeLimit = strikeLimit
-		}
-		if cooldown > 0 {
-			l.demoteCooldown = cooldown
-		}
-		if maxCooldown > 0 {
-			l.demoteMax = maxCooldown
-		}
-	}
+	// subs are the attached subscriptions; rev counts joins and removals
+	// (Revision).
+	subs map[*Subscription]struct{}
+	rev  uint64
 }
 
 // counters are the list's counter handles (trace.Metrics.Counter).
@@ -289,55 +220,47 @@ func newCounters(m *trace.Metrics) counters {
 }
 
 // NewResponderList returns an empty list. max bounds the number of cached
-// responders (0 means unbounded); met may be nil.
-func NewResponderList(max int, met *trace.Metrics, opts ...Option) *ResponderList {
+// responders (0 means unbounded); met may be nil. clk, at most one, is
+// the time source for suspicion, demotion and degradation (default: the
+// wall clock).
+func NewResponderList(max int, met *trace.Metrics, clk ...clock.Clock) *ResponderList {
 	if met == nil {
 		met = &trace.Metrics{}
 	}
 	l := &ResponderList{
-		index:          make(map[wire.Addr]*entry),
-		ctr:            newCounters(met),
-		clk:            clock.Real{},
-		max:            max,
-		threshold:      DefaultSuspectThreshold,
-		cooldown:       DefaultSuspectCooldown,
-		maxCooldown:    DefaultSuspectMax,
-		demoteFactor:   DefaultDemoteFactor,
-		minSamples:     DefaultDemoteMinSamples,
-		strikeLimit:    DefaultSlowStrikeLimit,
-		demoteCooldown: DefaultDemoteCooldown,
-		demoteMax:      DefaultDemoteMax,
-		degradedTTL:    DefaultDegradedTTL,
-		epochs:         make(map[wire.Addr]uint64),
-		subs:           make(map[*Subscription]struct{}),
+		index: make(map[wire.Addr]*entry),
+		ctr:   newCounters(met),
+		clk:   clock.Real{},
+		max:   max,
+		subs:  make(map[*Subscription]struct{}),
 	}
-	for _, o := range opts {
-		o(l)
+	if len(clk) > 0 {
+		l.clk = clk[0]
 	}
 	return l
 }
 
-// Subscription is a reusable receiver of a list's visibility events: its
-// owner (a pooled operation state) makes it once and
-// attaches it for as long as it wants to hear, so a blocking operation
-// pays for no channel of its own.
+// Subscription is a reusable receiver of a list's joins: its owner (a
+// pooled operation state) makes it once and attaches it for as long as it
+// wants to hear, so a blocking operation pays for no channel of its own.
 type Subscription struct {
-	ch chan Event
+	ch chan wire.Addr
 }
 
 // NewSubscription returns a detached subscription.
 func NewSubscription() *Subscription {
-	return &Subscription{ch: make(chan Event, subBuf)}
+	return &Subscription{ch: make(chan wire.Addr, subBuf)}
 }
 
-// Events is where an attached subscription's events arrive. Delivery is
-// best-effort and non-blocking: a subscriber that falls behind by more
-// than the buffer loses events (counted under disc.vis_event_drops). The
-// channel is never closed; a detached subscription simply stops
-// receiving.
-func (s *Subscription) Events() <-chan Event { return s.ch }
+// Joins is where an attached subscription receives the address of each
+// peer that enters the list: the instance became visible (or visible
+// again). Delivery is best-effort and non-blocking: a subscriber that
+// falls behind by more than the buffer loses joins (counted under
+// disc.vis_event_drops). The channel is never closed; a detached
+// subscription simply stops receiving.
+func (s *Subscription) Joins() <-chan wire.Addr { return s.ch }
 
-// Attach starts delivering the list's events to s, first discarding any
+// Attach starts delivering the list's joins to s, first discarding any
 // left unread from an earlier attachment: they are some other wait's
 // news.
 func (l *ResponderList) Attach(s *Subscription) {
@@ -349,30 +272,21 @@ func (l *ResponderList) Attach(s *Subscription) {
 	l.subs[s] = struct{}{}
 }
 
-// Detach stops delivery to s; no event is sent to it after Detach returns.
+// Detach stops delivery to s; nothing is sent to it after Detach returns.
 func (l *ResponderList) Detach(s *Subscription) {
 	l.mu.Lock()
 	delete(l.subs, s)
 	l.mu.Unlock()
 }
 
-// Epoch returns addr's current visibility epoch: 0 if it has never
-// joined, otherwise the epoch assigned at its most recent join.
-func (l *ResponderList) Epoch(addr wire.Addr) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epochs[addr]
-}
-
 // Revision returns a monotonic membership revision: it advances on every
-// join and leave. Consumers that derive state from the membership set —
+// join and removal. Consumers that derive state from the membership set —
 // the replica placement ring (DESIGN.md §13) rebuilds from Members() —
-// use it as a cheap change detector, and the Subscription event stream as
-// the push-side signal that replica ranks shifted.
+// use it as a cheap change detector.
 func (l *ResponderList) Revision() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.joins + l.leaves
+	return l.rev
 }
 
 // Members returns the current membership in sorted order: every known
@@ -386,28 +300,14 @@ func (l *ResponderList) Members() []wire.Addr {
 	return out
 }
 
-// joinLocked assigns addr its next epoch and emits a join event. Caller
-// holds l.mu and has just inserted the entry.
+// joinLocked counts addr's join and hands it to every subscriber without
+// blocking. Caller holds l.mu and has just inserted the entry.
 func (l *ResponderList) joinLocked(addr wire.Addr) {
-	l.epochs[addr]++
-	l.joins++
+	l.rev++
 	l.ctr.visJoins.Inc()
-	l.emitLocked(Event{Kind: EventJoin, Addr: addr, Epoch: l.epochs[addr]})
-}
-
-// leaveLocked emits a leave event for addr at its current epoch. Caller
-// holds l.mu and has just removed the entry.
-func (l *ResponderList) leaveLocked(addr wire.Addr) {
-	l.leaves++
-	l.ctr.visLeaves.Inc()
-	l.emitLocked(Event{Kind: EventLeave, Addr: addr, Epoch: l.epochs[addr]})
-}
-
-// emitLocked fans an event out to every subscriber without blocking.
-func (l *ResponderList) emitLocked(ev Event) {
 	for s := range l.subs {
 		select {
-		case s.ch <- ev:
+		case s.ch <- addr:
 		default:
 			l.ctr.visEventDrops.Inc()
 		}
@@ -439,7 +339,7 @@ func (l *ResponderList) SnapshotAt(dst []wire.Addr, now time.Time) []wire.Addr {
 	out := dst
 	var demoted []wire.Addr
 	for _, e := range l.addrs {
-		if l.suspectedLocked(e, now) {
+		if e.suspect.open(now) {
 			l.ctr.suspectSkips.Inc()
 			continue
 		}
@@ -468,26 +368,18 @@ func (l *ResponderList) allLocked() []wire.Addr {
 	return out
 }
 
-// suspectedLocked reports whether e is under active suspicion at now.
-func (l *ResponderList) suspectedLocked(e *entry, now time.Time) bool {
-	return !e.suspectUntil.IsZero() && now.Before(e.suspectUntil)
-}
-
 // Suspected reports whether addr is currently suspected.
 func (l *ResponderList) Suspected(addr wire.Addr) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e, ok := l.index[addr]
-	return ok && l.suspectedLocked(e, l.clk.Now())
+	return ok && e.suspect.open(l.clk.Now())
 }
 
 // demotedLocked reports whether e is demoted at now, by outlier latency,
 // slow-strikes, or an unexpired self-reported degradation.
 func (l *ResponderList) demotedLocked(e *entry, now time.Time) bool {
-	if !e.demotedUntil.IsZero() && now.Before(e.demotedUntil) {
-		return true
-	}
-	return !e.degradedUntil.IsZero() && now.Before(e.degradedUntil)
+	return e.demoted.open(now) || now.Before(e.degradedUntil)
 }
 
 // Demoted reports whether addr is currently demoted (including by
@@ -508,6 +400,17 @@ func (l *ResponderList) Latency(addr wire.Addr) (ewma time.Duration, samples int
 		return e.ewma, e.samples
 	}
 	return 0, 0
+}
+
+// HedgeDelay returns how long a reply may take before a blocking walk
+// should hedge (DESIGN.md §11): the lower median, over entries with at
+// least demoteMinSamples samples, of each one's retransmission timeout
+// ewma + rtoDevs·ewmaDev. A median resists one slow peer, and the
+// deviation term keeps a jittery but healthy network from hedging on its
+// own spread. It is 0 while no entry is sampled. It is refreshed on each
+// sample of a sampled entry and on each removal of one.
+func (l *ResponderList) HedgeDelay() time.Duration {
+	return time.Duration(l.hedge.Load())
 }
 
 // ObserveLatency feeds one reply-latency sample for addr into its EWMA
@@ -539,62 +442,66 @@ func (l *ResponderList) ObserveLatency(addr wire.Addr, d time.Duration) {
 	l.outlierCheckLocked(e)
 }
 
+// mediansLocked refreshes the hedge delay and returns the lower median
+// EWMA across sampled entries and how many there are. Caller holds l.mu.
+func (l *ResponderList) mediansLocked() (ewma time.Duration, n int) {
+	ewmas, rtos := l.ewmaScratch[:0], l.rtoScratch[:0]
+	for _, x := range l.addrs {
+		if x.samples >= demoteMinSamples {
+			ewmas = append(ewmas, x.ewma)
+			rtos = append(rtos, x.ewma+rtoDevs*x.ewmaDev)
+		}
+	}
+	l.ewmaScratch, l.rtoScratch = ewmas, rtos
+	l.hedge.Store(int64(lowerMedian(rtos)))
+	return lowerMedian(ewmas), len(ewmas)
+}
+
+// lowerMedian sorts s and returns its lower median, 0 if s is empty: with
+// two values it is the smaller one.
+func lowerMedian(s []time.Duration) time.Duration {
+	if len(s) == 0 {
+		return 0
+	}
+	slices.Sort(s)
+	return s[(len(s)-1)/2]
+}
+
 // outlierCheckLocked demotes or restores e based on its EWMA relative
 // to the median of sampled peers. Caller holds l.mu.
 func (l *ResponderList) outlierCheckLocked(e *entry) {
-	if l.demoteFactor <= 0 || e.samples < l.minSamples {
+	if e.samples < demoteMinSamples {
 		return
 	}
 	// Lower median across sampled entries (including e): with two
 	// sampled entries the baseline is the faster one, so a single slow
 	// peer in a small cluster is still an outlier against it.
-	ewmas := l.ewmaScratch[:0]
-	for _, x := range l.addrs {
-		if x.samples >= l.minSamples {
-			ewmas = append(ewmas, x.ewma)
-		}
-	}
-	l.ewmaScratch = ewmas
-	if len(ewmas) < 2 {
+	median, n := l.mediansLocked()
+	if n < 2 {
 		return // no peer baseline to be relative to
 	}
-	slices.Sort(ewmas)
-	median := ewmas[(len(ewmas)-1)/2]
-	if median < demoteMedianFloor {
-		median = demoteMedianFloor
-	}
+	median = max(median, demoteMedianFloor)
 	now := l.clk.Now()
-	demoted := !e.demotedUntil.IsZero() && now.Before(e.demotedUntil)
 	switch {
-	case float64(e.ewma) >= l.demoteFactor*float64(median):
+	case float64(e.ewma) >= demoteFactor*float64(median):
 		l.demoteLocked(e, now)
-	case demoted && float64(e.ewma) < l.demoteFactor/2*float64(median):
+	case e.demoted.open(now) && float64(e.ewma) < demoteFactor/2*float64(median):
 		// Hysteresis: recovery requires clearing half the demotion line.
-		e.demotedUntil = time.Time{}
-		e.demoteCooldown = l.demoteCooldown
+		e.demoted.reset()
 		e.slowStrikes = 0
 		l.ctr.demoteRestores.Inc()
 	}
 }
 
-// demoteLocked demotes e from now with its current cooldown, then
-// doubles the cooldown up to the cap (mirroring the suspicion breaker's
-// half-open pattern: if the peer is still slow when the demotion lapses,
-// the next sample re-demotes it for twice as long). While a demotion is
-// already active, further evidence changes nothing — the cooldown is the
-// decay. Caller holds l.mu.
+// demoteLocked demotes e from now, unless a demotion is already active:
+// further evidence then changes nothing, the cooldown is the decay. If
+// the peer is still slow when the demotion lapses, the next sample
+// re-demotes it for twice as long. Caller holds l.mu.
 func (l *ResponderList) demoteLocked(e *entry, now time.Time) {
-	if !e.demotedUntil.IsZero() && now.Before(e.demotedUntil) {
+	if e.demoted.open(now) {
 		return
 	}
-	if e.demoteCooldown <= 0 {
-		e.demoteCooldown = l.demoteCooldown
-	}
-	e.demotedUntil = now.Add(e.demoteCooldown)
-	e.demoteCooldown *= 2
-	if e.demoteCooldown > l.demoteMax {
-		e.demoteCooldown = l.demoteMax
-	}
+	e.demoted.trip(now)
 	e.slowStrikes = 0
 	l.ctr.demotions.Inc()
 }
@@ -613,48 +520,22 @@ func (l *ResponderList) Slow(addr wire.Addr) {
 	}
 	l.ctr.slowStrikes.Inc()
 	e.slowStrikes++
-	if l.strikeLimit > 0 && e.slowStrikes >= l.strikeLimit {
+	if e.slowStrikes >= slowStrikeLimit {
 		l.demoteLocked(e, l.clk.Now())
 	}
 }
 
-// ObserveDegraded records a peer's self-reported degradation bit from an
-// announce frame. A degraded report sticks for the degraded TTL (so one
-// announce is enough to deprioritize the peer) and is refreshed by each
-// further report; a healthy report clears it immediately.
-func (l *ResponderList) ObserveDegraded(addr wire.Addr, degraded bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e := l.index[addr]
-	if e == nil {
-		return
-	}
-	l.observeDegradedLocked(e, degraded)
-}
-
-// observeDegradedLocked applies an announce's degradation self-report to
-// e. Caller holds l.mu.
-func (l *ResponderList) observeDegradedLocked(e *entry, degraded bool) {
-	now := l.clk.Now()
-	if !degraded {
-		e.degradedUntil = time.Time{}
-		return
-	}
-	if e.degradedUntil.IsZero() || !now.Before(e.degradedUntil) {
-		l.ctr.peerDegraded.Inc()
-	}
-	e.degradedUntil = now.Add(l.degradedTTL)
-}
-
 // ObserveAnnounce records an announce from addr — presence and
-// degradation self-report — in one critical section, so the join event a
-// first announce emits is never deliverable before the entry's health is
-// set. An announce whose caps lack a bit of the wire floor
-// (wire.CapsCurrent), a caps-less one included, comes from a build that
-// cannot decode every frame this one sends: it changes nothing and is
-// counted (discovery.below_floor). It reports whether this is addr's
-// first announce since it joined the list — the join itself, or the
-// announce that followed a join by any other frame — which is when a
+// degradation self-report — in one critical section, so the join a first
+// announce emits is never deliverable before the entry's health is set.
+// A degraded report sticks for degradedTTL (so one announce is enough to
+// deprioritize the peer) and is refreshed by each further report; a
+// healthy report clears it at once. An announce whose caps lack a bit of
+// the wire floor (wire.CapsCurrent), a caps-less one included, comes from
+// a build that cannot decode every frame this one sends: it changes
+// nothing and is counted (discovery.below_floor). It reports whether this
+// is addr's first announce since it joined the list — the join itself, or
+// the announce that followed a join by any other frame — which is when a
 // replica cancel toward a rejoined peer can first go out (fence
 // reconciliation in the replicator).
 func (l *ResponderList) ObserveAnnounce(addr wire.Addr, caps uint64, degraded bool) (first bool) {
@@ -676,7 +557,14 @@ func (l *ResponderList) ObserveAnnounce(addr wire.Addr, caps uint64, degraded bo
 	}
 	first = !e.announced
 	e.announced = true
-	l.observeDegradedLocked(e, degraded)
+	if now := l.clk.Now(); !degraded {
+		e.degradedUntil = time.Time{}
+	} else {
+		if !now.Before(e.degradedUntil) {
+			l.ctr.peerDegraded.Inc()
+		}
+		e.degradedUntil = now.Add(degradedTTL)
+	}
 	if isNew {
 		l.joinLocked(addr)
 	}
@@ -695,18 +583,6 @@ func (l *ResponderList) Contains(addr wire.Addr) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.index[addr] != nil
-}
-
-// Position returns addr's 0-based position from the top, or -1.
-func (l *ResponderList) Position(addr wire.Addr) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, e := range l.addrs {
-		if e.addr == addr {
-			return i
-		}
-	}
-	return -1
 }
 
 // Observe records a responder discovered via multicast: appended at the
@@ -732,24 +608,13 @@ func (l *ResponderList) Observe(addr wire.Addr) {
 // caller emits the join once the entry is set up. Caller holds l.mu.
 func (l *ResponderList) appendLocked(addr wire.Addr) *entry {
 	if l.max > 0 && len(l.addrs) >= l.max {
-		victim := l.addrs[len(l.addrs)-1].addr
-		l.removeLocked(victim)
+		l.removeLocked(l.addrs[len(l.addrs)-1].addr)
 		l.ctr.listEvictions.Inc()
-		l.leaveLocked(victim)
 	}
-	e := &entry{addr: addr, cooldown: l.cooldown, demoteCooldown: l.demoteCooldown}
+	e := &entry{addr: addr}
 	l.addrs = append(l.addrs, e)
 	l.index[addr] = e
 	return e
-}
-
-// Success records a response from addr, fully restoring its health.
-func (l *ResponderList) Success(addr wire.Addr) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e := l.index[addr]; e != nil {
-		l.restoreLocked(e)
-	}
 }
 
 // Promote records that addr satisfied an operation (a found reply, not a
@@ -783,7 +648,7 @@ func (l *ResponderList) PromoteAt(addr wire.Addr, now time.Time) {
 		e = l.appendLocked(addr)
 		l.joinLocked(addr)
 	}
-	hold := l.demotedLocked(e, now) || l.suspectedLocked(e, now)
+	hold := l.demotedLocked(e, now) || e.suspect.open(now)
 	l.restoreLocked(e)
 	if hold {
 		l.ctr.promoteHolds.Inc()
@@ -812,8 +677,7 @@ func (l *ResponderList) PromoteAt(addr wire.Addr, now time.Time) {
 
 func (l *ResponderList) restoreLocked(e *entry) {
 	e.fails = 0
-	e.cooldown = l.cooldown
-	e.suspectUntil = time.Time{}
+	e.suspect.reset()
 }
 
 // Fail records a soft failure for addr: the responder was contacted (with
@@ -824,18 +688,14 @@ func (l *ResponderList) Fail(addr wire.Addr) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e := l.index[addr]
-	if e == nil || l.threshold <= 0 {
+	if e == nil {
 		return
 	}
 	e.fails++
-	if e.fails < l.threshold {
+	if e.fails < SuspectThreshold {
 		return
 	}
-	e.suspectUntil = l.clk.Now().Add(e.cooldown)
-	e.cooldown *= 2
-	if e.cooldown > l.maxCooldown {
-		e.cooldown = l.maxCooldown
-	}
+	e.suspect.trip(l.clk.Now())
 	l.ctr.suspicions.Inc()
 }
 
@@ -846,7 +706,6 @@ func (l *ResponderList) Evict(addr wire.Addr) {
 	defer l.mu.Unlock()
 	if l.removeLocked(addr) {
 		l.ctr.listEvictions.Inc()
-		l.leaveLocked(addr)
 	}
 }
 
@@ -859,35 +718,23 @@ func (l *ResponderList) Depart(addr wire.Addr) {
 	defer l.mu.Unlock()
 	if l.removeLocked(addr) {
 		l.ctr.goodbyes.Inc()
-		l.leaveLocked(addr)
 	}
 }
 
 // removeLocked deletes addr from the list, reporting whether it was
-// present. Caller holds l.mu.
+// present, and counts the leave; removing a sampled entry refreshes the
+// hedge delay. Caller holds l.mu.
 func (l *ResponderList) removeLocked(addr wire.Addr) bool {
-	if l.index[addr] == nil {
+	e := l.index[addr]
+	if e == nil {
 		return false
 	}
 	delete(l.index, addr)
-	for i, x := range l.addrs {
-		if x.addr == addr {
-			l.addrs = append(l.addrs[:i], l.addrs[i+1:]...)
-			break
-		}
+	l.addrs = slices.DeleteFunc(l.addrs, func(x *entry) bool { return x == e })
+	l.rev++
+	l.ctr.visLeaves.Inc()
+	if e.samples >= demoteMinSamples {
+		l.mediansLocked()
 	}
 	return true
-}
-
-// Clear empties the list (used when the instance knows its own context
-// changed completely, e.g. network interface switch).
-func (l *ResponderList) Clear() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	gone := l.allLocked()
-	l.addrs = l.addrs[:0]
-	l.index = make(map[wire.Addr]*entry)
-	for _, a := range gone {
-		l.leaveLocked(a)
-	}
 }

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -28,9 +29,14 @@ func TestObserveAppendsAtBottom(t *testing.T) {
 	if !l.Contains("b") || l.Contains("zz") {
 		t.Fatal("Contains wrong")
 	}
-	if l.Position("c") != 2 || l.Position("zz") != -1 {
-		t.Fatal("Position wrong")
+	if position(l, "c") != 2 || position(l, "zz") != -1 {
+		t.Fatal("position wrong")
 	}
+}
+
+// position returns addr's 0-based position from the top of l, or -1.
+func position(l *ResponderList, addr wire.Addr) int {
+	return slices.Index(l.All(), addr)
 }
 
 func TestObserveEmptyAddrIgnored(t *testing.T) {
@@ -48,18 +54,18 @@ func TestEvictByAttritionPromotesStableNodes(t *testing.T) {
 	l.Observe("flaky1")
 	l.Observe("flaky2")
 	l.Observe("stable")
-	if l.Position("stable") != 2 {
-		t.Fatalf("setup: stable at %d", l.Position("stable"))
+	if position(l, "stable") != 2 {
+		t.Fatalf("setup: stable at %d", position(l, "stable"))
 	}
 	l.Evict("flaky1")
 	l.Evict("flaky2")
-	if l.Position("stable") != 0 {
-		t.Fatalf("stable at %d after attrition, want 0", l.Position("stable"))
+	if position(l, "stable") != 0 {
+		t.Fatalf("stable at %d after attrition, want 0", position(l, "stable"))
 	}
 	// New responders land below the stable one.
 	l.Observe("newcomer")
-	if l.Position("newcomer") != 1 {
-		t.Fatalf("newcomer at %d", l.Position("newcomer"))
+	if position(l, "newcomer") != 1 {
+		t.Fatalf("newcomer at %d", position(l, "newcomer"))
 	}
 }
 
@@ -111,19 +117,6 @@ func TestBoundedListEvictsBottom(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	l := NewResponderList(0, nil)
-	l.Observe("a")
-	l.Clear()
-	if l.Len() != 0 || l.Contains("a") {
-		t.Fatal("Clear incomplete")
-	}
-	l.Observe("a") // usable after clear
-	if l.Len() != 1 {
-		t.Fatal("unusable after Clear")
-	}
-}
-
 // Property: the list never contains duplicates and index matches order,
 // under any interleaving of observes and evicts.
 func TestPropNoDuplicates(t *testing.T) {
@@ -161,10 +154,10 @@ func TestPropNoDuplicates(t *testing.T) {
 func TestSuspicionSkipsFlappingResponder(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	met := &trace.Metrics{}
-	l := NewResponderList(0, met, WithClock(clk),
-		WithHealthPolicy(2, time.Second, 8*time.Second))
+	l := NewResponderList(0, met, clk)
 	l.Observe("good")
 	l.Observe("flappy")
+	l.Fail("flappy")
 	l.Fail("flappy")
 	if l.Suspected("flappy") {
 		t.Fatal("suspected below threshold")
@@ -189,35 +182,37 @@ func TestSuspicionSkipsFlappingResponder(t *testing.T) {
 
 func TestSuspicionDecaysThenRedoubles(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
-	l := NewResponderList(0, nil, WithClock(clk),
-		WithHealthPolicy(1, time.Second, 4*time.Second))
+	l := NewResponderList(0, nil, clk)
 	l.Observe("x")
-	l.Fail("x") // suspect for 1s
+	for k := 0; k < SuspectThreshold; k++ {
+		l.Fail("x") // the last one suspects for 2s
+	}
 	if !l.Suspected("x") {
 		t.Fatal("not suspected")
 	}
-	clk.Advance(time.Second)
+	clk.Advance(cooldownFirst)
 	if l.Suspected("x") {
 		t.Fatal("suspicion did not decay")
 	}
 	if snap := l.Snapshot(); len(snap) != 1 {
 		t.Fatalf("half-open entry missing: %v", snap)
 	}
-	// Half-open failure re-suspends with doubled cooldown (2s).
+	// Half-open failure re-suspends with doubled cooldown (4s).
 	l.Fail("x")
-	clk.Advance(time.Second)
+	clk.Advance(cooldownFirst)
 	if !l.Suspected("x") {
 		t.Fatal("cooldown did not double")
 	}
-	clk.Advance(time.Second)
+	clk.Advance(cooldownFirst)
 	if l.Suspected("x") {
 		t.Fatal("second suspicion did not decay")
 	}
-	// Cooldown doubling is capped at 4s: fail 3 more times, each
-	// suspension is at most 4s.
-	l.Fail("x")
-	l.Fail("x")
-	clk.Advance(4 * time.Second)
+	// Cooldown doubling is capped at 30s: fail 5 more times (8s, 16s,
+	// then capped), each suspension is at most 30s.
+	for k := 0; k < 5; k++ {
+		l.Fail("x")
+	}
+	clk.Advance(cooldownMax)
 	if l.Suspected("x") {
 		t.Fatal("cooldown exceeded cap")
 	}
@@ -225,15 +220,15 @@ func TestSuspicionDecaysThenRedoubles(t *testing.T) {
 
 func TestSuccessRestoresHealth(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
-	l := NewResponderList(0, nil, WithClock(clk),
-		WithHealthPolicy(2, time.Second, 8*time.Second))
+	l := NewResponderList(0, nil, clk)
 	l.Observe("x")
-	l.Fail("x")
-	l.Fail("x")
+	for k := 0; k < SuspectThreshold; k++ {
+		l.Fail("x")
+	}
 	if !l.Suspected("x") {
 		t.Fatal("not suspected")
 	}
-	l.Success("x")
+	l.Promote("x") // a found reply
 	if l.Suspected("x") {
 		t.Fatal("success did not clear suspicion")
 	}
@@ -243,6 +238,7 @@ func TestSuccessRestoresHealth(t *testing.T) {
 		t.Fatal("fail count not reset by success")
 	}
 	// Re-observing is also evidence of life.
+	l.Fail("x")
 	l.Fail("x")
 	if !l.Suspected("x") {
 		t.Fatal("setup: should be suspected")
@@ -256,7 +252,7 @@ func TestSuccessRestoresHealth(t *testing.T) {
 func TestFailUnknownAddrIsNoop(t *testing.T) {
 	l := NewResponderList(0, nil)
 	l.Fail("ghost")
-	l.Success("ghost")
+	l.ObserveLatency("ghost", time.Millisecond)
 	if l.Len() != 0 {
 		t.Fatal("health ops created entries")
 	}
@@ -289,11 +285,13 @@ func TestPromoteMovesToTop(t *testing.T) {
 }
 
 func TestPromoteRestoresHealthAndRespectsBound(t *testing.T) {
-	l := NewResponderList(3, nil, WithHealthPolicy(1, time.Minute, time.Minute))
+	l := NewResponderList(3, nil, clock.NewVirtual(time.Unix(0, 0)))
 	l.Observe("a")
 	l.Observe("b")
 	l.Observe("c")
-	l.Fail("b")
+	for k := 0; k < SuspectThreshold; k++ {
+		l.Fail("b")
+	}
 	if !l.Suspected("b") {
 		t.Fatal("setup: b should be suspected")
 	}
@@ -320,25 +318,29 @@ func TestPromoteRestoresHealthAndRespectsBound(t *testing.T) {
 }
 
 // subscribe attaches a fresh subscription to l.
-func subscribe(l *ResponderList) (<-chan Event, func()) {
+func subscribe(l *ResponderList) (<-chan wire.Addr, func()) {
 	s := NewSubscription()
 	l.Attach(s)
-	return s.Events(), func() { l.Detach(s) }
+	return s.Joins(), func() { l.Detach(s) }
 }
 
-// drain pulls every immediately available event off ch.
-func drain(ch <-chan Event) []Event {
-	var out []Event
+// drain pulls every immediately available join off ch.
+func drain(ch <-chan wire.Addr) []wire.Addr {
+	var out []wire.Addr
 	for {
 		select {
-		case ev := <-ch:
-			out = append(out, ev)
+		case a := <-ch:
+			out = append(out, a)
 		default:
 			return out
 		}
 	}
 }
 
+// TestEventsJoinLeaveEpochs: a subscriber hears each peer entering the
+// list once — on its first observe and again on a rejoin — and nothing of
+// its leaving; the visibility counters still count both. Events carry no
+// epoch.
 func TestEventsJoinLeaveEpochs(t *testing.T) {
 	met := &trace.Metrics{}
 	l := NewResponderList(0, met)
@@ -347,96 +349,93 @@ func TestEventsJoinLeaveEpochs(t *testing.T) {
 
 	l.Observe("a")
 	l.Observe("b")
-	evs := drain(ch)
-	if len(evs) != 2 {
-		t.Fatalf("events = %v", evs)
+	if evs := drain(ch); !slices.Equal(evs, []wire.Addr{"a", "b"}) {
+		t.Fatalf("joins = %v", evs)
 	}
-	if evs[0] != (Event{Kind: EventJoin, Addr: "a", Epoch: 1}) {
-		t.Fatalf("first event = %+v", evs[0])
-	}
-	if evs[1].Addr != "b" || evs[1].Kind != EventJoin || evs[1].Epoch != 1 {
-		t.Fatalf("second event = %+v", evs[1])
-	}
-
 	// Re-observing a present responder is not a transition: no event.
 	l.Observe("a")
 	if evs := drain(ch); len(evs) != 0 {
 		t.Fatalf("re-observe emitted %v", evs)
 	}
-
 	l.Evict("a")
-	evs = drain(ch)
-	if len(evs) != 1 || evs[0] != (Event{Kind: EventLeave, Addr: "a", Epoch: 1}) {
-		t.Fatalf("evict events = %v", evs)
+	if evs := drain(ch); len(evs) != 0 {
+		t.Fatalf("evict emitted %v", evs)
 	}
-
-	// Rejoin: the epoch is monotonic per peer.
-	l.Observe("a")
-	evs = drain(ch)
-	if len(evs) != 1 || evs[0] != (Event{Kind: EventJoin, Addr: "a", Epoch: 2}) {
+	l.Observe("a") // rejoin
+	if evs := drain(ch); !slices.Equal(evs, []wire.Addr{"a"}) {
 		t.Fatalf("rejoin events = %v", evs)
-	}
-	if l.Epoch("a") != 2 || l.Epoch("b") != 1 || l.Epoch("zz") != 0 {
-		t.Fatalf("epochs a=%d b=%d zz=%d", l.Epoch("a"), l.Epoch("b"), l.Epoch("zz"))
 	}
 	if j, lv := met.Get(trace.CtrVisJoins), met.Get(trace.CtrVisLeaves); j != 3 || lv != 1 {
 		t.Fatalf("counts joins=%d leaves=%d", j, lv)
 	}
 }
 
+// TestEventsPromoteDepartClear: promoting an absent peer is a join,
+// re-promoting a present one is not, and a departure sends nothing.
 func TestEventsPromoteDepartClear(t *testing.T) {
-	l := NewResponderList(0, nil)
+	met := &trace.Metrics{}
+	l := NewResponderList(0, met)
 	ch, cancel := subscribe(l)
 	defer cancel()
 
 	l.Promote("a") // absent: join + move to top
-	evs := drain(ch)
-	if len(evs) != 1 || evs[0].Kind != EventJoin || evs[0].Addr != "a" {
+	if evs := drain(ch); !slices.Equal(evs, []wire.Addr{"a"}) {
 		t.Fatalf("promote events = %v", evs)
 	}
 	l.Promote("a") // present: no transition
 	if evs := drain(ch); len(evs) != 0 {
 		t.Fatalf("re-promote emitted %v", evs)
 	}
-
 	l.Observe("b")
 	drain(ch)
 	l.Depart("b")
-	evs = drain(ch)
-	if len(evs) != 1 || evs[0] != (Event{Kind: EventLeave, Addr: "b", Epoch: 1}) {
-		t.Fatalf("depart events = %v", evs)
+	if evs := drain(ch); len(evs) != 0 {
+		t.Fatalf("depart emitted %v", evs)
 	}
-
-	l.Observe("c")
-	drain(ch)
-	l.Clear()
-	evs = drain(ch)
-	if len(evs) != 2 {
-		t.Fatalf("clear events = %v", evs)
-	}
-	for _, ev := range evs {
-		if ev.Kind != EventLeave {
-			t.Fatalf("clear emitted %+v", ev)
-		}
+	if got := met.Get(trace.CtrVisLeaves); got != 1 {
+		t.Fatalf("%s = %d, want 1", trace.CtrVisLeaves, got)
 	}
 }
 
+// TestEventsAttritionEvictionEmitsLeave: a full list that evicts its
+// bottom entry to admit a newcomer sends only the newcomer's join; the
+// eviction is counted as a leave but not sent.
 func TestEventsAttritionEvictionEmitsLeave(t *testing.T) {
-	l := NewResponderList(2, nil)
+	met := &trace.Metrics{}
+	l := NewResponderList(2, met)
 	l.Observe("a")
 	l.Observe("b")
 	ch, cancel := subscribe(l)
 	defer cancel()
 	l.Observe("c") // bottom entry b is evicted to make room
-	evs := drain(ch)
-	if len(evs) != 2 {
-		t.Fatalf("events = %v", evs)
+	if evs := drain(ch); !slices.Equal(evs, []wire.Addr{"c"}) {
+		t.Fatalf("attrition events = %v, want the one join of c", evs)
 	}
-	if evs[0].Kind != EventLeave || evs[0].Addr != "b" {
-		t.Fatalf("expected leave(b) first, got %+v", evs[0])
+	if got := met.Get(trace.CtrVisLeaves); got != 1 {
+		t.Fatalf("%s = %d, want 1", trace.CtrVisLeaves, got)
 	}
-	if evs[1].Kind != EventJoin || evs[1].Addr != "c" {
-		t.Fatalf("expected join(c) second, got %+v", evs[1])
+}
+
+// TestEventsJoinNotCrowdedOut: a subscriber that reads nothing while a
+// full buffer's worth of peers leave still hears the next join, and
+// nothing is dropped — leaves take no room in its buffer.
+func TestEventsJoinNotCrowdedOut(t *testing.T) {
+	met := &trace.Metrics{}
+	l := NewResponderList(0, met)
+	for k := 0; k < subBuf; k++ {
+		l.Observe(wire.Addr(fmt.Sprintf("p%d", k)))
+	}
+	ch, cancel := subscribe(l) // never read until the end
+	defer cancel()
+	for k := 0; k < subBuf; k++ {
+		l.Evict(wire.Addr(fmt.Sprintf("p%d", k)))
+	}
+	l.Observe("newcomer")
+	if evs := drain(ch); !slices.Equal(evs, []wire.Addr{"newcomer"}) {
+		t.Fatalf("joins = %v, want the newcomer's", evs)
+	}
+	if got := met.Get(trace.CtrVisEventDrops); got != 0 {
+		t.Fatalf("%s = %d, want 0", trace.CtrVisEventDrops, got)
 	}
 }
 
@@ -465,7 +464,7 @@ func feedLatency(l *ResponderList, addr wire.Addr, d time.Duration, n int) {
 func TestLatencyOutlierDemotesToBack(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	met := &trace.Metrics{}
-	l := NewResponderList(0, met, WithClock(clk))
+	l := NewResponderList(0, met, clk)
 	l.Observe("slow")
 	l.Observe("fast1")
 	l.Observe("fast2")
@@ -503,7 +502,7 @@ func TestLatencyOutlierDemotesToBack(t *testing.T) {
 // under the list lock on every reply: the median comes from a scratch
 // slice kept on the list, not from a fresh one sorted through reflection.
 func TestLatencySampleDoesNotAllocate(t *testing.T) {
-	l := NewResponderList(0, nil, WithClock(clock.NewVirtual(time.Unix(0, 0))))
+	l := NewResponderList(0, nil, clock.NewVirtual(time.Unix(0, 0)))
 	for _, a := range []wire.Addr{"a", "b", "c"} {
 		l.Observe(a)
 		feedLatency(l, a, 2*time.Millisecond, 4)
@@ -517,7 +516,7 @@ func TestLatencySampleDoesNotAllocate(t *testing.T) {
 
 func TestLatencyDemotionNeedsPeerBaseline(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
-	l := NewResponderList(0, nil, WithClock(clk))
+	l := NewResponderList(0, nil, clk)
 	l.Observe("only")
 	// With no sampled peer to be relative to, even huge latency is not an
 	// outlier — there is nothing to be an outlier *from*.
@@ -530,8 +529,7 @@ func TestLatencyDemotionNeedsPeerBaseline(t *testing.T) {
 func TestLatencyRecoveryRestoresEarly(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	met := &trace.Metrics{}
-	l := NewResponderList(0, met, WithClock(clk),
-		WithLatencyPolicy(4, 3, 3, time.Hour, time.Hour)) // cooldown never lapses
+	l := NewResponderList(0, met, clk) // the clock never moves: no cooldown lapses
 	l.Observe("slow")
 	l.Observe("fast")
 	feedLatency(l, "fast", 2*time.Millisecond, 4)
@@ -540,7 +538,7 @@ func TestLatencyRecoveryRestoresEarly(t *testing.T) {
 		t.Fatal("setup: not demoted")
 	}
 	// Fast samples pull the EWMA back under the recovery line (2x median)
-	// well before the hour-long cooldown lapses.
+	// before the cooldown lapses.
 	feedLatency(l, "slow", 2*time.Millisecond, 40)
 	if l.Demoted("slow") {
 		t.Fatal("recovered entry still demoted")
@@ -552,8 +550,7 @@ func TestLatencyRecoveryRestoresEarly(t *testing.T) {
 
 func TestLatencyDemotionCooldownLapses(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
-	l := NewResponderList(0, nil, WithClock(clk),
-		WithLatencyPolicy(4, 3, 3, time.Second, 8*time.Second))
+	l := NewResponderList(0, nil, clk)
 	l.Observe("slow")
 	l.Observe("fast")
 	feedLatency(l, "fast", 2*time.Millisecond, 4)
@@ -561,13 +558,13 @@ func TestLatencyDemotionCooldownLapses(t *testing.T) {
 	if !l.Demoted("slow") {
 		t.Fatal("setup: not demoted")
 	}
-	clk.Advance(time.Second)
+	clk.Advance(cooldownFirst)
 	if l.Demoted("slow") {
 		t.Fatal("demotion did not lapse")
 	}
 	// Still slow on the next sample: re-demoted with a doubled cooldown.
 	l.ObserveLatency("slow", 100*time.Millisecond)
-	clk.Advance(time.Second)
+	clk.Advance(cooldownFirst)
 	if !l.Demoted("slow") {
 		t.Fatal("re-demotion cooldown did not double")
 	}
@@ -576,7 +573,7 @@ func TestLatencyDemotionCooldownLapses(t *testing.T) {
 func TestSlowStrikesDemote(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	met := &trace.Metrics{}
-	l := NewResponderList(0, met, WithClock(clk))
+	l := NewResponderList(0, met, clk)
 	l.Observe("limper")
 	l.Observe("fine")
 	l.Slow("limper")
@@ -604,10 +601,10 @@ func TestSlowStrikesDemote(t *testing.T) {
 func TestObserveDegradedDeprioritizesAndExpires(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	met := &trace.Metrics{}
-	l := NewResponderList(0, met, WithClock(clk))
+	l := NewResponderList(0, met, clk)
 	l.Observe("sick")
 	l.Observe("well")
-	l.ObserveDegraded("sick", true)
+	l.ObserveAnnounce("sick", wire.CapsCurrent, true)
 	if !l.Demoted("sick") {
 		t.Fatal("self-report did not demote")
 	}
@@ -615,13 +612,13 @@ func TestObserveDegradedDeprioritizesAndExpires(t *testing.T) {
 		t.Fatalf("snapshot = %v", snap)
 	}
 	// A healthy announce clears it immediately.
-	l.ObserveDegraded("sick", false)
+	l.ObserveAnnounce("sick", wire.CapsCurrent, false)
 	if l.Demoted("sick") {
 		t.Fatal("healthy report did not clear degradation")
 	}
 	// Without a refresh the flag ages out on its own.
-	l.ObserveDegraded("sick", true)
-	clk.Advance(DefaultDegradedTTL)
+	l.ObserveAnnounce("sick", wire.CapsCurrent, true)
+	clk.Advance(degradedTTL)
 	if l.Demoted("sick") {
 		t.Fatal("degraded flag did not expire")
 	}
@@ -636,8 +633,7 @@ func TestObserveDegradedDeprioritizesAndExpires(t *testing.T) {
 func TestPromoteWithheldForDemotedAndSuspected(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	met := &trace.Metrics{}
-	l := NewResponderList(0, met, WithClock(clk),
-		WithHealthPolicy(1, time.Second, 8*time.Second))
+	l := NewResponderList(0, met, clk)
 	l.Observe("healthy1")
 	l.Observe("healthy2")
 	l.Observe("slow")
@@ -659,7 +655,9 @@ func TestPromoteWithheldForDemotedAndSuspected(t *testing.T) {
 
 	// Suspected interplay: the found reply clears suspicion (evidence of
 	// life) but the promotion itself is still withheld this once.
-	l.Fail("healthy2")
+	for k := 0; k < SuspectThreshold; k++ {
+		l.Fail("healthy2")
+	}
 	if !l.Suspected("healthy2") {
 		t.Fatal("setup: healthy2 not suspected")
 	}
@@ -679,18 +677,20 @@ func TestPromoteWithheldForDemotedAndSuspected(t *testing.T) {
 
 // TestPromoteAtJudgesAtItsReading: PromoteAt judges suspicion at the
 // reading it is handed, not at the list's clock. A peer suspected until
-// one second on rises at once when the reading says that second has gone.
+// two seconds on rises at once when the reading says they have gone.
 func TestPromoteAtJudgesAtItsReading(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	met := &trace.Metrics{}
-	l := NewResponderList(0, met, WithClock(clk), WithHealthPolicy(1, time.Second, 8*time.Second))
+	l := NewResponderList(0, met, clk)
 	l.Observe("a")
 	l.Observe("b")
-	l.Fail("b")
+	for k := 0; k < SuspectThreshold; k++ {
+		l.Fail("b")
+	}
 	if !l.Suspected("b") {
 		t.Fatal("setup: b not suspected")
 	}
-	l.PromoteAt("b", clk.Now().Add(2*time.Second))
+	l.PromoteAt("b", clk.Now().Add(cooldownFirst))
 	if n := met.Get(trace.CtrPromoteHolds); n != 0 {
 		t.Fatalf("promote_holds = %d, want 0: the reading is past b's suspicion", n)
 	}
@@ -725,11 +725,11 @@ func TestEventsReattachedSubscriptionStartsClean(t *testing.T) {
 	l.Detach(s)
 	l.Observe("b") // not for s at all
 	l.Attach(s)
-	if evs := drain(s.Events()); len(evs) != 0 {
+	if evs := drain(s.Joins()); len(evs) != 0 {
 		t.Fatalf("reattached subscription starts with %v", evs)
 	}
 	l.Observe("c")
-	if evs := drain(s.Events()); len(evs) != 1 || evs[0].Addr != "c" {
+	if evs := drain(s.Joins()); len(evs) != 1 || evs[0] != "c" {
 		t.Fatalf("events after reattach = %v, want the one join of c", evs)
 	}
 	l.Detach(s)
@@ -785,4 +785,37 @@ func TestMembersCanonicalAndRevisionTracksChurn(t *testing.T) {
 	if l.Revision() <= rev {
 		t.Fatalf("revision did not advance on eviction")
 	}
+}
+
+// TestHedgeDelayIsMedianRTO: the hedge delay is the lower median of the
+// sampled entries' retransmission timeouts, ewma + 4·dev. Three identical
+// samples d leave ewma d and dev 9d/32, an RTO of 17d/8. An entry under
+// the sample minimum does not count, and removing a sampled entry takes
+// its RTO out.
+func TestHedgeDelayIsMedianRTO(t *testing.T) {
+	l := NewResponderList(0, nil, clock.NewVirtual(time.Unix(0, 0)))
+	for _, a := range []wire.Addr{"a", "b", "c"} {
+		l.Observe(a)
+	}
+	want := func(step string, d time.Duration) {
+		t.Helper()
+		if got := l.HedgeDelay(); got != d {
+			t.Fatalf("%s: hedge delay %v, want %v", step, got, d)
+		}
+	}
+	want("unsampled", 0)
+	feedLatency(l, "a", 8*time.Millisecond, 3)
+	want("one sampled entry", 17*time.Millisecond)
+	feedLatency(l, "b", 400*time.Millisecond, demoteMinSamples-1)
+	want("under the sample minimum", 17*time.Millisecond)
+	feedLatency(l, "c", 16*time.Millisecond, 3)
+	want("two sampled entries: the lower", 17*time.Millisecond)
+	feedLatency(l, "b", 400*time.Millisecond, 1)
+	want("three sampled entries: the middle", 34*time.Millisecond)
+	l.Evict("c")
+	want("c evicted", 17*time.Millisecond)
+	l.Depart("a")
+	want("a departed", 850*time.Millisecond)
+	l.Evict("b")
+	want("none left", 0)
 }

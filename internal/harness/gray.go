@@ -15,6 +15,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"tiamat/internal/core"
@@ -160,11 +161,13 @@ func C4Gray(scale Scale) (*Table, error) {
 	<-probesDone
 
 	var hedges, hedgeWins, hedgeSuppressed uint64
+	var hedgeDelays []string
 	for _, inst := range c1.inst {
 		g := inst.Gray()
 		hedges += g.Hedges
 		hedgeWins += g.HedgeWins
 		hedgeSuppressed += g.HedgeSuppressed
+		hedgeDelays = append(hedgeDelays, fmtD(g.HedgeDelay))
 	}
 	slowStrikes := c1.met.Get(trace.CtrSlowStrikes)
 	demotions := c1.met.Get(trace.CtrDemotions)
@@ -220,6 +223,7 @@ func C4Gray(scale Scale) (*Table, error) {
 	t.AddRow("ablation p99 (DisableHedge)", fmtD(p99C))
 	t.AddRow("hedges fired / wins / suppressed", fmt.Sprintf("%d/%d/%d", hedges, hedgeWins, hedgeSuppressed))
 	t.AddRow("hedge budget (ops x HedgeMax)", fmtI(int64((roundsA+roundsB)*2)))
+	t.AddRow("hedge delay per node, limped", strings.Join(hedgeDelays, " "))
 	t.AddRow("slow strikes / demotions", fmt.Sprintf("%d/%d", slowStrikes, demotions))
 	t.AddRow("limped frames", fmtI(limped))
 

@@ -74,7 +74,7 @@ func newHolderRig(t *testing.T) *holderRig {
 	q := clock.NewQueue(clk)
 	t.Cleanup(q.Close)
 	met := &trace.Metrics{}
-	list := discovery.NewResponderList(64, met, discovery.WithClock(clk))
+	list := discovery.NewResponderList(64, met, clk)
 	list.ObserveAnnounce("a", wire.CapsCurrent, false)
 	f := &fakeHost{down: make(map[wire.Addr]error)}
 	stopped := make(chan struct{})

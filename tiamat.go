@@ -61,8 +61,8 @@ type GovernorConfig = core.GovernorConfig
 type GovernorReport = core.GovernorReport
 
 // GrayReport is a snapshot of the gray-failure counters — hedged
-// contacts fired/won/suppressed and the size of the RTT digest feeding
-// the adaptive hedge delay (DESIGN.md §11) — available via
+// contacts fired/won/suppressed and the adaptive hedge delay (DESIGN.md
+// §11) — available via
 // Instance.Gray. Instance.Degraded reports whether the node is
 // currently advertising itself degraded (WAL fsync stalls or governor
 // queue delay).

@@ -196,7 +196,6 @@ const (
 	CtrOpsLocalHit  = "ops.local_hit"
 
 	CtrDiscoverRounds = "disc.rounds"
-	CtrListHits       = "disc.list_hits"
 	CtrListEvictions  = "disc.list_evictions"
 	CtrSuspicions     = "disc.suspicions"
 	CtrSuspectSkips   = "disc.suspect_skips"
@@ -346,6 +345,5 @@ const (
 	CtrEngagements    = "fed.engagements"
 	CtrEngageStallsNs = "fed.engage_stall_ns"
 	CtrReplicaMsgs    = "repl.msgs"
-	CtrOrphanTuples   = "repl.orphans"
 	CtrFloodMsgs      = "flood.msgs"
 )

@@ -53,8 +53,9 @@ allocs:
 	@awk '{ for (i = 2; i <= NF; i++) if ($$i == "allocs/op") print "objects/op (exact, -benchmem) = " $$(i-1) }' .bench_build/allocs.out
 
 # handoffs prints the goroutine hand-offs, objects and bytes per op of
-# the four root remote benchmarks (RemoteInpTwoNodes{,TCP},
-# RemoteInBlockingTwoNodes, RemoteOutAtTwoNodes) and the local
+# the five root remote benchmarks (RemoteInpTwoNodes{,TCP},
+# RemoteInBlockingTwoNodes, RemoteOutAtTwoNodes, RemoteRdpMissTwoNodes,
+# which also reports its frames per op) and the local
 # LocalOutInpThroughInstance on the merge base and on the working tree,
 # ROUNDS alternating rounds of N ops each (scripts/handoffs.sh). Writes
 # only under .bench_build/.
@@ -101,10 +102,15 @@ crash_exp  = C1
 # a shared parent), an immediate serve admitted without a lease (and a
 # full manager's refusal of one), a requester's local hit negotiated but
 # never minted (and a walk's grant refused once its offer is withdrawn),
-# and the C2 flood (the harness TestMain also asserts no goroutine leaks
-# survive it).
-soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|CancelOvertakes|InflightDedup|DuplicateOf|DuplicateBlockingOp|ServedCache|CancelBeforeOp|Admit|ImmediateServe|FullResponder|Negotiate|GrantOffer|LocalHitMints|WalkGrantRefused|C2
-soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./trace/ ./internal/harness/
+# a miss answered once per responder (the re-probe multicast's skip list,
+# never on the wire, honoured by memnet and by static peers, and the
+# frames and counters of a warm miss, root package; a busy refusal and a
+# blocking wait's lease end keep their responder in the multicast's
+# audience), the multicast's and
+# the walk's snapshot's zero allocations, and the C2 flood (the harness
+# TestMain also asserts no goroutine leaks survive it).
+soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|CancelOvertakes|InflightDedup|DuplicateOf|DuplicateBlockingOp|ServedCache|CancelBeforeOp|Admit|ImmediateServe|FullResponder|Negotiate|GrantOffer|LocalHitMints|WalkGrantRefused|MissAnsweredOnce|ReparksEndedWait|NonblockingMiss|MulticastSkip|SkipNeverReaches|MulticastAllocatesNothing|SnapshotAtDemoted|C2
+soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./trace/ ./internal/harness/ . ./transport/memnet/ ./transport/netudp/ ./internal/discovery/
 soak_exp  = C2
 # mobility: visibility-event re-arming, orphan reconciliation (the sweep
 # an entry on the node's deadline queue), the recovery timers derived from

@@ -270,6 +270,19 @@ func BenchmarkRemoteInpTwoNodesTCP(b *testing.B) {
 	reportHandoffs(b, func() { remoteTake(b, a, bb) })
 }
 
+// BenchmarkRemoteRdpMissTwoNodes is a warm exact-key Rdp that misses: b
+// asks a, listed, which answers not-found, and the walk's closing
+// multicast skips a, so it reaches nobody. Beside its hand-offs it reports
+// the frames each miss sends (net.msgs_sent), so `make handoffs` and `make
+// allocs BENCH=RemoteRdpMissTwoNodes` price the miss path.
+func BenchmarkRemoteRdpMissTwoNodes(b *testing.B) {
+	a, bb, met := memnetPair(b)
+	remoteMiss(b, a, bb) // the not-found lists a at b
+	frames := met.Get(trace.CtrMsgsSent)
+	reportHandoffs(b, func() { remoteMiss(b, a, bb) })
+	b.ReportMetric(float64(met.Get(trace.CtrMsgsSent)-frames)/float64(b.N), "frames/op")
+}
+
 // BenchmarkRemoteOutAtTwoNodes is a remote out: b puts a tuple into a's
 // space (TOut, TAck) and a takes it back locally, so the space stays
 // empty and each op prices the serve of one out.
@@ -306,9 +319,11 @@ const localTakeAllocs = 1
 // remoteTakeWireBytes is what one remote take puts on the wire over
 // memnet: op, result, accept and ack, each leaving its sender's address
 // to the channel. Over TCP each frame adds a one-byte length prefix.
+// remoteMissWireBytes is one remote Rdp miss's op and not-found.
 const (
 	remoteTakeWireBytes    = 66
 	remoteTakeWireBytesTCP = 70
+	remoteMissWireBytes    = 34
 )
 
 // TestRemoteTakeAllocs pins BenchmarkRemoteInpTwoNodes's objects per take,
@@ -465,6 +480,7 @@ func newInstance(tb testing.TB, ep transport.Endpoint) *tiamat.Instance {
 var (
 	remoteTuple = tuple.T(tuple.String("k"), tuple.Int(1))
 	remoteTmpl  = tuple.Tmpl(tuple.String("k"), tuple.FormalInt())
+	missTmpl    = tuple.Tmpl(tuple.String("k"), tuple.Int(2))
 	remoteReq   = lease.Flexible(lease.Terms{Duration: 10 * time.Second, MaxRemotes: 4})
 )
 
@@ -482,6 +498,13 @@ func remoteTake(tb testing.TB, a, b *tiamat.Instance) {
 		if ok {
 			return
 		}
+	}
+}
+
+// remoteMiss asks a, from b, for a tuple nobody holds.
+func remoteMiss(tb testing.TB, _, b *tiamat.Instance) {
+	if _, ok, err := b.Rdp(context.Background(), missTmpl, remoteReq); err != nil || ok {
+		tb.Fatalf("Rdp of a tuple nobody holds: %v %v", ok, err)
 	}
 }
 

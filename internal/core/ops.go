@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"tiamat/clock"
@@ -18,7 +19,7 @@ import (
 
 // opState is one outbound operation: the ID its replies are routed by,
 // the channel they land in, and its walk. States are pooled per instance:
-// the results and found channels, contact map, replied set, and queue
+// the results and found channels, contact map, replied list, and queue
 // buffer survive across operations, so starting an op costs a pool hit
 // instead of several allocations (the channel buffer dominates).
 //
@@ -43,9 +44,11 @@ type opState struct {
 	// csFree recycles the entries.
 	contacted map[wire.Addr]*contactState
 	csFree    []*contactState
-	// replied tracks responders that already answered, for dedup counting
-	// and re-arm suppression.
-	replied map[wire.Addr]bool
+	// replied lists the responders that answered, for dedup counting and
+	// re-arm suppression; skip, those of a nonblocking op that would only
+	// replay their answer (not a busy one), for the multicast to pass over.
+	replied []wire.Addr
+	skip    []wire.Addr
 	// queueBuf backs the walk's queue.
 	queueBuf []wire.Addr
 	// sub hears the responder list's visibility events while a blocking
@@ -106,7 +109,6 @@ func newOpState(i *Instance) *opState {
 		tick:      make(chan struct{}, 1),
 		found:     make(chan localMatch, 1),
 		contacted: make(map[wire.Addr]*contactState),
-		replied:   make(map[wire.Addr]bool),
 	}
 }
 
@@ -213,9 +215,7 @@ func (i *Instance) putOpState(st *opState) {
 		st.csFree = append(st.csFree, cs)
 		delete(st.contacted, a)
 	}
-	for a := range st.replied {
-		delete(st.replied, a)
-	}
+	st.replied, st.skip = st.replied[:0], st.skip[:0]
 	st.walk = walk{}
 	i.opStates.Put(st)
 }
@@ -703,10 +703,14 @@ func (st *opState) onReply(m *wire.Message) {
 		i.ctr.hedgeSuppressed.Inc()
 	}
 	if m.Type == wire.TResult {
-		if st.replied[m.From] {
+		if slices.Contains(st.replied, m.From) {
 			i.ctr.dedupDrops.Inc()
+		} else {
+			st.replied = append(st.replied, m.From)
+			if !m.Busy && !code.Blocking() {
+				st.skip = append(st.skip, m.From)
+			}
 		}
-		st.replied[m.From] = true
 	}
 	switch {
 	case m.Found:
@@ -835,7 +839,7 @@ func (st *opState) onTick() {
 // reappearance is exactly the news we were missing.
 func (st *opState) onJoin(a wire.Addr) {
 	i := st.i
-	if a == i.Addr() || st.replied[a] {
+	if a == i.Addr() || slices.Contains(st.replied, a) {
 		return
 	}
 	if cs := st.contacted[a]; cs != nil && !cs.done {
@@ -983,9 +987,9 @@ func (st *opState) concluded() bool {
 	return true
 }
 
-// multicast sends the walk's frame to every listener in range, once — or
-// each time it is asked, under ContinuousDiscovery — under one unit of the
-// remote budget. Every recipient counted is a reply expected.
+// multicast sends the walk's frame to every listener in range that st.skip
+// does not name, once — or each time asked, under ContinuousDiscovery — under
+// one unit of the remote budget. Every recipient counted is a reply expected.
 func (st *opState) multicast() {
 	i := st.i
 	if st.multicasted && !i.cfg.ContinuousDiscovery {
@@ -994,14 +998,15 @@ func (st *opState) multicast() {
 	if st.lse.ConsumeRemote() != nil {
 		return
 	}
-	// The failover marker rides unicast contacts only (DESIGN.md §13): a
-	// multicast is how the walk finds responders it does not know, and a
-	// failover take is addressed to ranked holders it does. The multicast
-	// form is a copy; msg stays as the unicast contacts use it.
+	// A multicast is how the walk finds responders it does not know: it
+	// skips those with an answer to replay (DESIGN.md §6) and carries no
+	// failover marker, which is for ranked holders the walk does know
+	// (§13). The multicast form is a copy; msg stays as unicast uses it.
 	mc := st.msg
-	if mc.Failover {
+	if mc.Failover || len(st.skip) > 0 {
 		plain := *mc
 		plain.Failover = false
+		plain.Skip = slices.Clone(st.skip)
 		mc = &plain
 	}
 	n, err := i.ep.Multicast(mc)

@@ -23,15 +23,9 @@ const dedupTTL = 30 * time.Second
 // fills, up to servedCacheMax.
 const servedMinSlots = 16
 
-// servedKeepSent is how many of the newest records keep the reply they
-// sent: a copy that follows at once, as the not-found re-probe multicast
-// does (DESIGN.md §6), is sent that reply again instead of one built
-// anew. Older records keep their answer by kind alone.
-const servedKeepSent = 64
-
 // answer is how a finished request was answered: all a later copy of it
-// is owed, by kind. A reply is kept as a message past the newest
-// servedKeepSent records only where its kind cannot rebuild it.
+// is owed, by kind. A reply is kept as a message only where its kind
+// cannot rebuild it.
 type answer uint8
 
 const (
@@ -47,8 +41,7 @@ const (
 
 // finished is one finished request: its key, when it finished (since the
 // store's base) and its answer. A value in the ring, it holds a pointer
-// only for what its kind needs, and, while it is among the newest
-// servedKeepSent, the reply it sent.
+// only for what its kind needs.
 type finished struct {
 	key   waitKey
 	at    time.Duration
@@ -63,23 +56,22 @@ type finished struct {
 // take's tombstone. self is the responder's address, the From of every
 // reply it sends.
 func finishedAs(key waitKey, reply *wire.Message, self wire.Addr) finished {
-	f := finished{key: key, kind: ansMsg, msg: reply}
 	switch {
 	case reply == nil:
-		f.kind = ansAccepted
+		return finished{key: key, kind: ansAccepted}
 	case reply.ID != key.id || reply.From != self || reply.Busy || reply.HoldID != 0 ||
 		reply.ReplSeq != 0 || reply.ReplOrigin != "":
-		// Kept as sent.
+		// Kept as sent, below.
 	case reply.Type == wire.TResult && !reply.Found:
-		f.kind = ansNotFound
+		return finished{key: key, kind: ansNotFound}
 	case reply.Type == wire.TResult:
-		f.kind, f.tuple = ansRead, reply.Tuple
+		return finished{key: key, kind: ansRead, tuple: reply.Tuple}
 	case reply.Type == wire.TAck && reply.OK && reply.Err == "":
-		f.kind = ansAckOK
+		return finished{key: key, kind: ansAckOK}
 	case reply.Type == wire.TAck && !reply.OK:
-		f.kind, f.err = ansAckErr, reply.Err
+		return finished{key: key, kind: ansAckErr, err: reply.Err}
 	}
-	return f
+	return finished{key: key, kind: ansMsg, msg: reply}
 }
 
 // reply returns the reply f was answered with, the one sent or one built
@@ -215,11 +207,6 @@ func (s *servedStore) add(f finished, now time.Time) {
 	s.ring[slot] = f
 	s.n++
 	s.insert(slot)
-	if s.n > servedKeepSent {
-		if old := &s.ring[(slot+len(s.ring)-servedKeepSent)%len(s.ring)]; old.kind != ansMsg {
-			old.msg = nil
-		}
-	}
 }
 
 // insert indexes ring slot slot.

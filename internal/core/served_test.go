@@ -47,12 +47,10 @@ func (e *sentFrames) count() int {
 
 // TestServedCacheReplayIdentity: a copy of a finished request is answered
 // with a frame identical, byte for byte, to the one its first copy got,
-// whichever way the record keeps the answer: the sent reply, while the
-// record is among the newest servedKeepSent, and after that by kind (a
-// not-found, a found read, an OK ack, a refusing ack) or still as the sent
-// message (a take whose hold is pending, with and without a replica
-// identity). A copy of an accepted take or of a cancelled request gets
-// nothing and is counted.
+// whichever way the record keeps the answer: by kind (a not-found, a found
+// read, an OK ack, a refusing ack) or as the sent message (a take whose
+// hold is pending, with and without a replica identity). A copy of an
+// accepted take or of a cancelled request gets nothing and is counted.
 func TestServedCacheReplayIdentity(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
 		t.Run(fmt.Sprintf("R=%d", replicas), func(t *testing.T) {
@@ -90,11 +88,7 @@ func TestServedCacheReplayIdentity(t *testing.T) {
 				n := frames.count()
 				d.send(tc.frame(id))
 				d.send(tc.frame(id))
-				// Push the record past the newest servedKeepSent.
 				d.a.mu.Lock()
-				for j := uint64(0); j < servedKeepSent; j++ {
-					d.a.served.add(finished{key: waitKey{from: "filler", id: id<<16 + j}, kind: ansCancelled}, d.a.clk.Now())
-				}
 				f := d.a.served.get(waitKey{from: "z", id: id})
 				kind, kept := ansNone, false
 				if f != nil {
@@ -282,11 +276,10 @@ func TestServedCacheMatchesModel(t *testing.T) {
 	}
 }
 
-// TestServedCacheReplaysNewestWithoutBuilding: a copy that follows its
-// request at once, as the not-found re-probe multicast does, is sent the
-// reply the record kept, and builds nothing; one that comes after
-// servedKeepSent newer records builds its reply, the one object it costs.
-func TestServedCacheReplaysNewestWithoutBuilding(t *testing.T) {
+// TestServedCacheReplayBuildsItsReply: a copy of a finished not-found
+// request is sent a reply rebuilt from the record's kind, the one object
+// it costs. No record keeps a not-found's message, however new.
+func TestServedCacheReplayBuildsItsReply(t *testing.T) {
 	r := newRig(t, []wire.Addr{"a"}, nil)
 	a := r.inst["a"]
 	m := opFrame("p", 1, wire.OpRdp, time.Minute)
@@ -298,15 +291,7 @@ func TestServedCacheReplaysNewestWithoutBuilding(t *testing.T) {
 			t.Fatalf("copy admitted to run (%v) or answered %v, want the recorded not-found", execute, reply)
 		}
 	}
-	if n := testing.AllocsPerRun(100, replay); n != 0 {
-		t.Fatalf("a copy of the newest record allocates %.0f objects, want 0", n)
-	}
-	a.mu.Lock()
-	for j := uint64(0); j < servedKeepSent; j++ {
-		a.served.add(finished{key: waitKey{from: "q", id: j}, kind: ansCancelled}, a.clk.Now())
-	}
-	a.mu.Unlock()
 	if n := testing.AllocsPerRun(100, replay); n != 1 {
-		t.Fatalf("a copy of an older record allocates %.0f objects, want its rebuilt reply alone", n)
+		t.Fatalf("a copy of a not-found record allocates %.0f objects, want its rebuilt reply alone", n)
 	}
 }

@@ -336,20 +336,20 @@ func (l *ResponderList) SnapshotAppend(dst []wire.Addr) []wire.Addr {
 func (l *ResponderList) SnapshotAt(dst []wire.Addr, now time.Time) []wire.Addr {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := dst
-	var demoted []wire.Addr
 	for _, e := range l.addrs {
-		if e.suspect.open(now) {
+		switch {
+		case e.suspect.open(now):
 			l.ctr.suspectSkips.Inc()
-			continue
+		case !l.demotedLocked(e, now):
+			dst = append(dst, e.addr)
 		}
-		if l.demotedLocked(e, now) {
-			demoted = append(demoted, e.addr)
-			continue
-		}
-		out = append(out, e.addr)
 	}
-	return append(out, demoted...)
+	for _, e := range l.addrs {
+		if !e.suspect.open(now) && l.demotedLocked(e, now) {
+			dst = append(dst, e.addr)
+		}
+	}
+	return dst
 }
 
 // All returns the full contact order including suspected entries, for
@@ -357,10 +357,6 @@ func (l *ResponderList) SnapshotAt(dst []wire.Addr, now time.Time) []wire.Addr {
 func (l *ResponderList) All() []wire.Addr {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.allLocked()
-}
-
-func (l *ResponderList) allLocked() []wire.Addr {
 	out := make([]wire.Addr, len(l.addrs))
 	for i, e := range l.addrs {
 		out[i] = e.addr

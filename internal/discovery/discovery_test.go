@@ -498,6 +498,37 @@ func TestLatencyOutlierDemotesToBack(t *testing.T) {
 	}
 }
 
+// TestSnapshotAtDemotedDoesNotAllocate pins the walk's snapshot with a
+// demoted peer listed: it goes last, in the caller's buffer, and the
+// snapshot makes no buffer of its own for it. A suspected peer is left
+// out.
+func TestSnapshotAtDemotedDoesNotAllocate(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	l := NewResponderList(0, nil, clk)
+	for _, a := range []wire.Addr{"slow", "fast1", "gone", "fast2"} {
+		l.Observe(a)
+	}
+	feedLatency(l, "fast1", 2*time.Millisecond, 4)
+	feedLatency(l, "fast2", 2*time.Millisecond, 4)
+	feedLatency(l, "slow", 100*time.Millisecond, 4)
+	for k := 0; k < 3; k++ {
+		l.Fail("gone")
+	}
+	if !l.Demoted("slow") || !l.Suspected("gone") {
+		t.Fatal("slow not demoted or gone not suspected")
+	}
+	buf := make([]wire.Addr, 0, 8)
+	var snap []wire.Addr
+	if allocs := testing.AllocsPerRun(100, func() {
+		snap = l.SnapshotAt(buf[:0], clk.Now())
+	}); allocs != 0 {
+		t.Fatalf("SnapshotAt with a demoted peer: %v allocs, want 0", allocs)
+	}
+	if want := []wire.Addr{"fast1", "fast2", "slow"}; !slices.Equal(snap, want) {
+		t.Fatalf("snapshot = %v, want %v", snap, want)
+	}
+}
+
 // TestLatencySampleDoesNotAllocate pins the outlier check, which runs
 // under the list lock on every reply: the median comes from a scratch
 // slice kept on the list, not from a fresh one sorted through reflection.

@@ -72,6 +72,31 @@ func TestRemoteTakeClockReads(t *testing.T) {
 // node's own registry and the registry the nodes and the network share
 // advance by exactly these deltas, and by nothing else.
 func TestRemoteTakeCounterDeltas(t *testing.T) {
+	pinCounterDeltas(t, remoteTake,
+		map[string]int64{trace.CtrOpsOut: 1, trace.CtrTuplesStored: 1, trace.CtrTuplesTaken: 1},
+		map[string]int64{trace.CtrOpsInp: 1, trace.CtrOpsRemoteHit: 1, trace.CtrOpsSatisfied: 1},
+		map[string]int64{trace.CtrMsgsSent: 4, trace.CtrUnicasts: 4, trace.CtrBytesSent: remoteTakeWireBytes})
+}
+
+// TestNonblockingMissCounterDeltas pins what one warm remote Rdp miss
+// counts, as TestRemoteTakeCounterDeltas does the take's: the op to the
+// listed responder and its not-found, two frames. The walk's closing
+// multicast skips the responder that answered, so it reaches nobody, and
+// nothing is received twice.
+func TestNonblockingMissCounterDeltas(t *testing.T) {
+	pinCounterDeltas(t, remoteMiss,
+		map[string]int64{},
+		map[string]int64{trace.CtrOpsRdp: 1, trace.CtrOpsEmpty: 1, trace.CtrDiscoverRounds: 1},
+		map[string]int64{trace.CtrMsgsSent: 2, trace.CtrUnicasts: 2, trace.CtrMulticasts: 1, trace.CtrBytesSent: remoteMissWireBytes})
+}
+
+// pinCounterDeltas runs op between a warm memnet pair, a holding and b
+// asking, and fails t unless a's own registry advances by exactly holder's
+// deltas per op, b's by taker's, and the registry the nodes and the
+// network share by all three maps' together, and none of them by anything
+// else.
+func pinCounterDeltas(t *testing.T, op func(testing.TB, *tiamat.Instance, *tiamat.Instance), holder, taker, network map[string]int64) {
+	t.Helper()
 	shared := new(trace.Metrics)
 	net := memnet.New(memnet.WithMetrics(shared))
 	t.Cleanup(func() { net.Close() })
@@ -87,20 +112,18 @@ func TestRemoteTakeCounterDeltas(t *testing.T) {
 	a, b := newNode("n0"), newNode("n1")
 	net.ConnectAll()
 	for k := 0; k < 200; k++ {
-		remoteTake(t, a, b)
+		op(t, a, b)
 	}
 	waitQuiet(shared)
-	const takes = 100
+	const ops = 100
 	beforeA, beforeB, beforeShared := a.Metrics().Snapshot(), b.Metrics().Snapshot(), shared.Snapshot()
-	for k := 0; k < takes; k++ {
-		remoteTake(t, a, b)
+	for k := 0; k < ops; k++ {
+		op(t, a, b)
 	}
 	waitQuiet(shared)
 
-	holder := map[string]int64{trace.CtrOpsOut: 1, trace.CtrTuplesStored: 1, trace.CtrTuplesTaken: 1}
-	taker := map[string]int64{trace.CtrOpsInp: 1, trace.CtrOpsRemoteHit: 1, trace.CtrOpsSatisfied: 1}
-	all := map[string]int64{trace.CtrMsgsSent: 4, trace.CtrUnicasts: 4, trace.CtrBytesSent: remoteTakeWireBytes}
-	for _, m := range []map[string]int64{holder, taker} {
+	all := map[string]int64{}
+	for _, m := range []map[string]int64{holder, taker, network} {
 		for k, v := range m {
 			all[k] = v
 		}
@@ -122,8 +145,8 @@ func TestRemoteTakeCounterDeltas(t *testing.T) {
 			}
 		}
 		for k, d := range diff {
-			if d != takes*c.want[k] {
-				t.Errorf("%s: %s advanced %d over %d takes, want %d per take", c.name, k, d, takes, c.want[k])
+			if d != ops*c.want[k] {
+				t.Errorf("%s: %s advanced %d over %d ops, want %d per op", c.name, k, d, ops, c.want[k])
 			}
 		}
 	}

@@ -23,6 +23,7 @@ package memnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -491,10 +492,6 @@ func (n *Network) applyLimpLocked(from, to wire.Addr, f Faults) Faults {
 func (n *Network) Neighbors(a wire.Addr) []wire.Addr {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.neighborsLocked(a)
-}
-
-func (n *Network) neighborsLocked(a wire.Addr) []wire.Addr {
 	var out []wire.Addr
 	for e, ok := range n.vis {
 		if !ok || e.from != a {
@@ -622,7 +619,8 @@ func (nd *node) Send(to wire.Addr, m *wire.Message) error {
 	return nil
 }
 
-// Multicast implements transport.Endpoint, encoding m once, as Send does.
+// Multicast implements transport.Endpoint, encoding m once, as Send does,
+// if any visible neighbour that m.Skip does not name is left to offer it.
 func (nd *node) Multicast(m *wire.Message) (int, error) {
 	n := nd.net
 	n.mu.Lock()
@@ -630,20 +628,29 @@ func (nd *node) Multicast(m *wire.Message) (int, error) {
 		n.mu.Unlock()
 		return 0, transport.ErrClosed
 	}
-	buf := wire.GetBuf()
-	buf.B = wire.AppendEncodeBy(buf.B, m, nd.addr)
-	data := buf.B
-	neighbors := n.neighborsLocked(nd.addr)
 	n.ctr.multicasts.Inc()
-	n.ctr.bytesSent.Add(int64(len(data)))
 	type target struct {
 		nd *node
 		f  Faults
 	}
-	targets := make([]target, 0, len(neighbors))
-	for _, a := range neighbors {
-		targets = append(targets, target{n.nodes[a], n.applyLimpLocked(nd.addr, a, n.faultsForLocked(nd.addr, a))})
+	var inline [8]target // up to 8 neighbours, no allocation
+	targets := inline[:0]
+	for e, ok := range n.vis {
+		if !ok || e.from != nd.addr || slices.Contains(m.Skip, e.to) {
+			continue
+		}
+		if dst, live := n.nodes[e.to]; live {
+			targets = append(targets, target{dst, n.applyLimpLocked(nd.addr, e.to, n.faultsForLocked(nd.addr, e.to))})
+		}
 	}
+	if len(targets) == 0 {
+		n.mu.Unlock()
+		return 0, nil
+	}
+	buf := wire.GetBuf()
+	buf.B = wire.AppendEncodeBy(buf.B, m, nd.addr)
+	data := buf.B
+	n.ctr.bytesSent.Add(int64(len(data)))
 	n.mu.Unlock()
 	for _, tg := range targets {
 		if n.transmit(nd.addr, tg.nd, data, tg.f) {

@@ -2,6 +2,7 @@ package memnet
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -86,6 +87,71 @@ func TestMulticastReachesOnlyVisible(t *testing.T) {
 	case m := <-c.Recv():
 		t.Fatalf("invisible node received %+v", m)
 	default:
+	}
+}
+
+// TestMulticastSkip: a neighbour that a frame's Skip names is neither
+// offered the frame nor counted, and a multicast that skips every
+// neighbour puts no byte on the wire.
+func TestMulticastSkip(t *testing.T) {
+	met := &trace.Metrics{}
+	n := New(WithMetrics(met))
+	defer n.Close()
+	a, _ := n.Attach("a")
+	b, _ := n.Attach("b")
+	c, _ := n.Attach("c")
+	n.ConnectAll()
+	m := disc("a", 1)
+	m.Skip = []wire.Addr{"b"}
+	if cnt, err := a.Multicast(m); err != nil || cnt != 1 {
+		t.Fatalf("multicast skipping b offered to %d nodes (%v), want 1", cnt, err)
+	}
+	if got := recvOne(t, c); got.ID != 1 {
+		t.Fatalf("c got %+v", got)
+	}
+	select {
+	case got := <-b.Recv():
+		t.Fatalf("skipped node received %+v", got)
+	default:
+	}
+	if got := met.Get(trace.CtrMulticastRecvs); got != 1 {
+		t.Fatalf("multicast recvs = %d, want 1", got)
+	}
+
+	bytes := met.Get(trace.CtrBytesSent)
+	m = disc("a", 2)
+	m.Skip = []wire.Addr{"c", "b"}
+	if cnt, err := a.Multicast(m); err != nil || cnt != 0 {
+		t.Fatalf("multicast skipping everyone offered to %d nodes (%v), want 0", cnt, err)
+	}
+	if got := met.Get(trace.CtrBytesSent); got != bytes {
+		t.Fatalf("multicast to nobody sent %d bytes", got-bytes)
+	}
+	if got := met.Get(trace.CtrMulticasts); got != 2 {
+		t.Fatalf("multicasts = %d, want 2", got)
+	}
+}
+
+// TestMulticastAllocatesNothing: listing the audience and its fault plans
+// costs no object up to eight neighbours. Every frame is lost on
+// the link, so no receiver decodes one and the count is the sender's.
+func TestMulticastAllocatesNothing(t *testing.T) {
+	for _, peers := range []int{1, 8} {
+		n := New(WithLoss(1))
+		a, _ := n.Attach("a")
+		for k := 0; k < peers; k++ {
+			n.Attach(wire.Addr(fmt.Sprintf("p%d", k)))
+		}
+		n.ConnectAll()
+		m := disc("a", 1)
+		if got := testing.AllocsPerRun(100, func() {
+			if cnt, err := a.Multicast(m); err != nil || cnt != peers {
+				t.Fatalf("multicast offered to %d nodes (%v), want %d", cnt, err, peers)
+			}
+		}); got != 0 {
+			t.Errorf("multicast to %d neighbours: %.0f objects, want 0", peers, got)
+		}
+		n.Close()
 	}
 }
 

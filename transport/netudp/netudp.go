@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -301,7 +302,7 @@ func (t *Transport) session(to wire.Addr) *session {
 
 // Multicast implements transport.Endpoint. With a multicast group the
 // audience is unknown (-1); in pure static-peer mode it returns the
-// number of peers successfully probed.
+// number of peers successfully probed, none of them one m.Skip names.
 func (t *Transport) Multicast(m *wire.Message) (int, error) {
 	if t.isClosed() {
 		return 0, transport.ErrClosed
@@ -309,7 +310,7 @@ func (t *Transport) Multicast(m *wire.Message) (int, error) {
 	t.ctr.multicasts.Inc()
 	reached := 0
 	for _, peer := range t.cfg.StaticPeers {
-		if wire.Addr(peer) == t.addr {
+		if a := wire.Addr(peer); a == t.addr || slices.Contains(m.Skip, a) {
 			continue
 		}
 		if err := t.Send(wire.Addr(peer), m); err == nil {

@@ -103,6 +103,49 @@ func TestStaticPeerMulticast(t *testing.T) {
 	}
 }
 
+// TestStaticPeerMulticastSkip: a static peer the frame's Skip names is
+// not sent the frame and not counted; the others are, and the count is
+// theirs.
+func TestStaticPeerMulticastSkip(t *testing.T) {
+	var peers []*Transport
+	var addrs []string
+	for k := 0; k < 3; k++ {
+		p, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		peers, addrs = append(peers, p), append(addrs, string(p.Addr()))
+	}
+	s, err := New(Config{StaticPeers: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	m := &wire.Message{Type: wire.TDiscover, ID: 7, From: s.Addr(), Skip: []wire.Addr{peers[1].Addr()}}
+	n, err := s.Multicast(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("reached %d peers skipping one of 3, want 2", n)
+	}
+	for _, k := range []int{0, 2} {
+		if got := recvOne(t, peers[k]); got.ID != 7 {
+			t.Fatalf("peer %d got %+v", k, got)
+		}
+	}
+	// One session per peer keeps its frames in order: the skipped peer's
+	// first frame is the one sent after the multicast.
+	if err := s.Send(peers[1].Addr(), &wire.Message{Type: wire.TDiscover, ID: 8, From: s.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, peers[1]); got.ID != 8 {
+		t.Fatalf("skipped peer got %+v first, want the later unicast", got)
+	}
+}
+
 func TestStaticPeersSkipSelf(t *testing.T) {
 	a, err := New(Config{})
 	if err != nil {

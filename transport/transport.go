@@ -32,9 +32,10 @@ type Endpoint interface {
 	Addr() wire.Addr
 	// Send unicasts a message to a visible instance.
 	Send(to wire.Addr, m *wire.Message) error
-	// Multicast sends a message to every currently visible instance.
-	// It returns the number of instances the message was offered to, or
-	// -1 when the transport cannot know (e.g. real UDP multicast).
+	// Multicast sends a message to every currently visible instance
+	// that m.Skip does not name. It returns the number of instances the
+	// message was offered to, or -1 when the transport cannot know (e.g.
+	// real UDP multicast, whose datagram reaches skipped ones too).
 	Multicast(m *wire.Message) (int, error)
 	// Recv returns the inbound message stream. The channel is closed
 	// when the endpoint closes. A received message's From is always a

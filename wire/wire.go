@@ -250,6 +250,9 @@ type Message struct {
 	// on the wire is ErrFrame. It stays only because the frozen benchmark
 	// module still reads it.
 	AckIDs []uint64
+	// Skip is never encoded or decoded either: the instances Multicast
+	// neither offers the frame to nor counts (DESIGN.md §6).
+	Skip []Addr
 
 	// Caps is the announcer's capability set (TAnnounce): the Cap* bits
 	// naming which wire features its decoder accepts. Optional trailing
@@ -489,19 +492,19 @@ func DecodeNoCopy(data []byte) (*Message, error) {
 // message, storage for the top-level fields of a tuple or template (the
 // first shape only), and inline bytes for the frame itself. Each fills a
 // malloc size class exactly, so the inline bytes are what rounding up
-// would otherwise waste: 128 of them hold a take's op or result over TCP,
-// and 48 an accept or ack. The runtime prefixes an object with pointers
+// would otherwise waste: 168 of them hold a take's op or result over TCP,
+// and 56 an accept or ack. The runtime prefixes an object with pointers
 // over 512 B with an 8-byte header, so the first shape is 8 B short of
-// its 640 B class.
+// its 704 B class.
 type tupleFrame struct {
 	m      Message
 	fields [3]tuple.Field
-	data   [640 - 8 - unsafe.Sizeof(Message{}) - 3*unsafe.Sizeof(tuple.Field{})]byte
+	data   [704 - 8 - unsafe.Sizeof(Message{}) - 3*unsafe.Sizeof(tuple.Field{})]byte
 }
 
 type bareFrame struct {
 	m    Message
-	data [288 - unsafe.Sizeof(Message{})]byte
+	data [320 - unsafe.Sizeof(Message{})]byte
 }
 
 // carriesTuple reports whether frames of type t carry a tuple or template.

@@ -108,6 +108,36 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 }
 
+// TestSkipNeverReachesTheWire: Message.Skip is an instruction to the
+// sender's Multicast alone. A frame that carries one encodes to the bytes
+// of the same frame without it, and no decode sets it.
+func TestSkipNeverReachesTheWire(t *testing.T) {
+	for _, m := range []*Message{
+		{Type: TOp, ID: 3, From: "c", Op: OpRdp, TTL: time.Second,
+			Template: tuple.Tmpl(tuple.String("req"), tuple.Int(7))},
+		{Type: TOp, ID: 4, From: "c", Op: OpInp, TTL: time.Second, Budget: time.Millisecond,
+			Template: tuple.Tmpl(tuple.String("req"), tuple.FormalInt())},
+		{Type: TDiscover, ID: 5},
+	} {
+		plain := Encode(m)
+		with := *m
+		with.Skip = []Addr{"a", "b"}
+		frame := Encode(&with)
+		if !bytes.Equal(frame, plain) {
+			t.Fatalf("%s: Skip reached the wire:\n plain %x\n with  %x", m.Type, plain, frame)
+		}
+		for _, decode := range []func([]byte) (*Message, error){Decode, DecodeNoCopy} {
+			back, err := decode(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Skip != nil {
+				t.Fatalf("%s: decoded a Skip list %v", m.Type, back.Skip)
+			}
+		}
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	good := Encode(&Message{Type: TDiscover, ID: 1, From: "a"})
 	cases := map[string][]byte{

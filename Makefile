@@ -2,7 +2,7 @@ GO ?= go
 
 SUITES = crash soak mobility gray replica upgrade farm
 
-.PHONY: build test check bench perf allocs handoffs heap chaos fuzz loc suites-nonempty $(SUITES)
+.PHONY: build test check bench perf allocs handoffs heap cover chaos fuzz loc suites-nonempty $(SUITES)
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,17 @@ REPEATS ?= 4
 heap:
 	./scripts/heapsites.sh $(W) $(REPEATS) $(BASE)
 
+# cover lists every statement block that no test executes in core, lease,
+# store, discovery, replica, persist and the transports
+# (scripts/cover.sh): one `go test -coverprofile -coverpkg=<those
+# packages>` over their tests and the root package's, one over the
+# internal/harness soaks, each block counted by the higher of the two.
+# A diagnostic, like `make allocs`: check.sh does not run it, and a block
+# listed is a question (dead, or untested?), not a failure. Takes about
+# a minute. Writes only under .bench_build/.
+cover:
+	./scripts/cover.sh
+
 # chaos runs the fault-injection benchmarks: E2/E9/E10 over a lossy,
 # duplicating, reordering network, reporting retry/dedup counters.
 chaos:
@@ -96,20 +107,24 @@ crash_exp  = C1
 # soak: overload governance — admission (the space decides: a store or
 # naive node serves every admitted frame on its receive loop, a persist
 # node queues every one for its pool), a duplicate decided
-# once by its request's record in every state, quotas, shed order,
+# once by its request's record in every state, quotas (the per-peer
+# in-flight and byte quotas on a pool node's queue, and an oversize
+# frame on the receive loop), shed order,
 # the shrink-before-revoke ladder, deadline propagation, the reports the
 # shed assertions read (views over a per-node registry that forwards to
 # a shared parent), an immediate serve admitted without a lease (and a
 # full manager's refusal of one), a requester's local hit negotiated but
 # never minted (and a walk's grant refused once its offer is withdrawn),
-# a miss answered once per responder (the re-probe multicast's skip list,
-# never on the wire, honoured by memnet and by static peers, and the
-# frames and counters of a warm miss, root package; a busy refusal and a
-# blocking wait's lease end keep their responder in the multicast's
-# audience), the multicast's and
-# the walk's snapshot's zero allocations, and the C2 flood (the harness
-# TestMain also asserts no goroutine leaks survive it).
-soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|CancelOvertakes|InflightDedup|DuplicateOf|DuplicateBlockingOp|ServedCache|CancelBeforeOp|Admit|ImmediateServe|FullResponder|Negotiate|GrantOffer|LocalHitMints|WalkGrantRefused|MissAnsweredOnce|ReparksEndedWait|NonblockingMiss|MulticastSkip|SkipNeverReaches|MulticastAllocatesNothing|SnapshotAtDemoted|C2
+# a cancel overtaking its op in the pool's queue, a refused probe filed
+# like a miss, a miss answered once per responder (the re-probe
+# multicast's skip list, never on the wire, honoured by memnet and by
+# static peers, and the frames and counters of a warm miss, root
+# package; a busy refusal and a blocking wait's lease end keep their
+# responder in the multicast's audience), the multicast's and the walk's
+# snapshot's zero allocations, the active lease list's one, and the C2
+# flood (the harness TestMain also asserts no goroutine leaks survive
+# it).
+soak_run  = Govern|IdleNodeServesInline|RemoteWaitFlood|ShedOrder|Revoke|Shrink|Deadline|Budget|Busy|PanicIsolation|ReportViews|TestNode|CancelOvertakes|InflightDedup|DuplicateOf|DuplicateBlockingOp|ServedCache|CancelBeforeOp|Admit|ImmediateServe|FullResponder|Negotiate|GrantOffer|LocalHitMints|WalkGrantRefused|MissAnsweredOnce|ReparksEndedWait|NonblockingMiss|MulticastSkip|SkipNeverReaches|MulticastAllocatesNothing|SnapshotAtDemoted|ActiveLeases|C2
 soak_pkgs = ./internal/core/ ./lease/ ./wire/ ./trace/ ./internal/harness/ . ./transport/memnet/ ./transport/netudp/ ./internal/discovery/
 soak_exp  = C2
 # mobility: visibility-event re-arming, orphan reconciliation (the sweep

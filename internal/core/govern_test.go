@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -718,5 +720,180 @@ func TestDuplicateOfInflightOpIsAnswered(t *testing.T) {
 	}
 	if got := r.met.Get(trace.CtrOpsExpired); got != 0 {
 		t.Fatalf("%s = %d, want 0", trace.CtrOpsExpired, got)
+	}
+}
+
+// newPoolRig is a one-node rig whose space may block, so its governor
+// queues every admitted frame for the worker pool: a store behind
+// gatedSpace, whose gate has room for every Hold the test lets in. open
+// opens the gate for good; it runs, at the latest, before the rig closes.
+func newPoolRig(t *testing.T) (r *rig, gate gatedSpace, open func()) {
+	t.Helper()
+	gate = gatedSpace{entered: make(chan struct{}, 2*maxPeerInflight), release: make(chan struct{})}
+	r = newRig(t, []wire.Addr{"a"}, func(c *Config) {
+		gate.Space = store.New(store.WithClock(c.Clock), store.WithMetrics(c.Metrics))
+		c.Space = gate
+	})
+	open = sync.OnceFunc(func() { close(gate.release) })
+	t.Cleanup(open)
+	return r, gate, open
+}
+
+// holdWorkers sends n takes from peer and waits until n of them are held
+// at the gate: with n = serveWorkers, every worker is busy.
+func holdWorkers(t *testing.T, ep transport.Endpoint, gate gatedSpace, from wire.Addr, first uint64, n int) {
+	t.Helper()
+	for k := 0; k < n; k++ {
+		if err := ep.Send("a", opFrame(from, first+uint64(k), wire.OpInp, time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < n; k++ {
+		select {
+		case <-gate.entered:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of %d takes reached the space", k, n)
+		}
+	}
+}
+
+// TestGovernPeerQuotaOnPool pins the per-peer in-flight quota where it
+// applies: on a node whose space may block, a peer's frames queued for
+// the worker pool or run by a worker are capped at maxPeerInflight. With
+// the workers held, one peer's next frame is shed busy and counted, while
+// another peer's first frame is still queued behind them.
+func TestGovernPeerQuotaOnPool(t *testing.T) {
+	r, gate, open := newPoolRig(t)
+	a := r.inst["a"]
+	z, err := r.net.Attach("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := r.net.Attach("y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.net.ConnectAll()
+	r.seedCaps("z")
+	r.seedCaps("y")
+	zin, yin := &inbox{ep: z}, &inbox{ep: y}
+
+	holdWorkers(t, z, gate, "z", 1, serveWorkers)
+	for id := uint64(serveWorkers + 1); id <= maxPeerInflight; id++ {
+		if err := z.Send("a", opFrame("z", id, wire.OpInp, time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eventually(t, "the peer's frames fill its quota", func() bool { return a.Governor().Queued == maxPeerInflight })
+	over := uint64(maxPeerInflight + 1)
+	if err := z.Send("a", opFrame("z", over, wire.OpInp, time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the frame over the quota is refused", func() bool { return zin.find(over) != nil })
+	if m := zin.find(over); m.Type != wire.TResult || m.Found || !m.Busy {
+		t.Fatalf("frame over the quota answered %+v, want a busy not-found", m)
+	}
+	if err := y.Send("a", opFrame("y", 1, wire.OpInp, time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "another peer's frame is queued", func() bool { return a.Governor().Queued == maxPeerInflight+1 })
+	if m := yin.find(1); m != nil {
+		t.Fatalf("another peer's frame answered %+v while the workers are held", m)
+	}
+	rep := a.Governor()
+	if rep.QuotaSheds != 1 || rep.Sheds() != 1 || r.met.Get(trace.CtrGovQuotaSheds) != 1 {
+		t.Fatalf("quota sheds %d (counter %d), all sheds %d; want 1, 1, 1",
+			rep.QuotaSheds, r.met.Get(trace.CtrGovQuotaSheds), rep.Sheds())
+	}
+
+	open()
+	eventually(t, "every frame answered", func() bool {
+		return len(zin.ofType(wire.TResult)) == maxPeerInflight+1 && yin.find(1) != nil
+	})
+	if m := yin.find(1); m.Busy {
+		t.Fatalf("another peer's frame answered %+v, want served", m)
+	}
+	if n := zin.busy(); n != 1 {
+		t.Fatalf("%d busy replies to the peer over its quota, want 1", n)
+	}
+	quiesceServe(t, a)
+	eventually(t, "every charge released", a.gov.idle)
+}
+
+// TestGovernRefusesOversizeFrame: on a node that serves on its receive
+// loop, a peer's account holds at most the frame being served, so the one
+// quota refusal there is a frame whose own footprint exceeds the per-peer
+// byte quota: refused busy and counted as a quota shed, as on a node with
+// a worker pool.
+func TestGovernRefusesOversizeFrame(t *testing.T) {
+	d := newDupRig(t)
+	resident := d.a.LocalSpace().Count()
+	big := tuple.T(tuple.String(strings.Repeat("x", maxPeerBytes)))
+	d.send(&wire.Message{Type: wire.TOut, ID: 1, TTL: time.Hour, Tuple: big})
+	acks := d.zin.ofType(wire.TAck)
+	if len(acks) != 1 || acks[0].OK || !acks[0].Busy {
+		t.Fatalf("oversize out answered %+v, want one busy refusal", acks)
+	}
+	if rep := d.a.Governor(); rep.QuotaSheds != 1 || rep.Queued != 0 {
+		t.Fatalf("quota sheds %d, queued %d; want 1 and 0", rep.QuotaSheds, rep.Queued)
+	}
+	if n := d.a.LocalSpace().Count(); n != resident {
+		t.Fatalf("space holds %d tuples after the refusal, want %d", n, resident)
+	}
+	if !d.a.gov.idle() || countRequests(d.a, func(request) bool { return true }) != 0 {
+		t.Fatal("a refused frame left an account or a request record behind")
+	}
+}
+
+// TestCancelOvertakesOpInPoolQueue: on a node whose space may block, a
+// TCancel that lands while its blocking op waits in the serve queue is
+// filed on the receive loop, and the worker that dequeues the op later
+// finds it cancelled: the op reaches neither the space nor the lease
+// manager, parks no wait and is sent no reply.
+func TestCancelOvertakesOpInPoolQueue(t *testing.T) {
+	r, gate, _ := newPoolRig(t)
+	a := r.inst["a"]
+	z, err := r.net.Attach("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.net.ConnectAll()
+	r.seedCaps("z")
+	zin := &inbox{ep: z}
+
+	holdWorkers(t, z, gate, "z", 1, serveWorkers)
+	granted := a.LeaseManager().Stats().Granted
+	const op = 100
+	if err := z.Send("a", opFrame("z", op, wire.OpIn, time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if err := z.Send("a", &wire.Message{Type: wire.TCancel, ID: op, From: "z"}); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the cancel is filed", func() bool {
+		return countServed(a, func(f finished) bool { return f.key.id == op && f.kind == ansCancelled }) == 1
+	})
+	if n := len(a.gov.queue); n != 1 {
+		t.Fatalf("%d frames queued when the cancel was filed, want the op", n)
+	}
+
+	// Let the held takes go, one each: a free worker dequeues the op. Then
+	// hold every worker again; had the op reached the space, its worker
+	// would be one of them, and a take would be left in the queue.
+	for k := 0; k < serveWorkers; k++ {
+		gate.release <- struct{}{}
+	}
+	holdWorkers(t, z, gate, "z", 200, serveWorkers)
+	if n := len(a.gov.queue); n != 0 {
+		t.Fatalf("%d frames left queued: the cancelled op reached the space", n)
+	}
+	if n := waitsLen(a); n != 0 {
+		t.Fatalf("%d waits parked for a cancelled op", n)
+	}
+	if n := a.LeaseManager().Stats().Granted - granted; n != 0 {
+		t.Fatalf("%d leases granted for a cancelled op", n)
+	}
+	if m := zin.find(op); m != nil {
+		t.Fatalf("cancelled op answered %+v", m)
 	}
 }

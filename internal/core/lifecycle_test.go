@@ -146,6 +146,80 @@ func TestShutdownDrainEndsWithLastHold(t *testing.T) {
 	}
 }
 
+// TestShutdownDrainRefusesServeFrames: while Shutdown drains (a peer's
+// unaccepted hold keeps it open), new work from a peer gets the
+// definitive refusal at the receive loop's drain gate — a plain not-found
+// for an op, a "draining" refusal for an out or an eval — and a discover
+// probe gets no announce, so the peer fails over to a node that stays.
+func TestShutdownDrainRefusesServeFrames(t *testing.T) {
+	r := newRig(t, []wire.Addr{"a"}, nil)
+	ghost, err := r.net.Attach("ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.net.ConnectAll()
+	r.seedCaps("ghost")
+	a := r.inst["a"]
+	a.RegisterEval("id", func(_ context.Context, args tuple.Tuple) (tuple.Tuple, error) { return args, nil })
+	if err := a.Out(req(9), nil); err != nil {
+		t.Fatal(err)
+	}
+	box := &inbox{ep: ghost}
+	send := func(m *wire.Message) {
+		t.Helper()
+		m.From = "ghost"
+		if err := ghost.Send("a", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(opFrame("ghost", 1, wire.OpInp, time.Minute))
+	eventually(t, "hold granted", func() bool { return box.find(1) != nil })
+	hold := box.find(1)
+	if !hold.Found || hold.HoldID == 0 {
+		t.Fatalf("hold reply = %+v", hold)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		done <- a.Shutdown(ctx)
+	}()
+	eventually(t, "a drains", a.draining.Load)
+
+	send(&wire.Message{Type: wire.TDiscover, ID: 2})
+	send(opFrame("ghost", 3, wire.OpRdp, time.Minute))
+	send(&wire.Message{Type: wire.TOut, ID: 4, TTL: time.Minute, Tuple: req(4)})
+	send(&wire.Message{Type: wire.TEval, ID: 5, TTL: time.Minute, Func: "id", Tuple: req(5)})
+	eventually(t, "each frame refused", func() bool { return box.find(5) != nil })
+	if m := box.find(3); m == nil || m.Type != wire.TResult || m.Found || m.Busy {
+		t.Fatalf("op while draining answered %+v, want a plain not-found", m)
+	}
+	for _, id := range []uint64{4, 5} {
+		if m := box.find(id); m == nil || m.Type != wire.TAck || m.OK || m.Err != "draining" {
+			t.Fatalf("frame %d while draining answered %+v, want a draining refusal", id, m)
+		}
+	}
+	// The loop serves frames in order: the discover, handled before the
+	// op's reply was sent, would have been answered by now.
+	if ms := box.ofType(wire.TAnnounce); len(ms) != 0 {
+		t.Fatalf("a draining node announced itself: %+v", ms)
+	}
+	if a.LocalSpace().Count() != 1 { // the space-info tuple; req(9) is held
+		t.Fatalf("space holds %d tuples while draining, want 1", a.LocalSpace().Count())
+	}
+
+	send(&wire.Message{Type: wire.TAccept, ID: 6, HoldID: hold.HoldID})
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Shutdown still draining after the last hold settled")
+	}
+}
+
 // TestOutRacingCloseReturnsErrClosed: an Out whose own node closes under
 // it returns ErrClosed, whichever part of the node noticed first — the
 // lease manager, refusing the grant the Out was negotiating, or the

@@ -494,6 +494,35 @@ func TestReplicationOffIsInert(t *testing.T) {
 	}
 }
 
+// TestReplicationOffRefusesCopyFrames: a node at R=1 has no replica set,
+// so it answers a replicate with the "replication disabled" refusal and
+// stores nothing, and it drops an invalidation: no cancel is filed under
+// its key, and an op of the same ID is served.
+func TestReplicationOffRefusesCopyFrames(t *testing.T) {
+	d := newDupRig(t) // default R=1
+	resident := d.a.LocalSpace().Count()
+	d.send(&wire.Message{Type: wire.TOut, ID: 1, TTL: time.Hour, Tuple: req(1), ReplSeq: 7, ReplOrigin: "z"})
+	acks := d.zin.ofType(wire.TAck)
+	if len(acks) != 1 || acks[0].ID != 1 || acks[0].OK || acks[0].Err != "replication disabled" {
+		t.Fatalf("replicate answered %+v, want one \"replication disabled\" refusal", acks)
+	}
+	if n := d.a.LocalSpace().Count(); n != resident {
+		t.Fatalf("space holds %d tuples after a refused replicate, want %d", n, resident)
+	}
+
+	d.send(&wire.Message{Type: wire.TCancel, ID: 2, ReplSeq: 7, ReplOrigin: "z"})
+	if n := countServed(d.a, func(f finished) bool { return f.kind == ansCancelled }); n != 0 {
+		t.Fatalf("%d cancels filed for a dropped invalidation, want 0", n)
+	}
+	d.send(opFrame("z", 2, wire.OpRdp, time.Minute))
+	if rs := d.results(2); len(rs) != 1 || rs[0].Found || rs[0].Busy {
+		t.Fatalf("op after the invalidation answered %+v, want one plain not-found", rs)
+	}
+	if n := len(d.zin.ofType(wire.TAck)); n != 1 {
+		t.Fatalf("%d acks sent, want the replicate's alone", n)
+	}
+}
+
 // TestWriteThroughRefusalCountsAsFailed pins the write-through ack
 // accounting: a backup that answers the replicate frame with a NOT-OK
 // ack has definitively refused the copy. The refusal must settle the

@@ -372,7 +372,7 @@ func (i *Instance) handleOp(m *wire.Message, now time.Time) {
 	// it, clamped (the clamp narrows a duration, it never refuses).
 	offer, err := i.mgr.Admit(opKind(m.Op), serveTerms(ttl))
 	if err != nil {
-		_ = i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false})
+		i.notFound(m, now)
 		return
 	}
 
@@ -417,15 +417,26 @@ func (i *Instance) handleOp(m *wire.Message, now time.Time) {
 	}
 
 	if !m.Op.Blocking() {
-		notFound := &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false}
-		i.recordServed(key, notFound, now)
-		_ = i.send(m.From, notFound)
+		i.notFound(m, now)
 		return
 	}
 
 	// Blocking op: hold a waiter on behalf of the peer until a match,
 	// its lease expires, or the peer cancels.
 	i.serveBlocking(m, ttl, offer, now)
+}
+
+// notFound answers the op m a plain not-found: a miss, or this node's
+// refusal to serve it. A nonblocking op's is filed, so a copy is replayed
+// and the walk's closing multicast skips this node. A blocking op's is
+// not, like its lease end's: a later copy may park a wait. now is the
+// frame's reading.
+func (i *Instance) notFound(m *wire.Message, now time.Time) {
+	reply := &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr()}
+	if !m.Op.Blocking() {
+		i.recordServed(waitKey{from: m.From, id: m.ID}, reply, now)
+	}
+	_ = i.send(m.From, reply)
 }
 
 // serveBlocking parks a peer's blocking operation in the local space. ttl
@@ -437,7 +448,7 @@ func (i *Instance) serveBlocking(m *wire.Message, ttl time.Duration, offer lease
 	// offer before the lease is minted (escalation rung 1).
 	rw := &remoteWait{i: i, key: key, ttl: ttl}
 	if i.mgr.GrantOffer(&rw.lse, opKind(m.Op), i.gov.clampTerms(offer), now) != nil {
-		_ = i.send(m.From, &wire.Message{Type: wire.TResult, ID: m.ID, From: i.Addr(), Found: false})
+		i.notFound(m, now)
 		return
 	}
 	// Claim a slot in the bounded remote wait table: both the per-peer

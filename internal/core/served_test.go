@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tiamat/lease"
 	"tiamat/trace"
 	"tiamat/transport"
 	"tiamat/tuple"
@@ -293,5 +294,47 @@ func TestServedCacheReplayBuildsItsReply(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, replay); n != 1 {
 		t.Fatalf("a copy of a not-found record allocates %.0f objects, want its rebuilt reply alone", n)
+	}
+}
+
+// TestAdmitRefusalIsFiled: a nonblocking op the lease manager refuses is
+// answered a plain not-found and filed like a miss (DESIGN.md §6), so a
+// second copy is replayed from the record, byte for byte, without asking
+// the manager again; the walk's closing multicast skips a responder that
+// answered. A blocking op's refusal is not filed, as its lease end's
+// not-found is not: a copy is admitted afresh.
+func TestAdmitRefusalIsFiled(t *testing.T) {
+	frames := &sentFrames{to: "z"}
+	d := newDupRigWith(t, func(c *Config) {
+		c.Leases = lease.DefaultCapacity()
+		c.Leases.MaxDuration = 0 // every admission refused
+		frames.Endpoint, c.Endpoint = c.Endpoint, frames
+	})
+	if p := d.a.gov.pressure(); p != 0 {
+		t.Fatalf("pressure %v, want 0: the refusals are the lease manager's", p)
+	}
+	for _, tc := range []struct {
+		op      wire.OpCode
+		refused uint64 // counted for two copies
+		filed   bool
+	}{{wire.OpRdp, 1, true}, {wire.OpIn, 2, false}} {
+		id := uint64(tc.op)
+		refused, n := d.a.LeaseManager().Stats().Refused, frames.count()
+		d.send(opFrame("z", id, tc.op, time.Minute))
+		d.send(opFrame("z", id, tc.op, time.Minute))
+		got := frames.since(n)
+		if len(got) != 2 || !bytes.Equal(got[0], got[1]) {
+			t.Fatalf("%v: a sent z %d frames for two copies, want two identical", tc.op, len(got))
+		}
+		if m, err := wire.Decode(got[0]); err != nil || m.Type != wire.TResult || m.Found || m.Busy {
+			t.Fatalf("%v: answered %+v (%v), want a plain not-found", tc.op, m, err)
+		}
+		if n := d.a.LeaseManager().Stats().Refused - refused; n != tc.refused {
+			t.Fatalf("%v: %d refusals counted for two copies, want %d", tc.op, n, tc.refused)
+		}
+		filed := countServed(d.a, func(f finished) bool { return f.key.id == id && f.kind == ansNotFound }) == 1
+		if filed != tc.filed {
+			t.Fatalf("%v: refusal filed %v, want %v", tc.op, filed, tc.filed)
+		}
 	}
 }

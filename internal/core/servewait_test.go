@@ -665,15 +665,6 @@ func TestParkedRemoteWaitsHoldNoGoroutine(t *testing.T) {
 // a match, it ends once — the governor's slot and the serve lease come
 // back, and the requester hears the one not-found it is owed, or nothing.
 func TestServedWaitEndsOnceOnEveryEdge(t *testing.T) {
-	serveLease := func(g *gatedRig) *lease.Lease {
-		for _, l := range g.a.mgr.ActiveLeases() {
-			if l.Op() == lease.OpIn {
-				return l
-			}
-		}
-		g.t.Fatal("no serve lease")
-		return nil
-	}
 	edges := []struct {
 		name     string
 		end      func(g *gatedRig)
@@ -681,12 +672,6 @@ func TestServedWaitEndsOnceOnEveryEdge(t *testing.T) {
 		closed   bool
 	}{
 		{"lease expiry", func(g *gatedRig) { g.clk.Advance(time.Minute + time.Second) }, 1, false},
-		{"shrunk lease", func(g *gatedRig) {
-			if !serveLease(g).ShrinkDuration(time.Second) {
-				g.t.Fatal("shrink moved nothing")
-			}
-			g.clk.Advance(time.Second)
-		}, 1, false},
 		{"revoked lease", func(g *gatedRig) {
 			if n := g.a.mgr.Revoke(1); n != 1 {
 				g.t.Fatalf("revoked %d leases", n)

@@ -36,10 +36,6 @@ func TestEndHookFiresOnceOnEveryEnd(t *testing.T) {
 		want State
 	}{
 		{"expiry", func(_ *Manager, clk *clock.Virtual, _ *Lease) { clk.Advance(time.Second) }, StateExpired},
-		{"shrunk expiry", func(_ *Manager, clk *clock.Virtual, l *Lease) {
-			l.ShrinkDuration(time.Millisecond)
-			clk.Advance(time.Millisecond)
-		}, StateExpired},
 		{"cancel", func(_ *Manager, _ *clock.Virtual, l *Lease) { l.Cancel() }, StateCancelled},
 		{"revoke", func(m *Manager, _ *clock.Virtual, _ *Lease) { m.Revoke(1) }, StateRevoked},
 		{"manager close", func(m *Manager, _ *clock.Virtual, _ *Lease) { m.Close() }, StateCancelled},

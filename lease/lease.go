@@ -139,7 +139,7 @@ type Lease struct {
 	mgr      *Manager
 	op       OpKind
 	terms    Terms
-	deadline time.Time
+	deadline time.Time // written once, by GrantOffer: read without mu
 	// skew is the grantor's clock-skew guard band (Capacity.SkewBand):
 	// expiry is enforced this long after the nominal deadline.
 	skew time.Duration
@@ -182,13 +182,9 @@ func (l *Lease) Terms() Terms {
 	return l.terms
 }
 
-// Deadline returns the instant the time budget expires (as shrunk, if
-// the grantor reclaimed duration).
-func (l *Lease) Deadline() time.Time {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.deadline
-}
+// Deadline returns the instant the time budget expires. It is fixed at
+// grant (GrantOffer), so it is read without the lease's lock.
+func (l *Lease) Deadline() time.Time { return l.deadline }
 
 // OnEnd arms the lease's one end hook: h.LeaseEnded is called exactly
 // once when the lease leaves StateActive, on the goroutine that expired,
@@ -277,11 +273,12 @@ func (l *Lease) ConsumeBytes(n int64) error {
 // out/eval is known, so a small tuple does not reserve a large budget for
 // its whole lifetime. It returns the number of bytes reclaimed.
 //
-// Together with ShrinkDuration and ShrinkRemotes this is the lease
-// system's re-negotiation path: the grantor claws back unused budget
-// without revoking, the paper's escalation step before last-resort
-// revocation (§2.5). Already-consumed budget is never touched — shrink
-// narrows a promise, it does not break one.
+// This is the lease system's re-negotiation path, and bytes are all it
+// re-negotiates: the grantor claws back unused storage without revoking,
+// the paper's escalation step before last-resort revocation (§2.5). A
+// lease's deadline and remote-contact budget are fixed at grant.
+// Already-consumed budget is never touched — shrink narrows a promise, it
+// does not break one.
 func (l *Lease) ShrinkBytes() int64 {
 	l.mu.Lock()
 	if l.state != StateActive {
@@ -297,47 +294,6 @@ func (l *Lease) ShrinkBytes() int64 {
 	l.mu.Unlock()
 	l.mgr.returnBytes(excess)
 	return excess
-}
-
-// ShrinkDuration clamps the lease's remaining time budget to at most d
-// from now, moving its expiry with it. A lease that already expires
-// sooner (or is no longer active) is untouched. It reports whether the
-// deadline moved.
-func (l *Lease) ShrinkDuration(d time.Duration) bool {
-	if d < 0 {
-		d = 0
-	}
-	nd := l.mgr.expiries.Now().Add(d)
-	l.mu.Lock()
-	if l.state != StateActive || !nd.Before(l.deadline) {
-		l.mu.Unlock()
-		return false
-	}
-	l.deadline = nd
-	l.mu.Unlock()
-	m := l.mgr
-	m.mu.Lock()
-	if _, ok := m.active[l.id]; ok && !m.closed {
-		m.expiries.Schedule(&l.exp, nd.Add(l.skew))
-	}
-	m.mu.Unlock()
-	return true
-}
-
-// ShrinkRemotes clamps the remaining remote-contact budget to at most n.
-// It returns the number of contacts reclaimed.
-func (l *Lease) ShrinkRemotes(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.state != StateActive || l.remotesLeft <= n {
-		return 0
-	}
-	reclaimed := l.remotesLeft - n
-	l.remotesLeft = n
-	return reclaimed
 }
 
 // BytesUsed reports the consumed storage budget.

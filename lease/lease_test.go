@@ -746,3 +746,32 @@ func TestSetCapacityAffectsFutureGrants(t *testing.T) {
 		t.Fatalf("existing lease re-clamped: %v", before.Terms())
 	}
 }
+
+// TestActiveLeasesAllocatesOneSlice: a lease's deadline is fixed at grant,
+// so ActiveLeases sorts on it directly and allocates the slice it returns
+// and nothing else. The leases come back soonest deadline first, ties by
+// id.
+func TestActiveLeasesAllocatesOneSlice(t *testing.T) {
+	m, _ := newTestManager(DefaultCapacity())
+	const n = 16
+	for k := 0; k < n; k++ {
+		// Deadlines 8s, 7s, … 1s, then the same again: every one has a twin.
+		if _, err := m.Grant(OpRd, Flexible(Terms{Duration: time.Duration(n/2-k%(n/2)) * time.Second})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls := m.ActiveLeases()
+	if len(ls) != n {
+		t.Fatalf("%d active leases, want %d", len(ls), n)
+	}
+	for k := 1; k < n; k++ {
+		a, b := ls[k-1], ls[k]
+		if c := a.Deadline().Compare(b.Deadline()); c > 0 || c == 0 && a.ID() > b.ID() {
+			t.Fatalf("lease %d (id %d, %v) sorted before lease %d (id %d, %v)",
+				k-1, a.ID(), a.Deadline(), k, b.ID(), b.Deadline())
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.ActiveLeases() }); allocs != 1 {
+		t.Fatalf("ActiveLeases over %d leases: %v allocs, want 1 (the slice)", n, allocs)
+	}
+}

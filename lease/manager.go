@@ -364,8 +364,7 @@ func (m *Manager) Stats() Stats {
 }
 
 // ActiveLeases returns the active leases ordered by deadline (soonest
-// first, ties by id). Used by revocation and by monitoring. Deadlines are
-// snapshotted under each lease's lock — ShrinkDuration may move them.
+// first, ties by id). Used by revocation and by monitoring.
 func (m *Manager) ActiveLeases() []*Lease {
 	m.mu.Lock()
 	ls := make([]*Lease, 0, len(m.active))
@@ -373,12 +372,8 @@ func (m *Manager) ActiveLeases() []*Lease {
 		ls = append(ls, l)
 	}
 	m.mu.Unlock()
-	at := make(map[*Lease]time.Time, len(ls))
-	for _, l := range ls {
-		at[l] = l.Deadline()
-	}
 	slices.SortFunc(ls, func(a, b *Lease) int {
-		return cmp.Or(at[a].Compare(at[b]), cmp.Compare(a.id, b.id))
+		return cmp.Or(a.deadline.Compare(b.deadline), cmp.Compare(a.id, b.id))
 	})
 	return ls
 }
@@ -386,8 +381,9 @@ func (m *Manager) ActiveLeases() []*Lease {
 // Shrink reclaims up to n bytes of promised-but-unconsumed storage budget
 // from active leases, oldest deadline first, without terminating any of
 // them. It is the re-negotiation rung of the escalation ladder (paper
-// §2.5): a grantor under pressure first narrows its outstanding promises,
-// and only if that is not enough does it resort to Revoke. Returns the
+// §2.5), and it re-negotiates bytes alone (ShrinkBytes): a grantor under
+// pressure first narrows its outstanding storage promises, and only if
+// that is not enough does it resort to Revoke. Returns the
 // number of bytes actually reclaimed, which may fall short of n when the
 // active set has little slack.
 func (m *Manager) Shrink(n int64) int64 {

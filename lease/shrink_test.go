@@ -54,71 +54,6 @@ func TestManagerShrinkReclaimsOldestFirst(t *testing.T) {
 	}
 }
 
-// The timer assertions follow clock.Queue's contract, not an eager disarm:
-// at most one pending timer per manager (a shrink moves the lease's one
-// entry and re-arms the timer because the head got earlier), none once the
-// clock has passed the armed instant.
-func TestShrinkDurationReArmsExpiry(t *testing.T) {
-	m, clk := newTestManager(DefaultCapacity())
-	l, err := m.Grant(OpRd, Flexible(Terms{Duration: 10 * time.Second}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.ShrinkDuration(20 * time.Second) {
-		t.Fatal("lengthening must be a no-op")
-	}
-	if !l.ShrinkDuration(2 * time.Second) {
-		t.Fatal("shrink to 2s should move the deadline")
-	}
-	if !l.Deadline().Equal(epoch.Add(2 * time.Second)) {
-		t.Fatalf("deadline = %v", l.Deadline())
-	}
-	if m.expiries.Len() != 1 || clk.Pending() != 1 {
-		t.Fatalf("%d queue entries, %d timers pending after a shrink, want 1 and 1", m.expiries.Len(), clk.Pending())
-	}
-	clk.Advance(1 * time.Second)
-	if l.State() != StateActive {
-		t.Fatal("expired before the shrunk deadline")
-	}
-	clk.Advance(1 * time.Second)
-	if l.State() != StateExpired {
-		t.Fatalf("state = %v, want expired at the shrunk deadline", l.State())
-	}
-	if l.ShrinkDuration(time.Second) {
-		t.Fatal("shrinking a dead lease must be a no-op")
-	}
-	if clk.Pending() != 0 {
-		t.Fatalf("timer leaked past its armed instant: %d pending", clk.Pending())
-	}
-}
-
-func TestShrinkRemotesClamps(t *testing.T) {
-	m, _ := newTestManager(DefaultCapacity())
-	l, err := m.Grant(OpIn, Flexible(Terms{Duration: time.Second, MaxRemotes: 10}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.ConsumeRemote(); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.ShrinkRemotes(3); got != 6 {
-		t.Fatalf("reclaimed %d contacts, want 6 (9 left clamped to 3)", got)
-	}
-	if got := l.RemotesLeft(); got != 3 {
-		t.Fatalf("RemotesLeft = %d, want 3", got)
-	}
-	if got := l.ShrinkRemotes(5); got != 0 {
-		t.Fatalf("raising the clamp reclaimed %d, want 0", got)
-	}
-	if got := l.ShrinkRemotes(-1); got != 3 {
-		t.Fatalf("negative clamp reclaimed %d, want 3", got)
-	}
-	l.Cancel()
-	if got := l.ShrinkRemotes(0); got != 0 {
-		t.Fatal("shrinking a dead lease must reclaim nothing")
-	}
-}
-
 // Concurrent shrink vs consume must preserve the budget invariants:
 // consumption never exceeds the (possibly narrowed) promise, and the
 // manager's byte pool exactly reflects the surviving promises.
@@ -156,8 +91,6 @@ func TestConcurrentShrinkVsConsume(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				l.ShrinkBytes()
-				l.ShrinkRemotes(10)
-				l.ShrinkDuration(30 * time.Second)
 			}
 		}(l)
 	}

@@ -60,29 +60,6 @@ func TestZeroSkewBandEnforcesAtDeadline(t *testing.T) {
 	}
 }
 
-func TestSkewBandAppliesToShrunkDuration(t *testing.T) {
-	const band = 200 * time.Millisecond
-	m, clk := newTestManager(skewCap(band))
-	l, err := m.Grant(OpRd, Flexible(Terms{Duration: time.Hour}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.ShrinkDuration(time.Second) {
-		t.Fatal("shrink did not move the deadline")
-	}
-	if !l.Deadline().Equal(epoch.Add(time.Second)) {
-		t.Fatalf("shrunk deadline = %v", l.Deadline())
-	}
-	clk.Advance(time.Second + band - time.Millisecond)
-	if l.State() != StateActive {
-		t.Fatalf("state inside the band after shrink = %v, want active", l.State())
-	}
-	clk.Advance(time.Millisecond)
-	if l.State() != StateExpired {
-		t.Fatalf("state past the band after shrink = %v, want expired", l.State())
-	}
-}
-
 func TestSkewBandDoesNotExtendThePromise(t *testing.T) {
 	// The band is leniency on enforcement, not extra budget: the nominal
 	// deadline (what TTLs and serve budgets derive from) is unchanged, so

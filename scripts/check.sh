@@ -94,6 +94,21 @@ if [ -n "$queues" ]; then
 	exit 1
 fi
 
+# A lease's deadline is fixed at grant (DESIGN.md §7): GrantOffer writes
+# it once, and Deadline() and ActiveLeases read it without the lease's
+# lock. A second write would re-time a granted lease, and those reads
+# would need the lock again. Each write is printed with the function it
+# is in.
+echo "==> lease writes a lease's deadline on one line, in GrantOffer"
+writes="$(for f in $(git ls-files 'lease/*.go' | grep -v '_test.go$'); do
+	awk -v f="$f" '/^func / { fn = $0 } /\.deadline[ \t]*[-+]?=[^=]|[{,][ \t]*deadline:/ { print f ":" FNR ": " $0 "   [in " fn "]" }' "$f"
+done)"
+if [ "$(printf '%s' "$writes" | grep -c .)" -ne 1 ] || ! printf '%s' "$writes" | grep -q ') GrantOffer('; then
+	echo "want one write of a lease's deadline, in GrantOffer, found:"
+	echo "$writes"
+	exit 1
+fi
+
 # A parked registration costs no goroutine (DESIGN.md §6, §8): the space
 # calls its sink on the goroutine of the Out that matched it. A go
 # statement in a space is a goroutine started for one call or one

@@ -311,6 +311,14 @@ const remoteTakeAllocs = 8
 // as it is.
 const remoteBlockingTakeAllocs = 11
 
+// remoteMissAllocs is what one warm remote Rdp miss measures over memnet
+// (BenchmarkRemoteRdpMissTwoNodes): the received TOp and the received
+// not-found, one object each; the not-found TResult the responder's
+// record keeps; and the miss's walk, one object with its lease and TOp.
+// The closing multicast, which skips the one responder and so reaches
+// nobody, builds its frame in the walk and allocates nothing.
+const remoteMissAllocs = 4
+
 // localTakeAllocs is what an Out and a local Inp through one instance
 // measure: the store entry, which is the out's lease (a reservation, no
 // lease object). An Inp the local space answers mints no lease.
@@ -338,6 +346,21 @@ func TestRemoteTakeAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(2000, func() { remoteTake(t, a, bb) }); got != remoteTakeAllocs {
 		t.Fatalf("Out + remote Inp: %.2f allocs, want %d", got, remoteTakeAllocs)
+	}
+}
+
+// TestRemoteMissAllocs pins BenchmarkRemoteRdpMissTwoNodes's objects per
+// miss, as TestRemoteTakeAllocs does the remote take's.
+func TestRemoteMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops some of what is put back")
+	}
+	a, bb, _ := memnetPair(t)
+	for k := 0; k < 200; k++ {
+		remoteMiss(t, a, bb) // pools, heaps and maps reach their steady size
+	}
+	if got := testing.AllocsPerRun(2000, func() { remoteMiss(t, a, bb) }); got != remoteMissAllocs {
+		t.Fatalf("remote Rdp miss: %.2f allocs, want %d", got, remoteMissAllocs)
 	}
 }
 

@@ -487,6 +487,9 @@ func TestContactRetriedThenGivenUp(t *testing.T) {
 	b.list.Observe("a")
 	r.net.SetLoss(1.0)
 	done := make(chan bool, 1)
+	// The Inp's lease is granted at this instant or later, so its expiry
+	// timer is pending no earlier than leaseEnd.
+	leaseEnd := r.clk.Now().Add(time.Minute)
 	go func() {
 		_, ok, _ := b.Inp(context.Background(), reqTmpl(), opLease(time.Minute))
 		done <- ok
@@ -494,10 +497,11 @@ func TestContactRetriedThenGivenUp(t *testing.T) {
 	for k := 1; k <= b.cfg.RetryAttempts; k++ {
 		eventually(t, "transmission reached the wire", func() bool { return len(ops.sent()) == k })
 		// The tick is scheduled after the send; wait for the timer too.
+		// Until it is, the earliest timer can be the lease's expiry.
 		var at time.Time
 		eventually(t, "contact timeout armed", func() bool {
 			at = nextTimer(t, r.clk)
-			return at.After(r.clk.Now())
+			return at.After(r.clk.Now()) && at.Before(leaseEnd)
 		})
 		if gap := at.Sub(ops.sent()[k-1]); !inRetryWait(b, k, gap) {
 			t.Fatalf("contact timeout %d armed %v after its transmission, not a retryWait(%d)", k, gap, k)
@@ -538,6 +542,9 @@ func TestHedgeFiresAtTheHedgeDelay(t *testing.T) {
 	req0.list.Observe("empty")
 	req0.list.Observe("holder")
 	start := r.clk.Now()
+	// The In's lease and the wait it parks end no earlier than leaseEnd;
+	// until the walk arms its tick, one of their timers can be the next.
+	leaseEnd := start.Add(10 * time.Second)
 	got := make(chan Result, 1)
 	go func() {
 		res, _ := req0.In(context.Background(), reqTmpl(), opLease(10*time.Second))
@@ -547,7 +554,7 @@ func TestHedgeFiresAtTheHedgeDelay(t *testing.T) {
 	var at time.Time
 	eventually(t, "hedge tick armed", func() bool {
 		at = nextTimer(t, r.clk)
-		return at.After(start)
+		return at.After(start) && at.Before(leaseEnd)
 	})
 	if want := start.Add(req0.cfg.ContactTimeout); !at.Equal(want) {
 		t.Fatalf("tick armed for %v after the first contact, want the hedge delay %v", at.Sub(start), want.Sub(start))

@@ -73,7 +73,11 @@ type walk struct {
 	// msg is the frame contacts are sent. A sent frame is never written:
 	// each retransmission, re-arm or rediscovery sends a fresh copy
 	// stamped with the time left, which later contacts then share.
-	msg   *wire.Message
+	msg *wire.Message
+	// mcast is the multicast's copy of msg when it must differ: no
+	// failover marker, Skip aliasing skip. The transport reads it only
+	// during the call.
+	mcast wire.Message
 	to    wire.Addr
 	spare *pendingAccept   // a take's accept record (takeFrames)
 	local space.Parked     // a local match ends the walk; nil once settled
@@ -1004,10 +1008,10 @@ func (st *opState) multicast() {
 	// (§13). The multicast form is a copy; msg stays as unicast uses it.
 	mc := st.msg
 	if mc.Failover || len(st.skip) > 0 {
-		plain := *mc
-		plain.Failover = false
-		plain.Skip = slices.Clone(st.skip)
-		mc = &plain
+		st.mcast = *mc
+		st.mcast.Failover = false
+		st.mcast.Skip = st.skip
+		mc = &st.mcast
 	}
 	n, err := i.ep.Multicast(mc)
 	if err == nil {

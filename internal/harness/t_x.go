@@ -20,7 +20,7 @@ func T1LocalOps(scale Scale) (*Table, error) {
 	if scale == Quick {
 		preload, iters = 1000, 2000
 	}
-	s := store.New(store.WithSeed(7))
+	s := store.New()
 	defer s.Close()
 	for i := 0; i < preload; i++ {
 		if _, err := s.Out(tuple.T(tuple.String("pre"), tuple.Int(int64(i))), time.Time{}); err != nil {

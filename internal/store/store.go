@@ -41,7 +41,6 @@ import (
 	"errors"
 	"hash/maphash"
 	"math/bits"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,10 +57,9 @@ var ErrClosed = errors.New("store: closed")
 
 // Store implements space.Space.
 type Store struct {
-	clk  clock.Clock
-	met  *trace.Metrics // WithMetrics; New resolves ctr on it
-	ctr  counters
-	seed int64
+	clk clock.Clock
+	met *trace.Metrics // WithMetrics; New resolves ctr on it
+	ctr counters
 	// janitor times every shard's reclaim off one clock timer; never
 	// closed here, as it may be the node's (WithClock).
 	janitor *clock.Queue
@@ -96,7 +94,6 @@ type shard struct {
 	idx uint64
 
 	mu      sync.Mutex
-	rng     *rand.Rand
 	closed  bool
 	nextSeq uint64 // per-shard entry counter; id = seq<<shardBits | idx
 	bytes   int64  // live footprint, maintained incrementally
@@ -274,11 +271,6 @@ func WithClock(c clock.Clock) Option { return func(s *Store) { s.clk = c } }
 // WithMetrics attaches a metrics registry.
 func WithMetrics(m *trace.Metrics) Option { return func(s *Store) { s.met = m } }
 
-// WithSeed seeds the nondeterministic match selectors (default 1).
-func WithSeed(seed int64) Option {
-	return func(s *Store) { s.seed = seed }
-}
-
 // WithShards sets the number of tag shards, rounded up to a power of two
 // and clamped to [1, 256]. The default scales with GOMAXPROCS. One extra
 // scan shard always exists for untagged tuples, so WithShards(1) is the
@@ -319,9 +311,8 @@ type counters struct {
 // New returns an empty Store.
 func New(opts ...Option) *Store {
 	s := &Store{
-		clk:  clock.Real{},
-		met:  &trace.Metrics{},
-		seed: 1,
+		clk: clock.Real{},
+		met: &trace.Metrics{},
 	}
 	for _, o := range opts {
 		o(s)
@@ -348,7 +339,6 @@ func New(opts ...Option) *Store {
 		s.shards[i] = &shard{
 			st:      s,
 			idx:     uint64(i),
-			rng:     rand.New(rand.NewSource(s.seed + int64(i)*7919)),
 			byID:    make(map[uint64]*entry),
 			byArity: make(map[int]map[uint64]*entry),
 			byTag:   make(map[tagKey]map[uint64]*entry),
@@ -590,8 +580,13 @@ func (sh *shard) linkLocked(e *entry) {
 	}
 }
 
-// pickLocked chooses a matching live entry nondeterministically, or nil.
-// Caller holds sh.mu.
+// pickLocked returns the first live entry matching p in the bucket's
+// iteration order, or nil. Linda asks only that one match be chosen
+// nondeterministically; Go starts every map range at a random slot, so
+// each call may return any match, and a hit stops scanning there. The
+// choice is skewed, not uniform: an entry after a long run of
+// non-matching slots is reached from more start slots. Caller holds
+// sh.mu.
 func (sh *shard) pickLocked(p tuple.Template) *entry {
 	var bucket map[uint64]*entry
 	if tk, ok := tagOfTemplate(p); ok {
@@ -604,31 +599,15 @@ func (sh *shard) pickLocked(p tuple.Template) *entry {
 		return nil
 	}
 	now := sh.st.clk.Now()
-	// Collect a bounded candidate set: Linda only requires that one
-	// match be selected nondeterministically, and Go's randomised map
-	// iteration varies which region of the bucket we sample, so capping
-	// the scan keeps dense buckets O(1) without biasing selection to a
-	// fixed tuple. Sized for every candidate, the slice stays on the stack.
-	const maxCandidates = 32
-	matches := make([]*entry, 0, maxCandidates)
 	for _, e := range bucket {
 		if !e.expiry.IsZero() && !e.expiry.After(now) {
 			continue // expired but not yet reclaimed
 		}
 		if p.Matches(e.t) {
-			matches = append(matches, e)
-			if len(matches) >= maxCandidates {
-				break
-			}
+			return e
 		}
 	}
-	if len(matches) == 0 {
-		return nil
-	}
-	if len(matches) == 1 {
-		return matches[0]
-	}
-	return matches[sh.rng.Intn(len(matches))]
+	return nil
 }
 
 // removeLocked unlinks e from every index. Emptied buckets are kept: a

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ var epoch = time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
 
 func newTest() (*Store, *clock.Virtual) {
 	clk := clock.NewVirtual(epoch)
-	return New(WithClock(clk), WithSeed(42)), clk
+	return New(WithClock(clk)), clk
 }
 
 func req(id int64) tuple.Tuple { return tuple.T(tuple.String("req"), tuple.Int(id)) }
@@ -53,7 +54,7 @@ func TestOutRdpInp(t *testing.T) {
 }
 
 // TestDenseRdpAllocatesNothing: a formal template over a dense tag bucket
-// collects its candidates without a heap slice.
+// returns its match without allocating.
 func TestDenseRdpAllocatesNothing(t *testing.T) {
 	s, _ := newTest()
 	defer s.Close()
@@ -85,23 +86,62 @@ func TestArityIsolation(t *testing.T) {
 	}
 }
 
+// TestNondeterministicSelectionCoversAll: with every tuple of a bucket
+// matching, each selecting operation reaches every one of them, over a
+// bucket of one map group and over one spanning several. The choice is
+// the first match in the map's randomized order, skewed but never fixed.
 func TestNondeterministicSelectionCoversAll(t *testing.T) {
-	s, _ := newTest()
-	defer s.Close()
-	for i := int64(0); i < 5; i++ {
-		s.Out(req(i), never())
+	ops := []struct {
+		name string
+		pick func(*testing.T, *Store) tuple.Tuple
+	}{
+		{"Rdp", func(t *testing.T, s *Store) tuple.Tuple {
+			got, ok := s.Rdp(reqTmpl())
+			if !ok {
+				t.Fatal("no match")
+			}
+			return got
+		}},
+		{"Inp", func(t *testing.T, s *Store) tuple.Tuple {
+			got, ok := s.Inp(reqTmpl())
+			if !ok {
+				t.Fatal("no match")
+			}
+			if _, err := s.Out(got, never()); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}},
+		{"Hold", func(t *testing.T, s *Store) tuple.Tuple {
+			h, ok := s.Hold(reqTmpl())
+			if !ok {
+				t.Fatal("no match")
+			}
+			h.Release()
+			return h.Tuple()
+		}},
 	}
-	seen := map[int64]bool{}
-	for i := 0; i < 200; i++ {
-		got, ok := s.Rdp(reqTmpl())
-		if !ok {
-			t.Fatal("no match")
+	for _, op := range ops {
+		for _, n := range []int64{5, 64} {
+			t.Run(fmt.Sprintf("%s/%d", op.name, n), func(t *testing.T) {
+				s, _ := newTest()
+				defer s.Close()
+				for i := int64(0); i < n; i++ {
+					s.Out(req(i), never())
+				}
+				seen := map[int64]int{}
+				for k := int64(0); k < 100*n; k++ {
+					id, _ := op.pick(t, s).IntAt(1)
+					seen[id]++
+				}
+				if int64(len(seen)) != n {
+					t.Fatalf("%d draws reached %d of %d tuples: %v", 100*n, len(seen), n, seen)
+				}
+				if s.Count() != int(n) {
+					t.Fatalf("%d tuples left, want %d", s.Count(), n)
+				}
+			})
 		}
-		id, _ := got.IntAt(1)
-		seen[id] = true
-	}
-	if len(seen) < 3 {
-		t.Fatalf("selection not spread across matches: saw %v", seen)
 	}
 }
 
@@ -492,8 +532,8 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 
 // Property: racing Hold/Inp operations never duplicate or lose a tuple.
 func TestPropHoldNeverDuplicates(t *testing.T) {
-	prop := func(seed int64, releaseMask uint8) bool {
-		s := New(WithSeed(seed))
+	prop := func(_ int64, releaseMask uint8) bool {
+		s := New()
 		defer s.Close()
 		const total = 8
 		for i := int64(0); i < total; i++ {
@@ -528,8 +568,8 @@ func TestPropHoldNeverDuplicates(t *testing.T) {
 
 // Property: interleaved Out/Inp conserves tuples (stored - taken = live).
 func TestPropConservation(t *testing.T) {
-	prop := func(ops []bool, seed int64) bool {
-		s := New(WithSeed(seed))
+	prop := func(ops []bool, _ int64) bool {
+		s := New()
 		defer s.Close()
 		live := 0
 		for i, isOut := range ops {
@@ -552,7 +592,7 @@ func TestPropConservation(t *testing.T) {
 func TestPropExpiryExactness(t *testing.T) {
 	prop := func(durs []uint16) bool {
 		clk := clock.NewVirtual(epoch)
-		s := New(WithClock(clk), WithSeed(7))
+		s := New(WithClock(clk))
 		defer s.Close()
 		forever := 0
 		for i, d := range durs {
@@ -669,7 +709,7 @@ func TestExactKeyAfterTag(t *testing.T) {
 // TestHoldWaiterContract runs the shared Park table (spacetest), the one
 // space/naive and space/persist run too.
 func TestHoldWaiterContract(t *testing.T) {
-	spacetest.Parking(t, func(*testing.T) space.Space { return New(WithSeed(42)) })
+	spacetest.Parking(t, func(*testing.T) space.Space { return New() })
 }
 
 // TestHoldWaitersWakeInSeqOrder pins the store's own FIFO across its two

@@ -27,7 +27,7 @@ func TestStressConservation(t *testing.T) {
 		total       = producers * perProducer
 		tags        = 5 // one producer class per tag, rotating
 	)
-	s := New(WithSeed(42), WithShards(8))
+	s := New(WithShards(8))
 	defer s.Close()
 
 	tagOf := func(k int) string { return fmt.Sprintf("class-%d", k%tags) }

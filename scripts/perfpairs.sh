@@ -13,7 +13,8 @@
 # through each side's own bench/run.sh, prints each side's median and
 # quartiles per end-to-end metric over the pairs and in how many of them
 # the change read better, and feeds every pair to the benchmark's own
-# -compare. The ungated metrics (cpu_us_per_op, op_p90_us, op_p99_us),
+# -compare, then gives each gated metric's worst pair against its bound
+# from those comparisons. The ungated metrics (cpu_us_per_op, op_p90_us, op_p99_us),
 # which the benchmark's result line leaves out, are read from each run's
 # --out file and get the same quartiles and sign test, marked "not
 # gated": nothing bounds them, but a claim about CPU time is tested like
@@ -128,6 +129,19 @@ status=0
 for i in $(seq 1 "$pairs"); do
 	echo
 	echo "== pair $i (seed $i): a = parent, b = change"
-	"$root/.bench_build/tiamat-benchmark" -compare "$out/pair$i.parent.json" "$out/pair$i.change.json" || status=$?
+	"$root/.bench_build/tiamat-benchmark" -compare "$out/pair$i.parent.json" "$out/pair$i.change.json" |
+		tee "$out/pair$i.compare" || status=$?
+done
+
+# Each gated metric's worst pair: the largest "worse by" the comparisons
+# above printed (negative when the change read better in every pair),
+# beside the bound it is held to.
+echo
+for metric in $gated; do
+	for i in $(seq 1 "$pairs"); do
+		awk -v m="$metric" -v i="$i" '$1 == m && $5 ~ /%$/ { print i, $4, $5; exit }' "$out/pair$i.compare"
+	done | tr -d % | awk -v m="$metric" '
+		NR == 1 || $2 > worst { worst = $2; pair = $1; bound = $3 }
+		END { if (NR) printf "%-20s worst pair %+.1f %% (pair %d), bound %g %%\n", m, worst, pair, bound }'
 done
 exit "$status"

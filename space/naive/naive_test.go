@@ -284,7 +284,7 @@ func TestPropDifferentialAgainstStore(t *testing.T) {
 		clkB := clock.NewVirtual(epoch)
 		naive := New(clkA)
 		defer naive.Close()
-		fast := store.New(store.WithClock(clkB), store.WithSeed(1))
+		fast := store.New(store.WithClock(clkB))
 		defer fast.Close()
 		for _, o := range ops {
 			tag := tags[int(o.Tag)%len(tags)]

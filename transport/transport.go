@@ -35,7 +35,9 @@ type Endpoint interface {
 	// Multicast sends a message to every currently visible instance
 	// that m.Skip does not name. It returns the number of instances the
 	// message was offered to, or -1 when the transport cannot know (e.g.
-	// real UDP multicast, whose datagram reaches skipped ones too).
+	// real UDP multicast, whose datagram reaches skipped ones too). It
+	// reads m only during the call: the caller may reuse m and m.Skip
+	// once it returns.
 	Multicast(m *wire.Message) (int, error)
 	// Recv returns the inbound message stream. The channel is closed
 	// when the endpoint closes. A received message's From is always a
